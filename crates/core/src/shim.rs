@@ -584,6 +584,21 @@ impl ShimNode {
         actions
     }
 
+    /// Releases every partially filled batch now, whatever its age. For
+    /// drivers that can tell no further request is waiting (the thread
+    /// runtime's drained inbox); the simulator releases through
+    /// [`Self::poll_batcher`] only.
+    pub fn flush_batcher(&mut self) -> Vec<Action> {
+        if !self.is_primary() {
+            return Vec::new();
+        }
+        let mut actions = Vec::new();
+        while let Some(batch) = self.batcher.flush() {
+            actions.extend(self.submit_signed(batch));
+        }
+        actions
+    }
+
     /// The primary's batch-submit path: one aggregate signature check
     /// authenticates the whole batch; offenders found by the bisecting
     /// fallback are pruned (and released from duplicate suppression, so an

@@ -103,8 +103,10 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// Writes `records` through a real `FileWal` and returns the raw bytes.
-fn pristine_bytes(records: &[WalRecord]) -> Vec<u8> {
-    let path = scratch("pristine");
+/// `name` is the calling test's own scratch file: the tests of this file
+/// run on parallel threads of one process.
+fn pristine_bytes(name: &str, records: &[WalRecord]) -> Vec<u8> {
+    let path = scratch(name);
     let _ = std::fs::remove_file(&path);
     {
         let mut wal = FileWal::open(&path).expect("open");
@@ -166,7 +168,7 @@ fn check_damaged(name: &str, bytes: &[u8], records: &[WalRecord], intact: usize)
 #[test]
 fn random_truncations_keep_the_intact_prefix() {
     let records = originals();
-    let raw = pristine_bytes(&records);
+    let raw = pristine_bytes("cut-pristine", &records);
     let ends = frame_ends(&records);
     assert_eq!(*ends.last().expect("frames"), raw.len());
     let mut rng = SplitMix64(0x70e4_7a11);
@@ -180,7 +182,7 @@ fn random_truncations_keep_the_intact_prefix() {
 #[test]
 fn random_bit_flips_keep_the_prefix_before_the_flip() {
     let records = originals();
-    let raw = pristine_bytes(&records);
+    let raw = pristine_bytes("flip-pristine", &records);
     let ends = frame_ends(&records);
     let mut rng = SplitMix64(0xb17_f11b);
     for trial in 0..150 {
@@ -198,7 +200,7 @@ fn random_bit_flips_keep_the_prefix_before_the_flip() {
 #[test]
 fn torn_tail_on_top_of_a_bit_flip_is_still_survivable() {
     let records = originals();
-    let raw = pristine_bytes(&records);
+    let raw = pristine_bytes("both-pristine", &records);
     let ends = frame_ends(&records);
     let mut rng = SplitMix64(0xdead_10cc);
     for trial in 0..100 {

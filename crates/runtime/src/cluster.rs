@@ -5,11 +5,30 @@
 //! thread, and drives a closed-loop client population from the calling
 //! thread until the requested number of transactions has been committed
 //! (or a wall-clock deadline passes).
+//!
+//! # Batch release
+//!
+//! A node thread blocks on its inbox, handles deliveries for as long as
+//! the inbox has any, and only then goes back to blocking. The primary
+//! releases a batch on whichever comes first:
+//!
+//! * **full** — a lane reaches `batch_size` (`Batcher::push_planned`);
+//! * **idle** — the inbox is empty, so nothing that could join the batch
+//!   is waiting and holding it back would only add latency;
+//! * **`max_wait`** — the oldest pending request has waited out the
+//!   batcher's timeout while the inbox never drained. Requests and the
+//!   poll are stamped with the router's wall clock for this.
+//!
+//! Batch size therefore follows load without a timer thread: a lone
+//! closed-loop client gets batches of one and pays no batching wait,
+//! while a loaded primary fills batches up to `batch_size` and pays the
+//! three ordering phases, the executor spawns, the verifier's match and
+//! (under durability) the WAL fsync once per batch.
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use sbft_core::events::{Action, Destination, Envelope, ProtocolMessage};
 use sbft_core::System;
-use sbft_telemetry::{Stage, TraceSink, Tracer};
+use sbft_telemetry::{Counter, Stage, TraceSink, Tracer};
 use sbft_types::{ClientId, ComponentId, NodeId, SeqNum, SimTime, TxnOutcome};
 use sbft_workloads::YcsbWorkload;
 use std::collections::HashMap;
@@ -50,6 +69,11 @@ struct Router {
     /// elapsed time.
     tracer: Tracer,
     epoch: Instant,
+    /// Batches node 0 has committed (`Action::BatchCommitted`).
+    batches: Counter,
+    /// `StartTimer` actions discarded: nothing on this runtime fires
+    /// timers (`runtime.dropped_timers` in the system registry).
+    dropped_timers: Counter,
 }
 
 impl Router {
@@ -99,13 +123,21 @@ impl Router {
                         }
                     }
                     Destination::AllNodes => {
-                        for (i, tx) in self.nodes.iter().enumerate() {
-                            if ComponentId::Node(NodeId(i as u32)) != origin {
+                        let mut peers = self
+                            .nodes
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| ComponentId::Node(NodeId(*i as u32)) != origin)
+                            .map(|(_, tx)| tx);
+                        // The last recipient takes the message itself.
+                        if let Some(last) = peers.next_back() {
+                            for tx in peers {
                                 let _ = tx.send(Work::Item(Delivery {
                                     from,
                                     msg: msg.clone(),
                                 }));
                             }
+                            let _ = last.send(Work::Item(Delivery { from, msg }));
                         }
                     }
                     Destination::Verifier => {
@@ -119,9 +151,23 @@ impl Router {
                 Action::SpawnExecutor { request, execute } => {
                     let _ = self.executor_pool.send(Work::Item((request, execute)));
                 }
-                // Timers and metric hooks are not used on the happy path the
-                // thread runtime covers.
-                _ => {}
+                // Nothing on this runtime fires timers, so the recovery
+                // paths they guard (retransmission, view change, client
+                // retry) never run here; the count keeps that visible.
+                Action::StartTimer { .. } => self.dropped_timers.inc(),
+                Action::BatchCommitted { .. } => {
+                    if origin == ComponentId::Node(NodeId(0)) {
+                        self.batches.inc();
+                    }
+                }
+                // With no timer started there is none to cancel; the WAL
+                // write and the shard check already ran inside the role
+                // (these two only price them for the simulator's CPU
+                // model); the client driver reads `TxnCompleted` itself.
+                Action::CancelTimer(_)
+                | Action::Persist { .. }
+                | Action::ShardCcheck { .. }
+                | Action::TxnCompleted { .. } => {}
             }
         }
     }
@@ -145,6 +191,9 @@ pub struct ClusterReport {
     pub aborted: u64,
     /// Wall-clock time the run took.
     pub elapsed: Duration,
+    /// Batches committed at node 0; `committed / batches` is the mean
+    /// batch size of the run.
+    pub batches: u64,
     /// Executors invoked by the pool.
     pub executor_invocations: u64,
     /// Transactions the verifier applied through the `ShardScheduler`
@@ -260,6 +309,8 @@ impl LocalCluster {
                 None => Tracer::disabled(),
             },
             epoch: start,
+            batches: Counter::new(),
+            dropped_timers: system.registry.counter("runtime.dropped_timers"),
         };
 
         let mut handles = Vec::new();
@@ -285,40 +336,47 @@ impl LocalCluster {
             let router = router.clone();
             handles.push(thread::spawn(move || {
                 let origin = ComponentId::Node(NodeId(i as u32));
-                while let Ok(Work::Item(delivery)) = rx.recv() {
-                    let now = SimTime::from_micros(0);
-                    let actions = match &delivery.msg {
-                        ProtocolMessage::ClientRequest(req) => node.on_client_request(req, now),
-                        ProtocolMessage::Consensus(c) => match delivery.from.as_node() {
-                            Some(sender) => node.on_consensus_message(sender, c.clone()),
+                let mut next = rx.recv();
+                while let Ok(Work::Item(Delivery { from, msg })) = next {
+                    let now = router.now();
+                    let mut actions = match msg {
+                        ProtocolMessage::ClientRequest(req) => node.on_client_request(&req, now),
+                        ProtocolMessage::Consensus(c) => match from.as_node() {
+                            Some(sender) => node.on_consensus_message(sender, c),
                             None => Vec::new(),
                         },
-                        other => node.on_message_at(other, now),
+                        other => node.on_message_at(&other, now),
                     };
+                    // `max_wait` bounds the wait of a pending request while
+                    // the inbox never drains.
+                    actions.extend(node.poll_batcher(now));
                     router.route(origin, actions);
-                    // Release any partial batch so small workloads finish.
-                    let flush = node.poll_batcher(SimTime::from_micros(u64::MAX / 2));
-                    router.route(origin, flush);
+                    // An empty inbox means nothing waiting could join the
+                    // partial batch: release it, then block.
+                    next = rx.try_recv().or_else(|_| {
+                        router.route(origin, node.flush_batcher());
+                        rx.recv()
+                    });
                 }
             }));
         }
 
         // Executor pool thread: spawns an executor object per request and
         // forwards its VERIFY messages to the verifier.
+        let executor_invocations = Counter::new();
         {
+            let invocations = executor_invocations.clone();
             let router = router.clone();
             let provider = system.provider.clone();
             let storage = std::sync::Arc::clone(&system.storage);
             let n_r = system.config.fault.n_r;
             let cert_quorum = system.cert_quorum();
             let mut next_executor: u64 = 0;
-            let invocations = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-            let invocations_pool = std::sync::Arc::clone(&invocations);
             handles.push(thread::spawn(move || {
                 while let Ok(Work::Item((request, execute))) = pool_rx.recv() {
                     let id = sbft_types::ExecutorId(next_executor);
                     next_executor += 1;
-                    invocations_pool.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    invocations.inc();
                     let executor = sbft_serverless::Executor::new(
                         id,
                         request.region,
@@ -432,12 +490,13 @@ impl LocalCluster {
         // channels never disconnect on their own: stop the loops
         // explicitly, then join.
         router.stop_all();
-        drop(router);
         drop(clients);
         for handle in handles {
             let _ = handle.join();
         }
         report.pool_applied = pool_applied.load(std::sync::atomic::Ordering::Acquire);
+        report.executor_invocations = executor_invocations.get();
+        report.batches = router.batches.get();
         report
     }
 }
@@ -581,6 +640,82 @@ mod tests {
         );
         let dir = std::env::temp_dir().join(format!("sbft-wal-{}", std::process::id()));
         assert!(dir.join("node-0.wal").exists(), "WAL file was not created");
+    }
+
+    #[test]
+    fn loaded_primary_fills_batches_up_to_batch_size() {
+        let mut cfg = config();
+        cfg.workload.batch_size = 16;
+        cfg.workload.num_clients = 64;
+        let system = SystemBuilder::new(cfg).clients(64).build();
+        let sink = Arc::new(sbft_telemetry::MemorySink::new());
+        let report = LocalCluster::new(system)
+            .clients(64)
+            .target_txns(2_000)
+            .deadline(Duration::from_secs(20))
+            .with_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>)
+            .run();
+        assert!(report.committed >= 2_000);
+        // The responses of a batch share its trace id.
+        let mut responds: HashMap<u64, usize> = HashMap::new();
+        for event in sink.events() {
+            if event.stage == Stage::Respond {
+                *responds.entry(event.trace).or_default() += 1;
+            }
+        }
+        let largest = responds.values().copied().max().unwrap_or(0);
+        assert!(largest <= 16, "a batch of {largest} exceeds batch_size");
+        let mean = responds.values().sum::<usize>() as f64 / responds.len().max(1) as f64;
+        assert!(mean > 4.0, "mean batch of {mean:.1} under 64 clients");
+    }
+
+    #[test]
+    fn lone_client_is_released_on_idle_not_on_a_full_batch() {
+        // One closed-loop client can never fill a batch of 100, and
+        // nothing on this runtime fires a timer: only the idle release
+        // lets each request through.
+        let mut cfg = config();
+        cfg.workload.batch_size = 100;
+        let system = SystemBuilder::new(cfg).clients(1).build();
+        let report = LocalCluster::new(system)
+            .clients(1)
+            .target_txns(50)
+            .deadline(Duration::from_secs(20))
+            .run();
+        assert!(report.committed >= 50, "committed {}", report.committed);
+        assert!(
+            report.elapsed < Duration::from_secs(5),
+            "50 unloaded commits took {:?}",
+            report.elapsed
+        );
+        assert_eq!(report.batches, report.committed, "batches of one");
+        assert!(
+            report.executor_invocations >= report.batches,
+            "{} executors for {} batches",
+            report.executor_invocations,
+            report.batches
+        );
+    }
+
+    #[test]
+    fn durable_cluster_group_commits_under_load() {
+        let mut cfg = config();
+        cfg.workload.batch_size = 16;
+        cfg.workload.num_clients = 32;
+        cfg.durability = sbft_types::DurabilityConfig::enabled();
+        let system = SystemBuilder::new(cfg).clients(32).build();
+        let report = LocalCluster::new(system)
+            .clients(32)
+            .target_txns(400)
+            .deadline(Duration::from_secs(20))
+            .run();
+        assert!(report.committed >= 400, "committed {}", report.committed);
+        assert!(
+            report.batches < report.committed,
+            "{} batches for {} transactions: one fsync each",
+            report.batches,
+            report.committed
+        );
     }
 
     #[test]

@@ -15,19 +15,21 @@ use std::time::Duration;
 fn main() {
     let mut config = SystemConfig::with_shim_size(4);
     config.workload.num_records = 10_000;
-    config.workload.batch_size = 4;
+    config.workload.batch_size = 16;
     config.regions = RegionSet::home_only();
 
-    let system = SystemBuilder::new(config).clients(8).build();
+    let system = SystemBuilder::new(config).clients(64).build();
     println!("starting a live 4-node shim + verifier + executor pool on threads…");
     let report = LocalCluster::new(system)
-        .clients(8)
-        .target_txns(500)
+        .clients(64)
+        .target_txns(5_000)
         .deadline(Duration::from_secs(30))
         .run();
 
     println!("committed transactions : {}", report.committed);
     println!("aborted transactions   : {}", report.aborted);
+    println!("batches committed      : {}", report.batches);
+    println!("executor invocations   : {}", report.executor_invocations);
     println!(
         "wall-clock time        : {:.2} s",
         report.elapsed.as_secs_f64()
