@@ -335,6 +335,12 @@ impl Batcher {
         self.batch_size
     }
 
+    /// The configured timeout of a pending transaction.
+    #[must_use]
+    pub fn max_wait(&self) -> SimDuration {
+        self.max_wait
+    }
+
     /// Number of lanes (1 without the planner, shards + 1 with it).
     #[must_use]
     pub fn lanes(&self) -> usize {

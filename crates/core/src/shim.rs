@@ -584,10 +584,16 @@ impl ShimNode {
         actions
     }
 
+    /// How long the batcher lets a pending request wait (its timeout).
+    #[must_use]
+    pub fn batch_max_wait(&self) -> sbft_types::SimDuration {
+        self.batcher.max_wait()
+    }
+
     /// Releases every partially filled batch now, whatever its age. For
-    /// drivers that can tell no further request is waiting (the thread
-    /// runtime's drained inbox); the simulator releases through
-    /// [`Self::poll_batcher`] only.
+    /// drivers that decide the release instant themselves (the thread
+    /// runtime cuts its parked requests on a wall-clock interval); the
+    /// simulator releases through [`Self::poll_batcher`] only.
     pub fn flush_batcher(&mut self) -> Vec<Action> {
         if !self.is_primary() {
             return Vec::new();

@@ -8,31 +8,44 @@
 //!
 //! # Batch release
 //!
-//! A node thread blocks on its inbox, handles deliveries for as long as
-//! the inbox has any, and only then goes back to blocking. The primary
-//! releases a batch on whichever comes first:
+//! The primary's node thread decides when client requests become batches;
+//! the rule is driven by the clock and by the ordering protocol, never by
+//! how the host happened to schedule the threads:
 //!
-//! * **full** — a lane reaches `batch_size` (`Batcher::push_planned`);
-//! * **idle** — the inbox is empty, so nothing that could join the batch
-//!   is waiting and holding it back would only add latency;
-//! * **`max_wait`** — the oldest pending request has waited out the
-//!   batcher's timeout while the inbox never drained. Requests and the
-//!   poll are stamped with the router's wall clock for this.
+//! * **idle pipeline** — a request that arrives while every batch this
+//!   node proposed has committed, and nothing is parked, is ordered at
+//!   once. A lone closed-loop client gets batches of one and pays no
+//!   batching wait.
+//! * **batch interval** — a request that arrives while a batch is still
+//!   being ordered is *parked*. The parked requests are cut into batches
+//!   of up to `batch_size` one `max_wait` (the batcher's timeout) after
+//!   the previous cut, so no request waits longer than `max_wait` and a
+//!   loaded primary proposes everything that arrived in the interval
+//!   together: the three ordering phases, the executor spawns, the
+//!   verifier's match and (under durability) the WAL fsyncs are paid once
+//!   per batch.
 //!
-//! Batch size therefore follows load without a timer thread: a lone
-//! closed-loop client gets batches of one and pays no batching wait,
-//! while a loaded primary fills batches up to `batch_size` and pays the
-//! three ordering phases, the executor spawns, the verifier's match and
-//! (under durability) the WAL fsync once per batch.
+//! Under durability a node thread also group-commits its log: it keeps
+//! handling deliveries while its inbox has any, syncs once, and only then
+//! lets the actions of that drain leave (`GroupLog`).
+//!
+//! Under `n` closed-loop clients throughput is therefore `n / max_wait`
+//! for as long as the pipeline clears a cut inside the interval, and
+//! CPU-bound beyond that. The inbox running dry is deliberately not a
+//! release trigger: when it does is up to the scheduler, and batch size
+//! (1.9 to 21 transactions from one 0.84 s run to the next on the
+//! benchmark's `sharded_multiop`) and throughput would follow it.
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
-use sbft_core::events::{Action, Destination, Envelope, ProtocolMessage};
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use sbft_core::events::{Action, ClientRequest, Destination, Envelope, ProtocolMessage};
 use sbft_core::System;
+use sbft_durability::{FileWal, WalRecord, WriteAheadLog};
 use sbft_telemetry::{Counter, Stage, TraceSink, Tracer};
 use sbft_types::{ClientId, ComponentId, NodeId, SeqNum, SimTime, TxnOutcome};
 use sbft_workloads::YcsbWorkload;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -327,36 +340,91 @@ impl LocalCluster {
             dir
         });
         for (i, mut node) in nodes.into_iter().enumerate() {
-            if let Some(dir) = &wal_dir {
-                if let Ok(wal) = sbft_durability::FileWal::open(dir.join(format!("node-{i}.wal"))) {
-                    node.attach_wal(Box::new(wal));
-                }
+            let log = wal_dir.as_ref().and_then(|dir| {
+                // A run starts from an empty log: what an earlier run in
+                // this process left behind is not this cluster's history.
+                let path = dir.join(format!("node-{i}.wal"));
+                let _ = std::fs::File::create(&path);
+                let wal = sbft_durability::FileWal::open(path).ok()?;
+                Some(Arc::new(GroupLog {
+                    wal: Mutex::new(wal),
+                    sync_due: AtomicBool::new(false),
+                }))
+            });
+            if let Some(log) = &log {
+                node.attach_wal(Box::new(GroupCommitWal(Arc::clone(log))));
             }
             let rx = node_rx.remove(0);
             let router = router.clone();
             handles.push(thread::spawn(move || {
                 let origin = ComponentId::Node(NodeId(i as u32));
-                let mut next = rx.recv();
-                while let Ok(Work::Item(Delivery { from, msg })) = next {
-                    let now = router.now();
-                    let mut actions = match msg {
-                        ProtocolMessage::ClientRequest(req) => node.on_client_request(&req, now),
-                        ProtocolMessage::Consensus(c) => match from.as_node() {
-                            Some(sender) => node.on_consensus_message(sender, c),
-                            None => Vec::new(),
+                let interval = Duration::from_micros(node.batch_max_wait().as_micros());
+                // Requests held back for the next cut, and when the last
+                // cut was made.
+                let mut parked: Vec<ClientRequest> = Vec::new();
+                let mut last_cut = Instant::now();
+                let mut proposals = Proposals::default();
+                // Actions that may not leave before the log is synced.
+                let mut held: Vec<Action> = Vec::new();
+                loop {
+                    let sync_due = log.as_ref().is_some_and(|log| log.sync_due());
+                    if !sync_due {
+                        router.route(origin, std::mem::take(&mut held));
+                    }
+                    // With requests parked the cut is due on time, however
+                    // busy the inbox is.
+                    let due = (!parked.is_empty()).then(|| last_cut + interval);
+                    let next = match due.map(|at| at.saturating_duration_since(Instant::now())) {
+                        Some(wait) if wait.is_zero() => Err(RecvTimeoutError::Timeout),
+                        // Group commit: take what the inbox still has, so
+                        // that one fsync covers every record of the drain.
+                        _ if sync_due => match rx.try_recv() {
+                            Ok(work) => Ok(work),
+                            Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+                            Err(TryRecvError::Empty) => {
+                                if let Some(log) = &log {
+                                    log.sync();
+                                }
+                                continue;
+                            }
                         },
-                        other => node.on_message_at(&other, now),
+                        None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                        Some(wait) => rx.recv_timeout(wait),
                     };
-                    // `max_wait` bounds the wait of a pending request while
-                    // the inbox never drains.
-                    actions.extend(node.poll_batcher(now));
-                    router.route(origin, actions);
-                    // An empty inbox means nothing waiting could join the
-                    // partial batch: release it, then block.
-                    next = rx.try_recv().or_else(|_| {
-                        router.route(origin, node.flush_batcher());
-                        rx.recv()
-                    });
+                    let now = router.now();
+                    let actions = match next {
+                        Ok(Work::Item(Delivery { from, msg })) => match msg {
+                            ProtocolMessage::ClientRequest(req)
+                                if node.is_primary()
+                                    && (proposals.in_flight() || !parked.is_empty()) =>
+                            {
+                                parked.push(req);
+                                continue;
+                            }
+                            ProtocolMessage::ClientRequest(req) => {
+                                let mut actions = node.on_client_request(&req, now);
+                                actions.extend(node.flush_batcher());
+                                actions
+                            }
+                            ProtocolMessage::Consensus(c) => match from.as_node() {
+                                Some(sender) => node.on_consensus_message(sender, c),
+                                None => Vec::new(),
+                            },
+                            other => node.on_message_at(&other, now),
+                        },
+                        Err(RecvTimeoutError::Timeout) => {
+                            last_cut = Instant::now();
+                            let mut actions = Vec::new();
+                            for req in parked.drain(..) {
+                                actions.extend(node.on_client_request(&req, now));
+                            }
+                            actions.extend(node.flush_batcher());
+                            actions
+                        }
+                        Ok(Work::Stop) | Err(RecvTimeoutError::Disconnected) => break,
+                    };
+                    proposals.observe(&actions);
+                    held.extend(actions);
                 }
             }));
         }
@@ -501,11 +569,105 @@ impl LocalCluster {
     }
 }
 
+/// A node's log file with the fsync moved out of the node's hands. The
+/// node's `sync` only asks for one ([`GroupCommitWal`]); the node thread
+/// grants it once its inbox is drained and lets none of the actions
+/// produced in between leave before that, so a vote still never leaves
+/// ahead of its record and one fsync covers every record of the drain.
+struct GroupLog {
+    wal: Mutex<FileWal>,
+    sync_due: AtomicBool,
+}
+
+impl GroupLog {
+    fn wal(&self) -> MutexGuard<'_, FileWal> {
+        self.wal.lock().expect("a WAL holder panicked")
+    }
+
+    fn sync_due(&self) -> bool {
+        self.sync_due.load(Ordering::Relaxed)
+    }
+
+    fn sync(&self) {
+        self.wal().sync();
+        self.sync_due.store(false, Ordering::Relaxed);
+    }
+}
+
+/// The node's handle on its [`GroupLog`].
+struct GroupCommitWal(Arc<GroupLog>);
+
+impl WriteAheadLog for GroupCommitWal {
+    fn append(&mut self, record: &WalRecord) -> u64 {
+        self.0.wal().append(record)
+    }
+
+    fn sync(&mut self) {
+        self.0.sync_due.store(true, Ordering::Relaxed);
+    }
+
+    fn replay(&self) -> Vec<WalRecord> {
+        self.0.wal().replay()
+    }
+
+    fn truncate_below(&mut self, upto: SeqNum) -> u64 {
+        // The snapshot mark has to be on disk before the records it
+        // supersedes are dropped.
+        self.0.sync();
+        self.0.wal().truncate_below(upto)
+    }
+
+    fn durable_len(&self) -> usize {
+        self.0.wal().durable_len()
+    }
+
+    fn unsynced_len(&self) -> usize {
+        self.0.wal().unsynced_len()
+    }
+
+    fn lose_unsynced(&mut self) {
+        self.0.wal().lose_unsynced();
+    }
+}
+
+/// The batches a node has proposed against the ones it has committed,
+/// read off its own actions: while the two differ, one of its batches is
+/// still being ordered.
+#[derive(Default)]
+struct Proposals {
+    proposed: u64,
+    committed: u64,
+}
+
+impl Proposals {
+    fn observe(&mut self, actions: &[Action]) {
+        for action in actions {
+            match action {
+                Action::Send(Envelope {
+                    msg: ProtocolMessage::Consensus(c),
+                    ..
+                }) => {
+                    if let Some(seq) = ordering_batch_seq(c) {
+                        self.proposed = self.proposed.max(seq.0);
+                    }
+                }
+                Action::BatchCommitted { seq, .. } => self.committed = self.committed.max(seq.0),
+                _ => {}
+            }
+        }
+    }
+
+    fn in_flight(&self) -> bool {
+        self.proposed > self.committed
+    }
+}
+
 /// The sequence number of the batch an ordering-protocol message carries,
-/// if it carries one (PBFT `PREPREPARE` / CFT accept).
+/// if it carries one (PBFT `PREPREPARE` in either form / CFT accept).
 fn ordering_batch_seq(msg: &sbft_consensus::ConsensusMessage) -> Option<SeqNum> {
     match msg {
         sbft_consensus::ConsensusMessage::PrePrepare(p) => Some(p.seq),
+        sbft_consensus::ConsensusMessage::DigestPrePrepare(p) => Some(p.seq),
         sbft_consensus::ConsensusMessage::CftAccept(a) => Some(a.seq),
         _ => None,
     }
@@ -670,10 +832,10 @@ mod tests {
     }
 
     #[test]
-    fn lone_client_is_released_on_idle_not_on_a_full_batch() {
-        // One closed-loop client can never fill a batch of 100, and
-        // nothing on this runtime fires a timer: only the idle release
-        // lets each request through.
+    fn lone_client_is_ordered_at_once_on_an_idle_pipeline() {
+        // One closed-loop client can never fill a batch of 100; each of
+        // its requests finds the pipeline idle and must neither wait for
+        // a full batch nor sit out the batch interval.
         let mut cfg = config();
         cfg.workload.batch_size = 100;
         let system = SystemBuilder::new(cfg).clients(1).build();
@@ -695,6 +857,61 @@ mod tests {
             report.executor_invocations,
             report.batches
         );
+    }
+
+    #[test]
+    fn requests_parked_behind_a_batch_are_cut_on_the_interval() {
+        // Four clients never fill a batch of 100. The first request is
+        // ordered alone; the others arrive while it is in flight, are
+        // parked, and only the interval cut lets them through, together.
+        let mut cfg = config();
+        cfg.workload.batch_size = 100;
+        let system = SystemBuilder::new(cfg).clients(4).build();
+        let report = LocalCluster::new(system)
+            .clients(4)
+            .target_txns(80)
+            .deadline(Duration::from_secs(20))
+            .run();
+        assert!(report.committed >= 80, "committed {}", report.committed);
+        assert!(
+            report.batches < report.committed,
+            "{} batches for {} transactions",
+            report.batches,
+            report.committed
+        );
+        // 80 transactions at four per interval of 5 ms.
+        assert!(
+            report.elapsed < Duration::from_secs(5),
+            "took {:?}",
+            report.elapsed
+        );
+    }
+
+    #[test]
+    fn group_commit_wal_syncs_only_when_the_node_thread_says_so() {
+        let path = std::env::temp_dir().join(format!("sbft-group-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let log = Arc::new(GroupLog {
+            wal: Mutex::new(FileWal::open(&path).expect("open")),
+            sync_due: AtomicBool::new(false),
+        });
+        let mut wal = GroupCommitWal(Arc::clone(&log));
+        let view = sbft_types::ViewNumber(0);
+        wal.append(&WalRecord::ViewInstalled { view });
+        wal.sync();
+        assert!(log.sync_due(), "the node's sync is a request");
+        assert_eq!((wal.durable_len(), wal.unsynced_len()), (0, 1));
+        log.sync();
+        assert!(!log.sync_due());
+        assert_eq!((wal.durable_len(), wal.unsynced_len()), (1, 0));
+        // Truncation may not run ahead of the records still buffered.
+        wal.append(&WalRecord::SnapshotMark {
+            upto: SeqNum(3),
+            view,
+        });
+        wal.truncate_below(SeqNum(3));
+        assert_eq!((wal.durable_len(), wal.unsynced_len()), (2, 0));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
