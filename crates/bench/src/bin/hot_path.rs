@@ -78,6 +78,8 @@ fn scheduler_apply_point(workers: usize, batches: u64, per_batch: u64) {
 }
 
 fn main() {
+    // Every wall-clock number below hangs on which SHA-256 kernel ran.
+    println!("# sha256 kernel: {}", sbft_crypto::sha256::kernel_name());
     print_header();
     for point in commit_path_points(&[10, 50, 100, 400, 1000]) {
         let _ = run_point(point);

@@ -37,6 +37,7 @@ fn main() {
     let result = run_point_traced(point, Arc::clone(&sink) as _);
     let events = sink.events();
 
+    println!("# sha256 kernel: {}", sbft_crypto::sha256::kernel_name());
     let rows = stage_breakdown(&events);
     print!("{}", render_stage_table(&rows));
 

@@ -15,6 +15,7 @@
 //! figure, series, x, throughput_tps, avg_latency_s, p50_s, p99_s, abort_rate, cents_per_ktxn
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

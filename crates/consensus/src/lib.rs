@@ -24,6 +24,7 @@
 //! equivocation) are injected *around* the honest state machines by
 //! `sbft-core::attacks`.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -31,6 +31,7 @@
 //! * [`system`] — the builder that assembles a whole deployment from a
 //!   [`sbft_types::SystemConfig`].
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -3,10 +3,10 @@
 //! The protocol hashes structured data — `(view, seq, digest)` headers,
 //! transaction identifiers, result vectors — far more often than raw byte
 //! buffers. [`U64Hasher`] is the allocation-free workhorse for those
-//! sites: values are pushed one `u64` at a time into a 64-byte stack
-//! buffer that is fed to SHA-256 one full block at a time, so a digest
-//! over any number of values costs zero heap allocations and compresses
-//! aligned blocks on the no-copy fast path of [`Sha256::update`].
+//! sites: values are pushed one `u64` at a time straight into the
+//! hasher's own block buffer (an eight-byte store on the short-write path
+//! of [`Sha256::update`]), so a digest over any number of values costs
+//! zero heap allocations and no staging copy.
 
 use crate::sha256::Sha256;
 use sbft_types::Digest;
@@ -33,14 +33,10 @@ pub fn digest_concat(parts: &[&[u8]]) -> Digest {
 /// Construction absorbs a domain-separation label; values are then pushed
 /// with [`push`](U64Hasher::push) (or [`push_digest`](U64Hasher::push_digest)
 /// for 32-byte digests) and the final digest is produced by
-/// [`finish`](U64Hasher::finish). Values are staged in a 64-byte stack
-/// buffer so SHA-256 sees whole blocks; no heap memory is touched.
+/// [`finish`](U64Hasher::finish). No heap memory is touched.
 #[derive(Clone, Debug)]
 pub struct U64Hasher {
     inner: Sha256,
-    /// Stack staging area: eight little-endian `u64`s make one SHA block.
-    buf: [u8; 64],
-    len: usize,
 }
 
 impl U64Hasher {
@@ -51,20 +47,13 @@ impl U64Hasher {
         let mut inner = Sha256::new();
         inner.update(label.as_bytes());
         inner.update(&[0u8]); // separator between label and payload
-        U64Hasher {
-            inner,
-            buf: [0u8; 64],
-            len: 0,
-        }
+        U64Hasher { inner }
     }
 
     /// Pushes one value (little-endian encoded).
+    #[inline]
     pub fn push(&mut self, value: u64) {
-        if self.len == 64 {
-            self.flush();
-        }
-        self.buf[self.len..self.len + 8].copy_from_slice(&value.to_le_bytes());
-        self.len += 8;
+        self.inner.update(&value.to_le_bytes());
     }
 
     /// Pushes every value of a slice.
@@ -74,24 +63,18 @@ impl U64Hasher {
         }
     }
 
-    /// Pushes a 32-byte digest as four little-endian `u64` words (the
-    /// encoding the header/commit digests have always used).
+    /// Pushes a 32-byte digest: its bytes as they are, which is what four
+    /// little-endian `u64` words of them encode to (the encoding the
+    /// header/commit digests have always used).
+    #[inline]
     pub fn push_digest(&mut self, digest: &Digest) {
-        for chunk in digest.as_bytes().chunks_exact(8) {
-            self.push(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
+        self.inner.update(digest.as_bytes());
     }
 
     /// Finalizes the hash.
     #[must_use]
-    pub fn finish(mut self) -> Digest {
-        self.flush();
+    pub fn finish(self) -> Digest {
         self.inner.finalize()
-    }
-
-    fn flush(&mut self) {
-        self.inner.update(&self.buf[..self.len]);
-        self.len = 0;
     }
 }
 
@@ -139,7 +122,7 @@ mod tests {
 
     #[test]
     fn incremental_pushes_match_slice_digest() {
-        // Cross the 64-byte staging boundary several times.
+        // Cross the 64-byte block boundary several times.
         for n in [0usize, 1, 7, 8, 9, 16, 33, 100] {
             let values: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(0x9e37)).collect();
             let mut h = U64Hasher::new("stream");

@@ -5,27 +5,32 @@
 //! needed there; pairwise secret keys are established with Diffie–Hellman
 //! (see [`crate::dh`]).
 
-use crate::sha256::Sha256;
+use crate::sha256::{state_bytes, Sha256, BLOCK_SIZE};
 use sbft_types::MacTag;
 
-const BLOCK_SIZE: usize = 64;
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
+
+/// Longest message that shares a block with its own padding (`0x80` and
+/// the eight length bytes): the single-compression case of each pass.
+const ONE_BLOCK_MAX: usize = BLOCK_SIZE - 9;
 
 /// A reusable HMAC-SHA256 key schedule.
 ///
 /// The two padded-key blocks (`key ⊕ ipad`, `key ⊕ opad`) are compressed
-/// once at construction; every subsequent MAC clones the precomputed
-/// states instead of re-deriving them, saving two compressions and all
-/// key-handling per message. The simulated signature scheme signs two
+/// once at construction and only the resulting chaining values — the
+/// *midstates*, 32 bytes each — are kept. A MAC resumes from them, so a
+/// message of up to 55 bytes (every message this workspace authenticates
+/// is a 32- or 33-byte digest) costs exactly two compressions, each over
+/// a block padded on the stack. The simulated signature scheme signs two
 /// related messages under the same key per signature, so it keeps one
 /// `HmacKey` per operation (see [`crate::signature::SimSigner`]).
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 pub struct HmacKey {
-    /// Hasher state after absorbing `key ⊕ ipad`.
-    inner: Sha256,
-    /// Hasher state after absorbing `key ⊕ opad`.
-    outer: Sha256,
+    /// Chaining value after absorbing `key ⊕ ipad`.
+    inner: [u32; 8],
+    /// Chaining value after absorbing `key ⊕ opad`.
+    outer: [u32; 8],
 }
 
 impl std::fmt::Debug for HmacKey {
@@ -33,6 +38,18 @@ impl std::fmt::Debug for HmacKey {
         // Never print key-schedule material.
         f.write_str("HmacKey(…)")
     }
+}
+
+/// Finishes a message that follows one key block and fits one more:
+/// `block` holds its `len` ≤ 55 bytes and zeros; adds the padding and the
+/// length, compresses from `midstate` and returns the digest bytes.
+fn finish_one_block(midstate: &[u32; 8], mut block: [u8; BLOCK_SIZE], len: usize) -> [u8; 32] {
+    block[len] = 0x80;
+    let bit_len = 8 * (BLOCK_SIZE + len) as u64;
+    block[BLOCK_SIZE - 8..].copy_from_slice(&bit_len.to_be_bytes());
+    let mut state = *midstate;
+    Sha256::compress_blocks(&mut state, &block);
+    state_bytes(&state)
 }
 
 impl HmacKey {
@@ -48,18 +65,10 @@ impl HmacKey {
             key_block[..key.len()].copy_from_slice(key);
         }
 
-        let mut inner_pad = [0u8; BLOCK_SIZE];
-        let mut outer_pad = [0u8; BLOCK_SIZE];
-        for i in 0..BLOCK_SIZE {
-            inner_pad[i] = key_block[i] ^ IPAD;
-            outer_pad[i] = key_block[i] ^ OPAD;
+        HmacKey {
+            inner: Sha256::midstate(&key_block.map(|b| b ^ IPAD)),
+            outer: Sha256::midstate(&key_block.map(|b| b ^ OPAD)),
         }
-
-        let mut inner = Sha256::new();
-        inner.update(&inner_pad);
-        let mut outer = Sha256::new();
-        outer.update(&outer_pad);
-        HmacKey { inner, outer }
     }
 
     /// Computes the MAC of one message.
@@ -69,18 +78,30 @@ impl HmacKey {
     }
 
     /// Computes the MAC of the concatenation of `parts` without copying
-    /// them into one buffer.
+    /// them into one heap buffer.
     #[must_use]
     pub fn mac_parts(&self, parts: &[&[u8]]) -> MacTag {
-        let mut inner = self.inner.clone();
-        for p in parts {
-            inner.update(p);
-        }
-        let inner_digest = inner.finalize();
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        let inner_digest = if len <= ONE_BLOCK_MAX {
+            let mut block = [0u8; BLOCK_SIZE];
+            let mut at = 0;
+            for p in parts {
+                block[at..at + p.len()].copy_from_slice(p);
+                at += p.len();
+            }
+            finish_one_block(&self.inner, block, len)
+        } else {
+            let mut inner = Sha256::resume(self.inner, BLOCK_SIZE as u64);
+            for p in parts {
+                inner.update(p);
+            }
+            *inner.finalize().as_bytes()
+        };
 
-        let mut outer = self.outer.clone();
-        outer.update(inner_digest.as_bytes());
-        MacTag(*outer.finalize().as_bytes())
+        // The outer pass always hashes 32 bytes: one padded block.
+        let mut block = [0u8; BLOCK_SIZE];
+        block[..32].copy_from_slice(&inner_digest);
+        MacTag(finish_one_block(&self.outer, block, 32))
     }
 
     /// Verifies a MAC tag in (logically) constant time, reusing this key
@@ -162,6 +183,50 @@ mod tests {
             hex(&tag),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    /// RFC 4231 test case 7: a long key and a message past the one-block
+    /// path (152 bytes).
+    #[test]
+    fn rfc4231_case_7_long_key_long_message() {
+        let key = [0xaau8; 131];
+        let tag = hmac_sha256(
+            &key,
+            b"This is a test using a larger than block-size key and a larger \
+              than block-size data. The key needs to be hashed before being \
+              used by the HMAC algorithm.",
+        );
+        assert_eq!(
+            hex(&tag),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        );
+    }
+
+    /// RFC 2104 written out — `H((K ⊕ opad) ‖ H((K ⊕ ipad) ‖ m))` through
+    /// the plain hasher — against the midstate schedule, across the
+    /// boundary between its one-block path (≤ 55 bytes) and the streaming
+    /// one, with the message whole and split into parts.
+    #[test]
+    fn midstate_paths_match_the_definition_at_every_length() {
+        let key = b"a 23-byte-long hmac key";
+        let mut padded = [0u8; BLOCK_SIZE];
+        padded[..key.len()].copy_from_slice(key);
+        let schedule = HmacKey::new(key);
+        let message: Vec<u8> = (0..130u8).map(|i| i.wrapping_mul(37)).collect();
+        for len in (0..=70).chain([119, 120, 130]) {
+            let m = &message[..len];
+            let mut inner = Sha256::new();
+            inner.update(&padded.map(|b| b ^ IPAD));
+            inner.update(m);
+            let mut outer = Sha256::new();
+            outer.update(&padded.map(|b| b ^ OPAD));
+            outer.update(inner.finalize().as_bytes());
+            let expected = MacTag(*outer.finalize().as_bytes());
+            assert_eq!(schedule.mac(m), expected, "len {len}");
+            assert_eq!(hmac_sha256(key, m), expected, "len {len}");
+            let (a, b) = m.split_at(len / 3);
+            assert_eq!(schedule.mac_parts(&[a, b, &[]]), expected, "len {len}");
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   into a single constant-size signature.
 //!
 //! This crate implements SHA-256 and HMAC-SHA256 from scratch (tested
-//! against published vectors) and a deterministic keyed-hash signature
+//! against published vectors; the compression function has a portable
+//! kernel and an x86-64 SHA-extensions kernel the CPU selects between,
+//! see [`sha256`]) and a deterministic keyed-hash signature
 //! scheme ([`signature::SimSigner`]) as the substitution for CryptoPP
 //! (documented in `DESIGN.md`): signing requires the private key, and
 //! verification goes through the trusted [`keys::KeyStore`] established at
@@ -37,6 +39,9 @@
 //!   aggregate per batch, with a bisecting fallback that pinpoints
 //!   offending transactions when the aggregate check fails.
 
+// The SHA-NI kernel (`sha256::shani`) is the only module of the
+// workspace allowed to contain `unsafe`.
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -107,15 +107,15 @@ impl CryptoProvider {
             .expect("schedule cache")
             .get(&component)
         {
-            return schedule.clone();
+            return *schedule;
         }
         let schedule = self.store.keypair_for(component).signing_schedule();
-        self.sign_schedules
+        *self
+            .sign_schedules
             .write()
             .expect("schedule cache")
             .entry(component)
             .or_insert(schedule)
-            .clone()
     }
 
     /// The cached group-broadcast MAC schedule of `sender`.
@@ -126,15 +126,15 @@ impl CryptoProvider {
             .expect("schedule cache")
             .get(&sender)
         {
-            return schedule.clone();
+            return *schedule;
         }
         let schedule = HmacKey::new(&self.store.mac_key(sender, sender));
-        self.group_schedules
+        *self
+            .group_schedules
             .write()
             .expect("schedule cache")
             .entry(sender)
             .or_insert(schedule)
-            .clone()
     }
 
     /// Number of signing schedules currently cached (tests and memory
@@ -222,15 +222,15 @@ impl CryptoHandle {
             .expect("peer schedule cache")
             .get(&peer)
         {
-            return schedule.clone();
+            return *schedule;
         }
         let schedule = HmacKey::new(&self.provider.store.mac_key(self.me, peer));
-        self.peer_schedules
+        *self
+            .peer_schedules
             .write()
             .expect("peer schedule cache")
             .entry(peer)
             .or_insert(schedule)
-            .clone()
     }
 
     /// Whether this handle has derived its signing schedule yet (tests).

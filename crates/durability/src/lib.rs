@@ -24,6 +24,7 @@
 //! survives torn tail writes. The vendored `serde` stub derives no real
 //! serialization, so the wire format is the hand-rolled [`codec`].
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod codec;

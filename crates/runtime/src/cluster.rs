@@ -44,7 +44,7 @@ use sbft_telemetry::{Counter, Stage, TraceSink, Tracer};
 use sbft_types::{ClientId, ComponentId, NodeId, SeqNum, SimTime, TxnOutcome};
 use sbft_workloads::YcsbWorkload;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -334,18 +334,12 @@ impl LocalCluster {
         // file falls back to that in-memory log rather than failing the
         // run.
         let nodes = std::mem::take(&mut system.nodes);
-        let wal_dir = system.config.durability.enabled.then(|| {
-            let dir = std::env::temp_dir().join(format!("sbft-wal-{}", std::process::id()));
-            let _ = std::fs::create_dir_all(&dir);
-            dir
-        });
+        let wal_dir = system.config.durability.enabled.then(WalDir::create);
+        let file_wals = system.registry.counter("runtime.file_wals");
         for (i, mut node) in nodes.into_iter().enumerate() {
             let log = wal_dir.as_ref().and_then(|dir| {
-                // A run starts from an empty log: what an earlier run in
-                // this process left behind is not this cluster's history.
-                let path = dir.join(format!("node-{i}.wal"));
-                let _ = std::fs::File::create(&path);
-                let wal = sbft_durability::FileWal::open(path).ok()?;
+                let wal = FileWal::open(dir.0.join(format!("node-{i}.wal"))).ok()?;
+                file_wals.inc();
                 Some(Arc::new(GroupLog {
                     wal: Mutex::new(wal),
                     sync_due: AtomicBool::new(false),
@@ -562,10 +556,38 @@ impl LocalCluster {
         for handle in handles {
             let _ = handle.join();
         }
+        drop(wal_dir);
         report.pool_applied = pool_applied.load(std::sync::atomic::Ordering::Acquire);
         report.executor_invocations = executor_invocations.get();
         report.batches = router.batches.get();
         report
+    }
+}
+
+/// The directory holding one run's WAL files: the run's own (process id
+/// plus a process-wide run counter, so concurrent clusters in one process
+/// never share a log and a run always starts from empty ones), removed
+/// when the run ends.
+struct WalDir(std::path::PathBuf);
+
+impl WalDir {
+    fn create() -> Self {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let run = RUNS.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("sbft-wal-{}-{run}", std::process::id()));
+        // A process that died mid-run under a recycled pid may have left
+        // the name behind; its logs are not this cluster's history. An
+        // uncreatable directory surfaces as unopenable files, which fall
+        // back to the in-memory logs.
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::create_dir_all(&dir);
+        WalDir(dir)
+    }
+}
+
+impl Drop for WalDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -784,12 +806,13 @@ mod tests {
 
     #[test]
     fn durable_cluster_commits_through_file_backed_wals() {
-        // With durability on, every node writes a file-backed WAL under the
-        // process-scoped temp directory; the fsync tax must not stop the
+        // With durability on, every node writes a file-backed WAL in the
+        // run's own temp directory; the fsync tax must not stop the
         // cluster from committing its target.
         let mut cfg = config();
         cfg.durability = sbft_types::DurabilityConfig::enabled();
         let system = SystemBuilder::new(cfg).clients(4).build();
+        let registry = Arc::clone(&system.registry);
         let report = LocalCluster::new(system)
             .clients(4)
             .target_txns(12)
@@ -800,8 +823,23 @@ mod tests {
             "committed only {} transactions",
             report.committed
         );
-        let dir = std::env::temp_dir().join(format!("sbft-wal-{}", std::process::id()));
-        assert!(dir.join("node-0.wal").exists(), "WAL file was not created");
+        assert_eq!(
+            registry.counter_value("runtime.file_wals"),
+            4,
+            "a node fell back to its in-memory log"
+        );
+    }
+
+    #[test]
+    fn each_run_gets_its_own_wal_directory_and_removes_it() {
+        let (a, b) = (WalDir::create(), WalDir::create());
+        assert_ne!(a.0, b.0, "concurrent runs must not share a directory");
+        assert!(a.0.is_dir() && b.0.is_dir());
+        let path = a.0.clone();
+        std::fs::write(path.join("node-0.wal"), b"log").expect("write");
+        drop(a);
+        assert!(!path.exists(), "the run's directory outlived it");
+        assert!(b.0.is_dir());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! byzantine attacks and the evaluation experiments run on the
 //! deterministic simulator (`sbft-sim`), where they are reproducible.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -22,6 +22,7 @@
 //! * [`billing`] — the pay-per-use cost model used for Figure 8's
 //!   cents-per-kilo-transaction comparison.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

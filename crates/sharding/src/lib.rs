@@ -32,6 +32,7 @@
 //! execution is property-tested in `tests/properties.rs` of the facade
 //! crate and in [`committer`]'s own tests.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -28,7 +28,9 @@ pub struct CpuModel {
     /// verification. One full [`Self::signature_cost`] aggregate check is
     /// charged per released batch on top of these shares.
     pub request_share_cost: SimDuration,
-    /// Cost per byte of serialisation / hashing work.
+    /// Cost per byte of serialisation / hashing work. The repo benchmark
+    /// measures the real SHA-256 against it (`sim.model_ratio_per_byte`);
+    /// `DESIGN.md` tabulates the model constants beside measured values.
     pub per_byte_ns: f64,
     /// Fixed dispatch overhead per message.
     pub base_cost: SimDuration,

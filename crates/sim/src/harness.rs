@@ -14,7 +14,7 @@ use sbft_core::events::{Action, Destination, Envelope, ProtocolMessage, Protocol
 use sbft_core::System;
 use sbft_serverless::{CrashRestart, ExecuteRequest, ExecutorBehavior};
 use sbft_storage::GeoPartitionedStore;
-use sbft_telemetry::{Stage, TraceSink, Tracer};
+use sbft_telemetry::{Counter, Stage, TraceSink, Tracer};
 use sbft_types::{
     ComponentId, ExecutorId, Region, SeqNum, SimDuration, SimTime, TxnId, TxnOutcome,
 };
@@ -72,27 +72,20 @@ impl Default for SimParams {
 
 /// What happens at a point in virtual time.
 ///
-/// `Deliver` dominates the event volume, so its inline `ProtocolMessage`
-/// is deliberately not boxed: the size skew costs a little queue memory
-/// but saves an allocation on the hottest path.
-#[allow(clippy::large_enum_variant)]
+/// The queue holds one of these per pending event, and at saturation
+/// most of them are client timers that were cancelled long before their
+/// deadline, so the enum is kept to 16 bytes (32 per queued [`Event`]):
+/// the two payload-carrying variants are boxed — sifting a small element
+/// through a deep heap costs less than the allocation — and a timer
+/// carries nothing but its generation (see [`SimHarness::timers`]).
 enum EventKind {
-    Deliver {
-        from: ComponentId,
-        to: ComponentId,
-        msg: ProtocolMessage,
-    },
+    Deliver(Box<Delivery>),
+    /// The timer armed under this generation expires, unless it was
+    /// cancelled or re-armed in the meantime.
     Timer {
-        owner: ComponentId,
-        timer: ProtocolTimer,
         generation: u64,
     },
-    ExecutorRun {
-        executor: ExecutorId,
-        region: Region,
-        behavior: ExecutorBehavior,
-        execute: Box<ExecuteRequest>,
-    },
+    ExecutorRun(Box<ExecutorRun>),
     BatchTick {
         node: usize,
     },
@@ -105,6 +98,21 @@ enum EventKind {
     Restart {
         node: usize,
     },
+}
+
+/// A message in flight.
+struct Delivery {
+    from: ComponentId,
+    to: ComponentId,
+    msg: ProtocolMessage,
+}
+
+/// A spawned executor about to run its batch.
+struct ExecutorRun {
+    executor: ExecutorId,
+    region: Region,
+    behavior: ExecutorBehavior,
+    execute: ExecuteRequest,
 }
 
 struct Event {
@@ -145,7 +153,21 @@ pub struct SimHarness {
     /// work for a validated batch is charged here, so shard counts scale
     /// the commit path the way cores scale a node (Figure 6(ix)).
     shard_stations: Vec<ServiceStation>,
+    /// Armed timers, by the generation their queued event carries.
+    /// Generations come from one run-wide counter, so removing an entry
+    /// when its timer is cancelled, re-armed or fired can never let a
+    /// stale event match a later timer: the tables hold live timers only,
+    /// and a dead timer is 32 bytes in the queue until its deadline.
+    timers: HashMap<u64, (ComponentId, ProtocolTimer)>,
+    /// The generation each armed timer runs under (the cancel-side index
+    /// of `timers`).
     timer_generation: HashMap<(ComponentId, ProtocolTimer), u64>,
+    last_timer_generation: u64,
+    /// `net.<node>.egress_bytes` per shim node and
+    /// `net.leader_egress_bytes`, resolved once instead of by name on
+    /// every node-to-node send.
+    node_egress: Vec<Counter>,
+    leader_egress: Counter,
     workload: YcsbWorkload,
     submit_times: HashMap<TxnId, SimTime>,
     /// Shared execution station for the edge-execution baselines.
@@ -235,6 +257,16 @@ impl SimHarness {
         system
             .registry
             .bind_histogram("client.latency_us", metrics.latency.histogram());
+        let node_egress = system
+            .nodes
+            .iter()
+            .map(|n| {
+                system
+                    .registry
+                    .counter(&format!("net.{}.egress_bytes", n.id().0))
+            })
+            .collect();
+        let leader_egress = system.registry.counter("net.leader_egress_bytes");
         SimHarness {
             system,
             params,
@@ -246,7 +278,11 @@ impl SimHarness {
             events_processed: 0,
             stations,
             shard_stations,
+            timers: HashMap::new(),
             timer_generation: HashMap::new(),
+            last_timer_generation: 0,
+            node_egress,
+            leader_egress,
             workload,
             submit_times: HashMap::new(),
             edge_execution,
@@ -310,6 +346,12 @@ impl SimHarness {
 
     /// Runs the simulation to completion and returns the metrics.
     pub fn run(mut self) -> RunMetrics {
+        self.drive();
+        self.into_metrics()
+    }
+
+    /// Seeds the event queue and processes events until the run ends.
+    fn drive(&mut self) {
         let active_clients = self
             .params
             .num_clients
@@ -363,7 +405,10 @@ impl SimHarness {
             self.events_processed += 1;
             self.handle_event(event);
         }
+    }
 
+    /// Closes the run report over whatever [`Self::drive`] left behind.
+    fn into_metrics(mut self) -> RunMetrics {
         self.metrics.measured_duration = self.params.duration;
         self.metrics.end_time = self.clock;
         self.metrics.executors_spawned = self.system.cloud.total_spawned();
@@ -408,28 +453,18 @@ impl SimHarness {
 
     fn handle_event(&mut self, event: Event) {
         match event.kind {
-            EventKind::Deliver { from, to, msg } => self.deliver(from, to, msg, event.time),
-            EventKind::Timer {
-                owner,
-                timer,
-                generation,
-            } => {
-                let current = self
-                    .timer_generation
-                    .get(&(owner, timer))
-                    .copied()
-                    .unwrap_or(0);
-                if current != generation {
+            EventKind::Deliver(delivery) => {
+                let Delivery { from, to, msg } = *delivery;
+                self.deliver(from, to, msg, event.time);
+            }
+            EventKind::Timer { generation } => {
+                let Some((owner, timer)) = self.timers.remove(&generation) else {
                     return; // cancelled or superseded
-                }
+                };
+                self.timer_generation.remove(&(owner, timer));
                 self.fire_timer(owner, timer, event.time);
             }
-            EventKind::ExecutorRun {
-                executor,
-                region,
-                behavior,
-                execute,
-            } => self.run_executor(executor, region, behavior, *execute, event.time),
+            EventKind::ExecutorRun(run) => self.run_executor(*run, event.time),
             EventKind::BatchTick { node } => {
                 let now = event.time;
                 // A crashed node skips the poll but keeps its tick alive,
@@ -472,8 +507,9 @@ impl SimHarness {
                 return;
             }
         }
+        let wire_size = msg.wire_size();
         self.metrics.messages_delivered += 1;
-        self.metrics.bytes_delivered += msg.wire_size() as u64;
+        self.metrics.bytes_delivered += wire_size as u64;
         // CPU service at the receiving component.
         let cost =
             if let (ProtocolMessage::ClientRequest(req), ComponentId::Node(node)) = (&msg, to) {
@@ -486,7 +522,7 @@ impl SimHarness {
                 // signature per batch (charged when the batch is released), so
                 // admission pays only the per-request share; a non-primary
                 // still verifies eagerly before forwarding.
-                let mut cost = self.cpu.client_request_cost(msg.wire_size(), is_primary);
+                let mut cost = self.cpu.client_request_cost(wire_size, is_primary);
                 if self.charge_routing && is_primary {
                     // Ordering-time shard routing: the primary classifies the
                     // declared read/write keys against the shard map (a
@@ -499,7 +535,7 @@ impl SimHarness {
                 }
                 cost
             } else {
-                self.cpu.message_cost(msg.kind(), msg.wire_size())
+                self.cpu.message_cost(msg.kind(), wire_size)
             };
         let done = match self.stations.get_mut(&to) {
             Some(station) => station.schedule(now, cost),
@@ -593,14 +629,13 @@ impl SimHarness {
         }
     }
 
-    fn run_executor(
-        &mut self,
-        executor: ExecutorId,
-        region: Region,
-        behavior: ExecutorBehavior,
-        execute: ExecuteRequest,
-        now: SimTime,
-    ) {
+    fn run_executor(&mut self, run: ExecutorRun, now: SimTime) {
+        let ExecutorRun {
+            executor,
+            region,
+            behavior,
+            execute,
+        } = run;
         let instance = self.system.make_executor_with(executor, region, behavior);
         let output = match instance.handle_execute(&execute) {
             Ok(output) => output,
@@ -662,11 +697,11 @@ impl SimHarness {
             let delay = self.network.region_delay(region, msg.wire_size());
             self.push_event(
                 now + busy + extra_delay + delay,
-                EventKind::Deliver {
+                EventKind::Deliver(Box::new(Delivery {
                     from: ComponentId::Executor(executor),
                     to: ComponentId::Verifier,
                     msg,
-                },
+                })),
             );
         }
         self.system.cloud.release(executor);
@@ -782,29 +817,29 @@ impl SimHarness {
                     // (ordering) traffic, charged per target before the
                     // fault plan arbitrates delivery. The leader counter is
                     // what the bandwidth-frugal mode exists to shrink.
+                    let wire_size = msg.wire_size();
                     if let Some(src) = origin.as_node() {
                         let node_targets = targets
                             .iter()
                             .filter(|t| matches!(t, ComponentId::Node(_)))
                             .count();
                         if node_targets > 0 {
-                            let bytes = (msg.wire_size() * node_targets) as u64;
-                            let registry = &self.system.registry;
-                            registry
-                                .counter(&format!("net.{}.egress_bytes", src.0))
-                                .add(bytes);
+                            let bytes = (wire_size * node_targets) as u64;
+                            if let Some(egress) = self.node_egress.get(src.0 as usize) {
+                                egress.add(bytes);
+                            }
                             let is_leader = self
                                 .system
                                 .nodes
                                 .get(src.0 as usize)
                                 .is_some_and(|n| n.primary() == src);
                             if is_leader {
-                                registry.counter("net.leader_egress_bytes").add(bytes);
+                                self.leader_egress.add(bytes);
                             }
                         }
                     }
+                    let delay = self.network.local_delay(wire_size);
                     for target in targets {
-                        let delay = self.network.local_delay(msg.wire_size());
                         // The chaos layer arbitrates node-to-node links
                         // only: client, executor and verifier traffic is
                         // out of scope for the fault plan. Each returned
@@ -819,30 +854,29 @@ impl SimHarness {
                         for extra in copies {
                             self.push_event(
                                 now + delay + extra,
-                                EventKind::Deliver {
+                                EventKind::Deliver(Box::new(Delivery {
                                     from,
                                     to: target,
                                     msg: msg.clone(),
-                                },
+                                })),
                             );
                         }
                     }
                 }
                 Action::StartTimer { timer, duration } => {
-                    let entry = self.timer_generation.entry((origin, timer)).or_insert(0);
-                    *entry += 1;
-                    let generation = *entry;
-                    self.push_event(
-                        now + duration,
-                        EventKind::Timer {
-                            owner: origin,
-                            timer,
-                            generation,
-                        },
-                    );
+                    self.last_timer_generation += 1;
+                    let generation = self.last_timer_generation;
+                    let superseded = self.timer_generation.insert((origin, timer), generation);
+                    if let Some(old) = superseded {
+                        self.timers.remove(&old);
+                    }
+                    self.timers.insert(generation, (origin, timer));
+                    self.push_event(now + duration, EventKind::Timer { generation });
                 }
                 Action::CancelTimer(timer) => {
-                    *self.timer_generation.entry((origin, timer)).or_insert(0) += 1;
+                    if let Some(old) = self.timer_generation.remove(&(origin, timer)) {
+                        self.timers.remove(&old);
+                    }
                 }
                 Action::Persist { bytes, fsync } => {
                     // WAL writes run on the component's own station and
@@ -880,12 +914,12 @@ impl SimHarness {
                                 .region_delay(outcome.region, execute.wire_size());
                             self.push_event(
                                 now + spawn_delay + outcome.cold_start + ship,
-                                EventKind::ExecutorRun {
+                                EventKind::ExecutorRun(Box::new(ExecutorRun {
                                     executor: outcome.executor,
                                     region: outcome.region,
                                     behavior: outcome.behavior,
-                                    execute: Box::new(execute),
-                                },
+                                    execute,
+                                })),
                             );
                         }
                         Err(_) => {
@@ -1067,6 +1101,58 @@ mod tests {
         assert!(metrics.latency.p99_secs() >= metrics.latency.p50_secs());
         assert!(metrics.executors_spawned > 0);
         assert!(metrics.messages_delivered > 100);
+    }
+
+    /// The benchmark's `saturate` point shrunk a hundredfold: one region,
+    /// 512 closed-loop clients, and a run of about three commit latencies
+    /// (30 ms here), so each client is answered about three times as it
+    /// is there. Every answered request leaves a cancelled 2 s client
+    /// timer behind; it may cost a queued event until its deadline, but no
+    /// table entry, and the event must be small.
+    #[test]
+    fn answered_requests_leave_no_timer_entry_and_a_small_queued_event() {
+        let mut cfg = tiny_config();
+        cfg.regions = sbft_types::RegionSet::home_only();
+        let clients = 512;
+        let system = SystemBuilder::new(cfg).clients(clients).build();
+        let params = SimParams {
+            duration: SimDuration::from_millis(100),
+            warmup: SimDuration::ZERO,
+            num_clients: clients,
+            seed: 7,
+            ..SimParams::default()
+        };
+        let mut harness = SimHarness::new(system, params);
+        harness.drive();
+
+        let answered = harness.metrics.latency.count();
+        assert!(answered > 2 * clients, "answered {answered}");
+        // Only outstanding requests still own a client timer.
+        let mut client_timers = 0;
+        for (owner, timer) in harness.timer_generation.keys() {
+            if let ProtocolTimer::ClientRequest(txn) = timer {
+                client_timers += 1;
+                assert!(
+                    harness.submit_times.contains_key(txn),
+                    "{owner:?} still has a timer entry for answered request {txn:?}"
+                );
+            }
+        }
+        assert!(client_timers <= clients, "{client_timers} client timers");
+        assert_eq!(harness.timers.len(), harness.timer_generation.len());
+
+        // `saturate` ends with ~226 k queued events (4.4 per client, most
+        // of them dead timers); 10 MB over its 51 200 clients is 204 bytes
+        // of queue per client.
+        assert!(std::mem::size_of::<Reverse<Event>>() <= 32);
+        let queued = harness.queue.len();
+        assert!(queued > clients, "{queued} events still queued");
+        let queue_bytes = queued * std::mem::size_of::<Reverse<Event>>();
+        assert!(
+            queue_bytes / clients < 204,
+            "{queued} queued events, {queue_bytes} bytes for {clients} clients"
+        );
+        assert_eq!(harness.into_metrics().aborted_txns, 0);
     }
 
     #[test]

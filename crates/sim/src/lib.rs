@@ -24,6 +24,7 @@
 //!   stragglers and simultaneous crash-restarts, deterministic in the
 //!   run seed and surfaced as `faults.*` counters.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

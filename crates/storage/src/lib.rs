@@ -25,6 +25,7 @@
 //! assumption (Section III), so this crate contains no byzantine behaviour;
 //! all fault injection lives in the shim and executor layers.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -21,6 +21,7 @@
 //! See `OBSERVABILITY.md` at the repo root for the span taxonomy and
 //! naming conventions.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -22,6 +22,7 @@
 //! state machines, the discrete-event simulator and the thread runtime all
 //! speak the same language without cyclic dependencies.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

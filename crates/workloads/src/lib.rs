@@ -12,6 +12,7 @@
 //! * [`clients`] — the closed-loop client population model used to sweep
 //!   client congestion (Figure 5).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

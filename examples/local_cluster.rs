@@ -20,6 +20,10 @@ fn main() {
 
     let system = SystemBuilder::new(config).clients(64).build();
     println!("starting a live 4-node shim + verifier + executor pool on threads…");
+    println!(
+        "sha256 kernel          : {}",
+        serverless_bft::crypto::sha256::kernel_name()
+    );
     let report = LocalCluster::new(system)
         .clients(64)
         .target_txns(5_000)

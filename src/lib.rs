@@ -78,6 +78,7 @@
 //! throughput scaling with shards on a conflict-free uniform YCSB
 //! workload.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
