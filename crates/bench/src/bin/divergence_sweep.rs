@@ -20,14 +20,24 @@
 //!   (independent corruptions do not collude), and *every* batch aborts
 //!   through the divergence rule — safety holds, liveness is the cost.
 //!
-//! Companion telemetry: `RunMetrics::divergent_aborts` (landed in PR 2).
+//! Companion telemetry: the `verifier.divergent_aborts` counter.
+//!
+//! CI runs this binary as a smoke test; the binary itself asserts the
+//! three regimes on every row of its series and exits non-zero otherwise.
 
-use sbft_bench::{divergence_points, run_point_silent};
+use sbft_bench::{divergence_points, find_row, run_sweep};
 use sbft_serverless::cloud::CloudFaultPlan;
 use sbft_serverless::ExecutorBehavior;
 
+/// The CSV columns after `figure,series,x`.
+const COLUMNS: &[&str] = &[
+    "throughput_tps",
+    "abort_rate",
+    "verifier.divergent_aborts",
+    "committed",
+];
+
 fn main() {
-    println!("figure,series,x,throughput_tps,abort_rate,divergent_aborts,committed");
     let records = [200u64, 1_000, 5_000, 20_000];
     // Honest series: divergence vs record count × regional executor spread.
     let mut points = divergence_points(&records, &[1, 3, 7]);
@@ -43,17 +53,16 @@ fn main() {
         }
         points.extend(byz_points);
     }
-    for point in points {
-        let result = run_point_silent(point);
-        println!(
-            "{},{},{:.0},{:.0},{:.3},{},{}",
-            result.figure,
-            result.series,
-            result.x,
-            result.metrics.throughput_tps(),
-            result.metrics.abort_rate(),
-            result.metrics.divergent_aborts,
-            result.metrics.committed_txns,
-        );
+    let results = run_sweep(points, COLUMNS);
+    for series in ["SPREAD-1", "SPREAD-3", "SPREAD-7", "BYZ-2", "BYZ-3"] {
+        for x in records {
+            let row = find_row(&results, series, x as f64);
+            let diverged = row.value("verifier.divergent_aborts") > 0.0;
+            let committed = row.value("committed") > 0.0;
+            // Within the spawn margin a digest quorum always forms; beyond
+            // it every batch aborts through the divergence rule.
+            let beyond = series == "BYZ-3";
+            row.require(diverged == beyond && committed != beyond, "left its regime");
+        }
     }
 }

@@ -13,8 +13,9 @@
 //! runtime's commit path) at 1 worker and at the host's core count —
 //! real threads over the real committer, so on a multi-core host the
 //! multi-worker row shows the apply-stage scaling the sharded runtime
-//! unlocks. CI runs this binary as a smoke test and asserts every metric
-//! line prints.
+//! unlocks. CI runs this binary as a smoke test; the binary itself
+//! asserts every batch size keeps committing and exits non-zero
+//! otherwise.
 
 use sbft_bench::experiment::{commit_path_points, print_header, run_point};
 use sbft_sharding::{ShardScheduler, ShardedCommitter};
@@ -82,7 +83,12 @@ fn main() {
     println!("# sha256 kernel: {}", sbft_crypto::sha256::kernel_name());
     print_header();
     for point in commit_path_points(&[10, 50, 100, 400, 1000]) {
-        let _ = run_point(point);
+        let result = run_point(point);
+        assert!(
+            result.metrics.throughput_tps() > 0.0,
+            "{} committed nothing",
+            result.series
+        );
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     scheduler_apply_point(1, 1_000, 100);

@@ -12,37 +12,45 @@
 //! so the pinned series drives `remote_fetch_rate` to zero at every skew
 //! and region count while the rotation keeps crossing regions.
 //!
-//! CI runs this binary as a smoke test and asserts pinned ≤ round-robin
-//! mean commit latency on the single-home (`Z0.00`) sweep only — under
+//! CI runs this binary as a smoke test; the binary itself asserts (and
+//! exits non-zero otherwise) pinned ≤ round-robin mean commit latency and
+//! a zero pinned remote-fetch rate on the single-home (`Z0.00`) sweep only — under
 //! heavy skew the closed-loop batch-assembly feedback can let the
 //! rotation edge out one point (see the ROADMAP's "load-aware pinning
 //! under skew" item), which the skewed rows record rather than gate on.
 //! The equivalence proptests separately prove outcomes are identical
 //! under either placement.
 
-use sbft_bench::{placement_points, run_point_silent};
+use sbft_bench::{find_row, placement_points, run_sweep};
+
+/// The CSV columns after `figure,series,x`: harness figures, then
+/// registry counters by name (summed over the shim nodes).
+const COLUMNS: &[&str] = &[
+    "throughput_tps",
+    "avg_latency_s",
+    "p50_s",
+    "p99_s",
+    "remote_fetch_rate",
+    "invoker.pinned_spawns",
+    "invoker.placement_fallbacks",
+    "committed",
+];
 
 fn main() {
-    println!(
-        "figure,series,x,throughput_tps,avg_latency_s,p50_s,p99_s,remote_fetch_rate,pinned_spawns,placement_fallbacks,committed"
-    );
     let region_counts = [1usize, 2, 3, 5];
     let thetas = [0.0f64, 0.9];
-    for point in placement_points(&region_counts, &thetas) {
-        let result = run_point_silent(point);
-        println!(
-            "{},{},{:.0},{:.0},{:.6},{:.6},{:.6},{:.3},{},{},{}",
-            result.figure,
-            result.series,
-            result.x,
-            result.metrics.throughput_tps(),
-            result.metrics.avg_latency_secs(),
-            result.metrics.latency.p50_secs(),
-            result.metrics.latency.p99_secs(),
-            result.metrics.remote_fetch_rate(),
-            result.metrics.pinned_spawns,
-            result.metrics.placement_fallbacks,
-            result.metrics.committed_txns,
+    let results = run_sweep(placement_points(&region_counts, &thetas), COLUMNS);
+    for regions in region_counts {
+        let x = regions as f64;
+        let pinned = find_row(&results, "PINNED-Z0.00", x);
+        let rr = find_row(&results, "RR-Z0.00", x);
+        pinned.require(
+            pinned.value("avg_latency_s") <= rr.value("avg_latency_s"),
+            "pinned mean latency lost to round-robin",
+        );
+        pinned.require(
+            pinned.value("remote_fetch_rate") == 0.0,
+            "pinned remote-fetch rate not zero",
         );
     }
 }

@@ -14,30 +14,44 @@
 //! batches and `plan_mismatches` must stay 0 under an honest primary
 //! (the trust-but-verify re-derivation never fires).
 //!
-//! CI runs this binary as a smoke test and asserts every row prints.
+//! CI runs this binary as a smoke test; the binary itself asserts that
+//! every series is present and that, on the single-home workload over 8
+//! shards, the lanes drive the fallback rate to zero while the unplanned
+//! baseline spans every batch. It exits non-zero otherwise.
 
-use sbft_bench::{planner_points, run_point_silent};
+use sbft_bench::{find_row, planner_points, run_sweep};
+
+/// The CSV columns after `figure,series,x`: harness figures, then
+/// registry counters by name.
+const COLUMNS: &[&str] = &[
+    "throughput_tps",
+    "cross_fallback_rate",
+    "verifier.single_home_batches",
+    "verifier.validated_batches",
+    "verifier.planned_batches",
+    "verifier.plan_mismatches",
+    "committed",
+];
 
 fn main() {
-    println!(
-        "figure,series,x,throughput_tps,cross_fallback_rate,single_home,validated,planned,mismatches,committed"
-    );
     let shard_counts = [1usize, 2, 4, 8];
     let thetas = [0.0f64, 0.6, 0.9, 0.99];
-    for point in planner_points(&shard_counts, &thetas) {
-        let result = run_point_silent(point);
-        println!(
-            "{},{},{:.0},{:.0},{:.3},{},{},{},{},{}",
-            result.figure,
-            result.series,
-            result.x,
-            result.metrics.throughput_tps(),
-            result.metrics.cross_shard_fallback_rate(),
-            result.metrics.single_home_batches,
-            result.metrics.validated_batches,
-            result.metrics.planned_batches,
-            result.metrics.plan_mismatches,
-            result.metrics.committed_txns,
-        );
+    let results = run_sweep(planner_points(&shard_counts, &thetas), COLUMNS);
+    for theta in thetas {
+        for shards in shard_counts {
+            for mode in ["PLANNED", "UNPLANNED"] {
+                let _ = find_row(&results, &format!("{mode}-Z{theta:.2}"), shards as f64);
+            }
+        }
     }
+    let planned = find_row(&results, "PLANNED-Z0.00", 8.0);
+    planned.require(
+        planned.value("cross_fallback_rate") == 0.0,
+        "planned fallback rate not zero",
+    );
+    let unplanned = find_row(&results, "UNPLANNED-Z0.00", 8.0);
+    unplanned.require(
+        unplanned.value("cross_fallback_rate") == 1.0,
+        "baseline fallback rate not full",
+    );
 }

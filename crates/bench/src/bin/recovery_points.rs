@@ -12,33 +12,47 @@
 //! recovery path actually executed rather than the run merely surviving
 //! on the remaining quorum.
 //!
-//! CI runs this binary as a smoke test: it asserts every row commits,
-//! every crashed row records exactly one recovery, and the WAL/snapshot
-//! counters are non-zero where durability makes them so.
+//! CI runs this binary as a smoke test; the binary itself asserts that
+//! every row commits and appends to its WAL, that the baseline records no
+//! recovery, and that every crashed row records exactly one, with WAL
+//! replay and peer state transfer both exercised. It exits non-zero
+//! otherwise.
 
-use sbft_bench::{recovery_points, run_point_silent};
+use sbft_bench::{find_row, recovery_points, run_sweep};
+
+/// The CSV columns after `figure,series,x`: harness figures, then
+/// registry counters by name (summed over the shim nodes).
+const COLUMNS: &[&str] = &[
+    "throughput_tps",
+    "avg_latency_s",
+    "p99_s",
+    "committed",
+    "durability.wal_appends",
+    "durability.snapshot_bytes",
+    "durability.replay_batches",
+    "durability.state_transfer_batches",
+    "recovery.recoveries",
+];
 
 fn main() {
-    println!(
-        "figure,series,x,throughput_tps,avg_latency_s,p99_s,committed,wal_appends,snapshot_bytes,replay_batches,state_transfer_batches,recoveries"
-    );
     let snapshot_intervals = [4u64, 32, 1_000];
-    for point in recovery_points(&snapshot_intervals) {
-        let result = run_point_silent(point);
-        println!(
-            "{},{},{:.0},{:.0},{:.6},{:.6},{},{},{},{},{},{}",
-            result.figure,
-            result.series,
-            result.x,
-            result.metrics.throughput_tps(),
-            result.metrics.avg_latency_secs(),
-            result.metrics.latency.p99_secs(),
-            result.metrics.committed_txns,
-            result.metrics.wal_appends,
-            result.metrics.snapshot_bytes,
-            result.metrics.replay_batches,
-            result.metrics.state_transfer_batches,
-            result.metrics.recoveries,
-        );
+    let results = run_sweep(recovery_points(&snapshot_intervals), COLUMNS);
+    for interval in snapshot_intervals {
+        for series in ["BASELINE", "CRASH-BACKUP", "CRASH-PRIMARY"] {
+            let row = find_row(&results, series, interval as f64);
+            row.require(row.value("committed") > 0.0, "committed nothing");
+            row.require(
+                row.value("durability.wal_appends") > 0.0,
+                "appended nothing to the WAL",
+            );
+            let crashed = series != "BASELINE";
+            row.require(
+                row.value("recovery.recoveries") == f64::from(u8::from(crashed)),
+                "one recovery per crash, none without",
+            );
+            let recovered = row.value("durability.replay_batches") > 0.0
+                && row.value("durability.state_transfer_batches") > 0.0;
+            row.require(recovered || !crashed, "skipped replay or state transfer");
+        }
     }
 }

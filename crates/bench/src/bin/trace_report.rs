@@ -13,8 +13,8 @@
 //! Chrome-trace JSONL (load it at `chrome://tracing` or
 //! <https://ui.perfetto.dev>; see `OBSERVABILITY.md`).
 //!
-//! CI runs this binary as a smoke test and asserts every stage row is
-//! present with a non-zero count.
+//! CI runs this binary as a smoke test; the binary itself asserts every
+//! stage row has a non-zero count and exits non-zero otherwise.
 
 use sbft_bench::{run_point_traced, PointConfig};
 use sbft_telemetry::export::marks;
@@ -79,6 +79,9 @@ fn main() {
         println!("chrome_trace: {path}");
     }
 
+    for row in &rows {
+        assert!(row.count > 0, "stage {} is empty", row.stage);
+    }
     assert!(complete > 0, "no complete traces recorded");
     assert_eq!(mismatched, 0, "stage sums must telescope to e2e latency");
 }

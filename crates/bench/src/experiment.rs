@@ -4,9 +4,16 @@
 //! 88 k clients. The reproduction runs on a virtual-time simulator, so each
 //! data point uses a scaled-down but *shape-preserving* setup: a few
 //! hundred milliseconds of simulated time and a client population scaled by
-//! roughly 1:100 (the scaling is recorded in `EXPERIMENTS.md`). Relative
-//! comparisons — who wins, by how much, where curves bend — are what the
-//! binaries report.
+//! roughly 1:100 (88 k clients become a few hundred; record counts and
+//! batch sizes keep the paper's values where a sweep does not vary them).
+//! Relative comparisons — who wins, by how much, where curves bend — are
+//! what the binaries report.
+//!
+//! The smoke sweeps (`chaos_points`, `recovery_points`, …) print through
+//! [`run_sweep`]: one list of column names gives the CSV header and every
+//! row, a column being a harness figure or a registry counter name, and
+//! each binary asserts its invariants on the returned results by the same
+//! names ([`PointResult::value`]), so a broken invariant exits non-zero.
 
 use sbft_core::system::ShimProtocol;
 use sbft_core::{ShimAttack, SystemBuilder};
@@ -54,9 +61,6 @@ pub struct PointConfig {
     /// When set, keys are drawn Zipfian with this exponent (the skew
     /// axis of the `planner_points` sweep).
     pub zipf_theta: Option<f64>,
-    /// When set, one shim node crashes and restarts mid-run (the
-    /// `recovery_points` sweep's fault axis).
-    pub crash: Option<CrashRestart>,
     /// When set, the composed fault plan (link loss/duplication/delay,
     /// directed partitions, disk-lag stragglers, multi-node crashes)
     /// applied to the run — the `chaos_points` sweep's fault axis.
@@ -88,7 +92,6 @@ impl PointConfig {
             bill_serverless: true,
             cpu: None,
             zipf_theta: None,
-            crash: None,
             fault_plan: None,
         }
     }
@@ -126,6 +129,80 @@ impl PointResult {
             self.cents_per_ktxn,
         )
     }
+
+    /// The value of a sweep column. The harness's own figures go by the
+    /// names below; any other name is a registry counter — exact, or a
+    /// suffix summed over the nodes (`durability.wal_appends`) — read
+    /// over the whole run.
+    #[must_use]
+    pub fn value(&self, column: &str) -> f64 {
+        let m = &self.metrics;
+        match column {
+            "throughput_tps" => m.throughput_tps(),
+            "avg_latency_s" => m.avg_latency_secs(),
+            "p50_s" => m.latency.p50_secs(),
+            "p99_s" => m.latency.p99_secs(),
+            "abort_rate" => m.abort_rate(),
+            "cross_fallback_rate" => m.cross_shard_fallback_rate(),
+            "remote_fetch_rate" => m.remote_fetch_rate(),
+            "committed" => m.committed_txns as f64,
+            counter => m.sum(counter) as f64,
+        }
+    }
+
+    /// [`Self::value`] as a CSV cell: latencies to the microsecond, rates
+    /// to three places, everything else whole.
+    #[must_use]
+    pub fn cell(&self, column: &str) -> String {
+        let decimals = match column {
+            "avg_latency_s" | "p50_s" | "p99_s" => 6,
+            "abort_rate" | "cross_fallback_rate" | "remote_fetch_rate" => 3,
+            _ => 0,
+        };
+        format!("{:.decimals$}", self.value(column))
+    }
+
+    /// A smoke binary's invariant on this row.
+    ///
+    /// # Panics
+    /// Panics, naming the row, unless `holds`.
+    pub fn require(&self, holds: bool, what: &str) {
+        assert!(holds, "{} at x = {}: {what}", self.series, self.x);
+    }
+}
+
+/// Runs a smoke sweep and prints it as CSV: `figure,series,x` and then
+/// `columns`, header and rows from the same list. Returns the results
+/// for the caller's checks.
+pub fn run_sweep(points: Vec<PointConfig>, columns: &[&str]) -> Vec<PointResult> {
+    println!("figure,series,x,{}", columns.join(","));
+    points
+        .into_iter()
+        .map(|point| {
+            let result = run_point_silent(point);
+            let cells: Vec<String> = columns.iter().map(|c| result.cell(c)).collect();
+            println!(
+                "{},{},{:.0},{}",
+                result.figure,
+                result.series,
+                result.x,
+                cells.join(",")
+            );
+            result
+        })
+        .collect()
+}
+
+/// The sweep row of `series` at `x`.
+///
+/// # Panics
+/// Panics when the sweep has no such row — an expected series is missing.
+#[must_use]
+pub fn find_row<'a>(results: &'a [PointResult], series: &str, x: f64) -> &'a PointResult {
+    results
+        .iter()
+        .find(|r| r.series == series && r.x == x)
+        .unwrap_or_else(|| panic!("missing row {series} at x = {x}"))
 }
 
 /// Prints the CSV header used by every figure binary.
@@ -179,7 +256,6 @@ fn run_point_with_sink(
         seed: point.seed,
         edge_execution_threads: point.edge_execution_threads,
         zipf_theta: point.zipf_theta,
-        crash: point.crash,
         ..SimParams::default()
     };
     let mut harness = SimHarness::with_models(
@@ -402,7 +478,7 @@ pub fn recovery_points(snapshot_intervals: &[u64]) -> Vec<PointConfig> {
             point.duration = SimDuration::from_millis(600);
             point.warmup = SimDuration::from_millis(100);
             point.seed = 3;
-            point.crash = crash;
+            point.fault_plan = crash.map(|c| FaultPlan::new().crash(c));
             points.push(point);
         }
     }
@@ -503,7 +579,7 @@ mod tests {
                 "batch size {} must commit",
                 result.x
             );
-            assert_eq!(result.metrics.divergent_aborts, 0);
+            assert_eq!(result.value("verifier.divergent_aborts"), 0.0);
         }
     }
 
@@ -521,7 +597,7 @@ mod tests {
             divergence_points(&[1_000], &[3]).pop().expect("one point"),
         ));
         assert!(honest.metrics.committed_txns > 0);
-        assert_eq!(honest.metrics.divergent_aborts, 0);
+        assert_eq!(honest.value("verifier.divergent_aborts"), 0.0);
         // f_E + 1 independently corrupted executors of the 3f_E + 1
         // spawned: the two honest survivors still form a quorum.
         let mut tolerated = scale_down(divergence_points(&[1_000], &[3]).pop().expect("one"));
@@ -531,7 +607,7 @@ mod tests {
         };
         let tolerated = run_point_silent(tolerated);
         assert!(tolerated.metrics.committed_txns > 0);
-        assert_eq!(tolerated.metrics.divergent_aborts, 0);
+        assert_eq!(tolerated.value("verifier.divergent_aborts"), 0.0);
         // Beyond the margin: no two digests match, every batch aborts
         // through the Section VI-B divergence rule.
         let mut beyond = scale_down(divergence_points(&[1_000], &[3]).pop().expect("one"));
@@ -542,7 +618,7 @@ mod tests {
         let beyond = run_point_silent(beyond);
         assert_eq!(beyond.metrics.committed_txns, 0);
         assert!(
-            beyond.metrics.divergent_aborts > 0,
+            beyond.value("verifier.divergent_aborts") > 0.0,
             "beyond-f_E corruption must trip the divergence rule"
         );
     }
@@ -575,17 +651,19 @@ mod tests {
         ));
         assert!(planned.metrics.committed_txns > 0);
         assert!(unplanned.metrics.committed_txns > 0);
-        assert!(planned.metrics.validated_batches > 0);
+        assert!(planned.value("verifier.validated_batches") > 0.0);
         assert!(
-            planned.metrics.planned_batches > 0,
+            planned.value("verifier.planned_batches") > 0.0,
             "lanes must produce verified single-home batches"
         );
         assert_eq!(
-            planned.metrics.plan_mismatches, 0,
+            planned.value("verifier.plan_mismatches"),
+            0.0,
             "an honest primary's tags always verify"
         );
         assert_eq!(
-            unplanned.metrics.planned_batches, 0,
+            unplanned.value("verifier.planned_batches"),
+            0.0,
             "the baseline never tags"
         );
         assert!(
@@ -627,12 +705,17 @@ mod tests {
         assert!(pinned.metrics.committed_txns > 0);
         assert!(rr.metrics.committed_txns > 0);
         assert!(
-            pinned.metrics.pinned_spawns > 0,
+            pinned.value("invoker.pinned_spawns") > 0.0,
             "single-home batches must pin"
         );
-        assert_eq!(rr.metrics.pinned_spawns, 0, "the baseline never pins");
         assert_eq!(
-            pinned.metrics.placement_fallbacks, 0,
+            rr.value("invoker.pinned_spawns"),
+            0.0,
+            "the baseline never pins"
+        );
+        assert_eq!(
+            pinned.value("invoker.placement_fallbacks"),
+            0.0,
             "no outage, no capacity limit — nothing to fall back from"
         );
         assert!(
@@ -662,11 +745,15 @@ mod tests {
         let result = run_point_silent(point);
         let m = &result.metrics;
         assert!(m.committed_txns > 0, "chaos must not stop the shim");
-        assert_eq!(m.divergent_aborts, 0);
-        assert_eq!(m.recoveries, 2, "both crashed backups must recover");
-        assert!(m.messages_dropped > 0);
-        assert!(m.partition_drops > 0);
-        assert!(m.fsync_lags > 0);
+        assert_eq!(m.counter("verifier.divergent_aborts"), 0);
+        assert_eq!(
+            m.counter("recovery.recoveries"),
+            2,
+            "both crashed backups must recover"
+        );
+        assert!(m.counter("faults.messages_dropped") > 0);
+        assert!(m.counter("faults.partition_drops") > 0);
+        assert!(m.counter("faults.fsync_lags") > 0);
     }
 
     #[test]

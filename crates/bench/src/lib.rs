@@ -7,13 +7,20 @@
 //!
 //! Each figure has a dedicated binary in `src/bin/` (see `DESIGN.md` for
 //! the experiment index). All binaries share the [`experiment`] module:
-//! it builds a scaled-down configuration (documented in `EXPERIMENTS.md`),
-//! runs it on the discrete-event simulator and prints one row per data
-//! point in a fixed format:
+//! it builds a scaled-down configuration (the paper's 180 s runs with up
+//! to 88 k clients become a few hundred simulated milliseconds with a few
+//! hundred clients, about 1:100; see the module docs), runs it on the
+//! discrete-event simulator and prints one row per data point in a fixed
+//! format:
 //!
 //! ```text
 //! figure, series, x, throughput_tps, avg_latency_s, p50_s, p99_s, abort_rate, cents_per_ktxn
 //! ```
+//!
+//! The smoke sweeps CI runs (`chaos_points`, `recovery_points`,
+//! `planner_points`, `placement_points`, `divergence_sweep`,
+//! `egress_points`, `hot_path`) check their own invariants and exit
+//! non-zero when one breaks.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -22,7 +29,7 @@
 pub mod experiment;
 
 pub use experiment::{
-    chaos_points, commit_path_points, divergence_points, placement_points, planner_points,
-    print_header, recovery_points, run_point, run_point_silent, run_point_traced, PointConfig,
-    PointResult,
+    chaos_points, commit_path_points, divergence_points, find_row, placement_points,
+    planner_points, print_header, recovery_points, run_point, run_point_silent, run_point_traced,
+    run_sweep, PointConfig, PointResult,
 };

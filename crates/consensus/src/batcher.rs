@@ -68,31 +68,6 @@ pub struct SignedBatch {
 }
 
 impl SignedBatch {
-    /// A signed batch with a single transaction (unbatched operation).
-    #[must_use]
-    pub fn single(txn: Transaction, digest: Digest, signature: Signature) -> Self {
-        Self::single_planned(txn, digest, signature, ShardPlan::Unplanned)
-    }
-
-    /// Like [`Self::single`], with an ordering-time plan already
-    /// computed for the transaction (unbatched operation under the
-    /// shard planner).
-    #[must_use]
-    pub fn single_planned(
-        txn: Transaction,
-        digest: Digest,
-        signature: Signature,
-        plan: ShardPlan,
-    ) -> Self {
-        SignedBatch {
-            batch: Batch::single(txn),
-            plan,
-            digests: vec![digest],
-            signatures: vec![signature],
-            aggregate: AggregateSignature::from_signatures([&signature]),
-        }
-    }
-
     /// The ordering-time shard plan of this batch. Pruning offenders
     /// keeps the tag valid: a subset of a single-home batch is still
     /// single-home, and a cross-home tag only costs the conservative
@@ -788,7 +763,9 @@ mod tests {
     fn fully_forged_batch_is_dropped() {
         let provider = CryptoProvider::new(11);
         let (t, d, _) = signed(&provider, 0, 0);
-        let single = SignedBatch::single(t, d, Signature::ZERO);
+        let single = Batcher::new(1, SimDuration::from_millis(10))
+            .push(t, d, Signature::ZERO, SimTime::ZERO)
+            .expect("a batch of one is full at once");
         assert!(!single.is_empty());
         let (verified, rejected) = single.verify_and_prune(&provider);
         assert!(verified.is_none());

@@ -46,4 +46,4 @@ pub use messages::{
 };
 pub use noshim::NoShim;
 pub use pbft::PbftReplica;
-pub use traits::{OrderingProtocol, RecoveryStats};
+pub use traits::OrderingProtocol;

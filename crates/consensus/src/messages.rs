@@ -410,6 +410,32 @@ impl ConsensusMessage {
         }
     }
 
+    /// The sequence number a batch-releasing proposal orders its batch at
+    /// (`PREPREPARE` in either form, CFT accept); `None` for every other
+    /// message. Both runtimes key the batch-release edge on this.
+    #[must_use]
+    pub fn proposal_seq(&self) -> Option<SeqNum> {
+        match self {
+            ConsensusMessage::PrePrepare(p) => Some(p.seq),
+            ConsensusMessage::DigestPrePrepare(d) => Some(d.seq),
+            ConsensusMessage::CftAccept(a) => Some(a.seq),
+            _ => None,
+        }
+    }
+
+    /// The transaction ids of the batch a proposal releases (a digest
+    /// proposal carries them in place of the bodies); empty for every
+    /// other message.
+    #[must_use]
+    pub fn proposal_txn_ids(&self) -> Vec<TxnId> {
+        match self {
+            ConsensusMessage::PrePrepare(p) => p.batch.txn_ids(),
+            ConsensusMessage::DigestPrePrepare(d) => d.txn_ids.clone(),
+            ConsensusMessage::CftAccept(a) => a.batch.txn_ids(),
+            _ => Vec::new(),
+        }
+    }
+
     /// Modeled wire size in bytes. With the default 100-transaction batch
     /// the sizes land near the paper's reported numbers
     /// (`PREPREPARE` 5392 B, `PREPARE` 216 B, `COMMIT` 220 B).

@@ -30,7 +30,7 @@ use crate::messages::{
     DigestPrePrepare, NewView, PrePrepare, Prepare, PreparedProof, StateRequest, StateResponse,
     TxnBloom, ViewChange,
 };
-use crate::traits::{OrderingProtocol, RecoveryStats};
+use crate::traits::OrderingProtocol;
 use sbft_crypto::certificate::commit_digest;
 use sbft_crypto::{CommitCertificate, CryptoHandle};
 use sbft_durability::RecoveredEntry;
@@ -74,16 +74,21 @@ pub struct PbftReplica {
     /// duplicated responses on a lossy network) seat each entry exactly
     /// once. Pruned below the stable floor at every checkpoint/catch-up.
     adopted_from_peers: BTreeSet<SeqNum>,
-    /// Garbage `STATERESPONSE` entries rejected, per sender.
+    /// Garbage `STATERESPONSE` entries and bad `BATCHFILL`s, per sender —
+    /// the blame ledger. Written only through [`Self::blame`], which also
+    /// counts into `bad_state_responses`.
     bad_responses: BTreeMap<NodeId, u64>,
     /// Snapshot-floor claims observed in `STATERESPONSE`s, per sender:
     /// `f_r + 1` claims at or above a floor prove at least one honest
     /// replica garbage-collected it, authorising checkpoint catch-up.
     floor_claims: BTreeMap<NodeId, SeqNum>,
-    /// Total `STATEREQUEST` retransmissions sent.
-    retries: u64,
-    /// Total checkpoint catch-ups performed.
-    catch_ups: u64,
+    /// Entries of the blame ledger, summed over senders.
+    bad_state_responses: Counter,
+    /// `STATEREQUEST` retransmissions sent after the initial broadcast.
+    state_request_retries: Counter,
+    /// Checkpoint catch-ups: times this replica adopted a peer's snapshot
+    /// floor because its own floor fell below peer retention.
+    catch_ups: Counter,
 
     /// Whether proposals are broadcast by digest (`DIGEST-PREPREPARE`)
     /// instead of with full bodies.
@@ -178,8 +183,9 @@ impl PbftReplica {
             adopted_from_peers: BTreeSet::new(),
             bad_responses: BTreeMap::new(),
             floor_claims: BTreeMap::new(),
-            retries: 0,
-            catch_ups: 0,
+            bad_state_responses: Counter::new(),
+            state_request_retries: Counter::new(),
+            catch_ups: Counter::new(),
             digest_mode: false,
             body_cache: BTreeMap::new(),
             pending_digest: BTreeMap::new(),
@@ -214,20 +220,6 @@ impl PbftReplica {
         self.body_cache.len()
     }
 
-    /// Cumulative digest-mode counters: cache hits, misses, fetches sent,
-    /// fills served, full-batch fallbacks (tests; experiments read the
-    /// registry).
-    #[must_use]
-    pub fn digest_stats(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.cache_hits.get(),
-            self.cache_misses.get(),
-            self.fetches_sent.get(),
-            self.fills_served.get(),
-            self.fallbacks.get(),
-        )
-    }
-
     /// Garbage `STATERESPONSE` entries rejected from one specific peer
     /// (tests pin the liar's tally through this).
     #[must_use]
@@ -255,6 +247,12 @@ impl PbftReplica {
 
     fn quorum(&self) -> usize {
         self.params.shim_quorum()
+    }
+
+    /// Counts `n` pieces of garbage against `peer`.
+    fn blame(&mut self, peer: NodeId, n: u64) {
+        *self.bad_responses.entry(peer).or_insert(0) += n;
+        self.bad_state_responses.add(n);
     }
 
     fn primary_of(&self, view: ViewNumber) -> NodeId {
@@ -787,7 +785,7 @@ impl PbftReplica {
         let first_fallback = !pending.full_requested;
         pending.full_requested = true;
         let blamed = last_filler.unwrap_or_else(|| self.primary_of(proposal_view));
-        *self.bad_responses.entry(blamed).or_insert(0) += 1;
+        self.blame(blamed, 1);
         self.fallbacks.inc();
         if first_fallback {
             self.send_fetch(seq)
@@ -950,7 +948,7 @@ impl PbftReplica {
             if bf.bodies.len() != expected.len()
                 || bf.bodies.iter().any(|t| !expected.contains(&t.id))
             {
-                *self.bad_responses.entry(from).or_insert(0) += 1;
+                self.blame(from, 1);
                 return Vec::new();
             }
             pending.received = bf.bodies.into_iter().map(|t| (t.id, t)).collect();
@@ -977,7 +975,6 @@ impl PbftReplica {
         if self.in_view_change
             || pp.view != self.view
             || from != self.primary_of(pp.view)
-            || pp.sender_ok(from)
             || pp.seq <= self.log.stable_seq()
         {
             return Vec::new();
@@ -1202,7 +1199,7 @@ impl PbftReplica {
             valid.push(e);
         }
         if garbage > 0 {
-            *self.bad_responses.entry(from).or_insert(0) += garbage;
+            self.blame(from, garbage);
         }
 
         let mut actions = Vec::new();
@@ -1227,7 +1224,7 @@ impl PbftReplica {
                 self.checkpoint_votes.retain(|s, _| *s > floor);
                 self.adopted_from_peers.retain(|s| *s > floor);
                 self.next_seq = self.next_seq.max(SeqNum(floor.0 + 1));
-                self.catch_ups += 1;
+                self.catch_ups.inc();
                 useful = true;
                 actions.push(ConsensusAction::CaughtUp { up_to: floor });
             }
@@ -1305,7 +1302,7 @@ impl PbftReplica {
         }
         let attempt = attempt + 1;
         self.state_transfer_attempt = Some(attempt);
-        self.retries += 1;
+        self.state_request_retries.inc();
         let above = self.transfer_floor();
         let digest = state_request_digest(self.me, above);
         let req = StateRequest {
@@ -1329,18 +1326,6 @@ impl PbftReplica {
 /// The digest a recovering replica signs over its `STATEREQUEST`.
 fn state_request_digest(sender: NodeId, above: SeqNum) -> Digest {
     sbft_crypto::digest_u64s("staterequest", &[u64::from(sender.0), above.0])
-}
-
-impl PrePrepare {
-    /// Helper used by the replica's well-formedness check: pre-prepares are
-    /// only sent by the primary, so a mismatched relayer is rejected. (The
-    /// message itself does not carry a sender field; this returns `false`,
-    /// meaning "no inconsistency", and exists to keep the check list
-    /// aligned with Figure 3.)
-    #[allow(clippy::unused_self)]
-    fn sender_ok(&self, _from: NodeId) -> bool {
-        false
-    }
 }
 
 impl OrderingProtocol for PbftReplica {
@@ -1503,14 +1488,6 @@ impl OrderingProtocol for PbftReplica {
         self.me
     }
 
-    fn recovery_stats(&self) -> RecoveryStats {
-        RecoveryStats {
-            bad_state_responses: self.bad_responses.values().sum(),
-            state_request_retries: self.retries,
-            catch_ups: self.catch_ups,
-        }
-    }
-
     fn offer_body(&mut self, txn: Transaction) -> Vec<ConsensusAction> {
         if !self.digest_mode {
             return Vec::new();
@@ -1549,6 +1526,11 @@ impl OrderingProtocol for PbftReplica {
         self.fetches_sent = registry.counter(&format!("{prefix}.digest.fetches_sent"));
         self.fills_served = registry.counter(&format!("{prefix}.digest.fills_served"));
         self.fallbacks = registry.counter(&format!("{prefix}.digest.fallbacks"));
+        self.bad_state_responses =
+            registry.counter(&format!("{prefix}.faults.bad_state_responses"));
+        self.state_request_retries =
+            registry.counter(&format!("{prefix}.faults.state_request_retries"));
+        self.catch_ups = registry.counter(&format!("{prefix}.faults.catch_ups"));
     }
 
     fn name(&self) -> &'static str {
@@ -2320,7 +2302,7 @@ mod tests {
             .handle_timer(ConsensusTimer::StateTransfer)
             .is_empty());
         assert_eq!(
-            replica.recovery_stats().state_request_retries,
+            replica.state_request_retries.get(),
             u64::from(STATE_RETRY_BUDGET)
         );
     }
@@ -2353,7 +2335,7 @@ mod tests {
         let dup =
             shim.replicas[3].handle_message(NodeId(1), ConsensusMessage::StateResponse(from_1));
         assert!(dup.is_empty(), "duplicate response is fully idempotent");
-        assert_eq!(shim.replicas[3].recovery_stats().bad_state_responses, 0);
+        assert_eq!(shim.replicas[3].bad_state_responses.get(), 0);
     }
 
     #[test]
@@ -2392,7 +2374,7 @@ mod tests {
         assert!(!shim.replicas[3].log().is_committed(SeqNum(1)));
         assert_eq!(shim.replicas[3].bad_state_responses_from(NodeId(2)), 2);
         assert_eq!(shim.replicas[3].bad_state_responses_from(NodeId(1)), 0);
-        assert_eq!(shim.replicas[3].recovery_stats().bad_state_responses, 2);
+        assert_eq!(shim.replicas[3].bad_state_responses.get(), 2);
         // The honest suffix still lands afterwards: the liar burned no
         // state, only its own tally.
         let req = signed_request(&shim, NodeId(3), SeqNum(0));
@@ -2430,7 +2412,7 @@ mod tests {
             "catch-up must be reported: {:?}",
             shim.caught_up
         );
-        assert_eq!(shim.replicas[3].recovery_stats().catch_ups, 1);
+        assert_eq!(shim.replicas[3].catch_ups.get(), 1);
         assert_eq!(shim.replicas[3].log().stable_seq(), SeqNum(4));
         assert_eq!(shim.committed_by(NodeId(3)), vec![SeqNum(5)]);
         // And it is live again at the right sequence number.
@@ -2488,11 +2470,15 @@ mod tests {
             assert_eq!(shim.committed_by(NodeId(i)), vec![SeqNum(1)], "node {i}");
         }
         for i in 1..4usize {
-            let (hits, misses, fetches, _, fallbacks) = shim.replicas[i].digest_stats();
-            assert_eq!(hits, 5, "node {i} reconstructs fully from cache");
-            assert_eq!(misses, 0);
-            assert_eq!(fetches, 0, "warm caches must not fetch");
-            assert_eq!(fallbacks, 0);
+            let r = &shim.replicas[i];
+            assert_eq!(
+                r.cache_hits.get(),
+                5,
+                "node {i} reconstructs fully from cache"
+            );
+            assert_eq!(r.cache_misses.get(), 0);
+            assert_eq!(r.fetches_sent.get(), 0, "warm caches must not fetch");
+            assert_eq!(r.fallbacks.get(), 0);
         }
     }
 
@@ -2507,14 +2493,17 @@ mod tests {
             assert_eq!(shim.committed_by(NodeId(i)), vec![SeqNum(1)], "node {i}");
         }
         for i in 1..4usize {
-            let (hits, misses, fetches, _, fallbacks) = shim.replicas[i].digest_stats();
-            assert_eq!(hits, 0);
-            assert_eq!(misses, 5, "node {i} missed every body");
-            assert_eq!(fetches, 1, "one fetch covers all misses");
-            assert_eq!(fallbacks, 0);
+            let r = &shim.replicas[i];
+            assert_eq!(r.cache_hits.get(), 0);
+            assert_eq!(r.cache_misses.get(), 5, "node {i} missed every body");
+            assert_eq!(r.fetches_sent.get(), 1, "one fetch covers all misses");
+            assert_eq!(r.fallbacks.get(), 0);
         }
-        let (_, _, _, fills, _) = shim.replicas[0].digest_stats();
-        assert_eq!(fills, 3, "the primary served one fill per replica");
+        assert_eq!(
+            shim.replicas[0].fills_served.get(),
+            3,
+            "the primary served one fill per replica"
+        );
         // Fetched bodies were promoted into the caches after verification.
         assert_eq!(shim.replicas[1].body_cache_len(), 5);
     }
@@ -2595,8 +2584,7 @@ mod tests {
             "mismatch must fall back to a full-batch fetch"
         );
         assert_eq!(shim.replicas[1].bad_state_responses_from(NodeId(0)), 1);
-        let (_, _, _, _, fallbacks) = shim.replicas[1].digest_stats();
-        assert_eq!(fallbacks, 1);
+        assert_eq!(shim.replicas[1].fallbacks.get(), 1);
         // The fetch retry budget eventually escalates to a view change —
         // the lying primary cannot stall forever.
         let mut escalated = Vec::new();

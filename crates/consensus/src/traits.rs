@@ -7,21 +7,6 @@ use sbft_telemetry::Registry;
 use sbft_types::{Batch, NodeId, SeqNum, ShardPlan, Transaction, TxnId, ViewNumber};
 use std::collections::HashSet;
 
-/// Counters describing how adversarial a replica's recovery was. All are
-/// cumulative over the replica's lifetime; the shim layer diffs
-/// successive snapshots into its registry counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Garbage `STATERESPONSE` entries rejected (bad certificate, digest
-    /// mismatch, stale view), summed over senders.
-    pub bad_state_responses: u64,
-    /// `STATEREQUEST` retransmissions sent after the initial broadcast.
-    pub state_request_retries: u64,
-    /// Checkpoint catch-ups: times the replica adopted a peer's snapshot
-    /// floor because its own floor fell below peer retention.
-    pub catch_ups: u64,
-}
-
 /// A deterministic ordering-protocol state machine running on one shim
 /// node. `PbftReplica`, `CftReplica` and `NoShim` all implement this trait,
 /// which is what lets the Figure 7 baseline comparison swap the shim
@@ -74,13 +59,6 @@ pub trait OrderingProtocol {
         Vec::new()
     }
 
-    /// Cumulative adversarial-recovery counters (garbage responses
-    /// rejected, request retransmissions, checkpoint catch-ups).
-    /// Protocols without a recovery path report zeros.
-    fn recovery_stats(&self) -> RecoveryStats {
-        RecoveryStats::default()
-    }
-
     /// Offers a transaction body observed from client submission to the
     /// protocol's body cache, feeding digest-proposal reconstruction. May
     /// return actions when the body completes an in-flight reconstruction
@@ -112,9 +90,11 @@ pub trait OrderingProtocol {
         0
     }
 
-    /// Re-homes the protocol's internal counters (body-cache hits/misses,
-    /// fetch traffic) into `registry` under `prefix`. Protocols without
-    /// counters ignore it.
+    /// Re-homes the protocol's counters into `registry` under `prefix`
+    /// (PBFT: `<prefix>.digest.*` and `<prefix>.faults.*`). The registry
+    /// hands out counters by name, so a replica rebuilt after a crash
+    /// restart re-attaches to the same cumulative values. Protocols
+    /// without counters ignore it.
     fn register_metrics(&mut self, registry: &Registry, prefix: &str) {
         let _ = (registry, prefix);
     }

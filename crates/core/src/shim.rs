@@ -19,8 +19,7 @@ use crate::events::{
 };
 use crate::planner::{home_shard, BatchFootprint, BestEffortPlanner};
 use sbft_consensus::{
-    Batcher, ConsensusAction, ConsensusMessage, OrderingProtocol, PbftReplica, RecoveryStats,
-    SignedBatch,
+    Batcher, ConsensusAction, ConsensusMessage, OrderingProtocol, PbftReplica, SignedBatch,
 };
 use sbft_crypto::{CommitCertificate, CryptoHandle};
 use sbft_durability::{codec as wal_codec, recover, MemWal, WalRecord, WriteAheadLog};
@@ -120,29 +119,69 @@ pub struct ShimNode {
     /// its peer state transfer. Gates the recovery-only WAL actions (the
     /// checkpoint catch-up snapshot cut).
     recovering: bool,
-    /// Last snapshot of the ordering protocol's adversarial-recovery
-    /// counters; successive deltas feed the `shim.<id>.faults.*` counters.
-    last_recovery_stats: RecoveryStats,
+    /// Whether this node built its own PBFT replica ([`Self::pbft`]) and
+    /// builds a fresh one on a crash restart. The baselines (CFT, NoShim)
+    /// have no recovery path and keep their instance.
+    rebuilds_replica: bool,
     /// The registry this node's counters were re-homed into, kept so a
     /// crash restart can re-home the rebuilt ordering protocol's counters
     /// under the same names (the registry re-uses counters by name, so
     /// cumulative values survive the restart).
     metrics_registry: Option<std::sync::Arc<Registry>>,
+    // Counters, registered under `shim.<id>.*` by `register_metrics`.
+    /// Batches this node has committed locally.
     batches_committed: Counter,
+    /// Executors this node has spawned (and will be reimbursed for).
     executors_spawned: Counter,
+    /// Client requests this node forwarded to the primary.
     requests_forwarded: Counter,
+    /// Transactions the bisecting fallback of the batch
+    /// aggregate-signature check pruned before ordering.
     rejected_txns: Counter,
+    /// Records appended to the write-ahead log (`durability.wal_appends`).
     wal_appends: Counter,
+    /// Bytes reclaimed by snapshot truncation (`durability.snapshot_bytes`).
     snapshot_bytes: Counter,
+    /// Committed batches re-seated from WAL replay after a crash restart
+    /// (`durability.replay_batches`).
     replay_batches: Counter,
+    /// Committed batches adopted from peer state transfer after a crash
+    /// restart (`durability.state_transfer_batches`).
     state_transfers: Counter,
+    /// Region outages detected reactively from rejected spawns.
     region_outages_detected: Counter,
-    bad_state_responses: Counter,
-    state_request_retries: Counter,
-    catch_ups: Counter,
 }
 
 impl ShimNode {
+    /// Creates a shim node running PBFT: the node builds its own replica
+    /// from the shared configuration, and builds a fresh one when it
+    /// restarts after a crash.
+    #[must_use]
+    pub fn pbft(me: NodeId, config: SystemConfig, crypto: CryptoHandle) -> Self {
+        let ordering = Self::pbft_replica(me, &config, &crypto);
+        let mut node = Self::new(me, config, crypto, ordering);
+        node.rebuilds_replica = true;
+        node
+    }
+
+    /// The PBFT replica of shim node `me` under `config`.
+    fn pbft_replica(
+        me: NodeId,
+        config: &SystemConfig,
+        crypto: &CryptoHandle,
+    ) -> Box<dyn OrderingProtocol + Send> {
+        Box::new(
+            PbftReplica::new(
+                me,
+                config.fault,
+                crypto.provider().handle(ComponentId::Node(me)),
+                config.timers.node_timeout,
+                config.timers.checkpoint_interval,
+            )
+            .with_digest_proposals(config.digest_proposals),
+        )
+    }
+
     /// Creates a shim node around an ordering protocol instance.
     #[must_use]
     pub fn new(
@@ -203,7 +242,7 @@ impl ShimNode {
             wal,
             last_snapshot: SeqNum(0),
             recovering: false,
-            last_recovery_stats: RecoveryStats::default(),
+            rebuilds_replica: false,
             metrics_registry: None,
             batches_committed: Counter::new(),
             executors_spawned: Counter::new(),
@@ -214,9 +253,6 @@ impl ShimNode {
             replay_batches: Counter::new(),
             state_transfers: Counter::new(),
             region_outages_detected: Counter::new(),
-            bad_state_responses: Counter::new(),
-            state_request_retries: Counter::new(),
-            catch_ups: Counter::new(),
         }
     }
 
@@ -257,31 +293,6 @@ impl ShimNode {
         self.ordering.name()
     }
 
-    /// Batches this node has committed locally.
-    #[must_use]
-    pub fn batches_committed(&self) -> u64 {
-        self.batches_committed.get()
-    }
-
-    /// Executors this node has spawned (and will be reimbursed for).
-    #[must_use]
-    pub fn executors_spawned(&self) -> u64 {
-        self.executors_spawned.get()
-    }
-
-    /// Client requests this node forwarded to the primary.
-    #[must_use]
-    pub fn requests_forwarded(&self) -> u64 {
-        self.requests_forwarded.get()
-    }
-
-    /// Transactions rejected by the batch aggregate-signature check (the
-    /// bisecting fallback pruned them before ordering).
-    #[must_use]
-    pub fn rejected_txns(&self) -> u64 {
-        self.rejected_txns.get()
-    }
-
     /// Re-homes this node's counters (and its batcher's and invoker's)
     /// into `registry` under `shim.<id>.*`. Called once by the system
     /// builder; nodes constructed without a registry keep standalone
@@ -300,67 +311,11 @@ impl ShimNode {
             registry.counter(&format!("shim.{id}.durability.state_transfer_batches"));
         self.region_outages_detected =
             registry.counter(&format!("shim.{id}.region_outages_detected"));
-        self.bad_state_responses =
-            registry.counter(&format!("shim.{id}.faults.bad_state_responses"));
-        self.state_request_retries =
-            registry.counter(&format!("shim.{id}.faults.state_request_retries"));
-        self.catch_ups = registry.counter(&format!("shim.{id}.faults.catch_ups"));
         self.batcher
             .register_metrics(registry, &format!("shim.{id}"));
         self.invoker.register_metrics(registry);
         self.ordering
             .register_metrics(registry, &format!("shim.{id}"));
-    }
-
-    /// Records appended to the write-ahead log.
-    #[must_use]
-    pub fn wal_appends(&self) -> u64 {
-        self.wal_appends.get()
-    }
-
-    /// Bytes reclaimed by snapshot truncation.
-    #[must_use]
-    pub fn snapshot_bytes(&self) -> u64 {
-        self.snapshot_bytes.get()
-    }
-
-    /// Committed batches re-seated from WAL replay after a crash restart.
-    #[must_use]
-    pub fn replay_batches(&self) -> u64 {
-        self.replay_batches.get()
-    }
-
-    /// Committed batches adopted from peer state transfer after a crash
-    /// restart.
-    #[must_use]
-    pub fn state_transfers(&self) -> u64 {
-        self.state_transfers.get()
-    }
-
-    /// Region outages this node detected reactively from rejected spawns.
-    #[must_use]
-    pub fn region_outages_detected(&self) -> u64 {
-        self.region_outages_detected.get()
-    }
-
-    /// Garbage `STATERESPONSE` entries this node rejected during recovery
-    /// (bad certificate, digest mismatch, stale view).
-    #[must_use]
-    pub fn bad_state_responses(&self) -> u64 {
-        self.bad_state_responses.get()
-    }
-
-    /// `STATEREQUEST` retransmissions this node sent while recovering.
-    #[must_use]
-    pub fn state_request_retries(&self) -> u64 {
-        self.state_request_retries.get()
-    }
-
-    /// Checkpoint catch-ups: recoveries that adopted a peer's snapshot
-    /// floor because this node's log floor fell below peer retention.
-    #[must_use]
-    pub fn catch_ups(&self) -> u64 {
-        self.catch_ups.get()
     }
 
     /// Whether this node is still mid-recovery (restarted but its peer
@@ -418,18 +373,6 @@ impl ShimNode {
     #[must_use]
     pub fn ordering_lanes_active(&self) -> bool {
         self.lane_router.is_some()
-    }
-
-    /// Executors this node placed by pinning (geo placement).
-    #[must_use]
-    pub fn pinned_spawns(&self) -> u64 {
-        self.invoker.pinned_spawns()
-    }
-
-    /// Batches whose pin was refused and fell back to the rotation.
-    #[must_use]
-    pub fn placement_fallbacks(&self) -> u64 {
-        self.invoker.placement_fallbacks()
     }
 
     /// Informs this node's invoker that a cloud region is offline
@@ -557,13 +500,6 @@ impl ShimNode {
             Some(router) => home_shard(&txn, router),
             None => ShardPlan::Unplanned,
         };
-        if !self.config.batching_enabled {
-            let mut out = offered_actions;
-            out.extend(
-                self.submit_signed(SignedBatch::single_planned(txn, digest, signature, plan)),
-            );
-            return out;
-        }
         let mut out = offered_actions;
         if let Some(batch) = self.batcher.push_planned(txn, digest, signature, now, plan) {
             out.extend(self.submit_signed(batch));
@@ -653,29 +589,7 @@ impl ShimNode {
         if transfer_done {
             self.recovering = false;
         }
-        self.sync_recovery_counters();
         out
-    }
-
-    /// Diffs the ordering protocol's cumulative adversarial-recovery
-    /// counters into this node's registry counters. Called after every
-    /// consensus message and consensus timer.
-    fn sync_recovery_counters(&mut self) {
-        let stats = self.ordering.recovery_stats();
-        let prev = self.last_recovery_stats;
-        self.bad_state_responses.add(
-            stats
-                .bad_state_responses
-                .saturating_sub(prev.bad_state_responses),
-        );
-        self.state_request_retries.add(
-            stats
-                .state_request_retries
-                .saturating_sub(prev.state_request_retries),
-        );
-        self.catch_ups
-            .add(stats.catch_ups.saturating_sub(prev.catch_ups));
-        self.last_recovery_stats = stats;
     }
 
     fn translate(&mut self, actions: Vec<ConsensusAction>) -> Vec<Action> {
@@ -897,17 +811,8 @@ impl ShimNode {
         if self.planner.is_some() {
             self.planner = Some(BestEffortPlanner::new());
         }
-        if self.ordering.name() == "PBFT" {
-            self.ordering = Box::new(
-                PbftReplica::new(
-                    self.me,
-                    self.config.fault,
-                    self.crypto.provider().handle(self.component()),
-                    self.config.timers.node_timeout,
-                    self.config.timers.checkpoint_interval,
-                )
-                .with_digest_proposals(self.config.digest_proposals),
-            );
+        if self.rebuilds_replica {
+            self.ordering = Self::pbft_replica(self.me, &self.config, &self.crypto);
             if let Some(registry) = self.metrics_registry.clone() {
                 self.ordering
                     .register_metrics(&registry, &format!("shim.{}", self.me.0));
@@ -917,7 +822,6 @@ impl ShimNode {
             return Vec::new();
         };
         self.recovering = true;
-        self.last_recovery_stats = RecoveryStats::default();
         let records = wal.replay();
         let replay_bytes: u64 = records
             .iter()
@@ -1299,9 +1203,7 @@ impl ShimNode {
         match timer {
             ProtocolTimer::Consensus(t) => {
                 let actions = self.ordering.handle_timer(t);
-                let out = self.translate(actions);
-                self.sync_recovery_counters();
-                out
+                self.translate(actions)
             }
             ProtocolTimer::Retransmit(subject) => {
                 // The primary failed to resolve the verifier's ERROR before
@@ -1342,7 +1244,7 @@ impl ShimNode {
 mod tests {
     use super::*;
     use crate::events::{envelopes, ErrorMessage, ReplaceMessage};
-    use sbft_consensus::{CftReplica, NoShim, PbftReplica};
+    use sbft_consensus::{CftReplica, NoShim};
     use sbft_crypto::CryptoProvider;
     use sbft_types::{ClientId, Key, Operation, Signature, Transaction, TxnId};
     use std::sync::Arc;
@@ -1351,6 +1253,8 @@ mod tests {
         nodes: Vec<ShimNode>,
         provider: Arc<CryptoProvider>,
         config: SystemConfig,
+        /// The nodes' counters, under `shim.<node>.*`.
+        registry: Arc<Registry>,
     }
 
     /// Default test configuration: a 4-node shim batching 2 transactions.
@@ -1362,28 +1266,42 @@ mod tests {
 
     fn make_shim(config: SystemConfig) -> Shim {
         let provider = CryptoProvider::new(21);
+        let registry = Arc::new(Registry::new());
         let nodes = (0..config.fault.n_r as u32)
             .map(|i| {
-                let ordering: Box<dyn OrderingProtocol + Send> = Box::new(PbftReplica::new(
-                    NodeId(i),
-                    config.fault,
-                    provider.handle(ComponentId::Node(NodeId(i))),
-                    config.timers.node_timeout,
-                    config.timers.checkpoint_interval,
-                ));
-                ShimNode::new(
-                    NodeId(i),
-                    config.clone(),
-                    provider.handle(ComponentId::Node(NodeId(i))),
-                    ordering,
-                )
+                let id = NodeId(i);
+                let mut node =
+                    ShimNode::pbft(id, config.clone(), provider.handle(ComponentId::Node(id)));
+                node.register_metrics(&registry);
+                node
             })
             .collect();
         Shim {
             nodes,
             provider,
             config,
+            registry,
         }
+    }
+
+    /// A one-node CFT shim: every submission commits at once.
+    fn single_cft_node(config: &SystemConfig, provider: &Arc<CryptoProvider>) -> ShimNode {
+        let alone = sbft_types::FaultParams {
+            n_r: 1,
+            f_r: 0,
+            n_e: 3,
+            f_e: 1,
+        };
+        ShimNode::new(
+            NodeId(0),
+            config.clone(),
+            provider.handle(ComponentId::Node(NodeId(0))),
+            Box::new(CftReplica::new(
+                NodeId(0),
+                alone,
+                config.timers.node_timeout,
+            )),
+        )
     }
 
     fn signed_request(provider: &Arc<CryptoProvider>, client: u32, counter: u64) -> ClientRequest {
@@ -1472,7 +1390,7 @@ mod tests {
             .filter(|(_, a)| matches!(a, Action::BatchCommitted { .. }))
             .count();
         assert_eq!(commits, 4);
-        assert_eq!(shim.nodes[0].executors_spawned(), 3);
+        assert_eq!(shim.nodes[0].executors_spawned.get(), 3);
     }
 
     #[test]
@@ -1580,7 +1498,7 @@ mod tests {
             .expect("pruned batch is still proposed");
         assert_eq!(proposed.len(), 1, "the forged transaction was pruned");
         assert!(proposed.txn_ids().iter().all(|id| *id != forged_id));
-        assert_eq!(shim.nodes[0].rejected_txns(), 1);
+        assert_eq!(shim.nodes[0].rejected_txns.get(), 1);
         // The forged id was released from duplicate suppression, so the
         // honest client can still get the same transaction ordered.
         let honest_retry = signed_request(&provider, 0, 0);
@@ -1629,7 +1547,11 @@ mod tests {
             .expect("the genuine transaction is proposed");
         assert_eq!(proposed.len(), 1);
         assert_eq!(proposed.txn_ids(), vec![id]);
-        assert_eq!(shim.nodes[0].rejected_txns(), 1, "the forgery was pruned");
+        assert_eq!(
+            shim.nodes[0].rejected_txns.get(),
+            1,
+            "the forgery was pruned"
+        );
         // The genuine entry kept its duplicate suppression: a retry with
         // the same (valid, deterministic) signature is dropped.
         assert!(shim.nodes[0]
@@ -1678,7 +1600,7 @@ mod tests {
             .expect("batch proposed");
         assert_eq!(proposed.len(), 2);
         assert_eq!(proposed.txns()[0].ops, first_ops);
-        assert_eq!(shim.nodes[0].rejected_txns(), 0, "nothing was pruned");
+        assert_eq!(shim.nodes[0].rejected_txns.get(), 0, "nothing was pruned");
     }
 
     #[test]
@@ -1690,21 +1612,7 @@ mod tests {
         config.workload.batch_size = 1;
         config.timers.checkpoint_interval = 4;
         let provider = CryptoProvider::new(5);
-        let mut node = ShimNode::new(
-            NodeId(0),
-            config.clone(),
-            provider.handle(ComponentId::Node(NodeId(0))),
-            Box::new(CftReplica::new(
-                NodeId(0),
-                sbft_types::FaultParams {
-                    n_r: 1,
-                    f_r: 0,
-                    n_e: 3,
-                    f_e: 1,
-                },
-                config.timers.node_timeout,
-            )),
-        );
+        let mut node = single_cft_node(&config, &provider);
         for i in 0..100u64 {
             let actions = node.on_client_request(&signed_request(&provider, 0, i), SimTime::ZERO);
             assert!(
@@ -1725,7 +1633,7 @@ mod tests {
                 node.seen_txns_len()
             );
         }
-        assert_eq!(node.batches_committed(), 100);
+        assert_eq!(node.batches_committed.get(), 100);
         // Entries inside the retained window still suppress duplicates …
         assert!(node
             .on_client_request(&signed_request(&provider, 0, 99), SimTime::ZERO)
@@ -1750,17 +1658,10 @@ mod tests {
         config.workload.batch_size = 1;
         config.timers.checkpoint_interval = 4;
         let provider = CryptoProvider::new(5);
-        let mut node = ShimNode::new(
+        let mut node = ShimNode::pbft(
             NodeId(0),
             config.clone(),
             provider.handle(ComponentId::Node(NodeId(0))),
-            Box::new(PbftReplica::new(
-                NodeId(0),
-                config.fault,
-                provider.handle(ComponentId::Node(NodeId(0))),
-                config.timers.node_timeout,
-                config.timers.checkpoint_interval,
-            )),
         );
         for i in 0..100u64 {
             let actions = node.on_client_request(&signed_request(&provider, 0, i), SimTime::ZERO);
@@ -1802,21 +1703,7 @@ mod tests {
         config.workload.batch_size = 1;
         config.timers.checkpoint_interval = 4;
         let provider = CryptoProvider::new(5);
-        let mut node = ShimNode::new(
-            NodeId(0),
-            config.clone(),
-            provider.handle(ComponentId::Node(NodeId(0))),
-            Box::new(CftReplica::new(
-                NodeId(0),
-                sbft_types::FaultParams {
-                    n_r: 1,
-                    f_r: 0,
-                    n_e: 3,
-                    f_e: 1,
-                },
-                config.timers.node_timeout,
-            )),
-        );
+        let mut node = single_cft_node(&config, &provider);
         // Request 0 commits immediately (1-node CFT) at seq 1, but its
         // BatchValidated never arrives.
         let committed_req = signed_request(&provider, 0, 0);
@@ -1828,21 +1715,7 @@ mod tests {
         // batcher (never released).
         let mut big = config.clone();
         big.workload.batch_size = 100;
-        let mut pending_node = ShimNode::new(
-            NodeId(0),
-            big.clone(),
-            provider.handle(ComponentId::Node(NodeId(0))),
-            Box::new(CftReplica::new(
-                NodeId(0),
-                sbft_types::FaultParams {
-                    n_r: 1,
-                    f_r: 0,
-                    n_e: 3,
-                    f_e: 1,
-                },
-                big.timers.node_timeout,
-            )),
-        );
+        let mut pending_node = single_cft_node(&big, &provider);
         let pending_req = signed_request(&provider, 7, 0);
         assert!(pending_node
             .on_client_request(&pending_req, SimTime::ZERO)
@@ -1995,7 +1868,7 @@ mod tests {
         let env = actions[0].as_send().unwrap();
         assert_eq!(env.to, Destination::Node(NodeId(0)));
         assert_eq!(env.msg.kind(), "CLIENT-REQUEST");
-        assert_eq!(shim.nodes[2].requests_forwarded(), 1);
+        assert_eq!(shim.nodes[2].requests_forwarded.get(), 1);
     }
 
     #[test]
@@ -2191,21 +2064,7 @@ mod tests {
         };
         let provider = CryptoProvider::new(5);
         // CFT-backed shim node (single-node degenerate cluster for the test).
-        let mut cft_node = ShimNode::new(
-            NodeId(0),
-            config.clone(),
-            provider.handle(ComponentId::Node(NodeId(0))),
-            Box::new(CftReplica::new(
-                NodeId(0),
-                sbft_types::FaultParams {
-                    n_r: 1,
-                    f_r: 0,
-                    n_e: 3,
-                    f_e: 1,
-                },
-                config.timers.node_timeout,
-            )),
-        );
+        let mut cft_node = single_cft_node(&config, &provider);
         let req = signed_request(&provider, 0, 0);
         let actions = cft_node.on_client_request(&req, SimTime::ZERO);
         assert!(actions
@@ -2309,12 +2168,12 @@ mod tests {
         assert!(external
             .iter()
             .any(|(_, a)| matches!(a, Action::Persist { fsync: true, .. })));
-        assert!(shim.nodes[0].wal_appends() >= 2); // a Vote and a Committed at least
+        assert!(shim.nodes[0].wal_appends.get() >= 2); // a Vote and a Committed at least
         assert_eq!(shim.nodes[0].last_snapshot(), SeqNum(0));
         commit_one_batch(&mut shim, 2, &[]);
         for node in &shim.nodes {
             assert_eq!(node.last_snapshot(), SeqNum(2));
-            assert!(node.snapshot_bytes() > 0, "truncation reclaims bytes");
+            assert!(node.snapshot_bytes.get() > 0, "truncation reclaims bytes");
             // Only the mark survives the cut.
             assert_eq!(node.wal_durable_len(), Some(1));
         }
@@ -2328,14 +2187,14 @@ mod tests {
         // Node 3 dies and restarts: the synced log replays both commits.
         shim.nodes[3].crash();
         let restart = shim.nodes[3].crash_restart();
-        assert_eq!(shim.nodes[3].replay_batches(), 2);
+        assert_eq!(shim.nodes[3].replay_batches.get(), 2);
         assert!(
             restart.iter().any(|a| a.sends_kind("STATEREQUEST")),
             "restart broadcasts a state request"
         );
         // Nothing was missed, so peers stay silent and no batch is adopted.
         run_consensus_partitioned(&mut shim, 3, restart, &[]);
-        assert_eq!(shim.nodes[3].state_transfers(), 0);
+        assert_eq!(shim.nodes[3].state_transfers.get(), 0);
         // The restarted node keeps participating: the next batch commits
         // everywhere, including on node 3.
         let external = commit_one_batch(&mut shim, 4, &[]);
@@ -2351,11 +2210,11 @@ mod tests {
         shim.nodes[3].crash();
         commit_one_batch(&mut shim, 2, &[3]);
         let restart = shim.nodes[3].crash_restart();
-        assert_eq!(shim.nodes[3].replay_batches(), 1);
+        assert_eq!(shim.nodes[3].replay_batches.get(), 1);
         let external = run_consensus_partitioned(&mut shim, 3, restart, &[]);
         // Peers answered the state request; node 3 adopted the missed
         // batch exactly once and observed its commit.
-        assert_eq!(shim.nodes[3].state_transfers(), 1);
+        assert_eq!(shim.nodes[3].state_transfers.get(), 1);
         assert!(external.iter().any(|(n, a)| *n == NodeId(3)
             && matches!(a, Action::BatchCommitted { seq, .. } if *seq == SeqNum(2))));
     }
@@ -2373,10 +2232,10 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(node.region_outages_detected(), 1);
+        assert_eq!(node.region_outages_detected.get(), 1);
         // Repeated rejections while already marked down are absorbed.
         assert!(node.on_spawn_rejected(Region::Oregon).is_empty());
-        assert_eq!(node.region_outages_detected(), 1);
+        assert_eq!(node.region_outages_detected.get(), 1);
         // Probation expiry marks the region back up; a later rejection
         // re-detects the outage and restarts the cycle.
         let up = node.on_timer(
@@ -2385,47 +2244,18 @@ mod tests {
         );
         assert!(up.is_empty());
         assert!(!node.on_spawn_rejected(Region::Oregon).is_empty());
-        assert_eq!(node.region_outages_detected(), 2);
+        assert_eq!(node.region_outages_detected.get(), 2);
     }
 
     // ---- digest proposals (bandwidth-frugal ordering) ----------------------
 
-    /// A 4-node PBFT shim with digest proposals on, counters re-homed into
-    /// a shared registry so tests can read the digest cache statistics.
+    /// A 4-node PBFT shim with digest proposals on, and the registry its
+    /// digest cache statistics are read from.
     fn make_digest_shim(mut config: SystemConfig) -> (Shim, Arc<Registry>) {
         config.digest_proposals = true;
-        let provider = CryptoProvider::new(21);
-        let registry = Arc::new(Registry::new());
-        let nodes = (0..config.fault.n_r as u32)
-            .map(|i| {
-                let ordering: Box<dyn OrderingProtocol + Send> = Box::new(
-                    PbftReplica::new(
-                        NodeId(i),
-                        config.fault,
-                        provider.handle(ComponentId::Node(NodeId(i))),
-                        config.timers.node_timeout,
-                        config.timers.checkpoint_interval,
-                    )
-                    .with_digest_proposals(true),
-                );
-                let mut node = ShimNode::new(
-                    NodeId(i),
-                    config.clone(),
-                    provider.handle(ComponentId::Node(NodeId(i))),
-                    ordering,
-                );
-                node.register_metrics(&registry);
-                node
-            })
-            .collect();
-        (
-            Shim {
-                nodes,
-                provider,
-                config,
-            },
-            registry,
-        )
+        let shim = make_shim(config);
+        let registry = Arc::clone(&shim.registry);
+        (shim, registry)
     }
 
     /// Delivers `req` to every shim node (digest-mode clients broadcast so
@@ -2465,7 +2295,7 @@ mod tests {
         assert_eq!(commits, 4, "every node commits the reconstructed batch");
         for node in &shim.nodes {
             assert_eq!(
-                node.requests_forwarded(),
+                node.requests_forwarded.get(),
                 0,
                 "digest mode never relays request bodies to the primary"
             );
@@ -2540,13 +2370,13 @@ mod tests {
         let (mut shim, _registry) = make_digest_shim(config);
         let provider = Arc::clone(&shim.provider);
         let _ = broadcast_request(&mut shim, &signed_request(&provider, 0, 0));
-        assert_eq!(shim.nodes[0].wal_appends(), 0);
+        assert_eq!(shim.nodes[0].wal_appends.get(), 0);
         let actions = broadcast_request(&mut shim, &signed_request(&provider, 1, 0));
         assert!(actions.iter().any(|a| a.sends_kind("DIGEST-PREPREPARE")));
         // The digest proposal wrote a buffered Released record before the
         // broadcast left (plus this node's own synced COMMIT vote later).
         assert!(
-            shim.nodes[0].wal_appends() >= 1,
+            shim.nodes[0].wal_appends.get() >= 1,
             "a digest proposal must hit the WAL like a full PREPREPARE"
         );
         assert!(actions

@@ -11,7 +11,7 @@ use crate::attacks::{AttackInjector, ShimAttack};
 use crate::client::ClientRole;
 use crate::shim::ShimNode;
 use crate::verifier::{Verifier, VerifierConfig};
-use sbft_consensus::{CftReplica, NoShim, OrderingProtocol, PbftReplica};
+use sbft_consensus::{CftReplica, NoShim};
 use sbft_crypto::CryptoProvider;
 use sbft_serverless::cloud::CloudFaultPlan;
 use sbft_serverless::{Executor, ExecutorBehavior, RegionOutage, ServerlessCloud, SpawnOutcome};
@@ -220,30 +220,18 @@ impl SystemBuilder {
         let mut nodes: Vec<ShimNode> = (0..n_nodes as u32)
             .map(|i| {
                 let id = NodeId(i);
-                let ordering: Box<dyn OrderingProtocol + Send> = match self.protocol {
-                    ShimProtocol::Pbft => Box::new(
-                        PbftReplica::new(
-                            id,
-                            self.config.fault,
-                            provider.handle(ComponentId::Node(id)),
-                            self.config.timers.node_timeout,
-                            self.config.timers.checkpoint_interval,
-                        )
-                        .with_digest_proposals(self.config.digest_proposals),
-                    ),
-                    ShimProtocol::Cft => Box::new(CftReplica::new(
-                        id,
-                        self.config.fault,
-                        self.config.timers.node_timeout,
-                    )),
-                    ShimProtocol::NoShim => Box::new(NoShim::new(id)),
-                };
-                ShimNode::new(
-                    id,
-                    self.config.clone(),
-                    provider.handle(ComponentId::Node(id)),
-                    ordering,
-                )
+                let config = self.config.clone();
+                let crypto = provider.handle(ComponentId::Node(id));
+                match self.protocol {
+                    ShimProtocol::Pbft => ShimNode::pbft(id, config, crypto),
+                    ShimProtocol::Cft => {
+                        let replica = CftReplica::new(id, config.fault, config.timers.node_timeout);
+                        ShimNode::new(id, config, crypto, Box::new(replica))
+                    }
+                    ShimProtocol::NoShim => {
+                        ShimNode::new(id, config, crypto, Box::new(NoShim::new(id)))
+                    }
+                }
             })
             .collect();
 

@@ -99,14 +99,31 @@ pub struct Verifier {
     /// owe an `ACK`.
     outstanding: BTreeSet<RecoverySubject>,
 
+    // Counters, registered as `verifier.<field>` by `register_metrics`.
+    /// Transactions whose writes have been applied.
     committed_txns: Counter,
+    /// Transactions aborted (stale reads or byzantine-abort detection).
     aborted_txns: Counter,
+    /// `VERIFY` messages ignored by the flooding mitigation.
     ignored_verifies: Counter,
+    /// Batches fully validated (commit or whole-batch abort).
     validated_batches: Counter,
+    /// Whole batches aborted because no `f_E + 1` of the executors'
+    /// digests matched (the Section VI-B divergence rule, both the
+    /// count-triggered and the timer-triggered form).
     divergent_aborts: Counter,
+    /// Transactions applied through the attached worker pool.
     pool_applied_txns: Counter,
+    /// Batches applied through the verified ordering-time fast path (a
+    /// `SingleHome` plan tag that survived re-derivation).
     planned_batches: Counter,
+    /// `SingleHome` tags that failed re-derivation against the observed
+    /// read-write sets (a byzantine primary or mis-declared sets); each
+    /// fell back deterministically to the unplanned routing path.
     plan_mismatches: Counter,
+    /// Validated batches whose entire footprint lived on one shard,
+    /// pre-planned or discovered by apply-time routing. The complement
+    /// over `validated_batches` is the cross-shard coordination rate.
     single_home_batches: Counter,
 }
 
@@ -182,74 +199,10 @@ impl Verifier {
         self.apply_pool.is_some()
     }
 
-    /// Transactions applied through the attached worker pool.
-    #[must_use]
-    pub fn pool_applied_txns(&self) -> u64 {
-        self.pool_applied_txns.get()
-    }
-
     /// Sequence number of the next batch the verifier will validate.
     #[must_use]
     pub fn kmax(&self) -> SeqNum {
         self.kmax
-    }
-
-    /// Transactions whose writes have been applied.
-    #[must_use]
-    pub fn committed_txns(&self) -> u64 {
-        self.committed_txns.get()
-    }
-
-    /// Transactions aborted (stale reads or byzantine-abort detection).
-    #[must_use]
-    pub fn aborted_txns(&self) -> u64 {
-        self.aborted_txns.get()
-    }
-
-    /// `VERIFY` messages ignored by the flooding mitigation.
-    #[must_use]
-    pub fn ignored_verifies(&self) -> u64 {
-        self.ignored_verifies.get()
-    }
-
-    /// Batches fully validated so far.
-    #[must_use]
-    pub fn validated_batches(&self) -> u64 {
-        self.validated_batches.get()
-    }
-
-    /// Whole batches aborted because every spawned executor answered and
-    /// no `f_E + 1` of the digests matched (the Section VI-B divergence
-    /// rule, both the count-triggered and the timer-triggered form).
-    #[must_use]
-    pub fn divergent_aborts(&self) -> u64 {
-        self.divergent_aborts.get()
-    }
-
-    /// Batches applied through the verified ordering-time fast path (a
-    /// `SingleHome` plan tag that survived re-derivation: one shard, no
-    /// per-transaction routing, no cross-home probe).
-    #[must_use]
-    pub fn planned_batches(&self) -> u64 {
-        self.planned_batches.get()
-    }
-
-    /// `SingleHome` plan tags that failed re-derivation against the
-    /// observed read-write sets (only a byzantine primary or mis-declared
-    /// read-write sets produce these); each fell back deterministically
-    /// to the unplanned routing path.
-    #[must_use]
-    pub fn plan_mismatches(&self) -> u64 {
-        self.plan_mismatches.get()
-    }
-
-    /// Validated batches whose entire footprint lived on one shard —
-    /// whether pre-planned or discovered by apply-time routing. The
-    /// complement (over [`Self::validated_batches`]) is the cross-shard
-    /// coordination rate the ordering-time planner drives down.
-    #[must_use]
-    pub fn single_home_batches(&self) -> u64 {
-        self.single_home_batches.get()
     }
 
     /// Entries currently held for client-retry answering (tests and memory
@@ -1100,7 +1053,7 @@ mod tests {
         let kinds = response_kinds(&actions);
         assert!(kinds.contains(&"RESPONSE"));
         assert!(kinds.contains(&"BATCH-VALIDATED"));
-        assert_eq!(v.committed_txns(), 1);
+        assert_eq!(v.committed_txns.get(), 1);
         assert_eq!(v.kmax(), SeqNum(2));
         // The write was applied to storage.
         assert_eq!(fx.store.get(Key(2)).unwrap().value, Value::new(42));
@@ -1114,7 +1067,7 @@ mod tests {
         let lying = fx.verify_msg(2, 1, 0, 999, 1);
         assert!(v.on_verify(&honest).is_empty());
         assert!(v.on_verify(&lying).is_empty());
-        assert_eq!(v.committed_txns(), 0);
+        assert_eq!(v.committed_txns.get(), 0);
         // A third executor agreeing with the honest one resolves it.
         let honest2 = fx.verify_msg(3, 1, 0, 42, 1);
         let actions = v.on_verify(&honest2);
@@ -1141,7 +1094,7 @@ mod tests {
         assert_eq!(v.kmax(), SeqNum(3));
         let kinds = response_kinds(&actions);
         assert_eq!(kinds.iter().filter(|k| **k == "RESPONSE").count(), 2);
-        assert_eq!(v.validated_batches(), 2);
+        assert_eq!(v.validated_batches.get(), 2);
     }
 
     #[test]
@@ -1153,13 +1106,13 @@ mod tests {
         // The same executor floods the verifier with copies.
         let _ = v.on_verify(&m1);
         let _ = v.on_verify(&m1);
-        assert_eq!(v.ignored_verifies(), 2);
+        assert_eq!(v.ignored_verifies.get(), 2);
         // Match the batch; further VERIFY messages for it are ignored too.
         let _ = v.on_verify(&fx.verify_msg(2, 1, 0, 42, 1));
         let _ = v.on_verify(&fx.verify_msg(3, 1, 0, 42, 1));
-        assert!(v.ignored_verifies() >= 3);
+        assert!(v.ignored_verifies.get() >= 3);
         assert_eq!(
-            v.committed_txns(),
+            v.committed_txns.get(),
             1,
             "flooding does not double-apply writes"
         );
@@ -1197,8 +1150,8 @@ mod tests {
         let actions = v.on_verify(&fx.verify_msg(2, 1, 0, 42, 1));
         let kinds = response_kinds(&actions);
         assert!(kinds.contains(&"ABORT"));
-        assert_eq!(v.aborted_txns(), 1);
-        assert_eq!(v.committed_txns(), 0);
+        assert_eq!(v.aborted_txns.get(), 1);
+        assert_eq!(v.committed_txns.get(), 0);
         // Key 2 was not written.
         assert_ne!(fx.store.get(Key(2)).unwrap().value, Value::new(42));
     }
@@ -1235,7 +1188,7 @@ mod tests {
         let actions = v.on_abort_timeout(SeqNum(1));
         assert!(actions.iter().any(|a| a.sends_kind("REPLACE")));
         assert_eq!(
-            v.aborted_txns(),
+            v.aborted_txns.get(),
             0,
             "blaming the primary does not abort yet"
         );
@@ -1251,8 +1204,8 @@ mod tests {
         let _ = v.on_verify(&fx.verify_msg(3, 1, 0, 3, 1));
         let actions = v.on_abort_timeout(SeqNum(1));
         assert!(actions.iter().any(|a| a.sends_kind("ABORT")));
-        assert_eq!(v.aborted_txns(), 1);
-        assert_eq!(v.divergent_aborts(), 1);
+        assert_eq!(v.aborted_txns.get(), 1);
+        assert_eq!(v.divergent_aborts.get(), 1);
         assert_eq!(
             v.kmax(),
             SeqNum(2),
@@ -1379,8 +1332,8 @@ mod tests {
         let _ = v.on_verify(&fx.verify_msg(2, 1, 0, 2, 1));
         let actions = v.on_verify(&fx.verify_msg(3, 1, 0, 3, 1));
         assert!(actions.iter().any(|a| a.sends_kind("ABORT")));
-        assert_eq!(v.aborted_txns(), 1);
-        assert_eq!(v.divergent_aborts(), 1);
+        assert_eq!(v.aborted_txns.get(), 1);
+        assert_eq!(v.divergent_aborts.get(), 1);
         assert_eq!(
             v.kmax(),
             SeqNum(2),
@@ -1415,11 +1368,11 @@ mod tests {
             !actions.iter().any(|a| a.sends_kind("ABORT")),
             "three of four verifies must not trigger the divergence abort"
         );
-        assert_eq!(v.aborted_txns(), 0);
+        assert_eq!(v.aborted_txns.get(), 0);
         // The fourth executor agrees with one of them: quorum, commit.
         let actions = v.on_verify(&fx.verify_msg(4, 1, 0, 2, 1));
         assert!(actions.iter().any(|a| a.sends_kind("RESPONSE")));
-        assert_eq!(v.committed_txns(), 1);
+        assert_eq!(v.committed_txns.get(), 1);
     }
 
     #[test]
@@ -1455,7 +1408,7 @@ mod tests {
             })
             .sum();
         assert!(total_txns >= 1);
-        assert_eq!(v.committed_txns(), 1);
+        assert_eq!(v.committed_txns.get(), 1);
         assert_eq!(fx.store.get(Key(2)).unwrap().value, Value::new(42));
     }
 
@@ -1489,12 +1442,12 @@ mod tests {
             }
             let state = fx.store.get(Key(2)).unwrap().value;
             (
-                v.committed_txns(),
-                v.aborted_txns(),
-                v.validated_batches(),
+                v.committed_txns.get(),
+                v.aborted_txns.get(),
+                v.validated_batches.get(),
                 kinds,
                 state,
-                v.pool_applied_txns(),
+                v.pool_applied_txns.get(),
             )
         };
         let sync = run(false);
@@ -1596,10 +1549,10 @@ mod tests {
         let kinds = response_kinds(&actions);
         assert!(kinds.contains(&"RESPONSE"), "txn A commits");
         assert!(kinds.contains(&"ABORT"), "txn B reads A's write stale");
-        assert_eq!(v.committed_txns(), 1);
-        assert_eq!(v.aborted_txns(), 1);
+        assert_eq!(v.committed_txns.get(), 1);
+        assert_eq!(v.aborted_txns.get(), 1);
         assert_eq!(
-            v.pool_applied_txns(),
+            v.pool_applied_txns.get(),
             0,
             "the conflicting batch must bypass the pool"
         );
@@ -1608,7 +1561,7 @@ mod tests {
         let _ = v.on_verify(&fx.verify_msg(1, 2, 2, 5, 1));
         let actions = v.on_verify(&fx.verify_msg(2, 2, 2, 5, 1));
         assert!(response_kinds(&actions).contains(&"RESPONSE"));
-        assert_eq!(v.pool_applied_txns(), 1);
+        assert_eq!(v.pool_applied_txns.get(), 1);
     }
 
     #[test]
@@ -1623,7 +1576,7 @@ mod tests {
                 let _ = v.on_verify(&fx.verify_msg(1, seq, 0, seq, 1));
                 let _ = v.on_verify(&fx.verify_msg(2, seq, 0, seq, 1));
             }
-            assert_eq!(v.committed_txns(), 5, "{shards} shards");
+            assert_eq!(v.committed_txns.get(), 5, "{shards} shards");
             assert_eq!(v.kmax(), SeqNum(6));
             assert_eq!(fx.store.get(Key(2)).unwrap().value, Value::new(5));
         }
@@ -1648,7 +1601,7 @@ mod tests {
         let _ = v.on_verify(&fx.verify_msg(1, 1, 0, 42, 1));
         let actions = v.on_verify(&fx.verify_msg(2, 1, 0, 42, 1));
         assert!(response_kinds(&actions).contains(&"ABORT"));
-        assert_eq!(v.aborted_txns(), 1);
+        assert_eq!(v.aborted_txns.get(), 1);
         assert_eq!(v.committer().cross_shard_rejections(), 1);
         assert_ne!(fx.store.get(Key(2)).unwrap().value, Value::new(42));
     }
@@ -1716,7 +1669,7 @@ mod tests {
             v.responded_len()
         );
         assert!(v.txn_location_len() <= 8);
-        assert_eq!(v.committed_txns(), 100);
+        assert_eq!(v.committed_txns.get(), 100);
     }
 
     #[test]
@@ -1728,12 +1681,12 @@ mod tests {
         let _ = v.on_verify(&fx.verify_msg(1, 1, 0, 1, 1));
         let _ = v.on_verify(&fx.verify_msg(2, 1, 0, 2, 1));
         let _ = v.on_verify(&fx.verify_msg(3, 1, 0, 3, 1));
-        assert_eq!(v.divergent_aborts(), 1);
+        assert_eq!(v.divergent_aborts.get(), 1);
         // ... and a matched batch does not.
         let _ = v.on_verify(&fx.verify_msg(1, 2, 0, 5, 1));
         let _ = v.on_verify(&fx.verify_msg(2, 2, 0, 5, 1));
-        assert_eq!(v.divergent_aborts(), 1);
-        assert_eq!(v.committed_txns(), 1);
+        assert_eq!(v.divergent_aborts.get(), 1);
+        assert_eq!(v.committed_txns.get(), 1);
     }
 
     #[test]
@@ -1812,10 +1765,10 @@ mod tests {
             })
             .collect();
         assert_eq!(cchecks, vec![(home, 3)]);
-        assert_eq!(v.planned_batches(), 1);
-        assert_eq!(v.plan_mismatches(), 0);
-        assert_eq!(v.single_home_batches(), 1);
-        assert_eq!(v.committed_txns(), 3);
+        assert_eq!(v.planned_batches.get(), 1);
+        assert_eq!(v.plan_mismatches.get(), 0);
+        assert_eq!(v.single_home_batches.get(), 1);
+        assert_eq!(v.committed_txns.get(), 3);
         assert_eq!(fx.store.get(keys[0]).unwrap().value, Value::new(10));
     }
 
@@ -1841,10 +1794,10 @@ mod tests {
             let actions = v.on_verify(&fx.verify_msg_planned(2, 1, results, plan));
             let kinds = response_kinds(&actions);
             (
-                v.committed_txns(),
-                v.aborted_txns(),
-                v.plan_mismatches(),
-                v.planned_batches(),
+                v.committed_txns.get(),
+                v.aborted_txns.get(),
+                v.plan_mismatches.get(),
+                v.planned_batches.get(),
                 kinds,
                 fx.store.get(k1).unwrap().value,
                 fx.store.get(k2).unwrap().value,
@@ -1881,9 +1834,9 @@ mod tests {
         let _ = v.on_verify(&fx.verify_msg_planned(1, 1, results.clone(), plan));
         let actions = v.on_verify(&fx.verify_msg_planned(2, 1, results, plan));
         assert!(response_kinds(&actions).contains(&"RESPONSE"));
-        assert_eq!(v.planned_batches(), 1);
-        assert_eq!(v.pool_applied_txns(), 4, "the pool applied the batch");
-        assert_eq!(v.committed_txns(), 4);
+        assert_eq!(v.planned_batches.get(), 1);
+        assert_eq!(v.pool_applied_txns.get(), 4, "the pool applied the batch");
+        assert_eq!(v.committed_txns.get(), 4);
         assert_eq!(fx.store.get(keys[3]).unwrap().value, Value::new(53));
     }
 
@@ -1901,9 +1854,13 @@ mod tests {
         let _ = v.on_verify(&fx.verify_msg_planned(1, 1, results.clone(), plan));
         let actions = v.on_verify(&fx.verify_msg_planned(2, 1, results, plan));
         assert!(response_kinds(&actions).contains(&"RESPONSE"));
-        assert_eq!(v.planned_batches(), 0);
-        assert_eq!(v.plan_mismatches(), 1, "an impossible home is a lie too");
-        assert_eq!(v.committed_txns(), 1);
+        assert_eq!(v.planned_batches.get(), 0);
+        assert_eq!(
+            v.plan_mismatches.get(),
+            1,
+            "an impossible home is a lie too"
+        );
+        assert_eq!(v.committed_txns.get(), 1);
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl Router {
         match action {
             Action::Send(Envelope { msg, .. }) => match msg {
                 ProtocolMessage::Consensus(c) => {
-                    if let Some(seq) = ordering_batch_seq(c) {
+                    if let Some(seq) = c.proposal_seq() {
                         self.tracer.emit(seq.0, Stage::BatchRelease, now);
                     }
                 }
@@ -468,7 +468,6 @@ impl LocalCluster {
         // apply stage runs on the ShardScheduler pool (real multi-core
         // commit parallelism); otherwise it stays synchronous on this
         // thread.
-        let pool_applied = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         {
             let router = router.clone();
             let mut verifier = system.verifier;
@@ -479,16 +478,11 @@ impl LocalCluster {
                     pool.register_metrics(&system.registry);
                 }
             }
-            let pool_applied = std::sync::Arc::clone(&pool_applied);
             handles.push(thread::spawn(move || {
                 while let Ok(Work::Item(delivery)) = verifier_rx.recv() {
                     let actions = verifier.on_message(&delivery.msg);
                     router.route(ComponentId::Verifier, actions);
                 }
-                pool_applied.store(
-                    verifier.pool_applied_txns(),
-                    std::sync::atomic::Ordering::Release,
-                );
                 // Dropping the verifier drains and joins the pool workers.
             }));
         }
@@ -557,7 +551,8 @@ impl LocalCluster {
             let _ = handle.join();
         }
         drop(wal_dir);
-        report.pool_applied = pool_applied.load(std::sync::atomic::Ordering::Acquire);
+        // The verifier thread is joined: its counter is final.
+        report.pool_applied = system.registry.counter_value("verifier.pool_applied_txns");
         report.executor_invocations = executor_invocations.get();
         report.batches = router.batches.get();
         report
@@ -669,7 +664,7 @@ impl Proposals {
                     msg: ProtocolMessage::Consensus(c),
                     ..
                 }) => {
-                    if let Some(seq) = ordering_batch_seq(c) {
+                    if let Some(seq) = c.proposal_seq() {
                         self.proposed = self.proposed.max(seq.0);
                     }
                 }
@@ -681,17 +676,6 @@ impl Proposals {
 
     fn in_flight(&self) -> bool {
         self.proposed > self.committed
-    }
-}
-
-/// The sequence number of the batch an ordering-protocol message carries,
-/// if it carries one (PBFT `PREPREPARE` in either form / CFT accept).
-fn ordering_batch_seq(msg: &sbft_consensus::ConsensusMessage) -> Option<SeqNum> {
-    match msg {
-        sbft_consensus::ConsensusMessage::PrePrepare(p) => Some(p.seq),
-        sbft_consensus::ConsensusMessage::DigestPrePrepare(p) => Some(p.seq),
-        sbft_consensus::ConsensusMessage::CftAccept(a) => Some(a.seq),
-        _ => None,
     }
 }
 

@@ -81,8 +81,8 @@ impl RegionOutage {
 /// what was in flight must be re-fetched from peers, and the committed
 /// outcomes must be byte-identical to a run without the crash.
 ///
-/// One crash is schedulable via `SimParams::crash`; a `FaultPlan`
-/// (`sbft_sim::faults`) composes any number of them — including
+/// The simulator schedules crashes through its `FaultPlan`
+/// (`sbft_sim::faults`), which composes any number of them — including
 /// simultaneous, overlapping crashes — with link faults, partition
 /// windows and disk-lag stragglers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]

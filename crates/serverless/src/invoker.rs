@@ -58,7 +58,11 @@ pub struct Invoker {
     /// Per-batch spawn capacity of a single region, when the provider
     /// imposes one; a pin that would exceed it falls back to rotation.
     region_capacity: Option<usize>,
+    /// Executors placed by pinning (`shim.<node>.invoker.pinned_spawns`).
     pinned_spawns: Counter,
+    /// Batches whose pin was refused (home region missing, faulted or
+    /// over capacity) and that fell back to the rotation
+    /// (`shim.<node>.invoker.placement_fallbacks`).
     placement_fallbacks: Counter,
 }
 
@@ -113,19 +117,6 @@ impl Invoker {
     #[must_use]
     pub fn is_region_down(&self, region: Region) -> bool {
         self.down_regions.contains(&region)
-    }
-
-    /// Executors placed by pinning so far.
-    #[must_use]
-    pub fn pinned_spawns(&self) -> u64 {
-        self.pinned_spawns.get()
-    }
-
-    /// Batches whose pin was refused (home region missing, faulted or
-    /// over capacity) and that fell back to the rotation.
-    #[must_use]
-    pub fn placement_fallbacks(&self) -> u64 {
-        self.placement_fallbacks.get()
     }
 
     /// Re-homes the placement counters into `registry` under
@@ -288,8 +279,8 @@ mod tests {
         // Shard 1 is homed in the second region of the set.
         let plan = invoker.plan_placed(SeqNum(1), 3, ShardPlan::SingleHome(ShardId(1)));
         assert!(plan.requests.iter().all(|r| r.region == Region::Oregon));
-        assert_eq!(invoker.pinned_spawns(), 3);
-        assert_eq!(invoker.placement_fallbacks(), 0);
+        assert_eq!(invoker.pinned_spawns.get(), 3);
+        assert_eq!(invoker.placement_fallbacks.get(), 0);
     }
 
     #[test]
@@ -303,8 +294,8 @@ mod tests {
         );
         let untagged = invoker.plan_placed(SeqNum(2), 2, ShardPlan::Unplanned);
         assert_eq!(untagged.requests[0].region, Region::NorthCalifornia);
-        assert_eq!(invoker.pinned_spawns(), 0);
-        assert_eq!(invoker.placement_fallbacks(), 0);
+        assert_eq!(invoker.pinned_spawns.get(), 0);
+        assert_eq!(invoker.placement_fallbacks.get(), 0);
     }
 
     #[test]
@@ -330,8 +321,8 @@ mod tests {
             plan.requests.iter().all(|r| r.region != Region::Oregon),
             "the rotation must skip the faulted region too: {plan:?}"
         );
-        assert_eq!(invoker.placement_fallbacks(), 1);
-        assert_eq!(invoker.pinned_spawns(), 0);
+        assert_eq!(invoker.placement_fallbacks.get(), 1);
+        assert_eq!(invoker.pinned_spawns.get(), 0);
         // Recovery restores the pin.
         invoker.mark_region_up(Region::Oregon);
         let plan = invoker.plan_placed(SeqNum(2), 3, ShardPlan::SingleHome(ShardId(1)));
@@ -348,7 +339,7 @@ mod tests {
         let plan = invoker.plan_placed(SeqNum(1), 2, ShardPlan::SingleHome(ShardId(4)));
         assert_eq!(plan.requests[0].region, Region::NorthCalifornia);
         assert_eq!(plan.requests[1].region, Region::Oregon);
-        assert_eq!(invoker.placement_fallbacks(), 1);
+        assert_eq!(invoker.placement_fallbacks.get(), 1);
     }
 
     #[test]
@@ -362,7 +353,7 @@ mod tests {
         let distinct: std::collections::BTreeSet<Region> =
             big.requests.iter().map(|r| r.region).collect();
         assert!(distinct.len() > 1, "over-capacity pin must spread");
-        assert_eq!(invoker.placement_fallbacks(), 1);
+        assert_eq!(invoker.placement_fallbacks.get(), 1);
     }
 
     #[test]

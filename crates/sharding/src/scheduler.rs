@@ -262,18 +262,6 @@ impl ShardScheduler {
         registry.bind_counter("scheduler.txns_applied", &self.inner.txns_applied);
     }
 
-    /// Batches that queued at least one transaction on a shard.
-    #[must_use]
-    pub fn batches_submitted(&self) -> u64 {
-        self.inner.batches_submitted.get()
-    }
-
-    /// Transactions the workers have finished applying.
-    #[must_use]
-    pub fn txns_applied(&self) -> u64 {
-        self.inner.txns_applied.get()
-    }
-
     /// Submits one committed batch: every transaction is queued on its
     /// home shard and the touched shards are scheduled.
     pub fn submit(&self, seq: u64, txns: Vec<ReadWriteSet>) {

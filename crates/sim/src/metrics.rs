@@ -1,8 +1,9 @@
 //! Run metrics: throughput, latency, aborts, traffic and cost.
 
 use sbft_serverless::{CostModel, CostReport};
-use sbft_telemetry::Histogram;
+use sbft_telemetry::{Histogram, Registry};
 use sbft_types::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// Latency statistics over the measured (post-warm-up) window.
 ///
@@ -61,45 +62,17 @@ impl LatencyStats {
     }
 }
 
-/// Everything measured during one simulated run.
+/// The report of one simulated run: what the harness itself measures
+/// (window-scoped outcomes, latency, traffic, the cloud's spawn counts)
+/// plus the deployment's registry, which holds every other number of
+/// the run under its documented name (`OBSERVABILITY.md`) and is read
+/// through [`Self::counter`] / [`Self::sum`].
 #[derive(Clone, Debug, Default)]
 pub struct RunMetrics {
     /// Transactions committed inside the measurement window.
     pub committed_txns: u64,
     /// Transactions aborted inside the measurement window.
     pub aborted_txns: u64,
-    /// Whole batches the verifier aborted because the executors' result
-    /// digests diverged with no `f_E + 1` match — both the count-triggered
-    /// form (every spawned executor answered) and the timer-triggered form
-    /// (at least `2f_E + 1` answered before the abort timeout) of the
-    /// Section VI-B divergence rule. Counted over the whole run, not just
-    /// the measured window.
-    pub divergent_aborts: u64,
-    /// Batches the verifier validated over the whole run (commit or
-    /// whole-batch abort).
-    pub validated_batches: u64,
-    /// Validated batches whose entire footprint lived on one shard — the
-    /// complement is the cross-shard coordination rate the ordering-time
-    /// planner drives down. Counted over the whole run.
-    pub single_home_batches: u64,
-    /// Batches applied through the verified ordering-time fast path
-    /// (`SingleHome` tag that survived re-derivation).
-    pub planned_batches: u64,
-    /// `SingleHome` tags that failed re-derivation (byzantine primary or
-    /// mis-declared read-write sets) and fell back to unplanned routing.
-    pub plan_mismatches: u64,
-    /// Executors placed by pinning (plan-aware placement against a
-    /// geo-partitioned store), summed over the shim nodes.
-    pub pinned_spawns: u64,
-    /// Batches whose pin was refused (home region faulted, unavailable
-    /// or over capacity) and that fell back to the round-robin rotation.
-    pub placement_fallbacks: u64,
-    /// Executor storage fetches served by the executor's own region's
-    /// partition (geo-partitioned runs only).
-    pub local_storage_fetches: u64,
-    /// Executor storage fetches that crossed regions and paid the
-    /// inter-region round trip (geo-partitioned runs only).
-    pub remote_storage_fetches: u64,
     /// Client-observed latencies.
     pub latency: LatencyStats,
     /// Length of the measurement window.
@@ -108,59 +81,61 @@ pub struct RunMetrics {
     pub messages_delivered: u64,
     /// Total bytes moved over the network.
     pub bytes_delivered: u64,
-    /// Bytes sent node-to-node by whichever node was acting as primary at
-    /// send time (charged sender-side, before fault-plan loss). This is
-    /// the ordering-bandwidth bottleneck digest proposals shrink.
-    pub leader_egress_bytes: u64,
-    /// Digest reconstructions served from the local body cache, summed
-    /// over the shim nodes (transaction granularity).
-    pub body_cache_hits: u64,
-    /// Digest-proposal transaction bodies missing from the local cache.
-    pub body_cache_misses: u64,
-    /// `BATCHFETCH` requests sent to recover missing bodies.
-    pub batch_fetches: u64,
     /// Executors spawned during the whole run.
     pub executors_spawned: u64,
     /// Spawn requests rejected by the cloud's concurrency limit.
     pub spawns_rejected: u64,
     /// Total executor busy time (for the Lambda bill).
     pub executor_busy: SimDuration,
-    /// View changes observed.
-    pub view_changes: u64,
-    /// Records appended to the shim nodes' write-ahead logs, summed.
-    pub wal_appends: u64,
-    /// Bytes reclaimed by WAL snapshot truncation, summed over nodes.
-    pub snapshot_bytes: u64,
-    /// Committed batches re-seated from WAL replay after crash restarts.
-    pub replay_batches: u64,
-    /// Committed batches adopted from peer state transfer after crash
-    /// restarts.
-    pub state_transfer_batches: u64,
-    /// Crash-restart recoveries completed during the run.
-    pub recoveries: u64,
-    /// Messages dropped by fault-plan link loss rules.
-    pub messages_dropped: u64,
-    /// Extra message copies injected by fault-plan duplication.
-    pub messages_duplicated: u64,
-    /// Message copies that drew fault-plan extra link delay.
-    pub messages_delayed: u64,
-    /// Messages cut by an active fault-plan partition window.
-    pub partition_drops: u64,
-    /// Fsyncs stretched by a fault-plan disk-lag straggler.
-    pub fsync_lags: u64,
-    /// Garbage `STATERESPONSE` entries rejected during recovery, summed
-    /// over the shim nodes.
-    pub bad_state_responses: u64,
-    /// `STATEREQUEST` retransmissions sent by recovering replicas.
-    pub state_request_retries: u64,
-    /// Checkpoint catch-ups: recoveries that adopted a peer's snapshot
-    /// floor because their own log floor fell below peer retention.
-    pub catch_ups: u64,
     /// Simulated time at which the run ended.
     pub end_time: SimTime,
+
+    // The seven fields below mirror registry counters. The repo benchmark
+    // (`benchmark/`, frozen) reads them as fields; they are the only
+    // mirrors left, for the next benchmark PR to retire. Everything else
+    // reads the registry by name.
+    /// Mirror of `verifier.divergent_aborts`.
+    pub divergent_aborts: u64,
+    /// Mirror of `verifier.validated_batches`.
+    pub validated_batches: u64,
+    /// Mirror of `net.leader_egress_bytes`.
+    pub leader_egress_bytes: u64,
+    /// Mirror of the `durability.wal_appends` sum over the shim nodes.
+    pub wal_appends: u64,
+    /// Mirror of the `durability.replay_batches` sum.
+    pub replay_batches: u64,
+    /// Mirror of the `durability.state_transfer_batches` sum.
+    pub state_transfer_batches: u64,
+    /// Mirror of `recovery.recoveries`.
+    pub recoveries: u64,
+
+    /// The deployment's registry (`System::registry`), shared.
+    pub(crate) registry: Arc<Registry>,
 }
 
 impl RunMetrics {
+    /// The deployment's registry: every name of `OBSERVABILITY.md`, over
+    /// the whole run (the registry does not window its counters).
+    #[must_use]
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Value of the registry counter called `name` (0 when the run
+    /// registered no such counter).
+    #[must_use]
+    pub fn counter(&self, name: &str) -> u64 {
+        self.registry.counter_value(name)
+    }
+
+    /// Sum of every registry counter named `suffix` or ending in
+    /// `.suffix` — the roll-up over per-node counters
+    /// (`sum("durability.wal_appends")`).
+    #[must_use]
+    pub fn sum(&self, suffix: &str) -> u64 {
+        self.registry.sum_counters(suffix)
+    }
+
     /// Committed transactions per second of measured (virtual) time.
     #[must_use]
     pub fn throughput_tps(&self) -> f64 {
@@ -191,10 +166,11 @@ impl RunMetrics {
     /// coordination (1 − single-home rate); 0 when nothing validated.
     #[must_use]
     pub fn cross_shard_fallback_rate(&self) -> f64 {
-        if self.validated_batches == 0 {
+        let validated = self.counter("verifier.validated_batches");
+        if validated == 0 {
             return 0.0;
         }
-        1.0 - self.single_home_batches as f64 / self.validated_batches as f64
+        1.0 - self.counter("verifier.single_home_batches") as f64 / validated as f64
     }
 
     /// Fraction of executor storage fetches that crossed regions — the
@@ -202,11 +178,12 @@ impl RunMetrics {
     /// is not geo-partitioned (no fetch is ever classified).
     #[must_use]
     pub fn remote_fetch_rate(&self) -> f64 {
-        let total = self.local_storage_fetches + self.remote_storage_fetches;
+        let remote = self.counter("storage.geo.remote_fetches");
+        let total = self.counter("storage.geo.local_fetches") + remote;
         if total == 0 {
             return 0.0;
         }
-        self.remote_storage_fetches as f64 / total as f64
+        remote as f64 / total as f64
     }
 
     /// Builds the Figure-8 style cost report for this run.
@@ -274,22 +251,29 @@ mod tests {
     fn cross_shard_fallback_rate_is_the_single_home_complement() {
         let metrics = RunMetrics::default();
         assert_eq!(metrics.cross_shard_fallback_rate(), 0.0);
-        let metrics = RunMetrics {
-            validated_batches: 10,
-            single_home_batches: 7,
-            ..RunMetrics::default()
-        };
+        metrics
+            .registry
+            .counter("verifier.validated_batches")
+            .add(10);
+        metrics
+            .registry
+            .counter("verifier.single_home_batches")
+            .add(7);
         assert!((metrics.cross_shard_fallback_rate() - 0.3).abs() < 1e-9);
     }
 
     #[test]
     fn remote_fetch_rate_is_the_cross_region_share() {
-        assert_eq!(RunMetrics::default().remote_fetch_rate(), 0.0);
-        let metrics = RunMetrics {
-            local_storage_fetches: 30,
-            remote_storage_fetches: 10,
-            ..RunMetrics::default()
-        };
+        let metrics = RunMetrics::default();
+        assert_eq!(metrics.remote_fetch_rate(), 0.0);
+        metrics
+            .registry
+            .counter("storage.geo.local_fetches")
+            .add(30);
+        metrics
+            .registry
+            .counter("storage.geo.remote_fetches")
+            .add(10);
         assert!((metrics.remote_fetch_rate() - 0.25).abs() < 1e-9);
     }
 

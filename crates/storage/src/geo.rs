@@ -21,7 +21,9 @@ use std::sync::Arc;
 pub struct GeoPartitionedStore {
     store: Arc<VersionedStore>,
     partition: RegionPartition,
+    /// Fetches served by the fetching executor's own region.
     local_fetches: Counter,
+    /// Fetches that crossed regions.
     remote_fetches: Counter,
 }
 
@@ -92,18 +94,6 @@ impl GeoPartitionedStore {
         let remote = self.record_partition_fetch(from, self.home_of_key(key));
         (self.store.get(key), remote)
     }
-
-    /// Fetches counted as local so far.
-    #[must_use]
-    pub fn local_fetches(&self) -> u64 {
-        self.local_fetches.get()
-    }
-
-    /// Fetches counted as remote (cross-region) so far.
-    #[must_use]
-    pub fn remote_fetches(&self) -> u64 {
-        self.remote_fetches.get()
-    }
 }
 
 #[cfg(test)]
@@ -161,8 +151,8 @@ mod tests {
             .unwrap();
         let (_, remote) = geo.fetch_from(elsewhere, key);
         assert!(remote);
-        assert_eq!(geo.local_fetches(), 1);
-        assert_eq!(geo.remote_fetches(), 1);
+        assert_eq!(geo.local_fetches.get(), 1);
+        assert_eq!(geo.remote_fetches.get(), 1);
     }
 
     #[test]
@@ -172,7 +162,7 @@ mod tests {
             let (_, remote) = geo.fetch_from(Region::NorthCalifornia, Key(k));
             assert!(!remote);
         }
-        assert_eq!(geo.remote_fetches(), 0);
+        assert_eq!(geo.remote_fetches.get(), 0);
     }
 
     #[test]

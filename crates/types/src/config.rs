@@ -417,8 +417,6 @@ pub struct SystemConfig {
     pub verifier_cores: usize,
     /// Workload parameters.
     pub workload: WorkloadConfig,
-    /// Whether the shim batches client requests before ordering them.
-    pub batching_enabled: bool,
     /// Sharded-execution parameters for the verifier's commit path.
     pub sharding: ShardingConfig,
     /// Write-ahead-log and snapshot parameters for shim replicas.
@@ -457,7 +455,6 @@ impl SystemConfig {
             shim_cores: 16,
             verifier_cores: 8,
             workload: WorkloadConfig::default(),
-            batching_enabled: true,
             sharding: ShardingConfig::default(),
             durability: DurabilityConfig::default(),
             digest_proposals: false,

@@ -11,17 +11,19 @@
 //! commit order, derived KV state, client responses — must match a
 //! fault-free run (or its above-floor suffix, for checkpoint catch-up).
 
+mod common;
+
+use common::{fan_out, fold_outcome, pbft_nodes, record_batches, signed_request, Wire};
 use proptest::prelude::*;
-use serverless_bft::consensus::{ConsensusMessage, ConsensusTimer, OrderingProtocol, PbftReplica};
-use serverless_bft::core::{
-    Action, ClientRequest, Destination, ProtocolMessage, ProtocolTimer, ShimNode,
-};
+use serverless_bft::consensus::{ConsensusMessage, ConsensusTimer};
+use serverless_bft::core::{Action, ProtocolTimer, ShimNode};
 use serverless_bft::crypto::CryptoProvider;
+use serverless_bft::telemetry::Registry;
 use serverless_bft::types::{
-    Batch, ClientId, ComponentId, DurabilityConfig, Key, NodeId, Operation, SeqNum, SimDuration,
-    SimTime, SystemConfig, Transaction, TxnId, Value,
+    Batch, ClientId, DurabilityConfig, Key, NodeId, Operation, SeqNum, SimDuration, SimTime,
+    SystemConfig, Transaction, TxnId, Value,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The backup replica whose adversarial recovery the suite watches.
@@ -130,6 +132,7 @@ fn config(snapshot_interval: u64, checkpoint_interval: u64) -> SystemConfig {
 struct ChaosCluster {
     nodes: Vec<ShimNode>,
     provider: Arc<CryptoProvider>,
+    registry: Arc<Registry>,
     batches: BTreeMap<SeqNum, Batch>,
     committed: Vec<SeqNum>,
     clock: SimTime,
@@ -140,26 +143,12 @@ impl ChaosCluster {
     fn new(snapshot_interval: u64, checkpoint_interval: u64) -> Self {
         let config = config(snapshot_interval, checkpoint_interval);
         let provider = CryptoProvider::new(21);
-        let nodes = (0..config.fault.n_r as u32)
-            .map(|i| {
-                let ordering: Box<dyn OrderingProtocol + Send> = Box::new(PbftReplica::new(
-                    NodeId(i),
-                    config.fault,
-                    provider.handle(ComponentId::Node(NodeId(i))),
-                    config.timers.node_timeout,
-                    config.timers.checkpoint_interval,
-                ));
-                ShimNode::new(
-                    NodeId(i),
-                    config.clone(),
-                    provider.handle(ComponentId::Node(NodeId(i))),
-                    ordering,
-                )
-            })
-            .collect();
+        let registry = Arc::new(Registry::new());
+        let nodes = pbft_nodes(&config, &provider, &registry);
         ChaosCluster {
             nodes,
             provider,
+            registry,
             batches: BTreeMap::new(),
             committed: Vec::new(),
             clock: SimTime::ZERO,
@@ -167,31 +156,17 @@ impl ChaosCluster {
         }
     }
 
-    fn request(&self, i: u64) -> ClientRequest {
-        let client = ClientId(i as u32);
-        let txn = Transaction::new(
-            TxnId::new(client, 0),
-            vec![
-                Operation::Write(Key(i % 7), Value::new(i * 11 + 1)),
-                Operation::ReadModifyWrite(Key((i * 3) % 7), i + 5),
-            ],
-        )
-        .with_inferred_rwset();
-        let digest = ClientRequest::signing_digest(&txn);
-        ClientRequest {
-            signature: self
-                .provider
-                .handle(ComponentId::Client(client))
-                .sign(&digest),
-            txn,
-        }
+    /// The observed node's `shim.<OBSERVED>.<name>` counter.
+    fn observed(&self, name: &str) -> u64 {
+        self.registry
+            .counter_value(&format!("shim.{OBSERVED}.{name}"))
     }
 
     /// Routes consensus messages to quiescence, passing state-transfer
     /// traffic that touches the observed node through the chaos filter.
     fn drive(&mut self, origin: usize, actions: Vec<Action>, down: &[usize]) {
         let n = self.nodes.len();
-        let mut queue: VecDeque<(usize, usize, ConsensusMessage)> = VecDeque::new();
+        let mut queue = Wire::new();
         self.absorb(origin, actions, &mut queue, n);
         while let Some((from, to, mut msg)) = queue.pop_front() {
             if down.contains(&to) {
@@ -233,57 +208,24 @@ impl ChaosCluster {
         }
     }
 
-    fn absorb(
-        &mut self,
-        origin: usize,
-        actions: Vec<Action>,
-        queue: &mut VecDeque<(usize, usize, ConsensusMessage)>,
-        n: usize,
-    ) {
-        for a in actions {
-            match &a {
-                Action::Send(env) => match (&env.to, &env.msg) {
-                    (Destination::AllNodes, ProtocolMessage::Consensus(msg)) => {
-                        for to in 0..n {
-                            if to != origin {
-                                queue.push_back((origin, to, msg.clone()));
-                            }
-                        }
-                    }
-                    (Destination::Node(to), ProtocolMessage::Consensus(msg)) => {
-                        queue.push_back((origin, to.0 as usize, msg.clone()));
-                    }
-                    _ => {}
-                },
-                Action::BatchCommitted { seq, .. } if origin == OBSERVED => {
-                    self.committed.push(*seq);
-                }
-                _ => {}
-            }
+    fn absorb(&mut self, origin: usize, actions: Vec<Action>, queue: &mut Wire, n: usize) {
+        let committed = fan_out(origin, actions, n, queue);
+        if origin == OBSERVED {
+            self.committed.extend(committed);
         }
     }
 
     fn record(&mut self, msg: &ConsensusMessage) {
-        match msg {
-            ConsensusMessage::PrePrepare(pp) => {
-                self.batches.insert(pp.seq, pp.batch.clone());
-            }
-            ConsensusMessage::StateResponse(sr) => {
-                for e in &sr.entries {
-                    self.batches.insert(e.seq, e.batch.clone());
-                }
-            }
-            _ => {}
-        }
+        record_batches(&mut self.batches, msg);
     }
 
     fn submit_batch(&mut self, batch: u64, down: &[usize]) {
         self.clock += SimDuration::from_millis(100);
         let now = self.clock;
-        let r0 = self.request(batch * 2);
+        let r0 = signed_request(&self.provider, batch * 2);
         let a0 = self.nodes[0].on_client_request(&r0, now);
         self.drive(0, a0, down);
-        let r1 = self.request(batch * 2 + 1);
+        let r1 = signed_request(&self.provider, batch * 2 + 1);
         let a1 = self.nodes[0].on_client_request(&r1, now);
         self.drive(0, a1, down);
         let polled = self.nodes[0].poll_batcher(now + SimDuration::from_millis(10));
@@ -311,30 +253,11 @@ impl ChaosCluster {
     }
 
     fn outcome(&self) -> (Vec<SeqNum>, BTreeMap<u64, u64>, Vec<TxnId>) {
-        let mut kv: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut responses = Vec::new();
-        for seq in &self.committed {
-            let batch = self
-                .batches
-                .get(seq)
-                .expect("observed node committed a batch it was never shown");
-            for txn in batch.txns() {
-                for op in &txn.ops {
-                    match op {
-                        Operation::Read(_) => {}
-                        Operation::Write(k, v) => {
-                            kv.insert(k.0, v.data);
-                        }
-                        Operation::ReadModifyWrite(k, s) => {
-                            let slot = kv.entry(k.0).or_insert(0);
-                            *slot = slot.wrapping_mul(31).wrapping_add(*s);
-                        }
-                    }
-                }
-                responses.push(txn.id);
-            }
-        }
-        (self.committed.clone(), kv, responses)
+        fold_outcome(&self.committed, |seq| {
+            self.batches
+                .get(&seq)
+                .expect("observed node committed a batch it was never shown")
+        })
     }
 }
 
@@ -441,15 +364,17 @@ fn recovery_completes_despite_a_lying_peer_and_a_silenced_one() {
     };
     let chaotic = chaotic_run(1_000, 2, 2, 1, chaos);
     let baseline = baseline_run(1_000, 5);
-    let node = &chaotic.nodes[OBSERVED];
-    assert!(!node.is_recovering(), "recovery must complete");
     assert!(
-        node.bad_state_responses() >= 2,
-        "every corrupted entry is rejected and counted, got {}",
-        node.bad_state_responses()
+        !chaotic.nodes[OBSERVED].is_recovering(),
+        "recovery must complete"
     );
     assert!(
-        node.state_request_retries() >= 1,
+        chaotic.observed("faults.bad_state_responses") >= 2,
+        "every corrupted entry is rejected and counted, got {}",
+        chaotic.observed("faults.bad_state_responses")
+    );
+    assert!(
+        chaotic.observed("faults.state_request_retries") >= 1,
         "the swallowed response forces at least one retransmission"
     );
     assert_eq!(chaotic.outcome(), baseline.outcome());
@@ -473,9 +398,15 @@ fn replica_below_the_retention_floor_recovers_via_checkpoint_catch_up() {
     cluster.pump_retries();
     cluster.submit_batch(5, &[]);
 
-    let node = &cluster.nodes[OBSERVED];
-    assert!(!node.is_recovering(), "catch-up must complete recovery");
-    assert_eq!(node.catch_ups(), 1, "exactly one checkpoint catch-up");
+    assert!(
+        !cluster.nodes[OBSERVED].is_recovering(),
+        "catch-up must complete recovery"
+    );
+    assert_eq!(
+        cluster.observed("faults.catch_ups"),
+        1,
+        "exactly one checkpoint catch-up"
+    );
     // Sequences 2..=4 are permanently skipped (covered by the adopted
     // checkpoint); everything above the floor matches the baseline.
     assert_eq!(
@@ -560,7 +491,7 @@ fn poison_fill(msg: &mut ConsensusMessage) {
 struct DigestCluster {
     nodes: Vec<ShimNode>,
     provider: Arc<CryptoProvider>,
-    registry: Arc<serverless_bft::telemetry::Registry>,
+    registry: Arc<Registry>,
     committed: Vec<SeqNum>,
     clock: SimTime,
     chaos: DigestChaos,
@@ -571,29 +502,8 @@ impl DigestCluster {
         let mut config = config(snapshot_interval, checkpoint_interval);
         config.digest_proposals = true;
         let provider = CryptoProvider::new(21);
-        let registry = Arc::new(serverless_bft::telemetry::Registry::new());
-        let nodes = (0..config.fault.n_r as u32)
-            .map(|i| {
-                let ordering: Box<dyn OrderingProtocol + Send> = Box::new(
-                    PbftReplica::new(
-                        NodeId(i),
-                        config.fault,
-                        provider.handle(ComponentId::Node(NodeId(i))),
-                        config.timers.node_timeout,
-                        config.timers.checkpoint_interval,
-                    )
-                    .with_digest_proposals(true),
-                );
-                let mut node = ShimNode::new(
-                    NodeId(i),
-                    config.clone(),
-                    provider.handle(ComponentId::Node(NodeId(i))),
-                    ordering,
-                );
-                node.register_metrics(&registry);
-                node
-            })
-            .collect();
+        let registry = Arc::new(Registry::new());
+        let nodes = pbft_nodes(&config, &provider, &registry);
         DigestCluster {
             nodes,
             provider,
@@ -604,31 +514,9 @@ impl DigestCluster {
         }
     }
 
-    fn request(&self, i: u64) -> ClientRequest {
-        // Identical workload to [`ChaosCluster::request`], so outcomes are
-        // comparable across proposal modes.
-        let client = ClientId(i as u32);
-        let txn = Transaction::new(
-            TxnId::new(client, 0),
-            vec![
-                Operation::Write(Key(i % 7), Value::new(i * 11 + 1)),
-                Operation::ReadModifyWrite(Key((i * 3) % 7), i + 5),
-            ],
-        )
-        .with_inferred_rwset();
-        let digest = ClientRequest::signing_digest(&txn);
-        ClientRequest {
-            signature: self
-                .provider
-                .handle(ComponentId::Client(client))
-                .sign(&digest),
-            txn,
-        }
-    }
-
     fn drive(&mut self, origin: usize, actions: Vec<Action>) {
         let n = self.nodes.len();
-        let mut queue: VecDeque<(usize, usize, ConsensusMessage)> = VecDeque::new();
+        let mut queue = Wire::new();
         self.absorb(origin, actions, &mut queue, n);
         while let Some((from, to, mut msg)) = queue.pop_front() {
             if is_fetch_path(&msg) {
@@ -650,33 +538,10 @@ impl DigestCluster {
         }
     }
 
-    fn absorb(
-        &mut self,
-        origin: usize,
-        actions: Vec<Action>,
-        queue: &mut VecDeque<(usize, usize, ConsensusMessage)>,
-        n: usize,
-    ) {
-        for a in actions {
-            match &a {
-                Action::Send(env) => match (&env.to, &env.msg) {
-                    (Destination::AllNodes, ProtocolMessage::Consensus(msg)) => {
-                        for to in 0..n {
-                            if to != origin {
-                                queue.push_back((origin, to, msg.clone()));
-                            }
-                        }
-                    }
-                    (Destination::Node(to), ProtocolMessage::Consensus(msg)) => {
-                        queue.push_back((origin, to.0 as usize, msg.clone()));
-                    }
-                    _ => {}
-                },
-                Action::BatchCommitted { seq, .. } if origin == OBSERVED => {
-                    self.committed.push(*seq);
-                }
-                _ => {}
-            }
+    fn absorb(&mut self, origin: usize, actions: Vec<Action>, queue: &mut Wire, n: usize) {
+        let committed = fan_out(origin, actions, n, queue);
+        if origin == OBSERVED {
+            self.committed.extend(committed);
         }
     }
 
@@ -686,7 +551,10 @@ impl DigestCluster {
     fn submit_batch(&mut self, batch: u64) {
         self.clock += SimDuration::from_millis(100);
         let now = self.clock;
-        for r in [self.request(batch * 2), self.request(batch * 2 + 1)] {
+        for r in [
+            signed_request(&self.provider, batch * 2),
+            signed_request(&self.provider, batch * 2 + 1),
+        ] {
             for replica in 1..self.nodes.len() {
                 if self.chaos.warm.contains(&replica)
                     || self.chaos.rng.chance(self.chaos.feed_permille)
@@ -734,29 +602,11 @@ impl DigestCluster {
     /// node, folded from the batches it actually committed (entries stay
     /// tracked because no verifier runs in this cluster).
     fn outcome(&self) -> (Vec<SeqNum>, BTreeMap<u64, u64>, Vec<TxnId>) {
-        let mut kv: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut responses = Vec::new();
-        for seq in &self.committed {
-            let batch = self.nodes[OBSERVED]
-                .committed_batch(*seq)
-                .expect("observed node committed a batch it no longer tracks");
-            for txn in batch.txns() {
-                for op in &txn.ops {
-                    match op {
-                        Operation::Read(_) => {}
-                        Operation::Write(k, v) => {
-                            kv.insert(k.0, v.data);
-                        }
-                        Operation::ReadModifyWrite(k, s) => {
-                            let slot = kv.entry(k.0).or_insert(0);
-                            *slot = slot.wrapping_mul(31).wrapping_add(*s);
-                        }
-                    }
-                }
-                responses.push(txn.id);
-            }
-        }
-        (self.committed.clone(), kv, responses)
+        fold_outcome(&self.committed, |seq| {
+            self.nodes[OBSERVED]
+                .committed_batch(seq)
+                .expect("observed node committed a batch it no longer tracks")
+        })
     }
 
     fn digest_counter(&self, node: usize, name: &str) -> u64 {
@@ -926,39 +776,31 @@ fn composed_fault_plan_is_survivable_and_deterministic() {
     // Liveness and safety under the composed plan: the shim keeps
     // committing, never diverges, and both crashed replicas recover.
     assert!(a.committed_txns > 0, "committed {}", a.committed_txns);
-    assert_eq!(a.divergent_aborts, 0);
-    assert_eq!(a.recoveries, 2, "both overlapping crashes must recover");
-    // Every fault family actually fired.
-    assert!(a.messages_dropped > 0, "loss must fire");
-    assert!(a.messages_duplicated > 0, "duplication must fire");
-    assert!(a.messages_delayed > 0, "extra delay must fire");
-    assert!(a.partition_drops > 0, "the isolate window must fire");
-    assert!(a.fsync_lags > 0, "the disk-lag straggler must fire");
+    assert_eq!(a.counter("verifier.divergent_aborts"), 0);
+    assert_eq!(
+        a.counter("recovery.recoveries"),
+        2,
+        "both overlapping crashes must recover"
+    );
+    // Every fault family actually fired: loss, duplication, extra
+    // delay, the isolate window, the disk-lag straggler.
+    for family in [
+        "messages_dropped",
+        "messages_duplicated",
+        "messages_delayed",
+        "partition_drops",
+        "fsync_lags",
+    ] {
+        assert!(
+            a.counter(&format!("faults.{family}")) > 0,
+            "{family} must fire"
+        );
+    }
     // The whole composition is deterministic from the run seed.
     let b = run();
     assert_eq!(
-        (
-            a.committed_txns,
-            a.messages_dropped,
-            a.messages_duplicated,
-            a.messages_delayed,
-            a.partition_drops,
-            a.fsync_lags,
-            a.recoveries,
-            a.replay_batches,
-            a.state_transfer_batches,
-        ),
-        (
-            b.committed_txns,
-            b.messages_dropped,
-            b.messages_duplicated,
-            b.messages_delayed,
-            b.partition_drops,
-            b.fsync_lags,
-            b.recoveries,
-            b.replay_batches,
-            b.state_transfer_batches,
-        ),
+        (a.committed_txns, a.registry().render()),
+        (b.committed_txns, b.registry().render()),
         "two runs with the same seed and fault plan must agree exactly"
     );
 }
@@ -1012,33 +854,29 @@ fn digest_mode_survives_faults_on_the_fetch_path() {
     };
     let a = run();
     assert!(a.committed_txns > 0, "committed {}", a.committed_txns);
-    assert_eq!(a.divergent_aborts, 0, "digest mode must never diverge");
-    assert_eq!(a.recoveries, 1, "the crashed replica must recover");
+    assert_eq!(
+        a.counter("verifier.divergent_aborts"),
+        0,
+        "digest mode must never diverge"
+    );
+    assert_eq!(
+        a.counter("recovery.recoveries"),
+        1,
+        "the crashed replica must recover"
+    );
     assert!(
-        a.body_cache_hits > 0,
+        a.sum("digest.cache_hits") > 0,
         "the client broadcast keeps most caches warm"
     );
     assert!(
-        a.batch_fetches > 0,
+        a.sum("digest.fetches_sent") > 0,
         "the restarted replica's cold cache must exercise the fetch path"
     );
-    assert!(a.messages_dropped > 0, "loss must fire");
+    assert!(a.counter("faults.messages_dropped") > 0, "loss must fire");
     let b = run();
     assert_eq!(
-        (
-            a.committed_txns,
-            a.body_cache_hits,
-            a.body_cache_misses,
-            a.batch_fetches,
-            a.recoveries,
-        ),
-        (
-            b.committed_txns,
-            b.body_cache_hits,
-            b.body_cache_misses,
-            b.batch_fetches,
-            b.recoveries,
-        ),
+        (a.committed_txns, a.registry().render()),
+        (b.committed_txns, b.registry().render()),
         "digest-mode chaos must replay exactly from the seed"
     );
 }

@@ -156,7 +156,7 @@ fn simulation_is_deterministic_across_runs() {
     let b = run();
     assert_eq!(a.committed_txns, b.committed_txns);
     assert_eq!(a.aborted_txns, b.aborted_txns);
-    assert_eq!(a.divergent_aborts, b.divergent_aborts);
+    assert_eq!(a.registry().render(), b.registry().render());
     assert_eq!(a.messages_delivered, b.messages_delivered);
     assert_eq!(a.bytes_delivered, b.bytes_delivered);
     assert_eq!(a.executors_spawned, b.executors_spawned);
@@ -210,12 +210,20 @@ fn ordering_planner_cuts_cross_shard_coordination_end_to_end() {
     let baseline = run(false);
     assert!(planned.committed_txns > 100, "{}", planned.committed_txns);
     assert!(baseline.committed_txns > 100, "{}", baseline.committed_txns);
-    assert!(planned.planned_batches > 0, "lanes must earn the fast path");
+    assert!(
+        planned.counter("verifier.planned_batches") > 0,
+        "lanes must earn the fast path"
+    );
     assert_eq!(
-        planned.plan_mismatches, 0,
+        planned.counter("verifier.plan_mismatches"),
+        0,
         "an honest primary's tags always survive re-derivation"
     );
-    assert_eq!(baseline.planned_batches, 0, "the baseline never tags");
+    assert_eq!(
+        baseline.counter("verifier.planned_batches"),
+        0,
+        "the baseline never tags"
+    );
     assert!(
         planned.cross_shard_fallback_rate() < baseline.cross_shard_fallback_rate(),
         "lanes must cut the fallback rate ({} vs {})",
@@ -247,10 +255,25 @@ fn geo_partitioned_deployment_pins_placement_end_to_end() {
     let rr = run(false);
     assert!(pinned.committed_txns > 100, "{}", pinned.committed_txns);
     assert!(rr.committed_txns > 100, "{}", rr.committed_txns);
-    assert!(pinned.pinned_spawns > 0, "single-home batches must pin");
-    assert_eq!(pinned.placement_fallbacks, 0, "nothing to fall back from");
-    assert_eq!(pinned.plan_mismatches, 0, "honest tags always verify");
-    assert_eq!(rr.pinned_spawns, 0, "the baseline never pins");
+    assert!(
+        pinned.sum("invoker.pinned_spawns") > 0,
+        "single-home batches must pin"
+    );
+    assert_eq!(
+        pinned.sum("invoker.placement_fallbacks"),
+        0,
+        "nothing to fall back from"
+    );
+    assert_eq!(
+        pinned.counter("verifier.plan_mismatches"),
+        0,
+        "honest tags always verify"
+    );
+    assert_eq!(
+        rr.sum("invoker.pinned_spawns"),
+        0,
+        "the baseline never pins"
+    );
     assert_eq!(
         pinned.remote_fetch_rate(),
         0.0,
@@ -282,10 +305,8 @@ fn geo_partitioned_runs_are_deterministic() {
     let a = run();
     let b = run();
     assert_eq!(a.committed_txns, b.committed_txns);
-    assert_eq!(a.pinned_spawns, b.pinned_spawns);
-    assert_eq!(a.placement_fallbacks, b.placement_fallbacks);
-    assert_eq!(a.local_storage_fetches, b.local_storage_fetches);
-    assert_eq!(a.remote_storage_fetches, b.remote_storage_fetches);
+    // Every counter: pins, fallbacks, local and remote fetches, …
+    assert_eq!(a.registry().render(), b.registry().render());
     assert_eq!(a.messages_delivered, b.messages_delivered);
     assert_eq!(a.bytes_delivered, b.bytes_delivered);
 }
@@ -306,9 +327,8 @@ fn planner_runs_are_deterministic() {
     let b = run();
     assert_eq!(a.committed_txns, b.committed_txns);
     assert_eq!(a.aborted_txns, b.aborted_txns);
-    assert_eq!(a.planned_batches, b.planned_batches);
-    assert_eq!(a.single_home_batches, b.single_home_batches);
-    assert_eq!(a.plan_mismatches, b.plan_mismatches);
+    // Every counter: planned and single-home batches, mismatches, …
+    assert_eq!(a.registry().render(), b.registry().render());
     assert_eq!(a.messages_delivered, b.messages_delivered);
     assert_eq!(a.bytes_delivered, b.bytes_delivered);
 }

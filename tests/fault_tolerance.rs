@@ -155,11 +155,12 @@ fn misplanning_primary_is_detected_and_cannot_stop_progress() {
         metrics.committed_txns
     );
     assert!(
-        metrics.plan_mismatches > 0,
+        metrics.counter("verifier.plan_mismatches") > 0,
         "the forged tags must be detected at apply time"
     );
     assert_eq!(
-        metrics.divergent_aborts, 0,
+        metrics.counter("verifier.divergent_aborts"),
+        0,
         "mis-planning must never corrupt execution"
     );
 }
@@ -178,9 +179,12 @@ fn misplanning_and_honest_runs_commit_identically() {
     };
     let honest = run(false);
     let attacked = run(true);
-    assert!(honest.planned_batches > 0, "honest tags earn the fast path");
-    assert_eq!(honest.plan_mismatches, 0);
-    assert!(attacked.plan_mismatches > 0);
+    assert!(
+        honest.counter("verifier.planned_batches") > 0,
+        "honest tags earn the fast path"
+    );
+    assert_eq!(honest.counter("verifier.plan_mismatches"), 0);
+    assert!(attacked.counter("verifier.plan_mismatches") > 0);
     assert_eq!(honest.committed_txns, attacked.committed_txns);
     assert_eq!(honest.aborted_txns, attacked.aborted_txns);
     assert_eq!(honest.latency.count(), attacked.latency.count());
@@ -213,11 +217,11 @@ fn region_outage_preserves_liveness_and_the_spawn_margin() {
         metrics.committed_txns
     );
     assert!(
-        metrics.placement_fallbacks > 0,
+        metrics.sum("invoker.placement_fallbacks") > 0,
         "batches homed in the dead region must fall back"
     );
     assert!(
-        metrics.pinned_spawns > 0,
+        metrics.sum("invoker.pinned_spawns") > 0,
         "batches homed in healthy regions keep their pin"
     );
     assert_eq!(
@@ -227,12 +231,12 @@ fn region_outage_preserves_liveness_and_the_spawn_margin() {
     // The spawn margin is intact: every validated batch was served by
     // its full executors_per_batch complement despite the outage.
     assert!(
-        metrics.executors_spawned >= metrics.validated_batches * 3,
+        metrics.executors_spawned >= metrics.counter("verifier.validated_batches") * 3,
         "spawn margin eroded: {} executors for {} batches",
         metrics.executors_spawned,
-        metrics.validated_batches
+        metrics.counter("verifier.validated_batches")
     );
-    assert_eq!(metrics.divergent_aborts, 0);
+    assert_eq!(metrics.counter("verifier.divergent_aborts"), 0);
 }
 
 #[test]
@@ -307,6 +311,8 @@ fn region_outage_and_healthy_runs_commit_identically() {
                 checkpoint_interval: cfg.timers.checkpoint_interval,
             },
         );
+        let registry = serverless_bft::telemetry::Registry::new();
+        verifier.register_metrics(&registry);
         let mut next_executor = 0u64;
         let mut spawn_regions = Vec::new();
         let mut responses = Vec::new();
@@ -356,8 +362,8 @@ fn region_outage_and_healthy_runs_commit_identically() {
         }
         let state: Vec<u64> = oregon_keys.iter().map(|k| store.version_of(*k).0).collect();
         (
-            verifier.committed_txns(),
-            verifier.aborted_txns(),
+            registry.counter_value("verifier.committed_txns"),
+            registry.counter_value("verifier.aborted_txns"),
             responses,
             state,
             spawn_regions,
@@ -415,7 +421,7 @@ fn decentralized_spawning_survives_a_delaying_primary() {
 /// of the trust-but-verify protocol across a primary replacement.
 #[test]
 fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
-    use serverless_bft::consensus::{ConsensusMessage, PbftReplica};
+    use serverless_bft::consensus::ConsensusMessage;
     use serverless_bft::core::events::{
         Action, ClientRequest, Destination, ProtocolMessage, RecoverySubject, ReplaceMessage,
     };
@@ -439,17 +445,10 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
     let store = YcsbTable::populate(1_000).store().clone();
     let mut nodes: Vec<ShimNode> = (0..4u32)
         .map(|i| {
-            ShimNode::new(
+            ShimNode::pbft(
                 NodeId(i),
                 cfg.clone(),
                 provider.handle(ComponentId::Node(NodeId(i))),
-                Box::new(PbftReplica::new(
-                    NodeId(i),
-                    cfg.fault,
-                    provider.handle(ComponentId::Node(NodeId(i))),
-                    cfg.timers.node_timeout,
-                    cfg.timers.checkpoint_interval,
-                )),
             )
         })
         .collect();
@@ -466,6 +465,9 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
             checkpoint_interval: cfg.timers.checkpoint_interval,
         },
     );
+    let registry = serverless_bft::telemetry::Registry::new();
+    verifier.register_metrics(&registry);
+    let count = |name: &str| registry.counter_value(&format!("verifier.{name}"));
     let mut injector = AttackInjector::new(4);
     injector.compromise(NodeId(0), ShimAttack::MisplanBatches);
 
@@ -581,9 +583,9 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
             }
         }
     }
-    assert_eq!(verifier.committed_txns(), 3, "lies never block commits");
-    assert_eq!(verifier.plan_mismatches(), 3, "every forged tag is caught");
-    assert_eq!(verifier.planned_batches(), 0, "no lie earns the fast path");
+    assert_eq!(count("committed_txns"), 3, "lies never block commits");
+    assert_eq!(count("plan_mismatches"), 3, "every forged tag is caught");
+    assert_eq!(count("planned_batches"), 0, "no lie earns the fast path");
     assert!(injector.plans_forged() > 0);
 
     // ---- Phase 2: the verifier-style REPLACE triggers a view change. ----
@@ -615,14 +617,14 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
             }
         }
     }
-    assert_eq!(verifier.committed_txns(), 6, "liveness across the change");
+    assert_eq!(count("committed_txns"), 6, "liveness across the change");
     assert_eq!(
-        verifier.plan_mismatches(),
+        count("plan_mismatches"),
         3,
         "no further mismatches under the honest primary"
     );
     assert_eq!(
-        verifier.planned_batches(),
+        count("planned_batches"),
         3,
         "honest single-home tags take the fast path again"
     );

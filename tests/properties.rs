@@ -15,6 +15,7 @@ use serverless_bft::serverless::{
 };
 use serverless_bft::sharding::{ShardRouter, ShardScheduler, ShardedCommitter};
 use serverless_bft::storage::{ConcurrencyChecker, StorageReader, VersionedStore, YcsbTable};
+use serverless_bft::telemetry::Registry;
 use serverless_bft::types::{
     Batch, ClientId, ComponentId, ConflictHandling, Digest, ExecutorId, FaultParams, Key, NodeId,
     Operation, ReadWriteSet, Region, RegionPartition, RegionSet, RwSetKeys, SeqNum, ShardPlan,
@@ -25,12 +26,12 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Builds a verifier over a fresh 256-record store for the planner
-/// equivalence suite.
+/// equivalence suite, its counters registered under `verifier.*`.
 fn equivalence_verifier(
     provider: &Arc<CryptoProvider>,
     shards: usize,
     attach_pool: bool,
-) -> (Arc<VersionedStore>, Verifier) {
+) -> (Arc<VersionedStore>, Verifier, Registry) {
     let store = YcsbTable::populate(256).store().clone();
     let mut verifier = Verifier::new(
         provider.handle(ComponentId::Verifier),
@@ -48,7 +49,9 @@ fn equivalence_verifier(
     if attach_pool {
         verifier.attach_apply_pool(4);
     }
-    (store, verifier)
+    let registry = Registry::new();
+    verifier.register_metrics(&registry);
+    (store, verifier, registry)
 }
 
 /// A well-formed VERIFY message from `executor` carrying `results` and a
@@ -586,7 +589,7 @@ proptest! {
             })
             .collect();
         let run = |tagged: bool, pool: bool| {
-            let (store, mut verifier) = equivalence_verifier(&provider, shards, pool);
+            let (store, mut verifier, registry) = equivalence_verifier(&provider, shards, pool);
             let mut outcomes = Vec::new();
             for (b, results) in all_results.iter().enumerate() {
                 let seq = b as u64 + 1;
@@ -608,8 +611,8 @@ proptest! {
                 })
                 .collect();
             (
-                verifier.committed_txns(),
-                verifier.aborted_txns(),
+                registry.counter_value("verifier.committed_txns"),
+                registry.counter_value("verifier.aborted_txns"),
                 outcomes,
                 state,
             )
@@ -683,7 +686,8 @@ proptest! {
             PinnedUnderOutage,
         }
         let run = |placement: Placement| {
-            let (store, mut verifier) = equivalence_verifier(&provider, shards, false);
+            let (store, mut verifier, registry) =
+                equivalence_verifier(&provider, shards, false);
             let mut invoker = match placement {
                 Placement::RoundRobin => Invoker::new(NodeId(0), regions.clone()),
                 _ => Invoker::new(NodeId(0), regions.clone())
@@ -759,8 +763,8 @@ proptest! {
                 })
                 .collect();
             (
-                verifier.committed_txns(),
-                verifier.aborted_txns(),
+                registry.counter_value("verifier.committed_txns"),
+                registry.counter_value("verifier.aborted_txns"),
                 responses,
                 state,
                 spawn_regions,

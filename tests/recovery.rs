@@ -8,15 +8,19 @@
 //! proptest sweeps the crash point, the length of the dark window, the
 //! snapshot interval and the shard-lane configuration.
 
+mod common;
+
+use common::{fan_out, fold_outcome, pbft_nodes, record_batches, signed_request, Wire};
 use proptest::prelude::*;
-use serverless_bft::consensus::{ConsensusMessage, OrderingProtocol, PbftReplica};
-use serverless_bft::core::{Action, ClientRequest, Destination, ProtocolMessage, ShimNode};
+use serverless_bft::consensus::ConsensusMessage;
+use serverless_bft::core::{Action, ShimNode};
 use serverless_bft::crypto::CryptoProvider;
+use serverless_bft::telemetry::Registry;
 use serverless_bft::types::{
-    Batch, ClientId, ComponentId, ConflictHandling, DurabilityConfig, Key, NodeId, Operation,
-    SeqNum, ShardingConfig, SimDuration, SimTime, SystemConfig, Transaction, TxnId, Value,
+    Batch, ConflictHandling, DurabilityConfig, NodeId, SeqNum, ShardingConfig, SimDuration,
+    SimTime, SystemConfig, TxnId,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The backup replica whose crash-restart the suite watches.
@@ -27,6 +31,8 @@ const OBSERVED: usize = 3;
 struct Cluster {
     nodes: Vec<ShimNode>,
     provider: Arc<CryptoProvider>,
+    /// The nodes' counters, under `shim.<node>.*`.
+    registry: Arc<Registry>,
     /// Batch content per sequence as delivered to the observed node
     /// (`PREPREPARE` live, `STATERESPONSE` entries after recovery).
     batches: BTreeMap<SeqNum, Batch>,
@@ -52,60 +58,29 @@ impl Cluster {
     fn new(shards: usize, snapshot_interval: u64) -> Self {
         let config = config(shards, snapshot_interval);
         let provider = CryptoProvider::new(21);
-        let nodes = (0..config.fault.n_r as u32)
-            .map(|i| {
-                let ordering: Box<dyn OrderingProtocol + Send> = Box::new(PbftReplica::new(
-                    NodeId(i),
-                    config.fault,
-                    provider.handle(ComponentId::Node(NodeId(i))),
-                    config.timers.node_timeout,
-                    config.timers.checkpoint_interval,
-                ));
-                ShimNode::new(
-                    NodeId(i),
-                    config.clone(),
-                    provider.handle(ComponentId::Node(NodeId(i))),
-                    ordering,
-                )
-            })
-            .collect();
+        let registry = Arc::new(Registry::new());
+        let nodes = pbft_nodes(&config, &provider, &registry);
         Cluster {
             nodes,
             provider,
+            registry,
             batches: BTreeMap::new(),
             committed: Vec::new(),
             clock: SimTime::ZERO,
         }
     }
 
-    /// A deterministic signed request: a write and a read-modify-write
-    /// over a small key space, with the read-write set declared so the
-    /// shard-lane configurations have something to route.
-    fn request(&self, i: u64) -> ClientRequest {
-        let client = ClientId(i as u32);
-        let txn = Transaction::new(
-            TxnId::new(client, 0),
-            vec![
-                Operation::Write(Key(i % 7), Value::new(i * 11 + 1)),
-                Operation::ReadModifyWrite(Key((i * 3) % 7), i + 5),
-            ],
-        )
-        .with_inferred_rwset();
-        let digest = ClientRequest::signing_digest(&txn);
-        ClientRequest {
-            signature: self
-                .provider
-                .handle(ComponentId::Client(client))
-                .sign(&digest),
-            txn,
-        }
+    /// The observed node's `shim.<OBSERVED>.<name>` counter.
+    fn observed(&self, name: &str) -> u64 {
+        self.registry
+            .counter_value(&format!("shim.{OBSERVED}.{name}"))
     }
 
     /// Routes consensus messages to quiescence, skipping nodes in
     /// `down`, recording the observed node's deliveries and commits.
     fn drive(&mut self, origin: usize, actions: Vec<Action>, down: &[usize]) {
         let n = self.nodes.len();
-        let mut queue: VecDeque<(usize, usize, ConsensusMessage)> = VecDeque::new();
+        let mut queue = Wire::new();
         self.absorb(origin, actions, &mut queue, n);
         while let Some((from, to, msg)) = queue.pop_front() {
             if down.contains(&to) {
@@ -121,50 +96,17 @@ impl Cluster {
 
     /// Enqueues the consensus sends out of `actions` and records the
     /// observed node's commit stream.
-    fn absorb(
-        &mut self,
-        origin: usize,
-        actions: Vec<Action>,
-        queue: &mut VecDeque<(usize, usize, ConsensusMessage)>,
-        n: usize,
-    ) {
-        for a in actions {
-            match &a {
-                Action::Send(env) => match (&env.to, &env.msg) {
-                    (Destination::AllNodes, ProtocolMessage::Consensus(msg)) => {
-                        for to in 0..n {
-                            if to != origin {
-                                queue.push_back((origin, to, msg.clone()));
-                            }
-                        }
-                    }
-                    (Destination::Node(to), ProtocolMessage::Consensus(msg)) => {
-                        queue.push_back((origin, to.0 as usize, msg.clone()));
-                    }
-                    _ => {}
-                },
-                Action::BatchCommitted { seq, .. } if origin == OBSERVED => {
-                    self.committed.push(*seq);
-                }
-                _ => {}
-            }
+    fn absorb(&mut self, origin: usize, actions: Vec<Action>, queue: &mut Wire, n: usize) {
+        let committed = fan_out(origin, actions, n, queue);
+        if origin == OBSERVED {
+            self.committed.extend(committed);
         }
     }
 
     /// Captures batch content delivered to the observed node, keyed by
     /// sequence: live proposals and state-transferred entries alike.
     fn record(&mut self, msg: &ConsensusMessage) {
-        match msg {
-            ConsensusMessage::PrePrepare(pp) => {
-                self.batches.insert(pp.seq, pp.batch.clone());
-            }
-            ConsensusMessage::StateResponse(sr) => {
-                for e in &sr.entries {
-                    self.batches.insert(e.seq, e.batch.clone());
-                }
-            }
-            _ => {}
-        }
+        record_batches(&mut self.batches, msg);
     }
 
     /// Submits one two-transaction batch to the primary and drives it to
@@ -172,10 +114,10 @@ impl Cluster {
     fn submit_batch(&mut self, batch: u64, down: &[usize]) {
         self.clock += SimDuration::from_millis(100);
         let now = self.clock;
-        let r0 = self.request(batch * 2);
+        let r0 = signed_request(&self.provider, batch * 2);
         let a0 = self.nodes[0].on_client_request(&r0, now);
         self.drive(0, a0, down);
-        let r1 = self.request(batch * 2 + 1);
+        let r1 = signed_request(&self.provider, batch * 2 + 1);
         let a1 = self.nodes[0].on_client_request(&r1, now);
         self.drive(0, a1, down);
         let polled = self.nodes[0].poll_batcher(now + SimDuration::from_millis(10));
@@ -186,30 +128,11 @@ impl Cluster {
     /// order, the KV state derived by folding the committed operations
     /// in that order, and the client responses in response order.
     fn outcome(&self) -> (Vec<SeqNum>, BTreeMap<u64, u64>, Vec<TxnId>) {
-        let mut kv: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut responses = Vec::new();
-        for seq in &self.committed {
-            let batch = self
-                .batches
-                .get(seq)
-                .expect("observed node committed a batch it was never shown");
-            for txn in batch.txns() {
-                for op in &txn.ops {
-                    match op {
-                        Operation::Read(_) => {}
-                        Operation::Write(k, v) => {
-                            kv.insert(k.0, v.data);
-                        }
-                        Operation::ReadModifyWrite(k, s) => {
-                            let slot = kv.entry(k.0).or_insert(0);
-                            *slot = slot.wrapping_mul(31).wrapping_add(*s);
-                        }
-                    }
-                }
-                responses.push(txn.id);
-            }
-        }
-        (self.committed.clone(), kv, responses)
+        fold_outcome(&self.committed, |seq| {
+            self.batches
+                .get(&seq)
+                .expect("observed node committed a batch it was never shown")
+        })
     }
 }
 
@@ -288,10 +211,9 @@ fn recovery_splits_between_wal_replay_and_state_transfer() {
     // restart replays exactly the first two from the local log and
     // state-transfers exactly the two it missed.
     let cluster = crashed_run(1, 1_000, 2, 2, 1);
-    let node = &cluster.nodes[OBSERVED];
-    assert_eq!(node.replay_batches(), 2);
-    assert_eq!(node.state_transfers(), 2);
-    assert_eq!(node.batches_committed(), 5);
+    assert_eq!(cluster.observed("durability.replay_batches"), 2);
+    assert_eq!(cluster.observed("durability.state_transfer_batches"), 2);
+    assert_eq!(cluster.observed("batches_committed"), 5);
 }
 
 #[test]
@@ -301,11 +223,13 @@ fn snapshots_bound_what_recovery_replays() {
     // stream still matches the baseline (covered by the proptest; the
     // counter shape is pinned here).
     let cluster = crashed_run(1, 1, 3, 0, 1);
-    let node = &cluster.nodes[OBSERVED];
+    let replayed = cluster.observed("durability.replay_batches");
     assert!(
-        node.replay_batches() <= 1,
-        "snapshot truncation must bound replay, got {}",
-        node.replay_batches()
+        replayed <= 1,
+        "snapshot truncation must bound replay, got {replayed}"
     );
-    assert!(node.snapshot_bytes() > 0, "truncation reclaims bytes");
+    assert!(
+        cluster.observed("durability.snapshot_bytes") > 0,
+        "truncation reclaims bytes"
+    );
 }
