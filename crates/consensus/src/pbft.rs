@@ -36,10 +36,10 @@ use sbft_crypto::{CommitCertificate, CryptoHandle};
 use sbft_durability::RecoveredEntry;
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
-    Batch, ComponentId, Digest, FaultParams, NodeId, SeqNum, ShardPlan, SimDuration, Transaction,
-    TxnId, ViewNumber,
+    Batch, ComponentId, Digest, FaultParams, IdMap, NodeId, SeqNum, ShardPlan, SimDuration,
+    Transaction, TxnId, ViewNumber,
 };
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A PBFT replica running on one shim node.
@@ -97,7 +97,7 @@ pub struct PbftReplica {
     /// from verified fills), keyed by id — the pool digest proposals are
     /// reconstructed from. GC'd on the shim's checkpoint rhythm via
     /// [`OrderingProtocol::gc_bodies`].
-    body_cache: BTreeMap<TxnId, Transaction>,
+    body_cache: IdMap<TxnId, Transaction>,
     /// Digest proposals accepted for reconstruction but not yet voted on
     /// (bodies still missing, or awaiting the full-batch fallback).
     pending_digest: BTreeMap<SeqNum, PendingProposal>,
@@ -187,7 +187,7 @@ impl PbftReplica {
             state_request_retries: Counter::new(),
             catch_ups: Counter::new(),
             digest_mode: false,
-            body_cache: BTreeMap::new(),
+            body_cache: IdMap::default(),
             pending_digest: BTreeMap::new(),
             cache_hits: Counter::new(),
             cache_misses: Counter::new(),
@@ -1508,8 +1508,14 @@ impl OrderingProtocol for PbftReplica {
         actions
     }
 
-    fn gc_bodies(&mut self, protected: &HashSet<TxnId>) {
-        self.body_cache.retain(|id, _| protected.contains(id));
+    fn gc_bodies(&mut self, protected: &mut dyn Iterator<Item = TxnId>) {
+        let mut kept = IdMap::default();
+        for id in protected {
+            if let Some(body) = self.body_cache.remove(&id) {
+                kept.insert(id, body);
+            }
+        }
+        self.body_cache = kept;
     }
 
     fn pending_reconstructions(&self) -> Vec<SeqNum> {
@@ -2723,10 +2729,11 @@ mod tests {
             let _ = shim.replicas[1].offer_body(txn.clone());
         }
         assert_eq!(shim.replicas[1].body_cache_len(), 4);
-        let protected: HashSet<TxnId> = b.txns()[..2].iter().map(|t| t.id).collect();
-        shim.replicas[1].gc_bodies(&protected);
+        // An id the shim tracks twice comes up twice.
+        let protected = [b.txns()[0].id, b.txns()[1].id, b.txns()[0].id];
+        shim.replicas[1].gc_bodies(&mut protected.into_iter());
         assert_eq!(shim.replicas[1].body_cache_len(), 2);
-        shim.replicas[1].gc_bodies(&HashSet::new());
+        shim.replicas[1].gc_bodies(&mut std::iter::empty());
         assert_eq!(shim.replicas[1].body_cache_len(), 0);
     }
 

@@ -5,7 +5,6 @@ use crate::messages::ConsensusMessage;
 use sbft_durability::RecoveredEntry;
 use sbft_telemetry::Registry;
 use sbft_types::{Batch, NodeId, SeqNum, ShardPlan, Transaction, TxnId, ViewNumber};
-use std::collections::HashSet;
 
 /// A deterministic ordering-protocol state machine running on one shim
 /// node. `PbftReplica`, `CftReplica` and `NoShim` all implement this trait,
@@ -69,10 +68,11 @@ pub trait OrderingProtocol {
         Vec::new()
     }
 
-    /// Garbage-collects cached transaction bodies, keeping only ids in
-    /// `protected` (the shim calls this on its checkpoint-rhythm GC).
+    /// Garbage-collects cached transaction bodies, keeping only the ids
+    /// `protected` yields (the shim calls this on its checkpoint-rhythm
+    /// GC and walks the ids it still tracks; an id may come up twice).
     /// Protocols without a body cache ignore it.
-    fn gc_bodies(&mut self, protected: &HashSet<TxnId>) {
+    fn gc_bodies(&mut self, protected: &mut dyn Iterator<Item = TxnId>) {
         let _ = protected;
     }
 

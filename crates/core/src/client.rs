@@ -11,7 +11,6 @@
 use crate::events::{Action, ClientRequest, Destination, ProtocolMessage, ProtocolTimer};
 use sbft_crypto::CryptoHandle;
 use sbft_types::{ClientId, ComponentId, NodeId, SimDuration, Transaction, TxnId, TxnOutcome};
-use std::collections::HashMap;
 
 /// State of one outstanding request.
 #[derive(Clone, Debug)]
@@ -28,7 +27,10 @@ pub struct ClientRole {
     primary: NodeId,
     base_timeout: SimDuration,
     backoff_factor: f64,
-    outstanding: HashMap<TxnId, Outstanding>,
+    /// Requests awaiting a response. A closed-loop client has one, so
+    /// this is a vector searched by id: no table to allocate per client,
+    /// and the slot's capacity is reused by the next request.
+    outstanding: Vec<Outstanding>,
     completed: u64,
     aborted: u64,
     retransmissions: u64,
@@ -51,7 +53,7 @@ impl ClientRole {
             primary,
             base_timeout,
             backoff_factor,
-            outstanding: HashMap::new(),
+            outstanding: Vec::new(),
             completed: 0,
             aborted: 0,
             retransmissions: 0,
@@ -88,6 +90,10 @@ impl ClientRole {
         self.outstanding.len()
     }
 
+    fn position(&self, txn: TxnId) -> Option<usize> {
+        self.outstanding.iter().position(|o| o.txn.id == txn)
+    }
+
     /// Updates the primary this client targets (clients learn of view
     /// changes from responses or out of band; the harness updates them).
     pub fn set_primary(&mut self, primary: NodeId) {
@@ -107,14 +113,15 @@ impl ClientRole {
             signature: self.crypto.sign(&digest),
         };
         let id = txn.id;
-        self.outstanding.insert(
-            id,
-            Outstanding {
-                txn,
-                retries: 0,
-                current_timeout: self.base_timeout,
-            },
-        );
+        let entry = Outstanding {
+            txn,
+            retries: 0,
+            current_timeout: self.base_timeout,
+        };
+        match self.position(id) {
+            Some(at) => self.outstanding[at] = entry,
+            None => self.outstanding.push(entry),
+        }
         vec![
             Action::send(
                 ComponentId::Client(self.id),
@@ -135,11 +142,12 @@ impl ClientRole {
             ProtocolMessage::Abort(a) => (a.txn, TxnOutcome::Aborted),
             _ => return Vec::new(),
         };
-        if self.outstanding.remove(&txn).is_none() {
+        let Some(at) = self.position(txn) else {
             // Duplicate response (e.g. re-sent by the verifier after a
             // retry); the request was already marked processed.
             return Vec::new();
-        }
+        };
+        self.outstanding.swap_remove(at);
         match outcome {
             TxnOutcome::Committed => self.completed += 1,
             TxnOutcome::Aborted => self.aborted += 1,
@@ -153,9 +161,10 @@ impl ClientRole {
     /// Handles the expiry of the client timer for `txn`: forward the
     /// request to the verifier, back off, restart the timer.
     pub fn on_timeout(&mut self, txn: TxnId) -> Vec<Action> {
-        let Some(entry) = self.outstanding.get_mut(&txn) else {
+        let Some(at) = self.position(txn) else {
             return Vec::new(); // already answered
         };
+        let entry = &mut self.outstanding[at];
         entry.retries += 1;
         entry.current_timeout = entry.current_timeout.mul_f64(self.backoff_factor);
         self.retransmissions += 1;

@@ -27,9 +27,10 @@ use sbft_serverless::{ExecuteRequest, Invoker};
 use sbft_sharding::ShardRouter;
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
-    Batch, ComponentId, ConflictHandling, NodeId, SeqNum, ShardPlan, SimTime, SpawningMode,
-    SystemConfig, TxnId, ViewNumber,
+    Batch, ComponentId, ConflictHandling, IdMap, IdSet, NodeId, SeqNum, ShardPlan, SimDuration,
+    SimTime, SpawningMode, SystemConfig, TxnId, ViewNumber,
 };
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -47,6 +48,23 @@ struct CommittedBatch {
     plan: ShardPlan,
     spawned: bool,
 }
+
+/// What a node remembers about a transaction it placed in a batch.
+#[derive(Clone, Copy, Debug)]
+struct SeenTxn {
+    /// The signature and signing digest the transaction was batched with.
+    signature: sbft_types::Signature,
+    digest: sbft_types::Digest,
+    /// Whether a batch holding the transaction has committed on this
+    /// node. From then on the batch accounts for the id — it is released
+    /// when the validated batch leaves the retained checkpoint window —
+    /// and the never-validated expiry leaves it alone.
+    committed: bool,
+}
+
+/// How long the batcher lets a pending request wait before its lane is
+/// released partially filled.
+const BATCH_MAX_WAIT: SimDuration = SimDuration::from_millis(5);
 
 /// The shim-node role state machine.
 pub struct ShimNode {
@@ -81,7 +99,7 @@ pub struct ShimNode {
     /// retained, so duplicates inside the window are still suppressed
     /// while the map stays bounded on long runs (see
     /// [`Self::gc_seen_txns`]).
-    seen_txns: std::collections::HashMap<TxnId, (sbft_types::Signature, sbft_types::Digest)>,
+    seen_txns: IdMap<TxnId, SeenTxn>,
     /// Transaction ids of validated batches, retained until the GC cutoff
     /// passes them (feeds the `seen_txns` truncation).
     validated_txns: BTreeMap<SeqNum, Vec<TxnId>>,
@@ -89,12 +107,12 @@ pub struct ShimNode {
     /// id is recorded here when it enters `seen_txns`, stamped with the
     /// highest validated sequence number observed at that moment. Once
     /// the GC cutoff passes an id's stamp, the id is *expired* from
-    /// `seen_txns` — unless it is still tracked by a committed batch or
-    /// a retained validated batch (those are released by the regular
-    /// checkpoint-rhythm truncation instead). This bounds the residual
-    /// growth from ids that were batched but whose batch was lost (e.g.
-    /// across a view change without re-proposal) and therefore never
-    /// receives a `BatchValidated`.
+    /// `seen_txns` — unless its batch has committed here by then (it is
+    /// released by the regular checkpoint-rhythm truncation instead) or
+    /// it still waits in the batcher (it is stamped again). This bounds
+    /// the residual growth from ids that were batched but whose batch was
+    /// lost (e.g. across a view change without re-proposal) and therefore
+    /// never receives a `BatchValidated`.
     pending_seen: BTreeMap<SeqNum, Vec<TxnId>>,
     /// Highest `BatchValidated` sequence number observed.
     max_validated: SeqNum,
@@ -106,7 +124,7 @@ pub struct ShimNode {
     /// fresh chance instead of triggering yet another view change (this is
     /// what prevents one byzantine primary from cascading the shim through
     /// many views when many `ERROR` messages arrive at once).
-    retransmit_view: std::collections::HashMap<RecoverySubject, ViewNumber>,
+    retransmit_view: IdMap<RecoverySubject, ViewNumber>,
     /// The durable write-ahead log, present when `config.durability` is
     /// enabled. `new` attaches the deterministic in-memory backend (what
     /// the simulator crashes and restarts); the thread runtime swaps in
@@ -124,9 +142,9 @@ pub struct ShimNode {
     /// have no recovery path and keep their instance.
     rebuilds_replica: bool,
     /// The registry this node's counters were re-homed into, kept so a
-    /// crash restart can re-home the rebuilt ordering protocol's counters
-    /// under the same names (the registry re-uses counters by name, so
-    /// cumulative values survive the restart).
+    /// crash restart can re-home the rebuilt batcher's and ordering
+    /// protocol's counters under the same names (the registry re-uses
+    /// counters by name, so cumulative values survive the restart).
     metrics_registry: Option<std::sync::Arc<Registry>>,
     // Counters, registered under `shim.<id>.*` by `register_metrics`.
     /// Batches this node has committed locally.
@@ -182,6 +200,18 @@ impl ShimNode {
         )
     }
 
+    /// An empty batcher for this node's configuration: per-shard lanes
+    /// when the ordering-time planner runs, one lane otherwise.
+    fn fresh_batcher(config: &SystemConfig, lane_router: Option<&ShardRouter>) -> Batcher {
+        let batch_size = config.workload.batch_size;
+        match lane_router {
+            Some(router) => {
+                Batcher::with_shard_lanes(batch_size, BATCH_MAX_WAIT, router.num_shards())
+            }
+            None => Batcher::new(batch_size, BATCH_MAX_WAIT),
+        }
+    }
+
     /// Creates a shim node around an ordering protocol instance.
     #[must_use]
     pub fn new(
@@ -190,7 +220,6 @@ impl ShimNode {
         crypto: CryptoHandle,
         ordering: Box<dyn OrderingProtocol + Send>,
     ) -> Self {
-        let max_wait = sbft_types::SimDuration::from_millis(5);
         // The ordering-time shard planner needs declared read-write sets
         // (to classify before execution) and more than one shard (to
         // have somewhere to route).
@@ -198,12 +227,7 @@ impl ShimNode {
             && config.sharding.num_shards > 1
             && config.sharding.ordering_lanes)
             .then(|| ShardRouter::new(config.sharding.num_shards));
-        let batcher = match &lane_router {
-            Some(router) => {
-                Batcher::with_shard_lanes(config.workload.batch_size, max_wait, router.num_shards())
-            }
-            None => Batcher::new(config.workload.batch_size, max_wait),
-        };
+        let batcher = Self::fresh_batcher(&config, lane_router.as_ref());
         // Plan-aware spawn placement needs geo-partitioned storage (the
         // shard → home-region map) and the placement knob left on; the
         // partition is re-derived from the shared configuration, never
@@ -233,12 +257,12 @@ impl ShimNode {
             planner,
             lane_router,
             committed: BTreeMap::new(),
-            seen_txns: std::collections::HashMap::new(),
+            seen_txns: IdMap::default(),
             validated_txns: BTreeMap::new(),
             pending_seen: BTreeMap::new(),
             max_validated: SeqNum(0),
             seen_gc_floor: SeqNum(0),
-            retransmit_view: std::collections::HashMap::new(),
+            retransmit_view: IdMap::default(),
             wal,
             last_snapshot: SeqNum(0),
             recovering: false,
@@ -448,9 +472,9 @@ impl ShimNode {
     ) -> Vec<Action> {
         let mut newly_seen = false;
         match self.seen_txns.entry(txn.id) {
-            std::collections::hash_map::Entry::Occupied(mut entry) => {
-                let (stored_sig, stored_digest) = *entry.get();
-                if stored_sig == signature {
+            Entry::Occupied(mut entry) => {
+                let stored = entry.get_mut();
+                if stored.signature == signature {
                     // Client retry or forwarded ERROR: already batched.
                     return Vec::new();
                 }
@@ -464,16 +488,24 @@ impl ShimNode {
                 // valid newcomer takes over the id and is batched too
                 // (the forgery will be pruned by the aggregate check).
                 let client = ComponentId::Client(txn.id.client);
-                if self.crypto.verify(client, &stored_digest, &stored_sig) {
+                if self
+                    .crypto
+                    .verify(client, &stored.digest, &stored.signature)
+                {
                     return Vec::new();
                 }
                 if !self.crypto.verify(client, &digest, &signature) {
                     return Vec::new();
                 }
-                entry.insert((signature, digest));
+                stored.signature = signature;
+                stored.digest = digest;
             }
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                entry.insert((signature, digest));
+            Entry::Vacant(entry) => {
+                entry.insert(SeenTxn {
+                    signature,
+                    digest,
+                    committed: false,
+                });
                 newly_seen = true;
             }
         }
@@ -522,7 +554,7 @@ impl ShimNode {
 
     /// How long the batcher lets a pending request wait (its timeout).
     #[must_use]
-    pub fn batch_max_wait(&self) -> sbft_types::SimDuration {
+    pub fn batch_max_wait(&self) -> SimDuration {
         self.batcher.max_wait()
     }
 
@@ -555,7 +587,7 @@ impl ShimNode {
                 // Release the id only if the forged signature still owns
                 // it — a valid request that took over the entry in the
                 // meantime keeps its duplicate suppression.
-                if self.seen_txns.get(txn).map(|(sig, _)| sig) == Some(forged_sig) {
+                if self.seen_txns.get(txn).map(|seen| &seen.signature) == Some(forged_sig) {
                     self.seen_txns.remove(txn);
                 }
             }
@@ -791,15 +823,7 @@ impl ShimNode {
     /// followed by the rejoin actions (for PBFT, a broadcast
     /// `STATEREQUEST` for the suffix committed while this node was down).
     pub fn crash_restart(&mut self) -> Vec<Action> {
-        let max_wait = sbft_types::SimDuration::from_millis(5);
-        self.batcher = match &self.lane_router {
-            Some(router) => Batcher::with_shard_lanes(
-                self.config.workload.batch_size,
-                max_wait,
-                router.num_shards(),
-            ),
-            None => Batcher::new(self.config.workload.batch_size, max_wait),
-        };
+        self.batcher = Self::fresh_batcher(&self.config, self.lane_router.as_ref());
         self.committed.clear();
         self.seen_txns.clear();
         self.validated_txns.clear();
@@ -813,9 +837,14 @@ impl ShimNode {
         }
         if self.rebuilds_replica {
             self.ordering = Self::pbft_replica(self.me, &self.config, &self.crypto);
-            if let Some(registry) = self.metrics_registry.clone() {
-                self.ordering
-                    .register_metrics(&registry, &format!("shim.{}", self.me.0));
+        }
+        // The rebuilt parts count on under the names they had: the
+        // registry hands back the same counters, so totals survive.
+        if let Some(registry) = &self.metrics_registry {
+            let prefix = format!("shim.{}", self.me.0);
+            self.batcher.register_metrics(registry, &prefix);
+            if self.rebuilds_replica {
+                self.ordering.register_metrics(registry, &prefix);
             }
         }
         let Some(wal) = self.wal.as_mut() else {
@@ -883,6 +912,15 @@ impl ShimNode {
     ) -> Vec<Action> {
         self.batches_committed.inc();
         let len = batch.len();
+        // The batch accounts for its ids from here on. Only a node that
+        // batched requests itself (the primary) has any to mark.
+        if !self.seen_txns.is_empty() {
+            for txn in batch.iter() {
+                if let Some(seen) = self.seen_txns.get_mut(&txn.id) {
+                    seen.committed = true;
+                }
+            }
+        }
         // Baseline protocols (CFT / NoShim) produce no certificate; an
         // empty certificate stands in so the message flow stays identical
         // (executors and the verifier are configured with a quorum of 0).
@@ -1109,8 +1147,8 @@ impl ShimNode {
     }
 
     /// Truncates `seen_txns` in the rhythm of the featherweight checkpoint
-    /// interval, exactly like the verifier truncates its `responded` /
-    /// `txn_location` maps: entries of batches at or below the previous
+    /// interval, exactly like the verifier truncates its retry table:
+    /// entries of batches at or below the previous
     /// checkpoint (one closed interval behind the latest one validation
     /// passed) are dropped. Duplicates inside the retained window are
     /// still suppressed; anything older is outside the protocol's retry
@@ -1141,29 +1179,30 @@ impl ShimNode {
             // retained validated batches, local commits, batcher lanes);
             // anything older can no longer appear in a fresh proposal, and
             // an unlucky drop just downgrades a cache hit to a fetch.
-            let protected: std::collections::HashSet<TxnId> = self
+            let committed = self.committed.values();
+            let mut protected = self
                 .seen_txns
                 .keys()
                 .copied()
                 .chain(self.validated_txns.values().flatten().copied())
-                .chain(self.committed.values().flat_map(|e| e.batch.txn_ids()))
-                .chain(self.batcher.pending_txn_ids())
-                .collect();
-            self.ordering.gc_bodies(&protected);
+                .chain(committed.flat_map(|e| e.batch.iter().map(|t| t.id)))
+                .chain(self.batcher.pending_txn_ids());
+            self.ordering.gc_bodies(&mut protected);
         }
     }
 
-    /// Expires duplicate-suppression entries whose batch never received a
-    /// `BatchValidated`: every id stamped (in `pending_seen`) at or below
-    /// the GC cutoff — i.e. batched at least two checkpoint intervals of
-    /// validated progress ago — is reclaimed, *unless* a tracked batch
-    /// still accounts for it (a retained validated batch, released by the
-    /// regular truncation instead, or a locally committed batch that may
-    /// yet validate or be re-spawned; those ids are re-stamped and
-    /// reconsidered at a later cutoff). What remains are the genuinely
+    /// Expires duplicate-suppression entries whose batch never committed
+    /// here: every id stamped (in `pending_seen`) at or below the GC
+    /// cutoff — i.e. batched at least two checkpoint intervals of
+    /// validated progress ago — is reclaimed, *unless* a batch holding it
+    /// has committed on this node in the meantime (the batch may yet
+    /// validate or be re-spawned, and the regular truncation releases the
+    /// id with it) or it still waits in a batcher lane (it is re-stamped
+    /// and reconsidered at a later cutoff). What remains are the genuinely
     /// leaked ids: batched, then lost before commit — e.g. a proposal
     /// dropped across a view change without re-proposal — which
-    /// previously accumulated forever.
+    /// previously accumulated forever. Each id costs one lookup; nothing
+    /// is built over the batches in flight.
     fn expire_never_validated(&mut self, cutoff: SeqNum) {
         let expired_stamps = {
             let rest = self.pending_seen.split_off(&SeqNum(cutoff.0 + 1));
@@ -1172,20 +1211,15 @@ impl ShimNode {
         if expired_stamps.is_empty() {
             return;
         }
-        let protected: std::collections::HashSet<TxnId> = self
-            .validated_txns
-            .values()
-            .flatten()
-            .copied()
-            .chain(self.committed.values().flat_map(|e| e.batch.txn_ids()))
-            .chain(self.batcher.pending_txn_ids())
-            .collect();
+        let waiting: IdSet<TxnId> = self.batcher.pending_txn_ids().into_iter().collect();
         let mut restamped = Vec::new();
-        for ids in expired_stamps.into_values() {
-            for id in ids {
-                if protected.contains(&id) {
-                    restamped.push(id);
-                } else {
+        for id in expired_stamps.into_values().flatten() {
+            match self.seen_txns.get(&id) {
+                // Released already, or accounted for by a committed batch.
+                None => {}
+                Some(seen) if seen.committed => {}
+                Some(_) if waiting.contains(&id) => restamped.push(id),
+                Some(_) => {
                     self.seen_txns.remove(&id);
                 }
             }
@@ -1740,6 +1774,27 @@ mod tests {
             .on_client_request(&signed_request(&provider, 7, 0), SimTime::ZERO)
             .is_empty());
         assert!(pending_node.seen_txns_len() >= 1);
+    }
+
+    #[test]
+    fn a_restarted_nodes_batcher_keeps_counting_under_its_names() {
+        let mut config = SystemConfig::with_shim_size(4);
+        config.workload.batch_size = 1;
+        let provider = CryptoProvider::new(5);
+        let registry = Arc::new(Registry::new());
+        let mut node = single_cft_node(&config, &provider);
+        node.register_metrics(&registry);
+        let _ = node.on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
+        assert_eq!(registry.counter_value("shim.0.batcher.released_full"), 1);
+        node.crash();
+        let _ = node.crash_restart();
+        assert_eq!(node.batch_max_wait(), BATCH_MAX_WAIT);
+        let _ = node.on_client_request(&signed_request(&provider, 0, 1), SimTime::ZERO);
+        assert_eq!(
+            registry.counter_value("shim.0.batcher.released_full"),
+            2,
+            "the rebuilt batcher counts into the registry again"
+        );
     }
 
     #[test]

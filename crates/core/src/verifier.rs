@@ -27,10 +27,10 @@ use sbft_sharding::{CommitOutcome, ShardId, ShardScheduler, ShardedCommitter};
 use sbft_storage::VersionedStore;
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
-    ComponentId, ConflictHandling, ExecutorId, FaultParams, SeqNum, ShardPlan, ShardingConfig,
-    SimDuration, TxnId, TxnOutcome,
+    ComponentId, ConflictHandling, ExecutorId, FaultParams, IdMap, SeqNum, ShardPlan,
+    ShardingConfig, SimDuration, TxnId, TxnOutcome,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Per-batch bookkeeping while `VERIFY` messages are being collected.
@@ -40,6 +40,27 @@ struct SeqState {
     matched: Option<VerifyMessage>,
     abort_tagged: bool,
     timer_started: bool,
+}
+
+/// The answer the verifier gave a transaction: everything a re-sent
+/// `RESPONSE` / `ABORT` is rebuilt from (signatures are deterministic, so
+/// the rebuilt message equals the first one byte for byte).
+#[derive(Clone, Copy, Debug)]
+struct Answer {
+    /// The batch the transaction was answered in.
+    seq: SeqNum,
+    outcome: TxnOutcome,
+    /// The execution output (0 for an abort).
+    output: u64,
+}
+
+/// What the verifier remembers about a transaction for client retries.
+#[derive(Clone, Copy, Debug)]
+struct RetryEntry {
+    /// The batch the latest `VERIFY` naming the transaction ordered it in.
+    located: SeqNum,
+    /// The answer already sent, if any.
+    answer: Option<Answer>,
 }
 
 /// Protocol parameters of the verifier, fixed at deployment time.
@@ -62,7 +83,7 @@ pub struct VerifierConfig {
     /// Sharded-execution parameters for the commit path.
     pub sharding: ShardingConfig,
     /// The shim's featherweight checkpoint interval. The verifier
-    /// truncates its `responded` / `txn_location` maps in the same rhythm
+    /// truncates its retry table in the same rhythm
     /// (keeping one closed interval of history for client retries), so
     /// long runs stop growing without bound. `0` disables the GC.
     pub checkpoint_interval: u64,
@@ -85,14 +106,12 @@ pub struct Verifier {
     kmax: SeqNum,
     /// The pending list `π` plus in-progress collection state.
     pending: BTreeMap<SeqNum, SeqState>,
-    /// Responses already sent, kept to answer client re-transmissions.
-    /// Truncated at the featherweight checkpoint interval (see
-    /// [`VerifierConfig::checkpoint_interval`]).
-    responded: HashMap<TxnId, ProtocolMessage>,
-    /// Which batch each transaction was ordered in (learned from `VERIFY`).
-    /// Truncated together with `responded`.
-    txn_location: HashMap<TxnId, SeqNum>,
-    /// Highest sequence number at or below which the retry maps have been
+    /// Which batch each transaction was ordered in (learned from `VERIFY`)
+    /// and the answer already sent for it, kept to answer client
+    /// re-transmissions. Truncated at the featherweight checkpoint
+    /// interval (see [`VerifierConfig::checkpoint_interval`]).
+    retry: IdMap<TxnId, RetryEntry>,
+    /// Highest sequence number at or below which the retry table has been
     /// garbage-collected.
     gc_floor: SeqNum,
     /// Recovery subjects we broadcast an `ERROR`/`REPLACE` for and still
@@ -139,8 +158,7 @@ impl Verifier {
             config,
             kmax: SeqNum(1),
             pending: BTreeMap::new(),
-            responded: HashMap::new(),
-            txn_location: HashMap::new(),
+            retry: IdMap::default(),
             gc_floor: SeqNum(0),
             outstanding: BTreeSet::new(),
             committed_txns: Counter::new(),
@@ -205,18 +223,11 @@ impl Verifier {
         self.kmax
     }
 
-    /// Entries currently held for client-retry answering (tests and memory
-    /// accounting).
-    #[must_use]
-    pub fn responded_len(&self) -> usize {
-        self.responded.len()
-    }
-
-    /// Entries currently held in the transaction-location map (tests and
+    /// Transactions currently held for client-retry answering (tests and
     /// memory accounting).
     #[must_use]
-    pub fn txn_location_len(&self) -> usize {
-        self.txn_location.len()
+    pub fn retry_table_len(&self) -> usize {
+        self.retry.len()
     }
 
     /// The sharded commit engine (router, per-shard states and counters).
@@ -311,7 +322,13 @@ impl Verifier {
 
         // Record where each transaction lives for client-retry handling.
         for r in msg.results.iter() {
-            self.txn_location.insert(r.txn, msg.seq);
+            self.retry
+                .entry(r.txn)
+                .and_modify(|e| e.located = msg.seq)
+                .or_insert(RetryEntry {
+                    located: msg.seq,
+                    answer: None,
+                });
         }
 
         // Count matching results.
@@ -392,7 +409,7 @@ impl Verifier {
             multi_home: bool,
             any_write: bool,
         }
-        let mut touched: HashMap<sbft_types::Key, Touch> = HashMap::new();
+        let mut touched: IdMap<sbft_types::Key, Touch> = IdMap::default();
         for (result, involved) in results.iter().zip(routes) {
             let Some(home) = involved.iter().next().copied() else {
                 continue; // touches no data
@@ -426,7 +443,7 @@ impl Verifier {
         true
     }
 
-    /// Truncates the client-retry maps in the rhythm of the shim's
+    /// Truncates the client-retry table in the rhythm of the shim's
     /// featherweight checkpoints. Entries for batches at or below the
     /// previous checkpoint (one closed interval behind the latest one
     /// `k_max` passed) are dropped: late duplicate requests inside the
@@ -445,17 +462,43 @@ impl Verifier {
             return;
         }
         self.gc_floor = cutoff;
-        let mut dropped = Vec::new();
-        self.txn_location.retain(|txn, seq| {
-            if *seq <= cutoff {
-                dropped.push(*txn);
-                false
-            } else {
-                true
-            }
-        });
-        for txn in &dropped {
-            self.responded.remove(txn);
+        self.retry.retain(|_, entry| entry.located > cutoff);
+    }
+
+    /// Records `answer` for client retries and returns the message that
+    /// carries it to the client.
+    fn answer(&mut self, txn: TxnId, answer: Answer) -> ProtocolMessage {
+        self.retry
+            .entry(txn)
+            .or_insert(RetryEntry {
+                located: answer.seq,
+                answer: None,
+            })
+            .answer = Some(answer);
+        self.answer_message(txn, answer)
+    }
+
+    /// The `RESPONSE` or `ABORT` carrying `answer` (first send and every
+    /// re-send build it here).
+    fn answer_message(&self, txn: TxnId, answer: Answer) -> ProtocolMessage {
+        let Answer {
+            seq,
+            outcome,
+            output,
+        } = answer;
+        match outcome {
+            TxnOutcome::Committed => ProtocolMessage::Response(ResponseMessage {
+                txn,
+                seq,
+                outcome,
+                output,
+                signature: self.sign_marker("response", seq.0, output),
+            }),
+            TxnOutcome::Aborted => ProtocolMessage::Abort(AbortMessage {
+                txn,
+                seq,
+                signature: self.sign_marker("abort", seq.0, txn.counter),
+            }),
         }
     }
 
@@ -661,33 +704,24 @@ impl Verifier {
         let mut committed = 0u32;
         let mut aborted = 0u32;
         for (result, outcome) in matched.results.iter().zip(&outcomes) {
-            let (msg, txn_outcome) = if outcome.is_applied() {
+            let answer = if outcome.is_applied() {
                 committed += 1;
                 self.committed_txns.inc();
-                (
-                    ProtocolMessage::Response(ResponseMessage {
-                        txn: result.txn,
-                        seq,
-                        outcome: TxnOutcome::Committed,
-                        output: result.output,
-                        signature: self.sign_marker("response", seq.0, result.output),
-                    }),
-                    TxnOutcome::Committed,
-                )
+                Answer {
+                    seq,
+                    outcome: TxnOutcome::Committed,
+                    output: result.output,
+                }
             } else {
                 aborted += 1;
                 self.aborted_txns.inc();
-                (
-                    ProtocolMessage::Abort(AbortMessage {
-                        txn: result.txn,
-                        seq,
-                        signature: self.sign_marker("abort", seq.0, result.txn.counter),
-                    }),
-                    TxnOutcome::Aborted,
-                )
+                Answer {
+                    seq,
+                    outcome: TxnOutcome::Aborted,
+                    output: 0,
+                }
             };
-            let _ = txn_outcome;
-            self.responded.insert(result.txn, msg.clone());
+            let msg = self.answer(result.txn, answer);
             actions.push(Action::send(
                 self.me(),
                 Destination::Client(result.txn.client),
@@ -722,12 +756,14 @@ impl Verifier {
         for result in sample.results.iter() {
             aborted += 1;
             self.aborted_txns.inc();
-            let msg = ProtocolMessage::Abort(AbortMessage {
-                txn: result.txn,
-                seq,
-                signature: self.sign_marker("abort", seq.0, result.txn.counter),
-            });
-            self.responded.insert(result.txn, msg.clone());
+            let msg = self.answer(
+                result.txn,
+                Answer {
+                    seq,
+                    outcome: TxnOutcome::Aborted,
+                    output: 0,
+                },
+            );
             actions.push(Action::send(
                 self.me(),
                 Destination::Client(result.txn.client),
@@ -811,19 +847,20 @@ impl Verifier {
             return Vec::new();
         }
         let txn = req.txn.id;
+        let entry = self.retry.get(&txn).copied();
         // (i) Already answered: re-send the response.
-        if let Some(msg) = self.responded.get(&txn) {
+        if let Some(answer) = entry.and_then(|e| e.answer) {
             return vec![Action::send(
                 self.me(),
                 Destination::Client(txn.client),
-                msg.clone(),
+                self.answer_message(txn, answer),
             )];
         }
-        match self.txn_location.get(&txn) {
-            Some(seq) => {
+        match entry {
+            Some(RetryEntry { located, .. }) => {
                 let matched = self
                     .pending
-                    .get(seq)
+                    .get(&located)
                     .is_some_and(|state| state.matched.is_some());
                 if matched {
                     // (ii) The request sits in π waiting for k_max: tell the
@@ -1218,7 +1255,12 @@ mod tests {
         let fx = Fixture::new();
         let mut v = fx.verifier(ConflictHandling::NonConflicting);
         let _ = v.on_verify(&fx.verify_msg(1, 1, 3, 42, 1));
-        let _ = v.on_verify(&fx.verify_msg(2, 1, 3, 42, 1));
+        let first = v.on_verify(&fx.verify_msg(2, 1, 3, 42, 1));
+        let sent = first
+            .iter()
+            .filter_map(Action::as_send)
+            .find(|env| env.to == Destination::Client(ClientId(3)))
+            .expect("the quorum-completing VERIFY answers the client");
         // The client re-transmits its request to the verifier.
         let txn = Transaction::new(TxnId::new(ClientId(3), 1), vec![Operation::Read(Key(1))]);
         let digest = ClientRequest::signing_digest(&txn);
@@ -1233,6 +1275,8 @@ mod tests {
         let env = actions[0].as_send().unwrap();
         assert_eq!(env.to, Destination::Client(ClientId(3)));
         assert_eq!(env.msg.kind(), "RESPONSE");
+        // Rebuilt from the compact answer, signature included.
+        assert_eq!(env.msg, sent.msg);
     }
 
     #[test]
@@ -1619,8 +1663,7 @@ mod tests {
             let _ = v.on_verify(&fx.verify_msg(2, seq, 0, seq, 1));
         }
         assert_eq!(v.kmax(), SeqNum(10));
-        assert_eq!(v.responded_len(), 5, "seqs 5..=9 retained");
-        assert_eq!(v.txn_location_len(), 5);
+        assert_eq!(v.retry_table_len(), 5, "seqs 5..=9 retained");
 
         // A late duplicate request inside the retained window is still
         // answered with the stored RESPONSE.
@@ -1664,11 +1707,10 @@ mod tests {
         // One interval of history plus the open interval: never more than
         // two intervals' worth of entries with one transaction per batch.
         assert!(
-            v.responded_len() <= 8,
-            "responded holds {} entries",
-            v.responded_len()
+            v.retry_table_len() <= 8,
+            "the retry table holds {} entries",
+            v.retry_table_len()
         );
-        assert!(v.txn_location_len() <= 8);
         assert_eq!(v.committed_txns.get(), 100);
     }
 

@@ -26,8 +26,7 @@ use crate::aggregate::{bisect_mismatches, AggregateSignature};
 use crate::hmac::HmacKey;
 use crate::keys::{KeyPair, KeyStore, PublicKey};
 use crate::signature::SimSigner;
-use sbft_types::{ComponentId, Digest, MacTag, Signature};
-use std::collections::HashMap;
+use sbft_types::{ComponentId, Digest, IdMap, MacTag, Signature};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Deployment-wide cryptographic material plus the verification-side
@@ -37,9 +36,9 @@ pub struct CryptoProvider {
     store: KeyStore,
     /// Per-identity signing schedules, filled on first verification of a
     /// signature from that identity.
-    sign_schedules: RwLock<HashMap<ComponentId, HmacKey>>,
+    sign_schedules: RwLock<IdMap<ComponentId, HmacKey>>,
     /// Per-sender group (broadcast) MAC schedules.
-    group_schedules: RwLock<HashMap<ComponentId, HmacKey>>,
+    group_schedules: RwLock<IdMap<ComponentId, HmacKey>>,
 }
 
 impl Clone for CryptoProvider {
@@ -62,7 +61,7 @@ pub struct CryptoHandle {
     broadcast_schedule: OnceLock<HmacKey>,
     /// Pairwise-channel MAC schedules per peer, shared across clones of
     /// this handle.
-    peer_schedules: Arc<RwLock<HashMap<ComponentId, HmacKey>>>,
+    peer_schedules: Arc<RwLock<IdMap<ComponentId, HmacKey>>>,
 }
 
 impl CryptoProvider {
@@ -75,8 +74,8 @@ impl CryptoProvider {
     fn with_store(store: KeyStore) -> Self {
         CryptoProvider {
             store,
-            sign_schedules: RwLock::new(HashMap::new()),
-            group_schedules: RwLock::new(HashMap::new()),
+            sign_schedules: RwLock::new(IdMap::default()),
+            group_schedules: RwLock::new(IdMap::default()),
         }
     }
 
@@ -95,7 +94,7 @@ impl CryptoProvider {
             provider: Arc::clone(self),
             sign_schedule: OnceLock::new(),
             broadcast_schedule: OnceLock::new(),
-            peer_schedules: Arc::new(RwLock::new(HashMap::new())),
+            peer_schedules: Arc::new(RwLock::new(IdMap::default())),
         }
     }
 

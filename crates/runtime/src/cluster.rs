@@ -41,9 +41,8 @@ use sbft_core::events::{Action, ClientRequest, Destination, Envelope, ProtocolMe
 use sbft_core::System;
 use sbft_durability::{FileWal, WalRecord, WriteAheadLog};
 use sbft_telemetry::{Counter, Stage, TraceSink, Tracer};
-use sbft_types::{ClientId, ComponentId, NodeId, SeqNum, SimTime, TxnOutcome};
+use sbft_types::{ClientId, ComponentId, IdMap, NodeId, SeqNum, SimTime, TxnOutcome};
 use sbft_workloads::YcsbWorkload;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
@@ -491,7 +490,7 @@ impl LocalCluster {
         let mut workload_cfg = system.config.workload;
         workload_cfg.num_clients = num_clients;
         let mut workload = YcsbWorkload::new(workload_cfg, workload_seed);
-        let mut clients: HashMap<ClientId, sbft_core::ClientRole> = system
+        let mut clients: IdMap<ClientId, sbft_core::ClientRole> = system
             .clients
             .drain(..num_clients)
             .map(|c| (c.id(), c))
@@ -841,7 +840,7 @@ mod tests {
             .run();
         assert!(report.committed >= 2_000);
         // The responses of a batch share its trace id.
-        let mut responds: HashMap<u64, usize> = HashMap::new();
+        let mut responds: std::collections::HashMap<u64, usize> = Default::default();
         for event in sink.events() {
             if event.stage == Stage::Respond {
                 *responds.entry(event.trace).or_default() += 1;

@@ -33,6 +33,7 @@ pub mod faults;
 pub mod harness;
 pub mod metrics;
 pub mod network;
+mod queue;
 
 pub use cpu::CpuModel;
 pub use faults::{DiskLag, FaultPlan, FaultState, LinkFaults, LinkRule, PartitionWindow};

@@ -9,8 +9,7 @@
 //! reads concurrently with verifier writes.
 
 use parking_lot::RwLock;
-use sbft_types::{Key, SbftError, SbftResult, Value, Version};
-use std::collections::HashMap;
+use sbft_types::{IdMap, Key, SbftError, SbftResult, Value, Version};
 
 use crate::stats::StorageStats;
 
@@ -26,7 +25,7 @@ pub struct StoreEntry {
 /// The sharded, versioned key-value store.
 #[derive(Debug)]
 pub struct VersionedStore {
-    shards: Vec<RwLock<HashMap<Key, StoreEntry>>>,
+    shards: Vec<RwLock<IdMap<Key, StoreEntry>>>,
     stats: StorageStats,
 }
 
@@ -52,12 +51,12 @@ impl VersionedStore {
     pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         VersionedStore {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| RwLock::new(IdMap::default())).collect(),
             stats: StorageStats::new(),
         }
     }
 
-    fn shard_for(&self, key: Key) -> &RwLock<HashMap<Key, StoreEntry>> {
+    fn shard_for(&self, key: Key) -> &RwLock<IdMap<Key, StoreEntry>> {
         // Multiplicative hashing spreads dense YCSB keys across shards.
         let idx =
             (key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & (self.shards.len() - 1);
@@ -108,7 +107,15 @@ impl VersionedStore {
     }
 
     /// Bulk-loads initial records without counting them in the statistics.
+    /// Every shard reserves its share of the iterator's lower size bound
+    /// first (the shard hash spreads keys evenly), so a load grows no
+    /// table record by record.
     pub fn load<I: IntoIterator<Item = (Key, Value)>>(&self, records: I) {
+        let records = records.into_iter();
+        let per_shard = records.size_hint().0.div_ceil(self.shards.len());
+        for shard in &self.shards {
+            shard.write().reserve(per_shard);
+        }
         for (key, value) in records {
             let mut shard = self.shard_for(key).write();
             shard.insert(

@@ -16,6 +16,8 @@
 //!   timer settings and the full system configuration,
 //! * [`region`] — the eleven cloud regions used in the evaluation,
 //! * [`time`] — virtual time used by the simulator and protocol timers,
+//! * [`idmap`] — hash tables keyed by the identifier types, over one cheap
+//!   fixed-key hasher,
 //! * [`error`] — the common error type.
 //!
 //! Keeping these types dependency-free (except `serde`) lets the protocol
@@ -30,6 +32,7 @@ pub mod batch;
 pub mod config;
 pub mod digest;
 pub mod error;
+pub mod idmap;
 pub mod ids;
 pub mod plan;
 pub mod region;
@@ -44,6 +47,7 @@ pub use config::{
 };
 pub use digest::{Digest, MacTag, Signature, DIGEST_LEN};
 pub use error::{SbftError, SbftResult};
+pub use idmap::{BuildIdHasher, IdHasher, IdMap, IdSet};
 pub use ids::{
     ClientId, ComponentId, ExecutorId, NodeId, ReplicaIndex, SeqNum, ShardId, TxnId, ViewNumber,
 };

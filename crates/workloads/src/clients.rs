@@ -7,8 +7,7 @@
 //! the number of clients is the experiment's congestion knob (Figure 5).
 
 use crate::ycsb::YcsbWorkload;
-use sbft_types::{ClientId, Transaction, TxnId};
-use std::collections::HashMap;
+use sbft_types::{ClientId, IdMap, Transaction, TxnId};
 
 /// A population of closed-loop clients driven by a shared workload
 /// generator.
@@ -16,7 +15,7 @@ use std::collections::HashMap;
 pub struct ClientPopulation {
     workload: YcsbWorkload,
     num_clients: usize,
-    outstanding: HashMap<ClientId, TxnId>,
+    outstanding: IdMap<ClientId, TxnId>,
     completed: u64,
 }
 
@@ -31,7 +30,7 @@ impl ClientPopulation {
         ClientPopulation {
             workload,
             num_clients,
-            outstanding: HashMap::new(),
+            outstanding: IdMap::default(),
             completed: 0,
         }
     }

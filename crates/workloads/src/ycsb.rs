@@ -17,8 +17,9 @@
 use crate::zipf::{UniformKeys, ZipfianKeys};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sbft_types::{Batch, ClientId, Key, Operation, Transaction, TxnId, Value, WorkloadConfig};
-use std::collections::HashMap;
+use sbft_types::{
+    Batch, ClientId, IdMap, Key, Operation, Transaction, TxnId, Value, WorkloadConfig,
+};
 
 /// Number of keys in the hot set used to manufacture conflicts.
 const CONFLICT_HOT_KEYS: u64 = 8;
@@ -41,7 +42,7 @@ pub struct YcsbWorkload {
     zipf: ZipfianKeys,
     uniform: UniformKeys,
     rng: StdRng,
-    counters: HashMap<ClientId, u64>,
+    counters: IdMap<ClientId, u64>,
     generated: u64,
 }
 
@@ -56,7 +57,7 @@ impl YcsbWorkload {
             distribution: KeyDistribution::Uniform,
             declare_rwsets: false,
             rng: StdRng::seed_from_u64(seed),
-            counters: HashMap::new(),
+            counters: IdMap::default(),
             generated: 0,
             config,
         }

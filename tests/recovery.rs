@@ -233,3 +233,110 @@ fn snapshots_bound_what_recovery_replays() {
         "truncation reclaims bytes"
     );
 }
+
+/// Delivers the consensus traffic `origin`'s `actions` set off until the
+/// nodes fall quiet; returns the sequences `origin` committed meanwhile.
+fn settle(nodes: &mut [ShimNode], origin: usize, actions: Vec<Action>) -> Vec<SeqNum> {
+    let n = nodes.len();
+    let mut wire = Wire::new();
+    let mut committed = fan_out(origin, actions, n, &mut wire);
+    while let Some((from, to, msg)) = wire.pop_front() {
+        let actions = nodes[to].on_consensus_message(NodeId(from as u32), msg);
+        let seqs = fan_out(to, actions, n, &mut wire);
+        if to == origin {
+            committed.extend(seqs);
+        }
+    }
+    committed
+}
+
+#[test]
+fn a_proposal_lost_across_a_view_change_is_expired_at_the_same_cutoff() {
+    use serverless_bft::core::events::{
+        BatchValidated, ProtocolMessage, RecoverySubject, ReplaceMessage,
+    };
+    use serverless_bft::types::{Signature, ViewNumber};
+
+    let mut config = SystemConfig::with_shim_size(4);
+    config.workload.batch_size = 1;
+    config.timers.checkpoint_interval = 4;
+    let provider = CryptoProvider::new(21);
+    let registry = Arc::new(Registry::new());
+    let mut nodes = pbft_nodes(&config, &provider, &registry);
+
+    // `seen_txns` of the first and of the second primary after every
+    // validated batch.
+    let mut trajectory: Vec<(usize, usize)> = Vec::new();
+    let validate =
+        |nodes: &mut [ShimNode], trajectory: &mut Vec<(usize, usize)>, seqs: Vec<SeqNum>| {
+            for seq in seqs {
+                let validated = ProtocolMessage::BatchValidated(BatchValidated {
+                    seq,
+                    committed: 1,
+                    aborted: 0,
+                });
+                for node in nodes.iter_mut() {
+                    let _ = node.on_message(&validated);
+                }
+                trajectory.push((nodes[0].seen_txns_len(), nodes[1].seen_txns_len()));
+            }
+        };
+
+    // Ten batches commit and validate under the first primary.
+    for i in 0..10 {
+        let actions = nodes[0].on_client_request(&signed_request(&provider, i), SimTime::ZERO);
+        let committed = settle(&mut nodes, 0, actions);
+        assert_eq!(committed, vec![SeqNum(i + 1)]);
+        validate(&mut nodes, &mut trajectory, committed);
+    }
+    // Three proposals leave the primary and reach nobody.
+    for i in 10..13 {
+        let actions = nodes[0].on_client_request(&signed_request(&provider, i), SimTime::ZERO);
+        assert!(actions.iter().any(|a| a.sends_kind("PREPREPARE")));
+    }
+    assert_eq!(nodes[0].seen_txns_len(), trajectory[9].0 + 3);
+    // The verifier has the primary replaced; nothing was prepared, so the
+    // new primary re-proposes none of the three.
+    let replace = ProtocolMessage::Replace(ReplaceMessage {
+        subject: RecoverySubject::Seq(SeqNum(11)),
+        signature: Signature::ZERO,
+    });
+    for origin in 1..4 {
+        let actions = nodes[origin].on_message(&replace);
+        let _ = settle(&mut nodes, origin, actions);
+    }
+    assert_eq!(nodes[0].view(), ViewNumber(1));
+    assert!(nodes[1].is_primary());
+    // Thirty more batches under the second primary carry the checkpoint
+    // rhythm past the lost proposals' stamps.
+    for i in 13..43 {
+        let actions = nodes[1].on_client_request(&signed_request(&provider, i), SimTime::ZERO);
+        let committed = settle(&mut nodes, 1, actions);
+        assert_eq!(committed.len(), 1, "request {i} commits");
+        validate(&mut nodes, &mut trajectory, committed);
+    }
+    // Recorded at the parent commit, whose expiry built the set of every
+    // tracked id: the three orphans leave the first primary's table at
+    // the cutoff that passes their stamp, and not before.
+    let golden: Vec<(usize, usize)> = [
+        // Ten batches under the first primary, truncated every fourth.
+        [(1, 0), (2, 0), (3, 0), (4, 0)],
+        [(5, 0), (6, 0), (7, 0), (4, 0)],
+        // Batches 9 and 10; then the three orphans, and the second
+        // primary's first batches (sequence 11 onwards).
+        [(5, 0), (6, 0), (9, 1), (5, 2)],
+        // Cutoff 12 passes the orphans' stamp (10): all three go, with
+        // the validated batches 9 and 10.
+        [(5, 3), (5, 4), (5, 5), (0, 4)],
+    ]
+    .into_iter()
+    .flatten()
+    .chain(
+        [(0, 5), (0, 6), (0, 7), (0, 4)]
+            .into_iter()
+            .cycle()
+            .take(24),
+    )
+    .collect();
+    assert_eq!(trajectory, golden);
+}
