@@ -19,7 +19,10 @@ use sbft_bench::{print_header, run_point, PointConfig};
 use sbft_sharding::{ShardScheduler, ShardedCommitter};
 use sbft_sim::CpuModel;
 use sbft_storage::VersionedStore;
-use sbft_types::{Key, ReadWriteSet, ShardingConfig, SimDuration, SystemConfig, Value, Version};
+use sbft_types::{
+    ClientId, Key, ReadWriteSet, ShardingConfig, SimDuration, SystemConfig, TxnId, TxnResult,
+    Value, Version,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,17 +57,21 @@ fn raw_pool_series() {
     const TXNS: u64 = 100_000;
     const OPS: u64 = 8;
     let keys = TXNS * OPS;
-    let batches: Vec<Vec<ReadWriteSet>> = (0..TXNS / 100)
+    let batches: Vec<Arc<[TxnResult]>> = (0..TXNS / 100)
         .map(|batch| {
             (0..100)
                 .map(|i| {
                     let base = (batch * 100 + i) * OPS;
-                    let mut rw = ReadWriteSet::new();
+                    let mut rwset = ReadWriteSet::new();
                     for k in base..base + OPS {
-                        rw.record_read(Key(k), Version(1));
-                        rw.record_write(Key(k), Value::new(batch));
+                        rwset.record_read(Key(k), Version(1));
+                        rwset.record_write(Key(k), Value::new(batch));
                     }
-                    rw
+                    TxnResult {
+                        txn: TxnId::new(ClientId(i as u32), batch),
+                        output: batch,
+                        rwset,
+                    }
                 })
                 .collect()
         })
@@ -78,10 +85,14 @@ fn raw_pool_series() {
         ));
         let pool = ShardScheduler::new(Arc::clone(&committer), shards, true);
         let started = Instant::now();
-        for (seq, txns) in batches.iter().enumerate() {
-            pool.submit(seq as u64, txns.clone());
+        let tickets: Vec<_> = batches
+            .iter()
+            .enumerate()
+            .map(|(seq, txns)| pool.submit_tracked(seq as u64, Arc::clone(txns)))
+            .collect();
+        for ticket in tickets {
+            let _ = ticket.wait();
         }
-        pool.drain();
         let elapsed = started.elapsed().as_secs_f64();
         pool.shutdown();
         assert_eq!(committer.committed(), TXNS, "every transaction commits");

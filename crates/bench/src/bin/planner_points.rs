@@ -14,12 +14,20 @@
 //! batches and `plan_mismatches` must stay 0 under an honest primary
 //! (the trust-but-verify re-derivation never fires).
 //!
+//! A second sweep is the liveness grid (`liveness_points`: conflict mode
+//! × digest proposals × lanes × seeds 1–6 on jittered links), whose
+//! `max_latency_s` must stay below the client timeout — the primary's
+//! conflict planner once held a batch behind a later one until a
+//! client's 2 s timer fired.
+//!
 //! CI runs this binary as a smoke test; the binary itself asserts that
-//! every series is present and that, on the single-home workload over 8
+//! every series is present, that, on the single-home workload over 8
 //! shards, the lanes drive the fallback rate to zero while the unplanned
-//! baseline spans every batch. It exits non-zero otherwise.
+//! baseline spans every batch, and that no liveness row reaches the
+//! client timeout. It exits non-zero otherwise.
 
-use sbft_bench::{find_row, planner_points, run_sweep};
+use sbft_bench::{find_row, liveness_points, planner_points, run_sweep};
+use sbft_types::TimerConfig;
 
 /// The CSV columns after `figure,series,x`: harness figures, then
 /// registry counters by name.
@@ -54,4 +62,15 @@ fn main() {
         unplanned.value("cross_fallback_rate") == 1.0,
         "baseline fallback rate not full",
     );
+    let client_timeout = TimerConfig::default().client_timeout.as_secs_f64();
+    let live = run_sweep(
+        liveness_points(&[1, 2, 3, 4, 5, 6]),
+        &["throughput_tps", "max_latency_s", "committed"],
+    );
+    for row in &live {
+        row.require(
+            row.value("max_latency_s") < client_timeout,
+            "a commit waited for a client timer",
+        );
+    }
 }

@@ -20,7 +20,8 @@ use sbft_core::{ShimAttack, SystemBuilder};
 use sbft_serverless::cloud::CloudFaultPlan;
 use sbft_serverless::{CostModel, CrashRestart};
 use sbft_sim::{
-    CpuModel, DiskLag, FaultPlan, LinkFaults, NetworkModel, RunMetrics, SimHarness, SimParams,
+    CpuModel, DiskLag, FaultPlan, LinkFaults, LinkRule, NetworkModel, RunMetrics, SimHarness,
+    SimParams,
 };
 use sbft_types::{NodeId, SimDuration, SystemConfig};
 
@@ -142,6 +143,7 @@ impl PointResult {
             "avg_latency_s" => m.avg_latency_secs(),
             "p50_s" => m.latency.p50_secs(),
             "p99_s" => m.latency.p99_secs(),
+            "max_latency_s" => m.latency.histogram().max_us() as f64 / 1e6,
             "abort_rate" => m.abort_rate(),
             "cross_fallback_rate" => m.cross_shard_fallback_rate(),
             "remote_fetch_rate" => m.remote_fetch_rate(),
@@ -155,7 +157,7 @@ impl PointResult {
     #[must_use]
     pub fn cell(&self, column: &str) -> String {
         let decimals = match column {
-            "avg_latency_s" | "p50_s" | "p99_s" => 6,
+            "avg_latency_s" | "p50_s" | "p99_s" | "max_latency_s" => 6,
             "abort_rate" | "cross_fallback_rate" | "remote_fetch_rate" => 3,
             _ => 0,
         };
@@ -291,33 +293,6 @@ fn run_point_with_sink(
     }
 }
 
-/// Builds the commit-path throughput experiment: a saturated default PBFT
-/// deployment swept over batch sizes, isolating the per-batch hot path the
-/// zero-copy refactor targets (batch hand-off through consensus, spawn,
-/// execution and the verifier's sharded `ccheck`). One figure row per
-/// batch size; the headline number is committed TPS.
-#[must_use]
-pub fn commit_path_points(batch_sizes: &[usize]) -> Vec<PointConfig> {
-    batch_sizes
-        .iter()
-        .map(|&batch_size| {
-            let mut config = SystemConfig::with_shim_size(4);
-            config.workload.num_records = 10_000;
-            config.workload.batch_size = batch_size;
-            let mut point = PointConfig::new(
-                "hotpath",
-                format!("BATCH-{batch_size}"),
-                batch_size as f64,
-                config,
-            );
-            point.clients = 600;
-            point.duration = SimDuration::from_millis(400);
-            point.warmup = SimDuration::from_millis(100);
-            point
-        })
-        .collect()
-}
-
 /// Builds the divergence-rate sweep (ROADMAP open item from PR 1): how
 /// often whole batches abort under the Section VI-B divergence rule as a
 /// function of the record count (contention: fewer records means
@@ -387,6 +362,46 @@ pub fn planner_points(shard_counts: &[usize], zipf_thetas: &[f64]) -> Vec<PointC
                 point.warmup = SimDuration::from_millis(100);
                 point.zipf_theta = (theta > 0.0).then_some(theta);
                 points.push(point);
+            }
+        }
+    }
+    points
+}
+
+/// Builds the liveness grid of the `planner_points` smoke run: the
+/// fault-free flow under {`KnownRwSets`, `UnknownRwSets`} × {digest
+/// proposals on, off} × {ordering lanes on, off} × `seeds`, two-key
+/// transactions over 8 shards, on shim links with U[0, 100 µs) jitter so
+/// PBFT slots reach their commit quorum out of order. Series
+/// `LIVE-<K|U>-D<0|1>-L<0|1>`, x = seed. No commit of such a run may take
+/// as long as `timers.client_timeout` (`max_latency_s`): one that does
+/// was restarted by a client's retransmission timer.
+#[must_use]
+pub fn liveness_points(seeds: &[u64]) -> Vec<PointConfig> {
+    use sbft_types::ConflictHandling::{KnownRwSets, UnknownRwSets};
+    let mut points = Vec::new();
+    for (mode, tag) in [(KnownRwSets, 'K'), (UnknownRwSets, 'U')] {
+        for digest in [false, true] {
+            for lanes in [true, false] {
+                for &seed in seeds {
+                    let mut config = SystemConfig::with_shim_size(4);
+                    config.conflict_handling = mode;
+                    config.digest_proposals = digest;
+                    config.sharding = sbft_types::ShardingConfig::with_shards(8).with_workers(2);
+                    config.sharding.ordering_lanes = lanes;
+                    config.workload.num_records = 100_000;
+                    config.workload.batch_size = 50;
+                    config.workload.ops_per_txn = 2;
+                    let series = format!("LIVE-{tag}-D{}-L{}", digest as u8, lanes as u8);
+                    let mut point = PointConfig::new("planner", series, seed as f64, config);
+                    point.seed = seed;
+                    point.clients = 400;
+                    point.duration = SimDuration::from_millis(3_000);
+                    point.fault_plan = Some(FaultPlan::new().link(LinkRule::all(
+                        LinkFaults::default().with_delay(1.0, SimDuration::from_micros(100)),
+                    )));
+                    points.push(point);
+                }
             }
         }
     }
@@ -565,23 +580,6 @@ pub fn chaos_points(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn commit_path_experiment_commits_at_every_batch_size() {
-        for point in commit_path_points(&[10, 100]) {
-            let mut point = point;
-            point.clients = 60;
-            point.duration = SimDuration::from_millis(200);
-            point.warmup = SimDuration::from_millis(50);
-            let result = run_point_silent(point);
-            assert!(
-                result.metrics.throughput_tps() > 0.0,
-                "batch size {} must commit",
-                result.x
-            );
-            assert_eq!(result.value("verifier.divergent_aborts"), 0.0);
-        }
-    }
 
     #[test]
     fn divergence_sweep_exhibits_the_three_regimes() {

@@ -19,8 +19,8 @@
 //!
 //! The smoke sweeps CI runs (`chaos_points`, `recovery_points`,
 //! `planner_points`, `placement_points`, `divergence_sweep`,
-//! `egress_points`, `hot_path`) check their own invariants and exit
-//! non-zero when one breaks.
+//! `egress_points`) check their own invariants and exit non-zero when one
+//! breaks.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -29,7 +29,7 @@
 pub mod experiment;
 
 pub use experiment::{
-    chaos_points, commit_path_points, divergence_points, find_row, placement_points,
-    planner_points, print_header, recovery_points, run_point, run_point_silent, run_point_traced,
-    run_sweep, PointConfig, PointResult,
+    chaos_points, divergence_points, find_row, liveness_points, placement_points, planner_points,
+    print_header, recovery_points, run_point, run_point_silent, run_point_traced, run_sweep,
+    PointConfig, PointResult,
 };

@@ -44,89 +44,10 @@ pub struct PrePrepare {
     pub mac: MacTag,
 }
 
-/// A 512-bit bloom filter over the transaction ids of a proposed batch,
-/// carried inside [`DigestPrePrepare`] (the shape of Iroha's on-demand
-/// ordering proposals). Its job is proposal self-consistency: every id the
-/// proposal lists must be a member, so a replica can reject a malformed
-/// proposal before spending a fetch round-trip, and a replica holding
-/// bodies the primary never listed can cheaply see they are not part of
-/// the batch.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct TxnBloom {
-    bits: [u64; 8],
-}
-
-impl TxnBloom {
-    /// Number of bits in the filter (64 bytes on the wire).
-    pub const BITS: usize = 512;
-    /// Number of hash probes per id.
-    const K: u64 = 3;
-
-    /// An empty filter.
-    #[must_use]
-    pub fn new() -> Self {
-        TxnBloom { bits: [0; 8] }
-    }
-
-    /// A filter containing every id in `ids`.
-    #[must_use]
-    pub fn from_ids(ids: &[TxnId]) -> Self {
-        let mut bloom = TxnBloom::new();
-        for id in ids {
-            bloom.insert(*id);
-        }
-        bloom
-    }
-
-    /// Splitmix64 finalizer: the mixing function behind the probe indexes.
-    fn mix(mut x: u64) -> u64 {
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
-    }
-
-    /// The double-hashing probe sequence for an id.
-    fn probes(id: TxnId) -> impl Iterator<Item = usize> {
-        let base = Self::mix(u64::from(id.client.0).wrapping_shl(32) ^ id.counter);
-        let step = Self::mix(base ^ 0x9e37_79b9_7f4a_7c15) | 1;
-        (0..Self::K).map(move |i| (base.wrapping_add(i.wrapping_mul(step)) % 512) as usize)
-    }
-
-    /// Inserts an id.
-    pub fn insert(&mut self, id: TxnId) {
-        for p in Self::probes(id) {
-            self.bits[p / 64] |= 1 << (p % 64);
-        }
-    }
-
-    /// Whether the id may be a member (no false negatives; false positives
-    /// at the usual bloom rate — harmless here, membership is only a
-    /// pre-check before the digest comparison).
-    #[must_use]
-    pub fn contains(&self, id: TxnId) -> bool {
-        Self::probes(id).all(|p| self.bits[p / 64] & (1 << (p % 64)) != 0)
-    }
-
-    /// Bytes this filter occupies on the wire.
-    #[must_use]
-    pub fn wire_size() -> usize {
-        Self::BITS / 8
-    }
-}
-
-impl Default for TxnBloom {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// `DIGEST-PREPREPARE(Δ, ids, bloom, k)`: the bandwidth-frugal form of the
+/// `DIGEST-PREPREPARE(Δ, ids, k)`: the bandwidth-frugal form of the
 /// proposal. Instead of re-shipping every transaction body to every
-/// replica, the primary sends the batch digest, the ordered transaction
-/// ids (compact 4-byte delta encoding on the wire) and a bloom filter over
-/// them; replicas reconstruct the batch from the bodies they already hold
+/// replica, the primary sends the batch digest and the ordered transaction
+/// ids (compact 4-byte delta encoding on the wire); replicas reconstruct the batch from the bodies they already hold
 /// from client submission and fetch only what they miss via
 /// [`BatchFetch`]/[`BatchFill`]. The digest pins the proposal exactly as
 /// in the full-body path: no vote is cast before the reconstructed batch
@@ -141,8 +62,6 @@ pub struct DigestPrePrepare {
     pub digest: Digest,
     /// Ids of the batch's transactions, in batch order.
     pub txn_ids: Vec<TxnId>,
-    /// Bloom filter over `txn_ids` (proposal self-consistency check).
-    pub bloom: TxnBloom,
     /// The ordering-time shard plan (same trust-but-verify rules as in
     /// [`PrePrepare`]).
     pub plan: ShardPlan,
@@ -360,7 +279,7 @@ pub struct CftDecide {
 pub enum ConsensusMessage {
     /// PBFT pre-prepare.
     PrePrepare(PrePrepare),
-    /// PBFT pre-prepare in digest-proposal mode (ids + bloom, no bodies).
+    /// PBFT pre-prepare in digest-proposal mode (ids, no bodies).
     DigestPrePrepare(DigestPrePrepare),
     /// Request for missing transaction bodies of a digest proposal.
     BatchFetch(BatchFetch),
@@ -447,18 +366,11 @@ impl ConsensusMessage {
             }
             ConsensusMessage::DigestPrePrepare(m) => {
                 // Header (view + seq) + digest + MAC + plan tag + id count
-                // + bloom + the id list. The ids ride as a compact 4-byte
+                // + the id list. The ids ride as a compact 4-byte
                 // delta encoding against the batch's first id (consecutive
                 // counters from a bounded client set), not as full 12-byte
                 // ids — that compaction is the whole point of the message.
-                FRAMING_OVERHEAD
-                    + 16
-                    + 32
-                    + 32
-                    + 5
-                    + 8
-                    + TxnBloom::wire_size()
-                    + m.txn_ids.len() * 4
+                FRAMING_OVERHEAD + 16 + 32 + 32 + 5 + 8 + m.txn_ids.len() * 4
             }
             ConsensusMessage::BatchFetch(m) => {
                 // Header + sender + digest + MAC + full flag + id count +
@@ -780,29 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn txn_bloom_has_no_false_negatives_and_few_false_positives() {
-        let ids: Vec<TxnId> = (0..100u64)
-            .map(|i| TxnId::new(ClientId(i as u32 % 7), i))
-            .collect();
-        let bloom = TxnBloom::from_ids(&ids);
-        for id in &ids {
-            assert!(bloom.contains(*id), "no false negatives: {id:?}");
-        }
-        // 100 ids in 512 bits with k = 3 gives a false-positive rate around
-        // 10%; well under half of a disjoint probe set must pass.
-        let false_positives = (1_000..3_000u64)
-            .map(|i| TxnId::new(ClientId(99), i))
-            .filter(|id| bloom.contains(*id))
-            .count();
-        assert!(
-            false_positives < 600,
-            "false-positive rate too high: {false_positives}/2000"
-        );
-        assert!(!TxnBloom::new().contains(ids[0]));
-        assert_eq!(TxnBloom::wire_size(), 64);
-    }
-
-    #[test]
     fn digest_preprepare_is_far_smaller_than_full_preprepare() {
         let b = batch(100);
         let full = ConsensusMessage::PrePrepare(PrePrepare {
@@ -813,19 +702,17 @@ mod tests {
             plan: ShardPlan::Unplanned,
             mac: MacTag::ZERO,
         });
-        let ids = b.txn_ids();
         let digest = ConsensusMessage::DigestPrePrepare(DigestPrePrepare {
             view: ViewNumber(0),
             seq: SeqNum(1),
             digest: batch_digest(&b),
-            bloom: TxnBloom::from_ids(&ids),
-            txn_ids: ids,
+            txn_ids: b.txn_ids(),
             plan: ShardPlan::Unplanned,
             mac: MacTag::ZERO,
         });
         // Pinned: 120 framing + 16 header + 32 digest + 32 mac + 5 plan +
-        // 8 count + 64 bloom + 100 × 4 delta-encoded ids.
-        assert_eq!(digest.wire_size(), 677);
+        // 8 count + 100 × 4 delta-encoded ids.
+        assert_eq!(digest.wire_size(), 613);
         assert!(
             full.wire_size() >= 5 * digest.wire_size(),
             "digest proposal must be at least 5x smaller ({} vs {})",

@@ -28,7 +28,7 @@ use crate::log::ConsensusLog;
 use crate::messages::{
     batch_digest, header_digest, BatchFetch, BatchFill, Checkpoint, Commit, ConsensusMessage,
     DigestPrePrepare, NewView, PrePrepare, Prepare, PreparedProof, StateRequest, StateResponse,
-    TxnBloom, ViewChange,
+    ViewChange,
 };
 use crate::traits::OrderingProtocol;
 use sbft_crypto::certificate::commit_digest;
@@ -198,19 +198,13 @@ impl PbftReplica {
     }
 
     /// Enables (or disables) digest proposals: the primary broadcasts
-    /// `DIGEST-PREPREPARE` (ids + bloom filter, no bodies) and replicas
+    /// `DIGEST-PREPREPARE` (ids, no bodies) and replicas
     /// reconstruct batches from their body caches, fetching only what
     /// they miss. Every node of a shim must agree on the mode.
     #[must_use]
     pub fn with_digest_proposals(mut self, enabled: bool) -> Self {
         self.digest_mode = enabled;
         self
-    }
-
-    /// Whether digest proposals are enabled on this replica.
-    #[must_use]
-    pub fn digest_proposals_enabled(&self) -> bool {
-        self.digest_mode
     }
 
     /// Number of transaction bodies currently cached (tests and GC
@@ -816,12 +810,11 @@ impl PbftReplica {
         {
             return Vec::new();
         }
-        // Proposal self-consistency: a non-empty, duplicate-free id list
-        // every member of which hits the bloom filter. Malformed proposals
-        // are dropped before any fetch bandwidth is spent on them.
+        // Proposal self-consistency: a non-empty, duplicate-free id list.
+        // Malformed proposals are dropped before any fetch bandwidth is
+        // spent on them.
         if dpp.txn_ids.is_empty()
             || dpp.txn_ids.iter().collect::<BTreeSet<_>>().len() != dpp.txn_ids.len()
-            || dpp.txn_ids.iter().any(|id| !dpp.bloom.contains(*id))
         {
             return Vec::new();
         }
@@ -1343,7 +1336,7 @@ impl OrderingProtocol for PbftReplica {
             return Vec::new();
         }
         let proposal = if self.digest_mode {
-            // Bandwidth-frugal proposal: ids + bloom filter, no bodies.
+            // Bandwidth-frugal proposal: ids, no bodies.
             // Replicas rebuild the batch from client submissions and
             // fetch only what they miss; the digest pins the contents.
             let txn_ids = batch.txn_ids();
@@ -1352,7 +1345,6 @@ impl OrderingProtocol for PbftReplica {
                 view: self.view,
                 seq,
                 digest,
-                bloom: TxnBloom::from_ids(&txn_ids),
                 txn_ids,
                 plan,
                 mac: self.crypto.broadcast_mac(&header),
@@ -2568,7 +2560,6 @@ mod tests {
             view: ViewNumber(0),
             seq: SeqNum(1),
             digest: wrong,
-            bloom: TxnBloom::from_ids(&ids),
             txn_ids: ids,
             plan: ShardPlan::Unplanned,
             mac,
@@ -2699,7 +2690,6 @@ mod tests {
                 view: ViewNumber(0),
                 seq: SeqNum(1),
                 digest,
-                bloom: TxnBloom::from_ids(&ids),
                 txn_ids: ids,
                 plan: ShardPlan::Unplanned,
                 mac: provider

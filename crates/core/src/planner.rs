@@ -98,8 +98,11 @@ pub struct BestEffortPlanner {
     /// Committed batches waiting for their conflicts to clear, in sequence
     /// order.
     waiting: BTreeMap<SeqNum, BatchFootprint>,
-    /// Completed batches (for idempotence checks).
-    completed: BTreeSet<SeqNum>,
+    /// Highest sequence number completed so far. The verifier validates
+    /// in sequence order, so nothing at or below it is ever dispatched
+    /// again (the idempotence check, in one word instead of a set that
+    /// grew by one entry per batch).
+    completed_through: SeqNum,
 }
 
 impl BestEffortPlanner {
@@ -122,26 +125,25 @@ impl BestEffortPlanner {
     }
 
     fn dispatchable(&self, seq: SeqNum, fp: &BatchFootprint) -> bool {
-        // Must not conflict with anything currently holding locks …
-        if self.in_flight.values().any(|held| held.conflicts_with(fp)) {
-            return false;
-        }
-        // … nor overtake an earlier *waiting* batch it conflicts with
-        // (that would violate the shim's commit order for those items).
-        if self
-            .waiting
+        // A batch waits only for *earlier* batches it conflicts with,
+        // dispatched or not: that is the shim's commit order for those
+        // items. It never waits for a later one — consensus slots commit
+        // out of order under pipelining, the verifier holds a later batch
+        // in π until this one has applied, and waiting here for that later
+        // batch to complete would close a cycle only a client timeout
+        // breaks. Overtaken, the later batch at worst aborts on a stale
+        // read (reads are validated under `KnownRwSets`).
+        !self
+            .in_flight
             .range(..seq)
+            .chain(self.waiting.range(..seq))
             .any(|(_, earlier)| earlier.conflicts_with(fp))
-        {
-            return false;
-        }
-        true
     }
 
     /// Registers a newly committed batch and returns every batch (in
     /// sequence order) that may be dispatched now.
     pub fn enqueue(&mut self, seq: SeqNum, footprint: BatchFootprint) -> Vec<SeqNum> {
-        if self.completed.contains(&seq) || self.in_flight.contains_key(&seq) {
+        if seq <= self.completed_through || self.in_flight.contains_key(&seq) {
             return Vec::new();
         }
         self.waiting.insert(seq, footprint);
@@ -149,10 +151,13 @@ impl BestEffortPlanner {
     }
 
     /// Marks a batch as validated by the verifier, releasing its logical
-    /// locks, and returns every batch that may be dispatched now.
+    /// locks, and returns every batch that may be dispatched now. A batch
+    /// that was still waiting (it was re-spawned around the planner by the
+    /// recovery path) is dropped rather than dispatched later.
     pub fn complete(&mut self, seq: SeqNum) -> Vec<SeqNum> {
-        if self.in_flight.remove(&seq).is_some() {
-            self.completed.insert(seq);
+        // (A batch is in at most one of the two maps.)
+        if self.in_flight.remove(&seq).is_some() || self.waiting.remove(&seq).is_some() {
+            self.completed_through = self.completed_through.max(seq);
         }
         self.release_ready()
     }
@@ -231,6 +236,38 @@ mod tests {
         assert!(p.enqueue(SeqNum(2), fp(&[5], &[])).is_empty());
         // Batch 3 touches completely different keys: it can run now.
         assert_eq!(p.enqueue(SeqNum(3), fp(&[7], &[8])), vec![SeqNum(3)]);
+    }
+
+    #[test]
+    fn batch_never_waits_on_a_later_in_flight_batch() {
+        // Slot 2 reached its commit quorum before slot 1 and was
+        // dispatched. The verifier holds 2 in π until 1 applies, so 1 must
+        // be released at once, not after `complete(2)`.
+        let mut p = BestEffortPlanner::new();
+        assert_eq!(p.enqueue(SeqNum(2), fp(&[5], &[6])), vec![SeqNum(2)]);
+        assert_eq!(p.enqueue(SeqNum(1), fp(&[], &[5])), vec![SeqNum(1)]);
+        assert_eq!(p.in_flight(), 2);
+        // Later batches still queue behind both.
+        assert!(p.enqueue(SeqNum(3), fp(&[6], &[])).is_empty());
+        assert!(p.complete(SeqNum(1)).is_empty());
+        assert_eq!(p.complete(SeqNum(2)), vec![SeqNum(3)]);
+    }
+
+    #[test]
+    fn completing_a_waiting_batch_drops_it() {
+        // Batch 2 was re-spawned around the planner and validated while
+        // it still waited here: it must not be dispatched afterwards.
+        let mut p = BestEffortPlanner::new();
+        let _ = p.enqueue(SeqNum(1), fp(&[], &[5]));
+        assert!(p.enqueue(SeqNum(2), fp(&[5], &[])).is_empty());
+        assert!(p.complete(SeqNum(2)).is_empty());
+        assert!(p.complete(SeqNum(1)).is_empty());
+        assert_eq!((p.in_flight(), p.waiting()), (0, 0));
+        // Everything at or below a completed batch is done, unknown
+        // sequence numbers do not move that mark.
+        assert!(p.complete(SeqNum(9)).is_empty());
+        assert!(p.enqueue(SeqNum(1), fp(&[], &[5])).is_empty());
+        assert_eq!(p.enqueue(SeqNum(3), fp(&[], &[5])), vec![SeqNum(3)]);
     }
 
     #[test]

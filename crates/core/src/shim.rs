@@ -1263,15 +1263,6 @@ impl ShimNode {
             _ => Vec::new(),
         }
     }
-
-    /// Read access to the recovery subject of a retransmit timer (tests).
-    #[must_use]
-    pub fn retransmit_subject(timer: &ProtocolTimer) -> Option<RecoverySubject> {
-        match timer {
-            ProtocolTimer::Retransmit(s) => Some(*s),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

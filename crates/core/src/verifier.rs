@@ -504,19 +504,16 @@ impl Verifier {
 
     /// Applies a matched batch: per-transaction concurrency check through
     /// the shard router, storage update, client responses, primary
-    /// notification, ACKs. The per-shard `ccheck` work is announced first
-    /// (as [`Action::ShardCcheck`]) so CPU-modelling runtimes can charge
-    /// it to the shard stations before the responses leave.
-    ///
-    /// With an [`Self::attach_apply_pool`]ed worker pool the OCC
-    /// validation and writes run on the pool (one shared allocation per
-    /// batch, per-transaction outcomes collected through the ticket);
-    /// otherwise they run synchronously on the caller. Both paths produce
-    /// identical outcomes — the pool drives the very same
-    /// [`ShardedCommitter`].
+    /// notification, ACKs. The batch is routed exactly once; the per-shard
+    /// `ccheck` work is announced first (as [`Action::ShardCcheck`]) so
+    /// CPU-modelling runtimes can charge it to the shard stations before
+    /// the responses leave, and the same routes then drive the apply —
+    /// on the [`Self::attach_apply_pool`]ed worker pool when its per-shard
+    /// FIFO order is exact for the batch, otherwise in batch order on the
+    /// caller. Both produce identical outcomes: the pool drives the very
+    /// same [`ShardedCommitter::commit_routed`].
     fn apply_batch(&mut self, seq: SeqNum, matched: &VerifyMessage) -> Vec<Action> {
         let mut actions = Vec::new();
-        let validate_reads = self.validate_reads();
         let router = *self.committer.router();
         // Trust-but-verify the ordering-time plan tag: a `SingleHome`
         // claim is honoured only after re-deriving it from the read-write
@@ -540,78 +537,42 @@ impl Verifier {
                                 .chain(result.rwset.writes.iter().map(|(k, _)| *k)),
                         )
                     });
-                if all_home {
-                    Some(home)
-                } else {
+                if !all_home {
                     // Out-of-range homes are lies too: count them so the
                     // detection telemetry sees every forged tag.
                     self.plan_mismatches.inc();
-                    None
                 }
+                all_home.then_some(home)
             }
             _ => None,
         };
-        let (outcomes, via_pool): (Vec<CommitOutcome>, bool) = if let Some(home) = verified_home {
-            // Verified single-home fast path: the whole batch's ccheck
-            // lands on one shard, per-transaction routing and the
-            // cross-home fallback probe are skipped, and the pool (when
-            // attached) receives the VERIFY message's own allocation.
+        // The one routing pass: a verified tag supplies every involved
+        // set without hashing a key, anything else asks the router.
+        let routes: Vec<BTreeSet<ShardId>> = matched
+            .results
+            .iter()
+            .map(|result| match verified_home {
+                Some(home) if !result.rwset.is_empty() => BTreeSet::from([home]),
+                Some(_) => BTreeSet::new(),
+                None => router.shards_of(&result.rwset),
+            })
+            .collect();
+        if let Some(home) = verified_home {
+            // The whole batch's ccheck lands on its one home shard.
             self.planned_batches.inc();
             self.single_home_batches.inc();
-            let txns = matched.results.len() as u32;
-            let accesses: u32 = matched
-                .results
-                .iter()
-                .map(|result| result.rwset.len() as u32)
-                .sum();
             actions.push(Action::ShardCcheck {
                 shard: home,
-                txns,
-                accesses,
+                txns: matched.results.len() as u32,
+                accesses: matched
+                    .results
+                    .iter()
+                    .map(|result| result.rwset.len() as u32)
+                    .sum(),
                 planned: true,
                 chained: false,
             });
-            if let Some(pool) = self.apply_pool.as_ref() {
-                let homes: Vec<Option<ShardId>> = matched
-                    .results
-                    .iter()
-                    .map(|result| (!result.rwset.is_empty()).then_some(home))
-                    .collect();
-                (
-                    pool.submit_tracked_homed(seq.0, Arc::clone(&matched.results), &homes)
-                        .wait(),
-                    true,
-                )
-            } else {
-                let home_set: BTreeSet<ShardId> = std::iter::once(home).collect();
-                (
-                    matched
-                        .results
-                        .iter()
-                        .map(|result| {
-                            if result.rwset.is_empty() {
-                                CommitOutcome::Applied
-                            } else {
-                                self.committer.commit_routed(
-                                    &result.rwset,
-                                    validate_reads,
-                                    &home_set,
-                                )
-                            }
-                        })
-                        .collect(),
-                    false,
-                )
-            }
         } else {
-            // Unplanned (or mis-tagged / cross-home) path: route every
-            // transaction once; the sets drive both the ShardCcheck
-            // accounting and the commit calls below.
-            let routes: Vec<BTreeSet<ShardId>> = matched
-                .results
-                .iter()
-                .map(|result| self.committer.shards_of(&result.rwset))
-                .collect();
             // Split the announced ccheck work: single-home transactions
             // charge their one shard and run in parallel across stations,
             // while cross-shard transactions hold every involved shard's
@@ -620,9 +581,7 @@ impl Verifier {
             // i+1 starts only after shard i grants).
             let mut solo_work: BTreeMap<ShardId, (u32, u32)> = BTreeMap::new();
             let mut cross_work: BTreeMap<ShardId, (u32, u32)> = BTreeMap::new();
-            let mut all_shards: BTreeSet<ShardId> = BTreeSet::new();
             for (result, involved) in matched.results.iter().zip(&routes) {
-                all_shards.extend(involved.iter().copied());
                 let work = if involved.len() > 1 {
                     &mut cross_work
                 } else {
@@ -634,73 +593,58 @@ impl Verifier {
                     entry.1 += result.rwset.len() as u32;
                 }
             }
+            let all_shards: BTreeSet<ShardId> =
+                solo_work.keys().chain(cross_work.keys()).copied().collect();
             if all_shards.len() <= 1 {
                 // Discovered-late single-home batch (the planner would
                 // have tagged it; without lanes this is the baseline
                 // measurement the `planner_points` experiment compares).
                 self.single_home_batches.inc();
             }
-            for (shard, (txns, accesses)) in solo_work {
-                actions.push(Action::ShardCcheck {
-                    shard,
-                    txns,
-                    accesses,
-                    planned: false,
-                    chained: false,
-                });
+            for (chained, work) in [(false, solo_work), (true, cross_work)] {
+                for (shard, (txns, accesses)) in work {
+                    actions.push(Action::ShardCcheck {
+                        shard,
+                        txns,
+                        accesses,
+                        planned: false,
+                        chained,
+                    });
+                }
             }
-            for (shard, (txns, accesses)) in cross_work {
-                actions.push(Action::ShardCcheck {
-                    shard,
-                    txns,
-                    accesses,
-                    planned: false,
-                    chained: true,
-                });
-            }
-            // The pool preserves commit order *within* a home shard (FIFO
-            // queues, one worker per shard at a time), which is exact for
-            // batches whose key overlaps all live on one home shard. A batch
-            // where the same key is touched by transactions with different
-            // home shards would apply those transactions in nondeterministic
-            // relative order, so such (rare, cross-shard-conflicting) batches
-            // fall back to the synchronous in-order path.
-            let use_pool =
-                self.apply_pool.is_some() && Self::pool_order_exact(&matched.results, &routes);
-            if use_pool {
-                let pool = self.apply_pool.as_ref().expect("checked above");
-                // The VERIFY message's own result allocation is shared with
-                // the pool (refcount bump — no per-transaction read-write
-                // set is cloned); this thread waits for the per-transaction
-                // outcomes. Batches reach this point in k_max order, so
-                // per-shard commit order is submission order.
-                let homes: Vec<Option<ShardId>> = routes
-                    .iter()
-                    .map(|involved| involved.iter().next().copied())
-                    .collect();
-                (
-                    pool.submit_tracked_homed(seq.0, Arc::clone(&matched.results), &homes)
-                        .wait(),
-                    true,
-                )
-            } else {
-                (
-                    matched
-                        .results
-                        .iter()
-                        .zip(&routes)
-                        .map(|(result, involved)| {
-                            self.committer
-                                .commit_routed(&result.rwset, validate_reads, involved)
-                        })
-                        .collect(),
-                    false,
-                )
-            }
-        };
-        if via_pool {
-            self.pool_applied_txns.add(outcomes.len() as u64);
         }
+        // The pool preserves commit order *within* a home shard (FIFO
+        // queues, one worker per shard at a time), which is exact for
+        // batches whose key overlaps all live on one home shard — every
+        // verified single-home batch, by construction. A batch where the
+        // same key is touched by transactions with different home shards
+        // would apply those transactions in nondeterministic relative
+        // order, so such (rare, cross-shard-conflicting) batches apply in
+        // batch order on this thread.
+        let pool = self.apply_pool.as_ref().filter(|_| {
+            verified_home.is_some() || Self::pool_order_exact(&matched.results, &routes)
+        });
+        let outcomes: Vec<CommitOutcome> = if let Some(pool) = pool {
+            // The VERIFY message's own result allocation and the routes
+            // above are shared with the pool (no read-write set is cloned,
+            // no key hashed again); this thread waits for the outcomes.
+            // Batches reach this point in k_max order, so per-shard commit
+            // order is submission order.
+            self.pool_applied_txns.add(matched.results.len() as u64);
+            pool.submit_routed(seq.0, Arc::clone(&matched.results), routes)
+                .wait()
+        } else {
+            let validate_reads = self.validate_reads();
+            matched
+                .results
+                .iter()
+                .zip(&routes)
+                .map(|(result, involved)| {
+                    self.committer
+                        .commit_routed(&result.rwset, validate_reads, involved)
+                })
+                .collect()
+        };
         let mut committed = 0u32;
         let mut aborted = 0u32;
         for (result, outcome) in matched.results.iter().zip(&outcomes) {
@@ -1624,30 +1568,6 @@ mod tests {
             assert_eq!(v.kmax(), SeqNum(6));
             assert_eq!(fx.store.get(Key(2)).unwrap().value, Value::new(5));
         }
-    }
-
-    #[test]
-    fn cross_shard_abort_policy_rejects_spanning_transactions() {
-        let fx = Fixture::new();
-        let sharding = sbft_types::ShardingConfig {
-            num_shards: 1024,
-            workers: 1,
-            cross_shard_policy: sbft_types::CrossShardPolicy::Abort,
-            ..sbft_types::ShardingConfig::default()
-        };
-        let mut v = fx.verifier_sharded(ConflictHandling::NonConflicting, sharding);
-        // The fixture transaction reads key 1 and writes key 2; with 1024
-        // shards those keys land on different shards.
-        assert_ne!(
-            v.committer().router().shard_of(Key(1)),
-            v.committer().router().shard_of(Key(2)),
-        );
-        let _ = v.on_verify(&fx.verify_msg(1, 1, 0, 42, 1));
-        let actions = v.on_verify(&fx.verify_msg(2, 1, 0, 42, 1));
-        assert!(response_kinds(&actions).contains(&"ABORT"));
-        assert_eq!(v.aborted_txns.get(), 1);
-        assert_eq!(v.committer().cross_shard_rejections(), 1);
-        assert_ne!(fx.store.get(Key(2)).unwrap().value, Value::new(42));
     }
 
     #[test]

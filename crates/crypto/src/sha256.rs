@@ -123,7 +123,7 @@ impl Kernel {
 }
 
 /// Name of the compression kernel this process hashes with (printed in
-/// the headers of `hot_path`, `trace_report` and `examples/local_cluster`).
+/// the headers of `trace_report` and `examples/local_cluster`).
 #[must_use]
 pub fn kernel_name() -> &'static str {
     Kernel::selected().name()

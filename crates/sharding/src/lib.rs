@@ -23,7 +23,8 @@
 //!   unsharded `ccheck` of Figure 3.
 //! * [`scheduler`] — [`ShardScheduler`]: a worker pool sized to the
 //!   configured cores that drains shard queues in parallel, used by the
-//!   thread runtime and the raw-scaling benchmarks.
+//!   thread runtime and the raw-scaling benchmarks. Routed batches enter
+//!   it one way and come back as an [`ApplyTicket`].
 //!
 //! The physical [`sbft_storage::VersionedStore`] stays shared (it is
 //! internally lock-striped); what the shards isolate is the *work* — the
@@ -44,4 +45,4 @@ pub mod state;
 pub use committer::{CommitOutcome, ShardedCommitter};
 pub use router::{ShardId, ShardRouter};
 pub use scheduler::{ApplyTicket, ShardScheduler};
-pub use state::{ShardPhase, ShardState, ShardStoreView, ShardTask, TaskWork};
+pub use state::{ShardPhase, ShardState, ShardStoreView, ShardTask};

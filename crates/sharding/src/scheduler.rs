@@ -1,35 +1,37 @@
 //! The shard worker pool.
 //!
 //! [`ShardScheduler`] drives a [`ShardedCommitter`] with a pool of OS
-//! threads sized to the configured cores. Work arrives as batches of
-//! read-write sets ([`ShardTask`]s): each transaction is queued on its
-//! *home* shard (the lowest-numbered shard it touches) and the shard is
-//! handed to the pool through the atomic `Idle → Pending` transition, so
-//! a shard is in the work queue at most once and is drained by at most
-//! one worker at a time. Cross-shard transactions are executed by their
-//! home shard's worker through the committer's lock-ordered path.
+//! threads sized to the configured cores. Work arrives one way: a routed
+//! batch through [`ShardScheduler::submit_routed`]
+//! ([`ShardScheduler::submit_tracked`] routes with the committer's own
+//! router first). Each transaction is queued on its *home* shard (the
+//! lowest-numbered shard it touches) and the shard is handed to the pool
+//! through the atomic `Idle → Pending` transition, so a shard is in the
+//! work queue at most once and is drained by at most one worker at a
+//! time. Cross-shard transactions are executed by their home shard's
+//! worker through the committer's lock-ordered path. The returned
+//! [`ApplyTicket`] yields the per-transaction OCC outcomes.
 //!
 //! The scheduler is the real-parallelism counterpart of the simulator's
 //! per-shard service stations: the `fig6_shards` benchmark uses it to
 //! show raw thread scaling, and the thread runtime drives it as the
-//! verifier's apply stage through [`ShardScheduler::submit_tracked`] /
-//! [`ApplyTicket`] — committed batches apply across the worker pool and
-//! the verifier collects the per-transaction OCC outcomes it needs to
-//! answer clients.
+//! verifier's apply stage — committed batches apply across the worker
+//! pool and the verifier collects the outcomes it needs to answer
+//! clients.
 
 use crate::committer::{CommitOutcome, ShardedCommitter};
 use crate::router::ShardId;
-use crate::state::{ShardTask, TaskWork};
+use crate::state::ShardTask;
 use sbft_telemetry::{Counter, Registry};
-use sbft_types::{ReadWriteSet, TxnResult};
-use std::collections::VecDeque;
+use sbft_types::TxnResult;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Shared completion state behind an [`ApplyTicket`]: per-transaction
 /// outcome slots plus a countdown the workers decrement as they apply.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TicketState {
     outcomes: Mutex<Vec<Option<CommitOutcome>>>,
     remaining: Mutex<usize>,
@@ -78,8 +80,8 @@ impl TicketState {
     }
 }
 
-/// A handle on one tracked batch submitted to the pool via
-/// [`ShardScheduler::submit_tracked`]. Waiting on it yields the
+/// A handle on one batch submitted to the pool via
+/// [`ShardScheduler::submit_routed`]. Waiting on it yields the
 /// per-transaction [`CommitOutcome`]s in submission order — exactly what
 /// the synchronous verifier apply loop produced, but computed by the
 /// worker pool with real shard parallelism.
@@ -133,8 +135,6 @@ struct SchedulerInner {
     validate_reads: bool,
     work: Mutex<VecDeque<ShardId>>,
     work_available: Condvar,
-    in_flight: Mutex<u64>,
-    drained: Condvar,
     shutdown: AtomicBool,
     /// Batches that queued at least one transaction on a shard.
     batches_submitted: Counter,
@@ -148,6 +148,8 @@ impl SchedulerInner {
         self.work_available.notify_one();
     }
 
+    /// The next scheduled shard; `None` once the pool is shutting down
+    /// *and* the work queue is empty, so queued work is always finished.
     fn take_work(&self) -> Option<ShardId> {
         let mut queue = self.work.lock().expect("work queue");
         loop {
@@ -161,52 +163,28 @@ impl SchedulerInner {
         }
     }
 
-    fn add_in_flight(&self, n: u64) {
-        *self.in_flight.lock().expect("in-flight") += n;
-    }
-
-    fn complete(&self, n: u64) {
-        self.txns_applied.add(n);
-        let mut in_flight = self.in_flight.lock().expect("in-flight");
-        *in_flight -= n;
-        if *in_flight == 0 {
-            self.drained.notify_all();
-        }
-    }
-
     fn worker_loop(&self) {
         while let Some(shard_id) = self.take_work() {
             let shard = &self.committer.shards()[shard_id.0 as usize];
             shard.begin_run();
             while let Some(task) = shard.pop_task() {
-                match task.work {
-                    TaskWork::Owned(txns) => {
-                        let n = txns.len() as u64;
-                        for rwset in &txns {
-                            let _ = self.committer.commit(rwset, self.validate_reads);
-                        }
-                        self.complete(n);
-                    }
-                    TaskWork::Tracked {
-                        txns,
-                        indices,
-                        ticket,
-                    } => {
-                        let n = indices.len() as u64;
-                        let entries: Vec<(usize, CommitOutcome)> = indices
-                            .iter()
-                            .map(|&i| {
-                                let i = i as usize;
-                                (
-                                    i,
-                                    self.committer.commit(&txns[i].rwset, self.validate_reads),
-                                )
-                            })
-                            .collect();
-                        ticket.record_all(entries);
-                        self.complete(n);
-                    }
-                }
+                let entries: Vec<(usize, CommitOutcome)> = task
+                    .indices
+                    .iter()
+                    .map(|&i| {
+                        let i = i as usize;
+                        let outcome = self.committer.commit_routed(
+                            &task.txns[i].rwset,
+                            self.validate_reads,
+                            &task.routes[i],
+                        );
+                        (i, outcome)
+                    })
+                    .collect();
+                // Counted before the ticket can complete, so a caller that
+                // waited on every ticket reads an exact total.
+                self.txns_applied.add(entries.len() as u64);
+                task.ticket.record_all(entries);
             }
             if shard.finish_run() {
                 // Work raced in behind the drain: back into the queue.
@@ -233,8 +211,6 @@ impl ShardScheduler {
             validate_reads,
             work: Mutex::new(VecDeque::new()),
             work_available: Condvar::new(),
-            in_flight: Mutex::new(0),
-            drained: Condvar::new(),
             shutdown: AtomicBool::new(false),
             batches_submitted: Counter::new(),
             txns_applied: Counter::new(),
@@ -262,113 +238,69 @@ impl ShardScheduler {
         registry.bind_counter("scheduler.txns_applied", &self.inner.txns_applied);
     }
 
-    /// Submits one committed batch: every transaction is queued on its
-    /// home shard and the touched shards are scheduled.
-    pub fn submit(&self, seq: u64, txns: Vec<ReadWriteSet>) {
-        let router = *self.inner.committer.router();
-        let mut per_shard: Vec<Vec<ReadWriteSet>> = vec![Vec::new(); router.num_shards()];
-        let mut submitted = 0u64;
-        for rwset in txns {
-            let Some(home) = router.shards_of(&rwset).into_iter().next() else {
-                continue; // touches no data
-            };
-            per_shard[home.0 as usize].push(rwset);
-            submitted += 1;
-        }
-        if submitted == 0 {
-            return;
-        }
-        self.inner.batches_submitted.inc();
-        self.inner.add_in_flight(submitted);
-        for (idx, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let shard = &self.inner.committer.shards()[idx];
-            if shard.enqueue(ShardTask {
-                seq,
-                work: TaskWork::Owned(batch),
-            }) {
-                self.inner.push_work(ShardId(idx as u32));
-            }
-        }
+    /// Routes `txns` with the committer's router and submits them through
+    /// [`Self::submit_routed`].
+    #[must_use]
+    pub fn submit_tracked(&self, seq: u64, txns: Arc<[TxnResult]>) -> ApplyTicket {
+        let router = self.inner.committer.router();
+        let routes = txns.iter().map(|r| router.shards_of(&r.rwset)).collect();
+        self.submit_routed(seq, txns, routes)
     }
 
-    /// Submits one committed batch whose per-transaction outcomes the
-    /// caller needs (the verifier's pooled apply stage): the result
-    /// allocation — in production the `VERIFY` message's own
-    /// `Arc<[TxnResult]>` — is shared with every shard task (zero-copy:
-    /// workers read the read-write sets through `Arc` clones and only
-    /// per-shard index lists are built), and the returned
-    /// [`ApplyTicket`] yields the outcomes once the pool has applied
-    /// everything.
+    /// The one way into the pool. Submits one committed batch whose
+    /// involved-shard sets the caller already derived (`routes[i]` for
+    /// `txns[i]`; empty = touches no data, applied trivially): every
+    /// transaction is queued on its home shard, the touched shards are
+    /// scheduled, and the returned [`ApplyTicket`] yields the outcomes
+    /// once the pool has applied everything.
+    ///
+    /// The result allocation — in production the `VERIFY` message's own
+    /// `Arc<[TxnResult]>` — and the routes are shared with every shard
+    /// task (zero-copy: only per-shard index lists are built), and the
+    /// workers commit through the caller's routes, so no key is hashed
+    /// twice.
     ///
     /// Per-shard FIFO queues drained by at most one worker at a time
     /// preserve commit order within a shard across successive
     /// submissions; cross-shard transactions run on their home shard's
-    /// worker through the committer's lock-ordered path, exactly like the
-    /// untracked [`Self::submit`] path.
-    #[must_use]
-    pub fn submit_tracked(&self, seq: u64, txns: Arc<[TxnResult]>) -> ApplyTicket {
-        let router = *self.inner.committer.router();
-        let homes: Vec<Option<ShardId>> = txns
-            .iter()
-            .map(|result| router.shards_of(&result.rwset).into_iter().next())
-            .collect();
-        self.submit_tracked_homed(seq, txns, &homes)
-    }
-
-    /// Like [`Self::submit_tracked`], but with the per-transaction home
-    /// shards already decided (`None` = touches no data). Callers that
-    /// routed the batch for their own bookkeeping — the verifier does,
-    /// for `ShardCcheck` accounting — pass the homes in instead of paying
-    /// for the key hashing again. (The worker still routes once inside
-    /// `commit`, which needs the full involved-shard set for the
-    /// cross-shard lock ordering.)
+    /// worker through the committer's lock-ordered path.
     ///
     /// # Panics
-    /// Panics if `homes` is shorter than `txns`.
+    /// Panics unless there is exactly one route per transaction.
     #[must_use]
-    pub fn submit_tracked_homed(
+    pub fn submit_routed(
         &self,
         seq: u64,
         txns: Arc<[TxnResult]>,
-        homes: &[Option<ShardId>],
+        routes: Vec<BTreeSet<ShardId>>,
     ) -> ApplyTicket {
-        assert!(homes.len() >= txns.len(), "one home decision per txn");
-        let num_shards = self.inner.committer.router().num_shards();
+        assert_eq!(routes.len(), txns.len(), "one route per txn");
+        let routes: Arc<[BTreeSet<ShardId>]> = routes.into();
         let ticket = Arc::new(TicketState::new(txns.len()));
-        let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
-        let mut scheduled = 0u64;
-        for (i, home) in homes.iter().take(txns.len()).enumerate() {
-            match home {
-                Some(home) => {
-                    per_shard[home.0 as usize].push(i as u32);
-                    scheduled += 1;
-                }
-                // Touches no data: applied trivially, mirroring the
-                // committer's empty-route outcome.
+        let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); self.inner.committer.shards().len()];
+        for (i, involved) in routes.iter().enumerate() {
+            match involved.first() {
+                Some(home) => per_shard[home.0 as usize].push(i as u32),
+                // Mirrors the committer's empty-route outcome.
                 None => ticket.record(i, CommitOutcome::Applied),
             }
         }
-        if scheduled > 0 {
+        if per_shard.iter().any(|indices| !indices.is_empty()) {
             self.inner.batches_submitted.inc();
-            self.inner.add_in_flight(scheduled);
-            for (idx, indices) in per_shard.into_iter().enumerate() {
-                if indices.is_empty() {
-                    continue;
-                }
-                let shard = &self.inner.committer.shards()[idx];
-                if shard.enqueue(ShardTask {
-                    seq,
-                    work: TaskWork::Tracked {
-                        txns: Arc::clone(&txns),
-                        indices,
-                        ticket: Arc::clone(&ticket),
-                    },
-                }) {
-                    self.inner.push_work(ShardId(idx as u32));
-                }
+        }
+        for (shard, indices) in self.inner.committer.shards().iter().zip(per_shard) {
+            if indices.is_empty() {
+                continue;
+            }
+            let task = ShardTask {
+                seq,
+                txns: Arc::clone(&txns),
+                routes: Arc::clone(&routes),
+                indices,
+                ticket: Arc::clone(&ticket),
+            };
+            if shard.enqueue(task) {
+                self.inner.push_work(shard.id());
             }
         }
         ApplyTicket {
@@ -377,28 +309,22 @@ impl ShardScheduler {
         }
     }
 
-    /// Blocks until every submitted transaction has been executed.
-    pub fn drain(&self) {
-        let mut in_flight = self.inner.in_flight.lock().expect("in-flight");
-        while *in_flight > 0 {
-            in_flight = self.inner.drained.wait(in_flight).expect("in-flight");
-        }
-    }
-
-    /// Drains outstanding work, stops the workers and joins them.
-    pub fn shutdown(mut self) {
-        self.drain();
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.work_available.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+    /// Stops the pool: the workers finish every queued task first (a
+    /// worker only leaves on an empty work queue), then are joined.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for ShardScheduler {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        {
+            // Set under the queue lock (poisoned or not, the guard is
+            // held): a worker that read the flag as clear still holds the
+            // lock until it parks, so the wake-up below cannot miss it.
+            let _queue = self.inner.work.lock();
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
         self.inner.work_available.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -410,7 +336,7 @@ impl Drop for ShardScheduler {
 mod tests {
     use super::*;
     use sbft_storage::VersionedStore;
-    use sbft_types::{CrossShardPolicy, Key, ShardingConfig, Value, Version};
+    use sbft_types::{Key, ReadWriteSet, ShardingConfig, Value, Version};
 
     fn pool(
         num_shards: usize,
@@ -424,7 +350,6 @@ mod tests {
             &ShardingConfig {
                 num_shards,
                 workers,
-                cross_shard_policy: CrossShardPolicy::LockOrdered,
                 ..ShardingConfig::default()
             },
         ));
@@ -438,7 +363,7 @@ mod tests {
     }
 
     /// Wraps bare read-write sets as the `TxnResult`s a `VERIFY` message
-    /// would carry (the tracked path's element type).
+    /// would carry.
     fn tracked(rwsets: Vec<ReadWriteSet>) -> Arc<[TxnResult]> {
         rwsets
             .into_iter()
@@ -452,17 +377,20 @@ mod tests {
     }
 
     #[test]
-    fn pool_executes_every_submitted_transaction() {
+    fn shutdown_finishes_every_queued_transaction() {
+        // Nobody waits on a ticket: shutting the pool down must still
+        // apply everything that was queued.
         let (store, pool) = pool(8, 4, 1_000);
         for seq in 0..10u64 {
-            pool.submit(seq, (0..100).map(|i| write_txn(seq * 100 + i, 7)).collect());
+            let batch = (0..100).map(|i| write_txn(seq * 100 + i, 7)).collect();
+            let _ = pool.submit_tracked(seq, tracked(batch));
         }
-        pool.drain();
-        assert_eq!(pool.committer().committed(), 1_000);
+        let committer = Arc::clone(pool.committer());
+        pool.shutdown();
+        assert_eq!(committer.committed(), 1_000);
         for k in 0..1_000 {
             assert_eq!(store.get(Key(k)).unwrap().value, Value::new(7));
         }
-        pool.shutdown();
     }
 
     #[test]
@@ -470,24 +398,24 @@ mod tests {
         // Disjoint key ranges per transaction → order cannot matter, so
         // the parallel pool must land on the same final store state as a
         // sequential single-shard run.
-        let txns: Vec<ReadWriteSet> = (0..500)
-            .map(|i| {
-                let mut rw = ReadWriteSet::new();
-                rw.record_read(Key(i), Version(1));
-                rw.record_write(Key(i), Value::new(i * 3));
-                rw
-            })
-            .collect();
+        let txns = tracked(
+            (0..500)
+                .map(|i| {
+                    let mut rw = ReadWriteSet::new();
+                    rw.record_read(Key(i), Version(1));
+                    rw.record_write(Key(i), Value::new(i * 3));
+                    rw
+                })
+                .collect(),
+        );
         let run = |num_shards: usize, workers: usize| {
             let (store, pool) = pool(num_shards, workers, 500);
-            pool.submit(1, txns.clone());
-            pool.drain();
-            let committed = pool.committer().committed();
+            let outcomes = pool.submit_tracked(1, Arc::clone(&txns)).wait();
             pool.shutdown();
             let state: Vec<u64> = (0..500)
                 .map(|k| store.get(Key(k)).unwrap().value.data)
                 .collect();
-            (committed, state)
+            (outcomes, state)
         };
         assert_eq!(run(1, 1), run(8, 4));
     }
@@ -502,8 +430,7 @@ mod tests {
         let mut rw = ReadWriteSet::new();
         rw.record_write(Key(0), Value::new(1));
         rw.record_write(Key(far), Value::new(1));
-        pool.submit(1, vec![rw]);
-        pool.drain();
+        assert!(pool.submit_tracked(1, tracked(vec![rw])).wait()[0].is_applied());
         assert_eq!(pool.committer().cross_shard_commits(), 1);
         assert_eq!(store.get(Key(far)).unwrap().value, Value::new(1));
         pool.shutdown();
@@ -511,23 +438,20 @@ mod tests {
 
     #[test]
     fn empty_submit_and_immediate_shutdown_are_safe() {
-        let (_, pool) = pool(4, 2, 10);
-        pool.submit(1, Vec::new());
-        pool.drain();
-        pool.shutdown();
-        let (_, pool) = pool_drop_path();
-        drop(pool);
-    }
-
-    fn pool_drop_path() -> (Arc<VersionedStore>, ShardScheduler) {
-        pool(2, 2, 10)
+        let (_, idle) = pool(4, 2, 10);
+        assert!(idle
+            .submit_tracked(1, tracked(Vec::new()))
+            .wait()
+            .is_empty());
+        idle.shutdown();
+        drop(pool(2, 2, 10));
     }
 
     #[test]
     fn tracked_submit_returns_the_synchronous_outcomes() {
         // A batch with fresh reads, a stale read and a no-data transaction:
-        // the tracked pool path must report exactly what the synchronous
-        // committer reports for the same batch.
+        // the pool must report exactly what the synchronous committer
+        // reports for the same batch.
         let (store, pool) = pool(8, 4, 100);
         store.put(Key(5), Value::new(50)); // bump key 5 to version 2
         let mut fresh = ReadWriteSet::new();
@@ -571,10 +495,9 @@ mod tests {
         assert!(!ticket.is_empty());
         let outcomes = ticket.wait();
         assert!(outcomes.iter().all(CommitOutcome::is_applied));
-        // After the drain only the caller's handle remains.
-        pool.drain();
-        assert_eq!(Arc::strong_count(&txns), 1);
+        // Once the workers are gone only the caller's handle remains.
         pool.shutdown();
+        assert_eq!(Arc::strong_count(&txns), 1);
     }
 
     #[test]
@@ -601,13 +524,98 @@ mod tests {
         // All transactions write the same key: they serialise on one
         // shard but none may be lost.
         let (store, pool) = pool(8, 4, 10);
-        for seq in 0..20u64 {
-            pool.submit(seq, (0..10).map(|_| write_txn(3, seq)).collect());
+        let tickets: Vec<ApplyTicket> = (0..20u64)
+            .map(|seq| {
+                let batch = (0..10).map(|_| write_txn(3, seq)).collect();
+                pool.submit_tracked(seq, tracked(batch))
+            })
+            .collect();
+        for ticket in tickets {
+            assert_eq!(ticket.wait().len(), 10);
         }
-        pool.drain();
         assert_eq!(pool.committer().committed(), 200);
         // 1 load + 200 writes.
         assert_eq!(store.version_of(Key(3)), Version(201));
+        pool.shutdown();
+    }
+
+    #[test]
+    fn concurrent_submitters_share_the_one_entrance() {
+        // 8 submitters x 1 000 batches over 4 shards and 4 workers, nobody
+        // waiting between submissions. Submitter `t` owns one key per
+        // shard and its batch `j` reads each at the version batch `j - 1`
+        // left behind, so every read validates iff each shard applied the
+        // submitter's tasks in submission order; a blind write to a key
+        // everybody shares counts lost updates. A shard handed to two
+        // workers at once trips `begin_run`'s double-scheduling assert.
+        const SUBMITTERS: u64 = 8;
+        const BATCHES: u64 = 1_000;
+        const SHARDS: usize = 4;
+        let (store, pool) = pool(SHARDS, 4, 0);
+        let registry = Registry::new();
+        pool.register_metrics(&registry);
+        let router = *pool.committer().router();
+        // keys[s] = a shared key, then one per submitter, all on shard s.
+        let keys: Vec<Vec<Key>> = (0..SHARDS as u32)
+            .map(|s| {
+                (0..)
+                    .map(Key)
+                    .filter(|k| router.shard_of(*k) == ShardId(s))
+                    .take(1 + SUBMITTERS as usize)
+                    .collect()
+            })
+            .collect();
+        store.load(keys.iter().flatten().map(|k| (*k, Value::new(0))));
+        let start = std::sync::Barrier::new(SUBMITTERS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..SUBMITTERS {
+                let (pool, keys, start) = (&pool, &keys, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let tickets: Vec<ApplyTicket> = (0..BATCHES)
+                        .map(|j| {
+                            let batch = keys
+                                .iter()
+                                .map(|shard_keys| {
+                                    let own = shard_keys[1 + t as usize];
+                                    let mut rw = ReadWriteSet::new();
+                                    rw.record_read(own, Version(1 + j));
+                                    rw.record_write(own, Value::new(j + 1));
+                                    rw.record_write(shard_keys[0], Value::new(t));
+                                    rw
+                                })
+                                .collect();
+                            pool.submit_tracked(t * BATCHES + j, tracked(batch))
+                        })
+                        .collect();
+                    for (j, ticket) in tickets.into_iter().enumerate() {
+                        let outcomes = ticket.wait();
+                        assert_eq!(outcomes.len(), SHARDS);
+                        assert!(
+                            outcomes.iter().all(CommitOutcome::is_applied),
+                            "submitter {t} batch {j} applied out of order: {outcomes:?}"
+                        );
+                    }
+                });
+            }
+        });
+        let submitted = SUBMITTERS * BATCHES * SHARDS as u64;
+        assert_eq!(registry.counter_value("scheduler.txns_applied"), submitted);
+        assert_eq!(
+            registry.counter_value("scheduler.batches_submitted"),
+            SUBMITTERS * BATCHES
+        );
+        assert_eq!(pool.committer().committed(), submitted);
+        for shard_keys in &keys {
+            assert_eq!(
+                store.version_of(shard_keys[0]),
+                Version(1 + SUBMITTERS * BATCHES),
+                "a shared-key write was lost"
+            );
+            for own in &shard_keys[1..] {
+                assert_eq!(store.get(*own).unwrap().value, Value::new(BATCHES));
+            }
+        }
         pool.shutdown();
     }
 }

@@ -13,10 +13,11 @@
 //!   concurrently, which is what makes a shard a serialisation domain.
 
 use crate::router::{ShardId, ShardRouter};
+use crate::scheduler::TicketState;
 use parking_lot::{Mutex, MutexGuard};
 use sbft_storage::VersionedStore;
-use sbft_types::{Key, ReadWriteSet, Value, Version};
-use std::collections::VecDeque;
+use sbft_types::{Key, TxnResult, Value, Version};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -35,45 +36,25 @@ const IDLE: u8 = 0;
 const PENDING: u8 = 1;
 const RUNNING: u8 = 2;
 
-/// A unit of queued work: the read-write sets of one committed batch (or
-/// batch slice) destined for this shard.
+/// A unit of queued work: the transactions of one submitted batch that
+/// are homed on this shard. Everything but `indices` is shared with the
+/// batch's other shard tasks and its [`crate::scheduler::ApplyTicket`], so
+/// queueing a batch clones no read-write set.
 #[derive(Clone, Debug, Default)]
 pub struct ShardTask {
     /// Sequence number of the originating batch (for tracing).
     pub seq: u64,
-    /// The work itself: owned read-write sets (fire-and-forget) or a
-    /// shared slice of a tracked batch.
-    pub work: TaskWork,
-}
-
-/// How a [`ShardTask`] carries its transactions.
-#[derive(Clone, Debug)]
-pub enum TaskWork {
-    /// Read-write sets owned by the task; outcomes are discarded
-    /// (the [`crate::scheduler::ShardScheduler::submit`] path).
-    Owned(Vec<ReadWriteSet>),
-    /// Indices into a batch allocation shared with the submitter's
-    /// [`crate::scheduler::ApplyTicket`]: the worker applies
-    /// `txns[indices].rwset` and records each outcome on the ticket.
-    /// Sharing the submitter's `Arc` keeps the hand-off zero-copy — the
-    /// verifier passes the `VERIFY` message's own result allocation
-    /// straight through, and no per-transaction read-write sets are
-    /// cloned into the queue.
-    Tracked {
-        /// The whole batch's results, shared with the submitter
-        /// (refcount bump of the `VerifyMessage` allocation).
-        txns: std::sync::Arc<[sbft_types::TxnResult]>,
-        /// Which transactions of the batch live on this shard.
-        indices: Vec<u32>,
-        /// Where the per-transaction outcomes are recorded.
-        ticket: std::sync::Arc<crate::scheduler::TicketState>,
-    },
-}
-
-impl Default for TaskWork {
-    fn default() -> Self {
-        TaskWork::Owned(Vec::new())
-    }
+    /// The whole batch's results (in production the `VERIFY` message's own
+    /// allocation, refcount-bumped).
+    pub txns: Arc<[TxnResult]>,
+    /// The involved-shard set of every transaction of the batch, as the
+    /// submitter routed it: the worker commits through it instead of
+    /// hashing the keys again.
+    pub routes: Arc<[BTreeSet<ShardId>]>,
+    /// Which transactions of the batch live on this shard.
+    pub indices: Vec<u32>,
+    /// Where the per-transaction outcomes are recorded.
+    pub ticket: Arc<TicketState>,
 }
 
 /// A shard's window onto the shared versioned store.

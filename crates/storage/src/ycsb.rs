@@ -50,12 +50,6 @@ impl YcsbTable {
         YcsbTable { store, num_records }
     }
 
-    /// Populates the paper's 600 k-record table.
-    #[must_use]
-    pub fn populate_paper_size() -> Self {
-        Self::populate(PAPER_NUM_RECORDS)
-    }
-
     /// The underlying store.
     #[must_use]
     pub fn store(&self) -> &Arc<VersionedStore> {

@@ -251,19 +251,6 @@ pub enum ConflictHandling {
     KnownRwSets,
 }
 
-/// How transactions whose read-write sets span execution shards are
-/// handled by the sharded commit path (`sbft-sharding`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum CrossShardPolicy {
-    /// Two-phase, lock-ordered execution: acquire every involved shard's
-    /// execution lock in ascending shard order, validate all reads, apply
-    /// all writes. Preserves unsharded OCC semantics (default).
-    LockOrdered,
-    /// Strict isolation: cross-shard transactions are rejected outright.
-    /// Useful to measure the cost of coordination.
-    Abort,
-}
-
 /// Configuration of the sharded execution subsystem.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct ShardingConfig {
@@ -272,8 +259,6 @@ pub struct ShardingConfig {
     /// Worker threads (simulated cores per shard station, or pool threads
     /// in the thread runtime) draining the shard queues.
     pub workers: usize,
-    /// What to do with transactions that span shards.
-    pub cross_shard_policy: CrossShardPolicy,
     /// Whether the primary runs the **ordering-time shard planner**:
     /// with known read-write sets and more than one shard, the batcher
     /// assembles per-shard ordering lanes so single-home batches reach
@@ -306,7 +291,6 @@ impl Default for ShardingConfig {
         ShardingConfig {
             num_shards: 1,
             workers: 1,
-            cross_shard_policy: CrossShardPolicy::LockOrdered,
             ordering_lanes: true,
             geo_partitioned: false,
             pinned_placement: true,
@@ -421,8 +405,8 @@ pub struct SystemConfig {
     pub sharding: ShardingConfig,
     /// Write-ahead-log and snapshot parameters for shim replicas.
     pub durability: DurabilityConfig,
-    /// Whether the primary proposes batches by digest (txn ids + bloom
-    /// filter) instead of shipping full bodies, with replicas
+    /// Whether the primary proposes batches by digest (txn ids only)
+    /// instead of shipping full bodies, with replicas
     /// reconstructing from their body caches and fetching only the bodies
     /// they miss. Bandwidth-frugal ordering; off by default.
     pub digest_proposals: bool,

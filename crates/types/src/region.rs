@@ -120,16 +120,6 @@ impl RegionSet {
         }
     }
 
-    /// Builds a set from an explicit list.
-    ///
-    /// # Panics
-    /// Panics if the list is empty.
-    #[must_use]
-    pub fn from_regions(regions: Vec<Region>) -> Self {
-        assert!(!regions.is_empty(), "a region set cannot be empty");
-        RegionSet { regions }
-    }
-
     /// Number of regions in the set.
     #[must_use]
     pub fn len(&self) -> usize {

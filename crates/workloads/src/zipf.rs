@@ -20,7 +20,6 @@ pub struct ZipfianKeys {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl ZipfianKeys {
@@ -49,7 +48,6 @@ impl ZipfianKeys {
             alpha,
             zetan,
             eta,
-            zeta2theta,
         }
     }
 
@@ -83,12 +81,6 @@ impl ZipfianKeys {
     #[must_use]
     pub fn theta(&self) -> f64 {
         self.theta
-    }
-
-    /// The normalisation constant ζ(2, θ) (exposed for tests).
-    #[must_use]
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 

@@ -332,3 +332,59 @@ fn planner_runs_are_deterministic() {
     assert_eq!(a.messages_delivered, b.messages_delivered);
     assert_eq!(a.bytes_delivered, b.bytes_delivered);
 }
+
+#[test]
+fn no_commit_waits_for_a_client_timer() {
+    // Liveness of the fault-free flow under every ordering / planning
+    // mode: two-key transactions over 8 shards on jittered shim links,
+    // where PBFT slots reach their commit quorum out of order. A commit
+    // latency at `client_timeout` means some stage stopped until a
+    // client's retransmission timer restarted it (the `KnownRwSets`
+    // planner once did: it held batch k behind the already dispatched
+    // batch k+1, which the verifier held in π behind k).
+    use serverless_bft::sim::{FaultPlan, LinkFaults, LinkRule};
+    use serverless_bft::types::ShardingConfig;
+    use ConflictHandling::{KnownRwSets, UnknownRwSets};
+    let clients = 200;
+    // {digest proposals} x {ordering lanes} under the planner's mode, at
+    // seeds where the PR 15 tree stalled, and the diagonal without it.
+    for (mode, digest, lanes, seed) in [
+        (KnownRwSets, false, true, 7),
+        (KnownRwSets, false, false, 2),
+        (KnownRwSets, true, true, 7),
+        (KnownRwSets, true, false, 2),
+        (UnknownRwSets, false, true, 7),
+        (UnknownRwSets, true, false, 2),
+    ] {
+        let mut cfg = SystemConfig::with_shim_size(4);
+        cfg.conflict_handling = mode;
+        cfg.digest_proposals = digest;
+        cfg.sharding = ShardingConfig::with_shards(8).with_workers(2);
+        cfg.sharding.ordering_lanes = lanes;
+        cfg.workload.num_records = 100_000;
+        cfg.workload.batch_size = 10;
+        cfg.workload.ops_per_txn = 2;
+        cfg.workload.num_clients = clients;
+        let client_timeout = cfg.timers.client_timeout;
+        let system = SystemBuilder::new(cfg).clients(clients).seed(seed).build();
+        let params = SimParams {
+            // Long enough for a stalled request's answer to be counted.
+            duration: client_timeout + SimDuration::from_millis(500),
+            warmup: SimDuration::from_millis(150),
+            num_clients: clients,
+            seed,
+            ..SimParams::default()
+        };
+        let jitter = LinkFaults::default().with_delay(1.0, SimDuration::from_micros(100));
+        let metrics = SimHarness::new(system, params)
+            .with_fault_plan(FaultPlan::new().link(LinkRule::all(jitter)))
+            .run();
+        let point = format!("{mode:?}, digest {digest}, lanes {lanes}, seed {seed}");
+        assert!(metrics.committed_txns > 500, "{point}: stalled");
+        let slowest = SimDuration::from_micros(metrics.latency.histogram().max_us());
+        assert!(
+            slowest < client_timeout,
+            "{point}: a commit took {slowest}, a client timer restarted the flow"
+        );
+    }
+}

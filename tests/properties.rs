@@ -356,18 +356,22 @@ proptest! {
                 &ShardingConfig::with_shards(shards),
             ));
             let pool = ShardScheduler::new(Arc::clone(&committer), 4, true);
-            let batch: Vec<ReadWriteSet> = values
+            let batch: Arc<[TxnResult]> = values
                 .iter()
                 .enumerate()
                 .map(|(i, v)| {
-                    let mut rw = ReadWriteSet::new();
-                    rw.record_read(Key(i as u64), Version(1));
-                    rw.record_write(Key(i as u64), Value::new(*v));
-                    rw
+                    let mut rwset = ReadWriteSet::new();
+                    rwset.record_read(Key(i as u64), Version(1));
+                    rwset.record_write(Key(i as u64), Value::new(*v));
+                    TxnResult {
+                        txn: TxnId::new(ClientId(i as u32), 1),
+                        output: *v,
+                        rwset,
+                    }
                 })
                 .collect();
-            pool.submit(1, batch);
-            pool.drain();
+            let outcomes = pool.submit_tracked(1, batch).wait();
+            prop_assert!(outcomes.iter().all(|o| o.is_applied()));
             prop_assert_eq!(committer.committed(), values.len() as u64);
             pool.shutdown();
             (0..values.len() as u64)
