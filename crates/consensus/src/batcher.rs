@@ -212,9 +212,12 @@ impl Lane {
             return None;
         }
         self.oldest_pending = None;
-        let txns = std::mem::take(&mut self.pending);
-        let digests = std::mem::take(&mut self.digests);
-        let signatures = std::mem::take(&mut self.signatures);
+        // The next batch fills lists as long as the ones released here:
+        // sized once instead of regrown push by push.
+        let capacity = self.pending.capacity();
+        let txns = std::mem::replace(&mut self.pending, Vec::with_capacity(capacity));
+        let digests = std::mem::replace(&mut self.digests, Vec::with_capacity(capacity));
+        let signatures = std::mem::replace(&mut self.signatures, Vec::with_capacity(capacity));
         let aggregate = std::mem::replace(&mut self.aggregate, AggregateSignature::identity());
         let acc = std::mem::take(&mut self.digest_acc);
         let batch = Batch::new(txns);

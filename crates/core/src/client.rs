@@ -100,9 +100,17 @@ impl ClientRole {
         self.primary = primary;
     }
 
+    /// [`Self::submit_into`] into a fresh list.
+    pub fn submit(&mut self, txn: Transaction) -> Vec<Action> {
+        let mut out = Vec::with_capacity(2);
+        self.submit_into(txn, &mut out);
+        out
+    }
+
     /// Submits a transaction: sign it, send `⟨T⟩_C` to the primary, and
     /// start the client timer `τ_m` (Figure 3 line 1, Figure 4 line 1).
-    pub fn submit(&mut self, txn: Transaction) -> Vec<Action> {
+    /// The two actions are appended to `out`, a buffer the caller reuses.
+    pub fn submit_into(&mut self, txn: Transaction, out: &mut Vec<Action>) {
         assert_eq!(
             txn.id.client, self.id,
             "clients only sign their own transactions"
@@ -122,40 +130,44 @@ impl ClientRole {
             Some(at) => self.outstanding[at] = entry,
             None => self.outstanding.push(entry),
         }
-        vec![
-            Action::send(
-                ComponentId::Client(self.id),
-                Destination::Node(self.primary),
-                ProtocolMessage::ClientRequest(request),
-            ),
-            Action::StartTimer {
-                timer: ProtocolTimer::ClientRequest(id),
-                duration: self.base_timeout,
-            },
-        ]
+        out.push(Action::send(
+            ComponentId::Client(self.id),
+            Destination::Node(self.primary),
+            ProtocolMessage::ClientRequest(request),
+        ));
+        out.push(Action::StartTimer {
+            timer: ProtocolTimer::ClientRequest(id),
+            duration: self.base_timeout,
+        });
     }
 
-    /// Handles a `RESPONSE` or `ABORT` from the verifier.
+    /// [`Self::on_message_into`] into a fresh list.
     pub fn on_message(&mut self, msg: &ProtocolMessage) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.on_message_into(msg, &mut out);
+        out
+    }
+
+    /// Handles a `RESPONSE` or `ABORT` from the verifier, appending the
+    /// resulting actions to `out`.
+    pub fn on_message_into(&mut self, msg: &ProtocolMessage, out: &mut Vec<Action>) {
         let (txn, outcome) = match msg {
             ProtocolMessage::Response(r) => (r.txn, r.outcome),
             ProtocolMessage::Abort(a) => (a.txn, TxnOutcome::Aborted),
-            _ => return Vec::new(),
+            _ => return,
         };
         let Some(at) = self.position(txn) else {
             // Duplicate response (e.g. re-sent by the verifier after a
             // retry); the request was already marked processed.
-            return Vec::new();
+            return;
         };
         self.outstanding.swap_remove(at);
         match outcome {
             TxnOutcome::Committed => self.completed += 1,
             TxnOutcome::Aborted => self.aborted += 1,
         }
-        vec![
-            Action::CancelTimer(ProtocolTimer::ClientRequest(txn)),
-            Action::TxnCompleted { txn, outcome },
-        ]
+        out.push(Action::CancelTimer(ProtocolTimer::ClientRequest(txn)));
+        out.push(Action::TxnCompleted { txn, outcome });
     }
 
     /// Handles the expiry of the client timer for `txn`: forward the

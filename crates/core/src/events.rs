@@ -14,6 +14,7 @@ use sbft_types::{
     TxnId, TxnOutcome,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A signed client request `⟨T⟩_C`.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -100,8 +101,9 @@ pub struct ErrorMessage {
     /// For the missing-transaction case (`ERROR(⟨T⟩_C)`), the verifier
     /// includes the client's signed request so the (possibly new) primary
     /// can order it — matching Figure 4 line 12, where the `ERROR` message
-    /// carries `⟨T⟩_C` itself.
-    pub request: Option<ClientRequest>,
+    /// carries `⟨T⟩_C` itself. Boxed: the recovery path is rare, and an
+    /// inline request would make every [`Action`] as large as this one.
+    pub request: Option<Box<ClientRequest>>,
     /// The verifier's signature.
     pub signature: Signature,
 }
@@ -138,6 +140,11 @@ pub struct AbortMessage {
 }
 
 /// Every message that travels between components of the architecture.
+///
+/// The enum is sized by its consensus variant: the two wider messages —
+/// `EXECUTE` and `VERIFY`, a few per batch — travel behind a pointer, so
+/// the per-transaction messages (`CLIENT-REQUEST`, `RESPONSE`) and every
+/// [`Action`] carrying one stay small.
 #[derive(Clone, PartialEq, Debug)]
 pub enum ProtocolMessage {
     /// A signed client request (client → primary, or client → verifier on
@@ -146,9 +153,10 @@ pub enum ProtocolMessage {
     /// A shim-internal consensus message.
     Consensus(ConsensusMessage),
     /// `EXECUTE` from a spawning shim node to an executor.
-    Execute(ExecuteRequest),
-    /// `VERIFY` from an executor to the verifier.
-    Verify(VerifyMessage),
+    Execute(Box<ExecuteRequest>),
+    /// `VERIFY` from an executor to the verifier (the handle the executor
+    /// produced; a flooding executor's copies share one message).
+    Verify(Arc<VerifyMessage>),
     /// `RESPONSE` from the verifier to a client.
     Response(ResponseMessage),
     /// `ABORT` from the verifier to a client.

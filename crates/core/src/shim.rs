@@ -515,7 +515,7 @@ impl ShimNode {
             // the id is reclaimed once the GC cutoff passes this stamp.
             self.pending_seen
                 .entry(self.max_validated)
-                .or_default()
+                .or_insert_with(|| Vec::with_capacity(self.config.workload.batch_size))
                 .push(txn.id);
         }
         let mut offered_actions = Vec::new();
@@ -819,7 +819,7 @@ impl ShimNode {
 
     /// Restarts this node after a crash: all volatile state is discarded,
     /// the ordering protocol is rebuilt, and the durable log is replayed
-    /// through [`recover`]. Returns the replay-cost [`Action::Persist`]
+    /// through [`recover()`]. Returns the replay-cost [`Action::Persist`]
     /// followed by the rejoin actions (for PBFT, a broadcast
     /// `STATEREQUEST` for the suffix committed while this node was down).
     pub fn crash_restart(&mut self) -> Vec<Action> {

@@ -8,7 +8,9 @@
 //! replies to the clients and the shim primary. It also implements:
 //!
 //! * the **flooding mitigation** of Section V-C (ignore further `VERIFY`
-//!   messages once a request is matched),
+//!   messages once a request is matched — decided before the executor
+//!   signature and the certificate are checked, so a flood costs the
+//!   verifier no cryptography),
 //! * the **request-suppression recovery** of Figure 4 (client retries are
 //!   answered with a re-sent `RESPONSE`, an `ERROR(k_max)`, an
 //!   `ERROR(⟨T⟩_C)` or a `REPLACE`, followed by an `ACK` once resolved),
@@ -23,7 +25,7 @@ use crate::events::{
 };
 use sbft_crypto::CryptoHandle;
 use sbft_serverless::VerifyMessage;
-use sbft_sharding::{CommitOutcome, ShardId, ShardScheduler, ShardedCommitter};
+use sbft_sharding::{CommitOutcome, ShardId, ShardScheduler, ShardSet, ShardedCommitter};
 use sbft_storage::VersionedStore;
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
@@ -36,8 +38,8 @@ use std::sync::Arc;
 /// Per-batch bookkeeping while `VERIFY` messages are being collected.
 #[derive(Debug, Default)]
 struct SeqState {
-    verifies: BTreeMap<ExecutorId, VerifyMessage>,
-    matched: Option<VerifyMessage>,
+    verifies: BTreeMap<ExecutorId, Arc<VerifyMessage>>,
+    matched: Option<Arc<VerifyMessage>>,
     abort_tagged: bool,
     timer_started: bool,
 }
@@ -261,14 +263,34 @@ impl Verifier {
     // ---- VERIFY handling ---------------------------------------------------
 
     /// Handles a `VERIFY` message from an executor (Figure 3, lines 21–29).
+    /// Adapter over the buffer-taking path [`Self::on_message_into`] runs.
     pub fn on_verify(&mut self, msg: &VerifyMessage) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.verify_into(&Arc::new(msg.clone()), &mut out);
+        out
+    }
+
+    fn verify_into(&mut self, msg: &Arc<VerifyMessage>, out: &mut Vec<Action>) {
+        // The flooding mitigation of Section V-C comes first, and costs a
+        // flooder's message no cryptography: already validated requests,
+        // already matched batches and repeats of an executor we hold a
+        // VERIFY from are ignored on sight.
+        let collecting = self.pending.get(&msg.seq);
+        if msg.seq < self.kmax
+            || collecting.is_some_and(|state| {
+                state.matched.is_some() || state.verifies.contains_key(&msg.executor)
+            })
+        {
+            self.ignored_verifies.inc();
+            return;
+        }
         // Well-formedness: executor signature and certificate.
         if !self.crypto.verify(
             ComponentId::Executor(msg.executor),
             &msg.result_digest,
             &msg.signature,
         ) {
-            return Vec::new();
+            return;
         }
         if self.config.cert_quorum > 0
             && msg
@@ -280,15 +302,9 @@ impl Verifier {
                 )
                 .is_err()
         {
-            return Vec::new();
+            return;
         }
 
-        // Already validated requests and already matched batches: ignore
-        // (the flooding mitigation of Section V-C).
-        if msg.seq < self.kmax {
-            self.ignored_verifies.inc();
-            return Vec::new();
-        }
         let quorum = self.config.params.verify_quorum();
         let spawned_per_batch = self.config.spawned_per_batch;
         let abort_timeout = self.config.abort_timeout;
@@ -297,24 +313,14 @@ impl Verifier {
             ConflictHandling::UnknownRwSets
         );
         let state = self.pending.entry(msg.seq).or_default();
-        if state.matched.is_some() {
-            self.ignored_verifies.inc();
-            return Vec::new();
-        }
-        if state.verifies.contains_key(&msg.executor) {
-            // Duplicate VERIFY from the same executor (flooding attack).
-            self.ignored_verifies.inc();
-            return Vec::new();
-        }
-        state.verifies.insert(msg.executor, msg.clone());
+        state.verifies.insert(msg.executor, Arc::clone(msg));
 
-        let mut actions = Vec::new();
         // Start the abort-detection timer on the first VERIFY for this
         // batch (only needed when conflicts with unknown rw-sets are
         // possible, Section VI-B).
         if track_aborts && !state.timer_started {
             state.timer_started = true;
-            actions.push(Action::StartTimer {
+            out.push(Action::StartTimer {
                 timer: ProtocolTimer::VerifierAbort(msg.seq),
                 duration: abort_timeout,
             });
@@ -339,11 +345,11 @@ impl Verifier {
             .filter(|v| v.result_digest == msg.result_digest)
             .count();
         if matching >= quorum {
-            state.matched = Some(msg.clone());
+            state.matched = Some(Arc::clone(msg));
             if state.timer_started {
-                actions.push(Action::CancelTimer(ProtocolTimer::VerifierAbort(msg.seq)));
+                out.push(Action::CancelTimer(ProtocolTimer::VerifierAbort(msg.seq)));
             }
-            actions.extend(self.advance_kmax());
+            self.advance_kmax(out);
         } else if state.verifies.len() >= spawned_per_batch {
             // Every spawned executor has answered and no digest reached
             // the f_E + 1 quorum: the batch can never match (executors of
@@ -366,33 +372,30 @@ impl Verifier {
             if best < quorum {
                 state.abort_tagged = true;
                 if state.timer_started {
-                    actions.push(Action::CancelTimer(ProtocolTimer::VerifierAbort(msg.seq)));
+                    out.push(Action::CancelTimer(ProtocolTimer::VerifierAbort(msg.seq)));
                 }
-                actions.extend(self.advance_kmax());
+                self.advance_kmax(out);
             }
         }
-        actions
     }
 
     /// Validates every batch at the head of the order that is matched (or
     /// abort-tagged), advancing `k_max` (Figure 3, lines 24–29).
-    fn advance_kmax(&mut self) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn advance_kmax(&mut self, out: &mut Vec<Action>) {
         while let Some(state) = self.pending.get(&self.kmax) {
             if state.matched.is_none() && !state.abort_tagged {
                 break;
             }
             let seq = self.kmax;
             let state = self.pending.remove(&seq).expect("present");
-            if let Some(matched) = state.matched {
-                actions.extend(self.apply_batch(seq, &matched));
+            if let Some(matched) = &state.matched {
+                self.apply_batch(seq, matched, out);
             } else {
-                actions.extend(self.abort_batch(seq, &state));
+                self.abort_batch(seq, &state, out);
             }
             self.kmax = self.kmax.next();
         }
         self.gc_retry_maps();
-        actions
     }
 
     /// Whether the worker pool's per-home-shard FIFO ordering is exact
@@ -401,7 +404,7 @@ impl Verifier {
     /// with the same home shard are applied in batch order by a single
     /// worker, and read-only sharing is order independent, so everything
     /// else commutes.
-    fn pool_order_exact(results: &[sbft_types::TxnResult], routes: &[BTreeSet<ShardId>]) -> bool {
+    fn pool_order_exact(results: &[sbft_types::TxnResult], routes: &[ShardSet]) -> bool {
         /// Per-key summary: the first home shard that touched it, whether
         /// any *other* home touched it since, and whether anyone wrote it.
         struct Touch {
@@ -411,7 +414,7 @@ impl Verifier {
         }
         let mut touched: IdMap<sbft_types::Key, Touch> = IdMap::default();
         for (result, involved) in results.iter().zip(routes) {
-            let Some(home) = involved.iter().next().copied() else {
+            let Some(home) = involved.first() else {
                 continue; // touches no data
             };
             let reads = result.rwset.reads.iter().map(|(key, _)| (*key, false));
@@ -512,8 +515,10 @@ impl Verifier {
     /// FIFO order is exact for the batch, otherwise in batch order on the
     /// caller. Both produce identical outcomes: the pool drives the very
     /// same [`ShardedCommitter::commit_routed`].
-    fn apply_batch(&mut self, seq: SeqNum, matched: &VerifyMessage) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn apply_batch(&mut self, seq: SeqNum, matched: &VerifyMessage, actions: &mut Vec<Action>) {
+        // One answer per transaction, the notice to the nodes and a few
+        // shard slices: reserved once instead of grown push by push.
+        actions.reserve(matched.results.len() + 4);
         let router = *self.committer.router();
         // Trust-but-verify the ordering-time plan tag: a `SingleHome`
         // claim is honoured only after re-deriving it from the read-write
@@ -548,12 +553,12 @@ impl Verifier {
         };
         // The one routing pass: a verified tag supplies every involved
         // set without hashing a key, anything else asks the router.
-        let routes: Vec<BTreeSet<ShardId>> = matched
+        let routes: Vec<ShardSet> = matched
             .results
             .iter()
             .map(|result| match verified_home {
-                Some(home) if !result.rwset.is_empty() => BTreeSet::from([home]),
-                Some(_) => BTreeSet::new(),
+                Some(home) if !result.rwset.is_empty() => ShardSet::single(home),
+                Some(_) => ShardSet::EMPTY,
                 None => router.shards_of(&result.rwset),
             })
             .collect();
@@ -587,14 +592,13 @@ impl Verifier {
                 } else {
                     &mut solo_work
                 };
-                for shard in involved {
-                    let entry = work.entry(*shard).or_insert((0, 0));
+                for shard in involved.iter() {
+                    let entry = work.entry(shard).or_insert((0, 0));
                     entry.0 += 1;
                     entry.1 += result.rwset.len() as u32;
                 }
             }
-            let all_shards: BTreeSet<ShardId> =
-                solo_work.keys().chain(cross_work.keys()).copied().collect();
+            let all_shards: ShardSet = solo_work.keys().chain(cross_work.keys()).copied().collect();
             if all_shards.len() <= 1 {
                 // Discovered-late single-home batch (the planner would
                 // have tagged it; without lanes this is the baseline
@@ -641,7 +645,7 @@ impl Verifier {
                 .zip(&routes)
                 .map(|(result, involved)| {
                     self.committer
-                        .commit_routed(&result.rwset, validate_reads, involved)
+                        .commit_routed(&result.rwset, validate_reads, *involved)
                 })
                 .collect()
         };
@@ -671,7 +675,7 @@ impl Verifier {
                 Destination::Client(result.txn.client),
                 msg,
             ));
-            actions.extend(self.resolve_subject(RecoverySubject::Txn(result.txn)));
+            self.resolve_subject(RecoverySubject::Txn(result.txn), actions);
         }
         self.validated_batches.inc();
         actions.push(Action::send(
@@ -683,17 +687,15 @@ impl Verifier {
                 aborted,
             }),
         ));
-        actions.extend(self.resolve_subject(RecoverySubject::Seq(seq)));
-        actions
+        self.resolve_subject(RecoverySubject::Seq(seq), actions);
     }
 
     /// Aborts a whole batch (byzantine-abort detection, Section VI-B).
-    fn abort_batch(&mut self, seq: SeqNum, state: &SeqState) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn abort_batch(&mut self, seq: SeqNum, state: &SeqState, actions: &mut Vec<Action>) {
         // Any received VERIFY tells us which transactions (and clients) the
         // batch contains.
         let Some(sample) = state.verifies.values().next() else {
-            return actions;
+            return;
         };
         self.divergent_aborts.inc();
         let mut aborted = 0u32;
@@ -713,7 +715,7 @@ impl Verifier {
                 Destination::Client(result.txn.client),
                 msg,
             ));
-            actions.extend(self.resolve_subject(RecoverySubject::Txn(result.txn)));
+            self.resolve_subject(RecoverySubject::Txn(result.txn), actions);
         }
         self.validated_batches.inc();
         actions.push(Action::send(
@@ -725,23 +727,21 @@ impl Verifier {
                 aborted,
             }),
         ));
-        actions.extend(self.resolve_subject(RecoverySubject::Seq(seq)));
-        actions
+        self.resolve_subject(RecoverySubject::Seq(seq), actions);
     }
 
     /// Broadcasts an `ACK` if the subject had an outstanding `ERROR`.
-    fn resolve_subject(&mut self, subject: RecoverySubject) -> Vec<Action> {
-        if !self.outstanding.remove(&subject) {
-            return Vec::new();
+    fn resolve_subject(&mut self, subject: RecoverySubject, out: &mut Vec<Action>) {
+        if self.outstanding.remove(&subject) {
+            out.push(Action::send(
+                self.me(),
+                Destination::AllNodes,
+                ProtocolMessage::Ack(AckMessage {
+                    subject,
+                    signature: self.sign_marker("ack", 0, 0),
+                }),
+            ));
         }
-        vec![Action::send(
-            self.me(),
-            Destination::AllNodes,
-            ProtocolMessage::Ack(AckMessage {
-                subject,
-                signature: self.sign_marker("ack", 0, 0),
-            }),
-        )]
     }
 
     // ---- abort-detection timer ----------------------------------------------
@@ -774,7 +774,9 @@ impl Verifier {
         // transaction(s) must be aborted. If this is the next batch in
         // order we abort immediately, otherwise we tag it in π.
         state.abort_tagged = true;
-        self.advance_kmax()
+        let mut out = Vec::new();
+        self.advance_kmax(&mut out);
+        out
     }
 
     // ---- client re-transmissions ----------------------------------------------
@@ -847,7 +849,7 @@ impl Verifier {
                     Destination::AllNodes,
                     ProtocolMessage::Error(ErrorMessage {
                         subject,
-                        request: Some(req.clone()),
+                        request: Some(Box::new(req.clone())),
                         signature: self.sign_marker("error", txn.counter, 1),
                     }),
                 )]
@@ -855,13 +857,22 @@ impl Verifier {
         }
     }
 
-    /// Entry point for all messages addressed to the verifier.
-    pub fn on_message(&mut self, msg: &ProtocolMessage) -> Vec<Action> {
+    /// Entry point for all messages addressed to the verifier: appends
+    /// the resulting actions to `out`, a buffer the caller reuses across
+    /// messages (a quorum-completing `VERIFY` answers a whole batch).
+    pub fn on_message_into(&mut self, msg: &ProtocolMessage, out: &mut Vec<Action>) {
         match msg {
-            ProtocolMessage::Verify(v) => self.on_verify(v),
-            ProtocolMessage::ClientRequest(r) => self.on_client_request(r),
-            _ => Vec::new(),
+            ProtocolMessage::Verify(v) => self.verify_into(v, out),
+            ProtocolMessage::ClientRequest(r) => out.extend(self.on_client_request(r)),
+            _ => {}
         }
+    }
+
+    /// [`Self::on_message_into`] into a fresh list.
+    pub fn on_message(&mut self, msg: &ProtocolMessage) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.on_message_into(msg, &mut out);
+        out
     }
 
     /// Entry point for verifier timers.
@@ -1097,6 +1108,55 @@ mod tests {
             1,
             "flooding does not double-apply writes"
         );
+    }
+
+    #[test]
+    fn a_burst_of_stale_or_repeated_verifies_costs_no_cryptography() {
+        // A message with a void signature and an empty certificate is
+        // dropped *uncounted* where well-formedness is checked (the two
+        // tests below); being counted as ignored instead shows the
+        // flooding mitigation answered first — no executor signature, no
+        // four-signature certificate verified per flooded message.
+        let void = |mut m: VerifyMessage| {
+            m.signature = sbft_types::Signature::ZERO;
+            Arc::make_mut(&mut m.certificate).entries.clear();
+            m
+        };
+        let fx = Fixture::new();
+        let mut v = fx.verifier(ConflictHandling::NonConflicting);
+        let _ = v.on_verify(&fx.verify_msg(1, 1, 0, 42, 1));
+        let _ = v.on_verify(&fx.verify_msg(2, 1, 0, 42, 1));
+        assert_eq!((v.kmax(), v.ignored_verifies.get()), (SeqNum(2), 0));
+        // Stale: batch 1 is validated.
+        for executor in 10..60 {
+            assert!(v
+                .on_verify(&void(fx.verify_msg(executor, 1, 0, 42, 1)))
+                .is_empty());
+        }
+        assert_eq!(v.ignored_verifies.get(), 50);
+        // Matched but waiting in π behind batch 2: batch 3.
+        let _ = v.on_verify(&fx.verify_msg(1, 3, 2, 9, 1));
+        let _ = v.on_verify(&fx.verify_msg(2, 3, 2, 9, 1));
+        for executor in 10..60 {
+            let _ = v.on_verify(&void(fx.verify_msg(executor, 3, 2, 9, 1)));
+        }
+        assert_eq!(v.ignored_verifies.get(), 100);
+        // Repeats of an executor batch 2 already holds a VERIFY from.
+        let _ = v.on_verify(&fx.verify_msg(3, 2, 1, 7, 1));
+        for _ in 0..50 {
+            let _ = v.on_verify(&void(fx.verify_msg(3, 2, 1, 7, 1)));
+        }
+        assert_eq!(v.ignored_verifies.get(), 150);
+        // A void message that is neither still reaches the checks: dropped,
+        // uncounted, unstored.
+        assert!(v.on_verify(&void(fx.verify_msg(4, 2, 1, 7, 1))).is_empty());
+        assert_eq!(v.ignored_verifies.get(), 150);
+        assert_eq!(v.pending[&SeqNum(2)].verifies.len(), 1);
+        // The honest flow is untouched by the burst.
+        let actions = v.on_verify(&fx.verify_msg(5, 2, 1, 7, 1));
+        assert_eq!(v.kmax(), SeqNum(4));
+        assert_eq!(v.committed_txns.get(), 3);
+        assert!(response_kinds(&actions).contains(&"BATCH-VALIDATED"));
     }
 
     #[test]
@@ -1471,7 +1531,7 @@ mod tests {
             }
         };
         use sbft_sharding::ShardId;
-        let home = |ids: &[u32]| ids.iter().map(|i| ShardId(*i)).collect::<BTreeSet<_>>();
+        let home = |ids: &[u32]| ids.iter().map(|i| ShardId(*i)).collect::<ShardSet>();
         let results = vec![
             result(vec![shared], vec![], 0),
             result(vec![shared], vec![Key(9)], 1),

@@ -5,7 +5,7 @@
 //! simulated signature scheme, HMAC, and threshold-signature aggregation.
 //!
 //! Everything above the compression function is written once: buffering,
-//! padding and the HMAC midstates all end in [`Sha256::compress_blocks`],
+//! padding and the HMAC midstates all end in `Sha256::compress_blocks`,
 //! which hands a whole run of 64-byte blocks to one of two [`Kernel`]s:
 //!
 //! * **`sha-ni`** — the x86-64 SHA extensions (`sha256rnds2`,

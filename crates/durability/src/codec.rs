@@ -285,11 +285,13 @@ impl Reader<'_> {
         };
         let execution_cost = SimDuration(self.u64()?);
         let payload_len = self.u32()?;
-        let mut txn =
-            Transaction::new(TxnId::new(client, counter), ops).with_execution_cost(execution_cost);
-        txn.declared_rwset = rwset;
-        txn.payload_len = payload_len;
-        Some(txn)
+        let txn = Transaction::new(TxnId::new(client, counter), ops)
+            .with_execution_cost(execution_cost)
+            .with_payload_len(payload_len);
+        Some(match rwset {
+            Some(rwset) => txn.with_declared_rwset(rwset),
+            None => txn,
+        })
     }
 
     fn certificate(&mut self) -> Option<CommitCertificate> {

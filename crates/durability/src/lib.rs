@@ -14,7 +14,7 @@
 //!   checkpoint boundary. The snapshot carries no application state
 //!   (shim nodes hold certificates, not data), so marking the boundary
 //!   and truncating the log below it *is* the snapshot.
-//! * [`recover`] — folds the durable records back into the committed
+//! * [`recover()`] — folds the durable records back into the committed
 //!   entries and view a restarted replica resumes from; the missing
 //!   suffix is then state-transferred from peers by the consensus layer.
 //!

@@ -33,8 +33,9 @@ pub struct Executor {
 #[derive(Clone, Debug)]
 pub struct ExecutorOutput {
     /// The `VERIFY` messages to deliver to the verifier (one per copy; a
-    /// crashed executor produces none, a flooding one produces several).
-    pub verify_messages: Vec<VerifyMessage>,
+    /// crashed executor produces none, a flooding one produces several
+    /// handles on the one message).
+    pub verify_messages: Vec<Arc<VerifyMessage>>,
     /// Modeled compute time spent executing the batch (excluding network),
     /// used by the simulator's cost and latency models.
     pub compute: sbft_types::SimDuration,
@@ -163,8 +164,10 @@ impl Executor {
             });
         }
 
-        // (ii)+(iii) execute, fetching read-write sets from storage.
-        let mut results: Vec<TxnResult> = req.batch.iter().map(|t| self.execute_txn(t)).collect();
+        // (ii)+(iii) execute, fetching read-write sets from storage. The
+        // results are collected straight into the allocation the VERIFY
+        // message (and later the apply stage) shares.
+        let mut results: Arc<[TxnResult]> = req.batch.iter().map(|t| self.execute_txn(t)).collect();
         let compute = req.batch.total_execution_cost();
 
         if !self.behavior.result_is_correct() {
@@ -176,7 +179,8 @@ impl Executor {
             // pairwise-divergent digests the Section VI-B whole-batch
             // abort rule exists for (see the `divergence_sweep` binary).
             let salt = 0xdead_beef ^ self.id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            for r in &mut results {
+            let results = Arc::get_mut(&mut results).expect("not shared yet");
+            for r in results {
                 r.output ^= salt;
                 for (_, v) in &mut r.rwset.writes {
                     v.data ^= salt;
@@ -192,7 +196,7 @@ impl Executor {
             seq: req.seq,
             batch_id: req.batch.id(),
             batch_digest: req.digest,
-            results: results.into(),
+            results,
             result_digest,
             // A refcount bump: the certificate is shared with the EXECUTE
             // message, not copied.
@@ -202,9 +206,11 @@ impl Executor {
             plan: req.plan,
             signature: self.crypto.sign(&result_digest),
         };
+        // A flooding executor's copies are handles on the one message.
+        let base = Arc::new(base);
         let copies = self.behavior.verify_copies() as usize;
         Ok(ExecutorOutput {
-            verify_messages: vec![base; copies],
+            verify_messages: std::iter::repeat_n(base, copies).collect(),
             compute,
         })
     }

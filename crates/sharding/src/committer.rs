@@ -25,11 +25,10 @@
 //! for the lock-ordered path at batching time instead of being
 //! discovered here.
 
-use crate::router::{ShardId, ShardRouter};
+use crate::router::{ShardId, ShardRouter, ShardSet};
 use crate::state::ShardState;
 use sbft_storage::{ConcurrencyChecker, OccOutcome, VersionedStore};
 use sbft_types::{Key, ReadWriteSet, ShardingConfig};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -109,7 +108,7 @@ impl ShardedCommitter {
     /// read-set comparison is skipped, exactly as in the unsharded
     /// [`ConcurrencyChecker::check_and_apply`].
     pub fn commit(&self, rwset: &ReadWriteSet, validate_reads: bool) -> CommitOutcome {
-        self.commit_routed(rwset, validate_reads, &self.router.shards_of(rwset))
+        self.commit_routed(rwset, validate_reads, self.router.shards_of(rwset))
     }
 
     /// Like [`commit`](Self::commit), but with the routing decision
@@ -120,12 +119,12 @@ impl ShardedCommitter {
         &self,
         rwset: &ReadWriteSet,
         validate_reads: bool,
-        involved: &BTreeSet<ShardId>,
+        involved: ShardSet,
     ) -> CommitOutcome {
-        match involved.len() {
-            0 => CommitOutcome::Applied, // touches no data; nothing to do
-            1 => {
-                let shard = &self.shards[involved.first().unwrap().0 as usize];
+        match (involved.first(), involved.len()) {
+            (None, _) => CommitOutcome::Applied, // touches no data; nothing to do
+            (Some(home), 1) => {
+                let shard = &self.shards[home.0 as usize];
                 let _guard = shard.exec_lock();
                 Self::commit_single_shard(shard, rwset, validate_reads)
             }
@@ -171,29 +170,25 @@ impl ShardedCommitter {
         &self,
         rwset: &ReadWriteSet,
         validate_reads: bool,
-        involved: &BTreeSet<ShardId>,
+        involved: ShardSet,
     ) -> CommitOutcome {
-        let shards: Vec<&Arc<ShardState>> = involved
-            .iter()
-            .map(|id| &self.shards[id.0 as usize])
-            .collect();
-        for shard in &shards {
-            shard.record_cross_shard();
-        }
+        let involved_shards = || involved.iter().map(|id| &self.shards[id.0 as usize]);
+        let home = involved_shards().next().expect("a cross-shard route");
+        involved_shards().for_each(|shard| shard.record_cross_shard());
         // Phase one: acquire every involved execution lock in ascending
-        // ShardId order (the BTreeSet iteration order).
-        let guards: Vec<_> = shards.iter().map(|s| s.exec_lock()).collect();
+        // ShardId order (the route set's iteration order).
+        let guards: Vec<_> = involved_shards().map(|s| s.exec_lock()).collect();
         // Phase two: validate and apply while holding all of them, through
         // the same `ccheck` the unsharded verifier ran.
         let store = self.shards[0].view().store();
         let outcome = match ConcurrencyChecker::check_and_apply(store, rwset, validate_reads) {
             OccOutcome::Applied => {
                 self.cross_shard_commits.fetch_add(1, Ordering::Relaxed);
-                shards[0].record_commit();
+                home.record_commit();
                 CommitOutcome::Applied
             }
             OccOutcome::StaleReads(stale) => {
-                shards[0].record_abort();
+                home.record_abort();
                 CommitOutcome::StaleReads(stale)
             }
         };

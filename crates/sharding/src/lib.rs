@@ -43,6 +43,6 @@ pub mod scheduler;
 pub mod state;
 
 pub use committer::{CommitOutcome, ShardedCommitter};
-pub use router::{ShardId, ShardRouter};
+pub use router::{ShardId, ShardRouter, ShardSet};
 pub use scheduler::{ApplyTicket, ShardScheduler};
 pub use state::{ShardPhase, ShardState, ShardStoreView, ShardTask};

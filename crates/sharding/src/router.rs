@@ -26,9 +26,8 @@
 //!   the fast path but never corrupt state.
 
 use sbft_types::{Key, ReadWriteSet, ShardPlan};
-use std::collections::BTreeSet;
 
-pub use sbft_types::ShardId;
+pub use sbft_types::{ShardId, ShardSet};
 
 /// Deterministically maps keys to shards.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -38,8 +37,16 @@ pub struct ShardRouter {
 
 impl ShardRouter {
     /// Creates a router over `num_shards` shards (clamped to at least 1).
+    ///
+    /// # Panics
+    /// Panics beyond [`ShardSet::CAPACITY`] shards: a route set could not
+    /// name them (`SystemConfig::validate` rejects such a deployment).
     #[must_use]
     pub fn new(num_shards: usize) -> Self {
+        assert!(
+            num_shards <= ShardSet::CAPACITY,
+            "{num_shards} shards exceed the route-set width"
+        );
         ShardRouter {
             num_shards: num_shards.max(1) as u32,
         }
@@ -62,26 +69,10 @@ impl ShardRouter {
 
     /// The set of shards a transaction's observed read-write set touches.
     #[must_use]
-    pub fn shards_of(&self, rwset: &ReadWriteSet) -> BTreeSet<ShardId> {
-        self.shards_of_keys(
-            rwset
-                .reads
-                .iter()
-                .map(|(k, _)| *k)
-                .chain(rwset.writes.iter().map(|(k, _)| *k)),
-        )
-    }
-
-    /// The set of shards touched by an arbitrary key collection.
-    #[must_use]
-    pub fn shards_of_keys<I: IntoIterator<Item = Key>>(&self, keys: I) -> BTreeSet<ShardId> {
-        keys.into_iter().map(|k| self.shard_of(k)).collect()
-    }
-
-    /// Whether a read-write set stays within a single shard.
-    #[must_use]
-    pub fn is_single_shard(&self, rwset: &ReadWriteSet) -> bool {
-        self.shards_of(rwset).len() <= 1
+    pub fn shards_of(&self, rwset: &ReadWriteSet) -> ShardSet {
+        let reads = rwset.reads.iter().map(|(k, _)| *k);
+        let writes = rwset.writes.iter().map(|(k, _)| *k);
+        reads.chain(writes).map(|k| self.shard_of(k)).collect()
     }
 
     /// Classifies an arbitrary key collection at ordering time: no keys
@@ -135,7 +126,7 @@ mod tests {
     #[test]
     fn shards_are_in_range_and_all_used() {
         let router = ShardRouter::new(8);
-        let mut seen = BTreeSet::new();
+        let mut seen = ShardSet::EMPTY;
         for k in 0..10_000u64 {
             let s = router.shard_of(Key(k));
             assert!(s.0 < 8);
@@ -205,17 +196,24 @@ mod tests {
 
     #[test]
     fn rwset_shard_set_unions_reads_and_writes() {
-        let router = ShardRouter::new(1024);
+        let router = ShardRouter::new(ShardSet::CAPACITY);
         let mut rw = ReadWriteSet::new();
         rw.record_read(Key(1), Version(1));
         rw.record_write(Key(2), Value::new(9));
         let shards = router.shards_of(&rw);
-        assert!(shards.contains(&router.shard_of(Key(1))));
-        assert!(shards.contains(&router.shard_of(Key(2))));
-        // With 1024 shards two random small keys land apart.
-        assert!(!router.is_single_shard(&rw));
+        assert!(shards.contains(router.shard_of(Key(1))));
+        assert!(shards.contains(router.shard_of(Key(2))));
+        // At the widest route set two small keys land apart.
+        assert_eq!(shards.len(), 2);
         let mut single = ReadWriteSet::new();
         single.record_write(Key(7), Value::new(1));
-        assert!(router.is_single_shard(&single));
+        assert_eq!(router.shards_of(&single).len(), 1);
+        assert!(router.shards_of(&ReadWriteSet::new()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the route-set width")]
+    fn a_router_wider_than_a_route_set_is_refused() {
+        let _ = ShardRouter::new(ShardSet::CAPACITY + 1);
     }
 }

@@ -20,11 +20,11 @@
 //! clients.
 
 use crate::committer::{CommitOutcome, ShardedCommitter};
-use crate::router::ShardId;
+use crate::router::{ShardId, ShardSet};
 use crate::state::ShardTask;
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::TxnResult;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -176,7 +176,7 @@ impl SchedulerInner {
                         let outcome = self.committer.commit_routed(
                             &task.txns[i].rwset,
                             self.validate_reads,
-                            &task.routes[i],
+                            task.routes[i],
                         );
                         (i, outcome)
                     })
@@ -272,10 +272,10 @@ impl ShardScheduler {
         &self,
         seq: u64,
         txns: Arc<[TxnResult]>,
-        routes: Vec<BTreeSet<ShardId>>,
+        routes: Vec<ShardSet>,
     ) -> ApplyTicket {
         assert_eq!(routes.len(), txns.len(), "one route per txn");
-        let routes: Arc<[BTreeSet<ShardId>]> = routes.into();
+        let routes: Arc<[ShardSet]> = routes.into();
         let ticket = Arc::new(TicketState::new(txns.len()));
         let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); self.inner.committer.shards().len()];
         for (i, involved) in routes.iter().enumerate() {

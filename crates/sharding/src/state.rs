@@ -12,12 +12,12 @@
 //!   time: a shard is never enqueued twice and never run by two workers
 //!   concurrently, which is what makes a shard a serialisation domain.
 
-use crate::router::{ShardId, ShardRouter};
+use crate::router::{ShardId, ShardRouter, ShardSet};
 use crate::scheduler::TicketState;
 use parking_lot::{Mutex, MutexGuard};
 use sbft_storage::VersionedStore;
 use sbft_types::{Key, TxnResult, Value, Version};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -50,7 +50,7 @@ pub struct ShardTask {
     /// The involved-shard set of every transaction of the batch, as the
     /// submitter routed it: the worker commits through it instead of
     /// hashing the keys again.
-    pub routes: Arc<[BTreeSet<ShardId>]>,
+    pub routes: Arc<[ShardSet]>,
     /// Which transactions of the batch live on this shard.
     pub indices: Vec<u32>,
     /// Where the per-transaction outcomes are recorded.

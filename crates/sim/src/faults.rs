@@ -281,6 +281,37 @@ impl FaultPlan {
     }
 }
 
+/// What the plan lets through of one message: one extra delay per
+/// delivered copy — none when it is dropped, two when it is duplicated.
+/// Reads as a slice; nothing is allocated per message.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Copies {
+    delays: [SimDuration; 2],
+    len: u8,
+}
+
+impl Copies {
+    const DROPPED: Copies = Copies {
+        delays: [SimDuration::ZERO; 2],
+        len: 0,
+    };
+
+    fn one(delay: SimDuration) -> Self {
+        Copies {
+            delays: [delay, SimDuration::ZERO],
+            len: 1,
+        }
+    }
+}
+
+impl std::ops::Deref for Copies {
+    type Target = [SimDuration];
+
+    fn deref(&self) -> &[SimDuration] {
+        &self.delays[..self.len as usize]
+    }
+}
+
 /// The runtime side of a [`FaultPlan`]: owns the seeded RNG and the
 /// `faults.*` counters, and answers the harness's two questions — what
 /// happens to this message, and how slow is this fsync.
@@ -321,33 +352,34 @@ impl FaultState {
         &self.plan.crashes
     }
 
-    /// Decides the fate of one node-to-node message: the returned vector
-    /// holds one extra-delay per delivered copy, so an empty vector means
-    /// the message is dropped and two entries mean it was duplicated.
+    /// Decides the fate of one node-to-node message: the returned
+    /// [`Copies`] hold one extra-delay per delivered copy, so none means
+    /// the message is dropped and two mean it was duplicated.
     ///
     /// Partitions are checked first and consume no randomness; loss,
     /// duplication and delay draw from the RNG only when their
     /// probability is non-zero, keeping the random stream minimal and
     /// stable when rules are partially disabled.
-    pub fn deliveries(&mut self, from: NodeId, to: NodeId, now: SimTime) -> Vec<SimDuration> {
+    pub fn deliveries(&mut self, from: NodeId, to: NodeId, now: SimTime) -> Copies {
         if self.plan.partitioned(from, to, now.since(self.origin)) {
             self.partition_drops.inc();
-            return Vec::new();
+            return Copies::DROPPED;
         }
         let Some(faults) = self.plan.rule_for(from, to).copied() else {
-            return vec![SimDuration::ZERO];
+            return Copies::one(SimDuration::ZERO);
         };
         if faults.loss > 0.0 && self.rng.gen_bool(faults.loss) {
             self.dropped.inc();
-            return Vec::new();
+            return Copies::DROPPED;
         }
-        let copies = if faults.duplicate > 0.0 && self.rng.gen_bool(faults.duplicate) {
+        let duplicated = faults.duplicate > 0.0 && self.rng.gen_bool(faults.duplicate);
+        let mut copies = Copies::one(self.extra_delay(&faults));
+        if duplicated {
             self.duplicated.inc();
-            2
-        } else {
-            1
-        };
-        (0..copies).map(|_| self.extra_delay(&faults)).collect()
+            copies.delays[1] = self.extra_delay(&faults);
+            copies.len = 2;
+        }
+        copies
     }
 
     fn extra_delay(&mut self, faults: &LinkFaults) -> SimDuration {
@@ -393,8 +425,8 @@ mod tests {
         let mut state = FaultState::new(FaultPlan::new(), 1, SimTime::ZERO, &reg);
         for _ in 0..100 {
             assert_eq!(
-                state.deliveries(NodeId(0), NodeId(1), SimTime::ZERO),
-                vec![SimDuration::ZERO]
+                *state.deliveries(NodeId(0), NodeId(1), SimTime::ZERO),
+                [SimDuration::ZERO]
             );
         }
         assert_eq!(reg.counter_value("faults.messages_dropped"), 0);
@@ -424,8 +456,8 @@ mod tests {
         let mut state = FaultState::new(plan, 1, SimTime::ZERO, &reg);
         // The specific clean rule shadows the catch-all loss rule.
         assert_eq!(
-            state.deliveries(NodeId(0), NodeId(1), SimTime::ZERO),
-            vec![SimDuration::ZERO]
+            *state.deliveries(NodeId(0), NodeId(1), SimTime::ZERO),
+            [SimDuration::ZERO]
         );
         assert!(state
             .deliveries(NodeId(1), NodeId(0), SimTime::ZERO)

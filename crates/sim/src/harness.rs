@@ -68,11 +68,12 @@ impl Default for SimParams {
 /// keeps those itself, see [`crate::queue`]).
 ///
 /// The queue holds one of these per pending event, so the enum is kept
-/// to 16 bytes (32 per queued event): the two payload-carrying variants
-/// are boxed — sifting a small element through a deep heap costs less
-/// than the allocation.
+/// to 16 bytes (32 per queued event): sifting a small element through a
+/// deep heap costs less than an indirection. An executor run (a few per
+/// batch) is boxed; a message in flight — the common entry — is not an
+/// `EventKind` at all but a slot of the queue's delivery slab
+/// ([`EventQueue::push_delivery`]).
 pub(crate) enum EventKind {
-    Deliver(Box<Delivery>),
     ExecutorRun(Box<ExecutorRun>),
     BatchTick {
         node: usize,
@@ -157,6 +158,10 @@ pub struct SimHarness {
     /// The instantiated chaos plan, when one was attached: consulted on
     /// every node-to-node send and every fsync.
     faults: Option<FaultState>,
+    /// Emptied action lists the client and verifier roles fill next (they
+    /// answer per transaction; a shim node's lists are per batch and its
+    /// own). One per level of [`Self::process_actions`] nesting.
+    spare_actions: Vec<Vec<Action>>,
     metrics: RunMetrics,
 }
 
@@ -249,6 +254,7 @@ impl SimHarness {
             ingest_times: IdMap::default(),
             down: std::collections::BTreeSet::new(),
             faults: None,
+            spare_actions: Vec::new(),
             metrics,
         }
     }
@@ -317,10 +323,7 @@ impl SimHarness {
         // Closed loop: every client issues its first request at t = 0.
         for c in 0..active_clients {
             let client = ClientId(c as u32);
-            let txn = self.workload.next_transaction(client);
-            self.submit_times[c] = SimTime::ZERO;
-            let actions = self.system.clients[c].submit(txn);
-            self.process_actions(ComponentId::Client(client), SimTime::ZERO, actions);
+            self.submit_next(client, SimTime::ZERO);
         }
         // Periodic batch ticks at every shim node (only the primary acts).
         for node in 0..self.system.nodes.len() {
@@ -357,6 +360,9 @@ impl SimHarness {
             self.clock = popped.time;
             self.events_processed += 1;
             match popped.fired {
+                Fired::Delivery(Delivery { from, to, msg }) => {
+                    self.deliver(from, to, msg, popped.time);
+                }
                 Fired::Event(kind) => self.handle_event(kind, popped.time),
                 Fired::Timer(owner, timer) => self.fire_timer(owner, timer, popped.time),
                 Fired::StaleTimer => {}
@@ -387,10 +393,6 @@ impl SimHarness {
 
     fn handle_event(&mut self, kind: EventKind, now: SimTime) {
         match kind {
-            EventKind::Deliver(delivery) => {
-                let Delivery { from, to, msg } = *delivery;
-                self.deliver(from, to, msg, now);
-            }
             EventKind::ExecutorRun(run) => self.run_executor(*run, now),
             EventKind::BatchTick { node } => {
                 // A crashed node skips the poll but keeps its tick alive,
@@ -398,8 +400,8 @@ impl SimHarness {
                 if !self.down.contains(&node) {
                     let actions = self.system.nodes[node].poll_batcher(now);
                     let id = self.system.nodes[node].id();
-                    let actions = self.system.injector.apply(id, actions);
-                    self.process_actions(ComponentId::Node(id), now, actions);
+                    let mut actions = self.system.injector.apply(id, actions);
+                    self.process_actions(ComponentId::Node(id), now, &mut actions);
                 }
                 if now < self.end_time() {
                     self.queue.push(
@@ -415,12 +417,12 @@ impl SimHarness {
             EventKind::Restart { node } => {
                 self.down.remove(&node);
                 let id = self.system.nodes[node].id();
-                let actions = self.system.nodes[node].crash_restart();
+                let mut actions = self.system.nodes[node].crash_restart();
                 self.system.registry.counter("recovery.recoveries").inc();
                 // The recover span: one event per recovery, keyed by the
                 // restarting node (not part of the batch pipeline).
                 self.tracer.emit(u64::from(id.0), Stage::Recover, now);
-                self.process_actions(ComponentId::Node(id), now, actions);
+                self.process_actions(ComponentId::Node(id), now, &mut actions);
             }
         }
     }
@@ -492,15 +494,16 @@ impl SimHarness {
                     }
                     other => self.system.nodes[idx].on_message_at(&other, done),
                 };
-                let actions = self.system.injector.apply(node_id, actions);
-                self.process_actions(to, done, actions);
+                let mut actions = self.system.injector.apply(node_id, actions);
+                self.process_actions(to, done, &mut actions);
             }
             ComponentId::Verifier => {
                 if let ProtocolMessage::Verify(v) = &msg {
                     self.tracer.emit(v.seq.0, Stage::VerifyIngest, now);
                 }
-                let actions = self.system.verifier.on_message(&msg);
-                self.process_actions(to, done, actions);
+                self.process_filled(to, done, |system, out| {
+                    system.verifier.on_message_into(&msg, out);
+                });
             }
             ComponentId::Client(client_id) => {
                 match &msg {
@@ -516,11 +519,36 @@ impl SimHarness {
                 if idx >= self.system.clients.len() {
                     return;
                 }
-                let actions = self.system.clients[idx].on_message(&msg);
-                self.process_actions(to, done, actions);
+                self.process_filled(to, done, |system, out| {
+                    system.clients[idx].on_message_into(&msg, out);
+                });
             }
             _ => {}
         }
+    }
+
+    /// Closed loop: `client` issues its next request at `now`.
+    fn submit_next(&mut self, client: ClientId, now: SimTime) {
+        let idx = client.0 as usize;
+        let txn = self.workload.next_transaction(client);
+        self.submit_times[idx] = now;
+        self.process_filled(ComponentId::Client(client), now, |system, out| {
+            system.clients[idx].submit_into(txn, out);
+        });
+    }
+
+    /// Lets a role append its actions to a spare list, interprets them,
+    /// and keeps the emptied list (and its capacity) for the next call.
+    fn process_filled(
+        &mut self,
+        origin: ComponentId,
+        now: SimTime,
+        fill: impl FnOnce(&mut System, &mut Vec<Action>),
+    ) {
+        let mut actions = self.spare_actions.pop().unwrap_or_default();
+        fill(&mut self.system, &mut actions);
+        self.process_actions(origin, now, &mut actions);
+        self.spare_actions.push(actions);
     }
 
     fn fire_timer(&mut self, owner: ComponentId, timer: ProtocolTimer, now: SimTime) {
@@ -531,12 +559,12 @@ impl SimHarness {
                     return;
                 }
                 let actions = self.system.nodes[idx].on_timer(timer, now);
-                let actions = self.system.injector.apply(node_id, actions);
-                self.process_actions(owner, now, actions);
+                let mut actions = self.system.injector.apply(node_id, actions);
+                self.process_actions(owner, now, &mut actions);
             }
             ComponentId::Verifier => {
-                let actions = self.system.verifier.on_timer(timer);
-                self.process_actions(owner, now, actions);
+                let mut actions = self.system.verifier.on_timer(timer);
+                self.process_actions(owner, now, &mut actions);
             }
             ComponentId::Client(client_id) => {
                 if let ProtocolTimer::ClientRequest(txn) = timer {
@@ -544,8 +572,8 @@ impl SimHarness {
                     if idx >= self.system.clients.len() {
                         return;
                     }
-                    let actions = self.system.clients[idx].on_timeout(txn);
-                    self.process_actions(owner, now, actions);
+                    let mut actions = self.system.clients[idx].on_timeout(txn);
+                    self.process_actions(owner, now, &mut actions);
                 }
             }
             _ => {}
@@ -628,7 +656,8 @@ impl SimHarness {
         self.system.cloud.release(executor);
     }
 
-    fn process_actions(&mut self, origin: ComponentId, now: SimTime, actions: Vec<Action>) {
+    /// Interprets (and drains) a role's action list.
+    fn process_actions(&mut self, origin: ComponentId, now: SimTime, actions: &mut Vec<Action>) {
         // Shard `ccheck` work announced in this action list gates the
         // sends that follow it: responses for a validated batch leave only
         // once every involved shard station has finished the batch's
@@ -647,7 +676,7 @@ impl SimHarness {
         // (ordered apply), so all of them are marked; the shard slices
         // are attributed to the first.
         let apply_seqs = if self.tracer.enabled() && origin == ComponentId::Verifier {
-            let seqs = validated_batch_seqs(&actions);
+            let seqs = validated_batch_seqs(actions);
             for seq in &seqs {
                 self.tracer.emit(seq.0, Stage::ApplyStart, arrival);
             }
@@ -656,7 +685,7 @@ impl SimHarness {
             Vec::new()
         };
         let apply_seq = apply_seqs.first().copied();
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::ShardCcheck {
                     shard,
@@ -727,16 +756,16 @@ impl SimHarness {
                             }
                         }
                         Destination::AllNodes => {
-                            let others: Vec<NodeId> = self
-                                .system
-                                .nodes
-                                .iter()
-                                .map(sbft_core::ShimNode::id)
-                                .filter(|n| ComponentId::Node(*n) != origin)
-                                .collect();
-                            self.charge_egress(origin, wire_size * others.len());
-                            for dst in others {
-                                self.send_to_node(origin, from, dst, msg.clone(), now, at);
+                            let nodes = self.system.nodes.len();
+                            let others = (0..nodes)
+                                .filter(|i| ComponentId::Node(self.system.nodes[*i].id()) != origin)
+                                .count();
+                            self.charge_egress(origin, wire_size * others);
+                            for i in 0..nodes {
+                                let dst = self.system.nodes[i].id();
+                                if ComponentId::Node(dst) != origin {
+                                    self.send_to_node(origin, from, dst, msg.clone(), now, at);
+                                }
                             }
                         }
                         // One recipient: the message moves into its
@@ -815,9 +844,13 @@ impl SimHarness {
                                 if let Some(node) = origin.as_node() {
                                     let idx = node.0 as usize;
                                     if idx < self.system.nodes.len() {
-                                        let reactions =
+                                        let mut reactions =
                                             self.system.nodes[idx].on_spawn_rejected(spawn_region);
-                                        self.process_actions(origin, spawn_issue_done, reactions);
+                                        self.process_actions(
+                                            origin,
+                                            spawn_issue_done,
+                                            &mut reactions,
+                                        );
                                     }
                                 }
                             }
@@ -839,10 +872,7 @@ impl SimHarness {
                     // Closed loop: the client immediately issues its next
                     // request (Section IX, Setup).
                     if now < self.end_time() && idx < self.system.clients.len() {
-                        let next = self.workload.next_transaction(client);
-                        self.submit_times[idx] = now;
-                        let actions = self.system.clients[idx].submit(next);
-                        self.process_actions(ComponentId::Client(client), now, actions);
+                        self.submit_next(client, now);
                     }
                 }
                 Action::BatchCommitted { seq, .. } => {
@@ -874,8 +904,7 @@ impl SimHarness {
         to: ComponentId,
         msg: ProtocolMessage,
     ) {
-        self.queue
-            .push(at, EventKind::Deliver(Box::new(Delivery { from, to, msg })));
+        self.queue.push_delivery(at, Delivery { from, to, msg });
     }
 
     /// Queues `msg` for shim node `dst`, due at `at` unless the fault plan
@@ -1362,7 +1391,7 @@ mod tests {
         chained.process_actions(
             ComponentId::Verifier,
             SimTime::ZERO,
-            vec![slice(0, true), slice(1, true), slice(2, true)],
+            &mut vec![slice(0, true), slice(1, true), slice(2, true)],
         );
         let steps = probe(&mut chained);
         assert_eq!(steps[0], SimTime::ZERO + cost, "first lock from arrival");
@@ -1377,7 +1406,7 @@ mod tests {
         parallel.process_actions(
             ComponentId::Verifier,
             SimTime::ZERO,
-            vec![slice(0, false), slice(1, false), slice(2, false)],
+            &mut vec![slice(0, false), slice(1, false), slice(2, false)],
         );
         let flat = probe(&mut parallel);
         for done in &flat[..3] {

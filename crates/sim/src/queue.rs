@@ -7,7 +7,11 @@
 //!
 //! * `events` holds deliveries, executor runs, ticks, crashes and the
 //!   timers of shim nodes and the verifier (a handful per batch, looked up
-//!   through two small tables);
+//!   through two small tables). A queued delivery is an index into
+//!   `deliveries`, a slab the queue owns: [`EventQueue::push_delivery`]
+//!   fills a slot, exactly one heap entry names it, and popping that
+//!   entry empties the slot onto the free list — so a message in flight
+//!   costs no allocation once the slab has grown to the run's peak;
 //! * `client_deadlines` holds the client timers `τ_m`. The closed loop
 //!   gives every client one request and so one timer at a time: the armed
 //!   timer lives in a slot indexed by client, arming and cancelling touch
@@ -16,7 +20,7 @@
 //!   before they are due; kept apart, they cost the deliveries no heap
 //!   depth, and pushing deadlines that only grow never sifts.
 
-use crate::harness::EventKind;
+use crate::harness::{Delivery, EventKind};
 use sbft_core::events::ProtocolTimer;
 use sbft_types::{ClientId, ComponentId, IdMap, SimTime, TxnId};
 use std::cmp::Reverse;
@@ -25,6 +29,8 @@ use std::collections::BinaryHeap;
 /// What an entry of the `events` heap stands for.
 enum Queued {
     Event(EventKind),
+    /// The message in this slot of the delivery slab arrives.
+    Delivery(u32),
     /// A node or verifier timer armed under the entry's `seq` expires,
     /// unless it was cancelled or re-armed in the meantime.
     Timer,
@@ -65,6 +71,8 @@ struct ClientTimer {
 pub(crate) enum Fired {
     /// A pushed event.
     Event(EventKind),
+    /// A pushed delivery, taken out of its slab slot.
+    Delivery(Delivery),
     /// An armed timer reached its deadline.
     Timer(ComponentId, ProtocolTimer),
     /// The deadline of a timer that was cancelled or re-armed since. It
@@ -80,6 +88,9 @@ pub(crate) struct Popped {
 
 pub(crate) struct EventQueue {
     events: BinaryHeap<Reverse<Event>>,
+    /// Messages in flight, by slot; `free_slots` lists the empty ones.
+    deliveries: Vec<Option<Delivery>>,
+    free_slots: Vec<u32>,
     client_deadlines: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     client_timers: Vec<ClientTimer>,
     /// Armed node and verifier timers, by the `seq` of their queued
@@ -95,6 +106,8 @@ impl EventQueue {
     pub(crate) fn new(clients: usize) -> Self {
         EventQueue {
             events: BinaryHeap::new(),
+            deliveries: Vec::new(),
+            free_slots: Vec::new(),
             client_deadlines: BinaryHeap::new(),
             client_timers: vec![ClientTimer::default(); clients],
             timers: IdMap::default(),
@@ -114,6 +127,26 @@ impl EventQueue {
             time,
             seq,
             queued: Queued::Event(kind),
+        }));
+    }
+
+    /// Queues `delivery` for `time`, in a free slab slot if there is one.
+    pub(crate) fn push_delivery(&mut self, time: SimTime, delivery: Delivery) {
+        let seq = self.next_seq();
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.deliveries[slot as usize] = Some(delivery);
+                slot
+            }
+            None => {
+                self.deliveries.push(Some(delivery));
+                u32::try_from(self.deliveries.len() - 1).expect("fewer than 2^32 in flight")
+            }
+        };
+        self.events.push(Reverse(Event {
+            time,
+            seq,
+            queued: Queued::Delivery(slot),
         }));
     }
 
@@ -193,6 +226,14 @@ impl EventQueue {
         let Reverse(Event { time, seq, queued }) = self.events.pop()?;
         let fired = match queued {
             Queued::Event(kind) => Fired::Event(kind),
+            Queued::Delivery(slot) => {
+                self.free_slots.push(slot);
+                Fired::Delivery(
+                    self.deliveries[slot as usize]
+                        .take()
+                        .expect("a queued delivery owns its slot"),
+                )
+            }
             Queued::Timer => match self.timers.remove(&seq) {
                 Some((owner, timer)) => {
                     self.timer_seq.remove(&(owner, timer));
@@ -253,6 +294,11 @@ mod tests {
     fn queued_entries_are_small() {
         assert!(std::mem::size_of::<Reverse<Event>>() <= 32);
         assert!(std::mem::size_of::<Reverse<(SimTime, u64, u32)>>() <= 24);
+        // What a role pushes per send and what a slab slot holds per
+        // message in flight. Both were 304 bytes while `ERROR` carried its
+        // client request inline and `EXECUTE` / `VERIFY` sat in the enum.
+        assert!(std::mem::size_of::<sbft_core::events::Action>() <= 192);
+        assert!(std::mem::size_of::<Option<Delivery>>() <= 184);
     }
 
     /// What a pop showed, reduced to what the two timer paths share.

@@ -338,6 +338,13 @@ impl ShardingConfig {
                 "sharding needs at least one shard".into(),
             ));
         }
+        if self.num_shards > crate::ShardSet::CAPACITY {
+            return Err(SbftError::InvalidConfig(format!(
+                "at most {} shards (the width of a route set), got {}",
+                crate::ShardSet::CAPACITY,
+                self.num_shards
+            )));
+        }
         if self.workers == 0 {
             return Err(SbftError::InvalidConfig(
                 "sharding needs at least one worker".into(),
@@ -619,6 +626,12 @@ mod tests {
         assert_eq!(ShardingConfig::default().num_shards, 1);
         assert!(ShardingConfig::with_shards(8).validate().is_ok());
         assert!(ShardingConfig::with_shards(0).validate().is_err());
+        assert!(ShardingConfig::with_shards(crate::ShardSet::CAPACITY)
+            .validate()
+            .is_ok());
+        assert!(ShardingConfig::with_shards(crate::ShardSet::CAPACITY + 1)
+            .validate()
+            .is_err());
         assert!(ShardingConfig::with_shards(2)
             .with_workers(0)
             .validate()

@@ -18,6 +18,8 @@
 //! * [`time`] — virtual time used by the simulator and protocol timers,
 //! * [`idmap`] — hash tables keyed by the identifier types, over one cheap
 //!   fixed-key hasher,
+//! * [`inline`] — the inline read/write lists and the shard bit set that
+//!   keep the per-transaction path off the heap,
 //! * [`error`] — the common error type.
 //!
 //! Keeping these types dependency-free (except `serde`) lets the protocol
@@ -34,6 +36,7 @@ pub mod digest;
 pub mod error;
 pub mod idmap;
 pub mod ids;
+pub mod inline;
 pub mod plan;
 pub mod region;
 pub mod rwset;
@@ -51,8 +54,9 @@ pub use idmap::{BuildIdHasher, IdHasher, IdMap, IdSet};
 pub use ids::{
     ClientId, ComponentId, ExecutorId, NodeId, ReplicaIndex, SeqNum, ShardId, TxnId, ViewNumber,
 };
+pub use inline::{InlineVec, ShardSet};
 pub use plan::ShardPlan;
 pub use region::{Region, RegionPartition, RegionSet};
-pub use rwset::{Key, KeySet, ReadWriteSet, RwSetKeys, Value, Version};
+pub use rwset::{Key, ReadWriteSet, RwSetKeys, Value, Version};
 pub use time::{SimDuration, SimTime};
-pub use transaction::{Operation, Transaction, TxnOutcome, TxnResult};
+pub use transaction::{Operation, Transaction, TransactionBody, TxnOutcome, TxnResult};

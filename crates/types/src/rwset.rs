@@ -6,12 +6,13 @@
 //! lines 31–32) before applying the writes. The types here are shared by
 //! the storage engine, the executors and the verifier.
 
+use crate::inline::InlineVec;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A key in the on-premise data-store (YCSB keys are dense integers).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct Key(pub u64);
 
 /// A value stored under a key. YCSB values are opaque byte strings; we keep
@@ -42,17 +43,21 @@ pub struct RwSetKeys {
     pub write_keys: BTreeSet<Key>,
 }
 
-/// Convenience alias for a sorted set of keys.
-pub type KeySet = BTreeSet<Key>;
+/// Accesses of either kind a [`ReadWriteSet`] holds inline; a transaction
+/// reading or writing more keys than this spills that list to the heap.
+/// YCSB transactions in the evaluation carry one or two operations.
+pub const INLINE_ACCESSES: usize = 2;
 
 /// The observed read-write set `rw` collected by an executor during
 /// execution: the versions it read and the values it intends to write.
+/// Both lists read as slices; the first [`INLINE_ACCESSES`] entries of
+/// each live in the set itself.
 #[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize, Debug)]
 pub struct ReadWriteSet {
     /// Keys read together with the version observed at read time.
-    pub reads: Vec<(Key, Version)>,
+    pub reads: InlineVec<(Key, Version), INLINE_ACCESSES>,
     /// Keys written together with the new value.
-    pub writes: Vec<(Key, Value)>,
+    pub writes: InlineVec<(Key, Value), INLINE_ACCESSES>,
 }
 
 impl Key {
@@ -93,12 +98,6 @@ impl RwSetKeys {
             read_keys: reads.into_iter().collect(),
             write_keys: writes.into_iter().collect(),
         }
-    }
-
-    /// All keys touched (read or written).
-    #[must_use]
-    pub fn all_keys(&self) -> KeySet {
-        self.read_keys.union(&self.write_keys).copied().collect()
     }
 
     /// Whether the transaction writes at least one key.
@@ -259,10 +258,8 @@ mod tests {
     }
 
     #[test]
-    fn all_keys_unions_reads_and_writes() {
+    fn declared_set_predicates() {
         let a = RwSetKeys::new(keys(&[1, 2]), keys(&[2, 3]));
-        let all: Vec<u64> = a.all_keys().iter().map(|k| k.0).collect();
-        assert_eq!(all, vec![1, 2, 3]);
         assert!(a.has_writes());
         assert!(!a.is_empty());
         assert!(RwSetKeys::default().is_empty());
@@ -279,6 +276,20 @@ mod tests {
         let declared = rw.keys();
         assert!(declared.read_keys.contains(&Key(1)));
         assert!(declared.write_keys.contains(&Key(2)));
+    }
+
+    #[test]
+    fn accesses_past_the_inline_capacity_spill_and_read_the_same() {
+        let mut rw = ReadWriteSet::new();
+        for k in 0..=INLINE_ACCESSES as u64 {
+            assert!(!rw.reads.spilled() && !rw.writes.spilled());
+            rw.record_read(Key(k), Version(k));
+            rw.record_write(Key(k), Value::with_len(k, 10));
+        }
+        assert!(rw.reads.spilled() && rw.writes.spilled());
+        assert_eq!(rw.len(), 2 * (INLINE_ACCESSES + 1));
+        assert_eq!(rw.reads[INLINE_ACCESSES], (Key(2), Version(2)));
+        assert_eq!(rw.wire_size(), (INLINE_ACCESSES + 1) * (16 + 18));
     }
 
     #[test]

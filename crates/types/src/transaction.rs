@@ -11,21 +11,29 @@
 //!
 //! The client-request signing digest `Δ = H(⟨T⟩_C)` is needed at several
 //! points of a transaction's life: the client signs it, the primary
-//! verifies it, and the verifier re-verifies it on client retries. The
-//! transaction therefore carries an `Arc<OnceLock>` cache slot
+//! verifies it, and the verifier re-verifies it on client retries. A
+//! [`Transaction`] is a reference-counted handle on one shared
+//! [`TransactionBody`], and the body carries the cache slot
 //! ([`Transaction::signing_digest_memo`]): the digest is computed at most
-//! once per transaction, and — because every clone shares the same slot,
+//! once per transaction, and — because every clone is the same body,
 //! whether the clone was taken before or after the first computation —
 //! every copy reuses the value instead of re-hashing. The digest function
 //! itself lives in
 //! `sbft-core` (it defines the signing format); this module only stores
 //! the result.
+//!
+//! A transaction therefore costs two allocations for its whole life — its
+//! operation list and its body — however many roles hold it: the client's
+//! retry slot, the request on the wire, the batcher lane, the batch in
+//! every replica's log and the `EXECUTE` messages all bump one count.
 
 use crate::digest::Digest;
 use crate::ids::TxnId;
 use crate::rwset::{Key, ReadWriteSet, RwSetKeys, Value};
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 /// A single key-value operation inside a transaction.
@@ -57,17 +65,19 @@ impl Operation {
     }
 }
 
-/// A client transaction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Transaction {
-    /// The transaction identifier (client + client-local counter).
-    ///
-    /// Invariant: `id` and `ops` must not be mutated after the signing
-    /// digest has been memoized (they are its inputs); build a new
-    /// [`Transaction`] instead of editing one in place.
+/// A client transaction: a shared handle on its [`TransactionBody`].
+/// Cloning bumps a reference count; the fields read through `Deref`.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Transaction(Arc<TransactionBody>);
+
+/// The contents of a [`Transaction`], shared by all of its clones and
+/// immutable once shared (the `with_*` builders copy on write).
+#[derive(Clone, Serialize, Deserialize)]
+pub struct TransactionBody {
+    /// The transaction identifier (client + client-local counter). An
+    /// input of the memoized signing digest, like `ops`.
     pub id: TxnId,
-    /// The key-value operations the transaction performs. Same mutation
-    /// invariant as `id`.
+    /// The key-value operations the transaction performs.
     pub ops: Vec<Operation>,
     /// Read-write sets declared ahead of execution, if the application knows
     /// them (enables the best-effort conflict-avoidance planner of
@@ -81,24 +91,44 @@ pub struct Transaction {
     /// Logical payload size in bytes carried by the request (affects the
     /// wire size of `PREPREPARE` and `EXECUTE` messages).
     pub payload_len: u32,
-    /// Memoized client-request signing digest (see the module docs). The
-    /// slot is behind its own `Arc` so all clones share one cache, even
-    /// clones taken before the first fill. Derived state: excluded from
-    /// equality.
-    signing_digest: Arc<OnceLock<Digest>>,
+    /// Memoized client-request signing digest (see the module docs).
+    /// Derived state: excluded from equality.
+    signing_digest: OnceLock<Digest>,
+}
+
+impl Deref for Transaction {
+    type Target = TransactionBody;
+
+    fn deref(&self) -> &TransactionBody {
+        &self.0
+    }
 }
 
 impl PartialEq for Transaction {
     fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-            && self.ops == other.ops
-            && self.declared_rwset == other.declared_rwset
-            && self.execution_cost == other.execution_cost
-            && self.payload_len == other.payload_len
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.id == other.id
+                && self.ops == other.ops
+                && self.declared_rwset == other.declared_rwset
+                && self.execution_cost == other.execution_cost
+                && self.payload_len == other.payload_len)
     }
 }
 
 impl Eq for Transaction {}
+
+impl fmt::Debug for Transaction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Transaction")
+            .field("id", &self.id)
+            .field("ops", &self.ops)
+            .field("declared_rwset", &self.declared_rwset)
+            .field("execution_cost", &self.execution_cost)
+            .field("payload_len", &self.payload_len)
+            .field("signing_digest", &self.signing_digest)
+            .finish()
+    }
+}
 
 /// The outcome of executing or attempting to execute a transaction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -129,14 +159,21 @@ impl Transaction {
     #[must_use]
     pub fn new(id: TxnId, ops: Vec<Operation>) -> Self {
         let payload_len = (ops.len() as u32) * 16 + 8;
-        Transaction {
+        Transaction(Arc::new(TransactionBody {
             id,
             ops,
             declared_rwset: None,
             execution_cost: SimDuration::ZERO,
             payload_len,
-            signing_digest: Arc::new(OnceLock::new()),
-        }
+            signing_digest: OnceLock::new(),
+        }))
+    }
+
+    /// The body for a builder to edit: in place while this handle is the
+    /// only one (a transaction under construction), a private copy —
+    /// digest memo included, its inputs are not editable — otherwise.
+    fn body_mut(&mut self) -> &mut TransactionBody {
+        Arc::make_mut(&mut self.0)
     }
 
     /// Returns the memoized signing digest, computing it with `compute` on
@@ -160,22 +197,29 @@ impl Transaction {
     /// Attaches a declared read-write set (known read-write set mode).
     #[must_use]
     pub fn with_declared_rwset(mut self, rwset: RwSetKeys) -> Self {
-        self.declared_rwset = Some(rwset);
+        self.body_mut().declared_rwset = Some(rwset);
         self
     }
 
     /// Declares the read-write set by inspecting the operation list. This is
     /// exact for YCSB-style transactions whose keys are literal.
     #[must_use]
-    pub fn with_inferred_rwset(mut self) -> Self {
-        self.declared_rwset = Some(self.inferred_rwset());
-        self
+    pub fn with_inferred_rwset(self) -> Self {
+        let rwset = self.inferred_rwset();
+        self.with_declared_rwset(rwset)
     }
 
     /// Sets the modeled execution cost.
     #[must_use]
     pub fn with_execution_cost(mut self, cost: SimDuration) -> Self {
-        self.execution_cost = cost;
+        self.body_mut().execution_cost = cost;
+        self
+    }
+
+    /// Sets the logical payload size (decoders restoring a logged value).
+    #[must_use]
+    pub fn with_payload_len(mut self, payload_len: u32) -> Self {
+        self.body_mut().payload_len = payload_len;
         self
     }
 
@@ -333,10 +377,25 @@ mod tests {
     }
 
     #[test]
+    fn clones_share_one_body_and_builders_copy_on_write() {
+        let t = txn(vec![Operation::Read(Key(1))]);
+        let clone = t.clone();
+        assert!(std::ptr::eq(&*t, &*clone), "a clone is the same body");
+        let d = t.signing_digest_memo(|| Digest::from_bytes([4; 32]));
+        // A builder on a shared handle leaves the other handles alone and
+        // keeps the memo (its inputs, `id` and `ops`, did not change).
+        let costly = clone.with_execution_cost(SimDuration::from_millis(1));
+        assert_eq!(t.execution_cost, SimDuration::ZERO);
+        assert_eq!(costly.execution_cost, SimDuration::from_millis(1));
+        assert_eq!(costly.cached_signing_digest(), Some(d));
+        assert_eq!(costly.with_payload_len(99).payload_len, 99);
+    }
+
+    #[test]
     fn clone_taken_before_fill_shares_a_later_fill() {
         // Regression: a clone used to copy the (empty) `OnceLock` slot and
-        // would never see a digest computed on the original afterwards. The
-        // slot is shared through an `Arc` now.
+        // would never see a digest computed on the original afterwards. A
+        // clone is the same shared body now.
         let t = txn(vec![Operation::Read(Key(1))]);
         let early_clone = t.clone();
         assert_eq!(early_clone.cached_signing_digest(), None);
