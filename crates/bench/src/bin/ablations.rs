@@ -1,16 +1,15 @@
 //! Ablation experiments for design choices called out in DESIGN.md:
 //!
-//! * certificate size: full signature lists vs threshold aggregation,
 //! * executor count under byzantine executors (2f+1 vs 3f+1),
 //! * primary-only vs decentralized spawning under a delaying primary,
 //! * conflict handling: unknown read-write sets vs the known-set planner.
 
-use sbft_bench::{print_header, run_point, PointConfig};
+use sbft_bench::{run_sweep, PointConfig, FIGURE_COLUMNS};
 use sbft_core::ShimAttack;
 use sbft_types::{ConflictHandling, NodeId, SimDuration, SpawningMode, SystemConfig};
 
 fn main() {
-    print_header();
+    let mut points = Vec::new();
 
     // Conflict handling: aborting (unknown rw-sets) vs planner (known).
     for (label, handling) in [
@@ -22,7 +21,7 @@ fn main() {
         config.workload.conflict_fraction = 0.3;
         let mut point = PointConfig::new("ablation-conflict", label, 30.0, config);
         point.clients = 400;
-        run_point(point);
+        points.push(point);
     }
 
     // Spawning mode under a primary that delays spawning to force aborts.
@@ -42,7 +41,7 @@ fn main() {
                 delay: SimDuration::from_millis(150),
             },
         )];
-        run_point(point);
+        points.push(point);
     }
 
     // Executor count for conflicting workloads: 2f+1 vs 3f+1 executors.
@@ -53,6 +52,7 @@ fn main() {
         config.fault = config.fault.with_executors(n_e).with_executor_faults(1);
         let mut point = PointConfig::new("ablation-executors", label, n_e as f64, config);
         point.clients = 400;
-        run_point(point);
+        points.push(point);
     }
+    run_sweep(points, FIGURE_COLUMNS);
 }

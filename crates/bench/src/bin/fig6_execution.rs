@@ -4,11 +4,11 @@
 //! reproduction scales execution time 1:10 (up to 800 ms) and measures a
 //! longer virtual window so slow transactions can complete.
 
-use sbft_bench::{print_header, run_point, PointConfig};
+use sbft_bench::{run_sweep, PointConfig, FIGURE_COLUMNS};
 use sbft_types::{SimDuration, SystemConfig};
 
 fn main() {
-    print_header();
+    let mut points = Vec::new();
     // Scaled 1:10 from the paper's 0, 1, 2, 4, 8 seconds.
     let costs_ms = [0u64, 100, 200, 400, 800];
     for (label, n_r) in [("SERVBFT-8", 8usize), ("SERVBFT-32", 32)] {
@@ -20,7 +20,8 @@ fn main() {
             point.clients = 400;
             point.duration = SimDuration::from_millis(4_000);
             point.warmup = SimDuration::from_millis(1_000);
-            run_point(point);
+            points.push(point);
         }
     }
+    run_sweep(points, FIGURE_COLUMNS);
 }

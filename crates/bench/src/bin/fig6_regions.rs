@@ -2,11 +2,11 @@
 //! regions. Throughput and latency should stay roughly constant because
 //! the verifier only waits for the f_E + 1 nearest responses.
 
-use sbft_bench::{print_header, run_point, PointConfig};
+use sbft_bench::{run_sweep, PointConfig, FIGURE_COLUMNS};
 use sbft_types::{RegionSet, SystemConfig};
 
 fn main() {
-    print_header();
+    let mut points = Vec::new();
     for (label, n_r) in [("SERVBFT-8", 8usize), ("SERVBFT-32", 32)] {
         for regions in [5usize, 7, 9, 11] {
             let mut config = SystemConfig::with_shim_size(n_r);
@@ -14,7 +14,8 @@ fn main() {
             config.regions = RegionSet::first_n(regions);
             let mut point = PointConfig::new("fig6-regions", label, regions as f64, config);
             point.clients = 400;
-            run_point(point);
+            points.push(point);
         }
     }
+    run_sweep(points, FIGURE_COLUMNS);
 }

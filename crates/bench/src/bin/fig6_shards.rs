@@ -15,7 +15,7 @@
 //!   commit engine. Thread scaling only shows on multi-core hosts; on a
 //!   single-core machine the series is flat, which is why it is opt-in.
 
-use sbft_bench::{print_header, run_point, PointConfig};
+use sbft_bench::{run_sweep, PointConfig, FIGURE_COLUMNS};
 use sbft_sharding::{ShardScheduler, ShardedCommitter};
 use sbft_sim::CpuModel;
 use sbft_storage::VersionedStore;
@@ -29,6 +29,7 @@ use std::time::Instant;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn sim_series() {
+    let mut points = Vec::new();
     for shards in SHARD_COUNTS {
         let mut config = SystemConfig::with_shim_size(4);
         config.workload.num_records = 20_000;
@@ -45,8 +46,9 @@ fn sim_series() {
             storage_access_cost: SimDuration::from_micros(400),
             ..CpuModel::default()
         });
-        run_point(point);
+        points.push(point);
     }
+    run_sweep(points, FIGURE_COLUMNS);
 }
 
 fn raw_pool_series() {
@@ -97,14 +99,13 @@ fn raw_pool_series() {
         pool.shutdown();
         assert_eq!(committer.committed(), TXNS, "every transaction commits");
         println!(
-            "fig6-shards,RAW-POOL,{shards}.0,{:.0},{elapsed:.4},0.0000,0.0000,0.000,0.000",
+            "fig6-shards,RAW-POOL,{shards},{:.0},{elapsed:.6},0.000000,0.000000,0.000,0.000",
             TXNS as f64 / elapsed
         );
     }
 }
 
 fn main() {
-    print_header();
     sim_series();
     if std::env::args().any(|a| a == "--raw-pool") {
         raw_pool_series();

@@ -5,12 +5,12 @@
 //! verifier-bound serverless traffic) and NoShim (no consensus), for shims
 //! of 4 → 128 nodes.
 
-use sbft_bench::{print_header, run_point, PointConfig};
+use sbft_bench::{run_sweep, PointConfig, FIGURE_COLUMNS};
 use sbft_core::system::ShimProtocol;
 use sbft_types::{RegionSet, SimDuration, SystemConfig};
 
 fn main() {
-    print_header();
+    let mut points = Vec::new();
     let sizes = [4usize, 8, 16, 32, 64, 128];
     for &n_r in &sizes {
         // ServerlessBFT: PBFT shim + 3 executors + verifier.
@@ -18,7 +18,7 @@ fn main() {
         let mut point = PointConfig::new("fig7", "SERVERLESSBFT", n_r as f64, config);
         point.clients = 400;
         point.duration = SimDuration::from_millis(300);
-        run_point(point);
+        points.push(point);
 
         // ServerlessCFT: crash-fault-tolerant shim, same serverless flow.
         let config = SystemConfig::with_shim_size(n_r);
@@ -26,7 +26,7 @@ fn main() {
         point.protocol = ShimProtocol::Cft;
         point.clients = 400;
         point.duration = SimDuration::from_millis(300);
-        run_point(point);
+        points.push(point);
 
         // PBFT: classic BFT replication where replicas execute locally.
         let mut config = SystemConfig::with_shim_size(n_r);
@@ -36,7 +36,7 @@ fn main() {
         point.clients = 400;
         point.duration = SimDuration::from_millis(300);
         point.bill_serverless = false;
-        run_point(point);
+        points.push(point);
 
         // NoShim: no consensus at all (constant in the shim size).
         let mut config = SystemConfig::with_shim_size(n_r);
@@ -45,6 +45,7 @@ fn main() {
         point.protocol = ShimProtocol::NoShim;
         point.clients = 400;
         point.duration = SimDuration::from_millis(300);
-        run_point(point);
+        points.push(point);
     }
+    run_sweep(points, FIGURE_COLUMNS);
 }

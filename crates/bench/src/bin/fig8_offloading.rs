@@ -6,11 +6,11 @@
 //! with 1, 8 or 16 execution threads (PBFT-k-ET). The paper sweeps the
 //! added execution time 0 → 2000 ms; the reproduction scales it 1:10.
 
-use sbft_bench::{print_header, run_point, PointConfig};
+use sbft_bench::{run_sweep, PointConfig, FIGURE_COLUMNS};
 use sbft_types::{RegionSet, SimDuration, SystemConfig};
 
 fn main() {
-    print_header();
+    let mut points = Vec::new();
     // Scaled 1:10 from 0, 50, 100, 500, 1000, 1500, 2000 ms.
     let added_ms = [0u64, 5, 10, 50, 100, 150, 200];
     for &ms in &added_ms {
@@ -22,7 +22,7 @@ fn main() {
         point.clients = 400;
         point.duration = SimDuration::from_millis(2_000);
         point.warmup = SimDuration::from_millis(500);
-        run_point(point);
+        points.push(point);
 
         // Edge-only PBFT with k execution threads shared by all batches.
         for threads in [1usize, 8, 16] {
@@ -38,7 +38,8 @@ fn main() {
             point.warmup = SimDuration::from_millis(500);
             point.edge_execution_threads = Some(threads);
             point.bill_serverless = false;
-            run_point(point);
+            points.push(point);
         }
     }
+    run_sweep(points, FIGURE_COLUMNS);
 }

@@ -9,11 +9,12 @@
 //! Relative comparisons — who wins, by how much, where curves bend — are
 //! what the binaries report.
 //!
-//! The smoke sweeps (`chaos_points`, `recovery_points`, …) print through
-//! [`run_sweep`]: one list of column names gives the CSV header and every
+//! Every binary prints through [`run_sweep`]: one list of column names
+//! ([`FIGURE_COLUMNS`] for the figures) gives the CSV header and every
 //! row, a column being a harness figure or a registry counter name, and
-//! each binary asserts its invariants on the returned results by the same
-//! names ([`PointResult::value`]), so a broken invariant exits non-zero.
+//! each smoke sweep (`chaos_points`, `recovery_points`, …) asserts its
+//! invariants on the returned results by the same names
+//! ([`PointResult::value`]), so a broken invariant exits non-zero.
 
 use sbft_core::system::ShimProtocol;
 use sbft_core::{ShimAttack, SystemBuilder};
@@ -114,23 +115,6 @@ pub struct PointResult {
 }
 
 impl PointResult {
-    /// Formats the result as one CSV row.
-    #[must_use]
-    pub fn row(&self) -> String {
-        format!(
-            "{},{},{:.1},{:.0},{:.4},{:.4},{:.4},{:.3},{:.3}",
-            self.figure,
-            self.series,
-            self.x,
-            self.metrics.throughput_tps(),
-            self.metrics.avg_latency_secs(),
-            self.metrics.latency.p50_secs(),
-            self.metrics.latency.p99_secs(),
-            self.metrics.abort_rate(),
-            self.cents_per_ktxn,
-        )
-    }
-
     /// The value of a sweep column. The harness's own figures go by the
     /// names below; any other name is a registry counter — exact, or a
     /// suffix summed over the nodes (`durability.wal_appends`) — read
@@ -148,17 +132,18 @@ impl PointResult {
             "cross_fallback_rate" => m.cross_shard_fallback_rate(),
             "remote_fetch_rate" => m.remote_fetch_rate(),
             "committed" => m.committed_txns as f64,
+            "cents_per_ktxn" => self.cents_per_ktxn,
             counter => m.sum(counter) as f64,
         }
     }
 
     /// [`Self::value`] as a CSV cell: latencies to the microsecond, rates
-    /// to three places, everything else whole.
+    /// and cents to three places, everything else whole.
     #[must_use]
     pub fn cell(&self, column: &str) -> String {
         let decimals = match column {
             "avg_latency_s" | "p50_s" | "p99_s" | "max_latency_s" => 6,
-            "abort_rate" | "cross_fallback_rate" | "remote_fetch_rate" => 3,
+            "abort_rate" | "cross_fallback_rate" | "remote_fetch_rate" | "cents_per_ktxn" => 3,
             _ => 0,
         };
         format!("{:.decimals$}", self.value(column))
@@ -173,7 +158,17 @@ impl PointResult {
     }
 }
 
-/// Runs a smoke sweep and prints it as CSV: `figure,series,x` and then
+/// The columns every figure binary prints after `figure,series,x`.
+pub const FIGURE_COLUMNS: &[&str] = &[
+    "throughput_tps",
+    "avg_latency_s",
+    "p50_s",
+    "p99_s",
+    "abort_rate",
+    "cents_per_ktxn",
+];
+
+/// Runs a sweep and prints it as CSV: `figure,series,x` and then
 /// `columns`, header and rows from the same list. Returns the results
 /// for the caller's checks.
 pub fn run_sweep(points: Vec<PointConfig>, columns: &[&str]) -> Vec<PointResult> {
@@ -181,7 +176,7 @@ pub fn run_sweep(points: Vec<PointConfig>, columns: &[&str]) -> Vec<PointResult>
     points
         .into_iter()
         .map(|point| {
-            let result = run_point_silent(point);
+            let result = run_point(point);
             let cells: Vec<String> = columns.iter().map(|c| result.cell(c)).collect();
             println!(
                 "{},{},{:.0},{}",
@@ -207,20 +202,8 @@ pub fn find_row<'a>(results: &'a [PointResult], series: &str, x: f64) -> &'a Poi
         .unwrap_or_else(|| panic!("missing row {series} at x = {x}"))
 }
 
-/// Prints the CSV header used by every figure binary.
-pub fn print_header() {
-    println!("figure,series,x,throughput_tps,avg_latency_s,p50_s,p99_s,abort_rate,cents_per_ktxn");
-}
-
-/// Runs one data point and prints its CSV row.
-pub fn run_point(point: PointConfig) -> PointResult {
-    let result = run_point_silent(point);
-    println!("{}", result.row());
-    result
-}
-
-/// Runs one data point on the simulator without printing.
-pub fn run_point_silent(point: PointConfig) -> PointResult {
+/// Runs one data point on the simulator.
+fn run_point(point: PointConfig) -> PointResult {
     run_point_with_sink(point, None)
 }
 
@@ -591,7 +574,7 @@ mod tests {
         };
         // Honest executors: per-txn stale aborts possible, whole-batch
         // divergence absent.
-        let honest = run_point_silent(scale_down(
+        let honest = run_point(scale_down(
             divergence_points(&[1_000], &[3]).pop().expect("one point"),
         ));
         assert!(honest.metrics.committed_txns > 0);
@@ -603,7 +586,7 @@ mod tests {
             byzantine_per_batch: 2,
             behavior: sbft_serverless::ExecutorBehavior::WrongResult,
         };
-        let tolerated = run_point_silent(tolerated);
+        let tolerated = run_point(tolerated);
         assert!(tolerated.metrics.committed_txns > 0);
         assert_eq!(tolerated.value("verifier.divergent_aborts"), 0.0);
         // Beyond the margin: no two digests match, every batch aborts
@@ -613,7 +596,7 @@ mod tests {
             byzantine_per_batch: 3,
             behavior: sbft_serverless::ExecutorBehavior::WrongResult,
         };
-        let beyond = run_point_silent(beyond);
+        let beyond = run_point(beyond);
         assert_eq!(beyond.metrics.committed_txns, 0);
         assert!(
             beyond.value("verifier.divergent_aborts") > 0.0,
@@ -633,14 +616,14 @@ mod tests {
             point
         };
         let points = planner_points(&[8], &[0.0]);
-        let planned = run_point_silent(scale_down(
+        let planned = run_point(scale_down(
             points
                 .iter()
                 .find(|p| p.series.starts_with("PLANNED"))
                 .cloned()
                 .expect("planned point"),
         ));
-        let unplanned = run_point_silent(scale_down(
+        let unplanned = run_point(scale_down(
             points
                 .iter()
                 .find(|p| p.series.starts_with("UNPLANNED"))
@@ -686,14 +669,14 @@ mod tests {
             point
         };
         let points = placement_points(&[3], &[0.0]);
-        let pinned = run_point_silent(scale_down(
+        let pinned = run_point(scale_down(
             points
                 .iter()
                 .find(|p| p.series.starts_with("PINNED"))
                 .cloned()
                 .expect("pinned point"),
         ));
-        let rr = run_point_silent(scale_down(
+        let rr = run_point(scale_down(
             points
                 .iter()
                 .find(|p| p.series.starts_with("RR"))
@@ -740,7 +723,7 @@ mod tests {
             .pop()
             .expect("one point");
         point.clients = 80;
-        let result = run_point_silent(point);
+        let result = run_point(point);
         let m = &result.metrics;
         assert!(m.committed_txns > 0, "chaos must not stop the shim");
         assert_eq!(m.counter("verifier.divergent_aborts"), 0);
@@ -763,10 +746,11 @@ mod tests {
         point.clients = 40;
         point.duration = SimDuration::from_millis(200);
         point.warmup = SimDuration::from_millis(50);
-        let result = run_point(point);
+        let result = run_sweep(vec![point], FIGURE_COLUMNS).remove(0);
         assert!(result.metrics.throughput_tps() > 0.0);
-        let row = result.row();
-        assert!(row.starts_with("figX,TEST,1.0,"));
-        assert_eq!(row.split(',').count(), 9);
+        assert_eq!((result.figure, result.series.as_str()), ("figX", "TEST"));
+        // The cost column is the harness's own figure, not a counter that
+        // is absent and reads zero.
+        assert!(result.value("cents_per_ktxn") > 0.0);
     }
 }

@@ -10,8 +10,9 @@
 //! it builds a scaled-down configuration (the paper's 180 s runs with up
 //! to 88 k clients become a few hundred simulated milliseconds with a few
 //! hundred clients, about 1:100; see the module docs), runs it on the
-//! discrete-event simulator and prints one row per data point in a fixed
-//! format:
+//! discrete-event simulator and prints one row per data point through
+//! [`run_sweep`] — for the figures in the fixed format of
+//! [`FIGURE_COLUMNS`]:
 //!
 //! ```text
 //! figure, series, x, throughput_tps, avg_latency_s, p50_s, p99_s, abort_rate, cents_per_ktxn
@@ -30,6 +31,5 @@ pub mod experiment;
 
 pub use experiment::{
     chaos_points, divergence_points, find_row, liveness_points, placement_points, planner_points,
-    print_header, recovery_points, run_point, run_point_silent, run_point_traced, run_sweep,
-    PointConfig, PointResult,
+    recovery_points, run_point_traced, run_sweep, PointConfig, PointResult, FIGURE_COLUMNS,
 };

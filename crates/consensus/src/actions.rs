@@ -93,7 +93,7 @@ impl ConsensusAction {
 
     /// Returns the committed sequence number if this is a commit action.
     #[must_use]
-    pub fn committed_seq(&self) -> Option<SeqNum> {
+    fn committed_seq(&self) -> Option<SeqNum> {
         match self {
             ConsensusAction::Committed { seq, .. } => Some(*seq),
             _ => None,

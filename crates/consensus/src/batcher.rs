@@ -95,12 +95,6 @@ impl SignedBatch {
         self.batch.is_empty()
     }
 
-    /// The aggregate of the batch's client signatures.
-    #[must_use]
-    pub fn aggregate(&self) -> &AggregateSignature {
-        &self.aggregate
-    }
-
     /// Authenticates the whole batch with one aggregate signature check.
     ///
     /// On the fast path (every client signature valid — the always case
@@ -307,28 +301,10 @@ impl Batcher {
         self.global_drains = registry.counter(&format!("{prefix}.batcher.global_drains"));
     }
 
-    /// The configured batch size.
-    #[must_use]
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
     /// The configured timeout of a pending transaction.
     #[must_use]
     pub fn max_wait(&self) -> SimDuration {
         self.max_wait
-    }
-
-    /// Number of lanes (1 without the planner, shards + 1 with it).
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Number of transactions waiting across all lanes.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.lanes.iter().map(|l| l.pending.len()).sum()
     }
 
     /// Identifiers of every transaction waiting across all lanes (the
@@ -494,7 +470,7 @@ mod tests {
         assert!(push_plain(&mut b, txn(1), SimTime::ZERO).is_none());
         let batch = push_plain(&mut b, txn(2), SimTime::ZERO).expect("full batch");
         assert_eq!(batch.len(), 3);
-        assert_eq!(b.pending(), 0);
+        assert_eq!(b.pending_txn_ids().len(), 0);
     }
 
     #[test]
@@ -517,8 +493,8 @@ mod tests {
         push_plain(&mut b, txn(0), SimTime::ZERO);
         push_plain(&mut b, txn(1), SimTime::ZERO);
         assert_eq!(b.flush().unwrap().len(), 2);
-        assert_eq!(b.pending(), 0);
-        assert_eq!(b.batch_size(), 10);
+        assert_eq!(b.pending_txn_ids().len(), 0);
+        assert_eq!(b.batch_size, 10);
     }
 
     #[test]
@@ -573,7 +549,7 @@ mod tests {
     #[test]
     fn unlaned_batches_release_unplanned() {
         let mut b = Batcher::new(2, SimDuration::from_millis(10));
-        assert_eq!(b.lanes(), 1);
+        assert_eq!(b.lanes.len(), 1);
         let _ = push_plain(&mut b, txn(0), SimTime::ZERO);
         let batch = push_plain(&mut b, txn(1), SimTime::ZERO).expect("full");
         assert_eq!(batch.plan(), ShardPlan::Unplanned);
@@ -582,17 +558,17 @@ mod tests {
     #[test]
     fn shard_lanes_assemble_per_home_and_tag_single_home() {
         let mut b = Batcher::with_shard_lanes(2, SimDuration::from_millis(10), 4);
-        assert_eq!(b.lanes(), 5, "4 home lanes + 1 cross lane");
+        assert_eq!(b.lanes.len(), 5, "4 home lanes + 1 cross lane");
         let home2 = ShardPlan::SingleHome(ShardId(2));
         let home3 = ShardPlan::SingleHome(ShardId(3));
         // Interleaved pushes to different homes fill separate lanes.
         assert!(push_lane(&mut b, txn(0), home2, SimTime::ZERO).is_none());
         assert!(push_lane(&mut b, txn(1), home3, SimTime::ZERO).is_none());
-        assert_eq!(b.pending(), 2);
+        assert_eq!(b.pending_txn_ids().len(), 2);
         let released = push_lane(&mut b, txn(2), home2, SimTime::ZERO).expect("lane 2 full");
         assert_eq!(released.plan(), home2);
         assert_eq!(released.len(), 2);
-        assert_eq!(b.pending(), 1, "lane 3 still waiting");
+        assert_eq!(b.pending_txn_ids().len(), 1, "lane 3 still waiting");
         // The released lane batch digests correctly despite interleaving.
         assert_eq!(
             released.batch().cached_digest().expect("memo filled"),
@@ -615,7 +591,7 @@ mod tests {
             SimTime::ZERO
         )
         .is_none());
-        assert_eq!(b.pending(), 1);
+        assert_eq!(b.pending_txn_ids().len(), 1);
     }
 
     #[test]
@@ -647,7 +623,7 @@ mod tests {
                 ShardPlan::CrossHome,
             ]
         );
-        assert_eq!(b.pending(), 0);
+        assert_eq!(b.pending_txn_ids().len(), 0);
     }
 
     #[test]
@@ -685,7 +661,7 @@ mod tests {
         );
         assert_eq!(registry.counter_value("shim.0.batcher.released_timeout"), 1);
         assert_eq!(registry.counter_value("shim.0.batcher.global_drains"), 1);
-        assert_eq!(b.pending(), 0);
+        assert_eq!(b.pending_txn_ids().len(), 0);
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl CftReplica {
 
     /// Majority quorum: ⌊n/2⌋ + 1 (crash faults only).
     #[must_use]
-    pub fn majority(&self) -> usize {
+    fn majority(&self) -> usize {
         self.params.n_r / 2 + 1
     }
 

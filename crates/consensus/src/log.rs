@@ -7,7 +7,7 @@
 //! stable (featherweight) checkpoint.
 
 use crate::messages::{Commit, Prepare};
-use sbft_types::{Batch, Digest, NodeId, SeqNum, ShardPlan, Signature, ViewNumber};
+use sbft_types::{Batch, Digest, NodeId, SeqNum, ShardPlan, ViewNumber};
 use std::collections::BTreeMap;
 
 /// Log entry for one sequence number.
@@ -37,15 +37,6 @@ impl LogEntry {
     #[must_use]
     pub fn pre_prepared(&self) -> bool {
         self.digest.is_some()
-    }
-
-    /// The commit signatures collected so far, as certificate entries.
-    #[must_use]
-    pub fn certificate_entries(&self) -> Vec<(NodeId, Signature)> {
-        self.commits
-            .iter()
-            .map(|(node, commit)| (*node, commit.signature))
-            .collect()
     }
 }
 
@@ -194,7 +185,7 @@ impl ConsensusLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbft_types::{ClientId, Key, MacTag, Operation, Transaction, TxnId};
+    use sbft_types::{ClientId, Key, MacTag, Operation, Signature, Transaction, TxnId};
 
     fn batch() -> Batch {
         Batch::single(Transaction::new(
@@ -260,16 +251,6 @@ mod tests {
         assert_eq!(log.add_prepare(prepare(1, 1)), 2);
         assert_eq!(log.add_commit(commit(1, 2)), 1);
         assert_eq!(log.add_commit(commit(1, 3)), 2);
-    }
-
-    #[test]
-    fn certificate_entries_mirror_commit_votes() {
-        let mut log = ConsensusLog::new();
-        log.add_commit(commit(1, 0));
-        log.add_commit(commit(1, 2));
-        let entries = log.entry(SeqNum(1)).unwrap().certificate_entries();
-        let nodes: Vec<u32> = entries.iter().map(|(n, _)| n.0).collect();
-        assert_eq!(nodes, vec![0, 2]);
     }
 
     #[test]

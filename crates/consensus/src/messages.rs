@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 /// Fixed per-message framing overhead (transport headers, message type
 /// tags, lengths) used by the wire-size model.
-pub const FRAMING_OVERHEAD: usize = 120;
+const FRAMING_OVERHEAD: usize = 120;
 
 /// `PREPREPARE(⟨T⟩_C, Δ, k)`: the primary proposes ordering batch `Δ` at
 /// sequence `k` in view `v` (MAC-authenticated).
@@ -438,20 +438,6 @@ impl ConsensusMessage {
             ConsensusMessage::CftDecide(_) => FRAMING_OVERHEAD + 16 + 32,
         }
     }
-
-    /// Whether this message is digitally signed (as opposed to MAC-only or
-    /// unauthenticated); signed messages cost more CPU in the cost model.
-    #[must_use]
-    pub fn is_signed(&self) -> bool {
-        matches!(
-            self,
-            ConsensusMessage::Commit(_)
-                | ConsensusMessage::ViewChange(_)
-                | ConsensusMessage::NewView(_)
-                | ConsensusMessage::Checkpoint(_)
-                | ConsensusMessage::StateRequest(_)
-        )
-    }
 }
 
 /// The digest a node signs or MACs for a `(view, seq, batch-digest)` header.
@@ -526,12 +512,6 @@ impl BatchDigestAccumulator {
         self.absorbed += 1;
     }
 
-    /// Number of transactions absorbed so far.
-    #[must_use]
-    pub fn absorbed(&self) -> u64 {
-        self.absorbed
-    }
-
     /// Seals the hash with the batch length and produces the digest.
     #[must_use]
     pub fn finish(self) -> Digest {
@@ -596,7 +576,7 @@ mod tests {
             for txn in b.txns() {
                 acc.absorb(txn);
             }
-            assert_eq!(acc.absorbed(), n as u64);
+            assert_eq!(acc.absorbed, n as u64);
             assert_eq!(acc.finish(), compute_batch_digest(&b), "batch of {n}");
         }
     }
@@ -670,7 +650,7 @@ mod tests {
     }
 
     #[test]
-    fn signed_flag_matches_message_kind() {
+    fn kind_names_the_message_variant() {
         let prepare = ConsensusMessage::Prepare(Prepare {
             view: ViewNumber(0),
             seq: SeqNum(1),
@@ -685,8 +665,6 @@ mod tests {
             sender: NodeId(1),
             signature: Signature::ZERO,
         });
-        assert!(!prepare.is_signed());
-        assert!(commit.is_signed());
         assert_eq!(prepare.kind(), "PREPARE");
         assert_eq!(commit.kind(), "COMMIT");
     }
@@ -720,7 +698,6 @@ mod tests {
             digest.wire_size()
         );
         assert_eq!(digest.kind(), "DIGEST-PREPREPARE");
-        assert!(!digest.is_signed(), "digest pre-prepares are MAC-only");
     }
 
     #[test]
@@ -755,7 +732,6 @@ mod tests {
             FRAMING_OVERHEAD + 8 + 4 + 32 + 1 + 8 + 3 * 53
         );
         assert_eq!(fill.kind(), "BATCHFILL");
-        assert!(!fill.is_signed());
     }
 
     #[test]
@@ -830,12 +806,5 @@ mod tests {
             mac: MacTag::ZERO,
         });
         assert!(accept.wire_size() < pp.wire_size());
-        let accepted = ConsensusMessage::CftAccepted(CftAccepted {
-            ballot: ViewNumber(0),
-            seq: SeqNum(1),
-            digest: Digest::ZERO,
-            sender: NodeId(0),
-        });
-        assert!(!accepted.is_signed());
     }
 }

@@ -207,36 +207,10 @@ impl PbftReplica {
         self
     }
 
-    /// Number of transaction bodies currently cached (tests and GC
-    /// accounting).
-    #[must_use]
-    pub fn body_cache_len(&self) -> usize {
-        self.body_cache.len()
-    }
-
-    /// Garbage `STATERESPONSE` entries rejected from one specific peer
-    /// (tests pin the liar's tally through this).
-    #[must_use]
-    pub fn bad_state_responses_from(&self, peer: NodeId) -> u64 {
-        self.bad_responses.get(&peer).copied().unwrap_or(0)
-    }
-
     /// The fault parameters this replica was configured with.
     #[must_use]
     pub fn params(&self) -> &FaultParams {
         &self.params
-    }
-
-    /// Read access to the consensus log (tests and metrics).
-    #[must_use]
-    pub fn log(&self) -> &ConsensusLog {
-        &self.log
-    }
-
-    /// Whether this replica is currently running a view change.
-    #[must_use]
-    pub fn in_view_change(&self) -> bool {
-        self.in_view_change
     }
 
     fn quorum(&self) -> usize {
@@ -672,13 +646,19 @@ impl PbftReplica {
     /// a silent or partitioned primary cannot starve reconstruction (any
     /// replica that accepted the proposal holds the batch).
     fn fetch_target(&self, view: ViewNumber, attempt: u32) -> NodeId {
-        let n = self.params.n_r as u32;
-        let primary = self.primary_of(view);
-        let mut target = NodeId((primary.0 + attempt) % n.max(1));
-        if target == self.me {
-            target = NodeId((target.0 + 1) % n.max(1));
-        }
-        target
+        self.other_replica(self.primary_of(view).0, attempt)
+    }
+
+    /// The `k`-th of the `n − 1` other replicas, counting round the ring
+    /// from replica `start` and stepping over this one; `k` wraps. Both
+    /// retry rotations (`BATCHFETCH`, `STATEREQUEST`) pick their peer
+    /// here, so consecutive attempts never ask one peer twice in a row.
+    fn other_replica(&self, start: u32, k: u32) -> NodeId {
+        let n = (self.params.n_r as u32).max(1);
+        let k = k % (n - 1).max(1);
+        // How many steps round the ring from `start` this replica sits.
+        let me_at = (self.me.0 + n - start % n) % n;
+        NodeId((start + k + u32::from(k >= me_at)) % n)
     }
 
     /// Sends (or retransmits) the `BATCHFETCH` for a pending proposal and
@@ -1275,10 +1255,7 @@ impl PbftReplica {
     /// the other replicas one at a time, so a silent, partitioned or
     /// lying peer cannot starve recovery.
     fn rotation_peer(&self, attempt: u32) -> NodeId {
-        let n = self.params.n_r as u32;
-        let others = n.saturating_sub(1).max(1);
-        let k = attempt.saturating_sub(1) % others;
-        NodeId((self.me.0 + 1 + k) % n.max(1))
+        self.other_replica(self.me.0 + 1, attempt.saturating_sub(1))
     }
 
     /// Expiry of the `STATEREQUEST` retransmission timer: re-sign the
@@ -1814,7 +1791,7 @@ mod tests {
             actions.iter().any(|a| a.is_message_kind("VIEWCHANGE")),
             "timeout must broadcast a view change: {actions:?}"
         );
-        assert!(shim.replicas[1].in_view_change());
+        assert!(shim.replicas[1].in_view_change);
     }
 
     #[test]
@@ -1839,7 +1816,7 @@ mod tests {
         for i in 1..4u32 {
             assert_eq!(shim.replicas[i as usize].view(), ViewNumber(1), "node {i}");
             assert_eq!(shim.replicas[i as usize].primary(), NodeId(1));
-            assert!(!shim.replicas[i as usize].in_view_change());
+            assert!(!shim.replicas[i as usize].in_view_change);
         }
         // The new primary can order new batches.
         let actions = shim.replicas[1].submit_batch(batch(7), ShardPlan::Unplanned);
@@ -1913,7 +1890,7 @@ mod tests {
         shim.run_actions(primary, actions);
         for r in &shim.replicas {
             assert_eq!(
-                r.log().entry(SeqNum(1)).expect("entry").plan,
+                r.log.entry(SeqNum(1)).expect("entry").plan,
                 plan,
                 "node {} must replicate the tag",
                 r.node_id()
@@ -1944,7 +1921,7 @@ mod tests {
             assert!(shim.committed_by(NodeId(i)).contains(&SeqNum(1)));
             assert_eq!(
                 shim.replicas[i as usize]
-                    .log()
+                    .log
                     .entry(SeqNum(1))
                     .expect("entry")
                     .plan,
@@ -2031,8 +2008,8 @@ mod tests {
             shim.submit_to_primary(batch(i));
         }
         for r in &shim.replicas {
-            assert_eq!(r.log().stable_seq(), SeqNum(4), "node {}", r.node_id());
-            assert!(r.log().is_empty(), "log must be garbage collected");
+            assert_eq!(r.log.stable_seq(), SeqNum(4), "node {}", r.node_id());
+            assert!(r.log.is_empty(), "log must be garbage collected");
         }
         // Consensus continues normally after the checkpoint.
         shim.submit_to_primary(batch(5));
@@ -2061,7 +2038,7 @@ mod tests {
             "dark node must report catching up: {:?}",
             shim.caught_up
         );
-        assert_eq!(shim.replicas[3].log().stable_seq(), SeqNum(4));
+        assert_eq!(shim.replicas[3].log.stable_seq(), SeqNum(4));
         // The other nodes committed normally.
         for i in 0..3u32 {
             assert_eq!(shim.committed_by(NodeId(i)).len(), 4, "node {i}");
@@ -2115,7 +2092,7 @@ mod tests {
         // Capture node 3's committed state as its "durable log" contents.
         let entries: Vec<RecoveredEntry> = (1..=2)
             .map(|s| {
-                let entry = shim.replicas[3].log().entry(SeqNum(s)).expect("entry");
+                let entry = shim.replicas[3].log.entry(SeqNum(s)).expect("entry");
                 RecoveredEntry {
                     seq: SeqNum(s),
                     view: ViewNumber(0),
@@ -2139,8 +2116,8 @@ mod tests {
         // Nothing was missing, so re-seating produced no Committed actions
         // anywhere (peers had nothing above seq 2 either).
         assert_eq!(shim.committed.len(), before, "no re-delivery");
-        assert!(shim.replicas[3].log().is_committed(SeqNum(1)));
-        assert!(shim.replicas[3].log().is_committed(SeqNum(2)));
+        assert!(shim.replicas[3].log.is_committed(SeqNum(1)));
+        assert!(shim.replicas[3].log.is_committed(SeqNum(2)));
         // And ordering continues at the right sequence number.
         shim.submit_to_primary(batch(5));
         assert!(shim.committed_by(NodeId(3)).contains(&SeqNum(3)));
@@ -2179,7 +2156,7 @@ mod tests {
         assert!(shim.replicas[1]
             .handle_message(NodeId(2), ConsensusMessage::StateResponse(bogus))
             .is_empty());
-        assert!(!shim.replicas[1].log().is_committed(SeqNum(7)));
+        assert!(!shim.replicas[1].log.is_committed(SeqNum(7)));
     }
 
     #[test]
@@ -2212,7 +2189,7 @@ mod tests {
         let actions =
             shim.replicas[3].handle_message(NodeId(2), ConsensusMessage::StateResponse(evil));
         assert!(actions.is_empty());
-        assert!(!shim.replicas[3].log().is_committed(SeqNum(1)));
+        assert!(!shim.replicas[3].log.is_committed(SeqNum(1)));
     }
 
     /// A freshly constructed replica standing in for node `i` after a
@@ -2306,6 +2283,33 @@ mod tests {
     }
 
     #[test]
+    fn batch_fetch_retries_visit_every_other_replica_once_primary_first() {
+        for n in [4usize, 7] {
+            let shim = TestShim::new(n);
+            for (me, replica) in (0u32..).zip(&shim.replicas) {
+                for view in 0..n as u64 {
+                    let primary = NodeId::primary_of(ViewNumber(view), n);
+                    if primary == NodeId(me) {
+                        continue; // a primary holds its own proposal
+                    }
+                    let targets: Vec<NodeId> = (0..n as u32 - 1)
+                        .map(|attempt| replica.fetch_target(ViewNumber(view), attempt))
+                        .collect();
+                    assert_eq!(targets[0], primary, "node {me} of {n}, view {view}");
+                    let distinct: BTreeSet<NodeId> = targets.iter().copied().collect();
+                    assert_eq!(distinct.len(), n - 1, "node {me} of {n}: {targets:?}");
+                    assert!(!distinct.contains(&NodeId(me)), "node {me} asked itself");
+                    // The cycle then repeats from the primary.
+                    assert_eq!(
+                        replica.fetch_target(ViewNumber(view), n as u32 - 1),
+                        primary
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn duplicate_and_overlapping_state_responses_adopt_once() {
         let mut shim = TestShim::new(4);
         for i in 0..2 {
@@ -2369,9 +2373,9 @@ mod tests {
         let actions =
             shim.replicas[3].handle_message(NodeId(2), ConsensusMessage::StateResponse(evil));
         assert!(actions.is_empty(), "garbage must seat nothing");
-        assert!(!shim.replicas[3].log().is_committed(SeqNum(1)));
-        assert_eq!(shim.replicas[3].bad_state_responses_from(NodeId(2)), 2);
-        assert_eq!(shim.replicas[3].bad_state_responses_from(NodeId(1)), 0);
+        assert!(!shim.replicas[3].log.is_committed(SeqNum(1)));
+        assert_eq!(shim.replicas[3].bad_responses.get(&NodeId(2)), Some(&2));
+        assert_eq!(shim.replicas[3].bad_responses.get(&NodeId(1)), None);
         assert_eq!(shim.replicas[3].bad_state_responses.get(), 2);
         // The honest suffix still lands afterwards: the liar burned no
         // state, only its own tally.
@@ -2395,7 +2399,7 @@ mod tests {
         for i in 0..5 {
             shim.submit_to_primary(batch(i));
         }
-        assert_eq!(shim.replicas[0].log().stable_seq(), SeqNum(4));
+        assert_eq!(shim.replicas[0].log.stable_seq(), SeqNum(4));
         shim.down.clear();
         shim.replicas[3] = fresh_replica(&shim, 3);
         let actions = shim.replicas[3].install_recovered(Vec::new(), SeqNum(0), ViewNumber(0));
@@ -2411,7 +2415,7 @@ mod tests {
             shim.caught_up
         );
         assert_eq!(shim.replicas[3].catch_ups.get(), 1);
-        assert_eq!(shim.replicas[3].log().stable_seq(), SeqNum(4));
+        assert_eq!(shim.replicas[3].log.stable_seq(), SeqNum(4));
         assert_eq!(shim.committed_by(NodeId(3)), vec![SeqNum(5)]);
         // And it is live again at the right sequence number.
         shim.submit_to_primary(batch(9));
@@ -2503,7 +2507,7 @@ mod tests {
             "the primary served one fill per replica"
         );
         // Fetched bodies were promoted into the caches after verification.
-        assert_eq!(shim.replicas[1].body_cache_len(), 5);
+        assert_eq!(shim.replicas[1].body_cache.len(), 5);
     }
 
     #[test]
@@ -2580,7 +2584,7 @@ mod tests {
             )),
             "mismatch must fall back to a full-batch fetch"
         );
-        assert_eq!(shim.replicas[1].bad_state_responses_from(NodeId(0)), 1);
+        assert_eq!(shim.replicas[1].bad_responses.get(&NodeId(0)), Some(&1));
         assert_eq!(shim.replicas[1].fallbacks.get(), 1);
         // The fetch retry budget eventually escalates to a view change —
         // the lying primary cannot stall forever.
@@ -2595,7 +2599,7 @@ mod tests {
             )),
             "the exhausted fetch budget must escalate to a view change"
         );
-        assert!(shim.replicas[1].in_view_change());
+        assert!(shim.replicas[1].in_view_change);
         assert!(shim.replicas[1].pending_reconstructions().is_empty());
     }
 
@@ -2638,12 +2642,12 @@ mod tests {
             "a poisoned fill must never produce a vote"
         );
         assert_eq!(
-            shim.replicas[1].bad_state_responses_from(NodeId(2)),
-            1,
+            shim.replicas[1].bad_responses.get(&NodeId(2)),
+            Some(&1),
             "the mismatch counts against the filler"
         );
         assert_eq!(
-            shim.replicas[1].body_cache_len(),
+            shim.replicas[1].body_cache.len(),
             2,
             "the poisoned body must never enter the shared cache"
         );
@@ -2708,7 +2712,7 @@ mod tests {
             )),
             "two digests at one sequence number expose the primary"
         );
-        assert!(shim.replicas[1].in_view_change());
+        assert!(shim.replicas[1].in_view_change);
     }
 
     #[test]
@@ -2718,13 +2722,13 @@ mod tests {
         for txn in b.txns() {
             let _ = shim.replicas[1].offer_body(txn.clone());
         }
-        assert_eq!(shim.replicas[1].body_cache_len(), 4);
+        assert_eq!(shim.replicas[1].body_cache.len(), 4);
         // An id the shim tracks twice comes up twice.
         let protected = [b.txns()[0].id, b.txns()[1].id, b.txns()[0].id];
         shim.replicas[1].gc_bodies(&mut protected.into_iter());
-        assert_eq!(shim.replicas[1].body_cache_len(), 2);
+        assert_eq!(shim.replicas[1].body_cache.len(), 2);
         shim.replicas[1].gc_bodies(&mut std::iter::empty());
-        assert_eq!(shim.replicas[1].body_cache_len(), 0);
+        assert_eq!(shim.replicas[1].body_cache.len(), 0);
     }
 
     #[test]
@@ -2771,7 +2775,7 @@ mod tests {
                 }
             }
         }
-        assert!(shim.replicas[1].log().entry(SeqNum(1)).unwrap().prepared);
+        assert!(shim.replicas[1].log.entry(SeqNum(1)).unwrap().prepared);
         // View change: node 1 becomes primary of view 1 and must re-issue
         // the prepared request with its full body.
         let mut vc_msgs = Vec::new();

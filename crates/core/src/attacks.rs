@@ -91,11 +91,6 @@ impl AttackInjector {
         self.attacks.insert(node, attack);
     }
 
-    /// Removes any attack from a node (it behaves honestly again).
-    pub fn heal(&mut self, node: NodeId) {
-        self.attacks.remove(&node);
-    }
-
     /// The attack assigned to a node, if any.
     #[must_use]
     pub fn attack_of(&self, node: NodeId) -> Option<&ShimAttack> {
@@ -108,28 +103,10 @@ impl AttackInjector {
         self.attacks.len()
     }
 
-    /// Messages dropped by injected attacks so far.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Plan tags forged by the mis-planning attack so far.
     #[must_use]
     pub fn plans_forged(&self) -> u64 {
         self.plans_forged
-    }
-
-    /// Spawn actions removed by the fewer-executors attack so far.
-    #[must_use]
-    pub fn spawns_suppressed(&self) -> u64 {
-        self.spawns_suppressed
-    }
-
-    /// Spawn actions added by the duplicate-spawning attack so far.
-    #[must_use]
-    pub fn spawns_added(&self) -> u64 {
-        self.spawns_added
     }
 
     /// Extra delay applied to executor spawns performed by `node` (used by
@@ -346,7 +323,7 @@ mod tests {
         let out = injector.apply(NodeId(0), vec![preprepare_broadcast(0), spawn_action()]);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0], Action::SpawnExecutor { .. }));
-        assert_eq!(injector.dropped(), 1);
+        assert_eq!(injector.dropped, 1);
     }
 
     #[test]
@@ -369,7 +346,7 @@ mod tests {
         assert!(targets.contains(&Destination::Node(NodeId(1))));
         assert!(targets.contains(&Destination::Node(NodeId(2))));
         assert!(!targets.contains(&Destination::Node(NodeId(3))));
-        assert_eq!(injector.dropped(), 1);
+        assert_eq!(injector.dropped, 1);
     }
 
     #[test]
@@ -396,7 +373,7 @@ mod tests {
             vec![spawn_action(), spawn_action(), spawn_action()],
         );
         assert_eq!(out.len(), 1);
-        assert_eq!(injector.spawns_suppressed(), 2);
+        assert_eq!(injector.spawns_suppressed, 2);
     }
 
     #[test]
@@ -405,7 +382,7 @@ mod tests {
         injector.compromise(NodeId(2), ShimAttack::SpawnDuplicates { extra: 2 });
         let out = injector.apply(NodeId(2), vec![spawn_action()]);
         assert_eq!(out.len(), 3);
-        assert_eq!(injector.spawns_added(), 2);
+        assert_eq!(injector.spawns_added, 2);
     }
 
     #[test]
@@ -450,16 +427,5 @@ mod tests {
         // An honest node's tags pass through untouched.
         let honest = vec![spawn_action()];
         assert_eq!(injector.apply(NodeId(1), honest.clone()), honest);
-    }
-
-    #[test]
-    fn heal_restores_honesty() {
-        let mut injector = AttackInjector::new(4);
-        injector.compromise(NodeId(0), ShimAttack::SuppressRequests);
-        assert!(injector.attack_of(NodeId(0)).is_some());
-        injector.heal(NodeId(0));
-        assert!(injector.attack_of(NodeId(0)).is_none());
-        let actions = vec![preprepare_broadcast(0)];
-        assert_eq!(injector.apply(NodeId(0), actions.clone()), actions);
     }
 }

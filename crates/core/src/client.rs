@@ -33,7 +33,6 @@ pub struct ClientRole {
     outstanding: Vec<Outstanding>,
     completed: u64,
     aborted: u64,
-    retransmissions: u64,
 }
 
 impl ClientRole {
@@ -56,7 +55,6 @@ impl ClientRole {
             outstanding: Vec::new(),
             completed: 0,
             aborted: 0,
-            retransmissions: 0,
         }
     }
 
@@ -76,12 +74,6 @@ impl ClientRole {
     #[must_use]
     pub fn aborted(&self) -> u64 {
         self.aborted
-    }
-
-    /// Number of re-transmissions to the verifier so far.
-    #[must_use]
-    pub fn retransmissions(&self) -> u64 {
-        self.retransmissions
     }
 
     /// Number of requests still awaiting a response.
@@ -179,7 +171,6 @@ impl ClientRole {
         let entry = &mut self.outstanding[at];
         entry.retries += 1;
         entry.current_timeout = entry.current_timeout.mul_f64(self.backoff_factor);
-        self.retransmissions += 1;
         let digest = ClientRequest::signing_digest(&entry.txn);
         let request = ClientRequest {
             txn: entry.txn.clone(),
@@ -318,7 +309,6 @@ mod tests {
             _ => panic!("expected timer restart"),
         };
         assert_eq!(d2, SimDuration::from_millis(400), "exponential back-off");
-        assert_eq!(c.retransmissions(), 2);
     }
 
     #[test]

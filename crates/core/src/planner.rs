@@ -45,7 +45,7 @@ pub fn home_shard(txn: &Transaction, router: &ShardRouter) -> ShardPlan {
 
 /// Classifies a declared key set against the shard map.
 #[must_use]
-pub fn plan_rwset_keys(keys: &RwSetKeys, router: &ShardRouter) -> ShardPlan {
+fn plan_rwset_keys(keys: &RwSetKeys, router: &ShardRouter) -> ShardPlan {
     router.plan_keys(keys.read_keys.iter().chain(keys.write_keys.iter()).copied())
 }
 
@@ -70,14 +70,6 @@ impl BatchFootprint {
             fp.writes.extend(rw.write_keys.iter().copied());
         }
         fp
-    }
-
-    /// Classifies the whole footprint against the shard map — the
-    /// batch-level ordering-time plan ([`ShardPlan::SingleHome`] iff
-    /// every read and written key lives on one shard).
-    #[must_use]
-    pub fn classify(&self, router: &ShardRouter) -> ShardPlan {
-        router.plan_keys(self.reads.iter().chain(self.writes.iter()).copied())
     }
 
     /// Whether two footprints conflict (shared item with at least one
@@ -116,12 +108,6 @@ impl BestEffortPlanner {
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
-    }
-
-    /// Number of batches queued behind conflicts.
-    #[must_use]
-    pub fn waiting(&self) -> usize {
-        self.waiting.len()
     }
 
     fn dispatchable(&self, seq: SeqNum, fp: &BatchFootprint) -> bool {
@@ -201,7 +187,7 @@ mod tests {
         assert_eq!(p.enqueue(SeqNum(1), fp(&[1], &[2])), vec![SeqNum(1)]);
         assert_eq!(p.enqueue(SeqNum(2), fp(&[3], &[4])), vec![SeqNum(2)]);
         assert_eq!(p.in_flight(), 2);
-        assert_eq!(p.waiting(), 0);
+        assert_eq!(p.waiting.len(), 0);
     }
 
     #[test]
@@ -210,7 +196,7 @@ mod tests {
         assert_eq!(p.enqueue(SeqNum(1), fp(&[], &[10])), vec![SeqNum(1)]);
         // Batch 2 reads what batch 1 writes.
         assert!(p.enqueue(SeqNum(2), fp(&[10], &[])).is_empty());
-        assert_eq!(p.waiting(), 1);
+        assert_eq!(p.waiting.len(), 1);
         // Completion of batch 1 releases batch 2.
         assert_eq!(p.complete(SeqNum(1)), vec![SeqNum(2)]);
         assert_eq!(p.in_flight(), 1);
@@ -262,7 +248,7 @@ mod tests {
         assert!(p.enqueue(SeqNum(2), fp(&[5], &[])).is_empty());
         assert!(p.complete(SeqNum(2)).is_empty());
         assert!(p.complete(SeqNum(1)).is_empty());
-        assert_eq!((p.in_flight(), p.waiting()), (0, 0));
+        assert_eq!((p.in_flight(), p.waiting.len()), (0, 0));
         // Everything at or below a completed batch is done, unknown
         // sequence numbers do not move that mark.
         assert!(p.complete(SeqNum(9)).is_empty());
@@ -296,27 +282,6 @@ mod tests {
             p.enqueue(SeqNum(1), fp(&[], &[1])).is_empty(),
             "completed batches never re-dispatch"
         );
-    }
-
-    #[test]
-    fn footprint_classification_matches_router_plan() {
-        use sbft_types::ShardPlan;
-        let router = ShardRouter::new(8);
-        let k = Key(5);
-        let home = router.shard_of(k);
-        let same = (6..)
-            .map(Key)
-            .find(|x| router.shard_of(*x) == home)
-            .unwrap();
-        let other = (6..)
-            .map(Key)
-            .find(|x| router.shard_of(*x) != home)
-            .unwrap();
-        let single = fp(&[k.0], &[same.0]);
-        assert_eq!(single.classify(&router), ShardPlan::SingleHome(home));
-        let cross = fp(&[k.0], &[other.0]);
-        assert_eq!(cross.classify(&router), ShardPlan::CrossHome);
-        assert_eq!(fp(&[], &[]).classify(&router), ShardPlan::Unplanned);
     }
 
     #[test]

@@ -349,19 +349,6 @@ impl ShimNode {
         self.recovering
     }
 
-    /// Sequence number of the last snapshot cut into the WAL.
-    #[must_use]
-    pub fn last_snapshot(&self) -> SeqNum {
-        self.last_snapshot
-    }
-
-    /// Durable (synced) records currently retained in the WAL, when one
-    /// is attached (tests and memory accounting).
-    #[must_use]
-    pub fn wal_durable_len(&self) -> Option<usize> {
-        self.wal.as_ref().map(|w| w.durable_len())
-    }
-
     /// Entries currently held in the duplicate-suppression set (tests and
     /// memory accounting).
     #[must_use]
@@ -390,13 +377,6 @@ impl ShimNode {
     #[must_use]
     pub fn committed_batch(&self, seq: SeqNum) -> Option<&sbft_types::Batch> {
         self.committed.get(&seq).map(|e| &e.batch)
-    }
-
-    /// Whether this node runs the ordering-time shard planner (per-shard
-    /// batching lanes).
-    #[must_use]
-    pub fn ordering_lanes_active(&self) -> bool {
-        self.lane_router.is_some()
     }
 
     /// Informs this node's invoker that a cloud region is offline
@@ -1799,7 +1779,7 @@ mod tests {
         config.workload.batch_size = 2;
         config.sharding = sbft_types::ShardingConfig::with_shards(4);
         let mut shim = make_shim(config);
-        assert!(shim.nodes[0].ordering_lanes_active());
+        assert!(shim.nodes[0].lane_router.is_some());
         let provider = Arc::clone(&shim.provider);
         let router = ShardRouter::new(4);
         let home = router.shard_of(Key(1));
@@ -2215,13 +2195,13 @@ mod tests {
             .iter()
             .any(|(_, a)| matches!(a, Action::Persist { fsync: true, .. })));
         assert!(shim.nodes[0].wal_appends.get() >= 2); // a Vote and a Committed at least
-        assert_eq!(shim.nodes[0].last_snapshot(), SeqNum(0));
+        assert_eq!(shim.nodes[0].last_snapshot, SeqNum(0));
         commit_one_batch(&mut shim, 2, &[]);
         for node in &shim.nodes {
-            assert_eq!(node.last_snapshot(), SeqNum(2));
+            assert_eq!(node.last_snapshot, SeqNum(2));
             assert!(node.snapshot_bytes.get() > 0, "truncation reclaims bytes");
             // Only the mark survives the cut.
-            assert_eq!(node.wal_durable_len(), Some(1));
+            assert_eq!(node.wal.as_ref().map(|w| w.durable_len()), Some(1));
         }
     }
 

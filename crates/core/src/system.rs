@@ -14,7 +14,7 @@ use crate::verifier::{Verifier, VerifierConfig};
 use sbft_consensus::{CftReplica, NoShim};
 use sbft_crypto::CryptoProvider;
 use sbft_serverless::cloud::CloudFaultPlan;
-use sbft_serverless::{Executor, ExecutorBehavior, RegionOutage, ServerlessCloud, SpawnOutcome};
+use sbft_serverless::{Executor, ExecutorBehavior, RegionOutage, ServerlessCloud};
 use sbft_storage::{StorageReader, VersionedStore, YcsbTable};
 use sbft_telemetry::Registry;
 use sbft_types::{ClientId, ComponentId, ExecutorId, NodeId, Region, SystemConfig};
@@ -59,12 +59,6 @@ pub struct System {
 }
 
 impl System {
-    /// Number of shim nodes actually deployed (1 for NoShim).
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The shim node currently acting as primary.
     #[must_use]
     pub fn primary(&self) -> NodeId {
@@ -79,22 +73,6 @@ impl System {
             ShimProtocol::Pbft => self.config.fault.shim_quorum(),
             _ => 0,
         }
-    }
-
-    /// Builds the executor object for a spawn outcome returned by the
-    /// cloud. The runtimes call this when they materialise a spawn.
-    #[must_use]
-    pub fn make_executor(&self, outcome: &SpawnOutcome) -> Executor {
-        Executor::new(
-            outcome.executor,
-            outcome.region,
-            outcome.behavior,
-            self.provider
-                .handle(ComponentId::Executor(outcome.executor)),
-            StorageReader::new(Arc::clone(&self.storage)),
-            self.config.fault.n_r,
-            self.cert_quorum(),
-        )
     }
 
     /// Builds an executor with an explicit identity/region/behaviour (used
@@ -327,7 +305,7 @@ mod tests {
     #[test]
     fn builder_assembles_all_components() {
         let system = SystemBuilder::new(small_config()).clients(4).build();
-        assert_eq!(system.num_nodes(), 4);
+        assert_eq!(system.nodes.len(), 4);
         assert_eq!(system.clients.len(), 4);
         assert_eq!(system.storage.len(), 200);
         assert_eq!(system.primary(), NodeId(0));
@@ -341,7 +319,7 @@ mod tests {
             .protocol(ShimProtocol::NoShim)
             .clients(2)
             .build();
-        assert_eq!(system.num_nodes(), 1);
+        assert_eq!(system.nodes.len(), 1);
         assert_eq!(system.cert_quorum(), 0);
         assert_eq!(system.nodes[0].protocol_name(), "NoShim");
     }
@@ -352,7 +330,7 @@ mod tests {
             .protocol(ShimProtocol::Cft)
             .clients(2)
             .build();
-        assert_eq!(system.num_nodes(), 4);
+        assert_eq!(system.nodes.len(), 4);
         assert_eq!(system.nodes[0].protocol_name(), "CFT");
         assert_eq!(system.cert_quorum(), 0);
     }
@@ -377,7 +355,8 @@ mod tests {
                 seq: sbft_types::SeqNum(1),
             })
             .unwrap();
-        let executor = system.make_executor(&outcome);
+        let executor =
+            system.make_executor_with(outcome.executor, outcome.region, outcome.behavior);
         assert_eq!(executor.id(), outcome.executor);
         assert_eq!(executor.region(), Region::Oregon);
         assert_eq!(executor.behavior(), ExecutorBehavior::Honest);

@@ -213,36 +213,16 @@ impl Verifier {
         ));
     }
 
-    /// Whether an apply pool is attached.
-    #[must_use]
-    pub fn apply_pool_active(&self) -> bool {
-        self.apply_pool.is_some()
-    }
-
     /// Sequence number of the next batch the verifier will validate.
     #[must_use]
     pub fn kmax(&self) -> SeqNum {
         self.kmax
     }
 
-    /// Transactions currently held for client-retry answering (tests and
-    /// memory accounting).
-    #[must_use]
-    pub fn retry_table_len(&self) -> usize {
-        self.retry.len()
-    }
-
     /// The sharded commit engine (router, per-shard states and counters).
     #[must_use]
     pub fn committer(&self) -> &ShardedCommitter {
         &self.committer
-    }
-
-    /// Number of batches sitting in the pending list `π` (matched or
-    /// still collecting votes) ahead of `k_max`.
-    #[must_use]
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     fn validate_reads(&self) -> bool {
@@ -748,7 +728,7 @@ impl Verifier {
 
     /// Handles the expiry of the abort-detection timer for `seq`
     /// (Section VI-B, *Verifier Abort Detection*).
-    pub fn on_abort_timeout(&mut self, seq: SeqNum) -> Vec<Action> {
+    fn on_abort_timeout(&mut self, seq: SeqNum) -> Vec<Action> {
         let blame_threshold = self.config.params.verify_blame_threshold();
         let Some(state) = self.pending.get_mut(&seq) else {
             return Vec::new(); // already validated
@@ -1079,7 +1059,7 @@ mod tests {
             "batch 2 must wait for batch 1"
         );
         assert_eq!(v.kmax(), SeqNum(1));
-        assert_eq!(v.pending_len(), 1);
+        assert_eq!(v.pending.len(), 1);
         // Batch 1 arrives and both validate in order.
         let _ = v.on_verify(&fx.verify_msg(3, 1, 0, 5, 1));
         let actions = v.on_verify(&fx.verify_msg(4, 1, 0, 5, 1));
@@ -1166,7 +1146,7 @@ mod tests {
         let mut m = fx.verify_msg(1, 1, 0, 42, 1);
         m.signature = sbft_types::Signature::ZERO;
         assert!(v.on_verify(&m).is_empty());
-        assert_eq!(v.pending_len(), 0, "rejected messages are not stored");
+        assert_eq!(v.pending.len(), 0, "rejected messages are not stored");
     }
 
     #[test]
@@ -1474,7 +1454,7 @@ mod tests {
             );
             if attach_pool {
                 v.attach_apply_pool(4);
-                assert!(v.apply_pool_active());
+                assert!(v.apply_pool.is_some());
             }
             let mut kinds = Vec::new();
             for seq in 1..=6u64 {
@@ -1643,7 +1623,7 @@ mod tests {
             let _ = v.on_verify(&fx.verify_msg(2, seq, 0, seq, 1));
         }
         assert_eq!(v.kmax(), SeqNum(10));
-        assert_eq!(v.retry_table_len(), 5, "seqs 5..=9 retained");
+        assert_eq!(v.retry.len(), 5, "seqs 5..=9 retained");
 
         // A late duplicate request inside the retained window is still
         // answered with the stored RESPONSE.
@@ -1687,9 +1667,9 @@ mod tests {
         // One interval of history plus the open interval: never more than
         // two intervals' worth of entries with one transaction per batch.
         assert!(
-            v.retry_table_len() <= 8,
+            v.retry.len() <= 8,
             "the retry table holds {} entries",
-            v.retry_table_len()
+            v.retry.len()
         );
         assert_eq!(v.committed_txns.get(), 100);
     }

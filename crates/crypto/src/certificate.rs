@@ -61,7 +61,7 @@ impl CommitCertificate {
 
     /// Number of distinct signers in the certificate.
     #[must_use]
-    pub fn distinct_signers(&self) -> usize {
+    fn distinct_signers(&self) -> usize {
         self.entries
             .iter()
             .map(|(n, _)| *n)

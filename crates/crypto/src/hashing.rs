@@ -11,12 +11,6 @@
 use crate::sha256::Sha256;
 use sbft_types::Digest;
 
-/// Hashes a byte slice.
-#[must_use]
-pub fn digest_bytes(data: &[u8]) -> Digest {
-    Sha256::digest(data)
-}
-
 /// Hashes the concatenation of several byte slices without copying them
 /// into one buffer (domain separation is the caller's responsibility).
 #[must_use]
@@ -56,13 +50,6 @@ impl U64Hasher {
         self.inner.update(&value.to_le_bytes());
     }
 
-    /// Pushes every value of a slice.
-    pub fn push_all(&mut self, values: &[u64]) {
-        for v in values {
-            self.push(*v);
-        }
-    }
-
     /// Pushes a 32-byte digest: its bytes as they are, which is what four
     /// little-endian `u64` words of them encode to (the encoding the
     /// header/commit digests have always used).
@@ -85,7 +72,9 @@ impl U64Hasher {
 #[must_use]
 pub fn digest_u64s(label: &str, values: &[u64]) -> Digest {
     let mut h = U64Hasher::new(label);
-    h.push_all(values);
+    for v in values {
+        h.push(*v);
+    }
     h.finish()
 }
 
@@ -100,7 +89,7 @@ mod tests {
         let mut joined = Vec::new();
         joined.extend_from_slice(a);
         joined.extend_from_slice(b);
-        assert_eq!(digest_concat(&[a, b]), digest_bytes(&joined));
+        assert_eq!(digest_concat(&[a, b]), Sha256::digest(&joined));
     }
 
     #[test]
@@ -115,7 +104,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_valid() {
-        assert_eq!(digest_concat(&[]), digest_bytes(b""));
+        assert_eq!(digest_concat(&[]), Sha256::digest(b""));
         let d = digest_u64s("x", &[]);
         assert!(!d.is_zero());
     }
@@ -135,7 +124,7 @@ mod tests {
 
     #[test]
     fn push_digest_matches_word_encoding() {
-        let d = digest_bytes(b"payload");
+        let d = Sha256::digest(b"payload");
         let words: Vec<u64> = d
             .as_bytes()
             .chunks_exact(8)

@@ -2,8 +2,8 @@
 //!
 //! The paper uses MACs for the `PREPREPARE` and `PREPARE` phases because
 //! they are cheaper than digital signatures and non-repudiation is not
-//! needed there; pairwise secret keys are established with Diffie–Hellman
-//! (see [`crate::dh`]).
+//! needed there; the pairwise secret keys come out of the
+//! [`crate::keys::KeyStore`].
 
 use crate::sha256::{state_bytes, Sha256, BLOCK_SIZE};
 use sbft_types::MacTag;
@@ -104,9 +104,7 @@ impl HmacKey {
         MacTag(finish_one_block(&self.outer, block, 32))
     }
 
-    /// Verifies a MAC tag in (logically) constant time, reusing this key
-    /// schedule — the amortised counterpart of [`verify_hmac`], which
-    /// re-derives the schedule on every call.
+    /// Verifies a MAC tag in (logically) constant time.
     #[must_use]
     pub fn verify(&self, message: &[u8], tag: &MacTag) -> bool {
         let expected = self.mac(message);
@@ -122,12 +120,6 @@ impl HmacKey {
 #[must_use]
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> MacTag {
     HmacKey::new(key).mac(message)
-}
-
-/// Verifies an HMAC tag in (logically) constant time.
-#[must_use]
-pub fn verify_hmac(key: &[u8], message: &[u8], tag: &MacTag) -> bool {
-    HmacKey::new(key).verify(message, tag)
 }
 
 #[cfg(test)]
@@ -231,29 +223,21 @@ mod tests {
 
     #[test]
     fn verify_accepts_correct_and_rejects_tampered() {
-        let tag = hmac_sha256(b"secret", b"message");
-        assert!(verify_hmac(b"secret", b"message", &tag));
-        assert!(!verify_hmac(b"secret", b"messagE", &tag));
-        assert!(!verify_hmac(b"Secret", b"message", &tag));
-        let mut bad = tag;
-        bad.0[0] ^= 1;
-        assert!(!verify_hmac(b"secret", b"message", &bad));
+        let key = HmacKey::new(b"secret");
+        let tag = key.mac(b"message");
+        assert!(key.verify(b"message", &tag));
+        assert!(!key.verify(b"messagE", &tag));
+        assert!(!HmacKey::new(b"Secret").verify(b"message", &tag));
+        for byte in [0, 31] {
+            let mut bad = tag;
+            bad.0[byte] ^= 1;
+            assert!(!key.verify(b"message", &bad));
+        }
     }
 
     #[test]
     fn different_keys_give_different_tags() {
         assert_ne!(hmac_sha256(b"k1", b"m"), hmac_sha256(b"k2", b"m"));
-    }
-
-    #[test]
-    fn schedule_verify_matches_one_shot_verify() {
-        let key = HmacKey::new(b"secret");
-        let tag = key.mac(b"message");
-        assert!(key.verify(b"message", &tag));
-        assert!(!key.verify(b"messagE", &tag));
-        let mut bad = tag;
-        bad.0[31] ^= 1;
-        assert!(!key.verify(b"message", &bad));
     }
 
     #[test]

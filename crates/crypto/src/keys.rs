@@ -11,7 +11,7 @@
 //! [`crate::provider::CryptoHandle`].
 
 use crate::hashing::digest_u64s;
-use sbft_types::{ComponentId, SbftError, SbftResult};
+use sbft_types::ComponentId;
 
 /// A 32-byte secret signing key.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -40,7 +40,7 @@ impl std::fmt::Debug for SecretKey {
 impl KeyPair {
     /// Derives a key pair from a 32-byte seed.
     #[must_use]
-    pub fn from_seed(seed: [u8; 32]) -> Self {
+    fn from_seed(seed: [u8; 32]) -> Self {
         let secret = SecretKey(seed);
         let public = PublicKey(*crate::hashing::digest_concat(&[b"sbft-pk", &seed]).as_bytes());
         KeyPair { secret, public }
@@ -99,12 +99,6 @@ impl KeyStore {
         KeyPair::from_seed(*seed.as_bytes())
     }
 
-    /// The public key of `component`.
-    #[must_use]
-    pub fn public_key_of(&self, component: ComponentId) -> PublicKey {
-        self.keypair_for(component).public
-    }
-
     /// The pairwise MAC key shared by components `a` and `b`, as would be
     /// established by a Diffie–Hellman exchange (order independent).
     #[must_use]
@@ -117,18 +111,6 @@ impl KeyStore {
             &[self.master_seed, lo[0], lo[1], hi[0], hi[1]],
         )
         .as_bytes()
-    }
-
-    /// Checks that a claimed public key matches the registered identity,
-    /// the equivalent of validating a public-key certificate.
-    pub fn check_identity(&self, component: ComponentId, claimed: &PublicKey) -> SbftResult<()> {
-        if self.public_key_of(component) == *claimed {
-            Ok(())
-        } else {
-            Err(SbftError::BadSignature(format!(
-                "public key does not match registered identity of {component}"
-            )))
-        }
     }
 }
 
@@ -161,7 +143,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for id in ids {
             assert!(
-                seen.insert(store.public_key_of(id).0),
+                seen.insert(store.keypair_for(id).public.0),
                 "duplicate key for {id}"
             );
         }
@@ -169,8 +151,8 @@ mod tests {
 
     #[test]
     fn different_master_seeds_give_different_keys() {
-        let a = KeyStore::new(1).public_key_of(ComponentId::Verifier);
-        let b = KeyStore::new(2).public_key_of(ComponentId::Verifier);
+        let a = KeyStore::new(1).keypair_for(ComponentId::Verifier).public;
+        let b = KeyStore::new(2).keypair_for(ComponentId::Verifier).public;
         assert_ne!(a, b);
     }
 
@@ -185,16 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn check_identity_accepts_registered_and_rejects_forged() {
-        let store = KeyStore::new(9);
-        let node = ComponentId::Node(NodeId(3));
-        let pk = store.public_key_of(node);
-        assert!(store.check_identity(node, &pk).is_ok());
-        let forged = PublicKey([0u8; 32]);
-        assert!(store.check_identity(node, &forged).is_err());
-    }
-
-    #[test]
     fn secret_key_debug_does_not_leak() {
         let store = KeyStore::new(1);
         let kp = store.keypair_for(ComponentId::Verifier);
@@ -205,8 +177,8 @@ mod tests {
     fn client_and_node_with_same_numeric_id_differ() {
         let store = KeyStore::new(5);
         assert_ne!(
-            store.public_key_of(ComponentId::Node(NodeId(7))),
-            store.public_key_of(ComponentId::Client(ClientId(7)))
+            store.keypair_for(ComponentId::Node(NodeId(7))).public,
+            store.keypair_for(ComponentId::Client(ClientId(7))).public
         );
     }
 }

@@ -10,10 +10,12 @@
 //!   implementation),
 //! * **MACs** for messages that do not need non-repudiation
 //!   (`PREPREPARE`, `PREPARE`),
-//! * a **collision-resistant hash** `H(·)` producing constant-size digests,
-//! * **Diffie–Hellman** key exchange for establishing pairwise MAC secrets,
-//! * optional **threshold signatures** to compress a `2f_R + 1` certificate
-//!   into a single constant-size signature.
+//! * a **collision-resistant hash** `H(·)` producing constant-size digests.
+//!
+//! Two things the paper mentions are not modelled (see `DESIGN.md`):
+//! pairwise MAC secrets come out of the [`keys::KeyStore`] instead of a
+//! Diffie–Hellman exchange, and a certificate carries its `2f_R + 1`
+//! signatures instead of one threshold signature.
 //!
 //! This crate implements SHA-256 and HMAC-SHA256 from scratch (tested
 //! against published vectors; the compression function has a portable
@@ -47,22 +49,18 @@
 
 pub mod aggregate;
 pub mod certificate;
-pub mod dh;
 pub mod hashing;
 pub mod hmac;
 pub mod keys;
 pub mod provider;
 pub mod sha256;
 pub mod signature;
-pub mod threshold;
 
 pub use aggregate::AggregateSignature;
 pub use certificate::CommitCertificate;
-pub use dh::DhKeyExchange;
-pub use hashing::{digest_bytes, digest_concat, digest_u64s, U64Hasher};
+pub use hashing::{digest_concat, digest_u64s, U64Hasher};
 pub use hmac::{hmac_sha256, HmacKey};
 pub use keys::{KeyPair, KeyStore, PublicKey, SecretKey};
 pub use provider::{CryptoHandle, CryptoProvider};
 pub use sha256::Sha256;
 pub use signature::SimSigner;
-pub use threshold::{ThresholdAggregator, ThresholdSignature};

@@ -24,7 +24,7 @@
 
 use crate::aggregate::{bisect_mismatches, AggregateSignature};
 use crate::hmac::HmacKey;
-use crate::keys::{KeyPair, KeyStore, PublicKey};
+use crate::keys::{KeyPair, KeyStore};
 use crate::signature::SimSigner;
 use sbft_types::{ComponentId, Digest, IdMap, MacTag, Signature};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -154,7 +154,7 @@ impl CryptoProvider {
     /// The signature `signer` would produce over `digest` (the expected
     /// value recomputed during verification), from the cached schedule.
     #[must_use]
-    pub fn expected_signature(&self, signer: ComponentId, digest: &Digest) -> Signature {
+    fn expected_signature(&self, signer: ComponentId, digest: &Digest) -> Signature {
         self.signing_schedule_of(signer, |schedule| {
             SimSigner::sign_with_schedule(schedule, digest)
         })
@@ -204,20 +204,13 @@ impl CryptoHandle {
         self.me
     }
 
-    /// This component's public key.
-    #[must_use]
-    pub fn public_key(&self) -> PublicKey {
-        self.keypair.public
-    }
-
     /// This identity's signing schedule, derived once per handle lineage.
     fn sign_schedule(&self) -> &HmacKey {
         self.sign_schedule
             .get_or_init(|| self.keypair.signing_schedule())
     }
 
-    /// The pairwise-channel MAC schedule shared with `peer` (symmetric, so
-    /// it serves both [`Self::mac_for`] and [`Self::verify_mac`]).
+    /// The pairwise-channel MAC schedule shared with `peer` (symmetric).
     fn peer_schedule(&self, peer: ComponentId) -> HmacKey {
         if let Some(schedule) = self
             .peer_schedules
@@ -256,12 +249,6 @@ impl CryptoHandle {
     #[must_use]
     pub fn mac_for(&self, to: ComponentId, digest: &Digest) -> MacTag {
         self.peer_schedule(to).mac(digest.as_bytes())
-    }
-
-    /// Verifies a MAC received from `from` over `digest`.
-    #[must_use]
-    pub fn verify_mac(&self, from: ComponentId, digest: &Digest, tag: &MacTag) -> bool {
-        self.peer_schedule(from).verify(digest.as_bytes(), tag)
     }
 
     /// Computes a MAC over `digest` for a broadcast to the whole group.
@@ -329,18 +316,11 @@ mod tests {
         let c = provider.handle(ComponentId::Node(NodeId(2)));
 
         let tag = a.mac_for(b.id(), &digest(7));
-        assert!(b.verify_mac(a.id(), &digest(7), &tag));
-        assert!(!b.verify_mac(a.id(), &digest(8), &tag));
-        // A MAC for the (a, b) channel does not verify on the (a, c) channel.
-        assert!(!c.verify_mac(a.id(), &digest(7), &tag));
-    }
-
-    #[test]
-    fn client_and_node_handles_have_distinct_keys() {
-        let provider = CryptoProvider::new(5);
-        let n = provider.handle(ComponentId::Node(NodeId(4)));
-        let c = provider.handle(ComponentId::Client(ClientId(4)));
-        assert_ne!(n.public_key(), c.public_key());
+        // The channel key is symmetric: the receiver recomputes the tag.
+        assert_eq!(b.mac_for(a.id(), &digest(7)), tag);
+        assert_ne!(b.mac_for(a.id(), &digest(8)), tag);
+        // A MAC for the (a, b) channel is not one for the (a, c) channel.
+        assert_ne!(c.mac_for(a.id(), &digest(7)), tag);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! This is the collision-resistant hash function `H(·)` of the paper,
 //! used for request digests `Δ = H(m)`, public-key derivation in the
-//! simulated signature scheme, HMAC, and threshold-signature aggregation.
+//! simulated signature scheme, and HMAC.
 //!
 //! Everything above the compression function is written once: buffering,
 //! padding and the HMAC midstates all end in `Sha256::compress_blocks`,
@@ -26,9 +26,8 @@
 //!   time — they are never staged through the internal buffer;
 //! * padding is written straight into the block buffer (one or two
 //!   compressions per digest, no per-byte bookkeeping);
-//! * a hasher can be [`reset`](Sha256::reset) and reused, and can resume
-//!   from a precomputed midstate, which the HMAC layer exploits
-//!   (see [`crate::hmac::HmacKey`]).
+//! * a hasher can resume from a precomputed midstate, which the HMAC
+//!   layer exploits (see [`crate::hmac::HmacKey`]).
 
 use sbft_types::Digest;
 
@@ -57,9 +56,9 @@ const K: [u32; 64] = [
 /// A SHA-256 compression kernel: one implementation of the FIPS 180-4
 /// block function over a run of 64-byte blocks.
 ///
-/// [`Kernel::selected`] is the one the hashing layer uses; the others are
-/// callable directly so tests and benches can hold them equal and time
-/// them side by side.
+/// The hashing layer uses the one selected for this CPU
+/// ([`kernel_name`] says which); each is callable directly so tests and
+/// benches can hold them equal and time them side by side.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
     /// The scalar kernel; runs everywhere.
@@ -74,7 +73,7 @@ impl Kernel {
     /// the CPU can run, detected at run time.
     #[must_use]
     #[inline]
-    pub fn selected() -> Kernel {
+    fn selected() -> Kernel {
         #[cfg(target_arch = "x86_64")]
         if shani::detected() {
             return Kernel::ShaNi;
@@ -166,14 +165,6 @@ impl Sha256 {
         }
     }
 
-    /// Resets the hasher to its initial state so it can be reused without
-    /// constructing a new value.
-    pub fn reset(&mut self) {
-        self.state = H0;
-        self.buffer_len = 0;
-        self.total_len = 0;
-    }
-
     /// Folds a run of whole 64-byte blocks into `state` with the kernel
     /// selected for this CPU — the one entry point everything that hashes
     /// (buffering, padding, HMAC midstates) goes through.
@@ -232,12 +223,6 @@ impl Sha256 {
     /// Finalizes the hash and returns the 32-byte digest.
     #[must_use]
     pub fn finalize(mut self) -> Digest {
-        self.finalize_reset()
-    }
-
-    /// Finalizes the hash, returns the 32-byte digest and resets the
-    /// hasher so it can be reused for the next message.
-    pub fn finalize_reset(&mut self) -> Digest {
         // Padding, written in place: 0x80, zeros up to the last eight
         // bytes of a block, then the 64-bit big-endian bit length. The
         // buffer always has room for the 0x80 (`buffer_len < 64`); when
@@ -253,9 +238,7 @@ impl Sha256 {
         self.buffer[LENGTH_AT..].copy_from_slice(&bit_len.to_be_bytes());
         Self::compress_blocks(&mut self.state, &self.buffer);
 
-        let out = state_bytes(&self.state);
-        self.reset();
-        Digest::from_bytes(out)
+        Digest::from_bytes(state_bytes(&self.state))
     }
 
     /// Convenience one-shot hash.
@@ -570,16 +553,6 @@ mod tests {
             let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
             let expected = reference_digest(Kernel::Portable, &data);
             assert_eq!(*Sha256::digest(&data).as_bytes(), expected, "len {len}");
-            // A reused hasher starts from a buffer the last digest dirtied.
-            let mut h = Sha256::new();
-            h.update(&[0xffu8; 100]);
-            let _ = h.finalize_reset();
-            h.update(&data);
-            assert_eq!(
-                *h.finalize_reset().as_bytes(),
-                expected,
-                "reused, len {len}"
-            );
         }
     }
 
@@ -624,22 +597,6 @@ mod tests {
             }
             assert_eq!(h.finalize(), oneshot, "chunk size {chunk_size}");
         }
-    }
-
-    #[test]
-    fn reset_and_finalize_reset_allow_reuse() {
-        let mut h = Sha256::new();
-        h.update(b"first message");
-        let first = h.finalize_reset();
-        assert_eq!(first, Sha256::digest(b"first message"));
-        // The same hasher value now produces a fresh, independent digest.
-        h.update(b"abc");
-        assert_eq!(h.finalize_reset(), Sha256::digest(b"abc"));
-        // An explicit reset discards partial input.
-        h.update(b"garbage");
-        h.reset();
-        h.update(b"abc");
-        assert_eq!(h.finalize(), Sha256::digest(b"abc"));
     }
 
     #[test]

@@ -70,22 +70,10 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// The sequence number this record is about, if it is per-sequence.
-    #[must_use]
-    pub fn seq(&self) -> Option<SeqNum> {
-        match self {
-            WalRecord::Released { seq, .. }
-            | WalRecord::Vote { seq, .. }
-            | WalRecord::Committed { seq, .. } => Some(*seq),
-            WalRecord::SnapshotMark { upto, .. } => Some(*upto),
-            WalRecord::ViewInstalled { .. } => None,
-        }
-    }
-
     /// Whether a snapshot at `upto` supersedes this record (it may be
     /// dropped when the log is truncated to the snapshot).
     #[must_use]
-    pub fn superseded_by_snapshot(&self, upto: SeqNum) -> bool {
+    fn superseded_by_snapshot(&self, upto: SeqNum) -> bool {
         match self {
             WalRecord::Released { seq, .. }
             | WalRecord::Vote { seq, .. }
@@ -148,7 +136,7 @@ impl MemWal {
 
     /// Total encoded bytes held durably (tests and retention accounting).
     #[must_use]
-    pub fn durable_bytes(&self) -> u64 {
+    fn durable_bytes(&self) -> u64 {
         self.durable.iter().map(|(_, b)| *b).sum()
     }
 }
@@ -387,22 +375,20 @@ mod tests {
             wal.append(&vote(s));
             wal.append(&committed(s));
         }
-        wal.append(&WalRecord::SnapshotMark {
+        let mark = WalRecord::SnapshotMark {
             upto: SeqNum(4),
             view: ViewNumber(0),
-        });
+        };
+        wal.append(&mark);
         wal.sync();
         let dropped = wal.truncate_below(SeqNum(4));
         assert!(dropped > 0, "truncation must reclaim bytes");
-        let replayed = wal.replay();
-        assert!(replayed
-            .iter()
-            .all(|r| r.seq().is_none_or(|s| s > SeqNum(4))
-                || matches!(r, WalRecord::SnapshotMark { .. })));
-        // Snapshot mark itself survives as the new floor.
-        assert!(replayed
-            .iter()
-            .any(|r| matches!(r, WalRecord::SnapshotMark { upto, .. } if *upto == SeqNum(4))));
+        // Everything above the snapshot, and the mark itself as the new
+        // floor, survives in append order.
+        assert_eq!(
+            wal.replay(),
+            vec![vote(5), committed(5), vote(6), committed(6), mark]
+        );
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl CostModel {
 impl CostReport {
     /// Total dollars spent.
     #[must_use]
-    pub fn total_dollars(&self) -> f64 {
+    fn total_dollars(&self) -> f64 {
         self.serverless_dollars + self.machine_dollars
     }
 

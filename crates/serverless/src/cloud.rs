@@ -3,10 +3,9 @@
 //! Models the part of AWS Lambda the protocol can observe: spawn requests
 //! accepted or rejected (the provider's concurrency limit stopped the paper
 //! at 21 parallel executors), per-region placement with cold-start latency,
-//! unique executor identities (Section III-A, *Identity*), per-spawner
-//! accounting (*Accountability* / *Payment*), and the assignment of
-//! byzantine behaviours to up to `f_E` executors per batch (*lack of trust
-//! at the serverless cloud*).
+//! unique executor identities (Section III-A, *Identity*), and the
+//! assignment of byzantine behaviours to up to `f_E` executors per batch
+//! (*lack of trust at the serverless cloud*).
 
 use crate::faults::{ExecutorBehavior, RegionOutage};
 use sbft_types::{ExecutorId, NodeId, Region, SbftError, SbftResult, SeqNum, SimDuration};
@@ -56,9 +55,6 @@ pub struct ServerlessCloud {
     fault_plan: CloudFaultPlan,
     /// Regions currently offline: spawns into them are rejected.
     outage: RegionOutage,
-    rejected_by_outage: u64,
-    /// Spawns per shim node (accountability/payment bookkeeping).
-    spawns_by_node: BTreeMap<NodeId, u64>,
     /// Spawns per batch, used to apply the fault plan deterministically.
     spawns_by_seq: BTreeMap<SeqNum, usize>,
     total_spawned: u64,
@@ -67,7 +63,7 @@ pub struct ServerlessCloud {
 
 /// The default AWS Lambda account concurrency limit observed in the paper's
 /// experiments ("could not scale further due to limits by cloud provider").
-pub const DEFAULT_CONCURRENCY_LIMIT: usize = 21;
+const DEFAULT_CONCURRENCY_LIMIT: usize = 21;
 
 /// A typical warm-ish Lambda cold-start latency.
 pub const DEFAULT_COLD_START: SimDuration = SimDuration::from_millis(25);
@@ -93,8 +89,6 @@ impl ServerlessCloud {
             cold_start,
             fault_plan: CloudFaultPlan::default(),
             outage: RegionOutage::none(),
-            rejected_by_outage: 0,
-            spawns_by_node: BTreeMap::new(),
             spawns_by_seq: BTreeMap::new(),
             total_spawned: 0,
             rejected: 0,
@@ -125,7 +119,6 @@ impl ServerlessCloud {
     pub fn spawn(&mut self, req: SpawnRequest) -> SbftResult<SpawnOutcome> {
         if self.outage.affects(req.region) {
             self.rejected += 1;
-            self.rejected_by_outage += 1;
             return Err(SbftError::SpawnRejected(format!(
                 "region {} is offline",
                 req.region
@@ -142,7 +135,6 @@ impl ServerlessCloud {
         self.next_id += 1;
         self.active += 1;
         self.total_spawned += 1;
-        *self.spawns_by_node.entry(req.spawner).or_insert(0) += 1;
         let ordinal = self.spawns_by_seq.entry(req.seq).or_insert(0);
         // The first `byzantine_per_batch` executors of each batch are the
         // corrupted ones — deterministic, so experiments are reproducible.
@@ -165,12 +157,6 @@ impl ServerlessCloud {
         self.active = self.active.saturating_sub(1);
     }
 
-    /// Number of executors currently running.
-    #[must_use]
-    pub fn active(&self) -> usize {
-        self.active
-    }
-
     /// Total executors spawned so far.
     #[must_use]
     pub fn total_spawned(&self) -> u64 {
@@ -182,29 +168,6 @@ impl ServerlessCloud {
     #[must_use]
     pub fn rejected(&self) -> u64 {
         self.rejected
-    }
-
-    /// Spawn requests rejected because their target region was offline —
-    /// stays zero when the invokers' placement correctly avoids downed
-    /// regions.
-    #[must_use]
-    pub fn rejected_by_outage(&self) -> u64 {
-        self.rejected_by_outage
-    }
-
-    /// Executors spawned (and paid for) by a given shim node. The edge
-    /// application's enterprise reimburses this amount per consensus
-    /// (Section III-A, *Payment*); it is also how the architecture holds
-    /// byzantine nodes accountable for duplicate spawning.
-    #[must_use]
-    pub fn spawned_by(&self, node: NodeId) -> u64 {
-        self.spawns_by_node.get(&node).copied().unwrap_or(0)
-    }
-
-    /// Executors spawned for a given batch.
-    #[must_use]
-    pub fn spawned_for(&self, seq: SeqNum) -> usize {
-        self.spawns_by_seq.get(&seq).copied().unwrap_or(0)
     }
 }
 
@@ -234,11 +197,9 @@ mod tests {
         let c = cloud.spawn(req(1, 1)).unwrap();
         assert_ne!(a.executor, b.executor);
         assert_ne!(b.executor, c.executor);
-        assert_eq!(cloud.spawned_by(NodeId(0)), 2);
-        assert_eq!(cloud.spawned_by(NodeId(1)), 1);
-        assert_eq!(cloud.spawned_for(SeqNum(1)), 3);
+        assert_eq!(cloud.spawns_by_seq.get(&SeqNum(1)), Some(&3));
         assert_eq!(cloud.total_spawned(), 3);
-        assert_eq!(cloud.active(), 3);
+        assert_eq!(cloud.active, 3);
     }
 
     #[test]
@@ -283,7 +244,7 @@ mod tests {
     fn release_never_underflows() {
         let mut cloud = ServerlessCloud::new();
         cloud.release(ExecutorId(99));
-        assert_eq!(cloud.active(), 0);
+        assert_eq!(cloud.active, 0);
     }
 
     #[test]
@@ -293,7 +254,6 @@ mod tests {
         cloud.set_region_outage(RegionOutage::of(Region::Oregon));
         let err = cloud.spawn(req(0, 1)).unwrap_err();
         assert!(matches!(err, SbftError::SpawnRejected(_)));
-        assert_eq!(cloud.rejected_by_outage(), 1);
         assert_eq!(cloud.rejected(), 1);
         // Other regions are unaffected.
         let ok = cloud.spawn(SpawnRequest {

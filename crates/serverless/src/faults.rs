@@ -45,13 +45,6 @@ impl RegionOutage {
         outage
     }
 
-    /// Adds another downed region to the scenario.
-    #[must_use]
-    pub fn and(mut self, region: Region) -> Self {
-        self.downed.insert(region);
-        self
-    }
-
     /// Whether the scenario takes `region` offline.
     #[must_use]
     pub fn affects(&self, region: Region) -> bool {
@@ -213,11 +206,10 @@ mod tests {
     #[test]
     fn region_outage_tracks_the_downed_set() {
         assert!(!RegionOutage::none().is_active());
-        let outage = RegionOutage::of(Region::Ohio).and(Region::Seoul);
+        let outage = RegionOutage::of(Region::Ohio);
         assert!(outage.is_active());
         assert!(outage.affects(Region::Ohio));
-        assert!(outage.affects(Region::Seoul));
         assert!(!outage.affects(Region::Oregon));
-        assert_eq!(outage.regions().count(), 2);
+        assert_eq!(outage.regions().count(), 1);
     }
 }

@@ -16,13 +16,12 @@
 //! read-write footprint in shard `s`'s partition, so its executors are
 //! *pinned* to that shard's home region — every storage fetch becomes
 //! local. Pinning falls back to the round-robin rotation, deterministically,
-//! when the home region is not in the spawnable set, is marked faulted
-//! (a [`crate::faults::RegionOutage`]), or lacks spawn capacity for the
-//! whole batch. Cross-home and untagged batches keep the paper's
-//! rotation. Placement is strictly a performance hint: every executor
-//! runs the same deterministic function wherever it lands, so outcomes,
-//! responses and final state are identical under any placement — the
-//! equivalence proptests pin that down.
+//! when the home region is not in the spawnable set or is marked faulted
+//! (a [`crate::faults::RegionOutage`]). Cross-home and untagged batches
+//! keep the paper's rotation. Placement is strictly a performance hint:
+//! every executor runs the same deterministic function wherever it lands,
+//! so outcomes, responses and final state are identical under any
+//! placement — the equivalence proptests pin that down.
 
 use crate::cloud::SpawnRequest;
 use sbft_telemetry::{Counter, Registry};
@@ -55,13 +54,10 @@ pub struct Invoker {
     /// Regions currently believed faulted (region outages observed by
     /// this node); pinning never targets them.
     down_regions: BTreeSet<Region>,
-    /// Per-batch spawn capacity of a single region, when the provider
-    /// imposes one; a pin that would exceed it falls back to rotation.
-    region_capacity: Option<usize>,
     /// Executors placed by pinning (`shim.<node>.invoker.pinned_spawns`).
     pinned_spawns: Counter,
-    /// Batches whose pin was refused (home region missing, faulted or
-    /// over capacity) and that fell back to the rotation
+    /// Batches whose pin was refused (home region missing or faulted)
+    /// and that fell back to the rotation
     /// (`shim.<node>.invoker.placement_fallbacks`).
     placement_fallbacks: Counter,
 }
@@ -76,7 +72,6 @@ impl Invoker {
             spawned_so_far: 0,
             partition: None,
             down_regions: BTreeSet::new(),
-            region_capacity: None,
             pinned_spawns: Counter::new(),
             placement_fallbacks: Counter::new(),
         }
@@ -87,20 +82,6 @@ impl Invoker {
     pub fn with_partition(mut self, partition: RegionPartition) -> Self {
         self.partition = Some(partition);
         self
-    }
-
-    /// Caps how many executors one batch may pin into a single region
-    /// (a provider-side per-region concurrency budget).
-    #[must_use]
-    pub fn with_region_capacity(mut self, capacity: usize) -> Self {
-        self.region_capacity = Some(capacity);
-        self
-    }
-
-    /// The node this invoker runs on.
-    #[must_use]
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Marks a region as faulted: pinning avoids it until it recovers.
@@ -147,7 +128,7 @@ impl Invoker {
                 requests: Vec::new(),
             };
         }
-        if let Some(home) = self.pin_target(plan, count) {
+        if let Some(home) = self.pin_target(plan) {
             // Advance the rotation exactly as a rotated batch would have,
             // so later batches place identically either way.
             self.spawned_so_far += count;
@@ -178,14 +159,12 @@ impl Invoker {
     }
 
     /// The region a `SingleHome` batch would be pinned to, if pinning is
-    /// possible: geo placement enabled, the home region spawnable, not
-    /// faulted, and within the per-region capacity for the whole batch.
-    fn pin_target(&self, plan: ShardPlan, count: usize) -> Option<Region> {
+    /// possible: geo placement enabled, the home region spawnable and not
+    /// faulted.
+    fn pin_target(&self, plan: ShardPlan) -> Option<Region> {
         let partition = self.partition.as_ref()?;
         let home = partition.home_of(plan.home()?);
-        let usable = self.regions.contains(home)
-            && !self.down_regions.contains(&home)
-            && self.region_capacity.is_none_or(|cap| count <= cap);
+        let usable = self.regions.contains(home) && !self.down_regions.contains(&home);
         usable.then_some(home)
     }
 
@@ -203,13 +182,6 @@ impl Invoker {
             }
         }
         candidate
-    }
-
-    /// Total executors this invoker has planned so far (what the node will
-    /// be reimbursed for).
-    #[must_use]
-    pub fn total_planned(&self) -> usize {
-        self.spawned_so_far
     }
 }
 
@@ -251,7 +223,7 @@ mod tests {
         let plan = invoker.plan(SeqNum(2), 2);
         assert_eq!(plan.requests[0].region, Region::Ohio);
         assert_eq!(plan.requests[1].region, Region::NorthCalifornia);
-        assert_eq!(invoker.total_planned(), 4);
+        assert_eq!(invoker.spawned_so_far, 4);
     }
 
     #[test]
@@ -321,6 +293,8 @@ mod tests {
             plan.requests.iter().all(|r| r.region != Region::Oregon),
             "the rotation must skip the faulted region too: {plan:?}"
         );
+        let distinct: BTreeSet<Region> = plan.requests.iter().map(|r| r.region).collect();
+        assert!(distinct.len() > 1, "a refused pin must spread: {plan:?}");
         assert_eq!(invoker.placement_fallbacks.get(), 1);
         assert_eq!(invoker.pinned_spawns.get(), 0);
         // Recovery restores the pin.
@@ -339,20 +313,6 @@ mod tests {
         let plan = invoker.plan_placed(SeqNum(1), 2, ShardPlan::SingleHome(ShardId(4)));
         assert_eq!(plan.requests[0].region, Region::NorthCalifornia);
         assert_eq!(plan.requests[1].region, Region::Oregon);
-        assert_eq!(invoker.placement_fallbacks.get(), 1);
-    }
-
-    #[test]
-    fn region_capacity_limits_the_pin() {
-        let mut invoker = geo_invoker(3, 8).with_region_capacity(2);
-        // A 2-executor pin fits the capacity …
-        let small = invoker.plan_placed(SeqNum(1), 2, ShardPlan::SingleHome(ShardId(1)));
-        assert!(small.requests.iter().all(|r| r.region == Region::Oregon));
-        // … a 3-executor pin does not and rotates instead.
-        let big = invoker.plan_placed(SeqNum(2), 3, ShardPlan::SingleHome(ShardId(1)));
-        let distinct: std::collections::BTreeSet<Region> =
-            big.requests.iter().map(|r| r.region).collect();
-        assert!(distinct.len() > 1, "over-capacity pin must spread");
         assert_eq!(invoker.placement_fallbacks.get(), 1);
     }
 

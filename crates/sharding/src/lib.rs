@@ -45,4 +45,4 @@ pub mod state;
 pub use committer::{CommitOutcome, ShardedCommitter};
 pub use router::{ShardId, ShardRouter, ShardSet};
 pub use scheduler::{ApplyTicket, ShardScheduler};
-pub use state::{ShardPhase, ShardState, ShardStoreView, ShardTask};
+pub use state::{ShardState, ShardStoreView, ShardTask};

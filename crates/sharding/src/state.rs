@@ -21,19 +21,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-/// Where a shard is in its scheduling lifecycle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ShardPhase {
-    /// No pending work and not enqueued; the only schedulable state.
-    Idle,
-    /// Enqueued in the scheduler's work queue, not yet picked up.
-    Pending,
-    /// A worker is actively executing this shard's queue.
-    Running,
-}
-
+/// No pending work and not enqueued; the only schedulable phase.
 const IDLE: u8 = 0;
+/// Enqueued in the scheduler's work queue, not yet picked up.
 const PENDING: u8 = 1;
+/// A worker is executing the shard's queue.
 const RUNNING: u8 = 2;
 
 /// A unit of queued work: the transactions of one submitted batch that
@@ -83,7 +75,7 @@ impl ShardStoreView {
 
     /// Whether this shard owns `key`.
     #[must_use]
-    pub fn owns(&self, key: Key) -> bool {
+    fn owns(&self, key: Key) -> bool {
         self.router.shard_of(key) == self.shard
     }
 
@@ -147,16 +139,6 @@ impl ShardState {
         &self.view
     }
 
-    /// Current lifecycle phase (racy by nature; for tests and metrics).
-    #[must_use]
-    pub fn phase(&self) -> ShardPhase {
-        match self.phase.load(Ordering::Acquire) {
-            IDLE => ShardPhase::Idle,
-            PENDING => ShardPhase::Pending,
-            _ => ShardPhase::Running,
-        }
-    }
-
     /// Appends a task to the pending queue. Returns `true` if the caller
     /// won the `Idle → Pending` transition and must hand the shard to the
     /// scheduler's work queue (exactly one concurrent caller wins).
@@ -166,7 +148,7 @@ impl ShardState {
     }
 
     /// Attempts the atomic `Idle → Pending` transition.
-    pub fn try_mark_pending(&self) -> bool {
+    fn try_mark_pending(&self) -> bool {
         self.phase
             .compare_exchange(IDLE, PENDING, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
@@ -200,12 +182,6 @@ impl ShardState {
     #[must_use]
     pub fn pop_task(&self) -> Option<ShardTask> {
         self.queue.lock().pop_front()
-    }
-
-    /// Number of tasks waiting in the queue.
-    #[must_use]
-    pub fn queue_len(&self) -> usize {
-        self.queue.lock().len()
     }
 
     /// The shard's execution lock. Single-shard work locks only its own
@@ -265,14 +241,14 @@ mod tests {
     #[test]
     fn lifecycle_idle_pending_running_idle() {
         let s = shard();
-        assert_eq!(s.phase(), ShardPhase::Idle);
+        assert_eq!(s.phase.load(Ordering::Acquire), IDLE);
         assert!(s.try_mark_pending());
-        assert_eq!(s.phase(), ShardPhase::Pending);
+        assert_eq!(s.phase.load(Ordering::Acquire), PENDING);
         assert!(!s.try_mark_pending(), "only one Idle→Pending can win");
         s.begin_run();
-        assert_eq!(s.phase(), ShardPhase::Running);
+        assert_eq!(s.phase.load(Ordering::Acquire), RUNNING);
         assert!(!s.finish_run(), "no queued work, stays idle");
-        assert_eq!(s.phase(), ShardPhase::Idle);
+        assert_eq!(s.phase.load(Ordering::Acquire), IDLE);
     }
 
     #[test]
@@ -280,7 +256,7 @@ mod tests {
         let s = shard();
         assert!(s.enqueue(ShardTask::default()), "first enqueue schedules");
         assert!(!s.enqueue(ShardTask::default()), "second one piggy-backs");
-        assert_eq!(s.queue_len(), 2);
+        assert_eq!(s.queue.lock().len(), 2);
     }
 
     #[test]
@@ -294,7 +270,7 @@ mod tests {
         assert!(!s.enqueue(ShardTask::default()));
         // … so the worker must pick it up when it finishes.
         assert!(s.finish_run(), "raced-in work must reschedule the shard");
-        assert_eq!(s.phase(), ShardPhase::Pending);
+        assert_eq!(s.phase.load(Ordering::Acquire), PENDING);
     }
 
     #[test]
@@ -318,7 +294,7 @@ mod tests {
                 .collect()
         });
         assert_eq!(wins.iter().filter(|w| **w).count(), 1);
-        assert_eq!(s.queue_len(), 8);
+        assert_eq!(s.queue.lock().len(), 8);
     }
 
     #[test]

@@ -146,13 +146,6 @@ impl CpuModel {
         self.signature_cost
     }
 
-    /// Extra service time for the verifier when validating a batch of
-    /// `txns` transactions (per-transaction concurrency check and write).
-    #[must_use]
-    pub fn validation_cost(&self, txns: usize) -> SimDuration {
-        self.storage_access_cost.saturating_mul(2 * txns as u64) + self.base_cost
-    }
-
     /// Service time of classifying one client request against the shard
     /// map at ordering time (`keys` declared read/write keys). Sub-micro
     /// per request; it accumulates with batch size like the hashing term.
@@ -208,7 +201,6 @@ impl CpuModel {
 #[derive(Clone, Debug)]
 pub struct ServiceStation {
     cores: Vec<SimTime>,
-    busy: SimDuration,
 }
 
 impl ServiceStation {
@@ -217,7 +209,6 @@ impl ServiceStation {
     pub fn new(cores: usize) -> Self {
         ServiceStation {
             cores: vec![SimTime::ZERO; cores.max(1)],
-            busy: SimDuration::ZERO,
         }
     }
 
@@ -231,20 +222,7 @@ impl ServiceStation {
         let start = (*core).max(now);
         let end = start + work;
         *core = end;
-        self.busy += work;
         end
-    }
-
-    /// Total busy time accumulated across all cores.
-    #[must_use]
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Number of cores.
-    #[must_use]
-    pub fn cores(&self) -> usize {
-        self.cores.len()
     }
 }
 
@@ -288,12 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_cost_scales_with_batch_size() {
-        let cpu = CpuModel::default();
-        assert!(cpu.validation_cost(1_000) > cpu.validation_cost(10));
-    }
-
-    #[test]
     fn routing_cost_is_small_but_scales_with_keys() {
         let cpu = CpuModel::default();
         assert_eq!(
@@ -302,7 +274,7 @@ mod tests {
             "sub-micro rounds down"
         );
         assert!(cpu.routing_cost(1_000) >= SimDuration::from_micros(10));
-        assert!(cpu.routing_cost(1_000) < cpu.validation_cost(1_000));
+        assert!(cpu.routing_cost(1_000) < cpu.ccheck_cost(1_000));
     }
 
     #[test]
@@ -340,7 +312,6 @@ mod tests {
         let t2 = station.schedule(SimTime::ZERO, SimDuration::from_micros(100));
         assert_eq!(t1, SimTime::from_micros(100));
         assert_eq!(t2, SimTime::from_micros(200));
-        assert_eq!(station.busy_time(), SimDuration::from_micros(200));
     }
 
     #[test]
@@ -363,6 +334,6 @@ mod tests {
 
     #[test]
     fn zero_core_request_clamps_to_one() {
-        assert_eq!(ServiceStation::new(0).cores(), 1);
+        assert_eq!(ServiceStation::new(0).cores.len(), 1);
     }
 }

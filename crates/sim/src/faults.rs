@@ -94,16 +94,6 @@ impl LinkRule {
         }
     }
 
-    /// A rule for the directed link `from → to`.
-    #[must_use]
-    pub fn between(from: NodeId, to: NodeId, faults: LinkFaults) -> Self {
-        LinkRule {
-            from: Some(from),
-            to: Some(to),
-            faults,
-        }
-    }
-
     fn matches(&self, from: NodeId, to: NodeId) -> bool {
         self.from.is_none_or(|f| f == from) && self.to.is_none_or(|t| t == to)
     }
@@ -127,7 +117,7 @@ pub struct PartitionWindow {
 impl PartitionWindow {
     /// A directed partition cutting `from → to` over `[start, heal)`.
     #[must_use]
-    pub fn directed(from: &[NodeId], to: &[NodeId], start: SimDuration, heal: SimDuration) -> Self {
+    fn directed(from: &[NodeId], to: &[NodeId], start: SimDuration, heal: SimDuration) -> Self {
         PartitionWindow {
             from: from.to_vec(),
             to: to.to_vec(),
@@ -164,17 +154,16 @@ pub struct DiskLag {
 /// it injects is deterministic in the run seed.
 ///
 /// ```
-/// use sbft_sim::{DiskLag, FaultPlan, LinkFaults, PartitionWindow};
+/// use sbft_sim::{DiskLag, FaultPlan, LinkFaults};
 /// use sbft_types::{NodeId, SimDuration};
 ///
 /// let plan = FaultPlan::new()
 ///     .lossy_node(NodeId(3), LinkFaults::lossy(0.15))
-///     .partition(PartitionWindow::directed(
-///         &[NodeId(0)],
-///         &[NodeId(3)],
+///     .isolate(
+///         NodeId(0),
 ///         SimDuration::from_millis(200),
 ///         SimDuration::from_millis(260),
-///     ))
+///     )
 ///     .disk_lag(DiskLag {
 ///         node: NodeId(1),
 ///         extra: SimDuration::from_micros(300),
@@ -231,13 +220,6 @@ impl FaultPlan {
             to: Some(node),
             faults,
         });
-        self
-    }
-
-    /// Appends a partition window.
-    #[must_use]
-    pub fn partition(mut self, window: PartitionWindow) -> Self {
-        self.partitions.push(window);
         self
     }
 
@@ -447,11 +429,11 @@ mod tests {
     fn first_matching_rule_wins() {
         let reg = registry();
         let plan = FaultPlan::new()
-            .link(LinkRule::between(
-                NodeId(0),
-                NodeId(1),
-                LinkFaults::default(),
-            ))
+            .link(LinkRule {
+                from: Some(NodeId(0)),
+                to: Some(NodeId(1)),
+                faults: LinkFaults::default(),
+            })
             .link(LinkRule::all(LinkFaults::lossy(1.0)));
         let mut state = FaultState::new(plan, 1, SimTime::ZERO, &reg);
         // The specific clean rule shadows the catch-all loss rule.
@@ -467,7 +449,8 @@ mod tests {
     #[test]
     fn partition_window_cuts_directed_links_and_heals() {
         let reg = registry();
-        let plan = FaultPlan::new().partition(PartitionWindow::directed(
+        let mut plan = FaultPlan::new();
+        plan.partitions.push(PartitionWindow::directed(
             &[NodeId(0)],
             &[NodeId(3)],
             SimDuration::from_millis(10),

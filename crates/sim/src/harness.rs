@@ -283,12 +283,6 @@ impl SimHarness {
         self
     }
 
-    /// Read access to the system (after a run, for assertions).
-    #[must_use]
-    pub fn system(&self) -> &System {
-        &self.system
-    }
-
     fn end_time(&self) -> SimTime {
         SimTime::ZERO + self.params.warmup + self.params.duration
     }

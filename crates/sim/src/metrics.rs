@@ -31,7 +31,7 @@ impl LatencyStats {
     /// Average latency in seconds (0 when empty). Exact — the histogram
     /// keeps the true sum, not bucket representatives.
     #[must_use]
-    pub fn avg_secs(&self) -> f64 {
+    fn avg_secs(&self) -> f64 {
         self.histogram.mean_us() / 1_000_000.0
     }
 
@@ -39,7 +39,7 @@ impl LatencyStats {
     /// histogram bucket's upper bound (≤ 1/64 above the true order
     /// statistic, never below).
     #[must_use]
-    pub fn percentile_secs(&self, p: f64) -> f64 {
+    fn percentile_secs(&self, p: f64) -> f64 {
         self.histogram.percentile_us(p) as f64 / 1_000_000.0
     }
 

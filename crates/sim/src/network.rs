@@ -33,7 +33,7 @@ impl Default for NetworkModel {
 impl NetworkModel {
     /// Transmission time of a message of `bytes` bytes.
     #[must_use]
-    pub fn transmission(&self, bytes: usize) -> SimDuration {
+    fn transmission(&self, bytes: usize) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec)
     }
 
@@ -61,7 +61,7 @@ impl NetworkModel {
     /// is that a same-region storage fetch is far cheaper than any
     /// cross-region one.
     #[must_use]
-    pub fn inter_region_one_way(&self, a: Region, b: Region) -> SimDuration {
+    fn inter_region_one_way(&self, a: Region, b: Region) -> SimDuration {
         if a == b {
             return self.local_latency;
         }

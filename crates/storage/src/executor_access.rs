@@ -8,7 +8,7 @@
 //! neither edge devices nor executors may update the store.
 
 use crate::kvstore::{StoreEntry, VersionedStore};
-use sbft_types::{Key, ReadWriteSet, Value, Version};
+use sbft_types::{Key, Value, Version};
 use std::sync::Arc;
 
 /// A read-only handle on the on-premise data-store.
@@ -33,19 +33,6 @@ impl StorageReader {
             value: Value::new(0),
             version: Version(0),
         })
-    }
-
-    /// Fetches a set of keys, recording each read (key, version) into the
-    /// provided read-write set — the "fetch rw state from storage S" step
-    /// of Figure 3 line 18.
-    pub fn fetch_into(&self, keys: &[Key], rwset: &mut ReadWriteSet) -> Vec<StoreEntry> {
-        keys.iter()
-            .map(|&key| {
-                let entry = self.fetch(key);
-                rwset.record_read(key, entry.version);
-                entry
-            })
-            .collect()
     }
 
     /// Number of records in the underlying store (used by workload
@@ -80,18 +67,6 @@ mod tests {
         let entry = reader.fetch(Key(42));
         assert_eq!(entry.value, Value::new(0));
         assert_eq!(entry.version, Version(0));
-    }
-
-    #[test]
-    fn fetch_into_records_reads() {
-        let reader = reader_with(&[(1, 11), (2, 22)]);
-        let mut rw = ReadWriteSet::new();
-        let entries = reader.fetch_into(&[Key(1), Key(2), Key(3)], &mut rw);
-        assert_eq!(entries.len(), 3);
-        assert_eq!(rw.reads.len(), 3);
-        assert_eq!(rw.reads[0], (Key(1), Version(1)));
-        assert_eq!(rw.reads[2], (Key(3), Version(0)));
-        assert!(rw.writes.is_empty(), "reader never writes");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! use the classification to charge inter-region round trips on
 //! executor ⇄ storage fetches; correctness never depends on it.
 
-use crate::kvstore::{StoreEntry, VersionedStore};
+use crate::kvstore::VersionedStore;
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{Key, Region, RegionPartition};
 use std::collections::BTreeSet;
@@ -52,12 +52,6 @@ impl GeoPartitionedStore {
         &self.store
     }
 
-    /// The shard → home-region map in force.
-    #[must_use]
-    pub fn partition(&self) -> &RegionPartition {
-        &self.partition
-    }
-
     /// The home region of the partition holding `key` (delegates to the
     /// shared [`RegionPartition`] map).
     #[must_use]
@@ -85,15 +79,6 @@ impl GeoPartitionedStore {
         }
         remote
     }
-
-    /// Reads a key on behalf of an accessor running in `from`, counting
-    /// the access as local (accessor sits in the key's home region) or
-    /// remote. Returns the entry and whether the fetch crossed regions.
-    #[must_use]
-    pub fn fetch_from(&self, from: Region, key: Key) -> (Option<StoreEntry>, bool) {
-        let remote = self.record_partition_fetch(from, self.home_of_key(key));
-        (self.store.get(key), remote)
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +100,7 @@ mod tests {
         let geo = view(3, 8);
         for k in 0..1_000u64 {
             let shard = ShardId::of_key(Key(k), 8);
-            assert_eq!(geo.home_of_key(Key(k)), geo.partition().home_of(shard));
+            assert_eq!(geo.home_of_key(Key(k)), geo.partition.home_of(shard));
         }
     }
 
@@ -136,21 +121,17 @@ mod tests {
     }
 
     #[test]
-    fn fetch_from_classifies_and_counts_local_vs_remote() {
+    fn partition_fetches_are_classified_and_counted_local_vs_remote() {
         let geo = view(3, 8);
-        let key = Key(7);
-        let home = geo.home_of_key(key);
-        let (entry, remote) = geo.fetch_from(home, key);
-        assert_eq!(entry.unwrap().value, Value::new(7));
-        assert!(!remote);
+        let home = geo.home_of_key(Key(7));
+        assert!(!geo.record_partition_fetch(home, home));
         let elsewhere = RegionSet::first_n(3)
             .regions()
             .iter()
             .copied()
             .find(|r| *r != home)
             .unwrap();
-        let (_, remote) = geo.fetch_from(elsewhere, key);
-        assert!(remote);
+        assert!(geo.record_partition_fetch(elsewhere, home));
         assert_eq!(geo.local_fetches.get(), 1);
         assert_eq!(geo.remote_fetches.get(), 1);
     }
@@ -159,17 +140,9 @@ mod tests {
     fn single_region_partition_makes_every_fetch_local() {
         let geo = view(1, 4);
         for k in 0..100u64 {
-            let (_, remote) = geo.fetch_from(Region::NorthCalifornia, Key(k));
-            assert!(!remote);
+            let home = geo.home_of_key(Key(k));
+            assert!(!geo.record_partition_fetch(Region::NorthCalifornia, home));
         }
         assert_eq!(geo.remote_fetches.get(), 0);
-    }
-
-    #[test]
-    fn view_does_not_change_store_semantics() {
-        let geo = view(3, 8);
-        let before = geo.store().version_of(Key(3));
-        let _ = geo.fetch_from(Region::Oregon, Key(3));
-        assert_eq!(geo.store().version_of(Key(3)), before);
     }
 }

@@ -9,7 +9,7 @@
 //! reads concurrently with verifier writes.
 
 use parking_lot::RwLock;
-use sbft_types::{IdMap, Key, SbftError, SbftResult, Value, Version};
+use sbft_types::{IdMap, Key, Value, Version};
 
 use crate::stats::StorageStats;
 
@@ -68,11 +68,6 @@ impl VersionedStore {
     pub fn get(&self, key: Key) -> Option<StoreEntry> {
         self.stats.record_read();
         self.shard_for(key).read().get(&key).copied()
-    }
-
-    /// Reads a key, returning an error if it is absent.
-    pub fn try_get(&self, key: Key) -> SbftResult<StoreEntry> {
-        self.get(key).ok_or(SbftError::KeyNotFound(key.0))
     }
 
     /// The current version of a key (`Version(0)` if the key is absent;
@@ -145,12 +140,6 @@ impl VersionedStore {
     pub fn stats(&self) -> &StorageStats {
         &self.stats
     }
-
-    /// Number of shards (for tests and tuning).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
 }
 
 #[cfg(test)]
@@ -169,13 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn get_missing_key_is_none_and_try_get_errors() {
+    fn get_missing_key_is_none() {
         let store = VersionedStore::new();
         assert!(store.get(Key(99)).is_none());
-        assert_eq!(
-            store.try_get(Key(99)).unwrap_err(),
-            SbftError::KeyNotFound(99)
-        );
     }
 
     #[test]
@@ -198,9 +183,9 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(VersionedStore::with_shards(3).shard_count(), 4);
-        assert_eq!(VersionedStore::with_shards(64).shard_count(), 64);
-        assert_eq!(VersionedStore::with_shards(0).shard_count(), 1);
+        assert_eq!(VersionedStore::with_shards(3).shards.len(), 4);
+        assert_eq!(VersionedStore::with_shards(64).shards.len(), 64);
+        assert_eq!(VersionedStore::with_shards(0).shards.len(), 1);
     }
 
     #[test]

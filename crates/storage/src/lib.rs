@@ -41,4 +41,4 @@ pub use geo::GeoPartitionedStore;
 pub use kvstore::{StoreEntry, VersionedStore};
 pub use occ::{ConcurrencyChecker, OccOutcome};
 pub use stats::StorageStats;
-pub use ycsb::{ycsb_key, ycsb_value, YcsbTable};
+pub use ycsb::YcsbTable;

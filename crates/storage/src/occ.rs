@@ -35,7 +35,7 @@ impl ConcurrencyChecker {
     /// Checks whether the versions recorded in `rwset.reads` are still the
     /// current versions in `store` (without applying anything).
     #[must_use]
-    pub fn reads_current(store: &VersionedStore, rwset: &ReadWriteSet) -> Vec<Key> {
+    fn reads_current(store: &VersionedStore, rwset: &ReadWriteSet) -> Vec<Key> {
         rwset
             .reads
             .iter()

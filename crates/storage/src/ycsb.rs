@@ -11,22 +11,13 @@ use crate::kvstore::VersionedStore;
 use sbft_types::{Key, Value};
 use std::sync::Arc;
 
-/// Number of records in the paper's YCSB table.
-pub const PAPER_NUM_RECORDS: u64 = 600_000;
-
 /// Logical YCSB record size in bytes.
-pub const RECORD_SIZE_BYTES: u32 = 1024;
-
-/// The key of the `i`-th YCSB record.
-#[must_use]
-pub fn ycsb_key(i: u64) -> Key {
-    Key(i)
-}
+const RECORD_SIZE_BYTES: u32 = 1024;
 
 /// The initial value of the `i`-th YCSB record: a deterministic payload
 /// standing in for the 1 KiB random string YCSB would generate.
 #[must_use]
-pub fn ycsb_value(i: u64) -> Value {
+fn ycsb_value(i: u64) -> Value {
     // SplitMix64 of the key; any fixed bijective mixing works.
     let mut z = i.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -46,7 +37,7 @@ impl YcsbTable {
     #[must_use]
     pub fn populate(num_records: u64) -> Self {
         let store = Arc::new(VersionedStore::new());
-        store.load((0..num_records).map(|i| (ycsb_key(i), ycsb_value(i))));
+        store.load((0..num_records).map(|i| (Key(i), ycsb_value(i))));
         YcsbTable { store, num_records }
     }
 
@@ -79,7 +70,7 @@ mod tests {
     fn records_start_at_version_one() {
         let table = YcsbTable::populate(10);
         for i in 0..10 {
-            assert_eq!(table.store().version_of(ycsb_key(i)), Version(1));
+            assert_eq!(table.store().version_of(Key(i)), Version(1));
         }
     }
 
@@ -95,10 +86,5 @@ mod tests {
     #[test]
     fn records_model_one_kib_payloads() {
         assert_eq!(ycsb_value(0).logical_len, 1024);
-    }
-
-    #[test]
-    fn paper_size_constant_matches_evaluation_setup() {
-        assert_eq!(PAPER_NUM_RECORDS, 600_000);
     }
 }

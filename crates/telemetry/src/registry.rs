@@ -1,4 +1,4 @@
-//! Named metrics registry: counters, gauges and latency histograms.
+//! Named metrics registry: counters and latency histograms.
 //!
 //! Components register their metrics under dotted names
 //! (`verifier.committed_txns`, `shim.3.batcher.released_full`) and keep a
@@ -41,37 +41,11 @@ impl Counter {
     }
 }
 
-/// A last-value-wins gauge sharing the same handle semantics as
-/// [`Counter`].
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Creates a gauge at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Overwrites the value.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// One registered metric.
 #[derive(Clone, Debug)]
 pub enum Metric {
     /// A monotone counter.
     Counter(Counter),
-    /// A last-value gauge.
-    Gauge(Gauge),
     /// A latency histogram (microseconds).
     Histogram(Histogram),
 }
@@ -102,21 +76,6 @@ impl Registry {
             .or_insert_with(|| Metric::Counter(Counter::new()))
         {
             Metric::Counter(c) => c.clone(),
-            other => panic!("metric {name} already registered as {other:?}"),
-        }
-    }
-
-    /// Registers (or fetches) the gauge called `name`.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut metrics = self.metrics.lock().expect("registry poisoned");
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::new()))
-        {
-            Metric::Gauge(g) => g.clone(),
             other => panic!("metric {name} already registered as {other:?}"),
         }
     }
@@ -203,7 +162,6 @@ impl Registry {
         for (name, metric) in self.snapshot() {
             match metric {
                 Metric::Counter(c) => out.push_str(&format!("{name} {}\n", c.get())),
-                Metric::Gauge(g) => out.push_str(&format!("{name} {}\n", g.get())),
                 Metric::Histogram(h) => out.push_str(&format!(
                     "{name} count={} mean_us={:.1} p50_us={} p99_us={}\n",
                     h.count(),
@@ -249,7 +207,7 @@ mod tests {
         let registry = Registry::new();
         registry.counter("b.second").add(2);
         registry.counter("a.first").add(1);
-        registry.gauge("c.third").set(3);
+        registry.counter("c.third").add(3);
         let text = registry.render();
         let first = text.find("a.first 1").expect("a.first missing");
         let second = text.find("b.second 2").expect("b.second missing");
@@ -271,6 +229,6 @@ mod tests {
     fn kind_mismatch_panics() {
         let registry = Registry::new();
         registry.counter("x");
-        registry.gauge("x");
+        registry.histogram("x");
     }
 }

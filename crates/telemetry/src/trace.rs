@@ -116,15 +116,6 @@ pub trait TraceSink: Send + Sync {
     fn record(&self, event: SpanEvent);
 }
 
-/// Discards every event — the default sink, used to prove the tracing-off
-/// overhead is a single branch.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&self, _event: SpanEvent) {}
-}
-
 /// Buffers events in memory for export or assertions.
 #[derive(Debug, Default)]
 pub struct MemorySink {

@@ -120,13 +120,6 @@ impl Batch {
         Arc::ptr_eq(&self.txns, &other.txns)
     }
 
-    /// Number of live references to this batch's transaction storage
-    /// (tests and memory accounting).
-    #[must_use]
-    pub fn txns_refcount(&self) -> usize {
-        Arc::strong_count(&self.txns)
-    }
-
     /// Returns the memoized batch digest, computing it with `compute` on
     /// first use. The digest function itself lives in the consensus layer
     /// (it defines the wire format); this only provides the cache slot.
@@ -177,12 +170,6 @@ impl Batch {
             .fold(crate::time::SimDuration::ZERO, |acc, t| {
                 acc + t.execution_cost
             })
-    }
-
-    /// Whether every transaction in the batch declares its read-write set.
-    #[must_use]
-    pub fn rwsets_known(&self) -> bool {
-        self.txns.iter().all(Transaction::rwset_known)
     }
 
     /// Wire size of the batch when embedded in a `PREPREPARE` message.
@@ -266,10 +253,10 @@ mod tests {
         let b = Batch::new(vec![txn(0, 0), txn(1, 0)]);
         let c = b.clone();
         assert!(b.shares_txns(&c), "a clone must be a refcount bump");
-        assert_eq!(b.txns_refcount(), 2);
+        assert_eq!(Arc::strong_count(&b.txns), 2);
         assert_eq!(b, c);
         drop(c);
-        assert_eq!(b.txns_refcount(), 1);
+        assert_eq!(Arc::strong_count(&b.txns), 1);
     }
 
     #[test]
@@ -341,14 +328,6 @@ mod tests {
         let t2 = txn(0, 1).with_execution_cost(SimDuration::from_millis(3));
         let b = Batch::new(vec![t1, t2]);
         assert_eq!(b.total_execution_cost(), SimDuration::from_millis(5));
-    }
-
-    #[test]
-    fn rwsets_known_requires_all_txns() {
-        let known = txn(0, 0).with_inferred_rwset();
-        let unknown = txn(0, 1);
-        assert!(Batch::new(vec![known.clone()]).rwsets_known());
-        assert!(!Batch::new(vec![known, unknown]).rwsets_known());
     }
 
     #[test]

@@ -105,18 +105,6 @@ impl FaultParams {
         }
     }
 
-    /// Executors each shim node spawns under decentralized spawning when up
-    /// to `f_R` honest nodes may be in the dark, Equation (2):
-    /// `1` if `n_E ≤ n_R`, else `⌈n_E / (f_R + 1)⌉`.
-    #[must_use]
-    pub fn decentralized_spawn_count_dark(&self) -> usize {
-        if self.n_e <= self.n_r {
-            1
-        } else {
-            self.n_e.div_ceil(self.f_r + 1)
-        }
-    }
-
     /// Checks the BFT resilience conditions `n_R ≥ 3f_R + 1` and
     /// `n_E ≥ 2f_E + 1`.
     pub fn validate(&self) -> SbftResult<()> {
@@ -570,14 +558,6 @@ mod tests {
         assert_eq!(p.decentralized_spawn_count(), 3);
         let p = FaultParams::for_shim_size(4).with_executors(10);
         assert_eq!(p.decentralized_spawn_count(), 4);
-    }
-
-    #[test]
-    fn decentralized_spawn_equation_two_with_dark_nodes() {
-        let p = FaultParams::for_shim_size(4).with_executors(10); // f_r = 1
-        assert_eq!(p.decentralized_spawn_count_dark(), 5);
-        let p = FaultParams::for_shim_size(8).with_executors(3);
-        assert_eq!(p.decentralized_spawn_count_dark(), 1);
     }
 
     #[test]

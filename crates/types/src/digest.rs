@@ -1,15 +1,15 @@
 //! Constant-size digests and byte containers for signatures and MACs.
 //!
-//! The algorithms that *produce* these values (SHA-256, HMAC, the simulated
-//! digital-signature scheme and threshold aggregation) live in
-//! `sbft-crypto`; this module only defines the plain data containers so the
-//! message types can be defined without a dependency cycle.
+//! The algorithms that *produce* these values (SHA-256, HMAC and the
+//! simulated digital-signature scheme) live in `sbft-crypto`; this module
+//! only defines the plain data containers so the message types can be
+//! defined without a dependency cycle.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Length in bytes of a collision-resistant digest `H(v)` (SHA-256).
-pub const DIGEST_LEN: usize = 32;
+const DIGEST_LEN: usize = 32;
 
 /// A constant-size digest `Δ = H(m)` of a message or batch.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -83,7 +83,7 @@ impl Digest {
 
     /// A short hexadecimal prefix used in log and debug output.
     #[must_use]
-    pub fn short_hex(&self) -> String {
+    fn short_hex(&self) -> String {
         self.0[..6].iter().map(|b| format!("{b:02x}")).collect()
     }
 

@@ -16,37 +16,22 @@ pub type SbftResult<T> = Result<T, SbftError>;
 pub enum SbftError {
     /// A configuration violated an invariant (e.g. `n_R < 3f_R + 1`).
     InvalidConfig(String),
-    /// A message failed a cryptographic or structural well-formedness check.
-    MalformedMessage(String),
     /// A signature or MAC failed verification.
     BadSignature(String),
     /// A certificate did not contain enough distinct valid signatures.
     BadCertificate(String),
-    /// A component was addressed that does not exist in the deployment.
-    UnknownComponent(String),
-    /// A key was requested that is not present in the data-store.
-    KeyNotFound(u64),
-    /// An operation was attempted in a state where it is not allowed.
-    InvalidState(String),
     /// The serverless cloud rejected a spawn request (e.g. concurrency
     /// limit, as the paper hit with 21 parallel executors).
     SpawnRejected(String),
-    /// An I/O-like failure in the thread runtime (channel closed, etc.).
-    Runtime(String),
 }
 
 impl fmt::Display for SbftError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SbftError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            SbftError::MalformedMessage(msg) => write!(f, "malformed message: {msg}"),
             SbftError::BadSignature(msg) => write!(f, "signature verification failed: {msg}"),
             SbftError::BadCertificate(msg) => write!(f, "certificate invalid: {msg}"),
-            SbftError::UnknownComponent(msg) => write!(f, "unknown component: {msg}"),
-            SbftError::KeyNotFound(k) => write!(f, "key k{k} not found in the data-store"),
-            SbftError::InvalidState(msg) => write!(f, "invalid state: {msg}"),
             SbftError::SpawnRejected(msg) => write!(f, "spawn rejected by the cloud: {msg}"),
-            SbftError::Runtime(msg) => write!(f, "runtime failure: {msg}"),
         }
     }
 }
@@ -61,19 +46,20 @@ mod tests {
     fn display_includes_details() {
         let e = SbftError::InvalidConfig("n_R too small".into());
         assert!(e.to_string().contains("n_R too small"));
-        let e = SbftError::KeyNotFound(42);
-        assert!(e.to_string().contains("k42"));
+        let e = SbftError::SpawnRejected("region Oregon is offline".into());
+        assert!(e.to_string().contains("Oregon"));
     }
 
     #[test]
     fn error_is_std_error() {
         fn takes_err(_e: &dyn std::error::Error) {}
-        takes_err(&SbftError::Runtime("channel closed".into()));
+        takes_err(&SbftError::BadCertificate("two signers".into()));
     }
 
     #[test]
     fn errors_compare_by_value() {
-        assert_eq!(SbftError::KeyNotFound(1), SbftError::KeyNotFound(1));
-        assert_ne!(SbftError::KeyNotFound(1), SbftError::KeyNotFound(2));
+        let bad = |what: &str| SbftError::BadSignature(what.into());
+        assert_eq!(bad("a"), bad("a"));
+        assert_ne!(bad("a"), bad("b"));
     }
 }

@@ -64,11 +64,6 @@ pub struct ViewNumber(pub u64);
 )]
 pub struct SeqNum(pub u64);
 
-/// Index of a replica inside the shim (0-based), distinct from [`NodeId`] so
-/// that configurations with non-contiguous node identifiers still work.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Debug)]
-pub struct ReplicaIndex(pub u32);
-
 /// Identifier of a client transaction: the issuing client plus a
 /// client-local monotonically increasing counter.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -102,12 +97,6 @@ impl NodeId {
     pub fn primary_of(view: ViewNumber, n: usize) -> NodeId {
         assert!(n > 0, "shim must have at least one node");
         NodeId((view.0 % n as u64) as u32)
-    }
-
-    /// Whether this node is the primary of `view` in a shim of `n` nodes.
-    #[must_use]
-    pub fn is_primary_of(self, view: ViewNumber, n: usize) -> bool {
-        Self::primary_of(view, n) == self
     }
 }
 
@@ -241,24 +230,6 @@ impl ComponentId {
             _ => None,
         }
     }
-
-    /// Returns the executor identifier if this component is an executor.
-    #[must_use]
-    pub fn as_executor(self) -> Option<ExecutorId> {
-        match self {
-            ComponentId::Executor(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// Returns the client identifier if this component is a client.
-    #[must_use]
-    pub fn as_client(self) -> Option<ClientId> {
-        match self {
-            ComponentId::Client(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -272,16 +243,6 @@ mod tests {
         assert_eq!(NodeId::primary_of(ViewNumber(1), n), NodeId(1));
         assert_eq!(NodeId::primary_of(ViewNumber(4), n), NodeId(0));
         assert_eq!(NodeId::primary_of(ViewNumber(7), n), NodeId(3));
-    }
-
-    #[test]
-    fn is_primary_of_matches_primary_of() {
-        for v in 0..10u64 {
-            for id in 0..4u32 {
-                let is = NodeId(id).is_primary_of(ViewNumber(v), 4);
-                assert_eq!(is, NodeId::primary_of(ViewNumber(v), 4) == NodeId(id));
-            }
-        }
     }
 
     #[test]
@@ -310,15 +271,6 @@ mod tests {
     fn component_accessors() {
         assert_eq!(ComponentId::Node(NodeId(3)).as_node(), Some(NodeId(3)));
         assert_eq!(ComponentId::Verifier.as_node(), None);
-        assert_eq!(
-            ComponentId::Executor(ExecutorId(9)).as_executor(),
-            Some(ExecutorId(9))
-        );
-        assert_eq!(
-            ComponentId::Client(ClientId(2)).as_client(),
-            Some(ClientId(2))
-        );
-        assert_eq!(ComponentId::Storage.as_client(), None);
     }
 
     #[test]

@@ -48,12 +48,10 @@ pub use config::{
     ConflictHandling, DurabilityConfig, FaultParams, ShardingConfig, SpawningMode, SystemConfig,
     TimerConfig, WorkloadConfig,
 };
-pub use digest::{Digest, MacTag, Signature, DIGEST_LEN};
+pub use digest::{Digest, MacTag, Signature};
 pub use error::{SbftError, SbftResult};
 pub use idmap::{BuildIdHasher, IdHasher, IdMap, IdSet};
-pub use ids::{
-    ClientId, ComponentId, ExecutorId, NodeId, ReplicaIndex, SeqNum, ShardId, TxnId, ViewNumber,
-};
+pub use ids::{ClientId, ComponentId, ExecutorId, NodeId, SeqNum, ShardId, TxnId, ViewNumber};
 pub use inline::{InlineVec, ShardSet};
 pub use plan::ShardPlan;
 pub use region::{Region, RegionPartition, RegionSet};

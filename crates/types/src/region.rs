@@ -35,7 +35,7 @@ pub struct RegionSet {
 
 impl Region {
     /// All eleven regions in the order the paper enables them.
-    pub const ALL: [Region; 11] = [
+    const ALL: [Region; 11] = [
         Region::NorthCalifornia,
         Region::Oregon,
         Region::Ohio,
@@ -48,16 +48,6 @@ impl Region {
         Region::Seoul,
         Region::Singapore,
     ];
-
-    /// A stable small integer index for this region (its position in the
-    /// paper's ordering).
-    #[must_use]
-    pub fn index(self) -> usize {
-        Region::ALL
-            .iter()
-            .position(|r| *r == self)
-            .expect("region in ALL")
-    }
 
     /// Approximate one-way network latency from the verifier/shim site
     /// (North California) to this region, in milliseconds. Values follow
@@ -150,23 +140,6 @@ impl RegionSet {
     pub fn contains(&self, region: Region) -> bool {
         self.regions.contains(&region)
     }
-
-    /// Evenly splits `n_executors` across the regions and reports how many
-    /// land in each region (the executor-scaling experiments "try to evenly
-    /// split executors across regions").
-    #[must_use]
-    pub fn even_split(&self, n_executors: usize) -> Vec<(Region, usize)> {
-        let mut counts = vec![0usize; self.regions.len()];
-        for i in 0..n_executors {
-            counts[i % self.regions.len()] += 1;
-        }
-        self.regions
-            .iter()
-            .copied()
-            .zip(counts)
-            .filter(|(_, c)| *c > 0)
-            .collect()
-    }
 }
 
 /// The geo-partitioning of the execution shards across regions: every
@@ -226,15 +199,6 @@ impl RegionPartition {
     pub fn home_of_key(&self, key: crate::rwset::Key) -> Region {
         self.home_of(ShardId::of_key(key, self.num_shards))
     }
-
-    /// The shards whose storage partition lives in `region`.
-    #[must_use]
-    pub fn shards_homed_in(&self, region: Region) -> Vec<ShardId> {
-        (0..self.num_shards as u32)
-            .map(ShardId)
-            .filter(|s| self.home_of(*s) == region)
-            .collect()
-    }
 }
 
 impl fmt::Display for Region {
@@ -252,9 +216,6 @@ mod tests {
         assert_eq!(Region::ALL.len(), 11);
         assert_eq!(Region::ALL[0], Region::NorthCalifornia);
         assert_eq!(Region::ALL[10], Region::Singapore);
-        for (i, r) in Region::ALL.iter().enumerate() {
-            assert_eq!(r.index(), i);
-        }
     }
 
     #[test]
@@ -294,24 +255,6 @@ mod tests {
         assert_eq!(set.round_robin(1), Region::Oregon);
         assert_eq!(set.round_robin(2), Region::Ohio);
         assert_eq!(set.round_robin(3), Region::NorthCalifornia);
-    }
-
-    #[test]
-    fn even_split_distributes_executors() {
-        let set = RegionSet::first_n(7);
-        let split = set.even_split(11);
-        let total: usize = split.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 11);
-        let max = split.iter().map(|(_, c)| *c).max().unwrap();
-        let min = split.iter().map(|(_, c)| *c).min().unwrap();
-        assert!(max - min <= 1, "split must be even: {split:?}");
-    }
-
-    #[test]
-    fn even_split_omits_unused_regions() {
-        let set = RegionSet::first_n(7);
-        let split = set.even_split(3);
-        assert_eq!(split.len(), 3);
     }
 
     #[test]
@@ -362,23 +305,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_homed_in_inverts_home_of() {
-        let part = RegionPartition::new(RegionSet::first_n(3), 8);
-        let mut total = 0;
-        for region in RegionSet::first_n(3).regions() {
-            let shards = part.shards_homed_in(*region);
-            total += shards.len();
-            for s in shards {
-                assert_eq!(part.home_of(s), *region);
-            }
-        }
-        assert_eq!(total, 8, "every shard is homed exactly once");
-    }
-
-    #[test]
     fn more_regions_than_shards_leaves_some_regions_empty() {
         let part = RegionPartition::new(RegionSet::first_n(5), 2);
-        assert!(part.shards_homed_in(Region::Frankfurt).is_empty());
-        assert_eq!(part.shards_homed_in(Region::NorthCalifornia).len(), 1);
+        let homes = [part.home_of(ShardId(0)), part.home_of(ShardId(1))];
+        assert_eq!(homes, [Region::NorthCalifornia, Region::Oregon]);
     }
 }

@@ -100,12 +100,6 @@ impl RwSetKeys {
         }
     }
 
-    /// Whether the transaction writes at least one key.
-    #[must_use]
-    pub fn has_writes(&self) -> bool {
-        !self.write_keys.is_empty()
-    }
-
     /// Two transactions conflict iff they access a common data item and at
     /// least one of the accesses is a write (Section VI).
     #[must_use]
@@ -260,7 +254,6 @@ mod tests {
     #[test]
     fn declared_set_predicates() {
         let a = RwSetKeys::new(keys(&[1, 2]), keys(&[2, 3]));
-        assert!(a.has_writes());
         assert!(!a.is_empty());
         assert!(RwSetKeys::default().is_empty());
     }

@@ -46,12 +46,6 @@ impl SimTime {
         self.0
     }
 
-    /// This time point expressed in (truncated) milliseconds.
-    #[must_use]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// This time point expressed in seconds as a float.
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
@@ -100,12 +94,6 @@ impl SimDuration {
         self.0
     }
 
-    /// The duration in (truncated) milliseconds.
-    #[must_use]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// The duration in seconds as a float.
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
@@ -129,12 +117,6 @@ impl SimDuration {
     pub fn mul_f64(self, factor: f64) -> Self {
         assert!(factor >= 0.0, "scale factor cannot be negative");
         SimDuration((self.0 as f64 * factor).round() as u64)
-    }
-
-    /// Converts into a wall-clock duration (used by the thread runtime).
-    #[must_use]
-    pub fn to_std(self) -> std::time::Duration {
-        std::time::Duration::from_micros(self.0)
     }
 }
 
@@ -215,7 +197,7 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_millis(5).as_micros(), 5_000);
-        assert_eq!(SimTime::from_secs(2).as_millis(), 2_000);
+        assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_micros(), 1_000_000);
         assert!((SimDuration::from_millis(1500).as_secs_f64() - 1.5).abs() < 1e-9);
     }
@@ -252,13 +234,5 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_micros(500)), "500µs");
         assert_eq!(format!("{}", SimDuration::from_millis(2)), "2.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(3)), "3.000s");
-    }
-
-    #[test]
-    fn to_std_matches_micros() {
-        assert_eq!(
-            SimDuration::from_millis(7).to_std(),
-            std::time::Duration::from_millis(7)
-        );
     }
 }

@@ -9,17 +9,13 @@
 //!   fraction, operations per transaction, modeled execution cost
 //!   (Figure 6(v) and Figure 8) and a controllable conflict rate
 //!   (Figure 6(xi)).
-//! * [`clients`] — the closed-loop client population model used to sweep
-//!   client congestion (Figure 5).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod clients;
 pub mod ycsb;
 pub mod zipf;
 
-pub use clients::ClientPopulation;
 pub use ycsb::{KeyDistribution, YcsbWorkload};
 pub use zipf::{UniformKeys, ZipfianKeys};

@@ -43,7 +43,6 @@ pub struct YcsbWorkload {
     uniform: UniformKeys,
     rng: StdRng,
     counters: IdMap<ClientId, u64>,
-    generated: u64,
 }
 
 impl YcsbWorkload {
@@ -58,7 +57,6 @@ impl YcsbWorkload {
             declare_rwsets: false,
             rng: StdRng::seed_from_u64(seed),
             counters: IdMap::default(),
-            generated: 0,
             config,
         }
     }
@@ -94,12 +92,6 @@ impl YcsbWorkload {
         &self.config
     }
 
-    /// Total number of transactions generated so far.
-    #[must_use]
-    pub fn generated(&self) -> u64 {
-        self.generated
-    }
-
     fn draw_key(&mut self) -> u64 {
         match self.distribution {
             KeyDistribution::Uniform => self.uniform.sample(&mut self.rng),
@@ -112,7 +104,6 @@ impl YcsbWorkload {
         let counter = self.counters.entry(client).or_insert(0);
         let id = TxnId::new(client, *counter);
         *counter += 1;
-        self.generated += 1;
 
         let conflicting = self.rng.gen_bool(self.config.conflict_fraction);
         let mut ops = Vec::with_capacity(self.config.ops_per_txn);
@@ -147,7 +138,7 @@ impl YcsbWorkload {
     /// Generates a batch of `size` transactions, spreading them round-robin
     /// over the configured client population (as the batching front-end at
     /// the primary would).
-    pub fn next_batch(&mut self, size: usize) -> Batch {
+    fn next_batch(&mut self, size: usize) -> Batch {
         assert!(size > 0, "batch size must be positive");
         let n_clients = self.config.num_clients.max(1) as u32;
         let txns = (0..size)
@@ -194,7 +185,6 @@ mod tests {
         assert_eq!(a0.id.counter, 0);
         assert_eq!(b0.id.counter, 0);
         assert_eq!(a1.id.counter, 1);
-        assert_eq!(wl.generated(), 3);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use rand::Rng;
 
 /// YCSB's default Zipfian constant.
-pub const YCSB_ZIPFIAN_CONSTANT: f64 = 0.99;
+const YCSB_ZIPFIAN_CONSTANT: f64 = 0.99;
 
 /// A Zipfian distribution over `0..n`.
 #[derive(Clone, Debug)]
@@ -70,18 +70,6 @@ impl ZipfianKeys {
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.n - 1)
     }
-
-    /// Size of the key space.
-    #[must_use]
-    pub fn key_space(&self) -> u64 {
-        self.n
-    }
-
-    /// The Zipfian exponent in use.
-    #[must_use]
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
 }
 
 /// A uniform distribution over `0..n`.
@@ -104,12 +92,6 @@ impl UniformKeys {
     /// Draws the next key.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         rng.gen_range(0..self.n)
-    }
-
-    /// Size of the key space.
-    #[must_use]
-    pub fn key_space(&self) -> u64 {
-        self.n
     }
 }
 
@@ -178,7 +160,6 @@ mod tests {
             seen.insert(dist.sample(&mut rng));
         }
         assert_eq!(seen.len(), 8);
-        assert_eq!(dist.key_space(), 8);
     }
 
     #[test]
