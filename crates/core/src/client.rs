@@ -6,18 +6,28 @@
 //! trusted verifier. If the client timer `τ_m` expires, the client forwards
 //! the request directly to the verifier and keeps re-transmitting with
 //! exponential back-off until it receives a `RESPONSE` (Figure 4,
-//! client role).
+//! client role). Only an answer carrying the verifier's signature over
+//! exactly this request counts; anything else leaves the timer armed.
 
 use crate::events::{Action, ClientRequest, Destination, ProtocolMessage, ProtocolTimer};
 use sbft_crypto::CryptoHandle;
-use sbft_types::{ClientId, ComponentId, NodeId, SimDuration, Transaction, TxnId, TxnOutcome};
+use sbft_types::{
+    ClientId, ComponentId, InlineVec, NodeId, SimDuration, Transaction, TxnId, TxnOutcome,
+};
 
 /// State of one outstanding request.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct Outstanding {
-    txn: Transaction,
+    /// The request; `None` only in the filler of an unused inline slot.
+    txn: Option<Transaction>,
     retries: u32,
     current_timeout: SimDuration,
+}
+
+impl Outstanding {
+    fn txn(&self) -> &Transaction {
+        self.txn.as_ref().expect("a listed request carries its txn")
+    }
 }
 
 /// The client role state machine.
@@ -27,10 +37,9 @@ pub struct ClientRole {
     primary: NodeId,
     base_timeout: SimDuration,
     backoff_factor: f64,
-    /// Requests awaiting a response. A closed-loop client has one, so
-    /// this is a vector searched by id: no table to allocate per client,
-    /// and the slot's capacity is reused by the next request.
-    outstanding: Vec<Outstanding>,
+    /// Requests awaiting a response, searched by id. A closed-loop client
+    /// has one, which lives in the role itself: no heap block per client.
+    outstanding: InlineVec<Outstanding, 1>,
     completed: u64,
     aborted: u64,
 }
@@ -52,7 +61,7 @@ impl ClientRole {
             primary,
             base_timeout,
             backoff_factor,
-            outstanding: Vec::new(),
+            outstanding: InlineVec::new(),
             completed: 0,
             aborted: 0,
         }
@@ -83,7 +92,7 @@ impl ClientRole {
     }
 
     fn position(&self, txn: TxnId) -> Option<usize> {
-        self.outstanding.iter().position(|o| o.txn.id == txn)
+        self.outstanding.iter().position(|o| o.txn().id == txn)
     }
 
     /// Updates the primary this client targets (clients learn of view
@@ -114,7 +123,7 @@ impl ClientRole {
         };
         let id = txn.id;
         let entry = Outstanding {
-            txn,
+            txn: Some(txn),
             retries: 0,
             current_timeout: self.base_timeout,
         };
@@ -141,11 +150,15 @@ impl ClientRole {
     }
 
     /// Handles a `RESPONSE` or `ABORT` from the verifier, appending the
-    /// resulting actions to `out`.
+    /// resulting actions to `out`. An answer whose signature is not the
+    /// verifier's over exactly this transaction's answer is ignored: the
+    /// request stays outstanding and its timer armed.
     pub fn on_message_into(&mut self, msg: &ProtocolMessage, out: &mut Vec<Action>) {
-        let (txn, outcome) = match msg {
-            ProtocolMessage::Response(r) => (r.txn, r.outcome),
-            ProtocolMessage::Abort(a) => (a.txn, TxnOutcome::Aborted),
+        let (txn, outcome, digest, signature) = match msg {
+            ProtocolMessage::Response(r) => (r.txn, r.outcome, r.signing_digest(), &r.signature),
+            ProtocolMessage::Abort(a) => {
+                (a.txn, TxnOutcome::Aborted, a.signing_digest(), &a.signature)
+            }
             _ => return,
         };
         let Some(at) = self.position(txn) else {
@@ -153,6 +166,12 @@ impl ClientRole {
             // retry); the request was already marked processed.
             return;
         };
+        if !self
+            .crypto
+            .verify(ComponentId::Verifier, &digest, signature)
+        {
+            return;
+        }
         self.outstanding.swap_remove(at);
         match outcome {
             TxnOutcome::Committed => self.completed += 1,
@@ -171,9 +190,9 @@ impl ClientRole {
         let entry = &mut self.outstanding[at];
         entry.retries += 1;
         entry.current_timeout = entry.current_timeout.mul_f64(self.backoff_factor);
-        let digest = ClientRequest::signing_digest(&entry.txn);
+        let digest = ClientRequest::signing_digest(entry.txn());
         let request = ClientRequest {
-            txn: entry.txn.clone(),
+            txn: entry.txn().clone(),
             signature: self.crypto.sign(&digest),
         };
         let duration = entry.current_timeout;
@@ -194,7 +213,7 @@ impl ClientRole {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::ResponseMessage;
+    use crate::events::{AbortMessage, ResponseMessage};
     use sbft_crypto::CryptoProvider;
     use sbft_types::{Key, Operation, SeqNum, Signature};
 
@@ -216,14 +235,32 @@ mod tests {
         )
     }
 
+    /// The verifier's answer to request `counter`, signed by `signer`.
+    fn response_from(signer: ComponentId, counter: u64, outcome: TxnOutcome) -> ProtocolMessage {
+        let handle = CryptoProvider::new(3).handle(signer);
+        let txn = TxnId::new(ClientId(7), counter);
+        match outcome {
+            TxnOutcome::Committed => ProtocolMessage::Response(ResponseMessage::signed(
+                txn,
+                SeqNum(1),
+                outcome,
+                9,
+                &handle,
+            )),
+            TxnOutcome::Aborted => {
+                ProtocolMessage::Abort(AbortMessage::signed(txn, SeqNum(1), &handle))
+            }
+        }
+    }
+
     fn response(counter: u64, outcome: TxnOutcome) -> ProtocolMessage {
-        ProtocolMessage::Response(ResponseMessage {
-            txn: TxnId::new(ClientId(7), counter),
-            seq: SeqNum(1),
-            outcome,
-            output: 9,
-            signature: Signature::ZERO,
-        })
+        response_from(ComponentId::Verifier, counter, outcome)
+    }
+
+    /// The request is still outstanding and a timeout still re-sends it.
+    fn assert_still_waiting(c: &mut ClientRole, counter: u64) {
+        assert_eq!((c.completed(), c.aborted(), c.outstanding()), (0, 0, 1));
+        assert_eq!(c.on_timeout(TxnId::new(ClientId(7), counter)).len(), 2);
     }
 
     #[test]
@@ -289,6 +326,62 @@ mod tests {
         let _ = c.on_message(&response(0, TxnOutcome::Aborted));
         assert_eq!(c.aborted(), 1);
         assert_eq!(c.completed(), 0);
+    }
+
+    #[test]
+    fn an_answer_not_signed_by_the_verifier_is_ignored() {
+        for outcome in [TxnOutcome::Committed, TxnOutcome::Aborted] {
+            let mut c = client();
+            let _ = c.submit(txn(0));
+            // Validly signed, but by a shim node.
+            let forged = response_from(ComponentId::Node(NodeId(0)), 0, outcome);
+            assert!(c.on_message(&forged).is_empty());
+            assert_still_waiting(&mut c, 0);
+            // The verifier's own answer still completes the request.
+            assert_eq!(c.on_message(&response(0, outcome)).len(), 2);
+        }
+    }
+
+    #[test]
+    fn a_zero_signed_answer_is_ignored() {
+        let mut c = client();
+        let _ = c.submit(txn(0));
+        let mut unsigned = response(0, TxnOutcome::Committed);
+        if let ProtocolMessage::Response(r) = &mut unsigned {
+            r.signature = Signature::ZERO;
+        }
+        assert!(c.on_message(&unsigned).is_empty());
+        let unsigned_abort = ProtocolMessage::Abort(AbortMessage {
+            txn: TxnId::new(ClientId(7), 0),
+            seq: SeqNum(1),
+            signature: Signature::ZERO,
+        });
+        assert!(c.on_message(&unsigned_abort).is_empty());
+        assert_still_waiting(&mut c, 0);
+    }
+
+    #[test]
+    fn an_answer_signed_for_another_transaction_is_ignored() {
+        // Same batch, same output: before the id was bound into the
+        // marker one signed RESPONSE fitted every such transaction.
+        let mut c = client();
+        let _ = c.submit(txn(1));
+        for outcome in [TxnOutcome::Committed, TxnOutcome::Aborted] {
+            let mut replayed = response(0, outcome);
+            match &mut replayed {
+                ProtocolMessage::Response(r) => r.txn.counter = 1,
+                ProtocolMessage::Abort(a) => a.txn.counter = 1,
+                _ => unreachable!(),
+            }
+            assert!(c.on_message(&replayed).is_empty());
+        }
+        // Nor can a signed RESPONSE be flipped into an abort.
+        let mut flipped = response(1, TxnOutcome::Committed);
+        if let ProtocolMessage::Response(r) = &mut flipped {
+            r.outcome = TxnOutcome::Aborted;
+        }
+        assert!(c.on_message(&flipped).is_empty());
+        assert_still_waiting(&mut c, 1);
     }
 
     #[test]

@@ -69,6 +69,46 @@ pub struct ResponseMessage {
     pub signature: Signature,
 }
 
+impl ResponseMessage {
+    /// The `RESPONSE` for `txn`, signed by `signer` (the verifier).
+    #[must_use]
+    pub fn signed(
+        txn: TxnId,
+        seq: SeqNum,
+        outcome: TxnOutcome,
+        output: u64,
+        signer: &sbft_crypto::CryptoHandle,
+    ) -> Self {
+        let mut response = ResponseMessage {
+            txn,
+            seq,
+            outcome,
+            output,
+            signature: Signature::ZERO,
+        };
+        response.signature = signer.sign(&response.signing_digest());
+        response
+    }
+
+    /// The digest the verifier signs and the client checks: every field,
+    /// so an answer fits exactly the transaction it was given to (one
+    /// signed `RESPONSE` used to fit every transaction of its batch with
+    /// the same output).
+    #[must_use]
+    pub fn signing_digest(&self) -> sbft_types::Digest {
+        sbft_crypto::digest_u64s(
+            "response",
+            &[
+                self.seq.0,
+                self.output,
+                u64::from(self.txn.client.0),
+                self.txn.counter,
+                u64::from(self.outcome == TxnOutcome::Committed),
+            ],
+        )
+    }
+}
+
 /// Notification from the verifier to the shim primary that a whole batch
 /// has been validated (used by the conflict-avoidance planner to release
 /// logical locks, Section VI-C step 4).
@@ -137,6 +177,29 @@ pub struct AbortMessage {
     pub seq: SeqNum,
     /// The verifier's signature.
     pub signature: Signature,
+}
+
+impl AbortMessage {
+    /// The `ABORT` for `txn`, signed by `signer` (the verifier).
+    #[must_use]
+    pub fn signed(txn: TxnId, seq: SeqNum, signer: &sbft_crypto::CryptoHandle) -> Self {
+        let mut abort = AbortMessage {
+            txn,
+            seq,
+            signature: Signature::ZERO,
+        };
+        abort.signature = signer.sign(&abort.signing_digest());
+        abort
+    }
+
+    /// The digest the verifier signs and the client checks.
+    #[must_use]
+    pub fn signing_digest(&self) -> sbft_types::Digest {
+        sbft_crypto::digest_u64s(
+            "abort",
+            &[self.seq.0, u64::from(self.txn.client.0), self.txn.counter],
+        )
+    }
 }
 
 /// Every message that travels between components of the architecture.

@@ -49,17 +49,25 @@ struct CommittedBatch {
     spawned: bool,
 }
 
-/// What a node remembers about a transaction it placed in a batch.
+/// What a node remembers about a transaction it placed in a batch: one
+/// byte per id. What the transaction was batched *with* is kept only
+/// while it can still matter, in [`ShimNode::unverified`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum SeenTxn {
+    /// Placed in a batch that has not committed on this node (yet).
+    Batched,
+    /// A batch holding the transaction has committed on this node. From
+    /// then on the batch accounts for the id — it is released when the
+    /// validated batch leaves the retained checkpoint window — and the
+    /// never-validated expiry leaves it alone.
+    Committed,
+}
+
+/// What a transaction still waiting in a batcher lane was batched with.
 #[derive(Clone, Copy, Debug)]
-struct SeenTxn {
-    /// The signature and signing digest the transaction was batched with.
+struct BatchedWith {
     signature: sbft_types::Signature,
     digest: sbft_types::Digest,
-    /// Whether a batch holding the transaction has committed on this
-    /// node. From then on the batch accounts for the id — it is released
-    /// when the validated batch leaves the retained checkpoint window —
-    /// and the never-validated expiry leaves it alone.
-    committed: bool,
 }
 
 /// How long the batcher lets a pending request wait before its lane is
@@ -82,10 +90,17 @@ pub struct ShimNode {
     lane_router: Option<ShardRouter>,
     /// Batches committed locally that the verifier has not validated yet.
     committed: BTreeMap<SeqNum, CommittedBatch>,
-    /// Transactions this node has already placed in a batch, keyed to the
-    /// `(signature, signing digest)` they were batched with, so that
+    /// Transactions this node has already placed in a batch, so that
     /// client re-transmissions and forwarded `ERROR(⟨T⟩_C)` messages are
-    /// not ordered twice. Storing the pair is what keeps deferred
+    /// not ordered twice. Truncated in the rhythm of the featherweight
+    /// checkpoint interval, mirroring the verifier's retry maps: one
+    /// closed interval of validated history is retained, so duplicates
+    /// inside the window are still suppressed while the map stays bounded
+    /// on long runs (see [`Self::gc_seen_txns`]).
+    seen_txns: IdMap<TxnId, SeenTxn>,
+    /// The `(signature, signing digest)` each id still waiting in a
+    /// batcher lane was batched with — i.e. of ids whose client signature
+    /// nobody has checked yet. Storing the pair is what keeps deferred
     /// verification safe against id-squatting without enabling client
     /// equivocation: a duplicate with the *same* signature is a retry and
     /// is dropped; on a duplicate with a *different* signature the stored
@@ -93,13 +108,12 @@ pub struct ShimNode {
     /// differently-signed payloads under one id means the client is
     /// equivocating, and the first one wins, exactly as under eager
     /// verification), while a forged squatter is displaced by a valid
-    /// newcomer (see [`Self::order_transaction`]). Truncated in the
-    /// rhythm of the featherweight checkpoint interval, mirroring the
-    /// verifier's retry maps: one closed interval of validated history is
-    /// retained, so duplicates inside the window are still suppressed
-    /// while the map stays bounded on long runs (see
-    /// [`Self::gc_seen_txns`]).
-    seen_txns: IdMap<TxnId, SeenTxn>,
+    /// newcomer (see [`Self::order_transaction`]). The pair leaves when
+    /// its batch passes the aggregate check in [`Self::submit_signed`]:
+    /// from then on the id is held by a validly signed request, every
+    /// duplicate is dropped whatever it carries, and the 96 bytes have no
+    /// reader. At most a batch per lane is ever here.
+    unverified: IdMap<TxnId, BatchedWith>,
     /// Transaction ids of validated batches, retained until the GC cutoff
     /// passes them (feeds the `seen_txns` truncation).
     validated_txns: BTreeMap<SeqNum, Vec<TxnId>>,
@@ -258,6 +272,7 @@ impl ShimNode {
             lane_router,
             committed: BTreeMap::new(),
             seen_txns: IdMap::default(),
+            unverified: IdMap::default(),
             validated_txns: BTreeMap::new(),
             pending_seen: BTreeMap::new(),
             max_validated: SeqNum(0),
@@ -451,22 +466,38 @@ impl ShimNode {
         now: SimTime,
     ) -> Vec<Action> {
         let mut newly_seen = false;
+        if self.seen_txns.is_empty() {
+            // Only a node that batches (a primary) tracks ids, so the
+            // table is sized by the first one it sees, for a request from
+            // every closed-loop client: they all arrive in one burst, and
+            // regrown by doubling the table would be held twice over at
+            // each step of it. The retained window of validated history
+            // on top is reached later, in memory the burst has freed.
+            self.seen_txns.reserve(self.config.workload.num_clients);
+        }
         match self.seen_txns.entry(txn.id) {
-            Entry::Occupied(mut entry) => {
-                let stored = entry.get_mut();
+            Entry::Occupied(_) => {
+                let Some(stored) = self.unverified.get_mut(&txn.id) else {
+                    // Already released to ordering under a valid
+                    // signature: a retry, a forwarded ERROR or a second
+                    // payload under the same id, the first submission
+                    // wins. No signature is looked at.
+                    return Vec::new();
+                };
                 if stored.signature == signature {
                     // Client retry or forwarded ERROR: already batched.
                     return Vec::new();
                 }
-                // Same id, different signature. Two eager checks (cold
-                // path, only on conflicting duplicates) resolve it: if
-                // the batched entry is validly signed it keeps the id —
-                // a client producing a second validly-signed payload
-                // under the same id is equivocating, and the first
-                // submission wins, exactly as under eager verification.
-                // Otherwise the batched entry was a forged squatter: a
-                // valid newcomer takes over the id and is batched too
-                // (the forgery will be pruned by the aggregate check).
+                // Same id, different signature, and the batched entry is
+                // still unchecked. Two eager checks (cold path, only on
+                // conflicting duplicates) resolve it: if the batched
+                // entry is validly signed it keeps the id — a client
+                // producing a second validly-signed payload under the
+                // same id is equivocating, and the first submission
+                // wins, exactly as under eager verification. Otherwise
+                // the batched entry was a forged squatter: a valid
+                // newcomer takes over the id and is batched too (the
+                // forgery will be pruned by the aggregate check).
                 let client = ComponentId::Client(txn.id.client);
                 if self
                     .crypto
@@ -477,15 +508,12 @@ impl ShimNode {
                 if !self.crypto.verify(client, &digest, &signature) {
                     return Vec::new();
                 }
-                stored.signature = signature;
-                stored.digest = digest;
+                *stored = BatchedWith { signature, digest };
             }
             Entry::Vacant(entry) => {
-                entry.insert(SeenTxn {
-                    signature,
-                    digest,
-                    committed: false,
-                });
+                entry.insert(SeenTxn::Batched);
+                self.unverified
+                    .insert(txn.id, BatchedWith { signature, digest });
                 newly_seen = true;
             }
         }
@@ -567,7 +595,8 @@ impl ShimNode {
                 // Release the id only if the forged signature still owns
                 // it — a valid request that took over the entry in the
                 // meantime keeps its duplicate suppression.
-                if self.seen_txns.get(txn).map(|seen| &seen.signature) == Some(forged_sig) {
+                if self.unverified.get(txn).map(|with| &with.signature) == Some(forged_sig) {
+                    self.unverified.remove(txn);
                     self.seen_txns.remove(txn);
                 }
             }
@@ -575,6 +604,11 @@ impl ShimNode {
         let Some(batch) = batch else {
             return Vec::new(); // nothing survived the signature check
         };
+        // The survivors hold their ids under valid signatures from here
+        // on; what they were batched with has no reader left.
+        for txn in batch.iter() {
+            self.unverified.remove(&txn.id);
+        }
         let consensus_actions = self.ordering.submit_batch(batch, plan);
         self.translate(consensus_actions)
     }
@@ -806,6 +840,7 @@ impl ShimNode {
         self.batcher = Self::fresh_batcher(&self.config, self.lane_router.as_ref());
         self.committed.clear();
         self.seen_txns.clear();
+        self.unverified.clear();
         self.validated_txns.clear();
         self.pending_seen.clear();
         self.retransmit_view.clear();
@@ -897,7 +932,7 @@ impl ShimNode {
         if !self.seen_txns.is_empty() {
             for txn in batch.iter() {
                 if let Some(seen) = self.seen_txns.get_mut(&txn.id) {
-                    seen.committed = true;
+                    *seen = SeenTxn::Committed;
                 }
             }
         }
@@ -1196,10 +1231,11 @@ impl ShimNode {
         for id in expired_stamps.into_values().flatten() {
             match self.seen_txns.get(&id) {
                 // Released already, or accounted for by a committed batch.
-                None => {}
-                Some(seen) if seen.committed => {}
-                Some(_) if waiting.contains(&id) => restamped.push(id),
-                Some(_) => {
+                None | Some(SeenTxn::Committed) => {}
+                Some(SeenTxn::Batched) if waiting.contains(&id) => restamped.push(id),
+                // Its lane was released long ago, so nothing of it is
+                // left in `unverified` either.
+                Some(SeenTxn::Batched) => {
                     self.seen_txns.remove(&id);
                 }
             }
@@ -1606,6 +1642,155 @@ mod tests {
         assert_eq!(proposed.len(), 2);
         assert_eq!(proposed.txns()[0].ops, first_ops);
         assert_eq!(shim.nodes[0].rejected_txns.get(), 0, "nothing was pruned");
+    }
+
+    /// The batch of the `PREPREPARE` among `actions`.
+    fn proposed_batch(actions: &[Action]) -> Option<Batch> {
+        actions
+            .iter()
+            .find_map(|a| match a.as_send().map(|e| &e.msg) {
+                Some(ProtocolMessage::Consensus(ConsensusMessage::PrePrepare(pp))) => {
+                    Some(pp.batch.clone())
+                }
+                _ => None,
+            })
+    }
+
+    #[test]
+    fn a_duplicate_after_release_is_dropped_without_a_signature_check() {
+        let mut shim = make_shim(base_config());
+        let provider = Arc::clone(&shim.provider);
+        let first = signed_request(&provider, 0, 0);
+        let id = first.txn.id;
+        let node = &mut shim.nodes[0];
+        let _ = node.on_client_request(&first, SimTime::ZERO);
+        assert_eq!(
+            node.unverified.get(&id).map(|with| with.signature),
+            Some(first.signature)
+        );
+        let released = node.on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
+        assert_eq!(proposed_batch(&released).expect("released").len(), 2);
+        // The batch passed the aggregate check: the 96-byte payloads are
+        // gone, one byte per id is left.
+        assert!(node.unverified.is_empty());
+        assert_eq!(node.seen_txns.get(&id), Some(&SeenTxn::Batched));
+
+        // A second payload under the same id, validly signed; a forgery;
+        // the retry. With nothing stored to compare against, none of them
+        // can reach a signature check: finding the id is enough.
+        let other = Transaction::new(id, vec![Operation::Read(Key(42))]);
+        let equivocation = ClientRequest {
+            signature: provider
+                .handle(ComponentId::Client(ClientId(0)))
+                .sign(&ClientRequest::signing_digest(&other)),
+            txn: other,
+        };
+        let mut forged = first.clone();
+        forged.signature = Signature::ZERO;
+        for duplicate in [&equivocation, &forged, &first] {
+            assert!(node.on_client_request(duplicate, SimTime::ZERO).is_empty());
+            assert!(node.unverified.is_empty(), "nothing was batched again");
+            assert!(node.batcher.pending_txn_ids().is_empty());
+        }
+        assert_eq!(node.seen_txns.get(&id), Some(&SeenTxn::Batched));
+        assert_eq!(node.seen_txns_len(), 2);
+        assert_eq!(node.rejected_txns.get(), 0);
+    }
+
+    #[test]
+    fn a_squatter_is_displaced_before_release_and_pruned_at_it() {
+        let mut config = base_config();
+        config.workload.batch_size = 3;
+        let mut shim = make_shim(config);
+        let provider = Arc::clone(&shim.provider);
+        let genuine = signed_request(&provider, 0, 0);
+        let id = genuine.txn.id;
+        let mut squat = genuine.clone();
+        squat.signature = Signature::ZERO;
+        let node = &mut shim.nodes[0];
+        assert!(node.on_client_request(&squat, SimTime::ZERO).is_empty());
+        assert_eq!(
+            node.unverified.get(&id).map(|with| with.signature),
+            Some(Signature::ZERO)
+        );
+        // A second forgery does not displace the first …
+        let mut other_forgery = genuine.clone();
+        other_forgery.signature.0[0] = 1;
+        assert!(node
+            .on_client_request(&other_forgery, SimTime::ZERO)
+            .is_empty());
+        assert_eq!(
+            node.unverified.get(&id).map(|with| with.signature),
+            Some(Signature::ZERO)
+        );
+        assert_eq!(node.batcher.pending_txn_ids(), vec![id]);
+        // … the genuine request does, and waits in the lane beside it.
+        assert!(node.on_client_request(&genuine, SimTime::ZERO).is_empty());
+        assert_eq!(
+            node.unverified.get(&id).map(|with| with.signature),
+            Some(genuine.signature)
+        );
+        assert_eq!(node.batcher.pending_txn_ids(), vec![id, id]);
+        // The release prunes the forgery and keeps the id suppressed.
+        let released = node.on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
+        let batch = proposed_batch(&released).expect("released");
+        assert_eq!(batch.txn_ids(), vec![id, TxnId::new(ClientId(1), 0)]);
+        assert_eq!(node.rejected_txns.get(), 1);
+        assert!(node.unverified.is_empty());
+        assert_eq!(node.seen_txns.get(&id), Some(&SeenTxn::Batched));
+        assert!(node.on_client_request(&squat, SimTime::ZERO).is_empty());
+        assert!(node.batcher.pending_txn_ids().is_empty());
+    }
+
+    #[test]
+    fn the_payload_table_drains_at_release_restart_and_expiry() {
+        let mut config = SystemConfig::with_shim_size(4);
+        config.workload.batch_size = 2;
+        config.timers.checkpoint_interval = 4;
+        let provider = CryptoProvider::new(5);
+
+        // Release, forged-squatter release included: a lone forgery fills
+        // half a batch, the filler releases it, nothing survives of it.
+        let mut node = single_cft_node(&config, &provider);
+        let mut forged = signed_request(&provider, 3, 0);
+        forged.signature = Signature::ZERO;
+        let _ = node.on_client_request(&forged, SimTime::ZERO);
+        assert_eq!(node.unverified.len(), 1);
+        let _ = node.on_client_request(&signed_request(&provider, 4, 0), SimTime::ZERO);
+        assert!(node.unverified.is_empty());
+        assert_eq!(node.seen_txns_len(), 1, "the forged id was released");
+
+        // Orphaned proposals on a PBFT primary, expired in the checkpoint
+        // rhythm: a payload only ever waits for its own lane's release.
+        let mut primary = ShimNode::pbft(
+            NodeId(0),
+            config.clone(),
+            provider.handle(ComponentId::Node(NodeId(0))),
+        );
+        for i in 0..40u64 {
+            let _ = primary.on_client_request(&signed_request(&provider, 0, i), SimTime::ZERO);
+            assert_eq!(primary.unverified.len(), usize::from(i % 2 == 0));
+            let _ = primary.on_message(&ProtocolMessage::BatchValidated(BatchValidated {
+                seq: SeqNum(i + 1),
+                committed: 1,
+                aborted: 0,
+            }));
+            assert!(primary.unverified.len() <= 1);
+        }
+        assert!(primary.seen_txns_len() < 40, "orphans were expired");
+
+        // A crash restart forgets the lanes and the payloads with them.
+        let _ = primary.on_client_request(&signed_request(&provider, 0, 40), SimTime::ZERO);
+        assert_eq!(primary.unverified.len(), 1);
+        primary.crash();
+        let _ = primary.crash_restart();
+        assert!(primary.unverified.is_empty());
+        assert_eq!(primary.seen_txns_len(), 0);
+    }
+
+    #[test]
+    fn a_suppressed_id_costs_a_small_bucket() {
+        assert!(std::mem::size_of::<(TxnId, SeenTxn)>() <= 24);
     }
 
     #[test]

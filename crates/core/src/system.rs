@@ -187,6 +187,8 @@ impl SystemBuilder {
             .validate()
             .expect("invalid system configuration");
         let provider = CryptoProvider::new(self.seed);
+        // Every client's first signature is checked in the burst at t = 0.
+        provider.reserve_signers(self.num_clients);
         let table = YcsbTable::populate(self.config.workload.num_records);
         let storage = Arc::clone(table.store());
 

@@ -470,18 +470,16 @@ impl Verifier {
             output,
         } = answer;
         match outcome {
-            TxnOutcome::Committed => ProtocolMessage::Response(ResponseMessage {
+            TxnOutcome::Committed => ProtocolMessage::Response(ResponseMessage::signed(
                 txn,
                 seq,
                 outcome,
                 output,
-                signature: self.sign_marker("response", seq.0, output),
-            }),
-            TxnOutcome::Aborted => ProtocolMessage::Abort(AbortMessage {
-                txn,
-                seq,
-                signature: self.sign_marker("abort", seq.0, txn.counter),
-            }),
+                &self.crypto,
+            )),
+            TxnOutcome::Aborted => {
+                ProtocolMessage::Abort(AbortMessage::signed(txn, seq, &self.crypto))
+            }
         }
     }
 

@@ -13,10 +13,12 @@
 //! compressions plus the key-material hashing. Identities are fixed for
 //! the lifetime of a deployment, so both layers memoize the schedules:
 //!
-//! * a [`CryptoHandle`] lazily derives **its own** signing schedule and
-//!   broadcast-MAC schedule once (`OnceLock`, so clones taken afterwards
-//!   carry the filled cache, like the digest memos on batches), and keeps
-//!   one pairwise-channel schedule per peer it talks to;
+//! * a [`CryptoHandle`] lazily derives **its own** signing schedule once
+//!   (`OnceLock`, so clones taken afterwards carry the filled cache, like
+//!   the digest memos on batches); its broadcast-MAC schedule and the
+//!   pairwise-channel schedule per peer it talks to live in one shared
+//!   block created by its first MAC — a component that only ever signs
+//!   (every client) holds no MAC state at all;
 //! * the shared [`CryptoProvider`] caches **everyone's** signing and
 //!   group-MAC schedules on the verification side, which is what makes
 //!   the aggregate batch check (one fold-and-compare per batch over
@@ -24,7 +26,7 @@
 
 use crate::aggregate::{bisect_mismatches, AggregateSignature};
 use crate::hmac::HmacKey;
-use crate::keys::{KeyPair, KeyStore};
+use crate::keys::KeyStore;
 use crate::signature::SimSigner;
 use sbft_types::{ComponentId, Digest, IdMap, MacTag, Signature};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -52,16 +54,21 @@ impl Clone for CryptoProvider {
 #[derive(Clone)]
 pub struct CryptoHandle {
     me: ComponentId,
-    keypair: KeyPair,
     provider: Arc<CryptoProvider>,
-    /// This identity's signing schedule (filled on first signature; clones
-    /// taken afterwards carry it).
+    /// This identity's signing schedule (derived from its secret key on
+    /// the first signature; clones taken afterwards carry it).
     sign_schedule: OnceLock<HmacKey>,
-    /// This identity's group-broadcast MAC schedule.
-    broadcast_schedule: OnceLock<HmacKey>,
-    /// Pairwise-channel MAC schedules per peer, shared across clones of
-    /// this handle.
-    peer_schedules: Arc<RwLock<IdMap<ComponentId, HmacKey>>>,
+    /// This identity's MAC schedules, created by the first MAC; clones
+    /// taken afterwards share the block.
+    mac_schedules: OnceLock<Arc<MacSchedules>>,
+}
+
+/// The MAC-side key schedules of one identity.
+struct MacSchedules {
+    /// The group-broadcast schedule (the self-channel key).
+    broadcast: HmacKey,
+    /// Pairwise-channel schedules per peer.
+    peers: RwLock<IdMap<ComponentId, HmacKey>>,
 }
 
 impl CryptoProvider {
@@ -79,6 +86,17 @@ impl CryptoProvider {
         }
     }
 
+    /// Sizes the verification-side signing-schedule cache for `signers`
+    /// more identities (a deployment knows its client population), so it
+    /// is not regrown — old and new table held at once — while they show
+    /// up one by one.
+    pub fn reserve_signers(&self, signers: usize) {
+        self.sign_schedules
+            .write()
+            .expect("schedule cache")
+            .reserve(signers);
+    }
+
     /// The underlying trusted key registry.
     #[must_use]
     pub fn key_store(&self) -> &KeyStore {
@@ -90,11 +108,9 @@ impl CryptoProvider {
     pub fn handle(self: &Arc<Self>, component: ComponentId) -> CryptoHandle {
         CryptoHandle {
             me: component,
-            keypair: self.store.keypair_for(component),
             provider: Arc::clone(self),
             sign_schedule: OnceLock::new(),
-            broadcast_schedule: OnceLock::new(),
-            peer_schedules: Arc::new(RwLock::new(IdMap::default())),
+            mac_schedules: OnceLock::new(),
         }
     }
 
@@ -207,22 +223,27 @@ impl CryptoHandle {
     /// This identity's signing schedule, derived once per handle lineage.
     fn sign_schedule(&self) -> &HmacKey {
         self.sign_schedule
-            .get_or_init(|| self.keypair.signing_schedule())
+            .get_or_init(|| self.provider.store.keypair_for(self.me).signing_schedule())
+    }
+
+    /// This identity's MAC schedules, created on first use.
+    fn mac_schedules(&self) -> &MacSchedules {
+        self.mac_schedules.get_or_init(|| {
+            Arc::new(MacSchedules {
+                broadcast: HmacKey::new(&self.provider.store.mac_key(self.me, self.me)),
+                peers: RwLock::new(IdMap::default()),
+            })
+        })
     }
 
     /// The pairwise-channel MAC schedule shared with `peer` (symmetric).
     fn peer_schedule(&self, peer: ComponentId) -> HmacKey {
-        if let Some(schedule) = self
-            .peer_schedules
-            .read()
-            .expect("peer schedule cache")
-            .get(&peer)
-        {
+        let peers = &self.mac_schedules().peers;
+        if let Some(schedule) = peers.read().expect("peer schedule cache").get(&peer) {
             return *schedule;
         }
         let schedule = HmacKey::new(&self.provider.store.mac_key(self.me, peer));
-        *self
-            .peer_schedules
+        *peers
             .write()
             .expect("peer schedule cache")
             .entry(peer)
@@ -260,9 +281,7 @@ impl CryptoHandle {
     /// and verification still binds the message to the claimed sender.
     #[must_use]
     pub fn broadcast_mac(&self, digest: &Digest) -> MacTag {
-        self.broadcast_schedule
-            .get_or_init(|| HmacKey::new(&self.provider.store.mac_key(self.me, self.me)))
-            .mac(digest.as_bytes())
+        self.mac_schedules().broadcast.mac(digest.as_bytes())
     }
 
     /// Verifies a broadcast MAC claimed to come from `from`.
@@ -363,6 +382,50 @@ mod tests {
         let sig = handle.sign(&digest(1));
         assert_eq!(handle.clone().sign(&digest(1)), sig);
         assert_eq!(early_clone.sign(&digest(1)), sig);
+    }
+
+    #[test]
+    fn a_handle_is_small() {
+        // Identity, provider, the signing schedule and one pointer: every
+        // client owns one (232 bytes while it also carried its key pair,
+        // a broadcast schedule and the peer table's handle).
+        assert!(std::mem::size_of::<CryptoHandle>() <= 112);
+    }
+
+    #[test]
+    fn mac_schedules_appear_with_the_first_mac_and_laziness_is_invisible() {
+        let provider = CryptoProvider::new(8);
+        let a = provider.handle(ComponentId::Node(NodeId(0)));
+        let b = provider.handle(ComponentId::Node(NodeId(1)));
+        let early_clone = a.clone();
+        let _ = a.sign(&digest(1));
+        assert!(
+            a.mac_schedules.get().is_none(),
+            "a handle that only signs holds no MAC state"
+        );
+
+        // The handle and a clone taken before its first MAC each build
+        // their own block; both produce and verify each other's MACs.
+        let d = digest(2);
+        let pairwise = a.mac_for(b.id(), &d);
+        assert_eq!(early_clone.mac_for(b.id(), &d), pairwise);
+        assert_eq!(b.mac_for(a.id(), &d), pairwise);
+        let broadcast = a.broadcast_mac(&d);
+        assert_eq!(early_clone.broadcast_mac(&d), broadcast);
+        assert!(early_clone.verify_broadcast_mac(a.id(), &d, &broadcast));
+        assert!(b.verify_broadcast_mac(a.id(), &d, &early_clone.broadcast_mac(&d)));
+
+        // A clone taken afterwards shares the block instead.
+        let late_clone = a.clone();
+        assert!(Arc::ptr_eq(
+            a.mac_schedules.get().unwrap(),
+            late_clone.mac_schedules.get().unwrap()
+        ));
+        assert!(!Arc::ptr_eq(
+            a.mac_schedules.get().unwrap(),
+            early_clone.mac_schedules.get().unwrap()
+        ));
+        assert_eq!(late_clone.mac_for(b.id(), &d), pairwise);
     }
 
     #[test]

@@ -102,11 +102,13 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    /// An empty queue with timer slots for `clients` clients.
+    /// An empty queue with timer slots for `clients` clients, and room in
+    /// the delivery slab for the burst of their first requests at t = 0
+    /// (grown by doubling, the slab overshoots it by up to half).
     pub(crate) fn new(clients: usize) -> Self {
         EventQueue {
             events: BinaryHeap::new(),
-            deliveries: Vec::new(),
+            deliveries: Vec::with_capacity(clients),
             free_slots: Vec::new(),
             client_deadlines: BinaryHeap::new(),
             client_timers: vec![ClientTimer::default(); clients],
@@ -299,6 +301,11 @@ mod tests {
         // client request inline and `EXECUTE` / `VERIFY` sat in the enum.
         assert!(std::mem::size_of::<sbft_core::events::Action>() <= 192);
         assert!(std::mem::size_of::<Option<Delivery>>() <= 184);
+        // What a client costs at rest, all of it inline (296 bytes plus two
+        // heap blocks while its crypto handle carried MAC schedules and its
+        // outstanding requests sat in a `Vec`). The handle's own size is
+        // pinned in `sbft-crypto`, a suppressed id's in the shim's tests.
+        assert!(std::mem::size_of::<sbft_core::ClientRole>() <= 192);
     }
 
     /// What a pop showed, reduced to what the two timer paths share.

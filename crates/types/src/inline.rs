@@ -1,10 +1,11 @@
 //! Small containers that keep the per-transaction path off the heap.
 //!
-//! * [`InlineVec`] — a push-only vector whose first `N` elements live in
-//!   the value itself; only element `N + 1` moves it to the heap. The
-//!   read and write lists of a [`crate::ReadWriteSet`] are built once per
-//!   executed transaction per executor, and YCSB transactions touch one or
-//!   two keys, so a `Vec` there was one allocation per list per executor.
+//! * [`InlineVec`] — a vector whose first `N` elements live in the value
+//!   itself; only element `N + 1` moves it to the heap. The read and write
+//!   lists of a [`crate::ReadWriteSet`] are built once per executed
+//!   transaction per executor, and YCSB transactions touch one or two
+//!   keys, so a `Vec` there was one allocation per list per executor. A
+//!   closed-loop client's list of outstanding requests holds one.
 //! * [`ShardSet`] — the set of shards a transaction touches as one `u64`
 //!   bit mask, iterated in ascending [`ShardId`] order (the lock order of
 //!   the cross-shard commit path). It replaces a `BTreeSet<ShardId>` per
@@ -16,11 +17,12 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
-/// A vector of small `Copy` elements that stores up to `N` of them inline
-/// and spills to a heap `Vec` when the `N + 1`-th is pushed. Reads go
-/// through the slice it dereferences to; equality, ordering of elements
-/// and `Debug` output are those of the slice, whichever side of the spill
-/// a value is on.
+/// A vector of small elements that stores up to `N` of them inline and
+/// spills to a heap `Vec` when the `N + 1`-th is pushed (unused inline
+/// slots hold `T::default()`, which should therefore cost nothing to
+/// build). Reads go through the slice it dereferences to; equality,
+/// ordering of elements and `Debug` output are those of the slice,
+/// whichever side of the spill a value is on.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct InlineVec<T, const N: usize> {
     repr: Repr<T, N>,
@@ -36,7 +38,7 @@ enum Repr<T, const N: usize> {
     Spilled(Vec<T>),
 }
 
-impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
+impl<T: Default, const N: usize> InlineVec<T, N> {
     /// An empty vector (no allocation).
     #[must_use]
     pub fn new() -> Self {
@@ -44,7 +46,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         InlineVec {
             repr: Repr::Inline {
                 len: 0,
-                items: [T::default(); N],
+                items: std::array::from_fn(|_| T::default()),
             },
         }
     }
@@ -58,12 +60,32 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
                     *len += 1;
                 } else {
                     let mut spilled = Vec::with_capacity(2 * N + 1);
-                    spilled.extend_from_slice(items);
+                    spilled.extend(items.iter_mut().map(std::mem::take));
                     spilled.push(value);
                     self.repr = Repr::Spilled(spilled);
                 }
             }
             Repr::Spilled(items) => items.push(value),
+        }
+    }
+
+    /// Removes and returns element `at`, moving the last element into its
+    /// place (`Vec::swap_remove`). A spilled vector stays on the heap.
+    ///
+    /// # Panics
+    /// Panics if `at` is out of bounds.
+    pub fn swap_remove(&mut self, at: usize) -> T {
+        match &mut self.repr {
+            Repr::Inline { len, items } => {
+                let last = (*len as usize)
+                    .checked_sub(1)
+                    .filter(|last| at <= *last)
+                    .expect("swap_remove index within the list");
+                items.swap(at, last);
+                *len -= 1;
+                std::mem::take(&mut items[last])
+            }
+            Repr::Spilled(items) => items.swap_remove(at),
         }
     }
 
@@ -74,7 +96,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     }
 }
 
-impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
+impl<T: Default, const N: usize> Default for InlineVec<T, N> {
     fn default() -> Self {
         Self::new()
     }
@@ -114,7 +136,7 @@ impl<T: fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
     }
 }
 
-impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
+impl<T: Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut out = Self::new();
         for value in iter {
@@ -254,6 +276,30 @@ mod tests {
         v[0] = 1;
         assert_eq!(v.iter().copied().collect::<Vec<_>>(), vec![1, 8, 9]);
         assert_eq!(format!("{v:?}"), "[1, 8, 9]");
+    }
+
+    #[test]
+    fn swap_remove_matches_vec_on_either_side_of_the_spill() {
+        // Non-`Copy` elements: the list of a client's outstanding requests
+        // holds reference-counted transactions.
+        let names = |n: usize| (0..n).map(|i| format!("r{i}")).collect::<Vec<_>>();
+        for (n, at) in [(1, 0), (2, 0), (2, 1), (3, 1), (5, 0)] {
+            let mut model = names(n);
+            let mut v: InlineVec<String, 2> = names(n).into_iter().collect();
+            assert_eq!(v.swap_remove(at), model.swap_remove(at));
+            assert_eq!(&*v, &model[..]);
+            assert_eq!(v.spilled(), n > 2);
+            v.push("next".into());
+            model.push("next".into());
+            assert_eq!(&*v, &model[..], "a freed inline slot is reused");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "within the list")]
+    fn swap_remove_past_the_end_panics() {
+        let mut v: InlineVec<u64, 2> = [4].into_iter().collect();
+        v.swap_remove(1);
     }
 
     #[test]

@@ -17,9 +17,7 @@
 use crate::zipf::{UniformKeys, ZipfianKeys};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sbft_types::{
-    Batch, ClientId, IdMap, Key, Operation, Transaction, TxnId, Value, WorkloadConfig,
-};
+use sbft_types::{Batch, ClientId, Key, Operation, Transaction, TxnId, Value, WorkloadConfig};
 
 /// Number of keys in the hot set used to manufacture conflicts.
 const CONFLICT_HOT_KEYS: u64 = 8;
@@ -42,7 +40,9 @@ pub struct YcsbWorkload {
     zipf: ZipfianKeys,
     uniform: UniformKeys,
     rng: StdRng,
-    counters: IdMap<ClientId, u64>,
+    /// The next request counter of each client, by client index: sized
+    /// for the configured population, grown for a client beyond it.
+    counters: Vec<u64>,
 }
 
 impl YcsbWorkload {
@@ -56,7 +56,7 @@ impl YcsbWorkload {
             distribution: KeyDistribution::Uniform,
             declare_rwsets: false,
             rng: StdRng::seed_from_u64(seed),
-            counters: IdMap::default(),
+            counters: vec![0; config.num_clients],
             config,
         }
     }
@@ -101,9 +101,12 @@ impl YcsbWorkload {
 
     /// Generates the next transaction for `client`.
     pub fn next_transaction(&mut self, client: ClientId) -> Transaction {
-        let counter = self.counters.entry(client).or_insert(0);
-        let id = TxnId::new(client, *counter);
-        *counter += 1;
+        let slot = client.0 as usize;
+        if slot >= self.counters.len() {
+            self.counters.resize(slot + 1, 0);
+        }
+        let id = TxnId::new(client, self.counters[slot]);
+        self.counters[slot] += 1;
 
         let conflicting = self.rng.gen_bool(self.config.conflict_fraction);
         let mut ops = Vec::with_capacity(self.config.ops_per_txn);
