@@ -1,14 +1,19 @@
 //! The per-sequence-number consensus log.
 //!
-//! Each shim node keeps, per sequence number, the pre-prepare it accepted
-//! and the prepare/commit votes it has collected. The log also remembers
-//! which entries have reached the *prepared* and *committed* states so the
-//! quorum checks are idempotent, and it is garbage-collected below the last
-//! stable (featherweight) checkpoint.
+//! Each shim node keeps, per sequence number, the pre-prepare it accepted,
+//! the prepare/commit votes it has collected and — once the slot commits —
+//! the certificate that proves it. The log is the only home of what a
+//! replica knows about one sequence number: an entry becomes *committed*
+//! in one place (`ConsensusLog::seat_certified`), a committed entry never
+//! changes its digest, and everything about a slot is garbage-collected
+//! together below the last stable (featherweight) checkpoint.
 
 use crate::messages::{Commit, Prepare};
+use sbft_crypto::CommitCertificate;
 use sbft_types::{Batch, Digest, NodeId, SeqNum, ShardPlan, ViewNumber};
 use std::collections::BTreeMap;
+use std::ops::RangeBounds;
+use std::sync::Arc;
 
 /// Log entry for one sequence number.
 #[derive(Clone, Debug, Default)]
@@ -30,6 +35,10 @@ pub struct LogEntry {
     pub prepared: bool,
     /// Whether the entry reached the committed state.
     pub committed: bool,
+    /// The certificate the entry committed under, held by reference count:
+    /// the `Committed` action, every featherweight checkpoint and every
+    /// `STATERESPONSE` share the one allocation.
+    pub certificate: Option<Arc<CommitCertificate>>,
 }
 
 impl LogEntry {
@@ -37,6 +46,21 @@ impl LogEntry {
     #[must_use]
     pub fn pre_prepared(&self) -> bool {
         self.digest.is_some()
+    }
+
+    /// How many `PREPARE` votes match the accepted pre-prepare's view and
+    /// digest (none before one is accepted).
+    #[must_use]
+    pub(crate) fn matching_prepares(&self) -> usize {
+        let matches = |p: &&Prepare| Some(p.digest) == self.digest && Some(p.view) == self.view;
+        self.prepares.values().filter(matches).count()
+    }
+
+    /// The `COMMIT` votes that match the accepted pre-prepare's view and
+    /// digest — the signatures a commit certificate is made of.
+    pub(crate) fn matching_commits(&self) -> impl Iterator<Item = &Commit> {
+        let matches = |c: &&Commit| Some(c.digest) == self.digest && Some(c.view) == self.view;
+        self.commits.values().filter(matches)
     }
 }
 
@@ -69,7 +93,10 @@ impl ConsensusLog {
 
     /// Records an accepted pre-prepare. Returns `false` if a *different*
     /// digest was already accepted at this sequence number in the same view
-    /// (the equivocation guard of Figure 3, line 10).
+    /// (the equivocation guard of Figure 3, line 10) or committed there in
+    /// any view: a committed slot keeps its digest and batch for good. The
+    /// same digest in a later view is accepted — re-issued proposals that
+    /// committed meanwhile do arrive.
     pub fn accept_pre_prepare(
         &mut self,
         seq: SeqNum,
@@ -80,7 +107,7 @@ impl ConsensusLog {
     ) -> bool {
         let entry = self.entry_mut(seq);
         if let (Some(v), Some(d)) = (entry.view, entry.digest) {
-            if v == view && d != digest {
+            if (v == view || entry.committed) && d != digest {
                 return false;
             }
         }
@@ -97,6 +124,32 @@ impl ConsensusLog {
         true
     }
 
+    /// Seats the commit `certificate` proves at its sequence number — the
+    /// one place an entry becomes committed, whether the quorum formed
+    /// here, a checkpoint or a peer's `STATERESPONSE` carried the proof,
+    /// or the write-ahead log replayed it. `body` is the batch and plan
+    /// when the proof travelled with them; without it the entry keeps
+    /// what its pre-prepare left (nothing, on a node kept in the dark).
+    /// The caller has verified the certificate and never seats a slot
+    /// twice.
+    pub(crate) fn seat_certified(
+        &mut self,
+        certificate: Arc<CommitCertificate>,
+        body: Option<(Batch, ShardPlan)>,
+    ) -> &LogEntry {
+        let entry = self.entry_mut(certificate.seq);
+        entry.committed = true;
+        entry.prepared = true;
+        entry.view = Some(certificate.view);
+        entry.digest = Some(certificate.batch_digest);
+        if let Some((batch, plan)) = body {
+            entry.batch = Some(batch);
+            entry.plan = plan;
+        }
+        entry.certificate = Some(certificate);
+        entry
+    }
+
     /// Adds a prepare vote and returns the number of distinct voters.
     pub fn add_prepare(&mut self, prepare: Prepare) -> usize {
         let entry = self.entry_mut(prepare.seq);
@@ -109,6 +162,18 @@ impl ConsensusLog {
         let entry = self.entry_mut(commit.seq);
         entry.commits.insert(commit.sender, commit);
         entry.commits.len()
+    }
+
+    /// The entries of `range` that hold the certificate they committed
+    /// under, in sequence order — what a featherweight checkpoint and a
+    /// `STATERESPONSE` ship.
+    pub(crate) fn certified(
+        &self,
+        range: impl RangeBounds<SeqNum>,
+    ) -> impl Iterator<Item = (&LogEntry, &Arc<CommitCertificate>)> {
+        self.entries
+            .range(range)
+            .filter_map(|(_, entry)| Some((entry, entry.certificate.as_ref()?)))
     }
 
     /// Sequence numbers that are prepared but not yet committed (reported
@@ -152,7 +217,7 @@ impl ConsensusLog {
     }
 
     /// Garbage-collects every entry at or below `seq` (a new stable
-    /// checkpoint). Entries above are kept.
+    /// checkpoint), certificates included. Entries above are kept.
     pub fn collect_below(&mut self, seq: SeqNum) {
         self.stable_seq = self.stable_seq.max(seq);
         self.entries.retain(|s, _| *s > seq);
@@ -229,6 +294,43 @@ mod tests {
         assert!(!log.accept_pre_prepare(SeqNum(1), ViewNumber(0), digest(2), batch(), plan));
         // A different digest in a *new* view is allowed (view change re-proposal).
         assert!(log.accept_pre_prepare(SeqNum(1), ViewNumber(1), digest(2), batch(), plan));
+    }
+
+    #[test]
+    fn a_committed_slot_never_accepts_a_different_digest() {
+        let plan = ShardPlan::Unplanned;
+        let mut log = ConsensusLog::new();
+        assert!(log.accept_pre_prepare(SeqNum(2), ViewNumber(0), digest(1), batch(), plan));
+        log.entry_mut(SeqNum(2)).committed = true;
+        // A later view's proposal of another batch is refused and leaves
+        // the entry as it committed.
+        assert!(!log.accept_pre_prepare(SeqNum(2), ViewNumber(1), digest(2), batch(), plan));
+        let entry = log.entry(SeqNum(2)).unwrap();
+        assert_eq!(entry.digest, Some(digest(1)));
+        assert_eq!(entry.view, Some(ViewNumber(0)));
+        // The committed batch re-issued in a later view is still accepted.
+        assert!(log.accept_pre_prepare(SeqNum(2), ViewNumber(1), digest(1), batch(), plan));
+        assert!(log.is_committed(SeqNum(2)));
+    }
+
+    #[test]
+    fn a_certified_commit_is_seated_whole_and_collected_whole() {
+        let mut log = ConsensusLog::new();
+        let certificate = Arc::new(CommitCertificate::new(
+            ViewNumber(3),
+            SeqNum(2),
+            digest(1),
+            Vec::new(),
+        ));
+        // Without a body (a checkpoint on a node kept in the dark) the
+        // entry learns that the slot committed, not what it holds.
+        let entry = log.seat_certified(Arc::clone(&certificate), None);
+        assert!(entry.committed && entry.prepared && entry.batch.is_none());
+        assert_eq!(entry.view, Some(ViewNumber(3)));
+        assert_eq!(entry.digest, Some(digest(1)));
+        assert_eq!(entry.certificate, Some(certificate));
+        log.collect_below(SeqNum(2));
+        assert!(log.entry(SeqNum(2)).is_none());
     }
 
     #[test]

@@ -13,7 +13,6 @@ use sbft_durability::RecoveredEntry;
 use sbft_types::{
     Batch, Digest, MacTag, NodeId, SeqNum, ShardPlan, Signature, Transaction, TxnId, ViewNumber,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Fixed per-message framing overhead (transport headers, message type
@@ -22,7 +21,7 @@ const FRAMING_OVERHEAD: usize = 120;
 
 /// `PREPREPARE(⟨T⟩_C, Δ, k)`: the primary proposes ordering batch `Δ` at
 /// sequence `k` in view `v` (MAC-authenticated).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct PrePrepare {
     /// Current view.
     pub view: ViewNumber,
@@ -52,7 +51,7 @@ pub struct PrePrepare {
 /// [`BatchFetch`]/[`BatchFill`]. The digest pins the proposal exactly as
 /// in the full-body path: no vote is cast before the reconstructed batch
 /// hashes to `Δ`.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct DigestPrePrepare {
     /// Current view.
     pub view: ViewNumber,
@@ -72,7 +71,7 @@ pub struct DigestPrePrepare {
 /// `BATCHFETCH`: a replica reconstructing a digest proposal asks the
 /// primary for the transaction bodies it misses — or, after a digest
 /// mismatch, for the full batch (`full = true`).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct BatchFetch {
     /// The requesting replica.
     pub sender: NodeId,
@@ -94,7 +93,7 @@ pub struct BatchFetch {
 /// `BATCHFILL`: the bodies answering a [`BatchFetch`]. Unauthenticated —
 /// the proposal digest self-certifies the reconstructed batch, so a
 /// poisoned fill can only fail the digest check, never corrupt state.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct BatchFill {
     /// The responding node.
     pub sender: NodeId,
@@ -110,7 +109,7 @@ pub struct BatchFill {
 
 /// `PREPARE(Δ, k)`: a node supports ordering the batch with digest `Δ` at
 /// sequence `k` (MAC-authenticated).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Prepare {
     /// Current view.
     pub view: ViewNumber,
@@ -126,7 +125,7 @@ pub struct Prepare {
 
 /// `⟨COMMIT(Δ, k)⟩_R`: a node commits the batch; digitally signed so the
 /// signature can be embedded in the execution certificate.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Commit {
     /// Current view.
     pub view: ViewNumber,
@@ -142,7 +141,7 @@ pub struct Commit {
 
 /// A `(seq, digest, view)` tuple proving a request prepared at the sender,
 /// carried inside `VIEWCHANGE` messages.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PreparedProof {
     /// Sequence number of the prepared request.
     pub seq: SeqNum,
@@ -153,7 +152,7 @@ pub struct PreparedProof {
 }
 
 /// `VIEWCHANGE`: a node requests replacing the primary of `new_view - 1`.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ViewChange {
     /// The view the sender wants to move to.
     pub new_view: ViewNumber,
@@ -169,7 +168,7 @@ pub struct ViewChange {
 
 /// `NEWVIEW`: the primary of the new view proves the view change is
 /// justified and re-proposes in-flight requests.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct NewView {
     /// The view being installed.
     pub new_view: ViewNumber,
@@ -186,7 +185,7 @@ pub struct NewView {
 /// A featherweight `CHECKPOINT` (Section V-B): only the signed commit
 /// certificates since the last checkpoint, because shim nodes neither
 /// execute requests nor store application data.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Checkpoint {
     /// Sequence number this checkpoint covers (inclusive).
     pub seq: SeqNum,
@@ -204,7 +203,7 @@ pub struct Checkpoint {
 /// `STATEREQUEST`: a crash-restarted replica asks its peers for the
 /// committed suffix above what its durable log reconstructed. Signed so
 /// byzantine nodes cannot trigger transfer storms in someone else's name.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StateRequest {
     /// The recovering replica.
     pub sender: NodeId,
@@ -223,7 +222,7 @@ pub struct StateRequest {
 /// idempotent), rejects garbage entries per sender, and treats
 /// `stable_seq` as a checkpoint-floor claim for the catch-up path when
 /// its own floor fell below every peer's retention boundary.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct StateResponse {
     /// The responding peer.
     pub sender: NodeId,
@@ -235,7 +234,7 @@ pub struct StateResponse {
 }
 
 /// CFT (Multi-Paxos-style) accept message from the leader.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct CftAccept {
     /// Leader's ballot (plays the role of the view).
     pub ballot: ViewNumber,
@@ -251,7 +250,7 @@ pub struct CftAccept {
 }
 
 /// CFT acknowledgment from a follower.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CftAccepted {
     /// Leader's ballot.
     pub ballot: ViewNumber,
@@ -264,7 +263,7 @@ pub struct CftAccepted {
 }
 
 /// CFT commit notification from the leader.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CftDecide {
     /// Leader's ballot.
     pub ballot: ViewNumber,
@@ -274,8 +273,73 @@ pub struct CftDecide {
     pub digest: Digest,
 }
 
+// The preimage of each signed control message is written once, here, and
+// read by the signer and by the verifier alike. It folds what the message
+// carries (everything but the signature), so swapping one proof, sender,
+// re-issued batch or certificate for another breaks the signature.
+
+impl ViewChange {
+    /// The digest the sender signs.
+    #[must_use]
+    pub(crate) fn signing_digest(&self) -> Digest {
+        let mut h = U64Hasher::new("viewchange");
+        h.push(self.new_view.0);
+        h.push(self.last_stable_seq.0);
+        h.push(self.prepared.len() as u64);
+        for proof in &self.prepared {
+            h.push(proof.seq.0);
+            h.push(proof.view.0);
+            h.push_digest(&proof.digest);
+        }
+        h.finish()
+    }
+}
+
+impl NewView {
+    /// The digest the new primary signs.
+    #[must_use]
+    pub(crate) fn signing_digest(&self) -> Digest {
+        let mut h = U64Hasher::new("newview");
+        h.push(self.new_view.0);
+        h.push(self.view_change_senders.len() as u64);
+        for sender in &self.view_change_senders {
+            h.push(u64::from(sender.0));
+        }
+        h.push(self.reissued.len() as u64);
+        for proposal in &self.reissued {
+            h.push(proposal.seq.0);
+            h.push_digest(&proposal.digest);
+        }
+        h.finish()
+    }
+}
+
+impl Checkpoint {
+    /// The digest the sender signs.
+    #[must_use]
+    pub(crate) fn signing_digest(&self) -> Digest {
+        let mut h = U64Hasher::new("checkpoint");
+        h.push(self.seq.0);
+        h.push(self.certificates.len() as u64);
+        for certificate in &self.certificates {
+            h.push(certificate.seq.0);
+            h.push(certificate.view.0);
+            h.push_digest(&certificate.batch_digest);
+        }
+        h.finish()
+    }
+}
+
+impl StateRequest {
+    /// The digest the recovering replica signs.
+    #[must_use]
+    pub(crate) fn signing_digest(&self) -> Digest {
+        sbft_crypto::digest_u64s("staterequest", &[u64::from(self.sender.0), self.above.0])
+    }
+}
+
 /// All messages understood by the shim ordering protocols.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum ConsensusMessage {
     /// PBFT pre-prepare.
     PrePrepare(PrePrepare),

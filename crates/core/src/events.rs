@@ -13,11 +13,10 @@ use sbft_types::{
     ClientId, ComponentId, ExecutorId, NodeId, Region, SeqNum, Signature, SimDuration, Transaction,
     TxnId, TxnOutcome,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A signed client request `⟨T⟩_C`.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ClientRequest {
     /// The transaction being submitted.
     pub txn: Transaction,
@@ -55,7 +54,7 @@ impl ClientRequest {
 
 /// `RESPONSE(Δ, r)` from the verifier to a client (and, as a batch-level
 /// notification, to the shim primary).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ResponseMessage {
     /// The transaction this response answers.
     pub txn: TxnId,
@@ -112,7 +111,7 @@ impl ResponseMessage {
 /// Notification from the verifier to the shim primary that a whole batch
 /// has been validated (used by the conflict-avoidance planner to release
 /// logical locks, Section VI-C step 4).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BatchValidated {
     /// The validated batch.
     pub seq: SeqNum,
@@ -123,7 +122,7 @@ pub struct BatchValidated {
 }
 
 /// What a recovery message (ERROR / REPLACE / ACK) is about.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum RecoverySubject {
     /// The verifier is waiting for the request ordered at this sequence
     /// number (`ERROR(k_max)`).
@@ -134,7 +133,7 @@ pub enum RecoverySubject {
 }
 
 /// `ERROR` broadcast by the verifier to the shim nodes (Figure 4).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ErrorMessage {
     /// What is missing.
     pub subject: RecoverySubject,
@@ -150,7 +149,7 @@ pub struct ErrorMessage {
 
 /// `REPLACE` broadcast by the verifier: the primary is provably misbehaving
 /// and must be replaced.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ReplaceMessage {
     /// The transaction whose handling exposed the primary.
     pub subject: RecoverySubject,
@@ -160,7 +159,7 @@ pub struct ReplaceMessage {
 
 /// `ACK` broadcast by the verifier once the previously reported subject has
 /// been validated, releasing the nodes' re-transmission timers `Υ`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AckMessage {
     /// The subject that is now resolved.
     pub subject: RecoverySubject,
@@ -169,7 +168,7 @@ pub struct AckMessage {
 }
 
 /// `ABORT(T)` from the verifier to a client (Section VI-B).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AbortMessage {
     /// The aborted transaction.
     pub txn: TxnId,
@@ -308,8 +307,6 @@ pub enum ProtocolTimer {
     Retransmit(RecoverySubject),
     /// The verifier's abort-detection timer for a batch (Section VI-B).
     VerifierAbort(SeqNum),
-    /// The primary's periodic batch-release tick.
-    BatchPoll,
     /// Probation on a region an invoker reactively marked down after a
     /// `SpawnRejected` answer: on expiry the region is tried again.
     RegionProbation(Region),
@@ -489,7 +486,7 @@ mod tests {
         assert!(!action.sends_kind("VERIFY"));
         assert_eq!(envelopes(std::slice::from_ref(&action)).len(), 1);
         let timer = Action::StartTimer {
-            timer: ProtocolTimer::BatchPoll,
+            timer: ProtocolTimer::VerifierAbort(SeqNum(1)),
             duration: SimDuration::from_millis(1),
         };
         assert!(timer.as_send().is_none());

@@ -37,6 +37,7 @@
 
 pub mod attacks;
 pub mod client;
+mod durable;
 pub mod events;
 pub mod planner;
 pub mod shim;

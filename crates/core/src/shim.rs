@@ -13,6 +13,7 @@
 //! (default), decentralized spawning (Section VI-B), and the planner-gated
 //! spawning used when read-write sets are known (Section VI-C).
 
+use crate::durable::{DurableLog, Persisted};
 use crate::events::{
     Action, BatchValidated, ClientRequest, Destination, ProtocolMessage, ProtocolTimer,
     RecoverySubject,
@@ -22,7 +23,7 @@ use sbft_consensus::{
     Batcher, ConsensusAction, ConsensusMessage, OrderingProtocol, PbftReplica, SignedBatch,
 };
 use sbft_crypto::{CommitCertificate, CryptoHandle};
-use sbft_durability::{codec as wal_codec, recover, MemWal, WalRecord, WriteAheadLog};
+use sbft_durability::WriteAheadLog;
 use sbft_serverless::{ExecuteRequest, Invoker};
 use sbft_sharding::ShardRouter;
 use sbft_telemetry::{Counter, Registry};
@@ -139,14 +140,9 @@ pub struct ShimNode {
     /// what prevents one byzantine primary from cascading the shim through
     /// many views when many `ERROR` messages arrive at once).
     retransmit_view: IdMap<RecoverySubject, ViewNumber>,
-    /// The durable write-ahead log, present when `config.durability` is
-    /// enabled. `new` attaches the deterministic in-memory backend (what
-    /// the simulator crashes and restarts); the thread runtime swaps in
-    /// the buffered-file backend via [`Self::attach_wal`].
-    wal: Option<Box<dyn WriteAheadLog>>,
-    /// Sequence number of the last snapshot cut into the WAL; the log
-    /// below it has been truncated.
-    last_snapshot: SeqNum,
+    /// The write-ahead log and its snapshot rhythm; a no-op unless
+    /// `config.durability` is enabled or [`Self::attach_wal`] was called.
+    durable: DurableLog,
     /// Whether this node is between a crash restart and the completion of
     /// its peer state transfer. Gates the recovery-only WAL actions (the
     /// checkpoint catch-up snapshot cut).
@@ -170,18 +166,18 @@ pub struct ShimNode {
     /// Transactions the bisecting fallback of the batch
     /// aggregate-signature check pruned before ordering.
     rejected_txns: Counter,
-    /// Records appended to the write-ahead log (`durability.wal_appends`).
-    wal_appends: Counter,
-    /// Bytes reclaimed by snapshot truncation (`durability.snapshot_bytes`).
-    snapshot_bytes: Counter,
-    /// Committed batches re-seated from WAL replay after a crash restart
-    /// (`durability.replay_batches`).
-    replay_batches: Counter,
     /// Committed batches adopted from peer state transfer after a crash
     /// restart (`durability.state_transfer_batches`).
     state_transfers: Counter,
     /// Region outages detected reactively from rejected spawns.
     region_outages_detected: Counter,
+}
+
+/// The cost of a durable step, charged by the driver before whatever the
+/// step precedes (the durable-vote rule: a COMMIT's write and fsync come
+/// before its send).
+fn persist((bytes, fsync): Persisted) -> Action {
+    Action::Persist { bytes, fsync }
 }
 
 impl ShimNode {
@@ -257,10 +253,7 @@ impl ShimNode {
         };
         let planner = matches!(config.conflict_handling, ConflictHandling::KnownRwSets)
             .then(BestEffortPlanner::new);
-        let wal = config
-            .durability
-            .enabled
-            .then(|| Box::new(MemWal::new()) as Box<dyn WriteAheadLog>);
+        let durable = DurableLog::new(&config.durability);
         ShimNode {
             me,
             config,
@@ -278,8 +271,7 @@ impl ShimNode {
             max_validated: SeqNum(0),
             seen_gc_floor: SeqNum(0),
             retransmit_view: IdMap::default(),
-            wal,
-            last_snapshot: SeqNum(0),
+            durable,
             recovering: false,
             rebuilds_replica: false,
             metrics_registry: None,
@@ -287,9 +279,6 @@ impl ShimNode {
             executors_spawned: Counter::new(),
             requests_forwarded: Counter::new(),
             rejected_txns: Counter::new(),
-            wal_appends: Counter::new(),
-            snapshot_bytes: Counter::new(),
-            replay_batches: Counter::new(),
             state_transfers: Counter::new(),
             region_outages_detected: Counter::new(),
         }
@@ -299,7 +288,7 @@ impl ShimNode {
     /// a [`sbft_durability::FileWal`] here). Implies durability even if
     /// the configuration left it off.
     pub fn attach_wal(&mut self, wal: Box<dyn WriteAheadLog>) {
-        self.wal = Some(wal);
+        self.durable.wal = Some(wal);
     }
 
     /// This node's identifier.
@@ -343,9 +332,7 @@ impl ShimNode {
         self.executors_spawned = registry.counter(&format!("shim.{id}.executors_spawned"));
         self.requests_forwarded = registry.counter(&format!("shim.{id}.requests_forwarded"));
         self.rejected_txns = registry.counter(&format!("shim.{id}.rejected_txns"));
-        self.wal_appends = registry.counter(&format!("shim.{id}.durability.wal_appends"));
-        self.snapshot_bytes = registry.counter(&format!("shim.{id}.durability.snapshot_bytes"));
-        self.replay_batches = registry.counter(&format!("shim.{id}.durability.replay_batches"));
+        self.durable.register_metrics(registry, id);
         self.state_transfers =
             registry.counter(&format!("shim.{id}.durability.state_transfer_batches"));
         self.region_outages_detected =
@@ -645,7 +632,7 @@ impl ShimNode {
                 ConsensusAction::Broadcast(msg) => {
                     // The durable-vote rule: the WAL write (synced for
                     // COMMIT votes) is charged before the send leaves.
-                    out.extend(self.wal_on_broadcast(&msg));
+                    out.extend(self.durable.on_broadcast(&msg).map(persist));
                     out.push(Action::send(
                         self.component(),
                         Destination::AllNodes,
@@ -671,21 +658,18 @@ impl ShimNode {
                     plan,
                     certificate,
                 } => {
-                    out.extend(self.wal_on_committed(
-                        view,
-                        seq,
-                        &batch,
-                        plan,
-                        certificate.as_ref(),
-                    ));
+                    let step =
+                        self.durable
+                            .on_committed(view, seq, &batch, plan, certificate.as_ref());
+                    out.extend(step.map(persist));
                     out.extend(self.on_committed(view, seq, batch, plan, certificate));
                 }
                 ConsensusAction::ViewInstalled { view, .. } => {
-                    out.extend(self.wal_on_view_installed(view));
+                    out.extend(self.durable.on_view_installed(view).map(persist));
                     out.extend(self.on_view_installed());
                 }
                 ConsensusAction::CaughtUp { up_to } => {
-                    out.extend(self.wal_on_caught_up(up_to));
+                    out.extend(self.on_caught_up(up_to));
                 }
             }
         }
@@ -694,148 +678,32 @@ impl ShimNode {
 
     // ---- durability -----------------------------------------------------------
 
-    /// Logs outgoing protocol steps that must survive a crash: a released
-    /// proposal (buffered — it is recoverable from peers) and this node's
-    /// COMMIT vote (synced — the vote must not be forgotten once sent,
-    /// or a restarted replica could vote differently in the same view).
-    fn wal_on_broadcast(&mut self, msg: &ConsensusMessage) -> Vec<Action> {
-        let Some(wal) = self.wal.as_mut() else {
-            return Vec::new();
-        };
-        match msg {
-            ConsensusMessage::PrePrepare(pp) => {
-                let bytes = wal.append(&WalRecord::Released {
-                    seq: pp.seq,
-                    view: pp.view,
-                    digest: pp.digest,
-                });
-                self.wal_appends.inc();
-                vec![Action::Persist {
-                    bytes,
-                    fsync: false,
-                }]
-            }
-            // A digest proposal releases the batch just like a full one —
-            // the WAL records the same (seq, view, digest) triple; the
-            // bodies are recoverable from peers either way.
-            ConsensusMessage::DigestPrePrepare(dp) => {
-                let bytes = wal.append(&WalRecord::Released {
-                    seq: dp.seq,
-                    view: dp.view,
-                    digest: dp.digest,
-                });
-                self.wal_appends.inc();
-                vec![Action::Persist {
-                    bytes,
-                    fsync: false,
-                }]
-            }
-            ConsensusMessage::Commit(c) => {
-                let bytes = wal.append(&WalRecord::Vote {
-                    seq: c.seq,
-                    view: c.view,
-                    digest: c.digest,
-                });
-                wal.sync();
-                self.wal_appends.inc();
-                vec![Action::Persist { bytes, fsync: true }]
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// Logs a locally committed batch (with its certificate) and, at the
-    /// featherweight-checkpoint rhythm, cuts a snapshot: a synced
-    /// `SnapshotMark` after which the log below the mark is truncated.
-    fn wal_on_committed(
-        &mut self,
-        view: ViewNumber,
-        seq: SeqNum,
-        batch: &Batch,
-        plan: ShardPlan,
-        certificate: Option<&Arc<CommitCertificate>>,
-    ) -> Vec<Action> {
-        let Some(wal) = self.wal.as_mut() else {
-            return Vec::new();
-        };
-        // Baselines without certificates (CFT / NoShim) have no recovery
-        // path; only certified commits are worth making durable.
-        let Some(cert) = certificate else {
-            return Vec::new();
-        };
-        let mut bytes = wal.append(&WalRecord::Committed {
-            seq,
-            view,
-            plan,
-            batch: batch.clone(),
-            certificate: Arc::clone(cert),
-        });
-        self.wal_appends.inc();
-        let interval = self.config.durability.snapshot_interval;
-        if interval > 0 && seq.0 >= self.last_snapshot.0 + interval {
-            bytes += wal.append(&WalRecord::SnapshotMark { upto: seq, view });
-            self.wal_appends.inc();
-            wal.sync();
-            let dropped = wal.truncate_below(seq);
-            self.last_snapshot = seq;
-            self.snapshot_bytes.add(dropped);
-        } else {
-            wal.sync();
-        }
-        vec![Action::Persist { bytes, fsync: true }]
-    }
-
-    /// A recovering node adopted a peer's checkpoint floor: cut a snapshot
-    /// at the adopted floor so the durable log agrees with the in-memory
-    /// state the catch-up installed. Gated on [`Self::is_recovering`] so the
+    /// A recovering node adopted a peer's checkpoint floor: the durable
+    /// log cuts a snapshot there. Gated on [`Self::is_recovering`] so the
     /// nodes-in-dark `CaughtUp` path (which never lost its WAL) keeps its
     /// normal checkpoint rhythm.
-    fn wal_on_caught_up(&mut self, up_to: SeqNum) -> Vec<Action> {
-        if !self.recovering || up_to <= self.last_snapshot {
-            return Vec::new();
+    fn on_caught_up(&mut self, up_to: SeqNum) -> Option<Action> {
+        if !self.recovering {
+            return None;
         }
-        let view = self.ordering.view();
-        let Some(wal) = self.wal.as_mut() else {
-            return Vec::new();
-        };
-        let bytes = wal.append(&WalRecord::SnapshotMark { upto: up_to, view });
-        self.wal_appends.inc();
-        wal.sync();
-        let dropped = wal.truncate_below(up_to);
-        self.snapshot_bytes.add(dropped);
-        self.last_snapshot = up_to;
+        let step = self.durable.on_caught_up(up_to, self.ordering.view())?;
         self.max_validated = self.max_validated.max(up_to);
-        vec![Action::Persist { bytes, fsync: true }]
-    }
-
-    /// Logs an installed view (buffered: losing it only costs rejoining
-    /// in an older view, which the state transfer corrects).
-    fn wal_on_view_installed(&mut self, view: ViewNumber) -> Vec<Action> {
-        let Some(wal) = self.wal.as_mut() else {
-            return Vec::new();
-        };
-        let bytes = wal.append(&WalRecord::ViewInstalled { view });
-        self.wal_appends.inc();
-        vec![Action::Persist {
-            bytes,
-            fsync: false,
-        }]
+        Some(persist(step))
     }
 
     /// Simulates the process dying: the unsynced WAL tail is lost. The
     /// volatile state is discarded by [`Self::crash_restart`]; between the
     /// two calls the node must receive no messages or timers.
     pub fn crash(&mut self) {
-        if let Some(wal) = self.wal.as_mut() {
-            wal.lose_unsynced();
-        }
+        self.durable.crash();
     }
 
     /// Restarts this node after a crash: all volatile state is discarded,
     /// the ordering protocol is rebuilt, and the durable log is replayed
-    /// through [`recover()`]. Returns the replay-cost [`Action::Persist`]
-    /// followed by the rejoin actions (for PBFT, a broadcast
-    /// `STATEREQUEST` for the suffix committed while this node was down).
+    /// through [`sbft_durability::recover()`]. Returns the replay-cost
+    /// [`Action::Persist`] followed by the rejoin actions (for PBFT, a
+    /// broadcast `STATEREQUEST` for the suffix committed while this node
+    /// was down).
     pub fn crash_restart(&mut self) -> Vec<Action> {
         self.batcher = Self::fresh_batcher(&self.config, self.lane_router.as_ref());
         self.committed.clear();
@@ -846,7 +714,6 @@ impl ShimNode {
         self.retransmit_view.clear();
         self.max_validated = SeqNum(0);
         self.seen_gc_floor = SeqNum(0);
-        self.last_snapshot = SeqNum(0);
         if self.planner.is_some() {
             self.planner = Some(BestEffortPlanner::new());
         }
@@ -862,18 +729,10 @@ impl ShimNode {
                 self.ordering.register_metrics(registry, &prefix);
             }
         }
-        let Some(wal) = self.wal.as_mut() else {
+        let Some((replay_bytes, state)) = self.durable.replay() else {
             return Vec::new();
         };
         self.recovering = true;
-        let records = wal.replay();
-        let replay_bytes: u64 = records
-            .iter()
-            .map(|r| wal_codec::encode(r).len() as u64)
-            .sum();
-        let state = recover(&records);
-        self.replay_batches.add(state.entries.len() as u64);
-        self.last_snapshot = state.stable_seq;
         self.max_validated = state.stable_seq;
         for e in &state.entries {
             // Re-seated as already spawned: this node acted on the commit
@@ -890,10 +749,7 @@ impl ShimNode {
                 },
             );
         }
-        let mut actions = vec![Action::Persist {
-            bytes: replay_bytes,
-            fsync: false,
-        }];
+        let mut actions = vec![persist((replay_bytes, false))];
         let rejoin = self
             .ordering
             .install_recovered(state.entries, state.stable_seq, state.view);
@@ -1248,8 +1104,9 @@ impl ShimNode {
         }
     }
 
-    /// Handles the expiry of a timer owned by this node.
-    pub fn on_timer(&mut self, timer: ProtocolTimer, now: SimTime) -> Vec<Action> {
+    /// Handles the expiry of a timer owned by this node. No node timer
+    /// reads the clock; the drivers pass it to every role alike.
+    pub fn on_timer(&mut self, timer: ProtocolTimer, _now: SimTime) -> Vec<Action> {
         match timer {
             ProtocolTimer::Consensus(t) => {
                 let actions = self.ordering.handle_timer(t);
@@ -1268,7 +1125,6 @@ impl ShimNode {
                     Vec::new()
                 }
             }
-            ProtocolTimer::BatchPoll => self.poll_batcher(now),
             ProtocolTimer::RegionProbation(region) => {
                 // Probation over: optimistically mark the region back up.
                 // If it is still down the next spawn there is rejected
@@ -2379,14 +2235,17 @@ mod tests {
         assert!(external
             .iter()
             .any(|(_, a)| matches!(a, Action::Persist { fsync: true, .. })));
-        assert!(shim.nodes[0].wal_appends.get() >= 2); // a Vote and a Committed at least
-        assert_eq!(shim.nodes[0].last_snapshot, SeqNum(0));
+        assert!(shim.nodes[0].durable.wal_appends.get() >= 2); // a Vote and a Committed at least
+        assert_eq!(shim.nodes[0].durable.last_snapshot, SeqNum(0));
         commit_one_batch(&mut shim, 2, &[]);
         for node in &shim.nodes {
-            assert_eq!(node.last_snapshot, SeqNum(2));
-            assert!(node.snapshot_bytes.get() > 0, "truncation reclaims bytes");
+            assert_eq!(node.durable.last_snapshot, SeqNum(2));
+            assert!(
+                node.durable.snapshot_bytes.get() > 0,
+                "truncation reclaims bytes"
+            );
             // Only the mark survives the cut.
-            assert_eq!(node.wal.as_ref().map(|w| w.durable_len()), Some(1));
+            assert_eq!(node.durable.wal.as_ref().map(|w| w.durable_len()), Some(1));
         }
     }
 
@@ -2398,7 +2257,7 @@ mod tests {
         // Node 3 dies and restarts: the synced log replays both commits.
         shim.nodes[3].crash();
         let restart = shim.nodes[3].crash_restart();
-        assert_eq!(shim.nodes[3].replay_batches.get(), 2);
+        assert_eq!(shim.nodes[3].durable.replay_batches.get(), 2);
         assert!(
             restart.iter().any(|a| a.sends_kind("STATEREQUEST")),
             "restart broadcasts a state request"
@@ -2421,7 +2280,7 @@ mod tests {
         shim.nodes[3].crash();
         commit_one_batch(&mut shim, 2, &[3]);
         let restart = shim.nodes[3].crash_restart();
-        assert_eq!(shim.nodes[3].replay_batches.get(), 1);
+        assert_eq!(shim.nodes[3].durable.replay_batches.get(), 1);
         let external = run_consensus_partitioned(&mut shim, 3, restart, &[]);
         // Peers answered the state request; node 3 adopted the missed
         // batch exactly once and observed its commit.
@@ -2581,13 +2440,13 @@ mod tests {
         let (mut shim, _registry) = make_digest_shim(config);
         let provider = Arc::clone(&shim.provider);
         let _ = broadcast_request(&mut shim, &signed_request(&provider, 0, 0));
-        assert_eq!(shim.nodes[0].wal_appends.get(), 0);
+        assert_eq!(shim.nodes[0].durable.wal_appends.get(), 0);
         let actions = broadcast_request(&mut shim, &signed_request(&provider, 1, 0));
         assert!(actions.iter().any(|a| a.sends_kind("DIGEST-PREPREPARE")));
         // The digest proposal wrote a buffered Released record before the
         // broadcast left (plus this node's own synced COMMIT vote later).
         assert!(
-            shim.nodes[0].wal_appends.get() >= 1,
+            shim.nodes[0].durable.wal_appends.get() >= 1,
             "a digest proposal must hit the WAL like a full PREPREPARE"
         );
         assert!(actions

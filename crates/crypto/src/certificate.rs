@@ -13,7 +13,6 @@ use crate::signature::SimSigner;
 use sbft_types::{
     ComponentId, Digest, NodeId, SbftError, SbftResult, SeqNum, Signature, ViewNumber,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The digest that shim nodes sign in their `COMMIT` messages: a
@@ -30,7 +29,7 @@ pub fn commit_digest(view: ViewNumber, seq: SeqNum, batch_digest: &Digest) -> Di
 
 /// A certificate proving that a quorum of shim nodes committed a batch at a
 /// given view and sequence number.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CommitCertificate {
     /// View in which the batch committed.
     pub view: ViewNumber,

@@ -6,7 +6,7 @@
 //!
 //! Everything above the compression function is written once: buffering,
 //! padding and the HMAC midstates all end in `Sha256::compress_blocks`,
-//! which hands a whole run of 64-byte blocks to one of two [`Kernel`]s:
+//! which hands a whole run of 64-byte blocks to one of two kernels:
 //!
 //! * **`sha-ni`** — the x86-64 SHA extensions (`sha256rnds2`,
 //!   `sha256msg1`, `sha256msg2`), two rounds per instruction, chosen when
@@ -57,10 +57,10 @@ const K: [u32; 64] = [
 /// block function over a run of 64-byte blocks.
 ///
 /// The hashing layer uses the one selected for this CPU
-/// ([`kernel_name`] says which); each is callable directly so tests and
-/// benches can hold them equal and time them side by side.
+/// ([`kernel_name`] says which); each is callable directly so the tests
+/// can hold them equal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kernel {
+enum Kernel {
     /// The scalar kernel; runs everywhere.
     Portable,
     /// The x86-64 SHA-extensions kernel.
@@ -81,9 +81,10 @@ impl Kernel {
         Kernel::Portable
     }
 
-    /// Every kernel this CPU can run, the selected one last.
-    #[must_use]
-    pub fn available() -> &'static [Kernel] {
+    /// Every kernel this CPU can run, the selected one last (the tests
+    /// hold them equal).
+    #[cfg(test)]
+    fn available() -> &'static [Kernel] {
         match Kernel::selected() {
             Kernel::Portable => &[Kernel::Portable],
             #[cfg(target_arch = "x86_64")]
@@ -93,7 +94,7 @@ impl Kernel {
 
     /// A short stable name (`"portable"`, `"sha-ni"`) for report headers.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Kernel::Portable => "portable",
             #[cfg(target_arch = "x86_64")]
@@ -106,9 +107,9 @@ impl Kernel {
     ///
     /// # Panics
     /// If `blocks` is not a multiple of 64 bytes long, or if this CPU
-    /// cannot run the kernel (it is not in [`Kernel::available`]).
+    /// cannot run the kernel.
     #[inline]
-    pub fn compress_blocks(self, state: &mut [u32; 8], blocks: &[u8]) {
+    fn compress_blocks(self, state: &mut [u32; 8], blocks: &[u8]) {
         assert!(
             blocks.len().is_multiple_of(BLOCK_SIZE),
             "SHA-256 compresses whole 64-byte blocks"

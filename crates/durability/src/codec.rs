@@ -1,7 +1,6 @@
 //! Hand-rolled binary codec for [`WalRecord`]s.
 //!
-//! The vendored `serde` stub derives no real serialization, so the WAL
-//! defines its own little-endian, length-free tag format. The format is
+//! The WAL defines its own little-endian, length-free tag format. The format is
 //! self-delimiting per record (every list is length-prefixed) and
 //! versioned only by the record tags; [`decode`] returns `None` on any
 //! malformed input so a torn or corrupted frame never panics a replay.

@@ -21,8 +21,7 @@
 //! Two backends: [`MemWal`] is the deterministic in-memory "disk" the
 //! simulator crashes and restarts; [`FileWal`] is the buffered-file
 //! backend for the thread runtime, with a checksummed frame format that
-//! survives torn tail writes. The vendored `serde` stub derives no real
-//! serialization, so the wire format is the hand-rolled [`codec`].
+//! survives torn tail writes. The wire format is the hand-rolled [`codec`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -16,10 +16,9 @@
 //! are exposed and adjustable.
 
 use sbft_types::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Cost-model constants.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct CostModel {
     /// Dollars per single Lambda invocation (request fee).
     pub lambda_request_cost: f64,
@@ -46,7 +45,7 @@ impl Default for CostModel {
 }
 
 /// A cost breakdown for one experiment run.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct CostReport {
     /// Dollars spent on serverless invocations.
     pub serverless_dollars: f64,

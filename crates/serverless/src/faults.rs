@@ -15,7 +15,6 @@
 //! suite proves commit outcomes are unchanged.
 
 use sbft_types::{NodeId, Region, SimDuration};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A multi-region fault scenario: one or more cloud regions offline.
@@ -25,7 +24,7 @@ use std::collections::BTreeSet;
 /// capacity. Runtimes apply it in two places: the simulated cloud
 /// rejects spawn requests into downed regions, and each shim node's
 /// invoker is told so its placement avoids them.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct RegionOutage {
     downed: BTreeSet<Region>,
 }
@@ -78,7 +77,7 @@ impl RegionOutage {
 /// (`sbft_sim::faults`), which composes any number of them — including
 /// simultaneous, overlapping crashes — with link faults, partition
 /// windows and disk-lag stragglers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CrashRestart {
     /// The shim node that crashes.
     pub node: NodeId,
@@ -101,7 +100,7 @@ impl CrashRestart {
 }
 
 /// How a spawned executor behaves.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecutorBehavior {
     /// Follows the protocol.
     #[default]

@@ -10,11 +10,10 @@ use sbft_crypto::{CommitCertificate, U64Hasher};
 use sbft_types::{
     Batch, BatchId, Digest, ExecutorId, NodeId, SeqNum, ShardPlan, Signature, TxnResult, ViewNumber,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The `EXECUTE` message handed to a spawned executor.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ExecuteRequest {
     /// View in which the batch committed.
     pub view: ViewNumber,
@@ -40,7 +39,7 @@ pub struct ExecuteRequest {
 }
 
 /// The `VERIFY` message an executor sends to the verifier after execution.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct VerifyMessage {
     /// The executor that produced this result.
     pub executor: ExecutorId,

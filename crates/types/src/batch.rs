@@ -26,14 +26,13 @@
 use crate::digest::Digest;
 use crate::ids::TxnId;
 use crate::transaction::Transaction;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of a batch: the identifier of its first transaction plus the
 /// number of transactions. Honest components derive identical identifiers
 /// for identical batches.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BatchId {
     /// Identifier of the first transaction in the batch.
     pub first: TxnId,
@@ -42,7 +41,7 @@ pub struct BatchId {
 }
 
 /// An ordered batch of client transactions, shared by reference count.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Batch {
     /// The transactions, in the order chosen by the batching front-end.
     txns: Arc<[Transaction]>,

@@ -9,10 +9,9 @@
 use crate::error::{SbftError, SbftResult};
 use crate::region::RegionSet;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Fault-tolerance parameters for the shim and the serverless executors.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FaultParams {
     /// Number of shim (edge) nodes `n_R`.
     pub n_r: usize,
@@ -125,7 +124,7 @@ impl FaultParams {
 }
 
 /// Protocol timers (Section V-A). All durations are virtual time.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct TimerConfig {
     /// Client timer `τ_m`: started before sending a request to the primary,
     /// stopped on receiving the verifier's `RESPONSE`.
@@ -167,7 +166,7 @@ impl Default for TimerConfig {
 /// Configuration of the durability subsystem (`sbft-durability`): the
 /// write-ahead log each shim replica appends to and the featherweight
 /// snapshot rhythm that truncates it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DurabilityConfig {
     /// Whether shim replicas keep a write-ahead log at all. Off by
     /// default: the paper's replicas are purely in-memory, and the WAL
@@ -217,7 +216,7 @@ impl DurabilityConfig {
 }
 
 /// Who spawns serverless executors after a request commits (Section VI-B).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SpawningMode {
     /// Only the primary of the current view spawns executors (default).
     PrimaryOnly,
@@ -227,7 +226,7 @@ pub enum SpawningMode {
 }
 
 /// How transactional conflicts are handled (Section VI).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConflictHandling {
     /// Workload is non-conflicting; the verifier skips read-set validation.
     NonConflicting,
@@ -240,7 +239,7 @@ pub enum ConflictHandling {
 }
 
 /// Configuration of the sharded execution subsystem.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ShardingConfig {
     /// Number of execution shards the key space is partitioned into.
     pub num_shards: usize,
@@ -344,7 +343,7 @@ impl ShardingConfig {
 
 /// Workload parameters shared by the harnesses (full generators live in
 /// `sbft-workloads`).
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct WorkloadConfig {
     /// Number of records in the YCSB store (600 k in the paper).
     pub num_records: u64,
@@ -378,7 +377,7 @@ impl Default for WorkloadConfig {
 }
 
 /// Full configuration of a serverless-edge deployment.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SystemConfig {
     /// Fault-tolerance parameters.
     pub fault: FaultParams,

@@ -5,14 +5,13 @@
 //! only defines the plain data containers so the message types can be
 //! defined without a dependency cycle.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Length in bytes of a collision-resistant digest `H(v)` (SHA-256).
 const DIGEST_LEN: usize = 32;
 
 /// A constant-size digest `Δ = H(m)` of a message or batch.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Digest(pub [u8; DIGEST_LEN]);
 
 /// A digital signature `⟨m⟩_R` produced with a component's private key.
@@ -22,47 +21,8 @@ pub struct Digest(pub [u8; DIGEST_LEN]);
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature(pub [u8; 64]);
 
-impl Serialize for Signature {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(&self.0)
-    }
-}
-
-impl<'de> Deserialize<'de> for Signature {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct SigVisitor;
-        impl<'de> serde::de::Visitor<'de> for SigVisitor {
-            type Value = Signature;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("64 signature bytes")
-            }
-            fn visit_bytes<E: serde::de::Error>(self, v: &[u8]) -> Result<Signature, E> {
-                if v.len() != 64 {
-                    return Err(E::invalid_length(v.len(), &self));
-                }
-                let mut out = [0u8; 64];
-                out.copy_from_slice(v);
-                Ok(Signature(out))
-            }
-            fn visit_seq<A: serde::de::SeqAccess<'de>>(
-                self,
-                mut seq: A,
-            ) -> Result<Signature, A::Error> {
-                let mut out = [0u8; 64];
-                for (i, byte) in out.iter_mut().enumerate() {
-                    *byte = seq
-                        .next_element()?
-                        .ok_or_else(|| serde::de::Error::invalid_length(i, &self))?;
-                }
-                Ok(Signature(out))
-            }
-        }
-        deserializer.deserialize_bytes(SigVisitor)
-    }
-}
-
 /// A message authentication code tag computed with a shared secret key.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MacTag(pub [u8; 32]);
 
 impl Digest {

@@ -1,6 +1,5 @@
 //! The common error type used across the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Convenience result alias.
@@ -12,7 +11,7 @@ pub type SbftResult<T> = Result<T, SbftError>;
 /// is *not* an error: state machines handle it as part of their transition
 /// logic. `SbftError` covers programming and configuration mistakes plus
 /// malformed inputs that well-formedness checks reject.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SbftError {
     /// A configuration violated an invariant (e.g. `n_R < 3f_R + 1`).
     InvalidConfig(String),

@@ -5,25 +5,24 @@
 //! clients, the verifier and the storage so that the simulator and the
 //! thread runtime can address every component uniformly.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a shim (edge) node `R ∈ R`.
 ///
 /// Shim nodes are numbered `0, 1, 2, …, n_R - 1`; the node with identifier
 /// `v mod n_R` is the primary of view `v` (Section IV-B).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a client `C ∈ C` (an edge application user, e.g. a UAV).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
 
 /// Identifier of a serverless executor `E ∈ E`.
 ///
 /// Executors are fleeting: a fresh identifier is minted for every spawned
 /// function instance, so the space is `u64`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ExecutorId(pub u64);
 
 /// Identifier of one execution shard of the sharded commit path.
@@ -33,7 +32,7 @@ pub struct ExecutorId(pub u64);
 /// ordering-time plan tag ([`crate::ShardPlan`]) can travel through the
 /// consensus messages without the consensus crate depending on the
 /// sharding engine.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ShardId(pub u32);
 
 impl ShardId {
@@ -53,20 +52,16 @@ impl ShardId {
 }
 
 /// A PBFT view number. The primary of view `v` is node `v mod n_R`.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize, Debug,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct ViewNumber(pub u64);
 
 /// A sequence number assigned by the shim primary to a client batch.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize, Debug,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct SeqNum(pub u64);
 
 /// Identifier of a client transaction: the issuing client plus a
 /// client-local monotonically increasing counter.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId {
     /// The client that issued the transaction.
     pub client: ClientId,
@@ -75,7 +70,7 @@ pub struct TxnId {
 }
 
 /// Address of any component in the architecture `A = {C, R, E, S, V}`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ComponentId {
     /// A client (edge application user).
     Client(ClientId),

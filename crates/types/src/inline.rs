@@ -13,7 +13,6 @@
 //!   [`ShardSet::CAPACITY`] shards.
 
 use crate::ids::ShardId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -23,12 +22,12 @@ use std::ops::{Deref, DerefMut};
 /// build). Reads go through the slice it dereferences to; equality,
 /// ordering of elements and `Debug` output are those of the slice,
 /// whichever side of the spill a value is on.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct InlineVec<T, const N: usize> {
     repr: Repr<T, N>,
 }
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 enum Repr<T, const N: usize> {
     /// `items[..len]` are the elements; the rest is filler.
     Inline {
@@ -165,7 +164,7 @@ impl<'a, T, const N: usize> IntoIterator for &'a mut InlineVec<T, N> {
 }
 
 /// A set of [`ShardId`]s below [`ShardSet::CAPACITY`], as a bit mask.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ShardSet(u64);
 
 impl ShardSet {

@@ -22,7 +22,7 @@
 //!   keep the per-transaction path off the heap,
 //! * [`error`] — the common error type.
 //!
-//! Keeping these types dependency-free (except `serde`) lets the protocol
+//! Keeping these types dependency-free lets the protocol
 //! state machines, the discrete-event simulator and the thread runtime all
 //! speak the same language without cyclic dependencies.
 

@@ -22,11 +22,10 @@
 //! corrupt state or break the equivalence with unrouted execution.
 
 use crate::ids::ShardId;
-use serde::{Deserialize, Serialize};
 
 /// The ordering-time classification of a batch (or one transaction)
 /// against the shard map.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ShardPlan {
     /// No plan was computed at ordering time: unknown read-write sets,
     /// a deployment without ordering lanes, or a batch that touches no

@@ -7,11 +7,10 @@
 //! down the list have a larger round-trip time to the verifier.
 
 use crate::ids::ShardId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the eleven cloud regions of the evaluation setup.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 #[allow(missing_docs)]
 pub enum Region {
     NorthCalifornia,
@@ -28,7 +27,7 @@ pub enum Region {
 }
 
 /// An ordered set of regions used for a particular experiment.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RegionSet {
     regions: Vec<Region>,
 }
@@ -152,7 +151,7 @@ impl RegionSet {
 /// geo analogue of [`crate::ShardPlan`]'s trust-but-verify rule: because
 /// everyone can re-derive the map, no component ever has to believe
 /// another's claim about where a shard lives.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RegionPartition {
     regions: RegionSet,
     num_shards: usize,

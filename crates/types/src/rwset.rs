@@ -7,18 +7,17 @@
 //! the storage engine, the executors and the verifier.
 
 use crate::inline::InlineVec;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A key in the on-premise data-store (YCSB keys are dense integers).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Key(pub u64);
 
 /// A value stored under a key. YCSB values are opaque byte strings; we keep
 /// them small (8 bytes) and carry a logical length so that wire-size
 /// accounting can still model the paper's 1 KiB records.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Value {
     /// The (compressed) value payload used for correctness checks.
     pub data: u64,
@@ -27,15 +26,13 @@ pub struct Value {
 }
 
 /// A monotonically increasing per-key version number maintained by storage.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize, Debug,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct Version(pub u64);
 
 /// The set of keys a transaction declares it will read and write
 /// (only available when read-write sets are *known* in advance,
 /// Section VI-C).
-#[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize, Debug)]
+#[derive(Clone, PartialEq, Eq, Default, Debug)]
 pub struct RwSetKeys {
     /// Keys that will be read.
     pub read_keys: BTreeSet<Key>,
@@ -52,7 +49,7 @@ pub const INLINE_ACCESSES: usize = 2;
 /// execution: the versions it read and the values it intends to write.
 /// Both lists read as slices; the first [`INLINE_ACCESSES`] entries of
 /// each live in the set itself.
-#[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize, Debug)]
+#[derive(Clone, PartialEq, Eq, Default, Debug)]
 pub struct ReadWriteSet {
     /// Keys read together with the version observed at read time.
     pub reads: InlineVec<(Key, Version), INLINE_ACCESSES>,

@@ -31,13 +31,12 @@ use crate::digest::Digest;
 use crate::ids::TxnId;
 use crate::rwset::{Key, ReadWriteSet, RwSetKeys, Value};
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 /// A single key-value operation inside a transaction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Operation {
     /// Read the current value of a key.
     Read(Key),
@@ -67,12 +66,12 @@ impl Operation {
 
 /// A client transaction: a shared handle on its [`TransactionBody`].
 /// Cloning bumps a reference count; the fields read through `Deref`.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Transaction(Arc<TransactionBody>);
 
 /// The contents of a [`Transaction`], shared by all of its clones and
 /// immutable once shared (the `with_*` builders copy on write).
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct TransactionBody {
     /// The transaction identifier (client + client-local counter). An
     /// input of the memoized signing digest, like `ops`.
@@ -131,7 +130,7 @@ impl fmt::Debug for Transaction {
 }
 
 /// The outcome of executing or attempting to execute a transaction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TxnOutcome {
     /// The transaction executed and its writes were applied by the verifier.
     Committed,
@@ -142,7 +141,7 @@ pub enum TxnOutcome {
 
 /// The result of executing a transaction, as computed by an executor and
 /// reported to the verifier inside a `VERIFY` message.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TxnResult {
     /// Which transaction this result belongs to.
     pub txn: TxnId,

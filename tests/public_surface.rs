@@ -20,6 +20,11 @@
 //! The match is by name, not by path, so an unused `len` hides behind
 //! every other `len`; what it cannot miss is a module, type or
 //! distinctly named method left without a caller.
+//!
+//! The same question one level up: every `[workspace.dependencies]` entry
+//! and every crate vendored under `vendor/` is a dependency of some
+//! workspace member. A stub nobody depends on any more still builds, so
+//! nothing else would say it can go.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -188,6 +193,7 @@ fn every_pub_item_is_used_outside_its_own_file() {
         }
     }
 
+    println!("{declared} pub items under {DECLARED_UNDER}/*/src");
     assert!(declared > 500, "the sweep saw only {declared} pub items");
     assert!(
         unused.is_empty(),
@@ -202,4 +208,54 @@ fn every_pub_item_is_used_outside_its_own_file() {
             "`{name}` no longer needs its exemption ({reason})"
         );
     }
+}
+
+/// The keys of the `[table]` sections of a manifest whose header is one
+/// of `tables`.
+fn manifest_keys<'a>(manifest: &'a str, tables: &[&str]) -> Vec<&'a str> {
+    let mut inside = false;
+    let mut keys = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            inside = tables.contains(&line);
+        } else if inside && !line.starts_with('#') {
+            if let Some((key, _)) = line.split_once('=') {
+                keys.push(key.trim());
+            }
+        }
+    }
+    keys
+}
+
+#[test]
+fn every_workspace_dependency_and_vendored_crate_has_a_user() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: PathBuf| fs::read_to_string(&path).expect("a readable manifest");
+    let workspace = read(root.join("Cargo.toml"));
+    let members: Vec<String> = fs::read_dir(root.join("crates"))
+        .expect("the crates directory")
+        .map(|entry| read(entry.expect("a directory entry").path().join("Cargo.toml")))
+        .collect();
+    let used: HashSet<&str> = members
+        .iter()
+        .chain([&workspace])
+        .flat_map(|manifest| manifest_keys(manifest, &["[dependencies]", "[dev-dependencies]"]))
+        .collect();
+
+    let declared = manifest_keys(&workspace, &["[workspace.dependencies]"]);
+    assert!(declared.len() > 10, "only {declared:?} found");
+    let vendored: Vec<String> = fs::read_dir(root.join("vendor"))
+        .expect("the vendor directory")
+        .map(|entry| entry.expect("a directory entry").file_name())
+        .map(|name| name.into_string().expect("a UTF-8 crate name"))
+        .collect();
+    let unused: Vec<&str> = declared
+        .into_iter()
+        .chain(vendored.iter().map(String::as_str))
+        .filter(|name| !used.contains(name))
+        .collect();
+    assert!(
+        unused.is_empty(),
+        "no member manifest depends on {unused:?} — delete the workspace entry and the vendored crate"
+    );
 }
