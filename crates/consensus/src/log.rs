@@ -187,12 +187,6 @@ impl ConsensusLog {
             .collect()
     }
 
-    /// Highest sequence number with any record in the log.
-    #[must_use]
-    pub fn max_seq(&self) -> SeqNum {
-        self.entries.keys().next_back().copied().unwrap_or_default()
-    }
-
     /// Highest committed sequence number.
     #[must_use]
     pub fn max_committed(&self) -> SeqNum {
@@ -221,12 +215,6 @@ impl ConsensusLog {
     pub fn collect_below(&mut self, seq: SeqNum) {
         self.stable_seq = self.stable_seq.max(seq);
         self.entries.retain(|s, _| *s > seq);
-    }
-
-    /// Number of live entries (for tests and memory accounting).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// Whether the log holds no live entries.
@@ -393,9 +381,7 @@ mod tests {
             );
             log.entry_mut(SeqNum(s)).committed = true;
         }
-        assert_eq!(log.len(), 10);
         log.collect_below(SeqNum(7));
-        assert_eq!(log.len(), 3);
         assert_eq!(log.stable_seq(), SeqNum(7));
         assert!(log.entry(SeqNum(7)).is_none());
         assert!(log.entry(SeqNum(8)).is_some());
@@ -412,14 +398,5 @@ mod tests {
         log.collect_below(SeqNum(3));
         // Gaps below the stable checkpoint no longer count as missing.
         assert_eq!(log.missing_up_to(SeqNum(6)), vec![SeqNum(5)]);
-    }
-
-    #[test]
-    fn max_seq_tracks_highest_entry() {
-        let mut log = ConsensusLog::new();
-        assert_eq!(log.max_seq(), SeqNum(0));
-        log.entry_mut(SeqNum(5));
-        log.entry_mut(SeqNum(3));
-        assert_eq!(log.max_seq(), SeqNum(5));
     }
 }

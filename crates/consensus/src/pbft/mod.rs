@@ -212,12 +212,6 @@ impl PbftReplica {
         self
     }
 
-    /// The fault parameters this replica was configured with.
-    #[must_use]
-    pub fn params(&self) -> &FaultParams {
-        &self.params
-    }
-
     fn quorum(&self) -> usize {
         self.params.shim_quorum()
     }

@@ -15,6 +15,10 @@ use sbft_types::{
     ClientId, ComponentId, InlineVec, NodeId, SimDuration, Transaction, TxnId, TxnOutcome,
 };
 
+/// Factor the client timer grows by on every re-transmission to the
+/// verifier (exponential back-off).
+const BACKOFF_FACTOR: f64 = 2.0;
+
 /// State of one outstanding request.
 #[derive(Clone, Debug, Default)]
 struct Outstanding {
@@ -36,7 +40,6 @@ pub struct ClientRole {
     crypto: CryptoHandle,
     primary: NodeId,
     base_timeout: SimDuration,
-    backoff_factor: f64,
     /// Requests awaiting a response, searched by id. A closed-loop client
     /// has one, which lives in the role itself: no heap block per client.
     outstanding: InlineVec<Outstanding, 1>,
@@ -52,15 +55,12 @@ impl ClientRole {
         crypto: CryptoHandle,
         primary: NodeId,
         base_timeout: SimDuration,
-        backoff_factor: f64,
     ) -> Self {
-        assert!(backoff_factor >= 1.0, "back-off must not shrink timeouts");
         ClientRole {
             id,
             crypto,
             primary,
             base_timeout,
-            backoff_factor,
             outstanding: InlineVec::new(),
             completed: 0,
             aborted: 0,
@@ -189,7 +189,7 @@ impl ClientRole {
         };
         let entry = &mut self.outstanding[at];
         entry.retries += 1;
-        entry.current_timeout = entry.current_timeout.mul_f64(self.backoff_factor);
+        entry.current_timeout = entry.current_timeout.mul_f64(BACKOFF_FACTOR);
         let digest = ClientRequest::signing_digest(entry.txn());
         let request = ClientRequest {
             txn: entry.txn().clone(),
@@ -224,7 +224,6 @@ mod tests {
             provider.handle(ComponentId::Client(ClientId(7))),
             NodeId(0),
             SimDuration::from_millis(100),
-            2.0,
         )
     }
 

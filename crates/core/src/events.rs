@@ -132,6 +132,33 @@ pub enum RecoverySubject {
     Txn(TxnId),
 }
 
+/// The digest a recovery marker (`label`: `error`, `replace` or `ack`)
+/// about `subject` is signed over. `request` is the signing digest of the
+/// request an `ERROR(⟨T⟩_C)` carries, so the request cannot be swapped
+/// under the verifier's signature either.
+fn marker_digest(
+    label: &str,
+    subject: RecoverySubject,
+    request: Option<sbft_types::Digest>,
+) -> sbft_types::Digest {
+    let mut h = sbft_crypto::U64Hasher::new(label);
+    match subject {
+        RecoverySubject::Seq(seq) => {
+            h.push(0);
+            h.push(seq.0);
+        }
+        RecoverySubject::Txn(txn) => {
+            h.push(1);
+            h.push(u64::from(txn.client.0));
+            h.push(txn.counter);
+        }
+    }
+    if let Some(request) = request {
+        h.push_digest(&request);
+    }
+    h.finish()
+}
+
 /// `ERROR` broadcast by the verifier to the shim nodes (Figure 4).
 #[derive(Clone, PartialEq, Debug)]
 pub struct ErrorMessage {
@@ -147,6 +174,35 @@ pub struct ErrorMessage {
     pub signature: Signature,
 }
 
+impl ErrorMessage {
+    /// The `ERROR` about `subject`, signed by `signer` (the verifier).
+    #[must_use]
+    pub fn signed(
+        subject: RecoverySubject,
+        request: Option<Box<ClientRequest>>,
+        signer: &sbft_crypto::CryptoHandle,
+    ) -> Self {
+        let mut error = ErrorMessage {
+            subject,
+            request,
+            signature: Signature::ZERO,
+        };
+        error.signature = signer.sign(&error.signing_digest());
+        error
+    }
+
+    /// The digest the verifier signs and a node checks: the subject and
+    /// the carried request.
+    #[must_use]
+    pub fn signing_digest(&self) -> sbft_types::Digest {
+        let request = self
+            .request
+            .as_ref()
+            .map(|r| ClientRequest::signing_digest(&r.txn));
+        marker_digest("error", self.subject, request)
+    }
+}
+
 /// `REPLACE` broadcast by the verifier: the primary is provably misbehaving
 /// and must be replaced.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -157,6 +213,25 @@ pub struct ReplaceMessage {
     pub signature: Signature,
 }
 
+impl ReplaceMessage {
+    /// The `REPLACE` about `subject`, signed by `signer` (the verifier).
+    #[must_use]
+    pub fn signed(subject: RecoverySubject, signer: &sbft_crypto::CryptoHandle) -> Self {
+        let mut replace = ReplaceMessage {
+            subject,
+            signature: Signature::ZERO,
+        };
+        replace.signature = signer.sign(&replace.signing_digest());
+        replace
+    }
+
+    /// The digest the verifier signs and a node checks: the subject.
+    #[must_use]
+    pub fn signing_digest(&self) -> sbft_types::Digest {
+        marker_digest("replace", self.subject, None)
+    }
+}
+
 /// `ACK` broadcast by the verifier once the previously reported subject has
 /// been validated, releasing the nodes' re-transmission timers `Υ`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -165,6 +240,25 @@ pub struct AckMessage {
     pub subject: RecoverySubject,
     /// The verifier's signature.
     pub signature: Signature,
+}
+
+impl AckMessage {
+    /// The `ACK` for `subject`, signed by `signer` (the verifier).
+    #[must_use]
+    pub fn signed(subject: RecoverySubject, signer: &sbft_crypto::CryptoHandle) -> Self {
+        let mut ack = AckMessage {
+            subject,
+            signature: Signature::ZERO,
+        };
+        ack.signature = signer.sign(&ack.signing_digest());
+        ack
+    }
+
+    /// The digest the verifier signs and a node checks: the subject.
+    #[must_use]
+    pub fn signing_digest(&self) -> sbft_types::Digest {
+        marker_digest("ack", self.subject, None)
+    }
 }
 
 /// `ABORT(T)` from the verifier to a client (Section VI-B).

@@ -762,6 +762,8 @@ impl ShimNode {
     /// locally and a probation timer is started; when it fires the region
     /// is marked back up (and re-probed by the next placement there).
     pub fn on_spawn_rejected(&mut self, region: sbft_types::Region) -> Vec<Action> {
+        /// How long a region stays marked down before it is tried again.
+        const REGION_PROBATION: SimDuration = SimDuration::from_millis(200);
         if self.invoker.is_region_down(region) {
             return Vec::new();
         }
@@ -769,7 +771,7 @@ impl ShimNode {
         self.region_outages_detected.inc();
         vec![Action::StartTimer {
             timer: ProtocolTimer::RegionProbation(region),
-            duration: self.config.timers.region_probation,
+            duration: REGION_PROBATION,
         }]
     }
 
@@ -931,9 +933,13 @@ impl ShimNode {
 
     /// Like [`Self::on_message`] but with the current time, needed when the
     /// message may cause the primary to batch a carried client request.
+    /// An `ERROR`, `REPLACE` or `ACK` counts only under the verifier's
+    /// signature over its subject; anything else is dropped unanswered.
     pub fn on_message_at(&mut self, msg: &ProtocolMessage, now: SimTime) -> Vec<Action> {
         match msg {
-            ProtocolMessage::Error(err) => {
+            ProtocolMessage::Error(err)
+                if self.verifier_signed(err.signing_digest(), err.signature) =>
+            {
                 if self.is_primary() {
                     // The onus is on the primary to resolve the ERROR: order
                     // the carried request (missing transaction case) or
@@ -954,8 +960,8 @@ impl ShimNode {
                         _ => Vec::new(),
                     };
                 }
-                // Start the re-transmission timer Υ and forward the ERROR to
-                // the primary.
+                // Start the re-transmission timer Υ and forward the ERROR,
+                // unchanged, to the primary.
                 self.retransmit_view.insert(err.subject, self.view());
                 vec![
                     Action::StartTimer {
@@ -969,16 +975,30 @@ impl ShimNode {
                     ),
                 ]
             }
-            ProtocolMessage::Ack(ack) => {
+            ProtocolMessage::Ack(ack)
+                if self.verifier_signed(ack.signing_digest(), ack.signature) =>
+            {
                 vec![Action::CancelTimer(ProtocolTimer::Retransmit(ack.subject))]
             }
-            ProtocolMessage::Replace(_) => {
+            ProtocolMessage::Replace(replace)
+                if self.verifier_signed(replace.signing_digest(), replace.signature) =>
+            {
                 let actions = self.ordering.request_view_change();
                 self.translate(actions)
             }
             ProtocolMessage::BatchValidated(validated) => self.on_batch_validated(*validated),
             _ => Vec::new(),
         }
+    }
+
+    /// Whether `signature` is the verifier's over `digest`.
+    fn verifier_signed(
+        &self,
+        digest: sbft_types::Digest,
+        signature: sbft_types::Signature,
+    ) -> bool {
+        self.crypto
+            .verify(ComponentId::Verifier, &digest, &signature)
     }
 
     /// Re-spawns executors for a batch this node committed but whose
@@ -1140,7 +1160,7 @@ impl ShimNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{envelopes, ErrorMessage, ReplaceMessage};
+    use crate::events::{envelopes, AckMessage, ErrorMessage, ReplaceMessage};
     use sbft_consensus::{CftReplica, NoShim};
     use sbft_crypto::CryptoProvider;
     use sbft_types::{ClientId, Key, Operation, Signature, Transaction, TxnId};
@@ -1957,14 +1977,19 @@ mod tests {
         }
     }
 
+    /// The verifier's signing handle in `shim`'s deployment.
+    fn verifier(shim: &Shim) -> CryptoHandle {
+        shim.provider.handle(ComponentId::Verifier)
+    }
+
     #[test]
     fn error_from_verifier_starts_retransmit_timer_and_forwards() {
         let mut shim = make_shim(base_config());
-        let err = ProtocolMessage::Error(ErrorMessage {
-            subject: RecoverySubject::Seq(SeqNum(3)),
-            request: None,
-            signature: Signature::ZERO,
-        });
+        let err = ProtocolMessage::Error(ErrorMessage::signed(
+            RecoverySubject::Seq(SeqNum(3)),
+            None,
+            &verifier(&shim),
+        ));
         let actions = shim.nodes[2].on_message(&err);
         assert!(actions.iter().any(|a| matches!(
             a,
@@ -1980,10 +2005,10 @@ mod tests {
             "forwarded to the primary"
         );
         // The matching ACK cancels the timer.
-        let ack = ProtocolMessage::Ack(crate::events::AckMessage {
-            subject: RecoverySubject::Seq(SeqNum(3)),
-            signature: Signature::ZERO,
-        });
+        let ack = ProtocolMessage::Ack(AckMessage::signed(
+            RecoverySubject::Seq(SeqNum(3)),
+            &verifier(&shim),
+        ));
         let actions = shim.nodes[2].on_message(&ack);
         assert!(actions
             .iter()
@@ -1993,10 +2018,10 @@ mod tests {
     #[test]
     fn replace_from_verifier_triggers_view_change() {
         let mut shim = make_shim(base_config());
-        let replace = ProtocolMessage::Replace(ReplaceMessage {
-            subject: RecoverySubject::Seq(SeqNum(1)),
-            signature: Signature::ZERO,
-        });
+        let replace = ProtocolMessage::Replace(ReplaceMessage::signed(
+            RecoverySubject::Seq(SeqNum(1)),
+            &verifier(&shim),
+        ));
         let actions = shim.nodes[1].on_message(&replace);
         assert!(actions.iter().any(|a| a.sends_kind("VIEWCHANGE")));
     }
@@ -2005,11 +2030,11 @@ mod tests {
     fn retransmit_timer_expiry_triggers_view_change() {
         let mut shim = make_shim(base_config());
         // The verifier reported a missing request; Υ is armed in view 0.
-        let err = ProtocolMessage::Error(ErrorMessage {
-            subject: RecoverySubject::Seq(SeqNum(1)),
-            request: None,
-            signature: Signature::ZERO,
-        });
+        let err = ProtocolMessage::Error(ErrorMessage::signed(
+            RecoverySubject::Seq(SeqNum(1)),
+            None,
+            &verifier(&shim),
+        ));
         let _ = shim.nodes[1].on_message(&err);
         // The primary never resolved it before Υ expired: view change.
         let actions = shim.nodes[1].on_timer(
@@ -2022,17 +2047,18 @@ mod tests {
     #[test]
     fn retransmit_timer_is_forgiven_after_a_view_change() {
         let mut shim = make_shim(base_config());
-        let err = ProtocolMessage::Error(ErrorMessage {
-            subject: RecoverySubject::Seq(SeqNum(1)),
-            request: None,
-            signature: Signature::ZERO,
-        });
+        let err = ProtocolMessage::Error(ErrorMessage::signed(
+            RecoverySubject::Seq(SeqNum(1)),
+            None,
+            &verifier(&shim),
+        ));
         let _ = shim.nodes[1].on_message(&err);
         // The primary is replaced before Υ expires (for another reason).
-        let _ = shim.nodes[1].on_message(&ProtocolMessage::Replace(ReplaceMessage {
-            subject: RecoverySubject::Seq(SeqNum(1)),
-            signature: Signature::ZERO,
-        }));
+        let replace = ProtocolMessage::Replace(ReplaceMessage::signed(
+            RecoverySubject::Seq(SeqNum(1)),
+            &verifier(&shim),
+        ));
+        let _ = shim.nodes[1].on_message(&replace);
         // Υ now fires, but the view already moved on: no further escalation.
         // (The node's own view only advances once a quorum exists, so fake
         // the comparison by checking that no VIEWCHANGE for view 2 is sent.)
@@ -2052,6 +2078,89 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_replace_without_the_verifiers_signature_on_its_subject_changes_no_view() {
+        let mut shim = make_shim(base_config());
+        let unsigned = ReplaceMessage {
+            subject: RecoverySubject::Seq(SeqNum(1)),
+            signature: Signature::ZERO,
+        };
+        let mut moved = ReplaceMessage::signed(RecoverySubject::Seq(SeqNum(2)), &verifier(&shim));
+        moved.subject = RecoverySubject::Seq(SeqNum(1));
+        let by_a_node = ReplaceMessage::signed(
+            RecoverySubject::Seq(SeqNum(1)),
+            &shim.provider.handle(ComponentId::Node(NodeId(2))),
+        );
+        for forged in [unsigned, moved, by_a_node] {
+            let actions = shim.nodes[1].on_message(&ProtocolMessage::Replace(forged));
+            assert!(actions.is_empty(), "{forged:?} acted on: {actions:?}");
+        }
+        // The verifier's own REPLACE still replaces the primary.
+        let genuine = ReplaceMessage::signed(RecoverySubject::Seq(SeqNum(1)), &verifier(&shim));
+        let actions = shim.nodes[1].on_message(&ProtocolMessage::Replace(genuine));
+        assert!(actions.iter().any(|a| a.sends_kind("VIEWCHANGE")));
+    }
+
+    #[test]
+    fn an_ack_signed_for_another_subject_leaves_the_retransmit_timer_armed() {
+        let mut shim = make_shim(base_config());
+        let (a, b) = (
+            RecoverySubject::Seq(SeqNum(1)),
+            RecoverySubject::Txn(TxnId::new(ClientId(4), 9)),
+        );
+        let err = ErrorMessage::signed(b, None, &verifier(&shim));
+        let _ = shim.nodes[2].on_message(&ProtocolMessage::Error(err));
+        let mut replayed = AckMessage::signed(a, &verifier(&shim));
+        replayed.subject = b;
+        assert!(shim.nodes[2]
+            .on_message(&ProtocolMessage::Ack(replayed))
+            .is_empty());
+        // Υ for b is still armed: its expiry escalates.
+        let actions = shim.nodes[2].on_timer(ProtocolTimer::Retransmit(b), SimTime::ZERO);
+        assert!(actions.iter().any(|a| a.sends_kind("VIEWCHANGE")));
+    }
+
+    #[test]
+    fn a_forged_error_arms_nothing_and_moves_no_primary() {
+        let mut shim = make_shim(base_config());
+        let provider = Arc::clone(&shim.provider);
+        let verifier = verifier(&shim);
+        // Sequence 1 commits and its executors are spawned.
+        let _ = shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
+        let a1 = shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
+        let _ = run_consensus(&mut shim, 0, a1);
+        // ERROR(k_max = 1) signed for another sequence number, and
+        // ERROR(⟨T⟩_C) whose carried request was swapped under the
+        // signature: two requests, enough to release a batch of two.
+        let mut moved = ErrorMessage::signed(RecoverySubject::Seq(SeqNum(5)), None, &verifier);
+        moved.subject = RecoverySubject::Seq(SeqNum(1));
+        let swapped = |client: u32| {
+            let mut err = ErrorMessage::signed(
+                RecoverySubject::Txn(TxnId::new(ClientId(client), 0)),
+                Some(Box::new(signed_request(&provider, client, 0))),
+                &verifier,
+            );
+            err.request = Some(Box::new(signed_request(&provider, client + 10, 0)));
+            err
+        };
+        for forged in [moved, swapped(2), swapped(3)] {
+            let forged = ProtocolMessage::Error(forged);
+            for node in [0, 2] {
+                let actions = shim.nodes[node].on_message(&forged);
+                assert!(
+                    actions.is_empty(),
+                    "node {node} acted on {forged:?}: {actions:?}"
+                );
+            }
+        }
+        // The verifier's own ERROR(k_max) makes the primary re-spawn.
+        let genuine = ErrorMessage::signed(RecoverySubject::Seq(SeqNum(1)), None, &verifier);
+        let actions = shim.nodes[0].on_message(&ProtocolMessage::Error(genuine));
+        assert!(actions
+            .iter()
+            .any(|a| matches!(a, Action::SpawnExecutor { .. })));
     }
 
     #[test]

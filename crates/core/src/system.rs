@@ -17,7 +17,7 @@ use sbft_serverless::cloud::CloudFaultPlan;
 use sbft_serverless::{Executor, ExecutorBehavior, RegionOutage, ServerlessCloud};
 use sbft_storage::{StorageReader, VersionedStore, YcsbTable};
 use sbft_telemetry::Registry;
-use sbft_types::{ClientId, ComponentId, ExecutorId, NodeId, Region, SystemConfig};
+use sbft_types::{ClientId, ComponentId, ExecutorId, NodeId, Region, SimDuration, SystemConfig};
 use std::sync::Arc;
 
 /// Which ordering protocol the shim runs (Figure 7 baselines).
@@ -216,6 +216,9 @@ impl SystemBuilder {
             .collect();
 
         // Verifier.
+        /// Abort-detection timer: started on the first `VERIFY` message of
+        /// a batch whose transactions may conflict (Section VI-B).
+        const VERIFIER_ABORT_TIMEOUT: SimDuration = SimDuration::from_millis(800);
         let cert_quorum = match self.protocol {
             ShimProtocol::Pbft => self.config.fault.shim_quorum(),
             _ => 0,
@@ -226,7 +229,7 @@ impl SystemBuilder {
             VerifierConfig {
                 params: self.config.fault,
                 conflict_handling: self.config.conflict_handling,
-                abort_timeout: self.config.timers.verifier_abort_timeout,
+                abort_timeout: VERIFIER_ABORT_TIMEOUT,
                 cert_quorum,
                 spawned_per_batch: self.config.spawned_per_batch(),
                 sharding: self.config.sharding,
@@ -243,7 +246,6 @@ impl SystemBuilder {
                     provider.handle(ComponentId::Client(ClientId(i))),
                     primary,
                     self.config.timers.client_timeout,
-                    self.config.timers.client_backoff_factor,
                 )
             })
             .collect();

@@ -25,7 +25,7 @@ use crate::events::{
 };
 use sbft_crypto::CryptoHandle;
 use sbft_serverless::VerifyMessage;
-use sbft_sharding::{CommitOutcome, ShardId, ShardScheduler, ShardSet, ShardedCommitter};
+use sbft_sharding::{ShardId, ShardSet, ShardedCommitter};
 use sbft_storage::VersionedStore;
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
@@ -95,13 +95,7 @@ pub struct VerifierConfig {
 pub struct Verifier {
     crypto: CryptoHandle,
     /// The sharded commit path replacing the single global `ccheck`.
-    /// `Arc`-held so a worker pool can drive the same engine.
-    committer: Arc<ShardedCommitter>,
-    /// When attached (thread runtime), matched batches apply through this
-    /// worker pool with real multi-core parallelism instead of
-    /// synchronously on the verifier's thread; `None` keeps the
-    /// deterministic synchronous path (simulator, tests).
-    apply_pool: Option<ShardScheduler>,
+    committer: ShardedCommitter,
     config: VerifierConfig,
 
     /// Sequence number of the next request to be validated.
@@ -133,8 +127,6 @@ pub struct Verifier {
     /// digests matched (the Section VI-B divergence rule, both the
     /// count-triggered and the timer-triggered form).
     divergent_aborts: Counter,
-    /// Transactions applied through the attached worker pool.
-    pool_applied_txns: Counter,
     /// Batches applied through the verified ordering-time fast path (a
     /// `SingleHome` plan tag that survived re-derivation).
     planned_batches: Counter,
@@ -152,11 +144,10 @@ impl Verifier {
     /// Creates the verifier.
     #[must_use]
     pub fn new(crypto: CryptoHandle, store: Arc<VersionedStore>, config: VerifierConfig) -> Self {
-        let committer = Arc::new(ShardedCommitter::new(store, &config.sharding));
+        let committer = ShardedCommitter::new(store, &config.sharding);
         Verifier {
             crypto,
             committer,
-            apply_pool: None,
             config,
             kmax: SeqNum(1),
             pending: BTreeMap::new(),
@@ -168,7 +159,6 @@ impl Verifier {
             ignored_verifies: Counter::new(),
             validated_batches: Counter::new(),
             divergent_aborts: Counter::new(),
-            pool_applied_txns: Counter::new(),
             planned_batches: Counter::new(),
             plan_mismatches: Counter::new(),
             single_home_batches: Counter::new(),
@@ -183,46 +173,15 @@ impl Verifier {
         self.ignored_verifies = registry.counter("verifier.ignored_verifies");
         self.validated_batches = registry.counter("verifier.validated_batches");
         self.divergent_aborts = registry.counter("verifier.divergent_aborts");
-        self.pool_applied_txns = registry.counter("verifier.pool_applied_txns");
         self.planned_batches = registry.counter("verifier.planned_batches");
         self.plan_mismatches = registry.counter("verifier.plan_mismatches");
         self.single_home_batches = registry.counter("verifier.single_home_batches");
-    }
-
-    /// The attached apply pool, when one is active (the runtime registers
-    /// its metrics after attaching it).
-    #[must_use]
-    pub fn apply_pool(&self) -> Option<&ShardScheduler> {
-        self.apply_pool.as_ref()
-    }
-
-    /// Attaches a [`ShardScheduler`] worker pool as the apply stage:
-    /// matched batches are handed to the pool in one shared allocation
-    /// and applied with real multi-core parallelism; the verifier blocks
-    /// for the batch's per-transaction outcomes before answering clients,
-    /// and `k_max`-ordered submission plus per-shard FIFO draining
-    /// preserve per-shard commit order. Used by the thread runtime
-    /// (`sbft-runtime`); the discrete-event simulator keeps the
-    /// synchronous path.
-    pub fn attach_apply_pool(&mut self, workers: usize) {
-        let validate_reads = self.validate_reads();
-        self.apply_pool = Some(ShardScheduler::new(
-            Arc::clone(&self.committer),
-            workers,
-            validate_reads,
-        ));
     }
 
     /// Sequence number of the next batch the verifier will validate.
     #[must_use]
     pub fn kmax(&self) -> SeqNum {
         self.kmax
-    }
-
-    /// The sharded commit engine (router, per-shard states and counters).
-    #[must_use]
-    pub fn committer(&self) -> &ShardedCommitter {
-        &self.committer
     }
 
     fn validate_reads(&self) -> bool {
@@ -234,10 +193,6 @@ impl Verifier {
 
     fn me(&self) -> ComponentId {
         ComponentId::Verifier
-    }
-
-    fn sign_marker(&self, label: &str, a: u64, b: u64) -> sbft_types::Signature {
-        self.crypto.sign(&sbft_crypto::digest_u64s(label, &[a, b]))
     }
 
     // ---- VERIFY handling ---------------------------------------------------
@@ -378,54 +333,6 @@ impl Verifier {
         self.gc_retry_maps();
     }
 
-    /// Whether the worker pool's per-home-shard FIFO ordering is exact
-    /// for this batch: true iff no key is shared — with at least one
-    /// writer — by transactions whose home shards differ. Transactions
-    /// with the same home shard are applied in batch order by a single
-    /// worker, and read-only sharing is order independent, so everything
-    /// else commutes.
-    fn pool_order_exact(results: &[sbft_types::TxnResult], routes: &[ShardSet]) -> bool {
-        /// Per-key summary: the first home shard that touched it, whether
-        /// any *other* home touched it since, and whether anyone wrote it.
-        struct Touch {
-            first_home: ShardId,
-            multi_home: bool,
-            any_write: bool,
-        }
-        let mut touched: IdMap<sbft_types::Key, Touch> = IdMap::default();
-        for (result, involved) in results.iter().zip(routes) {
-            let Some(home) = involved.first() else {
-                continue; // touches no data
-            };
-            let reads = result.rwset.reads.iter().map(|(key, _)| (*key, false));
-            let writes = result.rwset.writes.iter().map(|(key, _)| (*key, true));
-            for (key, writes_key) in reads.chain(writes) {
-                match touched.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut entry) => {
-                        let touch = entry.get_mut();
-                        let differs = touch.first_home != home;
-                        // Unsafe as soon as the key has (or now gains) a
-                        // writer while being touched by two distinct
-                        // homes — in either order.
-                        if (touch.any_write || writes_key) && (touch.multi_home || differs) {
-                            return false;
-                        }
-                        touch.multi_home |= differs;
-                        touch.any_write |= writes_key;
-                    }
-                    std::collections::hash_map::Entry::Vacant(entry) => {
-                        entry.insert(Touch {
-                            first_home: home,
-                            multi_home: false,
-                            any_write: writes_key,
-                        });
-                    }
-                }
-            }
-        }
-        true
-    }
-
     /// Truncates the client-retry table in the rhythm of the shim's
     /// featherweight checkpoints. Entries for batches at or below the
     /// previous checkpoint (one closed interval behind the latest one
@@ -488,11 +395,9 @@ impl Verifier {
     /// notification, ACKs. The batch is routed exactly once; the per-shard
     /// `ccheck` work is announced first (as [`Action::ShardCcheck`]) so
     /// CPU-modelling runtimes can charge it to the shard stations before
-    /// the responses leave, and the same routes then drive the apply —
-    /// on the [`Self::attach_apply_pool`]ed worker pool when its per-shard
-    /// FIFO order is exact for the batch, otherwise in batch order on the
-    /// caller. Both produce identical outcomes: the pool drives the very
-    /// same [`ShardedCommitter::commit_routed`].
+    /// the responses leave, and the same routes then drive the apply, in
+    /// batch order on the verifier's own thread through
+    /// [`ShardedCommitter::commit_routed`].
     fn apply_batch(&mut self, seq: SeqNum, matched: &VerifyMessage, actions: &mut Vec<Action>) {
         // One answer per transaction, the notice to the nodes and a few
         // shard slices: reserved once instead of grown push by push.
@@ -595,42 +500,15 @@ impl Verifier {
                 }
             }
         }
-        // The pool preserves commit order *within* a home shard (FIFO
-        // queues, one worker per shard at a time), which is exact for
-        // batches whose key overlaps all live on one home shard — every
-        // verified single-home batch, by construction. A batch where the
-        // same key is touched by transactions with different home shards
-        // would apply those transactions in nondeterministic relative
-        // order, so such (rare, cross-shard-conflicting) batches apply in
-        // batch order on this thread.
-        let pool = self.apply_pool.as_ref().filter(|_| {
-            verified_home.is_some() || Self::pool_order_exact(&matched.results, &routes)
-        });
-        let outcomes: Vec<CommitOutcome> = if let Some(pool) = pool {
-            // The VERIFY message's own result allocation and the routes
-            // above are shared with the pool (no read-write set is cloned,
-            // no key hashed again); this thread waits for the outcomes.
-            // Batches reach this point in k_max order, so per-shard commit
-            // order is submission order.
-            self.pool_applied_txns.add(matched.results.len() as u64);
-            pool.submit_routed(seq.0, Arc::clone(&matched.results), routes)
-                .wait()
-        } else {
-            let validate_reads = self.validate_reads();
-            matched
-                .results
-                .iter()
-                .zip(&routes)
-                .map(|(result, involved)| {
-                    self.committer
-                        .commit_routed(&result.rwset, validate_reads, *involved)
-                })
-                .collect()
-        };
+        let validate_reads = self.validate_reads();
         let mut committed = 0u32;
         let mut aborted = 0u32;
-        for (result, outcome) in matched.results.iter().zip(&outcomes) {
-            let answer = if outcome.is_applied() {
+        for (result, involved) in matched.results.iter().zip(&routes) {
+            let applied = self
+                .committer
+                .commit_routed(&result.rwset, validate_reads, *involved)
+                .is_applied();
+            let answer = if applied {
                 committed += 1;
                 self.committed_txns.inc();
                 Answer {
@@ -714,10 +592,7 @@ impl Verifier {
             out.push(Action::send(
                 self.me(),
                 Destination::AllNodes,
-                ProtocolMessage::Ack(AckMessage {
-                    subject,
-                    signature: self.sign_marker("ack", 0, 0),
-                }),
+                ProtocolMessage::Ack(AckMessage::signed(subject, &self.crypto)),
             ));
         }
     }
@@ -742,10 +617,7 @@ impl Verifier {
             return vec![Action::send(
                 self.me(),
                 Destination::AllNodes,
-                ProtocolMessage::Replace(ReplaceMessage {
-                    subject,
-                    signature: self.sign_marker("replace", seq.0, 0),
-                }),
+                ProtocolMessage::Replace(ReplaceMessage::signed(subject, &self.crypto)),
             )];
         }
         // Enough executors answered but their results conflict: the
@@ -794,11 +666,7 @@ impl Verifier {
                     vec![Action::send(
                         self.me(),
                         Destination::AllNodes,
-                        ProtocolMessage::Error(ErrorMessage {
-                            subject,
-                            request: None,
-                            signature: self.sign_marker("error", self.kmax.0, 0),
-                        }),
+                        ProtocolMessage::Error(ErrorMessage::signed(subject, None, &self.crypto)),
                     )]
                 } else {
                     // (iii) Some VERIFY messages arrived but not f_E + 1
@@ -809,10 +677,7 @@ impl Verifier {
                     vec![Action::send(
                         self.me(),
                         Destination::AllNodes,
-                        ProtocolMessage::Replace(ReplaceMessage {
-                            subject,
-                            signature: self.sign_marker("replace", txn.counter, 1),
-                        }),
+                        ProtocolMessage::Replace(ReplaceMessage::signed(subject, &self.crypto)),
                     )]
                 }
             }
@@ -825,11 +690,11 @@ impl Verifier {
                 vec![Action::send(
                     self.me(),
                     Destination::AllNodes,
-                    ProtocolMessage::Error(ErrorMessage {
+                    ProtocolMessage::Error(ErrorMessage::signed(
                         subject,
-                        request: Some(Box::new(req.clone())),
-                        signature: self.sign_marker("error", txn.counter, 1),
-                    }),
+                        Some(Box::new(req.clone())),
+                        &self.crypto,
+                    )),
                 )]
             }
         }
@@ -1439,103 +1304,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_apply_stage_matches_the_synchronous_path() {
-        // The same VERIFY sequence (including a stale-read abort) through
-        // the synchronous apply stage and through an attached
-        // ShardScheduler pool must produce identical counters, responses
-        // and storage state.
-        let run = |attach_pool: bool| {
-            let fx = Fixture::new();
-            let mut v = fx.verifier_sharded(
-                ConflictHandling::UnknownRwSets,
-                sbft_types::ShardingConfig::with_shards(8),
-            );
-            if attach_pool {
-                v.attach_apply_pool(4);
-                assert!(v.apply_pool.is_some());
-            }
-            let mut kinds = Vec::new();
-            for seq in 1..=6u64 {
-                // Batch 4 reads a stale version and must abort.
-                let read_version = if seq == 4 { 99 } else { 1 };
-                let _ = v.on_verify(&fx.verify_msg(1, seq, 0, seq, read_version));
-                let actions = v.on_verify(&fx.verify_msg(2, seq, 0, seq, read_version));
-                kinds.extend(
-                    crate::events::envelopes(&actions)
-                        .iter()
-                        .map(|e| e.msg.kind().to_string()),
-                );
-            }
-            let state = fx.store.get(Key(2)).unwrap().value;
-            (
-                v.committed_txns.get(),
-                v.aborted_txns.get(),
-                v.validated_batches.get(),
-                kinds,
-                state,
-                v.pool_applied_txns.get(),
-            )
-        };
-        let sync = run(false);
-        let pooled = run(true);
-        assert_eq!(sync.0, pooled.0, "committed");
-        assert_eq!(sync.1, pooled.1, "aborted");
-        assert_eq!(sync.2, pooled.2, "validated batches");
-        assert_eq!(sync.3, pooled.3, "response kinds");
-        assert_eq!(sync.4, pooled.4, "final storage state");
-        assert_eq!(sync.5, 0, "synchronous path never touches the pool");
-        assert_eq!(pooled.5, 6, "every applied txn went through the pool");
-    }
-
-    #[test]
-    fn pool_order_exactness_is_order_insensitive_to_the_writer_position() {
-        // Key shared by (home-2 reader, home-0 reader, home-2 WRITER):
-        // the writer arriving last, from the same home as the first
-        // toucher, must still force the fallback because the home-0
-        // reader races against it.
-        let shared = Key(1);
-        let result = |reads: Vec<Key>, writes: Vec<Key>, n: u64| {
-            let mut rwset = ReadWriteSet::new();
-            for k in reads {
-                rwset.record_read(k, Version(1));
-            }
-            for k in writes {
-                rwset.record_write(k, Value::new(n));
-            }
-            TxnResult {
-                txn: TxnId::new(ClientId(n as u32), 1),
-                output: n,
-                rwset,
-            }
-        };
-        use sbft_sharding::ShardId;
-        let home = |ids: &[u32]| ids.iter().map(|i| ShardId(*i)).collect::<ShardSet>();
-        let results = vec![
-            result(vec![shared], vec![], 0),
-            result(vec![shared], vec![Key(9)], 1),
-            result(vec![], vec![shared], 2),
-        ];
-        let routes = vec![home(&[2]), home(&[0, 2]), home(&[2])];
-        assert!(!Verifier::pool_order_exact(&results, &routes));
-        // All on one home shard: exact, whatever the write pattern.
-        let routes = vec![home(&[2]), home(&[2]), home(&[2])];
-        assert!(Verifier::pool_order_exact(&results, &routes));
-        // Read-only sharing across homes: order independent, exact.
-        let read_only = vec![
-            result(vec![shared], vec![], 0),
-            result(vec![shared], vec![Key(9)], 1),
-        ];
-        let routes = vec![home(&[2]), home(&[0, 2])];
-        assert!(Verifier::pool_order_exact(&read_only, &routes));
-    }
-
-    #[test]
-    fn pool_falls_back_to_in_order_apply_for_cross_home_key_conflicts() {
-        // Two transactions of one batch write/read the same key while
-        // living on different home shards: the pool's per-shard FIFOs
-        // could not order them, so the verifier must apply that batch
-        // synchronously (in batch order) — txn B's read of the key txn A
-        // just wrote is stale, deterministically.
+    fn a_read_of_a_write_earlier_in_the_same_batch_is_stale() {
+        // Two transactions of one batch on different home shards: txn A
+        // writes a key txn B then reads at the version it had before the
+        // batch. Batch order is apply order, so B's read is stale and
+        // aborts, and A's value stays.
         let fx = Fixture::new();
         // A conflict-tracking mode, so read validation is on and the
         // apply order is observable.
@@ -1543,8 +1316,7 @@ mod tests {
             ConflictHandling::UnknownRwSets,
             sbft_types::ShardingConfig::with_shards(8),
         );
-        v.attach_apply_pool(4);
-        let router = *v.committer().router();
+        let router = *v.committer.router();
         let k1 = Key(1);
         // A key on a *higher-numbered* shard than k1's, so txn A (which
         // touches both) homes on k1's shard while txn B homes on k2's.
@@ -1577,17 +1349,7 @@ mod tests {
         assert!(kinds.contains(&"ABORT"), "txn B reads A's write stale");
         assert_eq!(v.committed_txns.get(), 1);
         assert_eq!(v.aborted_txns.get(), 1);
-        assert_eq!(
-            v.pool_applied_txns.get(),
-            0,
-            "the conflicting batch must bypass the pool"
-        );
         assert_eq!(fx.store.get(k2).unwrap().value, Value::new(77));
-        // A conflict-free follow-up batch flows through the pool again.
-        let _ = v.on_verify(&fx.verify_msg(1, 2, 2, 5, 1));
-        let actions = v.on_verify(&fx.verify_msg(2, 2, 2, 5, 1));
-        assert!(response_kinds(&actions).contains(&"RESPONSE"));
-        assert_eq!(v.pool_applied_txns.get(), 1);
     }
 
     #[test]
@@ -1730,7 +1492,7 @@ mod tests {
 
     /// `n` distinct keys all living on one shard of the verifier's router.
     fn keys_on_one_shard(v: &Verifier, n: usize) -> (sbft_sharding::ShardId, Vec<Key>) {
-        let router = *v.committer().router();
+        let router = *v.committer.router();
         let home = router.shard_of(Key(1));
         let keys: Vec<Key> = (1..)
             .map(Key)
@@ -1783,7 +1545,7 @@ mod tests {
                 ConflictHandling::KnownRwSets,
                 sbft_types::ShardingConfig::with_shards(8),
             );
-            let router = *v.committer().router();
+            let router = *v.committer.router();
             let k1 = Key(1);
             let k2 = (2..)
                 .map(Key)
@@ -1814,30 +1576,6 @@ mod tests {
         assert_eq!(lied.4, honest.4);
         assert_eq!(lied.5, honest.5);
         assert_eq!(lied.6, honest.6);
-    }
-
-    #[test]
-    fn fast_path_drives_the_apply_pool_with_the_verify_allocation() {
-        let fx = Fixture::new();
-        let mut v = fx.verifier_sharded(
-            ConflictHandling::KnownRwSets,
-            sbft_types::ShardingConfig::with_shards(8),
-        );
-        v.attach_apply_pool(4);
-        let (home, keys) = keys_on_one_shard(&v, 4);
-        let results: Vec<TxnResult> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| rmw_result(i as u32, *k, 50 + i as u64))
-            .collect();
-        let plan = ShardPlan::SingleHome(home);
-        let _ = v.on_verify(&fx.verify_msg_planned(1, 1, results.clone(), plan));
-        let actions = v.on_verify(&fx.verify_msg_planned(2, 1, results, plan));
-        assert!(response_kinds(&actions).contains(&"RESPONSE"));
-        assert_eq!(v.planned_batches.get(), 1);
-        assert_eq!(v.pool_applied_txns.get(), 4, "the pool applied the batch");
-        assert_eq!(v.committed_txns.get(), 4);
-        assert_eq!(fx.store.get(keys[3]).unwrap().value, Value::new(53));
     }
 
     #[test]

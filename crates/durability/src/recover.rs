@@ -2,7 +2,7 @@
 //!
 //! Recovery is a pure function of the replayed records — no I/O, no
 //! peers. The consensus layer installs the [`RecoveredState`] and then
-//! state-transfers the suffix above [`RecoveredState::max_seq`] from
+//! state-transfers the suffix above the highest entry it holds from
 //! peers; everything at or below it is reconstructed locally.
 
 use crate::wal::WalRecord;
@@ -39,20 +39,6 @@ pub struct RecoveredState {
     pub view: ViewNumber,
     /// Committed entries above the snapshot floor, in sequence order.
     pub entries: Vec<RecoveredEntry>,
-    /// Total durable records replayed (telemetry: `replay_batches`
-    /// counts the committed subset, this counts everything).
-    pub replayed_records: u64,
-}
-
-impl RecoveredState {
-    /// The highest sequence number this replica knows committed — the
-    /// floor for the peer state-transfer request.
-    #[must_use]
-    pub fn max_seq(&self) -> SeqNum {
-        self.entries
-            .last()
-            .map_or(self.stable_seq, |entry| entry.seq.max(self.stable_seq))
-    }
 }
 
 /// Folds replayed WAL records into the state a replica restarts from.
@@ -104,7 +90,6 @@ pub fn recover(records: &[WalRecord]) -> RecoveredState {
         stable_seq: stable,
         view,
         entries: committed.into_values().collect(),
-        replayed_records: records.len() as u64,
     }
 }
 
@@ -143,7 +128,6 @@ mod tests {
         assert_eq!(state.stable_seq, SeqNum(0));
         assert_eq!(state.view, ViewNumber(0));
         assert!(state.entries.is_empty());
-        assert_eq!(state.max_seq(), SeqNum(0));
     }
 
     #[test]
@@ -161,8 +145,6 @@ mod tests {
         assert_eq!(state.stable_seq, SeqNum(2));
         let seqs: Vec<_> = state.entries.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![SeqNum(3)]);
-        assert_eq!(state.max_seq(), SeqNum(3));
-        assert_eq!(state.replayed_records, 4);
     }
 
     #[test]
@@ -187,19 +169,5 @@ mod tests {
         let state = recover(&records);
         assert_eq!(state.entries.len(), 1);
         assert_eq!(state.entries[0].view, ViewNumber(2));
-    }
-
-    #[test]
-    fn max_seq_falls_back_to_the_snapshot_floor() {
-        let records = vec![
-            committed(1, 0),
-            WalRecord::SnapshotMark {
-                upto: SeqNum(4),
-                view: ViewNumber(0),
-            },
-        ];
-        let state = recover(&records);
-        assert!(state.entries.is_empty());
-        assert_eq!(state.max_seq(), SeqNum(4));
     }
 }

@@ -113,8 +113,7 @@ impl ShardedCommitter {
 
     /// Like [`commit`](Self::commit), but with the routing decision
     /// already made — the verifier routes a batch once, for its
-    /// `ShardCcheck` accounting, and that routing reaches this call
-    /// whether the batch applies inline or on the worker pool.
+    /// `ShardCcheck` accounting, and that routing reaches this call.
     pub fn commit_routed(
         &self,
         rwset: &ReadWriteSet,

@@ -22,9 +22,9 @@
 //!   all writes, release) so OCC semantics are exactly those of the
 //!   unsharded `ccheck` of Figure 3.
 //! * [`scheduler`] — [`ShardScheduler`]: a worker pool sized to the
-//!   configured cores that drains shard queues in parallel, used by the
-//!   thread runtime and the raw-scaling benchmarks. Routed batches enter
-//!   it one way and come back as an [`ApplyTicket`].
+//!   configured cores that drains shard queues in parallel, used only by
+//!   the raw-scaling benchmarks (no runtime applies through it). Batches
+//!   enter it one way and come back as an [`ApplyTicket`].
 //!
 //! The physical [`sbft_storage::VersionedStore`] stays shared (it is
 //! internally lock-striped); what the shards isolate is the *work* — the

@@ -1,10 +1,9 @@
 //! The shard worker pool.
 //!
 //! [`ShardScheduler`] drives a [`ShardedCommitter`] with a pool of OS
-//! threads sized to the configured cores. Work arrives one way: a routed
-//! batch through [`ShardScheduler::submit_routed`]
-//! ([`ShardScheduler::submit_tracked`] routes with the committer's own
-//! router first). Each transaction is queued on its *home* shard (the
+//! threads sized to the configured cores. Work arrives one way: a batch
+//! through [`ShardScheduler::submit_tracked`], routed with the committer's
+//! own router. Each transaction is queued on its *home* shard (the
 //! lowest-numbered shard it touches) and the shard is handed to the pool
 //! through the atomic `Idle → Pending` transition, so a shard is in the
 //! work queue at most once and is drained by at most one worker at a
@@ -13,16 +12,15 @@
 //! [`ApplyTicket`] yields the per-transaction OCC outcomes.
 //!
 //! The scheduler is the real-parallelism counterpart of the simulator's
-//! per-shard service stations: the `fig6_shards` benchmark uses it to
-//! show raw thread scaling, and the thread runtime drives it as the
-//! verifier's apply stage — committed batches apply across the worker
-//! pool and the verifier collects the outcomes it needs to answer
-//! clients.
+//! per-shard service stations: `fig6_shards --raw-pool` and the repo
+//! benchmark's `sharding.apply_tps_*` figures drive it to show raw thread
+//! scaling. No runtime drives it: the verifier applies every matched
+//! batch on its own thread, in batch order (DESIGN.md, "Modes kept as
+//! ablations", says why).
 
 use crate::committer::{CommitOutcome, ShardedCommitter};
 use crate::router::{ShardId, ShardSet};
 use crate::state::ShardTask;
-use sbft_telemetry::{Counter, Registry};
 use sbft_types::TxnResult;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -81,14 +79,13 @@ impl TicketState {
 }
 
 /// A handle on one batch submitted to the pool via
-/// [`ShardScheduler::submit_routed`]. Waiting on it yields the
-/// per-transaction [`CommitOutcome`]s in submission order — exactly what
-/// the synchronous verifier apply loop produced, but computed by the
+/// [`ShardScheduler::submit_tracked`]. Waiting on it yields the
+/// per-transaction [`CommitOutcome`]s in submission order — what the
+/// synchronous commit loop produces for the same batch, computed by the
 /// worker pool with real shard parallelism.
 #[derive(Debug)]
 pub struct ApplyTicket {
     state: Arc<TicketState>,
-    txns: Arc<[TxnResult]>,
 }
 
 impl ApplyTicket {
@@ -107,27 +104,6 @@ impl ApplyTicket {
             .map(|o| o.expect("every slot recorded before the countdown hits zero"))
             .collect()
     }
-
-    /// Whether this ticket still references the submitted batch
-    /// allocation (pointer equality — the zero-copy hand-off proof:
-    /// the `VERIFY` message's result slice is the very allocation the
-    /// pool workers apply from).
-    #[must_use]
-    pub fn shares_txns(&self, txns: &Arc<[TxnResult]>) -> bool {
-        Arc::ptr_eq(&self.txns, txns)
-    }
-
-    /// Number of transactions in the tracked batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.txns.len()
-    }
-
-    /// Whether the tracked batch is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.txns.is_empty()
-    }
 }
 
 struct SchedulerInner {
@@ -136,10 +112,6 @@ struct SchedulerInner {
     work: Mutex<VecDeque<ShardId>>,
     work_available: Condvar,
     shutdown: AtomicBool,
-    /// Batches that queued at least one transaction on a shard.
-    batches_submitted: Counter,
-    /// Transactions the workers finished applying.
-    txns_applied: Counter,
 }
 
 impl SchedulerInner {
@@ -181,9 +153,6 @@ impl SchedulerInner {
                         (i, outcome)
                     })
                     .collect();
-                // Counted before the ticket can complete, so a caller that
-                // waited on every ticket reads an exact total.
-                self.txns_applied.add(entries.len() as u64);
                 task.ticket.record_all(entries);
             }
             if shard.finish_run() {
@@ -212,8 +181,6 @@ impl ShardScheduler {
             work: Mutex::new(VecDeque::new()),
             work_available: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            batches_submitted: Counter::new(),
-            txns_applied: Counter::new(),
         });
         let workers = (0..workers.max(1))
             .map(|_| {
@@ -224,58 +191,25 @@ impl ShardScheduler {
         ShardScheduler { inner, workers }
     }
 
-    /// The committer this pool drives.
-    #[must_use]
-    pub fn committer(&self) -> &Arc<ShardedCommitter> {
-        &self.inner.committer
-    }
-
-    /// Shares the pool's counters into `registry` under `scheduler.*`.
-    /// (The counters live inside the worker-shared state, so they are
-    /// bound into the registry rather than re-homed.)
-    pub fn register_metrics(&self, registry: &Registry) {
-        registry.bind_counter("scheduler.batches_submitted", &self.inner.batches_submitted);
-        registry.bind_counter("scheduler.txns_applied", &self.inner.txns_applied);
-    }
-
-    /// Routes `txns` with the committer's router and submits them through
-    /// [`Self::submit_routed`].
-    #[must_use]
-    pub fn submit_tracked(&self, seq: u64, txns: Arc<[TxnResult]>) -> ApplyTicket {
-        let router = self.inner.committer.router();
-        let routes = txns.iter().map(|r| router.shards_of(&r.rwset)).collect();
-        self.submit_routed(seq, txns, routes)
-    }
-
-    /// The one way into the pool. Submits one committed batch whose
-    /// involved-shard sets the caller already derived (`routes[i]` for
-    /// `txns[i]`; empty = touches no data, applied trivially): every
-    /// transaction is queued on its home shard, the touched shards are
-    /// scheduled, and the returned [`ApplyTicket`] yields the outcomes
-    /// once the pool has applied everything.
+    /// The one way into the pool. Submits one committed batch: every
+    /// transaction is routed with the committer's router and queued on
+    /// its home shard (a transaction that touches no data applies
+    /// trivially), the touched shards are scheduled, and the returned
+    /// [`ApplyTicket`] yields the outcomes once the pool has applied
+    /// everything.
     ///
-    /// The result allocation — in production the `VERIFY` message's own
-    /// `Arc<[TxnResult]>` — and the routes are shared with every shard
+    /// The result allocation and the routes are shared with every shard
     /// task (zero-copy: only per-shard index lists are built), and the
-    /// workers commit through the caller's routes, so no key is hashed
-    /// twice.
+    /// workers commit through those routes, so no key is hashed twice.
     ///
     /// Per-shard FIFO queues drained by at most one worker at a time
     /// preserve commit order within a shard across successive
     /// submissions; cross-shard transactions run on their home shard's
     /// worker through the committer's lock-ordered path.
-    ///
-    /// # Panics
-    /// Panics unless there is exactly one route per transaction.
     #[must_use]
-    pub fn submit_routed(
-        &self,
-        seq: u64,
-        txns: Arc<[TxnResult]>,
-        routes: Vec<ShardSet>,
-    ) -> ApplyTicket {
-        assert_eq!(routes.len(), txns.len(), "one route per txn");
-        let routes: Arc<[ShardSet]> = routes.into();
+    pub fn submit_tracked(&self, seq: u64, txns: Arc<[TxnResult]>) -> ApplyTicket {
+        let router = self.inner.committer.router();
+        let routes: Arc<[ShardSet]> = txns.iter().map(|r| router.shards_of(&r.rwset)).collect();
         let ticket = Arc::new(TicketState::new(txns.len()));
         let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); self.inner.committer.shards().len()];
         for (i, involved) in routes.iter().enumerate() {
@@ -284,9 +218,6 @@ impl ShardScheduler {
                 // Mirrors the committer's empty-route outcome.
                 None => ticket.record(i, CommitOutcome::Applied),
             }
-        }
-        if per_shard.iter().any(|indices| !indices.is_empty()) {
-            self.inner.batches_submitted.inc();
         }
         for (shard, indices) in self.inner.committer.shards().iter().zip(per_shard) {
             if indices.is_empty() {
@@ -303,10 +234,7 @@ impl ShardScheduler {
                 self.inner.push_work(shard.id());
             }
         }
-        ApplyTicket {
-            state: ticket,
-            txns,
-        }
+        ApplyTicket { state: ticket }
     }
 
     /// Stops the pool: the workers finish every queued task first (a
@@ -385,7 +313,7 @@ mod tests {
             let batch = (0..100).map(|i| write_txn(seq * 100 + i, 7)).collect();
             let _ = pool.submit_tracked(seq, tracked(batch));
         }
-        let committer = Arc::clone(pool.committer());
+        let committer = Arc::clone(&pool.inner.committer);
         pool.shutdown();
         assert_eq!(committer.committed(), 1_000);
         for k in 0..1_000 {
@@ -423,7 +351,7 @@ mod tests {
     #[test]
     fn cross_shard_transactions_survive_the_pool() {
         let (store, pool) = pool(8, 4, 100);
-        let router = *pool.committer().router();
+        let router = *pool.inner.committer.router();
         let far = (1..)
             .find(|k| router.shard_of(Key(*k)) != router.shard_of(Key(0)))
             .unwrap();
@@ -431,7 +359,7 @@ mod tests {
         rw.record_write(Key(0), Value::new(1));
         rw.record_write(Key(far), Value::new(1));
         assert!(pool.submit_tracked(1, tracked(vec![rw])).wait()[0].is_applied());
-        assert_eq!(pool.committer().cross_shard_commits(), 1);
+        assert_eq!(pool.inner.committer.cross_shard_commits(), 1);
         assert_eq!(store.get(Key(far)).unwrap().value, Value::new(1));
         pool.shutdown();
     }
@@ -479,23 +407,15 @@ mod tests {
     }
 
     #[test]
-    fn tracked_submit_shares_the_submitted_allocation() {
-        // Zero-copy hand-off, scheduler layer: the batch the verifier
-        // submits is the very allocation the workers apply from — the
-        // ticket still points at it and every shard task holds a refcount
-        // bump, never a copy of the read-write sets.
+    fn the_pool_keeps_no_share_of_an_applied_batch() {
+        // Every shard task holds a refcount bump of the submitted
+        // allocation, never a copy of the read-write sets; once the
+        // workers are gone only the caller's handle remains.
         let (_, pool) = pool(8, 4, 1_000);
         let txns = tracked((0..100u64).map(|i| write_txn(i, i)).collect());
-        let ticket = pool.submit_tracked(7, Arc::clone(&txns));
-        assert!(
-            ticket.shares_txns(&txns),
-            "the ticket must reference the submitted allocation"
-        );
-        assert_eq!(ticket.len(), 100);
-        assert!(!ticket.is_empty());
-        let outcomes = ticket.wait();
+        let outcomes = pool.submit_tracked(7, Arc::clone(&txns)).wait();
+        assert_eq!(outcomes.len(), 100);
         assert!(outcomes.iter().all(CommitOutcome::is_applied));
-        // Once the workers are gone only the caller's handle remains.
         pool.shutdown();
         assert_eq!(Arc::strong_count(&txns), 1);
     }
@@ -533,7 +453,7 @@ mod tests {
         for ticket in tickets {
             assert_eq!(ticket.wait().len(), 10);
         }
-        assert_eq!(pool.committer().committed(), 200);
+        assert_eq!(pool.inner.committer.committed(), 200);
         // 1 load + 200 writes.
         assert_eq!(store.version_of(Key(3)), Version(201));
         pool.shutdown();
@@ -552,9 +472,7 @@ mod tests {
         const BATCHES: u64 = 1_000;
         const SHARDS: usize = 4;
         let (store, pool) = pool(SHARDS, 4, 0);
-        let registry = Registry::new();
-        pool.register_metrics(&registry);
-        let router = *pool.committer().router();
+        let router = *pool.inner.committer.router();
         // keys[s] = a shared key, then one per submitter, all on shard s.
         let keys: Vec<Vec<Key>> = (0..SHARDS as u32)
             .map(|s| {
@@ -600,12 +518,7 @@ mod tests {
             }
         });
         let submitted = SUBMITTERS * BATCHES * SHARDS as u64;
-        assert_eq!(registry.counter_value("scheduler.txns_applied"), submitted);
-        assert_eq!(
-            registry.counter_value("scheduler.batches_submitted"),
-            SUBMITTERS * BATCHES
-        );
-        assert_eq!(pool.committer().committed(), submitted);
+        assert_eq!(pool.inner.committer.committed(), submitted);
         for shard_keys in &keys {
             assert_eq!(
                 store.version_of(shard_keys[0]),

@@ -30,14 +30,14 @@ const RUNNING: u8 = 2;
 
 /// A unit of queued work: the transactions of one submitted batch that
 /// are homed on this shard. Everything but `indices` is shared with the
-/// batch's other shard tasks and its [`crate::scheduler::ApplyTicket`], so
-/// queueing a batch clones no read-write set.
+/// batch's other shard tasks, so queueing a batch clones no read-write
+/// set.
 #[derive(Clone, Debug, Default)]
 pub struct ShardTask {
     /// Sequence number of the originating batch (for tracing).
     pub seq: u64,
-    /// The whole batch's results (in production the `VERIFY` message's own
-    /// allocation, refcount-bumped).
+    /// The whole batch's results (the submitter's allocation,
+    /// refcount-bumped).
     pub txns: Arc<[TxnResult]>,
     /// The involved-shard set of every transaction of the batch, as the
     /// submitter routed it: the worker commits through it instead of

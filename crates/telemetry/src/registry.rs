@@ -95,18 +95,9 @@ impl Registry {
         }
     }
 
-    /// Registers an existing counter handle under `name` — for
-    /// components whose counters live behind shared state (`Arc`
-    /// internals) where the handle cannot be swapped after construction.
-    pub fn bind_counter(&self, name: &str, counter: &Counter) {
-        self.metrics
-            .lock()
-            .expect("registry poisoned")
-            .insert(name.to_string(), Metric::Counter(counter.clone()));
-    }
-
-    /// Registers an existing histogram handle under `name` (same sharing
-    /// semantics as [`Self::bind_counter`]).
+    /// Registers an existing histogram handle under `name` — for a
+    /// histogram that lives behind shared state, where the handle cannot
+    /// be swapped after construction.
     pub fn bind_histogram(&self, name: &str, histogram: &Histogram) {
         self.metrics
             .lock()

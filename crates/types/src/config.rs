@@ -136,17 +136,8 @@ pub struct TimerConfig {
     /// the verifier is forwarded to the primary, stopped on the matching
     /// `ACK`.
     pub retransmit_timeout: SimDuration,
-    /// Verifier abort-detection timer: started on the first `VERIFY`
-    /// message for a conflicting transaction (Section VI-B).
-    pub verifier_abort_timeout: SimDuration,
-    /// Exponential back-off factor applied to the client timer on every
-    /// re-transmission to the verifier.
-    pub client_backoff_factor: f64,
     /// Featherweight checkpoint period, in committed sequence numbers.
     pub checkpoint_interval: u64,
-    /// Probation period before an invoker that reactively marked a region
-    /// down (after a `SpawnRejected` answer) tries the region again.
-    pub region_probation: SimDuration,
 }
 
 impl Default for TimerConfig {
@@ -155,10 +146,7 @@ impl Default for TimerConfig {
             client_timeout: SimDuration::from_millis(2_000),
             node_timeout: SimDuration::from_millis(1_000),
             retransmit_timeout: SimDuration::from_millis(500),
-            verifier_abort_timeout: SimDuration::from_millis(800),
-            client_backoff_factor: 2.0,
             checkpoint_interval: 100,
-            region_probation: SimDuration::from_millis(200),
         }
     }
 }
@@ -243,8 +231,9 @@ pub enum ConflictHandling {
 pub struct ShardingConfig {
     /// Number of execution shards the key space is partitioned into.
     pub num_shards: usize,
-    /// Worker threads (simulated cores per shard station, or pool threads
-    /// in the thread runtime) draining the shard queues.
+    /// Simulated cores per shard station. The simulator alone reads it:
+    /// on the thread runtime the verifier applies every batch on its own
+    /// thread, whatever this says.
     pub workers: usize,
     /// Whether the primary runs the **ordering-time shard planner**:
     /// with known read-write sets and more than one shard, the batcher
@@ -669,6 +658,5 @@ mod tests {
         let t = TimerConfig::default();
         assert!(t.client_timeout > t.node_timeout);
         assert!(t.node_timeout > t.retransmit_timeout);
-        assert!(t.client_backoff_factor > 1.0);
     }
 }

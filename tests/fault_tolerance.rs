@@ -432,8 +432,8 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
     use serverless_bft::sharding::ShardRouter;
     use serverless_bft::storage::{StorageReader, YcsbTable};
     use serverless_bft::types::{
-        ClientId, ComponentId, ExecutorId, FaultParams, Key, Operation, Region, SeqNum, Signature,
-        SimTime, Transaction, TxnId,
+        ClientId, ComponentId, ExecutorId, FaultParams, Key, Operation, Region, SeqNum, SimTime,
+        Transaction, TxnId,
     };
 
     let mut cfg = SystemConfig::with_shim_size(4);
@@ -589,10 +589,10 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
     assert!(injector.plans_forged() > 0);
 
     // ---- Phase 2: the verifier-style REPLACE triggers a view change. ----
-    let replace = ProtocolMessage::Replace(ReplaceMessage {
-        subject: RecoverySubject::Seq(SeqNum(1)),
-        signature: Signature::ZERO,
-    });
+    let replace = ProtocolMessage::Replace(ReplaceMessage::signed(
+        RecoverySubject::Seq(SeqNum(1)),
+        &provider.handle(ComponentId::Verifier),
+    ));
     let pending: Vec<(usize, Vec<Action>)> = (1..4usize)
         .map(|i| (i, nodes[i].on_message(&replace)))
         .collect();

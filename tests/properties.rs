@@ -30,7 +30,6 @@ use std::sync::Arc;
 fn equivalence_verifier(
     provider: &Arc<CryptoProvider>,
     shards: usize,
-    attach_pool: bool,
 ) -> (Arc<VersionedStore>, Verifier, Registry) {
     let store = YcsbTable::populate(256).store().clone();
     let mut verifier = Verifier::new(
@@ -46,9 +45,6 @@ fn equivalence_verifier(
             checkpoint_interval: 0,
         },
     );
-    if attach_pool {
-        verifier.attach_apply_pool(4);
-    }
     let registry = Registry::new();
     verifier.register_metrics(&registry);
     (store, verifier, registry)
@@ -520,9 +516,8 @@ proptest! {
     ///
     /// The same ordered VERIFY stream — random Zipf-skewed keys, random
     /// shard counts, forced cross-home batches, and arbitrary (honest
-    /// *or lying*) plan tags — through a plan-honouring verifier (with
-    /// or without the worker pool) and through an untagged synchronous
-    /// verifier must produce byte-identical results: the same
+    /// *or lying*) plan tags — through a plan-honouring verifier and
+    /// through an untagged verifier must produce byte-identical results: the same
     /// per-transaction commit/abort outcomes (= the same per-client
     /// responses) and the same final KV state.
     #[test]
@@ -534,7 +529,6 @@ proptest! {
         shards in 1usize..12,
         skew in 0u32..3,
         lie_mask in any::<u64>(),
-        attach_pool in any::<bool>(),
     ) {
         let provider = CryptoProvider::new(17);
         let router = ShardRouter::new(shards);
@@ -592,8 +586,8 @@ proptest! {
                 }
             })
             .collect();
-        let run = |tagged: bool, pool: bool| {
-            let (store, mut verifier, registry) = equivalence_verifier(&provider, shards, pool);
+        let run = |tagged: bool| {
+            let (store, mut verifier, registry) = equivalence_verifier(&provider, shards);
             let mut outcomes = Vec::new();
             for (b, results) in all_results.iter().enumerate() {
                 let seq = b as u64 + 1;
@@ -621,8 +615,8 @@ proptest! {
                 state,
             )
         };
-        let routed = run(true, attach_pool);
-        let unrouted = run(false, false);
+        let routed = run(true);
+        let unrouted = run(false);
         prop_assert_eq!(&routed.0, &unrouted.0, "committed counts diverge");
         prop_assert_eq!(&routed.1, &unrouted.1, "aborted counts diverge");
         prop_assert_eq!(&routed.2, &unrouted.2, "per-client responses diverge");
@@ -690,8 +684,7 @@ proptest! {
             PinnedUnderOutage,
         }
         let run = |placement: Placement| {
-            let (store, mut verifier, registry) =
-                equivalence_verifier(&provider, shards, false);
+            let (store, mut verifier, registry) = equivalence_verifier(&provider, shards);
             let mut invoker = match placement {
                 Placement::RoundRobin => Invoker::new(NodeId(0), regions.clone()),
                 _ => Invoker::new(NodeId(0), regions.clone())

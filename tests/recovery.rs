@@ -255,7 +255,7 @@ fn a_proposal_lost_across_a_view_change_is_expired_at_the_same_cutoff() {
     use serverless_bft::core::events::{
         BatchValidated, ProtocolMessage, RecoverySubject, ReplaceMessage,
     };
-    use serverless_bft::types::{Signature, ViewNumber};
+    use serverless_bft::types::{ComponentId, ViewNumber};
 
     let mut config = SystemConfig::with_shim_size(4);
     config.workload.batch_size = 1;
@@ -297,10 +297,10 @@ fn a_proposal_lost_across_a_view_change_is_expired_at_the_same_cutoff() {
     assert_eq!(nodes[0].seen_txns_len(), trajectory[9].0 + 3);
     // The verifier has the primary replaced; nothing was prepared, so the
     // new primary re-proposes none of the three.
-    let replace = ProtocolMessage::Replace(ReplaceMessage {
-        subject: RecoverySubject::Seq(SeqNum(11)),
-        signature: Signature::ZERO,
-    });
+    let replace = ProtocolMessage::Replace(ReplaceMessage::signed(
+        RecoverySubject::Seq(SeqNum(11)),
+        &provider.handle(ComponentId::Verifier),
+    ));
     for origin in 1..4 {
         let actions = nodes[origin].on_message(&replace);
         let _ = settle(&mut nodes, origin, actions);
