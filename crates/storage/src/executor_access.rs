@@ -34,13 +34,6 @@ impl StorageReader {
             version: Version(0),
         })
     }
-
-    /// Number of records in the underlying store (used by workload
-    /// generators to pick keys).
-    #[must_use]
-    pub fn num_records(&self) -> usize {
-        self.store.len()
-    }
 }
 
 #[cfg(test)]
@@ -58,7 +51,7 @@ mod tests {
         let reader = reader_with(&[(1, 11), (2, 22)]);
         assert_eq!(reader.fetch(Key(1)).value, Value::new(11));
         assert_eq!(reader.fetch(Key(1)).version, Version(1));
-        assert_eq!(reader.num_records(), 2);
+        assert_eq!(reader.fetch(Key(2)).value, Value::new(22));
     }
 
     #[test]

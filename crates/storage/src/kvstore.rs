@@ -7,6 +7,29 @@
 //! version. The store is sharded and each shard is guarded by a
 //! `parking_lot::RwLock`, so the thread runtime can drive many executor
 //! reads concurrently with verifier writes.
+//!
+//! # Layout
+//!
+//! Key `k` lives in shard `k & (shards − 1)`, at slot `k >> log2(shards)`.
+//! A shard is one lock over three fields: a slot array
+//! (`Vec<StoreEntry>`, indexed by slot), a map for the keys past the end
+//! of that array, and the number of keys the two hold. A slot at version
+//! 0 is absent, which is the store's convention anyway: a stored key's
+//! version starts at 1, and `version_of` a missing key is `Version(0)`.
+//! So a record in its slot costs the 24 bytes of its entry and nothing
+//! more.
+//!
+//! The YCSB table is dense by construction (`YcsbTable::populate` loads
+//! exactly `0..num_records`), so [`VersionedStore::load`] sizes the arrays
+//! from the iterator's lower size bound `n`: every shard gets one slot per
+//! key below `n` that maps to it, `n / shards` of them. Keys below `n` are
+//! written in any order, and a hole stays absent until something writes
+//! it. A key at or above `n` goes to the map, and so does every later
+//! write past the end of an array. Only `load` sizes an array, and only
+//! while its shard holds no key (so no key ever moves between map and
+//! array). A write never grows one: clients choose their write keys, and a
+//! blind write to `Key(u64::MAX)` must cost one map entry, not an
+//! allocation sized by the key.
 
 use parking_lot::RwLock;
 use sbft_types::{IdMap, Key, Value, Version};
@@ -22,10 +45,49 @@ pub struct StoreEntry {
     pub version: Version,
 }
 
+/// What an absent slot holds: version 0 marks it absent.
+const ABSENT: StoreEntry = StoreEntry {
+    value: Value::new(0),
+    version: Version(0),
+};
+
+/// One shard: the slot array, the map of keys past its end, and how many
+/// keys the two hold.
+#[derive(Debug, Default)]
+struct Shard {
+    slots: Vec<StoreEntry>,
+    overflow: IdMap<Key, StoreEntry>,
+    len: usize,
+}
+
+impl Shard {
+    fn get(&self, key: Key, slot: usize) -> Option<StoreEntry> {
+        match self.slots.get(slot) {
+            Some(entry) => (entry.version != ABSENT.version).then_some(*entry),
+            None => self.overflow.get(&key).copied(),
+        }
+    }
+
+    /// The entry a write of `key` (at `slot`) goes to, counted as present:
+    /// the caller gives it a version.
+    fn entry_mut(&mut self, key: Key, slot: usize) -> &mut StoreEntry {
+        let entry = match self.slots.get_mut(slot) {
+            Some(entry) => entry,
+            None => self.overflow.entry(key).or_insert(ABSENT),
+        };
+        if entry.version == ABSENT.version {
+            self.len += 1;
+        }
+        entry
+    }
+}
+
 /// The sharded, versioned key-value store.
 #[derive(Debug)]
 pub struct VersionedStore {
-    shards: Vec<RwLock<IdMap<Key, StoreEntry>>>,
+    shards: Vec<RwLock<Shard>>,
+    /// `log2(shards.len())`: a key's slot is the key shifted by it.
+    shift: u32,
     stats: StorageStats,
 }
 
@@ -45,49 +107,50 @@ impl VersionedStore {
         Self::with_shards(DEFAULT_SHARDS)
     }
 
-    /// Creates an empty store with an explicit shard count (rounded up to a
-    /// power of two).
-    #[must_use]
-    pub fn with_shards(shards: usize) -> Self {
+    /// An empty store with an explicit shard count (rounded up to a power
+    /// of two).
+    fn with_shards(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         VersionedStore {
-            shards: (0..n).map(|_| RwLock::new(IdMap::default())).collect(),
+            shards: (0..n).map(|_| RwLock::default()).collect(),
+            shift: n.trailing_zeros(),
             stats: StorageStats::new(),
         }
     }
 
-    fn shard_for(&self, key: Key) -> &RwLock<IdMap<Key, StoreEntry>> {
-        // Multiplicative hashing spreads dense YCSB keys across shards.
-        let idx =
-            (key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & (self.shards.len() - 1);
-        &self.shards[idx]
+    /// The shard of `key` and its slot there.
+    fn locate(&self, key: Key) -> (&RwLock<Shard>, usize) {
+        let shard = &self.shards[key.0 as usize & (self.shards.len() - 1)];
+        // A slot past `usize` is past every array: the map holds the key.
+        let slot = usize::try_from(key.0 >> self.shift).unwrap_or(usize::MAX);
+        (shard, slot)
     }
 
     /// Reads a key, returning its value and current version.
     #[must_use]
     pub fn get(&self, key: Key) -> Option<StoreEntry> {
         self.stats.record_read();
-        self.shard_for(key).read().get(&key).copied()
+        let (shard, slot) = self.locate(key);
+        shard.read().get(key, slot)
     }
 
     /// The current version of a key (`Version(0)` if the key is absent;
     /// versions of existing keys start at 1).
     #[must_use]
     pub fn version_of(&self, key: Key) -> Version {
-        self.shard_for(key)
+        let (shard, slot) = self.locate(key);
+        shard
             .read()
-            .get(&key)
+            .get(key, slot)
             .map_or(Version(0), |e| e.version)
     }
 
     /// Writes a key, bumping its version, and returns the new version.
     pub fn put(&self, key: Key, value: Value) -> Version {
         self.stats.record_write();
-        let mut shard = self.shard_for(key).write();
-        let entry = shard.entry(key).or_insert(StoreEntry {
-            value,
-            version: Version(0),
-        });
+        let (shard, slot) = self.locate(key);
+        let mut shard = shard.write();
+        let entry = shard.entry_mut(key, slot);
         entry.value = value;
         entry.version = Version(entry.version.0 + 1);
         entry.version
@@ -101,32 +164,36 @@ impl VersionedStore {
         }
     }
 
-    /// Bulk-loads initial records without counting them in the statistics.
-    /// Every shard reserves its share of the iterator's lower size bound
-    /// first (the shard hash spreads keys evenly), so a load grows no
-    /// table record by record.
+    /// Bulk-loads initial records at version 1 without counting them in
+    /// the statistics. A shard that holds no key yet first sizes its slot
+    /// array for the keys below the iterator's lower size bound (see the
+    /// module docs).
     pub fn load<I: IntoIterator<Item = (Key, Value)>>(&self, records: I) {
         let records = records.into_iter();
-        let per_shard = records.size_hint().0.div_ceil(self.shards.len());
-        for shard in &self.shards {
-            shard.write().reserve(per_shard);
+        let bound = records.size_hint().0;
+        let mask = self.shards.len() - 1;
+        for (index, shard) in self.shards.iter().enumerate() {
+            // The keys below `bound` in shard `index`: `index`, `index +
+            // shards`, … — `(bound − index) / shards` rounded up.
+            let slots = bound.saturating_add(mask - index) >> self.shift;
+            let mut shard = shard.write();
+            if shard.len == 0 && slots > shard.slots.len() {
+                shard.slots = vec![ABSENT; slots];
+            }
         }
         for (key, value) in records {
-            let mut shard = self.shard_for(key).write();
-            shard.insert(
-                key,
-                StoreEntry {
-                    value,
-                    version: Version(1),
-                },
-            );
+            let (shard, slot) = self.locate(key);
+            *shard.write().entry_mut(key, slot) = StoreEntry {
+                value,
+                version: Version(1),
+            };
         }
     }
 
     /// Number of keys currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.read().len).sum()
     }
 
     /// Whether the store holds no keys.
@@ -145,6 +212,18 @@ impl VersionedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every shard's slot array, as `(len, capacity)`.
+    fn array_sizes(store: &VersionedStore) -> Vec<(usize, usize)> {
+        store
+            .shards
+            .iter()
+            .map(|s| {
+                let s = s.read();
+                (s.slots.len(), s.slots.capacity())
+            })
+            .collect()
+    }
 
     #[test]
     fn put_bumps_versions_monotonically() {
@@ -189,13 +268,58 @@ mod tests {
     }
 
     #[test]
-    fn keys_spread_across_shards() {
+    fn dense_keys_fill_every_shard_evenly() {
         let store = VersionedStore::with_shards(16);
         store.load((0..1_000).map(|i| (Key(i), Value::new(i))));
-        // With 1000 dense keys and 16 shards, every shard should hold
-        // something if the hash spreads them.
-        let occupied = store.shards.iter().filter(|s| !s.read().is_empty()).count();
-        assert_eq!(occupied, 16);
+        // 1 000 = 16 × 62 + 8: the first eight shards hold one key more.
+        for (index, shard) in store.shards.iter().enumerate() {
+            let shard = shard.read();
+            let expected = if index < 8 { 63 } else { 62 };
+            assert_eq!((shard.len, shard.slots.len()), (expected, expected));
+            assert_eq!(shard.slots.capacity(), expected, "shard {index}");
+            assert!(shard.overflow.is_empty(), "shard {index}");
+        }
+    }
+
+    #[test]
+    fn a_write_far_past_the_loaded_range_grows_no_array() {
+        let store = VersionedStore::new();
+        store.load((0..1_000).map(|i| (Key(i), Value::new(i))));
+        let before = array_sizes(&store);
+        assert_eq!(store.put(Key(u64::MAX), Value::new(7)), Version(1));
+        assert_eq!(array_sizes(&store), before);
+        assert_eq!(store.get(Key(u64::MAX)).unwrap().value, Value::new(7));
+        assert_eq!(store.len(), 1_001);
+    }
+
+    #[test]
+    fn a_write_into_a_hole_counts_one_more_key() {
+        let store = VersionedStore::new();
+        let records: Vec<_> = (0..100)
+            .filter(|&i| i != 50)
+            .map(|i| (Key(i), Value::new(i)))
+            .collect();
+        // The bound is 99, so key 50 has a slot, left absent.
+        store.load(records);
+        let (shard, slot) = store.locate(Key(50));
+        assert!(slot < shard.read().slots.len());
+        assert_eq!(store.len(), 99);
+        assert!(store.get(Key(50)).is_none());
+        assert_eq!(store.put(Key(50), Value::new(5)), Version(1));
+        assert_eq!(store.len(), 100);
+    }
+
+    #[test]
+    fn loading_descending_equals_loading_ascending() {
+        let ascending = VersionedStore::new();
+        ascending.load((0..500).map(|i| (Key(i), Value::new(i * 3))));
+        let descending = VersionedStore::new();
+        descending.load((0..500).rev().map(|i| (Key(i), Value::new(i * 3))));
+        assert_eq!(ascending.len(), descending.len());
+        for i in 0..600 {
+            assert_eq!(ascending.get(Key(i)), descending.get(Key(i)), "key {i}");
+        }
+        assert_eq!(array_sizes(&ascending), array_sizes(&descending));
     }
 
     #[test]

@@ -29,7 +29,6 @@ fn ycsb_value(i: u64) -> Value {
 #[derive(Clone, Debug)]
 pub struct YcsbTable {
     store: Arc<VersionedStore>,
-    num_records: u64,
 }
 
 impl YcsbTable {
@@ -38,19 +37,13 @@ impl YcsbTable {
     pub fn populate(num_records: u64) -> Self {
         let store = Arc::new(VersionedStore::new());
         store.load((0..num_records).map(|i| (Key(i), ycsb_value(i))));
-        YcsbTable { store, num_records }
+        YcsbTable { store }
     }
 
     /// The underlying store.
     #[must_use]
     pub fn store(&self) -> &Arc<VersionedStore> {
         &self.store
-    }
-
-    /// Number of records loaded.
-    #[must_use]
-    pub fn num_records(&self) -> u64 {
-        self.num_records
     }
 }
 
@@ -63,7 +56,8 @@ mod tests {
     fn populate_loads_exactly_n_records() {
         let table = YcsbTable::populate(1_000);
         assert_eq!(table.store().len(), 1_000);
-        assert_eq!(table.num_records(), 1_000);
+        assert!(table.store().get(Key(999)).is_some());
+        assert!(table.store().get(Key(1_000)).is_none());
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! of its records, per client — at this population mostly what the shim
 //! and the verifier retain per transaction of the last two checkpoint
 //! intervals, which is where the duplicate-suppression table lives.
+//! *Per record*: the bytes of a populated YCSB table over its records.
 
 use serverless_bft::core::SystemBuilder;
 use serverless_bft::sim::{SimHarness, SimParams};
@@ -43,6 +44,9 @@ const MAX_BYTES_PER_CLIENT_AT_REST: f64 = 208.0;
 /// (5 307 measured; 7 173 while a suppressed id kept its 96-byte payload
 /// and the tables sized by the population were regrown by doubling).
 const MAX_PEAK_BYTES_PER_CLIENT: f64 = 5_800.0;
+/// Bytes a loaded YCSB record may cost: its 24-byte entry in a slot array
+/// (24.3 measured; 54.3 while every record sat in a hash bucket).
+const MAX_BYTES_PER_RECORD: f64 = 26.0;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
@@ -207,10 +211,12 @@ fn a_steady_state_transaction_stays_inside_its_allocation_budget() {
     let records = YcsbTable::populate(RECORDS);
     let record_bytes = live() - outside;
     drop(records);
+    let per_record = record_bytes as f64 / RECORDS as f64;
     let at_peak = (long.peak_live - record_bytes) as f64 / CLIENTS as f64;
     println!(
         "resident: {at_rest:.0} bytes per client at rest; {} bytes at the peak of the longer \
-         run, {record_bytes} of them records: {at_peak:.0} per client",
+         run, {record_bytes} of them records ({per_record:.1} per record): {at_peak:.0} per \
+         client",
         long.peak_live
     );
     assert!(
@@ -220,5 +226,9 @@ fn a_steady_state_transaction_stays_inside_its_allocation_budget() {
     assert!(
         at_peak <= MAX_PEAK_BYTES_PER_CLIENT,
         "{at_peak:.0} bytes per client at the peak (budget {MAX_PEAK_BYTES_PER_CLIENT})"
+    );
+    assert!(
+        per_record <= MAX_BYTES_PER_RECORD,
+        "{per_record:.1} bytes per record (budget {MAX_BYTES_PER_RECORD})"
     );
 }
