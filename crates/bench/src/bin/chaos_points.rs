@@ -31,6 +31,8 @@ const COLUMNS: &[&str] = &[
     "faults.bad_state_responses",
     "faults.state_request_retries",
     "faults.catch_ups",
+    "view_changes",
+    "errors_reforwarded",
 ];
 
 fn main() {

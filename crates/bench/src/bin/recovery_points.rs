@@ -15,8 +15,8 @@
 //! CI runs this binary as a smoke test; the binary itself asserts that
 //! every row commits and appends to its WAL, that the baseline records no
 //! recovery, and that every crashed row records exactly one, with WAL
-//! replay and peer state transfer both exercised. It exits non-zero
-//! otherwise.
+//! replay and peer state transfer both exercised, and that views change
+//! on the primary-crash rows only. It exits non-zero otherwise.
 
 use sbft_bench::{find_row, recovery_points, run_sweep};
 
@@ -32,6 +32,8 @@ const COLUMNS: &[&str] = &[
     "durability.replay_batches",
     "durability.state_transfer_batches",
     "recovery.recoveries",
+    "view_changes",
+    "errors_reforwarded",
 ];
 
 fn main() {
@@ -53,6 +55,10 @@ fn main() {
             let recovered = row.value("durability.replay_batches") > 0.0
                 && row.value("durability.state_transfer_batches") > 0.0;
             row.require(recovered || !crashed, "skipped replay or state transfer");
+            row.require(
+                (row.value("view_changes") > 0.0) == (series == "CRASH-PRIMARY"),
+                "views change when the primary crashes, and only then",
+            );
         }
     }
 }

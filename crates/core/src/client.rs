@@ -8,11 +8,17 @@
 //! exponential back-off until it receives a `RESPONSE` (Figure 4,
 //! client role). Only an answer carrying the verifier's signature over
 //! exactly this request counts; anything else leaves the timer armed.
+//!
+//! Clients follow the view (PBFT's own rule): every answer carries the
+//! view the verifier last saw a batch certified in, under its signature,
+//! and a client whose view is older moves its next submission to that
+//! view's primary. It never guesses one.
 
 use crate::events::{Action, ClientRequest, Destination, ProtocolMessage, ProtocolTimer};
 use sbft_crypto::CryptoHandle;
 use sbft_types::{
     ClientId, ComponentId, InlineVec, NodeId, SimDuration, Transaction, TxnId, TxnOutcome,
+    ViewNumber,
 };
 
 /// Factor the client timer grows by on every re-transmission to the
@@ -38,7 +44,10 @@ impl Outstanding {
 pub struct ClientRole {
     id: ClientId,
     crypto: CryptoHandle,
-    primary: NodeId,
+    /// Shim size: the primary of `view` is `view mod n_r`.
+    n_r: u32,
+    /// The highest view a verified answer carried.
+    view: ViewNumber,
     base_timeout: SimDuration,
     /// Requests awaiting a response, searched by id. A closed-loop client
     /// has one, which lives in the role itself: no heap block per client.
@@ -48,18 +57,15 @@ pub struct ClientRole {
 }
 
 impl ClientRole {
-    /// Creates a client that will submit to `primary`.
+    /// Creates a client of a shim of `n_r` nodes; it submits to the
+    /// primary of view 0 until an answer names a later view.
     #[must_use]
-    pub fn new(
-        id: ClientId,
-        crypto: CryptoHandle,
-        primary: NodeId,
-        base_timeout: SimDuration,
-    ) -> Self {
+    pub fn new(id: ClientId, crypto: CryptoHandle, n_r: usize, base_timeout: SimDuration) -> Self {
         ClientRole {
             id,
             crypto,
-            primary,
+            n_r: u32::try_from(n_r).expect("a shim of at most u32::MAX nodes"),
+            view: ViewNumber(0),
             base_timeout,
             outstanding: InlineVec::new(),
             completed: 0,
@@ -95,12 +101,6 @@ impl ClientRole {
         self.outstanding.iter().position(|o| o.txn().id == txn)
     }
 
-    /// Updates the primary this client targets (clients learn of view
-    /// changes from responses or out of band; the harness updates them).
-    pub fn set_primary(&mut self, primary: NodeId) {
-        self.primary = primary;
-    }
-
     /// [`Self::submit_into`] into a fresh list.
     pub fn submit(&mut self, txn: Transaction) -> Vec<Action> {
         let mut out = Vec::with_capacity(2);
@@ -108,8 +108,9 @@ impl ClientRole {
         out
     }
 
-    /// Submits a transaction: sign it, send `⟨T⟩_C` to the primary, and
-    /// start the client timer `τ_m` (Figure 3 line 1, Figure 4 line 1).
+    /// Submits a transaction: sign it, send `⟨T⟩_C` to the primary of the
+    /// client's view, and start the client timer `τ_m` (Figure 3 line 1,
+    /// Figure 4 line 1).
     /// The two actions are appended to `out`, a buffer the caller reuses.
     pub fn submit_into(&mut self, txn: Transaction, out: &mut Vec<Action>) {
         assert_eq!(
@@ -133,7 +134,7 @@ impl ClientRole {
         }
         out.push(Action::send(
             ComponentId::Client(self.id),
-            Destination::Node(self.primary),
+            Destination::Node(NodeId::primary_of(self.view, self.n_r as usize)),
             ProtocolMessage::ClientRequest(request),
         ));
         out.push(Action::StartTimer {
@@ -152,13 +153,21 @@ impl ClientRole {
     /// Handles a `RESPONSE` or `ABORT` from the verifier, appending the
     /// resulting actions to `out`. An answer whose signature is not the
     /// verifier's over exactly this transaction's answer is ignored: the
-    /// request stays outstanding and its timer armed.
+    /// request stays outstanding and its timer armed. A verified answer
+    /// from a later view moves the client's next submission to that
+    /// view's primary.
     pub fn on_message_into(&mut self, msg: &ProtocolMessage, out: &mut Vec<Action>) {
-        let (txn, outcome, digest, signature) = match msg {
-            ProtocolMessage::Response(r) => (r.txn, r.outcome, r.signing_digest(), &r.signature),
-            ProtocolMessage::Abort(a) => {
-                (a.txn, TxnOutcome::Aborted, a.signing_digest(), &a.signature)
+        let (txn, outcome, view, digest, signature) = match msg {
+            ProtocolMessage::Response(r) => {
+                (r.txn, r.outcome, r.view, r.signing_digest(), &r.signature)
             }
+            ProtocolMessage::Abort(a) => (
+                a.txn,
+                TxnOutcome::Aborted,
+                a.view,
+                a.signing_digest(),
+                &a.signature,
+            ),
             _ => return,
         };
         let Some(at) = self.position(txn) else {
@@ -173,6 +182,7 @@ impl ClientRole {
             return;
         }
         self.outstanding.swap_remove(at);
+        self.view = self.view.max(view);
         match outcome {
             TxnOutcome::Committed => self.completed += 1,
             TxnOutcome::Aborted => self.aborted += 1,
@@ -222,7 +232,7 @@ mod tests {
         ClientRole::new(
             ClientId(7),
             provider.handle(ComponentId::Client(ClientId(7))),
-            NodeId(0),
+            4,
             SimDuration::from_millis(100),
         )
     }
@@ -234,26 +244,38 @@ mod tests {
         )
     }
 
-    /// The verifier's answer to request `counter`, signed by `signer`.
-    fn response_from(signer: ComponentId, counter: u64, outcome: TxnOutcome) -> ProtocolMessage {
+    /// The answer to request `counter` in `view`, signed by `signer`.
+    fn answer_in(
+        signer: ComponentId,
+        counter: u64,
+        outcome: TxnOutcome,
+        view: u64,
+    ) -> ProtocolMessage {
         let handle = CryptoProvider::new(3).handle(signer);
         let txn = TxnId::new(ClientId(7), counter);
+        let view = ViewNumber(view);
         match outcome {
             TxnOutcome::Committed => ProtocolMessage::Response(ResponseMessage::signed(
                 txn,
                 SeqNum(1),
                 outcome,
                 9,
+                view,
                 &handle,
             )),
             TxnOutcome::Aborted => {
-                ProtocolMessage::Abort(AbortMessage::signed(txn, SeqNum(1), &handle))
+                ProtocolMessage::Abort(AbortMessage::signed(txn, SeqNum(1), view, &handle))
             }
         }
     }
 
     fn response(counter: u64, outcome: TxnOutcome) -> ProtocolMessage {
-        response_from(ComponentId::Verifier, counter, outcome)
+        answer_in(ComponentId::Verifier, counter, outcome, 0)
+    }
+
+    /// Where the client sends its next request, `counter`.
+    fn next_target(c: &mut ClientRole, counter: u64) -> Destination {
+        c.submit(txn(counter))[0].as_send().expect("a send").to
     }
 
     /// The request is still outstanding and a timeout still re-sends it.
@@ -333,7 +355,7 @@ mod tests {
             let mut c = client();
             let _ = c.submit(txn(0));
             // Validly signed, but by a shim node.
-            let forged = response_from(ComponentId::Node(NodeId(0)), 0, outcome);
+            let forged = answer_in(ComponentId::Node(NodeId(0)), 0, outcome, 0);
             assert!(c.on_message(&forged).is_empty());
             assert_still_waiting(&mut c, 0);
             // The verifier's own answer still completes the request.
@@ -353,6 +375,7 @@ mod tests {
         let unsigned_abort = ProtocolMessage::Abort(AbortMessage {
             txn: TxnId::new(ClientId(7), 0),
             seq: SeqNum(1),
+            view: ViewNumber(0),
             signature: Signature::ZERO,
         });
         assert!(c.on_message(&unsigned_abort).is_empty());
@@ -381,6 +404,76 @@ mod tests {
         }
         assert!(c.on_message(&flipped).is_empty());
         assert_still_waiting(&mut c, 1);
+    }
+
+    #[test]
+    fn a_verified_answer_from_a_later_view_retargets_the_next_submit() {
+        for outcome in [TxnOutcome::Committed, TxnOutcome::Aborted] {
+            let mut c = client();
+            assert_eq!(next_target(&mut c, 0), Destination::Node(NodeId(0)));
+            let _ = c.on_message(&answer_in(ComponentId::Verifier, 0, outcome, 2));
+            assert_eq!(next_target(&mut c, 1), Destination::Node(NodeId(2)));
+        }
+    }
+
+    #[test]
+    fn an_answer_from_the_same_or_an_earlier_view_keeps_the_target() {
+        let mut c = client();
+        let _ = c.submit(txn(0));
+        let _ = c.on_message(&answer_in(
+            ComponentId::Verifier,
+            0,
+            TxnOutcome::Committed,
+            2,
+        ));
+        for (counter, view) in [(1, 2), (2, 1), (3, 0)] {
+            let _ = c.submit(txn(counter));
+            let answer = answer_in(ComponentId::Verifier, counter, TxnOutcome::Committed, view);
+            assert_eq!(c.on_message(&answer).len(), 2, "the answer counts");
+            assert_eq!(
+                next_target(&mut c, 10 + counter),
+                Destination::Node(NodeId(2))
+            );
+        }
+    }
+
+    #[test]
+    fn a_forged_answer_carrying_a_later_view_moves_nothing() {
+        for outcome in [TxnOutcome::Committed, TxnOutcome::Aborted] {
+            let mut c = client();
+            let _ = c.submit(txn(0));
+            // The verifier's view-0 answer with its view raised: the
+            // signature covers the view, so it no longer verifies.
+            let mut raised = response(0, outcome);
+            match &mut raised {
+                ProtocolMessage::Response(r) => r.view = ViewNumber(3),
+                ProtocolMessage::Abort(a) => a.view = ViewNumber(3),
+                _ => unreachable!(),
+            }
+            assert!(c.on_message(&raised).is_empty());
+            // Signed for view 3, but by a shim node.
+            let by_a_node = answer_in(ComponentId::Node(NodeId(3)), 0, outcome, 3);
+            assert!(c.on_message(&by_a_node).is_empty());
+            assert_still_waiting(&mut c, 0);
+            assert_eq!(next_target(&mut c, 1), Destination::Node(NodeId(0)));
+        }
+    }
+
+    #[test]
+    fn the_followed_view_wraps_round_the_shim() {
+        let mut c = client();
+        let _ = c.submit(txn(0));
+        let _ = c.on_message(&answer_in(
+            ComponentId::Verifier,
+            0,
+            TxnOutcome::Committed,
+            5,
+        ));
+        assert_eq!(
+            next_target(&mut c, 1),
+            Destination::Node(NodeId(1)),
+            "5 mod 4"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use sbft_serverless::{ExecuteRequest, SpawnRequest, VerifyMessage};
 use sbft_sharding::ShardId;
 use sbft_types::{
     ClientId, ComponentId, ExecutorId, NodeId, Region, SeqNum, Signature, SimDuration, Transaction,
-    TxnId, TxnOutcome,
+    TxnId, TxnOutcome, ViewNumber,
 };
 use std::sync::Arc;
 
@@ -64,6 +64,9 @@ pub struct ResponseMessage {
     pub outcome: TxnOutcome,
     /// The execution output (meaningful only when committed).
     pub output: u64,
+    /// The highest shim view the verifier has seen a matched batch
+    /// certified in: clients follow it to the current primary.
+    pub view: ViewNumber,
     /// The verifier's signature over the response.
     pub signature: Signature,
 }
@@ -76,6 +79,7 @@ impl ResponseMessage {
         seq: SeqNum,
         outcome: TxnOutcome,
         output: u64,
+        view: ViewNumber,
         signer: &sbft_crypto::CryptoHandle,
     ) -> Self {
         let mut response = ResponseMessage {
@@ -83,6 +87,7 @@ impl ResponseMessage {
             seq,
             outcome,
             output,
+            view,
             signature: Signature::ZERO,
         };
         response.signature = signer.sign(&response.signing_digest());
@@ -92,7 +97,8 @@ impl ResponseMessage {
     /// The digest the verifier signs and the client checks: every field,
     /// so an answer fits exactly the transaction it was given to (one
     /// signed `RESPONSE` used to fit every transaction of its batch with
-    /// the same output).
+    /// the same output). The view rides above the outcome bit of the last
+    /// word, so a view-0 answer hashes exactly as before views were sent.
     #[must_use]
     pub fn signing_digest(&self) -> sbft_types::Digest {
         sbft_crypto::digest_u64s(
@@ -102,7 +108,7 @@ impl ResponseMessage {
                 self.output,
                 u64::from(self.txn.client.0),
                 self.txn.counter,
-                u64::from(self.outcome == TxnOutcome::Committed),
+                u64::from(self.outcome == TxnOutcome::Committed) | self.view.0 << 1,
             ],
         )
     }
@@ -268,6 +274,8 @@ pub struct AbortMessage {
     pub txn: TxnId,
     /// The sequence number it was ordered at.
     pub seq: SeqNum,
+    /// The verifier's view, as on [`ResponseMessage::view`].
+    pub view: ViewNumber,
     /// The verifier's signature.
     pub signature: Signature,
 }
@@ -275,22 +283,34 @@ pub struct AbortMessage {
 impl AbortMessage {
     /// The `ABORT` for `txn`, signed by `signer` (the verifier).
     #[must_use]
-    pub fn signed(txn: TxnId, seq: SeqNum, signer: &sbft_crypto::CryptoHandle) -> Self {
+    pub fn signed(
+        txn: TxnId,
+        seq: SeqNum,
+        view: ViewNumber,
+        signer: &sbft_crypto::CryptoHandle,
+    ) -> Self {
         let mut abort = AbortMessage {
             txn,
             seq,
+            view,
             signature: Signature::ZERO,
         };
         abort.signature = signer.sign(&abort.signing_digest());
         abort
     }
 
-    /// The digest the verifier signs and the client checks.
+    /// The digest the verifier signs and the client checks. The view
+    /// rides above the 32-bit client id, so a view-0 abort hashes exactly
+    /// as before views were sent.
     #[must_use]
     pub fn signing_digest(&self) -> sbft_types::Digest {
         sbft_crypto::digest_u64s(
             "abort",
-            &[self.seq.0, u64::from(self.txn.client.0), self.txn.counter],
+            &[
+                self.seq.0,
+                u64::from(self.txn.client.0) | self.view.0 << 32,
+                self.txn.counter,
+            ],
         )
     }
 }
@@ -554,6 +574,7 @@ mod tests {
             seq: SeqNum(1),
             outcome: TxnOutcome::Committed,
             output: 0,
+            view: ViewNumber(0),
             signature: Signature::ZERO,
         });
         assert_eq!(resp.wire_size(), 2_270);
@@ -564,6 +585,36 @@ mod tests {
         });
         assert_eq!(err.kind(), "ERROR");
         assert!(err.wire_size() < resp.wire_size());
+    }
+
+    #[test]
+    fn a_view_0_answer_hashes_as_before_views_were_signed_and_a_view_moves_it() {
+        let txn = TxnId::new(ClientId(9), 4);
+        let response = |view| ResponseMessage {
+            txn,
+            seq: SeqNum(3),
+            outcome: TxnOutcome::Committed,
+            output: 77,
+            view: ViewNumber(view),
+            signature: Signature::ZERO,
+        };
+        let abort = |view| AbortMessage {
+            txn,
+            seq: SeqNum(3),
+            view: ViewNumber(view),
+            signature: Signature::ZERO,
+        };
+        // The preimages of the answers before they carried a view.
+        assert_eq!(
+            response(0).signing_digest(),
+            sbft_crypto::digest_u64s("response", &[3, 77, 9, 4, 1])
+        );
+        assert_eq!(
+            abort(0).signing_digest(),
+            sbft_crypto::digest_u64s("abort", &[3, 9, 4])
+        );
+        assert_ne!(response(1).signing_digest(), response(0).signing_digest());
+        assert_ne!(abort(1).signing_digest(), abort(0).signing_digest());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 use crate::durable::{DurableLog, Persisted};
 use crate::events::{
-    Action, BatchValidated, ClientRequest, Destination, ProtocolMessage, ProtocolTimer,
-    RecoverySubject,
+    Action, BatchValidated, ClientRequest, Destination, ErrorMessage, ProtocolMessage,
+    ProtocolTimer, RecoverySubject,
 };
 use crate::planner::{home_shard, BatchFootprint, BestEffortPlanner};
 use sbft_consensus::{
@@ -69,6 +69,18 @@ enum SeenTxn {
 struct BatchedWith {
     signature: sbft_types::Signature,
     digest: sbft_types::Digest,
+}
+
+/// An `ERROR` a backup forwarded to the primary, held until the
+/// verifier's `ACK` for its subject (or until its `Υ` expires in a later
+/// view, whose primary already got it).
+#[derive(Clone, Debug)]
+struct HeldError {
+    /// The view the re-transmission timer `Υ` was started in.
+    view: ViewNumber,
+    /// The verifier's `ERROR`, re-forwarded to the primary of every view
+    /// this node installs as a backup while it is held.
+    error: ErrorMessage,
 }
 
 /// How long the batcher lets a pending request wait before its lane is
@@ -134,12 +146,17 @@ pub struct ShimNode {
     /// Highest sequence number at or below which `seen_txns` has been
     /// garbage-collected.
     seen_gc_floor: SeqNum,
-    /// The view in which each re-transmission timer `Υ` was started. If the
-    /// view has already changed when the timer fires, the new primary gets a
+    /// Every `ERROR` this node forwarded as a backup and the view its
+    /// re-transmission timer `Υ` was started in, until the verifier's
+    /// `ACK` (see [`HeldError`]). A view this node installs as a backup
+    /// gets the held `ERROR`s re-forwarded to its primary: that is how the
+    /// request a view change was raised for reaches the new primary
+    /// (RECOVERY.md, "Who re-routes a request after a view change"). If
+    /// the view has already changed when `Υ` fires, the new primary gets a
     /// fresh chance instead of triggering yet another view change (this is
     /// what prevents one byzantine primary from cascading the shim through
     /// many views when many `ERROR` messages arrive at once).
-    retransmit_view: IdMap<RecoverySubject, ViewNumber>,
+    retransmit: IdMap<RecoverySubject, HeldError>,
     /// The write-ahead log and its snapshot rhythm; a no-op unless
     /// `config.durability` is enabled or [`Self::attach_wal`] was called.
     durable: DurableLog,
@@ -171,6 +188,10 @@ pub struct ShimNode {
     state_transfers: Counter,
     /// Region outages detected reactively from rejected spawns.
     region_outages_detected: Counter,
+    /// Views this node installed.
+    view_changes: Counter,
+    /// Held `ERROR`s re-forwarded to the primary of a newly installed view.
+    errors_reforwarded: Counter,
 }
 
 /// The cost of a durable step, charged by the driver before whatever the
@@ -270,7 +291,7 @@ impl ShimNode {
             pending_seen: BTreeMap::new(),
             max_validated: SeqNum(0),
             seen_gc_floor: SeqNum(0),
-            retransmit_view: IdMap::default(),
+            retransmit: IdMap::default(),
             durable,
             recovering: false,
             rebuilds_replica: false,
@@ -281,6 +302,8 @@ impl ShimNode {
             rejected_txns: Counter::new(),
             state_transfers: Counter::new(),
             region_outages_detected: Counter::new(),
+            view_changes: Counter::new(),
+            errors_reforwarded: Counter::new(),
         }
     }
 
@@ -337,6 +360,8 @@ impl ShimNode {
             registry.counter(&format!("shim.{id}.durability.state_transfer_batches"));
         self.region_outages_detected =
             registry.counter(&format!("shim.{id}.region_outages_detected"));
+        self.view_changes = registry.counter(&format!("shim.{id}.view_changes"));
+        self.errors_reforwarded = registry.counter(&format!("shim.{id}.errors_reforwarded"));
         self.batcher
             .register_metrics(registry, &format!("shim.{id}"));
         self.invoker.register_metrics(registry);
@@ -660,6 +685,7 @@ impl ShimNode {
                     out.extend(self.on_committed(view, seq, batch, plan, certificate));
                 }
                 ConsensusAction::ViewInstalled { view, .. } => {
+                    self.view_changes.inc();
                     out.extend(self.durable.on_view_installed(view).map(persist));
                     out.extend(self.on_view_installed());
                 }
@@ -706,7 +732,7 @@ impl ShimNode {
         self.unverified.clear();
         self.validated_txns.clear();
         self.pending_seen.clear();
-        self.retransmit_view.clear();
+        self.retransmit.clear();
         self.max_validated = SeqNum(0);
         self.seen_gc_floor = SeqNum(0);
         if self.planner.is_some() {
@@ -897,14 +923,33 @@ impl ShimNode {
             .collect()
     }
 
-    /// When this node becomes the primary of a new view it re-spawns
-    /// executors for every batch that committed but was never validated by
-    /// the verifier (otherwise a view change could leave committed batches
-    /// stranded without executors).
+    /// A backup of the new view re-forwards every `ERROR` it holds to the
+    /// new primary, without restarting `Υ`: the requests the view change
+    /// was raised for reach the node that can order them. (On short
+    /// timers `Υ` is about as long as the new primary's `ACK` takes, so a
+    /// restarted `Υ` would raise a spurious second view change; if the new
+    /// primary fails too, the client's next timeout raises a fresh `ERROR`
+    /// with a fresh `Υ`.)
+    ///
+    /// The new primary drops its own copies rather than ordering them in
+    /// its install step: a `PREPREPARE` proposed there can overtake the
+    /// `NEWVIEW` under link jitter, and a backup still in the old view
+    /// drops it. It re-spawns executors for every batch that committed but
+    /// was never validated by the verifier (otherwise a view change could
+    /// leave committed batches stranded without executors).
     fn on_view_installed(&mut self) -> Vec<Action> {
         if !self.is_primary() {
-            return Vec::new();
+            let primary = Destination::Node(self.primary());
+            let me = self.component();
+            let reforwarded: Vec<Action> = self
+                .retransmit
+                .values()
+                .map(|held| Action::send(me, primary, ProtocolMessage::Error(held.error.clone())))
+                .collect();
+            self.errors_reforwarded.add(reforwarded.len() as u64);
+            return reforwarded;
         }
+        self.retransmit.clear();
         let stranded: Vec<SeqNum> = self
             .committed
             .iter()
@@ -956,8 +1001,14 @@ impl ShimNode {
                     };
                 }
                 // Start the re-transmission timer Υ and forward the ERROR,
-                // unchanged, to the primary.
-                self.retransmit_view.insert(err.subject, self.view());
+                // unchanged, to the primary; hold it until the ACK.
+                self.retransmit.insert(
+                    err.subject,
+                    HeldError {
+                        view: self.view(),
+                        error: err.clone(),
+                    },
+                );
                 vec![
                     Action::StartTimer {
                         timer: ProtocolTimer::Retransmit(err.subject),
@@ -973,6 +1024,7 @@ impl ShimNode {
             ProtocolMessage::Ack(ack)
                 if self.verifier_signed(ack.signing_digest(), ack.signature) =>
             {
+                self.retransmit.remove(&ack.subject);
                 vec![Action::CancelTimer(ProtocolTimer::Retransmit(ack.subject))]
             }
             ProtocolMessage::Replace(replace)
@@ -1129,14 +1181,19 @@ impl ShimNode {
             }
             ProtocolTimer::Retransmit(subject) => {
                 // The primary failed to resolve the verifier's ERROR before
-                // Υ expired: it must be byzantine, replace it — unless the
-                // primary has already been replaced since the ERROR arrived,
-                // in which case the new primary gets a fresh chance.
-                let started_in = self.retransmit_view.remove(&subject);
-                if started_in == Some(self.view()) {
+                // Υ expired: it must be byzantine, replace it, and keep the
+                // ERROR for the next view's primary — unless the primary
+                // has already been replaced since the ERROR arrived, in
+                // which case the new primary got the ERROR at its install
+                // and gets a fresh chance.
+                let Some(started_in) = self.retransmit.get(&subject).map(|held| held.view) else {
+                    return Vec::new();
+                };
+                if started_in == self.view() {
                     let actions = self.ordering.request_view_change();
                     self.translate(actions)
                 } else {
+                    self.retransmit.remove(&subject);
                     Vec::new()
                 }
             }
@@ -2123,6 +2180,92 @@ mod tests {
         // Υ for b is still armed: its expiry escalates.
         let actions = shim.nodes[2].on_timer(ProtocolTimer::Retransmit(b), SimTime::ZERO);
         assert!(actions.iter().any(|a| a.sends_kind("VIEWCHANGE")));
+    }
+
+    /// The verifier's `ERROR(⟨T⟩_C)` carrying client `client`'s request.
+    fn error_carrying(shim: &Shim, client: u32) -> ErrorMessage {
+        ErrorMessage::signed(
+            RecoverySubject::Txn(TxnId::new(ClientId(client), 0)),
+            Some(Box::new(signed_request(&shim.provider, client, 0))),
+            &verifier(shim),
+        )
+    }
+
+    #[test]
+    fn a_new_view_gets_the_errors_its_backups_hold_and_its_primary_orders_none_at_install() {
+        let mut shim = make_shim(base_config());
+        let err = error_carrying(&shim, 5);
+        let subject = err.subject;
+        // Node 0 is dark: the backups forward the ERROR to it in vain and
+        // their Υ expires in view 0, which replaces it.
+        for node in 1..4 {
+            let _ = shim.nodes[node].on_message(&ProtocolMessage::Error(err.clone()));
+        }
+        let mut external = Vec::new();
+        for node in 1..4 {
+            let actions =
+                shim.nodes[node].on_timer(ProtocolTimer::Retransmit(subject), SimTime::ZERO);
+            external.extend(run_consensus_partitioned(&mut shim, node, actions, &[0]));
+        }
+        assert!(shim.nodes[1].is_primary());
+        for node in 1..4u32 {
+            let count = |name: &str| shim.registry.counter_value(&format!("shim.{node}.{name}"));
+            assert_eq!(count("view_changes"), 1, "node {node}");
+            assert_eq!(
+                count("errors_reforwarded"),
+                u64::from(node != 1),
+                "node {node}"
+            );
+        }
+        // Each backup of view 1 re-forwarded the ERROR to node 1, and
+        // started no Υ for it.
+        for node in [2, 3] {
+            let mine: Vec<&Action> = external
+                .iter()
+                .filter(|(from, _)| *from == NodeId(node))
+                .map(|(_, action)| action)
+                .collect();
+            let reforwarded: Vec<_> = mine.iter().filter_map(|a| a.as_send()).collect();
+            assert_eq!(reforwarded.len(), 1, "node {node}: {mine:?}");
+            assert_eq!(reforwarded[0].to, Destination::Node(NodeId(1)));
+            assert_eq!(reforwarded[0].msg, ProtocolMessage::Error(err.clone()));
+            assert!(!mine.iter().any(|a| matches!(
+                a,
+                Action::StartTimer {
+                    timer: ProtocolTimer::Retransmit(_),
+                    ..
+                }
+            )));
+        }
+        // The new primary dropped its own copy and batched nothing while
+        // installing the view.
+        let primary = &mut shim.nodes[1];
+        assert!(primary.retransmit.is_empty());
+        assert!(primary.batcher.pending_txn_ids().is_empty());
+        assert_eq!(primary.seen_txns_len(), 0);
+        // A backup's copy, delivered after the install, is ordered.
+        let _ = primary.on_message(&ProtocolMessage::Error(err));
+        assert_eq!(
+            primary.batcher.pending_txn_ids(),
+            vec![TxnId::new(ClientId(5), 0)]
+        );
+    }
+
+    #[test]
+    fn an_ack_releases_the_held_error() {
+        let mut shim = make_shim(base_config());
+        let err = error_carrying(&shim, 5);
+        let node = &mut shim.nodes[2];
+        let _ = node.on_message(&ProtocolMessage::Error(err.clone()));
+        assert_eq!(node.retransmit.len(), 1);
+        let ack = AckMessage::signed(err.subject, &verifier(&shim));
+        let node = &mut shim.nodes[2];
+        let actions = node.on_message(&ProtocolMessage::Ack(ack));
+        assert_eq!(
+            actions,
+            vec![Action::CancelTimer(ProtocolTimer::Retransmit(err.subject))]
+        );
+        assert!(node.retransmit.is_empty(), "the ACK released the entry");
     }
 
     #[test]

@@ -237,14 +237,14 @@ impl SystemBuilder {
             },
         );
 
-        // Clients.
-        let primary = nodes[0].primary();
+        // Clients: each starts at the primary of view 0 and follows the
+        // view the verifier's answers carry.
         let clients = (0..self.num_clients as u32)
             .map(|i| {
                 ClientRole::new(
                     ClientId(i),
                     provider.handle(ComponentId::Client(ClientId(i))),
-                    primary,
+                    n_nodes,
                     self.config.timers.client_timeout,
                 )
             })

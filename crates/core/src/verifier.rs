@@ -30,7 +30,7 @@ use sbft_storage::VersionedStore;
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
     ComponentId, ConflictHandling, ExecutorId, FaultParams, IdMap, SeqNum, ShardPlan,
-    ShardingConfig, SimDuration, TxnId, TxnOutcome,
+    ShardingConfig, SimDuration, TxnId, TxnOutcome, ViewNumber,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -113,6 +113,11 @@ pub struct Verifier {
     /// Recovery subjects we broadcast an `ERROR`/`REPLACE` for and still
     /// owe an `ACK`.
     outstanding: BTreeSet<RecoverySubject>,
+    /// The highest view of a commit certificate on a matched batch: every
+    /// answer carries it, so clients follow the shim's primary. A lone
+    /// `VERIFY` never moves it, and without certificates (`cert_quorum`
+    /// 0, the baselines) it stays at view 0.
+    view: ViewNumber,
 
     // Counters, registered as `verifier.<field>` by `register_metrics`.
     /// Transactions whose writes have been applied.
@@ -154,6 +159,7 @@ impl Verifier {
             retry: IdMap::default(),
             gc_floor: SeqNum(0),
             outstanding: BTreeSet::new(),
+            view: ViewNumber(0),
             committed_txns: Counter::new(),
             aborted_txns: Counter::new(),
             ignored_verifies: Counter::new(),
@@ -281,6 +287,9 @@ impl Verifier {
             .count();
         if matching >= quorum {
             state.matched = Some(Arc::clone(msg));
+            if self.config.cert_quorum > 0 {
+                self.view = self.view.max(msg.certificate.view);
+            }
             if state.timer_started {
                 out.push(Action::CancelTimer(ProtocolTimer::VerifierAbort(msg.seq)));
             }
@@ -369,7 +378,9 @@ impl Verifier {
     }
 
     /// The `RESPONSE` or `ABORT` carrying `answer` (first send and every
-    /// re-send build it here).
+    /// re-send build it here), stamped with the verifier's current view:
+    /// the view is not stored per answer, so a re-send may name a later
+    /// one than the first send did.
     fn answer_message(&self, txn: TxnId, answer: Answer) -> ProtocolMessage {
         let Answer {
             seq,
@@ -382,10 +393,11 @@ impl Verifier {
                 seq,
                 outcome,
                 output,
+                self.view,
                 &self.crypto,
             )),
             TxnOutcome::Aborted => {
-                ProtocolMessage::Abort(AbortMessage::signed(txn, seq, &self.crypto))
+                ProtocolMessage::Abort(AbortMessage::signed(txn, seq, self.view, &self.crypto))
             }
         }
     }
@@ -782,8 +794,14 @@ mod tests {
             )
         }
 
-        fn certificate(&self, seq: u64, digest: Digest) -> std::sync::Arc<CommitCertificate> {
-            let cd = commit_digest(ViewNumber(0), SeqNum(seq), &digest);
+        /// A valid commit certificate for `digest` at `seq` in `view`.
+        fn certificate(
+            &self,
+            view: u64,
+            seq: u64,
+            digest: Digest,
+        ) -> std::sync::Arc<CommitCertificate> {
+            let cd = commit_digest(ViewNumber(view), SeqNum(seq), &digest);
             let entries = (0..3u32)
                 .map(|n| {
                     let kp = self
@@ -794,7 +812,7 @@ mod tests {
                 })
                 .collect();
             std::sync::Arc::new(CommitCertificate::new(
-                ViewNumber(0),
+                ViewNumber(view),
                 SeqNum(seq),
                 digest,
                 entries,
@@ -848,10 +866,23 @@ mod tests {
                 batch_digest: digest,
                 results: results.into(),
                 result_digest,
-                certificate: self.certificate(seq, digest),
+                certificate: self.certificate(0, seq, digest),
                 plan: ShardPlan::Unplanned,
                 signature: handle.sign(&result_digest),
             }
+        }
+
+        /// Like [`Self::verify_msg`], certified in `view`.
+        fn verify_msg_in_view(
+            &self,
+            executor: u64,
+            seq: u64,
+            client: u32,
+            view: u64,
+        ) -> VerifyMessage {
+            let mut msg = self.verify_msg(executor, seq, client, 42, 1);
+            msg.certificate = self.certificate(view, seq, msg.batch_digest);
+            msg
         }
 
         /// Like [`Self::verify_msg_with_results`], with an ordering-time
@@ -1451,6 +1482,68 @@ mod tests {
         assert_eq!(v.committed_txns.get(), 1);
     }
 
+    /// The view stamped on every answer among `actions`.
+    fn answer_views(actions: &[Action]) -> Vec<ViewNumber> {
+        crate::events::envelopes(actions)
+            .iter()
+            .filter_map(|e| match &e.msg {
+                ProtocolMessage::Response(r) => Some(r.view),
+                ProtocolMessage::Abort(a) => Some(a.view),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Client `client`'s signed request `counter`, retransmitted.
+    fn retry(fx: &Fixture, client: u32, counter: u64) -> ClientRequest {
+        let txn = Transaction::new(
+            TxnId::new(ClientId(client), counter),
+            vec![Operation::Read(Key(1))],
+        );
+        let digest = ClientRequest::signing_digest(&txn);
+        ClientRequest {
+            signature: fx
+                .provider
+                .handle(ComponentId::Client(ClientId(client)))
+                .sign(&digest),
+            txn,
+        }
+    }
+
+    #[test]
+    fn first_sends_and_resends_carry_the_highest_matched_view() {
+        let fx = Fixture::new();
+        let mut v = fx.verifier(ConflictHandling::NonConflicting);
+        let _ = v.on_verify(&fx.verify_msg_in_view(1, 1, 0, 0));
+        let first = v.on_verify(&fx.verify_msg_in_view(2, 1, 0, 0));
+        assert_eq!(answer_views(&first), vec![ViewNumber(0)]);
+        // Batch 2 was certified after a view change.
+        let _ = v.on_verify(&fx.verify_msg_in_view(1, 2, 1, 2));
+        let second = v.on_verify(&fx.verify_msg_in_view(2, 2, 1, 2));
+        assert_eq!(answer_views(&second), vec![ViewNumber(2)]);
+        // A batch re-spawned from the old view lowers nothing.
+        let _ = v.on_verify(&fx.verify_msg_in_view(1, 3, 2, 1));
+        let third = v.on_verify(&fx.verify_msg_in_view(2, 3, 2, 1));
+        assert_eq!(answer_views(&third), vec![ViewNumber(2)]);
+        // A re-send is stamped with the current view, not the first one.
+        let resent = v.on_client_request(&retry(&fx, 0, 1));
+        assert_eq!(answer_views(&resent), vec![ViewNumber(2)]);
+    }
+
+    #[test]
+    fn a_lone_verify_from_a_later_view_moves_no_answer() {
+        let fx = Fixture::new();
+        let mut v = fx.verifier(ConflictHandling::NonConflicting);
+        // One executor's VERIFY for batch 2, validly certified in view 5,
+        // never matched by a second.
+        let _ = v.on_verify(&fx.verify_msg_in_view(7, 2, 1, 5));
+        let _ = v.on_verify(&fx.verify_msg_in_view(1, 1, 0, 0));
+        let actions = v.on_verify(&fx.verify_msg_in_view(2, 1, 0, 0));
+        assert_eq!(answer_views(&actions), vec![ViewNumber(0)]);
+        let resent = v.on_client_request(&retry(&fx, 0, 1));
+        assert_eq!(answer_views(&resent), vec![ViewNumber(0)]);
+    }
+
     #[test]
     fn cert_quorum_zero_accepts_baseline_verifies() {
         let fx = Fixture::new();
@@ -1473,9 +1566,14 @@ mod tests {
         std::sync::Arc::make_mut(&mut m2.certificate)
             .entries
             .clear();
+        // The stand-in certificates name a view; without a quorum behind
+        // them the answers stay at view 0.
+        Arc::make_mut(&mut m.certificate).view = ViewNumber(3);
+        Arc::make_mut(&mut m2.certificate).view = ViewNumber(3);
         let _ = v.on_verify(&m);
         let actions = v.on_verify(&m2);
         assert!(response_kinds(&actions).contains(&"RESPONSE"));
+        assert_eq!(answer_views(&actions), vec![ViewNumber(0)]);
     }
 
     /// A result writing `key` after reading it at version 1.

@@ -31,10 +31,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Items that stay `pub` without a caller yet, one line of reason each.
-const EXEMPT: &[(&str, &str)] = &[(
-    "set_primary",
-    "ROADMAP direction 4 wires it: clients follow the view",
-)];
+const EXEMPT: &[(&str, &str)] = &[];
 
 const DECLARED_UNDER: &str = "crates";
 const REFERENCED_UNDER: &[&str] = &["crates", "src", "tests", "examples", "benchmark/src"];

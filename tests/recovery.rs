@@ -1,4 +1,5 @@
-//! Crash-restart recovery equivalence.
+//! Crash-restart recovery equivalence, and how long a primary crash
+//! silences the system.
 //!
 //! A replica that crashes, restarts, replays its durable log from the
 //! last snapshot and fetches the suffix it missed from peers must end
@@ -7,21 +8,29 @@
 //! are deterministic functions of the committed batch sequence. The
 //! proptest sweeps the crash point, the length of the dark window, the
 //! snapshot interval and the shard-lane configuration.
+//!
+//! A crashed primary costs one client timer, one re-transmission timer
+//! and the view change: clients follow the view the verifier's answers
+//! carry, and the backups hand the new primary the requests its view
+//! change was raised for.
 
 mod common;
 
 use common::{fan_out, fold_outcome, pbft_nodes, record_batches, signed_request, Wire};
 use proptest::prelude::*;
 use serverless_bft::consensus::ConsensusMessage;
+use serverless_bft::core::SystemBuilder;
 use serverless_bft::core::{Action, ShimNode};
 use serverless_bft::crypto::CryptoProvider;
-use serverless_bft::telemetry::Registry;
+use serverless_bft::serverless::CrashRestart;
+use serverless_bft::sim::{FaultPlan, LinkFaults, LinkRule, SimHarness, SimParams};
+use serverless_bft::telemetry::{Registry, SpanEvent, Stage, TraceSink};
 use serverless_bft::types::{
-    Batch, ConflictHandling, DurabilityConfig, NodeId, SeqNum, ShardingConfig, SimDuration,
-    SimTime, SystemConfig, TxnId,
+    Batch, ConflictHandling, DurabilityConfig, NodeId, RegionSet, SeqNum, ShardingConfig,
+    SimDuration, SimTime, SystemConfig, TxnId,
 };
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The backup replica whose crash-restart the suite watches.
 const OBSERVED: usize = 3;
@@ -339,4 +348,82 @@ fn a_proposal_lost_across_a_view_change_is_expired_at_the_same_cutoff() {
     )
     .collect();
     assert_eq!(trajectory, golden);
+}
+
+/// Keeps the instant of every answer a client receives.
+#[derive(Default)]
+struct Answers(Mutex<Vec<SimTime>>);
+
+impl TraceSink for Answers {
+    fn record(&self, event: SpanEvent) {
+        if event.stage == Stage::Respond {
+            self.0.lock().expect("sink poisoned").push(event.at);
+        }
+    }
+}
+
+#[test]
+fn a_primary_crash_costs_one_client_timer_one_retransmit_timer_and_the_view_change() {
+    let ms = SimDuration::from_millis;
+    // The repo benchmark's `crash_primary` deployment, scaled down: one
+    // region, durable nodes, batches of 20, client / node / retransmit
+    // timers of 100 / 60 / 30 ms, 100 µs of link jitter, and the primary
+    // dark for 400 ms.
+    let mut config = SystemConfig::with_shim_size(4);
+    config.workload.num_records = 10_000;
+    config.workload.batch_size = 20;
+    config.regions = RegionSet::home_only();
+    config.durability = DurabilityConfig::enabled().with_snapshot_interval(64);
+    config.timers.client_timeout = ms(100);
+    config.timers.node_timeout = ms(60);
+    config.timers.retransmit_timeout = ms(30);
+    let timers = config.timers;
+    let params = SimParams {
+        duration: ms(1_400),
+        warmup: ms(100),
+        num_clients: 200,
+        seed: 42,
+        ..SimParams::default()
+    };
+    let crash_at = ms(500);
+    let plan = FaultPlan::new()
+        .link(LinkRule::all(
+            LinkFaults::default().with_delay(1.0, SimDuration::from_micros(100)),
+        ))
+        .crash(CrashRestart::of(NodeId(0), crash_at, ms(400)));
+    let system = SystemBuilder::new(config).clients(200).seed(42).build();
+    let sink = Arc::new(Answers::default());
+    let metrics = SimHarness::new(system, params)
+        .with_fault_plan(plan)
+        .with_tracer(Arc::clone(&sink) as _)
+        .run();
+    assert_eq!(metrics.counter("recovery.recoveries"), 1);
+
+    // The longest stretch of the window without an answer.
+    let start = SimTime::ZERO + params.warmup;
+    let end = start + params.duration;
+    let mut answers = sink.0.lock().expect("sink poisoned").clone();
+    answers.retain(|at| *at >= start && *at < end);
+    answers.sort();
+    let edges = std::iter::once(start).chain(answers).chain([end]);
+    let gaps = edges.clone().zip(edges.skip(1)).map(|(a, b)| b.since(a));
+    let outage = gaps.max().expect("the window has two edges");
+    let bound = timers.client_timeout + timers.retransmit_timeout + ms(40);
+    assert!(
+        outage <= bound,
+        "nothing answered for {outage:?} (bound {bound:?})"
+    );
+
+    // One view change replaced the primary: every live node installed
+    // exactly one view, and the clients followed it, so no node had a
+    // client request to forward.
+    for node in 1..4 {
+        assert_eq!(
+            metrics.counter(&format!("shim.{node}.view_changes")),
+            1,
+            "views node {node} installed"
+        );
+    }
+    assert!(metrics.sum("errors_reforwarded") > 0);
+    assert_eq!(metrics.sum("requests_forwarded"), 0);
 }
