@@ -1,6 +1,6 @@
-//! Shard-count scaling of the sharded execution subsystem
-//! (`sbft-sharding`): committed-transaction throughput as the verifier's
-//! commit path is partitioned over 1 → 8 execution shards.
+//! Shard-count scaling of the sharded commit path: committed-transaction
+//! throughput as the verifier's `ccheck` work is spread over 1 → 8
+//! execution shards.
 //!
 //! Two series are reported:
 //!
@@ -9,16 +9,17 @@
 //!   rather than the default in-memory cost), so the per-shard `ccheck`
 //!   stations are the bottleneck and shard count plays the role cores
 //!   play in Figure 6(ix). The workload is conflict-free uniform YCSB.
-//! * `RAW-POOL` (opt-in via `--raw-pool`) — the `ShardScheduler` worker
+//! * `RAW-POOL` (opt-in via `--raw-pool`) — the `sbft-sharding` worker
 //!   pool executing the same kind of conflict-free batches on real OS
-//!   threads, showing the raw (protocol-free) throughput of the sharded
-//!   commit engine. Thread scaling only shows on multi-core hosts; on a
-//!   single-core machine the series is flat, which is why it is opt-in.
+//!   threads, showing the raw (protocol-free) throughput of the
+//!   lock-ordered committer. No runtime applies through the pool. Thread
+//!   scaling only shows on multi-core hosts; on a single-core machine the
+//!   series is flat, which is why it is opt-in.
 
 use sbft_bench::{run_sweep, PointConfig, FIGURE_COLUMNS};
-use sbft_sharding::{ShardScheduler, ShardedCommitter};
+use sbft_sharding::{ApplyTicket, ShardScheduler, ShardedCommitter};
 use sbft_sim::CpuModel;
-use sbft_storage::VersionedStore;
+use sbft_storage::{OccOutcome, VersionedStore};
 use sbft_types::{
     ClientId, Key, ReadWriteSet, ShardingConfig, SimDuration, SystemConfig, TxnId, TxnResult,
     Value, Version,
@@ -82,22 +83,24 @@ fn raw_pool_series() {
         let store = Arc::new(VersionedStore::new());
         store.load((0..keys).map(|i| (Key(i), Value::new(0))));
         let committer = Arc::new(ShardedCommitter::new(
-            Arc::clone(&store),
+            store,
             &ShardingConfig::with_shards(shards),
         ));
-        let pool = ShardScheduler::new(Arc::clone(&committer), shards, true);
+        let pool = ShardScheduler::new(committer, shards, true);
         let started = Instant::now();
         let tickets: Vec<_> = batches
             .iter()
             .enumerate()
             .map(|(seq, txns)| pool.submit_tracked(seq as u64, Arc::clone(txns)))
             .collect();
-        for ticket in tickets {
-            let _ = ticket.wait();
-        }
+        let applied = tickets
+            .into_iter()
+            .flat_map(ApplyTicket::wait)
+            .filter(OccOutcome::is_applied)
+            .count() as u64;
         let elapsed = started.elapsed().as_secs_f64();
         pool.shutdown();
-        assert_eq!(committer.committed(), TXNS, "every transaction commits");
+        assert_eq!(applied, TXNS, "every transaction commits");
         println!(
             "fig6-shards,RAW-POOL,{shards},{:.0},{elapsed:.6},0.000000,0.000000,0.000,0.000",
             TXNS as f64 / elapsed

@@ -37,7 +37,7 @@
 //! entirely single-home — tagged [`ShardPlan::SingleHome`], its apply
 //! work lands on exactly one shard with no cross-shard coordination — or
 //! explicitly [`ShardPlan::CrossHome`], detected at batching time and
-//! destined for the lock-ordered committer path instead of being
+//! destined for the chained cross-shard `ccheck` instead of being
 //! discovered late in the verifier's apply stage. The plan tag rides on
 //! the released [`SignedBatch`] and from there through `PREPREPARE`,
 //! `EXECUTE` and `VERIFY` (trust-but-verify; see `sbft_types::plan`).

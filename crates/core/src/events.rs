@@ -8,10 +8,9 @@
 
 use sbft_consensus::{ConsensusMessage, ConsensusTimer};
 use sbft_serverless::{ExecuteRequest, SpawnRequest, VerifyMessage};
-use sbft_sharding::ShardId;
 use sbft_types::{
-    ClientId, ComponentId, ExecutorId, NodeId, Region, SeqNum, Signature, SimDuration, Transaction,
-    TxnId, TxnOutcome, ViewNumber,
+    ClientId, ComponentId, ExecutorId, NodeId, Region, SeqNum, ShardId, Signature, SimDuration,
+    Transaction, TxnId, TxnOutcome, ViewNumber,
 };
 use std::sync::Arc;
 

@@ -18,7 +18,7 @@
 //! (katana-style per-shard mempools), so whole batches arrive at the
 //! verifier's apply stage already conflict-free per shard — cross-home
 //! work is detected at batching time and tagged
-//! [`ShardPlan::CrossHome`] for the lock-ordered committer path instead
+//! [`ShardPlan::CrossHome`] for the chained cross-shard `ccheck` instead
 //! of being discovered late by the apply-time fallback probe. The
 //! resulting [`ShardPlan`] is replicated with the batch but only ever
 //! consumed **trust-but-verify**: the verifier re-derives the claim
@@ -26,8 +26,7 @@
 //! deterministically on mismatch, so a lying primary can waste its own
 //! fast path but cannot corrupt state (see `sbft_types::plan`).
 
-use sbft_sharding::ShardRouter;
-use sbft_types::{Key, RwSetKeys, SeqNum, ShardPlan, Transaction};
+use sbft_types::{Key, RwSetKeys, SeqNum, ShardPlan, ShardRouter, Transaction};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Classifies one transaction at ordering time: the lane it assembles

@@ -25,11 +25,10 @@ use sbft_consensus::{
 use sbft_crypto::{CommitCertificate, CryptoHandle};
 use sbft_durability::WriteAheadLog;
 use sbft_serverless::{ExecuteRequest, Invoker};
-use sbft_sharding::ShardRouter;
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
-    Batch, ComponentId, ConflictHandling, IdMap, IdSet, NodeId, SeqNum, ShardPlan, SimDuration,
-    SimTime, SpawningMode, SystemConfig, TxnId, ViewNumber,
+    checkpoint_gc_cutoff, Batch, ComponentId, ConflictHandling, IdMap, IdSet, NodeId, SeqNum,
+    ShardPlan, ShardRouter, SimDuration, SimTime, SpawningMode, SystemConfig, TxnId, ViewNumber,
 };
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
@@ -1093,12 +1092,8 @@ impl ShimNode {
     /// contract (the verifier has dropped its stored `RESPONSE` for them
     /// in the same rhythm).
     fn gc_seen_txns(&mut self) {
-        let interval = self.config.timers.checkpoint_interval;
-        if interval == 0 {
-            return;
-        }
-        let stable = (self.max_validated.0 / interval) * interval;
-        let cutoff = SeqNum(stable.saturating_sub(interval));
+        let cutoff =
+            checkpoint_gc_cutoff(self.max_validated, self.config.timers.checkpoint_interval);
         if cutoff <= self.seen_gc_floor {
             return;
         }

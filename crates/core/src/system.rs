@@ -232,7 +232,7 @@ impl SystemBuilder {
                 abort_timeout: VERIFIER_ABORT_TIMEOUT,
                 cert_quorum,
                 spawned_per_batch: self.config.spawned_per_batch(),
-                sharding: self.config.sharding,
+                num_shards: self.config.sharding.num_shards,
                 checkpoint_interval: self.config.timers.checkpoint_interval,
             },
         );

@@ -25,12 +25,11 @@ use crate::events::{
 };
 use sbft_crypto::CryptoHandle;
 use sbft_serverless::VerifyMessage;
-use sbft_sharding::{ShardId, ShardSet, ShardedCommitter};
-use sbft_storage::VersionedStore;
+use sbft_storage::{ConcurrencyChecker, VersionedStore};
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
-    ComponentId, ConflictHandling, ExecutorId, FaultParams, IdMap, SeqNum, ShardPlan,
-    ShardingConfig, SimDuration, TxnId, TxnOutcome, ViewNumber,
+    checkpoint_gc_cutoff, ComponentId, ConflictHandling, ExecutorId, FaultParams, IdMap, SeqNum,
+    ShardId, ShardPlan, ShardRouter, ShardSet, SimDuration, TxnId, TxnOutcome, ViewNumber,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -82,20 +81,24 @@ pub struct VerifierConfig {
     /// re-derived from `FaultParams`). Once this many `VERIFY`s arrived
     /// without a matching quorum, the batch can never match.
     pub spawned_per_batch: usize,
-    /// Sharded-execution parameters for the commit path.
-    pub sharding: ShardingConfig,
-    /// The shim's featherweight checkpoint interval. The verifier
-    /// truncates its retry table in the same rhythm
-    /// (keeping one closed interval of history for client retries), so
-    /// long runs stop growing without bound. `0` disables the GC.
+    /// Number of execution shards the `ccheck` work of a batch is
+    /// announced over (as [`Action::ShardCcheck`]).
+    pub num_shards: usize,
+    /// The shim's featherweight checkpoint interval (non-zero). The
+    /// verifier truncates its retry table in the same rhythm (keeping one
+    /// closed interval of history for client retries), so long runs stop
+    /// growing without bound.
     pub checkpoint_interval: u64,
 }
 
 /// The verifier role state machine.
 pub struct Verifier {
     crypto: CryptoHandle,
-    /// The sharded commit path replacing the single global `ccheck`.
-    committer: ShardedCommitter,
+    /// The data-store every matched batch is checked against and applied
+    /// to, one transaction at a time in batch order.
+    store: Arc<VersionedStore>,
+    /// Routes keys to shards for the `ShardCcheck` accounting.
+    router: ShardRouter,
     config: VerifierConfig,
 
     /// Sequence number of the next request to be validated.
@@ -149,10 +152,10 @@ impl Verifier {
     /// Creates the verifier.
     #[must_use]
     pub fn new(crypto: CryptoHandle, store: Arc<VersionedStore>, config: VerifierConfig) -> Self {
-        let committer = ShardedCommitter::new(store, &config.sharding);
         Verifier {
             crypto,
-            committer,
+            store,
+            router: ShardRouter::new(config.num_shards),
             config,
             kmax: SeqNum(1),
             pending: BTreeMap::new(),
@@ -350,13 +353,8 @@ impl Verifier {
     /// while anything older falls back to the `ERROR(⟨T⟩_C)` path — the
     /// primary recognises the duplicate and drops it.
     fn gc_retry_maps(&mut self) {
-        let interval = self.config.checkpoint_interval;
-        if interval == 0 {
-            return;
-        }
-        let validated = self.kmax.0.saturating_sub(1);
-        let stable = (validated / interval) * interval;
-        let cutoff = SeqNum(stable.saturating_sub(interval));
+        let validated = SeqNum(self.kmax.0 - 1);
+        let cutoff = checkpoint_gc_cutoff(validated, self.config.checkpoint_interval);
         if cutoff <= self.gc_floor {
             return;
         }
@@ -402,19 +400,17 @@ impl Verifier {
         }
     }
 
-    /// Applies a matched batch: per-transaction concurrency check through
-    /// the shard router, storage update, client responses, primary
-    /// notification, ACKs. The batch is routed exactly once; the per-shard
-    /// `ccheck` work is announced first (as [`Action::ShardCcheck`]) so
-    /// CPU-modelling runtimes can charge it to the shard stations before
-    /// the responses leave, and the same routes then drive the apply, in
-    /// batch order on the verifier's own thread through
-    /// [`ShardedCommitter::commit_routed`].
+    /// Applies a matched batch: the per-shard `ccheck` work is announced
+    /// first (as [`Action::ShardCcheck`]) so CPU-modelling runtimes can
+    /// charge it to the shard stations before the responses leave. Then
+    /// every transaction runs [`ConcurrencyChecker::check_and_apply`] in
+    /// batch order on the verifier's own thread, followed by the client
+    /// responses, the primary notification and the ACKs.
     fn apply_batch(&mut self, seq: SeqNum, matched: &VerifyMessage, actions: &mut Vec<Action>) {
         // One answer per transaction, the notice to the nodes and a few
         // shard slices: reserved once instead of grown push by push.
         actions.reserve(matched.results.len() + 4);
-        let router = *self.committer.router();
+        let router = self.router;
         // Trust-but-verify the ordering-time plan tag: a `SingleHome`
         // claim is honoured only after re-deriving it from the read-write
         // sets the executors actually observed (a cheap single pass over
@@ -446,17 +442,6 @@ impl Verifier {
             }
             _ => None,
         };
-        // The one routing pass: a verified tag supplies every involved
-        // set without hashing a key, anything else asks the router.
-        let routes: Vec<ShardSet> = matched
-            .results
-            .iter()
-            .map(|result| match verified_home {
-                Some(home) if !result.rwset.is_empty() => ShardSet::single(home),
-                Some(_) => ShardSet::EMPTY,
-                None => router.shards_of(&result.rwset),
-            })
-            .collect();
         if let Some(home) = verified_home {
             // The whole batch's ccheck lands on its one home shard.
             self.planned_batches.inc();
@@ -473,15 +458,17 @@ impl Verifier {
                 chained: false,
             });
         } else {
-            // Split the announced ccheck work: single-home transactions
-            // charge their one shard and run in parallel across stations,
-            // while cross-shard transactions hold every involved shard's
-            // execution lock in ascending shard order — their slices are
-            // `chained`, so CPU-modelling runtimes serialise them (shard
-            // i+1 starts only after shard i grants).
+            // Route every transaction to split the announced ccheck work:
+            // single-home transactions charge their one shard and run in
+            // parallel across stations, while cross-shard transactions are
+            // priced as holding every involved shard's execution lock in
+            // ascending shard order — their slices are `chained`, so
+            // CPU-modelling runtimes serialise them (shard i+1 starts only
+            // after shard i grants).
             let mut solo_work: BTreeMap<ShardId, (u32, u32)> = BTreeMap::new();
             let mut cross_work: BTreeMap<ShardId, (u32, u32)> = BTreeMap::new();
-            for (result, involved) in matched.results.iter().zip(&routes) {
+            for result in matched.results.iter() {
+                let involved = router.shards_of(&result.rwset);
                 let work = if involved.len() > 1 {
                     &mut cross_work
                 } else {
@@ -515,11 +502,10 @@ impl Verifier {
         let validate_reads = self.validate_reads();
         let mut committed = 0u32;
         let mut aborted = 0u32;
-        for (result, involved) in matched.results.iter().zip(&routes) {
-            let applied = self
-                .committer
-                .commit_routed(&result.rwset, validate_reads, *involved)
-                .is_applied();
+        for result in matched.results.iter() {
+            let applied =
+                ConcurrencyChecker::check_and_apply(&self.store, &result.rwset, validate_reads)
+                    .is_applied();
             let answer = if applied {
                 committed += 1;
                 self.committed_txns.inc();
@@ -746,8 +732,8 @@ mod tests {
     use sbft_crypto::{CommitCertificate, CryptoProvider, SimSigner};
     use sbft_storage::YcsbTable;
     use sbft_types::{
-        Batch, ClientId, Digest, Key, NodeId, Operation, ReadWriteSet, Transaction, TxnResult,
-        Value, Version, ViewNumber,
+        Batch, ClientId, Digest, Key, NodeId, Operation, ReadWriteSet, ShardingConfig, Transaction,
+        TxnResult, Value, Version, ViewNumber,
     };
 
     struct Fixture {
@@ -788,7 +774,7 @@ mod tests {
                     abort_timeout: SimDuration::from_millis(100),
                     cert_quorum: 3,
                     spawned_per_batch: spawned,
-                    sharding,
+                    num_shards: sharding.num_shards,
                     checkpoint_interval: 4,
                 },
             )
@@ -1279,7 +1265,7 @@ mod tests {
                 cert_quorum: 3,
                 // decentralized: n_r × decentralized_spawn_count()
                 spawned_per_batch: 4,
-                sharding: ShardingConfig::default(),
+                num_shards: 1,
                 checkpoint_interval: 4,
             },
         );
@@ -1347,7 +1333,7 @@ mod tests {
             ConflictHandling::UnknownRwSets,
             sbft_types::ShardingConfig::with_shards(8),
         );
-        let router = *v.committer.router();
+        let router = v.router;
         let k1 = Key(1);
         // A key on a *higher-numbered* shard than k1's, so txn A (which
         // touches both) homes on k1's shard while txn B homes on k2's.
@@ -1556,7 +1542,7 @@ mod tests {
                 abort_timeout: SimDuration::from_millis(100),
                 cert_quorum: 0,
                 spawned_per_batch: 3,
-                sharding: ShardingConfig::default(),
+                num_shards: 1,
                 checkpoint_interval: 4,
             },
         );
@@ -1589,8 +1575,8 @@ mod tests {
     }
 
     /// `n` distinct keys all living on one shard of the verifier's router.
-    fn keys_on_one_shard(v: &Verifier, n: usize) -> (sbft_sharding::ShardId, Vec<Key>) {
-        let router = *v.committer.router();
+    fn keys_on_one_shard(v: &Verifier, n: usize) -> (ShardId, Vec<Key>) {
+        let router = v.router;
         let home = router.shard_of(Key(1));
         let keys: Vec<Key> = (1..)
             .map(Key)
@@ -1643,7 +1629,7 @@ mod tests {
                 ConflictHandling::KnownRwSets,
                 sbft_types::ShardingConfig::with_shards(8),
             );
-            let router = *v.committer.router();
+            let router = v.router;
             let k1 = Key(1);
             let k2 = (2..)
                 .map(Key)
@@ -1663,7 +1649,7 @@ mod tests {
                 fx.store.get(k2).unwrap().value,
             )
         };
-        let lied = run(ShardPlan::SingleHome(sbft_sharding::ShardId(0)));
+        let lied = run(ShardPlan::SingleHome(ShardId(0)));
         let honest = run(ShardPlan::Unplanned);
         assert_eq!(lied.2, 1, "the lie must be detected");
         assert_eq!(lied.3, 0, "a lying tag never earns the fast path");
@@ -1685,7 +1671,7 @@ mod tests {
             ConflictHandling::NonConflicting,
             sbft_types::ShardingConfig::with_shards(8),
         );
-        let plan = ShardPlan::SingleHome(sbft_sharding::ShardId(99));
+        let plan = ShardPlan::SingleHome(ShardId(99));
         let results = vec![rmw_result(0, Key(1), 7)];
         let _ = v.on_verify(&fx.verify_msg_planned(1, 1, results.clone(), plan));
         let actions = v.on_verify(&fx.verify_msg_planned(2, 1, results, plan));

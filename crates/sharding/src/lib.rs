@@ -1,48 +1,35 @@
 //! # sbft-sharding
 //!
-//! The sharded execution subsystem: removes the single verifier/storage
-//! funnel that capped the paper's deployment at ~21 parallel executors by
-//! partitioning the concurrency-control and apply path of committed
-//! batches across `N` independent shards (in the style of execution
-//! sharding: per-shard isolated state, pending queue and scheduler).
+//! The raw thread-scaling instrument for the sharded commit path: a
+//! worker pool that applies committed batches over `N` shards on real OS
+//! threads. No runtime applies through it. The verifier is the one
+//! applier on both runtimes and calls
+//! [`sbft_storage::ConcurrencyChecker::check_and_apply`] itself, in batch
+//! order; the simulator prices the per-shard `ccheck` from the
+//! verifier's `ShardCcheck` announcements. What remains here is what
+//! `fig6_shards --raw-pool` and the repo benchmark's `sharding.*` figures
+//! drive:
 //!
-//! * [`router`] — [`ShardRouter`]: deterministic partitioning of the YCSB
-//!   key space into shards. The same key maps to the same shard on every
-//!   run and every process, so the verifier, the simulator and the thread
-//!   runtime always agree on placement.
-//! * [`state`] — [`ShardState`]: one shard's isolated slice of the world —
-//!   its [`view`](state::ShardStoreView) of the versioned store, its
-//!   pending-batch queue, its OCC counters and the atomic
-//!   `Idle → Pending → Running` lifecycle that prevents double-scheduling.
-//! * [`committer`] — [`ShardedCommitter`]: the synchronous engine the
-//!   trusted verifier drives. Single-shard transactions check-and-apply
-//!   under their shard's execution lock only; cross-shard transactions
-//!   take a two-phase, lock-ordered path (acquire every involved shard's
-//!   execution lock in ascending shard order, validate all reads, apply
-//!   all writes, release) so OCC semantics are exactly those of the
-//!   unsharded `ccheck` of Figure 3.
+//! * [`committer`] — [`ShardedCommitter`]: `ccheck` under the execution
+//!   locks of every shard a transaction touches, taken in ascending shard
+//!   order, so OCC outcomes are exactly those of one serial applier.
 //! * [`scheduler`] — [`ShardScheduler`]: a worker pool sized to the
-//!   configured cores that drains shard queues in parallel, used only by
-//!   the raw-scaling benchmarks (no runtime applies through it). Batches
-//!   enter it one way and come back as an [`ApplyTicket`].
+//!   configured cores that drains per-shard FIFO queues in parallel.
+//!   Batches enter it one way and come back as an [`ApplyTicket`].
 //!
-//! The physical [`sbft_storage::VersionedStore`] stays shared (it is
-//! internally lock-striped); what the shards isolate is the *work* — the
-//! OCC validation and write application — which is the serial bottleneck
-//! this subsystem parallelises. Equivalence of sharded and unsharded
-//! execution is property-tested in `tests/properties.rs` of the facade
-//! crate and in [`committer`]'s own tests.
+//! The `key → shard` map, [`ShardRouter`], lives in `sbft-types` beside
+//! [`ShardId`] and [`ShardSet`], and is re-exported here. Equivalence of
+//! the pool and serial `ccheck` is property-tested in
+//! `tests/properties.rs` of the facade crate and in the modules' own
+//! tests.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod committer;
-pub mod router;
 pub mod scheduler;
-pub mod state;
 
-pub use committer::{CommitOutcome, ShardedCommitter};
-pub use router::{ShardId, ShardRouter, ShardSet};
+pub use committer::ShardedCommitter;
+pub use sbft_types::{ShardId, ShardRouter, ShardSet};
 pub use scheduler::{ApplyTicket, ShardScheduler};
-pub use state::{ShardState, ShardStoreView, ShardTask};

@@ -18,61 +18,133 @@
 //! batch on its own thread, in batch order (DESIGN.md, "Modes kept as
 //! ablations", says why).
 
-use crate::committer::{CommitOutcome, ShardedCommitter};
-use crate::router::{ShardId, ShardSet};
-use crate::state::ShardTask;
-use sbft_types::TxnResult;
+use crate::committer::ShardedCommitter;
+use sbft_storage::OccOutcome;
+use sbft_types::{ShardId, ShardSet, TxnResult};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+/// No pending work and not enqueued; the only schedulable phase.
+const IDLE: u8 = 0;
+/// Enqueued in the scheduler's work queue, not yet picked up.
+const PENDING: u8 = 1;
+/// A worker is executing the shard's queue.
+const RUNNING: u8 = 2;
+
+/// A unit of queued work: the transactions of one submitted batch that
+/// are homed on one shard. Everything but `indices` is shared with the
+/// batch's other shard tasks, so queueing a batch clones no read-write
+/// set.
+#[derive(Default)]
+struct ShardTask {
+    /// The whole batch's results (the submitter's allocation,
+    /// refcount-bumped).
+    txns: Arc<[TxnResult]>,
+    /// The involved-shard set of every transaction of the batch, as the
+    /// submitter routed it: the worker commits through it instead of
+    /// hashing the keys again.
+    routes: Arc<[ShardSet]>,
+    /// Which transactions of the batch live on this shard.
+    indices: Vec<u32>,
+    /// Where the per-transaction outcomes are recorded.
+    ticket: Arc<TicketState>,
+}
+
+/// One shard's FIFO of pending tasks and its scheduling lifecycle
+/// `Idle → Pending → Running → Idle`. Transitions are compare-and-swap,
+/// so only one `Idle → Pending` can succeed at a time: a shard is never
+/// enqueued twice and never run by two workers concurrently. That is the
+/// pool's order guarantee — a shard's tasks apply in submission order.
+#[derive(Default)]
+struct ShardQueue {
+    phase: AtomicU8,
+    queue: parking_lot::Mutex<VecDeque<ShardTask>>,
+}
+
+impl ShardQueue {
+    /// Appends a task to the pending queue. Returns `true` if the caller
+    /// won the `Idle → Pending` transition and must hand the shard to the
+    /// scheduler's work queue (exactly one concurrent caller wins).
+    fn enqueue(&self, task: ShardTask) -> bool {
+        self.queue.lock().push_back(task);
+        self.try_mark_pending()
+    }
+
+    /// Attempts the atomic `Idle → Pending` transition.
+    fn try_mark_pending(&self) -> bool {
+        self.phase
+            .compare_exchange(IDLE, PENDING, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
+
+    /// Marks the shard `Running` when a worker picks it up.
+    ///
+    /// # Panics
+    /// Panics if the shard was not `Pending` — that would mean the work
+    /// queue handed the same shard to two workers.
+    fn begin_run(&self) {
+        let prev = self.phase.swap(RUNNING, Ordering::AcqRel);
+        assert_eq!(prev, PENDING, "shard double-scheduled");
+    }
+
+    /// Marks the shard `Idle` after a worker drained it. Returns `true` if
+    /// new work raced in behind the drain and the shard must be scheduled
+    /// again (the caller re-enqueues it).
+    fn finish_run(&self) -> bool {
+        self.phase.store(IDLE, Ordering::Release);
+        // A submitter that enqueued between our last `pop_task` and the
+        // store above lost the Idle→Pending race to nobody: re-check.
+        if self.queue.lock().is_empty() {
+            false
+        } else {
+            self.try_mark_pending()
+        }
+    }
+
+    /// Pops the oldest pending task.
+    fn pop_task(&self) -> Option<ShardTask> {
+        self.queue.lock().pop_front()
+    }
+}
 
 /// Shared completion state behind an [`ApplyTicket`]: per-transaction
 /// outcome slots plus a countdown the workers decrement as they apply.
 #[derive(Debug, Default)]
-pub struct TicketState {
-    outcomes: Mutex<Vec<Option<CommitOutcome>>>,
-    remaining: Mutex<usize>,
+struct TicketState {
+    slots: Mutex<Slots>,
     done: Condvar,
+}
+
+/// A batch's outcome slots and how many of them are still empty.
+#[derive(Debug, Default)]
+struct Slots {
+    outcomes: Vec<Option<OccOutcome>>,
+    empty: usize,
 }
 
 impl TicketState {
     fn new(total: usize) -> Self {
         TicketState {
-            outcomes: Mutex::new(vec![None; total]),
-            remaining: Mutex::new(total),
+            slots: Mutex::new(Slots {
+                outcomes: vec![None; total],
+                empty: total,
+            }),
             done: Condvar::new(),
         }
     }
 
-    /// Records the outcome of transaction `index` and wakes the waiter
-    /// when the batch is fully applied.
-    pub(crate) fn record(&self, index: usize, outcome: CommitOutcome) {
-        self.outcomes.lock().expect("ticket outcomes")[index] = Some(outcome);
-        self.count_down(1);
-    }
-
-    /// Records a whole shard task's outcomes with one acquisition of each
+    /// Records a whole shard task's outcomes with one acquisition of the
     /// lock, so pool workers do not serialize on the shared ticket once
-    /// per transaction.
-    pub(crate) fn record_all(&self, entries: Vec<(usize, CommitOutcome)>) {
-        if entries.is_empty() {
-            return;
+    /// per transaction, and wakes the waiter once the batch is applied.
+    fn record_all(&self, entries: Vec<(usize, OccOutcome)>) {
+        let mut slots = self.slots.lock().expect("ticket slots");
+        slots.empty -= entries.len();
+        for (index, outcome) in entries {
+            slots.outcomes[index] = Some(outcome);
         }
-        let n = entries.len();
-        {
-            let mut outcomes = self.outcomes.lock().expect("ticket outcomes");
-            for (index, outcome) in entries {
-                outcomes[index] = Some(outcome);
-            }
-        }
-        self.count_down(n);
-    }
-
-    fn count_down(&self, n: usize) {
-        let mut remaining = self.remaining.lock().expect("ticket countdown");
-        *remaining -= n;
-        if *remaining == 0 {
+        if slots.empty == 0 {
             self.done.notify_all();
         }
     }
@@ -80,7 +152,7 @@ impl TicketState {
 
 /// A handle on one batch submitted to the pool via
 /// [`ShardScheduler::submit_tracked`]. Waiting on it yields the
-/// per-transaction [`CommitOutcome`]s in submission order — what the
+/// per-transaction [`OccOutcome`]s in submission order — what the
 /// synchronous commit loop produces for the same batch, computed by the
 /// worker pool with real shard parallelism.
 #[derive(Debug)]
@@ -92,14 +164,13 @@ impl ApplyTicket {
     /// Blocks until every transaction of the batch has been applied and
     /// returns their outcomes, indexed like the submitted slice.
     #[must_use]
-    pub fn wait(self) -> Vec<CommitOutcome> {
-        let mut remaining = self.state.remaining.lock().expect("ticket countdown");
-        while *remaining > 0 {
-            remaining = self.state.done.wait(remaining).expect("ticket countdown");
+    pub fn wait(self) -> Vec<OccOutcome> {
+        let mut slots = self.state.slots.lock().expect("ticket slots");
+        while slots.empty > 0 {
+            slots = self.state.done.wait(slots).expect("ticket slots");
         }
-        drop(remaining);
-        let mut outcomes = self.state.outcomes.lock().expect("ticket outcomes");
-        outcomes
+        slots
+            .outcomes
             .drain(..)
             .map(|o| o.expect("every slot recorded before the countdown hits zero"))
             .collect()
@@ -108,6 +179,8 @@ impl ApplyTicket {
 
 struct SchedulerInner {
     committer: Arc<ShardedCommitter>,
+    /// One queue per shard, indexed by [`ShardId`].
+    queues: Vec<ShardQueue>,
     validate_reads: bool,
     work: Mutex<VecDeque<ShardId>>,
     work_available: Condvar,
@@ -137,10 +210,10 @@ impl SchedulerInner {
 
     fn worker_loop(&self) {
         while let Some(shard_id) = self.take_work() {
-            let shard = &self.committer.shards()[shard_id.0 as usize];
+            let shard = &self.queues[shard_id.0 as usize];
             shard.begin_run();
             while let Some(task) = shard.pop_task() {
-                let entries: Vec<(usize, CommitOutcome)> = task
+                let entries: Vec<(usize, OccOutcome)> = task
                     .indices
                     .iter()
                     .map(|&i| {
@@ -175,8 +248,12 @@ impl ShardScheduler {
     /// the unsharded verifier path.
     #[must_use]
     pub fn new(committer: Arc<ShardedCommitter>, workers: usize, validate_reads: bool) -> Self {
+        let queues = (0..committer.router().num_shards())
+            .map(|_| ShardQueue::default())
+            .collect();
         let inner = Arc::new(SchedulerInner {
             committer,
+            queues,
             validate_reads,
             work: Mutex::new(VecDeque::new()),
             work_available: Condvar::new(),
@@ -193,8 +270,8 @@ impl ShardScheduler {
 
     /// The one way into the pool. Submits one committed batch: every
     /// transaction is routed with the committer's router and queued on
-    /// its home shard (a transaction that touches no data applies
-    /// trivially), the touched shards are scheduled, and the returned
+    /// its home shard (shard 0 for one that touches no data, which takes
+    /// no lock), the touched shards are scheduled, and the returned
     /// [`ApplyTicket`] yields the outcomes once the pool has applied
     /// everything.
     ///
@@ -206,32 +283,31 @@ impl ShardScheduler {
     /// preserve commit order within a shard across successive
     /// submissions; cross-shard transactions run on their home shard's
     /// worker through the committer's lock-ordered path.
+    ///
+    /// `_seq` names the batch for the caller; the pool orders by
+    /// submission, not by it.
     #[must_use]
-    pub fn submit_tracked(&self, seq: u64, txns: Arc<[TxnResult]>) -> ApplyTicket {
+    pub fn submit_tracked(&self, _seq: u64, txns: Arc<[TxnResult]>) -> ApplyTicket {
         let router = self.inner.committer.router();
         let routes: Arc<[ShardSet]> = txns.iter().map(|r| router.shards_of(&r.rwset)).collect();
         let ticket = Arc::new(TicketState::new(txns.len()));
-        let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); self.inner.committer.shards().len()];
+        let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); self.inner.queues.len()];
         for (i, involved) in routes.iter().enumerate() {
-            match involved.first() {
-                Some(home) => per_shard[home.0 as usize].push(i as u32),
-                // Mirrors the committer's empty-route outcome.
-                None => ticket.record(i, CommitOutcome::Applied),
-            }
+            let home = involved.first().unwrap_or(ShardId(0));
+            per_shard[home.0 as usize].push(i as u32);
         }
-        for (shard, indices) in self.inner.committer.shards().iter().zip(per_shard) {
+        for (id, (shard, indices)) in self.inner.queues.iter().zip(per_shard).enumerate() {
             if indices.is_empty() {
                 continue;
             }
             let task = ShardTask {
-                seq,
                 txns: Arc::clone(&txns),
                 routes: Arc::clone(&routes),
                 indices,
                 ticket: Arc::clone(&ticket),
             };
             if shard.enqueue(task) {
-                self.inner.push_work(shard.id());
+                self.inner.push_work(ShardId(id as u32));
             }
         }
         ApplyTicket { state: ticket }
@@ -313,11 +389,10 @@ mod tests {
             let batch = (0..100).map(|i| write_txn(seq * 100 + i, 7)).collect();
             let _ = pool.submit_tracked(seq, tracked(batch));
         }
-        let committer = Arc::clone(&pool.inner.committer);
         pool.shutdown();
-        assert_eq!(committer.committed(), 1_000);
         for k in 0..1_000 {
-            assert_eq!(store.get(Key(k)).unwrap().value, Value::new(7));
+            let entry = store.get(Key(k)).unwrap();
+            assert_eq!((entry.value, entry.version), (Value::new(7), Version(2)));
         }
     }
 
@@ -358,8 +433,9 @@ mod tests {
         let mut rw = ReadWriteSet::new();
         rw.record_write(Key(0), Value::new(1));
         rw.record_write(Key(far), Value::new(1));
+        assert_eq!(router.shards_of(&rw).len(), 2);
         assert!(pool.submit_tracked(1, tracked(vec![rw])).wait()[0].is_applied());
-        assert_eq!(pool.inner.committer.cross_shard_commits(), 1);
+        assert_eq!(store.get(Key(0)).unwrap().value, Value::new(1));
         assert_eq!(store.get(Key(far)).unwrap().value, Value::new(1));
         pool.shutdown();
     }
@@ -393,10 +469,7 @@ mod tests {
         let outcomes = pool.submit_tracked(1, Arc::clone(&txns)).wait();
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes[0].is_applied());
-        assert!(matches!(
-            outcomes[1],
-            crate::committer::CommitOutcome::StaleReads(_)
-        ));
+        assert_eq!(outcomes[1], OccOutcome::StaleReads(vec![Key(5)]));
         assert!(
             outcomes[2].is_applied(),
             "no-data transactions apply trivially"
@@ -415,7 +488,7 @@ mod tests {
         let txns = tracked((0..100u64).map(|i| write_txn(i, i)).collect());
         let outcomes = pool.submit_tracked(7, Arc::clone(&txns)).wait();
         assert_eq!(outcomes.len(), 100);
-        assert!(outcomes.iter().all(CommitOutcome::is_applied));
+        assert!(outcomes.iter().all(OccOutcome::is_applied));
         pool.shutdown();
         assert_eq!(Arc::strong_count(&txns), 1);
     }
@@ -451,9 +524,10 @@ mod tests {
             })
             .collect();
         for ticket in tickets {
-            assert_eq!(ticket.wait().len(), 10);
+            let outcomes = ticket.wait();
+            assert_eq!(outcomes.len(), 10);
+            assert!(outcomes.iter().all(OccOutcome::is_applied));
         }
-        assert_eq!(pool.inner.committer.committed(), 200);
         // 1 load + 200 writes.
         assert_eq!(store.version_of(Key(3)), Version(201));
         pool.shutdown();
@@ -510,15 +584,13 @@ mod tests {
                         let outcomes = ticket.wait();
                         assert_eq!(outcomes.len(), SHARDS);
                         assert!(
-                            outcomes.iter().all(CommitOutcome::is_applied),
+                            outcomes.iter().all(OccOutcome::is_applied),
                             "submitter {t} batch {j} applied out of order: {outcomes:?}"
                         );
                     }
                 });
             }
         });
-        let submitted = SUBMITTERS * BATCHES * SHARDS as u64;
-        assert_eq!(pool.inner.committer.committed(), submitted);
         for shard_keys in &keys {
             assert_eq!(
                 store.version_of(shard_keys[0]),
@@ -530,5 +602,68 @@ mod tests {
             }
         }
         pool.shutdown();
+    }
+
+    fn shard() -> ShardQueue {
+        ShardQueue::default()
+    }
+
+    #[test]
+    fn lifecycle_idle_pending_running_idle() {
+        let s = shard();
+        assert_eq!(s.phase.load(Ordering::Acquire), IDLE);
+        assert!(s.try_mark_pending());
+        assert_eq!(s.phase.load(Ordering::Acquire), PENDING);
+        assert!(!s.try_mark_pending(), "only one Idle→Pending can win");
+        s.begin_run();
+        assert_eq!(s.phase.load(Ordering::Acquire), RUNNING);
+        assert!(!s.finish_run(), "no queued work, stays idle");
+        assert_eq!(s.phase.load(Ordering::Acquire), IDLE);
+    }
+
+    #[test]
+    fn enqueue_wins_scheduling_exactly_once() {
+        let s = shard();
+        assert!(s.enqueue(ShardTask::default()), "first enqueue schedules");
+        assert!(!s.enqueue(ShardTask::default()), "second one piggy-backs");
+        assert_eq!(s.queue.lock().len(), 2);
+    }
+
+    #[test]
+    fn finish_run_reschedules_raced_work() {
+        let s = shard();
+        assert!(s.enqueue(ShardTask::default()));
+        s.begin_run();
+        let _ = s.pop_task();
+        // Work arrives while the worker is still marked Running: the
+        // submitter cannot win Idle→Pending …
+        assert!(!s.enqueue(ShardTask::default()));
+        // … so the worker must pick it up when it finishes.
+        assert!(s.finish_run(), "raced-in work must reschedule the shard");
+        assert_eq!(s.phase.load(Ordering::Acquire), PENDING);
+    }
+
+    #[test]
+    #[should_panic(expected = "double-scheduled")]
+    fn begin_run_from_idle_panics() {
+        shard().begin_run();
+    }
+
+    #[test]
+    fn concurrent_enqueues_schedule_exactly_once() {
+        let s = Arc::new(shard());
+        let wins: Vec<bool> = std::thread::scope(|scope| {
+            (0..8)
+                .map(|_| {
+                    let s = Arc::clone(&s);
+                    scope.spawn(move || s.enqueue(ShardTask::default()))
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert_eq!(wins.iter().filter(|w| **w).count(), 1);
+        assert_eq!(s.queue.lock().len(), 8);
     }
 }

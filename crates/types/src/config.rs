@@ -7,6 +7,7 @@
 //! unknown, Theorem VI.2).
 
 use crate::error::{SbftError, SbftResult};
+use crate::ids::SeqNum;
 use crate::region::RegionSet;
 use crate::time::SimDuration;
 
@@ -136,7 +137,8 @@ pub struct TimerConfig {
     /// the verifier is forwarded to the primary, stopped on the matching
     /// `ACK`.
     pub retransmit_timeout: SimDuration,
-    /// Featherweight checkpoint period, in committed sequence numbers.
+    /// Featherweight checkpoint period, in committed sequence numbers
+    /// (non-zero).
     pub checkpoint_interval: u64,
 }
 
@@ -149,6 +151,22 @@ impl Default for TimerConfig {
             checkpoint_interval: 100,
         }
     }
+}
+
+/// The highest sequence number whose history may be dropped once every
+/// batch up to `validated` has been validated, with featherweight
+/// checkpoints every `interval` sequence numbers: the checkpoint one
+/// closed interval behind the last stable one. The verifier's retry table
+/// and the shim's duplicate-suppression table both truncate at it, so a
+/// late retry inside the retained window is still recognised by both.
+///
+/// # Panics
+/// Panics if `interval` is zero, which [`SystemConfig::validate`]
+/// rejects.
+#[must_use]
+pub fn checkpoint_gc_cutoff(validated: SeqNum, interval: u64) -> SeqNum {
+    let stable = validated.0 / interval * interval;
+    SeqNum(stable.saturating_sub(interval))
 }
 
 /// Configuration of the durability subsystem (`sbft-durability`): the
@@ -491,6 +509,11 @@ impl SystemConfig {
         if self.workload.batch_size == 0 {
             return Err(SbftError::InvalidConfig("batch size cannot be zero".into()));
         }
+        if self.timers.checkpoint_interval == 0 {
+            return Err(SbftError::InvalidConfig(
+                "checkpoint interval cannot be zero".into(),
+            ));
+        }
         if !(0.0..=1.0).contains(&self.workload.conflict_fraction) {
             return Err(SbftError::InvalidConfig(
                 "conflict fraction must lie in [0, 1]".into(),
@@ -651,6 +674,30 @@ mod tests {
             snapshot_interval: 0,
         };
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_checkpoint_interval() {
+        let mut cfg = SystemConfig::small_test();
+        cfg.timers.checkpoint_interval = 0;
+        assert!(matches!(cfg.validate(), Err(SbftError::InvalidConfig(_))));
+        cfg.timers.checkpoint_interval = 1;
+        assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn the_gc_cutoff_keeps_one_closed_interval_behind_the_last_checkpoint() {
+        // Nothing is dropped before the second checkpoint.
+        for validated in 0..8 {
+            assert_eq!(checkpoint_gc_cutoff(SeqNum(validated), 4), SeqNum(0));
+        }
+        // Checkpoint 8 is stable: 1..=4 go, 5..=8 stay.
+        assert_eq!(checkpoint_gc_cutoff(SeqNum(8), 4), SeqNum(4));
+        assert_eq!(checkpoint_gc_cutoff(SeqNum(11), 4), SeqNum(4));
+        assert_eq!(checkpoint_gc_cutoff(SeqNum(12), 4), SeqNum(8));
+        assert_eq!(checkpoint_gc_cutoff(SeqNum(250), 100), SeqNum(100));
+        // An interval of one keeps exactly the last validated batch.
+        assert_eq!(checkpoint_gc_cutoff(SeqNum(9), 1), SeqNum(8));
     }
 
     #[test]

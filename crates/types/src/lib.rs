@@ -20,6 +20,9 @@
 //!   fixed-key hasher,
 //! * [`inline`] — the inline read/write lists and the shard bit set that
 //!   keep the per-transaction path off the heap,
+//! * [`plan`] and [`router`] — the ordering-time shard plan tag and the
+//!   deterministic `key → shard` map the planner, the verifier and the
+//!   simulator all route with,
 //! * [`error`] — the common error type.
 //!
 //! Keeping these types dependency-free lets the protocol
@@ -39,14 +42,15 @@ pub mod ids;
 pub mod inline;
 pub mod plan;
 pub mod region;
+pub mod router;
 pub mod rwset;
 pub mod time;
 pub mod transaction;
 
 pub use batch::{Batch, BatchId};
 pub use config::{
-    ConflictHandling, DurabilityConfig, FaultParams, ShardingConfig, SpawningMode, SystemConfig,
-    TimerConfig, WorkloadConfig,
+    checkpoint_gc_cutoff, ConflictHandling, DurabilityConfig, FaultParams, ShardingConfig,
+    SpawningMode, SystemConfig, TimerConfig, WorkloadConfig,
 };
 pub use digest::{Digest, MacTag, Signature};
 pub use error::{SbftError, SbftResult};
@@ -55,6 +59,7 @@ pub use ids::{ClientId, ComponentId, ExecutorId, NodeId, SeqNum, ShardId, TxnId,
 pub use inline::{InlineVec, ShardSet};
 pub use plan::ShardPlan;
 pub use region::{Region, RegionPartition, RegionSet};
+pub use router::ShardRouter;
 pub use rwset::{Key, ReadWriteSet, RwSetKeys, Value, Version};
 pub use time::{SimDuration, SimTime};
 pub use transaction::{Operation, Transaction, TransactionBody, TxnOutcome, TxnResult};

@@ -37,8 +37,8 @@ pub enum ShardPlan {
     /// routing and the cross-home fallback probe entirely.
     SingleHome(ShardId),
     /// The batch spans shards (or contains a transaction that does):
-    /// it was tagged at batching time for the lock-ordered cross-shard
-    /// committer path instead of being discovered late.
+    /// it was tagged at batching time for the chained cross-shard
+    /// `ccheck` instead of being discovered late.
     CrossHome,
 }
 

@@ -25,9 +25,10 @@
 //!   falls back to the unplanned routing path, so a lying tag can cost
 //!   the fast path but never corrupt state.
 
-use sbft_types::{Key, ReadWriteSet, ShardPlan};
-
-pub use sbft_types::{ShardId, ShardSet};
+use crate::ids::ShardId;
+use crate::inline::ShardSet;
+use crate::plan::ShardPlan;
+use crate::rwset::{Key, ReadWriteSet};
 
 /// Deterministically maps keys to shards.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -112,7 +113,7 @@ impl ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbft_types::{Value, Version};
+    use crate::rwset::{Value, Version};
 
     #[test]
     fn same_key_same_shard_across_router_instances() {
@@ -159,21 +160,15 @@ mod tests {
     #[test]
     fn plan_keys_classifies_empty_single_and_cross() {
         let router = ShardRouter::new(8);
-        assert_eq!(router.plan_keys([]), sbft_types::ShardPlan::Unplanned);
+        assert_eq!(router.plan_keys([]), ShardPlan::Unplanned);
         let k = Key(7);
         let home = router.shard_of(k);
-        assert_eq!(
-            router.plan_keys([k, k]),
-            sbft_types::ShardPlan::SingleHome(home)
-        );
+        assert_eq!(router.plan_keys([k, k]), ShardPlan::SingleHome(home));
         let foreign = (8..)
             .map(Key)
             .find(|x| router.shard_of(*x) != home)
             .unwrap();
-        assert_eq!(
-            router.plan_keys([k, foreign]),
-            sbft_types::ShardPlan::CrossHome
-        );
+        assert_eq!(router.plan_keys([k, foreign]), ShardPlan::CrossHome);
     }
 
     #[test]
@@ -183,7 +178,7 @@ mod tests {
         rw.record_read(Key(3), Version(1));
         rw.record_write(Key(3), Value::new(1));
         let home = router.shard_of(Key(3));
-        assert_eq!(router.plan_of(&rw), sbft_types::ShardPlan::SingleHome(home));
+        assert_eq!(router.plan_of(&rw), ShardPlan::SingleHome(home));
         assert!(router.all_on(home, [Key(3)]));
         let foreign = (4..)
             .map(Key)
@@ -191,7 +186,7 @@ mod tests {
             .unwrap();
         assert!(!router.all_on(home, [Key(3), foreign]));
         rw.record_write(foreign, Value::new(2));
-        assert_eq!(router.plan_of(&rw), sbft_types::ShardPlan::CrossHome);
+        assert_eq!(router.plan_of(&rw), ShardPlan::CrossHome);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! * [`serverless`] — the simulated serverless cloud, executors and billing.
 //! * [`core`] — the ServerlessBFT protocol roles (client, shim, verifier),
 //!   conflict handling, attacks and the system builder.
-//! * [`sharding`] — the sharded execution subsystem (shard router,
-//!   per-shard state, sharded committer and worker-pool scheduler).
+//! * [`sharding`] — the raw thread-scaling instrument for the sharded
+//!   commit path (lock-ordered committer and worker-pool scheduler); it
+//!   re-exports the shard router of [`types`].
 //! * [`sim`] — the discrete-event evaluation harness.
 //! * [`runtime`] — the thread-based local emulation.
 //! * [`workloads`] — YCSB workload generation.
@@ -47,9 +48,12 @@
 //!
 //! ## Sharded execution
 //!
-//! The verifier's commit path — the concurrency-control check (`ccheck`)
-//! and write application for every validated batch — is partitioned over
-//! `N` execution shards by [`sharding::ShardRouter`], removing the single
+//! The key space is partitioned over `N` execution shards by
+//! [`types::ShardRouter`]. The verifier still applies every validated
+//! batch itself, one transaction at a time in batch order; what is
+//! partitioned is the *simulated cost* of its concurrency-control check
+//! (`ccheck`): each batch announces its per-shard work, and the simulator
+//! charges it to one service station per shard, removing the single
 //! verifier/storage funnel that capped the paper's deployment. Shard
 //! count is configured per deployment and defaults to 1 (the paper's
 //! original single-funnel behaviour):
@@ -61,7 +65,7 @@
 //!
 //! let mut config = SystemConfig::with_shim_size(4);
 //! config.workload.num_records = 1_000;
-//! // Partition the commit path over 4 shards.
+//! // Spread the simulated ccheck cost over 4 shard stations.
 //! config.sharding = ShardingConfig::with_shards(4);
 //!
 //! let system = SystemBuilder::new(config).clients(10).build();
@@ -69,13 +73,14 @@
 //! assert!(metrics.committed_txns > 0);
 //! ```
 //!
-//! Transactions whose read-write sets stay within one shard validate and
-//! apply fully in parallel with other shards; cross-shard transactions
-//! take a two-phase, lock-ordered path so OCC semantics match the
-//! unsharded verifier exactly. `cargo run --release -p sbft-bench --bin
-//! fig6_shards` sweeps shard counts and shows committed-transaction
-//! throughput scaling with shards on a conflict-free uniform YCSB
-//! workload.
+//! Single-shard transactions are priced on their one station, in
+//! parallel with other shards; cross-shard transactions are priced as
+//! holding every involved station in ascending shard order. OCC outcomes
+//! do not depend on the shard count. `cargo run --release -p sbft-bench
+//! --bin fig6_shards` sweeps shard counts and shows simulated
+//! committed-transaction throughput scaling with shards on a
+//! conflict-free uniform YCSB workload; `-- --raw-pool` adds the
+//! [`sharding`] worker pool's wall-clock series.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

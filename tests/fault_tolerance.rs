@@ -307,7 +307,7 @@ fn region_outage_and_healthy_runs_commit_identically() {
                 abort_timeout: SimDuration::from_millis(100),
                 cert_quorum: 0,
                 spawned_per_batch: 3,
-                sharding: cfg.sharding,
+                num_shards: cfg.sharding.num_shards,
                 checkpoint_interval: cfg.timers.checkpoint_interval,
             },
         );
@@ -461,7 +461,7 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
             abort_timeout: SimDuration::from_millis(100),
             cert_quorum: 3,
             spawned_per_batch: 3,
-            sharding: cfg.sharding,
+            num_shards: cfg.sharding.num_shards,
             checkpoint_interval: cfg.timers.checkpoint_interval,
         },
     );

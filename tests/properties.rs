@@ -14,7 +14,9 @@ use serverless_bft::serverless::{
     ExecuteRequest, Executor, ExecutorBehavior, Invoker, VerifyMessage,
 };
 use serverless_bft::sharding::{ShardRouter, ShardScheduler, ShardedCommitter};
-use serverless_bft::storage::{ConcurrencyChecker, StorageReader, VersionedStore, YcsbTable};
+use serverless_bft::storage::{
+    ConcurrencyChecker, OccOutcome, StorageReader, VersionedStore, YcsbTable,
+};
 use serverless_bft::telemetry::Registry;
 use serverless_bft::types::{
     Batch, ClientId, ComponentId, ConflictHandling, Digest, ExecutorId, FaultParams, Key, NodeId,
@@ -41,8 +43,10 @@ fn equivalence_verifier(
             abort_timeout: SimDuration::from_millis(100),
             cert_quorum: 3,
             spawned_per_batch: 3,
-            sharding: ShardingConfig::with_shards(shards),
-            checkpoint_interval: 0,
+            num_shards: shards,
+            // Longer than any run of the suite (at most 7 batches), so no
+            // retry entry is truncated mid-run.
+            checkpoint_interval: 100,
         },
     );
     let registry = Registry::new();
@@ -284,12 +288,19 @@ proptest! {
 
     /// Sharded execution of a conflict-free batch set is equivalent to
     /// single-shard execution: same per-transaction outcomes, same final
-    /// store contents, regardless of shard count — through the verifier's
-    /// synchronous committer path.
+    /// store contents, regardless of shard count — through the pool's
+    /// lock-ordered committer. On conflicting input the committer at every
+    /// shard count equals serial `ccheck` on a fresh store, the path the
+    /// verifier runs: same outcomes, stale-key lists included, and the
+    /// same final store.
     #[test]
     fn sharded_commit_equivalent_to_single_shard_for_conflict_free_batches(
         txns in prop::collection::vec((1usize..4, any::<u64>()), 1..40),
         shards in 2usize..16,
+        conflicting in prop::collection::vec(
+            (prop::collection::vec((0u64..12, 0u64..3, any::<bool>()), 1..4), any::<u64>()),
+            1..40,
+        ),
     ) {
         // Transaction i owns the disjoint key range [4i, 4i + ops): no
         // two transactions conflict, so execution order cannot matter.
@@ -321,6 +332,47 @@ proptest! {
             (outcomes, state)
         };
         prop_assert_eq!(run(1), run(shards));
+
+        // Conflicting input: multi-key transactions over 12 keys, each key
+        // read at its current version or one or two behind (stale), and
+        // written when its flag is set. Several keys per transaction make
+        // cross-shard routes; stale reads make aborts.
+        const KEYS: u64 = 12;
+        let run_conflicting = |committer_shards: Option<usize>| {
+            let store = Arc::new(VersionedStore::new());
+            store.load((0..KEYS).map(|k| (Key(k), Value::new(0))));
+            let committer = committer_shards.map(|n| {
+                ShardedCommitter::new(Arc::clone(&store), &ShardingConfig::with_shards(n))
+            });
+            let outcomes: Vec<OccOutcome> = conflicting
+                .iter()
+                .map(|(ops, value)| {
+                    let mut rw = ReadWriteSet::new();
+                    for &(key, lag, write) in ops {
+                        let key = Key(key);
+                        rw.record_read(key, Version(store.version_of(key).0.saturating_sub(lag)));
+                        if write {
+                            rw.record_write(key, Value::new(*value));
+                        }
+                    }
+                    match &committer {
+                        Some(committer) => committer.commit(&rw, true),
+                        None => ConcurrencyChecker::check_and_apply(&store, &rw, true),
+                    }
+                })
+                .collect();
+            let state: Vec<(u64, u64)> = (0..KEYS)
+                .map(|k| {
+                    let e = store.get(Key(k)).unwrap();
+                    (e.value.data, e.version.0)
+                })
+                .collect();
+            (outcomes, state)
+        };
+        let serial = run_conflicting(None);
+        for num_shards in 1..=16 {
+            prop_assert_eq!(&run_conflicting(Some(num_shards)), &serial, "{} shards", num_shards);
+        }
     }
 
     /// The same equivalence holds when the sharded side runs on the
@@ -368,7 +420,7 @@ proptest! {
                 .collect();
             let outcomes = pool.submit_tracked(1, batch).wait();
             prop_assert!(outcomes.iter().all(|o| o.is_applied()));
-            prop_assert_eq!(committer.committed(), values.len() as u64);
+            prop_assert_eq!(outcomes.len(), values.len());
             pool.shutdown();
             (0..values.len() as u64)
                 .map(|k| store.get(Key(k)).unwrap().value.data)

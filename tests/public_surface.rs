@@ -24,7 +24,10 @@
 //! The same question one level up: every `[workspace.dependencies]` entry
 //! and every crate vendored under `vendor/` is a dependency of some
 //! workspace member. A stub nobody depends on any more still builds, so
-//! nothing else would say it can go.
+//! nothing else would say it can go. And per member: every key of a
+//! member's `[dependencies]` and `[dev-dependencies]` occurs as its Rust
+//! identifier in that member's own sources, so a crate does not link one
+//! it never names.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -254,5 +257,57 @@ fn every_workspace_dependency_and_vendored_crate_has_a_user() {
     assert!(
         unused.is_empty(),
         "no member manifest depends on {unused:?} — delete the workspace entry and the vendored crate"
+    );
+}
+
+/// The identifiers on the non-comment lines of every Rust file under
+/// `dirs`, `use` declarations included.
+fn named_identifiers(dirs: &[PathBuf]) -> HashSet<String> {
+    let mut files = Vec::new();
+    for dir in dirs {
+        rust_files(dir, &mut files);
+    }
+    let mut named = HashSet::new();
+    for path in files {
+        let text = fs::read_to_string(&path).expect("a readable source file");
+        let lines = text
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("//"));
+        named.extend(lines.flat_map(identifiers).map(str::to_owned));
+    }
+    named
+}
+
+#[test]
+fn every_member_dependency_is_named_in_the_members_sources() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // The root package's sources, then each member crate's whole tree.
+    let mut packages = vec![(
+        root.join("Cargo.toml"),
+        ["src", "tests", "examples"]
+            .map(|dir| root.join(dir))
+            .to_vec(),
+    )];
+    for entry in fs::read_dir(root.join("crates")).expect("the crates directory") {
+        let dir = entry.expect("a directory entry").path();
+        packages.push((dir.join("Cargo.toml"), vec![dir]));
+    }
+    let mut dead = Vec::new();
+    for (manifest_path, dirs) in &packages {
+        let manifest = fs::read_to_string(manifest_path).expect("a readable manifest");
+        let named = named_identifiers(dirs);
+        for key in manifest_keys(&manifest, &["[dependencies]", "[dev-dependencies]"]) {
+            if !named.contains(&key.replace('-', "_")) {
+                let relative = manifest_path
+                    .strip_prefix(root)
+                    .expect("a manifest under the root");
+                dead.push(format!("{} → {key}", relative.display()));
+            }
+        }
+    }
+    assert!(
+        dead.is_empty(),
+        "these dependencies are never named in their member's sources — delete them:\n{}",
+        dead.join("\n")
     );
 }
