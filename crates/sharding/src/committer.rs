@@ -173,6 +173,34 @@ mod tests {
     }
 
     #[test]
+    fn sharded_commit_matches_unsharded_ccheck_outcomes() {
+        // The same transaction sequence through 1 shard and 8 shards must
+        // produce identical outcomes and identical final stores.
+        let seq: Vec<(u64, u64, u64)> = (0..200).map(|i| (i % 50, (i * 7) % 50, i)).collect();
+        let run = |shards: usize| {
+            let store = store_with(50);
+            let c = committer(shards, &store);
+            let outcomes: Vec<bool> = seq
+                .iter()
+                .map(|&(r, w, v)| {
+                    let mut rw = ReadWriteSet::new();
+                    rw.record_read(Key(r), store.version_of(Key(r)));
+                    rw.record_write(Key(w), Value::new(v));
+                    c.commit(&rw, true).is_applied()
+                })
+                .collect();
+            let state: Vec<(u64, u64)> = (0..50)
+                .map(|k| {
+                    let e = store.get(Key(k)).unwrap();
+                    (e.value.data, e.version.0)
+                })
+                .collect();
+            (outcomes, state)
+        };
+        assert_eq!(run(1), run(8));
+    }
+
+    #[test]
     fn parallel_disjoint_commits_do_not_interfere() {
         let store = store_with(1_000);
         let c = Arc::new(committer(8, &store));

@@ -278,11 +278,8 @@ impl ShardScheduler {
     /// The result allocation and the routes are shared with every shard
     /// task (zero-copy: only per-shard index lists are built), and the
     /// workers commit through those routes, so no key is hashed twice.
-    ///
-    /// Per-shard FIFO queues drained by at most one worker at a time
-    /// preserve commit order within a shard across successive
-    /// submissions; cross-shard transactions run on their home shard's
-    /// worker through the committer's lock-ordered path.
+    /// A shard's transactions apply in submission order (see
+    /// `ShardQueue`).
     ///
     /// `_seq` names the batch for the caller; the pool orders by
     /// submission, not by it.
@@ -351,11 +348,7 @@ mod tests {
         store.load((0..records).map(|i| (Key(i), Value::new(0))));
         let committer = Arc::new(ShardedCommitter::new(
             Arc::clone(&store),
-            &ShardingConfig {
-                num_shards,
-                workers,
-                ..ShardingConfig::default()
-            },
+            &ShardingConfig::with_shards(num_shards),
         ));
         (store, ShardScheduler::new(committer, workers, true))
     }

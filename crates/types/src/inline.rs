@@ -175,17 +175,6 @@ impl ShardSet {
     /// The empty set.
     pub const EMPTY: ShardSet = ShardSet(0);
 
-    /// The set holding only `shard`.
-    ///
-    /// # Panics
-    /// Panics if `shard` is not below [`Self::CAPACITY`].
-    #[must_use]
-    pub fn single(shard: ShardId) -> Self {
-        let mut set = ShardSet::EMPTY;
-        set.insert(shard);
-        set
-    }
-
     /// Adds `shard`; returns whether it was new.
     ///
     /// # Panics
@@ -329,7 +318,6 @@ mod tests {
         );
         assert!(set.contains(ShardId(63)) && !set.contains(ShardId(64)));
         assert_eq!(ShardSet::EMPTY.first(), None);
-        assert_eq!(ShardSet::single(ShardId(3)).iter().count(), 1);
         assert_eq!(format!("{set:?}"), "{s0, s5, s63}");
     }
 
