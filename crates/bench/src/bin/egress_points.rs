@@ -1,11 +1,12 @@
 //! Leader-egress sweep: client count × cache-hit rate × proposal mode.
 //!
-//! Every point drives a 4-node PBFT shim synchronously (no simulator
-//! clock, no faults) through the same deterministic workload in both
-//! proposal modes and counts the bytes the leader puts on the wire,
-//! sender-side, from the messages' honest `wire_size` models. The rows
-//! come in full/digest pairs with identical workloads, so committed
-//! counts are equal by construction and any divergence is a protocol bug.
+//! Every point drives a 4-node PBFT shim through the clockless driver
+//! (`sbft_core::lockstep`: no clock, no faults) with the same
+//! deterministic workload in both proposal modes and counts the bytes the
+//! leader puts on the wire, sender-side, from the messages' honest
+//! `wire_size` models. The rows come in full/digest pairs with identical
+//! workloads, so committed counts are equal by construction and any
+//! divergence is a protocol bug.
 //!
 //! The cache-hit rate models how much of the client broadcast reached the
 //! replicas before the digest proposal did: at `hit_permille = 1000`
@@ -20,12 +21,13 @@
 //!
 //! CSV columns: `mode,clients,hit_permille,leader_egress_bytes,committed`.
 
-use sbft_core::{Action, ClientRequest, Destination, ProtocolMessage, ShimNode};
+use sbft_core::lockstep::{pbft_nodes, settle, Verdict};
+use sbft_core::{Action, ClientRequest, ShimNode};
 use sbft_crypto::CryptoProvider;
+use sbft_telemetry::Registry;
 use sbft_types::{
     ClientId, ComponentId, Key, NodeId, Operation, SimTime, SystemConfig, Transaction, TxnId, Value,
 };
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// SplitMix64, so the cache-feed decisions replay exactly per point.
@@ -60,15 +62,7 @@ impl Cluster {
         config.workload.batch_size = clients as usize;
         config.digest_proposals = digest;
         let provider = CryptoProvider::new(4 + clients);
-        let nodes = (0..config.fault.n_r as u32)
-            .map(|i| {
-                ShimNode::pbft(
-                    NodeId(i),
-                    config.clone(),
-                    provider.handle(ComponentId::Node(NodeId(i))),
-                )
-            })
-            .collect();
+        let nodes = pbft_nodes(&config, &provider, &Arc::new(Registry::new()));
         Cluster {
             nodes,
             provider,
@@ -90,51 +84,26 @@ impl Cluster {
         }
     }
 
-    /// Routes node-to-node consensus traffic to quiescence, charging every
-    /// copy the leader sends at its honest wire size.
+    /// Settles `origin`'s actions, charging every copy the leader sends
+    /// at its honest wire size and counting the leader's commits.
     fn drive(&mut self, origin: usize, actions: Vec<Action>) {
-        let n = self.nodes.len();
-        let mut queue: VecDeque<(usize, usize, ProtocolMessage)> = VecDeque::new();
-        self.absorb(origin, actions, &mut queue, n);
-        while let Some((from, to, msg)) = queue.pop_front() {
-            let acts = match &msg {
-                ProtocolMessage::Consensus(c) => {
-                    self.nodes[to].on_consensus_message(NodeId(from as u32), c.clone())
+        let leader = NodeId(0);
+        let settled = settle(
+            &mut self.nodes,
+            NodeId(origin as u32),
+            actions,
+            None,
+            |hop| {
+                if hop.from == leader {
+                    self.leader_egress += hop.msg.wire_size() as u64;
                 }
-                _ => Vec::new(),
-            };
-            self.absorb(to, acts, &mut queue, n);
-        }
-    }
-
-    fn absorb(
-        &mut self,
-        origin: usize,
-        actions: Vec<Action>,
-        queue: &mut VecDeque<(usize, usize, ProtocolMessage)>,
-        n: usize,
-    ) {
-        for a in actions {
-            match &a {
-                Action::Send(env) => {
-                    let targets: Vec<usize> = match env.to {
-                        Destination::AllNodes => (0..n).filter(|t| *t != origin).collect(),
-                        Destination::Node(id) => vec![id.0 as usize],
-                        _ => Vec::new(),
-                    };
-                    if origin == 0 {
-                        self.leader_egress += (env.msg.wire_size() * targets.len()) as u64;
-                    }
-                    for to in targets {
-                        queue.push_back((origin, to, env.msg.clone()));
-                    }
-                }
-                Action::BatchCommitted { .. } if origin == 0 => {
-                    self.committed += 1;
-                }
-                _ => {}
-            }
-        }
+                Verdict::Deliver
+            },
+        );
+        let commits = settled
+            .iter()
+            .filter(|(node, a)| *node == leader && matches!(a, Action::BatchCommitted { .. }));
+        self.committed += commits.count() as u64;
     }
 }
 

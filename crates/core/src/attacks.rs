@@ -20,7 +20,7 @@
 
 use crate::events::{Action, Destination, Envelope, ProtocolMessage};
 use sbft_consensus::ConsensusMessage;
-use sbft_types::{NodeId, ShardId, ShardPlan, SimDuration};
+use sbft_types::{ComponentId, NodeId, ShardId, ShardPlan, SimDuration};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A byzantine behaviour assigned to one shim node.
@@ -146,11 +146,8 @@ impl AttackInjector {
                             msg: msg @ ProtocolMessage::Consensus(_),
                         }) => {
                             // Expand the broadcast, skipping the victims.
-                            for i in 0..self.n_r as u32 {
-                                let target = NodeId(i);
-                                if target == node {
-                                    continue;
-                                }
+                            let sender = ComponentId::Node(node);
+                            for target in Destination::AllNodes.nodes(sender, self.n_r) {
                                 if victim_set.contains(&target) {
                                     self.dropped += 1;
                                     continue;

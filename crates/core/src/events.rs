@@ -398,6 +398,26 @@ pub enum Destination {
     Verifier,
 }
 
+impl Destination {
+    /// The shim nodes a send from `sender` reaches in a shim of `n` nodes,
+    /// in id order: `Node` names one, `AllNodes` is every node but the
+    /// sender, and the other destinations are no shim node. The
+    /// simulator, the thread runtime and [`crate::lockstep`] expand node
+    /// sends through this.
+    pub fn nodes(
+        self,
+        sender: ComponentId,
+        n: usize,
+    ) -> impl DoubleEndedIterator<Item = NodeId> + Clone {
+        let (ids, skip) = match self {
+            Destination::Node(id) => (id.0..id.0 + 1, None),
+            Destination::AllNodes => (0..n as u32, sender.as_node()),
+            _ => (0..0, None),
+        };
+        ids.map(NodeId).filter(move |id| Some(*id) != skip)
+    }
+}
+
 /// A message in flight between two components.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Envelope {

@@ -30,6 +30,11 @@
 //!   interpret.
 //! * [`system`] — the builder that assembles a whole deployment from a
 //!   [`sbft_types::SystemConfig`].
+//! * [`lockstep`] — the clockless driver: hand-built PBFT shim nodes
+//!   deliver their node-to-node traffic to quiescence through one FIFO
+//!   wire, with a delivery hook for loss, corruption, duplication and
+//!   reordering and an optional [`AttackInjector`]. The test suites and
+//!   the `egress_points` sweep drive shims through it.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -39,6 +44,7 @@ pub mod attacks;
 pub mod client;
 mod durable;
 pub mod events;
+pub mod lockstep;
 pub mod planner;
 pub mod shim;
 pub mod system;

@@ -1208,6 +1208,7 @@ impl ShimNode {
 mod tests {
     use super::*;
     use crate::events::{envelopes, AckMessage, ErrorMessage, ReplaceMessage};
+    use crate::lockstep::{pbft_nodes, settle, Verdict};
     use sbft_consensus::{CftReplica, NoShim};
     use sbft_crypto::CryptoProvider;
     use sbft_types::{ClientId, Key, Operation, Signature, Transaction, TxnId};
@@ -1231,15 +1232,7 @@ mod tests {
     fn make_shim(config: SystemConfig) -> Shim {
         let provider = CryptoProvider::new(21);
         let registry = Arc::new(Registry::new());
-        let nodes = (0..config.fault.n_r as u32)
-            .map(|i| {
-                let id = NodeId(i);
-                let mut node =
-                    ShimNode::pbft(id, config.clone(), provider.handle(ComponentId::Node(id)));
-                node.register_metrics(&registry);
-                node
-            })
-            .collect();
+        let nodes = pbft_nodes(&config, &provider, &registry);
         Shim {
             nodes,
             provider,
@@ -1282,49 +1275,6 @@ mod tests {
         }
     }
 
-    /// Drives consensus messages among the shim nodes until quiescence,
-    /// collecting every non-consensus action per node.
-    fn run_consensus(
-        shim: &mut Shim,
-        origin: usize,
-        actions: Vec<Action>,
-    ) -> Vec<(NodeId, Action)> {
-        let mut external = Vec::new();
-        let mut queue: std::collections::VecDeque<(usize, usize, ConsensusMessage)> =
-            std::collections::VecDeque::new();
-        let n = shim.nodes.len();
-        let push_actions =
-            |origin: usize,
-             actions: Vec<Action>,
-             queue: &mut std::collections::VecDeque<(usize, usize, ConsensusMessage)>,
-             external: &mut Vec<(NodeId, Action)>| {
-                for a in actions {
-                    match &a {
-                        Action::Send(env) => match (&env.to, &env.msg) {
-                            (Destination::AllNodes, ProtocolMessage::Consensus(msg)) => {
-                                for to in 0..n {
-                                    if to != origin {
-                                        queue.push_back((origin, to, msg.clone()));
-                                    }
-                                }
-                            }
-                            (Destination::Node(to), ProtocolMessage::Consensus(msg)) => {
-                                queue.push_back((origin, to.0 as usize, msg.clone()));
-                            }
-                            _ => external.push((NodeId(origin as u32), a.clone())),
-                        },
-                        _ => external.push((NodeId(origin as u32), a.clone())),
-                    }
-                }
-            };
-        push_actions(origin, actions, &mut queue, &mut external);
-        while let Some((from, to, msg)) = queue.pop_front() {
-            let acts = shim.nodes[to].on_consensus_message(NodeId(from as u32), msg);
-            push_actions(to, acts, &mut queue, &mut external);
-        }
-        external
-    }
-
     #[test]
     fn primary_batches_requests_and_spawns_after_commit() {
         let mut shim = make_shim(base_config());
@@ -1335,7 +1285,7 @@ mod tests {
         // Second request releases a batch of 2 and starts consensus.
         let a1 = shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
         assert!(a1.iter().any(|a| a.sends_kind("PREPREPARE")));
-        let external = run_consensus(&mut shim, 0, a1);
+        let external = settle(&mut shim.nodes, NodeId(0), a1, None, |_| Verdict::Deliver);
         // Only the primary spawns, and it spawns executors_per_batch of them.
         let spawns: Vec<_> = external
             .iter()
@@ -1376,7 +1326,7 @@ mod tests {
                 _ => None,
             })
             .expect("primary broadcasts a PREPREPARE");
-        let external = run_consensus(&mut shim, 0, a1);
+        let external = settle(&mut shim.nodes, NodeId(0), a1, None, |_| Verdict::Deliver);
         let executes: Vec<_> = external
             .iter()
             .filter_map(|(_, a)| match a {
@@ -1405,10 +1355,7 @@ mod tests {
     #[test]
     fn spawned_execute_requests_verify_at_executors() {
         let mut shim = make_shim(base_config());
-        let provider = Arc::clone(&shim.provider);
-        let _ = shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
-        let a1 = shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
-        let external = run_consensus(&mut shim, 0, a1);
+        let external = commit_one_batch(&mut shim, 0, &[]);
         let execute = external
             .iter()
             .find_map(|(_, a)| match a {
@@ -1940,7 +1887,9 @@ mod tests {
         assert_eq!(plan.0, sbft_types::ShardPlan::SingleHome(home));
         assert_eq!(plan.1.len(), 2, "only the two same-home transactions");
         // Run consensus; the primary's EXECUTE messages carry the tag.
-        let external = run_consensus(&mut shim, 0, actions);
+        let external = settle(&mut shim.nodes, NodeId(0), actions, None, |_| {
+            Verdict::Deliver
+        });
         let executes: Vec<_> = external
             .iter()
             .filter_map(|(_, a)| match a {
@@ -2018,10 +1967,7 @@ mod tests {
         let mut config = base_config();
         config.spawning = SpawningMode::Decentralized;
         let mut shim = make_shim(config);
-        let provider = Arc::clone(&shim.provider);
-        let _ = shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
-        let a1 = shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
-        let external = run_consensus(&mut shim, 0, a1);
+        let external = commit_one_batch(&mut shim, 0, &[]);
         // n_E (3) ≤ n_R (4), so every node spawns exactly one executor.
         for i in 0..4u32 {
             let spawns = external
@@ -2200,7 +2146,14 @@ mod tests {
         for node in 1..4 {
             let actions =
                 shim.nodes[node].on_timer(ProtocolTimer::Retransmit(subject), SimTime::ZERO);
-            external.extend(run_consensus_partitioned(&mut shim, node, actions, &[0]));
+            let origin = NodeId(node as u32);
+            external.extend(settle(&mut shim.nodes, origin, actions, None, |hop| {
+                if hop.to == NodeId(0) {
+                    Verdict::Drop
+                } else {
+                    Verdict::Deliver
+                }
+            }));
         }
         assert!(shim.nodes[1].is_primary());
         for node in 1..4u32 {
@@ -2269,9 +2222,7 @@ mod tests {
         let provider = Arc::clone(&shim.provider);
         let verifier = verifier(&shim);
         // Sequence 1 commits and its executors are spawned.
-        let _ = shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
-        let a1 = shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
-        let _ = run_consensus(&mut shim, 0, a1);
+        commit_one_batch(&mut shim, 0, &[]);
         // ERROR(k_max = 1) signed for another sequence number, and
         // ERROR(⟨T⟩_C) whose carried request was swapped under the
         // signature: two requests, enough to release a batch of two.
@@ -2327,14 +2278,14 @@ mod tests {
             }
         };
         let a1 = shim.nodes[0].on_client_request(&mk(0), SimTime::ZERO);
-        let ext1 = run_consensus(&mut shim, 0, a1);
+        let ext1 = settle(&mut shim.nodes, NodeId(0), a1, None, |_| Verdict::Deliver);
         let spawns1 = ext1
             .iter()
             .filter(|(_, a)| matches!(a, Action::SpawnExecutor { .. }))
             .count();
         assert_eq!(spawns1, 3, "first batch spawns immediately");
         let a2 = shim.nodes[0].on_client_request(&mk(1), SimTime::ZERO);
-        let ext2 = run_consensus(&mut shim, 0, a2);
+        let ext2 = settle(&mut shim.nodes, NodeId(0), a2, None, |_| Verdict::Deliver);
         let spawns2 = ext2
             .iter()
             .filter(|(_, a)| matches!(a, Action::SpawnExecutor { .. }))
@@ -2364,7 +2315,7 @@ mod tests {
         let mut shim = make_shim(config);
         let provider = Arc::clone(&shim.provider);
         let a = shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
-        let external = run_consensus(&mut shim, 0, a);
+        let external = settle(&mut shim.nodes, NodeId(0), a, None, |_| Verdict::Deliver);
         let spawns = external
             .iter()
             .filter(|(_, a)| matches!(a, Action::SpawnExecutor { .. }))
@@ -2404,53 +2355,6 @@ mod tests {
         assert_eq!(noshim.protocol_name(), "NoShim");
     }
 
-    /// Like [`run_consensus`] but messages to the nodes in `down` are
-    /// dropped (they are crashed).
-    fn run_consensus_partitioned(
-        shim: &mut Shim,
-        origin: usize,
-        actions: Vec<Action>,
-        down: &[usize],
-    ) -> Vec<(NodeId, Action)> {
-        let mut external = Vec::new();
-        let mut queue: std::collections::VecDeque<(usize, usize, ConsensusMessage)> =
-            std::collections::VecDeque::new();
-        let n = shim.nodes.len();
-        let push_actions =
-            |origin: usize,
-             actions: Vec<Action>,
-             queue: &mut std::collections::VecDeque<(usize, usize, ConsensusMessage)>,
-             external: &mut Vec<(NodeId, Action)>| {
-                for a in actions {
-                    match &a {
-                        Action::Send(env) => match (&env.to, &env.msg) {
-                            (Destination::AllNodes, ProtocolMessage::Consensus(msg)) => {
-                                for to in 0..n {
-                                    if to != origin {
-                                        queue.push_back((origin, to, msg.clone()));
-                                    }
-                                }
-                            }
-                            (Destination::Node(to), ProtocolMessage::Consensus(msg)) => {
-                                queue.push_back((origin, to.0 as usize, msg.clone()));
-                            }
-                            _ => external.push((NodeId(origin as u32), a.clone())),
-                        },
-                        _ => external.push((NodeId(origin as u32), a.clone())),
-                    }
-                }
-            };
-        push_actions(origin, actions, &mut queue, &mut external);
-        while let Some((from, to, msg)) = queue.pop_front() {
-            if down.contains(&to) {
-                continue;
-            }
-            let acts = shim.nodes[to].on_consensus_message(NodeId(from as u32), msg);
-            push_actions(to, acts, &mut queue, &mut external);
-        }
-        external
-    }
-
     fn durable_config(snapshot_interval: u64) -> SystemConfig {
         let mut config = base_config();
         config.durability =
@@ -2458,12 +2362,12 @@ mod tests {
         config
     }
 
-    /// Commits one batch of two transactions through the whole shim and
-    /// returns the external actions.
+    /// Commits one batch of two transactions through the whole shim, the
+    /// nodes in `down` unreachable, and returns the external actions.
     fn commit_one_batch(
         shim: &mut Shim,
         client_base: u32,
-        down: &[usize],
+        down: &[NodeId],
     ) -> Vec<(NodeId, Action)> {
         let provider = Arc::clone(&shim.provider);
         let _ = shim.nodes[0]
@@ -2472,7 +2376,13 @@ mod tests {
             &signed_request(&provider, client_base + 1, 0),
             SimTime::ZERO,
         );
-        run_consensus_partitioned(shim, 0, actions, down)
+        settle(&mut shim.nodes, NodeId(0), actions, None, |hop| {
+            if down.contains(&hop.to) {
+                Verdict::Drop
+            } else {
+                Verdict::Deliver
+            }
+        })
     }
 
     #[test]
@@ -2513,7 +2423,9 @@ mod tests {
             "restart broadcasts a state request"
         );
         // Nothing was missed, so peers stay silent and no batch is adopted.
-        run_consensus_partitioned(&mut shim, 3, restart, &[]);
+        settle(&mut shim.nodes, NodeId(3), restart, None, |_| {
+            Verdict::Deliver
+        });
         assert_eq!(shim.nodes[3].state_transfers.get(), 0);
         // The restarted node keeps participating: the next batch commits
         // everywhere, including on node 3.
@@ -2528,10 +2440,12 @@ mod tests {
         commit_one_batch(&mut shim, 0, &[]);
         // Node 3 is dark while batch 2 commits on the others.
         shim.nodes[3].crash();
-        commit_one_batch(&mut shim, 2, &[3]);
+        commit_one_batch(&mut shim, 2, &[NodeId(3)]);
         let restart = shim.nodes[3].crash_restart();
         assert_eq!(shim.nodes[3].durable.replay_batches.get(), 1);
-        let external = run_consensus_partitioned(&mut shim, 3, restart, &[]);
+        let external = settle(&mut shim.nodes, NodeId(3), restart, None, |_| {
+            Verdict::Deliver
+        });
         // Peers answered the state request; node 3 adopted the missed
         // batch exactly once and observed its commit.
         assert_eq!(shim.nodes[3].state_transfers.get(), 1);
@@ -2607,7 +2521,9 @@ mod tests {
             actions.iter().any(|a| a.sends_kind("DIGEST-PREPREPARE")),
             "the primary proposes by digest, not by body"
         );
-        let external = run_consensus(&mut shim, 0, actions);
+        let external = settle(&mut shim.nodes, NodeId(0), actions, None, |_| {
+            Verdict::Deliver
+        });
         let commits = external
             .iter()
             .filter(|(_, a)| matches!(a, Action::BatchCommitted { .. }))
@@ -2655,7 +2571,9 @@ mod tests {
         let actions =
             shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
         assert!(actions.iter().any(|a| a.sends_kind("DIGEST-PREPREPARE")));
-        let external = run_consensus(&mut shim, 0, actions);
+        let external = settle(&mut shim.nodes, NodeId(0), actions, None, |_| {
+            Verdict::Deliver
+        });
         let commits = external
             .iter()
             .filter(|(_, a)| matches!(a, Action::BatchCommitted { .. }))
@@ -2717,7 +2635,9 @@ mod tests {
         let provider = Arc::clone(&shim.provider);
         for i in 0..40u64 {
             let actions = broadcast_request(&mut shim, &signed_request(&provider, 0, i));
-            let external = run_consensus(&mut shim, 0, actions);
+            let external = settle(&mut shim.nodes, NodeId(0), actions, None, |_| {
+                Verdict::Deliver
+            });
             assert!(external
                 .iter()
                 .any(|(_, a)| matches!(a, Action::BatchCommitted { .. })));

@@ -135,18 +135,10 @@ impl Router {
             }
             match action {
                 Action::Send(Envelope { from, to, msg }) => match to {
-                    Destination::Node(n) => {
-                        if let Some(tx) = self.nodes.get(n.0 as usize) {
-                            let _ = tx.send(Work::Item(Delivery { from, msg }));
-                        }
-                    }
-                    Destination::AllNodes => {
-                        let mut peers = self
-                            .nodes
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| ComponentId::Node(NodeId(*i as u32)) != origin)
-                            .map(|(_, tx)| tx);
+                    Destination::Node(_) | Destination::AllNodes => {
+                        let mut peers = to
+                            .nodes(origin, self.nodes.len())
+                            .filter_map(|id| self.nodes.get(id.0 as usize));
                         // The last recipient takes the message itself.
                         if let Some(last) = peers.next_back() {
                             for tx in peers {
@@ -1081,14 +1073,10 @@ mod tests {
                 else {
                     continue;
                 };
-                let peers: Vec<usize> = match dest {
-                    Destination::Node(n) => vec![n.0 as usize],
-                    Destination::AllNodes => (0..self.nodes.len()).filter(|&p| p != to).collect(),
-                    _ => Vec::new(),
-                };
-                for peer in peers {
+                let sender = ComponentId::Node(NodeId(to as u32));
+                for peer in dest.nodes(sender, self.nodes.len()) {
                     self.inbox.push_back((
-                        peer,
+                        peer.0 as usize,
                         Delivery {
                             from: *from,
                             msg: msg.clone(),

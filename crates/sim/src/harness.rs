@@ -743,30 +743,21 @@ impl SimHarness {
                         && matches!(msg, ProtocolMessage::ClientRequest(_))
                         && origin.as_node().is_none();
                     match to {
-                        Destination::Node(_) if client_broadcast => {
-                            for i in 0..self.system.nodes.len() {
-                                let dst = self.system.nodes[i].id();
-                                self.send_to_node(origin, from, dst, msg.clone(), now, at);
-                            }
-                        }
-                        Destination::AllNodes => {
-                            let nodes = self.system.nodes.len();
-                            let others = (0..nodes)
-                                .filter(|i| ComponentId::Node(self.system.nodes[*i].id()) != origin)
-                                .count();
-                            self.charge_egress(origin, wire_size * others);
-                            for i in 0..nodes {
-                                let dst = self.system.nodes[i].id();
-                                if ComponentId::Node(dst) != origin {
+                        Destination::Node(_) | Destination::AllNodes => {
+                            let to = if client_broadcast {
+                                Destination::AllNodes
+                            } else {
+                                to
+                            };
+                            let mut targets = to.nodes(origin, self.system.nodes.len());
+                            self.charge_egress(origin, wire_size * targets.clone().count());
+                            // The last recipient takes the message itself.
+                            if let Some(last) = targets.next_back() {
+                                for dst in targets {
                                     self.send_to_node(origin, from, dst, msg.clone(), now, at);
                                 }
+                                self.send_to_node(origin, from, last, msg, now, at);
                             }
-                        }
-                        // One recipient: the message moves into its
-                        // delivery.
-                        Destination::Node(dst) => {
-                            self.charge_egress(origin, wire_size);
-                            self.send_to_node(origin, from, dst, msg, now, at);
                         }
                         Destination::Client(c) => {
                             self.push_delivery(at, from, ComponentId::Client(c), msg);

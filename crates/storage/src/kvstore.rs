@@ -34,8 +34,6 @@
 use parking_lot::RwLock;
 use sbft_types::{IdMap, Key, Value, Version};
 
-use crate::stats::StorageStats;
-
 /// A value together with its current version.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StoreEntry {
@@ -88,7 +86,6 @@ pub struct VersionedStore {
     shards: Vec<RwLock<Shard>>,
     /// `log2(shards.len())`: a key's slot is the key shifted by it.
     shift: u32,
-    stats: StorageStats,
 }
 
 /// Default number of shards; a power of two so the shard index is a mask.
@@ -114,7 +111,6 @@ impl VersionedStore {
         VersionedStore {
             shards: (0..n).map(|_| RwLock::default()).collect(),
             shift: n.trailing_zeros(),
-            stats: StorageStats::new(),
         }
     }
 
@@ -129,7 +125,6 @@ impl VersionedStore {
     /// Reads a key, returning its value and current version.
     #[must_use]
     pub fn get(&self, key: Key) -> Option<StoreEntry> {
-        self.stats.record_read();
         let (shard, slot) = self.locate(key);
         shard.read().get(key, slot)
     }
@@ -147,7 +142,6 @@ impl VersionedStore {
 
     /// Writes a key, bumping its version, and returns the new version.
     pub fn put(&self, key: Key, value: Value) -> Version {
-        self.stats.record_write();
         let (shard, slot) = self.locate(key);
         let mut shard = shard.write();
         let entry = shard.entry_mut(key, slot);
@@ -164,10 +158,9 @@ impl VersionedStore {
         }
     }
 
-    /// Bulk-loads initial records at version 1 without counting them in
-    /// the statistics. A shard that holds no key yet first sizes its slot
-    /// array for the keys below the iterator's lower size bound (see the
-    /// module docs).
+    /// Bulk-loads initial records at version 1. A shard that holds no key
+    /// yet first sizes its slot array for the keys below the iterator's
+    /// lower size bound (see the module docs).
     pub fn load<I: IntoIterator<Item = (Key, Value)>>(&self, records: I) {
         let records = records.into_iter();
         let bound = records.size_hint().0;
@@ -200,12 +193,6 @@ impl VersionedStore {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Operation statistics collected so far.
-    #[must_use]
-    pub fn stats(&self) -> &StorageStats {
-        &self.stats
     }
 }
 
@@ -320,16 +307,6 @@ mod tests {
             assert_eq!(ascending.get(Key(i)), descending.get(Key(i)), "key {i}");
         }
         assert_eq!(array_sizes(&ascending), array_sizes(&descending));
-    }
-
-    #[test]
-    fn stats_count_reads_and_writes() {
-        let store = VersionedStore::new();
-        store.put(Key(1), Value::new(1));
-        let _ = store.get(Key(1));
-        let _ = store.get(Key(2));
-        assert_eq!(store.stats().reads(), 2);
-        assert_eq!(store.stats().writes(), 1);
     }
 
     #[test]

@@ -12,14 +12,13 @@
 //!   30–35): *"if the read sets match, update the write sets"*.
 //! * [`executor_access`] — the read-only access path executors use to fetch
 //!   read-write-set values ("executors do not write to the storage",
-//!   Section IV-C), including access statistics.
+//!   Section IV-C).
 //! * [`geo`] — the region-partitioned view: every shard's partition is
 //!   homed in a region of the deployment's [`sbft_types::RegionPartition`],
 //!   and accesses are classified local vs cross-region so latency-aware
 //!   runtimes can charge the difference.
 //! * [`ycsb`] — population of the store with the 600 k-record YCSB table
 //!   used throughout the evaluation.
-//! * [`stats`] — operation counters exposed for the experiments.
 //!
 //! The data-store and its wrapper (the verifier) are trusted and honest by
 //! assumption (Section III), so this crate contains no byzantine behaviour;
@@ -33,12 +32,10 @@ pub mod executor_access;
 pub mod geo;
 pub mod kvstore;
 pub mod occ;
-pub mod stats;
 pub mod ycsb;
 
 pub use executor_access::StorageReader;
 pub use geo::GeoPartitionedStore;
 pub use kvstore::{StoreEntry, VersionedStore};
 pub use occ::{ConcurrencyChecker, OccOutcome};
-pub use stats::StorageStats;
 pub use ycsb::YcsbTable;

@@ -61,7 +61,6 @@ impl ConcurrencyChecker {
         if validate_reads {
             let stale = Self::reads_current(store, rwset);
             if !stale.is_empty() {
-                store.stats().record_stale_read_rejection();
                 return OccOutcome::StaleReads(stale);
             }
         }
@@ -108,7 +107,7 @@ mod tests {
             Value::new(20),
             "no write applied"
         );
-        assert_eq!(store.stats().stale_read_rejections(), 1);
+        assert_eq!(store.version_of(Key(2)), Version(1));
     }
 
     #[test]

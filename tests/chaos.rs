@@ -13,21 +13,16 @@
 
 mod common;
 
-use common::{fan_out, fold_outcome, pbft_nodes, record_batches, signed_request, Wire};
+use common::{durable_config, fold_outcome, Cluster, Network, OBSERVED};
 use proptest::prelude::*;
 use serverless_bft::consensus::{ConsensusMessage, ConsensusTimer};
-use serverless_bft::core::{Action, ProtocolTimer, ShimNode};
-use serverless_bft::crypto::CryptoProvider;
-use serverless_bft::telemetry::Registry;
+use serverless_bft::core::lockstep::{Hop, Verdict};
+use serverless_bft::core::ProtocolTimer;
 use serverless_bft::types::{
-    Batch, ClientId, DurabilityConfig, Key, NodeId, Operation, SeqNum, SimDuration, SimTime,
-    SystemConfig, Transaction, TxnId, Value,
+    Batch, ClientId, DurabilityConfig, Key, NodeId, Operation, SeqNum, SimDuration, SystemConfig,
+    Transaction, TxnId, Value,
 };
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// The backup replica whose adversarial recovery the suite watches.
-const OBSERVED: usize = 3;
 
 /// Drops the test may inject into state-transfer traffic before the retry
 /// budget (8 retransmissions) can no longer absorb them together with the
@@ -36,6 +31,7 @@ const DROP_CAP: u64 = 4;
 
 /// SplitMix64: a tiny deterministic generator for the chaos decisions, so
 /// the proptest cases replay exactly from their seed.
+#[derive(Default)]
 struct SplitMix64(u64);
 
 impl SplitMix64 {
@@ -56,7 +52,9 @@ impl SplitMix64 {
 /// The hostility applied to state-transfer traffic (`STATEREQUEST` /
 /// `STATERESPONSE`) touching the observed node. Normal-case consensus
 /// traffic is untouched: the synchronous cluster below has no timers, so
-/// chaos there would test the harness rather than the recovery path.
+/// chaos there would test the harness rather than the recovery path. The
+/// default is no hostility at all.
+#[derive(Default)]
 struct Chaos {
     rng: SplitMix64,
     loss_permille: u64,
@@ -78,23 +76,6 @@ struct Chaos {
     liar: Option<usize>,
     /// Honest `STATERESPONSE`s to swallow before letting one through.
     drop_first_responses: u64,
-}
-
-impl Chaos {
-    fn none() -> Self {
-        Chaos {
-            rng: SplitMix64(0),
-            loss_permille: 0,
-            dup_permille: 0,
-            reorder_permille: 0,
-            drops_left: 0,
-            reorders_left: 0,
-            partition_rounds: 0,
-            silenced: Vec::new(),
-            liar: None,
-            drop_first_responses: 0,
-        }
-    }
 }
 
 fn is_state_transfer(msg: &ConsensusMessage) -> bool {
@@ -119,127 +100,55 @@ fn corrupt(msg: &mut ConsensusMessage) {
 }
 
 fn config(snapshot_interval: u64, checkpoint_interval: u64) -> SystemConfig {
-    let mut config = SystemConfig::with_shim_size(4);
-    config.workload.batch_size = 2;
-    config.durability = DurabilityConfig::enabled().with_snapshot_interval(snapshot_interval);
+    let mut config = durable_config(snapshot_interval);
     config.timers.checkpoint_interval = checkpoint_interval;
     config
 }
 
-/// Four PBFT-backed shim nodes driven synchronously with a chaos filter on
-/// state-transfer traffic; deliveries and commits at [`OBSERVED`] are
-/// recorded off the wire exactly as in `tests/recovery.rs`.
-struct ChaosCluster {
-    nodes: Vec<ShimNode>,
-    provider: Arc<CryptoProvider>,
-    registry: Arc<Registry>,
-    batches: BTreeMap<SeqNum, Batch>,
-    committed: Vec<SeqNum>,
-    clock: SimTime,
-    chaos: Chaos,
+/// The chaos filter: state-transfer traffic that touches the observed node
+/// meets the hostility of [`Chaos`]; everything else is delivered.
+impl Network for Chaos {
+    fn verdict(&mut self, hop: &mut Hop<'_>) -> Verdict {
+        let (from, to) = (hop.from.0 as usize, hop.to.0 as usize);
+        let msg = &mut *hop.msg;
+        if !is_state_transfer(msg) || (from != OBSERVED && to != OBSERVED) {
+            return Verdict::Deliver;
+        }
+        if self.silenced.contains(&from) || self.partition_rounds > 0 {
+            return Verdict::Drop;
+        }
+        if to == OBSERVED && matches!(msg, ConsensusMessage::StateResponse(_)) {
+            if Some(from) == self.liar {
+                corrupt(msg);
+            } else if self.drop_first_responses > 0 {
+                self.drop_first_responses -= 1;
+                return Verdict::Drop;
+            }
+        }
+        if self.reorders_left > 0 && hop.queued > 0 && self.rng.chance(self.reorder_permille) {
+            self.reorders_left -= 1;
+            return Verdict::Requeue;
+        }
+        if self.drops_left > 0 && self.rng.chance(self.loss_permille) {
+            self.drops_left -= 1;
+            return Verdict::Drop;
+        }
+        if self.rng.chance(self.dup_permille) {
+            return Verdict::Duplicate;
+        }
+        Verdict::Deliver
+    }
 }
 
-impl ChaosCluster {
-    fn new(snapshot_interval: u64, checkpoint_interval: u64) -> Self {
-        let config = config(snapshot_interval, checkpoint_interval);
-        let provider = CryptoProvider::new(21);
-        let registry = Arc::new(Registry::new());
-        let nodes = pbft_nodes(&config, &provider, &registry);
-        ChaosCluster {
-            nodes,
-            provider,
-            registry,
-            batches: BTreeMap::new(),
-            committed: Vec::new(),
-            clock: SimTime::ZERO,
-            chaos: Chaos::none(),
-        }
-    }
-
-    /// The observed node's `shim.<OBSERVED>.<name>` counter.
-    fn observed(&self, name: &str) -> u64 {
-        self.registry
-            .counter_value(&format!("shim.{OBSERVED}.{name}"))
-    }
-
-    /// Routes consensus messages to quiescence, passing state-transfer
-    /// traffic that touches the observed node through the chaos filter.
-    fn drive(&mut self, origin: usize, actions: Vec<Action>, down: &[usize]) {
-        let n = self.nodes.len();
-        let mut queue = Wire::new();
-        self.absorb(origin, actions, &mut queue, n);
-        while let Some((from, to, mut msg)) = queue.pop_front() {
-            if down.contains(&to) {
-                continue;
-            }
-            if is_state_transfer(&msg) && (from == OBSERVED || to == OBSERVED) {
-                if self.chaos.silenced.contains(&from) || self.chaos.partition_rounds > 0 {
-                    continue;
-                }
-                if to == OBSERVED && matches!(msg, ConsensusMessage::StateResponse(_)) {
-                    if Some(from) == self.chaos.liar {
-                        corrupt(&mut msg);
-                    } else if self.chaos.drop_first_responses > 0 {
-                        self.chaos.drop_first_responses -= 1;
-                        continue;
-                    }
-                }
-                if self.chaos.reorders_left > 0
-                    && !queue.is_empty()
-                    && self.chaos.rng.chance(self.chaos.reorder_permille)
-                {
-                    self.chaos.reorders_left -= 1;
-                    queue.push_back((from, to, msg));
-                    continue;
-                }
-                if self.chaos.drops_left > 0 && self.chaos.rng.chance(self.chaos.loss_permille) {
-                    self.chaos.drops_left -= 1;
-                    continue;
-                }
-                if self.chaos.rng.chance(self.chaos.dup_permille) {
-                    queue.push_back((from, to, msg.clone()));
-                }
-            }
-            if to == OBSERVED {
-                self.record(&msg);
-            }
-            let acts = self.nodes[to].on_consensus_message(NodeId(from as u32), msg);
-            self.absorb(to, acts, &mut queue, n);
-        }
-    }
-
-    fn absorb(&mut self, origin: usize, actions: Vec<Action>, queue: &mut Wire, n: usize) {
-        let committed = fan_out(origin, actions, n, queue);
-        if origin == OBSERVED {
-            self.committed.extend(committed);
-        }
-    }
-
-    fn record(&mut self, msg: &ConsensusMessage) {
-        record_batches(&mut self.batches, msg);
-    }
-
-    fn submit_batch(&mut self, batch: u64, down: &[usize]) {
-        self.clock += SimDuration::from_millis(100);
-        let now = self.clock;
-        let r0 = signed_request(&self.provider, batch * 2);
-        let a0 = self.nodes[0].on_client_request(&r0, now);
-        self.drive(0, a0, down);
-        let r1 = signed_request(&self.provider, batch * 2 + 1);
-        let a1 = self.nodes[0].on_client_request(&r1, now);
-        self.drive(0, a1, down);
-        let polled = self.nodes[0].poll_batcher(now + SimDuration::from_millis(10));
-        self.drive(0, polled, down);
-    }
-
+impl Cluster<Chaos> {
     /// Fires the observed node's `STATEREQUEST` retransmission timer until
     /// its state transfer completes (or the replica's retry budget is
     /// spent). Each round heals the partition by one notch, exactly as
     /// wall-clock time would in the event-driven runtimes.
     fn pump_retries(&mut self) {
         for _ in 0..12 {
-            if self.chaos.partition_rounds > 0 {
-                self.chaos.partition_rounds -= 1;
+            if self.net.partition_rounds > 0 {
+                self.net.partition_rounds -= 1;
             }
             if !self.nodes[OBSERVED].is_recovering() {
                 break;
@@ -250,14 +159,6 @@ impl ChaosCluster {
                 .on_timer(ProtocolTimer::Consensus(ConsensusTimer::StateTransfer), now);
             self.drive(OBSERVED, acts, &[]);
         }
-    }
-
-    fn outcome(&self) -> (Vec<SeqNum>, BTreeMap<u64, u64>, Vec<TxnId>) {
-        fold_outcome(&self.committed, |seq| {
-            self.batches
-                .get(&seq)
-                .expect("observed node committed a batch it was never shown")
-        })
     }
 }
 
@@ -271,35 +172,20 @@ fn chaotic_run(
     dark: u64,
     tail: u64,
     chaos: Chaos,
-) -> ChaosCluster {
-    let mut cluster = ChaosCluster::new(snapshot_interval, 100);
-    let mut batch = 0;
-    for _ in 0..crash_after {
-        cluster.submit_batch(batch, &[]);
-        batch += 1;
-    }
-    cluster.nodes[OBSERVED].crash();
-    for _ in 0..dark {
-        cluster.submit_batch(batch, &[OBSERVED]);
-        batch += 1;
-    }
-    cluster.chaos = chaos;
-    let restart = cluster.nodes[OBSERVED].crash_restart();
-    cluster.drive(OBSERVED, restart, &[]);
+) -> Cluster<Chaos> {
+    let mut cluster = Cluster::new(&config(snapshot_interval, 100), Chaos::default());
+    let next = cluster.crash_observed(crash_after, dark);
+    cluster.net = chaos;
+    cluster.restart_observed();
     cluster.pump_retries();
-    for _ in 0..tail {
-        cluster.submit_batch(batch, &[]);
-        batch += 1;
-    }
+    cluster.submit_batches(next..next + tail, &[]);
     cluster
 }
 
 /// The same workload with no crash and no chaos.
-fn baseline_run(snapshot_interval: u64, total: u64) -> ChaosCluster {
-    let mut cluster = ChaosCluster::new(snapshot_interval, 100);
-    for batch in 0..total {
-        cluster.submit_batch(batch, &[]);
-    }
+fn baseline_run(snapshot_interval: u64, total: u64) -> Cluster<Chaos> {
+    let mut cluster = Cluster::new(&config(snapshot_interval, 100), Chaos::default());
+    cluster.submit_batches(0..total, &[]);
     cluster
 }
 
@@ -332,7 +218,7 @@ proptest! {
             drops_left: DROP_CAP,
             reorders_left: 4,
             partition_rounds,
-            ..Chaos::none()
+            ..Chaos::default()
         };
         let total = crash_after + dark + tail;
         let chaotic = chaotic_run(snapshot_interval, crash_after, dark, tail, chaos);
@@ -360,7 +246,7 @@ fn recovery_completes_despite_a_lying_peer_and_a_silenced_one() {
         silenced: vec![1],
         liar: Some(2),
         drop_first_responses: 1,
-        ..Chaos::none()
+        ..Chaos::default()
     };
     let chaotic = chaotic_run(1_000, 2, 2, 1, chaos);
     let baseline = baseline_run(1_000, 5);
@@ -387,16 +273,11 @@ fn replica_below_the_retention_floor_recovers_via_checkpoint_catch_up() {
     // the observed replica asks for, so plain suffix transfer is
     // impossible. The replica must adopt a peer's checkpoint floor and
     // resume from there.
-    let mut cluster = ChaosCluster::new(1_000, 2);
-    cluster.submit_batch(0, &[]);
-    cluster.nodes[OBSERVED].crash();
-    for batch in 1..5 {
-        cluster.submit_batch(batch, &[OBSERVED]);
-    }
-    let restart = cluster.nodes[OBSERVED].crash_restart();
-    cluster.drive(OBSERVED, restart, &[]);
+    let mut cluster = Cluster::new(&config(1_000, 2), Chaos::default());
+    cluster.crash_observed(1, 4);
+    cluster.restart_observed();
     cluster.pump_retries();
-    cluster.submit_batch(5, &[]);
+    cluster.submit_batches([5], &[]);
 
     assert!(
         !cluster.nodes[OBSERVED].is_recovering(),
@@ -428,7 +309,9 @@ fn replica_below_the_retention_floor_recovers_via_checkpoint_catch_up() {
 
 /// Hostility applied to the digest-reconstruction fetch path
 /// (`BATCHFETCH` / `BATCHFILL`) plus control over how much of the client
-/// broadcast actually reaches each replica's body cache.
+/// broadcast actually reaches each replica's body cache. The default is
+/// every cache cold and nothing else hostile.
+#[derive(Default)]
 struct DigestChaos {
     rng: SplitMix64,
     /// Probability (permille) that a replica hears a given client
@@ -451,20 +334,6 @@ struct DigestChaos {
     poisoner: Option<usize>,
 }
 
-impl DigestChaos {
-    fn none(feed_permille: u64) -> Self {
-        DigestChaos {
-            rng: SplitMix64(0),
-            feed_permille,
-            warm: Vec::new(),
-            loss_permille: 0,
-            drops_left: 0,
-            drop_first_fills: 0,
-            poisoner: None,
-        }
-    }
-}
-
 fn is_fetch_path(msg: &ConsensusMessage) -> bool {
     matches!(
         msg,
@@ -485,91 +354,41 @@ fn poison_fill(msg: &mut ConsensusMessage) {
     }
 }
 
-/// Four digest-mode PBFT shim nodes driven synchronously, with a chaos
-/// filter on the fetch path and counters re-homed into a registry so the
-/// tests can read the digest cache statistics.
-struct DigestCluster {
-    nodes: Vec<ShimNode>,
-    provider: Arc<CryptoProvider>,
-    registry: Arc<Registry>,
-    committed: Vec<SeqNum>,
-    clock: SimTime,
-    chaos: DigestChaos,
+/// The fetch-path filter, and the client broadcast as the feed decides it
+/// (a missed broadcast is a forced cache miss).
+impl Network for DigestChaos {
+    fn verdict(&mut self, hop: &mut Hop<'_>) -> Verdict {
+        if !is_fetch_path(hop.msg) {
+            return Verdict::Deliver;
+        }
+        if matches!(hop.msg, ConsensusMessage::BatchFill(_)) {
+            if Some(hop.from.0 as usize) == self.poisoner {
+                poison_fill(hop.msg);
+            } else if self.drop_first_fills > 0 {
+                self.drop_first_fills -= 1;
+                return Verdict::Drop;
+            }
+        }
+        if self.drops_left > 0 && self.rng.chance(self.loss_permille) {
+            self.drops_left -= 1;
+            return Verdict::Drop;
+        }
+        Verdict::Deliver
+    }
+
+    fn hears(&mut self, replica: usize) -> bool {
+        self.warm.contains(&replica) || self.rng.chance(self.feed_permille)
+    }
 }
 
-impl DigestCluster {
-    fn new(snapshot_interval: u64, checkpoint_interval: u64, chaos: DigestChaos) -> Self {
-        let mut config = config(snapshot_interval, checkpoint_interval);
-        config.digest_proposals = true;
-        let provider = CryptoProvider::new(21);
-        let registry = Arc::new(Registry::new());
-        let nodes = pbft_nodes(&config, &provider, &registry);
-        DigestCluster {
-            nodes,
-            provider,
-            registry,
-            committed: Vec::new(),
-            clock: SimTime::ZERO,
-            chaos,
-        }
-    }
+/// Four digest-mode PBFT shim nodes whose network is `chaos`.
+fn digest_cluster(chaos: DigestChaos) -> Cluster<DigestChaos> {
+    let mut config = config(1_000, 100);
+    config.digest_proposals = true;
+    Cluster::new(&config, chaos)
+}
 
-    fn drive(&mut self, origin: usize, actions: Vec<Action>) {
-        let n = self.nodes.len();
-        let mut queue = Wire::new();
-        self.absorb(origin, actions, &mut queue, n);
-        while let Some((from, to, mut msg)) = queue.pop_front() {
-            if is_fetch_path(&msg) {
-                if matches!(msg, ConsensusMessage::BatchFill(_)) {
-                    if Some(from) == self.chaos.poisoner {
-                        poison_fill(&mut msg);
-                    } else if self.chaos.drop_first_fills > 0 {
-                        self.chaos.drop_first_fills -= 1;
-                        continue;
-                    }
-                }
-                if self.chaos.drops_left > 0 && self.chaos.rng.chance(self.chaos.loss_permille) {
-                    self.chaos.drops_left -= 1;
-                    continue;
-                }
-            }
-            let acts = self.nodes[to].on_consensus_message(NodeId(from as u32), msg);
-            self.absorb(to, acts, &mut queue, n);
-        }
-    }
-
-    fn absorb(&mut self, origin: usize, actions: Vec<Action>, queue: &mut Wire, n: usize) {
-        let committed = fan_out(origin, actions, n, queue);
-        if origin == OBSERVED {
-            self.committed.extend(committed);
-        }
-    }
-
-    /// Submits one 2-transaction batch. Digest-mode clients broadcast to
-    /// every node; the chaos feed decides which replicas actually hear it
-    /// (a missed broadcast is a forced cache miss).
-    fn submit_batch(&mut self, batch: u64) {
-        self.clock += SimDuration::from_millis(100);
-        let now = self.clock;
-        for r in [
-            signed_request(&self.provider, batch * 2),
-            signed_request(&self.provider, batch * 2 + 1),
-        ] {
-            for replica in 1..self.nodes.len() {
-                if self.chaos.warm.contains(&replica)
-                    || self.chaos.rng.chance(self.chaos.feed_permille)
-                {
-                    let fed = self.nodes[replica].on_client_request(&r, now);
-                    self.drive(replica, fed);
-                }
-            }
-            let actions = self.nodes[0].on_client_request(&r, now);
-            self.drive(0, actions);
-        }
-        let polled = self.nodes[0].poll_batcher(now + SimDuration::from_millis(10));
-        self.drive(0, polled);
-    }
-
+impl Cluster<DigestChaos> {
     /// Fires the `Request` retransmission timer for every reconstruction
     /// still missing bodies, until the cluster is quiescent (or the
     /// protocol's own retry budget escalates). Each round models one
@@ -592,7 +411,7 @@ impl DigestCluster {
                 for seq in pending {
                     let acts = self.nodes[i]
                         .on_timer(ProtocolTimer::Consensus(ConsensusTimer::Request(seq)), now);
-                    self.drive(i, acts);
+                    self.drive(i, acts, &[]);
                 }
             }
         }
@@ -600,8 +419,9 @@ impl DigestCluster {
 
     /// Commit order, derived KV state and response ids at the observed
     /// node, folded from the batches it actually committed (entries stay
-    /// tracked because no verifier runs in this cluster).
-    fn outcome(&self) -> (Vec<SeqNum>, BTreeMap<u64, u64>, Vec<TxnId>) {
+    /// tracked because no verifier runs in this cluster; a digest
+    /// proposal carries no body to record off the wire).
+    fn digest_outcome(&self) -> (Vec<SeqNum>, BTreeMap<u64, u64>, Vec<TxnId>) {
         fold_outcome(&self.committed, |seq| {
             self.nodes[OBSERVED]
                 .committed_batch(seq)
@@ -641,12 +461,12 @@ proptest! {
             warm: if poison { vec![1] } else { Vec::new() },
             loss_permille,
             drops_left: 3,
-            drop_first_fills: 0,
             poisoner: poison.then_some(1),
+            ..DigestChaos::default()
         };
-        let mut digest_run = DigestCluster::new(1_000, 100, chaos);
+        let mut digest_run = digest_cluster(chaos);
         for batch in 0..batches {
-            digest_run.submit_batch(batch);
+            digest_run.submit_batches([batch], &[]);
             digest_run.pump_fetch_retries();
         }
         for (i, node) in digest_run.nodes.iter().enumerate() {
@@ -657,7 +477,7 @@ proptest! {
             );
         }
         let baseline = baseline_run(1_000, batches);
-        let (d_seqs, d_kv, d_resps) = digest_run.outcome();
+        let (d_seqs, d_kv, d_resps) = digest_run.digest_outcome();
         let (b_seqs, b_kv, b_resps) = baseline.outcome();
         prop_assert_eq!(d_seqs, b_seqs, "commit order diverged across modes");
         prop_assert_eq!(d_kv, b_kv, "derived KV state diverged across modes");
@@ -678,11 +498,11 @@ fn poisoned_fill_is_refetched_elsewhere_and_matches_full_mode() {
         warm: vec![1],
         drop_first_fills: 2,
         poisoner: Some(1),
-        ..DigestChaos::none(0)
+        ..DigestChaos::default()
     };
-    let mut digest_run = DigestCluster::new(1_000, 100, chaos);
+    let mut digest_run = digest_cluster(chaos);
     for batch in 0..3 {
-        digest_run.submit_batch(batch);
+        digest_run.submit_batches([batch], &[]);
         digest_run.pump_fetch_retries();
     }
     assert!(
@@ -695,16 +515,16 @@ fn poisoned_fill_is_refetched_elsewhere_and_matches_full_mode() {
         "cold replicas miss on every body"
     );
     let baseline = baseline_run(1_000, 3);
-    assert_eq!(digest_run.outcome(), baseline.outcome());
+    assert_eq!(digest_run.digest_outcome(), baseline.outcome());
 }
 
 #[test]
 fn all_cold_digest_run_fetches_everything_and_matches_full_mode() {
     // Zero feed: every body of every batch must travel the fetch path,
     // and the outcome still matches the full-body run exactly.
-    let mut digest_run = DigestCluster::new(1_000, 100, DigestChaos::none(0));
+    let mut digest_run = digest_cluster(DigestChaos::default());
     for batch in 0..4 {
-        digest_run.submit_batch(batch);
+        digest_run.submit_batches([batch], &[]);
         digest_run.pump_fetch_retries();
     }
     for node in 1..4 {
@@ -716,7 +536,10 @@ fn all_cold_digest_run_fetches_everything_and_matches_full_mode() {
         digest_run.digest_counter(0, "fills_served") >= 12,
         "the primary answers every cold replica's fetch"
     );
-    assert_eq!(digest_run.outcome(), baseline_run(1_000, 4).outcome());
+    assert_eq!(
+        digest_run.digest_outcome(),
+        baseline_run(1_000, 4).outcome()
+    );
 }
 
 #[test]

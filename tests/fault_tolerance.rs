@@ -421,12 +421,12 @@ fn decentralized_spawning_survives_a_delaying_primary() {
 /// of the trust-but-verify protocol across a primary replacement.
 #[test]
 fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
-    use serverless_bft::consensus::ConsensusMessage;
     use serverless_bft::core::events::{
-        Action, ClientRequest, Destination, ProtocolMessage, RecoverySubject, ReplaceMessage,
+        Action, ClientRequest, ProtocolMessage, RecoverySubject, ReplaceMessage,
     };
+    use serverless_bft::core::lockstep::{pbft_nodes, settle, Hop, Verdict};
     use serverless_bft::core::verifier::{Verifier, VerifierConfig};
-    use serverless_bft::core::{AttackInjector, ShimNode};
+    use serverless_bft::core::AttackInjector;
     use serverless_bft::crypto::CryptoProvider;
     use serverless_bft::serverless::{Executor, ExecutorBehavior};
     use serverless_bft::sharding::ShardRouter;
@@ -443,15 +443,8 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
 
     let provider = CryptoProvider::new(21);
     let store = YcsbTable::populate(1_000).store().clone();
-    let mut nodes: Vec<ShimNode> = (0..4u32)
-        .map(|i| {
-            ShimNode::pbft(
-                NodeId(i),
-                cfg.clone(),
-                provider.handle(ComponentId::Node(NodeId(i))),
-            )
-        })
-        .collect();
+    let registry = std::sync::Arc::new(serverless_bft::telemetry::Registry::new());
+    let mut nodes = pbft_nodes(&cfg, &provider, &registry);
     let mut verifier = Verifier::new(
         provider.handle(ComponentId::Verifier),
         std::sync::Arc::clone(&store),
@@ -465,54 +458,12 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
             checkpoint_interval: cfg.timers.checkpoint_interval,
         },
     );
-    let registry = serverless_bft::telemetry::Registry::new();
     verifier.register_metrics(&registry);
     let count = |name: &str| registry.counter_value(&format!("verifier.{name}"));
     let mut injector = AttackInjector::new(4);
     injector.compromise(NodeId(0), ShimAttack::MisplanBatches);
 
-    // Drives consensus among the nodes (attacks applied at emission)
-    // until quiescence; returns the non-consensus leftovers per node.
-    let run_consensus = |nodes: &mut Vec<ShimNode>,
-                         injector: &mut AttackInjector,
-                         origin: usize,
-                         actions: Vec<Action>|
-     -> Vec<(NodeId, Action)> {
-        let mut external = Vec::new();
-        let mut queue: std::collections::VecDeque<(usize, usize, ConsensusMessage)> =
-            std::collections::VecDeque::new();
-        let push = |origin: usize,
-                    actions: Vec<Action>,
-                    queue: &mut std::collections::VecDeque<(usize, usize, ConsensusMessage)>,
-                    external: &mut Vec<(NodeId, Action)>| {
-            for a in actions {
-                match &a {
-                    Action::Send(env) => match (&env.to, &env.msg) {
-                        (Destination::AllNodes, ProtocolMessage::Consensus(m)) => {
-                            for to in 0..4usize {
-                                if to != origin {
-                                    queue.push_back((origin, to, m.clone()));
-                                }
-                            }
-                        }
-                        (Destination::Node(to), ProtocolMessage::Consensus(m)) => {
-                            queue.push_back((origin, to.0 as usize, m.clone()));
-                        }
-                        _ => external.push((NodeId(origin as u32), a.clone())),
-                    },
-                    _ => external.push((NodeId(origin as u32), a.clone())),
-                }
-            }
-        };
-        let actions = injector.apply(NodeId(origin as u32), actions);
-        push(origin, actions, &mut queue, &mut external);
-        while let Some((from, to, msg)) = queue.pop_front() {
-            let acts = nodes[to].on_consensus_message(NodeId(from as u32), msg);
-            let acts = injector.apply(NodeId(to as u32), acts);
-            push(to, acts, &mut queue, &mut external);
-        }
-        external
-    };
+    let deliver = |_: Hop<'_>| Verdict::Deliver;
 
     // Runs the spawned executors of `external` and feeds their VERIFYs to
     // the verifier; returns every BatchValidated the verifier broadcast.
@@ -574,7 +525,7 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
     // ---- Phase 1: the mis-planning primary orders three batches. ----
     for (i, key) in off_zero[..3].iter().enumerate() {
         let actions = nodes[0].on_client_request(&request(i as u32, *key), SimTime::ZERO);
-        let external = run_consensus(&mut nodes, &mut injector, 0, actions);
+        let external = settle(&mut nodes, NodeId(0), actions, Some(&mut injector), deliver);
         let validated = run_executors(&external, &mut verifier);
         assert!(!validated.is_empty(), "batch {i} must validate");
         for msg in validated {
@@ -597,7 +548,8 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
         .map(|i| (i, nodes[i].on_message(&replace)))
         .collect();
     for (origin, actions) in pending {
-        let _ = run_consensus(&mut nodes, &mut injector, origin, actions);
+        let origin = NodeId(origin as u32);
+        let _ = settle(&mut nodes, origin, actions, Some(&mut injector), deliver);
     }
     assert_eq!(nodes[1].view(), serverless_bft::types::ViewNumber(1));
     assert!(nodes[1].is_primary(), "node 1 leads the new view");
@@ -605,7 +557,7 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
     // ---- Phase 3: the honest primary's tags earn the fast path. ----
     for (i, key) in off_zero[3..].iter().enumerate() {
         let actions = nodes[1].on_client_request(&request(10 + i as u32, *key), SimTime::ZERO);
-        let external = run_consensus(&mut nodes, &mut injector, 1, actions);
+        let external = settle(&mut nodes, NodeId(1), actions, Some(&mut injector), deliver);
         let validated = run_executors(&external, &mut verifier);
         assert!(
             !validated.is_empty(),

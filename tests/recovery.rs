@@ -16,133 +16,27 @@
 
 mod common;
 
-use common::{fan_out, fold_outcome, pbft_nodes, record_batches, signed_request, Wire};
+use common::{commits, durable_config, signed_request, Cluster};
 use proptest::prelude::*;
-use serverless_bft::consensus::ConsensusMessage;
-use serverless_bft::core::SystemBuilder;
-use serverless_bft::core::{Action, ShimNode};
+use serverless_bft::core::lockstep::{pbft_nodes, settle, Verdict};
+use serverless_bft::core::{Action, ShimNode, SystemBuilder};
 use serverless_bft::crypto::CryptoProvider;
 use serverless_bft::serverless::CrashRestart;
 use serverless_bft::sim::{FaultPlan, LinkFaults, LinkRule, SimHarness, SimParams};
 use serverless_bft::telemetry::{Registry, SpanEvent, Stage, TraceSink};
 use serverless_bft::types::{
-    Batch, ConflictHandling, DurabilityConfig, NodeId, RegionSet, SeqNum, ShardingConfig,
-    SimDuration, SimTime, SystemConfig, TxnId,
+    ConflictHandling, DurabilityConfig, NodeId, RegionSet, SeqNum, ShardingConfig, SimDuration,
+    SimTime, SystemConfig,
 };
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// The backup replica whose crash-restart the suite watches.
-const OBSERVED: usize = 3;
-
-/// Four PBFT-backed shim nodes driven synchronously, with the batches
-/// and commits observed at node [`OBSERVED`] recorded off the wire.
-struct Cluster {
-    nodes: Vec<ShimNode>,
-    provider: Arc<CryptoProvider>,
-    /// The nodes' counters, under `shim.<node>.*`.
-    registry: Arc<Registry>,
-    /// Batch content per sequence as delivered to the observed node
-    /// (`PREPREPARE` live, `STATERESPONSE` entries after recovery).
-    batches: BTreeMap<SeqNum, Batch>,
-    /// Commit order observed at the watched node.
-    committed: Vec<SeqNum>,
-    /// Virtual submission clock (advances per batch so the batcher's
-    /// lane timeouts stay meaningful).
-    clock: SimTime,
-}
-
 fn config(shards: usize, snapshot_interval: u64) -> SystemConfig {
-    let mut config = SystemConfig::with_shim_size(4);
-    config.workload.batch_size = 2;
-    config.durability = DurabilityConfig::enabled().with_snapshot_interval(snapshot_interval);
+    let mut config = durable_config(snapshot_interval);
     if shards > 1 {
         config.sharding = ShardingConfig::with_shards(shards);
         config.conflict_handling = ConflictHandling::KnownRwSets;
     }
     config
-}
-
-impl Cluster {
-    fn new(shards: usize, snapshot_interval: u64) -> Self {
-        let config = config(shards, snapshot_interval);
-        let provider = CryptoProvider::new(21);
-        let registry = Arc::new(Registry::new());
-        let nodes = pbft_nodes(&config, &provider, &registry);
-        Cluster {
-            nodes,
-            provider,
-            registry,
-            batches: BTreeMap::new(),
-            committed: Vec::new(),
-            clock: SimTime::ZERO,
-        }
-    }
-
-    /// The observed node's `shim.<OBSERVED>.<name>` counter.
-    fn observed(&self, name: &str) -> u64 {
-        self.registry
-            .counter_value(&format!("shim.{OBSERVED}.{name}"))
-    }
-
-    /// Routes consensus messages to quiescence, skipping nodes in
-    /// `down`, recording the observed node's deliveries and commits.
-    fn drive(&mut self, origin: usize, actions: Vec<Action>, down: &[usize]) {
-        let n = self.nodes.len();
-        let mut queue = Wire::new();
-        self.absorb(origin, actions, &mut queue, n);
-        while let Some((from, to, msg)) = queue.pop_front() {
-            if down.contains(&to) {
-                continue;
-            }
-            if to == OBSERVED {
-                self.record(&msg);
-            }
-            let acts = self.nodes[to].on_consensus_message(NodeId(from as u32), msg);
-            self.absorb(to, acts, &mut queue, n);
-        }
-    }
-
-    /// Enqueues the consensus sends out of `actions` and records the
-    /// observed node's commit stream.
-    fn absorb(&mut self, origin: usize, actions: Vec<Action>, queue: &mut Wire, n: usize) {
-        let committed = fan_out(origin, actions, n, queue);
-        if origin == OBSERVED {
-            self.committed.extend(committed);
-        }
-    }
-
-    /// Captures batch content delivered to the observed node, keyed by
-    /// sequence: live proposals and state-transferred entries alike.
-    fn record(&mut self, msg: &ConsensusMessage) {
-        record_batches(&mut self.batches, msg);
-    }
-
-    /// Submits one two-transaction batch to the primary and drives it to
-    /// quiescence; a trailing poll drains lanes the pair straddled.
-    fn submit_batch(&mut self, batch: u64, down: &[usize]) {
-        self.clock += SimDuration::from_millis(100);
-        let now = self.clock;
-        let r0 = signed_request(&self.provider, batch * 2);
-        let a0 = self.nodes[0].on_client_request(&r0, now);
-        self.drive(0, a0, down);
-        let r1 = signed_request(&self.provider, batch * 2 + 1);
-        let a1 = self.nodes[0].on_client_request(&r1, now);
-        self.drive(0, a1, down);
-        let polled = self.nodes[0].poll_batcher(now + SimDuration::from_millis(10));
-        self.drive(0, polled, down);
-    }
-
-    /// The run's observable outcome at the watched node: its commit
-    /// order, the KV state derived by folding the committed operations
-    /// in that order, and the client responses in response order.
-    fn outcome(&self) -> (Vec<SeqNum>, BTreeMap<u64, u64>, Vec<TxnId>) {
-        fold_outcome(&self.committed, |seq| {
-            self.batches
-                .get(&seq)
-                .expect("observed node committed a batch it was never shown")
-        })
-    }
 }
 
 /// One crash-restart scenario: `crash_after` batches commit everywhere,
@@ -154,33 +48,18 @@ fn crashed_run(
     crash_after: u64,
     dark: u64,
     tail: u64,
-) -> Cluster {
-    let mut cluster = Cluster::new(shards, snapshot_interval);
-    let mut batch = 0;
-    for _ in 0..crash_after {
-        cluster.submit_batch(batch, &[]);
-        batch += 1;
-    }
-    cluster.nodes[OBSERVED].crash();
-    for _ in 0..dark {
-        cluster.submit_batch(batch, &[OBSERVED]);
-        batch += 1;
-    }
-    let restart = cluster.nodes[OBSERVED].crash_restart();
-    cluster.drive(OBSERVED, restart, &[]);
-    for _ in 0..tail {
-        cluster.submit_batch(batch, &[]);
-        batch += 1;
-    }
+) -> Cluster<()> {
+    let mut cluster = Cluster::new(&config(shards, snapshot_interval), ());
+    let next = cluster.crash_observed(crash_after, dark);
+    cluster.restart_observed();
+    cluster.submit_batches(next..next + tail, &[]);
     cluster
 }
 
 /// The same workload with no crash anywhere.
-fn baseline_run(shards: usize, snapshot_interval: u64, total: u64) -> Cluster {
-    let mut cluster = Cluster::new(shards, snapshot_interval);
-    for batch in 0..total {
-        cluster.submit_batch(batch, &[]);
-    }
+fn baseline_run(shards: usize, snapshot_interval: u64, total: u64) -> Cluster<()> {
+    let mut cluster = Cluster::new(&config(shards, snapshot_interval), ());
+    cluster.submit_batches(0..total, &[]);
     cluster
 }
 
@@ -245,18 +124,11 @@ fn snapshots_bound_what_recovery_replays() {
 
 /// Delivers the consensus traffic `origin`'s `actions` set off until the
 /// nodes fall quiet; returns the sequences `origin` committed meanwhile.
-fn settle(nodes: &mut [ShimNode], origin: usize, actions: Vec<Action>) -> Vec<SeqNum> {
-    let n = nodes.len();
-    let mut wire = Wire::new();
-    let mut committed = fan_out(origin, actions, n, &mut wire);
-    while let Some((from, to, msg)) = wire.pop_front() {
-        let actions = nodes[to].on_consensus_message(NodeId(from as u32), msg);
-        let seqs = fan_out(to, actions, n, &mut wire);
-        if to == origin {
-            committed.extend(seqs);
-        }
-    }
-    committed
+fn settle_committed(nodes: &mut [ShimNode], origin: usize, actions: Vec<Action>) -> Vec<SeqNum> {
+    let settled = settle(nodes, NodeId(origin as u32), actions, None, |_| {
+        Verdict::Deliver
+    });
+    commits(&settled, origin).collect()
 }
 
 #[test]
@@ -294,7 +166,7 @@ fn a_proposal_lost_across_a_view_change_is_expired_at_the_same_cutoff() {
     // Ten batches commit and validate under the first primary.
     for i in 0..10 {
         let actions = nodes[0].on_client_request(&signed_request(&provider, i), SimTime::ZERO);
-        let committed = settle(&mut nodes, 0, actions);
+        let committed = settle_committed(&mut nodes, 0, actions);
         assert_eq!(committed, vec![SeqNum(i + 1)]);
         validate(&mut nodes, &mut trajectory, committed);
     }
@@ -312,7 +184,7 @@ fn a_proposal_lost_across_a_view_change_is_expired_at_the_same_cutoff() {
     ));
     for origin in 1..4 {
         let actions = nodes[origin].on_message(&replace);
-        let _ = settle(&mut nodes, origin, actions);
+        let _ = settle_committed(&mut nodes, origin, actions);
     }
     assert_eq!(nodes[0].view(), ViewNumber(1));
     assert!(nodes[1].is_primary());
@@ -320,7 +192,7 @@ fn a_proposal_lost_across_a_view_change_is_expired_at_the_same_cutoff() {
     // rhythm past the lost proposals' stamps.
     for i in 13..43 {
         let actions = nodes[1].on_client_request(&signed_request(&provider, i), SimTime::ZERO);
-        let committed = settle(&mut nodes, 1, actions);
+        let committed = settle_committed(&mut nodes, 1, actions);
         assert_eq!(committed.len(), 1, "request {i} commits");
         validate(&mut nodes, &mut trajectory, committed);
     }
