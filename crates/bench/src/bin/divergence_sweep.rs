@@ -20,6 +20,12 @@
 //!   (independent corruptions do not collude), and *every* batch aborts
 //!   through the divergence rule — safety holds, liveness is the cost.
 //!
+//! `SPREAD-3` rows print exactly the `SPREAD-1` rows: over three regions
+//! the fourth executor of every batch goes to the verifier's region, so
+//! the two home-region executors form the quorum, as they do when every
+//! executor is at home. Spread still shows at `SPREAD-7`, where four
+//! executors over seven regions rotate from batch to batch.
+//!
 //! Companion telemetry: the `verifier.divergent_aborts` counter.
 //!
 //! CI runs this binary as a smoke test; the binary itself asserts the

@@ -283,7 +283,10 @@ fn run_point_with_sink(
 /// and the executor spread (regions executors are spawned into: wider
 /// spread means wider arrival jitter, so executors of one batch observe
 /// more different storage states). Conflict handling is `UnknownRwSets`
-/// — the mode whose abort-detection path the sweep exercises.
+/// — the mode whose abort-detection path the sweep exercises. Its
+/// `3f_E + 1 = 4` executors over three regions put two in the verifier's
+/// region on every batch, so spread 3 runs exactly as spread 1; only a
+/// spread above the executor count (7) rotates the quorum away from home.
 #[must_use]
 pub fn divergence_points(record_counts: &[u64], spreads: &[usize]) -> Vec<PointConfig> {
     let mut points = Vec::new();

@@ -258,18 +258,18 @@ impl ShimNode {
             && config.sharding.ordering_lanes)
             .then(|| ShardRouter::new(config.sharding.num_shards));
         let batcher = Self::fresh_batcher(&config, lane_router.as_ref());
-        // Plan-aware spawn placement needs geo-partitioned storage (the
-        // shard → home-region map) and the placement knob left on; the
-        // partition is re-derived from the shared configuration, never
-        // communicated.
-        let invoker = match config
-            .sharding
-            .pinned_placement
-            .then(|| config.region_partition())
-            .flatten()
-        {
-            Some(partition) => Invoker::new(me, config.regions.clone()).with_partition(partition),
+        // Placement follows where the executors' storage lives, re-derived
+        // from the shared configuration, never communicated: at the
+        // verifier's site a batch's surplus executors go to the nearest
+        // regions; geo-partitioned storage keeps the paper's rotation, and
+        // pins by the shard → home-region map when the placement knob is on.
+        let invoker = match config.region_partition() {
             None => Invoker::new(me, config.regions.clone()),
+            Some(partition) => Invoker::geo(
+                me,
+                config.regions.clone(),
+                config.sharding.pinned_placement.then_some(partition),
+            ),
         };
         let planner = matches!(config.conflict_handling, ConflictHandling::KnownRwSets)
             .then(BestEffortPlanner::new);

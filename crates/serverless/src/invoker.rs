@@ -10,18 +10,36 @@
 //!
 //! # Placement policy
 //!
-//! The paper spawns round-robin across the enabled regions (Section
-//! IX-E). With geo-partitioned storage the invoker can do better: a batch
-//! whose replicated [`ShardPlan`] tag says `SingleHome(s)` has its whole
-//! read-write footprint in shard `s`'s partition, so its executors are
-//! *pinned* to that shard's home region — every storage fetch becomes
+//! The paper spawns round-robin across the enabled regions, splitting a
+//! batch's executors "evenly" (Section IX-E). A rotation counter runs
+//! across batches, so with `count = q·L + r` executors over `L` regions the
+//! region that hosts a batch's `r` surplus executors changes from batch to
+//! batch. Where the executors' storage sits at the verifier's site (the
+//! default, [`Invoker::new`]), ordinals `0..q·L` keep that rotation and
+//! the last `r` go to the `r` nearest regions that are up, by
+//! [`Region::one_way_latency_ms_from_home`]. Every region still hosts `q`
+//! or `q + 1` of the batch, but the `f_E + 1` quorum the verifier waits
+//! for can form one hop away: 4 executors over North California, Oregon
+//! and Ohio always put two in North California. With fewer executors than
+//! regions (`q = 0`) or an exact multiple (`r = 0`) the rotation stands.
+//!
+//! With geo-partitioned storage ([`Invoker::geo`]) the data is not at the
+//! verifier's site, so the nearest region buys nothing and the paper's
+//! rotation stands for every count. The invoker can instead place by data:
+//! a batch whose replicated [`ShardPlan`] tag says `SingleHome(s)` has its
+//! whole read-write footprint in shard `s`'s partition, so its executors
+//! are *pinned* to that shard's home region — every storage fetch becomes
 //! local. Pinning falls back to the round-robin rotation, deterministically,
 //! when the home region is not in the spawnable set or is marked faulted
 //! (a [`crate::faults::RegionOutage`]). Cross-home and untagged batches
-//! keep the paper's rotation. Placement is strictly a performance hint:
-//! every executor runs the same deterministic function wherever it lands,
-//! so outcomes, responses and final state are identical under any
-//! placement — the equivalence proptests pin that down.
+//! keep the paper's rotation.
+//!
+//! Every rule advances the rotation counter by the batch's count, so a
+//! batch's rotated executors start where the paper's would. Placement is
+//! strictly a performance hint: every executor runs the same deterministic
+//! function wherever it lands, so outcomes, responses and final state are
+//! identical under any placement — the equivalence proptests pin that
+//! down.
 
 use crate::cloud::SpawnRequest;
 use sbft_telemetry::{Counter, Registry};
@@ -48,11 +66,15 @@ pub struct Invoker {
     /// every later placement decision — is independent of how earlier
     /// batches were placed.
     spawned_so_far: usize,
-    /// The shard → home-region map of the geo-partitioned storage.
-    /// `None` (the default) reproduces the paper's pure rotation.
+    /// The spawnable regions nearest to the verifier first, where a
+    /// batch's surplus executors go; `None` over geo-partitioned storage,
+    /// which keeps the paper's rotation.
+    nearest: Option<RegionSet>,
+    /// The shard → home-region map of the geo-partitioned storage, when
+    /// `SingleHome` batches are pinned; `None` never pins.
     partition: Option<RegionPartition>,
     /// Regions currently believed faulted (region outages observed by
-    /// this node); pinning never targets them.
+    /// this node); placement avoids them while any region is up.
     down_regions: BTreeSet<Region>,
     /// Executors placed by pinning (`shim.<node>.invoker.pinned_spawns`).
     pinned_spawns: Counter,
@@ -63,11 +85,14 @@ pub struct Invoker {
 }
 
 impl Invoker {
-    /// Creates the invoker for a shim node (round-robin placement).
+    /// Creates the invoker for a shim node whose executors read storage at
+    /// the verifier's site: the rotation, with a batch's surplus executors
+    /// in the nearest regions.
     #[must_use]
     pub fn new(node: NodeId, regions: RegionSet) -> Self {
         Invoker {
             node,
+            nearest: Some(regions.by_latency()),
             regions,
             spawned_so_far: 0,
             partition: None,
@@ -77,11 +102,16 @@ impl Invoker {
         }
     }
 
-    /// Enables plan-aware placement against a geo-partitioned store.
+    /// Creates the invoker for a shim node over geo-partitioned storage:
+    /// the paper's rotation, and with `pin` the plan-aware pinning of
+    /// `SingleHome` batches to their shard's home region.
     #[must_use]
-    pub fn with_partition(mut self, partition: RegionPartition) -> Self {
-        self.partition = Some(partition);
-        self
+    pub fn geo(node: NodeId, regions: RegionSet, pin: Option<RegionPartition>) -> Self {
+        Invoker {
+            nearest: None,
+            partition: pin,
+            ..Self::new(node, regions)
+        }
     }
 
     /// Marks a region as faulted: pinning avoids it until it recovers.
@@ -110,9 +140,8 @@ impl Invoker {
     }
 
     /// Plans the spawning of `count` executors for the batch at `seq`,
-    /// assigning regions round-robin so the executors are spread as evenly
-    /// as possible (the paper "tried to evenly split these executors across
-    /// these regions").
+    /// spread as evenly as possible over the regions (the paper "tried to
+    /// evenly split these executors across these regions").
     pub fn plan(&mut self, seq: SeqNum, count: usize) -> SpawnPlan {
         self.plan_placed(seq, count, ShardPlan::Unplanned)
     }
@@ -120,7 +149,8 @@ impl Invoker {
     /// Plans the spawning of `count` executors for the batch at `seq`,
     /// consulting the batch's replicated [`ShardPlan`] tag: a verified
     /// geo deployment pins a `SingleHome` batch's executors to its
-    /// shard's home region, everything else rotates.
+    /// shard's home region, everything else is placed by the module's
+    /// rotation rule.
     pub fn plan_placed(&mut self, seq: SeqNum, count: usize, plan: ShardPlan) -> SpawnPlan {
         if count == 0 {
             return SpawnPlan {
@@ -147,15 +177,50 @@ impl Invoker {
         if self.partition.is_some() && plan.is_single_home() {
             self.placement_fallbacks.inc();
         }
+        let rotated = self.rotated_count(count);
         let requests = (0..count)
             .map(|i| SpawnRequest {
                 spawner: self.node,
-                region: self.round_robin_region(self.spawned_so_far + i),
+                region: if i < rotated {
+                    self.round_robin_region(self.spawned_so_far + i)
+                } else {
+                    self.surplus_region(i - rotated)
+                },
                 seq,
             })
             .collect();
         self.spawned_so_far += count;
         SpawnPlan { seq, requests }
+    }
+
+    /// How many of a batch's `count` executors follow the rotation: the
+    /// full rounds `q·L` of `count = q·L + r` when storage is at the
+    /// verifier's site and `q ≥ 1`, otherwise all of them.
+    fn rotated_count(&self, count: usize) -> usize {
+        let l = self.regions.len();
+        if self.nearest.is_some() && count > l {
+            count - count % l
+        } else {
+            count
+        }
+    }
+
+    /// The region of a batch's `j`-th surplus executor: the `j`-th nearest
+    /// region that is up (cycling when fewer are up than there are surplus
+    /// executors), or the `j`-th nearest when every region is down.
+    fn surplus_region(&self, j: usize) -> Region {
+        let nearest = self
+            .nearest
+            .as_ref()
+            .expect("only storage at the verifier's site has surplus executors");
+        nearest
+            .regions()
+            .iter()
+            .copied()
+            .filter(|r| !self.down_regions.contains(r))
+            .cycle()
+            .nth(j)
+            .unwrap_or_else(|| nearest.round_robin(j))
     }
 
     /// The region a `SingleHome` batch would be pinned to, if pinning is
@@ -192,7 +257,23 @@ mod tests {
 
     fn geo_invoker(regions: usize, shards: usize) -> Invoker {
         let set = RegionSet::first_n(regions);
-        Invoker::new(NodeId(0), set.clone()).with_partition(RegionPartition::new(set, shards))
+        Invoker::geo(
+            NodeId(0),
+            set.clone(),
+            Some(RegionPartition::new(set, shards)),
+        )
+    }
+
+    fn regions_of(plan: &SpawnPlan) -> Vec<Region> {
+        plan.requests.iter().map(|r| r.region).collect()
+    }
+
+    fn counts_of(plan: &SpawnPlan) -> std::collections::BTreeMap<Region, usize> {
+        let mut counts = std::collections::BTreeMap::new();
+        for r in &plan.requests {
+            *counts.entry(r.region).or_insert(0usize) += 1;
+        }
+        counts
     }
 
     #[test]
@@ -227,16 +308,130 @@ mod tests {
     }
 
     #[test]
-    fn eleven_executors_over_seven_regions_split_evenly() {
-        let mut invoker = Invoker::new(NodeId(2), RegionSet::first_n(7));
-        let plan = invoker.plan(SeqNum(1), 11);
-        let mut counts = std::collections::BTreeMap::new();
-        for r in &plan.requests {
-            *counts.entry(r.region).or_insert(0usize) += 1;
+    fn four_over_three_puts_the_fourth_in_north_california_on_every_batch() {
+        let mut invoker = Invoker::new(NodeId(0), RegionSet::first_n(3));
+        let rotation = [Region::NorthCalifornia, Region::Oregon, Region::Ohio];
+        for b in 0..6 {
+            let plan = invoker.plan(SeqNum(b + 1), 4);
+            let regions = regions_of(&plan);
+            // The full round keeps the paper's rotation across batches…
+            for (i, region) in regions[..3].iter().enumerate() {
+                assert_eq!(*region, rotation[(4 * b as usize + i) % 3], "batch {b}");
+            }
+            // …and the surplus executor is always the nearest one.
+            assert_eq!(regions[3], Region::NorthCalifornia, "batch {b}");
+            assert_eq!(counts_of(&plan)[&Region::NorthCalifornia], 2);
         }
-        let max = counts.values().max().unwrap();
-        let min = counts.values().min().unwrap();
-        assert!(max - min <= 1, "{counts:?}");
+    }
+
+    #[test]
+    fn surplus_executors_go_to_the_nearest_regions_by_latency() {
+        let set = RegionSet::first_n(7);
+        let by_latency = set.by_latency();
+        // Every region hosts one executor of the batch, and exactly the
+        // nearest `surplus` host a second: the split stays even.
+        for (count, surplus) in [(11, 4), (13, 6)] {
+            let mut invoker = Invoker::new(NodeId(2), set.clone());
+            for b in 0..7 {
+                let plan = invoker.plan(SeqNum(b + 1), count);
+                let counts = counts_of(&plan);
+                let doubled: BTreeSet<Region> = counts
+                    .iter()
+                    .filter(|(_, n)| **n == 2)
+                    .map(|(r, _)| *r)
+                    .collect();
+                let nearest: BTreeSet<Region> =
+                    by_latency.regions()[..surplus].iter().copied().collect();
+                assert_eq!(doubled, nearest, "{count} executors, batch {b}");
+                assert_eq!(counts.len(), 7, "{count} executors, batch {b}");
+            }
+        }
+        // Thirteen over seven doubles London and Ireland, not Frankfurt,
+        // which is enabled before them but is farther.
+        let plan = Invoker::new(NodeId(0), set).plan(SeqNum(1), 13);
+        let counts = counts_of(&plan);
+        assert_eq!(counts[&Region::London], 2);
+        assert_eq!(counts[&Region::Ireland], 2);
+        assert_eq!(counts[&Region::Frankfurt], 1);
+    }
+
+    #[test]
+    fn multiples_of_the_region_count_and_fewer_keep_the_rotation() {
+        let set = RegionSet::first_n(3);
+        let mut near = Invoker::new(NodeId(0), set.clone());
+        let mut paper = Invoker::geo(NodeId(0), set, None);
+        for (b, count) in [2, 3, 6, 1, 2, 9, 3, 2, 1].into_iter().enumerate() {
+            let seq = SeqNum(b as u64 + 1);
+            assert_eq!(
+                near.plan(seq, count),
+                paper.plan(seq, count),
+                "{count} executors"
+            );
+        }
+        // Fewer executors than regions: the rotation across batches
+        // decides, as in Figure 6(vii).
+        let set = RegionSet::first_n(7);
+        let mut near = Invoker::new(NodeId(0), set.clone());
+        let mut paper = Invoker::geo(NodeId(0), set, None);
+        for b in 0..7 {
+            assert_eq!(near.plan(SeqNum(b + 1), 3), paper.plan(SeqNum(b + 1), 3));
+        }
+    }
+
+    #[test]
+    fn a_down_nearest_region_passes_the_surplus_to_the_next() {
+        let mut invoker = Invoker::new(NodeId(0), RegionSet::first_n(3));
+        invoker.mark_region_down(Region::NorthCalifornia);
+        let plan = invoker.plan(SeqNum(1), 4);
+        assert_eq!(plan.requests[3].region, Region::Oregon);
+        assert!(plan
+            .requests
+            .iter()
+            .all(|r| r.region != Region::NorthCalifornia));
+        // Two surplus executors and one region up: both land there.
+        let mut invoker = Invoker::new(NodeId(0), RegionSet::first_n(3));
+        invoker.mark_region_down(Region::NorthCalifornia);
+        invoker.mark_region_down(Region::Oregon);
+        let plan = invoker.plan(SeqNum(1), 5);
+        assert!(plan.requests.iter().all(|r| r.region == Region::Ohio));
+        // Every region down: the surplus falls back to the nearest, as the
+        // rotation falls back to its own candidate.
+        invoker.mark_region_down(Region::Ohio);
+        let plan = invoker.plan(SeqNum(2), 4);
+        assert_eq!(plan.requests[3].region, Region::NorthCalifornia);
+    }
+
+    #[test]
+    fn geo_partitioned_invokers_keep_the_paper_rotation() {
+        let paper = [
+            Region::NorthCalifornia,
+            Region::Oregon,
+            Region::Ohio,
+            Region::NorthCalifornia,
+            Region::Oregon,
+            Region::Ohio,
+            Region::NorthCalifornia,
+            Region::Oregon,
+        ];
+        for mut invoker in [
+            Invoker::geo(NodeId(0), RegionSet::first_n(3), None),
+            geo_invoker(3, 8),
+        ] {
+            let first = invoker.plan_placed(SeqNum(1), 4, ShardPlan::CrossHome);
+            let second = invoker.plan(SeqNum(2), 4);
+            assert_eq!(regions_of(&first), paper[..4]);
+            assert_eq!(regions_of(&second), paper[4..]);
+        }
+    }
+
+    #[test]
+    fn surplus_placement_advances_the_rotation_by_the_count() {
+        let mut invoker = Invoker::new(NodeId(0), RegionSet::first_n(3));
+        let _ = invoker.plan(SeqNum(1), 4);
+        assert_eq!(invoker.spawned_so_far, 4);
+        let plan = invoker.plan(SeqNum(2), 4);
+        assert_eq!(plan.requests[0].region, Region::Oregon);
+        assert_eq!(invoker.spawned_so_far, 8);
     }
 
     #[test]
@@ -276,7 +471,7 @@ mod tests {
         // exactly where a rotation-only invoker would have been.
         let mut pinned = geo_invoker(3, 8);
         let _ = pinned.plan_placed(SeqNum(1), 2, ShardPlan::SingleHome(ShardId(1)));
-        let mut rotated = Invoker::new(NodeId(0), RegionSet::first_n(3));
+        let mut rotated = Invoker::geo(NodeId(0), RegionSet::first_n(3), None);
         let _ = rotated.plan(SeqNum(1), 2);
         assert_eq!(
             pinned.plan(SeqNum(2), 3).requests,
@@ -308,8 +503,11 @@ mod tests {
         // 2 spawnable regions but 5 shards homed over a 5-region map:
         // shards homed in regions this invoker cannot spawn into rotate.
         let spawnable = RegionSet::first_n(2);
-        let mut invoker = Invoker::new(NodeId(0), spawnable)
-            .with_partition(RegionPartition::new(RegionSet::first_n(5), 5));
+        let mut invoker = Invoker::geo(
+            NodeId(0),
+            spawnable,
+            Some(RegionPartition::new(RegionSet::first_n(5), 5)),
+        );
         let plan = invoker.plan_placed(SeqNum(1), 2, ShardPlan::SingleHome(ShardId(4)));
         assert_eq!(plan.requests[0].region, Region::NorthCalifornia);
         assert_eq!(plan.requests[1].region, Region::Oregon);

@@ -10,7 +10,7 @@ use crate::cpu::{CpuModel, ServiceStation};
 use crate::faults::{FaultPlan, FaultState};
 use crate::metrics::RunMetrics;
 use crate::network::NetworkModel;
-use crate::queue::{EventQueue, Fired};
+use crate::queue::{EventQueue, Fired, Popped};
 use sbft_core::events::{Action, Destination, Envelope, ProtocolMessage, ProtocolTimer};
 use sbft_core::System;
 use sbft_serverless::{CrashRestart, ExecuteRequest, ExecutorBehavior};
@@ -21,6 +21,8 @@ use sbft_types::{
     TxnOutcome,
 };
 use sbft_workloads::{KeyDistribution, YcsbWorkload};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Parameters of one simulated run.
 #[derive(Clone, Copy, Debug)]
@@ -152,6 +154,9 @@ pub struct SimHarness {
     /// done) — consumed when the request's batch is released into
     /// ordering. Only populated while tracing is enabled.
     ingest_times: IdMap<TxnId, (SimTime, SimTime)>,
+    /// When each executor that still holds a cloud concurrency slot
+    /// finishes its batch ([`Self::release_finished`]).
+    running: BinaryHeap<Reverse<(SimTime, ExecutorId)>>,
     /// Node indices currently crashed: deliveries and timer firings to
     /// them are dropped until their `Restart` event.
     down: std::collections::BTreeSet<usize>,
@@ -252,6 +257,7 @@ impl SimHarness {
             touched_partitions: IdMap::default(),
             tracer: Tracer::disabled(),
             ingest_times: IdMap::default(),
+            running: BinaryHeap::new(),
             down: std::collections::BTreeSet::new(),
             faults: None,
             spare_actions: Vec::new(),
@@ -308,6 +314,15 @@ impl SimHarness {
 
     /// Seeds the event queue and processes events until the run ends.
     fn drive(&mut self) {
+        self.seed();
+        while let Some(popped) = self.next_due() {
+            self.fire(popped);
+        }
+    }
+
+    /// Queues the run's opening events: every client's first request, the
+    /// batch ticks and the fault plan's crash-restarts.
+    fn seed(&mut self) {
         let active_clients = self
             .params
             .num_clients
@@ -345,22 +360,27 @@ impl SimHarness {
                 );
             }
         }
+    }
 
+    /// The next event of the run, or `None` once the run is over.
+    fn next_due(&mut self) -> Option<Popped> {
         let hard_end = self.end_time() + SimDuration::from_millis(50);
-        while let Some(popped) = self.queue.pop() {
-            if popped.time > hard_end || self.events_processed >= self.params.max_events {
-                break;
+        let popped = self.queue.pop()?;
+        (popped.time <= hard_end && self.events_processed < self.params.max_events)
+            .then_some(popped)
+    }
+
+    /// Advances the clock to a popped event and processes it.
+    fn fire(&mut self, popped: Popped) {
+        self.clock = popped.time;
+        self.events_processed += 1;
+        match popped.fired {
+            Fired::Delivery(Delivery { from, to, msg }) => {
+                self.deliver(from, to, msg, popped.time);
             }
-            self.clock = popped.time;
-            self.events_processed += 1;
-            match popped.fired {
-                Fired::Delivery(Delivery { from, to, msg }) => {
-                    self.deliver(from, to, msg, popped.time);
-                }
-                Fired::Event(kind) => self.handle_event(kind, popped.time),
-                Fired::Timer(owner, timer) => self.fire_timer(owner, timer, popped.time),
-                Fired::StaleTimer => {}
-            }
+            Fired::Event(kind) => self.handle_event(kind, popped.time),
+            Fired::Timer(owner, timer) => self.fire_timer(owner, timer, popped.time),
+            Fired::StaleTimer => {}
         }
     }
 
@@ -647,7 +667,22 @@ impl SimHarness {
                 msg,
             );
         }
-        self.system.cloud.release(executor);
+        self.running.push(Reverse((finished_at, executor)));
+    }
+
+    /// Hands the cloud back the concurrency slot of every executor that
+    /// has finished by `now`. The cloud reads its slot count only when it
+    /// decides a spawn, so releasing just before each decision is exact,
+    /// and it adds no event to the queue (a queued release would move the
+    /// run's last event time, which the machine cost is billed on).
+    fn release_finished(&mut self, now: SimTime) {
+        while let Some(Reverse((finished_at, executor))) = self.running.peek().copied() {
+            if finished_at > now {
+                break;
+            }
+            self.running.pop();
+            self.system.cloud.release(executor);
+        }
     }
 
     /// Interprets (and drains) a role's action list.
@@ -799,6 +834,7 @@ impl SimHarness {
                         Some(station) => station.schedule(now, spawn_cost),
                         None => now,
                     };
+                    self.release_finished(now);
                     match self.system.cloud.spawn(request) {
                         Ok(outcome) => {
                             let spawn_delay = match origin.as_node() {
@@ -1591,6 +1627,100 @@ mod tests {
             "durable {} vs plain {}",
             durable.committed_txns,
             plain.committed_txns
+        );
+    }
+
+    #[test]
+    fn surplus_executors_form_the_quorum_in_the_home_region() {
+        // Undeclared read-write sets spawn 3f_E + 1 = 4 executors over
+        // three regions: one full round and one surplus executor, which
+        // goes to the verifier's region on every batch. The f_E + 1
+        // quorum is then two executors that start together one hop from
+        // the verifier, so no commit waits for an Oregon round trip on
+        // top of the cold start.
+        let mut cfg = tiny_config();
+        cfg.conflict_handling = ConflictHandling::UnknownRwSets;
+        assert_eq!(cfg.executors_per_batch(), 4);
+        let system = SystemBuilder::new(cfg).clients(40).build();
+        let mut harness = SimHarness::new(system, tiny_params());
+        harness.seed();
+        let mut spawned: std::collections::BTreeMap<SeqNum, (SimTime, Vec<Region>)> =
+            std::collections::BTreeMap::new();
+        while let Some(popped) = harness.next_due() {
+            if let Fired::Event(EventKind::ExecutorRun(run)) = &popped.fired {
+                spawned
+                    .entry(run.execute.seq)
+                    .or_insert((popped.time, Vec::new()))
+                    .1
+                    .push(run.region);
+            }
+            harness.fire(popped);
+        }
+        // A batch whose first executor ran before the window closed has
+        // had all of its executors run by the end of the run.
+        let end = harness.end_time();
+        let batches: Vec<_> = spawned.iter().filter(|(_, (t, _))| *t < end).collect();
+        assert!(batches.len() > 10, "{} batches", batches.len());
+        for (seq, (_, regions)) in batches {
+            let home = regions
+                .iter()
+                .filter(|r| **r == Region::NorthCalifornia)
+                .count();
+            assert_eq!((regions.len(), home), (4, 2), "{seq:?}: {regions:?}");
+        }
+        let metrics = harness.into_metrics();
+        let oregon_round_trip = 2_000 * Region::Oregon.one_way_latency_ms_from_home() as u64;
+        let bound = sbft_serverless::cloud::DEFAULT_COLD_START.as_micros() + oregon_round_trip;
+        assert!(metrics.committed_txns > 50);
+        assert!(
+            metrics.latency.histogram().max_us() < bound,
+            "longest commit {} µs, bound {bound} µs",
+            metrics.latency.histogram().max_us()
+        );
+    }
+
+    #[test]
+    fn an_executor_holds_its_concurrency_slot_until_it_finishes() {
+        // One batch of ten 10 ms transactions: its three executors start
+        // together after the cold start and execute for 100 ms. The cap is
+        // three, so while they execute the cloud has no slot to give.
+        let mut cfg = tiny_config();
+        cfg.regions = sbft_types::RegionSet::home_only();
+        cfg.workload.execution_cost = SimDuration::from_millis(10);
+        let system = SystemBuilder::new(cfg)
+            .clients(10)
+            .cloud_concurrency_limit(3)
+            .build();
+        let params = SimParams {
+            num_clients: 10,
+            ..tiny_params()
+        };
+        let mut harness = SimHarness::new(system, params);
+        harness.seed();
+        let mut started = 0;
+        while started < 3 {
+            let popped = harness.next_due().expect("the batch is spawned");
+            if matches!(popped.fired, Fired::Event(EventKind::ExecutorRun(_))) {
+                started += 1;
+            }
+            harness.fire(popped);
+        }
+        let probe = sbft_serverless::SpawnRequest {
+            spawner: NodeId(0),
+            region: Region::NorthCalifornia,
+            seq: SeqNum(1_000),
+        };
+        let executing = harness.clock + SimDuration::from_millis(50);
+        harness.release_finished(executing);
+        assert!(
+            harness.system.cloud.spawn(probe).is_err(),
+            "an executing executor holds its slot"
+        );
+        let finished = harness.clock + SimDuration::from_millis(150);
+        harness.release_finished(finished);
+        assert!(
+            harness.system.cloud.spawn(probe).is_ok(),
+            "a finished executor hands its slot back"
         );
     }
 

@@ -3,8 +3,10 @@
 //! The paper spawns AWS Lambda executors in up to eleven regions, in the
 //! order: North California, Oregon, Ohio, Canada, Frankfurt, Ireland,
 //! London, Paris, Stockholm, Seoul and Singapore (Section IX, *Setup*). The
-//! verifier and shim are deployed in North California, so regions further
-//! down the list have a larger round-trip time to the verifier.
+//! verifier and shim are deployed in North California. The enablement order
+//! is not the latency order: Frankfurt (73 ms one way) is enabled before
+//! Ireland, London and Paris, which are nearer, and Stockholm (82 ms)
+//! before Seoul (67 ms). [`RegionSet::by_latency`] gives the latency order.
 
 use crate::ids::ShardId;
 use std::fmt;
@@ -139,6 +141,18 @@ impl RegionSet {
     pub fn contains(&self, region: Region) -> bool {
         self.regions.contains(&region)
     }
+
+    /// The same regions, nearest to the verifier first (by
+    /// [`Region::one_way_latency_ms_from_home`]); ties keep the set's order.
+    #[must_use]
+    pub fn by_latency(&self) -> RegionSet {
+        let mut regions = self.regions.clone();
+        regions.sort_by(|a, b| {
+            a.one_way_latency_ms_from_home()
+                .total_cmp(&b.one_way_latency_ms_from_home())
+        });
+        RegionSet { regions }
+    }
 }
 
 /// The geo-partitioning of the execution shards across regions: every
@@ -254,6 +268,25 @@ mod tests {
         assert_eq!(set.round_robin(1), Region::Oregon);
         assert_eq!(set.round_robin(2), Region::Ohio);
         assert_eq!(set.round_robin(3), Region::NorthCalifornia);
+    }
+
+    #[test]
+    fn latency_order_is_not_the_enablement_order() {
+        let set = RegionSet::first_n(11);
+        let near = set.by_latency();
+        assert_ne!(near, set);
+        assert_eq!(near.len(), 11);
+        assert!(near.regions().windows(2).all(|w| {
+            w[0].one_way_latency_ms_from_home() <= w[1].one_way_latency_ms_from_home()
+        }));
+        // Frankfurt is enabled fifth but is the ninth nearest; Seoul is
+        // enabled after Stockholm but is nearer.
+        assert_eq!(near.regions()[4], Region::London);
+        assert_eq!(near.regions()[8], Region::Frankfurt);
+        let at = |r: Region| near.regions().iter().position(|x| *x == r).unwrap();
+        assert!(at(Region::Seoul) < at(Region::Stockholm));
+        // The first three are already in latency order.
+        assert_eq!(RegionSet::first_n(3).by_latency(), RegionSet::first_n(3));
     }
 
     #[test]

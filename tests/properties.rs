@@ -729,18 +729,21 @@ proptest! {
         prop_assert_eq!(&routed.3, &unrouted.3, "final KV state diverges");
     }
 
-    /// **Placement equivalence**: pinned placement ≡ round-robin placement.
+    /// **Placement equivalence**: pinned placement ≡ surplus-nearest
+    /// placement ≡ round-robin placement.
     ///
     /// The same committed stream — random Zipf-skewed keys, random shard
-    /// and region counts, forced cross-home batches — is executed three
+    /// and region counts, forced cross-home batches — is executed four
     /// times end to end through real invokers and executors: with the
-    /// paper's round-robin placement, with plan-aware pinning against the
-    /// geo partition, and with pinning under a [`RegionOutage`] of one
-    /// region (exercising the deterministic fallback). Per-transaction
-    /// outcomes, client responses and the final KV state must be
-    /// byte-identical in all three; only the spawn regions may differ.
-    /// This is what licenses the invoker to treat placement as a pure
-    /// performance hint.
+    /// paper's round-robin placement, with the surplus executors in the
+    /// nearest regions (storage at the verifier's site), with plan-aware
+    /// pinning against the geo partition, and with pinning under a
+    /// [`RegionOutage`] of one region (exercising the deterministic
+    /// fallback). Each batch spawns 2f_E + 1 = 3 or 3f_E + 1 = 4
+    /// executors. Per-transaction outcomes, client responses and the final
+    /// KV state must be byte-identical in all four; only the spawn regions
+    /// may differ. This is what licenses the invoker to treat placement as
+    /// a pure performance hint.
     #[test]
     fn placement_equals_round_robin(
         batches in prop::collection::vec(
@@ -750,6 +753,7 @@ proptest! {
         shards in 1usize..10,
         region_count in 1usize..6,
         skew in 0u32..3,
+        executors in 3usize..5,
     ) {
         let provider = CryptoProvider::new(23);
         let router = ShardRouter::new(shards);
@@ -786,15 +790,20 @@ proptest! {
         #[derive(Clone, Copy)]
         enum Placement {
             RoundRobin,
+            SurplusNearest,
             Pinned,
             PinnedUnderOutage,
         }
         let run = |placement: Placement| {
             let (store, mut verifier, registry) = equivalence_verifier(&provider, shards);
             let mut invoker = match placement {
-                Placement::RoundRobin => Invoker::new(NodeId(0), regions.clone()),
-                _ => Invoker::new(NodeId(0), regions.clone())
-                    .with_partition(RegionPartition::new(regions.clone(), shards)),
+                Placement::RoundRobin => Invoker::geo(NodeId(0), regions.clone(), None),
+                Placement::SurplusNearest => Invoker::new(NodeId(0), regions.clone()),
+                _ => Invoker::geo(
+                    NodeId(0),
+                    regions.clone(),
+                    Some(RegionPartition::new(regions.clone(), shards)),
+                ),
             };
             if matches!(placement, Placement::PinnedUnderOutage) {
                 invoker.mark_region_down(downed);
@@ -832,11 +841,13 @@ proptest! {
                     spawner: NodeId(0),
                     signature: provider.handle(ComponentId::Node(NodeId(0))).sign(&signing),
                 };
-                let spawn_plan = invoker.plan_placed(SeqNum(seq), 3, plan);
-                prop_assert_eq!(spawn_plan.requests.len(), 3, "full spawn complement");
+                let spawn_plan = invoker.plan_placed(SeqNum(seq), executors, plan);
+                prop_assert_eq!(spawn_plan.requests.len(), executors, "full spawn complement");
                 // f_E + 1 = 2 matching VERIFYs validate the batch; run the
-                // first two spawned executors wherever they were placed.
-                for request in &spawn_plan.requests[..2] {
+                // first and the last spawned executor (a surplus one, when
+                // there is one) wherever they were placed.
+                let quorum = [spawn_plan.requests[0], spawn_plan.requests[executors - 1]];
+                for request in &quorum {
                     spawn_regions.push(request.region);
                     let id = ExecutorId(next_executor);
                     next_executor += 1;
@@ -874,9 +885,14 @@ proptest! {
             )
         };
         let rr = run(Placement::RoundRobin);
+        let nearest = run(Placement::SurplusNearest);
         let pinned = run(Placement::Pinned);
         let outage = run(Placement::PinnedUnderOutage);
-        for (label, side) in [("pinned", &pinned), ("pinned-under-outage", &outage)] {
+        for (label, side) in [
+            ("surplus-nearest", &nearest),
+            ("pinned", &pinned),
+            ("pinned-under-outage", &outage),
+        ] {
             prop_assert_eq!(&rr.0, &side.0, "{}: committed counts diverge", label);
             prop_assert_eq!(&rr.1, &side.1, "{}: aborted counts diverge", label);
             prop_assert_eq!(&rr.2, &side.2, "{}: client responses diverge", label);
