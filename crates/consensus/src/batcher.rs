@@ -102,15 +102,11 @@ impl SignedBatch {
     /// cached key schedules and returns the batch **unchanged, by move**:
     /// the `Arc` storage built by the batcher flows on to consensus
     /// untouched. When the aggregate check fails, the bisecting fallback
-    /// locates the offending transactions; they are pruned (and reported,
-    /// with the forged signature each carried, as the second tuple
-    /// element) and the surviving transactions are re-batched. Returns
-    /// `None` for the batch if nothing survives.
+    /// locates the offending transactions; they are pruned (and reported
+    /// by id as the second tuple element) and the surviving transactions
+    /// are re-batched. Returns `None` for the batch if nothing survives.
     #[must_use]
-    pub fn verify_and_prune(
-        self,
-        provider: &CryptoProvider,
-    ) -> (Option<Batch>, Vec<(TxnId, Signature)>) {
+    pub fn verify_and_prune(self, provider: &CryptoProvider) -> (Option<Batch>, Vec<TxnId>) {
         let claims: Vec<(ComponentId, Digest)> = self
             .batch
             .txns()
@@ -132,10 +128,7 @@ impl SignedBatch {
             !offenders.is_empty(),
             "a failed aggregate always bisects to at least one offender"
         );
-        let rejected: Vec<(TxnId, Signature)> = offenders
-            .iter()
-            .map(|&i| (self.batch.txns()[i].id, self.signatures[i]))
-            .collect();
+        let rejected: Vec<TxnId> = offenders.iter().map(|&i| self.batch.txns()[i].id).collect();
         let mut next_offender = offenders.into_iter().peekable();
         let retained: Vec<Transaction> = self
             .batch
@@ -302,14 +295,27 @@ impl Batcher {
     }
 
     /// Identifiers of every transaction waiting across all lanes (the
-    /// shim's never-validated expiry spares these — a pending
-    /// transaction must not lose its duplicate suppression).
+    /// shim's digest body-cache GC keeps their bodies).
     #[must_use]
     pub fn pending_txn_ids(&self) -> Vec<TxnId> {
         self.lanes
             .iter()
             .flat_map(|l| l.pending.iter().map(|t| t.id))
             .collect()
+    }
+
+    /// The `(signing digest, signature)` of every request under `id`
+    /// still waiting in a lane, whichever lane it waits in (the shim's
+    /// duplicate check reads them; a scan, off the hot path).
+    pub fn waiting(&self, id: TxnId) -> impl Iterator<Item = (Digest, Signature)> + '_ {
+        self.lanes.iter().flat_map(move |lane| {
+            let auth = lane.digests.iter().zip(&lane.signatures);
+            lane.pending
+                .iter()
+                .zip(auth)
+                .filter(move |(txn, _)| txn.id == id)
+                .map(|(_, (digest, signature))| (*digest, *signature))
+        })
     }
 
     /// The plan a batch released from lane `idx` carries.
@@ -726,7 +732,7 @@ mod tests {
         let forged_id = t.id;
         let released = b.push(t, d, Signature::ZERO, SimTime::ZERO).expect("full");
         let (verified, rejected) = released.verify_and_prune(&provider);
-        assert_eq!(rejected, vec![(forged_id, Signature::ZERO)]);
+        assert_eq!(rejected, vec![forged_id]);
         let batch = verified.expect("three honest transactions survive");
         assert_eq!(batch.len(), 3);
         assert!(batch.txn_ids().iter().all(|id| *id != forged_id));

@@ -27,8 +27,8 @@ use sbft_durability::WriteAheadLog;
 use sbft_serverless::{ExecuteRequest, Invoker};
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
-    checkpoint_gc_cutoff, Batch, ComponentId, ConflictHandling, IdMap, IdSet, NodeId, SeqNum,
-    ShardPlan, ShardRouter, SimDuration, SimTime, SpawningMode, SystemConfig, TxnId, ViewNumber,
+    checkpoint_gc_cutoff, Batch, ComponentId, ConflictHandling, IdMap, NodeId, SeqNum, ShardPlan,
+    ShardRouter, SimDuration, SimTime, SpawningMode, SystemConfig, TxnId, ViewNumber,
 };
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
@@ -49,25 +49,23 @@ struct CommittedBatch {
     spawned: bool,
 }
 
-/// What a node remembers about a transaction it placed in a batch: one
-/// byte per id. What the transaction was batched *with* is kept only
-/// while it can still matter, in [`ShimNode::unverified`].
+/// Where a transaction this node batched is, which decides when its id
+/// may be forgotten (see [`ShimNode::gc_seen_txns`]). A stamp is the
+/// highest validated sequence number when the id was first seen.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum SeenTxn {
-    /// Placed in a batch that has not committed on this node (yet).
-    Batched,
-    /// A batch holding the transaction has committed on this node. From
-    /// then on the batch accounts for the id — it is released when the
-    /// validated batch leaves the retained checkpoint window — and the
-    /// never-validated expiry leaves it alone.
+    /// Waiting in a batcher lane, its client signature not checked yet.
+    /// What it was batched with is read from the lanes
+    /// ([`Batcher::waiting`]).
+    Waiting(SeqNum),
+    /// Released to ordering under a valid signature; no batch holding it
+    /// has committed on this node (yet).
+    Batched(SeqNum),
+    /// A batch holding it has committed on this node: the batch may yet
+    /// validate or be re-spawned.
     Committed,
-}
-
-/// What a transaction still waiting in a batcher lane was batched with.
-#[derive(Clone, Copy, Debug)]
-struct BatchedWith {
-    signature: sbft_types::Signature,
-    digest: sbft_types::Digest,
+    /// Its batch, committed here, validated at this sequence number.
+    Validated(SeqNum),
 }
 
 /// An `ERROR` a backup forwarded to the primary, held until the
@@ -102,44 +100,15 @@ pub struct ShimNode {
     lane_router: Option<ShardRouter>,
     /// Batches committed locally that the verifier has not validated yet.
     committed: BTreeMap<SeqNum, CommittedBatch>,
-    /// Transactions this node has already placed in a batch, so that
-    /// client re-transmissions and forwarded `ERROR(⟨T⟩_C)` messages are
-    /// not ordered twice. Truncated in the rhythm of the featherweight
-    /// checkpoint interval, mirroring the verifier's retry maps: one
-    /// closed interval of validated history is retained, so duplicates
-    /// inside the window are still suppressed while the map stays bounded
-    /// on long runs (see [`Self::gc_seen_txns`]).
+    /// Transactions this node has already placed in a batch, and where
+    /// each one is, so that client re-transmissions and forwarded
+    /// `ERROR(⟨T⟩_C)` messages are not ordered twice. The node's only
+    /// per-transaction table: it is truncated by one `retain` at each new
+    /// featherweight-checkpoint cutoff, mirroring the verifier's retry
+    /// table, so duplicates inside the retained window are still
+    /// suppressed while the table stays bounded on long runs (see
+    /// [`Self::gc_seen_txns`]).
     seen_txns: IdMap<TxnId, SeenTxn>,
-    /// The `(signature, signing digest)` each id still waiting in a
-    /// batcher lane was batched with — i.e. of ids whose client signature
-    /// nobody has checked yet. Storing the pair is what keeps deferred
-    /// verification safe against id-squatting without enabling client
-    /// equivocation: a duplicate with the *same* signature is a retry and
-    /// is dropped; on a duplicate with a *different* signature the stored
-    /// pair is checked first — a validly signed entry keeps the id (two
-    /// differently-signed payloads under one id means the client is
-    /// equivocating, and the first one wins, exactly as under eager
-    /// verification), while a forged squatter is displaced by a valid
-    /// newcomer (see [`Self::order_transaction`]). The pair leaves when
-    /// its batch passes the aggregate check in [`Self::submit_signed`]:
-    /// from then on the id is held by a validly signed request, every
-    /// duplicate is dropped whatever it carries, and the 96 bytes have no
-    /// reader. At most a batch per lane is ever here.
-    unverified: IdMap<TxnId, BatchedWith>,
-    /// Transaction ids of validated batches, retained until the GC cutoff
-    /// passes them (feeds the `seen_txns` truncation).
-    validated_txns: BTreeMap<SeqNum, Vec<TxnId>>,
-    /// Expiry ledger for ids whose batch may never be validated: every
-    /// id is recorded here when it enters `seen_txns`, stamped with the
-    /// highest validated sequence number observed at that moment. Once
-    /// the GC cutoff passes an id's stamp, the id is *expired* from
-    /// `seen_txns` — unless its batch has committed here by then (it is
-    /// released by the regular checkpoint-rhythm truncation instead) or
-    /// it still waits in the batcher (it is stamped again). This bounds
-    /// the residual growth from ids that were batched but whose batch was
-    /// lost (e.g. across a view change without re-proposal) and therefore
-    /// never receives a `BatchValidated`.
-    pending_seen: BTreeMap<SeqNum, Vec<TxnId>>,
     /// Highest `BatchValidated` sequence number observed.
     max_validated: SeqNum,
     /// Highest sequence number at or below which `seen_txns` has been
@@ -285,9 +254,6 @@ impl ShimNode {
             lane_router,
             committed: BTreeMap::new(),
             seen_txns: IdMap::default(),
-            unverified: IdMap::default(),
-            validated_txns: BTreeMap::new(),
-            pending_seen: BTreeMap::new(),
             max_validated: SeqNum(0),
             seen_gc_floor: SeqNum(0),
             retransmit: IdMap::default(),
@@ -397,9 +363,9 @@ impl ShimNode {
     }
 
     /// The batch this node committed at `seq`, while it is still tracked
-    /// (entries are released to `validated_txns` once the verifier reports
-    /// the batch validated). Lets equivalence tests compare committed
-    /// content across proposal modes without a wire-level batch copy.
+    /// (entries are released once the verifier reports the batch
+    /// validated). Lets equivalence tests compare committed content
+    /// across proposal modes without a wire-level batch copy.
     #[must_use]
     pub fn committed_batch(&self, seq: SeqNum) -> Option<&sbft_types::Batch> {
         self.committed.get(&seq).map(|e| &e.batch)
@@ -476,7 +442,6 @@ impl ShimNode {
         signature: sbft_types::Signature,
         now: SimTime,
     ) -> Vec<Action> {
-        let mut newly_seen = false;
         if self.seen_txns.is_empty() {
             // Only a node that batches (a primary) tracks ids, so the
             // table is sized by the first one it sees, for a request from
@@ -486,57 +451,41 @@ impl ShimNode {
             // on top is reached later, in memory the burst has freed.
             self.seen_txns.reserve(self.config.workload.num_clients);
         }
-        match self.seen_txns.entry(txn.id) {
+        let newly_seen = match self.seen_txns.entry(txn.id) {
+            Entry::Vacant(entry) => {
+                entry.insert(SeenTxn::Waiting(self.max_validated));
+                true
+            }
+            // Already released to ordering under a valid signature: a
+            // retry, a forwarded ERROR or a second payload under the same
+            // id, the first submission wins. No signature is looked at.
+            Entry::Occupied(seen) if !matches!(seen.get(), SeenTxn::Waiting(_)) => {
+                return Vec::new();
+            }
             Entry::Occupied(_) => {
-                let Some(stored) = self.unverified.get_mut(&txn.id) else {
-                    // Already released to ordering under a valid
-                    // signature: a retry, a forwarded ERROR or a second
-                    // payload under the same id, the first submission
-                    // wins. No signature is looked at.
-                    return Vec::new();
-                };
-                if stored.signature == signature {
-                    // Client retry or forwarded ERROR: already batched.
-                    return Vec::new();
-                }
-                // Same id, different signature, and the batched entry is
-                // still unchecked. Two eager checks (cold path, only on
-                // conflicting duplicates) resolve it: if the batched
-                // entry is validly signed it keeps the id — a client
-                // producing a second validly-signed payload under the
-                // same id is equivocating, and the first submission
-                // wins, exactly as under eager verification. Otherwise
-                // the batched entry was a forged squatter: a valid
-                // newcomer takes over the id and is batched too (the
-                // forgery will be pruned by the aggregate check).
+                // Every request under the id still waits in a lane,
+                // unchecked, and the lanes hold what it was batched with.
+                // The same signature is a client retry or a forwarded
+                // ERROR. Otherwise eager checks (cold path, only on
+                // conflicting duplicates) resolve it: a validly signed
+                // waiting request keeps the id — a client producing a
+                // second validly-signed payload under the same id is
+                // equivocating, and the first submission wins, exactly as
+                // under eager verification. Otherwise what waits is a
+                // forged squatter: a valid newcomer is batched beside it,
+                // in whichever lane it belongs to, and the aggregate check
+                // prunes the forgery.
                 let client = ComponentId::Client(txn.id.client);
-                if self
-                    .crypto
-                    .verify(client, &stored.digest, &stored.signature)
+                let waiting = || self.batcher.waiting(txn.id);
+                if waiting().any(|(_, waiting_sig)| waiting_sig == signature)
+                    || waiting().any(|(d, s)| self.crypto.verify(client, &d, &s))
+                    || !self.crypto.verify(client, &digest, &signature)
                 {
                     return Vec::new();
                 }
-                if !self.crypto.verify(client, &digest, &signature) {
-                    return Vec::new();
-                }
-                *stored = BatchedWith { signature, digest };
+                false
             }
-            Entry::Vacant(entry) => {
-                entry.insert(SeenTxn::Batched);
-                self.unverified
-                    .insert(txn.id, BatchedWith { signature, digest });
-                newly_seen = true;
-            }
-        }
-        if newly_seen {
-            // Stamp the id for the never-validated expiry (see
-            // `pending_seen`): if its batch is lost before validation,
-            // the id is reclaimed once the GC cutoff passes this stamp.
-            self.pending_seen
-                .entry(self.max_validated)
-                .or_insert_with(|| Vec::with_capacity(self.config.workload.batch_size))
-                .push(txn.id);
-        }
+        };
         let mut offered_actions = Vec::new();
         if self.config.digest_proposals && newly_seen {
             // The primary caches the body too: if the view changes before
@@ -595,26 +544,28 @@ impl ShimNode {
     fn submit_signed(&mut self, signed: SignedBatch) -> Vec<Action> {
         let plan = signed.plan();
         let (batch, rejected) = signed.verify_and_prune(self.crypto.provider());
-        if !rejected.is_empty() {
-            self.rejected_txns.add(rejected.len() as u64);
-            for (txn, forged_sig) in &rejected {
-                // Release the id only if the forged signature still owns
-                // it — a valid request that took over the entry in the
-                // meantime keeps its duplicate suppression.
-                if self.unverified.get(txn).map(|with| &with.signature) == Some(forged_sig) {
-                    self.unverified.remove(txn);
-                    self.seen_txns.remove(txn);
+        // The survivors hold their ids under valid signatures from here on.
+        for txn in batch.iter().flat_map(Batch::iter) {
+            if let Some(seen) = self.seen_txns.get_mut(&txn.id) {
+                if let SeenTxn::Waiting(stamp) = *seen {
+                    *seen = SeenTxn::Batched(stamp);
                 }
+            }
+        }
+        self.rejected_txns.add(rejected.len() as u64);
+        for id in &rejected {
+            // Release a forged id unless a valid request holds it: one
+            // released beside the forgery, or one still waiting in
+            // another lane.
+            if matches!(self.seen_txns.get(id), Some(SeenTxn::Waiting(_)))
+                && self.batcher.waiting(*id).next().is_none()
+            {
+                self.seen_txns.remove(id);
             }
         }
         let Some(batch) = batch else {
             return Vec::new(); // nothing survived the signature check
         };
-        // The survivors hold their ids under valid signatures from here
-        // on; what they were batched with has no reader left.
-        for txn in batch.iter() {
-            self.unverified.remove(&txn.id);
-        }
         let consensus_actions = self.ordering.submit_batch(batch, plan);
         self.translate(consensus_actions)
     }
@@ -728,9 +679,6 @@ impl ShimNode {
         self.batcher = Self::fresh_batcher(&self.config, self.lane_router.as_ref());
         self.committed.clear();
         self.seen_txns.clear();
-        self.unverified.clear();
-        self.validated_txns.clear();
-        self.pending_seen.clear();
         self.retransmit.clear();
         self.max_validated = SeqNum(0);
         self.seen_gc_floor = SeqNum(0);
@@ -1062,11 +1010,13 @@ impl ShimNode {
 
     fn on_batch_validated(&mut self, validated: BatchValidated) -> Vec<Action> {
         if let Some(entry) = self.committed.remove(&validated.seq) {
-            // Remember which transaction ids this batch retired so the
-            // duplicate-suppression set can be truncated once the batch
-            // leaves the retained checkpoint window.
-            self.validated_txns
-                .insert(validated.seq, entry.batch.txn_ids());
+            // The batch's ids stay suppressed until it leaves the
+            // retained checkpoint window.
+            for txn in entry.batch.iter() {
+                if let Some(seen) = self.seen_txns.get_mut(&txn.id) {
+                    *seen = SeenTxn::Validated(validated.seq);
+                }
+            }
         }
         self.max_validated = self.max_validated.max(validated.seq);
         self.gc_seen_txns();
@@ -1084,13 +1034,17 @@ impl ShimNode {
     }
 
     /// Truncates `seen_txns` in the rhythm of the featherweight checkpoint
-    /// interval, exactly like the verifier truncates its retry table:
-    /// entries of batches at or below the previous
-    /// checkpoint (one closed interval behind the latest one validation
-    /// passed) are dropped. Duplicates inside the retained window are
-    /// still suppressed; anything older is outside the protocol's retry
-    /// contract (the verifier has dropped its stored `RESPONSE` for them
-    /// in the same rhythm).
+    /// interval with one `retain`, like the verifier truncates its retry
+    /// table. The cutoff is the previous checkpoint (one closed interval
+    /// behind the latest one validation passed):
+    /// - a validated id goes once the cutoff passes its batch: anything
+    ///   older is outside the protocol's retry contract (the verifier has
+    ///   dropped its stored `RESPONSE` in the same rhythm);
+    /// - a released id that never committed here goes once the cutoff
+    ///   passes its stamp: its batch was lost, e.g. across a view change
+    ///   without re-proposal, and would otherwise be held forever;
+    /// - a waiting id is restamped and reconsidered at a later cutoff;
+    /// - a committed id stays: its batch may yet validate or be re-spawned.
     fn gc_seen_txns(&mut self) {
         let cutoff =
             checkpoint_gc_cutoff(self.max_validated, self.config.timers.checkpoint_interval);
@@ -1098,71 +1052,32 @@ impl ShimNode {
             return;
         }
         self.seen_gc_floor = cutoff;
-        let retained = self.validated_txns.split_off(&SeqNum(cutoff.0 + 1));
-        let dropped = std::mem::replace(&mut self.validated_txns, retained);
-        for txns in dropped.values() {
-            for txn in txns {
-                self.seen_txns.remove(txn);
+        let now = self.max_validated;
+        self.seen_txns.retain(|_, seen| match *seen {
+            SeenTxn::Waiting(stamp) => {
+                if stamp <= cutoff {
+                    *seen = SeenTxn::Waiting(now);
+                }
+                true
             }
-        }
-        self.expire_never_validated(cutoff);
+            SeenTxn::Batched(stamp) => stamp > cutoff,
+            SeenTxn::Committed => true,
+            SeenTxn::Validated(seq) => seq > cutoff,
+        });
         if self.config.digest_proposals {
             // Body-cache retention rides the same checkpoint rhythm: keep
             // bodies for ids the node still tracks (suppression window,
-            // retained validated batches, local commits, batcher lanes);
-            // anything older can no longer appear in a fresh proposal, and
-            // an unlucky drop just downgrades a cache hit to a fetch.
+            // local commits, batcher lanes); anything older can no longer
+            // appear in a fresh proposal, and an unlucky drop just
+            // downgrades a cache hit to a fetch.
             let committed = self.committed.values();
             let mut protected = self
                 .seen_txns
                 .keys()
                 .copied()
-                .chain(self.validated_txns.values().flatten().copied())
                 .chain(committed.flat_map(|e| e.batch.iter().map(|t| t.id)))
                 .chain(self.batcher.pending_txn_ids());
             self.ordering.gc_bodies(&mut protected);
-        }
-    }
-
-    /// Expires duplicate-suppression entries whose batch never committed
-    /// here: every id stamped (in `pending_seen`) at or below the GC
-    /// cutoff — i.e. batched at least two checkpoint intervals of
-    /// validated progress ago — is reclaimed, *unless* a batch holding it
-    /// has committed on this node in the meantime (the batch may yet
-    /// validate or be re-spawned, and the regular truncation releases the
-    /// id with it) or it still waits in a batcher lane (it is re-stamped
-    /// and reconsidered at a later cutoff). What remains are the genuinely
-    /// leaked ids: batched, then lost before commit — e.g. a proposal
-    /// dropped across a view change without re-proposal — which
-    /// previously accumulated forever. Each id costs one lookup; nothing
-    /// is built over the batches in flight.
-    fn expire_never_validated(&mut self, cutoff: SeqNum) {
-        let expired_stamps = {
-            let rest = self.pending_seen.split_off(&SeqNum(cutoff.0 + 1));
-            std::mem::replace(&mut self.pending_seen, rest)
-        };
-        if expired_stamps.is_empty() {
-            return;
-        }
-        let waiting: IdSet<TxnId> = self.batcher.pending_txn_ids().into_iter().collect();
-        let mut restamped = Vec::new();
-        for id in expired_stamps.into_values().flatten() {
-            match self.seen_txns.get(&id) {
-                // Released already, or accounted for by a committed batch.
-                None | Some(SeenTxn::Committed) => {}
-                Some(SeenTxn::Batched) if waiting.contains(&id) => restamped.push(id),
-                // Its lane was released long ago, so nothing of it is
-                // left in `unverified` either.
-                Some(SeenTxn::Batched) => {
-                    self.seen_txns.remove(&id);
-                }
-            }
-        }
-        if !restamped.is_empty() {
-            self.pending_seen
-                .entry(self.max_validated)
-                .or_default()
-                .extend(restamped);
         }
     }
 
@@ -1398,15 +1313,7 @@ mod tests {
         // The second (honest) request fills the batch and triggers submit.
         let actions =
             shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
-        let proposed = actions
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some(pp.batch.clone()),
-                _ => None,
-            })
-            .expect("pruned batch is still proposed");
+        let proposed = proposed_batch(&actions).expect("pruned batch is still proposed");
         assert_eq!(proposed.len(), 1, "the forged transaction was pruned");
         assert!(proposed.txn_ids().iter().all(|id| *id != forged_id));
         assert_eq!(shim.nodes[0].rejected_txns.get(), 1);
@@ -1416,15 +1323,7 @@ mod tests {
         let _ = shim.nodes[0].on_client_request(&honest_retry, SimTime::ZERO);
         let actions =
             shim.nodes[0].on_client_request(&signed_request(&provider, 2, 0), SimTime::ZERO);
-        let reproposed = actions
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some(pp.batch.clone()),
-                _ => None,
-            })
-            .expect("second batch proposed");
+        let reproposed = proposed_batch(&actions).expect("second batch proposed");
         assert!(reproposed.txn_ids().contains(&forged_id));
     }
 
@@ -1447,15 +1346,7 @@ mod tests {
         // triggers submit.
         let genuine = signed_request(&provider, 0, 0);
         let actions = shim.nodes[0].on_client_request(&genuine, SimTime::ZERO);
-        let proposed = actions
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some(pp.batch.clone()),
-                _ => None,
-            })
-            .expect("the genuine transaction is proposed");
+        let proposed = proposed_batch(&actions).expect("the genuine transaction is proposed");
         assert_eq!(proposed.len(), 1);
         assert_eq!(proposed.txn_ids(), vec![id]);
         assert_eq!(
@@ -1500,15 +1391,7 @@ mod tests {
         // payload plus the filler — the equivocation was dropped.
         let actions =
             shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
-        let proposed = actions
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some(pp.batch.clone()),
-                _ => None,
-            })
-            .expect("batch proposed");
+        let proposed = proposed_batch(&actions).expect("batch proposed");
         assert_eq!(proposed.len(), 2);
         assert_eq!(proposed.txns()[0].ops, first_ops);
         assert_eq!(shim.nodes[0].rejected_txns.get(), 0, "nothing was pruned");
@@ -1534,20 +1417,17 @@ mod tests {
         let id = first.txn.id;
         let node = &mut shim.nodes[0];
         let _ = node.on_client_request(&first, SimTime::ZERO);
-        assert_eq!(
-            node.unverified.get(&id).map(|with| with.signature),
-            Some(first.signature)
-        );
+        assert_eq!(waiting_signatures(node, id), vec![first.signature]);
+        assert_eq!(node.seen_txns.get(&id), Some(&SeenTxn::Waiting(SeqNum(0))));
         let released = node.on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
         assert_eq!(proposed_batch(&released).expect("released").len(), 2);
-        // The batch passed the aggregate check: the 96-byte payloads are
-        // gone, one byte per id is left.
-        assert!(node.unverified.is_empty());
-        assert_eq!(node.seen_txns.get(&id), Some(&SeenTxn::Batched));
+        // The batch passed the aggregate check: nothing waits under the
+        // id, and its state says so.
+        assert_eq!(node.seen_txns.get(&id), Some(&SeenTxn::Batched(SeqNum(0))));
 
         // A second payload under the same id, validly signed; a forgery;
-        // the retry. With nothing stored to compare against, none of them
-        // can reach a signature check: finding the id is enough.
+        // the retry. With nothing waiting to compare against, none of
+        // them can reach a signature check: finding the id is enough.
         let other = Transaction::new(id, vec![Operation::Read(Key(42))]);
         let equivocation = ClientRequest {
             signature: provider
@@ -1559,10 +1439,12 @@ mod tests {
         forged.signature = Signature::ZERO;
         for duplicate in [&equivocation, &forged, &first] {
             assert!(node.on_client_request(duplicate, SimTime::ZERO).is_empty());
-            assert!(node.unverified.is_empty(), "nothing was batched again");
-            assert!(node.batcher.pending_txn_ids().is_empty());
+            assert!(
+                node.batcher.pending_txn_ids().is_empty(),
+                "nothing was batched again"
+            );
         }
-        assert_eq!(node.seen_txns.get(&id), Some(&SeenTxn::Batched));
+        assert_eq!(node.seen_txns.get(&id), Some(&SeenTxn::Batched(SeqNum(0))));
         assert_eq!(node.seen_txns_len(), 2);
         assert_eq!(node.rejected_txns.get(), 0);
     }
@@ -1579,37 +1461,124 @@ mod tests {
         squat.signature = Signature::ZERO;
         let node = &mut shim.nodes[0];
         assert!(node.on_client_request(&squat, SimTime::ZERO).is_empty());
-        assert_eq!(
-            node.unverified.get(&id).map(|with| with.signature),
-            Some(Signature::ZERO)
-        );
-        // A second forgery does not displace the first …
+        assert_eq!(waiting_signatures(node, id), vec![Signature::ZERO]);
+        // A second forgery does not join the first …
         let mut other_forgery = genuine.clone();
         other_forgery.signature.0[0] = 1;
         assert!(node
             .on_client_request(&other_forgery, SimTime::ZERO)
             .is_empty());
-        assert_eq!(
-            node.unverified.get(&id).map(|with| with.signature),
-            Some(Signature::ZERO)
-        );
-        assert_eq!(node.batcher.pending_txn_ids(), vec![id]);
+        assert_eq!(waiting_signatures(node, id), vec![Signature::ZERO]);
         // … the genuine request does, and waits in the lane beside it.
         assert!(node.on_client_request(&genuine, SimTime::ZERO).is_empty());
         assert_eq!(
-            node.unverified.get(&id).map(|with| with.signature),
-            Some(genuine.signature)
+            waiting_signatures(node, id),
+            vec![Signature::ZERO, genuine.signature]
         );
-        assert_eq!(node.batcher.pending_txn_ids(), vec![id, id]);
         // The release prunes the forgery and keeps the id suppressed.
         let released = node.on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
         let batch = proposed_batch(&released).expect("released");
         assert_eq!(batch.txn_ids(), vec![id, TxnId::new(ClientId(1), 0)]);
         assert_eq!(node.rejected_txns.get(), 1);
-        assert!(node.unverified.is_empty());
-        assert_eq!(node.seen_txns.get(&id), Some(&SeenTxn::Batched));
+        assert_eq!(node.seen_txns.get(&id), Some(&SeenTxn::Batched(SeqNum(0))));
         assert!(node.on_client_request(&squat, SimTime::ZERO).is_empty());
         assert!(node.batcher.pending_txn_ids().is_empty());
+    }
+
+    /// A client request with one read-modify-write of `key`, its
+    /// read-write set declared, so that ordering lanes steer it to the
+    /// key's home shard.
+    fn declared_request(
+        provider: &Arc<CryptoProvider>,
+        client: u32,
+        counter: u64,
+        key: Key,
+    ) -> ClientRequest {
+        let txn = Transaction::new(
+            TxnId::new(ClientId(client), counter),
+            vec![Operation::ReadModifyWrite(key, 1)],
+        )
+        .with_inferred_rwset();
+        let digest = ClientRequest::signing_digest(&txn);
+        ClientRequest {
+            signature: provider
+                .handle(ComponentId::Client(ClientId(client)))
+                .sign(&digest),
+            txn,
+        }
+    }
+
+    #[test]
+    fn a_squatter_in_another_lane_is_pruned_and_the_genuine_request_ordered_once() {
+        let mut config = base_config();
+        config.conflict_handling = ConflictHandling::KnownRwSets;
+        config.sharding = sbft_types::ShardingConfig::with_shards(4);
+        let router = ShardRouter::new(4);
+        let genuine_home = router.shard_of(Key(1));
+        let on_shard = |same: bool| {
+            (2..)
+                .map(Key)
+                .find(move |k| (router.shard_of(*k) == genuine_home) == same)
+                .expect("a key")
+        };
+        let (genuine_filler_key, forged_key) = (on_shard(true), on_shard(false));
+        for forgery_released_first in [true, false] {
+            let mut shim = make_shim(config.clone());
+            let provider = Arc::clone(&shim.provider);
+            let genuine = declared_request(&provider, 0, 0, Key(1));
+            let id = genuine.txn.id;
+            // The forgery claims the id with a payload homed on another
+            // shard, so the two wait in different lanes.
+            let mut squat = declared_request(&provider, 0, 0, forged_key);
+            squat.signature = Signature::ZERO;
+            let node = &mut shim.nodes[0];
+            assert!(node.on_client_request(&squat, SimTime::ZERO).is_empty());
+            assert!(node.on_client_request(&genuine, SimTime::ZERO).is_empty());
+            assert_eq!(
+                waiting_signatures(node, id),
+                vec![squat.signature, genuine.signature]
+            );
+            // Each lane is released by a filler homed on its shard.
+            let forged_lane = declared_request(&provider, 1, 0, forged_key);
+            let genuine_lane = declared_request(&provider, 2, 0, genuine_filler_key);
+            let fillers = if forgery_released_first {
+                [forged_lane, genuine_lane]
+            } else {
+                [genuine_lane, forged_lane]
+            };
+            let mut proposed = Vec::new();
+            for filler in &fillers {
+                // A retry of the genuine request is dropped while it waits
+                // and after its lane is released.
+                assert!(node.on_client_request(&genuine, SimTime::ZERO).is_empty());
+                let released = node.on_client_request(filler, SimTime::ZERO);
+                let batch = proposed_batch(&released).expect("the lane releases");
+                proposed.extend(batch.txn_ids());
+            }
+            let order = format!("forgery released first: {forgery_released_first}");
+            assert_eq!(proposed.iter().filter(|p| **p == id).count(), 1, "{order}");
+            assert_eq!(proposed.len(), 3, "{order}");
+            assert_eq!(node.rejected_txns.get(), 1, "{order}");
+            // Both lanes are out and the id is still suppressed.
+            assert_eq!(node.seen_txns.get(&id), Some(&SeenTxn::Batched(SeqNum(0))));
+            for duplicate in [&genuine, &squat] {
+                assert!(node.on_client_request(duplicate, SimTime::ZERO).is_empty());
+            }
+            assert!(node.batcher.pending_txn_ids().is_empty(), "{order}");
+        }
+    }
+
+    /// The signatures of the requests under `id` waiting in `node`'s lanes.
+    fn waiting_signatures(node: &ShimNode, id: TxnId) -> Vec<Signature> {
+        node.batcher.waiting(id).map(|(_, sig)| sig).collect()
+    }
+
+    /// How many ids `node` holds as waiting in a lane.
+    fn waiting_ids(node: &ShimNode) -> usize {
+        node.seen_txns
+            .values()
+            .filter(|seen| matches!(seen, SeenTxn::Waiting(_)))
+            .count()
     }
 
     #[test]
@@ -1625,13 +1594,13 @@ mod tests {
         let mut forged = signed_request(&provider, 3, 0);
         forged.signature = Signature::ZERO;
         let _ = node.on_client_request(&forged, SimTime::ZERO);
-        assert_eq!(node.unverified.len(), 1);
+        assert_eq!(waiting_ids(&node), 1);
         let _ = node.on_client_request(&signed_request(&provider, 4, 0), SimTime::ZERO);
-        assert!(node.unverified.is_empty());
+        assert_eq!(waiting_ids(&node), 0);
         assert_eq!(node.seen_txns_len(), 1, "the forged id was released");
 
         // Orphaned proposals on a PBFT primary, expired in the checkpoint
-        // rhythm: a payload only ever waits for its own lane's release.
+        // rhythm: an id only ever waits for its own lane's release.
         let mut primary = ShimNode::pbft(
             NodeId(0),
             config.clone(),
@@ -1639,28 +1608,30 @@ mod tests {
         );
         for i in 0..40u64 {
             let _ = primary.on_client_request(&signed_request(&provider, 0, i), SimTime::ZERO);
-            assert_eq!(primary.unverified.len(), usize::from(i % 2 == 0));
+            assert_eq!(waiting_ids(&primary), usize::from(i % 2 == 0));
             let _ = primary.on_message(&ProtocolMessage::BatchValidated(BatchValidated {
                 seq: SeqNum(i + 1),
                 committed: 1,
                 aborted: 0,
             }));
-            assert!(primary.unverified.len() <= 1);
+            assert!(waiting_ids(&primary) <= 1);
         }
         assert!(primary.seen_txns_len() < 40, "orphans were expired");
 
-        // A crash restart forgets the lanes and the payloads with them.
+        // A crash restart forgets the lanes and the ids with them.
         let _ = primary.on_client_request(&signed_request(&provider, 0, 40), SimTime::ZERO);
-        assert_eq!(primary.unverified.len(), 1);
+        assert_eq!(waiting_ids(&primary), 1);
         primary.crash();
         let _ = primary.crash_restart();
-        assert!(primary.unverified.is_empty());
+        assert!(primary.batcher.pending_txn_ids().is_empty());
         assert_eq!(primary.seen_txns_len(), 0);
     }
 
     #[test]
     fn a_suppressed_id_costs_a_small_bucket() {
-        assert!(std::mem::size_of::<(TxnId, SeenTxn)>() <= 24);
+        // A 16-byte `TxnId` and a 16-byte state: the stamp that decides
+        // when a lost batch's id is forgotten rides in the entry itself.
+        assert!(std::mem::size_of::<(TxnId, SeenTxn)>() <= 32);
     }
 
     #[test]
@@ -1854,20 +1825,7 @@ mod tests {
             .map(Key)
             .find(|k| router.shard_of(*k) != home)
             .expect("a key on another shard");
-        let mk = |client: u32, key: Key| {
-            let txn = Transaction::new(
-                TxnId::new(ClientId(client), 0),
-                vec![Operation::ReadModifyWrite(key, 1)],
-            )
-            .with_inferred_rwset();
-            let digest = ClientRequest::signing_digest(&txn);
-            ClientRequest {
-                signature: provider
-                    .handle(ComponentId::Client(ClientId(client)))
-                    .sign(&digest),
-                txn,
-            }
-        };
+        let mk = |client: u32, key: Key| declared_request(&provider, client, 0, key);
         // A foreign-shard transaction arrives in between: it must not
         // pollute the home lane.
         let a0 = shim.nodes[0].on_client_request(&mk(0, Key(1)), SimTime::ZERO);
@@ -2263,20 +2221,7 @@ mod tests {
         let mut shim = make_shim(config);
         let provider = Arc::clone(&shim.provider);
         // Two conflicting single-transaction batches (both RMW key 7).
-        let mk = |client: u32| {
-            let txn = Transaction::new(
-                TxnId::new(ClientId(client), 0),
-                vec![Operation::ReadModifyWrite(Key(7), 1)],
-            )
-            .with_inferred_rwset();
-            let digest = ClientRequest::signing_digest(&txn);
-            ClientRequest {
-                signature: provider
-                    .handle(ComponentId::Client(ClientId(client)))
-                    .sign(&digest),
-                txn,
-            }
-        };
+        let mk = |client: u32| declared_request(&provider, client, 0, Key(7));
         let a1 = shim.nodes[0].on_client_request(&mk(0), SimTime::ZERO);
         let ext1 = settle(&mut shim.nodes, NodeId(0), a1, None, |_| Verdict::Deliver);
         let spawns1 = ext1

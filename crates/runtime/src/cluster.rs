@@ -41,7 +41,6 @@
 //! handling deliveries while its inbox has any, syncs once, and only then
 //! lets the actions of that drain leave (`GroupLog`).
 
-use crossbeam_channel::{unbounded, Receiver, Sender, TryRecvError};
 use sbft_core::events::{Action, Destination, Envelope, ProtocolMessage};
 use sbft_core::{ShimNode, System};
 use sbft_durability::{FileWal, WalRecord, WriteAheadLog};
@@ -49,6 +48,7 @@ use sbft_telemetry::{Counter, Stage, TraceSink, Tracer};
 use sbft_types::{ClientId, ComponentId, IdMap, NodeId, SeqNum, SimTime, TxnOutcome};
 use sbft_workloads::YcsbWorkload;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -226,9 +226,12 @@ pub struct LocalCluster {
     num_clients: usize,
     target_txns: u64,
     deadline: Duration,
-    workload_seed: u64,
     trace_sink: Option<Arc<dyn TraceSink>>,
 }
+
+/// The seed of the clients' transaction stream: every run drives the same
+/// transactions, so `rt_*` numbers compare across runs.
+const WORKLOAD_SEED: u64 = 1;
 
 impl LocalCluster {
     /// Creates a driver around an assembled system.
@@ -239,7 +242,6 @@ impl LocalCluster {
             num_clients: 8,
             target_txns: 200,
             deadline: Duration::from_secs(10),
-            workload_seed: 1,
             trace_sink: None,
         }
     }
@@ -283,7 +285,6 @@ impl LocalCluster {
             num_clients,
             target_txns,
             deadline,
-            workload_seed,
             trace_sink,
         } = self;
         let num_clients = num_clients.min(system.clients.len()).max(1);
@@ -293,13 +294,13 @@ impl LocalCluster {
         let mut node_rx: Vec<Receiver<Work<Delivery>>> = Vec::new();
         let mut node_tx: Vec<Sender<Work<Delivery>>> = Vec::new();
         for _ in 0..system.nodes.len() {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             node_tx.push(tx);
             node_rx.push(rx);
         }
-        let (verifier_tx, verifier_rx) = unbounded();
-        let (client_tx, client_rx) = unbounded::<Delivery>();
-        let (pool_tx, pool_rx) = unbounded::<
+        let (verifier_tx, verifier_rx) = channel();
+        let (client_tx, client_rx) = channel::<Delivery>();
+        let (pool_tx, pool_rx) = channel::<
             Work<(
                 sbft_serverless::SpawnRequest,
                 sbft_serverless::ExecuteRequest,
@@ -439,7 +440,7 @@ impl LocalCluster {
         // Client driver (this thread).
         let mut workload_cfg = system.config.workload;
         workload_cfg.num_clients = num_clients;
-        let mut workload = YcsbWorkload::new(workload_cfg, workload_seed);
+        let mut workload = YcsbWorkload::new(workload_cfg, WORKLOAD_SEED);
         let mut clients: IdMap<ClientId, sbft_core::ClientRole> = system
             .clients
             .drain(..num_clients)

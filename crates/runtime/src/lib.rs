@@ -2,10 +2,10 @@
 //!
 //! A thread-based local emulation of the serverless-edge architecture: the
 //! same role state machines as the simulator, but driven by real OS
-//! threads and crossbeam channels instead of a virtual clock. This is the
-//! "local multi-process emulation" counterpart to the paper's OCI + AWS
-//! Lambda deployment: every shim node, the verifier and the executor pool
-//! run on their own thread and exchange the same `ProtocolMessage`s.
+//! threads and `std::sync::mpsc` channels instead of a virtual clock. This
+//! is the "local multi-process emulation" counterpart to the paper's OCI +
+//! AWS Lambda deployment: every shim node, the verifier and the executor
+//! pool run on their own thread and exchange the same `ProtocolMessage`s.
 //!
 //! Scope: the thread runtime demonstrates the live, fault-free transaction
 //! flow (client → shim consensus → executor pool → verifier → client) and

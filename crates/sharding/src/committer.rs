@@ -13,10 +13,9 @@
 //! The verifier does not use this type: it is the one applier, and calls
 //! [`ConcurrencyChecker::check_and_apply`] itself, without locks.
 
-use parking_lot::Mutex;
 use sbft_storage::{ConcurrencyChecker, OccOutcome, VersionedStore};
 use sbft_types::{ReadWriteSet, ShardId, ShardRouter, ShardSet, ShardingConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The shared store, the router and one execution lock per shard.
 pub struct ShardedCommitter {
@@ -77,7 +76,9 @@ impl ShardedCommitter {
     ) -> R {
         match shards.next() {
             Some(shard) => {
-                let _guard = self.locks[shard.0 as usize].lock();
+                let _guard = self.locks[shard.0 as usize]
+                    .lock()
+                    .expect("a shard executor panicked");
                 self.under_locks(shards, apply)
             }
             None => apply(),

@@ -60,7 +60,7 @@ struct ShardTask {
 #[derive(Default)]
 struct ShardQueue {
     phase: AtomicU8,
-    queue: parking_lot::Mutex<VecDeque<ShardTask>>,
+    queue: Mutex<VecDeque<ShardTask>>,
 }
 
 impl ShardQueue {
@@ -68,7 +68,7 @@ impl ShardQueue {
     /// won the `Idle → Pending` transition and must hand the shard to the
     /// scheduler's work queue (exactly one concurrent caller wins).
     fn enqueue(&self, task: ShardTask) -> bool {
-        self.queue.lock().push_back(task);
+        self.queue.lock().expect("shard queue").push_back(task);
         self.try_mark_pending()
     }
 
@@ -96,7 +96,7 @@ impl ShardQueue {
         self.phase.store(IDLE, Ordering::Release);
         // A submitter that enqueued between our last `pop_task` and the
         // store above lost the Idle→Pending race to nobody: re-check.
-        if self.queue.lock().is_empty() {
+        if self.queue.lock().expect("shard queue").is_empty() {
             false
         } else {
             self.try_mark_pending()
@@ -105,7 +105,7 @@ impl ShardQueue {
 
     /// Pops the oldest pending task.
     fn pop_task(&self) -> Option<ShardTask> {
-        self.queue.lock().pop_front()
+        self.queue.lock().expect("shard queue").pop_front()
     }
 }
 
@@ -619,7 +619,7 @@ mod tests {
         let s = shard();
         assert!(s.enqueue(ShardTask::default()), "first enqueue schedules");
         assert!(!s.enqueue(ShardTask::default()), "second one piggy-backs");
-        assert_eq!(s.queue.lock().len(), 2);
+        assert_eq!(s.queue.lock().expect("shard queue").len(), 2);
     }
 
     #[test]
@@ -657,6 +657,6 @@ mod tests {
                 .collect()
         });
         assert_eq!(wins.iter().filter(|w| **w).count(), 1);
-        assert_eq!(s.queue.lock().len(), 8);
+        assert_eq!(s.queue.lock().expect("shard queue").len(), 8);
     }
 }

@@ -5,7 +5,7 @@
 //! Figure 3 line 32) cheap: instead of comparing full values, the verifier
 //! compares the version an executor observed at read time with the current
 //! version. The store is sharded and each shard is guarded by a
-//! `parking_lot::RwLock`, so the thread runtime can drive many executor
+//! `std::sync::RwLock`, so the thread runtime can drive many executor
 //! reads concurrently with verifier writes.
 //!
 //! # Layout
@@ -31,8 +31,8 @@
 //! blind write to `Key(u64::MAX)` must cost one map entry, not an
 //! allocation sized by the key.
 
-use parking_lot::RwLock;
 use sbft_types::{IdMap, Key, Value, Version};
+use std::sync::RwLock;
 
 /// A value together with its current version.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -126,7 +126,10 @@ impl VersionedStore {
     #[must_use]
     pub fn get(&self, key: Key) -> Option<StoreEntry> {
         let (shard, slot) = self.locate(key);
-        shard.read().get(key, slot)
+        shard
+            .read()
+            .expect("a store writer panicked")
+            .get(key, slot)
     }
 
     /// The current version of a key (`Version(0)` if the key is absent;
@@ -136,6 +139,7 @@ impl VersionedStore {
         let (shard, slot) = self.locate(key);
         shard
             .read()
+            .expect("a store writer panicked")
             .get(key, slot)
             .map_or(Version(0), |e| e.version)
     }
@@ -143,7 +147,7 @@ impl VersionedStore {
     /// Writes a key, bumping its version, and returns the new version.
     pub fn put(&self, key: Key, value: Value) -> Version {
         let (shard, slot) = self.locate(key);
-        let mut shard = shard.write();
+        let mut shard = shard.write().expect("a store writer panicked");
         let entry = shard.entry_mut(key, slot);
         entry.value = value;
         entry.version = Version(entry.version.0 + 1);
@@ -169,14 +173,17 @@ impl VersionedStore {
             // The keys below `bound` in shard `index`: `index`, `index +
             // shards`, … — `(bound − index) / shards` rounded up.
             let slots = bound.saturating_add(mask - index) >> self.shift;
-            let mut shard = shard.write();
+            let mut shard = shard.write().expect("a store writer panicked");
             if shard.len == 0 && slots > shard.slots.len() {
                 shard.slots = vec![ABSENT; slots];
             }
         }
         for (key, value) in records {
             let (shard, slot) = self.locate(key);
-            *shard.write().entry_mut(key, slot) = StoreEntry {
+            *shard
+                .write()
+                .expect("a store writer panicked")
+                .entry_mut(key, slot) = StoreEntry {
                 value,
                 version: Version(1),
             };
@@ -186,7 +193,10 @@ impl VersionedStore {
     /// Number of keys currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len).sum()
+        self.shards
+            .iter()
+            .map(|s| s.read().expect("a store writer panicked").len)
+            .sum()
     }
 
     /// Whether the store holds no keys.
@@ -206,7 +216,7 @@ mod tests {
             .shards
             .iter()
             .map(|s| {
-                let s = s.read();
+                let s = s.read().expect("a store writer panicked");
                 (s.slots.len(), s.slots.capacity())
             })
             .collect()
@@ -260,7 +270,7 @@ mod tests {
         store.load((0..1_000).map(|i| (Key(i), Value::new(i))));
         // 1 000 = 16 × 62 + 8: the first eight shards hold one key more.
         for (index, shard) in store.shards.iter().enumerate() {
-            let shard = shard.read();
+            let shard = shard.read().expect("a store writer panicked");
             let expected = if index < 8 { 63 } else { 62 };
             assert_eq!((shard.len, shard.slots.len()), (expected, expected));
             assert_eq!(shard.slots.capacity(), expected, "shard {index}");
@@ -289,7 +299,7 @@ mod tests {
         // The bound is 99, so key 50 has a slot, left absent.
         store.load(records);
         let (shard, slot) = store.locate(Key(50));
-        assert!(slot < shard.read().slots.len());
+        assert!(slot < shard.read().expect("a store writer panicked").slots.len());
         assert_eq!(store.len(), 99);
         assert!(store.get(Key(50)).is_none());
         assert_eq!(store.put(Key(50), Value::new(5)), Version(1));

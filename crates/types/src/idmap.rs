@@ -3,8 +3,8 @@
 //! Every id in [`crate::ids`] (and [`crate::rwset::Key`]) is one or two
 //! machine words, and the tables keyed by them sit on the path of every
 //! transaction: SipHash-1-3 behind `RandomState` costs more there than the
-//! table probe itself. [`IdMap`] and [`IdSet`] are the standard tables
-//! over [`IdHasher`], a multiply-fold hasher with a fixed key: each word
+//! table probe itself. [`IdMap`] is the standard table over
+//! [`IdHasher`], a multiply-fold hasher with a fixed key: each word
 //! fed in is xored into the state and the 128-bit product with an odd
 //! constant is folded back to 64 bits, and `finish` folds once more
 //! through a second constant, so every input bit reaches both the low
@@ -20,17 +20,14 @@
 //! key lets an adversary craft colliding ids (see `DESIGN.md`, "Tables on
 //! the per-transaction path").
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` keyed by an id type, hashed by [`IdHasher`]. Built with
 /// `IdMap::default()` (or `with_capacity_and_hasher`).
 pub type IdMap<K, V> = HashMap<K, V, BuildIdHasher>;
 
-/// A `HashSet` of an id type, hashed by [`IdHasher`].
-pub type IdSet<K> = HashSet<K, BuildIdHasher>;
-
-/// The `BuildHasher` of [`IdMap`] and [`IdSet`].
+/// The `BuildHasher` of [`IdMap`].
 pub type BuildIdHasher = BuildHasherDefault<IdHasher>;
 
 /// Initial state: the fixed key (fractional bits of π).
@@ -47,7 +44,7 @@ fn multiply_fold(a: u64, b: u64) -> u64 {
     (product as u64) ^ ((product >> 64) as u64)
 }
 
-/// The multiply-fold hasher behind [`IdMap`] and [`IdSet`].
+/// The multiply-fold hasher behind [`IdMap`].
 #[derive(Clone, Copy, Debug)]
 pub struct IdHasher {
     state: u64,
@@ -221,7 +218,5 @@ mod tests {
         let mut map: IdMap<TxnId, u32> = IdMap::default();
         map.insert(TxnId::new(ClientId(1), 2), 3);
         assert_eq!(map.get(&TxnId::new(ClientId(1), 2)), Some(&3));
-        let set: IdSet<Key> = (0..10).map(Key).collect();
-        assert!(set.contains(&Key(9)) && !set.contains(&Key(10)));
     }
 }

@@ -54,7 +54,7 @@ pub use config::{
 };
 pub use digest::{Digest, MacTag, Signature};
 pub use error::{SbftError, SbftResult};
-pub use idmap::{BuildIdHasher, IdHasher, IdMap, IdSet};
+pub use idmap::{BuildIdHasher, IdHasher, IdMap};
 pub use ids::{ClientId, ComponentId, ExecutorId, NodeId, SeqNum, ShardId, TxnId, ViewNumber};
 pub use inline::{InlineVec, ShardSet};
 pub use plan::ShardPlan;

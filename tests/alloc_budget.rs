@@ -41,9 +41,11 @@ const MAX_BYTES_PER_TXN: f64 = 2_560.0;
 /// outstanding requests on the heap).
 const MAX_BYTES_PER_CLIENT_AT_REST: f64 = 208.0;
 /// Bytes per client the point may hold at its peak, records excluded
-/// (5 307 measured; 7 173 while a suppressed id kept its 96-byte payload
-/// and the tables sized by the population were regrown by doubling).
-const MAX_PEAK_BYTES_PER_CLIENT: f64 = 5_800.0;
+/// (4 696 measured; 5 304 while the shim kept two per-id ledgers and a
+/// 96-byte payload per waiting id beside its duplicate-suppression table,
+/// 7 173 while every suppressed id kept that payload and the tables sized
+/// by the population were regrown by doubling).
+const MAX_PEAK_BYTES_PER_CLIENT: f64 = 5_000.0;
 /// Bytes a loaded YCSB record may cost: its 24-byte entry in a slot array
 /// (24.3 measured; 54.3 while every record sat in a hash bucket).
 const MAX_BYTES_PER_RECORD: f64 = 26.0;
