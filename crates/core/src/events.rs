@@ -494,9 +494,9 @@ pub enum Action {
         txns: u32,
         /// Total read/write-set entries validated and applied.
         accesses: u32,
-        /// Whether the work ran on the verified ordering-time fast path
-        /// (a `SingleHome` tag that survived re-derivation): no
-        /// per-transaction route sets, no probe key map — charged
+        /// Whether no apply-time routing ran: a verified `SingleHome` tag
+        /// (one that survived re-derivation), or a one-shard deployment.
+        /// No per-transaction route sets, no solo/cross grouping — charged
         /// cheaper than probed work by the CPU model.
         planned: bool,
         /// Whether this slice is cross-shard work acquiring execution

@@ -416,8 +416,8 @@ impl Verifier {
         // sets the executors actually observed (a cheap single pass over
         // the keys — no sets, no allocation). Only a byzantine primary or
         // a mis-declared read-write set can fail this check; the failure
-        // falls back deterministically to the unplanned routing path, so
-        // a lying tag costs the fast path but can never corrupt state.
+        // falls back deterministically to the untagged path, so a lying
+        // tag costs the fast path but can never corrupt state.
         let verified_home = match matched.plan {
             ShardPlan::SingleHome(home) => {
                 let in_range = (home.0 as usize) < router.num_shards();
@@ -442,9 +442,14 @@ impl Verifier {
             }
             _ => None,
         };
-        if let Some(home) = verified_home {
+        // One shard needs no routing either: every key is already home,
+        // so the batch is announced as planned without a verified tag.
+        let home = verified_home.or((router.num_shards() == 1).then_some(ShardId(0)));
+        if let Some(home) = home {
             // The whole batch's ccheck lands on its one home shard.
-            self.planned_batches.inc();
+            if verified_home.is_some() {
+                self.planned_batches.inc();
+            }
             self.single_home_batches.inc();
             actions.push(Action::ShardCcheck {
                 shard: home,
@@ -1683,6 +1688,88 @@ mod tests {
             "an impossible home is a lie too"
         );
         assert_eq!(v.committed_txns.get(), 1);
+    }
+
+    /// Validates one batch of `results` tagged `plan` and returns its
+    /// announced ccheck slices as `(shard, txns, accesses, planned, chained)`.
+    fn announced_cchecks(
+        fx: &Fixture,
+        v: &mut Verifier,
+        results: Vec<TxnResult>,
+        plan: ShardPlan,
+    ) -> Vec<(ShardId, u32, u32, bool, bool)> {
+        let _ = v.on_verify(&fx.verify_msg_planned(1, 1, results.clone(), plan));
+        v.on_verify(&fx.verify_msg_planned(2, 1, results, plan))
+            .iter()
+            .filter_map(|a| match *a {
+                Action::ShardCcheck {
+                    shard,
+                    txns,
+                    accesses,
+                    planned,
+                    chained,
+                } => Some((shard, txns, accesses, planned, chained)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Three read-modify-write transactions, one of them touching a
+    /// second key: 7 accesses over keys that spread across 8 shards.
+    fn mixed_batch() -> Vec<TxnResult> {
+        let mut results = vec![
+            rmw_result(0, Key(1), 5),
+            rmw_result(1, Key(2), 6),
+            rmw_result(2, Key(3), 7),
+        ];
+        results[2].rwset.record_write(Key(4), Value::new(8));
+        results
+    }
+
+    #[test]
+    fn one_shard_batches_skip_apply_time_routing() {
+        let fx = Fixture::new();
+        let mut v = fx.verifier(ConflictHandling::NonConflicting);
+        let cchecks = announced_cchecks(&fx, &mut v, mixed_batch(), ShardPlan::Unplanned);
+        assert_eq!(cchecks, vec![(ShardId(0), 3, 7, true, false)]);
+        assert_eq!(v.single_home_batches.get(), 1);
+        assert_eq!(v.planned_batches.get(), 0, "no tag was verified");
+        assert_eq!(v.committed_txns.get(), 3);
+    }
+
+    #[test]
+    fn a_forged_tag_at_one_shard_is_counted_and_still_skips_routing() {
+        let fx = Fixture::new();
+        let mut v = fx.verifier(ConflictHandling::NonConflicting);
+        let plan = ShardPlan::SingleHome(ShardId(3));
+        let cchecks = announced_cchecks(&fx, &mut v, mixed_batch(), plan);
+        assert_eq!(cchecks, vec![(ShardId(0), 3, 7, true, false)]);
+        assert_eq!(v.plan_mismatches.get(), 1);
+        assert_eq!(v.planned_batches.get(), 0);
+        assert_eq!(v.single_home_batches.get(), 1);
+    }
+
+    #[test]
+    fn eight_shard_batches_keep_the_probed_split() {
+        let fx = Fixture::new();
+        let mut v = fx.verifier_sharded(
+            ConflictHandling::NonConflicting,
+            sbft_types::ShardingConfig::with_shards(8),
+        );
+        // Keys 1, 2, 3 and 4 hash to shards 4, 1, 6 and 3: two solo
+        // slices, then the two-key transaction's chained staircase.
+        let cchecks = announced_cchecks(&fx, &mut v, mixed_batch(), ShardPlan::Unplanned);
+        assert_eq!(
+            cchecks,
+            vec![
+                (ShardId(1), 1, 2, false, false),
+                (ShardId(4), 1, 2, false, false),
+                (ShardId(3), 1, 3, false, true),
+                (ShardId(6), 1, 3, false, true),
+            ]
+        );
+        assert_eq!(v.planned_batches.get(), 0);
+        assert_eq!(v.single_home_batches.get(), 0);
     }
 
     #[test]

@@ -44,13 +44,14 @@ pub struct CpuModel {
     /// hash plus the lane bookkeeping per declared key). Charged at the
     /// primary per client request when the shard planner is active.
     pub routing_ns_per_key: f64,
-    /// Per-transaction overhead of the *probed* apply path: building the
-    /// `BTreeSet` route set of each transaction. The verified
-    /// ordering-time fast path skips it entirely.
+    /// Per-transaction overhead of the *probed* apply path: collecting
+    /// each transaction's `ShardSet` from `ShardRouter::shards_of` and
+    /// grouping it into the solo or cross slices. The probed path runs
+    /// only with two or more shards and no verified `SingleHome` tag.
     pub probe_ns_per_txn: f64,
-    /// Per-access overhead of the probed path's key map (the cross-home
-    /// fallback probe hashing every read/write key once more). Also
-    /// skipped by the verified fast path.
+    /// Per-access overhead of the probed path: hashing every read/write
+    /// key to its shard once more at apply time. Skipped wherever
+    /// [`Self::probe_ns_per_txn`] is.
     pub probe_ns_per_access: f64,
     /// Cost of one fsync on the write-ahead log (the durable-vote rule
     /// charges it before a synced record's message leaves the node). An
@@ -157,9 +158,10 @@ impl CpuModel {
     /// Service time of the concurrency-control check (`ccheck`) for a
     /// batch slice of `accesses` read/write-set entries on one execution
     /// shard: one storage access per validated read and applied write,
-    /// plus the fixed dispatch overhead. This is the *pre-planned*
-    /// (verified single-home fast path) cost — no per-transaction route
-    /// sets, no probe key map.
+    /// plus the fixed dispatch overhead. This is the cost when no
+    /// apply-time routing ran (a verified `SingleHome` tag, or a
+    /// one-shard deployment): no per-transaction `ShardSet`, no solo/cross
+    /// grouping.
     #[must_use]
     pub fn ccheck_cost(&self, accesses: usize) -> SimDuration {
         self.storage_access_cost.saturating_mul(accesses as u64) + self.base_cost
@@ -184,10 +186,11 @@ impl CpuModel {
 
     /// Service time of the *probed* ccheck for `txns` transactions with
     /// `accesses` total read/write-set entries: the planned cost plus the
-    /// per-transaction `BTreeSet` routing and the probe's per-access key
-    /// map the fast path skips. Always strictly dearer than
-    /// [`Self::ccheck_cost`] for non-empty work (the fast-path gap the
-    /// ROADMAP asked the model to reflect).
+    /// apply-time routing — a `ShardSet` per transaction from
+    /// `ShardRouter::shards_of`, then solo/cross grouping — which runs
+    /// only with two or more shards and no verified `SingleHome` tag.
+    /// Always strictly dearer than [`Self::ccheck_cost`] for non-empty
+    /// work.
     #[must_use]
     pub fn ccheck_cost_probed(&self, txns: usize, accesses: usize) -> SimDuration {
         let probe_ns =
@@ -281,7 +284,7 @@ mod tests {
     fn probed_ccheck_costs_strictly_more_than_preplanned() {
         // Pins the fast-path gap: the planned cost is the pure
         // storage-access term, the probed cost adds exactly the
-        // route-set and key-map overhead the verified fast path skips.
+        // apply-time routing a planned batch skips.
         let cpu = CpuModel::default();
         let accesses = 200; // a 100-txn batch of 1-read-1-write txns
         let txns = 100;

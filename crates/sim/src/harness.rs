@@ -727,9 +727,8 @@ impl SimHarness {
                         continue;
                     }
                     let idx = shard.0 as usize % self.shard_stations.len();
-                    // The verified fast path skipped the per-transaction
-                    // route sets and the probe key map; probed work pays
-                    // for them.
+                    // Planned work (a verified tag, or one shard) ran no
+                    // apply-time routing; probed work pays for it.
                     let cost = if planned {
                         self.cpu.ccheck_cost(accesses as usize)
                     } else {

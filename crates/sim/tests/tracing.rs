@@ -3,7 +3,7 @@
 //! committed batch, and the PR 5 chained cross-shard staircase.
 
 use sbft_core::SystemBuilder;
-use sbft_sim::{SimHarness, SimParams};
+use sbft_sim::{CpuModel, SimHarness, SimParams};
 use sbft_telemetry::export::marks;
 use sbft_telemetry::{chrome_trace, stage_breakdown, MemorySink, SpanEvent, Stage, TraceSink};
 use sbft_types::{SimDuration, SystemConfig};
@@ -125,4 +125,78 @@ fn cross_shard_batches_trace_the_chained_staircase() {
         staircases > 0,
         "no cross-shard batch traced a multi-slice staircase"
     );
+}
+
+/// `apply_start → apply_end` of every batch that ran as one shard slice
+/// on an idle apply station: no earlier slice on that shard was still
+/// running when the batch arrived.
+fn idle_apply_durations(events: &[SpanEvent]) -> Vec<SimDuration> {
+    use std::collections::BTreeMap;
+    let marks = marks(events);
+    let mut slices: BTreeMap<u64, Vec<(u32, u64, u64)>> = BTreeMap::new();
+    let mut starts: BTreeMap<(u64, u32), u64> = BTreeMap::new();
+    for e in events {
+        match (e.stage, e.shard) {
+            (Stage::ShardSliceStart, Some(shard)) => {
+                starts.insert((e.trace, shard), e.at.as_micros());
+            }
+            (Stage::ShardSliceEnd, Some(shard)) => {
+                let start = starts[&(e.trace, shard)];
+                slices
+                    .entry(e.trace)
+                    .or_default()
+                    .push((shard, start, e.at.as_micros()));
+            }
+            _ => {}
+        }
+    }
+    let mut busy_until: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut by_start: Vec<(u64, u64)> = slices.iter().map(|(trace, s)| (s[0].1, *trace)).collect();
+    by_start.sort_unstable();
+    let mut durations = Vec::new();
+    for (_, trace) in by_start {
+        let batch = &slices[&trace];
+        let [(shard, start, end)] = batch[..] else {
+            continue;
+        };
+        let idle = busy_until.get(&shard).is_none_or(|busy| *busy <= start);
+        busy_until.insert(shard, end);
+        let stages = &marks[&trace];
+        if let (true, Some(from), Some(to)) = (
+            idle,
+            stages.get(&Stage::ApplyStart),
+            stages.get(&Stage::ApplyEnd),
+        ) {
+            durations.push(to.since(*from));
+        }
+    }
+    durations
+}
+
+#[test]
+fn one_shard_apply_pays_no_routing_probe() {
+    // One read per transaction and one transaction per batch, so every
+    // batch's ccheck covers exactly one access. At one shard the
+    // verifier runs no apply-time routing, so an idle station's apply
+    // phase is the bare `ccheck_cost`; at two shards the probe is back.
+    let cpu = CpuModel::default();
+    let point = |shards: usize| {
+        let mut cfg = pbft_config();
+        cfg.workload.batch_size = 1;
+        cfg.workload.write_fraction = 0.0;
+        cfg.sharding = sbft_types::ShardingConfig::with_shards(shards);
+        idle_apply_durations(&traced_run(cfg, 8))
+    };
+    for (shards, expected) in [(1, cpu.ccheck_cost(1)), (2, cpu.ccheck_cost_probed(1, 1))] {
+        let durations = point(shards);
+        assert!(
+            durations.len() > 20,
+            "{shards} shards: only {} idle batches",
+            durations.len()
+        );
+        for d in &durations {
+            assert_eq!(*d, expected, "{shards} shards");
+        }
+    }
+    assert!(cpu.ccheck_cost_probed(1, 1) > cpu.ccheck_cost(1));
 }
