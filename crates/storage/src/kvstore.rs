@@ -30,6 +30,11 @@
 //! array). A write never grows one: clients choose their write keys, and a
 //! blind write to `Key(u64::MAX)` must cost one map entry, not an
 //! allocation sized by the key.
+//!
+//! Lock order: `load` is the only path that holds two shard locks. It
+//! takes every shard's write lock once, in index order, before its first
+//! record, and holds them all until its last; every other path holds one
+//! shard lock at a time.
 
 use sbft_types::{IdMap, Key, Value, Version};
 use std::sync::RwLock;
@@ -78,6 +83,23 @@ impl Shard {
         }
         entry
     }
+
+    /// Loads `key` (at `slot`) at version 1 while the slot array is being
+    /// filled to `end`: a slot between the array's length and `end` is
+    /// reached by padding the gap with absent slots.
+    fn load(&mut self, key: Key, slot: usize, end: usize, value: Value) {
+        let entry = StoreEntry {
+            value,
+            version: Version(1),
+        };
+        if (self.slots.len()..end).contains(&slot) {
+            self.slots.resize(slot, ABSENT);
+            self.slots.push(entry);
+            self.len += 1;
+        } else {
+            *self.entry_mut(key, slot) = entry;
+        }
+    }
 }
 
 /// The sharded, versioned key-value store.
@@ -114,12 +136,18 @@ impl VersionedStore {
         }
     }
 
-    /// The shard of `key` and its slot there.
-    fn locate(&self, key: Key) -> (&RwLock<Shard>, usize) {
-        let shard = &self.shards[key.0 as usize & (self.shards.len() - 1)];
+    /// The index of `key`'s shard and its slot there.
+    fn place(&self, key: Key) -> (usize, usize) {
+        let index = key.0 as usize & (self.shards.len() - 1);
         // A slot past `usize` is past every array: the map holds the key.
         let slot = usize::try_from(key.0 >> self.shift).unwrap_or(usize::MAX);
-        (shard, slot)
+        (index, slot)
+    }
+
+    /// The shard of `key` and its slot there.
+    fn locate(&self, key: Key) -> (&RwLock<Shard>, usize) {
+        let (index, slot) = self.place(key);
+        (&self.shards[index], slot)
     }
 
     /// Reads a key, returning its value and current version.
@@ -163,30 +191,46 @@ impl VersionedStore {
     }
 
     /// Bulk-loads initial records at version 1. A shard that holds no key
-    /// yet first sizes its slot array for the keys below the iterator's
-    /// lower size bound (see the module docs).
+    /// yet sizes its slot array for the keys below the iterator's lower
+    /// size bound (see the module docs).
+    ///
+    /// The load takes every shard's write lock once, in index order, and
+    /// holds them all for its whole pass. It is the only store path that
+    /// holds two shard locks; every other one holds one at a time, so the
+    /// order cannot deadlock. A sized array is filled in the same pass:
+    /// reserved, written in place below its length, padded with absent
+    /// slots up to a record past it, and padded to its sized length at the
+    /// end.
     pub fn load<I: IntoIterator<Item = (Key, Value)>>(&self, records: I) {
         let records = records.into_iter();
         let bound = records.size_hint().0;
         let mask = self.shards.len() - 1;
-        for (index, shard) in self.shards.iter().enumerate() {
-            // The keys below `bound` in shard `index`: `index`, `index +
-            // shards`, … — `(bound − index) / shards` rounded up.
-            let slots = bound.saturating_add(mask - index) >> self.shift;
-            let mut shard = shard.write().expect("a store writer panicked");
-            if shard.len == 0 && slots > shard.slots.len() {
-                shard.slots = vec![ABSENT; slots];
-            }
-        }
+        // Each shard's guard, with the length its array is filled to.
+        let mut shards: Vec<_> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(index, shard)| {
+                let mut shard = shard.write().expect("a store writer panicked");
+                // The keys below `bound` in shard `index`: `index`, `index
+                // + shards`, … — `(bound − index) / shards` rounded up.
+                let slots = bound.saturating_add(mask - index) >> self.shift;
+                let end = if shard.len == 0 && slots > shard.slots.len() {
+                    shard.slots = Vec::with_capacity(slots);
+                    slots
+                } else {
+                    shard.slots.len()
+                };
+                (shard, end)
+            })
+            .collect();
         for (key, value) in records {
-            let (shard, slot) = self.locate(key);
-            *shard
-                .write()
-                .expect("a store writer panicked")
-                .entry_mut(key, slot) = StoreEntry {
-                value,
-                version: Version(1),
-            };
+            let (index, slot) = self.place(key);
+            let (shard, end) = &mut shards[index];
+            shard.load(key, slot, *end, value);
+        }
+        for (shard, end) in &mut shards {
+            shard.slots.resize(*end, ABSENT);
         }
     }
 
@@ -307,16 +351,77 @@ mod tests {
     }
 
     #[test]
-    fn loading_descending_equals_loading_ascending() {
-        let ascending = VersionedStore::new();
-        ascending.load((0..500).map(|i| (Key(i), Value::new(i * 3))));
-        let descending = VersionedStore::new();
-        descending.load((0..500).rev().map(|i| (Key(i), Value::new(i * 3))));
-        assert_eq!(ascending.len(), descending.len());
-        for i in 0..600 {
-            assert_eq!(ascending.get(Key(i)), descending.get(Key(i)), "key {i}");
+    fn every_load_order_fills_every_array_to_its_sized_length() {
+        const N: u64 = 1_000;
+        // Dense keys, then keys without those ≡ 3 (mod 7): 857 records,
+        // so keys 857.. go to the maps, and shard 4's top slot below the
+        // bound (key 836) is a hole.
+        for holed in [false, true] {
+            let kept = |k: &u64| !holed || k % 7 != 3;
+            let record = |k| (Key(k), Value::new(k * 3));
+            let ascending: Vec<_> = (0..N).filter(kept).map(record).collect();
+            let descending = ascending.iter().rev().copied().collect();
+            // A permutation of `0..N`: 7 919 is prime.
+            let shuffled = (0..N).map(|i| i * 7_919 % N).filter(kept).map(record);
+            let bound = ascending.len();
+            // Shard `i` is sized to the keys below the bound that map to it.
+            let sized: Vec<_> = (0..64)
+                .map(|i| (0..bound).filter(|k| k % 64 == i).count())
+                .map(|len| (len, len))
+                .collect();
+            for records in [ascending, descending, shuffled.collect()] {
+                let store = VersionedStore::new();
+                store.load(records);
+                assert_eq!(array_sizes(&store), sized, "holed: {holed}");
+                assert_eq!(store.len(), bound, "holed: {holed}");
+                for k in 0..2 * N {
+                    let expected = (k < N && kept(&k)).then(|| StoreEntry {
+                        value: Value::new(k * 3),
+                        version: Version(1),
+                    });
+                    assert_eq!(store.get(Key(k)), expected, "key {k}, holed: {holed}");
+                }
+            }
         }
-        assert_eq!(array_sizes(&ascending), array_sizes(&descending));
+    }
+
+    #[test]
+    fn a_load_into_a_shard_that_holds_keys_resizes_nothing() {
+        let store = VersionedStore::new();
+        store.put(Key(5), Value::new(50));
+        store.load((0..1_000).map(|i| (Key(i), Value::new(i))));
+        let sizes = array_sizes(&store);
+        // Shard 5 held key 5 in its map, so its keys stay there.
+        assert_eq!(sizes[5], (0, 0));
+        assert_eq!(sizes[4], (16, 16));
+        assert_eq!(store.len(), 1_000);
+        assert_eq!(store.get(Key(5)).map(|e| e.version), Some(Version(1)));
+        assert_eq!(store.get(Key(69)).unwrap().value, Value::new(69));
+        // A second load finds every shard holding keys.
+        store.load((1_000..2_000).map(|i| (Key(i), Value::new(i))));
+        assert_eq!(array_sizes(&store), sizes);
+        assert_eq!(store.len(), 2_000);
+        for k in 0..2_000 {
+            assert_eq!(store.get(Key(k)).unwrap().value, Value::new(k), "key {k}");
+        }
+    }
+
+    #[test]
+    fn a_duplicate_in_one_load_counts_once_at_version_one() {
+        let store = VersionedStore::new();
+        // The bound is 6: key 3 has a slot, key 70 goes to shard 6's map.
+        store.load(
+            [(3, 1), (70, 1), (3, 2), (1, 1), (70, 2), (3, 3)]
+                .map(|(k, v)| (Key(k), Value::new(v))),
+        );
+        assert_eq!(store.len(), 3);
+        for (k, v) in [(1, 1), (3, 3), (70, 2)] {
+            let expected = StoreEntry {
+                value: Value::new(v),
+                version: Version(1),
+            };
+            assert_eq!(store.get(Key(k)), Some(expected), "key {k}");
+        }
     }
 
     #[test]

@@ -21,11 +21,15 @@
 //! and the verifier retain per transaction of the last two checkpoint
 //! intervals, which is where the duplicate-suppression table lives.
 //! *Per record*: the bytes of a populated YCSB table over its records.
+//!
+//! The record load itself is counted too: one allocation per shard for
+//! its slot array, reserved once, plus the vector of the shards' guards —
+//! none per record and no array regrown.
 
 use serverless_bft::core::SystemBuilder;
 use serverless_bft::sim::{SimHarness, SimParams};
-use serverless_bft::storage::YcsbTable;
-use serverless_bft::types::{RegionSet, SimDuration, SystemConfig};
+use serverless_bft::storage::{VersionedStore, YcsbTable};
+use serverless_bft::types::{Key, RegionSet, SimDuration, SystemConfig, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,6 +53,9 @@ const MAX_PEAK_BYTES_PER_CLIENT: f64 = 5_000.0;
 /// Bytes a loaded YCSB record may cost: its 24-byte entry in a slot array
 /// (24.3 measured; 54.3 while every record sat in a hash bucket).
 const MAX_BYTES_PER_RECORD: f64 = 26.0;
+/// Shards of `VersionedStore::new()`: loading it may allocate one slot
+/// array per shard and the vector of their guards.
+const STORE_SHARDS: u64 = 64;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
@@ -232,5 +239,21 @@ fn a_steady_state_transaction_stays_inside_its_allocation_budget() {
     assert!(
         per_record <= MAX_BYTES_PER_RECORD,
         "{per_record:.1} bytes per record (budget {MAX_BYTES_PER_RECORD})"
+    );
+
+    let store = VersionedStore::new();
+    let (allocs, bytes) = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    store.load((0..RECORDS).map(|i| (Key(i), Value::new(i))));
+    let load_allocs = ALLOCS.load(Ordering::Relaxed) - allocs;
+    let load_bytes = BYTES.load(Ordering::Relaxed) - bytes;
+    assert_eq!(store.len() as u64, RECORDS);
+    println!("loading {RECORDS} records: {load_allocs} allocations, {load_bytes} requested bytes");
+    assert!(
+        load_allocs <= STORE_SHARDS + 1,
+        "{load_allocs} allocations to load {RECORDS} records (budget {})",
+        STORE_SHARDS + 1
     );
 }
