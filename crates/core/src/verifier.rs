@@ -228,7 +228,14 @@ impl Verifier {
             self.ignored_verifies.inc();
             return;
         }
-        // Well-formedness: executor signature and certificate.
+        // Well-formedness: a certificate for this batch, the executor's
+        // signature, the certificate's quorum, and results that hash to
+        // the signed digest — else a byzantine executor could sign an
+        // honest digest over altered writes and have them applied once
+        // honest VERIFYs complete the quorum.
+        if msg.certificate.seq != msg.seq || msg.certificate.batch_digest != msg.batch_digest {
+            return;
+        }
         if !self.crypto.verify(
             ComponentId::Executor(msg.executor),
             &msg.result_digest,
@@ -246,6 +253,9 @@ impl Verifier {
                 )
                 .is_err()
         {
+            return;
+        }
+        if VerifyMessage::digest_of_results(msg.seq, &msg.results) != msg.result_digest {
             return;
         }
 
@@ -930,6 +940,43 @@ mod tests {
         let actions = v.on_verify(&honest2);
         assert!(response_kinds(&actions).contains(&"RESPONSE"));
         assert_eq!(fx.store.get(Key(2)).unwrap().value, Value::new(42));
+    }
+
+    #[test]
+    fn forged_results_under_an_honest_digest_are_dropped() {
+        let fx = Fixture::new();
+        let mut v = fx.verifier(ConflictHandling::NonConflicting);
+        let original = fx.store.get(Key(2));
+        let honest = fx.verify_msg(1, 1, 0, 42, 1);
+        // Executor 2 signs the honest digest over a write of 999.
+        let mut forged = fx.verify_msg(2, 1, 0, 999, 1);
+        forged.result_digest = honest.result_digest;
+        forged.signature = fx
+            .provider
+            .handle(ComponentId::Executor(ExecutorId(2)))
+            .sign(&honest.result_digest);
+        assert!(v.on_verify(&honest).is_empty());
+        assert!(v.on_verify(&forged).is_empty());
+        assert!(v.pending[&SeqNum(1)].matched.is_none());
+        assert_eq!(v.kmax(), SeqNum(1));
+        assert_eq!(fx.store.get(Key(2)), original);
+        // A second honest executor completes the quorum.
+        let actions = v.on_verify(&fx.verify_msg(3, 1, 0, 42, 1));
+        assert!(response_kinds(&actions).contains(&"BATCH-VALIDATED"));
+        assert_eq!(v.committed_txns.get(), 1);
+        assert_eq!(fx.store.get(Key(2)).unwrap().value, Value::new(42));
+    }
+
+    #[test]
+    fn a_certificate_for_another_batch_is_dropped() {
+        let fx = Fixture::new();
+        let mut v = fx.verifier(ConflictHandling::NonConflicting);
+        let mut other = fx.verify_msg(1, 1, 0, 42, 1);
+        other.certificate = fx.certificate(0, 2, Digest::from_bytes([2; 32]));
+        let _ = v.on_verify(&other);
+        let _ = v.on_verify(&fx.verify_msg(2, 1, 0, 42, 1));
+        assert_eq!(v.committed_txns.get(), 0);
+        assert_eq!(v.pending[&SeqNum(1)].verifies.len(), 1);
     }
 
     #[test]

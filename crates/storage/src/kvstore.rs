@@ -19,13 +19,17 @@
 //! So a record in its slot costs the 24 bytes of its entry and nothing
 //! more.
 //!
-//! The YCSB table is dense by construction (`YcsbTable::populate` loads
-//! exactly `0..num_records`), so [`VersionedStore::load`] sizes the arrays
-//! from the iterator's lower size bound `n`: every shard gets one slot per
-//! key below `n` that maps to it, `n / shards` of them. Keys below `n` are
-//! written in any order, and a hole stays absent until something writes
-//! it. A key at or above `n` goes to the map, and so does every later
-//! write past the end of an array. Only `load` sizes an array, and only
+//! Two paths size the arrays, and both give a shard one slot per key below
+//! a bound `n` that maps to it: `⌈(n − s) / shards⌉` slots in shard `s`.
+//! The YCSB table is dense by construction, so `YcsbTable::populate`
+//! builds it with [`VersionedStore::dense`]: each shard's array is
+//! allocated at that length and filled with keys `s, s + shards, …` in one
+//! loop before the shard is wrapped in its lock. An arbitrary record
+//! stream goes through [`VersionedStore::load`], which takes `n` from the
+//! iterator's lower size bound: keys below `n` are written in any order,
+//! and a hole stays absent until something writes it. Either way a key at
+//! or above `n` goes to the map, and so does every later write past the
+//! end of an array. Only these two paths size an array, and `load` only
 //! while its shard holds no key (so no key ever moves between map and
 //! array). A write never grows one: clients choose their write keys, and a
 //! blind write to `Key(u64::MAX)` must cost one map entry, not an
@@ -34,7 +38,8 @@
 //! Lock order: `load` is the only path that holds two shard locks. It
 //! takes every shard's write lock once, in index order, before its first
 //! record, and holds them all until its last; every other path holds one
-//! shard lock at a time.
+//! shard lock at a time. `dense` takes no lock: it builds every shard
+//! before the store exists.
 
 use sbft_types::{IdMap, Key, Value, Version};
 use std::sync::RwLock;
@@ -126,6 +131,32 @@ impl VersionedStore {
         Self::with_shards(DEFAULT_SHARDS)
     }
 
+    /// A store with the default shard count holding keys `0..n` at version
+    /// 1, key `k` with the value `value_of(k)`: the layout `load` builds
+    /// from those records in any order, built shard by shard without a
+    /// lock (see the module docs).
+    #[must_use]
+    pub fn dense(n: u64, value_of: impl Fn(u64) -> Value) -> Self {
+        let stride = DEFAULT_SHARDS as u64;
+        let shift = stride.trailing_zeros();
+        let shards = (0..stride)
+            .map(|index| {
+                let slots: Vec<StoreEntry> = (0..n.saturating_sub(index).div_ceil(stride))
+                    .map(|slot| StoreEntry {
+                        value: value_of((slot << shift) | index),
+                        version: Version(1),
+                    })
+                    .collect();
+                RwLock::new(Shard {
+                    len: slots.len(),
+                    slots,
+                    overflow: IdMap::default(),
+                })
+            })
+            .collect();
+        VersionedStore { shards, shift }
+    }
+
     /// An empty store with an explicit shard count (rounded up to a power
     /// of two).
     fn with_shards(shards: usize) -> Self {
@@ -190,9 +221,11 @@ impl VersionedStore {
         }
     }
 
-    /// Bulk-loads initial records at version 1. A shard that holds no key
-    /// yet sizes its slot array for the keys below the iterator's lower
-    /// size bound (see the module docs).
+    /// Bulk-loads initial records at version 1, from any stream of
+    /// records into any store. A shard that holds no key yet sizes its
+    /// slot array for the keys below the iterator's lower size bound (see
+    /// the module docs); the dense YCSB table is built by [`Self::dense`]
+    /// instead.
     ///
     /// The load takes every shard's write lock once, in index order, and
     /// holds them all for its whole pass. It is the only store path that
@@ -422,6 +455,50 @@ mod tests {
             };
             assert_eq!(store.get(Key(k)), Some(expected), "key {k}");
         }
+    }
+
+    #[test]
+    fn the_dense_constructor_equals_an_ascending_load() {
+        let value_of = |k: u64| Value::new(k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        for n in [0, 1, 63, 64, 65, 1_000, 100_003] {
+            let dense = VersionedStore::dense(n, value_of);
+            let loaded = VersionedStore::new();
+            loaded.load((0..n).map(|k| (Key(k), value_of(k))));
+            assert_eq!(array_sizes(&dense), array_sizes(&loaded), "n = {n}");
+            assert_eq!(dense.len(), loaded.len(), "n = {n}");
+            assert_eq!(dense.len() as u64, n);
+            for (d, l) in dense.shards.iter().zip(&loaded.shards) {
+                let (d, l) = (d.read().unwrap(), l.read().unwrap());
+                assert_eq!((&d.slots, d.len), (&l.slots, l.len), "n = {n}");
+                assert!(d.overflow.is_empty(), "n = {n}");
+            }
+            for k in 0..n {
+                let expected = StoreEntry {
+                    value: value_of(k),
+                    version: Version(1),
+                };
+                assert_eq!(dense.get(Key(k)), Some(expected), "key {k}, n = {n}");
+            }
+            for k in (n..n + 130).chain([u64::MAX]) {
+                assert_eq!(dense.get(Key(k)), None, "key {k}, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_put_past_a_dense_array_lands_in_its_map() {
+        let store = VersionedStore::dense(1_000, Value::new);
+        let before = array_sizes(&store);
+        // Key 1 000 is slot 15 of shard 40, whose array ends at 15 slots.
+        let (shard, slot) = store.locate(Key(1_000));
+        assert_eq!((before[40], slot), ((15, 15), 15));
+        assert_eq!(store.put(Key(1_000), Value::new(7)), Version(1));
+        assert_eq!(store.put(Key(999), Value::new(8)), Version(2));
+        assert_eq!(array_sizes(&store), before);
+        let overflow = &shard.read().unwrap().overflow;
+        assert_eq!(overflow.keys().collect::<Vec<_>>(), [&Key(1_000)]);
+        assert_eq!(store.get(Key(1_000)).unwrap().value, Value::new(7));
+        assert_eq!(store.len(), 1_001);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! real 1 KiB blobs around the simulator.
 
 use crate::kvstore::VersionedStore;
-use sbft_types::{Key, Value};
+use sbft_types::Value;
 use std::sync::Arc;
 
 /// Logical YCSB record size in bytes.
@@ -32,12 +32,13 @@ pub struct YcsbTable {
 }
 
 impl YcsbTable {
-    /// Populates a fresh store with `num_records` records.
+    /// Populates a fresh store with `num_records` records, built shard by
+    /// shard ([`VersionedStore::dense`]).
     #[must_use]
     pub fn populate(num_records: u64) -> Self {
-        let store = Arc::new(VersionedStore::new());
-        store.load((0..num_records).map(|i| (Key(i), ycsb_value(i))));
-        YcsbTable { store }
+        YcsbTable {
+            store: Arc::new(VersionedStore::dense(num_records, ycsb_value)),
+        }
     }
 
     /// The underlying store.
@@ -50,7 +51,7 @@ impl YcsbTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbft_types::Version;
+    use sbft_types::{Key, Version};
 
     #[test]
     fn populate_loads_exactly_n_records() {

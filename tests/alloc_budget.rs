@@ -24,7 +24,9 @@
 //!
 //! The record load itself is counted too: one allocation per shard for
 //! its slot array, reserved once, plus the vector of the shards' guards —
-//! none per record and no array regrown.
+//! none per record and no array regrown. Populating the YCSB table is
+//! counted exactly: one slot array per non-empty shard, the shard vector
+//! and the `Arc` the table shares the store through — no guard vector.
 
 use serverless_bft::core::SystemBuilder;
 use serverless_bft::sim::{SimHarness, SimParams};
@@ -217,7 +219,9 @@ fn a_steady_state_transaction_stays_inside_its_allocation_budget() {
     let at_rest =
         (build(MORE_CLIENTS).1 - build(CLIENTS).1) as f64 / (MORE_CLIENTS - CLIENTS) as f64;
     let outside = live();
+    let allocs = ALLOCS.load(Ordering::Relaxed);
     let records = YcsbTable::populate(RECORDS);
+    let populate_allocs = ALLOCS.load(Ordering::Relaxed) - allocs;
     let record_bytes = live() - outside;
     drop(records);
     let per_record = record_bytes as f64 / RECORDS as f64;
@@ -239,6 +243,13 @@ fn a_steady_state_transaction_stays_inside_its_allocation_budget() {
     assert!(
         per_record <= MAX_BYTES_PER_RECORD,
         "{per_record:.1} bytes per record (budget {MAX_BYTES_PER_RECORD})"
+    );
+    // Every shard of `RECORDS` keys is non-empty.
+    println!("populating {RECORDS} records: {populate_allocs} allocations");
+    assert_eq!(
+        populate_allocs,
+        STORE_SHARDS + 2,
+        "populating the table: one slot array per shard, the shard vector and the table's Arc"
     );
 
     let store = VersionedStore::new();

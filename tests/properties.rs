@@ -441,57 +441,69 @@ proptest! {
         }
     }
 
-    /// The store agrees with a plain ordered map after every step: a load
-    /// in shuffled order with holes, duplicates and a few keys past its
-    /// size bound `n`, then reads and writes over `0..3n` and two keys far
-    /// past every slot array.
+    /// The store agrees with a plain ordered map after every step, built
+    /// two ways: by a load in shuffled order with holes, duplicates and a
+    /// few keys past its size bound `n`, and by the dense constructor over
+    /// `0..n`. Then reads and writes over `0..3n` and two keys far past
+    /// every slot array.
     #[test]
     fn store_matches_a_btree_map_model(
         loaded in prop::collection::vec((any::<u64>(), any::<u64>()), 0..400),
         ops in prop::collection::vec((any::<bool>(), any::<u64>(), any::<u64>()), 0..200),
     ) {
         let n = loaded.len() as u64;
-        let store = VersionedStore::new();
-        let mut model: BTreeMap<Key, (Value, Version)> = BTreeMap::new();
         let agree = |store: &VersionedStore, model: &BTreeMap<Key, (Value, Version)>, key: Key| {
             let expected = model.get(&key).copied();
             assert_eq!(store.get(key).map(|e| (e.value, e.version)), expected, "{key:?}");
             assert_eq!(store.version_of(key), expected.map_or(Version(0), |(_, v)| v));
         };
-        // One key in eight lands in `n..2n`, past the bound; the rest
-        // below it, drawn with repeats, so some slots stay holes.
-        let records: Vec<(Key, Value)> = loaded
-            .iter()
-            .map(|&(r, v)| {
-                let key = if r % 8 == 0 { n + r / 8 % n } else { r % n };
-                (Key(key), Value::new(v))
-            })
-            .collect();
-        for &(key, value) in &records {
-            model.insert(key, (value, Version(1)));
-        }
-        store.load(records);
-        prop_assert_eq!(store.len(), model.len());
-        for k in 0..2 * n {
-            agree(&store, &model, Key(k));
-        }
-        // A write, or a read of `get` and `version_of`; either is checked.
-        for (write, pick, v) in ops {
-            let key = match pick % 16 {
-                0 => Key(u64::MAX),
-                1 => Key(1 << 40),
-                _ => Key(pick % (3 * n).max(1)),
+        for dense in [false, true] {
+            let mut model: BTreeMap<Key, (Value, Version)> = BTreeMap::new();
+            let store = if dense {
+                for (k, &(_, v)) in (0..).zip(&loaded) {
+                    model.insert(Key(k), (Value::new(v), Version(1)));
+                }
+                VersionedStore::dense(n, |k| Value::new(loaded[k as usize].1))
+            } else {
+                // One key in eight lands in `n..2n`, past the bound; the
+                // rest below it, drawn with repeats, so some slots stay
+                // holes.
+                let records: Vec<(Key, Value)> = loaded
+                    .iter()
+                    .map(|&(r, v)| {
+                        let key = if r % 8 == 0 { n + r / 8 % n } else { r % n };
+                        (Key(key), Value::new(v))
+                    })
+                    .collect();
+                for &(key, value) in &records {
+                    model.insert(key, (value, Version(1)));
+                }
+                let store = VersionedStore::new();
+                store.load(records);
+                store
             };
-            if write {
-                let next = Version(model.get(&key).map_or(0, |&(_, v)| v.0) + 1);
-                prop_assert_eq!(store.put(key, Value::new(v)), next);
-                model.insert(key, (Value::new(v), next));
-            }
-            agree(&store, &model, key);
             prop_assert_eq!(store.len(), model.len());
-        }
-        for &key in model.keys() {
-            agree(&store, &model, key);
+            for k in 0..2 * n {
+                agree(&store, &model, Key(k));
+            }
+            // A write, or a read of `get` and `version_of`; either is checked.
+            for &(write, pick, v) in &ops {
+                let key = match pick % 16 {
+                    0 => Key(u64::MAX),
+                    1 => Key(1 << 40),
+                    _ => Key(pick % (3 * n).max(1)),
+                };
+                if write {
+                    let next = Version(model.get(&key).map_or(0, |&(_, v)| v.0) + 1);
+                    prop_assert_eq!(store.put(key, Value::new(v)), next);
+                    model.insert(key, (Value::new(v), next));
+                }
+                agree(&store, &model, key);
+                prop_assert_eq!(store.len(), model.len());
+            }
+            for &key in model.keys() {
+                agree(&store, &model, key);
+            }
         }
     }
 
