@@ -1,58 +1,25 @@
-//! Shard-count scaling of the sharded commit path: committed-transaction
-//! throughput as the verifier's `ccheck` work is spread over 1 → 8
-//! execution shards.
+//! Thread scaling of the `sbft-sharding` worker pool: raw
+//! (protocol-free) throughput of the lock-ordered committer as
+//! conflict-free batches are spread over 1 → 8 shards, one worker thread
+//! per shard, on real OS threads.
 //!
-//! Two series are reported:
-//!
-//! * `SERVBFT-SIM` — the full protocol on the discrete-event simulator.
-//!   The CPU model makes storage accesses expensive (an SSD-backed store
-//!   rather than the default in-memory cost), so the per-shard `ccheck`
-//!   stations are the bottleneck and shard count plays the role cores
-//!   play in Figure 6(ix). The workload is conflict-free uniform YCSB.
-//! * `RAW-POOL` (opt-in via `--raw-pool`) — the `sbft-sharding` worker
-//!   pool executing the same kind of conflict-free batches on real OS
-//!   threads, showing the raw (protocol-free) throughput of the
-//!   lock-ordered committer. No runtime applies through the pool. Thread
-//!   scaling only shows on multi-core hosts; on a single-core machine the
-//!   series is flat, which is why it is opt-in.
+//! One series is reported, `RAW-POOL`. No runtime applies through the
+//! pool: the verifier applies every batch on its own thread, and the
+//! simulator prices that as one apply station, so there is no simulated
+//! shard-scaling series. Thread scaling only shows on multi-core hosts;
+//! on a single-core machine the series is flat. The bin asserts that
+//! every transaction's ticket outcome is applied.
 
-use sbft_bench::{run_sweep, PointConfig, FIGURE_COLUMNS};
+use sbft_bench::FIGURE_COLUMNS;
 use sbft_sharding::{ApplyTicket, ShardScheduler, ShardedCommitter};
-use sbft_sim::CpuModel;
 use sbft_storage::{OccOutcome, VersionedStore};
-use sbft_types::{
-    ClientId, Key, ReadWriteSet, ShardingConfig, SimDuration, SystemConfig, TxnId, TxnResult,
-    Value, Version,
-};
+use sbft_types::{ClientId, Key, ReadWriteSet, ShardingConfig, TxnId, TxnResult, Value, Version};
 use std::sync::Arc;
 use std::time::Instant;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn sim_series() {
-    let mut points = Vec::new();
-    for shards in SHARD_COUNTS {
-        let mut config = SystemConfig::with_shim_size(4);
-        config.workload.num_records = 20_000;
-        config.workload.batch_size = 10;
-        config.sharding = ShardingConfig::with_shards(shards);
-        let mut point = PointConfig::new("fig6-shards", "SERVBFT-SIM", shards as f64, config);
-        point.clients = 240;
-        point.duration = SimDuration::from_millis(400);
-        point.warmup = SimDuration::from_millis(100);
-        // Shift the bottleneck onto the commit path: 400 µs per storage
-        // access models a persistent store instead of the in-memory
-        // default, making the shard stations the saturated resource.
-        point.cpu = Some(CpuModel {
-            storage_access_cost: SimDuration::from_micros(400),
-            ..CpuModel::default()
-        });
-        points.push(point);
-    }
-    run_sweep(points, FIGURE_COLUMNS);
-}
-
-fn raw_pool_series() {
+fn main() {
     // 100 k transactions of 8 reads + 8 writes each, over disjoint key
     // ranges (conflict-free), pre-generated so the timed section measures
     // only the pool. OCC validation + apply is ~16 store accesses per
@@ -79,6 +46,7 @@ fn raw_pool_series() {
                 .collect()
         })
         .collect();
+    println!("figure,series,x,{}", FIGURE_COLUMNS.join(","));
     for shards in SHARD_COUNTS {
         let store = Arc::new(VersionedStore::new());
         store.load((0..keys).map(|i| (Key(i), Value::new(0))));
@@ -105,12 +73,5 @@ fn raw_pool_series() {
             "fig6-shards,RAW-POOL,{shards},{:.0},{elapsed:.6},0.000000,0.000000,0.000,0.000",
             TXNS as f64 / elapsed
         );
-    }
-}
-
-fn main() {
-    sim_series();
-    if std::env::args().any(|a| a == "--raw-pool") {
-        raw_pool_series();
     }
 }

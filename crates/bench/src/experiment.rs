@@ -20,10 +20,7 @@ use sbft_core::system::ShimProtocol;
 use sbft_core::{ShimAttack, SystemBuilder};
 use sbft_serverless::cloud::CloudFaultPlan;
 use sbft_serverless::{CostModel, CrashRestart};
-use sbft_sim::{
-    CpuModel, DiskLag, FaultPlan, LinkFaults, LinkRule, NetworkModel, RunMetrics, SimHarness,
-    SimParams,
-};
+use sbft_sim::{DiskLag, FaultPlan, LinkFaults, LinkRule, RunMetrics, SimHarness, SimParams};
 use sbft_types::{NodeId, SimDuration, SystemConfig};
 
 /// One data point of an experiment.
@@ -56,10 +53,6 @@ pub struct PointConfig {
     pub edge_execution_threads: Option<usize>,
     /// Whether serverless invocations are billed (off for edge-only runs).
     pub bill_serverless: bool,
-    /// Overrides the simulator's CPU cost model (`None`: defaults). Used
-    /// by experiments that shift the bottleneck, e.g. `fig6_shards` makes
-    /// storage accesses expensive so the sharded commit path dominates.
-    pub cpu: Option<CpuModel>,
     /// When set, keys are drawn Zipfian with this exponent (the skew
     /// axis of the `planner_points` sweep).
     pub zipf_theta: Option<f64>,
@@ -92,7 +85,6 @@ impl PointConfig {
             seed: 42,
             edge_execution_threads: None,
             bill_serverless: true,
-            cpu: None,
             zipf_theta: None,
             fault_plan: None,
         }
@@ -243,12 +235,7 @@ fn run_point_with_sink(
         zipf_theta: point.zipf_theta,
         ..SimParams::default()
     };
-    let mut harness = SimHarness::with_models(
-        system,
-        params,
-        NetworkModel::default(),
-        point.cpu.unwrap_or_default(),
-    );
+    let mut harness = SimHarness::new(system, params);
     if let Some(sink) = sink {
         harness = harness.with_tracer(sink);
     }
@@ -373,7 +360,7 @@ pub fn liveness_points(seeds: &[u64]) -> Vec<PointConfig> {
                     let mut config = SystemConfig::with_shim_size(4);
                     config.conflict_handling = mode;
                     config.digest_proposals = digest;
-                    config.sharding = sbft_types::ShardingConfig::with_shards(8).with_workers(2);
+                    config.sharding = sbft_types::ShardingConfig::with_shards(8);
                     config.sharding.ordering_lanes = lanes;
                     config.workload.num_records = 100_000;
                     config.workload.batch_size = 50;

@@ -9,8 +9,8 @@
 use sbft_consensus::{ConsensusMessage, ConsensusTimer};
 use sbft_serverless::{ExecuteRequest, SpawnRequest, VerifyMessage};
 use sbft_types::{
-    ClientId, ComponentId, ExecutorId, NodeId, Region, SeqNum, ShardId, Signature, SimDuration,
-    Transaction, TxnId, TxnOutcome, ViewNumber,
+    ClientId, ComponentId, ExecutorId, NodeId, Region, SeqNum, Signature, SimDuration, Transaction,
+    TxnId, TxnOutcome, ViewNumber,
 };
 use std::sync::Arc;
 
@@ -482,29 +482,15 @@ pub enum Action {
         /// Number of transactions in the batch.
         len: usize,
     },
-    /// The verifier ran the concurrency-control check of a validated batch
-    /// slice on an execution shard. Runtimes that model CPU (the
-    /// simulator) charge this work to the shard's service station and
-    /// delay the batch's outgoing responses until it completes; the
-    /// thread runtime executes the work eagerly and ignores the hint.
-    ShardCcheck {
-        /// The shard the work ran on.
-        shard: ShardId,
-        /// Transactions checked on this shard.
-        txns: u32,
+    /// The verifier ran the concurrency-control check (`ccheck`) of one
+    /// matched batch, every transaction in batch order on its own thread.
+    /// Runtimes that model CPU (the simulator) charge this work to the
+    /// verifier's one apply station and delay the batch's outgoing
+    /// responses until it completes; the thread runtime executes the
+    /// work eagerly and ignores the hint.
+    Ccheck {
         /// Total read/write-set entries validated and applied.
         accesses: u32,
-        /// Whether no apply-time routing ran: a verified `SingleHome` tag
-        /// (one that survived re-derivation), or a one-shard deployment.
-        /// No per-transaction route sets, no solo/cross grouping — charged
-        /// cheaper than probed work by the CPU model.
-        planned: bool,
-        /// Whether this slice is cross-shard work acquiring execution
-        /// locks in ascending shard order: a chained slice starts only
-        /// after the previous chained slice of the same action list has
-        /// granted (the lock-ordered staircase), while unchained slices
-        /// run in parallel across shard stations.
-        chained: bool,
     },
     /// The emitting component wrote to its durable write-ahead log.
     /// Runtimes that model CPU/disk charge the write (and the fsync, when

@@ -18,13 +18,12 @@
 //! (katana-style per-shard mempools), so whole batches arrive at the
 //! verifier's apply stage already conflict-free per shard — cross-home
 //! work is detected at batching time and tagged
-//! [`ShardPlan::CrossHome`] for the chained cross-shard `ccheck` instead
-//! of being discovered late by the apply-time fallback probe. The
+//! [`ShardPlan::CrossHome`] instead of being discovered late. The
 //! resulting [`ShardPlan`] is replicated with the batch but only ever
 //! consumed **trust-but-verify**: the verifier re-derives the claim
-//! from the observed read-write sets before honouring it and falls back
-//! deterministically on mismatch, so a lying primary can waste its own
-//! fast path but cannot corrupt state (see `sbft_types::plan`).
+//! from the observed read-write sets before counting it as planned and
+//! counts a mismatch otherwise, so a lying primary cannot corrupt state
+//! (see `sbft_types::plan`).
 
 use sbft_types::{Key, RwSetKeys, SeqNum, ShardPlan, ShardRouter, Transaction};
 use std::collections::{BTreeMap, BTreeSet};
@@ -32,8 +31,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Classifies one transaction at ordering time: the lane it assembles
 /// in is the home shard of its declared (or, failing that, inferred)
 /// read-write set. Exact for YCSB-style transactions whose keys are
-/// literal; a mis-declared set costs the batch the verifier's fast
-/// path, never correctness.
+/// literal; a mis-declared set costs the batch its planned count at the
+/// verifier, never correctness.
 #[must_use]
 pub fn home_shard(txn: &Transaction, router: &ShardRouter) -> ShardPlan {
     match &txn.declared_rwset {

@@ -28,8 +28,9 @@ use sbft_serverless::VerifyMessage;
 use sbft_storage::{ConcurrencyChecker, VersionedStore};
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
-    checkpoint_gc_cutoff, ComponentId, ConflictHandling, ExecutorId, FaultParams, IdMap, SeqNum,
-    ShardId, ShardPlan, ShardRouter, ShardSet, SimDuration, TxnId, TxnOutcome, ViewNumber,
+    checkpoint_gc_cutoff, ComponentId, ConflictHandling, ExecutorId, FaultParams, IdMap, Key,
+    ReadWriteSet, SeqNum, ShardId, ShardPlan, ShardRouter, SimDuration, TxnId, TxnOutcome,
+    ViewNumber,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -81,8 +82,9 @@ pub struct VerifierConfig {
     /// re-derived from `FaultParams`). Once this many `VERIFY`s arrived
     /// without a matching quorum, the batch can never match.
     pub spawned_per_batch: usize,
-    /// Number of execution shards the `ccheck` work of a batch is
-    /// announced over (as [`Action::ShardCcheck`]).
+    /// Number of execution shards the key space is partitioned into: the
+    /// verifier re-derives plan tags and counts single-home batches
+    /// over them.
     pub num_shards: usize,
     /// The shim's featherweight checkpoint interval (non-zero). The
     /// verifier truncates its retry table in the same rhythm (keeping one
@@ -97,7 +99,8 @@ pub struct Verifier {
     /// The data-store every matched batch is checked against and applied
     /// to, one transaction at a time in batch order.
     store: Arc<VersionedStore>,
-    /// Routes keys to shards for the `ShardCcheck` accounting.
+    /// Routes keys to shards for the plan-tag check and the single-home
+    /// count.
     router: ShardRouter,
     config: VerifierConfig,
 
@@ -410,110 +413,57 @@ impl Verifier {
         }
     }
 
-    /// Applies a matched batch: the per-shard `ccheck` work is announced
-    /// first (as [`Action::ShardCcheck`]) so CPU-modelling runtimes can
-    /// charge it to the shard stations before the responses leave. Then
-    /// every transaction runs [`ConcurrencyChecker::check_and_apply`] in
-    /// batch order on the verifier's own thread, followed by the client
-    /// responses, the primary notification and the ACKs.
+    /// Applies a matched batch: its `ccheck` work is announced first (as
+    /// [`Action::Ccheck`]) so CPU-modelling runtimes can charge it to the
+    /// apply station before the responses leave. Then every transaction
+    /// runs [`ConcurrencyChecker::check_and_apply`] in batch order on the
+    /// verifier's own thread, followed by the client responses, the
+    /// primary notification and the ACKs.
     fn apply_batch(&mut self, seq: SeqNum, matched: &VerifyMessage, actions: &mut Vec<Action>) {
-        // One answer per transaction, the notice to the nodes and a few
-        // shard slices: reserved once instead of grown push by push.
-        actions.reserve(matched.results.len() + 4);
+        // One answer per transaction, the announcement and the notice to
+        // the nodes: reserved once instead of grown push by push.
+        actions.reserve(matched.results.len() + 3);
         let router = self.router;
+        let on = |home: ShardId| {
+            matched
+                .results
+                .iter()
+                .all(|result| router.all_on(home, keys_of(&result.rwset)))
+        };
         // Trust-but-verify the ordering-time plan tag: a `SingleHome`
-        // claim is honoured only after re-deriving it from the read-write
-        // sets the executors actually observed (a cheap single pass over
-        // the keys — no sets, no allocation). Only a byzantine primary or
-        // a mis-declared read-write set can fail this check; the failure
-        // falls back deterministically to the untagged path, so a lying
-        // tag costs the fast path but can never corrupt state.
-        let verified_home = match matched.plan {
-            ShardPlan::SingleHome(home) => {
-                let in_range = (home.0 as usize) < router.num_shards();
-                let all_home = in_range
-                    && matched.results.iter().all(|result| {
-                        router.all_on(
-                            home,
-                            result
-                                .rwset
-                                .reads
-                                .iter()
-                                .map(|(k, _)| *k)
-                                .chain(result.rwset.writes.iter().map(|(k, _)| *k)),
-                        )
-                    });
-                if !all_home {
-                    // Out-of-range homes are lies too: count them so the
-                    // detection telemetry sees every forged tag.
+        // claim is counted as planned only after re-deriving it from the
+        // read-write sets the executors actually observed (a cheap single
+        // pass over the keys — no sets, no allocation). Only a byzantine
+        // primary or a mis-declared read-write set can fail this check;
+        // out-of-range homes are lies too, so the detection telemetry sees
+        // every forged tag. A tag decides only these counters: every batch
+        // is checked and applied the same way.
+        let single_home = match matched.plan {
+            ShardPlan::SingleHome(home) if (home.0 as usize) < router.num_shards() && on(home) => {
+                self.planned_batches.inc();
+                true
+            }
+            plan => {
+                if matches!(plan, ShardPlan::SingleHome(_)) {
                     self.plan_mismatches.inc();
                 }
-                all_home.then_some(home)
+                // Discovered late: every key on the first key's shard
+                // (the planner would have tagged it; without lanes this is
+                // the baseline the `planner_points` experiment compares).
+                let mut keys = matched.results.iter().flat_map(|r| keys_of(&r.rwset));
+                keys.next().is_none_or(|first| on(router.shard_of(first)))
             }
-            _ => None,
         };
-        // One shard needs no routing either: every key is already home,
-        // so the batch is announced as planned without a verified tag.
-        let home = verified_home.or((router.num_shards() == 1).then_some(ShardId(0)));
-        if let Some(home) = home {
-            // The whole batch's ccheck lands on its one home shard.
-            if verified_home.is_some() {
-                self.planned_batches.inc();
-            }
+        if single_home {
             self.single_home_batches.inc();
-            actions.push(Action::ShardCcheck {
-                shard: home,
-                txns: matched.results.len() as u32,
-                accesses: matched
-                    .results
-                    .iter()
-                    .map(|result| result.rwset.len() as u32)
-                    .sum(),
-                planned: true,
-                chained: false,
-            });
-        } else {
-            // Route every transaction to split the announced ccheck work:
-            // single-home transactions charge their one shard and run in
-            // parallel across stations, while cross-shard transactions are
-            // priced as holding every involved shard's execution lock in
-            // ascending shard order — their slices are `chained`, so
-            // CPU-modelling runtimes serialise them (shard i+1 starts only
-            // after shard i grants).
-            let mut solo_work: BTreeMap<ShardId, (u32, u32)> = BTreeMap::new();
-            let mut cross_work: BTreeMap<ShardId, (u32, u32)> = BTreeMap::new();
-            for result in matched.results.iter() {
-                let involved = router.shards_of(&result.rwset);
-                let work = if involved.len() > 1 {
-                    &mut cross_work
-                } else {
-                    &mut solo_work
-                };
-                for shard in involved.iter() {
-                    let entry = work.entry(shard).or_insert((0, 0));
-                    entry.0 += 1;
-                    entry.1 += result.rwset.len() as u32;
-                }
-            }
-            let all_shards: ShardSet = solo_work.keys().chain(cross_work.keys()).copied().collect();
-            if all_shards.len() <= 1 {
-                // Discovered-late single-home batch (the planner would
-                // have tagged it; without lanes this is the baseline
-                // measurement the `planner_points` experiment compares).
-                self.single_home_batches.inc();
-            }
-            for (chained, work) in [(false, solo_work), (true, cross_work)] {
-                for (shard, (txns, accesses)) in work {
-                    actions.push(Action::ShardCcheck {
-                        shard,
-                        txns,
-                        accesses,
-                        planned: false,
-                        chained,
-                    });
-                }
-            }
         }
+        actions.push(Action::Ccheck {
+            accesses: matched
+                .results
+                .iter()
+                .map(|result| result.rwset.len() as u32)
+                .sum(),
+        });
         let validate_reads = self.validate_reads();
         let mut committed = 0u32;
         let mut aborted = 0u32;
@@ -738,6 +688,12 @@ impl Verifier {
             _ => Vec::new(),
         }
     }
+}
+
+/// Every key a read-write set touches: its reads, then its writes.
+fn keys_of(rwset: &ReadWriteSet) -> impl Iterator<Item = Key> + '_ {
+    let reads = rwset.reads.iter().map(|(k, _)| *k);
+    reads.chain(rwset.writes.iter().map(|(k, _)| *k))
 }
 
 #[cfg(test)]
@@ -1336,7 +1292,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_verifier_announces_ccheck_work_before_responses() {
+    fn sharded_verifier_announces_one_ccheck_before_responses() {
         let fx = Fixture::new();
         let mut v = fx.verifier_sharded(
             ConflictHandling::NonConflicting,
@@ -1344,30 +1300,9 @@ mod tests {
         );
         let _ = v.on_verify(&fx.verify_msg(1, 1, 0, 42, 1));
         let actions = v.on_verify(&fx.verify_msg(2, 1, 0, 42, 1));
-        let ccheck_positions: Vec<usize> = actions
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| matches!(a, Action::ShardCcheck { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        assert!(!ccheck_positions.is_empty(), "shard work must be announced");
-        let first_send = actions
-            .iter()
-            .position(|a| a.as_send().is_some())
-            .expect("responses follow");
-        assert!(
-            ccheck_positions.iter().all(|p| *p < first_send),
-            "shard work precedes the responses it gates"
-        );
-        // Every transaction of the batch is accounted to some shard.
-        let total_txns: u32 = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::ShardCcheck { txns, .. } => Some(*txns),
-                _ => None,
-            })
-            .sum();
-        assert!(total_txns >= 1);
+        // One read and one write: the batch's whole rwset, announced once
+        // and ahead of the responses it gates.
+        assert_eq!(announced(&actions), vec![(0, 2)]);
         assert_eq!(v.committed_txns.get(), 1);
         assert_eq!(fx.store.get(Key(2)).unwrap().value, Value::new(42));
     }
@@ -1639,38 +1574,6 @@ mod tests {
     }
 
     #[test]
-    fn verified_single_home_plan_takes_the_fast_path() {
-        let fx = Fixture::new();
-        let mut v = fx.verifier_sharded(
-            ConflictHandling::KnownRwSets,
-            sbft_types::ShardingConfig::with_shards(8),
-        );
-        let (home, keys) = keys_on_one_shard(&v, 3);
-        let results: Vec<TxnResult> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| rmw_result(i as u32, *k, 10 + i as u64))
-            .collect();
-        let plan = ShardPlan::SingleHome(home);
-        let _ = v.on_verify(&fx.verify_msg_planned(1, 1, results.clone(), plan));
-        let actions = v.on_verify(&fx.verify_msg_planned(2, 1, results, plan));
-        // Exactly one ShardCcheck, on the verified home shard.
-        let cchecks: Vec<_> = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::ShardCcheck { shard, txns, .. } => Some((*shard, *txns)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(cchecks, vec![(home, 3)]);
-        assert_eq!(v.planned_batches.get(), 1);
-        assert_eq!(v.plan_mismatches.get(), 0);
-        assert_eq!(v.single_home_batches.get(), 1);
-        assert_eq!(v.committed_txns.get(), 3);
-        assert_eq!(fx.store.get(keys[0]).unwrap().value, Value::new(10));
-    }
-
-    #[test]
     fn lying_single_home_plan_falls_back_without_corrupting_state() {
         // A byzantine primary tags a genuinely cross-home batch as
         // SingleHome(0). The verifier must detect the mismatch and apply
@@ -1737,28 +1640,25 @@ mod tests {
         assert_eq!(v.committed_txns.get(), 1);
     }
 
-    /// Validates one batch of `results` tagged `plan` and returns its
-    /// announced ccheck slices as `(shard, txns, accesses, planned, chained)`.
-    fn announced_cchecks(
-        fx: &Fixture,
-        v: &mut Verifier,
-        results: Vec<TxnResult>,
-        plan: ShardPlan,
-    ) -> Vec<(ShardId, u32, u32, bool, bool)> {
-        let _ = v.on_verify(&fx.verify_msg_planned(1, 1, results.clone(), plan));
-        v.on_verify(&fx.verify_msg_planned(2, 1, results, plan))
+    /// Every announced `ccheck` of an action list as `(position,
+    /// accesses)`, asserting each comes before the list's first send.
+    fn announced(actions: &[Action]) -> Vec<(usize, u32)> {
+        let first_send = actions.iter().position(|a| a.as_send().is_some());
+        let cchecks: Vec<(usize, u32)> = actions
             .iter()
-            .filter_map(|a| match *a {
-                Action::ShardCcheck {
-                    shard,
-                    txns,
-                    accesses,
-                    planned,
-                    chained,
-                } => Some((shard, txns, accesses, planned, chained)),
+            .enumerate()
+            .filter_map(|(i, a)| match *a {
+                Action::Ccheck { accesses } => Some((i, accesses)),
                 _ => None,
             })
-            .collect()
+            .collect();
+        for (i, _) in &cchecks {
+            assert!(
+                first_send.is_some_and(|send| *i < send),
+                "the ccheck precedes the responses it gates"
+            );
+        }
+        cchecks
     }
 
     /// Three read-modify-write transactions, one of them touching a
@@ -1774,49 +1674,56 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_batches_skip_apply_time_routing() {
+    fn every_plan_announces_one_ccheck_and_only_the_counters_differ() {
+        // A single-home batch and a cross-home one (keys 1, 2, 3 and 4
+        // hash to shards 4, 1, 6 and 3 of 8), honest, lying and untagged,
+        // over 8 shards and over one. Every batch is one `ccheck` over its
+        // whole rwset; the plan decides only `(planned, mismatches,
+        // single_home)`.
         let fx = Fixture::new();
-        let mut v = fx.verifier(ConflictHandling::NonConflicting);
-        let cchecks = announced_cchecks(&fx, &mut v, mixed_batch(), ShardPlan::Unplanned);
-        assert_eq!(cchecks, vec![(ShardId(0), 3, 7, true, false)]);
-        assert_eq!(v.single_home_batches.get(), 1);
-        assert_eq!(v.planned_batches.get(), 0, "no tag was verified");
-        assert_eq!(v.committed_txns.get(), 3);
-    }
-
-    #[test]
-    fn a_forged_tag_at_one_shard_is_counted_and_still_skips_routing() {
-        let fx = Fixture::new();
-        let mut v = fx.verifier(ConflictHandling::NonConflicting);
-        let plan = ShardPlan::SingleHome(ShardId(3));
-        let cchecks = announced_cchecks(&fx, &mut v, mixed_batch(), plan);
-        assert_eq!(cchecks, vec![(ShardId(0), 3, 7, true, false)]);
-        assert_eq!(v.plan_mismatches.get(), 1);
-        assert_eq!(v.planned_batches.get(), 0);
-        assert_eq!(v.single_home_batches.get(), 1);
-    }
-
-    #[test]
-    fn eight_shard_batches_keep_the_probed_split() {
-        let fx = Fixture::new();
-        let mut v = fx.verifier_sharded(
+        let probe = fx.verifier_sharded(
             ConflictHandling::NonConflicting,
             sbft_types::ShardingConfig::with_shards(8),
         );
-        // Keys 1, 2, 3 and 4 hash to shards 4, 1, 6 and 3: two solo
-        // slices, then the two-key transaction's chained staircase.
-        let cchecks = announced_cchecks(&fx, &mut v, mixed_batch(), ShardPlan::Unplanned);
-        assert_eq!(
-            cchecks,
-            vec![
-                (ShardId(1), 1, 2, false, false),
-                (ShardId(4), 1, 2, false, false),
-                (ShardId(3), 1, 3, false, true),
-                (ShardId(6), 1, 3, false, true),
-            ]
-        );
-        assert_eq!(v.planned_batches.get(), 0);
-        assert_eq!(v.single_home_batches.get(), 0);
+        let (home, keys) = keys_on_one_shard(&probe, 3);
+        let single: Vec<TxnResult> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| rmw_result(i as u32, *k, 10 + i as u64))
+            .collect();
+        let elsewhere = ShardId((home.0 + 1) % 8);
+        let mixed = mixed_batch();
+        for (shards, results, plan, accesses, counters) in [
+            (8, &single, ShardPlan::SingleHome(home), 6, (1, 0, 1)),
+            (8, &single, ShardPlan::SingleHome(elsewhere), 6, (0, 1, 1)),
+            (8, &single, ShardPlan::Unplanned, 6, (0, 0, 1)),
+            (8, &mixed, ShardPlan::SingleHome(ShardId(4)), 7, (0, 1, 0)),
+            (8, &mixed, ShardPlan::Unplanned, 7, (0, 0, 0)),
+            // At one shard every key is home, and any tag but shard 0 is
+            // out of range: a lie.
+            (1, &mixed, ShardPlan::Unplanned, 7, (0, 0, 1)),
+            (1, &mixed, ShardPlan::SingleHome(ShardId(3)), 7, (0, 1, 1)),
+        ] {
+            let fx = Fixture::new();
+            let mut v = fx.verifier_sharded(
+                ConflictHandling::NonConflicting,
+                sbft_types::ShardingConfig::with_shards(shards),
+            );
+            let _ = v.on_verify(&fx.verify_msg_planned(1, 1, results.clone(), plan));
+            let actions = v.on_verify(&fx.verify_msg_planned(2, 1, results.clone(), plan));
+            let row = format!("{shards} shards, {plan:?}");
+            assert_eq!(announced(&actions), vec![(0, accesses)], "{row}");
+            assert_eq!(
+                (
+                    v.planned_batches.get(),
+                    v.plan_mismatches.get(),
+                    v.single_home_batches.get()
+                ),
+                counters,
+                "{row}"
+            );
+            assert_eq!(v.committed_txns.get(), results.len() as u64, "{row}");
+        }
     }
 
     #[test]

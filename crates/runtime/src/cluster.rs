@@ -171,12 +171,12 @@ impl Router {
                     }
                 }
                 // With no timer started there is none to cancel; the WAL
-                // write and the shard check already ran inside the role
+                // write and the ccheck already ran inside the role
                 // (these two only price them for the simulator's CPU
                 // model); the client driver reads `TxnCompleted` itself.
                 Action::CancelTimer(_)
                 | Action::Persist { .. }
-                | Action::ShardCcheck { .. }
+                | Action::Ccheck { .. }
                 | Action::TxnCompleted { .. } => {}
             }
         }
@@ -711,7 +711,7 @@ mod tests {
         // answers every one the clients counted.
         let mut cfg = config();
         cfg.conflict_handling = sbft_types::ConflictHandling::UnknownRwSets;
-        cfg.sharding = sbft_types::ShardingConfig::with_shards(8).with_workers(2);
+        cfg.sharding = sbft_types::ShardingConfig::with_shards(8);
         cfg.workload.ops_per_txn = 2;
         let system = SystemBuilder::new(cfg).clients(8).build();
         let registry = Arc::clone(&system.registry);

@@ -5,10 +5,9 @@
 //! threads. No runtime applies through it. The verifier is the one
 //! applier on both runtimes and calls
 //! [`sbft_storage::ConcurrencyChecker::check_and_apply`] itself, in batch
-//! order; the simulator prices the per-shard `ccheck` from the
-//! verifier's `ShardCcheck` announcements. What remains here is what
-//! `fig6_shards --raw-pool` and the repo benchmark's `sharding.*` figures
-//! drive:
+//! order; the simulator prices that `ccheck` on one apply station from
+//! the verifier's `Ccheck` announcements. What remains here is what
+//! `fig6_shards` and the repo benchmark's `sharding.*` figures drive:
 //!
 //! * [`committer`] — [`ShardedCommitter`]: `ccheck` under the execution
 //!   locks of every shard a transaction touches, taken in ascending shard

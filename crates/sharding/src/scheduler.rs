@@ -11,10 +11,8 @@
 //! worker through the committer's lock-ordered path. The returned
 //! [`ApplyTicket`] yields the per-transaction OCC outcomes.
 //!
-//! The scheduler is the real-parallelism counterpart of the simulator's
-//! per-shard service stations: `fig6_shards --raw-pool` and the repo
-//! benchmark's `sharding.apply_tps_*` figures drive it to show raw thread
-//! scaling. No runtime drives it: the verifier applies every matched
+//! `fig6_shards` and the repo benchmark's `sharding.apply_tps_*` figures
+//! drive it to show raw thread scaling. No runtime drives it: the verifier applies every matched
 //! batch on its own thread, in batch order (DESIGN.md, "Modes kept as
 //! ablations", says why).
 

@@ -44,15 +44,6 @@ pub struct CpuModel {
     /// hash plus the lane bookkeeping per declared key). Charged at the
     /// primary per client request when the shard planner is active.
     pub routing_ns_per_key: f64,
-    /// Per-transaction overhead of the *probed* apply path: collecting
-    /// each transaction's `ShardSet` from `ShardRouter::shards_of` and
-    /// grouping it into the solo or cross slices. The probed path runs
-    /// only with two or more shards and no verified `SingleHome` tag.
-    pub probe_ns_per_txn: f64,
-    /// Per-access overhead of the probed path: hashing every read/write
-    /// key to its shard once more at apply time. Skipped wherever
-    /// [`Self::probe_ns_per_txn`] is.
-    pub probe_ns_per_access: f64,
     /// Cost of one fsync on the write-ahead log (the durable-vote rule
     /// charges it before a synced record's message leaves the node). An
     /// edge device's flash commit latency, not a datacenter NVMe.
@@ -73,8 +64,6 @@ impl Default for CpuModel {
             storage_access_cost: SimDuration::from_micros(1),
             spawn_cost: SimDuration::from_micros(45),
             routing_ns_per_key: 15.0,
-            probe_ns_per_txn: 150.0,
-            probe_ns_per_access: 40.0,
             fsync_cost: SimDuration::from_micros(80),
             wal_byte_ns: 0.3,
         }
@@ -155,13 +144,10 @@ impl CpuModel {
         SimDuration::from_micros(((keys as f64 * self.routing_ns_per_key) / 1000.0).round() as u64)
     }
 
-    /// Service time of the concurrency-control check (`ccheck`) for a
-    /// batch slice of `accesses` read/write-set entries on one execution
-    /// shard: one storage access per validated read and applied write,
-    /// plus the fixed dispatch overhead. This is the cost when no
-    /// apply-time routing ran (a verified `SingleHome` tag, or a
-    /// one-shard deployment): no per-transaction `ShardSet`, no solo/cross
-    /// grouping.
+    /// Service time of the concurrency-control check (`ccheck`) of one
+    /// batch of `accesses` read/write-set entries on the verifier's apply
+    /// thread: one storage access per validated read and applied write,
+    /// plus the fixed dispatch overhead.
     #[must_use]
     pub fn ccheck_cost(&self, accesses: usize) -> SimDuration {
         self.storage_access_cost.saturating_mul(accesses as u64) + self.base_cost
@@ -182,20 +168,6 @@ impl CpuModel {
         } else {
             write
         }
-    }
-
-    /// Service time of the *probed* ccheck for `txns` transactions with
-    /// `accesses` total read/write-set entries: the planned cost plus the
-    /// apply-time routing — a `ShardSet` per transaction from
-    /// `ShardRouter::shards_of`, then solo/cross grouping — which runs
-    /// only with two or more shards and no verified `SingleHome` tag.
-    /// Always strictly dearer than [`Self::ccheck_cost`] for non-empty
-    /// work.
-    #[must_use]
-    pub fn ccheck_cost_probed(&self, txns: usize, accesses: usize) -> SimDuration {
-        let probe_ns =
-            txns as f64 * self.probe_ns_per_txn + accesses as f64 * self.probe_ns_per_access;
-        self.ccheck_cost(accesses) + SimDuration::from_micros((probe_ns / 1000.0).ceil() as u64)
     }
 }
 
@@ -278,24 +250,6 @@ mod tests {
         );
         assert!(cpu.routing_cost(1_000) >= SimDuration::from_micros(10));
         assert!(cpu.routing_cost(1_000) < cpu.ccheck_cost(1_000));
-    }
-
-    #[test]
-    fn probed_ccheck_costs_strictly_more_than_preplanned() {
-        // Pins the fast-path gap: the planned cost is the pure
-        // storage-access term, the probed cost adds exactly the
-        // apply-time routing a planned batch skips.
-        let cpu = CpuModel::default();
-        let accesses = 200; // a 100-txn batch of 1-read-1-write txns
-        let txns = 100;
-        let planned = cpu.ccheck_cost(accesses);
-        let probed = cpu.ccheck_cost_probed(txns, accesses);
-        assert_eq!(planned, SimDuration::from_micros(200 + 3));
-        // 100 × 150 ns + 200 × 40 ns = 23 µs of skipped probe work.
-        assert_eq!(probed, planned + SimDuration::from_micros(23));
-        assert!(probed > planned);
-        // Empty work costs the same either way (nothing to probe).
-        assert_eq!(cpu.ccheck_cost_probed(0, 0), cpu.ccheck_cost(0));
     }
 
     #[test]

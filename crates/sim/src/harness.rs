@@ -120,10 +120,10 @@ pub struct SimHarness {
     /// (clients and executors are not CPU-bound in the model).
     node_stations: Vec<ServiceStation>,
     verifier_station: ServiceStation,
-    /// One service station per execution shard: the verifier's `ccheck`
-    /// work for a validated batch is charged here, so shard counts scale
-    /// the commit path the way cores scale a node (Figure 6(ix)).
-    shard_stations: Vec<ServiceStation>,
+    /// The verifier's apply thread: every matched batch's `ccheck` work
+    /// is charged here, one batch after the other, whatever the shard
+    /// count.
+    apply_station: ServiceStation,
     /// `net.<node>.egress_bytes` per shim node and
     /// `net.leader_egress_bytes`, resolved once instead of by name on
     /// every node-to-node send.
@@ -208,10 +208,6 @@ impl SimHarness {
             .map(|_| ServiceStation::new(system.config.shim_cores))
             .collect();
         let verifier_station = ServiceStation::new(system.config.verifier_cores);
-        let sharding = system.config.sharding;
-        let shard_stations = (0..sharding.num_shards)
-            .map(|_| ServiceStation::new(sharding.workers))
-            .collect();
         let edge_execution = params.edge_execution_threads.map(ServiceStation::new);
         let geo = system.config.region_partition().map(|p| {
             let mut geo = GeoPartitionedStore::new(std::sync::Arc::clone(&system.storage), p);
@@ -246,7 +242,7 @@ impl SimHarness {
             events_processed: 0,
             node_stations,
             verifier_station,
-            shard_stations,
+            apply_station: ServiceStation::new(1),
             node_egress,
             leader_egress,
             workload,
@@ -687,66 +683,19 @@ impl SimHarness {
 
     /// Interprets (and drains) a role's action list.
     fn process_actions(&mut self, origin: ComponentId, now: SimTime, actions: &mut Vec<Action>) {
-        // Shard `ccheck` work announced in this action list gates the
-        // sends that follow it: responses for a validated batch leave only
-        // once every involved shard station has finished the batch's
-        // validate-and-apply work. Unchained slices (single-home work) run
-        // in parallel, each from `arrival`; chained slices are the
-        // lock-ordered cross-shard staircase — shard i+1 starts only after
-        // shard i grants, so `chain` carries the previous grant time. The
-        // watermark `now` tracks the latest completion either way.
+        // The verifier's `ccheck` work announced in this action list gates
+        // the sends that follow it: a validated batch's responses leave
+        // only once the apply station has finished its validate-and-apply
+        // work. One quorum-completing VERIFY can release several queued
+        // batches (ordered apply): each one's traced apply starts at
+        // `arrival` and ends when its own `BatchValidated` leaves.
         let arrival = now;
-        let mut chain = now;
         let mut now = now;
-        // When the verifier's action list applies validated batches, the
-        // whole list is their apply phase: mark each batch's start, the
-        // shard slices, and (after the loop) each batch's end. One
-        // quorum-completing VERIFY can release several queued batches
-        // (ordered apply), so all of them are marked; the shard slices
-        // are attributed to the first.
-        let apply_seqs = if self.tracer.enabled() && origin == ComponentId::Verifier {
-            let seqs = validated_batch_seqs(actions);
-            for seq in &seqs {
-                self.tracer.emit(seq.0, Stage::ApplyStart, arrival);
-            }
-            seqs
-        } else {
-            Vec::new()
-        };
-        let apply_seq = apply_seqs.first().copied();
         for action in actions.drain(..) {
             match action {
-                Action::ShardCcheck {
-                    shard,
-                    txns,
-                    accesses,
-                    planned,
-                    chained,
-                } => {
-                    if self.shard_stations.is_empty() {
-                        continue;
-                    }
-                    let idx = shard.0 as usize % self.shard_stations.len();
-                    // Planned work (a verified tag, or one shard) ran no
-                    // apply-time routing; probed work pays for it.
-                    let cost = if planned {
-                        self.cpu.ccheck_cost(accesses as usize)
-                    } else {
-                        self.cpu
-                            .ccheck_cost_probed(txns as usize, accesses as usize)
-                    };
-                    let start = if chained { chain } else { arrival };
-                    let done = self.shard_stations[idx].schedule(start, cost);
-                    if let Some(seq) = apply_seq {
-                        self.tracer
-                            .emit_shard(seq.0, Stage::ShardSliceStart, start, shard.0);
-                        self.tracer
-                            .emit_shard(seq.0, Stage::ShardSliceEnd, done, shard.0);
-                    }
-                    if chained {
-                        chain = done;
-                    }
-                    now = now.max(done);
+                Action::Ccheck { accesses } => {
+                    let cost = self.cpu.ccheck_cost(accesses as usize);
+                    now = self.apply_station.schedule(now, cost);
                 }
                 Action::Send(Envelope { from, to, msg }) => {
                     if let ProtocolMessage::Consensus(c) = &msg {
@@ -764,6 +713,10 @@ impl SimHarness {
                                 self.mark_batch_release(seq, &c.proposal_txn_ids(), now);
                             }
                         }
+                    }
+                    if let ProtocolMessage::BatchValidated(b) = &msg {
+                        self.tracer.emit(b.seq.0, Stage::ApplyStart, arrival);
+                        self.tracer.emit(b.seq.0, Stage::ApplyEnd, now);
                     }
                     // Sender-side egress accounting for node-to-node
                     // (ordering) traffic is charged per target before the
@@ -912,9 +865,6 @@ impl SimHarness {
                 }
             }
         }
-        for seq in &apply_seqs {
-            self.tracer.emit(seq.0, Stage::ApplyEnd, now);
-        }
     }
 
     fn push_delivery(
@@ -1000,37 +950,15 @@ impl SimHarness {
     }
 }
 
-/// The batches a verifier action list validated, identified by their
-/// outcome-bearing sends (response, abort or batch-validated broadcast),
-/// deduplicated in first-seen order.
-fn validated_batch_seqs(actions: &[Action]) -> Vec<SeqNum> {
-    let mut seqs = Vec::new();
-    for action in actions {
-        let seq = match action {
-            Action::Send(Envelope { msg, .. }) => match msg {
-                ProtocolMessage::Response(r) => Some(r.seq),
-                ProtocolMessage::Abort(a) => Some(a.seq),
-                ProtocolMessage::BatchValidated(b) => Some(b.seq),
-                _ => None,
-            },
-            _ => None,
-        };
-        if let Some(seq) = seq {
-            if !seqs.contains(&seq) {
-                seqs.push(seq);
-            }
-        }
-    }
-    seqs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbft_core::events::BatchValidated;
     use sbft_core::system::ShimProtocol;
     use sbft_core::{ShimAttack, SystemBuilder};
+    use sbft_telemetry::MemorySink;
+    use sbft_types::NodeId;
     use sbft_types::{ConflictHandling, SystemConfig};
-    use sbft_types::{NodeId, ShardId};
 
     fn tiny_config() -> SystemConfig {
         let mut cfg = SystemConfig::with_shim_size(4);
@@ -1340,137 +1268,78 @@ mod tests {
         );
     }
 
-    #[test]
-    fn shard_count_scales_a_ccheck_bound_verifier() {
-        // Make the per-transaction ccheck expensive enough that the shard
-        // stations are the bottleneck, then check that adding shards
-        // raises committed throughput (Figure 6(ix)-style core scaling,
-        // applied to the sharded commit path).
-        let run = |shards: usize| {
-            let mut cfg = tiny_config();
-            cfg.workload.num_clients = 240;
-            cfg.sharding = sbft_types::ShardingConfig::with_shards(shards);
-            let system = SystemBuilder::new(cfg).clients(240).build();
-            let cpu = CpuModel {
-                storage_access_cost: SimDuration::from_micros(400),
-                ..CpuModel::default()
-            };
-            SimHarness::with_models(
-                system,
-                SimParams {
-                    num_clients: 240,
-                    ..tiny_params()
-                },
-                crate::network::NetworkModel::default(),
-                cpu,
-            )
-            .run()
-        };
-        let one = run(1);
-        let four = run(4);
-        assert!(
-            four.committed_txns as f64 >= one.committed_txns as f64 * 1.5,
-            "4 shards ({}) must clearly beat 1 shard ({})",
-            four.committed_txns,
-            one.committed_txns
-        );
+    /// A harness over `shards` shards whose trace lands in the sink.
+    fn traced_harness(shards: usize) -> (SimHarness, std::sync::Arc<MemorySink>) {
+        let mut cfg = tiny_config();
+        cfg.sharding = sbft_types::ShardingConfig::with_shards(shards);
+        let system = SystemBuilder::new(cfg).clients(4).build();
+        let sink = std::sync::Arc::new(MemorySink::new());
+        let harness = SimHarness::new(system, tiny_params())
+            .with_tracer(std::sync::Arc::clone(&sink) as std::sync::Arc<dyn TraceSink>);
+        (harness, sink)
+    }
+
+    /// One applied batch as the verifier's action list carries it: the
+    /// announced `ccheck`, then the notice to the nodes.
+    fn applied_batch(seq: u64, accesses: u32) -> [Action; 2] {
+        let notice = ProtocolMessage::BatchValidated(BatchValidated {
+            seq: SeqNum(seq),
+            committed: 1,
+            aborted: 0,
+        });
+        [
+            Action::Ccheck { accesses },
+            Action::send(ComponentId::Verifier, Destination::AllNodes, notice),
+        ]
+    }
+
+    /// Every batch's `apply_end` marker, by sequence number.
+    fn apply_ends(sink: &MemorySink) -> Vec<(u64, SimTime)> {
+        sink.events()
+            .iter()
+            .filter(|e| e.stage == Stage::ApplyEnd)
+            .map(|e| (e.trace, e.at))
+            .collect()
     }
 
     #[test]
-    fn chained_cchecks_climb_the_lock_ordered_staircase() {
-        // Cross-shard (`chained`) ccheck slices model the lock-ordered
-        // two-phase acquisition: shard i+1 starts only after shard i
-        // grants, so completions form a strict staircase. Single-home
-        // (unchained) slices keep running in parallel from arrival.
-        let mk_harness = || {
-            let system = SystemBuilder::new({
-                let mut c = tiny_config();
-                c.sharding = sbft_types::ShardingConfig::with_shards(4);
-                c
-            })
-            .clients(4)
-            .build();
-            SimHarness::new(system, tiny_params())
-        };
-        let slice = |shard: u32, chained: bool| Action::ShardCcheck {
-            shard: ShardId(shard),
-            txns: 1,
-            accesses: 10,
-            planned: false,
-            chained,
-        };
-        let probe = |h: &mut SimHarness| -> Vec<SimTime> {
-            h.shard_stations
-                .iter_mut()
-                .map(|s| s.schedule(SimTime::ZERO, SimDuration::ZERO))
-                .collect()
-        };
-        let cost = CpuModel::default().ccheck_cost_probed(1, 10);
-
-        let mut chained = mk_harness();
-        chained.process_actions(
-            ComponentId::Verifier,
-            SimTime::ZERO,
-            &mut vec![slice(0, true), slice(1, true), slice(2, true)],
-        );
-        let steps = probe(&mut chained);
-        assert_eq!(steps[0], SimTime::ZERO + cost, "first lock from arrival");
-        assert_eq!(
-            steps[1],
-            SimTime::ZERO + cost + cost,
-            "shard 1 starts after shard 0 grants"
-        );
-        assert_eq!(steps[2], SimTime::ZERO + cost + cost + cost);
-
-        let mut parallel = mk_harness();
-        parallel.process_actions(
-            ComponentId::Verifier,
-            SimTime::ZERO,
-            &mut vec![slice(0, false), slice(1, false), slice(2, false)],
-        );
-        let flat = probe(&mut parallel);
-        for done in &flat[..3] {
-            assert_eq!(*done, SimTime::ZERO + cost, "unchained slices overlap");
+    fn back_to_back_batches_queue_on_the_one_apply_station() {
+        // Two batches whose VERIFY quorums complete at the same instant:
+        // the verifier applies them one after the other on its own
+        // thread, whatever the shard count.
+        let cost = CpuModel::default().ccheck_cost(10);
+        let arrival = SimTime::from_micros(500);
+        for shards in [1, 8] {
+            let (mut h, sink) = traced_harness(shards);
+            for seq in [1, 2] {
+                let mut actions = Vec::from(applied_batch(seq, 10));
+                h.process_actions(ComponentId::Verifier, arrival, &mut actions);
+            }
+            assert_eq!(
+                apply_ends(&sink),
+                vec![(1, arrival + cost), (2, arrival + cost + cost)],
+                "{shards} shards"
+            );
         }
     }
 
     #[test]
-    fn cross_shard_batches_pay_the_staircase_in_commit_latency() {
-        // Metrics-level staircase: the same key-disjoint workload, once
-        // as single-home transactions and once as 2-key cross-home
-        // transactions over geo-unaware shards. With an expensive ccheck
-        // the cross-home run's mean commit latency must carry the
-        // serialised (chained) shard acquisitions instead of the
-        // parallel charge.
-        let run = |ops_per_txn: usize| {
-            let mut cfg = tiny_config();
-            cfg.workload.num_clients = 60;
-            cfg.workload.ops_per_txn = ops_per_txn;
-            cfg.sharding = sbft_types::ShardingConfig::with_shards(4);
-            let system = SystemBuilder::new(cfg).clients(60).build();
-            let cpu = CpuModel {
-                storage_access_cost: SimDuration::from_micros(600),
-                ..CpuModel::default()
-            };
-            SimHarness::with_models(
-                system,
-                SimParams {
-                    num_clients: 60,
-                    ..tiny_params()
-                },
-                crate::network::NetworkModel::default(),
-                cpu,
-            )
-            .run()
-        };
-        let single = run(1);
-        let cross = run(2);
-        assert!(single.committed_txns > 0 && cross.committed_txns > 0);
-        assert!(
-            cross.avg_latency_secs() > single.avg_latency_secs() * 1.5,
-            "lock-ordered chaining must show up in latency: cross {} vs single {}",
-            cross.avg_latency_secs(),
-            single.avg_latency_secs()
+    fn each_batch_of_one_action_list_ends_its_apply_at_its_own_completion() {
+        // Ordered apply releases two batches in one list: the first one's
+        // responses leave after its own ccheck, so its apply ends there,
+        // not at the list's last completion.
+        let cpu = CpuModel::default();
+        let arrival = SimTime::from_micros(500);
+        let (mut h, sink) = traced_harness(1);
+        let mut actions: Vec<Action> = applied_batch(1, 10)
+            .into_iter()
+            .chain(applied_batch(2, 30))
+            .collect();
+        h.process_actions(ComponentId::Verifier, arrival, &mut actions);
+        let first = arrival + cpu.ccheck_cost(10);
+        assert_eq!(
+            apply_ends(&sink),
+            vec![(1, first), (2, first + cpu.ccheck_cost(30))]
         );
     }
 

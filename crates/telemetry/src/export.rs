@@ -46,9 +46,6 @@ pub struct StageRow {
 pub fn marks(events: &[SpanEvent]) -> BTreeMap<TraceId, BTreeMap<Stage, SimTime>> {
     let mut marks: BTreeMap<TraceId, BTreeMap<Stage, SimTime>> = BTreeMap::new();
     for event in events {
-        if event.shard.is_some() {
-            continue;
-        }
         marks
             .entry(event.trace)
             .or_default()
@@ -111,20 +108,9 @@ pub fn render_stage_table(rows: &[StageRow]) -> String {
     out
 }
 
-fn push_event(
-    out: &mut Vec<String>,
-    name: &str,
-    trace: TraceId,
-    start: SimTime,
-    end: SimTime,
-    shard: Option<u32>,
-) {
-    let args = match shard {
-        Some(s) => format!(",\"args\":{{\"shard\":{s}}}"),
-        None => String::new(),
-    };
+fn push_event(out: &mut Vec<String>, name: &str, trace: TraceId, start: SimTime, end: SimTime) {
     out.push(format!(
-        "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{trace}{args}}}",
+        "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{trace}}}",
         start.as_micros(),
         end.since(start).as_micros(),
     ));
@@ -134,8 +120,7 @@ fn push_event(
 /// line — valid JSON for `chrome://tracing` / Perfetto, and line-oriented
 /// so the determinism test can diff it byte-for-byte. Each batch becomes
 /// one `tid` lane carrying its stage intervals as complete (`"ph":"X"`)
-/// events; shard slices appear as `shard<id>` events nested under `apply`,
-/// so the PR 5 chained staircase is visible as stacked slices.
+/// events.
 #[must_use]
 pub fn chrome_trace(events: &[SpanEvent]) -> String {
     let marks = marks(events);
@@ -143,37 +128,9 @@ pub fn chrome_trace(events: &[SpanEvent]) -> String {
     for (trace, trace_marks) in &marks {
         for (name, from, to) in INTERVALS {
             if let (Some(start), Some(end)) = (trace_marks.get(&from), trace_marks.get(&to)) {
-                push_event(&mut lines, name, *trace, *start, *end, None);
+                push_event(&mut lines, name, *trace, *start, *end);
             }
         }
-    }
-    // Shard slices, paired start→end per (trace, shard) in arrival order.
-    let mut open: BTreeMap<(TraceId, u32), SimTime> = BTreeMap::new();
-    let mut slices: Vec<(TraceId, u32, SimTime, SimTime)> = Vec::new();
-    for event in events {
-        let Some(shard) = event.shard else { continue };
-        match event.stage {
-            Stage::ShardSliceStart => {
-                open.insert((event.trace, shard), event.at);
-            }
-            Stage::ShardSliceEnd => {
-                if let Some(start) = open.remove(&(event.trace, shard)) {
-                    slices.push((event.trace, shard, start, event.at));
-                }
-            }
-            _ => {}
-        }
-    }
-    slices.sort_by_key(|(trace, shard, start, _)| (*trace, start.as_micros(), *shard));
-    for (trace, shard, start, end) in slices {
-        push_event(
-            &mut lines,
-            &format!("shard{shard}"),
-            trace,
-            start,
-            end,
-            Some(shard),
-        );
     }
     format!("[\n{}\n]\n", lines.join(",\n"))
 }
@@ -188,15 +145,6 @@ mod tests {
             stage,
             at: SimTime::from_micros(us),
             shard: None,
-        }
-    }
-
-    fn slice(trace: TraceId, stage: Stage, us: u64, shard: u32) -> SpanEvent {
-        SpanEvent {
-            trace,
-            stage,
-            at: SimTime::from_micros(us),
-            shard: Some(shard),
         }
     }
 
@@ -258,16 +206,10 @@ mod tests {
     fn chrome_trace_is_valid_and_deterministic() {
         let mut events = full_trace(3, 100);
         events.extend(full_trace(1, 50));
-        events.push(slice(1, Stage::ShardSliceStart, 120, 0));
-        events.push(slice(1, Stage::ShardSliceEnd, 125, 0));
-        events.push(slice(1, Stage::ShardSliceStart, 125, 1));
-        events.push(slice(1, Stage::ShardSliceEnd, 131, 1));
         let json = chrome_trace(&events);
         assert!(json.starts_with("[\n"));
         assert!(json.ends_with("\n]\n"));
         assert!(json.contains("\"name\":\"ordering\""));
-        assert!(json.contains("\"name\":\"shard1\""));
-        assert!(json.contains("\"args\":{\"shard\":1}"));
         // Trace 1 sorts before trace 3 regardless of arrival order.
         let t1 = json.find("\"tid\":1").expect("tid 1");
         let t3 = json.find("\"tid\":3").expect("tid 3");
@@ -279,19 +221,5 @@ mod tests {
             let body = line.trim_end_matches(',');
             assert!(body.starts_with('{') && body.ends_with('}'), "line: {line}");
         }
-    }
-
-    #[test]
-    fn shard_slices_form_a_staircase() {
-        let events = vec![
-            slice(9, Stage::ShardSliceStart, 10, 2),
-            slice(9, Stage::ShardSliceEnd, 20, 2),
-            slice(9, Stage::ShardSliceStart, 20, 5),
-            slice(9, Stage::ShardSliceEnd, 35, 5),
-        ];
-        let json = chrome_trace(&events);
-        let first = json.find("shard2").expect("first slice");
-        let second = json.find("shard5").expect("second slice");
-        assert!(first < second, "slices sorted by start time");
     }
 }

@@ -38,11 +38,7 @@ pub enum Stage {
     VerifyIngest,
     /// The verifier began applying the validated batch.
     ApplyStart,
-    /// One shard slice of the apply began (cross-shard batches only).
-    ShardSliceStart,
-    /// One shard slice of the apply finished.
-    ShardSliceEnd,
-    /// The apply finished on every shard.
+    /// The verifier finished applying the batch and sent its answers.
     ApplyEnd,
     /// The client response for the batch was processed.
     Respond,
@@ -65,17 +61,13 @@ impl Stage {
             Stage::ExecuteSpawn => "execute_spawn",
             Stage::VerifyIngest => "verify_ingest",
             Stage::ApplyStart => "apply_start",
-            Stage::ShardSliceStart => "shard_slice_start",
-            Stage::ShardSliceEnd => "shard_slice_end",
             Stage::ApplyEnd => "apply_end",
             Stage::Respond => "respond",
             Stage::Recover => "recover",
         }
     }
 
-    /// The linear pipeline every committed batch walks, in order. Shard
-    /// slices are excluded: they repeat per shard between
-    /// [`Stage::ApplyStart`] and [`Stage::ApplyEnd`].
+    /// The linear pipeline every committed batch walks, in order.
     pub const PIPELINE: [Stage; 10] = [
         Stage::ShimIngest,
         Stage::LaneEnqueue,
@@ -105,7 +97,9 @@ pub struct SpanEvent {
     pub stage: Stage,
     /// When (sim time in the simulator, wall-clock µs in the runtime).
     pub at: SimTime,
-    /// The shard a `ShardSlice*` event ran on; `None` for pipeline edges.
+    /// Always `None`: the verifier applies a batch on one thread, so no
+    /// stage runs per shard. Kept because the repo benchmark (`benchmark/`)
+    /// builds events with it.
     pub shard: Option<u32>,
 }
 
@@ -189,19 +183,6 @@ impl Tracer {
             });
         }
     }
-
-    /// Emits one shard-slice event carrying the shard id.
-    #[inline]
-    pub fn emit_shard(&self, trace: TraceId, stage: Stage, at: SimTime, shard: u32) {
-        if let Some(sink) = &self.sink {
-            sink.record(SpanEvent {
-                trace,
-                stage,
-                at,
-                shard: Some(shard),
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -221,11 +202,11 @@ mod tests {
         let tracer = Tracer::new(sink.clone());
         assert!(tracer.enabled());
         tracer.emit(7, Stage::BatchRelease, SimTime::from_micros(10));
-        tracer.emit_shard(7, Stage::ShardSliceStart, SimTime::from_micros(20), 2);
+        tracer.emit(7, Stage::ApplyStart, SimTime::from_micros(20));
         let events = sink.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].stage, Stage::BatchRelease);
-        assert_eq!(events[1].shard, Some(2));
+        assert_eq!(events[1].stage, Stage::ApplyStart);
     }
 
     #[test]

@@ -249,9 +249,10 @@ pub enum ConflictHandling {
 pub struct ShardingConfig {
     /// Number of execution shards the key space is partitioned into.
     pub num_shards: usize,
-    /// Simulated cores per shard station. The simulator alone reads it:
-    /// on the thread runtime the verifier applies every batch on its own
-    /// thread, whatever this says.
+    /// Nothing reads it: the verifier applies every batch on its own
+    /// thread, and the simulator prices that as one apply station. It
+    /// stays only while the repo benchmark calls [`Self::with_workers`];
+    /// ROADMAP direction 8(iii) deletes both.
     pub workers: usize,
     /// Whether the primary runs the **ordering-time shard planner**:
     /// with known read-write sets and more than one shard, the batcher
@@ -280,8 +281,8 @@ pub struct ShardingConfig {
 
 impl Default for ShardingConfig {
     fn default() -> Self {
-        // One shard with one worker reproduces the paper's single
-        // verifier/storage funnel exactly.
+        // One shard reproduces the paper's single verifier/storage funnel
+        // exactly.
         ShardingConfig {
             num_shards: 1,
             workers: 1,
@@ -293,7 +294,7 @@ impl Default for ShardingConfig {
 }
 
 impl ShardingConfig {
-    /// A configuration with `num_shards` shards, one worker each.
+    /// A configuration with `num_shards` shards.
     #[must_use]
     pub fn with_shards(num_shards: usize) -> Self {
         ShardingConfig {
@@ -302,7 +303,8 @@ impl ShardingConfig {
         }
     }
 
-    /// Overrides the worker count.
+    /// Overrides the worker count, which nothing reads (see
+    /// [`Self::workers`]; ROADMAP direction 8(iii) deletes both).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -325,7 +327,7 @@ impl ShardingConfig {
         self
     }
 
-    /// Checks that the shard and worker counts are usable.
+    /// Checks that the shard count is usable.
     pub fn validate(&self) -> SbftResult<()> {
         if self.num_shards == 0 {
             return Err(SbftError::InvalidConfig(
@@ -338,11 +340,6 @@ impl ShardingConfig {
                 crate::ShardSet::CAPACITY,
                 self.num_shards
             )));
-        }
-        if self.workers == 0 {
-            return Err(SbftError::InvalidConfig(
-                "sharding needs at least one worker".into(),
-            ));
         }
         Ok(())
     }
@@ -621,10 +618,6 @@ mod tests {
             .validate()
             .is_ok());
         assert!(ShardingConfig::with_shards(crate::ShardSet::CAPACITY + 1)
-            .validate()
-            .is_err());
-        assert!(ShardingConfig::with_shards(2)
-            .with_workers(0)
             .validate()
             .is_err());
     }

@@ -5,8 +5,9 @@
 //! and the resulting [`ShardPlan`] travels with the batch through the
 //! whole pipeline: the batcher stamps it on the released batch, the
 //! `PREPREPARE` (and the CFT accept) replicate it, the spawner copies it
-//! into every `EXECUTE`, the executors echo it inside `VERIFY`, and the
-//! verifier's apply stage finally consumes it.
+//! into every `EXECUTE` (and, over geo-partitioned storage, places the
+//! batch's executors by it), the executors echo it inside `VERIFY`, and
+//! the verifier re-derives it for its plan counters.
 //!
 //! # Trust-but-verify
 //!
@@ -16,10 +17,12 @@
 //! Every component that would change behaviour based on the tag must
 //! **re-derive** it from data it already holds before relying on it, and
 //! fall back deterministically to the unplanned path on mismatch. The
-//! verifier does exactly that: a `SingleHome(s)` tag is only honoured
-//! after checking that every observed read/write key of the batch maps
-//! to shard `s`; a lying tag costs the liar the fast path but can never
-//! corrupt state or break the equivalence with unrouted execution.
+//! verifier does exactly that: a `SingleHome(s)` tag is only counted as
+//! planned after checking that every observed read/write key of the
+//! batch maps to shard `s`, and a lie is counted as a mismatch. The
+//! verifier checks and applies every batch the same way whatever its
+//! tag, on one thread in batch order, so a tag can never corrupt state
+//! or break the equivalence with unrouted execution.
 
 use crate::ids::ShardId;
 
@@ -29,16 +32,14 @@ use crate::ids::ShardId;
 pub enum ShardPlan {
     /// No plan was computed at ordering time: unknown read-write sets,
     /// a deployment without ordering lanes, or a batch that touches no
-    /// data at all. The apply stage routes from scratch.
+    /// data at all.
     #[default]
     Unplanned,
-    /// Every key the batch touches maps to this one shard. The apply
-    /// stage may, after re-deriving the claim, skip per-transaction
-    /// routing and the cross-home fallback probe entirely.
+    /// Every key the batch touches maps to this one shard. The verifier
+    /// re-derives the claim before counting the batch as planned.
     SingleHome(ShardId),
-    /// The batch spans shards (or contains a transaction that does):
-    /// it was tagged at batching time for the chained cross-shard
-    /// `ccheck` instead of being discovered late.
+    /// The batch spans shards (or contains a transaction that does): it
+    /// was classified at batching time instead of being discovered late.
     CrossHome,
 }
 

@@ -21,9 +21,9 @@
 //!   plan from the read-write sets the executors actually observed
 //!   before honouring the tag ([`ShardRouter::all_on`] /
 //!   [`ShardRouter::plan_of`]). A mismatch — only a byzantine primary or
-//!   a mis-declared read-write set can cause one — deterministically
-//!   falls back to the unplanned routing path, so a lying tag can cost
-//!   the fast path but never corrupt state.
+//!   a mis-declared read-write set can cause one — is counted, and the
+//!   batch is applied exactly as an untagged one, so a lying tag can
+//!   never corrupt state.
 
 use crate::ids::ShardId;
 use crate::inline::ShardSet;

@@ -48,15 +48,14 @@
 //!
 //! ## Sharded execution
 //!
-//! The key space is partitioned over `N` execution shards by
-//! [`types::ShardRouter`]. The verifier still applies every validated
-//! batch itself, one transaction at a time in batch order; what is
-//! partitioned is the *simulated cost* of its concurrency-control check
-//! (`ccheck`): each batch announces its per-shard work, and the simulator
-//! charges it to one service station per shard, removing the single
-//! verifier/storage funnel that capped the paper's deployment. Shard
-//! count is configured per deployment and defaults to 1 (the paper's
-//! original single-funnel behaviour):
+//! The key space is partitioned over `N` shards by
+//! [`types::ShardRouter`]. The primary can assemble per-shard ordering
+//! lanes from declared read-write sets, and storage can be
+//! geo-partitioned by shard. The verifier still applies every validated
+//! batch itself, one transaction at a time in batch order, and the
+//! simulator prices each batch's concurrency-control check (`ccheck`) on
+//! its one apply station, whatever the shard count. Shard count is
+//! configured per deployment and defaults to 1:
 //!
 //! ```
 //! use serverless_bft::core::SystemBuilder;
@@ -65,7 +64,7 @@
 //!
 //! let mut config = SystemConfig::with_shim_size(4);
 //! config.workload.num_records = 1_000;
-//! // Spread the simulated ccheck cost over 4 shard stations.
+//! // Four shards: the verifier still applies on one thread.
 //! config.sharding = ShardingConfig::with_shards(4);
 //!
 //! let system = SystemBuilder::new(config).clients(10).build();
@@ -73,14 +72,9 @@
 //! assert!(metrics.committed_txns > 0);
 //! ```
 //!
-//! Single-shard transactions are priced on their one station, in
-//! parallel with other shards; cross-shard transactions are priced as
-//! holding every involved station in ascending shard order. OCC outcomes
-//! do not depend on the shard count. `cargo run --release -p sbft-bench
-//! --bin fig6_shards` sweeps shard counts and shows simulated
-//! committed-transaction throughput scaling with shards on a
-//! conflict-free uniform YCSB workload; `-- --raw-pool` adds the
-//! [`sharding`] worker pool's wall-clock series.
+//! OCC outcomes do not depend on the shard count. `cargo run --release
+//! -p sbft-bench --bin fig6_shards` prints the wall-clock thread scaling
+//! of the [`sharding`] worker pool, which no runtime applies through.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

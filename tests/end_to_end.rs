@@ -364,7 +364,7 @@ fn no_commit_waits_for_a_client_timer() {
         let mut cfg = SystemConfig::with_shim_size(4);
         cfg.conflict_handling = mode;
         cfg.digest_proposals = digest;
-        cfg.sharding = ShardingConfig::with_shards(8).with_workers(2);
+        cfg.sharding = ShardingConfig::with_shards(8);
         cfg.sharding.ordering_lanes = lanes;
         cfg.workload.num_records = 100_000;
         cfg.workload.batch_size = 10;
