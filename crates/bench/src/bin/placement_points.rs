@@ -2,7 +2,7 @@
 //!
 //! Each point runs the closed-loop simulator over **geo-partitioned
 //! storage** (every execution shard's partition homed in a region) twice:
-//! `PINNED` — the invoker consumes the batch's replicated `ShardPlan` tag
+//! `PINNED` — the spawner derives the batch's `ShardPlan` from its keys
 //! and pins a `SingleHome` batch's executors to its shard's home region —
 //! and `RR`, the paper's Section IX-E round-robin rotation over the same
 //! partitioned store. Both series pay executor ⇄ storage inter-region

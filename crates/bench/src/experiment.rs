@@ -623,19 +623,15 @@ mod tests {
         assert!(planned.metrics.committed_txns > 0);
         assert!(unplanned.metrics.committed_txns > 0);
         assert!(planned.value("verifier.validated_batches") > 0.0);
+        assert_eq!(
+            planned.value("verifier.single_home_batches"),
+            planned.value("verifier.validated_batches"),
+            "every lane batch of single-op transactions is single-home"
+        );
         assert!(
-            planned.value("verifier.planned_batches") > 0.0,
-            "lanes must produce verified single-home batches"
-        );
-        assert_eq!(
-            planned.value("verifier.plan_mismatches"),
-            0.0,
-            "an honest primary's tags always verify"
-        );
-        assert_eq!(
-            unplanned.value("verifier.planned_batches"),
-            0.0,
-            "the baseline never tags"
+            unplanned.value("verifier.single_home_batches")
+                < unplanned.value("verifier.validated_batches"),
+            "without lanes some batch spans shards"
         );
         assert!(
             planned.metrics.cross_shard_fallback_rate()

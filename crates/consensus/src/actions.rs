@@ -8,7 +8,7 @@
 
 use crate::messages::ConsensusMessage;
 use sbft_crypto::CommitCertificate;
-use sbft_types::{Batch, NodeId, SeqNum, ShardPlan, SimDuration, ViewNumber};
+use sbft_types::{Batch, NodeId, SeqNum, SimDuration, ViewNumber};
 use std::sync::Arc;
 
 /// Timers a consensus replica can request.
@@ -48,9 +48,6 @@ pub enum ConsensusAction {
         seq: SeqNum,
         /// The committed batch.
         batch: Batch,
-        /// The ordering-time shard plan replicated with the batch
-        /// (trust-but-verify: consumers re-derive it before acting).
-        plan: ShardPlan,
         /// Certificate proving the quorum (absent for the CFT/NoShim
         /// baselines, which do not produce signatures).
         certificate: Option<Arc<CommitCertificate>>,
@@ -145,7 +142,6 @@ mod tests {
                 view: ViewNumber(0),
                 seq: SeqNum(1),
                 batch,
-                plan: ShardPlan::Unplanned,
                 certificate: None,
             },
         ];

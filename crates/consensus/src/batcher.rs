@@ -33,21 +33,18 @@
 //! per execution shard plus one *cross* lane: the shim classifies every
 //! transaction's declared read-write set against the shard map and pushes
 //! it into its home lane ([`Batcher::push_planned`]). Each lane fills,
-//! times out and releases independently, so a released batch is either
-//! entirely single-home — tagged [`ShardPlan::SingleHome`], its apply
-//! work lands on exactly one shard with no cross-shard coordination — or
-//! explicitly [`ShardPlan::CrossHome`], detected at batching time and
-//! destined for the chained cross-shard `ccheck` instead of being
-//! discovered late in the verifier's apply stage. The plan tag rides on
-//! the released [`SignedBatch`] and from there through `PREPREPARE`,
-//! `EXECUTE` and `VERIFY` (trust-but-verify; see `sbft_types::plan`).
+//! times out and releases independently, so a batch released from a
+//! home lane touches that one shard only, and the cross lane gathers
+//! every transaction that spans shards or declares no keys. The released
+//! [`SignedBatch`] carries no tag: whoever needs a batch's home derives
+//! it from the batch itself (`sbft_core::planner::batch_home`), which
+//! gives back the lane a home-lane batch was assembled in.
 
 use crate::messages::BatchDigestAccumulator;
 use sbft_crypto::{AggregateSignature, CryptoProvider};
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
-    Batch, ComponentId, Digest, ShardId, ShardPlan, Signature, SimDuration, SimTime, Transaction,
-    TxnId,
+    Batch, ComponentId, Digest, ShardPlan, Signature, SimDuration, SimTime, Transaction, TxnId,
 };
 
 /// A released batch plus the client-authentication material needed to
@@ -55,9 +52,6 @@ use sbft_types::{
 #[derive(Clone, Debug)]
 pub struct SignedBatch {
     batch: Batch,
-    /// The ordering-time shard plan of the batch (the lane it was
-    /// assembled in, or [`ShardPlan::Unplanned`] without lanes).
-    plan: ShardPlan,
     /// Per-transaction signing digests, in batch order.
     digests: Vec<Digest>,
     /// Per-transaction client signatures, in batch order (needed only by
@@ -68,15 +62,6 @@ pub struct SignedBatch {
 }
 
 impl SignedBatch {
-    /// The ordering-time shard plan of this batch. Pruning offenders
-    /// keeps the tag valid: a subset of a single-home batch is still
-    /// single-home, and a cross-home tag only costs the conservative
-    /// path.
-    #[must_use]
-    pub fn plan(&self) -> ShardPlan {
-        self.plan
-    }
-
     /// The batch awaiting verification.
     #[must_use]
     pub fn batch(&self) -> &Batch {
@@ -192,9 +177,9 @@ impl Lane {
         }
     }
 
-    /// Releases the lane's content as one batch tagged `plan`. The
-    /// released batch carries its wire digest pre-memoized.
-    fn take(&mut self, plan: ShardPlan) -> Option<SignedBatch> {
+    /// Releases the lane's content as one batch. The released batch
+    /// carries its wire digest pre-memoized.
+    fn take(&mut self) -> Option<SignedBatch> {
         if self.pending.is_empty() {
             return None;
         }
@@ -213,7 +198,6 @@ impl Lane {
         debug_assert_eq!(filled, wire_digest, "digest memo must take our value");
         Some(SignedBatch {
             batch,
-            plan,
             digests,
             signatures,
             aggregate,
@@ -264,10 +248,9 @@ impl Batcher {
     }
 
     /// Creates a batcher with one ordering lane per execution shard plus
-    /// a cross lane: single-home transactions assemble into batches that
-    /// release tagged [`ShardPlan::SingleHome`]; transactions spanning
-    /// shards (or unclassifiable ones) assemble in the cross lane and
-    /// release tagged [`ShardPlan::CrossHome`].
+    /// a cross lane: a [`ShardPlan::SingleHome`] transaction assembles in
+    /// its shard's lane, and a transaction spanning shards (or an
+    /// unclassifiable one) in the cross lane.
     ///
     /// # Panics
     /// Panics if `batch_size` or `num_shards` is zero.
@@ -318,17 +301,6 @@ impl Batcher {
         })
     }
 
-    /// The plan a batch released from lane `idx` carries.
-    fn lane_plan(&self, idx: usize) -> ShardPlan {
-        if self.home_lanes == 0 {
-            ShardPlan::Unplanned
-        } else if idx < self.home_lanes {
-            ShardPlan::SingleHome(ShardId(idx as u32))
-        } else {
-            ShardPlan::CrossHome
-        }
-    }
-
     /// The lane a transaction with ordering-time plan `plan` assembles in.
     fn lane_of(&self, plan: ShardPlan) -> usize {
         if self.home_lanes == 0 {
@@ -376,9 +348,8 @@ impl Batcher {
             lane.pending.len() >= self.batch_size
         };
         if release {
-            let plan = self.lane_plan(idx);
             self.released_full.inc();
-            return self.lanes[idx].take(plan);
+            return self.lanes[idx].take();
         }
         None
     }
@@ -407,8 +378,7 @@ impl Batcher {
                 true,
             ),
         };
-        let plan = self.lane_plan(idx);
-        let released = self.lanes[idx].take(plan);
+        let released = self.lanes[idx].take();
         if released.is_some() {
             if was_stale {
                 self.released_timeout.inc();
@@ -424,8 +394,7 @@ impl Batcher {
     /// carries its wire digest pre-memoized.
     pub fn flush(&mut self) -> Option<SignedBatch> {
         let idx = (0..self.lanes.len()).find(|i| !self.lanes[*i].pending.is_empty())?;
-        let plan = self.lane_plan(idx);
-        self.lanes[idx].take(plan)
+        self.lanes[idx].take()
     }
 }
 
@@ -546,28 +515,35 @@ mod tests {
         b.push_planned(t, Digest::ZERO, Signature::ZERO, now, plan)
     }
 
-    #[test]
-    fn unlaned_batches_release_unplanned() {
-        let mut b = Batcher::new(2, SimDuration::from_millis(10));
-        assert_eq!(b.lanes.len(), 1);
-        let _ = push_plain(&mut b, txn(0), SimTime::ZERO);
-        let batch = push_plain(&mut b, txn(1), SimTime::ZERO).expect("full");
-        assert_eq!(batch.plan(), ShardPlan::Unplanned);
+    /// The counters of a released batch's transactions, in batch order:
+    /// which lane released it shows in which transactions it holds.
+    fn counters(batch: &SignedBatch) -> Vec<u64> {
+        batch.batch().txns().iter().map(|t| t.id.counter).collect()
+    }
+
+    fn home(shard: u32) -> ShardPlan {
+        ShardPlan::SingleHome(sbft_types::ShardId(shard))
     }
 
     #[test]
-    fn shard_lanes_assemble_per_home_and_tag_single_home() {
+    fn unlaned_batcher_ignores_the_plan() {
+        let mut b = Batcher::new(2, SimDuration::from_millis(10));
+        assert_eq!(b.lanes.len(), 1);
+        let _ = push_lane(&mut b, txn(0), home(0), SimTime::ZERO);
+        let batch = push_lane(&mut b, txn(1), home(1), SimTime::ZERO).expect("full");
+        assert_eq!(counters(&batch), vec![0, 1]);
+    }
+
+    #[test]
+    fn shard_lanes_assemble_per_home() {
         let mut b = Batcher::with_shard_lanes(2, SimDuration::from_millis(10), 4);
         assert_eq!(b.lanes.len(), 5, "4 home lanes + 1 cross lane");
-        let home2 = ShardPlan::SingleHome(ShardId(2));
-        let home3 = ShardPlan::SingleHome(ShardId(3));
         // Interleaved pushes to different homes fill separate lanes.
-        assert!(push_lane(&mut b, txn(0), home2, SimTime::ZERO).is_none());
-        assert!(push_lane(&mut b, txn(1), home3, SimTime::ZERO).is_none());
+        assert!(push_lane(&mut b, txn(0), home(2), SimTime::ZERO).is_none());
+        assert!(push_lane(&mut b, txn(1), home(3), SimTime::ZERO).is_none());
         assert_eq!(b.pending_txn_ids().len(), 2);
-        let released = push_lane(&mut b, txn(2), home2, SimTime::ZERO).expect("lane 2 full");
-        assert_eq!(released.plan(), home2);
-        assert_eq!(released.len(), 2);
+        let released = push_lane(&mut b, txn(2), home(2), SimTime::ZERO).expect("lane 2 full");
+        assert_eq!(counters(&released), vec![0, 2]);
         assert_eq!(b.pending_txn_ids().len(), 1, "lane 3 still waiting");
         // The released lane batch digests correctly despite interleaving.
         assert_eq!(
@@ -582,47 +558,26 @@ mod tests {
         assert!(push_lane(&mut b, txn(0), ShardPlan::CrossHome, SimTime::ZERO).is_none());
         let released =
             push_lane(&mut b, txn(1), ShardPlan::Unplanned, SimTime::ZERO).expect("cross full");
-        assert_eq!(released.plan(), ShardPlan::CrossHome);
+        assert_eq!(counters(&released), vec![0, 1]);
         // An out-of-range home shard is treated as cross, not a panic.
-        assert!(push_lane(
-            &mut b,
-            txn(2),
-            ShardPlan::SingleHome(ShardId(99)),
-            SimTime::ZERO
-        )
-        .is_none());
-        assert_eq!(b.pending_txn_ids().len(), 1);
+        assert!(push_lane(&mut b, txn(2), home(99), SimTime::ZERO).is_none());
+        let released = push_lane(&mut b, txn(3), ShardPlan::CrossHome, SimTime::ZERO)
+            .expect("cross full again");
+        assert_eq!(counters(&released), vec![2, 3]);
     }
 
     #[test]
     fn poll_drains_every_stale_lane_in_turn() {
         let mut b = Batcher::with_shard_lanes(10, SimDuration::from_millis(10), 2);
-        let _ = push_lane(
-            &mut b,
-            txn(0),
-            ShardPlan::SingleHome(ShardId(0)),
-            SimTime::ZERO,
-        );
-        let _ = push_lane(
-            &mut b,
-            txn(1),
-            ShardPlan::SingleHome(ShardId(1)),
-            SimTime::ZERO,
-        );
+        let _ = push_lane(&mut b, txn(0), home(0), SimTime::ZERO);
+        let _ = push_lane(&mut b, txn(1), home(1), SimTime::ZERO);
         let _ = push_lane(&mut b, txn(2), ShardPlan::CrossHome, SimTime::ZERO);
         assert!(b.poll(SimTime::from_millis(5)).is_none(), "not stale yet");
-        let mut plans = Vec::new();
+        let mut released = Vec::new();
         while let Some(batch) = b.poll(SimTime::from_millis(10)) {
-            plans.push(batch.plan());
+            released.push(counters(&batch));
         }
-        assert_eq!(
-            plans,
-            vec![
-                ShardPlan::SingleHome(ShardId(0)),
-                ShardPlan::SingleHome(ShardId(1)),
-                ShardPlan::CrossHome,
-            ]
-        );
+        assert_eq!(released, vec![vec![0], vec![1], vec![2]]);
         assert_eq!(b.pending_txn_ids().len(), 0);
     }
 
@@ -631,54 +586,21 @@ mod tests {
         let registry = Registry::new();
         let mut b = Batcher::with_shard_lanes(10, SimDuration::from_millis(5), 2);
         b.register_metrics(&registry, "shim.0");
-        let _ = push_lane(
-            &mut b,
-            txn(0),
-            ShardPlan::SingleHome(ShardId(0)),
-            SimTime::ZERO,
-        );
+        let _ = push_lane(&mut b, txn(0), home(0), SimTime::ZERO);
         // Lane 1's transaction arrives 3 ms later: on its own clock it
         // would not release until 8 ms.
-        let _ = push_lane(
-            &mut b,
-            txn(1),
-            ShardPlan::SingleHome(ShardId(1)),
-            SimTime::from_millis(3),
-        );
+        let _ = push_lane(&mut b, txn(1), home(1), SimTime::from_millis(3));
         assert!(b.poll(SimTime::from_millis(4)).is_none(), "no lane stale");
-        let mut plans = Vec::new();
+        let mut released = Vec::new();
         while let Some(batch) = b.poll(SimTime::from_millis(5)) {
-            plans.push(batch.plan());
+            released.push(counters(&batch));
         }
         // Lane 0 hit its timeout; lane 1 rode along (piggyback first)
         // instead of waiting out its own.
-        assert_eq!(
-            plans,
-            vec![
-                ShardPlan::SingleHome(ShardId(1)),
-                ShardPlan::SingleHome(ShardId(0)),
-            ]
-        );
+        assert_eq!(released, vec![vec![1], vec![0]]);
         assert_eq!(registry.counter_value("shim.0.batcher.released_timeout"), 1);
         assert_eq!(registry.counter_value("shim.0.batcher.global_drains"), 1);
         assert_eq!(b.pending_txn_ids().len(), 0);
-    }
-
-    #[test]
-    fn pruning_preserves_the_lane_plan() {
-        let provider = CryptoProvider::new(11);
-        let mut b = Batcher::with_shard_lanes(2, SimDuration::from_millis(10), 4);
-        let plan = ShardPlan::SingleHome(ShardId(1));
-        let (t, d, s) = signed(&provider, 0, 0);
-        assert!(b.push_planned(t, d, s, SimTime::ZERO, plan).is_none());
-        let (t, d, _) = signed(&provider, 1, 1);
-        let released = b
-            .push_planned(t, d, Signature::ZERO, SimTime::ZERO, plan)
-            .expect("full");
-        assert_eq!(released.plan(), plan);
-        let (verified, rejected) = released.verify_and_prune(&provider);
-        assert_eq!(rejected.len(), 1);
-        assert_eq!(verified.expect("one survivor").len(), 1);
     }
 
     /// A correctly signed transaction for `client` over an arbitrary

@@ -17,7 +17,7 @@
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::messages::{batch_digest, CftAccept, CftAccepted, CftDecide, ConsensusMessage};
 use crate::traits::OrderingProtocol;
-use sbft_types::{Batch, Digest, FaultParams, NodeId, SeqNum, ShardPlan, SimDuration, ViewNumber};
+use sbft_types::{Batch, Digest, FaultParams, NodeId, SeqNum, SimDuration, ViewNumber};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-sequence replication state at the leader.
@@ -25,7 +25,6 @@ use std::collections::{BTreeMap, BTreeSet};
 struct SlotState {
     digest: Option<Digest>,
     batch: Option<Batch>,
-    plan: ShardPlan,
     acks: BTreeSet<NodeId>,
     decided: bool,
 }
@@ -39,7 +38,7 @@ pub struct CftReplica {
     next_seq: SeqNum,
     slots: BTreeMap<SeqNum, SlotState>,
     /// Batches accepted as a follower, waiting for the decide message.
-    accepted: BTreeMap<SeqNum, (Digest, Batch, ShardPlan)>,
+    accepted: BTreeMap<SeqNum, (Digest, Batch)>,
     /// Decide messages that arrived before the corresponding accept
     /// (network reordering); applied as soon as the accept shows up.
     pending_decides: BTreeMap<SeqNum, Digest>,
@@ -73,13 +72,7 @@ impl CftReplica {
         NodeId::primary_of(ballot, self.params.n_r)
     }
 
-    fn decide_actions(
-        &mut self,
-        seq: SeqNum,
-        _digest: Digest,
-        batch: Batch,
-        plan: ShardPlan,
-    ) -> Vec<ConsensusAction> {
+    fn decide_actions(&mut self, seq: SeqNum, batch: Batch) -> Vec<ConsensusAction> {
         if !self.decided.insert(seq) {
             return Vec::new();
         }
@@ -89,7 +82,6 @@ impl CftReplica {
                 view: self.ballot,
                 seq,
                 batch,
-                plan,
                 certificate: None,
             },
         ]
@@ -103,7 +95,7 @@ impl CftReplica {
             return Vec::new();
         }
         self.accepted
-            .insert(msg.seq, (msg.digest, msg.batch.clone(), msg.plan));
+            .insert(msg.seq, (msg.digest, msg.batch.clone()));
         let mut actions = vec![
             ConsensusAction::StartTimer {
                 timer: ConsensusTimer::Request(msg.seq),
@@ -121,7 +113,7 @@ impl CftReplica {
         ];
         // A decide for this slot may have overtaken the accept.
         if self.pending_decides.remove(&msg.seq) == Some(msg.digest) {
-            actions.extend(self.decide_actions(msg.seq, msg.digest, msg.batch, msg.plan));
+            actions.extend(self.decide_actions(msg.seq, msg.batch));
         }
         actions
     }
@@ -144,7 +136,6 @@ impl CftReplica {
         slot.decided = true;
         let digest = msg.digest;
         let batch = slot.batch.clone().expect("leader keeps the batch");
-        let plan = slot.plan;
         let mut actions = vec![ConsensusAction::Broadcast(ConsensusMessage::CftDecide(
             CftDecide {
                 ballot: self.ballot,
@@ -152,7 +143,7 @@ impl CftReplica {
                 digest,
             },
         ))];
-        actions.extend(self.decide_actions(msg.seq, digest, batch, plan));
+        actions.extend(self.decide_actions(msg.seq, batch));
         actions
     }
 
@@ -160,7 +151,7 @@ impl CftReplica {
         if from != self.leader_of(msg.ballot) || msg.ballot != self.ballot {
             return Vec::new();
         }
-        let Some((digest, batch, plan)) = self.accepted.get(&msg.seq).cloned() else {
+        let Some((digest, batch)) = self.accepted.get(&msg.seq).cloned() else {
             // The decide overtook the accept; remember it.
             self.pending_decides.insert(msg.seq, msg.digest);
             return Vec::new();
@@ -168,12 +159,12 @@ impl CftReplica {
         if digest != msg.digest {
             return Vec::new();
         }
-        self.decide_actions(msg.seq, digest, batch, plan)
+        self.decide_actions(msg.seq, batch)
     }
 }
 
 impl OrderingProtocol for CftReplica {
-    fn submit_batch(&mut self, batch: Batch, plan: ShardPlan) -> Vec<ConsensusAction> {
+    fn submit_batch(&mut self, batch: Batch) -> Vec<ConsensusAction> {
         if !self.is_primary() {
             return Vec::new();
         }
@@ -183,14 +174,12 @@ impl OrderingProtocol for CftReplica {
         let slot = self.slots.entry(seq).or_default();
         slot.digest = Some(digest);
         slot.batch = Some(batch.clone());
-        slot.plan = plan;
         slot.acks.insert(self.me);
         let accept = CftAccept {
             ballot: self.ballot,
             seq,
             batch,
             digest,
-            plan,
         };
         // A single-node "shim" (degenerate case) decides immediately.
         let mut actions = vec![ConsensusAction::Broadcast(ConsensusMessage::CftAccept(
@@ -199,7 +188,7 @@ impl OrderingProtocol for CftReplica {
         if self.params.n_r == 1 {
             let batch = self.slots[&seq].batch.clone().expect("own batch");
             self.slots.get_mut(&seq).expect("slot").decided = true;
-            actions.extend(self.decide_actions(seq, digest, batch, plan));
+            actions.extend(self.decide_actions(seq, batch));
         }
         actions
     }
@@ -310,7 +299,7 @@ mod tests {
     #[test]
     fn leader_replicates_and_everyone_decides() {
         let mut replicas = cluster(4);
-        let actions = replicas[0].submit_batch(batch(0), ShardPlan::Unplanned);
+        let actions = replicas[0].submit_batch(batch(0));
         let committed = run(&mut replicas, 0, actions);
         for (i, c) in committed.iter().enumerate() {
             assert_eq!(c, &vec![SeqNum(1)], "node {i}");
@@ -320,15 +309,13 @@ mod tests {
     #[test]
     fn non_leader_ignores_submissions() {
         let mut replicas = cluster(4);
-        assert!(replicas[1]
-            .submit_batch(batch(0), ShardPlan::Unplanned)
-            .is_empty());
+        assert!(replicas[1].submit_batch(batch(0)).is_empty());
     }
 
     #[test]
     fn commits_carry_no_certificate() {
         let mut replicas = cluster(4);
-        let actions = replicas[0].submit_batch(batch(0), ShardPlan::Unplanned);
+        let actions = replicas[0].submit_batch(batch(0));
         let mut saw_commit = false;
         let mut queue: Vec<(usize, usize, ConsensusMessage)> = Vec::new();
         for a in &actions {
@@ -370,9 +357,9 @@ mod tests {
     #[test]
     fn sequence_numbers_advance_per_submission() {
         let mut replicas = cluster(4);
-        let a1 = replicas[0].submit_batch(batch(0), ShardPlan::Unplanned);
+        let a1 = replicas[0].submit_batch(batch(0));
         let _ = run(&mut replicas, 0, a1);
-        let a2 = replicas[0].submit_batch(batch(1), ShardPlan::Unplanned);
+        let a2 = replicas[0].submit_batch(batch(1));
         let committed = run(&mut replicas, 0, a2);
         assert_eq!(committed[0], vec![SeqNum(2)]);
     }
@@ -386,7 +373,6 @@ mod tests {
             seq: SeqNum(1),
             digest: Digest::ZERO,
             batch: b,
-            plan: ShardPlan::Unplanned,
         });
         assert!(replicas[1].handle_message(NodeId(0), msg).is_empty());
     }

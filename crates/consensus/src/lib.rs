@@ -31,7 +31,7 @@
 pub mod actions;
 pub mod batcher;
 pub mod cft;
-pub mod log;
+mod log;
 pub mod messages;
 pub mod noshim;
 pub mod pbft;

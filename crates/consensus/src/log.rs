@@ -10,41 +10,38 @@
 
 use crate::messages::{Commit, Prepare};
 use sbft_crypto::CommitCertificate;
-use sbft_types::{Batch, Digest, NodeId, SeqNum, ShardPlan, ViewNumber};
+use sbft_types::{Batch, Digest, NodeId, SeqNum, ViewNumber};
 use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 use std::sync::Arc;
 
 /// Log entry for one sequence number.
 #[derive(Clone, Debug, Default)]
-pub struct LogEntry {
+pub(crate) struct LogEntry {
     /// View in which the pre-prepare was accepted.
-    pub view: Option<ViewNumber>,
+    pub(crate) view: Option<ViewNumber>,
     /// Digest of the accepted batch.
-    pub digest: Option<Digest>,
+    pub(crate) digest: Option<Digest>,
     /// The batch itself (present on nodes that received the pre-prepare).
-    pub batch: Option<Batch>,
-    /// The ordering-time shard plan carried by the accepted pre-prepare
-    /// (re-proposals after a view change re-issue it unchanged).
-    pub plan: ShardPlan,
+    pub(crate) batch: Option<Batch>,
     /// Prepare votes collected, by sender.
-    pub prepares: BTreeMap<NodeId, Prepare>,
+    pub(crate) prepares: BTreeMap<NodeId, Prepare>,
     /// Commit votes collected, by sender.
-    pub commits: BTreeMap<NodeId, Commit>,
+    pub(crate) commits: BTreeMap<NodeId, Commit>,
     /// Whether the entry reached the prepared state.
-    pub prepared: bool,
+    pub(crate) prepared: bool,
     /// Whether the entry reached the committed state.
-    pub committed: bool,
+    pub(crate) committed: bool,
     /// The certificate the entry committed under, held by reference count:
     /// the `Committed` action, every featherweight checkpoint and every
     /// `STATERESPONSE` share the one allocation.
-    pub certificate: Option<Arc<CommitCertificate>>,
+    pub(crate) certificate: Option<Arc<CommitCertificate>>,
 }
 
 impl LogEntry {
     /// Whether a pre-prepare has been accepted for this entry.
     #[must_use]
-    pub fn pre_prepared(&self) -> bool {
+    pub(crate) fn pre_prepared(&self) -> bool {
         self.digest.is_some()
     }
 
@@ -66,7 +63,7 @@ impl LogEntry {
 
 /// The ordered log of consensus entries.
 #[derive(Clone, Debug, Default)]
-pub struct ConsensusLog {
+pub(crate) struct ConsensusLog {
     entries: BTreeMap<SeqNum, LogEntry>,
     /// Everything at or below this sequence number has been garbage
     /// collected (covered by a stable checkpoint).
@@ -76,18 +73,18 @@ pub struct ConsensusLog {
 impl ConsensusLog {
     /// Creates an empty log.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The entry for `seq`, created on demand.
-    pub fn entry_mut(&mut self, seq: SeqNum) -> &mut LogEntry {
+    pub(crate) fn entry_mut(&mut self, seq: SeqNum) -> &mut LogEntry {
         self.entries.entry(seq).or_default()
     }
 
     /// The entry for `seq`, if any votes or a pre-prepare were recorded.
     #[must_use]
-    pub fn entry(&self, seq: SeqNum) -> Option<&LogEntry> {
+    pub(crate) fn entry(&self, seq: SeqNum) -> Option<&LogEntry> {
         self.entries.get(&seq)
     }
 
@@ -97,13 +94,12 @@ impl ConsensusLog {
     /// any view: a committed slot keeps its digest and batch for good. The
     /// same digest in a later view is accepted — re-issued proposals that
     /// committed meanwhile do arrive.
-    pub fn accept_pre_prepare(
+    pub(crate) fn accept_pre_prepare(
         &mut self,
         seq: SeqNum,
         view: ViewNumber,
         digest: Digest,
         batch: Batch,
-        plan: ShardPlan,
     ) -> bool {
         let entry = self.entry_mut(seq);
         if let (Some(v), Some(d)) = (entry.view, entry.digest) {
@@ -120,45 +116,55 @@ impl ConsensusLog {
         entry.view = Some(view);
         entry.digest = Some(digest);
         entry.batch = Some(batch);
-        entry.plan = plan;
         true
+    }
+
+    /// Marks `seq` prepared: its pre-prepare and `2f_R + 1` matching
+    /// `PREPARE`s are in.
+    pub(crate) fn mark_prepared(&mut self, seq: SeqNum) {
+        self.entry_mut(seq).prepared = true;
     }
 
     /// Seats the commit `certificate` proves at its sequence number — the
     /// one place an entry becomes committed, whether the quorum formed
     /// here, a checkpoint or a peer's `STATERESPONSE` carried the proof,
-    /// or the write-ahead log replayed it. `body` is the batch and plan
-    /// when the proof travelled with them; without it the entry keeps
-    /// what its pre-prepare left (nothing, on a node kept in the dark).
-    /// The caller has verified the certificate and never seats a slot
-    /// twice.
+    /// or the write-ahead log replayed it. `body` is the batch when the
+    /// proof travelled with it; without it the entry keeps what its
+    /// pre-prepare left, but only if that pre-prepare carried the
+    /// certified digest. A batch accepted under another digest (an
+    /// equivocating primary's) is dropped and the slot counts as dark:
+    /// the entry learns that the slot committed, not what it holds. The
+    /// held digest was checked against its batch on acceptance, so no
+    /// re-hash is needed. The caller has verified the certificate and
+    /// never seats a slot twice.
     pub(crate) fn seat_certified(
         &mut self,
         certificate: Arc<CommitCertificate>,
-        body: Option<(Batch, ShardPlan)>,
+        body: Option<Batch>,
     ) -> &LogEntry {
         let entry = self.entry_mut(certificate.seq);
+        match body {
+            Some(batch) => entry.batch = Some(batch),
+            None if entry.digest != Some(certificate.batch_digest) => entry.batch = None,
+            None => {}
+        }
         entry.committed = true;
         entry.prepared = true;
         entry.view = Some(certificate.view);
         entry.digest = Some(certificate.batch_digest);
-        if let Some((batch, plan)) = body {
-            entry.batch = Some(batch);
-            entry.plan = plan;
-        }
         entry.certificate = Some(certificate);
         entry
     }
 
     /// Adds a prepare vote and returns the number of distinct voters.
-    pub fn add_prepare(&mut self, prepare: Prepare) -> usize {
+    pub(crate) fn add_prepare(&mut self, prepare: Prepare) -> usize {
         let entry = self.entry_mut(prepare.seq);
         entry.prepares.insert(prepare.sender, prepare);
         entry.prepares.len()
     }
 
     /// Adds a commit vote and returns the number of distinct voters.
-    pub fn add_commit(&mut self, commit: Commit) -> usize {
+    pub(crate) fn add_commit(&mut self, commit: Commit) -> usize {
         let entry = self.entry_mut(commit.seq);
         entry.commits.insert(commit.sender, commit);
         entry.commits.len()
@@ -179,7 +185,7 @@ impl ConsensusLog {
     /// Sequence numbers that are prepared but not yet committed (reported
     /// in `VIEWCHANGE` messages).
     #[must_use]
-    pub fn prepared_uncommitted(&self) -> Vec<(SeqNum, ViewNumber, Digest)> {
+    pub(crate) fn prepared_uncommitted(&self) -> Vec<(SeqNum, ViewNumber, Digest)> {
         self.entries
             .iter()
             .filter(|(_, e)| e.prepared && !e.committed)
@@ -189,7 +195,7 @@ impl ConsensusLog {
 
     /// Highest committed sequence number.
     #[must_use]
-    pub fn max_committed(&self) -> SeqNum {
+    pub(crate) fn max_committed(&self) -> SeqNum {
         self.entries
             .iter()
             .filter(|(_, e)| e.committed)
@@ -200,34 +206,28 @@ impl ConsensusLog {
 
     /// Whether the entry at `seq` is committed.
     #[must_use]
-    pub fn is_committed(&self, seq: SeqNum) -> bool {
+    pub(crate) fn is_committed(&self, seq: SeqNum) -> bool {
         self.entries.get(&seq).is_some_and(|e| e.committed)
     }
 
     /// The last stable checkpoint sequence number.
     #[must_use]
-    pub fn stable_seq(&self) -> SeqNum {
+    pub(crate) fn stable_seq(&self) -> SeqNum {
         self.stable_seq
     }
 
     /// Garbage-collects every entry at or below `seq` (a new stable
     /// checkpoint), certificates included. Entries above are kept.
-    pub fn collect_below(&mut self, seq: SeqNum) {
+    pub(crate) fn collect_below(&mut self, seq: SeqNum) {
         self.stable_seq = self.stable_seq.max(seq);
         self.entries.retain(|s, _| *s > seq);
-    }
-
-    /// Whether the log holds no live entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Sequence numbers at or below `seq` that this node has *not*
     /// committed — the gaps a featherweight checkpoint lets a node in the
     /// dark detect.
     #[must_use]
-    pub fn missing_up_to(&self, seq: SeqNum) -> Vec<SeqNum> {
+    pub(crate) fn missing_up_to(&self, seq: SeqNum) -> Vec<SeqNum> {
         (self.stable_seq.0 + 1..=seq.0)
             .map(SeqNum)
             .filter(|s| !self.is_committed(*s))
@@ -273,31 +273,29 @@ mod tests {
 
     #[test]
     fn accept_pre_prepare_rejects_equivocation() {
-        let plan = ShardPlan::Unplanned;
         let mut log = ConsensusLog::new();
-        assert!(log.accept_pre_prepare(SeqNum(1), ViewNumber(0), digest(1), batch(), plan));
+        assert!(log.accept_pre_prepare(SeqNum(1), ViewNumber(0), digest(1), batch()));
         // Same digest again is fine (duplicate delivery).
-        assert!(log.accept_pre_prepare(SeqNum(1), ViewNumber(0), digest(1), batch(), plan));
+        assert!(log.accept_pre_prepare(SeqNum(1), ViewNumber(0), digest(1), batch()));
         // A different digest at the same (view, seq) is equivocation.
-        assert!(!log.accept_pre_prepare(SeqNum(1), ViewNumber(0), digest(2), batch(), plan));
+        assert!(!log.accept_pre_prepare(SeqNum(1), ViewNumber(0), digest(2), batch()));
         // A different digest in a *new* view is allowed (view change re-proposal).
-        assert!(log.accept_pre_prepare(SeqNum(1), ViewNumber(1), digest(2), batch(), plan));
+        assert!(log.accept_pre_prepare(SeqNum(1), ViewNumber(1), digest(2), batch()));
     }
 
     #[test]
     fn a_committed_slot_never_accepts_a_different_digest() {
-        let plan = ShardPlan::Unplanned;
         let mut log = ConsensusLog::new();
-        assert!(log.accept_pre_prepare(SeqNum(2), ViewNumber(0), digest(1), batch(), plan));
+        assert!(log.accept_pre_prepare(SeqNum(2), ViewNumber(0), digest(1), batch()));
         log.entry_mut(SeqNum(2)).committed = true;
         // A later view's proposal of another batch is refused and leaves
         // the entry as it committed.
-        assert!(!log.accept_pre_prepare(SeqNum(2), ViewNumber(1), digest(2), batch(), plan));
+        assert!(!log.accept_pre_prepare(SeqNum(2), ViewNumber(1), digest(2), batch()));
         let entry = log.entry(SeqNum(2)).unwrap();
         assert_eq!(entry.digest, Some(digest(1)));
         assert_eq!(entry.view, Some(ViewNumber(0)));
         // The committed batch re-issued in a later view is still accepted.
-        assert!(log.accept_pre_prepare(SeqNum(2), ViewNumber(1), digest(1), batch(), plan));
+        assert!(log.accept_pre_prepare(SeqNum(2), ViewNumber(1), digest(1), batch()));
         assert!(log.is_committed(SeqNum(2)));
     }
 
@@ -322,14 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn accepted_plan_is_stored_on_the_entry() {
-        let mut log = ConsensusLog::new();
-        let plan = ShardPlan::SingleHome(sbft_types::ShardId(3));
-        assert!(log.accept_pre_prepare(SeqNum(1), ViewNumber(0), digest(1), batch(), plan));
-        assert_eq!(log.entry(SeqNum(1)).unwrap().plan, plan);
-    }
-
-    #[test]
     fn votes_count_distinct_senders_only() {
         let mut log = ConsensusLog::new();
         assert_eq!(log.add_prepare(prepare(1, 0)), 1);
@@ -346,21 +336,9 @@ mod tests {
     #[test]
     fn prepared_uncommitted_reports_in_flight_entries() {
         let mut log = ConsensusLog::new();
-        log.accept_pre_prepare(
-            SeqNum(1),
-            ViewNumber(0),
-            digest(1),
-            batch(),
-            ShardPlan::Unplanned,
-        );
-        log.entry_mut(SeqNum(1)).prepared = true;
-        log.accept_pre_prepare(
-            SeqNum(2),
-            ViewNumber(0),
-            digest(1),
-            batch(),
-            ShardPlan::Unplanned,
-        );
+        log.accept_pre_prepare(SeqNum(1), ViewNumber(0), digest(1), batch());
+        log.mark_prepared(SeqNum(1));
+        log.accept_pre_prepare(SeqNum(2), ViewNumber(0), digest(1), batch());
         log.entry_mut(SeqNum(2)).prepared = true;
         log.entry_mut(SeqNum(2)).committed = true;
         let pending = log.prepared_uncommitted();
@@ -372,13 +350,7 @@ mod tests {
     fn garbage_collection_drops_old_entries() {
         let mut log = ConsensusLog::new();
         for s in 1..=10 {
-            log.accept_pre_prepare(
-                SeqNum(s),
-                ViewNumber(0),
-                digest(1),
-                batch(),
-                ShardPlan::Unplanned,
-            );
+            log.accept_pre_prepare(SeqNum(s), ViewNumber(0), digest(1), batch());
             log.entry_mut(SeqNum(s)).committed = true;
         }
         log.collect_below(SeqNum(7));

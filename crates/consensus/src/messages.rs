@@ -11,7 +11,7 @@
 use sbft_crypto::{CommitCertificate, U64Hasher};
 use sbft_durability::RecoveredEntry;
 use sbft_types::{
-    Batch, Digest, MacTag, NodeId, SeqNum, ShardPlan, Signature, Transaction, TxnId, ViewNumber,
+    Batch, Digest, MacTag, NodeId, SeqNum, Signature, Transaction, TxnId, ViewNumber,
 };
 use std::sync::Arc;
 
@@ -31,14 +31,6 @@ pub struct PrePrepare {
     pub digest: Digest,
     /// The full batch of client transactions.
     pub batch: Batch,
-    /// The ordering-time shard plan the batcher computed for this batch.
-    /// Replicated alongside the batch so every node (and, after a view
-    /// change, every future primary) spawns executors with the same tag.
-    /// Deliberately *not* covered by the MAC or the digest: it is a
-    /// trust-but-verify hint that the verifier re-derives before acting
-    /// on it (see `sbft_types::plan`), so authenticating a byzantine
-    /// primary's claim would buy nothing.
-    pub plan: ShardPlan,
     /// MAC over the header fields from the primary.
     pub mac: MacTag,
 }
@@ -61,9 +53,6 @@ pub struct DigestPrePrepare {
     pub digest: Digest,
     /// Ids of the batch's transactions, in batch order.
     pub txn_ids: Vec<TxnId>,
-    /// The ordering-time shard plan (same trust-but-verify rules as in
-    /// [`PrePrepare`]).
-    pub plan: ShardPlan,
     /// MAC over the header fields from the primary.
     pub mac: MacTag,
 }
@@ -244,9 +233,6 @@ pub struct CftAccept {
     pub batch: Batch,
     /// Digest of the batch.
     pub digest: Digest,
-    /// The ordering-time shard plan (same trust-but-verify rules as in
-    /// [`PrePrepare`]).
-    pub plan: ShardPlan,
 }
 
 /// CFT acknowledgment from a follower.
@@ -426,15 +412,15 @@ impl ConsensusMessage {
     pub fn wire_size(&self) -> usize {
         match self {
             ConsensusMessage::PrePrepare(m) => {
-                FRAMING_OVERHEAD + 16 + 32 + 32 + 5 + m.batch.wire_size()
+                FRAMING_OVERHEAD + 16 + 32 + 32 + m.batch.wire_size()
             }
             ConsensusMessage::DigestPrePrepare(m) => {
-                // Header (view + seq) + digest + MAC + plan tag + id count
-                // + the id list. The ids ride as a compact 4-byte
+                // Header (view + seq) + digest + MAC + id count + the id
+                // list. The ids ride as a compact 4-byte
                 // delta encoding against the batch's first id (consecutive
                 // counters from a bounded client set), not as full 12-byte
                 // ids — that compaction is the whole point of the message.
-                FRAMING_OVERHEAD + 16 + 32 + 32 + 5 + 8 + m.txn_ids.len() * 4
+                FRAMING_OVERHEAD + 16 + 32 + 32 + 8 + m.txn_ids.len() * 4
             }
             ConsensusMessage::BatchFetch(m) => {
                 // Header + sender + digest + MAC + full flag + id count +
@@ -465,8 +451,7 @@ impl ConsensusMessage {
                 // Each justifying view-change sender is charged with the
                 // 64-byte signature that proves its VIEWCHANGE (id alone
                 // under-counted the proof); each reissued pre-prepare
-                // carries its MAC and replicated plan tag like the
-                // standalone message does.
+                // carries its MAC like the standalone message does.
                 FRAMING_OVERHEAD
                     + 16
                     + 4
@@ -474,7 +459,7 @@ impl ConsensusMessage {
                     + m.view_change_senders.len() * (4 + 64)
                     + m.reissued
                         .iter()
-                        .map(|pp| 48 + 32 + 5 + pp.batch.wire_size())
+                        .map(|pp| 48 + 32 + pp.batch.wire_size())
                         .sum::<usize>()
             }
             ConsensusMessage::Checkpoint(m) => {
@@ -491,13 +476,12 @@ impl ConsensusMessage {
                     + 8
                     + m.entries
                         .iter()
-                        // seq + view + entry framing + replicated plan tag,
-                        // then the batch and its self-certifying commit
-                        // certificate.
-                        .map(|e| 24 + 5 + e.batch.wire_size() + e.certificate.wire_size())
+                        // seq + view + entry framing, then the batch and
+                        // its self-certifying commit certificate.
+                        .map(|e| 24 + e.batch.wire_size() + e.certificate.wire_size())
                         .sum::<usize>()
             }
-            ConsensusMessage::CftAccept(m) => FRAMING_OVERHEAD + 16 + 32 + 5 + m.batch.wire_size(),
+            ConsensusMessage::CftAccept(m) => FRAMING_OVERHEAD + 16 + 32 + m.batch.wire_size(),
             ConsensusMessage::CftAccepted(_) => FRAMING_OVERHEAD + 16 + 32 + 4,
             ConsensusMessage::CftDecide(_) => FRAMING_OVERHEAD + 16 + 32,
         }
@@ -674,7 +658,6 @@ mod tests {
             seq: SeqNum(1),
             digest: batch_digest(&b),
             batch: b,
-            plan: ShardPlan::Unplanned,
             mac: MacTag::ZERO,
         });
         let size = msg.wire_size();
@@ -741,7 +724,6 @@ mod tests {
             seq: SeqNum(1),
             digest: batch_digest(&b),
             batch: b.clone(),
-            plan: ShardPlan::Unplanned,
             mac: MacTag::ZERO,
         });
         let digest = ConsensusMessage::DigestPrePrepare(DigestPrePrepare {
@@ -749,12 +731,11 @@ mod tests {
             seq: SeqNum(1),
             digest: batch_digest(&b),
             txn_ids: b.txn_ids(),
-            plan: ShardPlan::Unplanned,
             mac: MacTag::ZERO,
         });
-        // Pinned: 120 framing + 16 header + 32 digest + 32 mac + 5 plan +
-        // 8 count + 100 × 4 delta-encoded ids.
-        assert_eq!(digest.wire_size(), 613);
+        // Pinned: 120 framing + 16 header + 32 digest + 32 mac + 8 count +
+        // 100 × 4 delta-encoded ids.
+        assert_eq!(digest.wire_size(), 608);
         assert!(
             full.wire_size() >= 5 * digest.wire_size(),
             "digest proposal must be at least 5x smaller ({} vs {})",
@@ -799,17 +780,16 @@ mod tests {
     }
 
     #[test]
-    fn newview_and_stateresponse_charge_plan_and_proof_bytes() {
-        // Regression for the byte-accounting fix: the replicated plan tag
-        // and the justifying certificate bytes used to be omitted, so the
-        // messages this crate re-ships batches in under-charged the wire.
+    fn newview_and_stateresponse_charge_proof_bytes() {
+        // Regression for the byte-accounting fix: the justifying signature
+        // and certificate bytes used to be omitted, so the messages this
+        // crate re-ships batches in under-charged the wire.
         let b = batch(10);
         let pp = PrePrepare {
             view: ViewNumber(1),
             seq: SeqNum(1),
             digest: batch_digest(&b),
             batch: b.clone(),
-            plan: ShardPlan::Unplanned,
             mac: MacTag::ZERO,
         };
         let nv = ConsensusMessage::NewView(NewView {
@@ -821,9 +801,9 @@ mod tests {
         });
         assert_eq!(
             nv.wire_size(),
-            FRAMING_OVERHEAD + 16 + 4 + 64 + 3 * (4 + 64) + (48 + 32 + 5 + b.wire_size()),
+            FRAMING_OVERHEAD + 16 + 4 + 64 + 3 * (4 + 64) + (48 + 32 + b.wire_size()),
             "NEWVIEW must charge per-sender proof signatures and the \
-             reissued pre-prepares' MAC and plan tag"
+             reissued pre-prepares' MAC"
         );
         // Signature validity is irrelevant to the wire model.
         let cert = Arc::new(CommitCertificate::new(
@@ -836,7 +816,6 @@ mod tests {
             seq: SeqNum(1),
             view: ViewNumber(0),
             batch: b.clone(),
-            plan: ShardPlan::Unplanned,
             certificate: Arc::clone(&cert),
         };
         let resp = ConsensusMessage::StateResponse(StateResponse {
@@ -846,8 +825,8 @@ mod tests {
         });
         assert_eq!(
             resp.wire_size(),
-            FRAMING_OVERHEAD + 4 + 8 + (24 + 5 + b.wire_size() + cert.wire_size()),
-            "STATERESPONSE entries must charge the replicated plan tag"
+            FRAMING_OVERHEAD + 4 + 8 + (24 + b.wire_size() + cert.wire_size()),
+            "STATERESPONSE entries must charge each entry's certificate"
         );
     }
 
@@ -859,14 +838,12 @@ mod tests {
             seq: SeqNum(1),
             digest: batch_digest(&b),
             batch: b.clone(),
-            plan: ShardPlan::Unplanned,
         });
         let pp = ConsensusMessage::PrePrepare(PrePrepare {
             view: ViewNumber(0),
             seq: SeqNum(1),
             digest: batch_digest(&b),
             batch: b,
-            plan: ShardPlan::Unplanned,
             mac: MacTag::ZERO,
         });
         assert!(accept.wire_size() < pp.wire_size());

@@ -11,7 +11,7 @@
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::messages::ConsensusMessage;
 use crate::traits::OrderingProtocol;
-use sbft_types::{Batch, NodeId, SeqNum, ShardPlan, ViewNumber};
+use sbft_types::{Batch, NodeId, SeqNum, ViewNumber};
 
 /// The trivial single-node "ordering" protocol.
 pub struct NoShim {
@@ -39,7 +39,7 @@ impl NoShim {
 }
 
 impl OrderingProtocol for NoShim {
-    fn submit_batch(&mut self, batch: Batch, plan: ShardPlan) -> Vec<ConsensusAction> {
+    fn submit_batch(&mut self, batch: Batch) -> Vec<ConsensusAction> {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.next();
         self.committed += 1;
@@ -47,7 +47,6 @@ impl OrderingProtocol for NoShim {
             view: ViewNumber(0),
             seq,
             batch,
-            plan,
             certificate: None,
         }]
     }
@@ -97,7 +96,7 @@ mod tests {
     fn every_submission_commits_immediately() {
         let mut node = NoShim::new(NodeId(0));
         for i in 1..=5u64 {
-            let actions = node.submit_batch(batch(i), ShardPlan::Unplanned);
+            let actions = node.submit_batch(batch(i));
             assert_eq!(actions.len(), 1);
             match &actions[0] {
                 ConsensusAction::Committed {

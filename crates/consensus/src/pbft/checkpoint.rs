@@ -63,7 +63,7 @@ impl PbftReplica {
                             .is_ok()
                     {
                         let entry = self.log.seat_certified(Arc::clone(cert), None);
-                        let (batch, plan) = (entry.batch.clone(), entry.plan);
+                        let batch = entry.batch.clone();
                         actions.push(ConsensusAction::CancelTimer(ConsensusTimer::Request(
                             cert.seq,
                         )));
@@ -76,7 +76,6 @@ impl PbftReplica {
                                 view: cert.view,
                                 seq: cert.seq,
                                 batch,
-                                plan,
                                 certificate: Some(Arc::clone(cert)),
                             });
                         } else {
@@ -129,7 +128,10 @@ mod tests {
         }
         for r in &shim.replicas {
             assert_eq!(r.log.stable_seq(), SeqNum(4), "node {}", r.node_id());
-            assert!(r.log.is_empty(), "log must be garbage collected");
+            assert!(
+                (1..=4).all(|s| r.log.entry(SeqNum(s)).is_none()),
+                "log must be garbage collected"
+            );
         }
         // Consensus continues normally after the checkpoint.
         shim.submit_to_primary(batch(5));
@@ -160,6 +162,43 @@ mod tests {
         );
         assert_eq!(shim.replicas[3].log.stable_seq(), SeqNum(4));
         // The other nodes committed normally.
+        for i in 0..3u32 {
+            assert_eq!(shim.committed_by(NodeId(i)).len(), 4, "node {i}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_adoption_never_delivers_a_batch_its_certificate_does_not_cover() {
+        use crate::messages::{batch_digest, header_digest, PrePrepare};
+        use sbft_types::ViewNumber;
+        let mut shim = TestShim::new(4);
+        // An equivocating primary shows node 3 another batch at seq 1 than
+        // the one it orders with the others, then keeps node 3 in the dark.
+        let other = batch(100);
+        let digest = batch_digest(&other);
+        let header = header_digest("preprepare", ViewNumber(0), SeqNum(1), &digest);
+        let forged = PrePrepare {
+            view: ViewNumber(0),
+            seq: SeqNum(1),
+            digest,
+            batch: other,
+            mac: shim.replicas[0].crypto.broadcast_mac(&header),
+        };
+        let accepted =
+            shim.replicas[3].handle_message(NodeId(0), ConsensusMessage::PrePrepare(forged));
+        assert!(!accepted.is_empty(), "node 3 accepts the forged proposal");
+        shim.dark.insert(NodeId(3));
+        for i in 0..4 {
+            shim.submit_to_primary(batch(i));
+        }
+        // The checkpoint at seq 4 certifies batch 0 at seq 1. Node 3 holds
+        // another batch there, so it learns only that the slot committed.
+        assert!(
+            shim.committed_by(NodeId(3)).is_empty(),
+            "node 3 must not deliver the forged batch under batch 0's certificate"
+        );
+        assert!(shim.caught_up.contains(&(NodeId(3), SeqNum(4))));
+        assert_eq!(shim.replicas[3].log.stable_seq(), SeqNum(4));
         for i in 0..3u32 {
             assert_eq!(shim.committed_by(NodeId(i)).len(), 4, "node {i}");
         }

@@ -94,11 +94,11 @@ impl PbftReplica {
         }
         let batch = Batch::new(bodies);
         if batch_digest(&batch) == pending.digest {
-            let (view, digest, plan) = (pending.view, pending.digest, pending.plan);
+            let (view, digest) = (pending.view, pending.digest);
             let received = std::mem::take(&mut pending.received);
             self.pending_digest.remove(&seq);
             self.body_cache.extend(received);
-            if !self.log.accept_pre_prepare(seq, view, digest, batch, plan) {
+            if !self.log.accept_pre_prepare(seq, view, digest, batch) {
                 // Equivocation: a different digest already occupies the slot.
                 return self.start_view_change(self.view.next());
             }
@@ -191,7 +191,6 @@ impl PbftReplica {
                 view: dpp.view,
                 digest: dpp.digest,
                 txn_ids: dpp.txn_ids,
-                plan: dpp.plan,
                 missing,
                 received: BTreeMap::new(),
                 fetch_attempts: 0,
@@ -305,7 +304,7 @@ mod tests {
     use super::*;
     use crate::traits::OrderingProtocol;
     use sbft_crypto::CryptoProvider;
-    use sbft_types::{ClientId, Digest, Key, Operation, ShardPlan};
+    use sbft_types::{ClientId, Digest, Key, Operation};
 
     #[test]
     fn batch_fetch_retries_visit_every_other_replica_once_primary_first() {
@@ -404,7 +403,7 @@ mod tests {
         for txn in &b.txns()[..2] {
             let _ = shim.replicas[1].offer_body(txn.clone());
         }
-        let actions = shim.replicas[0].submit_batch(b.clone(), ShardPlan::Unplanned);
+        let actions = shim.replicas[0].submit_batch(b.clone());
         let proposal = actions
             .iter()
             .find_map(|a| match a {
@@ -451,7 +450,6 @@ mod tests {
             seq: SeqNum(1),
             digest: wrong,
             txn_ids: ids,
-            plan: ShardPlan::Unplanned,
             mac,
         });
         let actions = shim.replicas[1].handle_message(NodeId(0), dpp);
@@ -497,7 +495,7 @@ mod tests {
         for txn in &b.txns()[..2] {
             let _ = shim.replicas[1].offer_body(txn.clone());
         }
-        let actions = shim.replicas[0].submit_batch(b.clone(), ShardPlan::Unplanned);
+        let actions = shim.replicas[0].submit_batch(b.clone());
         let proposal = actions
             .iter()
             .find_map(|a| match a {
@@ -581,7 +579,6 @@ mod tests {
                 seq: SeqNum(1),
                 digest,
                 txn_ids: ids,
-                plan: ShardPlan::Unplanned,
                 mac: provider
                     .handle(ComponentId::Node(NodeId(0)))
                     .broadcast_mac(&header),
@@ -627,7 +624,7 @@ mod tests {
         shim.offer_to_all(&b);
         // Nodes 0..3 exchange the proposal and prepares, but commits are
         // swallowed: deliver the proposal and prepares manually.
-        let actions = shim.replicas[0].submit_batch(b.clone(), ShardPlan::Unplanned);
+        let actions = shim.replicas[0].submit_batch(b.clone());
         let proposal = actions
             .iter()
             .find_map(|a| match a {

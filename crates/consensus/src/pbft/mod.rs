@@ -19,7 +19,7 @@
 //!   the log.
 //!
 //! One struct, [`PbftReplica`], holds the replica's state; what it knows
-//! about a single sequence number lives in its [`ConsensusLog`] and
+//! about a single sequence number lives in its consensus log and
 //! nowhere else. The protocol is cut along the lines that state does not
 //! cross — `normal` (the three phases), `checkpoint`, `view_change`,
 //! `transfer` (state transfer) and `digest` (digest proposals) — each an
@@ -48,8 +48,7 @@ use sbft_crypto::CryptoHandle;
 use sbft_durability::RecoveredEntry;
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
-    Batch, Digest, FaultParams, IdMap, NodeId, SeqNum, ShardPlan, SimDuration, Transaction, TxnId,
-    ViewNumber,
+    Batch, Digest, FaultParams, IdMap, NodeId, SeqNum, SimDuration, Transaction, TxnId, ViewNumber,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -130,7 +129,6 @@ struct PendingProposal {
     view: ViewNumber,
     digest: Digest,
     txn_ids: Vec<TxnId>,
-    plan: ShardPlan,
     /// Ids whose bodies are neither cached nor received yet.
     missing: BTreeSet<TxnId>,
     /// Bodies received via `BATCHFILL`, quarantined until the digest
@@ -240,7 +238,7 @@ impl PbftReplica {
 }
 
 impl OrderingProtocol for PbftReplica {
-    fn submit_batch(&mut self, batch: Batch, plan: ShardPlan) -> Vec<ConsensusAction> {
+    fn submit_batch(&mut self, batch: Batch) -> Vec<ConsensusAction> {
         if !self.is_primary() || self.in_view_change {
             return Vec::new();
         }
@@ -249,7 +247,7 @@ impl OrderingProtocol for PbftReplica {
         let digest = batch_digest(&batch);
         if !self
             .log
-            .accept_pre_prepare(seq, self.view, digest, batch.clone(), plan)
+            .accept_pre_prepare(seq, self.view, digest, batch.clone())
         {
             return Vec::new();
         }
@@ -264,7 +262,6 @@ impl OrderingProtocol for PbftReplica {
                 seq,
                 digest,
                 txn_ids,
-                plan,
                 mac: self.crypto.broadcast_mac(&header),
             })
         } else {
@@ -274,7 +271,6 @@ impl OrderingProtocol for PbftReplica {
                 seq,
                 digest,
                 batch,
-                plan,
                 mac: self.crypto.broadcast_mac(&header),
             })
         };
@@ -355,8 +351,7 @@ impl OrderingProtocol for PbftReplica {
         let mut max_seq = stable;
         for e in entries {
             max_seq = max_seq.max(e.seq);
-            self.log
-                .seat_certified(e.certificate, Some((e.batch, e.plan)));
+            self.log.seat_certified(e.certificate, Some(e.batch));
         }
         self.next_seq = self.next_seq.max(SeqNum(max_seq.0 + 1));
         // Everything above the durable suffix was lost with the process;
@@ -597,8 +592,7 @@ mod tests {
 
         pub(super) fn submit_to_primary(&mut self, batch: Batch) {
             let primary = self.replicas[0].primary();
-            let actions =
-                self.replicas[primary.0 as usize].submit_batch(batch, ShardPlan::Unplanned);
+            let actions = self.replicas[primary.0 as usize].submit_batch(batch);
             self.run_actions(primary, actions);
         }
 

@@ -64,7 +64,7 @@ impl PbftReplica {
         }
         let view = entry.view.expect("prepared entry has view");
         let digest = entry.digest.expect("prepared entry has digest");
-        self.log.entry_mut(seq).prepared = true;
+        self.log.mark_prepared(seq);
         let commit = self.make_commit(view, seq, digest);
         self.log.add_commit(commit);
         let mut actions = vec![ConsensusAction::Broadcast(ConsensusMessage::Commit(commit))];
@@ -95,7 +95,6 @@ impl PbftReplica {
                 view,
                 seq,
                 batch: entry.batch.clone().expect("committed entry has batch"),
-                plan: entry.plan,
                 certificate: Some(certificate),
             },
         ];
@@ -124,7 +123,7 @@ impl PbftReplica {
         }
         if !self
             .log
-            .accept_pre_prepare(pp.seq, pp.view, pp.digest, pp.batch.clone(), pp.plan)
+            .accept_pre_prepare(pp.seq, pp.view, pp.digest, pp.batch.clone())
         {
             // Equivocation detected: the primary proposed two different
             // batches at the same sequence number, or another batch than
@@ -174,7 +173,6 @@ mod tests {
     use super::*;
     use crate::actions::committed_seqs;
     use crate::traits::OrderingProtocol;
-    use sbft_types::ShardPlan;
 
     #[test]
     fn normal_case_commits_on_every_replica() {
@@ -194,8 +192,7 @@ mod tests {
         let mut shim = TestShim::new(4);
         let submitted = batch(0);
         let primary = shim.replicas[0].primary();
-        let actions =
-            shim.replicas[primary.0 as usize].submit_batch(submitted.clone(), ShardPlan::Unplanned);
+        let actions = shim.replicas[primary.0 as usize].submit_batch(submitted.clone());
         shim.run_actions(primary, actions);
         assert_eq!(shim.committed_batches.len(), 4, "all replicas committed");
         for (node, b) in &shim.committed_batches {
@@ -237,7 +234,7 @@ mod tests {
     #[test]
     fn non_primary_ignores_submitted_batches() {
         let mut shim = TestShim::new(4);
-        let actions = shim.replicas[2].submit_batch(batch(0), ShardPlan::Unplanned);
+        let actions = shim.replicas[2].submit_batch(batch(0));
         assert!(actions.is_empty());
     }
 
@@ -286,7 +283,6 @@ mod tests {
             seq: SeqNum(1),
             digest,
             batch: evil,
-            plan: ShardPlan::Unplanned,
             mac: primary_handle.broadcast_mac(&header),
         };
         let actions = shim.replicas[1].handle_message(NodeId(0), ConsensusMessage::PrePrepare(pp));
@@ -306,7 +302,6 @@ mod tests {
             seq: SeqNum(1),
             digest,
             batch: b.clone(),
-            plan: ShardPlan::Unplanned,
             mac: sbft_types::MacTag::ZERO,
         };
         // Bad MAC.
@@ -370,7 +365,7 @@ mod tests {
         assert_eq!(shim.replicas[1].view(), ViewNumber(1));
         // … so it proposes B at seq 2.
         let proposal = shim.replicas[1]
-            .submit_batch(batch(7), ShardPlan::Unplanned)
+            .submit_batch(batch(7))
             .into_iter()
             .find_map(|action| match action {
                 ConsensusAction::Broadcast(m @ ConsensusMessage::PrePrepare(_)) => Some(m),

@@ -45,7 +45,6 @@ impl PbftReplica {
                     seq: cert.seq,
                     view: cert.view,
                     batch: entry.batch.clone()?,
-                    plan: entry.plan,
                     certificate: Arc::clone(cert),
                 })
             })
@@ -140,7 +139,7 @@ impl PbftReplica {
                 continue;
             }
             self.log
-                .seat_certified(Arc::clone(&e.certificate), Some((e.batch.clone(), e.plan)));
+                .seat_certified(Arc::clone(&e.certificate), Some(e.batch.clone()));
             self.next_seq = self.next_seq.max(SeqNum(e.seq.0 + 1));
             useful = true;
             actions.push(ConsensusAction::CancelTimer(ConsensusTimer::Request(e.seq)));
@@ -148,7 +147,6 @@ impl PbftReplica {
                 view: e.certificate.view,
                 seq: e.seq,
                 batch: e.batch,
-                plan: e.plan,
                 certificate: Some(e.certificate),
             });
         }
@@ -218,7 +216,7 @@ mod tests {
     use crate::actions::committed_seqs;
     use crate::traits::OrderingProtocol;
     use sbft_crypto::CommitCertificate;
-    use sbft_types::{FaultParams, ShardPlan, ViewNumber};
+    use sbft_types::{FaultParams, ViewNumber};
 
     #[test]
     fn crashed_replica_with_empty_log_state_transfers_everything() {
@@ -264,7 +262,6 @@ mod tests {
                     seq: SeqNum(s),
                     view: ViewNumber(0),
                     batch: entry.batch.clone().expect("batch"),
-                    plan: entry.plan,
                     certificate: Arc::clone(entry.certificate.as_ref().expect("certificate")),
                 }
             })
@@ -311,7 +308,6 @@ mod tests {
                 seq: SeqNum(7),
                 view: ViewNumber(0),
                 batch: batch(7),
-                plan: ShardPlan::Unplanned,
                 certificate: Arc::new(CommitCertificate::new(
                     ViewNumber(0),
                     SeqNum(7),
@@ -340,7 +336,6 @@ mod tests {
                 seq: cert.seq,
                 view: cert.view,
                 batch: batch(99),
-                plan: ShardPlan::Unplanned,
                 certificate: cert,
             }],
         };
@@ -499,14 +494,12 @@ mod tests {
                     seq: cert.seq,
                     view: cert.view,
                     batch: batch(99),
-                    plan: ShardPlan::Unplanned,
                     certificate: Arc::clone(&cert),
                 },
                 RecoveredEntry {
                     seq: cert.seq,
                     view: cert.view.next(),
                     batch: batch(0),
-                    plan: ShardPlan::Unplanned,
                     certificate: Arc::clone(&cert),
                 },
             ],

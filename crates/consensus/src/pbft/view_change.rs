@@ -88,7 +88,6 @@ impl PbftReplica {
             let Some(entry) = self.log.entry(seq) else {
                 continue;
             };
-            let plan = entry.plan;
             if let Some(batch) = entry.batch.clone() {
                 let header = header_digest("preprepare", target, seq, &digest);
                 reissued.push(PrePrepare {
@@ -96,7 +95,6 @@ impl PbftReplica {
                     seq,
                     digest,
                     batch,
-                    plan,
                     mac: self.crypto.broadcast_mac(&header),
                 });
             }
@@ -117,7 +115,7 @@ impl PbftReplica {
         for pp in reissued {
             if self
                 .log
-                .accept_pre_prepare(pp.seq, target, pp.digest, pp.batch, pp.plan)
+                .accept_pre_prepare(pp.seq, target, pp.digest, pp.batch)
             {
                 actions.extend(self.after_pre_prepare(target, pp.seq, pp.digest));
             }
@@ -195,7 +193,7 @@ impl PbftReplica {
                     .verify_broadcast_mac(ComponentId::Node(from), &header, &pp.mac)
                 && self
                     .log
-                    .accept_pre_prepare(pp.seq, pp.view, pp.digest, pp.batch, pp.plan)
+                    .accept_pre_prepare(pp.seq, pp.view, pp.digest, pp.batch)
             {
                 actions.extend(self.after_pre_prepare(pp.view, pp.seq, pp.digest));
             }
@@ -209,7 +207,6 @@ mod tests {
     use super::super::tests::{batch, TestShim};
     use super::*;
     use crate::traits::OrderingProtocol;
-    use sbft_types::ShardPlan;
 
     #[test]
     fn request_timer_expiry_triggers_view_change() {
@@ -249,7 +246,7 @@ mod tests {
             assert!(!shim.replicas[i as usize].in_view_change);
         }
         // The new primary can order new batches.
-        let actions = shim.replicas[1].submit_batch(batch(7), ShardPlan::Unplanned);
+        let actions = shim.replicas[1].submit_batch(batch(7));
         shim.run_actions(NodeId(1), actions);
         for i in 1..4u32 {
             assert!(!shim.committed_by(NodeId(i)).is_empty(), "node {i}");
@@ -280,13 +277,9 @@ mod tests {
         // commits were lost).
         let b = batch(1);
         let digest = batch_digest(&b);
-        shim.replicas[1].log.accept_pre_prepare(
-            SeqNum(2),
-            ViewNumber(0),
-            digest,
-            b.clone(),
-            ShardPlan::Unplanned,
-        );
+        shim.replicas[1]
+            .log
+            .accept_pre_prepare(SeqNum(2), ViewNumber(0), digest, b.clone());
         shim.replicas[1].log.entry_mut(SeqNum(2)).prepared = true;
         shim.down.insert(NodeId(0));
         let pending: Vec<(NodeId, Vec<ConsensusAction>)> = (1..4u32)
@@ -306,57 +299,6 @@ mod tests {
                 shim.committed_by(NodeId(i)).contains(&SeqNum(2)),
                 "node {i} must commit the re-proposed request: {:?}",
                 shim.committed_by(NodeId(i))
-            );
-        }
-    }
-
-    #[test]
-    fn plan_tag_replicates_to_every_log_and_survives_reproposal() {
-        let plan = ShardPlan::SingleHome(sbft_types::ShardId(2));
-        // Normal case: the tag lands in every replica's log entry.
-        let mut shim = TestShim::new(4);
-        let primary = shim.replicas[0].primary();
-        let actions = shim.replicas[primary.0 as usize].submit_batch(batch(0), plan);
-        shim.run_actions(primary, actions);
-        for r in &shim.replicas {
-            assert_eq!(
-                r.log.entry(SeqNum(1)).expect("entry").plan,
-                plan,
-                "node {} must replicate the tag",
-                r.node_id()
-            );
-        }
-        // View change: a prepared-but-uncommitted tagged proposal at the
-        // next primary is re-issued with the tag intact and commits.
-        let mut shim = TestShim::new(4);
-        let b = batch(1);
-        let digest = batch_digest(&b);
-        shim.replicas[1]
-            .log
-            .accept_pre_prepare(SeqNum(1), ViewNumber(0), digest, b, plan);
-        shim.replicas[1].log.entry_mut(SeqNum(1)).prepared = true;
-        shim.down.insert(NodeId(0));
-        let pending: Vec<(NodeId, Vec<ConsensusAction>)> = (1..4u32)
-            .map(|i| {
-                (
-                    NodeId(i),
-                    shim.replicas[i as usize].handle_timer(ConsensusTimer::Request(SeqNum(1))),
-                )
-            })
-            .collect();
-        for (origin, actions) in pending {
-            shim.run_actions(origin, actions);
-        }
-        for i in 1..4u32 {
-            assert!(shim.committed_by(NodeId(i)).contains(&SeqNum(1)));
-            assert_eq!(
-                shim.replicas[i as usize]
-                    .log
-                    .entry(SeqNum(1))
-                    .expect("entry")
-                    .plan,
-                plan,
-                "node {i} must re-learn the tag from the re-proposal"
             );
         }
     }
@@ -389,13 +331,9 @@ mod tests {
     /// `VIEWCHANGE` carries one proof and its `NEWVIEW` one re-issue.
     fn prepare_at_node_1(shim: &mut TestShim) {
         let b = batch(1);
-        shim.replicas[1].log.accept_pre_prepare(
-            SeqNum(1),
-            ViewNumber(0),
-            batch_digest(&b),
-            b,
-            ShardPlan::Unplanned,
-        );
+        shim.replicas[1]
+            .log
+            .accept_pre_prepare(SeqNum(1), ViewNumber(0), batch_digest(&b), b);
         shim.replicas[1].log.entry_mut(SeqNum(1)).prepared = true;
     }
 
@@ -467,7 +405,6 @@ mod tests {
             seq: SeqNum(1),
             digest,
             batch: evil,
-            plan: ShardPlan::Unplanned,
             mac: shim
                 .provider
                 .handle(ComponentId::Node(NodeId(1)))

@@ -4,19 +4,16 @@ use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::messages::ConsensusMessage;
 use sbft_durability::RecoveredEntry;
 use sbft_telemetry::Registry;
-use sbft_types::{Batch, NodeId, SeqNum, ShardPlan, Transaction, TxnId, ViewNumber};
+use sbft_types::{Batch, NodeId, SeqNum, Transaction, TxnId, ViewNumber};
 
 /// A deterministic ordering-protocol state machine running on one shim
 /// node. `PbftReplica`, `CftReplica` and `NoShim` all implement this trait,
 /// which is what lets the Figure 7 baseline comparison swap the shim
 /// protocol without touching the rest of the architecture.
 pub trait OrderingProtocol {
-    /// Submits a client batch for ordering, together with the
-    /// ordering-time shard plan the batching front-end computed for it
-    /// ([`ShardPlan::Unplanned`] when no planner runs). Only meaningful
-    /// on the node currently acting as primary/leader; other nodes
-    /// ignore it.
-    fn submit_batch(&mut self, batch: Batch, plan: ShardPlan) -> Vec<ConsensusAction>;
+    /// Submits a client batch for ordering. Only meaningful on the node
+    /// currently acting as primary/leader; other nodes ignore it.
+    fn submit_batch(&mut self, batch: Batch) -> Vec<ConsensusAction>;
 
     /// Handles a consensus message received from another shim node.
     fn handle_message(&mut self, from: NodeId, msg: ConsensusMessage) -> Vec<ConsensusAction>;

@@ -19,8 +19,7 @@
 //!   chosen batches, trying to force conflicting transactions to abort.
 
 use crate::events::{Action, Destination, Envelope, ProtocolMessage};
-use sbft_consensus::ConsensusMessage;
-use sbft_types::{ComponentId, NodeId, ShardId, ShardPlan, SimDuration};
+use sbft_types::{ComponentId, NodeId, SimDuration};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A byzantine behaviour assigned to one shim node.
@@ -51,13 +50,6 @@ pub enum ShimAttack {
         /// The added delay.
         delay: SimDuration,
     },
-    /// Lie about the ordering-time shard plan: every outgoing
-    /// `PREPREPARE` and `EXECUTE` claims the batch is single-home on
-    /// shard 0, whatever its footprint. The tag is trust-but-verify, so
-    /// replicas relay it untouched and the verifier must detect the
-    /// mismatch at apply time, fall back to the unplanned path, and
-    /// stay correct and live.
-    MisplanBatches,
 }
 
 /// Assigns attacks to shim nodes and rewrites their outgoing actions.
@@ -69,7 +61,6 @@ pub struct AttackInjector {
     dropped: u64,
     spawns_suppressed: u64,
     spawns_added: u64,
-    plans_forged: u64,
 }
 
 impl AttackInjector {
@@ -82,7 +73,6 @@ impl AttackInjector {
             dropped: 0,
             spawns_suppressed: 0,
             spawns_added: 0,
-            plans_forged: 0,
         }
     }
 
@@ -101,12 +91,6 @@ impl AttackInjector {
     #[must_use]
     pub fn compromised(&self) -> usize {
         self.attacks.len()
-    }
-
-    /// Plan tags forged by the mis-planning attack so far.
-    #[must_use]
-    pub fn plans_forged(&self) -> u64 {
-        self.plans_forged
     }
 
     /// Extra delay applied to executor spawns performed by `node` (used by
@@ -204,40 +188,6 @@ impl AttackInjector {
                 out
             }
             ShimAttack::DelaySpawning { .. } => actions,
-            ShimAttack::MisplanBatches => {
-                let lie = ShardPlan::SingleHome(ShardId(0));
-                actions
-                    .into_iter()
-                    .map(|action| match action {
-                        Action::Send(Envelope {
-                            from,
-                            to,
-                            msg: ProtocolMessage::Consensus(ConsensusMessage::PrePrepare(mut pp)),
-                        }) => {
-                            if pp.plan != lie {
-                                self.plans_forged += 1;
-                                pp.plan = lie;
-                            }
-                            Action::Send(Envelope {
-                                from,
-                                to,
-                                msg: ProtocolMessage::Consensus(ConsensusMessage::PrePrepare(pp)),
-                            })
-                        }
-                        Action::SpawnExecutor {
-                            request,
-                            mut execute,
-                        } => {
-                            if execute.plan != lie {
-                                self.plans_forged += 1;
-                                execute.plan = lie;
-                            }
-                            Action::SpawnExecutor { request, execute }
-                        }
-                        other => other,
-                    })
-                    .collect()
-            }
         }
     }
 }
@@ -266,7 +216,6 @@ mod tests {
                 seq: SeqNum(1),
                 digest,
                 batch,
-                plan: ShardPlan::Unplanned,
                 mac: MacTag::ZERO,
             })),
         )
@@ -297,7 +246,6 @@ mod tests {
                     digest,
                     vec![],
                 )),
-                plan: ShardPlan::CrossHome,
                 spawner: NodeId(0),
                 signature: sbft_types::Signature::ZERO,
             },
@@ -398,31 +346,5 @@ mod tests {
             SimDuration::from_millis(500)
         );
         assert_eq!(injector.spawn_delay(NodeId(1)), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn misplan_forges_pre_prepare_and_execute_tags_only() {
-        let mut injector = AttackInjector::new(4);
-        injector.compromise(NodeId(0), ShimAttack::MisplanBatches);
-        let out = injector.apply(NodeId(0), vec![preprepare_broadcast(0), spawn_action()]);
-        assert_eq!(out.len(), 2, "nothing is dropped, only rewritten");
-        let lie = ShardPlan::SingleHome(ShardId(0));
-        match &out[0] {
-            Action::Send(env) => match &env.msg {
-                ProtocolMessage::Consensus(ConsensusMessage::PrePrepare(pp)) => {
-                    assert_eq!(pp.plan, lie);
-                }
-                other => panic!("unexpected message {other:?}"),
-            },
-            other => panic!("unexpected action {other:?}"),
-        }
-        match &out[1] {
-            Action::SpawnExecutor { execute, .. } => assert_eq!(execute.plan, lie),
-            other => panic!("unexpected action {other:?}"),
-        }
-        assert_eq!(injector.plans_forged(), 2);
-        // An honest node's tags pass through untouched.
-        let honest = vec![spawn_action()];
-        assert_eq!(injector.apply(NodeId(1), honest.clone()), honest);
     }
 }

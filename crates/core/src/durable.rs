@@ -110,13 +110,12 @@ impl DurableLog {
         view: ViewNumber,
         seq: SeqNum,
         batch: &Batch,
-        plan: ShardPlan,
         certificate: Option<&Arc<CommitCertificate>>,
     ) -> Option<Persisted> {
         let mut bytes = self.append(&WalRecord::Committed {
             seq,
             view,
-            plan,
+            plan: ShardPlan::Unplanned,
             batch: batch.clone(),
             certificate: Arc::clone(certificate?),
         })?;

@@ -133,9 +133,7 @@ mod tests {
     use super::*;
     use crate::attacks::ShimAttack;
     use crate::events::ClientRequest;
-    use sbft_types::{
-        ClientId, ExecutorId, Key, Operation, ShardId, ShardPlan, SimTime, Transaction, TxnId,
-    };
+    use sbft_types::{ClientId, ExecutorId, Key, Operation, SimTime, Transaction, TxnId};
 
     /// Four PBFT nodes batching one transaction, and the primary's actions
     /// on its first request: a PREPREPARE and a PREPARE broadcast.
@@ -232,29 +230,32 @@ mod tests {
 
     #[test]
     fn the_injector_rewrites_the_origin_and_every_delivery() {
-        // A mis-planning primary forges the plan tag of its PREPREPARE, in
-        // the origin's list, and of the EXECUTEs it spawns once a COMMIT
-        // delivery completes its quorum.
+        // A primary keeping node 3 in the dark leaves it out of the
+        // PREPREPARE and PREPARE broadcasts in the origin's list, and out
+        // of the COMMIT it broadcasts once a PREPARE delivery completes
+        // its quorum.
         let (mut nodes, actions) = proposed();
         let mut injector = AttackInjector::new(4);
-        injector.compromise(NodeId(0), ShimAttack::MisplanBatches);
-        let lie = ShardPlan::SingleHome(ShardId(0));
-        let mut proposals = Vec::new();
+        let victims = vec![NodeId(3)];
+        injector.compromise(NodeId(0), ShimAttack::KeepInDark { victims });
+        let mut from_primary = Vec::new();
         let others = settle(&mut nodes, NodeId(0), actions, Some(&mut injector), |hop| {
-            if let ConsensusMessage::PrePrepare(pp) = &*hop.msg {
-                proposals.push(pp.plan);
+            if hop.from == NodeId(0) {
+                from_primary.push(format!("0>{} {}", hop.to.0, hop.msg.kind()));
             }
             Verdict::Deliver
         });
-        let spawned: Vec<ShardPlan> = others
+        assert_eq!(
+            from_primary.join(", "),
+            "0>1 PREPREPARE, 0>2 PREPREPARE, 0>1 PREPARE, 0>2 PREPARE, 0>1 COMMIT, 0>2 COMMIT"
+        );
+        let mut committed: Vec<u32> = others
             .iter()
-            .filter_map(|(_, a)| match a {
-                Action::SpawnExecutor { execute, .. } => Some(execute.plan),
-                _ => None,
-            })
+            .filter(|(_, a)| matches!(a, Action::BatchCommitted { .. }))
+            .map(|(node, _)| node.0)
             .collect();
-        assert_eq!((proposals, spawned), (vec![lie; 3], vec![lie; 3]));
-        assert_eq!(injector.plans_forged(), 4, "one broadcast, three spawns");
+        committed.sort_unstable();
+        assert_eq!(committed, [0, 1, 2], "the victim never commits");
     }
 
     #[test]

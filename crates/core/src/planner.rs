@@ -15,36 +15,49 @@
 //! spawning); the **shard planner** acts *before consensus*: the shim
 //! classifies each transaction's declared read-write set against the
 //! shard map ([`home_shard`]) and assembles per-shard ordering lanes
-//! (katana-style per-shard mempools), so whole batches arrive at the
-//! verifier's apply stage already conflict-free per shard — cross-home
-//! work is detected at batching time and tagged
-//! [`ShardPlan::CrossHome`] instead of being discovered late. The
-//! resulting [`ShardPlan`] is replicated with the batch but only ever
-//! consumed **trust-but-verify**: the verifier re-derives the claim
-//! from the observed read-write sets before counting it as planned and
-//! counts a mismatch otherwise, so a lying primary cannot corrupt state
-//! (see `sbft_types::plan`).
+//! (katana-style per-shard mempools), so a batch released from a home
+//! lane touches one shard and cross-home work gathers in the cross lane
+//! instead of being discovered late. Nothing replicates the result: a
+//! component that needs a batch's home derives it from the batch where
+//! it is used ([`batch_home`]), so there is no tag for a byzantine
+//! primary to forge (see `sbft_types::plan`).
 
-use sbft_types::{Key, RwSetKeys, SeqNum, ShardPlan, ShardRouter, Transaction};
+use sbft_types::{Batch, Key, Operation, RwSetKeys, SeqNum, ShardPlan, ShardRouter, Transaction};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Classifies one transaction at ordering time: the lane it assembles
 /// in is the home shard of its declared (or, failing that, inferred)
 /// read-write set. Exact for YCSB-style transactions whose keys are
-/// literal; a mis-declared set costs the batch its planned count at the
-/// verifier, never correctness.
+/// literal; a mis-declared set costs only a lane choice, never
+/// correctness.
 #[must_use]
 pub fn home_shard(txn: &Transaction, router: &ShardRouter) -> ShardPlan {
-    match &txn.declared_rwset {
-        Some(declared) => plan_rwset_keys(declared, router),
-        None => plan_rwset_keys(&txn.inferred_rwset(), router),
-    }
+    router.plan_keys(planned_keys(txn))
 }
 
-/// Classifies a declared key set against the shard map.
+/// The home of a whole batch: [`home_shard`]'s classification over the
+/// keys of every transaction. A batch released from home lane `s` derives
+/// to `SingleHome(s)`; one from the cross lane to `CrossHome`, or to
+/// `Unplanned` when none of its transactions names a key.
 #[must_use]
-fn plan_rwset_keys(keys: &RwSetKeys, router: &ShardRouter) -> ShardPlan {
-    router.plan_keys(keys.read_keys.iter().chain(keys.write_keys.iter()).copied())
+pub fn batch_home(batch: &Batch, router: &ShardRouter) -> ShardPlan {
+    router.plan_keys(batch.iter().flat_map(planned_keys))
+}
+
+/// A transaction's declared keys, or its operations' keys when it
+/// declares none.
+fn planned_keys(txn: &Transaction) -> impl Iterator<Item = Key> + '_ {
+    let declared = txn
+        .declared_rwset
+        .iter()
+        .flat_map(|keys| keys.read_keys.iter().chain(&keys.write_keys).copied());
+    let inferred = txn
+        .declared_rwset
+        .is_none()
+        .then(|| txn.ops.iter().map(Operation::key))
+        .into_iter()
+        .flatten();
+    declared.chain(inferred)
 }
 
 /// Lock footprint of one batch: every key read and written by any of its
@@ -301,6 +314,54 @@ mod tests {
             .unwrap();
         let declared = txn.with_declared_rwset(RwSetKeys::new([k], [other]));
         assert_eq!(home_shard(&declared, &router), ShardPlan::CrossHome);
+    }
+
+    #[test]
+    fn a_laned_batch_derives_its_lane_before_and_after_pruning() {
+        use sbft_consensus::Batcher;
+        use sbft_crypto::CryptoProvider;
+        use sbft_types::{
+            ClientId, ComponentId, Operation, Signature, SimDuration, SimTime, TxnId,
+        };
+        let router = ShardRouter::new(4);
+        let provider = CryptoProvider::new(11);
+        let home = router.shard_of(Key(1));
+        let mut keys = (1..).map(Key).filter(|k| router.shard_of(*k) == home);
+        let mut b = Batcher::with_shard_lanes(2, SimDuration::from_millis(10), 4);
+        let mut released = None;
+        for client in 0..2u32 {
+            let txn = Transaction::new(
+                TxnId::new(ClientId(client), 0),
+                vec![Operation::ReadModifyWrite(keys.next().unwrap(), 1)],
+            );
+            let digest = sbft_crypto::digest_u64s("planner-test", &[u64::from(client)]);
+            // The second client's signature is forged.
+            let signature = match client {
+                0 => provider
+                    .handle(ComponentId::Client(ClientId(0)))
+                    .sign(&digest),
+                _ => Signature::ZERO,
+            };
+            let plan = home_shard(&txn, &router);
+            released = b.push_planned(txn, digest, signature, SimTime::ZERO, plan);
+        }
+        let released = released.expect("the home lane is full");
+        assert_eq!(
+            batch_home(released.batch(), &router),
+            ShardPlan::SingleHome(home)
+        );
+        // A subset of a single-home batch is still single-home.
+        let (survivors, rejected) = released.verify_and_prune(&provider);
+        assert_eq!(rejected.len(), 1);
+        let survivors = survivors.expect("one survivor");
+        assert_eq!(batch_home(&survivors, &router), ShardPlan::SingleHome(home));
+        // A batch naming no key has no home.
+        let keyless = Transaction::new(TxnId::new(ClientId(9), 0), vec![Operation::Read(Key(1))])
+            .with_declared_rwset(RwSetKeys::default());
+        assert_eq!(
+            batch_home(&Batch::single(keyless), &router),
+            ShardPlan::Unplanned
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::events::{
     Action, BatchValidated, ClientRequest, Destination, ErrorMessage, ProtocolMessage,
     ProtocolTimer, RecoverySubject,
 };
-use crate::planner::{home_shard, BatchFootprint, BestEffortPlanner};
+use crate::planner::{batch_home, home_shard, BatchFootprint, BestEffortPlanner};
 use sbft_consensus::{
     Batcher, ConsensusAction, ConsensusMessage, OrderingProtocol, PbftReplica, SignedBatch,
 };
@@ -27,8 +27,8 @@ use sbft_durability::WriteAheadLog;
 use sbft_serverless::{ExecuteRequest, Invoker};
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
-    checkpoint_gc_cutoff, Batch, ComponentId, ConflictHandling, IdMap, NodeId, SeqNum, ShardPlan,
-    ShardRouter, SimDuration, SimTime, SpawningMode, SystemConfig, TxnId, ViewNumber,
+    checkpoint_gc_cutoff, Batch, ComponentId, ConflictHandling, IdMap, NodeId, SeqNum, ShardRouter,
+    SimDuration, SimTime, SpawningMode, SystemConfig, TxnId, ViewNumber,
 };
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
@@ -42,10 +42,6 @@ struct CommittedBatch {
     view: ViewNumber,
     batch: Batch,
     certificate: Arc<CommitCertificate>,
-    /// The ordering-time shard plan replicated with the batch; copied
-    /// into every `EXECUTE` this node spawns (including re-spawns after
-    /// view changes).
-    plan: ShardPlan,
     spawned: bool,
 }
 
@@ -496,10 +492,11 @@ impl ShimNode {
         }
         // Ordering-time shard planning: classify the transaction's
         // declared read-write set and steer it into its home lane.
-        let plan = match &self.lane_router {
-            Some(router) => home_shard(&txn, router),
-            None => ShardPlan::Unplanned,
-        };
+        let plan = self
+            .lane_router
+            .as_ref()
+            .map(|router| home_shard(&txn, router))
+            .unwrap_or_default();
         let mut out = offered_actions;
         if let Some(batch) = self.batcher.push_planned(txn, digest, signature, now, plan) {
             out.extend(self.submit_signed(batch));
@@ -542,7 +539,6 @@ impl ShimNode {
     /// honest request with the same transaction id can still be ordered),
     /// and whatever survives is handed to the ordering protocol.
     fn submit_signed(&mut self, signed: SignedBatch) -> Vec<Action> {
-        let plan = signed.plan();
         let (batch, rejected) = signed.verify_and_prune(self.crypto.provider());
         // The survivors hold their ids under valid signatures from here on.
         for txn in batch.iter().flat_map(Batch::iter) {
@@ -566,7 +562,7 @@ impl ShimNode {
         let Some(batch) = batch else {
             return Vec::new(); // nothing survived the signature check
         };
-        let consensus_actions = self.ordering.submit_batch(batch, plan);
+        let consensus_actions = self.ordering.submit_batch(batch);
         self.translate(consensus_actions)
     }
 
@@ -625,14 +621,13 @@ impl ShimNode {
                     view,
                     seq,
                     batch,
-                    plan,
                     certificate,
                 } => {
-                    let step =
-                        self.durable
-                            .on_committed(view, seq, &batch, plan, certificate.as_ref());
+                    let step = self
+                        .durable
+                        .on_committed(view, seq, &batch, certificate.as_ref());
                     out.extend(step.map(persist));
-                    out.extend(self.on_committed(view, seq, batch, plan, certificate));
+                    out.extend(self.on_committed(view, seq, batch, certificate));
                 }
                 ConsensusAction::ViewInstalled { view, .. } => {
                     self.view_changes.inc();
@@ -712,7 +707,6 @@ impl ShimNode {
                     view: e.view,
                     batch: e.batch.clone(),
                     certificate: Arc::clone(&e.certificate),
-                    plan: e.plan,
                     spawned: true,
                 },
             );
@@ -748,7 +742,6 @@ impl ShimNode {
         view: ViewNumber,
         seq: SeqNum,
         batch: Batch,
-        plan: ShardPlan,
         certificate: Option<Arc<CommitCertificate>>,
     ) -> Vec<Action> {
         self.batches_committed.inc();
@@ -779,7 +772,6 @@ impl ShimNode {
                 view,
                 batch,
                 certificate,
-                plan,
                 spawned: false,
             },
         );
@@ -852,14 +844,20 @@ impl ShimNode {
             digest,
             batch: entry.batch.clone(),
             certificate: Arc::clone(&entry.certificate),
-            plan: entry.plan,
             spawner: self.me,
             signature: self.crypto.sign(&signing),
         };
-        // Plan-aware placement: a SingleHome tag pins this batch's
-        // executors to its shard's home region (with deterministic
-        // round-robin fallback); cross-home and untagged batches rotate.
-        let plan = self.invoker.plan_placed(seq, count, entry.plan);
+        // Plan-aware placement: with ordering lanes, a batch whose keys
+        // all live on one shard has its executors pinned to that shard's
+        // home region (with deterministic round-robin fallback); the home
+        // is derived here from the batch itself. Cross-home batches, and
+        // every batch without lanes, rotate.
+        let home = self
+            .lane_router
+            .as_ref()
+            .map(|router| batch_home(&entry.batch, router))
+            .unwrap_or_default();
+        let plan = self.invoker.plan_placed(seq, count, home);
         self.executors_spawned.add(plan.requests.len() as u64);
         plan.requests
             .into_iter()
@@ -1803,11 +1801,11 @@ mod tests {
     }
 
     #[test]
-    fn ordering_lanes_assemble_single_home_batches_and_tag_executes() {
+    fn ordering_lanes_assemble_single_home_batches() {
         // KnownRwSets + 4 shards activates the ordering-time planner:
         // two single-op transactions homed on the same shard fill that
-        // shard's lane, the released batch is proposed with a
-        // SingleHome tag, and every spawned EXECUTE carries it.
+        // shard's lane, and the proposed batch, which every spawned
+        // EXECUTE carries, derives to that home.
         let mut config = SystemConfig::with_shim_size(4);
         config.conflict_handling = ConflictHandling::KnownRwSets;
         config.workload.batch_size = 2;
@@ -1833,18 +1831,19 @@ mod tests {
         let a1 = shim.nodes[0].on_client_request(&mk(1, foreign), SimTime::ZERO);
         assert!(a1.is_empty(), "the foreign lane is not full yet");
         let actions = shim.nodes[0].on_client_request(&mk(2, second), SimTime::ZERO);
-        let plan = actions
+        let proposed = actions
             .iter()
             .find_map(|a| match a.as_send().map(|e| &e.msg) {
                 Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
                     pp,
-                ))) => Some((pp.plan, pp.batch.clone())),
+                ))) => Some(pp.batch.clone()),
                 _ => None,
             })
             .expect("the home lane releases a batch");
-        assert_eq!(plan.0, sbft_types::ShardPlan::SingleHome(home));
-        assert_eq!(plan.1.len(), 2, "only the two same-home transactions");
-        // Run consensus; the primary's EXECUTE messages carry the tag.
+        let single_home = sbft_types::ShardPlan::SingleHome(home);
+        assert_eq!(batch_home(&proposed, &router), single_home);
+        assert_eq!(proposed.len(), 2, "only the two same-home transactions");
+        // Run consensus; the primary's EXECUTE messages carry that batch.
         let external = settle(&mut shim.nodes, NodeId(0), actions, None, |_| {
             Verdict::Deliver
         });
@@ -1857,7 +1856,7 @@ mod tests {
             .collect();
         assert!(!executes.is_empty());
         for execute in &executes {
-            assert_eq!(execute.plan, sbft_types::ShardPlan::SingleHome(home));
+            assert_eq!(batch_home(&execute.batch, &router), single_home);
         }
     }
 
@@ -1896,16 +1895,20 @@ mod tests {
         };
         let _ = shim.nodes[0].on_client_request(&mk(0), SimTime::ZERO);
         let actions = shim.nodes[0].on_client_request(&mk(1), SimTime::ZERO);
-        let plan = actions
+        let proposed = actions
             .iter()
             .find_map(|a| match a.as_send().map(|e| &e.msg) {
                 Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
                     pp,
-                ))) => Some(pp.plan),
+                ))) => Some(pp.batch.clone()),
                 _ => None,
             })
             .expect("the cross lane releases a batch");
-        assert_eq!(plan, sbft_types::ShardPlan::CrossHome);
+        assert_eq!(proposed.len(), 2);
+        assert_eq!(
+            batch_home(&proposed, &router),
+            sbft_types::ShardPlan::CrossHome
+        );
     }
 
     #[test]

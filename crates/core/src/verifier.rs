@@ -29,8 +29,7 @@ use sbft_storage::{ConcurrencyChecker, VersionedStore};
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
     checkpoint_gc_cutoff, ComponentId, ConflictHandling, ExecutorId, FaultParams, IdMap, Key,
-    ReadWriteSet, SeqNum, ShardId, ShardPlan, ShardRouter, SimDuration, TxnId, TxnOutcome,
-    ViewNumber,
+    ReadWriteSet, SeqNum, ShardRouter, SimDuration, TxnId, TxnOutcome, ViewNumber,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -83,8 +82,7 @@ pub struct VerifierConfig {
     /// without a matching quorum, the batch can never match.
     pub spawned_per_batch: usize,
     /// Number of execution shards the key space is partitioned into: the
-    /// verifier re-derives plan tags and counts single-home batches
-    /// over them.
+    /// verifier counts single-home batches over them.
     pub num_shards: usize,
     /// The shim's featherweight checkpoint interval (non-zero). The
     /// verifier truncates its retry table in the same rhythm (keeping one
@@ -99,8 +97,7 @@ pub struct Verifier {
     /// The data-store every matched batch is checked against and applied
     /// to, one transaction at a time in batch order.
     store: Arc<VersionedStore>,
-    /// Routes keys to shards for the plan-tag check and the single-home
-    /// count.
+    /// Routes keys to shards for the single-home count.
     router: ShardRouter,
     config: VerifierConfig,
 
@@ -138,16 +135,9 @@ pub struct Verifier {
     /// digests matched (the Section VI-B divergence rule, both the
     /// count-triggered and the timer-triggered form).
     divergent_aborts: Counter,
-    /// Batches applied through the verified ordering-time fast path (a
-    /// `SingleHome` plan tag that survived re-derivation).
-    planned_batches: Counter,
-    /// `SingleHome` tags that failed re-derivation against the observed
-    /// read-write sets (a byzantine primary or mis-declared sets); each
-    /// fell back deterministically to the unplanned routing path.
-    plan_mismatches: Counter,
-    /// Validated batches whose entire footprint lived on one shard,
-    /// pre-planned or discovered by apply-time routing. The complement
-    /// over `validated_batches` is the cross-shard coordination rate.
+    /// Validated batches whose entire observed footprint lived on one
+    /// shard. The complement over `validated_batches` is the cross-shard
+    /// coordination rate.
     single_home_batches: Counter,
 }
 
@@ -171,8 +161,6 @@ impl Verifier {
             ignored_verifies: Counter::new(),
             validated_batches: Counter::new(),
             divergent_aborts: Counter::new(),
-            planned_batches: Counter::new(),
-            plan_mismatches: Counter::new(),
             single_home_batches: Counter::new(),
         }
     }
@@ -185,8 +173,6 @@ impl Verifier {
         self.ignored_verifies = registry.counter("verifier.ignored_verifies");
         self.validated_batches = registry.counter("verifier.validated_batches");
         self.divergent_aborts = registry.counter("verifier.divergent_aborts");
-        self.planned_batches = registry.counter("verifier.planned_batches");
-        self.plan_mismatches = registry.counter("verifier.plan_mismatches");
         self.single_home_batches = registry.counter("verifier.single_home_batches");
     }
 
@@ -423,37 +409,19 @@ impl Verifier {
         // One answer per transaction, the announcement and the notice to
         // the nodes: reserved once instead of grown push by push.
         actions.reserve(matched.results.len() + 3);
+        // A batch is single-home when every key its executors observed
+        // lives on the first key's shard (a single pass over the keys, no
+        // sets, no allocation). This only counts: every batch is checked
+        // and applied the same way.
         let router = self.router;
-        let on = |home: ShardId| {
+        let mut keys = matched.results.iter().flat_map(|r| keys_of(&r.rwset));
+        let single_home = keys.next().is_none_or(|first| {
+            let home = router.shard_of(first);
             matched
                 .results
                 .iter()
                 .all(|result| router.all_on(home, keys_of(&result.rwset)))
-        };
-        // Trust-but-verify the ordering-time plan tag: a `SingleHome`
-        // claim is counted as planned only after re-deriving it from the
-        // read-write sets the executors actually observed (a cheap single
-        // pass over the keys — no sets, no allocation). Only a byzantine
-        // primary or a mis-declared read-write set can fail this check;
-        // out-of-range homes are lies too, so the detection telemetry sees
-        // every forged tag. A tag decides only these counters: every batch
-        // is checked and applied the same way.
-        let single_home = match matched.plan {
-            ShardPlan::SingleHome(home) if (home.0 as usize) < router.num_shards() && on(home) => {
-                self.planned_batches.inc();
-                true
-            }
-            plan => {
-                if matches!(plan, ShardPlan::SingleHome(_)) {
-                    self.plan_mismatches.inc();
-                }
-                // Discovered late: every key on the first key's shard
-                // (the planner would have tagged it; without lanes this is
-                // the baseline the `planner_points` experiment compares).
-                let mut keys = matched.results.iter().flat_map(|r| keys_of(&r.rwset));
-                keys.next().is_none_or(|first| on(router.shard_of(first)))
-            }
-        };
+        });
         if single_home {
             self.single_home_batches.inc();
         }
@@ -824,7 +792,6 @@ mod tests {
                 results: results.into(),
                 result_digest,
                 certificate: self.certificate(0, seq, digest),
-                plan: ShardPlan::Unplanned,
                 signature: handle.sign(&result_digest),
             }
         }
@@ -839,21 +806,6 @@ mod tests {
         ) -> VerifyMessage {
             let mut msg = self.verify_msg(executor, seq, client, 42, 1);
             msg.certificate = self.certificate(view, seq, msg.batch_digest);
-            msg
-        }
-
-        /// Like [`Self::verify_msg_with_results`], with an ordering-time
-        /// plan tag attached (honest or lying — the verifier must not
-        /// care for correctness).
-        fn verify_msg_planned(
-            &self,
-            executor: u64,
-            seq: u64,
-            results: Vec<TxnResult>,
-            plan: ShardPlan,
-        ) -> VerifyMessage {
-            let mut msg = self.verify_msg_with_results(executor, seq, results);
-            msg.plan = plan;
             msg
         }
     }
@@ -1562,82 +1514,14 @@ mod tests {
     }
 
     /// `n` distinct keys all living on one shard of the verifier's router.
-    fn keys_on_one_shard(v: &Verifier, n: usize) -> (ShardId, Vec<Key>) {
+    fn keys_on_one_shard(v: &Verifier, n: usize) -> Vec<Key> {
         let router = v.router;
         let home = router.shard_of(Key(1));
-        let keys: Vec<Key> = (1..)
+        (1..)
             .map(Key)
             .filter(|k| router.shard_of(*k) == home)
             .take(n)
-            .collect();
-        (home, keys)
-    }
-
-    #[test]
-    fn lying_single_home_plan_falls_back_without_corrupting_state() {
-        // A byzantine primary tags a genuinely cross-home batch as
-        // SingleHome(0). The verifier must detect the mismatch and apply
-        // the batch exactly as an untagged verifier would.
-        let run = |plan: ShardPlan| {
-            let fx = Fixture::new();
-            let mut v = fx.verifier_sharded(
-                ConflictHandling::KnownRwSets,
-                sbft_types::ShardingConfig::with_shards(8),
-            );
-            let router = v.router;
-            let k1 = Key(1);
-            let k2 = (2..)
-                .map(Key)
-                .find(|k| router.shard_of(*k) != router.shard_of(k1))
-                .expect("8 shards split the keys");
-            let results = vec![rmw_result(0, k1, 5), rmw_result(1, k2, 6)];
-            let _ = v.on_verify(&fx.verify_msg_planned(1, 1, results.clone(), plan));
-            let actions = v.on_verify(&fx.verify_msg_planned(2, 1, results, plan));
-            let kinds = response_kinds(&actions);
-            (
-                v.committed_txns.get(),
-                v.aborted_txns.get(),
-                v.plan_mismatches.get(),
-                v.planned_batches.get(),
-                kinds,
-                fx.store.get(k1).unwrap().value,
-                fx.store.get(k2).unwrap().value,
-            )
-        };
-        let lied = run(ShardPlan::SingleHome(ShardId(0)));
-        let honest = run(ShardPlan::Unplanned);
-        assert_eq!(lied.2, 1, "the lie must be detected");
-        assert_eq!(lied.3, 0, "a lying tag never earns the fast path");
-        assert_eq!(honest.2, 0);
-        // Outcomes, responses and state are identical either way.
-        assert_eq!(lied.0, honest.0);
-        assert_eq!(lied.1, honest.1);
-        assert_eq!(lied.4, honest.4);
-        assert_eq!(lied.5, honest.5);
-        assert_eq!(lied.6, honest.6);
-    }
-
-    #[test]
-    fn out_of_range_home_tag_is_ignored_not_honoured() {
-        // SingleHome(99) on an 8-shard verifier: neither a panic nor a
-        // fast path — the batch routes like an unplanned one.
-        let fx = Fixture::new();
-        let mut v = fx.verifier_sharded(
-            ConflictHandling::NonConflicting,
-            sbft_types::ShardingConfig::with_shards(8),
-        );
-        let plan = ShardPlan::SingleHome(ShardId(99));
-        let results = vec![rmw_result(0, Key(1), 7)];
-        let _ = v.on_verify(&fx.verify_msg_planned(1, 1, results.clone(), plan));
-        let actions = v.on_verify(&fx.verify_msg_planned(2, 1, results, plan));
-        assert!(response_kinds(&actions).contains(&"RESPONSE"));
-        assert_eq!(v.planned_batches.get(), 0);
-        assert_eq!(
-            v.plan_mismatches.get(),
-            1,
-            "an impossible home is a lie too"
-        );
-        assert_eq!(v.committed_txns.get(), 1);
+            .collect()
     }
 
     /// Every announced `ccheck` of an action list as `(position,
@@ -1674,54 +1558,39 @@ mod tests {
     }
 
     #[test]
-    fn every_plan_announces_one_ccheck_and_only_the_counters_differ() {
+    fn every_batch_announces_one_ccheck_and_counts_its_observed_home() {
         // A single-home batch and a cross-home one (keys 1, 2, 3 and 4
-        // hash to shards 4, 1, 6 and 3 of 8), honest, lying and untagged,
-        // over 8 shards and over one. Every batch is one `ccheck` over its
-        // whole rwset; the plan decides only `(planned, mismatches,
-        // single_home)`.
+        // hash to shards 4, 1, 6 and 3 of 8), over 8 shards and over one.
+        // Every batch is one `ccheck` over its whole rwset; its observed
+        // keys decide only `single_home_batches`.
         let fx = Fixture::new();
         let probe = fx.verifier_sharded(
             ConflictHandling::NonConflicting,
             sbft_types::ShardingConfig::with_shards(8),
         );
-        let (home, keys) = keys_on_one_shard(&probe, 3);
+        let keys = keys_on_one_shard(&probe, 3);
         let single: Vec<TxnResult> = keys
             .iter()
             .enumerate()
             .map(|(i, k)| rmw_result(i as u32, *k, 10 + i as u64))
             .collect();
-        let elsewhere = ShardId((home.0 + 1) % 8);
         let mixed = mixed_batch();
-        for (shards, results, plan, accesses, counters) in [
-            (8, &single, ShardPlan::SingleHome(home), 6, (1, 0, 1)),
-            (8, &single, ShardPlan::SingleHome(elsewhere), 6, (0, 1, 1)),
-            (8, &single, ShardPlan::Unplanned, 6, (0, 0, 1)),
-            (8, &mixed, ShardPlan::SingleHome(ShardId(4)), 7, (0, 1, 0)),
-            (8, &mixed, ShardPlan::Unplanned, 7, (0, 0, 0)),
-            // At one shard every key is home, and any tag but shard 0 is
-            // out of range: a lie.
-            (1, &mixed, ShardPlan::Unplanned, 7, (0, 0, 1)),
-            (1, &mixed, ShardPlan::SingleHome(ShardId(3)), 7, (0, 1, 1)),
+        for (shards, results, accesses, single_home) in [
+            (8, &single, 6, 1),
+            (8, &mixed, 7, 0),
+            // At one shard every key is home.
+            (1, &mixed, 7, 1),
         ] {
             let fx = Fixture::new();
             let mut v = fx.verifier_sharded(
                 ConflictHandling::NonConflicting,
                 sbft_types::ShardingConfig::with_shards(shards),
             );
-            let _ = v.on_verify(&fx.verify_msg_planned(1, 1, results.clone(), plan));
-            let actions = v.on_verify(&fx.verify_msg_planned(2, 1, results.clone(), plan));
-            let row = format!("{shards} shards, {plan:?}");
+            let _ = v.on_verify(&fx.verify_msg_with_results(1, 1, results.clone()));
+            let actions = v.on_verify(&fx.verify_msg_with_results(2, 1, results.clone()));
+            let row = format!("{shards} shards, {} txns", results.len());
             assert_eq!(announced(&actions), vec![(0, accesses)], "{row}");
-            assert_eq!(
-                (
-                    v.planned_batches.get(),
-                    v.plan_mismatches.get(),
-                    v.single_home_batches.get()
-                ),
-                counters,
-                "{row}"
-            );
+            assert_eq!(v.single_home_batches.get(), single_home, "{row}");
             assert_eq!(v.committed_txns.get(), results.len() as u64, "{row}");
         }
     }

@@ -7,7 +7,7 @@
 
 use crate::wal::WalRecord;
 use sbft_crypto::CommitCertificate;
-use sbft_types::{Batch, SeqNum, ShardPlan, ViewNumber};
+use sbft_types::{Batch, SeqNum, ViewNumber};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -22,8 +22,6 @@ pub struct RecoveredEntry {
     pub view: ViewNumber,
     /// The committed batch.
     pub batch: Batch,
-    /// Ordering-time shard plan replicated with the batch.
-    pub plan: ShardPlan,
     /// The commit certificate proving the batch committed.
     pub certificate: Arc<CommitCertificate>,
 }
@@ -62,9 +60,9 @@ pub fn recover(records: &[WalRecord]) -> RecoveredState {
             WalRecord::Committed {
                 seq,
                 view: v,
-                plan,
                 batch,
                 certificate,
+                ..
             } => {
                 view = view.max(*v);
                 committed.insert(
@@ -73,7 +71,6 @@ pub fn recover(records: &[WalRecord]) -> RecoveredState {
                         seq: *seq,
                         view: *v,
                         batch: batch.clone(),
-                        plan: *plan,
                         certificate: Arc::clone(certificate),
                     },
                 );
@@ -102,7 +99,7 @@ mod tests {
         WalRecord::Committed {
             seq: SeqNum(seq),
             view: ViewNumber(view),
-            plan: ShardPlan::Unplanned,
+            plan: sbft_types::ShardPlan::Unplanned,
             batch: Batch::single(Transaction::new(
                 TxnId::new(ClientId(9), seq),
                 vec![Operation::Write(

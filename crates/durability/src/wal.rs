@@ -47,7 +47,10 @@ pub enum WalRecord {
         seq: SeqNum,
         /// View it committed in.
         view: ViewNumber,
-        /// Ordering-time shard plan replicated with the batch.
+        /// Unread: every writer stores [`ShardPlan::Unplanned`] and
+        /// `recover` ignores it. The field and its codec arm stay only
+        /// because the repository benchmark builds this record; the next
+        /// benchmark revision deletes both.
         plan: ShardPlan,
         /// The committed batch.
         batch: Batch,

@@ -201,9 +201,6 @@ impl Executor {
             // A refcount bump: the certificate is shared with the EXECUTE
             // message, not copied.
             certificate: Arc::clone(&req.certificate),
-            // Echoed so the verifier learns the ordering-time plan from
-            // the quorum it counts (trust-but-verify on its side).
-            plan: req.plan,
             signature: self.crypto.sign(&result_digest),
         };
         // A flooding executor's copies are handles on the one message.
@@ -281,7 +278,6 @@ mod tests {
                 digest,
                 batch,
                 certificate,
-                plan: sbft_types::ShardPlan::Unplanned,
                 spawner,
                 signature,
             }

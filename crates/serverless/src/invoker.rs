@@ -26,12 +26,13 @@
 //! With geo-partitioned storage ([`Invoker::geo`]) the data is not at the
 //! verifier's site, so the nearest region buys nothing and the paper's
 //! rotation stands for every count. The invoker can instead place by data:
-//! a batch whose replicated [`ShardPlan`] tag says `SingleHome(s)` has its
-//! whole read-write footprint in shard `s`'s partition, so its executors
+//! a batch whose keys all route to shard `s` (its [`ShardPlan`], which the
+//! spawner derives from the batch itself) has its whole read-write
+//! footprint in shard `s`'s partition, so its executors
 //! are *pinned* to that shard's home region — every storage fetch becomes
 //! local. Pinning falls back to the round-robin rotation, deterministically,
 //! when the home region is not in the spawnable set or is marked faulted
-//! (a [`crate::faults::RegionOutage`]). Cross-home and untagged batches
+//! (a [`crate::faults::RegionOutage`]). Cross-home and unplanned batches
 //! keep the paper's rotation.
 //!
 //! Every rule advances the rotation counter by the batch's count, so a
@@ -147,10 +148,10 @@ impl Invoker {
     }
 
     /// Plans the spawning of `count` executors for the batch at `seq`,
-    /// consulting the batch's replicated [`ShardPlan`] tag: a verified
-    /// geo deployment pins a `SingleHome` batch's executors to its
-    /// shard's home region, everything else is placed by the module's
-    /// rotation rule.
+    /// consulting the batch's [`ShardPlan`], which the caller derives
+    /// from the batch: a geo deployment pins a `SingleHome` batch's
+    /// executors to its shard's home region, everything else is placed
+    /// by the module's rotation rule.
     pub fn plan_placed(&mut self, seq: SeqNum, count: usize, plan: ShardPlan) -> SpawnPlan {
         if count == 0 {
             return SpawnPlan {
@@ -451,7 +452,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_home_and_untagged_batches_keep_the_rotation() {
+    fn cross_home_and_unplanned_batches_keep_the_rotation() {
         let mut invoker = geo_invoker(3, 8);
         let cross = invoker.plan_placed(SeqNum(1), 3, ShardPlan::CrossHome);
         let regions: Vec<Region> = cross.requests.iter().map(|r| r.region).collect();
@@ -459,8 +460,8 @@ mod tests {
             regions,
             vec![Region::NorthCalifornia, Region::Oregon, Region::Ohio]
         );
-        let untagged = invoker.plan_placed(SeqNum(2), 2, ShardPlan::Unplanned);
-        assert_eq!(untagged.requests[0].region, Region::NorthCalifornia);
+        let unplanned = invoker.plan_placed(SeqNum(2), 2, ShardPlan::Unplanned);
+        assert_eq!(unplanned.requests[0].region, Region::NorthCalifornia);
         assert_eq!(invoker.pinned_spawns.get(), 0);
         assert_eq!(invoker.placement_fallbacks.get(), 0);
     }

@@ -8,7 +8,7 @@
 
 use sbft_crypto::{CommitCertificate, U64Hasher};
 use sbft_types::{
-    Batch, BatchId, Digest, ExecutorId, NodeId, SeqNum, ShardPlan, Signature, TxnResult, ViewNumber,
+    Batch, BatchId, Digest, ExecutorId, NodeId, SeqNum, Signature, TxnResult, ViewNumber,
 };
 use std::sync::Arc;
 
@@ -27,11 +27,6 @@ pub struct ExecuteRequest {
     /// The certificate proving `2f_R + 1` shim nodes committed the batch,
     /// shared by reference count with the spawner's consensus log.
     pub certificate: Arc<CommitCertificate>,
-    /// The ordering-time shard plan replicated with the batch. Not
-    /// covered by the spawner signature (trust-but-verify: the verifier
-    /// re-derives it before acting on it, and a byzantine spawner holds
-    /// its own signing key anyway).
-    pub plan: ShardPlan,
     /// The shim node that spawned this executor (and pays for it).
     pub spawner: NodeId,
     /// Signature of the spawner over the request digest.
@@ -64,9 +59,6 @@ pub struct VerifyMessage {
     /// were never backed by consensus (Section V-C). Shared with the
     /// `EXECUTE` message it answers.
     pub certificate: Arc<CommitCertificate>,
-    /// The ordering-time shard plan echoed from the `EXECUTE` message,
-    /// so the verifier learns the tag from the same quorum it validates.
-    pub plan: ShardPlan,
     /// The executor's signature over `result_digest`.
     pub signature: Signature,
 }
@@ -93,13 +85,11 @@ impl ExecuteRequest {
     /// transaction encodings) this lands near the paper's 3320 B.
     #[must_use]
     pub fn wire_size(&self) -> usize {
-        // Framing + header + plan tag + certificate + compact transaction
-        // encoding (ids and operations only; values are fetched from
-        // storage).
+        // Framing + header + certificate + compact transaction encoding
+        // (ids and operations only; values are fetched from storage).
         120 + 16
             + 32
             + 64
-            + 5
             + self.certificate.wire_size()
             + self
                 .batch
@@ -149,7 +139,6 @@ impl VerifyMessage {
             + 32
             + 32
             + 64
-            + 5
             + self.certificate.wire_size()
             + self
                 .results

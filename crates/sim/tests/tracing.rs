@@ -84,7 +84,7 @@ fn committed_batches_carry_a_complete_monotone_span_sequence() {
 #[test]
 fn a_sharded_untagged_run_telescopes() {
     // Known read-write sets over 8 shards *without* ordering lanes:
-    // nearly every batch spans shards and reaches the verifier untagged.
+    // nearly every batch spans shards.
     // Its apply is one `ccheck` on the one apply station, and every
     // batch's stage intervals add up to its `shim_ingest → respond`
     // latency: no marker runs backwards. Enough records and clients that

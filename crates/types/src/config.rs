@@ -257,9 +257,9 @@ pub struct ShardingConfig {
     /// Whether the primary runs the **ordering-time shard planner**:
     /// with known read-write sets and more than one shard, the batcher
     /// assembles per-shard ordering lanes so single-home batches reach
-    /// the verifier already conflict-free per shard (tagged with a
-    /// [`crate::ShardPlan`]). Disable to measure the PR 3 baseline where
-    /// cross-home batches are only discovered at apply time.
+    /// the verifier already conflict-free per shard. Disable to measure
+    /// the PR 3 baseline where cross-home batches are only discovered at
+    /// apply time.
     pub ordering_lanes: bool,
     /// Whether storage is **geo-partitioned**: every shard's partition
     /// lives in a home region (the deterministic
@@ -268,14 +268,15 @@ pub struct ShardingConfig {
     /// homed outside its own region. Off by default — the paper's setup
     /// keeps all storage at the home site.
     pub geo_partitioned: bool,
-    /// Whether the invoker consumes the replicated [`crate::ShardPlan`]
-    /// for spawn placement: a `SingleHome` batch's executors are pinned
-    /// to its shard's home region (with deterministic round-robin
-    /// fallback when that region is faulted or lacks spawn capacity);
-    /// cross-home and untagged batches keep the paper's round-robin
-    /// rotation. Only meaningful when `geo_partitioned` is set — without
-    /// partitioned storage there is nothing to be near. Placement is a
-    /// pure performance hint: outcomes are proven identical either way.
+    /// Whether the invoker places executors by a batch's
+    /// [`crate::ShardPlan`], which the spawner derives from the batch when
+    /// ordering lanes run: a `SingleHome` batch's executors are pinned to
+    /// its shard's home region (with deterministic round-robin fallback
+    /// when that region is faulted or lacks spawn capacity); cross-home
+    /// and unplanned batches keep the paper's round-robin rotation. Only
+    /// meaningful when `geo_partitioned` is set — without partitioned
+    /// storage there is nothing to be near. Placement is a pure
+    /// performance hint: outcomes are proven identical either way.
     pub pinned_placement: bool,
 }
 

@@ -29,9 +29,9 @@ pub struct ExecutorId(pub u64);
 ///
 /// Shards are numbered `0, 1, …, num_shards - 1` by the shard router
 /// (`sbft-sharding`), which re-exports this type. It lives here so the
-/// ordering-time plan tag ([`crate::ShardPlan`]) can travel through the
-/// consensus messages without the consensus crate depending on the
-/// sharding engine.
+/// batcher's lanes and the ordering-time plan ([`crate::ShardPlan`]) can
+/// name a shard without the consensus crate depending on the sharding
+/// engine.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ShardId(pub u32);
 

@@ -20,7 +20,7 @@
 //!   fixed-key hasher,
 //! * [`inline`] — the inline read/write lists and the shard bit set that
 //!   keep the per-transaction path off the heap,
-//! * [`plan`] and [`router`] — the ordering-time shard plan tag and the
+//! * [`plan`] and [`router`] — the ordering-time shard plan and the
 //!   deterministic `key → shard` map the planner, the verifier and the
 //!   simulator all route with,
 //! * [`error`] — the common error type.

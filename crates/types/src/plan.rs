@@ -1,28 +1,22 @@
-//! The ordering-time shard plan tag.
+//! The ordering-time shard plan: where a transaction or a batch lives.
 //!
-//! The shard-aware planner classifies every batch against the shard
-//! router's `key → shard` map *at ordering time* — before consensus —
-//! and the resulting [`ShardPlan`] travels with the batch through the
-//! whole pipeline: the batcher stamps it on the released batch, the
-//! `PREPREPARE` (and the CFT accept) replicate it, the spawner copies it
-//! into every `EXECUTE` (and, over geo-partitioned storage, places the
-//! batch's executors by it), the executors echo it inside `VERIFY`, and
-//! the verifier re-derives it for its plan counters.
+//! A [`ShardPlan`] classifies a key set against the shard router's
+//! `key → shard` map. It is **derived where it is used**, never
+//! replicated:
 //!
-//! # Trust-but-verify
+//! * the primary's batcher classifies each transaction
+//!   (`sbft_core::planner::home_shard`) to pick its ordering lane;
+//! * a spawner running ordering lanes classifies the committed batch
+//!   (`sbft_core::planner::batch_home`) to place its executors;
+//! * the verifier counts a batch single-home from the keys its executors
+//!   observed.
 //!
-//! The tag is an *optimisation hint*, not an authenticated claim: it is
-//! covered by neither the batch digest nor any signature (a byzantine
-//! primary holds the signing key, so signing it would prove nothing).
-//! Every component that would change behaviour based on the tag must
-//! **re-derive** it from data it already holds before relying on it, and
-//! fall back deterministically to the unplanned path on mismatch. The
-//! verifier does exactly that: a `SingleHome(s)` tag is only counted as
-//! planned after checking that every observed read/write key of the
-//! batch maps to shard `s`, and a lie is counted as a mismatch. The
-//! verifier checks and applies every batch the same way whatever its
-//! tag, on one thread in batch order, so a tag can never corrupt state
-//! or break the equivalence with unrouted execution.
+//! No message or log entry carries a plan (the write-ahead log's
+//! `Committed` record keeps an unread placeholder), so there is no
+//! unauthenticated tag for a byzantine primary, a new primary's
+//! re-issue, a state-transfer peer or a spawner to rewrite: every
+//! consumer computes the plan from the batch it already holds, whose
+//! contents the batch digest and the commit certificate pin down.
 
 use crate::ids::ShardId;
 
@@ -35,11 +29,9 @@ pub enum ShardPlan {
     /// data at all.
     #[default]
     Unplanned,
-    /// Every key the batch touches maps to this one shard. The verifier
-    /// re-derives the claim before counting the batch as planned.
+    /// Every key the batch touches maps to this one shard.
     SingleHome(ShardId),
-    /// The batch spans shards (or contains a transaction that does): it
-    /// was classified at batching time instead of being discovered late.
+    /// The batch spans shards (or contains a transaction that does).
     CrossHome,
 }
 

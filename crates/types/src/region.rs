@@ -162,9 +162,9 @@ impl RegionSet {
 /// is homed in `regions[s mod |regions|]` — so the shim's invoker, the
 /// verifier's runtime, the simulator and the experiment binaries all
 /// derive the identical placement without ever exchanging it. This is the
-/// geo analogue of [`crate::ShardPlan`]'s trust-but-verify rule: because
-/// everyone can re-derive the map, no component ever has to believe
-/// another's claim about where a shard lives.
+/// geo analogue of a batch's [`crate::ShardPlan`], which is derived where
+/// it is used: because everyone can derive the map, no component ever has
+/// to believe another's claim about where a shard lives.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RegionPartition {
     regions: RegionSet,
@@ -311,7 +311,7 @@ mod tests {
         assert_eq!(part.home_of(ShardId(1)), Region::Oregon);
         assert_eq!(part.home_of(ShardId(2)), Region::Ohio);
         assert_eq!(part.home_of(ShardId(3)), Region::NorthCalifornia);
-        // Out-of-range shards (a forged tag) still map deterministically.
+        // Out-of-range shards still map deterministically.
         assert_eq!(part.home_of(ShardId(100)), part.home_of(ShardId(1)));
     }
 

@@ -16,14 +16,12 @@
 //!   each transaction's *declared* read-write set with [`ShardRouter::plan_keys`]
 //!   and steers single-home transactions into per-shard batching lanes,
 //!   so whole batches arrive at the verifier already conflict-free per
-//!   shard, tagged with the resulting [`ShardPlan`].
-//! * **Apply time** (trust-but-verify): the verifier *re-derives* the
-//!   plan from the read-write sets the executors actually observed
-//!   before honouring the tag ([`ShardRouter::all_on`] /
-//!   [`ShardRouter::plan_of`]). A mismatch — only a byzantine primary or
-//!   a mis-declared read-write set can cause one — is counted, and the
-//!   batch is applied exactly as an untagged one, so a lying tag can
-//!   never corrupt state.
+//!   shard. The spawner classifies a committed batch the same way to
+//!   place its executors; no [`ShardPlan`] travels with the batch.
+//! * **Apply time**: the verifier counts a batch single-home from the
+//!   read-write sets the executors actually observed
+//!   ([`ShardRouter::all_on`]). It checks and applies every batch the
+//!   same way whatever its home.
 
 use crate::ids::ShardId;
 use crate::inline::ShardSet;
@@ -87,8 +85,8 @@ impl ShardRouter {
         })
     }
 
-    /// Re-derives the plan of an *observed* read-write set at apply time
-    /// (the trust-but-verify side of [`Self::plan_keys`]).
+    /// The plan of an *observed* read-write set: [`Self::plan_keys`] over
+    /// its reads and writes.
     #[must_use]
     pub fn plan_of(&self, rwset: &ReadWriteSet) -> ShardPlan {
         self.plan_keys(
@@ -101,9 +99,8 @@ impl ShardRouter {
     }
 
     /// Whether every key of the collection maps to `home` — the cheap
-    /// single-pass check the verifier runs before honouring a
-    /// `SingleHome` tag (no sets, no allocation, early exit on the
-    /// first foreign key).
+    /// single-pass check the verifier's single-home count runs (no sets,
+    /// no allocation, early exit on the first foreign key).
     #[must_use]
     pub fn all_on<I: IntoIterator<Item = Key>>(&self, home: ShardId, keys: I) -> bool {
         keys.into_iter().all(|k| self.shard_of(k) == home)

@@ -3,16 +3,14 @@
 use proptest::prelude::*;
 use serverless_bft::consensus::messages::{batch_digest, compute_batch_digest};
 use serverless_bft::consensus::Batcher;
-use serverless_bft::core::planner::{BatchFootprint, BestEffortPlanner};
+use serverless_bft::core::planner::{batch_home, home_shard, BatchFootprint, BestEffortPlanner};
 use serverless_bft::core::verifier::{Verifier, VerifierConfig};
 use serverless_bft::core::ClientRequest;
 use serverless_bft::crypto::certificate::commit_digest;
 use serverless_bft::crypto::{
     AggregateSignature, CommitCertificate, CryptoProvider, KeyStore, SimSigner,
 };
-use serverless_bft::serverless::{
-    ExecuteRequest, Executor, ExecutorBehavior, Invoker, VerifyMessage,
-};
+use serverless_bft::serverless::{ExecuteRequest, Executor, ExecutorBehavior, Invoker};
 use serverless_bft::sharding::{ShardRouter, ShardScheduler, ShardedCommitter};
 use serverless_bft::storage::{
     ConcurrencyChecker, OccOutcome, StorageReader, VersionedStore, YcsbTable,
@@ -27,7 +25,7 @@ use serverless_bft::types::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Builds a verifier over a fresh 256-record store for the planner
+/// Builds a verifier over a fresh 256-record store for the placement
 /// equivalence suite, its counters registered under `verifier.*`.
 fn equivalence_verifier(
     provider: &Arc<CryptoProvider>,
@@ -52,51 +50,6 @@ fn equivalence_verifier(
     let registry = Registry::new();
     verifier.register_metrics(&registry);
     (store, verifier, registry)
-}
-
-/// A well-formed VERIFY message from `executor` carrying `results` and a
-/// (possibly lying) ordering-time plan tag.
-fn equivalence_verify(
-    provider: &Arc<CryptoProvider>,
-    executor: u64,
-    seq: u64,
-    results: Vec<TxnResult>,
-    plan: ShardPlan,
-) -> VerifyMessage {
-    let batch_digest = Digest::from_bytes([seq as u8; 32]);
-    let cd = commit_digest(ViewNumber(0), SeqNum(seq), &batch_digest);
-    let entries = (0..3u32)
-        .map(|n| {
-            let kp = provider
-                .key_store()
-                .keypair_for(ComponentId::Node(NodeId(n)));
-            (NodeId(n), SimSigner::sign(&kp, &cd))
-        })
-        .collect();
-    let certificate = Arc::new(CommitCertificate::new(
-        ViewNumber(0),
-        SeqNum(seq),
-        batch_digest,
-        entries,
-    ));
-    let result_digest = VerifyMessage::digest_of_results(SeqNum(seq), &results);
-    let handle = provider.handle(ComponentId::Executor(ExecutorId(executor)));
-    let batch = Batch::single(Transaction::new(
-        results[0].txn,
-        vec![Operation::Read(Key(0))],
-    ));
-    VerifyMessage {
-        executor: ExecutorId(executor),
-        view: ViewNumber(0),
-        seq: SeqNum(seq),
-        batch_id: batch.id(),
-        batch_digest,
-        results: results.into(),
-        result_digest,
-        certificate,
-        plan,
-        signature: handle.sign(&result_digest),
-    }
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Operation>> {
@@ -607,9 +560,9 @@ proptest! {
     }
 
     /// The ordering-time classification agrees with the apply-time
-    /// re-derivation for arbitrary key sets and shard counts: the two
-    /// sides of the trust-but-verify protocol can never disagree for an
-    /// honest primary.
+    /// single-home check for arbitrary key sets and shard counts: the
+    /// lanes and the verifier's count can never disagree about one key
+    /// set.
     #[test]
     fn ordering_plan_matches_apply_time_rederivation(
         keys in prop::collection::vec(0u64..1_000, 0..12),
@@ -630,115 +583,60 @@ proptest! {
         }
     }
 
-    /// **Planner equivalence**: routed execution ≡ unrouted execution.
-    ///
-    /// The same ordered VERIFY stream — random Zipf-skewed keys, random
-    /// shard counts, forced cross-home batches, and arbitrary (honest
-    /// *or lying*) plan tags — through a plan-honouring verifier and
-    /// through an untagged verifier must produce byte-identical results: the same
-    /// per-transaction commit/abort outcomes (= the same per-client
-    /// responses) and the same final KV state.
+    /// **A derived home is the lane's tag.** Over random transactions
+    /// (literal or declared keys), shard counts and batch sizes, every
+    /// batch a laned batcher releases holds one lane's transactions, and
+    /// `batch_home` derives it to `SingleHome(s)` from home lane `s`, and
+    /// to `CrossHome` or `Unplanned` from the cross lane: the plan a
+    /// consumer derives where it is used is the tag the lane would have
+    /// stamped on the batch.
     #[test]
-    fn planner_routed_execution_equals_unrouted(
-        batches in prop::collection::vec(
-            prop::collection::vec((0u64..255, any::<u64>(), any::<bool>()), 1..6),
-            1..8,
+    fn a_laned_batch_derives_the_home_of_its_lane(
+        txns in prop::collection::vec(
+            (arb_ops(), any::<bool>(), prop::collection::vec(0u64..50, 0..4)),
+            1..60,
         ),
-        shards in 1usize..12,
-        skew in 0u32..3,
-        lie_mask in any::<u64>(),
+        shards in 1usize..9,
+        batch_size in 1usize..8,
     ) {
-        let provider = CryptoProvider::new(17);
         let router = ShardRouter::new(shards);
-        // Materialise the batches once: read-write sets with version-1
-        // reads (some go stale as earlier batches write — exercising
-        // aborts) and an occasional forced cross-home second key.
-        let all_results: Vec<Vec<TxnResult>> = batches
-            .iter()
-            .enumerate()
-            .map(|(b, txns)| {
-                txns.iter()
-                    .enumerate()
-                    .map(|(i, (key, value, cross))| {
-                        // Zipf-style skew: shifting compresses the key
-                        // space towards the head.
-                        let key = Key(key >> (skew * 3));
-                        let mut rwset = ReadWriteSet::new();
-                        rwset.record_read(key, Version(1));
-                        rwset.record_write(key, Value::new(*value));
-                        if *cross {
-                            // Force a second key on another shard when
-                            // one exists.
-                            if let Some(far) = (0..255u64)
-                                .map(Key)
-                                .find(|k| router.shard_of(*k) != router.shard_of(key))
-                            {
-                                rwset.record_write(far, Value::new(value.wrapping_add(1)));
-                            }
-                        }
-                        TxnResult {
-                            txn: TxnId::new(ClientId(i as u32), b as u64),
-                            output: *value,
-                            rwset,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        // Tags for the routed run: the honest classification, or — when
-        // the lie bit fires — a byzantine SingleHome(0) claim.
-        let plans: Vec<ShardPlan> = all_results
-            .iter()
-            .enumerate()
-            .map(|(b, results)| {
-                if lie_mask & (1 << (b % 64)) != 0 {
-                    ShardPlan::SingleHome(serverless_bft::types::ShardId(0))
-                } else {
-                    router.plan_keys(results.iter().flat_map(|r| {
-                        r.rwset
-                            .reads
-                            .iter()
-                            .map(|(k, _)| *k)
-                            .chain(r.rwset.writes.iter().map(|(k, _)| *k))
-                    }))
-                }
-            })
-            .collect();
-        let run = |tagged: bool| {
-            let (store, mut verifier, registry) = equivalence_verifier(&provider, shards);
-            let mut outcomes = Vec::new();
-            for (b, results) in all_results.iter().enumerate() {
-                let seq = b as u64 + 1;
-                let plan = if tagged { plans[b] } else { ShardPlan::Unplanned };
-                let m1 = equivalence_verify(&provider, 1, seq, results.clone(), plan);
-                let m2 = equivalence_verify(&provider, 2, seq, results.clone(), plan);
-                let _ = verifier.on_verify(&m1);
-                let actions = verifier.on_verify(&m2);
-                for action in &actions {
-                    if let Some(env) = action.as_send() {
-                        outcomes.push(env.msg.kind().to_string());
-                    }
-                }
+        let mut batcher =
+            Batcher::with_shard_lanes(batch_size, SimDuration::from_millis(5), shards);
+        let mut lane_of = BTreeMap::new();
+        let mut released = Vec::new();
+        for (i, (ops, declares, keys)) in txns.into_iter().enumerate() {
+            let mut txn = Transaction::new(TxnId::new(ClientId(0), i as u64), ops);
+            if declares {
+                let keys: Vec<Key> = keys.into_iter().map(Key).collect();
+                txn = txn.with_declared_rwset(RwSetKeys::new(keys.clone(), keys));
             }
-            let state: Vec<(u64, u64)> = (0..256u64)
-                .map(|k| {
-                    let e = store.get(Key(k)).expect("populated key");
-                    (e.value.data, e.version.0)
-                })
-                .collect();
-            (
-                registry.counter_value("verifier.committed_txns"),
-                registry.counter_value("verifier.aborted_txns"),
-                outcomes,
-                state,
-            )
-        };
-        let routed = run(true);
-        let unrouted = run(false);
-        prop_assert_eq!(&routed.0, &unrouted.0, "committed counts diverge");
-        prop_assert_eq!(&routed.1, &unrouted.1, "aborted counts diverge");
-        prop_assert_eq!(&routed.2, &unrouted.2, "per-client responses diverge");
-        prop_assert_eq!(&routed.3, &unrouted.3, "final KV state diverges");
+            let plan = home_shard(&txn, &router);
+            lane_of.insert(txn.id, plan.home());
+            released.extend(batcher.push_planned(
+                txn,
+                Digest::ZERO,
+                Signature::ZERO,
+                SimTime::ZERO,
+                plan,
+            ));
+        }
+        while let Some(rest) = batcher.flush() {
+            released.push(rest);
+        }
+        for signed in &released {
+            let batch = signed.batch();
+            let lane = lane_of[&batch.txns()[0].id];
+            prop_assert!(batch.iter().all(|t| lane_of[&t.id] == lane), "one lane per batch");
+            let derived = batch_home(batch, &router);
+            match lane {
+                Some(home) => prop_assert_eq!(derived, ShardPlan::SingleHome(home)),
+                None => prop_assert!(
+                    matches!(derived, ShardPlan::CrossHome | ShardPlan::Unplanned),
+                    "a cross-lane batch derived {:?}",
+                    derived
+                ),
+            }
+        }
     }
 
     /// **Placement equivalence**: pinned placement ≡ surplus-nearest
@@ -827,9 +725,7 @@ proptest! {
                 let seq = b as u64 + 1;
                 let batch = Batch::new(txns.clone());
                 let digest = batch_digest(&batch);
-                let plan = router.plan_keys(
-                    batch.iter().flat_map(|t| t.ops.iter().map(|op| op.key())),
-                );
+                let plan = batch_home(&batch, &router);
                 let cd = commit_digest(ViewNumber(0), SeqNum(seq), &digest);
                 let entries = (0..3u32)
                     .map(|n| {
@@ -849,7 +745,6 @@ proptest! {
                     digest,
                     batch,
                     certificate,
-                    plan,
                     spawner: NodeId(0),
                     signature: provider.handle(ComponentId::Node(NodeId(0))).sign(&signing),
                 };
