@@ -223,6 +223,13 @@ impl ConsensusLog {
         self.entries.retain(|s, _| *s > seq);
     }
 
+    /// Whether the log holds no live entries.
+    #[cfg(test)]
+    #[must_use]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
     /// Sequence numbers at or below `seq` that this node has *not*
     /// committed — the gaps a featherweight checkpoint lets a node in the
     /// dark detect.

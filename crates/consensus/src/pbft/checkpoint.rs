@@ -128,10 +128,7 @@ mod tests {
         }
         for r in &shim.replicas {
             assert_eq!(r.log.stable_seq(), SeqNum(4), "node {}", r.node_id());
-            assert!(
-                (1..=4).all(|s| r.log.entry(SeqNum(s)).is_none()),
-                "log must be garbage collected"
-            );
+            assert!(r.log.is_empty(), "log must be garbage collected");
         }
         // Consensus continues normally after the checkpoint.
         shim.submit_to_primary(batch(5));

@@ -850,11 +850,13 @@ impl ShimNode {
         // Plan-aware placement: with ordering lanes, a batch whose keys
         // all live on one shard has its executors pinned to that shard's
         // home region (with deterministic round-robin fallback); the home
-        // is derived here from the batch itself. Cross-home batches, and
-        // every batch without lanes, rotate.
+        // is derived here from the batch itself, and only when the
+        // invoker pins. Cross-home batches, and every batch without lanes,
+        // rotate.
         let home = self
             .lane_router
             .as_ref()
+            .filter(|_| self.invoker.pins())
             .map(|router| batch_home(&entry.batch, router))
             .unwrap_or_default();
         let plan = self.invoker.plan_placed(seq, count, home);

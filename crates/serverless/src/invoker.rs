@@ -115,6 +115,13 @@ impl Invoker {
         }
     }
 
+    /// Whether [`Self::plan_placed`] reads its plan: only an invoker that
+    /// pins `SingleHome` batches to their shard's home region does.
+    #[must_use]
+    pub fn pins(&self) -> bool {
+        self.partition.is_some()
+    }
+
     /// Marks a region as faulted: pinning avoids it until it recovers.
     pub fn mark_region_down(&mut self, region: Region) {
         self.down_regions.insert(region);

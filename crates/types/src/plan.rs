@@ -6,8 +6,9 @@
 //!
 //! * the primary's batcher classifies each transaction
 //!   (`sbft_core::planner::home_shard`) to pick its ordering lane;
-//! * a spawner running ordering lanes classifies the committed batch
-//!   (`sbft_core::planner::batch_home`) to place its executors;
+//! * a spawner running ordering lanes over geo-pinned storage classifies
+//!   the committed batch (`sbft_core::planner::batch_home`) to place its
+//!   executors;
 //! * the verifier counts a batch single-home from the keys its executors
 //!   observed.
 //!

@@ -365,8 +365,11 @@ fn decentralized_spawning_survives_a_delaying_primary() {
 
 /// Component-level primary replacement on a laned deployment: a
 /// verifier-style `REPLACE` moves the shim to a new view, and the new
-/// primary's lanes keep ordering single-home batches — end-to-end
-/// liveness and storage across the replacement.
+/// primary's ordering lanes (the fast path for single-home batches) work
+/// as the old primary's did. Requests alternate between two shards, two
+/// to a batch, so every batch is single-home only if the lanes group it;
+/// one batcher lane would cut each batch across both shards. Also
+/// checks liveness and storage across the replacement.
 #[test]
 fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
     use serverless_bft::core::events::{
@@ -374,18 +377,19 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
     };
     use serverless_bft::core::lockstep::{pbft_nodes, settle, Hop, Verdict};
     use serverless_bft::core::verifier::{Verifier, VerifierConfig};
+    use serverless_bft::core::ShimNode;
     use serverless_bft::crypto::CryptoProvider;
     use serverless_bft::serverless::{Executor, ExecutorBehavior};
     use serverless_bft::storage::{StorageReader, YcsbTable};
     use serverless_bft::types::{
-        ClientId, ComponentId, ExecutorId, FaultParams, Key, Operation, Region, SeqNum, SimTime,
-        Transaction, TxnId,
+        ClientId, ComponentId, ExecutorId, FaultParams, Key, Operation, Region, SeqNum, ShardId,
+        ShardRouter, SimTime, Transaction, TxnId,
     };
 
     let mut cfg = SystemConfig::with_shim_size(4);
     cfg.conflict_handling = ConflictHandling::KnownRwSets;
     cfg.sharding = ShardingConfig::with_shards(8);
-    cfg.workload.batch_size = 1;
+    cfg.workload.batch_size = 2;
 
     let provider = CryptoProvider::new(21);
     let store = YcsbTable::populate(1_000).store().clone();
@@ -444,7 +448,18 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
             validated
         };
 
-    let keys: Vec<Key> = (1..=6).map(Key).collect();
+    // Four keys on shard 0 and four on shard 1, interleaved: 0, 1, 0, 1, …
+    let router = ShardRouter::new(cfg.sharding.num_shards);
+    let on_shard = |shard: u32| {
+        (1..)
+            .map(Key)
+            .filter(move |k| router.shard_of(*k) == ShardId(shard))
+            .take(4)
+    };
+    let keys: Vec<Key> = on_shard(0)
+        .zip(on_shard(1))
+        .flat_map(|(a, b)| [a, b])
+        .collect();
     let request = |client: u32, key: Key| {
         let txn = Transaction::new(
             TxnId::new(ClientId(client), 0),
@@ -460,20 +475,30 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
         }
     };
 
-    // ---- Phase 1: the first primary orders three batches. ----
-    for (i, key) in keys[..3].iter().enumerate() {
-        let actions = nodes[0].on_client_request(&request(i as u32, *key), SimTime::ZERO);
-        let external = settle(&mut nodes, NodeId(0), actions, None, deliver);
-        let validated = run_executors(&external, &mut verifier);
-        assert!(!validated.is_empty(), "batch {i} must validate");
-        for msg in validated {
-            for node in nodes.iter_mut() {
-                let _ = node.on_message(&msg);
+    // Submits `keys` to `primary` one request at a time and feeds every
+    // validated batch back to the shim.
+    let mut order = |nodes: &mut [ShimNode], primary: NodeId, first_client: u32, keys: &[Key]| {
+        for (i, key) in keys.iter().enumerate() {
+            let actions = nodes[primary.0 as usize]
+                .on_client_request(&request(first_client + i as u32, *key), SimTime::ZERO);
+            let external = settle(nodes, primary, actions, None, deliver);
+            for msg in run_executors(&external, &mut verifier) {
+                for node in nodes.iter_mut() {
+                    let _ = node.on_message(&msg);
+                }
             }
         }
-    }
-    assert_eq!(count("committed_txns"), 3);
-    assert_eq!(count("single_home_batches"), 3, "one key per batch");
+    };
+
+    // ---- Phase 1: the first primary orders two batches. ----
+    order(&mut nodes, NodeId(0), 0, &keys[..4]);
+    assert_eq!(count("committed_txns"), 4);
+    assert_eq!(count("validated_batches"), 2);
+    assert_eq!(
+        count("single_home_batches"),
+        2,
+        "the lanes group each shard's pair"
+    );
 
     // ---- Phase 2: the verifier-style REPLACE triggers a view change. ----
     let replace = ProtocolMessage::Replace(ReplaceMessage::signed(
@@ -490,23 +515,15 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
     assert_eq!(nodes[1].view(), serverless_bft::types::ViewNumber(1));
     assert!(nodes[1].is_primary(), "node 1 leads the new view");
 
-    // ---- Phase 3: the new primary orders three more. ----
-    for (i, key) in keys[3..].iter().enumerate() {
-        let actions = nodes[1].on_client_request(&request(10 + i as u32, *key), SimTime::ZERO);
-        let external = settle(&mut nodes, NodeId(1), actions, None, deliver);
-        let validated = run_executors(&external, &mut verifier);
-        assert!(
-            !validated.is_empty(),
-            "post-view-change batch {i} must validate"
-        );
-        for msg in validated {
-            for node in nodes.iter_mut() {
-                let _ = node.on_message(&msg);
-            }
-        }
-    }
-    assert_eq!(count("committed_txns"), 6, "liveness across the change");
-    assert_eq!(count("single_home_batches"), 6);
+    // ---- Phase 3: the new primary orders two more. ----
+    order(&mut nodes, NodeId(1), 10, &keys[4..]);
+    assert_eq!(count("committed_txns"), 8, "liveness across the change");
+    assert_eq!(count("validated_batches"), 4);
+    assert_eq!(
+        count("single_home_batches"),
+        4,
+        "the new primary's lanes group each shard's pair"
+    );
     // Every write reached storage exactly once.
     for key in &keys {
         assert!(store.version_of(*key).0 > 1, "{key:?} was written");
