@@ -42,7 +42,7 @@ pub use batcher::{Batcher, SignedBatch};
 pub use cft::CftReplica;
 pub use messages::{
     BatchDigestAccumulator, Checkpoint, Commit, ConsensusMessage, NewView, PrePrepare, Prepare,
-    StateRequest, StateResponse, ViewChange,
+    ProposalBody, StateRequest, StateResponse, ViewChange,
 };
 pub use noshim::NoShim;
 pub use pbft::PbftReplica;

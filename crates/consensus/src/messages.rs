@@ -20,7 +20,9 @@ use std::sync::Arc;
 const FRAMING_OVERHEAD: usize = 120;
 
 /// `PREPREPARE(⟨T⟩_C, Δ, k)`: the primary proposes ordering batch `Δ` at
-/// sequence `k` in view `v` (MAC-authenticated).
+/// sequence `k` in view `v` (MAC-authenticated). The MAC covers the
+/// header and the digest, never the body: whatever form the body takes,
+/// no vote is cast before the batch it yields hashes to `Δ`.
 #[derive(Clone, PartialEq, Debug)]
 pub struct PrePrepare {
     /// Current view.
@@ -29,37 +31,39 @@ pub struct PrePrepare {
     pub seq: SeqNum,
     /// Digest of the batch, `Δ = H(m)`.
     pub digest: Digest,
-    /// The full batch of client transactions.
-    pub batch: Batch,
+    /// The batch, or only its transaction ids.
+    pub body: ProposalBody,
     /// MAC over the header fields from the primary.
     pub mac: MacTag,
 }
 
-/// `DIGEST-PREPREPARE(Δ, ids, k)`: the bandwidth-frugal form of the
-/// proposal. Instead of re-shipping every transaction body to every
-/// replica, the primary sends the batch digest and the ordered transaction
-/// ids (compact 4-byte delta encoding on the wire); replicas reconstruct the batch from the bodies they already hold
-/// from client submission and fetch only what they miss via
-/// [`BatchFetch`]/[`BatchFill`]. The digest pins the proposal exactly as
-/// in the full-body path: no vote is cast before the reconstructed batch
-/// hashes to `Δ`.
+/// What a [`PrePrepare`] carries of its batch.
 #[derive(Clone, PartialEq, Debug)]
-pub struct DigestPrePrepare {
-    /// Current view.
-    pub view: ViewNumber,
-    /// Proposed sequence number.
-    pub seq: SeqNum,
-    /// Digest of the proposed batch, `Δ = H(m)`.
-    pub digest: Digest,
-    /// Ids of the batch's transactions, in batch order.
-    pub txn_ids: Vec<TxnId>,
-    /// MAC over the header fields from the primary.
-    pub mac: MacTag,
+pub enum ProposalBody {
+    /// The full batch of client transactions.
+    Batch(Batch),
+    /// The batch's transaction ids, in batch order: the bandwidth-frugal
+    /// form of digest proposals. Replicas rebuild the batch from the
+    /// bodies they already hold from client submission and fetch only
+    /// what they miss via [`BatchFetch`]/[`BatchFill`].
+    Ids(Vec<TxnId>),
 }
 
-/// `BATCHFETCH`: a replica reconstructing a digest proposal asks the
-/// primary for the transaction bodies it misses — or, after a digest
-/// mismatch, for the full batch (`full = true`).
+impl ProposalBody {
+    /// Modeled wire size of the body in bytes. The ids ride as an id
+    /// count and a compact 4-byte delta encoding against the batch's
+    /// first id (consecutive counters from a bounded client set), not as
+    /// full 12-byte ids: that compaction is the whole point of the form.
+    fn wire_size(&self) -> usize {
+        match self {
+            ProposalBody::Batch(batch) => batch.wire_size(),
+            ProposalBody::Ids(ids) => 8 + ids.len() * 4,
+        }
+    }
+}
+
+/// `BATCHFETCH`: a replica reconstructing an ids-only proposal asks a
+/// peer for the transaction bodies it misses, by id.
 #[derive(Clone, PartialEq, Debug)]
 pub struct BatchFetch {
     /// The requesting replica.
@@ -70,11 +74,8 @@ pub struct BatchFetch {
     pub seq: SeqNum,
     /// The proposal digest the request is keyed on.
     pub digest: Digest,
-    /// Ids of the bodies the sender misses (empty when `full`).
+    /// Ids of the bodies the sender misses.
     pub missing: Vec<TxnId>,
-    /// Request the entire batch instead of individual bodies (fallback
-    /// after a reconstruction digest mismatch).
-    pub full: bool,
     /// MAC over the request header.
     pub mac: MacTag,
 }
@@ -90,10 +91,8 @@ pub struct BatchFill {
     pub seq: SeqNum,
     /// The proposal digest the fill is keyed on.
     pub digest: Digest,
-    /// The requested transaction bodies (the whole batch when `full`).
+    /// The requested transaction bodies.
     pub bodies: Vec<Transaction>,
-    /// Whether this fill carries the entire batch.
-    pub full: bool,
 }
 
 /// `PREPARE(Δ, k)`: a node supports ordering the batch with digest `Δ` at
@@ -329,9 +328,7 @@ impl StateRequest {
 pub enum ConsensusMessage {
     /// PBFT pre-prepare.
     PrePrepare(PrePrepare),
-    /// PBFT pre-prepare in digest-proposal mode (ids, no bodies).
-    DigestPrePrepare(DigestPrePrepare),
-    /// Request for missing transaction bodies of a digest proposal.
+    /// Request for missing transaction bodies of an ids-only proposal.
     BatchFetch(BatchFetch),
     /// Bodies answering a [`BatchFetch`].
     BatchFill(BatchFill),
@@ -363,7 +360,6 @@ impl ConsensusMessage {
     pub fn kind(&self) -> &'static str {
         match self {
             ConsensusMessage::PrePrepare(_) => "PREPREPARE",
-            ConsensusMessage::DigestPrePrepare(_) => "DIGEST-PREPREPARE",
             ConsensusMessage::BatchFetch(_) => "BATCHFETCH",
             ConsensusMessage::BatchFill(_) => "BATCHFILL",
             ConsensusMessage::Prepare(_) => "PREPARE",
@@ -380,26 +376,26 @@ impl ConsensusMessage {
     }
 
     /// The sequence number a batch-releasing proposal orders its batch at
-    /// (`PREPREPARE` in either form, CFT accept); `None` for every other
+    /// (`PREPREPARE` with either body, CFT accept); `None` for every other
     /// message. Both runtimes key the batch-release edge on this.
     #[must_use]
     pub fn proposal_seq(&self) -> Option<SeqNum> {
         match self {
             ConsensusMessage::PrePrepare(p) => Some(p.seq),
-            ConsensusMessage::DigestPrePrepare(d) => Some(d.seq),
             ConsensusMessage::CftAccept(a) => Some(a.seq),
             _ => None,
         }
     }
 
-    /// The transaction ids of the batch a proposal releases (a digest
-    /// proposal carries them in place of the bodies); empty for every
-    /// other message.
+    /// The transaction ids of the batch a proposal releases; empty for
+    /// every other message.
     #[must_use]
     pub fn proposal_txn_ids(&self) -> Vec<TxnId> {
         match self {
-            ConsensusMessage::PrePrepare(p) => p.batch.txn_ids(),
-            ConsensusMessage::DigestPrePrepare(d) => d.txn_ids.clone(),
+            ConsensusMessage::PrePrepare(p) => match &p.body {
+                ProposalBody::Batch(batch) => batch.txn_ids(),
+                ProposalBody::Ids(ids) => ids.clone(),
+            },
             ConsensusMessage::CftAccept(a) => a.batch.txn_ids(),
             _ => Vec::new(),
         }
@@ -412,20 +408,13 @@ impl ConsensusMessage {
     pub fn wire_size(&self) -> usize {
         match self {
             ConsensusMessage::PrePrepare(m) => {
-                FRAMING_OVERHEAD + 16 + 32 + 32 + m.batch.wire_size()
-            }
-            ConsensusMessage::DigestPrePrepare(m) => {
-                // Header (view + seq) + digest + MAC + id count + the id
-                // list. The ids ride as a compact 4-byte
-                // delta encoding against the batch's first id (consecutive
-                // counters from a bounded client set), not as full 12-byte
-                // ids — that compaction is the whole point of the message.
-                FRAMING_OVERHEAD + 16 + 32 + 32 + 8 + m.txn_ids.len() * 4
+                // Header (view + seq) + digest + MAC + body.
+                FRAMING_OVERHEAD + 16 + 32 + 32 + m.body.wire_size()
             }
             ConsensusMessage::BatchFetch(m) => {
-                // Header + sender + digest + MAC + full flag + id count +
-                // full 12-byte ids (no delta locality in a miss set).
-                FRAMING_OVERHEAD + 16 + 4 + 32 + 32 + 1 + 8 + m.missing.len() * 12
+                // Header + sender + digest + MAC + id count + full 12-byte
+                // ids (no delta locality in a miss set).
+                FRAMING_OVERHEAD + 16 + 4 + 32 + 32 + 8 + m.missing.len() * 12
             }
             ConsensusMessage::BatchFill(m) => {
                 // Bodies ship in the batch's compact per-txn encoding —
@@ -435,7 +424,6 @@ impl ConsensusMessage {
                     + 8
                     + 4
                     + 32
-                    + 1
                     + 8
                     + m.bodies
                         .iter()
@@ -459,7 +447,7 @@ impl ConsensusMessage {
                     + m.view_change_senders.len() * (4 + 64)
                     + m.reissued
                         .iter()
-                        .map(|pp| 48 + 32 + pp.batch.wire_size())
+                        .map(|pp| 48 + 32 + pp.body.wire_size())
                         .sum::<usize>()
             }
             ConsensusMessage::Checkpoint(m) => {
@@ -657,7 +645,7 @@ mod tests {
             view: ViewNumber(0),
             seq: SeqNum(1),
             digest: batch_digest(&b),
-            batch: b,
+            body: ProposalBody::Batch(b),
             mac: MacTag::ZERO,
         });
         let size = msg.wire_size();
@@ -723,26 +711,28 @@ mod tests {
             view: ViewNumber(0),
             seq: SeqNum(1),
             digest: batch_digest(&b),
-            batch: b.clone(),
+            body: ProposalBody::Batch(b.clone()),
             mac: MacTag::ZERO,
         });
-        let digest = ConsensusMessage::DigestPrePrepare(DigestPrePrepare {
+        let digest = ConsensusMessage::PrePrepare(PrePrepare {
             view: ViewNumber(0),
             seq: SeqNum(1),
             digest: batch_digest(&b),
-            txn_ids: b.txn_ids(),
+            body: ProposalBody::Ids(b.txn_ids()),
             mac: MacTag::ZERO,
         });
         // Pinned: 120 framing + 16 header + 32 digest + 32 mac + 8 count +
         // 100 × 4 delta-encoded ids.
         assert_eq!(digest.wire_size(), 608);
+        assert_eq!(full.wire_size(), 5_540);
         assert!(
             full.wire_size() >= 5 * digest.wire_size(),
             "digest proposal must be at least 5x smaller ({} vs {})",
             full.wire_size(),
             digest.wire_size()
         );
-        assert_eq!(digest.kind(), "DIGEST-PREPREPARE");
+        assert_eq!(digest.kind(), "PREPREPARE");
+        assert_eq!(digest.proposal_txn_ids(), full.proposal_txn_ids());
     }
 
     #[test]
@@ -755,7 +745,6 @@ mod tests {
                 seq: SeqNum(1),
                 digest: batch_digest(&b),
                 missing,
-                full: false,
                 mac: MacTag::ZERO,
             })
         };
@@ -768,14 +757,10 @@ mod tests {
             seq: SeqNum(1),
             digest: batch_digest(&b),
             bodies: b.txns()[..3].to_vec(),
-            full: false,
         });
         // Bodies ride in the batch's compact per-txn encoding (no client
         // signatures): 16 + 17 + 20 per single-op body here.
-        assert_eq!(
-            fill.wire_size(),
-            FRAMING_OVERHEAD + 8 + 4 + 32 + 1 + 8 + 3 * 53
-        );
+        assert_eq!(fill.wire_size(), FRAMING_OVERHEAD + 8 + 4 + 32 + 8 + 3 * 53);
         assert_eq!(fill.kind(), "BATCHFILL");
     }
 
@@ -789,7 +774,7 @@ mod tests {
             view: ViewNumber(1),
             seq: SeqNum(1),
             digest: batch_digest(&b),
-            batch: b.clone(),
+            body: ProposalBody::Batch(b.clone()),
             mac: MacTag::ZERO,
         };
         let nv = ConsensusMessage::NewView(NewView {
@@ -843,7 +828,7 @@ mod tests {
             view: ViewNumber(0),
             seq: SeqNum(1),
             digest: batch_digest(&b),
-            batch: b,
+            body: ProposalBody::Batch(b),
             mac: MacTag::ZERO,
         });
         assert!(accept.wire_size() < pp.wire_size());

@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn checkpoint_adoption_never_delivers_a_batch_its_certificate_does_not_cover() {
-        use crate::messages::{batch_digest, header_digest, PrePrepare};
+        use crate::messages::{batch_digest, header_digest, PrePrepare, ProposalBody};
         use sbft_types::ViewNumber;
         let mut shim = TestShim::new(4);
         // An equivocating primary shows node 3 another batch at seq 1 than
@@ -178,7 +178,7 @@ mod tests {
             view: ViewNumber(0),
             seq: SeqNum(1),
             digest,
-            batch: other,
+            body: ProposalBody::Batch(other),
             mac: shim.replicas[0].crypto.broadcast_mac(&header),
         };
         let accepted =

@@ -1,11 +1,10 @@
-//! Digest proposals: reconstruction, `BATCHFETCH` / `BATCHFILL`.
+//! Digest proposals: reconstructing an ids-only `PREPREPARE`,
+//! `BATCHFETCH` / `BATCHFILL`.
 
-use super::{PbftReplica, PendingProposal};
+use super::{PbftReplica, PendingProposal, FETCH_RETRY_BUDGET};
 use crate::actions::{ConsensusAction, ConsensusTimer};
-use crate::messages::{
-    batch_digest, header_digest, BatchFetch, BatchFill, ConsensusMessage, DigestPrePrepare,
-};
-use sbft_types::{Batch, ComponentId, NodeId, SeqNum, Transaction, TxnId, ViewNumber};
+use crate::messages::{batch_digest, header_digest, BatchFetch, BatchFill, ConsensusMessage};
+use sbft_types::{Batch, ComponentId, Digest, NodeId, SeqNum, Transaction, TxnId, ViewNumber};
 use std::collections::{BTreeMap, BTreeSet};
 
 impl PbftReplica {
@@ -30,12 +29,7 @@ impl PbftReplica {
             view: pending.view,
             seq,
             digest: pending.digest,
-            missing: if pending.full_requested {
-                Vec::new()
-            } else {
-                pending.missing.iter().copied().collect()
-            },
-            full: pending.full_requested,
+            missing: pending.missing.iter().copied().collect(),
             mac: self.crypto.broadcast_mac(&header_digest(
                 "batchfetch",
                 pending.view,
@@ -54,13 +48,13 @@ impl PbftReplica {
         ]
     }
 
-    /// Tries to finish reconstructing a pending digest proposal: if no
-    /// bodies are missing, assembles the batch in proposal order, checks
-    /// it against the proposal digest, and either votes (digest matches —
-    /// quarantined bodies are promoted into the shared cache) or falls
-    /// back to a full-batch fetch (mismatch — a poisoned fill or a lying
-    /// primary; the mismatch is counted against the last filler, or the
-    /// primary when the local cache alone produced it).
+    /// Tries to finish reconstructing a pending proposal: if no bodies
+    /// are missing, assembles the batch in proposal order, checks it
+    /// against the proposal digest, and either votes (digest matches —
+    /// quarantined bodies are promoted into the shared cache) or refetches
+    /// every body (mismatch — a poisoned fill or a lying primary; the
+    /// mismatch is counted against the last filler, or the primary when
+    /// the local cache alone produced it).
     pub(super) fn try_complete_reconstruction(&mut self, seq: SeqNum) -> Vec<ConsensusAction> {
         let Some(pending) = self.pending_digest.get(&seq) else {
             return Vec::new();
@@ -106,102 +100,88 @@ impl PbftReplica {
         }
         // Reconstruction mismatch. Quarantined bodies are discarded (never
         // promoted), the mismatch is counted against whoever supplied the
-        // wrong material, and the full batch is requested — which the
-        // digest check on arrival still pins, so a lying primary can only
-        // stall into a view change, never corrupt state.
+        // wrong material, and every body is requested again from the next
+        // peer in the rotation — fetched bodies take precedence over the
+        // cache, and the digest check on arrival still pins them, so a
+        // lying primary can only stall into a view change, never corrupt
+        // state.
         let (proposal_view, last_filler) = (pending.view, pending.last_filler);
         pending.received.clear();
         pending.last_filler = None;
-        let first_fallback = !pending.full_requested;
-        pending.full_requested = true;
+        pending.missing = pending.txn_ids.iter().copied().collect();
+        let within_budget = pending.fetch_attempts <= FETCH_RETRY_BUDGET;
         let blamed = last_filler.unwrap_or_else(|| self.primary_of(proposal_view));
         self.blame(blamed, 1);
         self.fallbacks.inc();
-        if first_fallback {
+        if within_budget {
             self.send_fetch(seq)
         } else {
-            // Already on the fallback path and the full batch *still*
-            // mismatched: leave the request timer to escalate.
+            // The retry budget is spent: leave the request timer to
+            // escalate.
             Vec::new()
         }
     }
 
-    pub(super) fn on_digest_pre_prepare(
+    /// Starts reconstructing an ids-only proposal that passed the
+    /// `PREPREPARE` gate: from the body cache, fetching only what is
+    /// missing.
+    pub(super) fn reconstruct(
         &mut self,
-        from: NodeId,
-        dpp: DigestPrePrepare,
+        view: ViewNumber,
+        seq: SeqNum,
+        digest: Digest,
+        txn_ids: Vec<TxnId>,
     ) -> Vec<ConsensusAction> {
-        // Same well-formedness gate as a full pre-prepare.
-        if self.in_view_change
-            || dpp.view != self.view
-            || from != self.primary_of(dpp.view)
-            || dpp.seq <= self.log.stable_seq()
-        {
-            return Vec::new();
-        }
-        let header = header_digest("digest-preprepare", dpp.view, dpp.seq, &dpp.digest);
-        if !self
-            .crypto
-            .verify_broadcast_mac(ComponentId::Node(from), &header, &dpp.mac)
-        {
-            return Vec::new();
-        }
         // Proposal self-consistency: a non-empty, duplicate-free id list.
         // Malformed proposals are dropped before any fetch bandwidth is
         // spent on them.
-        if dpp.txn_ids.is_empty()
-            || dpp.txn_ids.iter().collect::<BTreeSet<_>>().len() != dpp.txn_ids.len()
-        {
+        if txn_ids.is_empty() || txn_ids.iter().collect::<BTreeSet<_>>().len() != txn_ids.len() {
             return Vec::new();
         }
         // Equivocation checks against both the log and the pending set:
         // two different digests proposed at one sequence number of one
         // view expose the primary.
-        if let Some(entry) = self.log.entry(dpp.seq) {
-            if entry.view == Some(dpp.view) {
+        if let Some(entry) = self.log.entry(seq) {
+            if entry.view == Some(view) {
                 match entry.digest {
-                    Some(d) if d != dpp.digest => return self.start_view_change(self.view.next()),
+                    Some(d) if d != digest => return self.start_view_change(self.view.next()),
                     Some(_) => return Vec::new(), // duplicate of an accepted proposal
                     None => {}
                 }
             }
         }
-        if let Some(pending) = self.pending_digest.get(&dpp.seq) {
-            if pending.view == dpp.view {
-                if pending.digest != dpp.digest {
+        if let Some(pending) = self.pending_digest.get(&seq) {
+            if pending.view == view {
+                if pending.digest != digest {
                     return self.start_view_change(self.view.next());
                 }
                 return Vec::new(); // duplicate of an in-flight reconstruction
             }
         }
-        // Reconstruct from the body cache; fetch only what is missing.
-        let missing: BTreeSet<TxnId> = dpp
-            .txn_ids
+        let missing: BTreeSet<TxnId> = txn_ids
             .iter()
             .filter(|id| !self.body_cache.contains_key(id))
             .copied()
             .collect();
-        self.cache_hits
-            .add((dpp.txn_ids.len() - missing.len()) as u64);
+        self.cache_hits.add((txn_ids.len() - missing.len()) as u64);
         self.cache_misses.add(missing.len() as u64);
         let need_fetch = !missing.is_empty();
         self.pending_digest.insert(
-            dpp.seq,
+            seq,
             PendingProposal {
-                view: dpp.view,
-                digest: dpp.digest,
-                txn_ids: dpp.txn_ids,
+                view,
+                digest,
+                txn_ids,
                 missing,
                 received: BTreeMap::new(),
                 fetch_attempts: 0,
-                full_requested: false,
                 last_filler: None,
             },
         );
         if need_fetch {
-            self.send_fetch(dpp.seq)
+            self.send_fetch(seq)
         } else {
-            self.try_complete_reconstruction(dpp.seq)
+            self.try_complete_reconstruction(seq)
         }
     }
 
@@ -227,16 +207,12 @@ impl PbftReplica {
         else {
             return Vec::new();
         };
-        let bodies: Vec<Transaction> = if bf.full {
-            batch.txns().to_vec()
-        } else {
-            let wanted: BTreeSet<TxnId> = bf.missing.iter().copied().collect();
-            batch
-                .iter()
-                .filter(|t| wanted.contains(&t.id))
-                .cloned()
-                .collect()
-        };
+        let wanted: BTreeSet<TxnId> = bf.missing.iter().copied().collect();
+        let bodies: Vec<Transaction> = batch
+            .iter()
+            .filter(|t| wanted.contains(&t.id))
+            .cloned()
+            .collect();
         if bodies.is_empty() {
             return Vec::new();
         }
@@ -248,7 +224,6 @@ impl PbftReplica {
                 seq: bf.seq,
                 digest: bf.digest,
                 bodies,
-                full: bf.full,
             }),
         )]
     }
@@ -263,35 +238,16 @@ impl PbftReplica {
         if pending.digest != bf.digest {
             return Vec::new();
         }
-        if bf.full != pending.full_requested {
-            // A stale per-body fill after we fell back (or vice versa);
-            // only the currently requested shape is accepted.
-            return Vec::new();
-        }
         pending.last_filler = Some(from);
-        if bf.full {
-            // The full batch replaces reconstruction wholesale: quarantine
-            // all bodies and let the digest check arbitrate.
-            let expected: BTreeSet<TxnId> = pending.txn_ids.iter().copied().collect();
-            if bf.bodies.len() != expected.len()
-                || bf.bodies.iter().any(|t| !expected.contains(&t.id))
-            {
-                self.blame(from, 1);
-                return Vec::new();
+        // Quarantine only bodies we actually asked for; everything else
+        // is unsolicited and dropped.
+        for body in bf.bodies {
+            if pending.missing.remove(&body.id) {
+                pending.received.insert(body.id, body);
             }
-            pending.received = bf.bodies.into_iter().map(|t| (t.id, t)).collect();
-            pending.missing.clear();
-        } else {
-            // Quarantine only bodies we actually asked for; everything
-            // else is unsolicited and dropped.
-            for body in bf.bodies {
-                if pending.missing.remove(&body.id) {
-                    pending.received.insert(body.id, body);
-                }
-            }
-            if !pending.missing.is_empty() {
-                return Vec::new();
-            }
+        }
+        if !pending.missing.is_empty() {
+            return Vec::new();
         }
         self.try_complete_reconstruction(bf.seq)
     }
@@ -300,11 +256,11 @@ impl PbftReplica {
 #[cfg(test)]
 mod tests {
     use super::super::tests::TestShim;
-    use super::super::FETCH_RETRY_BUDGET;
     use super::*;
+    use crate::messages::{PrePrepare, ProposalBody};
     use crate::traits::OrderingProtocol;
     use sbft_crypto::CryptoProvider;
-    use sbft_types::{ClientId, Digest, Key, Operation};
+    use sbft_types::{ClientId, Key, Operation};
 
     #[test]
     fn batch_fetch_retries_visit_every_other_replica_once_primary_first() {
@@ -407,9 +363,7 @@ mod tests {
         let proposal = actions
             .iter()
             .find_map(|a| match a {
-                ConsensusAction::Broadcast(m @ ConsensusMessage::DigestPrePrepare(_)) => {
-                    Some(m.clone())
-                }
+                ConsensusAction::Broadcast(m @ ConsensusMessage::PrePrepare(_)) => Some(m.clone()),
                 _ => None,
             })
             .expect("digest proposal broadcast");
@@ -440,21 +394,21 @@ mod tests {
         // The primary advertises a digest that does not match the bodies.
         let wrong = Digest::from_bytes([9; 32]);
         let ids = b.txn_ids();
-        let header = header_digest("digest-preprepare", ViewNumber(0), SeqNum(1), &wrong);
+        let header = header_digest("preprepare", ViewNumber(0), SeqNum(1), &wrong);
         let mac = shim
             .provider
             .handle(ComponentId::Node(NodeId(0)))
             .broadcast_mac(&header);
-        let dpp = ConsensusMessage::DigestPrePrepare(DigestPrePrepare {
+        let dpp = ConsensusMessage::PrePrepare(PrePrepare {
             view: ViewNumber(0),
             seq: SeqNum(1),
             digest: wrong,
-            txn_ids: ids,
+            body: ProposalBody::Ids(ids),
             mac,
         });
         let actions = shim.replicas[1].handle_message(NodeId(0), dpp);
-        // No vote; instead the full-batch fallback goes out and the
-        // mismatch is pinned on the primary.
+        // No vote; instead every body is refetched and the mismatch is
+        // pinned on the primary.
         assert!(
             !actions
                 .iter()
@@ -464,9 +418,9 @@ mod tests {
         assert!(
             actions.iter().any(|a| matches!(
                 a,
-                ConsensusAction::Send(_, ConsensusMessage::BatchFetch(f)) if f.full
+                ConsensusAction::Send(_, ConsensusMessage::BatchFetch(f)) if f.missing.len() == 3
             )),
-            "mismatch must fall back to a full-batch fetch"
+            "mismatch must refetch every body"
         );
         assert_eq!(shim.replicas[1].bad_responses.get(&NodeId(0)), Some(&1));
         assert_eq!(shim.replicas[1].fallbacks.get(), 1);
@@ -499,9 +453,7 @@ mod tests {
         let proposal = actions
             .iter()
             .find_map(|a| match a {
-                ConsensusAction::Broadcast(m @ ConsensusMessage::DigestPrePrepare(_)) => {
-                    Some(m.clone())
-                }
+                ConsensusAction::Broadcast(m @ ConsensusMessage::PrePrepare(_)) => Some(m.clone()),
                 _ => None,
             })
             .expect("digest proposal broadcast");
@@ -516,7 +468,6 @@ mod tests {
                 missing_id,
                 vec![Operation::Read(Key(999))],
             )],
-            full: false,
         });
         let after = shim.replicas[1].handle_message(NodeId(2), poisoned);
         assert!(
@@ -535,17 +486,20 @@ mod tests {
             2,
             "the poisoned body must never enter the shared cache"
         );
-        // The honest full fallback from the primary still completes.
-        let fallback_fetch = after
+        // The refetch of every body, answered by an honest peer holding
+        // the batch (the primary), still completes.
+        let refetch = after
             .iter()
             .find_map(|a| match a {
-                ConsensusAction::Send(_, m @ ConsensusMessage::BatchFetch(f)) if f.full => {
+                ConsensusAction::Send(_, m @ ConsensusMessage::BatchFetch(f))
+                    if f.missing.len() == 3 =>
+                {
                     Some(m.clone())
                 }
                 _ => None,
             })
-            .expect("full fallback fetch");
-        let fill_actions = shim.replicas[0].handle_message(NodeId(1), fallback_fetch);
+            .expect("refetch of every body");
+        let fill_actions = shim.replicas[0].handle_message(NodeId(1), refetch);
         let fill = fill_actions
             .iter()
             .find_map(|a| match a {
@@ -556,12 +510,12 @@ mod tests {
                 }
                 _ => None,
             })
-            .expect("primary serves the full batch");
+            .expect("primary serves every body");
         let done = shim.replicas[1].handle_message(NodeId(0), fill);
         assert!(
             done.iter()
                 .any(|a| matches!(a, ConsensusAction::Broadcast(ConsensusMessage::Prepare(_)))),
-            "the verified full batch must finally produce the vote"
+            "the verified bodies must finally produce the vote"
         );
     }
 
@@ -573,12 +527,12 @@ mod tests {
         let make = |batch: &Batch, provider: &std::sync::Arc<CryptoProvider>| {
             let digest = batch_digest(batch);
             let ids = batch.txn_ids();
-            let header = header_digest("digest-preprepare", ViewNumber(0), SeqNum(1), &digest);
-            ConsensusMessage::DigestPrePrepare(DigestPrePrepare {
+            let header = header_digest("preprepare", ViewNumber(0), SeqNum(1), &digest);
+            ConsensusMessage::PrePrepare(PrePrepare {
                 view: ViewNumber(0),
                 seq: SeqNum(1),
                 digest,
-                txn_ids: ids,
+                body: ProposalBody::Ids(ids),
                 mac: provider
                     .handle(ComponentId::Node(NodeId(0)))
                     .broadcast_mac(&header),
@@ -628,9 +582,7 @@ mod tests {
         let proposal = actions
             .iter()
             .find_map(|a| match a {
-                ConsensusAction::Broadcast(m @ ConsensusMessage::DigestPrePrepare(_)) => {
-                    Some(m.clone())
-                }
+                ConsensusAction::Broadcast(m @ ConsensusMessage::PrePrepare(_)) => Some(m.clone()),
                 _ => None,
             })
             .expect("digest proposal broadcast");
@@ -675,8 +627,11 @@ mod tests {
             let acts = shim.replicas[1].handle_message(from, vc.clone());
             for a in &acts {
                 if let ConsensusAction::Broadcast(ConsensusMessage::NewView(nv)) = a {
-                    reissued_full =
-                        !nv.reissued.is_empty() && nv.reissued.iter().all(|pp| pp.batch == b);
+                    reissued_full = !nv.reissued.is_empty()
+                        && nv
+                            .reissued
+                            .iter()
+                            .all(|pp| pp.body == ProposalBody::Batch(b.clone()));
                 }
             }
         }

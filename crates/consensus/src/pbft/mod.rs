@@ -39,10 +39,7 @@ mod view_change;
 
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::log::ConsensusLog;
-use crate::messages::{
-    batch_digest, header_digest, Checkpoint, ConsensusMessage, DigestPrePrepare, PrePrepare,
-    ViewChange,
-};
+use crate::messages::{batch_digest, Checkpoint, ConsensusMessage, ProposalBody, ViewChange};
 use crate::traits::OrderingProtocol;
 use sbft_crypto::CryptoHandle;
 use sbft_durability::RecoveredEntry;
@@ -96,16 +93,16 @@ pub struct PbftReplica {
     /// floor because its own floor fell below peer retention.
     catch_ups: Counter,
 
-    /// Whether proposals are broadcast by digest (`DIGEST-PREPREPARE`)
-    /// instead of with full bodies.
+    /// Whether proposals carry their transaction ids
+    /// ([`ProposalBody::Ids`]) instead of the batch.
     digest_mode: bool,
     /// Transaction bodies observed from client submission (and promoted
     /// from verified fills), keyed by id — the pool digest proposals are
     /// reconstructed from. GC'd on the shim's checkpoint rhythm via
     /// [`OrderingProtocol::gc_bodies`].
     body_cache: IdMap<TxnId, Transaction>,
-    /// Digest proposals accepted for reconstruction but not yet voted on
-    /// (bodies still missing, or awaiting the full-batch fallback).
+    /// Ids-only proposals accepted for reconstruction but not yet voted
+    /// on (bodies still missing, or refetched after a mismatch).
     pending_digest: BTreeMap<SeqNum, PendingProposal>,
     /// Bodies found in the cache during reconstruction.
     cache_hits: Counter,
@@ -115,12 +112,12 @@ pub struct PbftReplica {
     fetches_sent: Counter,
     /// `BATCHFILL` messages served to fetching peers.
     fills_served: Counter,
-    /// Reconstruction digest mismatches that triggered the full-batch
-    /// fallback.
+    /// Reconstruction digest mismatches that forced a refetch of every
+    /// body.
     fallbacks: Counter,
 }
 
-/// A digest proposal whose batch is still being reconstructed. The entry
+/// An ids-only proposal whose batch is still being reconstructed. The entry
 /// holds everything needed to vote once the last body lands — and keeps
 /// fetched bodies quarantined away from the shared cache until the
 /// reconstructed batch hashes to the proposal digest, so a poisoned fill
@@ -138,9 +135,6 @@ struct PendingProposal {
     /// [`FETCH_RETRY_BUDGET`] before the request timer escalates to a
     /// view change).
     fetch_attempts: u32,
-    /// Whether the full-batch fallback has been requested after a
-    /// reconstruction mismatch.
-    full_requested: bool,
     /// The last peer that filled bodies into this proposal — the node a
     /// digest mismatch is counted against (the primary when the local
     /// cache alone produced the mismatch).
@@ -200,8 +194,8 @@ impl PbftReplica {
         }
     }
 
-    /// Enables (or disables) digest proposals: the primary broadcasts
-    /// `DIGEST-PREPREPARE` (ids, no bodies) and replicas
+    /// Enables (or disables) digest proposals: the primary's
+    /// `PREPREPARE` carries the batch's ids, no bodies, and replicas
     /// reconstruct batches from their body caches, fetching only what
     /// they miss. Every node of a shim must agree on the mode.
     #[must_use]
@@ -251,30 +245,18 @@ impl OrderingProtocol for PbftReplica {
         {
             return Vec::new();
         }
-        let proposal = if self.digest_mode {
-            // Bandwidth-frugal proposal: ids, no bodies.
-            // Replicas rebuild the batch from client submissions and
-            // fetch only what they miss; the digest pins the contents.
-            let txn_ids = batch.txn_ids();
-            let header = header_digest("digest-preprepare", self.view, seq, &digest);
-            ConsensusMessage::DigestPrePrepare(DigestPrePrepare {
-                view: self.view,
-                seq,
-                digest,
-                txn_ids,
-                mac: self.crypto.broadcast_mac(&header),
-            })
+        // Bandwidth-frugal proposals carry ids, no bodies: replicas
+        // rebuild the batch from client submissions and fetch only what
+        // they miss; the digest pins the contents.
+        let body = if self.digest_mode {
+            ProposalBody::Ids(batch.txn_ids())
         } else {
-            let header = header_digest("preprepare", self.view, seq, &digest);
-            ConsensusMessage::PrePrepare(PrePrepare {
-                view: self.view,
-                seq,
-                digest,
-                batch,
-                mac: self.crypto.broadcast_mac(&header),
-            })
+            ProposalBody::Batch(batch)
         };
-        let mut actions = vec![ConsensusAction::Broadcast(proposal)];
+        let proposal = self.make_pre_prepare(self.view, seq, digest, body);
+        let mut actions = vec![ConsensusAction::Broadcast(ConsensusMessage::PrePrepare(
+            proposal,
+        ))];
         actions.extend(self.after_pre_prepare(self.view, seq, digest));
         actions
     }
@@ -282,7 +264,6 @@ impl OrderingProtocol for PbftReplica {
     fn handle_message(&mut self, from: NodeId, msg: ConsensusMessage) -> Vec<ConsensusAction> {
         match msg {
             ConsensusMessage::PrePrepare(pp) => self.on_pre_prepare(from, pp),
-            ConsensusMessage::DigestPrePrepare(dpp) => self.on_digest_pre_prepare(from, dpp),
             ConsensusMessage::BatchFetch(bf) => self.on_batch_fetch(from, bf),
             ConsensusMessage::BatchFill(bf) => self.on_batch_fill(from, bf),
             ConsensusMessage::Prepare(p) => self.on_prepare(from, p),

@@ -2,13 +2,32 @@
 
 use super::PbftReplica;
 use crate::actions::{ConsensusAction, ConsensusTimer};
-use crate::messages::{batch_digest, header_digest, Commit, ConsensusMessage, PrePrepare, Prepare};
+use crate::messages::{
+    batch_digest, header_digest, Commit, ConsensusMessage, PrePrepare, Prepare, ProposalBody,
+};
 use sbft_crypto::certificate::commit_digest;
 use sbft_crypto::CommitCertificate;
 use sbft_types::{ComponentId, Digest, NodeId, SeqNum, ViewNumber};
 use std::sync::Arc;
 
 impl PbftReplica {
+    pub(super) fn make_pre_prepare(
+        &self,
+        view: ViewNumber,
+        seq: SeqNum,
+        digest: Digest,
+        body: ProposalBody,
+    ) -> PrePrepare {
+        let header = header_digest("preprepare", view, seq, &digest);
+        PrePrepare {
+            view,
+            seq,
+            digest,
+            body,
+            mac: self.crypto.broadcast_mac(&header),
+        }
+    }
+
     fn make_prepare(&self, view: ViewNumber, seq: SeqNum, digest: Digest) -> Prepare {
         let header = header_digest("prepare", view, seq, &digest);
         Prepare {
@@ -103,7 +122,7 @@ impl PbftReplica {
     }
 
     pub(super) fn on_pre_prepare(&mut self, from: NodeId, pp: PrePrepare) -> Vec<ConsensusAction> {
-        // Well-formedness checks (Figure 3, line 10).
+        // Well-formedness checks (Figure 3, line 10), whatever the body.
         if self.in_view_change
             || pp.view != self.view
             || from != self.primary_of(pp.view)
@@ -118,12 +137,18 @@ impl PbftReplica {
         {
             return Vec::new();
         }
-        if batch_digest(&pp.batch) != pp.digest {
+        let batch = match pp.body {
+            ProposalBody::Batch(batch) => batch,
+            ProposalBody::Ids(txn_ids) => {
+                return self.reconstruct(pp.view, pp.seq, pp.digest, txn_ids);
+            }
+        };
+        if batch_digest(&batch) != pp.digest {
             return Vec::new();
         }
         if !self
             .log
-            .accept_pre_prepare(pp.seq, pp.view, pp.digest, pp.batch.clone())
+            .accept_pre_prepare(pp.seq, pp.view, pp.digest, batch)
         {
             // Equivocation detected: the primary proposed two different
             // batches at the same sequence number, or another batch than
@@ -282,7 +307,7 @@ mod tests {
             view: ViewNumber(0),
             seq: SeqNum(1),
             digest,
-            batch: evil,
+            body: ProposalBody::Batch(evil),
             mac: primary_handle.broadcast_mac(&header),
         };
         let actions = shim.replicas[1].handle_message(NodeId(0), ConsensusMessage::PrePrepare(pp));
@@ -301,7 +326,7 @@ mod tests {
             view: ViewNumber(0),
             seq: SeqNum(1),
             digest,
-            batch: b.clone(),
+            body: ProposalBody::Batch(b.clone()),
             mac: sbft_types::MacTag::ZERO,
         };
         // Bad MAC.

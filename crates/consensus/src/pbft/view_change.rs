@@ -3,7 +3,7 @@
 use super::PbftReplica;
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::messages::{
-    batch_digest, header_digest, ConsensusMessage, NewView, PrePrepare, PreparedProof, ViewChange,
+    batch_digest, header_digest, ConsensusMessage, NewView, PreparedProof, ProposalBody, ViewChange,
 };
 use sbft_types::{ComponentId, NodeId, SeqNum, Signature, ViewNumber};
 use std::collections::BTreeSet;
@@ -25,7 +25,7 @@ impl PbftReplica {
         // In-flight digest reconstructions die with the view: only
         // *prepared* proposals survive a view change, and a proposal only
         // prepares after its batch reconstructed. The new primary
-        // re-issues survivors as full pre-prepares.
+        // re-issues survivors with their batches.
         self.pending_digest.clear();
         let prepared = self
             .log
@@ -82,28 +82,24 @@ impl PbftReplica {
     fn install_new_view_as_primary(&mut self, target: ViewNumber) -> Vec<ConsensusAction> {
         let senders: Vec<NodeId> = self.view_change_votes[&target].keys().copied().collect();
         // Re-propose every request that prepared but did not commit, so it
-        // survives the view change (Theorem VII.2's argument).
+        // survives the view change (Theorem VII.2's argument). A re-issue
+        // carries its batch, whatever body the original proposal had.
         let mut reissued = Vec::new();
         for (seq, _, digest) in self.log.prepared_uncommitted() {
-            let Some(entry) = self.log.entry(seq) else {
-                continue;
-            };
-            if let Some(batch) = entry.batch.clone() {
-                let header = header_digest("preprepare", target, seq, &digest);
-                reissued.push(PrePrepare {
-                    view: target,
-                    seq,
-                    digest,
-                    batch,
-                    mac: self.crypto.broadcast_mac(&header),
-                });
+            if let Some(batch) = self.log.entry(seq).and_then(|e| e.batch.clone()) {
+                reissued.push((seq, digest, batch));
             }
         }
         let mut new_view_msg = NewView {
             new_view: target,
             sender: self.me,
             view_change_senders: senders,
-            reissued: reissued.clone(),
+            reissued: reissued
+                .iter()
+                .map(|(seq, digest, batch)| {
+                    self.make_pre_prepare(target, *seq, *digest, ProposalBody::Batch(batch.clone()))
+                })
+                .collect(),
             signature: Signature::ZERO,
         };
         new_view_msg.signature = self.crypto.sign(&new_view_msg.signing_digest());
@@ -112,12 +108,9 @@ impl PbftReplica {
         ))];
         actions.extend(self.install_view(target));
         // The new primary re-runs consensus for the re-issued requests.
-        for pp in reissued {
-            if self
-                .log
-                .accept_pre_prepare(pp.seq, target, pp.digest, pp.batch)
-            {
-                actions.extend(self.after_pre_prepare(target, pp.seq, pp.digest));
+        for (seq, digest, batch) in reissued {
+            if self.log.accept_pre_prepare(seq, target, digest, batch) {
+                actions.extend(self.after_pre_prepare(target, seq, digest));
             }
         }
         actions
@@ -185,15 +178,20 @@ impl PbftReplica {
         }
         let mut actions = self.install_view(nv.new_view);
         for pp in nv.reissued {
+            // A re-issue must carry its batch: the new primary holds every
+            // batch that prepared, and nothing reconstructs across views.
+            let ProposalBody::Batch(batch) = pp.body else {
+                continue;
+            };
             let header = header_digest("preprepare", pp.view, pp.seq, &pp.digest);
             if pp.view == self.view
-                && batch_digest(&pp.batch) == pp.digest
+                && batch_digest(&batch) == pp.digest
                 && self
                     .crypto
                     .verify_broadcast_mac(ComponentId::Node(from), &header, &pp.mac)
                 && self
                     .log
-                    .accept_pre_prepare(pp.seq, pp.view, pp.digest, pp.batch)
+                    .accept_pre_prepare(pp.seq, pp.view, pp.digest, batch)
             {
                 actions.extend(self.after_pre_prepare(pp.view, pp.seq, pp.digest));
             }
@@ -206,6 +204,7 @@ impl PbftReplica {
 mod tests {
     use super::super::tests::{batch, TestShim};
     use super::*;
+    use crate::messages::PrePrepare;
     use crate::traits::OrderingProtocol;
 
     #[test]
@@ -404,7 +403,7 @@ mod tests {
             view: ViewNumber(1),
             seq: SeqNum(1),
             digest,
-            batch: evil,
+            body: ProposalBody::Batch(evil),
             mac: shim
                 .provider
                 .handle(ComponentId::Node(NodeId(1)))

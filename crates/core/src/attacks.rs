@@ -195,7 +195,7 @@ impl AttackInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbft_consensus::messages::{batch_digest, PrePrepare};
+    use sbft_consensus::messages::{batch_digest, PrePrepare, ProposalBody};
     use sbft_consensus::ConsensusMessage;
     use sbft_types::{
         Batch, ClientId, ComponentId, Key, MacTag, Operation, SeqNum, Transaction, TxnId,
@@ -215,7 +215,7 @@ mod tests {
                 view: ViewNumber(0),
                 seq: SeqNum(1),
                 digest,
-                batch,
+                body: ProposalBody::Batch(batch),
                 mac: MacTag::ZERO,
             })),
         )

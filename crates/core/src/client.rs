@@ -13,6 +13,8 @@
 //! view the verifier last saw a batch certified in, under its signature,
 //! and a client whose view is older moves its next submission to that
 //! view's primary. It never guesses one.
+//! Under digest proposals it sends to every shim node instead, so that
+//! all of them can rebuild a batch the primary proposes by ids alone.
 
 use crate::events::{Action, ClientRequest, Destination, ProtocolMessage, ProtocolTimer};
 use sbft_crypto::CryptoHandle;
@@ -44,10 +46,13 @@ impl Outstanding {
 pub struct ClientRole {
     id: ClientId,
     crypto: CryptoHandle,
-    /// Shim size: the primary of `view` is `view mod n_r`.
-    n_r: u32,
+    /// Shim size: the primary of `view` is `view mod n_r`. Two bytes, so
+    /// that it and `broadcast` share the word `id` leaves.
+    n_r: u16,
     /// The highest view a verified answer carried.
     view: ViewNumber,
+    /// Whether requests go to every shim node (digest proposals).
+    broadcast: bool,
     base_timeout: SimDuration,
     /// Requests awaiting a response, searched by id. A closed-loop client
     /// has one, which lives in the role itself: no heap block per client.
@@ -58,14 +63,22 @@ pub struct ClientRole {
 
 impl ClientRole {
     /// Creates a client of a shim of `n_r` nodes; it submits to the
-    /// primary of view 0 until an answer names a later view.
+    /// primary of view 0 until an answer names a later view, or to every
+    /// node when the shim runs digest proposals.
     #[must_use]
-    pub fn new(id: ClientId, crypto: CryptoHandle, n_r: usize, base_timeout: SimDuration) -> Self {
+    pub fn new(
+        id: ClientId,
+        crypto: CryptoHandle,
+        n_r: usize,
+        base_timeout: SimDuration,
+        digest_proposals: bool,
+    ) -> Self {
         ClientRole {
             id,
             crypto,
-            n_r: u32::try_from(n_r).expect("a shim of at most u32::MAX nodes"),
+            n_r: u16::try_from(n_r).expect("a shim of at most u16::MAX nodes"),
             view: ViewNumber(0),
+            broadcast: digest_proposals,
             base_timeout,
             outstanding: InlineVec::new(),
             completed: 0,
@@ -109,8 +122,8 @@ impl ClientRole {
     }
 
     /// Submits a transaction: sign it, send `⟨T⟩_C` to the primary of the
-    /// client's view, and start the client timer `τ_m` (Figure 3 line 1,
-    /// Figure 4 line 1).
+    /// client's view (to every node under digest proposals), and start
+    /// the client timer `τ_m` (Figure 3 line 1, Figure 4 line 1).
     /// The two actions are appended to `out`, a buffer the caller reuses.
     pub fn submit_into(&mut self, txn: Transaction, out: &mut Vec<Action>) {
         assert_eq!(
@@ -132,9 +145,14 @@ impl ClientRole {
             Some(at) => self.outstanding[at] = entry,
             None => self.outstanding.push(entry),
         }
+        let to = if self.broadcast {
+            Destination::AllNodes
+        } else {
+            Destination::Node(NodeId::primary_of(self.view, usize::from(self.n_r)))
+        };
         out.push(Action::send(
             ComponentId::Client(self.id),
-            Destination::Node(NodeId::primary_of(self.view, self.n_r as usize)),
+            to,
             ProtocolMessage::ClientRequest(request),
         ));
         out.push(Action::StartTimer {
@@ -234,6 +252,7 @@ mod tests {
             provider.handle(ComponentId::Client(ClientId(7))),
             4,
             SimDuration::from_millis(100),
+            false,
         )
     }
 

@@ -78,14 +78,13 @@ impl DurableLog {
     }
 
     /// An outgoing broadcast. Two kinds must survive a crash: a released
-    /// proposal (buffered — it is recoverable from peers; a digest
+    /// proposal (buffered — it is recoverable from peers; an ids-only
     /// proposal releases its batch just like a full one) and this node's
     /// COMMIT vote (synced — the vote must not be forgotten once sent, or
     /// a restarted replica could vote differently in the same view).
     pub(crate) fn on_broadcast(&mut self, msg: &ConsensusMessage) -> Option<Persisted> {
         let (seq, view, digest) = match msg {
             ConsensusMessage::PrePrepare(p) => (p.seq, p.view, p.digest),
-            ConsensusMessage::DigestPrePrepare(p) => (p.seq, p.view, p.digest),
             ConsensusMessage::Commit(c) => {
                 let bytes = self.append(&WalRecord::Vote {
                     seq: c.seq,

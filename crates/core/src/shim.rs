@@ -1124,7 +1124,7 @@ mod tests {
     use super::*;
     use crate::events::{envelopes, AckMessage, ErrorMessage, ReplaceMessage};
     use crate::lockstep::{pbft_nodes, settle, Verdict};
-    use sbft_consensus::{CftReplica, NoShim};
+    use sbft_consensus::{CftReplica, NoShim, PrePrepare, ProposalBody};
     use sbft_crypto::CryptoProvider;
     use sbft_types::{ClientId, Key, Operation, Signature, Transaction, TxnId};
     use std::sync::Arc;
@@ -1232,15 +1232,7 @@ mod tests {
         let provider = Arc::clone(&shim.provider);
         let _ = shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
         let a1 = shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
-        let proposed = a1
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some(pp.batch.clone()),
-                _ => None,
-            })
-            .expect("primary broadcasts a PREPREPARE");
+        let proposed = proposed_batch(&a1).expect("primary broadcasts a PREPREPARE");
         let external = settle(&mut shim.nodes, NodeId(0), a1, None, |_| Verdict::Deliver);
         let executes: Vec<_> = external
             .iter()
@@ -1402,11 +1394,20 @@ mod tests {
         actions
             .iter()
             .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(ConsensusMessage::PrePrepare(pp))) => {
-                    Some(pp.batch.clone())
-                }
+                Some(ProtocolMessage::Consensus(ConsensusMessage::PrePrepare(PrePrepare {
+                    body: ProposalBody::Batch(batch),
+                    ..
+                }))) => Some(batch.clone()),
                 _ => None,
             })
+    }
+
+    /// Whether `actions` propose a batch by its transaction ids alone.
+    fn proposes_ids(actions: &[Action]) -> bool {
+        envelopes(actions).iter().any(|e| {
+            matches!(&e.msg, ProtocolMessage::Consensus(ConsensusMessage::PrePrepare(pp))
+                if matches!(pp.body, ProposalBody::Ids(_)))
+        })
     }
 
     #[test]
@@ -1833,15 +1834,7 @@ mod tests {
         let a1 = shim.nodes[0].on_client_request(&mk(1, foreign), SimTime::ZERO);
         assert!(a1.is_empty(), "the foreign lane is not full yet");
         let actions = shim.nodes[0].on_client_request(&mk(2, second), SimTime::ZERO);
-        let proposed = actions
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some(pp.batch.clone()),
-                _ => None,
-            })
-            .expect("the home lane releases a batch");
+        let proposed = proposed_batch(&actions).expect("the home lane releases a batch");
         let single_home = sbft_types::ShardPlan::SingleHome(home);
         assert_eq!(batch_home(&proposed, &router), single_home);
         assert_eq!(proposed.len(), 2, "only the two same-home transactions");
@@ -1897,15 +1890,7 @@ mod tests {
         };
         let _ = shim.nodes[0].on_client_request(&mk(0), SimTime::ZERO);
         let actions = shim.nodes[0].on_client_request(&mk(1), SimTime::ZERO);
-        let proposed = actions
-            .iter()
-            .find_map(|a| match a.as_send().map(|e| &e.msg) {
-                Some(ProtocolMessage::Consensus(sbft_consensus::ConsensusMessage::PrePrepare(
-                    pp,
-                ))) => Some(pp.batch.clone()),
-                _ => None,
-            })
-            .expect("the cross lane releases a batch");
+        let proposed = proposed_batch(&actions).expect("the cross lane releases a batch");
         assert_eq!(proposed.len(), 2);
         assert_eq!(
             batch_home(&proposed, &router),
@@ -2462,13 +2447,13 @@ mod tests {
     }
 
     #[test]
-    fn digest_mode_with_client_broadcast_commits_without_forwarding_or_fetching() {
+    fn digest_mode_with_requests_at_every_node_commits_without_forwarding_or_fetching() {
         let (mut shim, registry) = make_digest_shim(base_config());
         let provider = Arc::clone(&shim.provider);
         let _ = broadcast_request(&mut shim, &signed_request(&provider, 0, 0));
         let actions = broadcast_request(&mut shim, &signed_request(&provider, 1, 0));
         assert!(
-            actions.iter().any(|a| a.sends_kind("DIGEST-PREPREPARE")),
+            proposes_ids(&actions),
             "the primary proposes by digest, not by body"
         );
         let external = settle(&mut shim.nodes, NodeId(0), actions, None, |_| {
@@ -2520,7 +2505,7 @@ mod tests {
         let _ = shim.nodes[0].on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
         let actions =
             shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
-        assert!(actions.iter().any(|a| a.sends_kind("DIGEST-PREPREPARE")));
+        assert!(proposes_ids(&actions));
         let external = settle(&mut shim.nodes, NodeId(0), actions, None, |_| {
             Verdict::Deliver
         });
@@ -2560,7 +2545,7 @@ mod tests {
         let _ = broadcast_request(&mut shim, &signed_request(&provider, 0, 0));
         assert_eq!(shim.nodes[0].durable.wal_appends.get(), 0);
         let actions = broadcast_request(&mut shim, &signed_request(&provider, 1, 0));
-        assert!(actions.iter().any(|a| a.sends_kind("DIGEST-PREPREPARE")));
+        assert!(proposes_ids(&actions));
         // The digest proposal wrote a buffered Released record before the
         // broadcast left (plus this node's own synced COMMIT vote later).
         assert!(

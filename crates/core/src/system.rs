@@ -238,7 +238,8 @@ impl SystemBuilder {
         );
 
         // Clients: each starts at the primary of view 0 and follows the
-        // view the verifier's answers carry.
+        // view the verifier's answers carry (or, under digest proposals,
+        // sends to every node).
         let clients = (0..self.num_clients as u32)
             .map(|i| {
                 ClientRole::new(
@@ -246,6 +247,7 @@ impl SystemBuilder {
                     provider.handle(ComponentId::Client(ClientId(i))),
                     n_nodes,
                     self.config.timers.client_timeout,
+                    self.config.digest_proposals,
                 )
             })
             .collect();

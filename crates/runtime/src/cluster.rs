@@ -662,6 +662,7 @@ impl Proposals {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbft_consensus::{ConsensusMessage, ProposalBody};
     use sbft_core::{ClientRequest, SystemBuilder};
     use sbft_types::SystemConfig;
 
@@ -731,6 +732,32 @@ mod tests {
             (answered..answered + 8).contains(&validated),
             "the verifier validated {validated} for {answered} answers"
         );
+    }
+
+    #[test]
+    fn digest_mode_backups_rebuild_batches_from_the_requests_they_heard() {
+        // The primary proposes ids, no bodies. Clients send every request
+        // to every node, so the backups find bodies in their caches
+        // instead of fetching each one from the primary.
+        let mut cfg = config();
+        cfg.digest_proposals = true;
+        let system = SystemBuilder::new(cfg).clients(8).build();
+        let registry = Arc::clone(&system.registry);
+        let report = LocalCluster::new(system)
+            .clients(8)
+            .target_txns(40)
+            .deadline(Duration::from_secs(20))
+            .run();
+        assert!(
+            report.committed >= 40,
+            "committed only {} transactions",
+            report.committed
+        );
+        assert_eq!(report.aborted, 0);
+        let backup_hits: u64 = (1..4)
+            .map(|n| registry.counter_value(&format!("shim.{n}.digest.cache_hits")))
+            .sum();
+        assert!(backup_hits > 0, "no backup heard a client's request");
     }
 
     #[test]
@@ -1007,14 +1034,11 @@ mod tests {
             for (seq, request) in (1..).zip(&requests) {
                 let actions = primary.on_client_request(request, SimTime::ZERO);
                 assert_eq!(proposals_in(&actions), [(seq, 1)]);
-                let expected = if digest_proposals {
-                    "DIGEST-PREPREPARE"
-                } else {
-                    "PREPREPARE"
-                };
                 assert!(actions.iter().any(|a| matches!(a,
-                    Action::Send(Envelope { msg: ProtocolMessage::Consensus(c), .. })
-                        if c.kind() == expected)));
+                    Action::Send(Envelope {
+                        msg: ProtocolMessage::Consensus(ConsensusMessage::PrePrepare(pp)),
+                        ..
+                    }) if matches!(pp.body, ProposalBody::Ids(_)) == digest_proposals)));
                 proposals.observe(&actions);
                 assert!(proposals.in_flight(), "seq {seq} proposed, not committed");
             }

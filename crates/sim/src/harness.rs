@@ -723,19 +723,8 @@ impl SimHarness {
                     // fault plan arbitrates delivery.
                     let wire_size = msg.wire_size();
                     let at = now + self.network.local_delay(wire_size);
-                    // Digest-mode clients broadcast their requests to
-                    // every shim node so replicas can seed the body
-                    // caches that digest reconstruction reads from.
-                    let client_broadcast = self.system.config.digest_proposals
-                        && matches!(msg, ProtocolMessage::ClientRequest(_))
-                        && origin.as_node().is_none();
                     match to {
                         Destination::Node(_) | Destination::AllNodes => {
-                            let to = if client_broadcast {
-                                Destination::AllNodes
-                            } else {
-                                to
-                            };
                             let mut targets = to.nodes(origin, self.system.nodes.len());
                             self.charge_egress(origin, wire_size * targets.clone().count());
                             // The last recipient takes the message itself.
@@ -1231,27 +1220,39 @@ mod tests {
 
     #[test]
     fn suppressing_primary_is_replaced_and_progress_resumes() {
-        let mut cfg = tiny_config();
-        // Shorter timers so the recovery fits in the simulated window.
-        cfg.timers.client_timeout = SimDuration::from_millis(40);
-        cfg.timers.node_timeout = SimDuration::from_millis(30);
-        cfg.timers.retransmit_timeout = SimDuration::from_millis(30);
-        let system = SystemBuilder::new(cfg)
-            .clients(40)
-            .attack(NodeId(0), ShimAttack::SuppressRequests)
-            .build();
-        let params = SimParams {
-            duration: SimDuration::from_millis(600),
-            warmup: SimDuration::from_millis(50),
-            num_clients: 40,
-            seed: 3,
-            ..SimParams::default()
-        };
-        let metrics = SimHarness::new(system, params).run();
-        assert!(
-            metrics.committed_txns > 0,
-            "the shim must recover from a suppressing primary"
-        );
+        // Whatever body its proposals carry, the attacker's are dropped,
+        // the backups replace it and commits resume in the new view.
+        for digest_proposals in [false, true] {
+            let mut cfg = tiny_config();
+            cfg.digest_proposals = digest_proposals;
+            // Shorter timers so the recovery fits in the simulated window.
+            cfg.timers.client_timeout = SimDuration::from_millis(40);
+            cfg.timers.node_timeout = SimDuration::from_millis(30);
+            cfg.timers.retransmit_timeout = SimDuration::from_millis(30);
+            let system = SystemBuilder::new(cfg)
+                .clients(40)
+                .attack(NodeId(0), ShimAttack::SuppressRequests)
+                .build();
+            let params = SimParams {
+                duration: SimDuration::from_millis(600),
+                warmup: SimDuration::from_millis(50),
+                num_clients: 40,
+                seed: 3,
+                ..SimParams::default()
+            };
+            let metrics = SimHarness::new(system, params).run();
+            // Requests reach the next view's primary only through the
+            // verifier's `ERROR`s once their clients time out: the attacker
+            // ordered none of them.
+            assert!(
+                metrics.sum("errors_reforwarded") > 0,
+                "the attacker's proposals must be dropped and it replaced (digest proposals: {digest_proposals})"
+            );
+            assert!(
+                metrics.committed_txns > 0,
+                "the shim must recover from a suppressing primary (digest proposals: {digest_proposals})"
+            );
+        }
     }
 
     #[test]

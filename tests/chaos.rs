@@ -491,9 +491,9 @@ fn poisoned_fill_is_refetched_elsewhere_and_matches_full_mode() {
     // serves. The primary's two initial honest fills are swallowed, so
     // both cold replicas retry into node 1 — the next target in the fetch
     // rotation — and receive garbage bodies under the right ids. They
-    // must quarantine the garbage, blame node 1, fall back to a full
-    // fetch, and complete from an honest peer, committing exactly what
-    // the full-body run commits.
+    // must quarantine the garbage, blame node 1, refetch every body from
+    // the next peer, and complete from an honest one, committing exactly
+    // what the full-body run commits.
     let chaos = DigestChaos {
         warm: vec![1],
         drop_first_fills: 2,

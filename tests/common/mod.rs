@@ -4,7 +4,7 @@
 //! deterministic workload, and the fold from the commit stream of node
 //! [`OBSERVED`] to an observable outcome.
 
-use serverless_bft::consensus::ConsensusMessage;
+use serverless_bft::consensus::{ConsensusMessage, PrePrepare, ProposalBody};
 use serverless_bft::core::lockstep::{pbft_nodes, settle, Hop, Verdict};
 use serverless_bft::core::{Action, ClientRequest, ShimNode};
 use serverless_bft::crypto::CryptoProvider;
@@ -181,8 +181,12 @@ pub fn commits(settled: &[(NodeId, Action)], node: usize) -> impl Iterator<Item 
 /// proposals and state-transferred entries alike.
 fn record_batches(batches: &mut BTreeMap<SeqNum, Batch>, msg: &ConsensusMessage) {
     match msg {
-        ConsensusMessage::PrePrepare(pp) => {
-            batches.insert(pp.seq, pp.batch.clone());
+        ConsensusMessage::PrePrepare(PrePrepare {
+            seq,
+            body: ProposalBody::Batch(batch),
+            ..
+        }) => {
+            batches.insert(*seq, batch.clone());
         }
         ConsensusMessage::StateResponse(sr) => {
             for e in &sr.entries {
