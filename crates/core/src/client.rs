@@ -175,32 +175,24 @@ impl ClientRole {
     /// from a later view moves the client's next submission to that
     /// view's primary.
     pub fn on_message_into(&mut self, msg: &ProtocolMessage, out: &mut Vec<Action>) {
-        let (txn, outcome, view, digest, signature) = match msg {
-            ProtocolMessage::Response(r) => {
-                (r.txn, r.outcome, r.view, r.signing_digest(), &r.signature)
-            }
-            ProtocolMessage::Abort(a) => (
-                a.txn,
-                TxnOutcome::Aborted,
-                a.view,
-                a.signing_digest(),
-                &a.signature,
-            ),
-            _ => return,
+        let (ProtocolMessage::Response(answer) | ProtocolMessage::Abort(answer)) = msg else {
+            return;
         };
-        let Some(at) = self.position(txn) else {
+        let Some(at) = self.position(answer.txn) else {
             // Duplicate response (e.g. re-sent by the verifier after a
             // retry); the request was already marked processed.
             return;
         };
-        if !self
-            .crypto
-            .verify(ComponentId::Verifier, &digest, signature)
-        {
+        if !self.crypto.verify(
+            ComponentId::Verifier,
+            &answer.signing_digest(),
+            &answer.signature,
+        ) {
             return;
         }
         self.outstanding.swap_remove(at);
-        self.view = self.view.max(view);
+        self.view = self.view.max(answer.view);
+        let (txn, outcome) = (answer.txn, answer.outcome);
         match outcome {
             TxnOutcome::Committed => self.completed += 1,
             TxnOutcome::Aborted => self.aborted += 1,
@@ -241,7 +233,7 @@ impl ClientRole {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{AbortMessage, ResponseMessage};
+    use crate::events::ResponseMessage;
     use sbft_crypto::CryptoProvider;
     use sbft_types::{Key, Operation, SeqNum, Signature};
 
@@ -272,20 +264,18 @@ mod tests {
     ) -> ProtocolMessage {
         let handle = CryptoProvider::new(3).handle(signer);
         let txn = TxnId::new(ClientId(7), counter);
-        let view = ViewNumber(view);
-        match outcome {
-            TxnOutcome::Committed => ProtocolMessage::Response(ResponseMessage::signed(
-                txn,
-                SeqNum(1),
-                outcome,
-                9,
-                view,
-                &handle,
-            )),
-            TxnOutcome::Aborted => {
-                ProtocolMessage::Abort(AbortMessage::signed(txn, SeqNum(1), view, &handle))
-            }
-        }
+        let output = match outcome {
+            TxnOutcome::Committed => 9,
+            TxnOutcome::Aborted => 0,
+        };
+        ProtocolMessage::answer(ResponseMessage::signed(
+            txn,
+            SeqNum(1),
+            outcome,
+            output,
+            ViewNumber(view),
+            &handle,
+        ))
     }
 
     fn response(counter: u64, outcome: TxnOutcome) -> ProtocolMessage {
@@ -295,12 +285,6 @@ mod tests {
     /// Where the client sends its next request, `counter`.
     fn next_target(c: &mut ClientRole, counter: u64) -> Destination {
         c.submit(txn(counter))[0].as_send().expect("a send").to
-    }
-
-    /// The request is still outstanding and a timeout still re-sends it.
-    fn assert_still_waiting(c: &mut ClientRole, counter: u64) {
-        assert_eq!((c.completed(), c.aborted(), c.outstanding()), (0, 0, 1));
-        assert_eq!(c.on_timeout(TxnId::new(ClientId(7), counter)).len(), 2);
     }
 
     #[test]
@@ -368,61 +352,55 @@ mod tests {
         assert_eq!(c.completed(), 0);
     }
 
-    #[test]
-    fn an_answer_not_signed_by_the_verifier_is_ignored() {
-        for outcome in [TxnOutcome::Committed, TxnOutcome::Aborted] {
-            let mut c = client();
-            let _ = c.submit(txn(0));
-            // Validly signed, but by a shim node.
-            let forged = answer_in(ComponentId::Node(NodeId(0)), 0, outcome, 0);
-            assert!(c.on_message(&forged).is_empty());
-            assert_still_waiting(&mut c, 0);
-            // The verifier's own answer still completes the request.
-            assert_eq!(c.on_message(&response(0, outcome)).len(), 2);
-        }
+    /// The answer inside a `RESPONSE` or `ABORT`, with `flip` applied.
+    fn flipped(msg: ProtocolMessage, flip: impl FnOnce(&mut ResponseMessage)) -> ResponseMessage {
+        let (ProtocolMessage::Response(mut answer) | ProtocolMessage::Abort(mut answer)) = msg
+        else {
+            panic!("not an answer: {msg:?}");
+        };
+        flip(&mut answer);
+        answer
     }
 
     #[test]
-    fn a_zero_signed_answer_is_ignored() {
-        let mut c = client();
-        let _ = c.submit(txn(0));
-        let mut unsigned = response(0, TxnOutcome::Committed);
-        if let ProtocolMessage::Response(r) = &mut unsigned {
-            r.signature = Signature::ZERO;
-        }
-        assert!(c.on_message(&unsigned).is_empty());
-        let unsigned_abort = ProtocolMessage::Abort(AbortMessage {
-            txn: TxnId::new(ClientId(7), 0),
-            seq: SeqNum(1),
-            view: ViewNumber(0),
-            signature: Signature::ZERO,
-        });
-        assert!(c.on_message(&unsigned_abort).is_empty());
-        assert_still_waiting(&mut c, 0);
-    }
-
-    #[test]
-    fn an_answer_signed_for_another_transaction_is_ignored() {
-        // Same batch, same output: before the id was bound into the
-        // marker one signed RESPONSE fitted every such transaction.
-        let mut c = client();
-        let _ = c.submit(txn(1));
+    fn a_forged_answer_moves_nothing() {
+        // Each case forges the verifier's answer to request 0: one signed
+        // field flipped, the signature zeroed, or the answer signed for
+        // view 3 by a shim node. The client acts on none of them. The
+        // flipped `txn` names its other outstanding request (before the id
+        // was bound into the digest, one signed RESPONSE fitted every
+        // transaction of its batch with the same output).
         for outcome in [TxnOutcome::Committed, TxnOutcome::Aborted] {
-            let mut replayed = response(0, outcome);
-            match &mut replayed {
-                ProtocolMessage::Response(r) => r.txn.counter = 1,
-                ProtocolMessage::Abort(a) => a.txn.counter = 1,
-                _ => unreachable!(),
+            let genuine = response(0, outcome);
+            let other = match outcome {
+                TxnOutcome::Committed => TxnOutcome::Aborted,
+                TxnOutcome::Aborted => TxnOutcome::Committed,
+            };
+            let by_a_node = answer_in(ComponentId::Node(NodeId(3)), 0, outcome, 3);
+            let forgeries = [
+                ("txn", flipped(genuine.clone(), |a| a.txn.counter = 1)),
+                ("seq", flipped(genuine.clone(), |a| a.seq = SeqNum(2))),
+                ("outcome", flipped(genuine.clone(), |a| a.outcome = other)),
+                ("output", flipped(genuine.clone(), |a| a.output = 1)),
+                ("view", flipped(genuine.clone(), |a| a.view = ViewNumber(3))),
+                (
+                    "no signature",
+                    flipped(genuine.clone(), |a| a.signature = Signature::ZERO),
+                ),
+                ("a node's signature", flipped(by_a_node, |_| {})),
+            ];
+            for (forgery, forged) in forgeries {
+                let mut c = client();
+                let _ = c.submit(txn(0));
+                let _ = c.submit(txn(1));
+                let actions = c.on_message(&ProtocolMessage::answer(forged));
+                assert!(actions.is_empty(), "{outcome:?}, {forgery}: {actions:?}");
+                assert_eq!((c.completed(), c.aborted(), c.outstanding()), (0, 0, 2));
+                assert_eq!(next_target(&mut c, 2), Destination::Node(NodeId(0)));
+                // The verifier's own answer still completes the request.
+                assert_eq!(c.on_message(&genuine).len(), 2, "{forgery}");
             }
-            assert!(c.on_message(&replayed).is_empty());
         }
-        // Nor can a signed RESPONSE be flipped into an abort.
-        let mut flipped = response(1, TxnOutcome::Committed);
-        if let ProtocolMessage::Response(r) = &mut flipped {
-            r.outcome = TxnOutcome::Aborted;
-        }
-        assert!(c.on_message(&flipped).is_empty());
-        assert_still_waiting(&mut c, 1);
     }
 
     #[test]
@@ -453,28 +431,6 @@ mod tests {
                 next_target(&mut c, 10 + counter),
                 Destination::Node(NodeId(2))
             );
-        }
-    }
-
-    #[test]
-    fn a_forged_answer_carrying_a_later_view_moves_nothing() {
-        for outcome in [TxnOutcome::Committed, TxnOutcome::Aborted] {
-            let mut c = client();
-            let _ = c.submit(txn(0));
-            // The verifier's view-0 answer with its view raised: the
-            // signature covers the view, so it no longer verifies.
-            let mut raised = response(0, outcome);
-            match &mut raised {
-                ProtocolMessage::Response(r) => r.view = ViewNumber(3),
-                ProtocolMessage::Abort(a) => a.view = ViewNumber(3),
-                _ => unreachable!(),
-            }
-            assert!(c.on_message(&raised).is_empty());
-            // Signed for view 3, but by a shim node.
-            let by_a_node = answer_in(ComponentId::Node(NodeId(3)), 0, outcome, 3);
-            assert!(c.on_message(&by_a_node).is_empty());
-            assert_still_waiting(&mut c, 0);
-            assert_eq!(next_target(&mut c, 1), Destination::Node(NodeId(0)));
         }
     }
 
@@ -527,11 +483,12 @@ mod tests {
     fn unrelated_messages_are_ignored() {
         let mut c = client();
         let _ = c.submit(txn(0));
-        let msg = ProtocolMessage::BatchValidated(crate::events::BatchValidated {
-            seq: SeqNum(1),
-            committed: 1,
-            aborted: 0,
-        });
+        let msg = ProtocolMessage::BatchValidated(crate::events::BatchValidated::signed(
+            SeqNum(1),
+            1,
+            0,
+            &CryptoProvider::new(3).handle(ComponentId::Verifier),
+        ));
         assert!(c.on_message(&msg).is_empty());
     }
 }

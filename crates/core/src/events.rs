@@ -51,27 +51,29 @@ impl ClientRequest {
     }
 }
 
-/// `RESPONSE(Δ, r)` from the verifier to a client (and, as a batch-level
-/// notification, to the shim primary).
+/// `RESPONSE(Δ, r)` or `ABORT(T)` from the verifier to a client
+/// (Section VI-B): the verifier's answer to one transaction. An abort is
+/// the answer with outcome [`TxnOutcome::Aborted`] and output 0; the
+/// outcome picks the message's kind ([`ProtocolMessage::answer`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ResponseMessage {
-    /// The transaction this response answers.
+    /// The transaction this answer is for.
     pub txn: TxnId,
     /// The sequence number of the batch containing it.
     pub seq: SeqNum,
     /// Whether the transaction committed or was aborted.
     pub outcome: TxnOutcome,
-    /// The execution output (meaningful only when committed).
+    /// The execution output (0 for an abort).
     pub output: u64,
     /// The highest shim view the verifier has seen a matched batch
     /// certified in: clients follow it to the current primary.
     pub view: ViewNumber,
-    /// The verifier's signature over the response.
+    /// The verifier's signature over the answer.
     pub signature: Signature,
 }
 
 impl ResponseMessage {
-    /// The `RESPONSE` for `txn`, signed by `signer` (the verifier).
+    /// The answer for `txn`, signed by `signer` (the verifier).
     #[must_use]
     pub fn signed(
         txn: TxnId,
@@ -113,9 +115,10 @@ impl ResponseMessage {
     }
 }
 
-/// Notification from the verifier to the shim primary that a whole batch
+/// Notification from the verifier to the shim nodes that a whole batch
 /// has been validated (used by the conflict-avoidance planner to release
-/// logical locks, Section VI-C step 4).
+/// logical locks, Section VI-C step 4, and to retire the batch and its
+/// duplicate-suppression window).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BatchValidated {
     /// The validated batch.
@@ -124,9 +127,44 @@ pub struct BatchValidated {
     pub committed: u32,
     /// Transactions aborted by the concurrency-control check.
     pub aborted: u32,
+    /// The verifier's signature.
+    pub signature: Signature,
 }
 
-/// What a recovery message (ERROR / REPLACE / ACK) is about.
+impl BatchValidated {
+    /// The notice for batch `seq`, signed by `signer` (the verifier).
+    #[must_use]
+    pub fn signed(
+        seq: SeqNum,
+        committed: u32,
+        aborted: u32,
+        signer: &sbft_crypto::CryptoHandle,
+    ) -> Self {
+        let mut validated = BatchValidated {
+            seq,
+            committed,
+            aborted,
+            signature: Signature::ZERO,
+        };
+        validated.signature = signer.sign(&validated.signing_digest());
+        validated
+    }
+
+    /// The digest the verifier signs and a node checks: every field.
+    #[must_use]
+    pub fn signing_digest(&self) -> sbft_types::Digest {
+        sbft_crypto::digest_u64s(
+            "batch-validated",
+            &[
+                self.seq.0,
+                u64::from(self.committed),
+                u64::from(self.aborted),
+            ],
+        )
+    }
+}
+
+/// What a recovery notice (ERROR / REPLACE / ACK) is about.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum RecoverySubject {
     /// The verifier is waiting for the request ordered at this sequence
@@ -137,180 +175,80 @@ pub enum RecoverySubject {
     Txn(TxnId),
 }
 
-/// The digest a recovery marker (`label`: `error`, `replace` or `ack`)
-/// about `subject` is signed over. `request` is the signing digest of the
-/// request an `ERROR(⟨T⟩_C)` carries, so the request cannot be swapped
-/// under the verifier's signature either.
-fn marker_digest(
-    label: &str,
-    subject: RecoverySubject,
-    request: Option<sbft_types::Digest>,
-) -> sbft_types::Digest {
-    let mut h = sbft_crypto::U64Hasher::new(label);
-    match subject {
-        RecoverySubject::Seq(seq) => {
-            h.push(0);
-            h.push(seq.0);
-        }
-        RecoverySubject::Txn(txn) => {
-            h.push(1);
-            h.push(u64::from(txn.client.0));
-            h.push(txn.counter);
-        }
-    }
-    if let Some(request) = request {
-        h.push_digest(&request);
-    }
-    h.finish()
-}
-
-/// `ERROR` broadcast by the verifier to the shim nodes (Figure 4).
+/// Which recovery notice the verifier sends (Figure 4).
 #[derive(Clone, PartialEq, Debug)]
-pub struct ErrorMessage {
-    /// What is missing.
+pub enum NoticeMarker {
+    /// `ERROR`: the subject is missing. For the missing-transaction case
+    /// (`ERROR(⟨T⟩_C)`) it carries the client's signed request so the
+    /// (possibly new) primary can order it — Figure 4 line 12. Boxed:
+    /// the recovery path is rare, and an inline request would make every
+    /// [`Action`] as large as this one.
+    Error(Option<Box<ClientRequest>>),
+    /// `REPLACE`: the primary is provably misbehaving and must be
+    /// replaced.
+    Replace,
+    /// `ACK`: the previously reported subject has been validated,
+    /// releasing the nodes' re-transmission timers `Υ`.
+    Ack,
+}
+
+/// `ERROR`, `REPLACE` or `ACK`, broadcast by the verifier to the shim
+/// nodes and signed by it.
+#[derive(Clone, PartialEq, Debug)]
+pub struct RecoveryNotice {
+    /// Which notice this is.
+    pub marker: NoticeMarker,
+    /// What it is about.
     pub subject: RecoverySubject,
-    /// For the missing-transaction case (`ERROR(⟨T⟩_C)`), the verifier
-    /// includes the client's signed request so the (possibly new) primary
-    /// can order it — matching Figure 4 line 12, where the `ERROR` message
-    /// carries `⟨T⟩_C` itself. Boxed: the recovery path is rare, and an
-    /// inline request would make every [`Action`] as large as this one.
-    pub request: Option<Box<ClientRequest>>,
     /// The verifier's signature.
     pub signature: Signature,
 }
 
-impl ErrorMessage {
-    /// The `ERROR` about `subject`, signed by `signer` (the verifier).
+impl RecoveryNotice {
+    /// The notice `marker` about `subject`, signed by `signer` (the
+    /// verifier).
     #[must_use]
     pub fn signed(
+        marker: NoticeMarker,
         subject: RecoverySubject,
-        request: Option<Box<ClientRequest>>,
         signer: &sbft_crypto::CryptoHandle,
     ) -> Self {
-        let mut error = ErrorMessage {
-            subject,
-            request,
-            signature: Signature::ZERO,
-        };
-        error.signature = signer.sign(&error.signing_digest());
-        error
-    }
-
-    /// The digest the verifier signs and a node checks: the subject and
-    /// the carried request.
-    #[must_use]
-    pub fn signing_digest(&self) -> sbft_types::Digest {
-        let request = self
-            .request
-            .as_ref()
-            .map(|r| ClientRequest::signing_digest(&r.txn));
-        marker_digest("error", self.subject, request)
-    }
-}
-
-/// `REPLACE` broadcast by the verifier: the primary is provably misbehaving
-/// and must be replaced.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ReplaceMessage {
-    /// The transaction whose handling exposed the primary.
-    pub subject: RecoverySubject,
-    /// The verifier's signature.
-    pub signature: Signature,
-}
-
-impl ReplaceMessage {
-    /// The `REPLACE` about `subject`, signed by `signer` (the verifier).
-    #[must_use]
-    pub fn signed(subject: RecoverySubject, signer: &sbft_crypto::CryptoHandle) -> Self {
-        let mut replace = ReplaceMessage {
+        let mut notice = RecoveryNotice {
+            marker,
             subject,
             signature: Signature::ZERO,
         };
-        replace.signature = signer.sign(&replace.signing_digest());
-        replace
+        notice.signature = signer.sign(&notice.signing_digest());
+        notice
     }
 
-    /// The digest the verifier signs and a node checks: the subject.
+    /// The digest the verifier signs and a node checks: the marker's
+    /// label (`error`, `replace` or `ack`), the subject and, for an
+    /// `ERROR(⟨T⟩_C)`, the signing digest of the carried request, so the
+    /// request cannot be swapped under the verifier's signature either.
     #[must_use]
     pub fn signing_digest(&self) -> sbft_types::Digest {
-        marker_digest("replace", self.subject, None)
-    }
-}
-
-/// `ACK` broadcast by the verifier once the previously reported subject has
-/// been validated, releasing the nodes' re-transmission timers `Υ`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AckMessage {
-    /// The subject that is now resolved.
-    pub subject: RecoverySubject,
-    /// The verifier's signature.
-    pub signature: Signature,
-}
-
-impl AckMessage {
-    /// The `ACK` for `subject`, signed by `signer` (the verifier).
-    #[must_use]
-    pub fn signed(subject: RecoverySubject, signer: &sbft_crypto::CryptoHandle) -> Self {
-        let mut ack = AckMessage {
-            subject,
-            signature: Signature::ZERO,
+        let (label, request) = match &self.marker {
+            NoticeMarker::Error(request) => ("error", request.as_deref()),
+            NoticeMarker::Replace => ("replace", None),
+            NoticeMarker::Ack => ("ack", None),
         };
-        ack.signature = signer.sign(&ack.signing_digest());
-        ack
-    }
-
-    /// The digest the verifier signs and a node checks: the subject.
-    #[must_use]
-    pub fn signing_digest(&self) -> sbft_types::Digest {
-        marker_digest("ack", self.subject, None)
-    }
-}
-
-/// `ABORT(T)` from the verifier to a client (Section VI-B).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AbortMessage {
-    /// The aborted transaction.
-    pub txn: TxnId,
-    /// The sequence number it was ordered at.
-    pub seq: SeqNum,
-    /// The verifier's view, as on [`ResponseMessage::view`].
-    pub view: ViewNumber,
-    /// The verifier's signature.
-    pub signature: Signature,
-}
-
-impl AbortMessage {
-    /// The `ABORT` for `txn`, signed by `signer` (the verifier).
-    #[must_use]
-    pub fn signed(
-        txn: TxnId,
-        seq: SeqNum,
-        view: ViewNumber,
-        signer: &sbft_crypto::CryptoHandle,
-    ) -> Self {
-        let mut abort = AbortMessage {
-            txn,
-            seq,
-            view,
-            signature: Signature::ZERO,
-        };
-        abort.signature = signer.sign(&abort.signing_digest());
-        abort
-    }
-
-    /// The digest the verifier signs and the client checks. The view
-    /// rides above the 32-bit client id, so a view-0 abort hashes exactly
-    /// as before views were sent.
-    #[must_use]
-    pub fn signing_digest(&self) -> sbft_types::Digest {
-        sbft_crypto::digest_u64s(
-            "abort",
-            &[
-                self.seq.0,
-                u64::from(self.txn.client.0) | self.view.0 << 32,
-                self.txn.counter,
-            ],
-        )
+        let mut h = sbft_crypto::U64Hasher::new(label);
+        match self.subject {
+            RecoverySubject::Seq(seq) => {
+                h.push(0);
+                h.push(seq.0);
+            }
+            RecoverySubject::Txn(txn) => {
+                h.push(1);
+                h.push(u64::from(txn.client.0));
+                h.push(txn.counter);
+            }
+        }
+        if let Some(request) = request {
+            h.push_digest(&ClientRequest::signing_digest(&request.txn));
+        }
+        h.finish()
     }
 }
 
@@ -332,21 +270,26 @@ pub enum ProtocolMessage {
     /// `VERIFY` from an executor to the verifier (the handle the executor
     /// produced; a flooding executor's copies share one message).
     Verify(Arc<VerifyMessage>),
-    /// `RESPONSE` from the verifier to a client.
+    /// `RESPONSE` from the verifier to a client: a committed answer.
     Response(ResponseMessage),
-    /// `ABORT` from the verifier to a client.
-    Abort(AbortMessage),
-    /// Batch-level validation notice from the verifier to the primary.
+    /// `ABORT` from the verifier to a client: an aborted answer.
+    Abort(ResponseMessage),
+    /// Batch-level validation notice from the verifier to the shim nodes.
     BatchValidated(BatchValidated),
-    /// `ERROR` from the verifier to the shim nodes.
-    Error(ErrorMessage),
-    /// `REPLACE` from the verifier to the shim nodes.
-    Replace(ReplaceMessage),
-    /// `ACK` from the verifier to the shim nodes.
-    Ack(AckMessage),
+    /// `ERROR`, `REPLACE` or `ACK` from the verifier to the shim nodes.
+    Notice(RecoveryNotice),
 }
 
 impl ProtocolMessage {
+    /// The `RESPONSE` or `ABORT` carrying `answer`, by its outcome.
+    #[must_use]
+    pub fn answer(answer: ResponseMessage) -> Self {
+        match answer.outcome {
+            TxnOutcome::Committed => ProtocolMessage::Response(answer),
+            TxnOutcome::Aborted => ProtocolMessage::Abort(answer),
+        }
+    }
+
     /// Short message-kind label for traces and the CPU cost model.
     #[must_use]
     pub fn kind(&self) -> &'static str {
@@ -358,9 +301,11 @@ impl ProtocolMessage {
             ProtocolMessage::Response(_) => "RESPONSE",
             ProtocolMessage::Abort(_) => "ABORT",
             ProtocolMessage::BatchValidated(_) => "BATCH-VALIDATED",
-            ProtocolMessage::Error(_) => "ERROR",
-            ProtocolMessage::Replace(_) => "REPLACE",
-            ProtocolMessage::Ack(_) => "ACK",
+            ProtocolMessage::Notice(n) => match n.marker {
+                NoticeMarker::Error(_) => "ERROR",
+                NoticeMarker::Replace => "REPLACE",
+                NoticeMarker::Ack => "ACK",
+            },
         }
     }
 
@@ -377,8 +322,10 @@ impl ProtocolMessage {
             ProtocolMessage::Response(_) => 2_270,
             ProtocolMessage::Abort(_) => 160,
             ProtocolMessage::BatchValidated(_) => 140,
-            ProtocolMessage::Error(e) => 180 + e.request.as_ref().map_or(0, |r| r.txn.wire_size()),
-            ProtocolMessage::Replace(_) | ProtocolMessage::Ack(_) => 180,
+            ProtocolMessage::Notice(n) => match &n.marker {
+                NoticeMarker::Error(Some(request)) => 180 + request.txn.wire_size(),
+                _ => 180,
+            },
         }
     }
 }
@@ -583,9 +530,9 @@ mod tests {
             signature: Signature::ZERO,
         });
         assert_eq!(resp.wire_size(), 2_270);
-        let err = ProtocolMessage::Error(ErrorMessage {
+        let err = ProtocolMessage::Notice(RecoveryNotice {
+            marker: NoticeMarker::Error(None),
             subject: RecoverySubject::Seq(SeqNum(4)),
-            request: None,
             signature: Signature::ZERO,
         });
         assert_eq!(err.kind(), "ERROR");
@@ -595,31 +542,31 @@ mod tests {
     #[test]
     fn a_view_0_answer_hashes_as_before_views_were_signed_and_a_view_moves_it() {
         let txn = TxnId::new(ClientId(9), 4);
-        let response = |view| ResponseMessage {
+        let answer = |outcome, output, view| ResponseMessage {
             txn,
             seq: SeqNum(3),
-            outcome: TxnOutcome::Committed,
-            output: 77,
+            outcome,
+            output,
             view: ViewNumber(view),
             signature: Signature::ZERO,
         };
-        let abort = |view| AbortMessage {
-            txn,
-            seq: SeqNum(3),
-            view: ViewNumber(view),
-            signature: Signature::ZERO,
-        };
-        // The preimages of the answers before they carried a view.
+        let response = |view| answer(TxnOutcome::Committed, 77, view);
+        let abort = |view| answer(TxnOutcome::Aborted, 0, view);
+        // The preimage of a response before it carried a view; an abort
+        // is the same formula with outcome bit 0 and output 0.
         assert_eq!(
             response(0).signing_digest(),
             sbft_crypto::digest_u64s("response", &[3, 77, 9, 4, 1])
         );
         assert_eq!(
             abort(0).signing_digest(),
-            sbft_crypto::digest_u64s("abort", &[3, 9, 4])
+            sbft_crypto::digest_u64s("response", &[3, 0, 9, 4, 0])
         );
         assert_ne!(response(1).signing_digest(), response(0).signing_digest());
         assert_ne!(abort(1).signing_digest(), abort(0).signing_digest());
+        assert_eq!(ProtocolMessage::answer(response(0)).kind(), "RESPONSE");
+        assert_eq!(ProtocolMessage::answer(abort(0)).kind(), "ABORT");
+        assert_eq!(ProtocolMessage::answer(abort(0)).wire_size(), 160);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 use crate::durable::{DurableLog, Persisted};
 use crate::events::{
-    Action, BatchValidated, ClientRequest, Destination, ErrorMessage, ProtocolMessage,
-    ProtocolTimer, RecoverySubject,
+    Action, BatchValidated, ClientRequest, Destination, NoticeMarker, ProtocolMessage,
+    ProtocolTimer, RecoveryNotice, RecoverySubject,
 };
 use crate::planner::{batch_home, home_shard, BatchFootprint, BestEffortPlanner};
 use sbft_consensus::{
@@ -28,7 +28,7 @@ use sbft_serverless::{ExecuteRequest, Invoker};
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
     checkpoint_gc_cutoff, Batch, ComponentId, ConflictHandling, IdMap, NodeId, SeqNum, ShardRouter,
-    SimDuration, SimTime, SpawningMode, SystemConfig, TxnId, ViewNumber,
+    Signature, SimDuration, SimTime, SpawningMode, SystemConfig, TxnId, ViewNumber,
 };
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
@@ -64,16 +64,21 @@ enum SeenTxn {
     Validated(SeqNum),
 }
 
-/// An `ERROR` a backup forwarded to the primary, held until the
-/// verifier's `ACK` for its subject (or until its `Υ` expires in a later
-/// view, whose primary already got it).
+/// An `ERROR` a backup forwarded to the primary, held under its subject
+/// until the verifier's `ACK` for it (or until its `Υ` expires in a later
+/// view, whose primary already got it). The request and the signature,
+/// with the subject, rebuild the verifier's `ERROR`, which is re-forwarded
+/// to the primary of every view this node installs as a backup while it
+/// is held; the marker is always `Error` and the subject is the key, so
+/// neither is stored twice.
 #[derive(Clone, Debug)]
 struct HeldError {
     /// The view the re-transmission timer `Υ` was started in.
     view: ViewNumber,
-    /// The verifier's `ERROR`, re-forwarded to the primary of every view
-    /// this node installs as a backup while it is held.
-    error: ErrorMessage,
+    /// The client request the `ERROR` carries, if any.
+    request: Option<Box<ClientRequest>>,
+    /// The verifier's signature over the `ERROR`.
+    signature: Signature,
 }
 
 /// How long the batcher lets a pending request wait before its lane is
@@ -890,8 +895,15 @@ impl ShimNode {
             let me = self.component();
             let reforwarded: Vec<Action> = self
                 .retransmit
-                .values()
-                .map(|held| Action::send(me, primary, ProtocolMessage::Error(held.error.clone())))
+                .iter()
+                .map(|(subject, held)| {
+                    let error = RecoveryNotice {
+                        marker: NoticeMarker::Error(held.request.clone()),
+                        subject: *subject,
+                        signature: held.signature,
+                    };
+                    Action::send(me, primary, ProtocolMessage::Notice(error))
+                })
                 .collect();
             self.errors_reforwarded.add(reforwarded.len() as u64);
             return reforwarded;
@@ -920,68 +932,75 @@ impl ShimNode {
 
     /// Like [`Self::on_message`] but with the current time, needed when the
     /// message may cause the primary to batch a carried client request.
-    /// An `ERROR`, `REPLACE` or `ACK` counts only under the verifier's
-    /// signature over its subject; anything else is dropped unanswered.
+    /// A recovery notice or a `BATCH-VALIDATED` counts only under the
+    /// verifier's signature over every field it carries; anything else is
+    /// dropped unanswered.
     pub fn on_message_at(&mut self, msg: &ProtocolMessage, now: SimTime) -> Vec<Action> {
         match msg {
-            ProtocolMessage::Error(err)
-                if self.verifier_signed(err.signing_digest(), err.signature) =>
+            ProtocolMessage::Notice(notice)
+                if self.verifier_signed(notice.signing_digest(), notice.signature) =>
             {
-                if self.is_primary() {
-                    // The onus is on the primary to resolve the ERROR: order
-                    // the carried request (missing transaction case) or
-                    // re-spawn executors for the missing sequence number.
-                    return match (&err.subject, &err.request) {
-                        (RecoverySubject::Txn(_), Some(request)) => {
-                            // The carried request joins the batch like any
-                            // other; the aggregate check covers it.
-                            let digest = ClientRequest::signing_digest(&request.txn);
-                            self.order_transaction(
-                                request.txn.clone(),
-                                digest,
-                                request.signature,
-                                now,
-                            )
-                        }
-                        (RecoverySubject::Seq(seq), _) => self.respawn(*seq),
-                        _ => Vec::new(),
-                    };
+                self.on_notice(notice, now)
+            }
+            ProtocolMessage::BatchValidated(validated)
+                if self.verifier_signed(validated.signing_digest(), validated.signature) =>
+            {
+                self.on_batch_validated(*validated)
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// Acts on a recovery notice the verifier signed (Figure 4, node role).
+    fn on_notice(&mut self, notice: &RecoveryNotice, now: SimTime) -> Vec<Action> {
+        let subject = notice.subject;
+        match &notice.marker {
+            NoticeMarker::Error(request) if self.is_primary() => {
+                // The onus is on the primary to resolve the ERROR: order
+                // the carried request (missing transaction case) or
+                // re-spawn executors for the missing sequence number.
+                match (subject, request) {
+                    (RecoverySubject::Txn(_), Some(request)) => {
+                        // The carried request joins the batch like any
+                        // other; the aggregate check covers it.
+                        let digest = ClientRequest::signing_digest(&request.txn);
+                        self.order_transaction(request.txn.clone(), digest, request.signature, now)
+                    }
+                    (RecoverySubject::Seq(seq), _) => self.respawn(seq),
+                    _ => Vec::new(),
                 }
+            }
+            NoticeMarker::Error(request) => {
                 // Start the re-transmission timer Υ and forward the ERROR,
                 // unchanged, to the primary; hold it until the ACK.
                 self.retransmit.insert(
-                    err.subject,
+                    subject,
                     HeldError {
                         view: self.view(),
-                        error: err.clone(),
+                        request: request.clone(),
+                        signature: notice.signature,
                     },
                 );
                 vec![
                     Action::StartTimer {
-                        timer: ProtocolTimer::Retransmit(err.subject),
+                        timer: ProtocolTimer::Retransmit(subject),
                         duration: self.config.timers.retransmit_timeout,
                     },
                     Action::send(
                         self.component(),
                         Destination::Node(self.primary()),
-                        ProtocolMessage::Error(err.clone()),
+                        ProtocolMessage::Notice(notice.clone()),
                     ),
                 ]
             }
-            ProtocolMessage::Ack(ack)
-                if self.verifier_signed(ack.signing_digest(), ack.signature) =>
-            {
-                self.retransmit.remove(&ack.subject);
-                vec![Action::CancelTimer(ProtocolTimer::Retransmit(ack.subject))]
+            NoticeMarker::Ack => {
+                self.retransmit.remove(&subject);
+                vec![Action::CancelTimer(ProtocolTimer::Retransmit(subject))]
             }
-            ProtocolMessage::Replace(replace)
-                if self.verifier_signed(replace.signing_digest(), replace.signature) =>
-            {
+            NoticeMarker::Replace => {
                 let actions = self.ordering.request_view_change();
                 self.translate(actions)
             }
-            ProtocolMessage::BatchValidated(validated) => self.on_batch_validated(*validated),
-            _ => Vec::new(),
         }
     }
 
@@ -1122,7 +1141,7 @@ impl ShimNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{envelopes, AckMessage, ErrorMessage, ReplaceMessage};
+    use crate::events::envelopes;
     use crate::lockstep::{pbft_nodes, settle, Verdict};
     use sbft_consensus::{CftReplica, NoShim, PrePrepare, ProposalBody};
     use sbft_crypto::CryptoProvider;
@@ -1610,11 +1629,7 @@ mod tests {
         for i in 0..40u64 {
             let _ = primary.on_client_request(&signed_request(&provider, 0, i), SimTime::ZERO);
             assert_eq!(waiting_ids(&primary), usize::from(i % 2 == 0));
-            let _ = primary.on_message(&ProtocolMessage::BatchValidated(BatchValidated {
-                seq: SeqNum(i + 1),
-                committed: 1,
-                aborted: 0,
-            }));
+            let _ = primary.on_message(&validated(&provider, SeqNum(i + 1)));
             assert!(waiting_ids(&primary) <= 1);
         }
         assert!(primary.seen_txns_len() < 40, "orphans were expired");
@@ -1653,11 +1668,7 @@ mod tests {
                     .any(|a| matches!(a, Action::BatchCommitted { .. })),
                 "request {i} must commit immediately on the 1-node CFT shim"
             );
-            let _ = node.on_message(&ProtocolMessage::BatchValidated(BatchValidated {
-                seq: SeqNum(i + 1),
-                committed: 1,
-                aborted: 0,
-            }));
+            let _ = node.on_message(&validated(&provider, SeqNum(i + 1)));
             assert!(
                 node.seen_txns_len() <= 2 * 4,
                 "after {} batches seen_txns holds {} entries",
@@ -1707,11 +1718,7 @@ mod tests {
                     .any(|a| matches!(a, Action::BatchCommitted { .. })),
                 "nothing commits without a quorum"
             );
-            let _ = node.on_message(&ProtocolMessage::BatchValidated(BatchValidated {
-                seq: SeqNum(i + 1),
-                committed: 1,
-                aborted: 0,
-            }));
+            let _ = node.on_message(&validated(&provider, SeqNum(i + 1)));
             assert!(
                 node.seen_txns_len() <= 3 * 4,
                 "after {} orphaned proposals seen_txns holds {} entries",
@@ -1754,11 +1761,7 @@ mod tests {
             .is_empty());
         // Far more checkpoint progress than any expiry horizon.
         for seq in 2..=40u64 {
-            let validated = ProtocolMessage::BatchValidated(BatchValidated {
-                seq: SeqNum(seq),
-                committed: 1,
-                aborted: 0,
-            });
+            let validated = validated(&provider, SeqNum(seq));
             let _ = node.on_message(&validated);
             let _ = pending_node.on_message(&validated);
         }
@@ -1931,12 +1934,19 @@ mod tests {
         shim.provider.handle(ComponentId::Verifier)
     }
 
+    /// The verifier's `BATCH-VALIDATED` for `seq`: one transaction
+    /// committed.
+    fn validated(provider: &Arc<CryptoProvider>, seq: SeqNum) -> ProtocolMessage {
+        let verifier = provider.handle(ComponentId::Verifier);
+        ProtocolMessage::BatchValidated(BatchValidated::signed(seq, 1, 0, &verifier))
+    }
+
     #[test]
     fn error_from_verifier_starts_retransmit_timer_and_forwards() {
         let mut shim = make_shim(base_config());
-        let err = ProtocolMessage::Error(ErrorMessage::signed(
+        let err = ProtocolMessage::Notice(RecoveryNotice::signed(
+            NoticeMarker::Error(None),
             RecoverySubject::Seq(SeqNum(3)),
-            None,
             &verifier(&shim),
         ));
         let actions = shim.nodes[2].on_message(&err);
@@ -1954,7 +1964,8 @@ mod tests {
             "forwarded to the primary"
         );
         // The matching ACK cancels the timer.
-        let ack = ProtocolMessage::Ack(AckMessage::signed(
+        let ack = ProtocolMessage::Notice(RecoveryNotice::signed(
+            NoticeMarker::Ack,
             RecoverySubject::Seq(SeqNum(3)),
             &verifier(&shim),
         ));
@@ -1967,7 +1978,8 @@ mod tests {
     #[test]
     fn replace_from_verifier_triggers_view_change() {
         let mut shim = make_shim(base_config());
-        let replace = ProtocolMessage::Replace(ReplaceMessage::signed(
+        let replace = ProtocolMessage::Notice(RecoveryNotice::signed(
+            NoticeMarker::Replace,
             RecoverySubject::Seq(SeqNum(1)),
             &verifier(&shim),
         ));
@@ -1979,9 +1991,9 @@ mod tests {
     fn retransmit_timer_expiry_triggers_view_change() {
         let mut shim = make_shim(base_config());
         // The verifier reported a missing request; Υ is armed in view 0.
-        let err = ProtocolMessage::Error(ErrorMessage::signed(
+        let err = ProtocolMessage::Notice(RecoveryNotice::signed(
+            NoticeMarker::Error(None),
             RecoverySubject::Seq(SeqNum(1)),
-            None,
             &verifier(&shim),
         ));
         let _ = shim.nodes[1].on_message(&err);
@@ -1996,14 +2008,15 @@ mod tests {
     #[test]
     fn retransmit_timer_is_forgiven_after_a_view_change() {
         let mut shim = make_shim(base_config());
-        let err = ProtocolMessage::Error(ErrorMessage::signed(
+        let err = ProtocolMessage::Notice(RecoveryNotice::signed(
+            NoticeMarker::Error(None),
             RecoverySubject::Seq(SeqNum(1)),
-            None,
             &verifier(&shim),
         ));
         let _ = shim.nodes[1].on_message(&err);
         // The primary is replaced before Υ expires (for another reason).
-        let replace = ProtocolMessage::Replace(ReplaceMessage::signed(
+        let replace = ProtocolMessage::Notice(RecoveryNotice::signed(
+            NoticeMarker::Replace,
             RecoverySubject::Seq(SeqNum(1)),
             &verifier(&shim),
         ));
@@ -2029,53 +2042,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_replace_without_the_verifiers_signature_on_its_subject_changes_no_view() {
-        let mut shim = make_shim(base_config());
-        let unsigned = ReplaceMessage {
-            subject: RecoverySubject::Seq(SeqNum(1)),
-            signature: Signature::ZERO,
-        };
-        let mut moved = ReplaceMessage::signed(RecoverySubject::Seq(SeqNum(2)), &verifier(&shim));
-        moved.subject = RecoverySubject::Seq(SeqNum(1));
-        let by_a_node = ReplaceMessage::signed(
-            RecoverySubject::Seq(SeqNum(1)),
-            &shim.provider.handle(ComponentId::Node(NodeId(2))),
-        );
-        for forged in [unsigned, moved, by_a_node] {
-            let actions = shim.nodes[1].on_message(&ProtocolMessage::Replace(forged));
-            assert!(actions.is_empty(), "{forged:?} acted on: {actions:?}");
-        }
-        // The verifier's own REPLACE still replaces the primary.
-        let genuine = ReplaceMessage::signed(RecoverySubject::Seq(SeqNum(1)), &verifier(&shim));
-        let actions = shim.nodes[1].on_message(&ProtocolMessage::Replace(genuine));
-        assert!(actions.iter().any(|a| a.sends_kind("VIEWCHANGE")));
-    }
-
-    #[test]
-    fn an_ack_signed_for_another_subject_leaves_the_retransmit_timer_armed() {
-        let mut shim = make_shim(base_config());
-        let (a, b) = (
-            RecoverySubject::Seq(SeqNum(1)),
-            RecoverySubject::Txn(TxnId::new(ClientId(4), 9)),
-        );
-        let err = ErrorMessage::signed(b, None, &verifier(&shim));
-        let _ = shim.nodes[2].on_message(&ProtocolMessage::Error(err));
-        let mut replayed = AckMessage::signed(a, &verifier(&shim));
-        replayed.subject = b;
-        assert!(shim.nodes[2]
-            .on_message(&ProtocolMessage::Ack(replayed))
-            .is_empty());
-        // Υ for b is still armed: its expiry escalates.
-        let actions = shim.nodes[2].on_timer(ProtocolTimer::Retransmit(b), SimTime::ZERO);
-        assert!(actions.iter().any(|a| a.sends_kind("VIEWCHANGE")));
-    }
-
     /// The verifier's `ERROR(⟨T⟩_C)` carrying client `client`'s request.
-    fn error_carrying(shim: &Shim, client: u32) -> ErrorMessage {
-        ErrorMessage::signed(
+    fn error_carrying(shim: &Shim, client: u32) -> RecoveryNotice {
+        RecoveryNotice::signed(
+            NoticeMarker::Error(Some(Box::new(signed_request(&shim.provider, client, 0)))),
             RecoverySubject::Txn(TxnId::new(ClientId(client), 0)),
-            Some(Box::new(signed_request(&shim.provider, client, 0))),
             &verifier(shim),
         )
     }
@@ -2088,7 +2059,7 @@ mod tests {
         // Node 0 is dark: the backups forward the ERROR to it in vain and
         // their Υ expires in view 0, which replaces it.
         for node in 1..4 {
-            let _ = shim.nodes[node].on_message(&ProtocolMessage::Error(err.clone()));
+            let _ = shim.nodes[node].on_message(&ProtocolMessage::Notice(err.clone()));
         }
         let mut external = Vec::new();
         for node in 1..4 {
@@ -2124,7 +2095,7 @@ mod tests {
             let reforwarded: Vec<_> = mine.iter().filter_map(|a| a.as_send()).collect();
             assert_eq!(reforwarded.len(), 1, "node {node}: {mine:?}");
             assert_eq!(reforwarded[0].to, Destination::Node(NodeId(1)));
-            assert_eq!(reforwarded[0].msg, ProtocolMessage::Error(err.clone()));
+            assert_eq!(reforwarded[0].msg, ProtocolMessage::Notice(err.clone()));
             assert!(!mine.iter().any(|a| matches!(
                 a,
                 Action::StartTimer {
@@ -2140,7 +2111,7 @@ mod tests {
         assert!(primary.batcher.pending_txn_ids().is_empty());
         assert_eq!(primary.seen_txns_len(), 0);
         // A backup's copy, delivered after the install, is ordered.
-        let _ = primary.on_message(&ProtocolMessage::Error(err));
+        let _ = primary.on_message(&ProtocolMessage::Notice(err));
         assert_eq!(
             primary.batcher.pending_txn_ids(),
             vec![TxnId::new(ClientId(5), 0)]
@@ -2152,11 +2123,11 @@ mod tests {
         let mut shim = make_shim(base_config());
         let err = error_carrying(&shim, 5);
         let node = &mut shim.nodes[2];
-        let _ = node.on_message(&ProtocolMessage::Error(err.clone()));
+        let _ = node.on_message(&ProtocolMessage::Notice(err.clone()));
         assert_eq!(node.retransmit.len(), 1);
-        let ack = AckMessage::signed(err.subject, &verifier(&shim));
+        let ack = RecoveryNotice::signed(NoticeMarker::Ack, err.subject, &verifier(&shim));
         let node = &mut shim.nodes[2];
-        let actions = node.on_message(&ProtocolMessage::Ack(ack));
+        let actions = node.on_message(&ProtocolMessage::Notice(ack));
         assert_eq!(
             actions,
             vec![Action::CancelTimer(ProtocolTimer::Retransmit(err.subject))]
@@ -2164,43 +2135,159 @@ mod tests {
         assert!(node.retransmit.is_empty(), "the ACK released the entry");
     }
 
-    #[test]
-    fn a_forged_error_arms_nothing_and_moves_no_primary() {
+    /// What a verifier message can move at shim node `node`: every
+    /// counter of the shim, the duplicate-suppression table, the
+    /// unvalidated committed batches, the validation high mark, the held
+    /// `ERROR`s and the view.
+    fn observable(shim: &Shim, node: usize) -> impl PartialEq + std::fmt::Debug {
+        let n = &shim.nodes[node];
+        let mut held: Vec<RecoverySubject> = n.retransmit.keys().copied().collect();
+        held.sort();
+        let committed: Vec<SeqNum> = n.committed.keys().copied().collect();
+        let counts = (n.seen_txns_len(), n.max_validated, n.view());
+        (shim.registry.render(), counts, committed, held)
+    }
+
+    /// A shim whose sequence 1 (clients 0 and 1) committed at every node
+    /// and whose primary holds a second, unordered batch (clients 2, 3).
+    fn shim_awaiting_validation() -> Shim {
         let mut shim = make_shim(base_config());
         let provider = Arc::clone(&shim.provider);
-        let verifier = verifier(&shim);
-        // Sequence 1 commits and its executors are spawned.
         commit_one_batch(&mut shim, 0, &[]);
-        // ERROR(k_max = 1) signed for another sequence number, and
-        // ERROR(⟨T⟩_C) whose carried request was swapped under the
-        // signature: two requests, enough to release a batch of two.
-        let mut moved = ErrorMessage::signed(RecoverySubject::Seq(SeqNum(5)), None, &verifier);
-        moved.subject = RecoverySubject::Seq(SeqNum(1));
-        let swapped = |client: u32| {
-            let mut err = ErrorMessage::signed(
-                RecoverySubject::Txn(TxnId::new(ClientId(client), 0)),
-                Some(Box::new(signed_request(&provider, client, 0))),
-                &verifier,
-            );
-            err.request = Some(Box::new(signed_request(&provider, client + 10, 0)));
-            err
-        };
-        for forged in [moved, swapped(2), swapped(3)] {
-            let forged = ProtocolMessage::Error(forged);
-            for node in [0, 2] {
-                let actions = shim.nodes[node].on_message(&forged);
-                assert!(
-                    actions.is_empty(),
-                    "node {node} acted on {forged:?}: {actions:?}"
-                );
+        for client in [2, 3] {
+            let request = signed_request(&provider, client, 0);
+            let _ = shim.nodes[0].on_client_request(&request, SimTime::ZERO);
+        }
+        shim
+    }
+
+    #[test]
+    fn a_batch_validated_the_verifier_did_not_sign_moves_nothing() {
+        // Unchecked, a forged notice for the committed batch retires it
+        // (a view change would no longer re-spawn it), and one for a far
+        // sequence number moves the validation high mark past every
+        // checkpoint cutoff, so every batched id is forgotten.
+        let mut shim = shim_awaiting_validation();
+        let by_a_node = shim.provider.handle(ComponentId::Node(NodeId(1)));
+        let before = shim.nodes[0].seen_txns_len();
+        let committed = shim.nodes[0].committed_batch(SeqNum(1)).cloned();
+        assert!(committed.is_some());
+        for seq in [SeqNum(1), SeqNum(1_000_000)] {
+            let signed_by_a_node = BatchValidated::signed(seq, 2, 0, &by_a_node);
+            let unsigned = BatchValidated {
+                signature: Signature::ZERO,
+                ..signed_by_a_node
+            };
+            for forged in [unsigned, signed_by_a_node] {
+                let forged = ProtocolMessage::BatchValidated(forged);
+                assert!(shim.nodes[0].on_message(&forged).is_empty());
             }
         }
-        // The verifier's own ERROR(k_max) makes the primary re-spawn.
-        let genuine = ErrorMessage::signed(RecoverySubject::Seq(SeqNum(1)), None, &verifier);
-        let actions = shim.nodes[0].on_message(&ProtocolMessage::Error(genuine));
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, Action::SpawnExecutor { .. })));
+        assert_eq!(shim.nodes[0].seen_txns_len(), before);
+        assert_eq!(shim.nodes[0].committed_batch(SeqNum(1)).cloned(), committed);
+        // The verifier's own notice retires the batch.
+        let _ = shim.nodes[0].on_message(&validated(&shim.provider, SeqNum(1)));
+        assert!(shim.nodes[0].committed_batch(SeqNum(1)).is_none());
+    }
+
+    #[test]
+    fn a_forged_verifier_message_moves_nothing() {
+        // Each case is a message the verifier signed and a forgery of it:
+        // one signed field flipped (the marker, the subject, the carried
+        // request, or a BATCH-VALIDATED count), or the notice unsigned or
+        // signed by a node. Delivered to the primary and to a backup, the
+        // forgery must emit nothing and move nothing; the genuine message
+        // must act on at least one of them, so every case bites.
+        use NoticeMarker::{Ack, Error, Replace};
+        let probe = make_shim(base_config());
+        let verifier = verifier(&probe);
+        let request = |client| Some(Box::new(signed_request(&probe.provider, client, 0)));
+        let seq1 = RecoverySubject::Seq(SeqNum(1));
+        let txn5 = RecoverySubject::Txn(TxnId::new(ClientId(5), 0));
+        let signed = |marker, subject| RecoveryNotice::signed(marker, subject, &verifier);
+        let error = signed(Error(None), seq1);
+        let replace = signed(Replace, seq1);
+        let ack = signed(Ack, seq1);
+        let carrying = signed(Error(request(5)), txn5);
+        let bare = signed(Error(None), txn5);
+        // `genuine`'s signature over `marker` and `subject`.
+        let flip = |name, genuine: &RecoveryNotice, marker, subject| {
+            let forged = RecoveryNotice {
+                marker,
+                subject,
+                signature: genuine.signature,
+            };
+            let genuine = ProtocolMessage::Notice(genuine.clone());
+            (name, genuine, ProtocolMessage::Notice(forged))
+        };
+        let node = probe.provider.handle(ComponentId::Node(NodeId(2)));
+        let resign = |name, genuine: &RecoveryNotice, signature| {
+            let forged = RecoveryNotice {
+                signature,
+                ..genuine.clone()
+            };
+            let genuine = ProtocolMessage::Notice(genuine.clone());
+            (name, genuine, ProtocolMessage::Notice(forged))
+        };
+        let batch = BatchValidated::signed(SeqNum(1), 2, 0, &verifier);
+        let flip_batch = |name, seq, committed, aborted| {
+            let forged = BatchValidated {
+                seq: SeqNum(seq),
+                committed,
+                aborted,
+                signature: batch.signature,
+            };
+            let genuine = ProtocolMessage::BatchValidated(batch);
+            (name, genuine, ProtocolMessage::BatchValidated(forged))
+        };
+        let cases = [
+            flip("ERROR as REPLACE", &error, Replace, seq1),
+            flip("ERROR as ACK", &error, Ack, seq1),
+            flip("REPLACE as ERROR", &replace, Error(None), seq1),
+            flip("REPLACE as ACK", &replace, Ack, seq1),
+            flip("ACK as ERROR", &ack, Error(None), seq1),
+            flip("ACK as REPLACE", &ack, Replace, seq1),
+            flip(
+                "ERROR subject",
+                &error,
+                Error(None),
+                RecoverySubject::Seq(SeqNum(2)),
+            ),
+            flip("REPLACE subject", &replace, Replace, txn5),
+            flip("ACK subject", &ack, Ack, txn5),
+            flip("request swapped", &carrying, Error(request(6)), txn5),
+            flip("request dropped", &carrying, Error(None), txn5),
+            flip("request added", &bare, Error(request(5)), txn5),
+            resign("ERROR unsigned", &carrying, Signature::ZERO),
+            resign("REPLACE unsigned", &replace, Signature::ZERO),
+            resign(
+                "ERROR by a node",
+                &carrying,
+                node.sign(&carrying.signing_digest()),
+            ),
+            resign(
+                "REPLACE by a node",
+                &replace,
+                node.sign(&replace.signing_digest()),
+            ),
+            resign("ACK by a node", &ack, node.sign(&ack.signing_digest())),
+            flip_batch("BATCH-VALIDATED seq", 1_000_000, 2, 0),
+            flip_batch("BATCH-VALIDATED committed", 1, 1, 0),
+            flip_batch("BATCH-VALIDATED aborted", 1, 2, 1),
+        ];
+        for (name, genuine, forged) in cases {
+            let mut bites = false;
+            for node in [0, 2] {
+                let mut shim = shim_awaiting_validation();
+                let before = observable(&shim, node);
+                let actions = shim.nodes[node].on_message(&forged);
+                assert!(actions.is_empty(), "{name} at node {node}: {actions:?}");
+                assert_eq!(observable(&shim, node), before, "{name} at node {node}");
+                let actions = shim.nodes[node].on_message(&genuine);
+                bites |= !actions.is_empty() || observable(&shim, node) != before;
+            }
+            assert!(bites, "{name}: the genuine message acts nowhere");
+        }
     }
 
     #[test]
@@ -2230,11 +2317,7 @@ mod tests {
             "conflicting batch waits for the first to finish"
         );
         // The verifier validates batch 1; batch 2 is released.
-        let actions = shim.nodes[0].on_message(&ProtocolMessage::BatchValidated(BatchValidated {
-            seq: SeqNum(1),
-            committed: 1,
-            aborted: 0,
-        }));
+        let actions = shim.nodes[0].on_message(&validated(&provider, SeqNum(1)));
         let spawns3 = actions
             .iter()
             .filter(|a| matches!(a, Action::SpawnExecutor { .. }))
@@ -2577,11 +2660,7 @@ mod tests {
                 .iter()
                 .any(|(_, a)| matches!(a, Action::BatchCommitted { .. })));
             for node in &mut shim.nodes {
-                let _ = node.on_message(&ProtocolMessage::BatchValidated(BatchValidated {
-                    seq: SeqNum(i + 1),
-                    committed: 1,
-                    aborted: 0,
-                }));
+                let _ = node.on_message(&validated(&provider, SeqNum(i + 1)));
             }
             for node in &shim.nodes {
                 assert!(

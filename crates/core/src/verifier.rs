@@ -20,8 +20,8 @@
 //!   enough answered but results do not match).
 
 use crate::events::{
-    AbortMessage, AckMessage, Action, BatchValidated, ClientRequest, Destination, ErrorMessage,
-    ProtocolMessage, ProtocolTimer, RecoverySubject, ReplaceMessage, ResponseMessage,
+    Action, BatchValidated, ClientRequest, Destination, NoticeMarker, ProtocolMessage,
+    ProtocolTimer, RecoveryNotice, RecoverySubject, ResponseMessage,
 };
 use sbft_crypto::CryptoHandle;
 use sbft_serverless::VerifyMessage;
@@ -384,27 +384,21 @@ impl Verifier {
             outcome,
             output,
         } = answer;
-        match outcome {
-            TxnOutcome::Committed => ProtocolMessage::Response(ResponseMessage::signed(
-                txn,
-                seq,
-                outcome,
-                output,
-                self.view,
-                &self.crypto,
-            )),
-            TxnOutcome::Aborted => {
-                ProtocolMessage::Abort(AbortMessage::signed(txn, seq, self.view, &self.crypto))
-            }
-        }
+        ProtocolMessage::answer(ResponseMessage::signed(
+            txn,
+            seq,
+            outcome,
+            output,
+            self.view,
+            &self.crypto,
+        ))
     }
 
     /// Applies a matched batch: its `ccheck` work is announced first (as
     /// [`Action::Ccheck`]) so CPU-modelling runtimes can charge it to the
     /// apply station before the responses leave. Then every transaction
     /// runs [`ConcurrencyChecker::check_and_apply`] in batch order on the
-    /// verifier's own thread, followed by the client responses, the
-    /// primary notification and the ACKs.
+    /// verifier's own thread and is answered ([`Self::answer_batch`]).
     fn apply_batch(&mut self, seq: SeqNum, matched: &VerifyMessage, actions: &mut Vec<Action>) {
         // One answer per transaction, the announcement and the notice to
         // the nodes: reserved once instead of grown push by push.
@@ -432,49 +426,15 @@ impl Verifier {
                 .map(|result| result.rwset.len() as u32)
                 .sum(),
         });
+        let store = Arc::clone(&self.store);
         let validate_reads = self.validate_reads();
-        let mut committed = 0u32;
-        let mut aborted = 0u32;
-        for result in matched.results.iter() {
+        let outputs = matched.results.iter().map(|result| {
             let applied =
-                ConcurrencyChecker::check_and_apply(&self.store, &result.rwset, validate_reads)
+                ConcurrencyChecker::check_and_apply(&store, &result.rwset, validate_reads)
                     .is_applied();
-            let answer = if applied {
-                committed += 1;
-                self.committed_txns.inc();
-                Answer {
-                    seq,
-                    outcome: TxnOutcome::Committed,
-                    output: result.output,
-                }
-            } else {
-                aborted += 1;
-                self.aborted_txns.inc();
-                Answer {
-                    seq,
-                    outcome: TxnOutcome::Aborted,
-                    output: 0,
-                }
-            };
-            let msg = self.answer(result.txn, answer);
-            actions.push(Action::send(
-                self.me(),
-                Destination::Client(result.txn.client),
-                msg,
-            ));
-            self.resolve_subject(RecoverySubject::Txn(result.txn), actions);
-        }
-        self.validated_batches.inc();
-        actions.push(Action::send(
-            self.me(),
-            Destination::AllNodes,
-            ProtocolMessage::BatchValidated(BatchValidated {
-                seq,
-                committed,
-                aborted,
-            }),
-        ));
-        self.resolve_subject(RecoverySubject::Seq(seq), actions);
+            (result.txn, applied.then_some(result.output))
+        });
+        self.answer_batch(seq, outputs, actions);
     }
 
     /// Aborts a whole batch (byzantine-abort detection, Section VI-B).
@@ -485,34 +445,61 @@ impl Verifier {
             return;
         };
         self.divergent_aborts.inc();
+        let outputs = sample.results.iter().map(|result| (result.txn, None));
+        self.answer_batch(seq, outputs, actions);
+    }
+
+    /// Answers every transaction of validated batch `seq` in batch order
+    /// — `Some(output)` commits it, `None` aborts it — each answer followed
+    /// by the `ACK` its transaction may be owed, then tells the nodes the
+    /// batch is validated and acknowledges the batch itself.
+    fn answer_batch(
+        &mut self,
+        seq: SeqNum,
+        outputs: impl Iterator<Item = (TxnId, Option<u64>)>,
+        actions: &mut Vec<Action>,
+    ) {
+        let mut committed = 0u32;
         let mut aborted = 0u32;
-        for result in sample.results.iter() {
-            aborted += 1;
-            self.aborted_txns.inc();
-            let msg = self.answer(
-                result.txn,
-                Answer {
-                    seq,
-                    outcome: TxnOutcome::Aborted,
-                    output: 0,
-                },
-            );
+        for (txn, output) in outputs {
+            let answer = match output {
+                Some(output) => {
+                    committed += 1;
+                    self.committed_txns.inc();
+                    Answer {
+                        seq,
+                        outcome: TxnOutcome::Committed,
+                        output,
+                    }
+                }
+                None => {
+                    aborted += 1;
+                    self.aborted_txns.inc();
+                    Answer {
+                        seq,
+                        outcome: TxnOutcome::Aborted,
+                        output: 0,
+                    }
+                }
+            };
+            let msg = self.answer(txn, answer);
             actions.push(Action::send(
                 self.me(),
-                Destination::Client(result.txn.client),
+                Destination::Client(txn.client),
                 msg,
             ));
-            self.resolve_subject(RecoverySubject::Txn(result.txn), actions);
+            self.resolve_subject(RecoverySubject::Txn(txn), actions);
         }
         self.validated_batches.inc();
         actions.push(Action::send(
             self.me(),
             Destination::AllNodes,
-            ProtocolMessage::BatchValidated(BatchValidated {
+            ProtocolMessage::BatchValidated(BatchValidated::signed(
                 seq,
-                committed: 0,
+                committed,
                 aborted,
-            }),
+                &self.crypto,
+            )),
         ));
         self.resolve_subject(RecoverySubject::Seq(seq), actions);
     }
@@ -520,12 +507,24 @@ impl Verifier {
     /// Broadcasts an `ACK` if the subject had an outstanding `ERROR`.
     fn resolve_subject(&mut self, subject: RecoverySubject, out: &mut Vec<Action>) {
         if self.outstanding.remove(&subject) {
-            out.push(Action::send(
-                self.me(),
-                Destination::AllNodes,
-                ProtocolMessage::Ack(AckMessage::signed(subject, &self.crypto)),
-            ));
+            out.push(self.notice(NoticeMarker::Ack, subject));
         }
+    }
+
+    /// Broadcasts the `ERROR` or `REPLACE` `marker` about `subject`, which
+    /// owes an `ACK` from now on.
+    fn raise(&mut self, marker: NoticeMarker, subject: RecoverySubject) -> Vec<Action> {
+        self.outstanding.insert(subject);
+        vec![self.notice(marker, subject)]
+    }
+
+    /// The recovery notice `marker` about `subject`, to every shim node.
+    fn notice(&self, marker: NoticeMarker, subject: RecoverySubject) -> Action {
+        Action::send(
+            self.me(),
+            Destination::AllNodes,
+            ProtocolMessage::Notice(RecoveryNotice::signed(marker, subject, &self.crypto)),
+        )
     }
 
     // ---- abort-detection timer ----------------------------------------------
@@ -543,13 +542,7 @@ impl Verifier {
         if state.verifies.len() < blame_threshold {
             // Fewer than 2f_E + 1 executors answered: conservatively blame
             // the primary and ask the shim to replace it.
-            let subject = RecoverySubject::Seq(seq);
-            self.outstanding.insert(subject);
-            return vec![Action::send(
-                self.me(),
-                Destination::AllNodes,
-                ProtocolMessage::Replace(ReplaceMessage::signed(subject, &self.crypto)),
-            )];
+            return self.raise(NoticeMarker::Replace, RecoverySubject::Seq(seq));
         }
         // Enough executors answered but their results conflict: the
         // transaction(s) must be aborted. If this is the next batch in
@@ -592,41 +585,20 @@ impl Verifier {
                 if matched {
                     // (ii) The request sits in π waiting for k_max: tell the
                     // shim which sequence number is missing.
-                    let subject = RecoverySubject::Seq(self.kmax);
-                    self.outstanding.insert(subject);
-                    vec![Action::send(
-                        self.me(),
-                        Destination::AllNodes,
-                        ProtocolMessage::Error(ErrorMessage::signed(subject, None, &self.crypto)),
-                    )]
+                    self.raise(NoticeMarker::Error(None), RecoverySubject::Seq(self.kmax))
                 } else {
                     // (iii) Some VERIFY messages arrived but not f_E + 1
                     // matching ones: only a byzantine primary can cause
                     // this, ask for its replacement.
-                    let subject = RecoverySubject::Txn(txn);
-                    self.outstanding.insert(subject);
-                    vec![Action::send(
-                        self.me(),
-                        Destination::AllNodes,
-                        ProtocolMessage::Replace(ReplaceMessage::signed(subject, &self.crypto)),
-                    )]
+                    self.raise(NoticeMarker::Replace, RecoverySubject::Txn(txn))
                 }
             }
             None => {
                 // No VERIFY message mentions this transaction: the shim may
                 // never have ordered it. The ERROR carries ⟨T⟩_C so the
                 // primary can order it (Figure 4, line 12).
-                let subject = RecoverySubject::Txn(txn);
-                self.outstanding.insert(subject);
-                vec![Action::send(
-                    self.me(),
-                    Destination::AllNodes,
-                    ProtocolMessage::Error(ErrorMessage::signed(
-                        subject,
-                        Some(Box::new(req.clone())),
-                        &self.crypto,
-                    )),
-                )]
+                let request = Some(Box::new(req.clone()));
+                self.raise(NoticeMarker::Error(request), RecoverySubject::Txn(txn))
             }
         }
     }
@@ -1154,7 +1126,7 @@ mod tests {
             .find(|e| e.msg.kind() == "ERROR")
             .expect("error broadcast");
         match &error.msg {
-            ProtocolMessage::Error(e) => {
+            ProtocolMessage::Notice(e) => {
                 assert_eq!(
                     e.subject,
                     RecoverySubject::Seq(SeqNum(1)),
@@ -1412,8 +1384,7 @@ mod tests {
         crate::events::envelopes(actions)
             .iter()
             .filter_map(|e| match &e.msg {
-                ProtocolMessage::Response(r) => Some(r.view),
-                ProtocolMessage::Abort(a) => Some(a.view),
+                ProtocolMessage::Response(r) | ProtocolMessage::Abort(r) => Some(r.view),
                 _ => None,
             })
             .collect()

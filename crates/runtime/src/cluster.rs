@@ -113,8 +113,9 @@ impl Router {
                     }
                 }
                 ProtocolMessage::Verify(v) => self.tracer.emit(v.seq.0, Stage::VerifyIngest, now),
-                ProtocolMessage::Response(r) => self.tracer.emit(r.seq.0, Stage::Respond, now),
-                ProtocolMessage::Abort(a) => self.tracer.emit(a.seq.0, Stage::Respond, now),
+                ProtocolMessage::Response(answer) | ProtocolMessage::Abort(answer) => {
+                    self.tracer.emit(answer.seq.0, Stage::Respond, now);
+                }
                 _ => {}
             },
             Action::SpawnExecutor { execute, .. } => {
@@ -461,8 +462,9 @@ impl LocalCluster {
             match client_rx.recv_timeout(Duration::from_millis(100)) {
                 Ok(delivery) => {
                     let client_id = match &delivery.msg {
-                        ProtocolMessage::Response(r) => r.txn.client,
-                        ProtocolMessage::Abort(a) => a.txn.client,
+                        ProtocolMessage::Response(answer) | ProtocolMessage::Abort(answer) => {
+                            answer.txn.client
+                        }
                         _ => continue,
                     };
                     let Some(client) = clients.get_mut(&client_id) else {

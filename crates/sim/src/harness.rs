@@ -516,14 +516,8 @@ impl SimHarness {
                 });
             }
             ComponentId::Client(client_id) => {
-                match &msg {
-                    ProtocolMessage::Response(r) => {
-                        self.tracer.emit(r.seq.0, Stage::Respond, now);
-                    }
-                    ProtocolMessage::Abort(a) => {
-                        self.tracer.emit(a.seq.0, Stage::Respond, now);
-                    }
-                    _ => {}
+                if let ProtocolMessage::Response(answer) | ProtocolMessage::Abort(answer) = &msg {
+                    self.tracer.emit(answer.seq.0, Stage::Respond, now);
                 }
                 let idx = client_id.0 as usize;
                 if idx >= self.system.clients.len() {
@@ -1280,14 +1274,12 @@ mod tests {
         (harness, sink)
     }
 
-    /// One applied batch as the verifier's action list carries it: the
+    /// One applied batch as `h`'s verifier's action list carries it: the
     /// announced `ccheck`, then the notice to the nodes.
-    fn applied_batch(seq: u64, accesses: u32) -> [Action; 2] {
-        let notice = ProtocolMessage::BatchValidated(BatchValidated {
-            seq: SeqNum(seq),
-            committed: 1,
-            aborted: 0,
-        });
+    fn applied_batch(h: &SimHarness, seq: u64, accesses: u32) -> [Action; 2] {
+        let verifier = h.system.provider.handle(ComponentId::Verifier);
+        let notice =
+            ProtocolMessage::BatchValidated(BatchValidated::signed(SeqNum(seq), 1, 0, &verifier));
         [
             Action::Ccheck { accesses },
             Action::send(ComponentId::Verifier, Destination::AllNodes, notice),
@@ -1313,7 +1305,7 @@ mod tests {
         for shards in [1, 8] {
             let (mut h, sink) = traced_harness(shards);
             for seq in [1, 2] {
-                let mut actions = Vec::from(applied_batch(seq, 10));
+                let mut actions = Vec::from(applied_batch(&h, seq, 10));
                 h.process_actions(ComponentId::Verifier, arrival, &mut actions);
             }
             assert_eq!(
@@ -1332,9 +1324,9 @@ mod tests {
         let cpu = CpuModel::default();
         let arrival = SimTime::from_micros(500);
         let (mut h, sink) = traced_harness(1);
-        let mut actions: Vec<Action> = applied_batch(1, 10)
+        let mut actions: Vec<Action> = applied_batch(&h, 1, 10)
             .into_iter()
-            .chain(applied_batch(2, 30))
+            .chain(applied_batch(&h, 2, 30))
             .collect();
         h.process_actions(ComponentId::Verifier, arrival, &mut actions);
         let first = arrival + cpu.ccheck_cost(10);

@@ -373,7 +373,7 @@ fn decentralized_spawning_survives_a_delaying_primary() {
 #[test]
 fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
     use serverless_bft::core::events::{
-        Action, ClientRequest, ProtocolMessage, RecoverySubject, ReplaceMessage,
+        Action, ClientRequest, NoticeMarker, ProtocolMessage, RecoveryNotice, RecoverySubject,
     };
     use serverless_bft::core::lockstep::{pbft_nodes, settle, Hop, Verdict};
     use serverless_bft::core::verifier::{Verifier, VerifierConfig};
@@ -501,7 +501,8 @@ fn misplanning_primary_is_replaced_and_the_fast_path_returns() {
     );
 
     // ---- Phase 2: the verifier-style REPLACE triggers a view change. ----
-    let replace = ProtocolMessage::Replace(ReplaceMessage::signed(
+    let replace = ProtocolMessage::Notice(RecoveryNotice::signed(
+        NoticeMarker::Replace,
         RecoverySubject::Seq(SeqNum(1)),
         &provider.handle(ComponentId::Verifier),
     ));

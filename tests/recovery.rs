@@ -134,7 +134,7 @@ fn settle_committed(nodes: &mut [ShimNode], origin: usize, actions: Vec<Action>)
 #[test]
 fn a_proposal_lost_across_a_view_change_is_expired_at_the_same_cutoff() {
     use serverless_bft::core::events::{
-        BatchValidated, ProtocolMessage, RecoverySubject, ReplaceMessage,
+        BatchValidated, NoticeMarker, ProtocolMessage, RecoveryNotice, RecoverySubject,
     };
     use serverless_bft::types::{ComponentId, ViewNumber};
 
@@ -144,6 +144,7 @@ fn a_proposal_lost_across_a_view_change_is_expired_at_the_same_cutoff() {
     let provider = CryptoProvider::new(21);
     let registry = Arc::new(Registry::new());
     let mut nodes = pbft_nodes(&config, &provider, &registry);
+    let verifier = provider.handle(ComponentId::Verifier);
 
     // `seen_txns` of the first and of the second primary after every
     // validated batch.
@@ -151,11 +152,8 @@ fn a_proposal_lost_across_a_view_change_is_expired_at_the_same_cutoff() {
     let validate =
         |nodes: &mut [ShimNode], trajectory: &mut Vec<(usize, usize)>, seqs: Vec<SeqNum>| {
             for seq in seqs {
-                let validated = ProtocolMessage::BatchValidated(BatchValidated {
-                    seq,
-                    committed: 1,
-                    aborted: 0,
-                });
+                let validated =
+                    ProtocolMessage::BatchValidated(BatchValidated::signed(seq, 1, 0, &verifier));
                 for node in nodes.iter_mut() {
                     let _ = node.on_message(&validated);
                 }
@@ -178,9 +176,10 @@ fn a_proposal_lost_across_a_view_change_is_expired_at_the_same_cutoff() {
     assert_eq!(nodes[0].seen_txns_len(), trajectory[9].0 + 3);
     // The verifier has the primary replaced; nothing was prepared, so the
     // new primary re-proposes none of the three.
-    let replace = ProtocolMessage::Replace(ReplaceMessage::signed(
+    let replace = ProtocolMessage::Notice(RecoveryNotice::signed(
+        NoticeMarker::Replace,
         RecoverySubject::Seq(SeqNum(11)),
-        &provider.handle(ComponentId::Verifier),
+        &verifier,
     ));
     for origin in 1..4 {
         let actions = nodes[origin].on_message(&replace);
