@@ -230,6 +230,13 @@ impl ConsensusLog {
         self.entries.is_empty()
     }
 
+    /// How many sequence numbers hold an entry.
+    #[cfg(test)]
+    #[must_use]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Sequence numbers at or below `seq` that this node has *not*
     /// committed — the gaps a featherweight checkpoint lets a node in the
     /// dark detect.

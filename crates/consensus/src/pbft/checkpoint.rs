@@ -3,7 +3,7 @@
 use super::PbftReplica;
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::messages::{Checkpoint, ConsensusMessage};
-use sbft_types::{ComponentId, NodeId, SeqNum, Signature};
+use sbft_types::{SeqNum, Signature};
 use std::sync::Arc;
 
 impl PbftReplica {
@@ -31,13 +31,30 @@ impl PbftReplica {
         actions
     }
 
+    /// A peer's checkpoint vote, past the gate. The floor bounds it as the
+    /// gate's window does, but a vote above the high watermark is not
+    /// dropped: it counts as its sender's floor claim, one per sender, and
+    /// `f_R + 1` of them move a replica that fell more than `L` behind up to
+    /// the floor they vouch for (where PBFT would fetch state).
+    pub(super) fn on_checkpoint(&mut self, vote: Checkpoint) -> Vec<ConsensusAction> {
+        if vote.seq <= self.log.stable_seq() {
+            Vec::new()
+        } else if vote.seq > self.high_watermark() {
+            self.claim_floor(vote.sender, vote.seq, false)
+                .into_iter()
+                .collect()
+        } else {
+            self.record_checkpoint_vote(vote)
+        }
+    }
+
     fn record_checkpoint_vote(&mut self, checkpoint: Checkpoint) -> Vec<ConsensusAction> {
         let seq = checkpoint.seq;
         let votes = self.checkpoint_votes.entry(seq).or_default();
         votes.insert(checkpoint.sender, checkpoint);
         // A checkpoint becomes stable once f_R + 1 nodes vouch for it: at
         // least one honest node has the certificates.
-        if self.checkpoint_votes[&seq].len() < self.params.f_r + 1 || seq <= self.log.stable_seq() {
+        if self.checkpoint_votes[&seq].len() < self.params.f_r + 1 {
             return Vec::new();
         }
         let mut actions = Vec::new();
@@ -100,24 +117,15 @@ impl PbftReplica {
         self.log.collect_below(floor);
         self.checkpoint_votes.retain(|s, _| *s > floor);
     }
-
-    pub(super) fn on_checkpoint(&mut self, from: NodeId, cp: Checkpoint) -> Vec<ConsensusAction> {
-        if cp.sender != from
-            || !self
-                .crypto
-                .verify(ComponentId::Node(from), &cp.signing_digest(), &cp.signature)
-        {
-            return Vec::new();
-        }
-        self.record_checkpoint_vote(cp)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::{batch, TestShim};
+    use super::super::SEQ_WINDOW_INTERVALS;
     use super::*;
     use crate::traits::OrderingProtocol;
+    use sbft_types::{ComponentId, NodeId};
 
     #[test]
     fn checkpoints_garbage_collect_the_log() {
@@ -230,5 +238,78 @@ mod tests {
         // The checkpoint as signed counts.
         shim.replicas[3].handle_message(NodeId(0), ConsensusMessage::Checkpoint(checkpoint));
         assert_eq!(shim.replicas[3].checkpoint_votes[&SeqNum(4)].len(), 1);
+    }
+
+    #[test]
+    fn a_checkpoint_flood_leaves_the_vote_table_within_its_bound() {
+        // Byzantine node 3 sends node 1 signed checkpoint votes above the
+        // high watermark and at or below the stable floor.
+        let mut shim = TestShim::new(4);
+        for i in 0..8 {
+            shim.submit_to_primary(batch(i));
+        }
+        let byzantine = shim.provider.handle(ComponentId::Node(NodeId(3)));
+        let replica = &mut shim.replicas[1];
+        let stable = replica.log.stable_seq().0;
+        assert_eq!(stable, 8);
+        // The test shim checkpoints every 4 sequence numbers.
+        let high = stable + SEQ_WINDOW_INTERVALS * 4;
+        for k in 0..10_000u64 {
+            for seq in [high + 1 + k, 1 + k % stable] {
+                let mut vote = Checkpoint {
+                    seq: SeqNum(seq),
+                    sender: NodeId(3),
+                    certificates: Vec::new(),
+                    signature: Signature::ZERO,
+                };
+                vote.signature = byzantine.sign(&vote.signing_digest());
+                let _ = replica.handle_message(NodeId(3), ConsensusMessage::Checkpoint(vote));
+            }
+        }
+        let seqs: Vec<u64> = replica.checkpoint_votes.keys().map(|s| s.0).collect();
+        assert!(
+            seqs.len() as u64 <= high - stable,
+            "{} checkpoint seqs hold votes, above the bound of L = {}",
+            seqs.len(),
+            high - stable
+        );
+        assert!(
+            seqs.iter().all(|s| *s > stable && *s <= high),
+            "votes outside ({stable}, {high}] were kept: {:?}",
+            &seqs[..seqs.len().min(8)]
+        );
+        // Above the window a vote is only its sender's floor claim.
+        assert_eq!(replica.floor_claims.len(), 1);
+        assert_eq!(
+            replica.log.stable_seq().0,
+            stable,
+            "one claim moves nothing"
+        );
+    }
+
+    #[test]
+    fn a_replica_cut_off_beyond_the_window_catches_up_from_checkpoint_claims() {
+        // Node 3 hears nothing while 80 batches commit, past its window of
+        // 16 intervals of 4, then comes back without a restart.
+        let mut shim = TestShim::new(4);
+        shim.down.insert(NodeId(3));
+        for i in 0..80 {
+            shim.submit_to_primary(batch(i));
+        }
+        assert!(SeqNum(80) > shim.replicas[3].high_watermark());
+        shim.down.clear();
+        for i in 80..88 {
+            shim.submit_to_primary(batch(i));
+        }
+        // It drops the proposals for 81..=84 and the checkpoint votes at 84,
+        // all above its window, but f_R + 1 of those votes vouch for the
+        // floor. From there it orders 85..=88 and the checkpoint at 88.
+        assert!(shim.caught_up.contains(&(NodeId(3), SeqNum(84))));
+        assert_eq!(shim.replicas[3].catch_ups.get(), 1);
+        assert_eq!(shim.replicas[3].log.stable_seq(), SeqNum(88));
+        assert_eq!(
+            shim.committed_by(NodeId(3)),
+            (85..=88).map(SeqNum).collect::<Vec<_>>()
+        );
     }
 }

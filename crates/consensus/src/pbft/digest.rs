@@ -3,8 +3,8 @@
 
 use super::{PbftReplica, PendingProposal, FETCH_RETRY_BUDGET};
 use crate::actions::{ConsensusAction, ConsensusTimer};
-use crate::messages::{batch_digest, header_digest, BatchFetch, BatchFill, ConsensusMessage};
-use sbft_types::{Batch, ComponentId, Digest, NodeId, SeqNum, Transaction, TxnId, ViewNumber};
+use crate::messages::{batch_digest, BatchFetch, BatchFill, ConsensusMessage};
+use sbft_types::{Batch, Digest, MacTag, NodeId, SeqNum, Transaction, TxnId, ViewNumber};
 use std::collections::{BTreeMap, BTreeSet};
 
 impl PbftReplica {
@@ -24,19 +24,15 @@ impl PbftReplica {
         };
         let attempt = pending.fetch_attempts;
         pending.fetch_attempts += 1;
-        let fetch = BatchFetch {
+        let mut fetch = BatchFetch {
             sender: self.me,
             view: pending.view,
             seq,
             digest: pending.digest,
             missing: pending.missing.iter().copied().collect(),
-            mac: self.crypto.broadcast_mac(&header_digest(
-                "batchfetch",
-                pending.view,
-                seq,
-                &pending.digest,
-            )),
+            mac: MacTag::ZERO,
         };
+        fetch.mac = self.crypto.broadcast_mac(&fetch.signing_digest());
         let target = self.fetch_target(fetch.view, attempt);
         self.fetches_sent.inc();
         vec![
@@ -186,16 +182,6 @@ impl PbftReplica {
     }
 
     pub(super) fn on_batch_fetch(&mut self, from: NodeId, bf: BatchFetch) -> Vec<ConsensusAction> {
-        if bf.sender != from || from == self.me {
-            return Vec::new();
-        }
-        let header = header_digest("batchfetch", bf.view, bf.seq, &bf.digest);
-        if !self
-            .crypto
-            .verify_broadcast_mac(ComponentId::Node(from), &header, &bf.mac)
-        {
-            return Vec::new();
-        }
         // Serve from the log: any node that accepted the proposal (the
         // primary always, any reconstructed replica eventually) holds the
         // batch under exactly this digest.
@@ -229,9 +215,6 @@ impl PbftReplica {
     }
 
     pub(super) fn on_batch_fill(&mut self, from: NodeId, bf: BatchFill) -> Vec<ConsensusAction> {
-        if bf.sender != from {
-            return Vec::new();
-        }
         let Some(pending) = self.pending_digest.get_mut(&bf.seq) else {
             return Vec::new();
         };
@@ -257,10 +240,10 @@ impl PbftReplica {
 mod tests {
     use super::super::tests::TestShim;
     use super::*;
-    use crate::messages::{PrePrepare, ProposalBody};
+    use crate::messages::{header_digest, PrePrepare, ProposalBody};
     use crate::traits::OrderingProtocol;
     use sbft_crypto::CryptoProvider;
-    use sbft_types::{ClientId, Key, Operation};
+    use sbft_types::{ClientId, ComponentId, Key, Operation};
 
     #[test]
     fn batch_fetch_retries_visit_every_other_replica_once_primary_first() {

@@ -33,19 +33,25 @@
 
 mod checkpoint;
 mod digest;
+#[cfg(test)]
+mod forgery;
 mod normal;
 mod transfer;
 mod view_change;
 
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::log::ConsensusLog;
-use crate::messages::{batch_digest, Checkpoint, ConsensusMessage, ProposalBody, ViewChange};
+use crate::messages::{
+    batch_digest, Authenticator, Checkpoint, ConsensusMessage, Credentials, ProposalBody,
+    ViewChange,
+};
 use crate::traits::OrderingProtocol;
 use sbft_crypto::CryptoHandle;
 use sbft_durability::RecoveredEntry;
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
-    Batch, Digest, FaultParams, IdMap, NodeId, SeqNum, SimDuration, Transaction, TxnId, ViewNumber,
+    Batch, ComponentId, Digest, FaultParams, IdMap, NodeId, SeqNum, SimDuration, Transaction,
+    TxnId, ViewNumber,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -146,6 +152,15 @@ struct PendingProposal {
 /// view change.
 const FETCH_RETRY_BUDGET: u32 = 4;
 
+/// `L` of PBFT's watermarks (Castro & Liskov §4.3), in checkpoint
+/// intervals: a peer's message is admitted for seqs in `(stable, stable +
+/// L]`. Honest traffic leads by at most 5 intervals at receipt.
+const SEQ_WINDOW_INTERVALS: u64 = 16;
+
+/// `W`: a peer's message is admitted for views in `[view, view + W]`.
+/// Honest traffic leads by at most 9 views at receipt.
+const VIEW_WINDOW: u64 = 16;
+
 /// How many times a recovering replica retransmits its `STATEREQUEST`
 /// (with capped exponential backoff, rotating through the peers) before
 /// giving up and relying on the regular protocol to make progress.
@@ -218,6 +233,34 @@ impl PbftReplica {
         NodeId::primary_of(view, self.params.n_r)
     }
 
+    /// The admission gate every peer message passes before its handler
+    /// reads a field, cheapest check first: the sender it names is its
+    /// transport sender, its seq and view lie in the window, and its
+    /// authenticator verifies.
+    fn admits(&self, from: NodeId, credentials: &Credentials) -> bool {
+        let seqs = self.log.stable_seq().0 + 1..=self.high_watermark().0;
+        let views = self.view.0..=self.view.0 + VIEW_WINDOW;
+        credentials.sender.is_none_or(|sender| sender == from)
+            && credentials.seq.is_none_or(|seq| seqs.contains(&seq.0))
+            && credentials.view.is_none_or(|view| views.contains(&view.0))
+            && self.authentic(from, credentials.authenticator)
+    }
+
+    fn high_watermark(&self) -> SeqNum {
+        SeqNum(self.log.stable_seq().0 + SEQ_WINDOW_INTERVALS * self.checkpoint_interval)
+    }
+
+    fn authentic(&self, from: NodeId, authenticator: Authenticator) -> bool {
+        let from = ComponentId::Node(from);
+        match authenticator {
+            Authenticator::Mac(digest, tag) => {
+                self.crypto.verify_broadcast_mac(from, &digest, &tag)
+            }
+            Authenticator::Signature(digest, sig) => self.crypto.verify(from, &digest, &sig),
+            Authenticator::None => true,
+        }
+    }
+
     /// The `k`-th of the `n − 1` other replicas, counting round the ring
     /// from replica `start` and stepping over this one; `k` wraps. Both
     /// retry rotations (`BATCHFETCH`, `STATEREQUEST`) pick their peer
@@ -262,18 +305,27 @@ impl OrderingProtocol for PbftReplica {
     }
 
     fn handle_message(&mut self, from: NodeId, msg: ConsensusMessage) -> Vec<ConsensusAction> {
+        if !msg.credentials().is_some_and(|c| self.admits(from, &c)) {
+            return Vec::new();
+        }
         match msg {
             ConsensusMessage::PrePrepare(pp) => self.on_pre_prepare(from, pp),
             ConsensusMessage::BatchFetch(bf) => self.on_batch_fetch(from, bf),
             ConsensusMessage::BatchFill(bf) => self.on_batch_fill(from, bf),
-            ConsensusMessage::Prepare(p) => self.on_prepare(from, p),
-            ConsensusMessage::Commit(c) => self.on_commit(from, c),
-            ConsensusMessage::ViewChange(vc) => self.on_view_change(from, vc),
+            ConsensusMessage::Prepare(p) => {
+                self.log.add_prepare(p);
+                self.check_prepared(p.seq)
+            }
+            ConsensusMessage::Commit(c) => {
+                self.log.add_commit(c);
+                self.check_committed(c.seq)
+            }
+            ConsensusMessage::ViewChange(vc) => self.record_view_change_vote(vc),
             ConsensusMessage::NewView(nv) => self.on_new_view(from, nv),
-            ConsensusMessage::Checkpoint(cp) => self.on_checkpoint(from, cp),
+            ConsensusMessage::Checkpoint(cp) => self.on_checkpoint(cp),
             ConsensusMessage::StateRequest(req) => self.on_state_request(from, req),
             ConsensusMessage::StateResponse(resp) => self.on_state_response(from, resp),
-            // CFT messages are ignored by a BFT replica.
+            // CFT messages never pass the gate.
             _ => Vec::new(),
         }
     }

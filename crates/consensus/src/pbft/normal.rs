@@ -2,12 +2,9 @@
 
 use super::PbftReplica;
 use crate::actions::{ConsensusAction, ConsensusTimer};
-use crate::messages::{
-    batch_digest, header_digest, Commit, ConsensusMessage, PrePrepare, Prepare, ProposalBody,
-};
-use sbft_crypto::certificate::commit_digest;
+use crate::messages::{batch_digest, Commit, ConsensusMessage, PrePrepare, Prepare, ProposalBody};
 use sbft_crypto::CommitCertificate;
-use sbft_types::{ComponentId, Digest, NodeId, SeqNum, ViewNumber};
+use sbft_types::{Digest, MacTag, NodeId, SeqNum, Signature, ViewNumber};
 use std::sync::Arc;
 
 impl PbftReplica {
@@ -18,36 +15,39 @@ impl PbftReplica {
         digest: Digest,
         body: ProposalBody,
     ) -> PrePrepare {
-        let header = header_digest("preprepare", view, seq, &digest);
-        PrePrepare {
+        let mut pp = PrePrepare {
             view,
             seq,
             digest,
             body,
-            mac: self.crypto.broadcast_mac(&header),
-        }
+            mac: MacTag::ZERO,
+        };
+        pp.mac = self.crypto.broadcast_mac(&pp.signing_digest());
+        pp
     }
 
     fn make_prepare(&self, view: ViewNumber, seq: SeqNum, digest: Digest) -> Prepare {
-        let header = header_digest("prepare", view, seq, &digest);
-        Prepare {
+        let mut prepare = Prepare {
             view,
             seq,
             digest,
             sender: self.me,
-            mac: self.crypto.broadcast_mac(&header),
-        }
+            mac: MacTag::ZERO,
+        };
+        prepare.mac = self.crypto.broadcast_mac(&prepare.signing_digest());
+        prepare
     }
 
     fn make_commit(&self, view: ViewNumber, seq: SeqNum, digest: Digest) -> Commit {
-        let signed = commit_digest(view, seq, &digest);
-        Commit {
+        let mut commit = Commit {
             view,
             seq,
             digest,
             sender: self.me,
-            signature: self.crypto.sign(&signed),
-        }
+            signature: Signature::ZERO,
+        };
+        commit.signature = self.crypto.sign(&commit.signing_digest());
+        commit
     }
 
     /// Runs the node-side handling of an accepted pre-prepare: broadcast a
@@ -74,7 +74,7 @@ impl PbftReplica {
 
     /// Prepares `seq` once `2f_R + 1` matching `PREPARE`s are in, and casts
     /// this node's signed `COMMIT` vote.
-    fn check_prepared(&mut self, seq: SeqNum) -> Vec<ConsensusAction> {
+    pub(super) fn check_prepared(&mut self, seq: SeqNum) -> Vec<ConsensusAction> {
         let Some(entry) = self.log.entry(seq) else {
             return Vec::new();
         };
@@ -93,7 +93,7 @@ impl PbftReplica {
 
     /// Commits `seq` once `2f_R + 1` matching `COMMIT`s are in: their
     /// signatures become the certificate the log seats the entry under.
-    fn check_committed(&mut self, seq: SeqNum) -> Vec<ConsensusAction> {
+    pub(super) fn check_committed(&mut self, seq: SeqNum) -> Vec<ConsensusAction> {
         let Some(entry) = self.log.entry(seq) else {
             return Vec::new();
         };
@@ -123,18 +123,7 @@ impl PbftReplica {
 
     pub(super) fn on_pre_prepare(&mut self, from: NodeId, pp: PrePrepare) -> Vec<ConsensusAction> {
         // Well-formedness checks (Figure 3, line 10), whatever the body.
-        if self.in_view_change
-            || pp.view != self.view
-            || from != self.primary_of(pp.view)
-            || pp.seq <= self.log.stable_seq()
-        {
-            return Vec::new();
-        }
-        let header = header_digest("preprepare", pp.view, pp.seq, &pp.digest);
-        if !self
-            .crypto
-            .verify_broadcast_mac(ComponentId::Node(from), &header, &pp.mac)
-        {
+        if self.in_view_change || pp.view != self.view || from != self.primary_of(pp.view) {
             return Vec::new();
         }
         let batch = match pp.body {
@@ -157,47 +146,17 @@ impl PbftReplica {
         }
         self.after_pre_prepare(pp.view, pp.seq, pp.digest)
     }
-
-    pub(super) fn on_prepare(&mut self, from: NodeId, p: Prepare) -> Vec<ConsensusAction> {
-        // Votes from earlier views or below the stable checkpoint are stale;
-        // votes for the current or a *later* view are kept (they may have
-        // overtaken the NEWVIEW message that installs that view).
-        if p.sender != from || p.view < self.view || p.seq <= self.log.stable_seq() {
-            return Vec::new();
-        }
-        let header = header_digest("prepare", p.view, p.seq, &p.digest);
-        if !self
-            .crypto
-            .verify_broadcast_mac(ComponentId::Node(from), &header, &p.mac)
-        {
-            return Vec::new();
-        }
-        self.log.add_prepare(p);
-        self.check_prepared(p.seq)
-    }
-
-    pub(super) fn on_commit(&mut self, from: NodeId, c: Commit) -> Vec<ConsensusAction> {
-        if c.sender != from || c.view < self.view || c.seq <= self.log.stable_seq() {
-            return Vec::new();
-        }
-        let signed = commit_digest(c.view, c.seq, &c.digest);
-        if !self
-            .crypto
-            .verify(ComponentId::Node(from), &signed, &c.signature)
-        {
-            return Vec::new();
-        }
-        self.log.add_commit(c);
-        self.check_committed(c.seq)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::{batch, TestShim};
+    use super::super::SEQ_WINDOW_INTERVALS;
     use super::*;
     use crate::actions::committed_seqs;
+    use crate::messages::header_digest;
     use crate::traits::OrderingProtocol;
+    use sbft_types::ComponentId;
 
     #[test]
     fn normal_case_commits_on_every_replica() {
@@ -409,5 +368,75 @@ mod tests {
             assert_eq!(entry.digest, Some(batch_digest(&a)), "node {i}");
             assert_eq!(entry.batch.as_ref(), Some(&a), "node {i}");
         }
+    }
+
+    #[test]
+    fn a_flood_above_the_window_leaves_the_log_within_its_bound() {
+        // Byzantine primary 0 sends replica 1 validly authenticated
+        // proposals, prepares and commits above the high watermark, and
+        // prepares for far-future views too.
+        let mut shim = TestShim::new(4);
+        shim.submit_to_primary(batch(0));
+        let byzantine = shim.provider.handle(ComponentId::Node(NodeId(0)));
+        // The test shim checkpoints every 4 sequence numbers.
+        let high = SEQ_WINDOW_INTERVALS * 4;
+        let replica = &mut shim.replicas[1];
+        for k in 0..10_000u64 {
+            let b = batch(k);
+            let digest = batch_digest(&b);
+            let above = SeqNum(high + 1 + k);
+            let far = SeqNum(1_000_000 + 1_000 * k);
+            let view = ViewNumber(0);
+            let flood = [
+                ConsensusMessage::PrePrepare(PrePrepare {
+                    view,
+                    seq: above,
+                    digest,
+                    body: ProposalBody::Batch(b),
+                    mac: byzantine.broadcast_mac(&header_digest(
+                        "preprepare",
+                        view,
+                        above,
+                        &digest,
+                    )),
+                }),
+                ConsensusMessage::Prepare(Prepare {
+                    view,
+                    seq: above,
+                    digest,
+                    sender: NodeId(0),
+                    mac: byzantine.broadcast_mac(&header_digest("prepare", view, above, &digest)),
+                }),
+                ConsensusMessage::Prepare(Prepare {
+                    view: ViewNumber(k),
+                    seq: far,
+                    digest,
+                    sender: NodeId(0),
+                    mac: byzantine.broadcast_mac(&header_digest(
+                        "prepare",
+                        ViewNumber(k),
+                        far,
+                        &digest,
+                    )),
+                }),
+                ConsensusMessage::Commit(Commit {
+                    view,
+                    seq: above,
+                    digest,
+                    sender: NodeId(0),
+                    signature: byzantine.sign(&sbft_crypto::certificate::commit_digest(
+                        view, above, &digest,
+                    )),
+                }),
+            ];
+            for msg in flood {
+                let _ = replica.handle_message(NodeId(0), msg);
+            }
+        }
+        assert!(
+            replica.log.len() as u64 <= high,
+            "the log holds {} slots, above its bound of L = {high}",
+            replica.log.len()
+        );
     }
 }

@@ -4,7 +4,7 @@ use super::{PbftReplica, STATE_RETRY_BUDGET};
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::messages::{batch_digest, ConsensusMessage, StateRequest, StateResponse};
 use sbft_durability::RecoveredEntry;
-use sbft_types::{ComponentId, NodeId, SeqNum, Signature, SimDuration};
+use sbft_types::{NodeId, SeqNum, Signature, SimDuration};
 use std::sync::Arc;
 
 impl PbftReplica {
@@ -24,15 +24,6 @@ impl PbftReplica {
         from: NodeId,
         req: StateRequest,
     ) -> Vec<ConsensusAction> {
-        if req.sender != from
-            || !self.crypto.verify(
-                ComponentId::Node(from),
-                &req.signing_digest(),
-                &req.signature,
-            )
-        {
-            return Vec::new();
-        }
         // Ship every committed entry above the requested floor for which
         // we still hold both the batch and the certificate (everything
         // since our last stable checkpoint; older entries were garbage
@@ -68,9 +59,6 @@ impl PbftReplica {
         from: NodeId,
         resp: StateResponse,
     ) -> Vec<ConsensusAction> {
-        if resp.sender != from {
-            return Vec::new();
-        }
         // First pass: validate. The response is unsigned; each entry must
         // self-certify (the certificate carries a commit quorum and the
         // batch must hash to the digest the quorum signed). Garbage —
@@ -111,26 +99,13 @@ impl PbftReplica {
         let mut actions = Vec::new();
         let mut useful = duplicates > 0 && garbage == 0;
 
-        // Checkpoint catch-up: the responder's snapshot floor is above
-        // everything we hold, so the suffix below it is gone from peer
-        // retention. Adopting the floor is safe once it is *proven* — a
-        // certified entry above it in the same response — or *vouched* by
-        // `f_r + 1` distinct peers claiming at least that floor (at least
-        // one of them honest).
-        let floor = resp.stable_seq;
-        let claim = self.floor_claims.entry(from).or_insert(SeqNum(0));
-        *claim = (*claim).max(floor);
-        if floor > self.transfer_floor() {
-            let proven = valid.iter().any(|e| e.seq > floor);
-            let vouched =
-                self.floor_claims.values().filter(|s| **s >= floor).count() > self.params.f_r;
-            if proven || vouched {
-                self.collect_below(floor);
-                self.next_seq = self.next_seq.max(SeqNum(floor.0 + 1));
-                self.catch_ups.inc();
-                useful = true;
-                actions.push(ConsensusAction::CaughtUp { up_to: floor });
-            }
+        // Checkpoint catch-up: the responder's snapshot floor may be above
+        // everything we hold, the suffix below it gone from peer retention.
+        // A certified entry above it in the same response proves it.
+        let proven = valid.iter().any(|e| e.seq > resp.stable_seq);
+        if let Some(caught_up) = self.claim_floor(from, resp.stable_seq, proven) {
+            useful = true;
+            actions.push(caught_up);
         }
 
         for e in valid {
@@ -156,6 +131,28 @@ impl PbftReplica {
             actions.push(ConsensusAction::CancelTimer(ConsensusTimer::StateTransfer));
         }
         actions
+    }
+
+    /// Records `peer`'s claim that it committed everything up to `floor`,
+    /// and adopts the floor when it lies above everything this replica
+    /// holds and is *proven*, or *vouched* by `f_r + 1` distinct peers
+    /// claiming at least that floor (at least one of them honest).
+    pub(super) fn claim_floor(
+        &mut self,
+        peer: NodeId,
+        floor: SeqNum,
+        proven: bool,
+    ) -> Option<ConsensusAction> {
+        let claim = self.floor_claims.entry(peer).or_insert(SeqNum(0));
+        *claim = (*claim).max(floor);
+        let vouched = self.floor_claims.values().filter(|s| **s >= floor).count() > self.params.f_r;
+        if floor <= self.transfer_floor() || !(proven || vouched) {
+            return None;
+        }
+        self.collect_below(floor);
+        self.next_seq = self.next_seq.max(SeqNum(floor.0 + 1));
+        self.catch_ups.inc();
+        Some(ConsensusAction::CaughtUp { up_to: floor })
     }
 
     /// The highest sequence this replica can prove committed — what a
@@ -216,7 +213,7 @@ mod tests {
     use crate::actions::committed_seqs;
     use crate::traits::OrderingProtocol;
     use sbft_crypto::CommitCertificate;
-    use sbft_types::{FaultParams, ViewNumber};
+    use sbft_types::{ComponentId, FaultParams, ViewNumber};
 
     #[test]
     fn crashed_replica_with_empty_log_state_transfers_everything() {

@@ -3,9 +3,9 @@
 use super::PbftReplica;
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::messages::{
-    batch_digest, header_digest, ConsensusMessage, NewView, PreparedProof, ProposalBody, ViewChange,
+    batch_digest, ConsensusMessage, NewView, PreparedProof, ProposalBody, ViewChange,
 };
-use sbft_types::{ComponentId, NodeId, SeqNum, Signature, ViewNumber};
+use sbft_types::{NodeId, SeqNum, Signature, ViewNumber};
 use std::collections::BTreeSet;
 
 impl PbftReplica {
@@ -52,7 +52,7 @@ impl PbftReplica {
         actions
     }
 
-    fn record_view_change_vote(&mut self, vc: ViewChange) -> Vec<ConsensusAction> {
+    pub(super) fn record_view_change_vote(&mut self, vc: ViewChange) -> Vec<ConsensusAction> {
         let target = vc.new_view;
         if target <= self.view {
             return Vec::new();
@@ -153,42 +153,27 @@ impl PbftReplica {
         ]
     }
 
-    pub(super) fn on_view_change(&mut self, from: NodeId, vc: ViewChange) -> Vec<ConsensusAction> {
-        if vc.sender != from
-            || !self
-                .crypto
-                .verify(ComponentId::Node(from), &vc.signing_digest(), &vc.signature)
-        {
-            return Vec::new();
-        }
-        self.record_view_change_vote(vc)
-    }
-
     pub(super) fn on_new_view(&mut self, from: NodeId, nv: NewView) -> Vec<ConsensusAction> {
-        if nv.sender != from
-            || nv.new_view <= self.view
+        if nv.new_view <= self.view
             || from != self.primary_of(nv.new_view)
             || nv.view_change_senders.iter().collect::<BTreeSet<_>>().len()
                 < self.params.view_change_quorum()
-            || !self
-                .crypto
-                .verify(ComponentId::Node(from), &nv.signing_digest(), &nv.signature)
         {
             return Vec::new();
         }
         let mut actions = self.install_view(nv.new_view);
         for pp in nv.reissued {
-            // A re-issue must carry its batch: the new primary holds every
-            // batch that prepared, and nothing reconstructs across views.
+            // A re-issue carries the installed view and its batch (nothing
+            // reconstructs across views). Below the floor it is still voted
+            // on, for peers that have not committed the slot.
+            let admitted = self.authentic(from, pp.authenticator())
+                && pp.seq <= self.high_watermark()
+                && pp.view == self.view;
             let ProposalBody::Batch(batch) = pp.body else {
                 continue;
             };
-            let header = header_digest("preprepare", pp.view, pp.seq, &pp.digest);
-            if pp.view == self.view
+            if admitted
                 && batch_digest(&batch) == pp.digest
-                && self
-                    .crypto
-                    .verify_broadcast_mac(ComponentId::Node(from), &header, &pp.mac)
                 && self
                     .log
                     .accept_pre_prepare(pp.seq, pp.view, pp.digest, batch)
@@ -203,9 +188,11 @@ impl PbftReplica {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{batch, TestShim};
+    use super::super::VIEW_WINDOW;
     use super::*;
-    use crate::messages::PrePrepare;
+    use crate::messages::{header_digest, PrePrepare};
     use crate::traits::OrderingProtocol;
+    use sbft_types::ComponentId;
 
     #[test]
     fn request_timer_expiry_triggers_view_change() {
@@ -416,5 +403,82 @@ mod tests {
         // The message as signed installs the view.
         shim.replicas[2].handle_message(NodeId(1), ConsensusMessage::NewView(new_view));
         assert_eq!(shim.replicas[2].view(), ViewNumber(1));
+    }
+
+    #[test]
+    fn a_view_change_flood_leaves_the_vote_table_within_its_bound() {
+        // Byzantine node 3 sends node 2 signed view-change votes for views
+        // above the view window.
+        let mut shim = TestShim::new(4);
+        let byzantine = shim.provider.handle(ComponentId::Node(NodeId(3)));
+        let replica = &mut shim.replicas[2];
+        for k in 0..10_000u64 {
+            let mut vote = ViewChange {
+                new_view: ViewNumber(VIEW_WINDOW + 1 + k),
+                sender: NodeId(3),
+                last_stable_seq: SeqNum(0),
+                prepared: Vec::new(),
+                signature: Signature::ZERO,
+            };
+            vote.signature = byzantine.sign(&vote.signing_digest());
+            let _ = replica.handle_message(NodeId(3), ConsensusMessage::ViewChange(vote));
+        }
+        assert!(
+            replica.view_change_votes.len() as u64 <= VIEW_WINDOW,
+            "{} target views hold votes, above the bound of W = {VIEW_WINDOW}",
+            replica.view_change_votes.len()
+        );
+    }
+
+    #[test]
+    fn a_new_view_whose_reissue_fails_the_gate_installs_the_view_but_not_the_slot() {
+        let b = batch(1);
+        let digest = batch_digest(&b);
+        let other = batch(99);
+        for field in ["nothing", "mac", "seq", "digest"] {
+            let mut shim = TestShim::new(4);
+            let new_primary = shim.provider.handle(ComponentId::Node(NodeId(1)));
+            let header = header_digest("preprepare", ViewNumber(1), SeqNum(1), &digest);
+            let mut reissue = PrePrepare {
+                view: ViewNumber(1),
+                seq: SeqNum(1),
+                digest,
+                body: ProposalBody::Batch(b.clone()),
+                mac: new_primary.broadcast_mac(&header),
+            };
+            match field {
+                "mac" => reissue.mac = sbft_types::MacTag::ZERO,
+                "seq" => reissue.seq = SeqNum(2),
+                "digest" => {
+                    reissue.digest = batch_digest(&other);
+                    reissue.body = ProposalBody::Batch(other.clone());
+                }
+                _ => {}
+            }
+            let seq = reissue.seq;
+            // The new primary signs what it sends, flipped re-issue and all.
+            let mut new_view = NewView {
+                new_view: ViewNumber(1),
+                sender: NodeId(1),
+                view_change_senders: vec![NodeId(1), NodeId(2), NodeId(3)],
+                reissued: vec![reissue],
+                signature: Signature::ZERO,
+            };
+            new_view.signature = new_primary.sign(&new_view.signing_digest());
+            let actions =
+                shim.replicas[2].handle_message(NodeId(1), ConsensusMessage::NewView(new_view));
+            assert_eq!(shim.replicas[2].view(), ViewNumber(1), "{field}: view");
+            let accepted = field == "nothing";
+            assert_eq!(
+                actions.iter().any(|a| a.is_message_kind("PREPARE")),
+                accepted,
+                "{field}: {actions:?}"
+            );
+            assert_eq!(
+                shim.replicas[2].log.entry(seq).is_some(),
+                accepted,
+                "{field}: slot {seq:?}"
+            );
+        }
     }
 }
