@@ -267,38 +267,32 @@ pub struct CftDecide {
 impl PrePrepare {
     /// The digest the primary MACs.
     #[must_use]
-    pub(crate) fn signing_digest(&self) -> Digest {
-        header_digest("preprepare", self.view, self.seq, &self.digest)
-    }
-
-    /// The primary's MAC, which also checks a `NEWVIEW` re-issue.
-    #[must_use]
-    pub(crate) fn authenticator(&self) -> Authenticator {
-        Authenticator::Mac(self.signing_digest(), self.mac)
+    pub(crate) fn signing_digest(view: ViewNumber, seq: SeqNum, digest: &Digest) -> Digest {
+        header_digest("preprepare", view, seq, digest)
     }
 }
 
 impl Prepare {
     /// The digest the sender MACs.
     #[must_use]
-    pub(crate) fn signing_digest(&self) -> Digest {
-        header_digest("prepare", self.view, self.seq, &self.digest)
+    pub(crate) fn signing_digest(view: ViewNumber, seq: SeqNum, digest: &Digest) -> Digest {
+        header_digest("prepare", view, seq, digest)
     }
 }
 
 impl BatchFetch {
     /// The digest the requester MACs.
     #[must_use]
-    pub(crate) fn signing_digest(&self) -> Digest {
-        header_digest("batchfetch", self.view, self.seq, &self.digest)
+    pub(crate) fn signing_digest(view: ViewNumber, seq: SeqNum, digest: &Digest) -> Digest {
+        header_digest("batchfetch", view, seq, digest)
     }
 }
 
 impl Commit {
     /// The digest the sender signs, which its commit certificate checks.
     #[must_use]
-    pub(crate) fn signing_digest(&self) -> Digest {
-        commit_digest(self.view, self.seq, &self.digest)
+    pub(crate) fn signing_digest(view: ViewNumber, seq: SeqNum, digest: &Digest) -> Digest {
+        commit_digest(view, seq, digest)
     }
 }
 
@@ -362,24 +356,6 @@ impl StateRequest {
     }
 }
 
-/// A MAC or signature over a message's signing digest, or nothing where
-/// the content self-certifies.
-#[derive(Clone, Copy)]
-pub(crate) enum Authenticator {
-    Mac(Digest, MacTag),
-    Signature(Digest, Signature),
-    None,
-}
-
-/// What the PBFT admission gate reads of a message: the sender it names,
-/// the seq and view the watermark window applies to, its authenticator.
-pub(crate) struct Credentials {
-    pub(crate) sender: Option<NodeId>,
-    pub(crate) seq: Option<SeqNum>,
-    pub(crate) view: Option<ViewNumber>,
-    pub(crate) authenticator: Authenticator,
-}
-
 /// All messages understood by the shim ordering protocols.
 #[derive(Clone, PartialEq, Debug)]
 pub enum ConsensusMessage {
@@ -430,59 +406,6 @@ impl ConsensusMessage {
             ConsensusMessage::CftAccepted(_) => "CFT-ACCEPTED",
             ConsensusMessage::CftDecide(_) => "CFT-DECIDE",
         }
-    }
-
-    /// What the PBFT admission gate checks, once per kind (`None`: PBFT
-    /// admits no CFT message). A proposal's handler binds it to its view's
-    /// primary. `BATCHFILL` bodies must rebuild the proposal digest and
-    /// `STATERESPONSE` entries carry certificates: no authenticator.
-    #[must_use]
-    pub(crate) fn credentials(&self) -> Option<Credentials> {
-        use Authenticator::{Mac, Signature as Signed};
-        let (sender, seq, view, authenticator) = match self {
-            Self::PrePrepare(m) => (None, Some(m.seq), None, m.authenticator()),
-            Self::Prepare(m) => {
-                let mac = Mac(m.signing_digest(), m.mac);
-                (Some(m.sender), Some(m.seq), Some(m.view), mac)
-            }
-            Self::BatchFetch(m) => {
-                let mac = Mac(m.signing_digest(), m.mac);
-                (Some(m.sender), Some(m.seq), None, mac)
-            }
-            Self::Commit(m) => {
-                let signed = Signed(m.signing_digest(), m.signature);
-                (Some(m.sender), Some(m.seq), Some(m.view), signed)
-            }
-            // A checkpoint above the window is catch-up evidence; its
-            // handler applies the window.
-            Self::Checkpoint(m) => {
-                let signed = Signed(m.signing_digest(), m.signature);
-                (Some(m.sender), None, None, signed)
-            }
-            Self::ViewChange(m) => {
-                let signed = Signed(m.signing_digest(), m.signature);
-                (Some(m.sender), None, Some(m.new_view), signed)
-            }
-            Self::NewView(m) => {
-                let signed = Signed(m.signing_digest(), m.signature);
-                (Some(m.sender), None, Some(m.new_view), signed)
-            }
-            Self::StateRequest(m) => {
-                let signed = Signed(m.signing_digest(), m.signature);
-                (Some(m.sender), None, None, signed)
-            }
-            Self::BatchFill(BatchFill { sender, .. })
-            | Self::StateResponse(StateResponse { sender, .. }) => {
-                (Some(*sender), None, None, Authenticator::None)
-            }
-            Self::CftAccept(_) | Self::CftAccepted(_) | Self::CftDecide(_) => return None,
-        };
-        Some(Credentials {
-            sender,
-            seq,
-            view,
-            authenticator,
-        })
     }
 
     /// The sequence number a batch-releasing proposal orders its batch at

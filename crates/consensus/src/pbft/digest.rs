@@ -4,7 +4,7 @@
 use super::{PbftReplica, PendingProposal, FETCH_RETRY_BUDGET};
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::messages::{batch_digest, BatchFetch, BatchFill, ConsensusMessage};
-use sbft_types::{Batch, Digest, MacTag, NodeId, SeqNum, Transaction, TxnId, ViewNumber};
+use sbft_types::{Batch, Digest, NodeId, SeqNum, Transaction, TxnId, ViewNumber};
 use std::collections::{BTreeMap, BTreeSet};
 
 impl PbftReplica {
@@ -24,15 +24,15 @@ impl PbftReplica {
         };
         let attempt = pending.fetch_attempts;
         pending.fetch_attempts += 1;
-        let mut fetch = BatchFetch {
+        let header = BatchFetch::signing_digest(pending.view, seq, &pending.digest);
+        let fetch = BatchFetch {
             sender: self.me,
             view: pending.view,
             seq,
             digest: pending.digest,
             missing: pending.missing.iter().copied().collect(),
-            mac: MacTag::ZERO,
+            mac: self.crypto.broadcast_mac(&header),
         };
-        fetch.mac = self.crypto.broadcast_mac(&fetch.signing_digest());
         let target = self.fetch_target(fetch.view, attempt);
         self.fetches_sent.inc();
         vec![

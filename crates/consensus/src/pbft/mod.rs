@@ -42,8 +42,8 @@ mod view_change;
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::log::ConsensusLog;
 use crate::messages::{
-    batch_digest, Authenticator, Checkpoint, ConsensusMessage, Credentials, ProposalBody,
-    ViewChange,
+    batch_digest, BatchFetch, BatchFill, Checkpoint, Commit, ConsensusMessage, PrePrepare, Prepare,
+    ProposalBody, StateResponse, ViewChange,
 };
 use crate::traits::OrderingProtocol;
 use sbft_crypto::CryptoHandle;
@@ -78,6 +78,9 @@ pub struct PbftReplica {
     checkpoint_votes: BTreeMap<SeqNum, BTreeMap<NodeId, Checkpoint>>,
     /// View-change votes collected, per target view.
     view_change_votes: BTreeMap<ViewNumber, BTreeMap<NodeId, ViewChange>>,
+    /// The target view of each peer's latest vote above the view window:
+    /// `f_r + 1` of them prove at least one honest replica moved on.
+    view_claims: BTreeMap<NodeId, ViewNumber>,
 
     /// Retransmission attempts made for the in-flight `STATEREQUEST`;
     /// `None` when no state transfer is pending. Bounded by
@@ -157,8 +160,8 @@ const FETCH_RETRY_BUDGET: u32 = 4;
 /// L]`. Honest traffic leads by at most 5 intervals at receipt.
 const SEQ_WINDOW_INTERVALS: u64 = 16;
 
-/// `W`: a peer's message is admitted for views in `[view, view + W]`.
-/// Honest traffic leads by at most 9 views at receipt.
+/// `W`: a peer's view-change vote enters the table for target views up
+/// to `view + W`. Honest traffic leads by at most 9 views at receipt.
 const VIEW_WINDOW: u64 = 16;
 
 /// How many times a recovering replica retransmits its `STATEREQUEST`
@@ -192,6 +195,7 @@ impl PbftReplica {
             log: ConsensusLog::new(),
             checkpoint_votes: BTreeMap::new(),
             view_change_votes: BTreeMap::new(),
+            view_claims: BTreeMap::new(),
             state_transfer_attempt: None,
             bad_responses: BTreeMap::new(),
             floor_claims: BTreeMap::new(),
@@ -234,31 +238,62 @@ impl PbftReplica {
     }
 
     /// The admission gate every peer message passes before its handler
-    /// reads a field, cheapest check first: the sender it names is its
-    /// transport sender, its seq and view lie in the window, and its
-    /// authenticator verifies.
-    fn admits(&self, from: NodeId, credentials: &Credentials) -> bool {
-        let seqs = self.log.stable_seq().0 + 1..=self.high_watermark().0;
-        let views = self.view.0..=self.view.0 + VIEW_WINDOW;
-        credentials.sender.is_none_or(|sender| sender == from)
-            && credentials.seq.is_none_or(|seq| seqs.contains(&seq.0))
-            && credentials.view.is_none_or(|view| views.contains(&view.0))
-            && self.authentic(from, credentials.authenticator)
+    /// reads a field. Per kind, cheapest check first: the named sender is
+    /// the transport sender; the seq lies in `(stable, stable + L]` and a
+    /// vote's view is not behind; the MAC or signature over the kind's
+    /// `signing_digest` verifies. What each kind leaves to its handler, and
+    /// why, is in DESIGN.md ("The consensus messages").
+    fn admits(&self, from: NodeId, msg: &ConsensusMessage) -> bool {
+        use ConsensusMessage as M;
+        let window = |seq| self.log.stable_seq() < seq && seq <= self.high_watermark();
+        let mac = |digest: Digest, tag| {
+            self.crypto
+                .verify_broadcast_mac(ComponentId::Node(from), &digest, tag)
+        };
+        let signed =
+            |digest: Digest, sig| self.crypto.verify(ComponentId::Node(from), &digest, sig);
+        match msg {
+            M::PrePrepare(m) => window(m.seq) && self.authentic_proposal(from, m),
+            M::Prepare(m) => {
+                m.sender == from
+                    && window(m.seq)
+                    && m.view >= self.view
+                    && mac(Prepare::signing_digest(m.view, m.seq, &m.digest), &m.mac)
+            }
+            M::Commit(m) => {
+                m.sender == from
+                    && window(m.seq)
+                    && m.view >= self.view
+                    && signed(
+                        Commit::signing_digest(m.view, m.seq, &m.digest),
+                        &m.signature,
+                    )
+            }
+            M::BatchFetch(m) => {
+                m.sender == from
+                    && window(m.seq)
+                    && mac(BatchFetch::signing_digest(m.view, m.seq, &m.digest), &m.mac)
+            }
+            M::Checkpoint(m) => m.sender == from && signed(m.signing_digest(), &m.signature),
+            M::ViewChange(m) => m.sender == from && signed(m.signing_digest(), &m.signature),
+            M::NewView(m) => m.sender == from && signed(m.signing_digest(), &m.signature),
+            M::StateRequest(m) => m.sender == from && signed(m.signing_digest(), &m.signature),
+            M::BatchFill(BatchFill { sender, .. })
+            | M::StateResponse(StateResponse { sender, .. }) => *sender == from,
+            M::CftAccept(_) | M::CftAccepted(_) | M::CftDecide(_) => false,
+        }
+    }
+
+    /// Whether `pp` carries `from`'s MAC: the gate's check of a
+    /// `PREPREPARE`, and of each `NEWVIEW` re-issue.
+    fn authentic_proposal(&self, from: NodeId, pp: &PrePrepare) -> bool {
+        let header = PrePrepare::signing_digest(pp.view, pp.seq, &pp.digest);
+        self.crypto
+            .verify_broadcast_mac(ComponentId::Node(from), &header, &pp.mac)
     }
 
     fn high_watermark(&self) -> SeqNum {
         SeqNum(self.log.stable_seq().0 + SEQ_WINDOW_INTERVALS * self.checkpoint_interval)
-    }
-
-    fn authentic(&self, from: NodeId, authenticator: Authenticator) -> bool {
-        let from = ComponentId::Node(from);
-        match authenticator {
-            Authenticator::Mac(digest, tag) => {
-                self.crypto.verify_broadcast_mac(from, &digest, &tag)
-            }
-            Authenticator::Signature(digest, sig) => self.crypto.verify(from, &digest, &sig),
-            Authenticator::None => true,
-        }
     }
 
     /// The `k`-th of the `n − 1` other replicas, counting round the ring
@@ -305,7 +340,7 @@ impl OrderingProtocol for PbftReplica {
     }
 
     fn handle_message(&mut self, from: NodeId, msg: ConsensusMessage) -> Vec<ConsensusAction> {
-        if !msg.credentials().is_some_and(|c| self.admits(from, &c)) {
+        if !self.admits(from, &msg) {
             return Vec::new();
         }
         match msg {
@@ -320,7 +355,7 @@ impl OrderingProtocol for PbftReplica {
                 self.log.add_commit(c);
                 self.check_committed(c.seq)
             }
-            ConsensusMessage::ViewChange(vc) => self.record_view_change_vote(vc),
+            ConsensusMessage::ViewChange(vc) => self.on_view_change(vc),
             ConsensusMessage::NewView(nv) => self.on_new_view(from, nv),
             ConsensusMessage::Checkpoint(cp) => self.on_checkpoint(cp),
             ConsensusMessage::StateRequest(req) => self.on_state_request(from, req),

@@ -4,7 +4,7 @@ use super::PbftReplica;
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::messages::{batch_digest, Commit, ConsensusMessage, PrePrepare, Prepare, ProposalBody};
 use sbft_crypto::CommitCertificate;
-use sbft_types::{Digest, MacTag, NodeId, SeqNum, Signature, ViewNumber};
+use sbft_types::{Digest, NodeId, SeqNum, ViewNumber};
 use std::sync::Arc;
 
 impl PbftReplica {
@@ -15,39 +15,36 @@ impl PbftReplica {
         digest: Digest,
         body: ProposalBody,
     ) -> PrePrepare {
-        let mut pp = PrePrepare {
+        let header = PrePrepare::signing_digest(view, seq, &digest);
+        PrePrepare {
             view,
             seq,
             digest,
             body,
-            mac: MacTag::ZERO,
-        };
-        pp.mac = self.crypto.broadcast_mac(&pp.signing_digest());
-        pp
+            mac: self.crypto.broadcast_mac(&header),
+        }
     }
 
     fn make_prepare(&self, view: ViewNumber, seq: SeqNum, digest: Digest) -> Prepare {
-        let mut prepare = Prepare {
+        let header = Prepare::signing_digest(view, seq, &digest);
+        Prepare {
             view,
             seq,
             digest,
             sender: self.me,
-            mac: MacTag::ZERO,
-        };
-        prepare.mac = self.crypto.broadcast_mac(&prepare.signing_digest());
-        prepare
+            mac: self.crypto.broadcast_mac(&header),
+        }
     }
 
     fn make_commit(&self, view: ViewNumber, seq: SeqNum, digest: Digest) -> Commit {
-        let mut commit = Commit {
+        let signed = Commit::signing_digest(view, seq, &digest);
+        Commit {
             view,
             seq,
             digest,
             sender: self.me,
-            signature: Signature::ZERO,
-        };
-        commit.signature = self.crypto.sign(&commit.signing_digest());
-        commit
+            signature: self.crypto.sign(&signed),
+        }
     }
 
     /// Runs the node-side handling of an accepted pre-prepare: broadcast a

@@ -1,6 +1,6 @@
 //! The view change that replaces a faulty primary (Section V-A4).
 
-use super::PbftReplica;
+use super::{PbftReplica, VIEW_WINDOW};
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::messages::{
     batch_digest, ConsensusMessage, NewView, PreparedProof, ProposalBody, ViewChange,
@@ -52,7 +52,26 @@ impl PbftReplica {
         actions
     }
 
-    pub(super) fn record_view_change_vote(&mut self, vc: ViewChange) -> Vec<ConsensusAction> {
+    /// A peer's view-change vote, past the gate. A vote for a view up to
+    /// `W` ahead enters the table; one further ahead is only its sender's
+    /// claim that the shim moved on, and once `f_R + 1` peers (one of them
+    /// honest) claim views above the window, a replica that fell that far
+    /// behind joins the lowest of them (PBFT's liveness rule, §4.5.2).
+    pub(super) fn on_view_change(&mut self, vote: ViewChange) -> Vec<ConsensusAction> {
+        let window = self.view.0 + VIEW_WINDOW;
+        if vote.new_view.0 <= window {
+            return self.record_view_change_vote(vote);
+        }
+        self.view_claims.insert(vote.sender, vote.new_view);
+        let mut claims: Vec<ViewNumber> = self.view_claims.values().copied().collect();
+        claims.sort_unstable_by(|a, b| b.cmp(a));
+        match claims.get(self.params.f_r) {
+            Some(&target) if target.0 > window => self.start_view_change(target),
+            _ => Vec::new(),
+        }
+    }
+
+    fn record_view_change_vote(&mut self, vc: ViewChange) -> Vec<ConsensusAction> {
         let target = vc.new_view;
         if target <= self.view {
             return Vec::new();
@@ -166,7 +185,7 @@ impl PbftReplica {
             // A re-issue carries the installed view and its batch (nothing
             // reconstructs across views). Below the floor it is still voted
             // on, for peers that have not committed the slot.
-            let admitted = self.authentic(from, pp.authenticator())
+            let admitted = self.authentic_proposal(from, &pp)
                 && pp.seq <= self.high_watermark()
                 && pp.view == self.view;
             let ProposalBody::Batch(batch) = pp.body else {
@@ -188,7 +207,6 @@ impl PbftReplica {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{batch, TestShim};
-    use super::super::VIEW_WINDOW;
     use super::*;
     use crate::messages::{header_digest, PrePrepare};
     use crate::traits::OrderingProtocol;
@@ -428,6 +446,82 @@ mod tests {
             "{} target views hold votes, above the bound of W = {VIEW_WINDOW}",
             replica.view_change_votes.len()
         );
+        // Above the window a vote is only its sender's claim, and one
+        // sender's claims move nothing.
+        assert_eq!(replica.view_claims.len(), 1);
+        assert!(!replica.in_view_change);
+    }
+
+    /// Cuts node 3 off while nodes 0 to 2 change views `W + 1` times, to
+    /// view `W + 1`, then reconnects it.
+    fn leave_node_3_beyond_the_view_window() -> TestShim {
+        let mut shim = TestShim::new(4);
+        shim.down.insert(NodeId(3));
+        for target in 1..=VIEW_WINDOW + 1 {
+            let pending: Vec<(NodeId, Vec<ConsensusAction>)> = (0..3u32)
+                .map(|i| {
+                    let replica = &mut shim.replicas[i as usize];
+                    (NodeId(i), replica.start_view_change(ViewNumber(target)))
+                })
+                .collect();
+            for (origin, actions) in pending {
+                shim.run_actions(origin, actions);
+            }
+        }
+        assert_eq!(shim.replicas[0].view(), ViewNumber(VIEW_WINDOW + 1));
+        assert_eq!(shim.replicas[3].view(), ViewNumber(0));
+        shim.down.clear();
+        shim
+    }
+
+    /// Runs a view change to `target` started by `starters`, then orders
+    /// one batch in the new view.
+    fn change_view_and_order(shim: &mut TestShim, target: u64, starters: &[u32]) {
+        let pending: Vec<(NodeId, Vec<ConsensusAction>)> = starters
+            .iter()
+            .map(|&i| {
+                let replica = &mut shim.replicas[i as usize];
+                (NodeId(i), replica.start_view_change(ViewNumber(target)))
+            })
+            .collect();
+        for (origin, actions) in pending {
+            shim.run_actions(origin, actions);
+        }
+        let primary = NodeId::primary_of(ViewNumber(target), 4);
+        let actions = shim.replicas[primary.0 as usize].submit_batch(batch(target));
+        shim.run_actions(primary, actions);
+    }
+
+    #[test]
+    fn a_replica_beyond_the_view_window_installs_the_next_new_view() {
+        let mut shim = leave_node_3_beyond_the_view_window();
+        let target = VIEW_WINDOW + 2;
+        change_view_and_order(&mut shim, target, &[0, 1, 2]);
+        assert_eq!(shim.replicas[3].view(), ViewNumber(target));
+        assert!(!shim.replicas[3].in_view_change);
+        assert_eq!(
+            shim.committed_by(NodeId(3)).len(),
+            1,
+            "node 3 commits again"
+        );
+    }
+
+    #[test]
+    fn a_replica_beyond_the_view_window_joins_a_view_change_that_needs_it() {
+        // With node 0 down, the view change to W + 2 needs node 3's vote,
+        // which it casts once f_R + 1 peers claim views above its window.
+        let mut shim = leave_node_3_beyond_the_view_window();
+        shim.down.insert(NodeId(0));
+        let target = VIEW_WINDOW + 2;
+        change_view_and_order(&mut shim, target, &[1, 2]);
+        for i in 1..4u32 {
+            assert_eq!(
+                shim.replicas[i as usize].view(),
+                ViewNumber(target),
+                "node {i}"
+            );
+            assert_eq!(shim.committed_by(NodeId(i)).len(), 1, "node {i} commits");
+        }
     }
 
     #[test]
