@@ -9,6 +9,7 @@
 //! PBFT in Figure 7.
 
 use sbft_crypto::certificate::commit_digest;
+pub use sbft_crypto::hashing::{compute_batch_digest, BatchDigestAccumulator};
 use sbft_crypto::{CommitCertificate, U64Hasher};
 use sbft_durability::RecoveredEntry;
 use sbft_types::{
@@ -531,71 +532,6 @@ pub fn batch_digest(batch: &Batch) -> Digest {
     batch.digest_memo(|| compute_batch_digest(batch))
 }
 
-/// Computes the batch digest from scratch, bypassing the memo (the cache
-/// regression tests compare this against [`batch_digest`]).
-///
-/// The format is streamable: transactions are absorbed one at a time
-/// (each is self-delimiting — its operation count precedes its
-/// operations) and the batch length seals the hash at the end. That is
-/// what lets the batching front-end absorb each transaction as it
-/// arrives ([`BatchDigestAccumulator`]) and hand consensus a batch whose
-/// digest memo is already filled, taking the whole digest computation
-/// off the submit hot path.
-#[must_use]
-pub fn compute_batch_digest(batch: &Batch) -> Digest {
-    let mut acc = BatchDigestAccumulator::new();
-    for txn in batch.txns() {
-        acc.absorb(txn);
-    }
-    acc.finish()
-}
-
-/// Incrementally computes [`compute_batch_digest`] one transaction at a
-/// time, so the cost is paid as transactions arrive instead of all at
-/// once when the batch is proposed.
-#[derive(Clone, Debug)]
-pub struct BatchDigestAccumulator {
-    hasher: U64Hasher,
-    absorbed: u64,
-}
-
-impl BatchDigestAccumulator {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        BatchDigestAccumulator {
-            hasher: U64Hasher::new("sbft-batch"),
-            absorbed: 0,
-        }
-    }
-
-    /// Absorbs the next transaction of the batch (in batch order).
-    pub fn absorb(&mut self, txn: &sbft_types::Transaction) {
-        self.hasher.push(u64::from(txn.id.client.0));
-        self.hasher.push(txn.id.counter);
-        self.hasher.push(txn.ops.len() as u64);
-        for op in &txn.ops {
-            self.hasher.push(op.key().0);
-            self.hasher.push(u64::from(op.is_write()));
-        }
-        self.absorbed += 1;
-    }
-
-    /// Seals the hash with the batch length and produces the digest.
-    #[must_use]
-    pub fn finish(self) -> Digest {
-        let mut hasher = self.hasher;
-        hasher.push(self.absorbed);
-        hasher.finish()
-    }
-}
-
-impl Default for BatchDigestAccumulator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,31 +571,6 @@ mod tests {
         let clone = b.clone();
         assert_eq!(clone.cached_digest(), Some(memoized));
         assert!(clone.shares_txns(&b));
-    }
-
-    #[test]
-    fn incremental_accumulator_matches_one_shot_digest() {
-        for n in [1usize, 7, 100] {
-            let b = batch(n);
-            let mut acc = BatchDigestAccumulator::new();
-            for txn in b.txns() {
-                acc.absorb(txn);
-            }
-            assert_eq!(acc.absorbed, n as u64);
-            assert_eq!(acc.finish(), compute_batch_digest(&b), "batch of {n}");
-        }
-    }
-
-    #[test]
-    fn accumulator_is_length_sealed() {
-        // A 2-txn stream and a 3-txn stream sharing a prefix must differ
-        // even before the extra transaction is absorbed — the trailing
-        // length seal guarantees it.
-        let b3 = batch(3);
-        let mut two = BatchDigestAccumulator::new();
-        two.absorb(&b3.txns()[0]);
-        two.absorb(&b3.txns()[1]);
-        assert_ne!(two.finish(), compute_batch_digest(&b3));
     }
 
     #[test]

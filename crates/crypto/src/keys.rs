@@ -9,9 +9,18 @@
 //! simulator can verify signatures without a heavyweight PKI). Secret keys
 //! are only handed to a component through its own
 //! [`crate::provider::CryptoHandle`].
+//!
+//! Verifying a signature needs the signer's HMAC key schedule, which costs
+//! the key-pair derivation and two SHA-256 compressions to build. The
+//! store keeps one per identity once it is first needed, so every
+//! verification path — [`crate::signature::SimSigner::verify`], the
+//! certificate check and [`crate::provider::CryptoProvider`] — reads the
+//! one cache.
 
 use crate::hashing::digest_u64s;
-use sbft_types::ComponentId;
+use crate::hmac::HmacKey;
+use sbft_types::{ComponentId, IdMap};
+use std::sync::RwLock;
 
 /// A 32-byte secret signing key.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -52,8 +61,8 @@ impl KeyPair {
     /// schedule (see [`crate::signature::SimSigner`]); deriving it costs
     /// two SHA-256 compressions, so callers that sign or verify more than
     /// once should derive it once and cache it —
-    /// [`crate::provider::CryptoHandle`] and
-    /// [`crate::provider::CryptoProvider`] both do.
+    /// [`crate::provider::CryptoHandle`] does for its own identity, and
+    /// [`KeyStore`] for every identity it verifies.
     #[must_use]
     pub fn signing_schedule(&self) -> crate::hmac::HmacKey {
         crate::hmac::HmacKey::new(&self.secret.0)
@@ -78,16 +87,65 @@ fn component_code(c: ComponentId) -> [u64; 2] {
 /// `master_seed`, which plays the role of the out-of-band certificate
 /// distribution plus Diffie–Hellman exchanges that the paper assumes have
 /// already happened before the protocol starts.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct KeyStore {
     master_seed: u64,
+    /// Per-identity signing schedules, filled on first verification of a
+    /// signature from that identity.
+    sign_schedules: RwLock<IdMap<ComponentId, HmacKey>>,
+}
+
+impl Clone for KeyStore {
+    fn clone(&self) -> Self {
+        // The cache is derived state; a clone starts cold.
+        KeyStore::new(self.master_seed)
+    }
 }
 
 impl KeyStore {
     /// Creates a key store for a deployment.
     #[must_use]
     pub fn new(master_seed: u64) -> Self {
-        KeyStore { master_seed }
+        KeyStore {
+            master_seed,
+            sign_schedules: RwLock::new(IdMap::default()),
+        }
+    }
+
+    /// Sizes the signing-schedule cache for `signers` more identities (a
+    /// deployment knows its client population), so it is not regrown —
+    /// old and new table held at once — while they show up one by one.
+    pub(crate) fn reserve_signers(&self, signers: usize) {
+        self.sign_schedules
+            .write()
+            .expect("schedule cache")
+            .reserve(signers);
+    }
+
+    /// Lends the cached signing schedule of `component` (derived on first
+    /// use) to `use_it`, in place: the cache lock is held for the two
+    /// HMACs a signature costs instead of copying the schedule out.
+    pub(crate) fn signing_schedule_of<R>(
+        &self,
+        component: ComponentId,
+        use_it: impl FnOnce(&HmacKey) -> R,
+    ) -> R {
+        if let Some(schedule) = self
+            .sign_schedules
+            .read()
+            .expect("schedule cache")
+            .get(&component)
+        {
+            return use_it(schedule);
+        }
+        let schedule = self.keypair_for(component).signing_schedule();
+        use_it(
+            self.sign_schedules
+                .write()
+                .expect("schedule cache")
+                .entry(component)
+                .or_insert(schedule),
+        )
     }
 
     /// The key pair of `component`. Only [`crate::provider::CryptoHandle`]

@@ -19,10 +19,12 @@
 //!   pairwise-channel schedule per peer it talks to live in one shared
 //!   block created by its first MAC — a component that only ever signs
 //!   (every client) holds no MAC state at all;
-//! * the shared [`CryptoProvider`] caches **everyone's** signing and
-//!   group-MAC schedules on the verification side, which is what makes
-//!   the aggregate batch check (one fold-and-compare per batch over
-//!   cached-schedule expected signatures) cheap.
+//! * on the verification side, the shared [`CryptoProvider`]'s
+//!   [`KeyStore`] caches **everyone's** signing schedules (for the
+//!   provider's checks and for certificates verified against the store
+//!   alike) and the provider **everyone's** group-MAC schedules, which is
+//!   what makes the aggregate batch check (one fold-and-compare per batch
+//!   over cached-schedule expected signatures) cheap.
 
 use crate::aggregate::{bisect_mismatches, AggregateSignature};
 use crate::hmac::HmacKey;
@@ -32,13 +34,10 @@ use sbft_types::{ComponentId, Digest, IdMap, MacTag, Signature};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Deployment-wide cryptographic material plus the verification-side
-/// key-schedule caches.
+/// key-schedule caches (the signing schedules in its [`KeyStore`]).
 #[derive(Debug)]
 pub struct CryptoProvider {
     store: KeyStore,
-    /// Per-identity signing schedules, filled on first verification of a
-    /// signature from that identity.
-    sign_schedules: RwLock<IdMap<ComponentId, HmacKey>>,
     /// Per-sender group (broadcast) MAC schedules.
     group_schedules: RwLock<IdMap<ComponentId, HmacKey>>,
 }
@@ -81,7 +80,6 @@ impl CryptoProvider {
     fn with_store(store: KeyStore) -> Self {
         CryptoProvider {
             store,
-            sign_schedules: RwLock::new(IdMap::default()),
             group_schedules: RwLock::new(IdMap::default()),
         }
     }
@@ -91,10 +89,7 @@ impl CryptoProvider {
     /// is not regrown — old and new table held at once — while they show
     /// up one by one.
     pub fn reserve_signers(&self, signers: usize) {
-        self.sign_schedules
-            .write()
-            .expect("schedule cache")
-            .reserve(signers);
+        self.store.reserve_signers(signers);
     }
 
     /// The underlying trusted key registry.
@@ -112,32 +107,6 @@ impl CryptoProvider {
             sign_schedule: OnceLock::new(),
             mac_schedules: OnceLock::new(),
         }
-    }
-
-    /// Lends the cached signing schedule of `component` (derived on first
-    /// use) to `use_it`, in place: the cache lock is held for the two
-    /// HMACs a signature costs instead of copying the schedule out.
-    fn signing_schedule_of<R>(
-        &self,
-        component: ComponentId,
-        use_it: impl FnOnce(&HmacKey) -> R,
-    ) -> R {
-        if let Some(schedule) = self
-            .sign_schedules
-            .read()
-            .expect("schedule cache")
-            .get(&component)
-        {
-            return use_it(schedule);
-        }
-        let schedule = self.store.keypair_for(component).signing_schedule();
-        use_it(
-            self.sign_schedules
-                .write()
-                .expect("schedule cache")
-                .entry(component)
-                .or_insert(schedule),
-        )
     }
 
     /// The cached group-broadcast MAC schedule of `sender`.
@@ -162,7 +131,7 @@ impl CryptoProvider {
     /// Verifies a digital signature claimed to be from `signer`.
     #[must_use]
     pub fn verify(&self, signer: ComponentId, digest: &Digest, sig: &Signature) -> bool {
-        self.signing_schedule_of(signer, |schedule| {
+        self.store.signing_schedule_of(signer, |schedule| {
             SimSigner::verify_with_schedule(schedule, digest, sig)
         })
     }
@@ -171,7 +140,7 @@ impl CryptoProvider {
     /// value recomputed during verification), from the cached schedule.
     #[must_use]
     fn expected_signature(&self, signer: ComponentId, digest: &Digest) -> Signature {
-        self.signing_schedule_of(signer, |schedule| {
+        self.store.signing_schedule_of(signer, |schedule| {
             SimSigner::sign_with_schedule(schedule, digest)
         })
     }

@@ -50,7 +50,7 @@ impl SimSigner {
     }
 
     /// Verifies that `signature` is `signer`'s signature over `digest`,
-    /// using the trusted key registry.
+    /// using the trusted key registry and the signing schedule it caches.
     #[must_use]
     pub fn verify(
         store: &KeyStore,
@@ -58,8 +58,9 @@ impl SimSigner {
         digest: &Digest,
         signature: &Signature,
     ) -> bool {
-        let schedule = store.keypair_for(signer).signing_schedule();
-        Self::verify_with_schedule(&schedule, digest, signature)
+        store.signing_schedule_of(signer, |schedule| {
+            Self::verify_with_schedule(schedule, digest, signature)
+        })
     }
 
     /// Verifies a signature against an already-derived signing schedule

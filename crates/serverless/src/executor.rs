@@ -9,6 +9,7 @@
 
 use crate::faults::ExecutorBehavior;
 use crate::messages::{ExecuteRequest, VerifyMessage};
+use sbft_crypto::hashing::compute_batch_digest;
 use sbft_crypto::CryptoHandle;
 use sbft_storage::StorageReader;
 use sbft_types::{
@@ -128,8 +129,9 @@ impl Executor {
     /// Handles an `EXECUTE` request end to end: certificate validation,
     /// execution, and construction of the `VERIFY` message(s).
     ///
-    /// Returns an error if the request is malformed (bad spawner signature
-    /// or an invalid certificate) — honest executors refuse to execute such
+    /// Returns an error if the request is malformed (bad spawner
+    /// signature, an invalid certificate, or a body that does not hash to
+    /// the certified digest) — honest executors refuse to execute such
     /// requests, which is what defeats the duplicate-spawning attacks of
     /// Section V-C.
     pub fn handle_execute(&self, req: &ExecuteRequest) -> SbftResult<ExecutorOutput> {
@@ -154,6 +156,17 @@ impl Executor {
             return Err(SbftError::BadCertificate(
                 "certificate does not cover the batch in the EXECUTE message".into(),
             ));
+        }
+        // The body must be the batch the certificate covers, or a spawner
+        // holding a valid certificate could have its executors run (and
+        // the verifier apply) writes nobody ordered. `Δ` is recomputed
+        // from the transactions: the batch's digest memo is whatever the
+        // holder of the `Batch` filled it with.
+        if compute_batch_digest(&req.batch) != req.digest {
+            return Err(SbftError::BadCertificate(format!(
+                "the EXECUTE body for seq {:?} does not hash to the certified digest",
+                req.seq
+            )));
         }
 
         if !self.behavior.responds() {
@@ -249,7 +262,7 @@ mod tests {
         }
 
         fn execute_request(&self, batch: Batch, spawner: NodeId) -> ExecuteRequest {
-            let digest = sbft_consensus_digest(&batch);
+            let digest = compute_batch_digest(&batch);
             let cd = commit_digest(ViewNumber(0), SeqNum(1), &digest);
             let entries = (0..3u32)
                 .map(|n| {
@@ -282,18 +295,6 @@ mod tests {
                 signature,
             }
         }
-    }
-
-    /// Batch digest helper mirroring `sbft_consensus::messages::batch_digest`
-    /// (the serverless crate does not depend on the consensus crate).
-    fn sbft_consensus_digest(batch: &Batch) -> sbft_types::Digest {
-        let mut values = Vec::new();
-        values.push(batch.len() as u64);
-        for txn in batch.txns() {
-            values.push(u64::from(txn.id.client.0));
-            values.push(txn.id.counter);
-        }
-        sbft_crypto::digest_u64s("test-batch", &values)
     }
 
     fn batch() -> Batch {
@@ -425,6 +426,36 @@ mod tests {
         forged.certificate = other.certificate;
         let e = fx.executor(1, ExecutorBehavior::Honest);
         assert!(e.handle_execute(&forged).is_err());
+    }
+
+    #[test]
+    fn a_body_other_than_the_certified_batch_is_refused() {
+        let fx = Fixture::new();
+        let req = fx.execute_request(batch(), NodeId(0));
+        // A byzantine spawner keeps the certificate, its digest and its
+        // own valid signature, and swaps the body: one more transaction.
+        let mut txns = batch().txns().to_vec();
+        txns.push(Transaction::new(
+            TxnId::new(ClientId(7), 0),
+            vec![Operation::Write(Key(4), Value::new(1))],
+        ));
+        let swapped = Batch::new(txns);
+        // Its digest memo claims the certified digest.
+        assert_eq!(swapped.digest_memo(|| req.digest), req.digest);
+        let forged = ExecuteRequest {
+            batch: swapped,
+            ..req.clone()
+        };
+        for behavior in [ExecutorBehavior::Honest, ExecutorBehavior::Crash] {
+            assert!(matches!(
+                fx.executor(1, behavior).handle_execute(&forged),
+                Err(SbftError::BadCertificate(_))
+            ));
+        }
+        assert!(fx
+            .executor(1, ExecutorBehavior::Honest)
+            .handle_execute(&req)
+            .is_ok());
     }
 
     #[test]

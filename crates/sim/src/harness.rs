@@ -987,12 +987,12 @@ mod tests {
     /// The benchmark's `saturate` point shrunk a hundredfold: one region,
     /// 512 closed-loop clients, and a run of about three commit latencies
     /// (30 ms here), so each client is answered about three times as it
-    /// is there. Every answered request leaves a cancelled 2 s client
-    /// timer behind: it costs a small entry in the deadline heap until it
-    /// is due, but no timer slot, no table entry and no place among the
-    /// deliveries.
+    /// is there. An answered request's cancelled 2 s client timer costs
+    /// no timer slot, no table entry and no place among the deliveries,
+    /// and its entry in the deadline heap goes at the next arming that
+    /// finds the heap past two deadlines per client.
     #[test]
-    fn answered_requests_leave_no_armed_timer_and_a_small_stale_deadline() {
+    fn answered_requests_leave_no_armed_timer_and_few_stale_deadlines() {
         let mut cfg = tiny_config();
         cfg.regions = sbft_types::RegionSet::home_only();
         let clients = 512;
@@ -1021,21 +1021,28 @@ mod tests {
         }
 
         // `saturate` ends with ~31 k queued events (deliveries in flight,
-        // 32 bytes each) and ~195 k client deadlines (3.8 per client,
-        // nearly all stale, 24 bytes each): 5.7 MB, 111 bytes of queue per
-        // client. Ahead of the deliveries those deadlines made a heap of
-        // 226 k; apart, the deliveries (and the per-batch node timers) sift
-        // through less than one entry per client.
+        // 32 bytes each) and at most 2 × 51 200 + 16 client deadlines (24
+        // bytes each); it ended with ~195 k of them, nearly all stale,
+        // while each was kept until due. Ahead of the deliveries those
+        // deadlines made a heap of 226 k; apart, the deliveries (and the
+        // per-batch node timers) sift through less than one entry per
+        // client. Here: 827 events and 988 deadlines, 98 bytes of queue
+        // per client (2 046 deadlines and 147 bytes while they were kept).
         let queued = harness.queue.len();
-        assert!(queued > 2 * clients, "{queued} entries still queued");
+        let events = harness.queue.events_len();
         assert!(
-            harness.queue.events_len() < 2 * clients,
-            "{} events queued for {clients} clients",
-            harness.queue.events_len()
+            events < 2 * clients,
+            "{events} events queued for {clients} clients"
+        );
+        let deadlines = queued - events;
+        assert!(deadlines > clients, "{deadlines} client deadlines queued");
+        assert!(
+            deadlines <= harness.queue.deadline_bound(),
+            "{deadlines} client deadlines queued for {clients} clients"
         );
         let queue_bytes = harness.queue.queued_bytes();
         assert!(
-            queue_bytes / clients < 160,
+            queue_bytes / clients < 112,
             "{queued} queued entries, {queue_bytes} bytes for {clients} clients"
         );
         assert_eq!(harness.into_metrics().aborted_txns, 0);

@@ -18,7 +18,14 @@
 //!   nothing else, and a queued deadline is live only while its client's
 //!   slot still carries its `seq`. Nearly all of them are cancelled long
 //!   before they are due; kept apart, they cost the deliveries no heap
-//!   depth, and pushing deadlines that only grow never sifts.
+//!   depth, and pushing deadlines that only grow never sifts. A cancelled
+//!   deadline is not looked for, but it is not kept until it is due
+//!   either: once the heap holds more than two per client (plus a small
+//!   slack), the next arming keeps only the live ones, at most one per
+//!   client. Each such pass is paid for by the at least `clients` armings
+//!   since the last, and it removes only entries that would have popped
+//!   as [`Fired::StaleTimer`]: every live timer still fires at its
+//!   `(time, seq)`.
 
 use crate::harness::{Delivery, EventKind};
 use sbft_core::events::ProtocolTimer;
@@ -58,6 +65,10 @@ impl Ord for Event {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
+
+/// Client deadlines the heap may hold beyond two per client before the
+/// next arming drops the stale ones.
+const DEADLINE_SLACK: usize = 16;
 
 /// The armed timer of one client: the `seq` its queued deadline carries
 /// (0 while unarmed) and the counter of the request it guards.
@@ -152,6 +163,12 @@ impl EventQueue {
         }));
     }
 
+    /// The most client deadlines the heap holds right after an arming:
+    /// reaching it, the next arming drops the stale ones.
+    pub(crate) fn deadline_bound(&self) -> usize {
+        2 * self.client_timers.len() + DEADLINE_SLACK
+    }
+
     /// Arms (or re-arms) `owner`'s `timer` to fire at `deadline`.
     pub(crate) fn arm(&mut self, owner: ComponentId, timer: ProtocolTimer, deadline: SimTime) {
         let seq = self.next_seq();
@@ -165,6 +182,11 @@ impl EventQueue {
                     seq,
                     counter: txn.counter,
                 };
+                if self.client_deadlines.len() >= self.deadline_bound() {
+                    let timers = &self.client_timers;
+                    self.client_deadlines
+                        .retain(|Reverse((_, seq, client))| timers[*client as usize].seq == *seq);
+                }
                 self.client_deadlines
                     .push(Reverse((deadline, seq, client.0)));
                 return;
@@ -371,6 +393,86 @@ mod tests {
         );
     }
 
+    /// A closed loop of `clients` clients over 200 rounds, 10 µs apart:
+    /// every client without a request out arms one; one in five of those
+    /// goes unanswered and fires 25 µs later, the others are answered
+    /// (cancelled) at once. `owner` picks whose path the timers take.
+    /// Returns every timer that fired, as `(time, client, counter)`, and
+    /// the most client deadlines queued after any arming.
+    fn closed_loop(
+        clients: u32,
+        owner: impl Fn(u32) -> ComponentId,
+    ) -> (Vec<(SimTime, u32, u64)>, usize) {
+        let mut q = EventQueue::new(clients as usize);
+        let mut fired = Vec::new();
+        let mut outstanding = vec![false; clients as usize];
+        let mut most_deadlines = 0;
+        let mut pop = |q: &mut EventQueue, outstanding: &mut [bool]| {
+            let popped = q.pop()?;
+            match popped.fired {
+                Fired::Timer(_, ProtocolTimer::ClientRequest(txn)) => {
+                    outstanding[txn.client.0 as usize] = false;
+                    fired.push((popped.time, txn.client.0, txn.counter));
+                }
+                Fired::StaleTimer => {}
+                Fired::Event(_) => return None,
+                _ => panic!("only timers and markers were queued"),
+            }
+            Some(())
+        };
+        for round in 0..200u64 {
+            let now = round * 10;
+            // Everything due before this round, up to a marker at `now`.
+            q.push(at(now), marker(0));
+            while pop(&mut q, &mut outstanding).is_some() {}
+            for c in 0..clients {
+                if outstanding[c as usize] {
+                    continue;
+                }
+                let timer = ProtocolTimer::ClientRequest(TxnId::new(ClientId(c), round));
+                if (round + u64::from(c)) % 5 == 0 {
+                    q.arm(owner(c), timer, at(now + 25));
+                    outstanding[c as usize] = true;
+                } else {
+                    q.arm(owner(c), timer, at(now + 2_000));
+                    q.cancel(owner(c), timer);
+                }
+                most_deadlines = most_deadlines.max(q.len() - q.events_len());
+            }
+        }
+        while pop(&mut q, &mut outstanding).is_some() {}
+        assert_eq!(q.len(), 0);
+        (fired, most_deadlines)
+    }
+
+    #[test]
+    fn answered_requests_leave_a_bounded_number_of_deadlines() {
+        let clients = 8;
+        let (through_slot, most_deadlines) =
+            closed_loop(clients, |c| ComponentId::Client(ClientId(c)));
+        // The table path keeps every cancelled timer queued until it is
+        // due: it fires what the slot path fired before stale deadlines
+        // were dropped.
+        let (through_table, table_deadlines) =
+            closed_loop(clients, |c| ComponentId::Node(NodeId(c)));
+        assert_eq!(table_deadlines, 0);
+        assert_eq!(through_slot, through_table);
+        // 200 rounds × 8 clients, a fifth of them unanswered for 3 rounds.
+        assert!(
+            through_slot.len() > 200,
+            "{} timers fired",
+            through_slot.len()
+        );
+        let bound = EventQueue::new(clients as usize).deadline_bound();
+        assert_eq!(bound, 2 * clients as usize + DEADLINE_SLACK);
+        assert!(
+            most_deadlines <= bound,
+            "{most_deadlines} client deadlines queued, bound {bound}"
+        );
+        // Without the drop, the 2 ms deadlines of 200 rounds would pile up.
+        assert!(most_deadlines > clients as usize);
+    }
+
     #[test]
     fn an_unarmed_slot_reports_no_request() {
         let mut q = EventQueue::new(2);
@@ -455,6 +557,15 @@ mod tests {
         Timer(ComponentId, ProtocolTimer),
     }
 
+    fn is_client(queued: &Expected) -> bool {
+        matches!(queued, Expected::Timer(ComponentId::Client(_), _))
+    }
+
+    /// The client deadlines the model holds.
+    fn client_deadlines(model: &BTreeMap<(SimTime, u64), Expected>) -> usize {
+        model.values().filter(|queued| is_client(queued)).count()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -462,10 +573,11 @@ mod tests {
         /// pops, entries leave in strict `(time, seq)` order — `seq`
         /// counting pushes and arms alike — a timer fires only if it is
         /// still the latest arming of its key, and everything else shows
-        /// up as a stale deadline at its place in the order.
+        /// up as a stale deadline at its place in the order — bar the
+        /// cancelled client deadlines an arming past the bound dropped.
         #[test]
         fn pops_follow_time_then_arming_order(
-            steps in proptest::collection::vec(step(), 1..120),
+            steps in proptest::collection::vec(step(), 1..400),
         ) {
             let mut q = EventQueue::new(4);
             // (time, seq) -> what was queued; the live arming of each key.
@@ -517,13 +629,22 @@ mod tests {
                         seq += 1;
                         let (component, timer) = timer_of(owner, counter);
                         q.arm(component, timer, at(clock + delay));
-                        model.insert((at(clock + delay), seq), Expected::Timer(component, timer));
                         if owner < 4 {
                             // A client has one slot: arming replaces
-                            // whatever request it held.
+                            // whatever request it held. Past the bound,
+                            // the cancelled deadlines leave the queue.
                             live.retain(|(o, _), _| *o != owner);
+                            if client_deadlines(&model) >= q.deadline_bound() {
+                                model.retain(|(_, s), queued| {
+                                    !is_client(queued) || live.values().any(|l| l == s)
+                                });
+                            }
                         }
+                        model.insert((at(clock + delay), seq), Expected::Timer(component, timer));
                         live.insert((owner, counter), seq);
+                        let queued = client_deadlines(&model);
+                        prop_assert_eq!(q.len() - q.events_len(), queued);
+                        prop_assert!(queued <= q.deadline_bound());
                     }
                     Step::Cancel { owner, counter } => {
                         let (component, timer) = timer_of(owner, counter);

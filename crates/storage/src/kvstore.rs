@@ -11,13 +11,21 @@
 //! # Layout
 //!
 //! Key `k` lives in shard `k & (shards − 1)`, at slot `k >> log2(shards)`.
-//! A shard is one lock over three fields: a slot array
-//! (`Vec<StoreEntry>`, indexed by slot), a map for the keys past the end
-//! of that array, and the number of keys the two hold. A slot at version
-//! 0 is absent, which is the store's convention anyway: a stored key's
-//! version starts at 1, and `version_of` a missing key is `Version(0)`.
-//! So a record in its slot costs the 24 bytes of its entry and nothing
-//! more.
+//! A shard is one lock over three fields: a slot array (indexed by
+//! slot), a map for the keys past the end of that array, and the number
+//! of keys the two hold. A slot at version 0 is absent, which is the
+//! store's convention anyway: a stored key's version starts at 1, and
+//! `version_of` a missing key is `Version(0)`.
+//!
+//! A slot is 16 bytes: the value's `data` (`u64`), the version (`u32`)
+//! and the value's `logical_len` (`u32`), with no padding. [`StoreEntry`]
+//! (a [`Value`] and a `u64` [`Version`], 24 bytes with its padding) is
+//! what `get` returns and `put` and `load` take apart; only the store
+//! holds the narrow form. So a record in its slot costs 16 bytes and
+//! nothing more, and a key takes at most `u32::MAX` versions: the write
+//! that would pass that bound panics instead of wrapping (no run comes
+//! near it — a key written once a microsecond reaches it after 71
+//! minutes of simulated time).
 //!
 //! Two paths size the arrays, and both give a shard one slot per key below
 //! a bound `n` that maps to it: `⌈(n − s) / shards⌉` slots in shard `s`.
@@ -53,32 +61,61 @@ pub struct StoreEntry {
     pub version: Version,
 }
 
+/// A record as the store holds it: a [`StoreEntry`] in 16 bytes, its
+/// version narrowed to `u32` (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Slot {
+    data: u64,
+    version: u32,
+    logical_len: u32,
+}
+
 /// What an absent slot holds: version 0 marks it absent.
-const ABSENT: StoreEntry = StoreEntry {
-    value: Value::new(0),
-    version: Version(0),
+const ABSENT: Slot = Slot {
+    data: 0,
+    version: 0,
+    logical_len: 0,
 };
+
+impl Slot {
+    /// `value` at `version`.
+    fn new(value: Value, version: u32) -> Self {
+        Slot {
+            data: value.data,
+            version,
+            logical_len: value.logical_len,
+        }
+    }
+
+    /// The record in its public shape, `None` for an absent slot.
+    fn entry(self) -> Option<StoreEntry> {
+        (self.version != ABSENT.version).then_some(StoreEntry {
+            value: Value::with_len(self.data, self.logical_len),
+            version: Version(u64::from(self.version)),
+        })
+    }
+}
 
 /// One shard: the slot array, the map of keys past its end, and how many
 /// keys the two hold.
 #[derive(Debug, Default)]
 struct Shard {
-    slots: Vec<StoreEntry>,
-    overflow: IdMap<Key, StoreEntry>,
+    slots: Vec<Slot>,
+    overflow: IdMap<Key, Slot>,
     len: usize,
 }
 
 impl Shard {
     fn get(&self, key: Key, slot: usize) -> Option<StoreEntry> {
         match self.slots.get(slot) {
-            Some(entry) => (entry.version != ABSENT.version).then_some(*entry),
-            None => self.overflow.get(&key).copied(),
+            Some(entry) => entry.entry(),
+            None => self.overflow.get(&key).and_then(|entry| entry.entry()),
         }
     }
 
-    /// The entry a write of `key` (at `slot`) goes to, counted as present:
+    /// The slot a write of `key` (at `slot`) goes to, counted as present:
     /// the caller gives it a version.
-    fn entry_mut(&mut self, key: Key, slot: usize) -> &mut StoreEntry {
+    fn entry_mut(&mut self, key: Key, slot: usize) -> &mut Slot {
         let entry = match self.slots.get_mut(slot) {
             Some(entry) => entry,
             None => self.overflow.entry(key).or_insert(ABSENT),
@@ -93,10 +130,7 @@ impl Shard {
     /// filled to `end`: a slot between the array's length and `end` is
     /// reached by padding the gap with absent slots.
     fn load(&mut self, key: Key, slot: usize, end: usize, value: Value) {
-        let entry = StoreEntry {
-            value,
-            version: Version(1),
-        };
+        let entry = Slot::new(value, 1);
         if (self.slots.len()..end).contains(&slot) {
             self.slots.resize(slot, ABSENT);
             self.slots.push(entry);
@@ -141,11 +175,8 @@ impl VersionedStore {
         let shift = stride.trailing_zeros();
         let shards = (0..stride)
             .map(|index| {
-                let slots: Vec<StoreEntry> = (0..n.saturating_sub(index).div_ceil(stride))
-                    .map(|slot| StoreEntry {
-                        value: value_of((slot << shift) | index),
-                        version: Version(1),
-                    })
+                let slots: Vec<Slot> = (0..n.saturating_sub(index).div_ceil(stride))
+                    .map(|slot| Slot::new(value_of((slot << shift) | index), 1))
                     .collect();
                 RwLock::new(Shard {
                     len: slots.len(),
@@ -204,13 +235,23 @@ impl VersionedStore {
     }
 
     /// Writes a key, bumping its version, and returns the new version.
+    ///
+    /// # Panics
+    ///
+    /// If the key already holds `u32::MAX` versions, the bound of a
+    /// store slot (see the module docs).
     pub fn put(&self, key: Key, value: Value) -> Version {
         let (shard, slot) = self.locate(key);
         let mut shard = shard.write().expect("a store writer panicked");
         let entry = shard.entry_mut(key, slot);
-        entry.value = value;
-        entry.version = Version(entry.version.0 + 1);
-        entry.version
+        let Some(version) = entry.version.checked_add(1) else {
+            panic!(
+                "key {} would pass u32::MAX versions, the bound of a store slot",
+                key.0
+            );
+        };
+        *entry = Slot::new(value, version);
+        Version(u64::from(version))
     }
 
     /// Applies a set of writes atomically with respect to each key
@@ -308,6 +349,33 @@ mod tests {
         assert_eq!(v1, Version(1));
         assert_eq!(v2, Version(2));
         assert_eq!(store.get(Key(1)).unwrap().value, Value::new(20));
+    }
+
+    #[test]
+    fn a_record_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 70 would pass u32::MAX versions, the bound of a store slot")]
+    fn a_write_past_the_version_bound_panics() {
+        let store = VersionedStore::dense(100, Value::new);
+        // Key 1 000 goes to shard 40's map, key 70 sits in shard 6's array.
+        store.put(Key(1_000), Value::new(1));
+        for key in [Key(1_000), Key(70)] {
+            let (index, slot) = store.place(key);
+            let mut shard = store.shards[index].write().unwrap();
+            shard.entry_mut(key, slot).version = u32::MAX - 1;
+        }
+        assert_eq!(
+            store.put(Key(1_000), Value::new(2)),
+            Version(u64::from(u32::MAX))
+        );
+        assert_eq!(
+            store.put(Key(70), Value::new(2)),
+            Version(u64::from(u32::MAX))
+        );
+        store.put(Key(70), Value::new(3));
     }
 
     #[test]

@@ -120,8 +120,9 @@ impl Batch {
     }
 
     /// Returns the memoized batch digest, computing it with `compute` on
-    /// first use. The digest function itself lives in the consensus layer
-    /// (it defines the wire format); this only provides the cache slot.
+    /// first use. The digest function itself lives in `sbft-crypto`
+    /// (`compute_batch_digest`); this only provides the cache slot, which
+    /// whoever holds the batch fills with what `compute` returns.
     pub fn digest_memo(&self, compute: impl FnOnce() -> Digest) -> Digest {
         *self.digest.get_or_init(compute)
     }

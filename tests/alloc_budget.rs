@@ -47,14 +47,16 @@ const MAX_BYTES_PER_TXN: f64 = 2_560.0;
 /// outstanding requests on the heap).
 const MAX_BYTES_PER_CLIENT_AT_REST: f64 = 208.0;
 /// Bytes per client the point may hold at its peak, records excluded
-/// (4 696 measured; 5 304 while the shim kept two per-id ledgers and a
+/// (3 914 measured; 4 631 while every answered request's client deadline
+/// stayed queued until due, 5 304 while the shim kept two per-id ledgers and a
 /// 96-byte payload per waiting id beside its duplicate-suppression table,
 /// 7 173 while every suppressed id kept that payload and the tables sized
 /// by the population were regrown by doubling).
-const MAX_PEAK_BYTES_PER_CLIENT: f64 = 5_000.0;
-/// Bytes a loaded YCSB record may cost: its 24-byte entry in a slot array
-/// (24.3 measured; 54.3 while every record sat in a hash bucket).
-const MAX_BYTES_PER_RECORD: f64 = 26.0;
+const MAX_PEAK_BYTES_PER_CLIENT: f64 = 4_300.0;
+/// Bytes a loaded YCSB record may cost: its 16-byte slot in a slot array
+/// (16.3 measured; 24.3 while a slot held a whole 24-byte `StoreEntry`,
+/// 54.3 while every record sat in a hash bucket).
+const MAX_BYTES_PER_RECORD: f64 = 18.0;
 /// Shards of `VersionedStore::new()`: loading it may allocate one slot
 /// array per shard and the vector of their guards.
 const STORE_SHARDS: u64 = 64;
