@@ -243,7 +243,7 @@ mod tests {
     use crate::messages::{header_digest, PrePrepare, ProposalBody};
     use crate::traits::OrderingProtocol;
     use sbft_crypto::CryptoProvider;
-    use sbft_types::{ClientId, ComponentId, Key, Operation};
+    use sbft_types::{ClientId, ComponentId, Key, Operation, Value};
 
     #[test]
     fn batch_fetch_retries_visit_every_other_replica_once_primary_first() {
@@ -424,12 +424,13 @@ mod tests {
         assert!(shim.replicas[1].pending_reconstructions().is_empty());
     }
 
-    #[test]
-    fn poisoned_fill_is_quarantined_and_the_filler_blamed() {
+    /// Proposes `b` in digest mode; node 1 holds every body but the last
+    /// and node 2 answers its fetch with `poison` in place of that body.
+    /// Returns the shim and node 1's reaction to the fill.
+    fn fill_poisoned(b: &Batch, poison: Transaction) -> (TestShim, Vec<ConsensusAction>) {
         let mut shim = TestShim::new_digest(4);
-        let b = wide_batch(0, 3);
-        // Node 1 holds all bodies but the last.
-        for txn in &b.txns()[..2] {
+        let (last, held) = b.txns().split_last().expect("a non-empty batch");
+        for txn in held {
             let _ = shim.replicas[1].offer_body(txn.clone());
         }
         let actions = shim.replicas[0].submit_batch(b.clone());
@@ -441,18 +442,57 @@ mod tests {
             })
             .expect("digest proposal broadcast");
         let _ = shim.replicas[1].handle_message(NodeId(0), proposal);
-        // Node 2 answers the fetch with a wrong body under the right id.
-        let missing_id = b.txns()[2].id;
+        assert_eq!(poison.id, last.id, "the poison answers for the missing id");
         let poisoned = ConsensusMessage::BatchFill(BatchFill {
             sender: NodeId(2),
             seq: SeqNum(1),
-            digest: batch_digest(&b),
-            bodies: vec![Transaction::new(
-                missing_id,
-                vec![Operation::Read(Key(999))],
-            )],
+            digest: batch_digest(b),
+            bodies: vec![poison],
         });
         let after = shim.replicas[1].handle_message(NodeId(2), poisoned);
+        (shim, after)
+    }
+
+    /// The fetch of every body of a three-transaction batch in `actions`.
+    fn full_refetch(actions: &[ConsensusAction]) -> Option<ConsensusMessage> {
+        actions.iter().find_map(|a| match a {
+            ConsensusAction::Send(_, m @ ConsensusMessage::BatchFetch(f))
+                if f.missing.len() == 3 =>
+            {
+                Some(m.clone())
+            }
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn a_fill_that_swaps_a_written_value_is_refetched_not_voted_on() {
+        // Same id, same key, another value: Δ binds the value, so the
+        // reconstruction does not match and every body is fetched again.
+        let write = |i: u64, data| {
+            Transaction::new(
+                TxnId::new(ClientId(1), i),
+                vec![Operation::Write(Key(i), Value::new(data))],
+            )
+        };
+        let b = Batch::new((0..3).map(|i| write(i, 1)).collect());
+        let (shim, after) = fill_poisoned(&b, write(2, 999));
+        assert!(
+            !after
+                .iter()
+                .any(|a| matches!(a, ConsensusAction::Broadcast(ConsensusMessage::Prepare(_)))),
+            "a swapped value must never produce a vote: {after:?}"
+        );
+        assert!(full_refetch(&after).is_some(), "every body is refetched");
+        assert_eq!(shim.replicas[1].bad_responses.get(&NodeId(2)), Some(&1));
+    }
+
+    #[test]
+    fn poisoned_fill_is_quarantined_and_the_filler_blamed() {
+        let b = wide_batch(0, 3);
+        // Node 2 answers the fetch with a wrong body under the right id.
+        let poison = Transaction::new(b.txns()[2].id, vec![Operation::Read(Key(999))]);
+        let (mut shim, after) = fill_poisoned(&b, poison);
         assert!(
             !after
                 .iter()
@@ -471,17 +511,7 @@ mod tests {
         );
         // The refetch of every body, answered by an honest peer holding
         // the batch (the primary), still completes.
-        let refetch = after
-            .iter()
-            .find_map(|a| match a {
-                ConsensusAction::Send(_, m @ ConsensusMessage::BatchFetch(f))
-                    if f.missing.len() == 3 =>
-                {
-                    Some(m.clone())
-                }
-                _ => None,
-            })
-            .expect("refetch of every body");
+        let refetch = full_refetch(&after).expect("refetch of every body");
         let fill_actions = shim.replicas[0].handle_message(NodeId(1), refetch);
         let fill = fill_actions
             .iter()

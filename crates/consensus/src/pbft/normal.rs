@@ -2,7 +2,9 @@
 
 use super::PbftReplica;
 use crate::actions::{ConsensusAction, ConsensusTimer};
-use crate::messages::{batch_digest, Commit, ConsensusMessage, PrePrepare, Prepare, ProposalBody};
+use crate::messages::{
+    compute_batch_digest, Commit, ConsensusMessage, PrePrepare, Prepare, ProposalBody,
+};
 use sbft_crypto::CommitCertificate;
 use sbft_types::{Digest, NodeId, SeqNum, ViewNumber};
 use std::sync::Arc;
@@ -129,7 +131,8 @@ impl PbftReplica {
                 return self.reconstruct(pp.view, pp.seq, pp.digest, txn_ids);
             }
         };
-        if batch_digest(&batch) != pp.digest {
+        // The body came from the primary: hash it, never read its memo.
+        if compute_batch_digest(&batch) != pp.digest {
             return Vec::new();
         }
         if !self
@@ -151,7 +154,7 @@ mod tests {
     use super::super::SEQ_WINDOW_INTERVALS;
     use super::*;
     use crate::actions::committed_seqs;
-    use crate::messages::header_digest;
+    use crate::messages::{batch_digest, header_digest};
     use crate::traits::OrderingProtocol;
     use sbft_types::ComponentId;
 
@@ -271,6 +274,31 @@ mod tests {
         // than accepting the conflicting proposal.
         assert!(actions.iter().any(|a| a.is_message_kind("VIEWCHANGE")));
         assert!(committed_seqs(&actions).is_empty());
+    }
+
+    #[test]
+    fn a_pre_prepare_whose_memo_lies_is_refused() {
+        // The primary MACs the digest of one batch but ships another whose
+        // digest memo it filled with that digest: a backup hashes the body
+        // it was given and votes on nothing.
+        let mut shim = TestShim::new(4);
+        let digest = batch_digest(&batch(0));
+        let lying = batch(99);
+        assert_eq!(lying.digest_memo(|| digest), digest);
+        let header = header_digest("preprepare", ViewNumber(0), SeqNum(1), &digest);
+        let pp = PrePrepare {
+            view: ViewNumber(0),
+            seq: SeqNum(1),
+            digest,
+            body: ProposalBody::Batch(lying),
+            mac: shim
+                .provider
+                .handle(ComponentId::Node(NodeId(0)))
+                .broadcast_mac(&header),
+        };
+        let actions = shim.replicas[1].handle_message(NodeId(0), ConsensusMessage::PrePrepare(pp));
+        assert!(actions.is_empty(), "{actions:?}");
+        assert!(shim.replicas[1].log.entry(SeqNum(1)).is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use super::{PbftReplica, STATE_RETRY_BUDGET};
 use crate::actions::{ConsensusAction, ConsensusTimer};
-use crate::messages::{batch_digest, ConsensusMessage, StateRequest, StateResponse};
+use crate::messages::{compute_batch_digest, ConsensusMessage, StateRequest, StateResponse};
 use sbft_durability::RecoveredEntry;
 use sbft_types::{NodeId, SeqNum, Signature, SimDuration};
 use std::sync::Arc;
@@ -85,7 +85,7 @@ impl PbftReplica {
                         self.params.n_r,
                     )
                     .is_err()
-                || batch_digest(&e.batch) != e.certificate.batch_digest
+                || compute_batch_digest(&e.batch) != e.certificate.batch_digest
             {
                 garbage += 1;
                 continue;
@@ -211,6 +211,7 @@ mod tests {
     use super::super::tests::{batch, TestShim};
     use super::*;
     use crate::actions::committed_seqs;
+    use crate::messages::batch_digest;
     use crate::traits::OrderingProtocol;
     use sbft_crypto::CommitCertificate;
     use sbft_types::{ComponentId, FaultParams, ViewNumber};
@@ -322,33 +323,36 @@ mod tests {
     #[test]
     fn state_response_with_mismatched_batch_is_rejected() {
         // A byzantine responder ships a *valid* certificate but pairs it
-        // with a different batch; the digest check must catch it.
-        let mut shim = TestShim::new(4);
-        shim.submit_to_primary(batch(0));
-        let cert = Arc::clone(&shim.certificates[0]);
-        let evil = StateResponse {
-            sender: NodeId(2),
-            stable_seq: SeqNum(0),
-            entries: vec![RecoveredEntry {
-                seq: cert.seq,
-                view: cert.view,
-                batch: batch(99),
-                certificate: cert,
-            }],
-        };
-        // Reset node 3 so the entry is genuinely missing there.
-        let params = FaultParams::for_shim_size(4);
-        shim.replicas[3] = PbftReplica::new(
-            NodeId(3),
-            params,
-            shim.provider.handle(ComponentId::Node(NodeId(3))),
-            SimDuration::from_millis(100),
-            4,
-        );
-        let actions =
-            shim.replicas[3].handle_message(NodeId(2), ConsensusMessage::StateResponse(evil));
-        assert!(actions.is_empty());
-        assert!(!shim.replicas[3].log.is_committed(SeqNum(1)));
+        // with a different batch; the digest check must catch it, also
+        // when the responder filled that batch's digest memo with the
+        // certified digest (the receiver hashes the body itself), and
+        // the entry counts against the sender.
+        for lie_in_memo in [false, true] {
+            let mut shim = TestShim::new(4);
+            shim.submit_to_primary(batch(0));
+            let cert = Arc::clone(&shim.certificates[0]);
+            let other = batch(99);
+            if lie_in_memo {
+                assert_eq!(other.digest_memo(|| cert.batch_digest), cert.batch_digest);
+            }
+            let evil = StateResponse {
+                sender: NodeId(2),
+                stable_seq: SeqNum(0),
+                entries: vec![RecoveredEntry {
+                    seq: cert.seq,
+                    view: cert.view,
+                    batch: other,
+                    certificate: cert,
+                }],
+            };
+            // Reset node 3 so the entry is genuinely missing there.
+            shim.replicas[3] = fresh_replica(&shim, 3);
+            let actions =
+                shim.replicas[3].handle_message(NodeId(2), ConsensusMessage::StateResponse(evil));
+            assert!(actions.is_empty(), "memo {lie_in_memo}: {actions:?}");
+            assert!(!shim.replicas[3].log.is_committed(SeqNum(1)));
+            assert_eq!(shim.replicas[3].bad_responses.get(&NodeId(2)), Some(&1));
+        }
     }
 
     /// A freshly constructed replica standing in for node `i` after a

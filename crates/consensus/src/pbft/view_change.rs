@@ -3,7 +3,7 @@
 use super::{PbftReplica, VIEW_WINDOW};
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::messages::{
-    batch_digest, ConsensusMessage, NewView, PreparedProof, ProposalBody, ViewChange,
+    compute_batch_digest, ConsensusMessage, NewView, PreparedProof, ProposalBody, ViewChange,
 };
 use sbft_types::{NodeId, SeqNum, Signature, ViewNumber};
 use std::collections::BTreeSet;
@@ -192,7 +192,7 @@ impl PbftReplica {
                 continue;
             };
             if admitted
-                && batch_digest(&batch) == pp.digest
+                && compute_batch_digest(&batch) == pp.digest
                 && self
                     .log
                     .accept_pre_prepare(pp.seq, pp.view, pp.digest, batch)
@@ -208,7 +208,7 @@ impl PbftReplica {
 mod tests {
     use super::super::tests::{batch, TestShim};
     use super::*;
-    use crate::messages::{header_digest, PrePrepare};
+    use crate::messages::{batch_digest, header_digest, PrePrepare};
     use crate::traits::OrderingProtocol;
     use sbft_types::ComponentId;
 
@@ -529,7 +529,7 @@ mod tests {
         let b = batch(1);
         let digest = batch_digest(&b);
         let other = batch(99);
-        for field in ["nothing", "mac", "seq", "digest"] {
+        for field in ["nothing", "mac", "seq", "digest", "memo"] {
             let mut shim = TestShim::new(4);
             let new_primary = shim.provider.handle(ComponentId::Node(NodeId(1)));
             let header = header_digest("preprepare", ViewNumber(1), SeqNum(1), &digest);
@@ -546,6 +546,13 @@ mod tests {
                 "digest" => {
                     reissue.digest = batch_digest(&other);
                     reissue.body = ProposalBody::Batch(other.clone());
+                }
+                // Another body whose digest memo was filled with the
+                // signed digest: the receiver hashes the body itself.
+                "memo" => {
+                    let lying = batch(99);
+                    assert_eq!(lying.digest_memo(|| digest), digest);
+                    reissue.body = ProposalBody::Batch(lying);
                 }
                 _ => {}
             }

@@ -37,16 +37,13 @@ impl ClientRequest {
 
     /// Computes the signing digest from scratch, bypassing the memo (the
     /// cache regression tests compare this against [`Self::signing_digest`]).
+    /// It binds every field of the transaction
+    /// ([`sbft_crypto::hashing::absorb_transaction`]), so a request whose
+    /// body was altered after signing no longer verifies.
     #[must_use]
     pub fn compute_signing_digest(txn: &Transaction) -> sbft_types::Digest {
         let mut h = sbft_crypto::U64Hasher::new("sbft-client-request");
-        h.push(u64::from(txn.id.client.0));
-        h.push(txn.id.counter);
-        h.push(txn.ops.len() as u64);
-        for op in &txn.ops {
-            h.push(op.key().0);
-            h.push(u64::from(op.is_write()));
-        }
+        sbft_crypto::hashing::absorb_transaction(&mut h, txn);
         h.finish()
     }
 }
@@ -511,6 +508,85 @@ mod tests {
         );
         assert_ne!(a, ClientRequest::signing_digest(&write));
         assert_eq!(a, ClientRequest::signing_digest(&txn()));
+    }
+
+    #[test]
+    fn every_transaction_field_moves_both_digests() {
+        // A byzantine primary or filler must not be able to change any
+        // field equality compares (a written value, an RMW salt, the
+        // declared set, the cost, the payload) under the client's
+        // signature or under the batch digest Δ.
+        use sbft_consensus::messages::compute_batch_digest;
+        use sbft_types::{Batch, RwSetKeys, SimDuration, Value};
+        #[derive(Clone)]
+        struct Shape {
+            counter: u64,
+            ops: Vec<Operation>,
+            rwset: Option<RwSetKeys>,
+            cost: u64,
+            payload: u32,
+        }
+        let build = |s: Shape| {
+            let txn = Transaction::new(TxnId::new(ClientId(1), s.counter), s.ops)
+                .with_execution_cost(SimDuration::from_micros(s.cost))
+                .with_payload_len(s.payload);
+            match s.rwset {
+                Some(rwset) => txn.with_declared_rwset(rwset),
+                None => txn,
+            }
+        };
+        let shape = Shape {
+            counter: 2,
+            ops: vec![
+                Operation::Write(Key(3), Value::with_len(10, 100)),
+                Operation::ReadModifyWrite(Key(4), 5),
+            ],
+            rwset: Some(RwSetKeys::new([Key(4)], [Key(3), Key(4)])),
+            cost: 50,
+            payload: 40,
+        };
+        type Mutation = (&'static str, fn(&mut Shape));
+        let mutations: [Mutation; 10] = [
+            ("txn id", |s| s.counter = 3),
+            ("op kind", |s| s.ops[0] = Operation::Read(Key(3))),
+            ("op key", |s| {
+                s.ops[0] = Operation::Write(Key(9), Value::with_len(10, 100))
+            }),
+            ("value data", |s| {
+                s.ops[0] = Operation::Write(Key(3), Value::with_len(11, 100))
+            }),
+            ("value length", |s| {
+                s.ops[0] = Operation::Write(Key(3), Value::with_len(10, 101))
+            }),
+            ("rmw salt", |s| {
+                s.ops[1] = Operation::ReadModifyWrite(Key(4), 6)
+            }),
+            ("declared set", |s| {
+                s.rwset = Some(RwSetKeys::new([], [Key(3), Key(4)]))
+            }),
+            ("no declared set", |s| s.rwset = None),
+            ("execution cost", |s| s.cost = 51),
+            ("payload length", |s| s.payload = 41),
+        ];
+        let base = build(shape.clone());
+        let request = ClientRequest::compute_signing_digest(&base);
+        let delta = compute_batch_digest(&Batch::new(vec![base.clone()]));
+        for (field, mutate) in mutations {
+            let mut mutated = shape.clone();
+            mutate(&mut mutated);
+            let mutant = build(mutated);
+            assert_ne!(mutant, base, "{field}: the mutant differs");
+            assert_ne!(
+                ClientRequest::compute_signing_digest(&mutant),
+                request,
+                "{field} moves the request digest"
+            );
+            assert_ne!(
+                compute_batch_digest(&Batch::new(vec![mutant])),
+                delta,
+                "{field} moves the batch digest"
+            );
+        }
     }
 
     #[test]

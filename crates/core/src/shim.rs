@@ -192,7 +192,7 @@ impl ShimNode {
             PbftReplica::new(
                 me,
                 config.fault,
-                crypto.provider().handle(ComponentId::Node(me)),
+                crypto.clone(),
                 config.timers.node_timeout,
                 config.timers.checkpoint_interval,
             )
@@ -1336,6 +1336,26 @@ mod tests {
             shim.nodes[0].on_client_request(&signed_request(&provider, 2, 0), SimTime::ZERO);
         let reproposed = proposed_batch(&actions).expect("second batch proposed");
         assert!(reproposed.txn_ids().contains(&forged_id));
+    }
+
+    #[test]
+    fn a_request_with_a_swapped_value_is_pruned_at_batch_submit() {
+        // A relay keeps the client's id, keys and signature but swaps the
+        // salt of its read-modify-write: the signature covers the salt, so
+        // the aggregate check fails and the bisecting fallback prunes it.
+        let mut shim = make_shim(base_config());
+        let provider = Arc::clone(&shim.provider);
+        let signed = signed_request(&provider, 0, 0);
+        let swapped = ClientRequest {
+            txn: Transaction::new(signed.txn.id, vec![Operation::ReadModifyWrite(Key(0), 999)]),
+            signature: signed.signature,
+        };
+        let _ = shim.nodes[0].on_client_request(&swapped, SimTime::ZERO);
+        let actions =
+            shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
+        let proposed = proposed_batch(&actions).expect("the honest transaction is proposed");
+        assert_eq!(proposed.txn_ids(), vec![TxnId::new(ClientId(1), 0)]);
+        assert_eq!(shim.nodes[0].rejected_txns.get(), 1);
     }
 
     #[test]

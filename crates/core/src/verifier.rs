@@ -1093,6 +1093,38 @@ mod tests {
     }
 
     #[test]
+    fn a_request_with_a_swapped_value_is_refused_by_the_verifier() {
+        // The client signed a write of 1; the copy that reaches the
+        // verifier writes 999 under the same id and signature. The
+        // untouched request is answered (an ERROR: the id is unknown),
+        // the swapped one is ignored.
+        let fx = Fixture::new();
+        let mut v = fx.verifier(ConflictHandling::NonConflicting);
+        let write = |data| {
+            Transaction::new(
+                TxnId::new(ClientId(5), 0),
+                vec![Operation::Write(Key(1), Value::new(data))],
+            )
+        };
+        let signed = ClientRequest {
+            signature: fx
+                .provider
+                .handle(ComponentId::Client(ClientId(5)))
+                .sign(&ClientRequest::signing_digest(&write(1))),
+            txn: write(1),
+        };
+        let swapped = ClientRequest {
+            txn: write(999),
+            ..signed.clone()
+        };
+        assert!(v.on_client_request(&swapped).is_empty());
+        assert!(v
+            .on_client_request(&signed)
+            .iter()
+            .any(|a| a.sends_kind("ERROR")));
+    }
+
+    #[test]
     fn client_retry_with_forged_signature_ignored() {
         let fx = Fixture::new();
         let mut v = fx.verifier(ConflictHandling::NonConflicting);

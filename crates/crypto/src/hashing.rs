@@ -10,10 +10,12 @@
 //!
 //! The batch digest `Δ` is one of those digests, so it lives here too:
 //! consensus orders batches under it and executors check the body they
-//! are given against it.
+//! are given against it. It and the client's request digest encode each
+//! transaction the same way ([`absorb_transaction`]), binding every field
+//! that transaction equality compares.
 
 use crate::sha256::Sha256;
-use sbft_types::{Batch, Digest, Transaction};
+use sbft_types::{Batch, Digest, Operation, Transaction};
 
 /// Hashes the concatenation of several byte slices without copying them
 /// into one buffer (domain separation is the caller's responsibility).
@@ -82,8 +84,53 @@ pub fn digest_u64s(label: &str, values: &[u64]) -> Digest {
     h.finish()
 }
 
+/// Absorbs one transaction: every field its equality compares — the id,
+/// each operation's kind, key and written value or salt, the declared
+/// read-write set, the execution cost and the payload length — so two
+/// transactions hash alike only if they are equal. The client's request
+/// digest and the batch digest `Δ` both use it: a body with one value
+/// swapped breaks the client's signature and `Δ`.
+///
+/// Every part is self-delimiting (a count precedes each list, a kind
+/// word each operation's variable part), and two 32-bit fields share a
+/// word where they can — the client with the payload length, a write's
+/// kind with its logical length — since every word costs hashing time
+/// on each of the several digests a transaction goes through.
+pub fn absorb_transaction(h: &mut U64Hasher, txn: &Transaction) {
+    h.push(u64::from(txn.id.client.0) | u64::from(txn.payload_len) << 32);
+    h.push(txn.id.counter);
+    h.push(txn.execution_cost.0);
+    h.push(txn.ops.len() as u64);
+    for op in &txn.ops {
+        h.push(op.key().0);
+        match *op {
+            Operation::Read(_) => h.push(0),
+            Operation::Write(_, value) => {
+                h.push(1 | u64::from(value.logical_len) << 32);
+                h.push(value.data);
+            }
+            Operation::ReadModifyWrite(_, salt) => {
+                h.push(2);
+                h.push(salt);
+            }
+        }
+    }
+    match &txn.declared_rwset {
+        None => h.push(0),
+        Some(rwset) => {
+            h.push(1);
+            for keys in [&rwset.read_keys, &rwset.write_keys] {
+                h.push(keys.len() as u64);
+                for key in keys {
+                    h.push(key.0);
+                }
+            }
+        }
+    }
+}
+
 /// The digest of a batch of transactions (`Δ = H(m)`), computed from
-/// its transactions: their identifiers and operation structure.
+/// its transactions, each encoded by [`absorb_transaction`].
 ///
 /// Consensus memoizes it on the batch (`sbft_consensus::messages::
 /// batch_digest`); a check against a digest someone else certified calls
@@ -126,13 +173,7 @@ impl BatchDigestAccumulator {
 
     /// Absorbs the next transaction of the batch (in batch order).
     pub fn absorb(&mut self, txn: &Transaction) {
-        self.hasher.push(u64::from(txn.id.client.0));
-        self.hasher.push(txn.id.counter);
-        self.hasher.push(txn.ops.len() as u64);
-        for op in &txn.ops {
-            self.hasher.push(op.key().0);
-            self.hasher.push(u64::from(op.is_write()));
-        }
+        absorb_transaction(&mut self.hasher, txn);
         self.absorbed += 1;
     }
 

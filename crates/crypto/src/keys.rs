@@ -1,25 +1,32 @@
-//! Key material and the trusted key registry.
+//! Key material, the trusted key registry and the one key-schedule table.
 //!
 //! The paper assumes public keys are distributed through public-key
 //! certificates and that byzantine components can neither impersonate
 //! honest components nor subvert cryptographic constructs (Section III).
-//! [`KeyStore`] models that trusted setup: every component's key pair is
-//! derived deterministically from a deployment-wide master seed, so any
-//! component can obtain any other component's *public* key (and the
-//! simulator can verify signatures without a heavyweight PKI). Secret keys
-//! are only handed to a component through its own
-//! [`crate::provider::CryptoHandle`].
+//! [`KeyStore`] models that trusted setup: every component's key pair and
+//! every pairwise MAC secret is derived deterministically from a
+//! deployment-wide master seed, so any component can obtain any other
+//! component's *public* key (and the simulator can verify signatures
+//! without a heavyweight PKI). Secret keys are only used on behalf of a
+//! component through its own [`crate::provider::CryptoHandle`].
 //!
-//! Verifying a signature needs the signer's HMAC key schedule, which costs
-//! the key-pair derivation and two SHA-256 compressions to build. The
-//! store keeps one per identity once it is first needed, so every
-//! verification path — [`crate::signature::SimSigner::verify`], the
-//! certificate check and [`crate::provider::CryptoProvider`] — reads the
-//! one cache.
+//! Every signature and MAC starts from an HMAC key schedule, which costs
+//! the key derivation and two SHA-256 compressions to build. The store is
+//! the only place schedules are kept, in two tables: signing schedules by
+//! identity, and MAC schedules by unordered identity pair (an identity's
+//! group-broadcast key is the pair `(x, x)`). Signing and verifying, MACing
+//! and checking a MAC, certificates and aggregate checks all read them.
+//!
+//! Only long-lived identities are cached: nodes, clients, the verifier,
+//! storage and the cloud. An executor identity is fresh per spawn, signs
+//! one `VERIFY` and is verified once, so its schedule is derived on use
+//! and dropped: the tables are bounded by the deployment's population,
+//! not by how many executors a run has spawned.
 
 use crate::hashing::digest_u64s;
 use crate::hmac::HmacKey;
 use sbft_types::{ComponentId, IdMap};
+use std::hash::Hash;
 use std::sync::RwLock;
 
 /// A 32-byte secret signing key.
@@ -60,12 +67,11 @@ impl KeyPair {
     /// Every signature under this key pair is two HMACs under this
     /// schedule (see [`crate::signature::SimSigner`]); deriving it costs
     /// two SHA-256 compressions, so callers that sign or verify more than
-    /// once should derive it once and cache it —
-    /// [`crate::provider::CryptoHandle`] does for its own identity, and
-    /// [`KeyStore`] for every identity it verifies.
+    /// once should derive it once and cache it, as [`KeyStore`] does for
+    /// every long-lived identity.
     #[must_use]
-    pub fn signing_schedule(&self) -> crate::hmac::HmacKey {
-        crate::hmac::HmacKey::new(&self.secret.0)
+    pub fn signing_schedule(&self) -> HmacKey {
+        HmacKey::new(&self.secret.0)
     }
 }
 
@@ -90,16 +96,39 @@ fn component_code(c: ComponentId) -> [u64; 2] {
 #[derive(Debug)]
 pub struct KeyStore {
     master_seed: u64,
-    /// Per-identity signing schedules, filled on first verification of a
-    /// signature from that identity.
+    /// Signing schedules of long-lived identities, by identity.
     sign_schedules: RwLock<IdMap<ComponentId, HmacKey>>,
+    /// MAC schedules of long-lived pairs, by unordered pair (stored as
+    /// `(lower, higher)`); `(x, x)` is `x`'s group-broadcast key.
+    mac_schedules: RwLock<IdMap<(ComponentId, ComponentId), HmacKey>>,
 }
 
-impl Clone for KeyStore {
-    fn clone(&self) -> Self {
-        // The cache is derived state; a clone starts cold.
-        KeyStore::new(self.master_seed)
+/// Whether `component` keeps its schedules in the store: every identity
+/// but an executor, which lives for one batch (see the module docs).
+fn long_lived(component: ComponentId) -> bool {
+    !matches!(component, ComponentId::Executor(_))
+}
+
+/// Lends the schedule of `key` in `table` to `use_it`, deriving and
+/// inserting it on first use. The lock is held for the HMACs `use_it`
+/// computes instead of copying the schedule out.
+fn lend<K: Copy + Eq + Hash, R>(
+    table: &RwLock<IdMap<K, HmacKey>>,
+    key: K,
+    derive: impl FnOnce() -> HmacKey,
+    use_it: impl FnOnce(&HmacKey) -> R,
+) -> R {
+    if let Some(schedule) = table.read().expect("schedule table").get(&key) {
+        return use_it(schedule);
     }
+    let schedule = derive();
+    use_it(
+        table
+            .write()
+            .expect("schedule table")
+            .entry(key)
+            .or_insert(schedule),
+    )
 }
 
 impl KeyStore {
@@ -109,43 +138,47 @@ impl KeyStore {
         KeyStore {
             master_seed,
             sign_schedules: RwLock::new(IdMap::default()),
+            mac_schedules: RwLock::new(IdMap::default()),
         }
     }
 
-    /// Sizes the signing-schedule cache for `signers` more identities (a
+    /// Sizes the signing table for `signers` more identities (a
     /// deployment knows its client population), so it is not regrown —
     /// old and new table held at once — while they show up one by one.
     pub(crate) fn reserve_signers(&self, signers: usize) {
         self.sign_schedules
             .write()
-            .expect("schedule cache")
+            .expect("schedule table")
             .reserve(signers);
     }
 
-    /// Lends the cached signing schedule of `component` (derived on first
-    /// use) to `use_it`, in place: the cache lock is held for the two
-    /// HMACs a signature costs instead of copying the schedule out.
+    /// Lends the signing schedule of `component` to `use_it`: from the
+    /// table for a long-lived identity, freshly derived for an executor.
     pub(crate) fn signing_schedule_of<R>(
         &self,
         component: ComponentId,
         use_it: impl FnOnce(&HmacKey) -> R,
     ) -> R {
-        if let Some(schedule) = self
-            .sign_schedules
-            .read()
-            .expect("schedule cache")
-            .get(&component)
-        {
-            return use_it(schedule);
+        let derive = || self.keypair_for(component).signing_schedule();
+        if !long_lived(component) {
+            return use_it(&derive());
         }
-        let schedule = self.keypair_for(component).signing_schedule();
-        use_it(
-            self.sign_schedules
-                .write()
-                .expect("schedule cache")
-                .entry(component)
-                .or_insert(schedule),
-        )
+        lend(&self.sign_schedules, component, derive, use_it)
+    }
+
+    /// Lends the MAC schedule of the channel between `a` and `b` (order
+    /// independent; `a == b` is `a`'s group-broadcast key) to `use_it`.
+    pub(crate) fn mac_schedule_of<R>(
+        &self,
+        a: ComponentId,
+        b: ComponentId,
+        use_it: impl FnOnce(&HmacKey) -> R,
+    ) -> R {
+        let derive = || HmacKey::new(&self.mac_key(a, b));
+        if !(long_lived(a) && long_lived(b)) {
+            return use_it(&derive());
+        }
+        lend(&self.mac_schedules, (a.min(b), a.max(b)), derive, use_it)
     }
 
     /// The key pair of `component`. Only [`crate::provider::CryptoHandle`]
@@ -175,7 +208,8 @@ impl KeyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbft_types::{ClientId, ExecutorId, NodeId};
+    use crate::signature::SimSigner;
+    use sbft_types::{ClientId, ExecutorId, NodeId, Signature};
 
     #[test]
     fn key_derivation_is_deterministic() {
@@ -222,6 +256,26 @@ mod tests {
         let n2 = ComponentId::Node(NodeId(2));
         assert_eq!(store.mac_key(n0, n1), store.mac_key(n1, n0));
         assert_ne!(store.mac_key(n0, n1), store.mac_key(n0, n2));
+    }
+
+    #[test]
+    fn verifying_executors_leaves_the_signing_table_its_size() {
+        // Every spawn is a fresh executor identity: a table that kept
+        // their schedules would grow with run length, not population.
+        let store = KeyStore::new(9);
+        let verifier = ComponentId::Verifier;
+        let d = digest_u64s("verify", &[1]);
+        let sig = SimSigner::sign(&store.keypair_for(verifier), &d);
+        assert!(SimSigner::verify(&store, verifier, &d, &sig));
+        let table = || store.sign_schedules.read().unwrap().len();
+        let before = table();
+        for id in 0..64 {
+            let executor = ComponentId::Executor(ExecutorId(id));
+            let sig = SimSigner::sign(&store.keypair_for(executor), &d);
+            assert!(SimSigner::verify(&store, executor, &d, &sig));
+            assert!(!SimSigner::verify(&store, executor, &d, &Signature::ZERO));
+        }
+        assert_eq!(table(), before);
     }
 
     #[test]

@@ -31,10 +31,10 @@
 //!
 //! Two amortisation layers keep the hot paths cheap:
 //!
-//! * **Key-schedule caches** ([`provider`]): HMAC key schedules are
-//!   derived once per identity (sender side in [`CryptoHandle`],
-//!   verification side in [`CryptoProvider`]) instead of once per
-//!   operation.
+//! * **One key-schedule table** ([`keys`]): the [`KeyStore`] holds each
+//!   long-lived identity's HMAC key schedules once, for signing and
+//!   verifying alike, instead of deriving them per operation; a
+//!   [`CryptoHandle`] is just an identity over it.
 //! * **Batch signature aggregation** ([`aggregate`]): the individual
 //!   client signatures of a consensus batch fold into one
 //!   [`aggregate::AggregateSignature`]; the primary verifies one

@@ -28,7 +28,7 @@ impl SimSigner {
     /// schedule is derived once and reused for both, and the second half's
     /// domain-separation byte is fed incrementally instead of through a
     /// concatenated temporary buffer. Callers that sign repeatedly under
-    /// one identity should hold the schedule themselves and use
+    /// one identity should use the schedule the [`KeyStore`] holds, through
     /// [`Self::sign_with_schedule`] (that is what
     /// [`crate::provider::CryptoHandle::sign`] does).
     #[must_use]
@@ -50,7 +50,7 @@ impl SimSigner {
     }
 
     /// Verifies that `signature` is `signer`'s signature over `digest`,
-    /// using the trusted key registry and the signing schedule it caches.
+    /// using the trusted key registry and the signing schedule it holds.
     #[must_use]
     pub fn verify(
         store: &KeyStore,
@@ -59,21 +59,8 @@ impl SimSigner {
         signature: &Signature,
     ) -> bool {
         store.signing_schedule_of(signer, |schedule| {
-            Self::verify_with_schedule(schedule, digest, signature)
+            signatures_equal(&Self::sign_with_schedule(schedule, digest), signature)
         })
-    }
-
-    /// Verifies a signature against an already-derived signing schedule
-    /// (the cached-verification path of
-    /// [`crate::provider::CryptoProvider::verify`]).
-    #[must_use]
-    pub fn verify_with_schedule(
-        schedule: &HmacKey,
-        digest: &Digest,
-        signature: &Signature,
-    ) -> bool {
-        let expected = Self::sign_with_schedule(schedule, digest);
-        signatures_equal(&expected, signature)
     }
 }
 
@@ -164,16 +151,7 @@ mod tests {
         let schedule = kp.signing_schedule();
         let sig = SimSigner::sign_with_schedule(&schedule, &digest(11));
         assert_eq!(sig, SimSigner::sign(&kp, &digest(11)));
-        assert!(SimSigner::verify_with_schedule(
-            &schedule,
-            &digest(11),
-            &sig
-        ));
-        assert!(!SimSigner::verify_with_schedule(
-            &schedule,
-            &digest(12),
-            &sig
-        ));
         assert!(SimSigner::verify(&s, node, &digest(11), &sig));
+        assert!(!SimSigner::verify(&s, node, &digest(12), &sig));
     }
 }

@@ -18,9 +18,9 @@
 //! once per transaction, and — because every clone is the same body,
 //! whether the clone was taken before or after the first computation —
 //! every copy reuses the value instead of re-hashing. The digest function
-//! itself lives in
-//! `sbft-core` (it defines the signing format); this module only stores
-//! the result.
+//! itself lives in `sbft-core` (`ClientRequest::signing_digest`, over the
+//! transaction encoding of `sbft_crypto::hashing::absorb_transaction`);
+//! this module only stores the result.
 //!
 //! A transaction therefore costs two allocations for its whole life — its
 //! operation list and its body — however many roles hold it: the client's
@@ -73,8 +73,8 @@ pub struct Transaction(Arc<TransactionBody>);
 /// immutable once shared (the `with_*` builders copy on write).
 #[derive(Clone)]
 pub struct TransactionBody {
-    /// The transaction identifier (client + client-local counter). An
-    /// input of the memoized signing digest, like `ops`.
+    /// The transaction identifier (client + client-local counter). Like
+    /// every field below but the memo, an input of the signing digest.
     pub id: TxnId,
     /// The key-value operations the transaction performs.
     pub ops: Vec<Operation>,
@@ -169,10 +169,13 @@ impl Transaction {
     }
 
     /// The body for a builder to edit: in place while this handle is the
-    /// only one (a transaction under construction), a private copy —
-    /// digest memo included, its inputs are not editable — otherwise.
+    /// only one (a transaction under construction), a private copy
+    /// otherwise. The digest memo is dropped: every field a builder sets
+    /// is an input of the signing digest.
     fn body_mut(&mut self) -> &mut TransactionBody {
-        Arc::make_mut(&mut self.0)
+        let body = Arc::make_mut(&mut self.0);
+        body.signing_digest = OnceLock::new();
+        body
     }
 
     /// Returns the memoized signing digest, computing it with `compute` on
@@ -180,9 +183,9 @@ impl Transaction {
     /// value, so a transaction is hashed at most once per run however many
     /// components handle it.
     ///
-    /// The cache assumes `id` and `ops` are frozen once the first digest
-    /// is taken (see the field docs): mutating them afterwards would make
-    /// every later call return a digest of the old contents.
+    /// The cache assumes the body is frozen once the first digest is
+    /// taken: the builders drop it, and the fields are not editable
+    /// through a shared handle.
     pub fn signing_digest_memo(&self, compute: impl FnOnce() -> Digest) -> Digest {
         *self.signing_digest.get_or_init(compute)
     }
@@ -382,11 +385,12 @@ mod tests {
         assert!(std::ptr::eq(&*t, &*clone), "a clone is the same body");
         let d = t.signing_digest_memo(|| Digest::from_bytes([4; 32]));
         // A builder on a shared handle leaves the other handles alone and
-        // keeps the memo (its inputs, `id` and `ops`, did not change).
+        // drops the memo of its copy (the cost is a digest input).
         let costly = clone.with_execution_cost(SimDuration::from_millis(1));
         assert_eq!(t.execution_cost, SimDuration::ZERO);
         assert_eq!(costly.execution_cost, SimDuration::from_millis(1));
-        assert_eq!(costly.cached_signing_digest(), Some(d));
+        assert_eq!(t.cached_signing_digest(), Some(d));
+        assert_eq!(costly.cached_signing_digest(), None);
         assert_eq!(costly.with_payload_len(99).payload_len, 99);
     }
 

@@ -42,17 +42,20 @@ const MAX_ALLOCS_PER_TXN: f64 = 6.0;
 const MAX_BYTES_PER_TXN: f64 = 2_560.0;
 
 /// Bytes a client may keep allocated once the deployment is built: its
-/// role, nothing on the heap (184 measured; 456 while the role carried a
-/// 232-byte crypto handle and owned a MAC-schedule table and a list of
-/// outstanding requests on the heap).
-const MAX_BYTES_PER_CLIENT_AT_REST: f64 = 208.0;
+/// role, nothing on the heap (96 measured; 184 while its crypto handle
+/// carried its own signing schedule and a MAC-schedule block, 456 while
+/// the role carried a 232-byte crypto handle and owned a MAC-schedule
+/// table and a list of outstanding requests on the heap).
+const MAX_BYTES_PER_CLIENT_AT_REST: f64 = 104.0;
 /// Bytes per client the point may hold at its peak, records excluded
-/// (3 914 measured; 4 631 while every answered request's client deadline
-/// stayed queued until due, 5 304 while the shim kept two per-id ledgers and a
-/// 96-byte payload per waiting id beside its duplicate-suppression table,
-/// 7 173 while every suppressed id kept that payload and the tables sized
-/// by the population were regrown by doubling).
-const MAX_PEAK_BYTES_PER_CLIENT: f64 = 4_300.0;
+/// (3 826 measured; 3 914 while every client's signing schedule was held
+/// in its handle as well as in the key store, 4 631 while every answered
+/// request's client deadline stayed queued until due, 5 304 while the
+/// shim kept two per-id ledgers and a 96-byte payload per waiting id
+/// beside its duplicate-suppression table, 7 173 while every suppressed
+/// id kept that payload and the tables sized by the population were
+/// regrown by doubling).
+const MAX_PEAK_BYTES_PER_CLIENT: f64 = 4_200.0;
 /// Bytes a loaded YCSB record may cost: its 16-byte slot in a slot array
 /// (16.3 measured; 24.3 while a slot held a whole 24-byte `StoreEntry`,
 /// 54.3 while every record sat in a hash bucket).
