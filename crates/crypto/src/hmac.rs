@@ -5,7 +5,7 @@
 //! needed there; the pairwise secret keys come out of the
 //! [`crate::keys::KeyStore`].
 
-use crate::sha256::{state_bytes, Sha256, BLOCK_SIZE};
+use crate::sha256::{state_bytes, Sha256, BLOCK_SIZE, H0};
 use sbft_types::MacTag;
 
 const IPAD: u8 = 0x36;
@@ -22,9 +22,10 @@ const ONE_BLOCK_MAX: usize = BLOCK_SIZE - 9;
 /// *midstates*, 32 bytes each — are kept. A MAC resumes from them, so a
 /// message of up to 55 bytes (every message this workspace authenticates
 /// is a 32- or 33-byte digest) costs exactly two compressions, each over
-/// a block padded on the stack. The simulated signature scheme signs two
-/// related messages under the same key per signature, so it keeps one
-/// `HmacKey` per operation (see [`crate::signature::SimSigner`]).
+/// a block padded on the stack. The two key blocks are independent
+/// streams, so they are compressed side by side; so are the two MACs of a
+/// simulated signature, which are two messages under one key
+/// (`mac_pair`, used by [`crate::signature::SimSigner`]).
 #[derive(Clone, Copy)]
 pub struct HmacKey {
     /// Chaining value after absorbing `key ⊕ ipad`.
@@ -40,16 +41,25 @@ impl std::fmt::Debug for HmacKey {
     }
 }
 
-/// Finishes a message that follows one key block and fits one more:
-/// `block` holds its `len` ≤ 55 bytes and zeros; adds the padding and the
-/// length, compresses from `midstate` and returns the digest bytes.
-fn finish_one_block(midstate: &[u32; 8], mut block: [u8; BLOCK_SIZE], len: usize) -> [u8; 32] {
+/// The block that ends a message of `len` ≤ 55 bytes, the concatenation
+/// of `parts`, that follows one key block: the message, `0x80`, zeros and
+/// the bit length of key block and message.
+fn last_block(parts: &[&[u8]], len: usize) -> [u8; BLOCK_SIZE] {
+    let mut block = [0u8; BLOCK_SIZE];
+    let mut at = 0;
+    for p in parts {
+        block[at..at + p.len()].copy_from_slice(p);
+        at += p.len();
+    }
     block[len] = 0x80;
     let bit_len = 8 * (BLOCK_SIZE + len) as u64;
     block[BLOCK_SIZE - 8..].copy_from_slice(&bit_len.to_be_bytes());
-    let mut state = *midstate;
-    Sha256::compress_blocks(&mut state, &block);
-    state_bytes(&state)
+    block
+}
+
+/// Total length of a message given as `parts`.
+fn message_len(parts: &[&[u8]]) -> usize {
+    parts.iter().map(|p| p.len()).sum()
 }
 
 impl HmacKey {
@@ -65,10 +75,13 @@ impl HmacKey {
             key_block[..key.len()].copy_from_slice(key);
         }
 
-        HmacKey {
-            inner: Sha256::midstate(&key_block.map(|b| b ^ IPAD)),
-            outer: Sha256::midstate(&key_block.map(|b| b ^ OPAD)),
-        }
+        let mut midstates = [H0; 2];
+        Sha256::compress_pair(
+            &mut midstates,
+            &[key_block.map(|b| b ^ IPAD), key_block.map(|b| b ^ OPAD)],
+        );
+        let [inner, outer] = midstates;
+        HmacKey { inner, outer }
     }
 
     /// Computes the MAC of one message.
@@ -80,16 +93,12 @@ impl HmacKey {
     /// Computes the MAC of the concatenation of `parts` without copying
     /// them into one heap buffer.
     #[must_use]
-    pub fn mac_parts(&self, parts: &[&[u8]]) -> MacTag {
-        let len: usize = parts.iter().map(|p| p.len()).sum();
+    fn mac_parts(&self, parts: &[&[u8]]) -> MacTag {
+        let len = message_len(parts);
         let inner_digest = if len <= ONE_BLOCK_MAX {
-            let mut block = [0u8; BLOCK_SIZE];
-            let mut at = 0;
-            for p in parts {
-                block[at..at + p.len()].copy_from_slice(p);
-                at += p.len();
-            }
-            finish_one_block(&self.inner, block, len)
+            let mut state = self.inner;
+            Sha256::compress_blocks(&mut state, &last_block(parts, len));
+            state_bytes(&state)
         } else {
             let mut inner = Sha256::resume(self.inner, BLOCK_SIZE as u64);
             for p in parts {
@@ -99,9 +108,35 @@ impl HmacKey {
         };
 
         // The outer pass always hashes 32 bytes: one padded block.
-        let mut block = [0u8; BLOCK_SIZE];
-        block[..32].copy_from_slice(&inner_digest);
-        MacTag(finish_one_block(&self.outer, block, 32))
+        let mut state = self.outer;
+        Sha256::compress_blocks(&mut state, &last_block(&[&inner_digest], 32));
+        MacTag(state_bytes(&state))
+    }
+
+    /// The MACs of two messages (each the concatenation of its parts)
+    /// under this key: what two [`Self::mac_parts`] calls return. When
+    /// both fit the one-block path (≤ 55 bytes) the two inner passes are
+    /// compressed side by side, then the two outer passes.
+    #[must_use]
+    pub(crate) fn mac_pair(&self, messages: [&[&[u8]]; 2]) -> [MacTag; 2] {
+        let lens = messages.map(message_len);
+        if lens.iter().any(|&len| len > ONE_BLOCK_MAX) {
+            return messages.map(|parts| self.mac_parts(parts));
+        }
+        let mut inner = [self.inner; 2];
+        Sha256::compress_pair(
+            &mut inner,
+            &[
+                last_block(messages[0], lens[0]),
+                last_block(messages[1], lens[1]),
+            ],
+        );
+        let mut outer = [self.outer; 2];
+        Sha256::compress_pair(
+            &mut outer,
+            &inner.map(|state| last_block(&[&state_bytes(&state)], 32)),
+        );
+        outer.map(|state| MacTag(state_bytes(&state)))
     }
 
     /// Verifies a MAC tag in (logically) constant time.
@@ -218,6 +253,24 @@ mod tests {
             assert_eq!(hmac_sha256(key, m), expected, "len {len}");
             let (a, b) = m.split_at(len / 3);
             assert_eq!(schedule.mac_parts(&[a, b, &[]]), expected, "len {len}");
+        }
+    }
+
+    /// Two MACs side by side equal the two computed one by one, on the
+    /// paired path (both messages ≤ 55 bytes) and on the fallback (either
+    /// longer).
+    #[test]
+    fn a_mac_pair_equals_two_macs() {
+        let schedule = HmacKey::new(b"a pair of messages under one key");
+        let message: Vec<u8> = (0..120u8).map(|i| i.wrapping_mul(29)).collect();
+        for (a, b) in [(0, 0), (32, 33), (55, 55), (55, 56), (120, 1), (64, 100)] {
+            let (first, second) = (&message[..a], &message[message.len() - b..]);
+            let (head, tail) = second.split_at(b / 2);
+            assert_eq!(
+                schedule.mac_pair([&[first], &[head, tail]]),
+                [schedule.mac(first), schedule.mac(second)],
+                "lengths {a} and {b}"
+            );
         }
     }
 

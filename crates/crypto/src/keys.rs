@@ -1,4 +1,4 @@
-//! Key material, the trusted key registry and the one key-schedule table.
+//! Key material, the trusted key registry and the key-schedule slots.
 //!
 //! The paper assumes public keys are distributed through public-key
 //! certificates and that byzantine components can neither impersonate
@@ -11,23 +11,29 @@
 //! component through its own [`crate::provider::CryptoHandle`].
 //!
 //! Every signature and MAC starts from an HMAC key schedule, which costs
-//! the key derivation and two SHA-256 compressions to build. The store is
-//! the only place schedules are kept, in two tables: signing schedules by
-//! identity, and MAC schedules by unordered identity pair (an identity's
-//! group-broadcast key is the pair `(x, x)`). Signing and verifying, MACing
-//! and checking a MAC, certificates and aggregate checks all read them.
+//! the key derivation and a pair of SHA-256 compressions to build. The
+//! store is the only place schedules are kept: in slots indexed by
+//! identity, one for the identity's signing schedule and one for its
+//! group-broadcast MAC schedule (the key of the pair `(x, x)`, the only
+//! MAC key the protocol uses). A slot is a `OnceLock`, filled on first
+//! use and read after that by any thread with one acquire load, no lock
+//! and no hash. Signing and verifying, MACing and checking a MAC,
+//! certificates and aggregate checks all read them.
 //!
-//! Only long-lived identities are cached: nodes, clients, the verifier,
-//! storage and the cloud. An executor identity is fresh per spawn, signs
-//! one `VERIFY` and is verified once, so its schedule is derived on use
-//! and dropped: the tables are bounded by the deployment's population,
-//! not by how many executors a run has spawned.
+//! Only long-lived identities have slots: the verifier, storage, the
+//! cloud and the nodes in the first chunk of 1 024, then one per client
+//! id below 2²⁰. Client chunks are allocated when one of their clients is
+//! first used, so a deployment holds slots for the clients it has, not
+//! for the range. An executor identity is fresh per spawn, signs one
+//! `VERIFY` and is verified once, so its schedule is derived on use and
+//! dropped, as is any identity outside the slot range and the key of a
+//! pair of distinct identities: what the store holds is bounded by the
+//! deployment's population, not by how many executors a run has spawned.
 
 use crate::hashing::digest_u64s;
 use crate::hmac::HmacKey;
-use sbft_types::{ComponentId, IdMap};
-use std::hash::Hash;
-use std::sync::RwLock;
+use sbft_types::ComponentId;
+use std::sync::OnceLock;
 
 /// A 32-byte secret signing key.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -66,9 +72,9 @@ impl KeyPair {
     ///
     /// Every signature under this key pair is two HMACs under this
     /// schedule (see [`crate::signature::SimSigner`]); deriving it costs
-    /// two SHA-256 compressions, so callers that sign or verify more than
-    /// once should derive it once and cache it, as [`KeyStore`] does for
-    /// every long-lived identity.
+    /// a pair of SHA-256 compressions, so callers that sign or verify more
+    /// than once should derive it once and keep it, as [`KeyStore`] does
+    /// for every long-lived identity.
     #[must_use]
     pub fn signing_schedule(&self) -> HmacKey {
         HmacKey::new(&self.secret.0)
@@ -87,48 +93,77 @@ fn component_code(c: ComponentId) -> [u64; 2] {
     }
 }
 
+/// Slots per chunk, the unit in which slots are allocated.
+const CHUNK: usize = 1024;
+/// Nodes with a slot (ids below this): after the verifier's, storage's
+/// and the cloud's, they fill the first chunk.
+const NODE_SLOTS: usize = CHUNK - 3;
+/// Clients with a slot (ids below this), from the second chunk on.
+const CLIENT_SLOTS: usize = 1 << 20;
+/// Slots in all.
+const SLOTS: usize = CHUNK + CLIENT_SLOTS;
+
+/// The slot of `component`, if it has one (see the module docs).
+fn slot_of(component: ComponentId) -> Option<usize> {
+    match component {
+        ComponentId::Verifier => Some(0),
+        ComponentId::Storage => Some(1),
+        ComponentId::Cloud => Some(2),
+        ComponentId::Node(id) => Some(id.0 as usize)
+            .filter(|&n| n < NODE_SLOTS)
+            .map(|n| 3 + n),
+        ComponentId::Client(id) => Some(id.0 as usize)
+            .filter(|&c| c < CLIENT_SLOTS)
+            .map(|c| CHUNK + c),
+        ComponentId::Executor(_) => None,
+    }
+}
+
+/// `CHUNK` consecutive slots, each empty until its schedule is first used.
+type Chunk = Box<[OnceLock<HmacKey>]>;
+
+/// One schedule per slot, in chunks allocated on first use. The chunk
+/// directory is allocated whole (24 B a chunk), so a lookup indexes it
+/// and never has to grow it.
+struct Slots {
+    chunks: Box<[OnceLock<Chunk>]>,
+}
+
+impl Slots {
+    fn new() -> Self {
+        Slots {
+            chunks: (0..SLOTS / CHUNK).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The schedule in `slot`, derived with `derive` and kept on first use.
+    fn get_or_derive(&self, slot: usize, derive: impl FnOnce() -> HmacKey) -> HmacKey {
+        let chunk =
+            self.chunks[slot / CHUNK].get_or_init(|| (0..CHUNK).map(|_| OnceLock::new()).collect());
+        *chunk[slot % CHUNK].get_or_init(derive)
+    }
+}
+
 /// The trusted key registry (simulated PKI).
 ///
 /// Key pairs and pairwise MAC secrets are derived deterministically from
 /// `master_seed`, which plays the role of the out-of-band certificate
 /// distribution plus Diffie–Hellman exchanges that the paper assumes have
 /// already happened before the protocol starts.
-#[derive(Debug)]
 pub struct KeyStore {
     master_seed: u64,
-    /// Signing schedules of long-lived identities, by identity.
-    sign_schedules: RwLock<IdMap<ComponentId, HmacKey>>,
-    /// MAC schedules of long-lived pairs, by unordered pair (stored as
-    /// `(lower, higher)`); `(x, x)` is `x`'s group-broadcast key.
-    mac_schedules: RwLock<IdMap<(ComponentId, ComponentId), HmacKey>>,
+    /// Signing schedules of long-lived identities, by slot.
+    signing: Slots,
+    /// Group-broadcast MAC schedules (the pair `(x, x)`), by slot.
+    group_macs: Slots,
 }
 
-/// Whether `component` keeps its schedules in the store: every identity
-/// but an executor, which lives for one batch (see the module docs).
-fn long_lived(component: ComponentId) -> bool {
-    !matches!(component, ComponentId::Executor(_))
-}
-
-/// Lends the schedule of `key` in `table` to `use_it`, deriving and
-/// inserting it on first use. The lock is held for the HMACs `use_it`
-/// computes instead of copying the schedule out.
-fn lend<K: Copy + Eq + Hash, R>(
-    table: &RwLock<IdMap<K, HmacKey>>,
-    key: K,
-    derive: impl FnOnce() -> HmacKey,
-    use_it: impl FnOnce(&HmacKey) -> R,
-) -> R {
-    if let Some(schedule) = table.read().expect("schedule table").get(&key) {
-        return use_it(schedule);
+impl std::fmt::Debug for KeyStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeyStore")
+            .field("master_seed", &self.master_seed)
+            .finish_non_exhaustive()
     }
-    let schedule = derive();
-    use_it(
-        table
-            .write()
-            .expect("schedule table")
-            .entry(key)
-            .or_insert(schedule),
-    )
 }
 
 impl KeyStore {
@@ -137,57 +172,45 @@ impl KeyStore {
     pub fn new(master_seed: u64) -> Self {
         KeyStore {
             master_seed,
-            sign_schedules: RwLock::new(IdMap::default()),
-            mac_schedules: RwLock::new(IdMap::default()),
+            signing: Slots::new(),
+            group_macs: Slots::new(),
         }
     }
 
-    /// Sizes the signing table for `signers` more identities (a
-    /// deployment knows its client population), so it is not regrown —
-    /// old and new table held at once — while they show up one by one.
-    pub(crate) fn reserve_signers(&self, signers: usize) {
-        self.sign_schedules
-            .write()
-            .expect("schedule table")
-            .reserve(signers);
-    }
-
-    /// Lends the signing schedule of `component` to `use_it`: from the
-    /// table for a long-lived identity, freshly derived for an executor.
-    pub(crate) fn signing_schedule_of<R>(
-        &self,
-        component: ComponentId,
-        use_it: impl FnOnce(&HmacKey) -> R,
-    ) -> R {
-        let derive = || self.keypair_for(component).signing_schedule();
-        if !long_lived(component) {
-            return use_it(&derive());
+    /// The signing schedule of `component`: from its slot for a
+    /// long-lived identity, freshly derived for one without a slot (an
+    /// executor, or an id past the slot range).
+    pub(crate) fn signing_schedule_of(&self, component: ComponentId) -> HmacKey {
+        let derive = || HmacKey::new(&self.seed_of(component));
+        match slot_of(component) {
+            Some(slot) => self.signing.get_or_derive(slot, derive),
+            None => derive(),
         }
-        lend(&self.sign_schedules, component, derive, use_it)
     }
 
-    /// Lends the MAC schedule of the channel between `a` and `b` (order
-    /// independent; `a == b` is `a`'s group-broadcast key) to `use_it`.
-    pub(crate) fn mac_schedule_of<R>(
-        &self,
-        a: ComponentId,
-        b: ComponentId,
-        use_it: impl FnOnce(&HmacKey) -> R,
-    ) -> R {
+    /// The MAC schedule of the channel between `a` and `b` (order
+    /// independent; `a == b` is `a`'s group-broadcast key, the only one
+    /// kept in a slot).
+    pub(crate) fn mac_schedule_of(&self, a: ComponentId, b: ComponentId) -> HmacKey {
         let derive = || HmacKey::new(&self.mac_key(a, b));
-        if !(long_lived(a) && long_lived(b)) {
-            return use_it(&derive());
+        match slot_of(a).filter(|_| a == b) {
+            Some(slot) => self.group_macs.get_or_derive(slot, derive),
+            None => derive(),
         }
-        lend(&self.mac_schedules, (a.min(b), a.max(b)), derive, use_it)
+    }
+
+    /// The secret seed of `component`'s key pair: all a signing schedule
+    /// is derived from.
+    fn seed_of(&self, component: ComponentId) -> [u8; 32] {
+        let code = component_code(component);
+        *digest_u64s("sbft-keypair", &[self.master_seed, code[0], code[1]]).as_bytes()
     }
 
     /// The key pair of `component`. Only [`crate::provider::CryptoHandle`]
     /// should use the secret half.
     #[must_use]
     pub fn keypair_for(&self, component: ComponentId) -> KeyPair {
-        let code = component_code(component);
-        let seed = digest_u64s("sbft-keypair", &[self.master_seed, code[0], code[1]]);
-        KeyPair::from_seed(*seed.as_bytes())
+        KeyPair::from_seed(self.seed_of(component))
     }
 
     /// The pairwise MAC key shared by components `a` and `b`, as would be
@@ -258,24 +281,61 @@ mod tests {
         assert_ne!(store.mac_key(n0, n1), store.mac_key(n0, n2));
     }
 
+    /// The schedules the store holds, and the chunks of slots allocated
+    /// for them.
+    fn held(store: &KeyStore) -> (usize, usize) {
+        let chunks: Vec<_> = [&store.signing, &store.group_macs]
+            .iter()
+            .flat_map(|slots| slots.chunks.iter().filter_map(OnceLock::get))
+            .collect();
+        let schedules = chunks
+            .iter()
+            .map(|chunk| chunk.iter().filter(|slot| slot.get().is_some()).count())
+            .sum();
+        (schedules, chunks.len())
+    }
+
     #[test]
-    fn verifying_executors_leaves_the_signing_table_its_size() {
-        // Every spawn is a fresh executor identity: a table that kept
+    fn verifying_executors_leaves_the_store_its_size() {
+        // Every spawn is a fresh executor identity: a store that kept
         // their schedules would grow with run length, not population.
         let store = KeyStore::new(9);
         let verifier = ComponentId::Verifier;
         let d = digest_u64s("verify", &[1]);
         let sig = SimSigner::sign(&store.keypair_for(verifier), &d);
         assert!(SimSigner::verify(&store, verifier, &d, &sig));
-        let table = || store.sign_schedules.read().unwrap().len();
-        let before = table();
+        let before = held(&store);
+        assert_eq!(before, (1, 1));
         for id in 0..64 {
             let executor = ComponentId::Executor(ExecutorId(id));
             let sig = SimSigner::sign(&store.keypair_for(executor), &d);
             assert!(SimSigner::verify(&store, executor, &d, &sig));
             assert!(!SimSigner::verify(&store, executor, &d, &Signature::ZERO));
+            let _ = store.mac_schedule_of(executor, executor);
         }
-        assert_eq!(table(), before);
+        assert_eq!(held(&store), before);
+    }
+
+    #[test]
+    fn slots_are_allocated_a_chunk_at_a_time_for_the_identities_used() {
+        let store = KeyStore::new(3);
+        assert_eq!(held(&store), (0, 0));
+        for id in [0, 1, CHUNK as u32 - 1, 5 * CHUNK as u32] {
+            let _ = store.signing_schedule_of(ComponentId::Client(ClientId(id)));
+        }
+        // Clients 0 to 1 023 share a chunk; client 5 120 has its own.
+        assert_eq!(held(&store), (4, 2));
+        let node = ComponentId::Node(NodeId(2));
+        let _ = store.signing_schedule_of(node);
+        let _ = store.mac_schedule_of(node, node);
+        assert_eq!(held(&store), (6, 4));
+        // A pair of distinct identities, and identities past the slot
+        // range, are derived on use.
+        let _ = store.mac_schedule_of(node, ComponentId::Node(NodeId(0)));
+        let _ = store.signing_schedule_of(ComponentId::Node(NodeId(NODE_SLOTS as u32)));
+        let _ = store.signing_schedule_of(ComponentId::Client(ClientId(CLIENT_SLOTS as u32)));
+        let _ = store.signing_schedule_of(ComponentId::Client(ClientId(u32::MAX)));
+        assert_eq!(held(&store), (6, 4));
     }
 
     #[test]

@@ -29,12 +29,15 @@
 //! exactly as in the paper, so every certificate/quorum check in the
 //! protocol is exercised for real.
 //!
-//! Two amortisation layers keep the hot paths cheap:
+//! Three amortisation layers keep the hot paths cheap:
 //!
-//! * **One key-schedule table** ([`keys`]): the [`KeyStore`] holds each
+//! * **Identity slots** ([`keys`]): the [`KeyStore`] holds each
 //!   long-lived identity's HMAC key schedules once, for signing and
-//!   verifying alike, instead of deriving them per operation; a
-//!   [`CryptoHandle`] is just an identity over it.
+//!   verifying alike, in slots indexed by identity that any thread reads
+//!   without a lock; a [`CryptoHandle`] is just an identity over it.
+//! * **Paired compressions** ([`sha256`]): the two HMACs of a signature
+//!   and the two key blocks of a schedule are independent streams, so
+//!   their SHA-256 compressions run side by side.
 //! * **Batch signature aggregation** ([`aggregate`]): the individual
 //!   client signatures of a consensus batch fold into one
 //!   [`aggregate::AggregateSignature`]; the primary verifies one

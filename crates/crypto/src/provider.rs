@@ -20,7 +20,7 @@ use sbft_types::{ComponentId, Digest, MacTag, Signature};
 use std::sync::Arc;
 
 /// Deployment-wide cryptographic material: the trusted [`KeyStore`] and
-/// its key-schedule tables.
+/// its key-schedule slots.
 #[derive(Debug)]
 pub struct CryptoProvider {
     store: KeyStore,
@@ -40,13 +40,6 @@ impl CryptoProvider {
         Arc::new(CryptoProvider {
             store: KeyStore::new(master_seed),
         })
-    }
-
-    /// Sizes the signing-schedule table for `signers` more identities (a
-    /// deployment knows its client population), so it is not regrown —
-    /// old and new table held at once — while they show up one by one.
-    pub fn reserve_signers(&self, signers: usize) {
-        self.store.reserve_signers(signers);
     }
 
     /// The underlying trusted key registry.
@@ -74,9 +67,7 @@ impl CryptoProvider {
     /// value recomputed during verification).
     #[must_use]
     fn expected_signature(&self, signer: ComponentId, digest: &Digest) -> Signature {
-        self.store.signing_schedule_of(signer, |schedule| {
-            SimSigner::sign_with_schedule(schedule, digest)
-        })
+        SimSigner::sign_with_schedule(&self.store.signing_schedule_of(signer), digest)
     }
     /// Verifies an [`AggregateSignature`] over a batch of
     /// `(signer, digest)` claims in **one** comparison: the expected
@@ -141,7 +132,8 @@ impl CryptoHandle {
     pub fn mac_for(&self, to: ComponentId, digest: &Digest) -> MacTag {
         self.provider
             .store
-            .mac_schedule_of(self.me, to, |schedule| schedule.mac(digest.as_bytes()))
+            .mac_schedule_of(self.me, to)
+            .mac(digest.as_bytes())
     }
 
     /// Computes a MAC over `digest` for a broadcast to the whole group.
@@ -159,9 +151,10 @@ impl CryptoHandle {
     /// Verifies a broadcast MAC claimed to come from `from`.
     #[must_use]
     pub fn verify_broadcast_mac(&self, from: ComponentId, digest: &Digest, tag: &MacTag) -> bool {
-        self.provider.store.mac_schedule_of(from, from, |schedule| {
-            schedule.verify(digest.as_bytes(), tag)
-        })
+        self.provider
+            .store
+            .mac_schedule_of(from, from)
+            .verify(digest.as_bytes(), tag)
     }
 
     /// Access to the shared provider (for certificate verification).
@@ -182,7 +175,7 @@ mod tests {
     use super::*;
     use crate::hashing::digest_u64s;
     use crate::hmac::hmac_sha256;
-    use sbft_types::{ClientId, NodeId};
+    use sbft_types::{ClientId, ExecutorId, NodeId};
 
     fn digest(n: u64) -> Digest {
         digest_u64s("provider-test", &[n])
@@ -224,25 +217,52 @@ mod tests {
 
     #[test]
     fn cached_schedules_produce_identical_results_to_fresh_derivation() {
-        // Every cached path must be bit-identical to the one-shot path it
-        // amortises, across repeated calls (cold cache, then warm cache).
+        // Every path through a slot must be bit-identical to the one-shot
+        // path it amortises, across repeated calls (empty slot, then
+        // filled), for every kind of identity: the first and last slot of
+        // each range, one past it, and the identities that never have one.
         let provider = CryptoProvider::new(31);
-        let a = provider.handle(ComponentId::Node(NodeId(0)));
-        let b = provider.handle(ComponentId::Node(NodeId(1)));
+        let store = provider.key_store();
+        let last_node = 1020;
+        let last_client = (1 << 20) - 1;
+        let identities = [
+            ComponentId::Verifier,
+            ComponentId::Storage,
+            ComponentId::Cloud,
+            ComponentId::Node(NodeId(0)),
+            ComponentId::Node(NodeId(last_node)),
+            ComponentId::Node(NodeId(last_node + 1)),
+            ComponentId::Client(ClientId(0)),
+            ComponentId::Client(ClientId(last_client)),
+            ComponentId::Client(ClientId(last_client + 1)),
+            ComponentId::Executor(ExecutorId(7)),
+        ];
+        let peer = ComponentId::Node(NodeId(1));
         for round in 0..2u64 {
             let d = digest(round);
-            // Signature: stored schedule == SimSigner fresh derivation.
-            assert_eq!(
-                a.sign(&d),
-                SimSigner::sign(&provider.key_store().keypair_for(a.id()), &d)
-            );
-            // Pairwise MAC: stored schedule == raw keyed one-shot HMAC.
-            let raw_key = provider.key_store().mac_key(a.id(), b.id());
-            assert_eq!(a.mac_for(b.id(), &d), hmac_sha256(&raw_key, d.as_bytes()));
-            // Broadcast MAC: sender side == receiver-side verification.
-            let tag = a.broadcast_mac(&d);
-            assert!(b.verify_broadcast_mac(a.id(), &d, &tag));
-            assert!(!b.verify_broadcast_mac(b.id(), &d, &tag));
+            for id in identities {
+                let handle = provider.handle(id);
+                // Signature: slot == SimSigner fresh derivation.
+                let sig = handle.sign(&d);
+                assert_eq!(sig, SimSigner::sign(&store.keypair_for(id), &d), "{id}");
+                assert!(provider.verify(id, &d, &sig), "{id}");
+                // Group MAC: slot == raw keyed one-shot HMAC, and the
+                // receiver's check reads the same slot.
+                let tag = handle.broadcast_mac(&d);
+                let raw_key = store.mac_key(id, id);
+                assert_eq!(tag, hmac_sha256(&raw_key, d.as_bytes()), "{id}");
+                assert!(provider.handle(peer).verify_broadcast_mac(id, &d, &tag));
+                // Pairwise MAC, derived on use: the raw keyed HMAC too.
+                let raw_key = store.mac_key(id, peer);
+                assert_eq!(
+                    handle.mac_for(peer, &d),
+                    hmac_sha256(&raw_key, d.as_bytes()),
+                    "{id}"
+                );
+            }
+            let node = provider.handle(ComponentId::Node(NodeId(0)));
+            let tag = node.broadcast_mac(&d);
+            assert!(!node.verify_broadcast_mac(peer, &d, &tag));
         }
     }
 

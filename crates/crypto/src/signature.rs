@@ -25,24 +25,24 @@ impl SimSigner {
     /// Signs a message digest with a secret key.
     ///
     /// The two 32-byte halves are HMACs under the same secret key; the key
-    /// schedule is derived once and reused for both, and the second half's
-    /// domain-separation byte is fed incrementally instead of through a
-    /// concatenated temporary buffer. Callers that sign repeatedly under
-    /// one identity should use the schedule the [`KeyStore`] holds, through
-    /// [`Self::sign_with_schedule`] (that is what
-    /// [`crate::provider::CryptoHandle::sign`] does).
+    /// schedule is derived once and reused for both. Callers that sign
+    /// repeatedly under one identity should use the schedule the
+    /// [`KeyStore`] holds, through [`Self::sign_with_schedule`] (that is
+    /// what [`crate::provider::CryptoHandle::sign`] does).
     #[must_use]
     pub fn sign(keypair: &KeyPair, digest: &Digest) -> Signature {
         Self::sign_with_schedule(&keypair.signing_schedule(), digest)
     }
 
     /// Signs a message digest with an already-derived key schedule,
-    /// skipping the two schedule-derivation compressions [`Self::sign`]
-    /// pays per call.
+    /// skipping the schedule derivation [`Self::sign`] pays per call.
+    ///
+    /// Neither half depends on the other, so both HMACs are computed side
+    /// by side: two paired compressions instead of four single ones.
     #[must_use]
     pub fn sign_with_schedule(schedule: &HmacKey, digest: &Digest) -> Signature {
-        let first = schedule.mac(digest.as_bytes());
-        let second = schedule.mac_parts(&[digest.as_bytes(), &[0x01]]);
+        let d = digest.as_bytes().as_slice();
+        let [first, second] = schedule.mac_pair([&[d], &[d, &[0x01]]]);
         let mut out = [0u8; 64];
         out[..32].copy_from_slice(&first.0);
         out[32..].copy_from_slice(&second.0);
@@ -58,9 +58,8 @@ impl SimSigner {
         digest: &Digest,
         signature: &Signature,
     ) -> bool {
-        store.signing_schedule_of(signer, |schedule| {
-            signatures_equal(&Self::sign_with_schedule(schedule, digest), signature)
-        })
+        let expected = Self::sign_with_schedule(&store.signing_schedule_of(signer), digest);
+        signatures_equal(&expected, signature)
     }
 }
 

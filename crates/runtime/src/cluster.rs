@@ -45,7 +45,7 @@ use sbft_core::events::{Action, Destination, Envelope, ProtocolMessage};
 use sbft_core::{ShimNode, System};
 use sbft_durability::{FileWal, WalRecord, WriteAheadLog};
 use sbft_telemetry::{Counter, Stage, TraceSink, Tracer};
-use sbft_types::{ClientId, ComponentId, IdMap, NodeId, SeqNum, SimTime, TxnOutcome};
+use sbft_types::{ComponentId, NodeId, SeqNum, SimTime, TxnOutcome};
 use sbft_workloads::YcsbWorkload;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -442,17 +442,14 @@ impl LocalCluster {
         let mut workload_cfg = system.config.workload;
         workload_cfg.num_clients = num_clients;
         let mut workload = YcsbWorkload::new(workload_cfg, WORKLOAD_SEED);
-        let mut clients: IdMap<ClientId, sbft_core::ClientRole> = system
-            .clients
-            .drain(..num_clients)
-            .map(|c| (c.id(), c))
-            .collect();
+        // Client `i` of the system is `ClientId(i)`: the roles are their
+        // own table, by id.
+        let mut clients: Vec<sbft_core::ClientRole> = system.clients.drain(..num_clients).collect();
 
         let mut actions = Vec::new();
-        for c in 0..num_clients as u32 {
-            let id = ClientId(c);
+        for client in &mut clients {
+            let id = client.id();
             let txn = workload.next_transaction(id);
-            let client = clients.get_mut(&id).expect("client exists");
             client.submit_into(txn, &mut actions);
             router.route(ComponentId::Client(id), &mut actions);
         }
@@ -467,7 +464,7 @@ impl LocalCluster {
                         }
                         _ => continue,
                     };
-                    let Some(client) = clients.get_mut(&client_id) else {
+                    let Some(client) = clients.get_mut(client_id.0 as usize) else {
                         continue;
                     };
                     // The driver reads the outcome itself; the client's other
@@ -666,7 +663,7 @@ mod tests {
     use super::*;
     use sbft_consensus::{ConsensusMessage, ProposalBody};
     use sbft_core::{ClientRequest, SystemBuilder};
-    use sbft_types::SystemConfig;
+    use sbft_types::{ClientId, SystemConfig};
 
     fn config() -> SystemConfig {
         let mut cfg = SystemConfig::with_shim_size(4);
