@@ -7,24 +7,17 @@
 //! batch timeout expires (so a lightly loaded system does not wait
 //! forever). Figure 6(iii)–(iv) sweeps the batch size from 10 to 8000.
 //!
-//! # Amortised batch crypto
+//! # Amortised client authentication
 //!
-//! The batcher is where the primary's two per-batch crypto costs get
-//! amortised across transaction arrivals instead of being paid in one
-//! lump on the submit hot path:
-//!
-//! * **Client authentication.** Each pushed transaction carries its
-//!   (memoized) signing digest and the client's signature; the signature
-//!   folds into a running [`AggregateSignature`]. A released
-//!   [`SignedBatch`] is verified with **one** aggregate check
-//!   ([`SignedBatch::verify_and_prune`]); only when that check fails does
-//!   the bisecting fallback pinpoint — and prune — the offending
-//!   transactions.
-//! * **The wire digest `Δ = H(m)`.** A running
-//!   [`BatchDigestAccumulator`] absorbs each transaction on push, so the
-//!   released batch's digest memo is already filled and
-//!   [`crate::messages::batch_digest`] is a cache hit when the primary
-//!   proposes.
+//! Each pushed transaction carries the signing digest the primary
+//! computed for it and the client's signature; the signature folds into
+//! a running [`AggregateSignature`]. A released [`SignedBatch`] is
+//! verified with **one** aggregate check
+//! ([`SignedBatch::verify_and_prune`]); only when that check fails does
+//! the bisecting fallback pinpoint — and prune — the offending
+//! transactions. The batcher hashes nothing itself: the wire digest
+//! `Δ = H(m)` is computed once, by the ordering protocol, when the
+//! primary proposes the batch.
 //!
 //! # Per-shard ordering lanes
 //!
@@ -40,7 +33,6 @@
 //! it from the batch itself (`sbft_core::planner::batch_home`), which
 //! gives back the lane a home-lane batch was assembled in.
 
-use crate::messages::BatchDigestAccumulator;
 use sbft_crypto::{AggregateSignature, CryptoProvider};
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
@@ -136,14 +128,13 @@ impl SignedBatch {
 }
 
 /// One independent batching lane: its own pending list, authentication
-/// material, running wire digest and staleness clock.
+/// material and staleness clock.
 #[derive(Debug)]
 struct Lane {
     pending: Vec<Transaction>,
     digests: Vec<Digest>,
     signatures: Vec<Signature>,
     aggregate: AggregateSignature,
-    digest_acc: BatchDigestAccumulator,
     oldest_pending: Option<SimTime>,
 }
 
@@ -154,7 +145,6 @@ impl Lane {
             digests: Vec::with_capacity(capacity),
             signatures: Vec::with_capacity(capacity),
             aggregate: AggregateSignature::identity(),
-            digest_acc: BatchDigestAccumulator::new(),
             oldest_pending: None,
         }
     }
@@ -163,7 +153,6 @@ impl Lane {
         if self.pending.is_empty() {
             self.oldest_pending = Some(now);
         }
-        self.digest_acc.absorb(&txn);
         self.aggregate.fold(&signature);
         self.pending.push(txn);
         self.digests.push(digest);
@@ -177,8 +166,7 @@ impl Lane {
         }
     }
 
-    /// Releases the lane's content as one batch. The released batch
-    /// carries its wire digest pre-memoized.
+    /// Releases the lane's content as one batch.
     fn take(&mut self) -> Option<SignedBatch> {
         if self.pending.is_empty() {
             return None;
@@ -191,13 +179,8 @@ impl Lane {
         let digests = std::mem::replace(&mut self.digests, Vec::with_capacity(capacity));
         let signatures = std::mem::replace(&mut self.signatures, Vec::with_capacity(capacity));
         let aggregate = std::mem::replace(&mut self.aggregate, AggregateSignature::identity());
-        let acc = std::mem::take(&mut self.digest_acc);
-        let batch = Batch::new(txns);
-        let wire_digest = acc.finish();
-        let filled = batch.digest_memo(|| wire_digest);
-        debug_assert_eq!(filled, wire_digest, "digest memo must take our value");
         Some(SignedBatch {
-            batch,
+            batch: Batch::new(txns),
             digests,
             signatures,
             aggregate,
@@ -314,11 +297,9 @@ impl Batcher {
         }
     }
 
-    /// Adds a signed transaction (its memoized signing digest plus the
-    /// client's signature over it); returns a full batch if the size
-    /// threshold is reached. The signature folds into the running
-    /// aggregate and the transaction is absorbed into the running wire
-    /// digest, so releasing a batch costs O(1) hashing.
+    /// Adds a signed transaction (its signing digest plus the client's
+    /// signature over it); returns a full batch if the size threshold is
+    /// reached. The signature folds into the running aggregate.
     pub fn push(
         &mut self,
         txn: Transaction,
@@ -390,8 +371,7 @@ impl Batcher {
     }
 
     /// Releases the next non-empty lane as a batch immediately (call
-    /// repeatedly until `None` to flush everything). The released batch
-    /// carries its wire digest pre-memoized.
+    /// repeatedly until `None` to flush everything).
     pub fn flush(&mut self) -> Option<SignedBatch> {
         let idx = (0..self.lanes.len()).find(|i| !self.lanes[*i].pending.is_empty())?;
         self.lanes[idx].take()
@@ -401,7 +381,6 @@ impl Batcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::compute_batch_digest;
     use sbft_types::{ClientId, Key, Operation, TxnId};
     use std::sync::Arc;
 
@@ -483,29 +462,6 @@ mod tests {
         let _ = Batcher::new(0, SimDuration::ZERO);
     }
 
-    #[test]
-    fn released_batches_carry_a_prefilled_wire_digest() {
-        let mut b = Batcher::new(4, SimDuration::from_millis(10));
-        for i in 0..3 {
-            assert!(push_plain(&mut b, txn(i), SimTime::ZERO).is_none());
-        }
-        let released = push_plain(&mut b, txn(3), SimTime::ZERO).expect("full");
-        let cached = released
-            .batch()
-            .cached_digest()
-            .expect("digest memo filled at release");
-        assert_eq!(cached, compute_batch_digest(released.batch()));
-        // The accumulator reset cleanly: the next (partial) batch digests
-        // correctly too, and differs, being a different batch.
-        for i in 10..13 {
-            assert!(push_plain(&mut b, txn(i), SimTime::ZERO).is_none());
-        }
-        let second = b.flush().expect("partial flush");
-        let cached2 = second.batch().cached_digest().expect("memo filled");
-        assert_eq!(cached2, compute_batch_digest(second.batch()));
-        assert_ne!(cached, cached2);
-    }
-
     fn push_lane(
         b: &mut Batcher,
         t: Transaction,
@@ -545,11 +501,6 @@ mod tests {
         let released = push_lane(&mut b, txn(2), home(2), SimTime::ZERO).expect("lane 2 full");
         assert_eq!(counters(&released), vec![0, 2]);
         assert_eq!(b.pending_txn_ids().len(), 1, "lane 3 still waiting");
-        // The released lane batch digests correctly despite interleaving.
-        assert_eq!(
-            released.batch().cached_digest().expect("memo filled"),
-            compute_batch_digest(released.batch()),
-        );
     }
 
     #[test]

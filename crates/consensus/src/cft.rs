@@ -15,7 +15,7 @@
 //! only serves as a performance upper bound for consensus).
 
 use crate::actions::{ConsensusAction, ConsensusTimer};
-use crate::messages::{batch_digest, CftAccept, CftAccepted, CftDecide, ConsensusMessage};
+use crate::messages::{compute_batch_digest, CftAccept, CftAccepted, CftDecide, ConsensusMessage};
 use crate::traits::OrderingProtocol;
 use sbft_types::{Batch, Digest, FaultParams, NodeId, SeqNum, SimDuration, ViewNumber};
 use std::collections::{BTreeMap, BTreeSet};
@@ -91,7 +91,7 @@ impl CftReplica {
         if from != self.leader_of(msg.ballot) || msg.ballot != self.ballot {
             return Vec::new();
         }
-        if batch_digest(&msg.batch) != msg.digest {
+        if compute_batch_digest(&msg.batch) != msg.digest {
             return Vec::new();
         }
         self.accepted
@@ -170,7 +170,7 @@ impl OrderingProtocol for CftReplica {
         }
         let seq = self.next_seq;
         self.next_seq = self.next_seq.next();
-        let digest = batch_digest(&batch);
+        let digest = compute_batch_digest(&batch);
         let slot = self.slots.entry(seq).or_default();
         slot.digest = Some(digest);
         slot.batch = Some(batch.clone());

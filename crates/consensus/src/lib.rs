@@ -41,8 +41,8 @@ pub use actions::{ConsensusAction, ConsensusTimer};
 pub use batcher::{Batcher, SignedBatch};
 pub use cft::CftReplica;
 pub use messages::{
-    BatchDigestAccumulator, Checkpoint, Commit, ConsensusMessage, NewView, PrePrepare, Prepare,
-    ProposalBody, StateRequest, StateResponse, ViewChange,
+    Checkpoint, Commit, ConsensusMessage, NewView, PrePrepare, Prepare, ProposalBody, StateRequest,
+    StateResponse, ViewChange,
 };
 pub use noshim::NoShim;
 pub use pbft::PbftReplica;

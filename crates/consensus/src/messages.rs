@@ -9,7 +9,7 @@
 //! PBFT in Figure 7.
 
 use sbft_crypto::certificate::commit_digest;
-pub use sbft_crypto::hashing::{compute_batch_digest, BatchDigestAccumulator};
+pub use sbft_crypto::hashing::compute_batch_digest;
 use sbft_crypto::{CommitCertificate, U64Hasher};
 use sbft_durability::RecoveredEntry;
 use sbft_types::{
@@ -520,18 +520,6 @@ pub fn header_digest(label: &str, view: ViewNumber, seq: SeqNum, digest: &Digest
     h.finish()
 }
 
-/// Digest of a batch of transactions (`Δ = H(m)`): hashes the transaction
-/// identifiers and operation structure.
-///
-/// The result is memoized on the batch value: the primary computes it
-/// once when it proposes, every replica computes it once when it checks
-/// the `PREPREPARE`, and every clone taken afterwards (log entries,
-/// re-proposals, certificates) reuses the cached digest.
-#[must_use]
-pub fn batch_digest(batch: &Batch) -> Digest {
-    batch.digest_memo(|| compute_batch_digest(batch))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,29 +541,17 @@ mod tests {
     #[test]
     fn batch_digest_is_deterministic_and_sensitive() {
         let b = batch(10);
-        assert_eq!(batch_digest(&b), batch_digest(&b));
+        assert_eq!(compute_batch_digest(&b), compute_batch_digest(&b));
         let mut txns: Vec<Transaction> = batch(10).txns().to_vec();
         txns[3] = Transaction::new(txns[3].id, vec![Operation::ReadModifyWrite(Key(3), 1)]);
         let other = Batch::new(txns);
-        assert_ne!(batch_digest(&b), batch_digest(&other));
-        assert_ne!(batch_digest(&b), batch_digest(&batch(11)));
-    }
-
-    #[test]
-    fn batch_digest_memo_matches_fresh_computation_and_follows_clones() {
-        let b = batch(25);
-        let memoized = batch_digest(&b);
-        assert_eq!(memoized, compute_batch_digest(&b));
-        assert_eq!(b.cached_digest(), Some(memoized));
-        // A clone taken after the computation carries the cache.
-        let clone = b.clone();
-        assert_eq!(clone.cached_digest(), Some(memoized));
-        assert!(clone.shares_txns(&b));
+        assert_ne!(compute_batch_digest(&b), compute_batch_digest(&other));
+        assert_ne!(compute_batch_digest(&b), compute_batch_digest(&batch(11)));
     }
 
     #[test]
     fn header_digest_binds_all_fields() {
-        let d = batch_digest(&batch(3));
+        let d = compute_batch_digest(&batch(3));
         let base = header_digest("prepare", ViewNumber(0), SeqNum(1), &d);
         assert_ne!(base, header_digest("prepare", ViewNumber(1), SeqNum(1), &d));
         assert_ne!(base, header_digest("prepare", ViewNumber(0), SeqNum(2), &d));
@@ -588,7 +564,7 @@ mod tests {
         let msg = ConsensusMessage::PrePrepare(PrePrepare {
             view: ViewNumber(0),
             seq: SeqNum(1),
-            digest: batch_digest(&b),
+            digest: compute_batch_digest(&b),
             body: ProposalBody::Batch(b),
             mac: MacTag::ZERO,
         });
@@ -654,14 +630,14 @@ mod tests {
         let full = ConsensusMessage::PrePrepare(PrePrepare {
             view: ViewNumber(0),
             seq: SeqNum(1),
-            digest: batch_digest(&b),
+            digest: compute_batch_digest(&b),
             body: ProposalBody::Batch(b.clone()),
             mac: MacTag::ZERO,
         });
         let digest = ConsensusMessage::PrePrepare(PrePrepare {
             view: ViewNumber(0),
             seq: SeqNum(1),
-            digest: batch_digest(&b),
+            digest: compute_batch_digest(&b),
             body: ProposalBody::Ids(b.txn_ids()),
             mac: MacTag::ZERO,
         });
@@ -687,7 +663,7 @@ mod tests {
                 sender: NodeId(2),
                 view: ViewNumber(0),
                 seq: SeqNum(1),
-                digest: batch_digest(&b),
+                digest: compute_batch_digest(&b),
                 missing,
                 mac: MacTag::ZERO,
             })
@@ -699,7 +675,7 @@ mod tests {
         let fill = ConsensusMessage::BatchFill(BatchFill {
             sender: NodeId(0),
             seq: SeqNum(1),
-            digest: batch_digest(&b),
+            digest: compute_batch_digest(&b),
             bodies: b.txns()[..3].to_vec(),
         });
         // Bodies ride in the batch's compact per-txn encoding (no client
@@ -717,7 +693,7 @@ mod tests {
         let pp = PrePrepare {
             view: ViewNumber(1),
             seq: SeqNum(1),
-            digest: batch_digest(&b),
+            digest: compute_batch_digest(&b),
             body: ProposalBody::Batch(b.clone()),
             mac: MacTag::ZERO,
         };
@@ -738,7 +714,7 @@ mod tests {
         let cert = Arc::new(CommitCertificate::new(
             ViewNumber(0),
             SeqNum(1),
-            batch_digest(&b),
+            compute_batch_digest(&b),
             (0..3u32).map(|i| (NodeId(i), Signature::ZERO)).collect(),
         ));
         let entry = RecoveredEntry {
@@ -765,13 +741,13 @@ mod tests {
         let accept = ConsensusMessage::CftAccept(CftAccept {
             ballot: ViewNumber(0),
             seq: SeqNum(1),
-            digest: batch_digest(&b),
+            digest: compute_batch_digest(&b),
             batch: b.clone(),
         });
         let pp = ConsensusMessage::PrePrepare(PrePrepare {
             view: ViewNumber(0),
             seq: SeqNum(1),
-            digest: batch_digest(&b),
+            digest: compute_batch_digest(&b),
             body: ProposalBody::Batch(b),
             mac: MacTag::ZERO,
         });

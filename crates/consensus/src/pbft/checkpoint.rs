@@ -174,13 +174,13 @@ mod tests {
 
     #[test]
     fn checkpoint_adoption_never_delivers_a_batch_its_certificate_does_not_cover() {
-        use crate::messages::{batch_digest, header_digest, PrePrepare, ProposalBody};
+        use crate::messages::{compute_batch_digest, header_digest, PrePrepare, ProposalBody};
         use sbft_types::ViewNumber;
         let mut shim = TestShim::new(4);
         // An equivocating primary shows node 3 another batch at seq 1 than
         // the one it orders with the others, then keeps node 3 in the dark.
         let other = batch(100);
-        let digest = batch_digest(&other);
+        let digest = compute_batch_digest(&other);
         let header = header_digest("preprepare", ViewNumber(0), SeqNum(1), &digest);
         let forged = PrePrepare {
             view: ViewNumber(0),

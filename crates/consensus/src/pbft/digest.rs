@@ -3,7 +3,7 @@
 
 use super::{PbftReplica, PendingProposal, FETCH_RETRY_BUDGET};
 use crate::actions::{ConsensusAction, ConsensusTimer};
-use crate::messages::{batch_digest, BatchFetch, BatchFill, ConsensusMessage};
+use crate::messages::{compute_batch_digest, BatchFetch, BatchFill, ConsensusMessage};
 use sbft_types::{Batch, Digest, NodeId, SeqNum, Transaction, TxnId, ViewNumber};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -83,7 +83,7 @@ impl PbftReplica {
             return self.send_fetch(seq);
         }
         let batch = Batch::new(bodies);
-        if batch_digest(&batch) == pending.digest {
+        if compute_batch_digest(&batch) == pending.digest {
             let (view, digest) = (pending.view, pending.digest);
             let received = std::mem::take(&mut pending.received);
             self.pending_digest.remove(&seq);
@@ -446,7 +446,7 @@ mod tests {
         let poisoned = ConsensusMessage::BatchFill(BatchFill {
             sender: NodeId(2),
             seq: SeqNum(1),
-            digest: batch_digest(b),
+            digest: compute_batch_digest(b),
             bodies: vec![poison],
         });
         let after = shim.replicas[1].handle_message(NodeId(2), poisoned);
@@ -538,7 +538,7 @@ mod tests {
         let b1 = wide_batch(0, 3);
         let b2 = wide_batch(100, 3);
         let make = |batch: &Batch, provider: &std::sync::Arc<CryptoProvider>| {
-            let digest = batch_digest(batch);
+            let digest = compute_batch_digest(batch);
             let ids = batch.txn_ids();
             let header = header_digest("preprepare", ViewNumber(0), SeqNum(1), &digest);
             ConsensusMessage::PrePrepare(PrePrepare {

@@ -14,9 +14,9 @@ use super::tests::{batch, TestShim};
 use super::PbftReplica;
 use crate::actions::ConsensusAction;
 use crate::messages::{
-    batch_digest, header_digest, BatchFetch, BatchFill, Checkpoint, Commit, ConsensusMessage,
-    NewView, PrePrepare, Prepare, PreparedProof, ProposalBody, StateRequest, StateResponse,
-    ViewChange,
+    compute_batch_digest, header_digest, BatchFetch, BatchFill, Checkpoint, Commit,
+    ConsensusMessage, NewView, PrePrepare, Prepare, PreparedProof, ProposalBody, StateRequest,
+    StateResponse, ViewChange,
 };
 use crate::traits::OrderingProtocol;
 use sbft_crypto::certificate::commit_digest;
@@ -87,13 +87,13 @@ fn sign(shim: &TestShim, node: u32, digest: &Digest) -> Signature {
 }
 
 fn other_digest() -> Digest {
-    batch_digest(&batch(99))
+    compute_batch_digest(&batch(99))
 }
 
 fn pre_prepare() -> Table {
     let shim = TestShim::new(4);
     let b = batch(0);
-    let d = batch_digest(&b);
+    let d = compute_batch_digest(&b);
     let genuine = PrePrepare {
         view: ViewNumber(0),
         seq: SeqNum(1),
@@ -133,7 +133,7 @@ fn pre_prepare() -> Table {
 
 fn prepare() -> Table {
     let shim = TestShim::new(4);
-    let d = batch_digest(&batch(0));
+    let d = compute_batch_digest(&batch(0));
     let genuine = Prepare {
         view: ViewNumber(0),
         seq: SeqNum(1),
@@ -169,7 +169,7 @@ fn prepare() -> Table {
 
 fn commit() -> Table {
     let shim = TestShim::new(4);
-    let d = batch_digest(&batch(0));
+    let d = compute_batch_digest(&batch(0));
     let genuine = Commit {
         view: ViewNumber(0),
         seq: SeqNum(1),
@@ -280,7 +280,7 @@ fn view_change() -> Table {
         last_stable_seq: SeqNum(0),
         prepared: vec![PreparedProof {
             seq: SeqNum(1),
-            digest: batch_digest(&batch(0)),
+            digest: compute_batch_digest(&batch(0)),
             view: ViewNumber(0),
         }],
         signature: Signature::ZERO,
@@ -338,7 +338,7 @@ fn view_change() -> Table {
 fn new_view() -> Table {
     let shim = TestShim::new(4);
     let b = batch(0);
-    let d = batch_digest(&b);
+    let d = compute_batch_digest(&b);
     let mut genuine = NewView {
         new_view: ViewNumber(1),
         sender: NodeId(1),
@@ -437,7 +437,7 @@ fn state_request() -> Table {
 fn batch_fetch() -> Table {
     let mut shim = TestShim::new(4);
     let b = batch(0);
-    let d = batch_digest(&b);
+    let d = compute_batch_digest(&b);
     shim.submit_to_primary(b.clone());
     let genuine = BatchFetch {
         sender: NodeId(2),
@@ -497,7 +497,7 @@ fn batch_fill() -> Table {
     let genuine = BatchFill {
         sender: NodeId(0),
         seq: SeqNum(1),
-        digest: batch_digest(&b),
+        digest: compute_batch_digest(&b),
         bodies: b.txns()[2..].to_vec(),
     };
     let forged = vec![(

@@ -42,8 +42,8 @@ mod view_change;
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::log::ConsensusLog;
 use crate::messages::{
-    batch_digest, BatchFetch, BatchFill, Checkpoint, Commit, ConsensusMessage, PrePrepare, Prepare,
-    ProposalBody, StateResponse, ViewChange,
+    compute_batch_digest, BatchFetch, BatchFill, Checkpoint, Commit, ConsensusMessage, PrePrepare,
+    Prepare, ProposalBody, StateResponse, ViewChange,
 };
 use crate::traits::OrderingProtocol;
 use sbft_crypto::CryptoHandle;
@@ -316,7 +316,7 @@ impl OrderingProtocol for PbftReplica {
         }
         let seq = self.next_seq;
         self.next_seq = self.next_seq.next();
-        let digest = batch_digest(&batch);
+        let digest = compute_batch_digest(&batch);
         if !self
             .log
             .accept_pre_prepare(seq, self.view, digest, batch.clone())

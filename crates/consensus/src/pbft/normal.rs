@@ -131,7 +131,7 @@ impl PbftReplica {
                 return self.reconstruct(pp.view, pp.seq, pp.digest, txn_ids);
             }
         };
-        // The body came from the primary: hash it, never read its memo.
+        // The body came from the primary: hash it.
         if compute_batch_digest(&batch) != pp.digest {
             return Vec::new();
         }
@@ -154,7 +154,7 @@ mod tests {
     use super::super::SEQ_WINDOW_INTERVALS;
     use super::*;
     use crate::actions::committed_seqs;
-    use crate::messages::{batch_digest, header_digest};
+    use crate::messages::{compute_batch_digest, header_digest};
     use crate::traits::OrderingProtocol;
     use sbft_types::ComponentId;
 
@@ -185,8 +185,6 @@ mod tests {
                 "node {node} must deliver the submitted batch's storage"
             );
         }
-        // The delivered digest is memoized once and carried by every clone.
-        assert!(shim.committed_batches[0].1.cached_digest().is_some());
     }
 
     #[test]
@@ -259,7 +257,7 @@ mod tests {
         // Forge a second pre-prepare for seq 1 with a different batch,
         // correctly MACed by the primary's handle.
         let evil = batch(99);
-        let digest = batch_digest(&evil);
+        let digest = compute_batch_digest(&evil);
         let header = header_digest("preprepare", ViewNumber(0), SeqNum(1), &digest);
         let primary_handle = shim.provider.handle(ComponentId::Node(NodeId(0)));
         let pp = PrePrepare {
@@ -277,14 +275,12 @@ mod tests {
     }
 
     #[test]
-    fn a_pre_prepare_whose_memo_lies_is_refused() {
-        // The primary MACs the digest of one batch but ships another whose
-        // digest memo it filled with that digest: a backup hashes the body
-        // it was given and votes on nothing.
+    fn a_pre_prepare_whose_body_is_not_its_digest_is_refused() {
+        // The primary MACs the digest of one batch but ships another: a
+        // backup hashes the body it was given and votes on nothing.
         let mut shim = TestShim::new(4);
-        let digest = batch_digest(&batch(0));
+        let digest = compute_batch_digest(&batch(0));
         let lying = batch(99);
-        assert_eq!(lying.digest_memo(|| digest), digest);
         let header = header_digest("preprepare", ViewNumber(0), SeqNum(1), &digest);
         let pp = PrePrepare {
             view: ViewNumber(0),
@@ -305,7 +301,7 @@ mod tests {
     fn pre_prepare_with_bad_mac_or_wrong_sender_ignored() {
         let mut shim = TestShim::new(4);
         let b = batch(0);
-        let digest = batch_digest(&b);
+        let digest = compute_batch_digest(&b);
         let pp = PrePrepare {
             view: ViewNumber(0),
             seq: SeqNum(1),
@@ -390,7 +386,7 @@ mod tests {
             );
             let entry = shim.replicas[i].log.entry(SeqNum(2)).expect("entry");
             assert!(entry.committed);
-            assert_eq!(entry.digest, Some(batch_digest(&a)), "node {i}");
+            assert_eq!(entry.digest, Some(compute_batch_digest(&a)), "node {i}");
             assert_eq!(entry.batch.as_ref(), Some(&a), "node {i}");
         }
     }
@@ -408,7 +404,7 @@ mod tests {
         let replica = &mut shim.replicas[1];
         for k in 0..10_000u64 {
             let b = batch(k);
-            let digest = batch_digest(&b);
+            let digest = compute_batch_digest(&b);
             let above = SeqNum(high + 1 + k);
             let far = SeqNum(1_000_000 + 1_000 * k);
             let view = ViewNumber(0);

@@ -211,7 +211,7 @@ mod tests {
     use super::super::tests::{batch, TestShim};
     use super::*;
     use crate::actions::committed_seqs;
-    use crate::messages::batch_digest;
+    use crate::messages::compute_batch_digest;
     use crate::traits::OrderingProtocol;
     use sbft_crypto::CommitCertificate;
     use sbft_types::{ComponentId, FaultParams, ViewNumber};
@@ -309,7 +309,7 @@ mod tests {
                 certificate: Arc::new(CommitCertificate::new(
                     ViewNumber(0),
                     SeqNum(7),
-                    batch_digest(&batch(7)),
+                    compute_batch_digest(&batch(7)),
                     vec![(NodeId(0), sbft_types::Signature::ZERO)],
                 )),
             }],
@@ -323,36 +323,29 @@ mod tests {
     #[test]
     fn state_response_with_mismatched_batch_is_rejected() {
         // A byzantine responder ships a *valid* certificate but pairs it
-        // with a different batch; the digest check must catch it, also
-        // when the responder filled that batch's digest memo with the
-        // certified digest (the receiver hashes the body itself), and
-        // the entry counts against the sender.
-        for lie_in_memo in [false, true] {
-            let mut shim = TestShim::new(4);
-            shim.submit_to_primary(batch(0));
-            let cert = Arc::clone(&shim.certificates[0]);
-            let other = batch(99);
-            if lie_in_memo {
-                assert_eq!(other.digest_memo(|| cert.batch_digest), cert.batch_digest);
-            }
-            let evil = StateResponse {
-                sender: NodeId(2),
-                stable_seq: SeqNum(0),
-                entries: vec![RecoveredEntry {
-                    seq: cert.seq,
-                    view: cert.view,
-                    batch: other,
-                    certificate: cert,
-                }],
-            };
-            // Reset node 3 so the entry is genuinely missing there.
-            shim.replicas[3] = fresh_replica(&shim, 3);
-            let actions =
-                shim.replicas[3].handle_message(NodeId(2), ConsensusMessage::StateResponse(evil));
-            assert!(actions.is_empty(), "memo {lie_in_memo}: {actions:?}");
-            assert!(!shim.replicas[3].log.is_committed(SeqNum(1)));
-            assert_eq!(shim.replicas[3].bad_responses.get(&NodeId(2)), Some(&1));
-        }
+        // with a different batch; the receiver hashes the body itself, so
+        // the digest check catches it, and the entry counts against the
+        // sender.
+        let mut shim = TestShim::new(4);
+        shim.submit_to_primary(batch(0));
+        let cert = Arc::clone(&shim.certificates[0]);
+        let evil = StateResponse {
+            sender: NodeId(2),
+            stable_seq: SeqNum(0),
+            entries: vec![RecoveredEntry {
+                seq: cert.seq,
+                view: cert.view,
+                batch: batch(99),
+                certificate: cert,
+            }],
+        };
+        // Reset node 3 so the entry is genuinely missing there.
+        shim.replicas[3] = fresh_replica(&shim, 3);
+        let actions =
+            shim.replicas[3].handle_message(NodeId(2), ConsensusMessage::StateResponse(evil));
+        assert!(actions.is_empty(), "{actions:?}");
+        assert!(!shim.replicas[3].log.is_committed(SeqNum(1)));
+        assert_eq!(shim.replicas[3].bad_responses.get(&NodeId(2)), Some(&1));
     }
 
     /// A freshly constructed replica standing in for node `i` after a

@@ -208,7 +208,7 @@ impl PbftReplica {
 mod tests {
     use super::super::tests::{batch, TestShim};
     use super::*;
-    use crate::messages::{batch_digest, header_digest, PrePrepare};
+    use crate::messages::{compute_batch_digest, header_digest, PrePrepare};
     use crate::traits::OrderingProtocol;
     use sbft_types::ComponentId;
 
@@ -280,7 +280,7 @@ mod tests {
         // Manually inject a prepared-but-uncommitted entry at node 1 (as if
         // commits were lost).
         let b = batch(1);
-        let digest = batch_digest(&b);
+        let digest = compute_batch_digest(&b);
         shim.replicas[1]
             .log
             .accept_pre_prepare(SeqNum(2), ViewNumber(0), digest, b.clone());
@@ -335,9 +335,12 @@ mod tests {
     /// `VIEWCHANGE` carries one proof and its `NEWVIEW` one re-issue.
     fn prepare_at_node_1(shim: &mut TestShim) {
         let b = batch(1);
-        shim.replicas[1]
-            .log
-            .accept_pre_prepare(SeqNum(1), ViewNumber(0), batch_digest(&b), b);
+        shim.replicas[1].log.accept_pre_prepare(
+            SeqNum(1),
+            ViewNumber(0),
+            compute_batch_digest(&b),
+            b,
+        );
         shim.replicas[1].log.entry_mut(SeqNum(1)).prepared = true;
     }
 
@@ -356,7 +359,7 @@ mod tests {
         assert_eq!(vote.prepared.len(), 1);
         // As many proofs, another digest, the original signature.
         let mut forged = vote.clone();
-        forged.prepared[0].digest = batch_digest(&batch(99));
+        forged.prepared[0].digest = compute_batch_digest(&batch(99));
         assert!(shim.replicas[2]
             .handle_message(NodeId(1), ConsensusMessage::ViewChange(forged))
             .is_empty());
@@ -401,7 +404,7 @@ mod tests {
         // As many re-issues, another batch under the new primary's own
         // MAC, the original signature.
         let evil = batch(99);
-        let digest = batch_digest(&evil);
+        let digest = compute_batch_digest(&evil);
         let header = header_digest("preprepare", ViewNumber(1), SeqNum(1), &digest);
         let mut forged = new_view.clone();
         forged.reissued[0] = PrePrepare {
@@ -527,9 +530,9 @@ mod tests {
     #[test]
     fn a_new_view_whose_reissue_fails_the_gate_installs_the_view_but_not_the_slot() {
         let b = batch(1);
-        let digest = batch_digest(&b);
+        let digest = compute_batch_digest(&b);
         let other = batch(99);
-        for field in ["nothing", "mac", "seq", "digest", "memo"] {
+        for field in ["nothing", "mac", "seq", "digest", "body"] {
             let mut shim = TestShim::new(4);
             let new_primary = shim.provider.handle(ComponentId::Node(NodeId(1)));
             let header = header_digest("preprepare", ViewNumber(1), SeqNum(1), &digest);
@@ -544,16 +547,12 @@ mod tests {
                 "mac" => reissue.mac = sbft_types::MacTag::ZERO,
                 "seq" => reissue.seq = SeqNum(2),
                 "digest" => {
-                    reissue.digest = batch_digest(&other);
+                    reissue.digest = compute_batch_digest(&other);
                     reissue.body = ProposalBody::Batch(other.clone());
                 }
-                // Another body whose digest memo was filled with the
-                // signed digest: the receiver hashes the body itself.
-                "memo" => {
-                    let lying = batch(99);
-                    assert_eq!(lying.digest_memo(|| digest), digest);
-                    reissue.body = ProposalBody::Batch(lying);
-                }
+                // Another body under the signed digest: the receiver
+                // hashes the body itself.
+                "body" => reissue.body = ProposalBody::Batch(other.clone()),
                 _ => {}
             }
             let seq = reissue.seq;

@@ -195,7 +195,7 @@ impl AttackInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbft_consensus::messages::{batch_digest, PrePrepare, ProposalBody};
+    use sbft_consensus::messages::{compute_batch_digest, PrePrepare, ProposalBody};
     use sbft_consensus::ConsensusMessage;
     use sbft_types::{
         Batch, ClientId, ComponentId, Key, MacTag, Operation, SeqNum, Transaction, TxnId,
@@ -207,7 +207,7 @@ mod tests {
             TxnId::new(ClientId(0), 0),
             vec![Operation::Read(Key(1))],
         ));
-        let digest = batch_digest(&batch);
+        let digest = compute_batch_digest(&batch);
         Action::send(
             ComponentId::Node(NodeId(from)),
             Destination::AllNodes,
@@ -228,7 +228,7 @@ mod tests {
             TxnId::new(ClientId(0), 0),
             vec![Operation::Read(Key(1))],
         ));
-        let digest = batch_digest(&batch);
+        let digest = compute_batch_digest(&batch);
         Action::SpawnExecutor {
             request: SpawnRequest {
                 spawner: NodeId(0),

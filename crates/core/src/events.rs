@@ -24,24 +24,16 @@ pub struct ClientRequest {
 }
 
 impl ClientRequest {
-    /// The digest a client signs for its request.
+    /// The digest a client signs for its request. It binds every field
+    /// of the transaction ([`sbft_crypto::hashing::absorb_transaction`]),
+    /// so a request whose body was altered after signing no longer
+    /// verifies.
     ///
-    /// Memoized on the transaction: the digest is computed at most once
-    /// per transaction per run — the client fills the cache when it signs,
-    /// and the primary's and verifier's checks (including every retry)
-    /// reuse the cached value carried by the transaction's clones.
+    /// Always hashed, never cached: the client hashes what it signs, and
+    /// the primary and the verifier each hash the body they were handed
+    /// before checking the signature against it.
     #[must_use]
     pub fn signing_digest(txn: &Transaction) -> sbft_types::Digest {
-        txn.signing_digest_memo(|| Self::compute_signing_digest(txn))
-    }
-
-    /// Computes the signing digest from scratch, bypassing the memo (the
-    /// cache regression tests compare this against [`Self::signing_digest`]).
-    /// It binds every field of the transaction
-    /// ([`sbft_crypto::hashing::absorb_transaction`]), so a request whose
-    /// body was altered after signing no longer verifies.
-    #[must_use]
-    pub fn compute_signing_digest(txn: &Transaction) -> sbft_types::Digest {
         let mut h = sbft_crypto::U64Hasher::new("sbft-client-request");
         sbft_crypto::hashing::absorb_transaction(&mut h, txn);
         h.finish()
@@ -488,16 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_signing_digest_equals_fresh_computation() {
-        let t = txn();
-        let memoized = ClientRequest::signing_digest(&t);
-        assert_eq!(memoized, ClientRequest::compute_signing_digest(&t));
-        assert_eq!(t.cached_signing_digest(), Some(memoized));
-        // Clones carry the cache, so downstream components never re-hash.
-        assert_eq!(t.clone().cached_signing_digest(), Some(memoized));
-    }
-
-    #[test]
     fn client_request_digest_binds_id_and_ops() {
         let a = ClientRequest::signing_digest(&txn());
         let other = Transaction::new(TxnId::new(ClientId(1), 3), vec![Operation::Read(Key(3))]);
@@ -569,7 +551,7 @@ mod tests {
             ("payload length", |s| s.payload = 41),
         ];
         let base = build(shape.clone());
-        let request = ClientRequest::compute_signing_digest(&base);
+        let request = ClientRequest::signing_digest(&base);
         let delta = compute_batch_digest(&Batch::new(vec![base.clone()]));
         for (field, mutate) in mutations {
             let mut mutated = shape.clone();
@@ -577,7 +559,7 @@ mod tests {
             let mutant = build(mutated);
             assert_ne!(mutant, base, "{field}: the mutant differs");
             assert_ne!(
-                ClientRequest::compute_signing_digest(&mutant),
+                ClientRequest::signing_digest(&mutant),
                 request,
                 "{field} moves the request digest"
             );

@@ -392,20 +392,19 @@ impl ShimNode {
 
     /// Handles a signed client request (Figure 3, primary role).
     ///
-    /// The primary does **not** verify the client signature here: the
-    /// request's memoized signing digest and signature ride into the
-    /// batcher, and the whole batch is authenticated with one aggregate
-    /// check when it is submitted for ordering (see
+    /// The primary does **not** verify the client signature here: it
+    /// hashes the request body itself, the digest and signature ride into
+    /// the batcher, and the whole batch is authenticated with one
+    /// aggregate check when it is submitted for ordering (see
     /// [`SignedBatch::verify_and_prune`]). A non-primary node still
     /// verifies eagerly before forwarding — that path is off the hot loop
     /// (it only runs right after view changes) and keeps forged traffic
     /// from being relayed.
     pub fn on_client_request(&mut self, req: &ClientRequest, now: SimTime) -> Vec<Action> {
-        let digest = ClientRequest::signing_digest(&req.txn);
         if !self.is_primary() {
             if !self.crypto.verify(
                 ComponentId::Client(req.txn.id.client),
-                &digest,
+                &ClientRequest::signing_digest(&req.txn),
                 &req.signature,
             ) {
                 return Vec::new(); // not well-formed
@@ -429,20 +428,16 @@ impl ShimNode {
                 ProtocolMessage::ClientRequest(req.clone()),
             )];
         }
-        self.order_transaction(req.txn.clone(), digest, req.signature, now)
+        self.order_transaction(req, now)
     }
 
-    /// Places a transaction in the ordering pipeline (primary only),
-    /// skipping transactions this node has already batched. The signing
-    /// digest and client signature travel with the transaction so the
-    /// batch can be authenticated in aggregate at submit time.
-    fn order_transaction(
-        &mut self,
-        txn: sbft_types::Transaction,
-        digest: sbft_types::Digest,
-        signature: sbft_types::Signature,
-        now: SimTime,
-    ) -> Vec<Action> {
+    /// Places a request's transaction in the ordering pipeline (primary
+    /// only), skipping transactions this node has already batched. The
+    /// primary hashes the body past that check, and the signing digest
+    /// and client signature travel with the transaction so the batch can
+    /// be authenticated in aggregate at submit time.
+    fn order_transaction(&mut self, req: &ClientRequest, now: SimTime) -> Vec<Action> {
+        let (txn, signature) = (&req.txn, req.signature);
         if self.seen_txns.is_empty() {
             // Only a node that batches (a primary) tracks ids, so the
             // table is sized by the first one it sees, for a request from
@@ -480,13 +475,23 @@ impl ShimNode {
                 let waiting = || self.batcher.waiting(txn.id);
                 if waiting().any(|(_, waiting_sig)| waiting_sig == signature)
                     || waiting().any(|(d, s)| self.crypto.verify(client, &d, &s))
-                    || !self.crypto.verify(client, &digest, &signature)
                 {
                     return Vec::new();
                 }
                 false
             }
         };
+        // Hashed only past the duplicate check, so a retry of a batched
+        // id costs no hashing. A newcomer beside a waiting forgery is
+        // checked eagerly.
+        let digest = ClientRequest::signing_digest(txn);
+        if !newly_seen
+            && !self
+                .crypto
+                .verify(ComponentId::Client(txn.id.client), &digest, &signature)
+        {
+            return Vec::new();
+        }
         let mut offered_actions = Vec::new();
         if self.config.digest_proposals && newly_seen {
             // The primary caches the body too: if the view changes before
@@ -500,10 +505,13 @@ impl ShimNode {
         let plan = self
             .lane_router
             .as_ref()
-            .map(|router| home_shard(&txn, router))
+            .map(|router| home_shard(txn, router))
             .unwrap_or_default();
         let mut out = offered_actions;
-        if let Some(batch) = self.batcher.push_planned(txn, digest, signature, now, plan) {
+        if let Some(batch) = self
+            .batcher
+            .push_planned(txn.clone(), digest, signature, now, plan)
+        {
             out.extend(self.submit_signed(batch));
         }
         out
@@ -767,7 +775,7 @@ impl ShimNode {
             Arc::new(CommitCertificate::new(
                 view,
                 seq,
-                sbft_consensus::messages::batch_digest(&batch),
+                sbft_consensus::messages::compute_batch_digest(&batch),
                 vec![],
             ))
         });
@@ -963,8 +971,7 @@ impl ShimNode {
                     (RecoverySubject::Txn(_), Some(request)) => {
                         // The carried request joins the batch like any
                         // other; the aggregate check covers it.
-                        let digest = ClientRequest::signing_digest(&request.txn);
-                        self.order_transaction(request.txn.clone(), digest, request.signature, now)
+                        self.order_transaction(request, now)
                     }
                     (RecoverySubject::Seq(seq), _) => self.respawn(seq),
                     _ => Vec::new(),
@@ -1271,11 +1278,6 @@ mod tests {
                 "all EXECUTE copies share one certificate allocation"
             );
         }
-        // The batch digest was computed once and is carried by the handle.
-        assert_eq!(
-            executes[0].batch.cached_digest(),
-            Some(executes[0].certificate.batch_digest)
-        );
     }
 
     #[test]
@@ -1356,6 +1358,28 @@ mod tests {
         let proposed = proposed_batch(&actions).expect("the honest transaction is proposed");
         assert_eq!(proposed.txn_ids(), vec![TxnId::new(ClientId(1), 0)]);
         assert_eq!(shim.nodes[0].rejected_txns.get(), 1);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_request_for_a_batched_id_is_dropped_before_it_is_hashed() {
+        // A client retry (or a forwarded ERROR) for an id the primary has
+        // already batched is dropped by the duplicate check, which comes
+        // before the primary hashes the request body.
+        let mut shim = make_shim(base_config());
+        let provider = Arc::clone(&shim.provider);
+        let first = signed_request(&provider, 0, 0);
+        let _ = shim.nodes[0].on_client_request(&first, SimTime::ZERO);
+        let actions =
+            shim.nodes[0].on_client_request(&signed_request(&provider, 1, 0), SimTime::ZERO);
+        assert!(proposed_batch(&actions).is_some(), "both ids are batched");
+        let before = sbft_crypto::sha256::compressions();
+        for _ in 0..2 {
+            assert!(shim.nodes[0]
+                .on_client_request(&first, SimTime::ZERO)
+                .is_empty());
+        }
+        assert_eq!(sbft_crypto::sha256::compressions(), before);
     }
 
     #[test]

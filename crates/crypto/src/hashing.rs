@@ -12,7 +12,9 @@
 //! consensus orders batches under it and executors check the body they
 //! are given against it. It and the client's request digest encode each
 //! transaction the same way ([`absorb_transaction`]), binding every field
-//! that transaction equality compares.
+//! that transaction equality compares. Neither is cached on the value it
+//! covers: a component that relies on one computes it from the body it
+//! holds.
 
 use crate::sha256::Sha256;
 use sbft_types::{Batch, Digest, Operation, Transaction};
@@ -129,86 +131,28 @@ pub fn absorb_transaction(h: &mut U64Hasher, txn: &Transaction) {
     }
 }
 
-/// The digest of a batch of transactions (`Δ = H(m)`), computed from
-/// its transactions, each encoded by [`absorb_transaction`].
+/// The digest of a batch of transactions (`Δ = H(m)`): each transaction
+/// encoded by [`absorb_transaction`], in batch order, then the batch
+/// length.
 ///
-/// Consensus memoizes it on the batch (`sbft_consensus::messages::
-/// batch_digest`); a check against a digest someone else certified calls
-/// this instead, because any holder of a `Batch` can fill that memo.
-///
-/// The format is streamable: transactions are absorbed one at a time
-/// (each is self-delimiting — its operation count precedes its
-/// operations) and the batch length seals the hash at the end. That is
-/// what lets the batching front-end absorb each transaction as it
-/// arrives ([`BatchDigestAccumulator`]) and hand consensus a batch whose
-/// digest memo is already filled, taking the whole digest computation
-/// off the submit hot path.
+/// Nothing caches it: every component that relies on `Δ` calls this on
+/// the body it holds. The primary hashes the batch it proposes, a
+/// replica the batch a `PREPREPARE` (or a digest-mode rebuild) gives it,
+/// an executor the batch of its `EXECUTE`, and the digest each certified
+/// stays in its own state.
 #[must_use]
 pub fn compute_batch_digest(batch: &Batch) -> Digest {
-    let mut acc = BatchDigestAccumulator::new();
+    let mut h = U64Hasher::new("sbft-batch");
     for txn in batch.txns() {
-        acc.absorb(txn);
+        absorb_transaction(&mut h, txn);
     }
-    acc.finish()
-}
-
-/// Incrementally computes [`compute_batch_digest`] one transaction at a
-/// time, so the cost is paid as transactions arrive instead of all at
-/// once when the batch is proposed.
-#[derive(Clone, Debug)]
-pub struct BatchDigestAccumulator {
-    hasher: U64Hasher,
-    absorbed: u64,
-}
-
-impl BatchDigestAccumulator {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        BatchDigestAccumulator {
-            hasher: U64Hasher::new("sbft-batch"),
-            absorbed: 0,
-        }
-    }
-
-    /// Absorbs the next transaction of the batch (in batch order).
-    pub fn absorb(&mut self, txn: &Transaction) {
-        absorb_transaction(&mut self.hasher, txn);
-        self.absorbed += 1;
-    }
-
-    /// Seals the hash with the batch length and produces the digest.
-    #[must_use]
-    pub fn finish(self) -> Digest {
-        let mut hasher = self.hasher;
-        hasher.push(self.absorbed);
-        hasher.finish()
-    }
-}
-
-impl Default for BatchDigestAccumulator {
-    fn default() -> Self {
-        Self::new()
-    }
+    h.push(batch.len() as u64);
+    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbft_types::{ClientId, Key, Operation, TxnId};
-
-    fn batch(n: usize) -> Batch {
-        Batch::new(
-            (0..n)
-                .map(|i| {
-                    Transaction::new(
-                        TxnId::new(ClientId(0), i as u64),
-                        vec![Operation::Read(Key(i as u64))],
-                    )
-                })
-                .collect(),
-        )
-    }
 
     #[test]
     fn concat_equals_single_buffer() {
@@ -264,30 +208,5 @@ mod tests {
         let mut expected = vec![3u64];
         expected.extend(words);
         assert_eq!(h.finish(), digest_u64s("hdr", &expected));
-    }
-
-    #[test]
-    fn incremental_accumulator_matches_one_shot_digest() {
-        for n in [1usize, 7, 100] {
-            let b = batch(n);
-            let mut acc = BatchDigestAccumulator::new();
-            for txn in b.txns() {
-                acc.absorb(txn);
-            }
-            assert_eq!(acc.absorbed, n as u64);
-            assert_eq!(acc.finish(), compute_batch_digest(&b), "batch of {n}");
-        }
-    }
-
-    #[test]
-    fn accumulator_is_length_sealed() {
-        // A 2-txn stream and a 3-txn stream sharing a prefix must differ
-        // even before the extra transaction is absorbed — the trailing
-        // length seal guarantees it.
-        let b3 = batch(3);
-        let mut two = BatchDigestAccumulator::new();
-        two.absorb(&b3.txns()[0]);
-        two.absorb(&b3.txns()[1]);
-        assert_ne!(two.finish(), compute_batch_digest(&b3));
     }
 }

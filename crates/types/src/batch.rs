@@ -17,17 +17,18 @@
 //! batch share storage, which [`Batch::shares_txns`] exposes so tests can
 //! prove the hot path allocates no per-transaction memory.
 //!
-//! The batch also memoizes its wire digest `Δ = H(m)`: the consensus
-//! layer computes it once through [`Batch::digest_memo`] and every clone
-//! — whether taken before or after the computation — shares the cache
-//! slot (it lives behind its own `Arc`), so replicas never re-hash a
-//! batch they already validated.
+//! A batch carries no digest. Its wire digest `Δ = H(m)` is computed by
+//! whoever relies on it (`sbft_crypto::hashing::compute_batch_digest`):
+//! the primary when it proposes, every replica when it checks a
+//! proposal, every executor when it checks an `EXECUTE`. The digest a
+//! component certified lives in that component's own state (a log
+//! entry, a commit certificate), never on the shared batch, which any
+//! holder of a clone could otherwise fill.
 
-use crate::digest::Digest;
 use crate::ids::TxnId;
 use crate::transaction::Transaction;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Identifier of a batch: the identifier of its first transaction plus the
 /// number of transactions. Honest components derive identical identifiers
@@ -41,25 +42,12 @@ pub struct BatchId {
 }
 
 /// An ordered batch of client transactions, shared by reference count.
-#[derive(Clone, Debug)]
+/// Equality is over the transactions (two clones compare by pointer).
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Batch {
     /// The transactions, in the order chosen by the batching front-end.
     txns: Arc<[Transaction]>,
-    /// Memoized wire digest `Δ = H(m)` (filled by the consensus layer on
-    /// first use). The slot is behind its own `Arc` so every clone of the
-    /// batch — including clones taken *before* the first computation —
-    /// shares one cache: a later fill is visible to all copies.
-    digest: Arc<OnceLock<Digest>>,
 }
-
-impl PartialEq for Batch {
-    fn eq(&self, other: &Self) -> bool {
-        // The digest cache is derived state; equality is over the payload.
-        Arc::ptr_eq(&self.txns, &other.txns) || self.txns == other.txns
-    }
-}
-
-impl Eq for Batch {}
 
 impl Batch {
     /// Creates a batch from a list of transactions.
@@ -72,10 +60,7 @@ impl Batch {
             !txns.is_empty(),
             "batches must contain at least one transaction"
         );
-        Batch {
-            txns: txns.into(),
-            digest: Arc::new(OnceLock::new()),
-        }
+        Batch { txns: txns.into() }
     }
 
     /// A batch with a single transaction (unbatched operation).
@@ -94,10 +79,7 @@ impl Batch {
             !txns.is_empty(),
             "batches must contain at least one transaction"
         );
-        Batch {
-            txns,
-            digest: Arc::new(OnceLock::new()),
-        }
+        Batch { txns }
     }
 
     /// The transactions of the batch, in order.
@@ -117,20 +99,6 @@ impl Batch {
     #[must_use]
     pub fn shares_txns(&self, other: &Batch) -> bool {
         Arc::ptr_eq(&self.txns, &other.txns)
-    }
-
-    /// Returns the memoized batch digest, computing it with `compute` on
-    /// first use. The digest function itself lives in `sbft-crypto`
-    /// (`compute_batch_digest`); this only provides the cache slot, which
-    /// whoever holds the batch fills with what `compute` returns.
-    pub fn digest_memo(&self, compute: impl FnOnce() -> Digest) -> Digest {
-        *self.digest.get_or_init(compute)
-    }
-
-    /// The cached batch digest, if one has been computed on this value.
-    #[must_use]
-    pub fn cached_digest(&self) -> Option<Digest> {
-        self.digest.get().copied()
     }
 
     /// The identifier of this batch.
@@ -266,51 +234,6 @@ mod tests {
         assert!(!a.shares_txns(&b));
         assert_eq!(a, b);
         assert_ne!(a, Batch::new(vec![txn(0, 1)]));
-    }
-
-    #[test]
-    fn digest_memo_computes_once_and_clones_carry_it() {
-        let b = Batch::single(txn(0, 0));
-        assert_eq!(b.cached_digest(), None);
-        let mut computed = 0;
-        let d = b.digest_memo(|| {
-            computed += 1;
-            Digest::from_bytes([7; 32])
-        });
-        let again = b.digest_memo(|| {
-            computed += 1;
-            Digest::from_bytes([8; 32])
-        });
-        assert_eq!(d, again);
-        assert_eq!(computed, 1, "the digest must be computed exactly once");
-        let clone = b.clone();
-        assert_eq!(clone.cached_digest(), Some(d));
-    }
-
-    #[test]
-    fn clone_taken_before_fill_sees_a_later_fill() {
-        // Regression: the memo used to live in a per-value `OnceLock`, so a
-        // clone taken before the first digest computation carried an empty
-        // slot forever and re-hashed on its own. The slot is now shared
-        // through an `Arc`: filling any copy fills them all.
-        let b = Batch::single(txn(0, 0));
-        let early_clone = b.clone();
-        assert_eq!(early_clone.cached_digest(), None);
-        let d = b.digest_memo(|| Digest::from_bytes([3; 32]));
-        assert_eq!(
-            early_clone.cached_digest(),
-            Some(d),
-            "a pre-fill clone must share the memo slot"
-        );
-        // And symmetrically: filling through the clone is visible to the
-        // original (no second computation happens).
-        let mut computed = 0;
-        let again = early_clone.digest_memo(|| {
-            computed += 1;
-            Digest::from_bytes([4; 32])
-        });
-        assert_eq!(again, d);
-        assert_eq!(computed, 0);
     }
 
     #[test]

@@ -7,33 +7,28 @@
 //! execution cost so that the "expensive execution" experiments
 //! (Figure 6(v)–(vi), Figure 8) can be reproduced.
 
-//! # Digest memoization
+//! # Who computes the request digest
 //!
-//! The client-request signing digest `Δ = H(⟨T⟩_C)` is needed at several
-//! points of a transaction's life: the client signs it, the primary
-//! verifies it, and the verifier re-verifies it on client retries. A
-//! [`Transaction`] is a reference-counted handle on one shared
-//! [`TransactionBody`], and the body carries the cache slot
-//! ([`Transaction::signing_digest_memo`]): the digest is computed at most
-//! once per transaction, and — because every clone is the same body,
-//! whether the clone was taken before or after the first computation —
-//! every copy reuses the value instead of re-hashing. The digest function
-//! itself lives in `sbft-core` (`ClientRequest::signing_digest`, over the
-//! transaction encoding of `sbft_crypto::hashing::absorb_transaction`);
-//! this module only stores the result.
+//! The client-request signing digest `H(⟨T⟩_C)` is computed by each
+//! component that relies on it: the client when it signs, the primary
+//! when it batches the request (the batch's aggregate check verifies the
+//! signature against it), the verifier when it checks a retry. A
+//! transaction carries no cached digest: its body is shared by every
+//! holder, so a cache on it would be filled by whoever saw it first, a
+//! relay included. The digest function lives in `sbft-core`
+//! (`ClientRequest::signing_digest`, over the transaction encoding of
+//! `sbft_crypto::hashing::absorb_transaction`).
 //!
 //! A transaction therefore costs two allocations for its whole life — its
 //! operation list and its body — however many roles hold it: the client's
 //! retry slot, the request on the wire, the batcher lane, the batch in
 //! every replica's log and the `EXECUTE` messages all bump one count.
 
-use crate::digest::Digest;
 use crate::ids::TxnId;
 use crate::rwset::{Key, ReadWriteSet, RwSetKeys, Value};
 use crate::time::SimDuration;
-use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A single key-value operation inside a transaction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -66,15 +61,16 @@ impl Operation {
 
 /// A client transaction: a shared handle on its [`TransactionBody`].
 /// Cloning bumps a reference count; the fields read through `Deref`.
-#[derive(Clone)]
+/// Equality is over the body (two clones compare by pointer).
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Transaction(Arc<TransactionBody>);
 
 /// The contents of a [`Transaction`], shared by all of its clones and
 /// immutable once shared (the `with_*` builders copy on write).
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TransactionBody {
     /// The transaction identifier (client + client-local counter). Like
-    /// every field below but the memo, an input of the signing digest.
+    /// every field below, an input of the signing digest.
     pub id: TxnId,
     /// The key-value operations the transaction performs.
     pub ops: Vec<Operation>,
@@ -90,9 +86,6 @@ pub struct TransactionBody {
     /// Logical payload size in bytes carried by the request (affects the
     /// wire size of `PREPREPARE` and `EXECUTE` messages).
     pub payload_len: u32,
-    /// Memoized client-request signing digest (see the module docs).
-    /// Derived state: excluded from equality.
-    signing_digest: OnceLock<Digest>,
 }
 
 impl Deref for Transaction {
@@ -100,32 +93,6 @@ impl Deref for Transaction {
 
     fn deref(&self) -> &TransactionBody {
         &self.0
-    }
-}
-
-impl PartialEq for Transaction {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-            || (self.id == other.id
-                && self.ops == other.ops
-                && self.declared_rwset == other.declared_rwset
-                && self.execution_cost == other.execution_cost
-                && self.payload_len == other.payload_len)
-    }
-}
-
-impl Eq for Transaction {}
-
-impl fmt::Debug for Transaction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Transaction")
-            .field("id", &self.id)
-            .field("ops", &self.ops)
-            .field("declared_rwset", &self.declared_rwset)
-            .field("execution_cost", &self.execution_cost)
-            .field("payload_len", &self.payload_len)
-            .field("signing_digest", &self.signing_digest)
-            .finish()
     }
 }
 
@@ -164,36 +131,14 @@ impl Transaction {
             declared_rwset: None,
             execution_cost: SimDuration::ZERO,
             payload_len,
-            signing_digest: OnceLock::new(),
         }))
     }
 
     /// The body for a builder to edit: in place while this handle is the
     /// only one (a transaction under construction), a private copy
-    /// otherwise. The digest memo is dropped: every field a builder sets
-    /// is an input of the signing digest.
+    /// otherwise.
     fn body_mut(&mut self) -> &mut TransactionBody {
-        let body = Arc::make_mut(&mut self.0);
-        body.signing_digest = OnceLock::new();
-        body
-    }
-
-    /// Returns the memoized signing digest, computing it with `compute` on
-    /// first use. Clones made after the first computation carry the cached
-    /// value, so a transaction is hashed at most once per run however many
-    /// components handle it.
-    ///
-    /// The cache assumes the body is frozen once the first digest is
-    /// taken: the builders drop it, and the fields are not editable
-    /// through a shared handle.
-    pub fn signing_digest_memo(&self, compute: impl FnOnce() -> Digest) -> Digest {
-        *self.signing_digest.get_or_init(compute)
-    }
-
-    /// The cached signing digest, if one has been computed on this value.
-    #[must_use]
-    pub fn cached_signing_digest(&self) -> Option<Digest> {
-        self.signing_digest.get().copied()
+        Arc::make_mut(&mut self.0)
     }
 
     /// Attaches a declared read-write set (known read-write set mode).
@@ -357,60 +302,17 @@ mod tests {
     }
 
     #[test]
-    fn signing_digest_memo_computes_once_and_survives_clones() {
-        let t = txn(vec![Operation::Read(Key(1))]);
-        assert_eq!(t.cached_signing_digest(), None);
-        let mut computed = 0;
-        let d = t.signing_digest_memo(|| {
-            computed += 1;
-            Digest::from_bytes([9; 32])
-        });
-        let again = t.signing_digest_memo(|| {
-            computed += 1;
-            Digest::from_bytes([1; 32])
-        });
-        assert_eq!(d, again);
-        assert_eq!(computed, 1);
-        let clone = t.clone();
-        assert_eq!(clone.cached_signing_digest(), Some(d));
-        // The cache never participates in equality.
-        let fresh = txn(vec![Operation::Read(Key(1))]);
-        assert_eq!(t, fresh);
-    }
-
-    #[test]
     fn clones_share_one_body_and_builders_copy_on_write() {
         let t = txn(vec![Operation::Read(Key(1))]);
         let clone = t.clone();
         assert!(std::ptr::eq(&*t, &*clone), "a clone is the same body");
-        let d = t.signing_digest_memo(|| Digest::from_bytes([4; 32]));
-        // A builder on a shared handle leaves the other handles alone and
-        // drops the memo of its copy (the cost is a digest input).
+        assert_eq!(t, clone);
+        // A builder on a shared handle leaves the other handles alone.
         let costly = clone.with_execution_cost(SimDuration::from_millis(1));
         assert_eq!(t.execution_cost, SimDuration::ZERO);
         assert_eq!(costly.execution_cost, SimDuration::from_millis(1));
-        assert_eq!(t.cached_signing_digest(), Some(d));
-        assert_eq!(costly.cached_signing_digest(), None);
+        assert_ne!(t, costly);
         assert_eq!(costly.with_payload_len(99).payload_len, 99);
-    }
-
-    #[test]
-    fn clone_taken_before_fill_shares_a_later_fill() {
-        // Regression: a clone used to copy the (empty) `OnceLock` slot and
-        // would never see a digest computed on the original afterwards. A
-        // clone is the same shared body now.
-        let t = txn(vec![Operation::Read(Key(1))]);
-        let early_clone = t.clone();
-        assert_eq!(early_clone.cached_signing_digest(), None);
-        let d = t.signing_digest_memo(|| Digest::from_bytes([2; 32]));
-        assert_eq!(early_clone.cached_signing_digest(), Some(d));
-        let mut computed = 0;
-        let again = early_clone.signing_digest_memo(|| {
-            computed += 1;
-            Digest::from_bytes([5; 32])
-        });
-        assert_eq!(again, d);
-        assert_eq!(computed, 0, "the shared memo must prevent a re-hash");
     }
 
     #[test]

@@ -238,7 +238,6 @@ proptest! {
         for (logged, original) in batch.iter().zip(&txns) {
             prop_assert_eq!(logged.payload_len, original.payload_len);
             prop_assert_eq!(logged.wire_size(), original.wire_size());
-            prop_assert_eq!(logged.cached_signing_digest(), None);
         }
     }
 }

@@ -53,7 +53,7 @@ fn txn(i: u64) -> Transaction {
 
 #[test]
 fn digests_signatures_and_macs_match_the_bytes_pinned_before_the_rebuild() {
-    let request = ClientRequest::compute_signing_digest(&txn(2));
+    let request = ClientRequest::signing_digest(&txn(2));
     assert_eq!(
         hex(request.as_bytes()),
         "8078ec17405506c6fb85c178709c63cb82b7001262e7ce43b5aedc1f397a9fc1",

@@ -1,11 +1,10 @@
 //! Property-based tests over core invariants, using proptest.
 
 use proptest::prelude::*;
-use serverless_bft::consensus::messages::{batch_digest, compute_batch_digest};
+use serverless_bft::consensus::messages::compute_batch_digest;
 use serverless_bft::consensus::Batcher;
 use serverless_bft::core::planner::{batch_home, home_shard, BatchFootprint, BestEffortPlanner};
 use serverless_bft::core::verifier::{Verifier, VerifierConfig};
-use serverless_bft::core::ClientRequest;
 use serverless_bft::crypto::certificate::commit_digest;
 use serverless_bft::crypto::{
     AggregateSignature, CommitCertificate, CryptoProvider, KeyStore, SimSigner,
@@ -72,9 +71,9 @@ proptest! {
     fn batch_digest_deterministic(ops_a in arb_ops(), ops_b in arb_ops()) {
         let batch_a = Batch::single(Transaction::new(TxnId::new(ClientId(0), 0), ops_a.clone()));
         let batch_b = Batch::single(Transaction::new(TxnId::new(ClientId(0), 0), ops_b.clone()));
-        prop_assert_eq!(batch_digest(&batch_a), batch_digest(&batch_a));
+        prop_assert_eq!(compute_batch_digest(&batch_a), compute_batch_digest(&batch_a));
         if ops_a != ops_b {
-            prop_assert_ne!(batch_digest(&batch_a), batch_digest(&batch_b));
+            prop_assert_ne!(compute_batch_digest(&batch_a), compute_batch_digest(&batch_b));
         }
     }
 
@@ -100,29 +99,12 @@ proptest! {
         prop_assert_eq!(&fresh, &shared);
         prop_assert_eq!(fresh.id(), shared.id());
         prop_assert_eq!(fresh.txn_ids(), shared.txn_ids());
-        prop_assert_eq!(batch_digest(&fresh), batch_digest(&shared));
-        prop_assert_eq!(batch_digest(&fresh), compute_batch_digest(&fresh));
-        // Clones share storage and carry the memoized digest.
+        prop_assert_eq!(compute_batch_digest(&fresh), compute_batch_digest(&shared));
+        // Clones share storage.
         prop_assert!(cloned.shares_txns(&fresh));
         prop_assert!(!fresh.shares_txns(&shared));
-        let after = fresh.clone();
-        prop_assert_eq!(after.cached_digest(), Some(batch_digest(&fresh)));
         // The transactions themselves are byte-for-byte the submitted ones.
         prop_assert_eq!(fresh.txns(), &txns[..]);
-    }
-
-    /// Cached signing digests equal freshly computed ones for arbitrary
-    /// transactions, and survive cloning (the memoization regression test).
-    #[test]
-    fn cached_signing_digest_equals_fresh(ops in arb_ops(), client in 0u32..8, counter in 0u64..1000) {
-        let txn = Transaction::new(TxnId::new(ClientId(client), counter), ops);
-        prop_assert_eq!(txn.cached_signing_digest(), None);
-        let memoized = ClientRequest::signing_digest(&txn);
-        prop_assert_eq!(memoized, ClientRequest::compute_signing_digest(&txn));
-        prop_assert_eq!(txn.cached_signing_digest(), Some(memoized));
-        let clone = txn.clone();
-        prop_assert_eq!(clone.cached_signing_digest(), Some(memoized));
-        prop_assert_eq!(ClientRequest::signing_digest(&clone), memoized);
     }
 
     /// Conflict detection between declared read-write sets is symmetric.
@@ -536,27 +518,31 @@ proptest! {
         );
     }
 
-    /// The batcher's incrementally accumulated wire digest is identical
-    /// to the one-shot batch digest for arbitrary batches, so the
-    /// pre-memoized digest a released batch carries is always the digest
-    /// the replicas recompute and check.
+    /// The batcher releases exactly the transactions pushed, in push
+    /// order, so the `Δ` the primary computes over a released batch at
+    /// submit is the digest of the stream its clients submitted.
     #[test]
-    fn batcher_incremental_digest_matches_one_shot(
+    fn batcher_releases_the_pushed_stream_in_order(
         op_lists in prop::collection::vec(arb_ops(), 1..30),
     ) {
         let mut batcher = Batcher::new(op_lists.len(), SimDuration::from_millis(5));
+        let txns: Vec<Transaction> = op_lists
+            .iter()
+            .enumerate()
+            .map(|(i, ops)| {
+                Transaction::new(TxnId::new(ClientId((i % 5) as u32), i as u64), ops.clone())
+            })
+            .collect();
         let mut released = None;
-        for (i, ops) in op_lists.iter().enumerate() {
-            let txn = Transaction::new(
-                TxnId::new(ClientId((i % 5) as u32), i as u64),
-                ops.clone(),
-            );
-            released = batcher.push(txn, Digest::ZERO, Signature::ZERO, SimTime::ZERO);
+        for txn in &txns {
+            released = batcher.push(txn.clone(), Digest::ZERO, Signature::ZERO, SimTime::ZERO);
         }
         let released = released.expect("batch released at the configured size");
-        let cached = released.batch().cached_digest().expect("memo prefilled");
-        prop_assert_eq!(cached, compute_batch_digest(released.batch()));
-        prop_assert_eq!(cached, batch_digest(released.batch()));
+        prop_assert_eq!(released.batch().txns(), &txns[..]);
+        prop_assert_eq!(
+            compute_batch_digest(released.batch()),
+            compute_batch_digest(&Batch::new(txns))
+        );
     }
 
     /// The ordering-time classification agrees with the apply-time
@@ -724,7 +710,7 @@ proptest! {
             for (b, txns) in all_txns.iter().enumerate() {
                 let seq = b as u64 + 1;
                 let batch = Batch::new(txns.clone());
-                let digest = batch_digest(&batch);
+                let digest = compute_batch_digest(&batch);
                 let plan = batch_home(&batch, &router);
                 let cd = commit_digest(ViewNumber(0), SeqNum(seq), &digest);
                 let entries = (0..3u32)
