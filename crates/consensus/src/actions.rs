@@ -48,8 +48,8 @@ pub enum ConsensusAction {
         seq: SeqNum,
         /// The committed batch.
         batch: Batch,
-        /// Certificate proving the quorum (absent for the CFT/NoShim
-        /// baselines, which do not produce signatures).
+        /// Certificate proving the quorum: empty for the CFT baseline,
+        /// which produces no signatures, and absent for NoShim.
         certificate: Option<Arc<CommitCertificate>>,
     },
     /// Start (or restart) a timer.

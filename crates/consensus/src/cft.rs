@@ -9,16 +9,19 @@
 //! leader broadcasts a decide message once a majority has accepted.
 //!
 //! Because CFT protocols cannot produce byzantine-proof certificates, the
-//! [`ConsensusAction::Committed`] actions it emits carry no certificate;
-//! the ServerlessBFT layer skips certificate validation when running this
-//! baseline (which is exactly why it is unsafe under byzantine faults and
-//! only serves as a performance upper bound for consensus).
+//! [`ConsensusAction::Committed`] actions it emits carry an empty one (no
+//! signatures) over the batch digest the slot already holds; the
+//! ServerlessBFT layer runs this baseline with a certificate quorum of 0
+//! (which is exactly why it is unsafe under byzantine faults and only
+//! serves as a performance upper bound for consensus).
 
 use crate::actions::{ConsensusAction, ConsensusTimer};
 use crate::messages::{compute_batch_digest, CftAccept, CftAccepted, CftDecide, ConsensusMessage};
 use crate::traits::OrderingProtocol;
+use sbft_crypto::CommitCertificate;
 use sbft_types::{Batch, Digest, FaultParams, NodeId, SeqNum, SimDuration, ViewNumber};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Per-sequence replication state at the leader.
 #[derive(Clone, Debug, Default)]
@@ -72,7 +75,15 @@ impl CftReplica {
         NodeId::primary_of(ballot, self.params.n_r)
     }
 
-    fn decide_actions(&mut self, seq: SeqNum, batch: Batch) -> Vec<ConsensusAction> {
+    /// Commits `batch`, whose digest the slot checked or computed when it
+    /// was accepted or submitted: the empty certificate carries that
+    /// digest, so no later layer hashes the batch again.
+    fn decide_actions(
+        &mut self,
+        seq: SeqNum,
+        digest: Digest,
+        batch: Batch,
+    ) -> Vec<ConsensusAction> {
         if !self.decided.insert(seq) {
             return Vec::new();
         }
@@ -82,7 +93,12 @@ impl CftReplica {
                 view: self.ballot,
                 seq,
                 batch,
-                certificate: None,
+                certificate: Some(Arc::new(CommitCertificate::new(
+                    self.ballot,
+                    seq,
+                    digest,
+                    vec![],
+                ))),
             },
         ]
     }
@@ -113,7 +129,7 @@ impl CftReplica {
         ];
         // A decide for this slot may have overtaken the accept.
         if self.pending_decides.remove(&msg.seq) == Some(msg.digest) {
-            actions.extend(self.decide_actions(msg.seq, msg.batch));
+            actions.extend(self.decide_actions(msg.seq, msg.digest, msg.batch));
         }
         actions
     }
@@ -143,7 +159,7 @@ impl CftReplica {
                 digest,
             },
         ))];
-        actions.extend(self.decide_actions(msg.seq, batch));
+        actions.extend(self.decide_actions(msg.seq, digest, batch));
         actions
     }
 
@@ -159,7 +175,7 @@ impl CftReplica {
         if digest != msg.digest {
             return Vec::new();
         }
-        self.decide_actions(msg.seq, batch)
+        self.decide_actions(msg.seq, digest, batch)
     }
 }
 
@@ -188,7 +204,7 @@ impl OrderingProtocol for CftReplica {
         if self.params.n_r == 1 {
             let batch = self.slots[&seq].batch.clone().expect("own batch");
             self.slots.get_mut(&seq).expect("slot").decided = true;
-            actions.extend(self.decide_actions(seq, batch));
+            actions.extend(self.decide_actions(seq, digest, batch));
         }
         actions
     }
@@ -313,8 +329,9 @@ mod tests {
     }
 
     #[test]
-    fn commits_carry_no_certificate() {
+    fn commits_carry_an_empty_certificate_over_the_batch_digest() {
         let mut replicas = cluster(4);
+        let digest = compute_batch_digest(&batch(0));
         let actions = replicas[0].submit_batch(batch(0));
         let mut saw_commit = false;
         let mut queue: Vec<(usize, usize, ConsensusMessage)> = Vec::new();
@@ -336,9 +353,17 @@ mod tests {
                             }
                         }
                     }
-                    ConsensusAction::Committed { certificate, .. } => {
+                    ConsensusAction::Committed {
+                        view,
+                        seq,
+                        certificate,
+                        ..
+                    } => {
                         saw_commit = true;
-                        assert!(certificate.is_none());
+                        assert_eq!(
+                            certificate.as_deref(),
+                            Some(&CommitCertificate::new(view, seq, digest, vec![]))
+                        );
                     }
                     _ => {}
                 }

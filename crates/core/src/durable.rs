@@ -101,9 +101,9 @@ impl DurableLog {
     }
 
     /// A locally committed batch with its certificate, synced; at the
-    /// snapshot rhythm the commit also cuts a snapshot. Baselines without
-    /// certificates (CFT / NoShim) have no recovery path: only certified
-    /// commits are worth making durable.
+    /// snapshot rhythm the commit also cuts a snapshot. The baselines have
+    /// no recovery path and certify nothing (CFT's certificate is empty,
+    /// NoShim has none): only certified commits are worth making durable.
     pub(crate) fn on_committed(
         &mut self,
         view: ViewNumber,
@@ -116,7 +116,7 @@ impl DurableLog {
             view,
             plan: ShardPlan::Unplanned,
             batch: batch.clone(),
-            certificate: Arc::clone(certificate?),
+            certificate: Arc::clone(certificate.filter(|c| !c.entries.is_empty())?),
         })?;
         if self.snapshot_interval > 0 && seq.0 >= self.last_snapshot.0 + self.snapshot_interval {
             bytes += self.cut_snapshot(seq, view)?;

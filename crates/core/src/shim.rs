@@ -768,7 +768,7 @@ impl ShimNode {
                 }
             }
         }
-        // Baseline protocols (CFT / NoShim) produce no certificate; an
+        // NoShim produces no certificate (CFT's carries no signatures); an
         // empty certificate stands in so the message flow stays identical
         // (executors and the verifier are configured with a quorum of 0).
         let certificate = certificate.unwrap_or_else(|| {
@@ -1380,6 +1380,60 @@ mod tests {
                 .is_empty());
         }
         assert_eq!(sbft_crypto::sha256::compressions(), before);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_cft_follower_hashes_each_committed_batch_once() {
+        // The follower checks Δ against the accepted batch; the commit
+        // hands that digest on in its certificate instead of hashing the
+        // batch again to build one.
+        use sbft_consensus::messages::{compute_batch_digest, CftAccept, CftDecide};
+        use sbft_crypto::sha256::compressions;
+        let config = base_config();
+        let provider = CryptoProvider::new(5);
+        let params = sbft_types::FaultParams::for_shim_size(4);
+        let mut follower = ShimNode::new(
+            NodeId(1),
+            config.clone(),
+            provider.handle(ComponentId::Node(NodeId(1))),
+            Box::new(CftReplica::new(
+                NodeId(1),
+                params,
+                config.timers.node_timeout,
+            )),
+        );
+        let batch = Batch::new(
+            (0..2)
+                .map(|c| signed_request(&provider, c, 0).txn)
+                .collect(),
+        );
+        let (before, _) = compressions();
+        let digest = compute_batch_digest(&batch);
+        let (after, _) = compressions();
+        let per_delta = after - before;
+        for seq in 1..=3 {
+            let (before, _) = compressions();
+            let accept = CftAccept {
+                ballot: ViewNumber(0),
+                seq: SeqNum(seq),
+                batch: batch.clone(),
+                digest,
+            };
+            let _ = follower.on_consensus_message(NodeId(0), ConsensusMessage::CftAccept(accept));
+            let decide = CftDecide {
+                ballot: ViewNumber(0),
+                seq: SeqNum(seq),
+                digest,
+            };
+            let actions =
+                follower.on_consensus_message(NodeId(0), ConsensusMessage::CftDecide(decide));
+            assert!(actions
+                .iter()
+                .any(|a| matches!(a, Action::BatchCommitted { .. })));
+            let (after, _) = compressions();
+            assert_eq!(after - before, per_delta, "seq {seq}");
+        }
     }
 
     #[test]
@@ -2238,10 +2292,11 @@ mod tests {
     fn a_forged_verifier_message_moves_nothing() {
         // Each case is a message the verifier signed and a forgery of it:
         // one signed field flipped (the marker, the subject, the carried
-        // request, or a BATCH-VALIDATED count), or the notice unsigned or
-        // signed by a node. Delivered to the primary and to a backup, the
-        // forgery must emit nothing and move nothing; the genuine message
-        // must act on at least one of them, so every case bites.
+        // request, or a BATCH-VALIDATED count), the notice unsigned or
+        // signed by a node, or a byte of its signature's zero half set.
+        // Delivered to the primary and to a backup, the forgery must emit
+        // nothing and move nothing; the genuine message must act on at
+        // least one of them, so every case bites.
         use NoticeMarker::{Ack, Error, Replace};
         let probe = make_shim(base_config());
         let verifier = verifier(&probe);
@@ -2272,6 +2327,12 @@ mod tests {
             };
             let genuine = ProtocolMessage::Notice(genuine.clone());
             (name, genuine, ProtocolMessage::Notice(forged))
+        };
+        // The genuine signature with a byte of its zero half set.
+        let padded = |genuine: &RecoveryNotice, byte: usize| {
+            let mut signature = genuine.signature;
+            signature.0[byte] ^= 0x01;
+            signature
         };
         let batch = BatchValidated::signed(SeqNum(1), 2, 0, &verifier);
         let flip_batch = |name, seq, committed, aborted| {
@@ -2315,6 +2376,8 @@ mod tests {
                 node.sign(&replace.signing_digest()),
             ),
             resign("ACK by a node", &ack, node.sign(&ack.signing_digest())),
+            resign("ERROR zero half flipped", &carrying, padded(&carrying, 32)),
+            resign("ACK zero half flipped", &ack, padded(&ack, 63)),
             flip_batch("BATCH-VALIDATED seq", 1_000_000, 2, 0),
             flip_batch("BATCH-VALIDATED committed", 1, 1, 0),
             flip_batch("BATCH-VALIDATED aborted", 1, 2, 1),
@@ -2422,6 +2485,22 @@ mod tests {
         config.durability =
             sbft_types::DurabilityConfig::enabled().with_snapshot_interval(snapshot_interval);
         config
+    }
+
+    #[test]
+    fn a_cft_commit_is_not_made_durable() {
+        // CFT hands on an empty certificate, which certifies nothing: the
+        // baseline has no recovery path, so its commits are not logged.
+        let mut config = durable_config(1);
+        config.workload.batch_size = 1;
+        let provider = CryptoProvider::new(5);
+        let mut node = single_cft_node(&config, &provider);
+        let actions = node.on_client_request(&signed_request(&provider, 0, 0), SimTime::ZERO);
+        assert!(actions
+            .iter()
+            .any(|a| matches!(a, Action::BatchCommitted { .. })));
+        assert!(!actions.iter().any(|a| matches!(a, Action::Persist { .. })));
+        assert_eq!(node.durable.wal_appends.get(), 0);
     }
 
     /// Commits one batch of two transactions through the whole shim, the

@@ -3,7 +3,9 @@
 //! The paper uses MACs for the `PREPREPARE` and `PREPARE` phases because
 //! they are cheaper than digital signatures and non-repudiation is not
 //! needed there; the pairwise secret keys come out of the
-//! [`crate::keys::KeyStore`].
+//! [`crate::keys::KeyStore`]. The simulated signature
+//! ([`crate::signature::SimSigner`]) is one HMAC too, under the signer's
+//! own key: two compressions from a stored schedule, like a MAC.
 
 use crate::sha256::{state_bytes, Sha256, BLOCK_SIZE, H0};
 use sbft_types::MacTag;
@@ -21,11 +23,11 @@ const ONE_BLOCK_MAX: usize = BLOCK_SIZE - 9;
 /// once at construction and only the resulting chaining values — the
 /// *midstates*, 32 bytes each — are kept. A MAC resumes from them, so a
 /// message of up to 55 bytes (every message this workspace authenticates
-/// is a 32- or 33-byte digest) costs exactly two compressions, each over
-/// a block padded on the stack. The two key blocks are independent
-/// streams, so they are compressed side by side; so are the two MACs of a
-/// simulated signature, which are two messages under one key
-/// (`mac_pair`, used by [`crate::signature::SimSigner`]).
+/// is a 32-byte digest) costs exactly two compressions, each over a
+/// block padded on the stack; a simulated signature
+/// ([`crate::signature::SimSigner`]) is one such MAC. The two key blocks
+/// are independent streams, so deriving a schedule compresses them side
+/// by side.
 #[derive(Clone, Copy)]
 pub struct HmacKey {
     /// Chaining value after absorbing `key ⊕ ipad`.
@@ -41,25 +43,17 @@ impl std::fmt::Debug for HmacKey {
     }
 }
 
-/// The block that ends a message of `len` ≤ 55 bytes, the concatenation
-/// of `parts`, that follows one key block: the message, `0x80`, zeros and
-/// the bit length of key block and message.
-fn last_block(parts: &[&[u8]], len: usize) -> [u8; BLOCK_SIZE] {
+/// The block that ends a message of ≤ 55 bytes that follows one key
+/// block: the message, `0x80`, zeros and the bit length of key block and
+/// message.
+fn last_block(message: &[u8]) -> [u8; BLOCK_SIZE] {
+    let len = message.len();
     let mut block = [0u8; BLOCK_SIZE];
-    let mut at = 0;
-    for p in parts {
-        block[at..at + p.len()].copy_from_slice(p);
-        at += p.len();
-    }
+    block[..len].copy_from_slice(message);
     block[len] = 0x80;
     let bit_len = 8 * (BLOCK_SIZE + len) as u64;
     block[BLOCK_SIZE - 8..].copy_from_slice(&bit_len.to_be_bytes());
     block
-}
-
-/// Total length of a message given as `parts`.
-fn message_len(parts: &[&[u8]]) -> usize {
-    parts.iter().map(|p| p.len()).sum()
 }
 
 impl HmacKey {
@@ -87,56 +81,20 @@ impl HmacKey {
     /// Computes the MAC of one message.
     #[must_use]
     pub fn mac(&self, message: &[u8]) -> MacTag {
-        self.mac_parts(&[message])
-    }
-
-    /// Computes the MAC of the concatenation of `parts` without copying
-    /// them into one heap buffer.
-    #[must_use]
-    fn mac_parts(&self, parts: &[&[u8]]) -> MacTag {
-        let len = message_len(parts);
-        let inner_digest = if len <= ONE_BLOCK_MAX {
+        let inner_digest = if message.len() <= ONE_BLOCK_MAX {
             let mut state = self.inner;
-            Sha256::compress_blocks(&mut state, &last_block(parts, len));
+            Sha256::compress_blocks(&mut state, &last_block(message));
             state_bytes(&state)
         } else {
             let mut inner = Sha256::resume(self.inner, BLOCK_SIZE as u64);
-            for p in parts {
-                inner.update(p);
-            }
+            inner.update(message);
             *inner.finalize().as_bytes()
         };
 
         // The outer pass always hashes 32 bytes: one padded block.
         let mut state = self.outer;
-        Sha256::compress_blocks(&mut state, &last_block(&[&inner_digest], 32));
+        Sha256::compress_blocks(&mut state, &last_block(&inner_digest));
         MacTag(state_bytes(&state))
-    }
-
-    /// The MACs of two messages (each the concatenation of its parts)
-    /// under this key: what two [`Self::mac_parts`] calls return. When
-    /// both fit the one-block path (≤ 55 bytes) the two inner passes are
-    /// compressed side by side, then the two outer passes.
-    #[must_use]
-    pub(crate) fn mac_pair(&self, messages: [&[&[u8]]; 2]) -> [MacTag; 2] {
-        let lens = messages.map(message_len);
-        if lens.iter().any(|&len| len > ONE_BLOCK_MAX) {
-            return messages.map(|parts| self.mac_parts(parts));
-        }
-        let mut inner = [self.inner; 2];
-        Sha256::compress_pair(
-            &mut inner,
-            &[
-                last_block(messages[0], lens[0]),
-                last_block(messages[1], lens[1]),
-            ],
-        );
-        let mut outer = [self.outer; 2];
-        Sha256::compress_pair(
-            &mut outer,
-            &inner.map(|state| last_block(&[&state_bytes(&state)], 32)),
-        );
-        outer.map(|state| MacTag(state_bytes(&state)))
     }
 
     /// Verifies a MAC tag in (logically) constant time.
@@ -232,7 +190,7 @@ mod tests {
     /// RFC 2104 written out — `H((K ⊕ opad) ‖ H((K ⊕ ipad) ‖ m))` through
     /// the plain hasher — against the midstate schedule, across the
     /// boundary between its one-block path (≤ 55 bytes) and the streaming
-    /// one, with the message whole and split into parts.
+    /// one.
     #[test]
     fn midstate_paths_match_the_definition_at_every_length() {
         let key = b"a 23-byte-long hmac key";
@@ -251,26 +209,6 @@ mod tests {
             let expected = MacTag(*outer.finalize().as_bytes());
             assert_eq!(schedule.mac(m), expected, "len {len}");
             assert_eq!(hmac_sha256(key, m), expected, "len {len}");
-            let (a, b) = m.split_at(len / 3);
-            assert_eq!(schedule.mac_parts(&[a, b, &[]]), expected, "len {len}");
-        }
-    }
-
-    /// Two MACs side by side equal the two computed one by one, on the
-    /// paired path (both messages ≤ 55 bytes) and on the fallback (either
-    /// longer).
-    #[test]
-    fn a_mac_pair_equals_two_macs() {
-        let schedule = HmacKey::new(b"a pair of messages under one key");
-        let message: Vec<u8> = (0..120u8).map(|i| i.wrapping_mul(29)).collect();
-        for (a, b) in [(0, 0), (32, 33), (55, 55), (55, 56), (120, 1), (64, 100)] {
-            let (first, second) = (&message[..a], &message[message.len() - b..]);
-            let (head, tail) = second.split_at(b / 2);
-            assert_eq!(
-                schedule.mac_pair([&[first], &[head, tail]]),
-                [schedule.mac(first), schedule.mac(second)],
-                "lengths {a} and {b}"
-            );
         }
     }
 
@@ -294,14 +232,9 @@ mod tests {
     }
 
     #[test]
-    fn reusable_key_matches_one_shot_and_concat() {
+    fn reusable_key_matches_one_shot() {
         let key = HmacKey::new(b"secret");
         assert_eq!(key.mac(b"message"), hmac_sha256(b"secret", b"message"));
-        // Split parts hash identically to the concatenated message.
-        assert_eq!(
-            key.mac_parts(&[b"mess", b"age"]),
-            hmac_sha256(b"secret", b"message")
-        );
         // The schedule is reusable across messages.
         assert_eq!(key.mac(b"other"), hmac_sha256(b"secret", b"other"));
     }

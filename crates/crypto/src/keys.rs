@@ -70,7 +70,7 @@ impl KeyPair {
 
     /// Derives the reusable HMAC key schedule of the secret half.
     ///
-    /// Every signature under this key pair is two HMACs under this
+    /// Every signature under this key pair is one HMAC under this
     /// schedule (see [`crate::signature::SimSigner`]); deriving it costs
     /// a pair of SHA-256 compressions, so callers that sign or verify more
     /// than once should derive it once and keep it, as [`KeyStore`] does

@@ -35,9 +35,9 @@
 //!   long-lived identity's HMAC key schedules once, for signing and
 //!   verifying alike, in slots indexed by identity that any thread reads
 //!   without a lock; a [`CryptoHandle`] is just an identity over it.
-//! * **Paired compressions** ([`sha256`]): the two HMACs of a signature
-//!   and the two key blocks of a schedule are independent streams, so
-//!   their SHA-256 compressions run side by side.
+//! * **Paired compressions** ([`sha256`]): the two key blocks of a
+//!   schedule are independent streams, so their SHA-256 compressions run
+//!   side by side. A signature is one HMAC, two compressions.
 //! * **Batch signature aggregation** ([`aggregate`]): the individual
 //!   client signatures of a consensus batch fold into one
 //!   [`aggregate::AggregateSignature`]; the primary verifies one

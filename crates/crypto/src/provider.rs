@@ -316,6 +316,33 @@ mod tests {
     }
 
     #[test]
+    fn a_flipped_byte_in_the_zero_half_is_refused_by_every_check() {
+        // The last 32 bytes of a signature are zero; a signer that set
+        // them would have a second valid encoding of one signature.
+        let provider = CryptoProvider::new(41);
+        let claims: Vec<(ComponentId, Digest, Signature)> = (0..7u32)
+            .map(|i| {
+                let id = ComponentId::Client(ClientId(i));
+                let d = digest(u64::from(i));
+                (id, d, provider.handle(id).sign(&d))
+            })
+            .collect();
+        let pairs: Vec<(ComponentId, Digest)> = claims.iter().map(|(c, d, _)| (*c, *d)).collect();
+        for (at, byte) in [(0, 32), (3, 47), (6, 63)] {
+            let mut bad = claims.clone();
+            bad[at].2 .0[byte] ^= 0x01;
+            let (signer, d, sig) = &bad[at];
+            assert!(
+                !SimSigner::verify(provider.key_store(), *signer, d, sig),
+                "byte {byte}"
+            );
+            let agg = AggregateSignature::from_signatures(bad.iter().map(|(_, _, s)| s));
+            assert!(!provider.verify_aggregate(&pairs, &agg), "byte {byte}");
+            assert_eq!(provider.locate_invalid_signatures(&bad), vec![at]);
+        }
+    }
+
+    #[test]
     fn empty_aggregate_is_the_identity() {
         let provider = CryptoProvider::new(3);
         assert!(provider.verify_aggregate(&[], &AggregateSignature::identity()));

@@ -208,9 +208,9 @@ impl Sha256 {
     }
 
     /// Folds `blocks[i]` into `states[i]`, the two streams side by side:
-    /// for independent streams (the two HMACs of a signature, the inner
-    /// and outer key blocks of a schedule) one pair costs less than two
-    /// single compressions on the `sha-ni` kernel.
+    /// for independent streams (the inner and outer key blocks of a
+    /// schedule) one pair costs less than two single compressions on the
+    /// `sha-ni` kernel.
     #[inline]
     pub(crate) fn compress_pair(states: &mut [[u32; 8]; 2], blocks: &[[u8; BLOCK_SIZE]; 2]) {
         #[cfg(debug_assertions)]

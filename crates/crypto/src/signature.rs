@@ -2,17 +2,21 @@
 //!
 //! `SimSigner` is the documented substitution (see `DESIGN.md`) for the
 //! CryptoPP Ed25519/RSA signatures of the original system: a signature is
-//! a 64-byte deterministic keyed hash of the message digest under the
-//! signer's secret key. Verification recomputes the signature from the
-//! signer's registered key pair (obtained through the trusted
-//! [`crate::keys::KeyStore`]), which mirrors the paper's assumption that
-//! honest components can always validate `⟨m⟩_R` given R's public-key
-//! certificate while byzantine components cannot forge it.
+//! one HMAC-SHA256 of the message digest under the signer's secret key,
+//! zero-padded to Ed25519's 64 bytes. Verification recomputes the
+//! signature from the signer's registered key pair (obtained through the
+//! trusted [`crate::keys::KeyStore`]), which mirrors the paper's
+//! assumption that honest components can always validate `⟨m⟩_R` given
+//! R's public-key certificate while byzantine components cannot forge it.
 //!
 //! The scheme preserves every property the protocol relies on:
 //! determinism (matching `VERIFY` messages stay matching), binding to the
 //! signer identity, binding to the message digest, and a realistic 64-byte
-//! wire size.
+//! wire size. Forging one means producing an HMAC-SHA256 tag without the
+//! key (RFC 2104); its 256 bits are above the 128-bit level of the
+//! Ed25519 it models, so a second keyed hash in the pad would add cost
+//! and no security. Verification compares all 64 bytes, so a nonzero pad
+//! is refused like any other altered byte.
 
 use crate::hmac::HmacKey;
 use crate::keys::{KeyPair, KeyStore};
@@ -24,8 +28,7 @@ pub struct SimSigner;
 impl SimSigner {
     /// Signs a message digest with a secret key.
     ///
-    /// The two 32-byte halves are HMACs under the same secret key; the key
-    /// schedule is derived once and reused for both. Callers that sign
+    /// Derives the key schedule on every call. Callers that sign
     /// repeatedly under one identity should use the schedule the
     /// [`KeyStore`] holds, through [`Self::sign_with_schedule`] (that is
     /// what [`crate::provider::CryptoHandle::sign`] does).
@@ -37,15 +40,12 @@ impl SimSigner {
     /// Signs a message digest with an already-derived key schedule,
     /// skipping the schedule derivation [`Self::sign`] pays per call.
     ///
-    /// Neither half depends on the other, so both HMACs are computed side
-    /// by side: two paired compressions instead of four single ones.
+    /// The first 32 bytes are `HMAC(key, digest)` (two compressions), the
+    /// last 32 are zero.
     #[must_use]
     pub fn sign_with_schedule(schedule: &HmacKey, digest: &Digest) -> Signature {
-        let d = digest.as_bytes().as_slice();
-        let [first, second] = schedule.mac_pair([&[d], &[d, &[0x01]]]);
         let mut out = [0u8; 64];
-        out[..32].copy_from_slice(&first.0);
-        out[32..].copy_from_slice(&second.0);
+        out[..32].copy_from_slice(&schedule.mac(digest.as_bytes()).0);
         Signature(out)
     }
 
@@ -136,10 +136,18 @@ mod tests {
     }
 
     #[test]
-    fn halves_of_signature_differ() {
+    fn a_signature_is_one_mac_and_a_zero_half() {
         let s = store();
-        let sig = SimSigner::sign(&s.keypair_for(ComponentId::Verifier), &digest(5));
-        assert_ne!(&sig.0[..32], &sig.0[32..]);
+        for (signer, n) in [
+            (ComponentId::Verifier, 5),
+            (ComponentId::Node(NodeId(1)), 6),
+        ] {
+            let schedule = s.keypair_for(signer).signing_schedule();
+            let d = digest(n);
+            let sig = SimSigner::sign_with_schedule(&schedule, &d);
+            assert_eq!(sig.0[..32], schedule.mac(d.as_bytes()).0);
+            assert_eq!(sig.0[32..], [0u8; 32]);
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@ pub struct Digest(pub [u8; DIGEST_LEN]);
 /// A digital signature `⟨m⟩_R` produced with a component's private key.
 ///
 /// The simulated scheme in `sbft-crypto` produces 64-byte signatures, the
-/// same length as Ed25519, so wire-size accounting matches the paper.
+/// same length as Ed25519, so wire-size accounting matches the paper: one
+/// 32-byte HMAC-SHA256 tag followed by 32 zero bytes, all 64 checked.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature(pub [u8; 64]);
 

@@ -10,7 +10,9 @@
 //! cost and payload). The commit, `PREPARE`, signature and MAC pins are
 //! still taken over the batch digest of before ([`DELTA_BEFORE_BINDING`]),
 //! so they keep their bytes from before the rebuild and keep guarding the
-//! SHA-256 and HMAC kernels.
+//! SHA-256 and HMAC kernels. The signature pin moved once since, when a
+//! signature became one HMAC and a zero half: it is the first half of the
+//! old pin (the same `HMAC(k, d)`) followed by 32 zero bytes.
 
 use serverless_bft::consensus::messages::{compute_batch_digest, header_digest};
 use serverless_bft::core::ClientRequest;
@@ -85,7 +87,7 @@ fn digests_signatures_and_macs_match_the_bytes_pinned_before_the_rebuild() {
     let store = KeyStore::new(1234);
     let signer = ComponentId::Node(NodeId(2));
     let signature = SimSigner::sign(&store.keypair_for(signer), &commit);
-    assert_eq!(hex(&signature.0), "96319d001399a181b2b9dbf875fa9a6ee49ca3e593c262892a6d8f7fb290a893a29dead33b96953f8ec5085a4c2518ba7738ddc070c60f198dfdeb2cebc1bc91", "SimSigner signature");
+    assert_eq!(hex(&signature.0), "96319d001399a181b2b9dbf875fa9a6ee49ca3e593c262892a6d8f7fb290a8930000000000000000000000000000000000000000000000000000000000000000", "SimSigner signature");
 
     let provider = CryptoProvider::new(1234);
     let node = provider.handle(signer);
