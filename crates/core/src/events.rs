@@ -207,20 +207,35 @@ impl RecoveryNotice {
             subject,
             signature: Signature::ZERO,
         };
-        notice.signature = signer.sign(&notice.signing_digest());
+        notice.signature = signer.sign(&notice.signing_digest(notice.request_digest().as_ref()));
         notice
+    }
+
+    /// The signing digest of the request an `ERROR(⟨T⟩_C)` carries, if
+    /// it carries one.
+    #[must_use]
+    pub fn request_digest(&self) -> Option<sbft_types::Digest> {
+        match &self.marker {
+            NoticeMarker::Error(Some(request)) => Some(ClientRequest::signing_digest(&request.txn)),
+            _ => None,
+        }
     }
 
     /// The digest the verifier signs and a node checks: the marker's
     /// label (`error`, `replace` or `ack`), the subject and, for an
-    /// `ERROR(⟨T⟩_C)`, the signing digest of the carried request, so the
-    /// request cannot be swapped under the verifier's signature either.
+    /// `ERROR(⟨T⟩_C)`, `request_digest` — the carried request's
+    /// [`Self::request_digest`] — so the request cannot be swapped under
+    /// the verifier's signature either. The caller hashes the request, so
+    /// a receiver that goes on to order it hashes it once.
     #[must_use]
-    pub fn signing_digest(&self) -> sbft_types::Digest {
-        let (label, request) = match &self.marker {
-            NoticeMarker::Error(request) => ("error", request.as_deref()),
-            NoticeMarker::Replace => ("replace", None),
-            NoticeMarker::Ack => ("ack", None),
+    pub fn signing_digest(
+        &self,
+        request_digest: Option<&sbft_types::Digest>,
+    ) -> sbft_types::Digest {
+        let label = match &self.marker {
+            NoticeMarker::Error(_) => "error",
+            NoticeMarker::Replace => "replace",
+            NoticeMarker::Ack => "ack",
         };
         let mut h = sbft_crypto::U64Hasher::new(label);
         match self.subject {
@@ -234,8 +249,8 @@ impl RecoveryNotice {
                 h.push(txn.counter);
             }
         }
-        if let Some(request) = request {
-            h.push_digest(&ClientRequest::signing_digest(&request.txn));
+        if let Some(request_digest) = request_digest {
+            h.push_digest(request_digest);
         }
         h.finish()
     }

@@ -27,8 +27,8 @@ use sbft_durability::WriteAheadLog;
 use sbft_serverless::{ExecuteRequest, Invoker};
 use sbft_telemetry::{Counter, Registry};
 use sbft_types::{
-    checkpoint_gc_cutoff, Batch, ComponentId, ConflictHandling, IdMap, NodeId, SeqNum, ShardRouter,
-    Signature, SimDuration, SimTime, SpawningMode, SystemConfig, TxnId, ViewNumber,
+    checkpoint_gc_cutoff, Batch, ComponentId, ConflictHandling, Digest, IdMap, NodeId, SeqNum,
+    ShardRouter, Signature, SimDuration, SimTime, SpawningMode, SystemConfig, TxnId, ViewNumber,
 };
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
@@ -428,15 +428,21 @@ impl ShimNode {
                 ProtocolMessage::ClientRequest(req.clone()),
             )];
         }
-        self.order_transaction(req, now)
+        self.order_transaction(req, None, now)
     }
 
     /// Places a request's transaction in the ordering pipeline (primary
     /// only), skipping transactions this node has already batched. The
-    /// primary hashes the body past that check, and the signing digest
-    /// and client signature travel with the transaction so the batch can
-    /// be authenticated in aggregate at submit time.
-    fn order_transaction(&mut self, req: &ClientRequest, now: SimTime) -> Vec<Action> {
+    /// primary hashes the body past that check, unless the caller hands
+    /// over its `digest` already, and the signing digest and client
+    /// signature travel with the transaction so the batch can be
+    /// authenticated in aggregate at submit time.
+    fn order_transaction(
+        &mut self,
+        req: &ClientRequest,
+        digest: Option<Digest>,
+        now: SimTime,
+    ) -> Vec<Action> {
         let (txn, signature) = (&req.txn, req.signature);
         if self.seen_txns.is_empty() {
             // Only a node that batches (a primary) tracks ids, so the
@@ -484,7 +490,7 @@ impl ShimNode {
         // Hashed only past the duplicate check, so a retry of a batched
         // id costs no hashing. A newcomer beside a waiting forgery is
         // checked eagerly.
-        let digest = ClientRequest::signing_digest(txn);
+        let digest = digest.unwrap_or_else(|| ClientRequest::signing_digest(txn));
         if !newly_seen
             && !self
                 .crypto
@@ -945,10 +951,16 @@ impl ShimNode {
     /// dropped unanswered.
     pub fn on_message_at(&mut self, msg: &ProtocolMessage, now: SimTime) -> Vec<Action> {
         match msg {
-            ProtocolMessage::Notice(notice)
-                if self.verifier_signed(notice.signing_digest(), notice.signature) =>
-            {
-                self.on_notice(notice, now)
+            ProtocolMessage::Notice(notice) => {
+                // A carried request is hashed here once: the check binds
+                // its digest and ordering reuses it.
+                let request_digest = notice.request_digest();
+                let digest = notice.signing_digest(request_digest.as_ref());
+                if self.verifier_signed(digest, notice.signature) {
+                    self.on_notice(notice, request_digest, now)
+                } else {
+                    Vec::new()
+                }
             }
             ProtocolMessage::BatchValidated(validated)
                 if self.verifier_signed(validated.signing_digest(), validated.signature) =>
@@ -959,8 +971,14 @@ impl ShimNode {
         }
     }
 
-    /// Acts on a recovery notice the verifier signed (Figure 4, node role).
-    fn on_notice(&mut self, notice: &RecoveryNotice, now: SimTime) -> Vec<Action> {
+    /// Acts on a recovery notice the verifier signed (Figure 4, node
+    /// role); `request_digest` is the carried request's, if any.
+    fn on_notice(
+        &mut self,
+        notice: &RecoveryNotice,
+        request_digest: Option<Digest>,
+        now: SimTime,
+    ) -> Vec<Action> {
         let subject = notice.subject;
         match &notice.marker {
             NoticeMarker::Error(request) if self.is_primary() => {
@@ -971,7 +989,7 @@ impl ShimNode {
                     (RecoverySubject::Txn(_), Some(request)) => {
                         // The carried request joins the batch like any
                         // other; the aggregate check covers it.
-                        self.order_transaction(request, now)
+                        self.order_transaction(request, request_digest, now)
                     }
                     (RecoverySubject::Seq(seq), _) => self.respawn(seq),
                     _ => Vec::new(),
@@ -1384,6 +1402,39 @@ mod tests {
 
     #[cfg(debug_assertions)]
     #[test]
+    fn an_error_carried_request_is_hashed_once_at_the_primary() {
+        // The primary hashes the request an ERROR carries to check the
+        // verifier's signature over it, and orders the request under that
+        // digest: delivering the notice costs its own digest-and-verify.
+        use sbft_crypto::sha256::compressions;
+        let mut shim = make_shim(base_config());
+        let provider = Arc::clone(&shim.provider);
+        let request = signed_request(&provider, 3, 0);
+        let id = request.txn.id;
+        let notice = RecoveryNotice::signed(
+            NoticeMarker::Error(Some(Box::new(request))),
+            RecoverySubject::Txn(id),
+            &provider.handle(ComponentId::Verifier),
+        );
+        // The reference runs first, so both find the verifier's schedule
+        // in its slot.
+        let before = compressions();
+        let digest = notice.signing_digest(notice.request_digest().as_ref());
+        assert!(provider.verify(ComponentId::Verifier, &digest, &notice.signature));
+        let check = compressions() - before;
+        let before = compressions();
+        let actions = shim.nodes[0].on_message_at(&ProtocolMessage::Notice(notice), SimTime::ZERO);
+        assert_eq!(compressions() - before, check);
+        assert!(proposed_batch(&actions).is_none(), "one request waits");
+        assert_eq!(
+            shim.nodes[0].batcher.waiting(id).count(),
+            1,
+            "it is ordered"
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
     fn a_cft_follower_hashes_each_committed_batch_once() {
         // The follower checks Δ against the accepted batch; the commit
         // hands that digest on in its certificate instead of hashing the
@@ -1408,12 +1459,11 @@ mod tests {
                 .map(|c| signed_request(&provider, c, 0).txn)
                 .collect(),
         );
-        let (before, _) = compressions();
+        let before = compressions();
         let digest = compute_batch_digest(&batch);
-        let (after, _) = compressions();
-        let per_delta = after - before;
+        let per_delta = compressions() - before;
         for seq in 1..=3 {
-            let (before, _) = compressions();
+            let before = compressions();
             let accept = CftAccept {
                 ballot: ViewNumber(0),
                 seq: SeqNum(seq),
@@ -1431,8 +1481,7 @@ mod tests {
             assert!(actions
                 .iter()
                 .any(|a| matches!(a, Action::BatchCommitted { .. })));
-            let (after, _) = compressions();
-            assert_eq!(after - before, per_delta, "seq {seq}");
+            assert_eq!(compressions() - before, per_delta, "seq {seq}");
         }
     }
 
@@ -2368,14 +2417,14 @@ mod tests {
             resign(
                 "ERROR by a node",
                 &carrying,
-                node.sign(&carrying.signing_digest()),
+                node.sign(&carrying.signing_digest(carrying.request_digest().as_ref())),
             ),
             resign(
                 "REPLACE by a node",
                 &replace,
-                node.sign(&replace.signing_digest()),
+                node.sign(&replace.signing_digest(None)),
             ),
-            resign("ACK by a node", &ack, node.sign(&ack.signing_digest())),
+            resign("ACK by a node", &ack, node.sign(&ack.signing_digest(None))),
             resign("ERROR zero half flipped", &carrying, padded(&carrying, 32)),
             resign("ACK zero half flipped", &ack, padded(&ack, 63)),
             flip_batch("BATCH-VALIDATED seq", 1_000_000, 2, 0),

@@ -640,7 +640,7 @@ fn keys_of(rwset: &ReadWriteSet) -> impl Iterator<Item = Key> + '_ {
 mod tests {
     use super::*;
     use sbft_crypto::certificate::commit_digest;
-    use sbft_crypto::{CommitCertificate, CryptoProvider, SimSigner};
+    use sbft_crypto::{CommitCertificate, CryptoProvider};
     use sbft_storage::YcsbTable;
     use sbft_types::{
         Batch, ClientId, Digest, Key, NodeId, Operation, ReadWriteSet, ShardingConfig, Transaction,
@@ -701,11 +701,8 @@ mod tests {
             let cd = commit_digest(ViewNumber(view), SeqNum(seq), &digest);
             let entries = (0..3u32)
                 .map(|n| {
-                    let kp = self
-                        .provider
-                        .key_store()
-                        .keypair_for(ComponentId::Node(NodeId(n)));
-                    (NodeId(n), SimSigner::sign(&kp, &cd))
+                    let node = self.provider.handle(ComponentId::Node(NodeId(n)));
+                    (NodeId(n), node.sign(&cd))
                 })
                 .collect();
             std::sync::Arc::new(CommitCertificate::new(

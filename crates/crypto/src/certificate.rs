@@ -104,16 +104,25 @@ impl CommitCertificate {
 mod tests {
     use super::*;
     use crate::hashing::digest_u64s;
+    use crate::provider::CryptoProvider;
     use sbft_types::Digest;
+    use std::sync::Arc;
 
-    fn make_cert(store: &KeyStore, signers: &[u32], view: u64, seq: u64) -> CommitCertificate {
+    fn make_cert(
+        provider: &Arc<CryptoProvider>,
+        signers: &[u32],
+        view: u64,
+        seq: u64,
+    ) -> CommitCertificate {
         let batch_digest = digest_u64s("batch", &[seq]);
         let digest = commit_digest(ViewNumber(view), SeqNum(seq), &batch_digest);
         let entries = signers
             .iter()
             .map(|&n| {
-                let kp = store.keypair_for(ComponentId::Node(NodeId(n)));
-                (NodeId(n), SimSigner::sign(&kp, &digest))
+                (
+                    NodeId(n),
+                    provider.handle(ComponentId::Node(NodeId(n))).sign(&digest),
+                )
             })
             .collect();
         CommitCertificate::new(ViewNumber(view), SeqNum(seq), batch_digest, entries)
@@ -121,68 +130,74 @@ mod tests {
 
     #[test]
     fn valid_certificate_verifies() {
-        let store = KeyStore::new(1);
-        let cert = make_cert(&store, &[0, 1, 2], 0, 5);
-        assert!(cert.verify(&store, 3, 4).is_ok());
+        let provider = CryptoProvider::new(1);
+        let store = provider.key_store();
+        let cert = make_cert(&provider, &[0, 1, 2], 0, 5);
+        assert!(cert.verify(store, 3, 4).is_ok());
     }
 
     #[test]
     fn too_few_signers_rejected() {
-        let store = KeyStore::new(1);
-        let cert = make_cert(&store, &[0, 1], 0, 5);
-        let err = cert.verify(&store, 3, 4).unwrap_err();
+        let provider = CryptoProvider::new(1);
+        let store = provider.key_store();
+        let cert = make_cert(&provider, &[0, 1], 0, 5);
+        let err = cert.verify(store, 3, 4).unwrap_err();
         assert!(matches!(err, SbftError::BadCertificate(_)));
     }
 
     #[test]
     fn duplicate_signers_count_once() {
-        let store = KeyStore::new(1);
-        let mut cert = make_cert(&store, &[0, 1], 0, 5);
+        let provider = CryptoProvider::new(1);
+        let store = provider.key_store();
+        let mut cert = make_cert(&provider, &[0, 1], 0, 5);
         let dup = cert.entries[0];
         cert.entries.push(dup);
         cert.entries.push(dup);
-        assert!(cert.verify(&store, 2, 4).is_ok());
-        let err = cert.verify(&store, 3, 4).unwrap_err();
+        assert!(cert.verify(store, 2, 4).is_ok());
+        let err = cert.verify(store, 3, 4).unwrap_err();
         assert!(err.to_string().contains("2 distinct signers"), "{err}");
     }
 
     #[test]
     fn forged_signature_rejected() {
-        let store = KeyStore::new(1);
-        let mut cert = make_cert(&store, &[0, 1, 2], 0, 5);
+        let provider = CryptoProvider::new(1);
+        let store = provider.key_store();
+        let mut cert = make_cert(&provider, &[0, 1, 2], 0, 5);
         cert.entries[1].1 .0[0] ^= 0xff;
-        assert!(cert.verify(&store, 3, 4).is_err());
+        assert!(cert.verify(store, 3, 4).is_err());
     }
 
     #[test]
     fn signer_outside_shim_rejected() {
-        let store = KeyStore::new(1);
-        let cert = make_cert(&store, &[0, 1, 7], 0, 5);
-        assert!(cert.verify(&store, 3, 4).is_err());
+        let provider = CryptoProvider::new(1);
+        let store = provider.key_store();
+        let cert = make_cert(&provider, &[0, 1, 7], 0, 5);
+        assert!(cert.verify(store, 3, 4).is_err());
         // But fine for a larger shim.
-        assert!(cert.verify(&store, 3, 8).is_ok());
+        assert!(cert.verify(store, 3, 8).is_ok());
     }
 
     #[test]
     fn certificate_bound_to_view_seq_and_digest() {
-        let store = KeyStore::new(1);
-        let cert = make_cert(&store, &[0, 1, 2], 0, 5);
+        let provider = CryptoProvider::new(1);
+        let store = provider.key_store();
+        let cert = make_cert(&provider, &[0, 1, 2], 0, 5);
         let mut tampered = cert.clone();
         tampered.seq = SeqNum(6);
-        assert!(tampered.verify(&store, 3, 4).is_err());
+        assert!(tampered.verify(store, 3, 4).is_err());
         let mut tampered = cert.clone();
         tampered.view = ViewNumber(1);
-        assert!(tampered.verify(&store, 3, 4).is_err());
+        assert!(tampered.verify(store, 3, 4).is_err());
         let mut tampered = cert;
         tampered.batch_digest = Digest::ZERO;
-        assert!(tampered.verify(&store, 3, 4).is_err());
+        assert!(tampered.verify(store, 3, 4).is_err());
     }
 
     #[test]
     fn wire_size_grows_with_quorum() {
-        let store = KeyStore::new(1);
-        let small = make_cert(&store, &[0, 1, 2], 0, 1);
-        let large = make_cert(&store, &(0..21).collect::<Vec<_>>(), 0, 1);
+        let provider = CryptoProvider::new(1);
+        let small = make_cert(&provider, &[0, 1, 2], 0, 1);
+        let large = make_cert(&provider, &(0..21).collect::<Vec<_>>(), 0, 1);
         assert!(large.wire_size() > small.wire_size());
         assert_eq!(small.wire_size(), 48 + 3 * 68);
     }

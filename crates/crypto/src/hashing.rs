@@ -19,17 +19,6 @@
 use crate::sha256::Sha256;
 use sbft_types::{Batch, Digest, Operation, Transaction};
 
-/// Hashes the concatenation of several byte slices without copying them
-/// into one buffer (domain separation is the caller's responsibility).
-#[must_use]
-pub fn digest_concat(parts: &[&[u8]]) -> Digest {
-    let mut h = Sha256::new();
-    for p in parts {
-        h.update(p);
-    }
-    h.finalize()
-}
-
 /// An incremental, allocation-free hasher for streams of `u64` values.
 ///
 /// Construction absorbs a domain-separation label; values are then pushed
@@ -155,16 +144,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn concat_equals_single_buffer() {
-        let a = b"hello ";
-        let b = b"world";
-        let mut joined = Vec::new();
-        joined.extend_from_slice(a);
-        joined.extend_from_slice(b);
-        assert_eq!(digest_concat(&[a, b]), Sha256::digest(&joined));
-    }
-
-    #[test]
     fn u64_digest_depends_on_label_and_values() {
         let d1 = digest_u64s("preprepare", &[1, 2, 3]);
         let d2 = digest_u64s("preprepare", &[1, 2, 4]);
@@ -176,7 +155,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_valid() {
-        assert_eq!(digest_concat(&[]), Sha256::digest(b""));
+        assert_eq!(Sha256::new().finalize(), Sha256::digest(b""));
         let d = digest_u64s("x", &[]);
         assert!(!d.is_zero());
     }

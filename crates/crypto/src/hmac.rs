@@ -25,9 +25,8 @@ const ONE_BLOCK_MAX: usize = BLOCK_SIZE - 9;
 /// message of up to 55 bytes (every message this workspace authenticates
 /// is a 32-byte digest) costs exactly two compressions, each over a
 /// block padded on the stack; a simulated signature
-/// ([`crate::signature::SimSigner`]) is one such MAC. The two key blocks
-/// are independent streams, so deriving a schedule compresses them side
-/// by side.
+/// ([`crate::signature::SimSigner`]) is one such MAC. Deriving a
+/// schedule costs two compressions too, one per key block.
 #[derive(Clone, Copy)]
 pub struct HmacKey {
     /// Chaining value after absorbing `key ⊕ ipad`.
@@ -69,12 +68,9 @@ impl HmacKey {
             key_block[..key.len()].copy_from_slice(key);
         }
 
-        let mut midstates = [H0; 2];
-        Sha256::compress_pair(
-            &mut midstates,
-            &[key_block.map(|b| b ^ IPAD), key_block.map(|b| b ^ OPAD)],
-        );
-        let [inner, outer] = midstates;
+        let (mut inner, mut outer) = (H0, H0);
+        Sha256::compress_blocks(&mut inner, &key_block.map(|b| b ^ IPAD));
+        Sha256::compress_blocks(&mut outer, &key_block.map(|b| b ^ OPAD));
         HmacKey { inner, outer }
     }
 
@@ -190,25 +186,32 @@ mod tests {
     /// RFC 2104 written out — `H((K ⊕ opad) ‖ H((K ⊕ ipad) ‖ m))` through
     /// the plain hasher — against the midstate schedule, across the
     /// boundary between its one-block path (≤ 55 bytes) and the streaming
-    /// one.
+    /// one, for keys of every shape: empty, short, 32 bytes (every key the
+    /// store derives), a whole block, and one byte past it (hashed first).
     #[test]
     fn midstate_paths_match_the_definition_at_every_length() {
-        let key = b"a 23-byte-long hmac key";
-        let mut padded = [0u8; BLOCK_SIZE];
-        padded[..key.len()].copy_from_slice(key);
-        let schedule = HmacKey::new(key);
         let message: Vec<u8> = (0..130u8).map(|i| i.wrapping_mul(37)).collect();
-        for len in (0..=70).chain([119, 120, 130]) {
-            let m = &message[..len];
-            let mut inner = Sha256::new();
-            inner.update(&padded.map(|b| b ^ IPAD));
-            inner.update(m);
-            let mut outer = Sha256::new();
-            outer.update(&padded.map(|b| b ^ OPAD));
-            outer.update(inner.finalize().as_bytes());
-            let expected = MacTag(*outer.finalize().as_bytes());
-            assert_eq!(schedule.mac(m), expected, "len {len}");
-            assert_eq!(hmac_sha256(key, m), expected, "len {len}");
+        for key_len in [0usize, 23, 32, 64, 65] {
+            let key: Vec<u8> = (0..key_len).map(|i| (i * 11 + 5) as u8).collect();
+            let mut padded = [0u8; BLOCK_SIZE];
+            if key_len > BLOCK_SIZE {
+                padded[..32].copy_from_slice(Sha256::digest(&key).as_bytes());
+            } else {
+                padded[..key_len].copy_from_slice(&key);
+            }
+            let schedule = HmacKey::new(&key);
+            for len in (0..=70).chain([119, 120, 130]) {
+                let m = &message[..len];
+                let mut inner = Sha256::new();
+                inner.update(&padded.map(|b| b ^ IPAD));
+                inner.update(m);
+                let mut outer = Sha256::new();
+                outer.update(&padded.map(|b| b ^ OPAD));
+                outer.update(inner.finalize().as_bytes());
+                let expected = MacTag(*outer.finalize().as_bytes());
+                assert_eq!(schedule.mac(m), expected, "key {key_len}, len {len}");
+                assert_eq!(hmac_sha256(&key, m), expected, "key {key_len}, len {len}");
+            }
         }
     }
 

@@ -3,15 +3,16 @@
 //! The paper assumes public keys are distributed through public-key
 //! certificates and that byzantine components can neither impersonate
 //! honest components nor subvert cryptographic constructs (Section III).
-//! [`KeyStore`] models that trusted setup: every component's key pair and
-//! every pairwise MAC secret is derived deterministically from a
-//! deployment-wide master seed, so any component can obtain any other
-//! component's *public* key (and the simulator can verify signatures
-//! without a heavyweight PKI). Secret keys are only used on behalf of a
-//! component through its own [`crate::provider::CryptoHandle`].
+//! [`KeyStore`] models that trusted setup: every component's signing key
+//! and every pairwise MAC secret is derived deterministically from a
+//! deployment-wide master seed. There are no public keys: a signature is
+//! checked by recomputing it under the signer's schedule the store holds,
+//! which stands in for checking it against the signer's certified public
+//! key (and spares the simulator a PKI). A component signs only as
+//! itself, through its own [`crate::provider::CryptoHandle`].
 //!
 //! Every signature and MAC starts from an HMAC key schedule, which costs
-//! the key derivation and a pair of SHA-256 compressions to build. The
+//! the key derivation and two SHA-256 compressions to build. The
 //! store is the only place schedules are kept: in slots indexed by
 //! identity, one for the identity's signing schedule and one for its
 //! group-broadcast MAC schedule (the key of the pair `(x, x)`, the only
@@ -34,52 +35,6 @@ use crate::hashing::digest_u64s;
 use crate::hmac::HmacKey;
 use sbft_types::ComponentId;
 use std::sync::OnceLock;
-
-/// A 32-byte secret signing key.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct SecretKey(pub(crate) [u8; 32]);
-
-/// A 32-byte public key, derived as `H("sbft-pk" ‖ secret)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct PublicKey(pub [u8; 32]);
-
-/// A secret/public key pair.
-#[derive(Clone, Copy)]
-pub struct KeyPair {
-    /// The secret half; never leaves the owning component's handle.
-    pub secret: SecretKey,
-    /// The public half, distributed through the key store.
-    pub public: PublicKey,
-}
-
-impl std::fmt::Debug for SecretKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never print secret key material.
-        f.write_str("SecretKey(…)")
-    }
-}
-
-impl KeyPair {
-    /// Derives a key pair from a 32-byte seed.
-    #[must_use]
-    fn from_seed(seed: [u8; 32]) -> Self {
-        let secret = SecretKey(seed);
-        let public = PublicKey(*crate::hashing::digest_concat(&[b"sbft-pk", &seed]).as_bytes());
-        KeyPair { secret, public }
-    }
-
-    /// Derives the reusable HMAC key schedule of the secret half.
-    ///
-    /// Every signature under this key pair is one HMAC under this
-    /// schedule (see [`crate::signature::SimSigner`]); deriving it costs
-    /// a pair of SHA-256 compressions, so callers that sign or verify more
-    /// than once should derive it once and keep it, as [`KeyStore`] does
-    /// for every long-lived identity.
-    #[must_use]
-    pub fn signing_schedule(&self) -> HmacKey {
-        HmacKey::new(&self.secret.0)
-    }
-}
 
 /// Stable numeric encoding of a component identity used for key derivation.
 fn component_code(c: ComponentId) -> [u64; 2] {
@@ -146,7 +101,7 @@ impl Slots {
 
 /// The trusted key registry (simulated PKI).
 ///
-/// Key pairs and pairwise MAC secrets are derived deterministically from
+/// Signing keys and pairwise MAC secrets are derived deterministically from
 /// `master_seed`, which plays the role of the out-of-band certificate
 /// distribution plus Diffie–Hellman exchanges that the paper assumes have
 /// already happened before the protocol starts.
@@ -199,18 +154,11 @@ impl KeyStore {
         }
     }
 
-    /// The secret seed of `component`'s key pair: all a signing schedule
+    /// The secret signing key of `component`: all its signing schedule
     /// is derived from.
-    fn seed_of(&self, component: ComponentId) -> [u8; 32] {
+    pub(crate) fn seed_of(&self, component: ComponentId) -> [u8; 32] {
         let code = component_code(component);
         *digest_u64s("sbft-keypair", &[self.master_seed, code[0], code[1]]).as_bytes()
-    }
-
-    /// The key pair of `component`. Only [`crate::provider::CryptoHandle`]
-    /// should use the secret half.
-    #[must_use]
-    pub fn keypair_for(&self, component: ComponentId) -> KeyPair {
-        KeyPair::from_seed(self.seed_of(component))
     }
 
     /// The pairwise MAC key shared by components `a` and `b`, as would be
@@ -231,16 +179,19 @@ impl KeyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provider::CryptoProvider;
     use crate::signature::SimSigner;
     use sbft_types::{ClientId, ExecutorId, NodeId, Signature};
 
     #[test]
     fn key_derivation_is_deterministic() {
-        let store = KeyStore::new(42);
-        let a = store.keypair_for(ComponentId::Node(NodeId(1)));
-        let b = store.keypair_for(ComponentId::Node(NodeId(1)));
-        assert_eq!(a.public, b.public);
-        assert_eq!(a.secret.0, b.secret.0);
+        let node = ComponentId::Node(NodeId(1));
+        let (a, b) = (CryptoProvider::new(42), CryptoProvider::new(42));
+        assert_eq!(a.key_store().seed_of(node), b.key_store().seed_of(node));
+        let d = digest_u64s("derive", &[1]);
+        let sig = a.handle(node).sign(&d);
+        assert_eq!(b.handle(node).sign(&d), sig);
+        assert!(b.verify(node, &d, &sig));
     }
 
     #[test]
@@ -257,18 +208,20 @@ mod tests {
         ];
         let mut seen = std::collections::HashSet::new();
         for id in ids {
-            assert!(
-                seen.insert(store.keypair_for(id).public.0),
-                "duplicate key for {id}"
-            );
+            assert!(seen.insert(store.seed_of(id)), "duplicate key for {id}");
         }
     }
 
     #[test]
     fn different_master_seeds_give_different_keys() {
-        let a = KeyStore::new(1).keypair_for(ComponentId::Verifier).public;
-        let b = KeyStore::new(2).keypair_for(ComponentId::Verifier).public;
-        assert_ne!(a, b);
+        let verifier = ComponentId::Verifier;
+        let (a, b) = (CryptoProvider::new(1), CryptoProvider::new(2));
+        assert_ne!(
+            a.key_store().seed_of(verifier),
+            b.key_store().seed_of(verifier)
+        );
+        let d = digest_u64s("derive", &[2]);
+        assert!(!b.verify(verifier, &d, &a.handle(verifier).sign(&d)));
     }
 
     #[test]
@@ -299,21 +252,22 @@ mod tests {
     fn verifying_executors_leaves_the_store_its_size() {
         // Every spawn is a fresh executor identity: a store that kept
         // their schedules would grow with run length, not population.
-        let store = KeyStore::new(9);
+        let provider = CryptoProvider::new(9);
+        let store = provider.key_store();
         let verifier = ComponentId::Verifier;
         let d = digest_u64s("verify", &[1]);
-        let sig = SimSigner::sign(&store.keypair_for(verifier), &d);
-        assert!(SimSigner::verify(&store, verifier, &d, &sig));
-        let before = held(&store);
+        let sig = provider.handle(verifier).sign(&d);
+        assert!(SimSigner::verify(store, verifier, &d, &sig));
+        let before = held(store);
         assert_eq!(before, (1, 1));
         for id in 0..64 {
             let executor = ComponentId::Executor(ExecutorId(id));
-            let sig = SimSigner::sign(&store.keypair_for(executor), &d);
-            assert!(SimSigner::verify(&store, executor, &d, &sig));
-            assert!(!SimSigner::verify(&store, executor, &d, &Signature::ZERO));
+            let sig = provider.handle(executor).sign(&d);
+            assert!(SimSigner::verify(store, executor, &d, &sig));
+            assert!(!SimSigner::verify(store, executor, &d, &Signature::ZERO));
             let _ = store.mac_schedule_of(executor, executor);
         }
-        assert_eq!(held(&store), before);
+        assert_eq!(held(store), before);
     }
 
     #[test]
@@ -341,16 +295,20 @@ mod tests {
     #[test]
     fn secret_key_debug_does_not_leak() {
         let store = KeyStore::new(1);
-        let kp = store.keypair_for(ComponentId::Verifier);
-        assert_eq!(format!("{:?}", kp.secret), "SecretKey(…)");
+        let schedule = store.signing_schedule_of(ComponentId::Verifier);
+        assert_eq!(format!("{schedule:?}"), "HmacKey(…)");
     }
 
     #[test]
     fn client_and_node_with_same_numeric_id_differ() {
-        let store = KeyStore::new(5);
-        assert_ne!(
-            store.keypair_for(ComponentId::Node(NodeId(7))).public,
-            store.keypair_for(ComponentId::Client(ClientId(7))).public
+        let provider = CryptoProvider::new(5);
+        let (node, client) = (
+            ComponentId::Node(NodeId(7)),
+            ComponentId::Client(ClientId(7)),
         );
+        let store = provider.key_store();
+        assert_ne!(store.seed_of(node), store.seed_of(client));
+        let d = digest_u64s("derive", &[3]);
+        assert!(!provider.verify(client, &d, &provider.handle(node).sign(&d)));
     }
 }

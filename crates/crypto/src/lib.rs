@@ -29,15 +29,13 @@
 //! exactly as in the paper, so every certificate/quorum check in the
 //! protocol is exercised for real.
 //!
-//! Three amortisation layers keep the hot paths cheap:
+//! Two amortisation layers keep the hot paths cheap:
 //!
 //! * **Identity slots** ([`keys`]): the [`KeyStore`] holds each
 //!   long-lived identity's HMAC key schedules once, for signing and
 //!   verifying alike, in slots indexed by identity that any thread reads
-//!   without a lock; a [`CryptoHandle`] is just an identity over it.
-//! * **Paired compressions** ([`sha256`]): the two key blocks of a
-//!   schedule are independent streams, so their SHA-256 compressions run
-//!   side by side. A signature is one HMAC, two compressions.
+//!   without a lock; a [`CryptoHandle`] is just an identity over it. A
+//!   signature is then one HMAC from a stored schedule, two compressions.
 //! * **Batch signature aggregation** ([`aggregate`]): the individual
 //!   client signatures of a consensus batch fold into one
 //!   [`aggregate::AggregateSignature`]; the primary verifies one
@@ -61,9 +59,9 @@ pub mod signature;
 
 pub use aggregate::AggregateSignature;
 pub use certificate::CommitCertificate;
-pub use hashing::{digest_concat, digest_u64s, U64Hasher};
+pub use hashing::{digest_u64s, U64Hasher};
 pub use hmac::{hmac_sha256, HmacKey};
-pub use keys::{KeyPair, KeyStore, PublicKey, SecretKey};
+pub use keys::KeyStore;
 pub use provider::{CryptoHandle, CryptoProvider};
 pub use sha256::Sha256;
 pub use signature::SimSigner;

@@ -242,9 +242,12 @@ mod tests {
             let d = digest(round);
             for id in identities {
                 let handle = provider.handle(id);
-                // Signature: slot == SimSigner fresh derivation.
+                // Signature: slot == raw keyed one-shot HMAC under the
+                // identity's seed, then the zero half.
                 let sig = handle.sign(&d);
-                assert_eq!(sig, SimSigner::sign(&store.keypair_for(id), &d), "{id}");
+                let raw_key = store.seed_of(id);
+                assert_eq!(sig.0[..32], hmac_sha256(&raw_key, d.as_bytes()).0, "{id}");
+                assert_eq!(sig.0[32..], [0u8; 32], "{id}");
                 assert!(provider.verify(id, &d, &sig), "{id}");
                 // Group MAC: slot == raw keyed one-shot HMAC, and the
                 // receiver's check reads the same slot.

@@ -1,36 +1,31 @@
 //! A from-scratch SHA-256 implementation (FIPS 180-4).
 //!
 //! This is the collision-resistant hash function `H(·)` of the paper,
-//! used for request digests `Δ = H(m)`, public-key derivation in the
-//! simulated signature scheme, and HMAC.
+//! used for request digests `Δ = H(m)`, key derivation in the simulated
+//! signature scheme, and HMAC.
 //!
 //! Everything above the compression function is written once: buffering,
 //! padding and the HMAC passes all end in `Sha256::compress_blocks`,
-//! which hands a whole run of 64-byte blocks to one of two kernels, or in
-//! `Sha256::compress_pair`, which compresses one block of each of two
-//! independent streams side by side:
+//! which hands a whole run of 64-byte blocks of one stream to one of two
+//! kernels:
 //!
 //! * **`sha-ni`** — the x86-64 SHA extensions (`sha256rnds2`,
 //!   `sha256msg1`, `sha256msg2`), two rounds per instruction, chosen when
-//!   the CPU reports `sha`, `ssse3` and `sse4.1` at run time. Its pair
-//!   kernel interleaves the two streams' rounds in one loop, so the
-//!   latency of one stream's `sha256rnds2` chain hides behind the other's;
+//!   the CPU reports `sha`, `ssse3` and `sse4.1` at run time;
 //! * **`portable`** — the 64-round scalar function with a 16-word rolling
-//!   message schedule, the only kernel on every other target and CPU. Its
-//!   pair is two single-block calls.
+//!   message schedule, the only kernel on every other target and CPU.
 //!
 //! Nothing but the CPU selects a kernel (no option, environment variable
 //! or cargo feature), [`kernel_name`] reports which one runs, and the
-//! tests below hold the two equal on published vectors and random inputs,
-//! and each pair kernel equal to two single-block compressions.
+//! tests below hold the two equal on published vectors and random inputs.
 //!
-//! **`unsafe` inventory.** The `sha-ni` kernels are the only `unsafe` code
-//! of the workspace's libraries; they live in the private `shani` module
+//! **`unsafe` inventory.** The `sha-ni` kernel is the only `unsafe` code
+//! of the workspace's libraries; it lives in the private `shani` module
 //! of this file (see `DESIGN.md`). Each `unsafe` block there is one of:
 //! an unaligned 16-byte load or store inside a chaining value or a
-//! 64-byte block (in bounds by the argument types), or the call of a
-//! `#[target_feature]` function after `shani::detected()` confirmed the
-//! CPU runs it.
+//! 64-byte block (in bounds by the argument types), or the call of the
+//! `#[target_feature]` kernel after `shani::detected()` confirmed the CPU
+//! runs it.
 //!
 //! Three properties matter for the commit hot path:
 //!
@@ -132,24 +127,6 @@ impl Kernel {
             Kernel::ShaNi => shani::compress_blocks(state, blocks),
         }
     }
-
-    /// Compresses `blocks[i]` into `states[i]` for both streams: what two
-    /// single-block [`Self::compress_blocks`] calls compute.
-    ///
-    /// # Panics
-    /// If this CPU cannot run the kernel.
-    #[inline]
-    fn compress_pair(self, states: &mut [[u32; 8]; 2], blocks: &[[u8; BLOCK_SIZE]; 2]) {
-        match self {
-            Kernel::Portable => {
-                let [a, b] = states;
-                portable::compress_blocks(a, &blocks[0]);
-                portable::compress_blocks(b, &blocks[1]);
-            }
-            #[cfg(target_arch = "x86_64")]
-            Kernel::ShaNi => shani::compress_pair(states, blocks),
-        }
-    }
 }
 
 /// Name of the compression kernel this process hashes with (printed in
@@ -197,25 +174,13 @@ impl Sha256 {
     }
 
     /// Folds a run of whole 64-byte blocks into `state` with the kernel
-    /// selected for this CPU — with [`Self::compress_pair`], one of the two
-    /// entry points everything that hashes (buffering, padding, HMAC
-    /// passes) goes through.
+    /// selected for this CPU — the one entry point everything that hashes
+    /// (buffering, padding, HMAC passes) goes through.
     #[inline]
     pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
         #[cfg(debug_assertions)]
-        count::add(blocks.len() / BLOCK_SIZE, 0);
+        count::add(blocks.len() / BLOCK_SIZE);
         Kernel::selected().compress_blocks(state, blocks);
-    }
-
-    /// Folds `blocks[i]` into `states[i]`, the two streams side by side:
-    /// for independent streams (the inner and outer key blocks of a
-    /// schedule) one pair costs less than two single compressions on the
-    /// `sha-ni` kernel.
-    #[inline]
-    pub(crate) fn compress_pair(states: &mut [[u32; 8]; 2], blocks: &[[u8; BLOCK_SIZE]; 2]) {
-        #[cfg(debug_assertions)]
-        count::add(2, 2);
-        Kernel::selected().compress_pair(states, blocks);
     }
 
     /// Feeds `data` into the hash.
@@ -286,14 +251,13 @@ impl Sha256 {
     }
 }
 
-/// Compressions this thread has run since it started, and how many of
-/// them ran side by side with another (debug builds only, so a release
-/// build pays nothing for the count): what the tests pin instead of
-/// timing the hash.
+/// Compressions this thread has run since it started (debug builds
+/// only, so a release build pays nothing for the count): what the tests
+/// pin instead of timing the hash.
 #[cfg(debug_assertions)]
 #[must_use]
-pub fn compressions() -> (u64, u64) {
-    count::COUNTS.with(std::cell::Cell::get)
+pub fn compressions() -> u64 {
+    count::COMPRESSIONS.with(std::cell::Cell::get)
 }
 
 #[cfg(debug_assertions)]
@@ -301,15 +265,12 @@ mod count {
     use std::cell::Cell;
 
     thread_local! {
-        /// `(compressions, of them paired)` on this thread.
-        pub(super) static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+        /// Compressions on this thread.
+        pub(super) static COMPRESSIONS: Cell<u64> = const { Cell::new(0) };
     }
 
-    pub(super) fn add(compressions: usize, paired: usize) {
-        COUNTS.with(|c| {
-            let (all, pairs) = c.get();
-            c.set((all + compressions as u64, pairs + paired as u64));
-        });
+    pub(super) fn add(compressions: usize) {
+        COMPRESSIONS.with(|c| c.set(c.get() + compressions as u64));
     }
 }
 
@@ -379,7 +340,7 @@ mod portable {
     }
 }
 
-/// The x86-64 SHA-extensions kernels — the only `unsafe` code in the
+/// The x86-64 SHA-extensions kernel — the only `unsafe` code in the
 /// workspace's libraries (every other crate is `#![forbid(unsafe_code)]`).
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
@@ -412,15 +373,6 @@ mod shani {
         unsafe { compress_blocks_ni(state, blocks) }
     }
 
-    /// Safe entry point of the pair kernel: checks the CPU, then runs it.
-    #[inline]
-    pub(super) fn compress_pair(states: &mut [[u32; 8]; 2], blocks: &[[u8; BLOCK_SIZE]; 2]) {
-        assert!(detected(), "this CPU lacks the SHA extensions");
-        // SAFETY: `detected()` just confirmed that the CPU supports every
-        // target feature `compress_pair_ni` is compiled with.
-        unsafe { compress_pair_ni(states, blocks) }
-    }
-
     /// Four rounds: adds the round constants `K[4 * i..][..4]` to four
     /// schedule words and runs `sha256rnds2` on each half.
     macro_rules! rounds4 {
@@ -443,83 +395,6 @@ mod shani {
         }};
     }
 
-    /// The 64 rounds of one block for each stream named, the streams'
-    /// groups of four rounds interleaved: each stream is its state
-    /// vectors and its four schedule vectors, which end the block holding
-    /// its last sixteen schedule words.
-    macro_rules! rounds64 {
-        ($(($abef:ident, $cdgh:ident, $w0:ident, $w1:ident, $w2:ident, $w3:ident)),+) => {{
-            $(rounds4!($abef, $cdgh, $w0, 0);)+
-            $(rounds4!($abef, $cdgh, $w1, 1);)+
-            $(rounds4!($abef, $cdgh, $w2, 2);)+
-            $(rounds4!($abef, $cdgh, $w3, 3);)+
-            $(schedule_rounds4!($abef, $cdgh, $w0, $w1, $w2, $w3, 4);)+
-            $(schedule_rounds4!($abef, $cdgh, $w1, $w2, $w3, $w0, 5);)+
-            $(schedule_rounds4!($abef, $cdgh, $w2, $w3, $w0, $w1, 6);)+
-            $(schedule_rounds4!($abef, $cdgh, $w3, $w0, $w1, $w2, 7);)+
-            $(schedule_rounds4!($abef, $cdgh, $w0, $w1, $w2, $w3, 8);)+
-            $(schedule_rounds4!($abef, $cdgh, $w1, $w2, $w3, $w0, 9);)+
-            $(schedule_rounds4!($abef, $cdgh, $w2, $w3, $w0, $w1, 10);)+
-            $(schedule_rounds4!($abef, $cdgh, $w3, $w0, $w1, $w2, 11);)+
-            $(schedule_rounds4!($abef, $cdgh, $w0, $w1, $w2, $w3, 12);)+
-            $(schedule_rounds4!($abef, $cdgh, $w1, $w2, $w3, $w0, 13);)+
-            $(schedule_rounds4!($abef, $cdgh, $w2, $w3, $w0, $w1, 14);)+
-            $(schedule_rounds4!($abef, $cdgh, $w3, $w0, $w1, $w2, 15);)+
-        }};
-    }
-
-    /// The chaining value as the vectors `(ABEF, CDGH)` that
-    /// `sha256rnds2` works on.
-    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    #[inline]
-    fn load_state(state: &[u32; 8]) -> (__m128i, __m128i) {
-        // SAFETY: `state` is 32 readable bytes; the two unaligned loads
-        // cover words 0..4 and 4..8 of it.
-        let (dcba, hgfe) = unsafe {
-            (
-                _mm_loadu_si128(state.as_ptr().cast()),
-                _mm_loadu_si128(state.as_ptr().add(4).cast()),
-            )
-        };
-        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
-        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
-        (
-            _mm_alignr_epi8(cdab, efgh, 8),
-            _mm_blend_epi16(efgh, cdab, 0xf0),
-        )
-    }
-
-    /// Writes the vectors `(ABEF, CDGH)` back as the eight state words.
-    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    #[inline]
-    fn store_state(state: &mut [u32; 8], abef: __m128i, cdgh: __m128i) {
-        let feba = _mm_shuffle_epi32(abef, 0x1b);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
-        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
-        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
-        // SAFETY: `state` is 32 writable bytes; the two unaligned stores
-        // cover words 0..4 and 4..8 of it.
-        unsafe {
-            _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
-            _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgfe);
-        }
-    }
-
-    /// The sixteen message words of a block, four big-endian words per
-    /// vector.
-    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    #[inline]
-    fn load_block(block: &[u8; BLOCK_SIZE]) -> [__m128i; 4] {
-        // Byte shuffle that turns four big-endian words into lanes.
-        let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-        std::array::from_fn(|i| {
-            // SAFETY: the block is 64 bytes and `i < 4`, so the 16 bytes
-            // at `16 * i` are in bounds.
-            let raw = unsafe { _mm_loadu_si128(block.as_ptr().add(16 * i).cast()) };
-            _mm_shuffle_epi8(raw, be_words)
-        })
-    }
-
     /// The compression function over a run of blocks, two rounds per
     /// `sha256rnds2`. The instruction wants the state as the vectors
     /// `ABEF` and `CDGH`, so the eight words are permuted on entry and
@@ -530,46 +405,63 @@ mod shani {
     /// those features `unsafe`.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     fn compress_blocks_ni(state: &mut [u32; 8], blocks: &[u8]) {
-        let (mut abef, mut cdgh) = load_state(state);
+        // Byte shuffle that turns four big-endian words into lanes.
+        let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+
+        // SAFETY: `state` is 32 readable bytes; the two unaligned loads
+        // cover words 0..4 and 4..8 of it.
+        let (dcba, hgfe) = unsafe {
+            (
+                _mm_loadu_si128(state.as_ptr().cast()),
+                _mm_loadu_si128(state.as_ptr().add(4).cast()),
+            )
+        };
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
         for block in blocks.chunks_exact(BLOCK_SIZE) {
-            let block = block.try_into().expect("a 64-byte chunk");
-            let [mut w0, mut w1, mut w2, mut w3] = load_block(block);
+            let load = |i: usize| -> __m128i {
+                // SAFETY: `chunks_exact` yields 64-byte blocks and
+                // `i < 4`, so the 16 bytes at `16 * i` are in bounds.
+                let raw = unsafe { _mm_loadu_si128(block.as_ptr().add(16 * i).cast()) };
+                _mm_shuffle_epi8(raw, be_words)
+            };
             let (abef_in, cdgh_in) = (abef, cdgh);
-            rounds64!((abef, cdgh, w0, w1, w2, w3));
+            let (mut w0, mut w1, mut w2, mut w3) = (load(0), load(1), load(2), load(3));
+
+            rounds4!(abef, cdgh, w0, 0);
+            rounds4!(abef, cdgh, w1, 1);
+            rounds4!(abef, cdgh, w2, 2);
+            rounds4!(abef, cdgh, w3, 3);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, 4);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w0, 5);
+            schedule_rounds4!(abef, cdgh, w2, w3, w0, w1, 6);
+            schedule_rounds4!(abef, cdgh, w3, w0, w1, w2, 7);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, 8);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w0, 9);
+            schedule_rounds4!(abef, cdgh, w2, w3, w0, w1, 10);
+            schedule_rounds4!(abef, cdgh, w3, w0, w1, w2, 11);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, 12);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w0, 13);
+            schedule_rounds4!(abef, cdgh, w2, w3, w0, w1, 14);
+            schedule_rounds4!(abef, cdgh, w3, w0, w1, w2, 15);
+
             abef = _mm_add_epi32(abef, abef_in);
             cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
-        store_state(state, abef, cdgh);
-    }
 
-    /// One block of each of two independent streams, their rounds
-    /// interleaved four at a time so that each `sha256rnds2` of one
-    /// stream issues while the other's previous one is still in flight.
-    /// Computes what two single-block [`compress_blocks_ni`] calls do.
-    ///
-    /// Callers must have checked [`detected`], as for
-    /// [`compress_blocks_ni`].
-    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    fn compress_pair_ni(states: &mut [[u32; 8]; 2], blocks: &[[u8; BLOCK_SIZE]; 2]) {
-        let (mut abef_a, mut cdgh_a) = load_state(&states[0]);
-        let (mut abef_b, mut cdgh_b) = load_state(&states[1]);
-        let [mut a0, mut a1, mut a2, mut a3] = load_block(&blocks[0]);
-        let [mut b0, mut b1, mut b2, mut b3] = load_block(&blocks[1]);
-        let (abef_a_in, cdgh_a_in, abef_b_in, cdgh_b_in) = (abef_a, cdgh_a, abef_b, cdgh_b);
-        rounds64!(
-            (abef_a, cdgh_a, a0, a1, a2, a3),
-            (abef_b, cdgh_b, b0, b1, b2, b3)
-        );
-        store_state(
-            &mut states[0],
-            _mm_add_epi32(abef_a, abef_a_in),
-            _mm_add_epi32(cdgh_a, cdgh_a_in),
-        );
-        store_state(
-            &mut states[1],
-            _mm_add_epi32(abef_b, abef_b_in),
-            _mm_add_epi32(cdgh_b, cdgh_b_in),
-        );
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: `state` is 32 writable bytes; the two unaligned stores
+        // cover words 0..4 and 4..8 of it.
+        unsafe {
+            _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
+            _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgfe);
+        }
     }
 }
 
@@ -714,35 +606,6 @@ mod tests {
             }
             h.update(&data[from..]);
             prop_assert_eq!(*h.finalize().as_bytes(), expected);
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Each kernel's pair of streams computes what two single-block
-        /// compressions with the portable kernel do, from any states.
-        #[test]
-        fn a_pair_equals_two_single_compressions(
-            words in proptest::collection::vec(any::<u32>(), 16..17),
-            bytes in proptest::collection::vec(any::<u8>(), 128..129),
-        ) {
-            let start: [[u32; 8]; 2] =
-                std::array::from_fn(|i| words[8 * i..][..8].try_into().expect("8 words"));
-            let blocks: [[u8; BLOCK_SIZE]; 2] =
-                std::array::from_fn(|i| bytes[64 * i..][..64].try_into().expect("a block"));
-            let mut expected = start;
-            for (state, block) in expected.iter_mut().zip(&blocks) {
-                Kernel::Portable.compress_blocks(state, block);
-            }
-            for &kernel in Kernel::available() {
-                let mut states = start;
-                kernel.compress_pair(&mut states, &blocks);
-                prop_assert_eq!(states, expected);
-            }
-            let mut states = start;
-            Sha256::compress_pair(&mut states, &blocks);
-            prop_assert_eq!(states, expected);
         }
     }
 

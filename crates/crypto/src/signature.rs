@@ -3,11 +3,13 @@
 //! `SimSigner` is the documented substitution (see `DESIGN.md`) for the
 //! CryptoPP Ed25519/RSA signatures of the original system: a signature is
 //! one HMAC-SHA256 of the message digest under the signer's secret key,
-//! zero-padded to Ed25519's 64 bytes. Verification recomputes the
-//! signature from the signer's registered key pair (obtained through the
-//! trusted [`crate::keys::KeyStore`]), which mirrors the paper's
-//! assumption that honest components can always validate `⟨m⟩_R` given
-//! R's public-key certificate while byzantine components cannot forge it.
+//! zero-padded to Ed25519's 64 bytes. A component signs through its own
+//! [`crate::provider::CryptoHandle`], under the schedule the trusted
+//! [`crate::keys::KeyStore`] holds for it; verification recomputes the
+//! signature under the signer's schedule from the same store, which
+//! mirrors the paper's assumption that honest components can always
+//! validate `⟨m⟩_R` given R's public-key certificate while byzantine
+//! components cannot forge it.
 //!
 //! The scheme preserves every property the protocol relies on:
 //! determinism (matching `VERIFY` messages stay matching), binding to the
@@ -19,26 +21,16 @@
 //! is refused like any other altered byte.
 
 use crate::hmac::HmacKey;
-use crate::keys::{KeyPair, KeyStore};
+use crate::keys::KeyStore;
 use sbft_types::{ComponentId, Digest, Signature};
 
 /// Signing and verification entry points.
 pub struct SimSigner;
 
 impl SimSigner {
-    /// Signs a message digest with a secret key.
-    ///
-    /// Derives the key schedule on every call. Callers that sign
-    /// repeatedly under one identity should use the schedule the
-    /// [`KeyStore`] holds, through [`Self::sign_with_schedule`] (that is
-    /// what [`crate::provider::CryptoHandle::sign`] does).
-    #[must_use]
-    pub fn sign(keypair: &KeyPair, digest: &Digest) -> Signature {
-        Self::sign_with_schedule(&keypair.signing_schedule(), digest)
-    }
-
-    /// Signs a message digest with an already-derived key schedule,
-    /// skipping the schedule derivation [`Self::sign`] pays per call.
+    /// Signs a message digest with the signer's key schedule (the one
+    /// [`KeyStore`] holds, which is what
+    /// [`crate::provider::CryptoHandle::sign`] passes).
     ///
     /// The first 32 bytes are `HMAC(key, digest)` (two compressions), the
     /// last 32 are zero.
@@ -76,10 +68,12 @@ pub(crate) fn signatures_equal(a: &Signature, b: &Signature) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provider::CryptoProvider;
     use sbft_types::NodeId;
+    use std::sync::Arc;
 
-    fn store() -> KeyStore {
-        KeyStore::new(1234)
+    fn provider() -> Arc<CryptoProvider> {
+        CryptoProvider::new(1234)
     }
 
     fn digest(n: u64) -> Digest {
@@ -88,27 +82,26 @@ mod tests {
 
     #[test]
     fn sign_verify_round_trip() {
-        let s = store();
+        let p = provider();
         let node = ComponentId::Node(NodeId(0));
-        let kp = s.keypair_for(node);
-        let sig = SimSigner::sign(&kp, &digest(1));
-        assert!(SimSigner::verify(&s, node, &digest(1), &sig));
+        let sig = p.handle(node).sign(&digest(1));
+        assert!(SimSigner::verify(p.key_store(), node, &digest(1), &sig));
     }
 
     #[test]
     fn verification_rejects_wrong_message() {
-        let s = store();
+        let p = provider();
         let node = ComponentId::Node(NodeId(0));
-        let sig = SimSigner::sign(&s.keypair_for(node), &digest(1));
-        assert!(!SimSigner::verify(&s, node, &digest(2), &sig));
+        let sig = p.handle(node).sign(&digest(1));
+        assert!(!SimSigner::verify(p.key_store(), node, &digest(2), &sig));
     }
 
     #[test]
     fn verification_rejects_wrong_signer() {
-        let s = store();
-        let sig = SimSigner::sign(&s.keypair_for(ComponentId::Node(NodeId(0))), &digest(1));
+        let p = provider();
+        let sig = p.handle(ComponentId::Node(NodeId(0))).sign(&digest(1));
         assert!(!SimSigner::verify(
-            &s,
+            p.key_store(),
             ComponentId::Node(NodeId(1)),
             &digest(1),
             &sig
@@ -117,34 +110,29 @@ mod tests {
 
     #[test]
     fn verification_rejects_bit_flip() {
-        let s = store();
+        let p = provider();
         let node = ComponentId::Node(NodeId(2));
-        let mut sig = SimSigner::sign(&s.keypair_for(node), &digest(9));
+        let mut sig = p.handle(node).sign(&digest(9));
         sig.0[63] ^= 0x80;
-        assert!(!SimSigner::verify(&s, node, &digest(9), &sig));
+        assert!(!SimSigner::verify(p.key_store(), node, &digest(9), &sig));
     }
 
     #[test]
     fn signatures_are_deterministic() {
-        let s = store();
-        let node = ComponentId::Node(NodeId(3));
-        let kp = s.keypair_for(node);
-        assert_eq!(
-            SimSigner::sign(&kp, &digest(5)),
-            SimSigner::sign(&kp, &digest(5))
-        );
+        let handle = provider().handle(ComponentId::Node(NodeId(3)));
+        assert_eq!(handle.sign(&digest(5)), handle.sign(&digest(5)));
     }
 
     #[test]
     fn a_signature_is_one_mac_and_a_zero_half() {
-        let s = store();
+        let p = provider();
         for (signer, n) in [
             (ComponentId::Verifier, 5),
             (ComponentId::Node(NodeId(1)), 6),
         ] {
-            let schedule = s.keypair_for(signer).signing_schedule();
+            let schedule = HmacKey::new(&p.key_store().seed_of(signer));
             let d = digest(n);
-            let sig = SimSigner::sign_with_schedule(&schedule, &d);
+            let sig = p.handle(signer).sign(&d);
             assert_eq!(sig.0[..32], schedule.mac(d.as_bytes()).0);
             assert_eq!(sig.0[32..], [0u8; 32]);
         }
@@ -152,13 +140,12 @@ mod tests {
 
     #[test]
     fn schedule_paths_match_the_fresh_key_paths() {
-        let s = store();
+        let p = provider();
         let node = ComponentId::Node(NodeId(4));
-        let kp = s.keypair_for(node);
-        let schedule = kp.signing_schedule();
-        let sig = SimSigner::sign_with_schedule(&schedule, &digest(11));
-        assert_eq!(sig, SimSigner::sign(&kp, &digest(11)));
-        assert!(SimSigner::verify(&s, node, &digest(11), &sig));
-        assert!(!SimSigner::verify(&s, node, &digest(12), &sig));
+        let fresh = HmacKey::new(&p.key_store().seed_of(node));
+        let sig = SimSigner::sign_with_schedule(&fresh, &digest(11));
+        assert_eq!(sig, p.handle(node).sign(&digest(11)));
+        assert!(SimSigner::verify(p.key_store(), node, &digest(11), &sig));
+        assert!(!SimSigner::verify(p.key_store(), node, &digest(12), &sig));
     }
 }

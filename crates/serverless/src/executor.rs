@@ -229,7 +229,7 @@ impl Executor {
 mod tests {
     use super::*;
     use sbft_crypto::certificate::commit_digest;
-    use sbft_crypto::{CommitCertificate, CryptoProvider, SimSigner};
+    use sbft_crypto::{CommitCertificate, CryptoProvider};
     use sbft_storage::{VersionedStore, YcsbTable};
     use sbft_types::{
         Batch, ClientId, ComponentId, NodeId, SeqNum, Transaction, TxnId, ViewNumber,
@@ -265,11 +265,8 @@ mod tests {
             let cd = commit_digest(ViewNumber(0), SeqNum(1), &digest);
             let entries = (0..3u32)
                 .map(|n| {
-                    let kp = self
-                        .provider
-                        .key_store()
-                        .keypair_for(ComponentId::Node(NodeId(n)));
-                    (NodeId(n), SimSigner::sign(&kp, &cd))
+                    let node = self.provider.handle(ComponentId::Node(NodeId(n)));
+                    (NodeId(n), node.sign(&cd))
                 })
                 .collect();
             let certificate = Arc::new(CommitCertificate::new(

@@ -6,9 +6,7 @@ use serverless_bft::consensus::Batcher;
 use serverless_bft::core::planner::{batch_home, home_shard, BatchFootprint, BestEffortPlanner};
 use serverless_bft::core::verifier::{Verifier, VerifierConfig};
 use serverless_bft::crypto::certificate::commit_digest;
-use serverless_bft::crypto::{
-    AggregateSignature, CommitCertificate, CryptoProvider, KeyStore, SimSigner,
-};
+use serverless_bft::crypto::{AggregateSignature, CommitCertificate, CryptoProvider};
 use serverless_bft::serverless::{ExecuteRequest, Executor, ExecutorBehavior, Invoker};
 use serverless_bft::sharding::{ShardRouter, ShardScheduler, ShardedCommitter};
 use serverless_bft::storage::{
@@ -124,20 +122,18 @@ proptest! {
     /// verification is bound to (view, seq, digest).
     #[test]
     fn certificates_verify_iff_untampered(view in 0u64..5, seq in 1u64..100, flip in any::<bool>()) {
-        let store = KeyStore::new(7);
+        let provider = CryptoProvider::new(7);
+        let store = provider.key_store();
         let digest = serverless_bft::crypto::digest_u64s("prop", &[seq]);
         let cd = commit_digest(ViewNumber(view), SeqNum(seq), &digest);
         let entries: Vec<_> = (0..3u32)
-            .map(|n| {
-                let kp = store.keypair_for(ComponentId::Node(NodeId(n)));
-                (NodeId(n), SimSigner::sign(&kp, &cd))
-            })
+            .map(|n| (NodeId(n), provider.handle(ComponentId::Node(NodeId(n))).sign(&cd)))
             .collect();
         let mut cert = CommitCertificate::new(ViewNumber(view), SeqNum(seq), digest, entries);
-        prop_assert!(cert.verify(&store, 3, 4).is_ok());
+        prop_assert!(cert.verify(store, 3, 4).is_ok());
         if flip {
             cert.seq = SeqNum(seq + 1);
-            prop_assert!(cert.verify(&store, 3, 4).is_err());
+            prop_assert!(cert.verify(store, 3, 4).is_err());
         }
     }
 
@@ -714,12 +710,7 @@ proptest! {
                 let plan = batch_home(&batch, &router);
                 let cd = commit_digest(ViewNumber(0), SeqNum(seq), &digest);
                 let entries = (0..3u32)
-                    .map(|n| {
-                        let kp = provider
-                            .key_store()
-                            .keypair_for(ComponentId::Node(NodeId(n)));
-                        (NodeId(n), SimSigner::sign(&kp, &cd))
-                    })
+                    .map(|n| (NodeId(n), provider.handle(ComponentId::Node(NodeId(n))).sign(&cd)))
                     .collect();
                 let certificate =
                     Arc::new(CommitCertificate::new(ViewNumber(0), SeqNum(seq), digest, entries));
