@@ -116,7 +116,8 @@ pub struct KeyStore {
 impl std::fmt::Debug for KeyStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KeyStore")
-            .field("master_seed", &self.master_seed)
+            // Every key of the deployment is derived from the seed.
+            .field("master_seed", &format_args!("<redacted>"))
             .finish_non_exhaustive()
     }
 }

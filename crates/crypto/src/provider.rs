@@ -193,6 +193,16 @@ mod tests {
     }
 
     #[test]
+    fn debug_output_hides_the_master_seed() {
+        let seed = 0x5EED_F00D_CAFE_D00D_u64;
+        let printed = format!("{:?}", CryptoProvider::new(seed));
+        assert!(printed.contains("<redacted>"), "{printed}");
+        for shown in [seed.to_string(), format!("{seed:x}"), format!("{seed:X}")] {
+            assert!(!printed.contains(&shown), "{printed} shows the seed");
+        }
+    }
+
+    #[test]
     fn macs_work_between_the_right_pair_only() {
         let provider = CryptoProvider::new(99);
         let a = provider.handle(ComponentId::Node(NodeId(0)));

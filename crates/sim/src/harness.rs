@@ -69,12 +69,10 @@ impl Default for SimParams {
 /// What happens at a point in virtual time (timers aside: the queue
 /// keeps those itself, see [`crate::queue`]).
 ///
-/// The queue holds one of these per pending event, so the enum is kept
-/// to 16 bytes (32 per queued event): sifting a small element through a
-/// deep heap costs less than an indirection. An executor run (a few per
-/// batch) is boxed; a message in flight — the common entry — is not an
-/// `EventKind` at all but a slot of the queue's delivery slab
-/// ([`EventQueue::push_delivery`]).
+/// The queue holds one of these in a node of its slab, the node type a
+/// message in flight — the common entry — is held inline in too
+/// ([`EventQueue::push_delivery`]). A node is as large as its largest
+/// entry, so an executor run (a few per batch) is boxed.
 pub(crate) enum EventKind {
     ExecutorRun(Box<ExecutorRun>),
     BatchTick {
@@ -1005,7 +1003,24 @@ mod tests {
             ..SimParams::default()
         };
         let mut harness = SimHarness::new(system, params);
-        harness.drive();
+        harness.seed();
+        // Every 64th pop, the runs queued and the entries they hold.
+        let (mut runs, mut entries) = (0, 0);
+        while let Some(popped) = harness.next_due() {
+            harness.fire(popped);
+            if harness.events_processed.is_multiple_of(64) {
+                let (r, e) = harness.queue.runs();
+                runs += r;
+                entries += e;
+            }
+        }
+        // Deliveries due at one instant share a run: 5.8 entries a run
+        // here (on `saturate`, 30.3 k entries in 960 runs on average). One
+        // run per entry would put every entry back through the heap.
+        assert!(
+            entries >= 4 * runs,
+            "{entries} entries queued in {runs} runs, summed over the samples"
+        );
 
         let answered = harness.metrics.latency.count();
         assert!(answered > 2 * clients, "answered {answered}");
@@ -1020,14 +1035,13 @@ mod tests {
             );
         }
 
-        // `saturate` ends with ~31 k queued events (deliveries in flight,
-        // 32 bytes each) and at most 2 × 51 200 + 16 client deadlines (24
-        // bytes each); it ended with ~195 k of them, nearly all stale,
-        // while each was kept until due. Ahead of the deliveries those
-        // deadlines made a heap of 226 k; apart, the deliveries (and the
-        // per-batch node timers) sift through less than one entry per
-        // client. Here: 827 events and 988 deadlines, 98 bytes of queue
-        // per client (2 046 deadlines and 147 bytes while they were kept).
+        // On `saturate` the queue holds, on average, 30.3 k entries in
+        // 960 runs (51.2 k entries at most, 176 bytes a node), 4.9 k node
+        // and verifier timers and 71.2 k client deadlines (24 bytes each,
+        // at most 2 × 51 200 + 16). Here the run ends with 827 stale
+        // timers and 988 deadlines, and the slab has grown to 600 nodes:
+        // 291 bytes of queue per client, where a heap of entries with a
+        // slab of deliveries took 295 (631 slots).
         let queued = harness.queue.len();
         let events = harness.queue.events_len();
         assert!(
@@ -1042,7 +1056,7 @@ mod tests {
         );
         let queue_bytes = harness.queue.queued_bytes();
         assert!(
-            queue_bytes / clients < 112,
+            queue_bytes / clients <= 295,
             "{queued} queued entries, {queue_bytes} bytes for {clients} clients"
         );
         assert_eq!(harness.into_metrics().aborted_txns, 0);

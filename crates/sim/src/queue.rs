@@ -2,30 +2,47 @@
 //!
 //! Everything that happens at a point of virtual time is popped from an
 //! [`EventQueue`] in strict `(time, seq)` order, `seq` being the order in
-//! which events were pushed and timers armed. Two heaps share that one
-//! sequence counter:
+//! which events were pushed and timers armed. Three structures share that
+//! one sequence counter:
 //!
-//! * `events` holds deliveries, executor runs, ticks, crashes and the
-//!   timers of shim nodes and the verifier (a handful per batch, looked up
-//!   through two small tables). A queued delivery is an index into
-//!   `deliveries`, a slab the queue owns: [`EventQueue::push_delivery`]
-//!   fills a slot, exactly one heap entry names it, and popping that
-//!   entry empties the slot onto the free list — so a message in flight
-//!   costs no allocation once the slab has grown to the run's peak;
+//! * *runs* hold deliveries, executor runs, ticks and crashes. A run is a
+//!   list of entries due at one instant, in `seq` order, linked through
+//!   `nodes`, one slab the queue owns: a node holds its `seq`, the
+//!   delivery or event itself, and the index of the next node of its run.
+//!   Consecutive pushes for one instant append to the *open* run; a push
+//!   for another instant closes it into `runs`, a heap keyed by
+//!   `(time, head seq)`, and opens a new one. So two runs of one instant
+//!   never interleave — every entry of the later was pushed after every
+//!   entry of the earlier — and the heads order the runs. Pops drain the
+//!   *serving* run, the least one, node by node with no heap operation; a
+//!   push that lands before it (possible only after a deadline popped
+//!   ahead of it) files it back into the heap. A popped node goes on the
+//!   slab's free chain, so an entry costs no allocation once the slab has
+//!   grown to the run's peak.
+//!
+//!   Instants are crowded: the saturated verifier's 100 `RESPONSE`s of a
+//!   batch are all due at one µs, and on the benchmark's `saturate` 88 %
+//!   of pops (86 % on `steady`) are followed by an entry of the same
+//!   instant. There the heap holds 960 runs on average where a heap of
+//!   entries held 35 k (51 k at most), timers included;
+//! * `timer_deadlines` holds the timers of shim nodes and the verifier, a
+//!   handful per batch, looked up by `seq` through two small tables. A
+//!   cancelled one stays queued and pops as [`Fired::StaleTimer`] when
+//!   due; in a heap of their own they cost 24 bytes each rather than a
+//!   node, and split no run;
 //! * `client_deadlines` holds the client timers `τ_m`. The closed loop
 //!   gives every client one request and so one timer at a time: the armed
 //!   timer lives in a slot indexed by client, arming and cancelling touch
 //!   nothing else, and a queued deadline is live only while its client's
 //!   slot still carries its `seq`. Nearly all of them are cancelled long
-//!   before they are due; kept apart, they cost the deliveries no heap
-//!   depth, and pushing deadlines that only grow never sifts. A cancelled
-//!   deadline is not looked for, but it is not kept until it is due
-//!   either: once the heap holds more than two per client (plus a small
-//!   slack), the next arming keeps only the live ones, at most one per
-//!   client. Each such pass is paid for by the at least `clients` armings
-//!   since the last, and it removes only entries that would have popped
-//!   as [`Fired::StaleTimer`]: every live timer still fires at its
-//!   `(time, seq)`.
+//!   before they are due, and pushing deadlines that only grow never
+//!   sifts. A cancelled deadline is not looked for, but it is not kept
+//!   until it is due either: once the heap holds more than two per client
+//!   (plus a small slack), the next arming keeps only the live ones, at
+//!   most one per client. Each such pass is paid for by the at least
+//!   `clients` armings since the last, and it removes only entries that
+//!   would have popped as [`Fired::StaleTimer`]: every live timer still
+//!   fires at its `(time, seq)`.
 
 use crate::harness::{Delivery, EventKind};
 use sbft_core::events::ProtocolTimer;
@@ -33,38 +50,37 @@ use sbft_types::{ClientId, ComponentId, IdMap, SimTime, TxnId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// What an entry of the `events` heap stands for.
+/// What a node of a run stands for.
 enum Queued {
     Event(EventKind),
-    /// The message in this slot of the delivery slab arrives.
-    Delivery(u32),
-    /// A node or verifier timer armed under the entry's `seq` expires,
-    /// unless it was cancelled or re-armed in the meantime.
-    Timer,
+    Delivery(Delivery),
+    /// What a node on the free chain holds: nothing.
+    Vacant,
 }
 
-struct Event {
-    time: SimTime,
+/// One queued entry, or one link of the free chain.
+struct Node {
     seq: u64,
     queued: Queued,
+    /// The next node of the run (or of the free chain), [`END`] at its end.
+    next: u32,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
+/// The `next` of a run's last node and of the free chain's last node.
+const END: u32 = u32::MAX;
+
+/// A run outside the heap: the open run or the serving one.
+#[derive(Clone, Copy)]
+struct Run {
+    time: SimTime,
+    head: u32,
+    /// The last node, where the open run appends (the serving run's is
+    /// never read).
+    tail: u32,
 }
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
+
+/// A closed run in the heap: its time, its head's `seq`, its head.
+type RunKey = (SimTime, u64, u32);
 
 /// Client deadlines the heap may hold beyond two per client before the
 /// next arming drops the stale ones.
@@ -82,7 +98,7 @@ struct ClientTimer {
 pub(crate) enum Fired {
     /// A pushed event.
     Event(EventKind),
-    /// A pushed delivery, taken out of its slab slot.
+    /// A pushed delivery.
     Delivery(Delivery),
     /// An armed timer reached its deadline.
     Timer(ComponentId, ProtocolTimer),
@@ -98,29 +114,49 @@ pub(crate) struct Popped {
 }
 
 pub(crate) struct EventQueue {
-    events: BinaryHeap<Reverse<Event>>,
-    /// Messages in flight, by slot; `free_slots` lists the empty ones.
-    deliveries: Vec<Option<Delivery>>,
-    free_slots: Vec<u32>,
+    /// Every entry of every run, linked; `free` heads the chain of empty
+    /// nodes.
+    nodes: Vec<Node>,
+    free: u32,
+    /// Closed runs, least `(time, head seq)` first.
+    runs: BinaryHeap<Reverse<RunKey>>,
+    /// The run pushes for its instant append to, while it is queued.
+    open: Option<Run>,
+    /// The run pops take from: no other run holds an entry before its
+    /// head.
+    serving: Option<Run>,
+    /// Node and verifier timers, as `(deadline, seq)`.
+    timer_deadlines: BinaryHeap<Reverse<(SimTime, u64)>>,
     client_deadlines: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     client_timers: Vec<ClientTimer>,
     /// Armed node and verifier timers, by the `seq` of their queued
-    /// event, and the reverse index cancelling goes through. An entry
+    /// deadline, and the reverse index cancelling goes through. An entry
     /// leaves both when its timer is cancelled, re-armed or fired.
     timers: IdMap<u64, (ComponentId, ProtocolTimer)>,
     timer_seq: IdMap<(ComponentId, ProtocolTimer), u64>,
     last_seq: u64,
 }
 
+/// Whether `a` pops before `b`, an empty source popping last.
+fn earlier<K: Ord>(a: Option<K>, b: Option<K>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => a < b,
+        (a, _) => a.is_some(),
+    }
+}
+
 impl EventQueue {
     /// An empty queue with timer slots for `clients` clients, and room in
-    /// the delivery slab for the burst of their first requests at t = 0
-    /// (grown by doubling, the slab overshoots it by up to half).
+    /// the slab for the burst of their first requests at t = 0 (grown by
+    /// doubling, the slab overshoots it by up to half).
     pub(crate) fn new(clients: usize) -> Self {
         EventQueue {
-            events: BinaryHeap::new(),
-            deliveries: Vec::with_capacity(clients),
-            free_slots: Vec::new(),
+            nodes: Vec::with_capacity(clients),
+            free: END,
+            runs: BinaryHeap::new(),
+            open: None,
+            serving: None,
+            timer_deadlines: BinaryHeap::new(),
             client_deadlines: BinaryHeap::new(),
             client_timers: vec![ClientTimer::default(); clients],
             timers: IdMap::default(),
@@ -135,32 +171,71 @@ impl EventQueue {
     }
 
     pub(crate) fn push(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.next_seq();
-        self.events.push(Reverse(Event {
-            time,
-            seq,
-            queued: Queued::Event(kind),
-        }));
+        self.enqueue(time, Queued::Event(kind));
     }
 
-    /// Queues `delivery` for `time`, in a free slab slot if there is one.
     pub(crate) fn push_delivery(&mut self, time: SimTime, delivery: Delivery) {
-        let seq = self.next_seq();
-        let slot = match self.free_slots.pop() {
-            Some(slot) => {
-                self.deliveries[slot as usize] = Some(delivery);
-                slot
-            }
-            None => {
-                self.deliveries.push(Some(delivery));
-                u32::try_from(self.deliveries.len() - 1).expect("fewer than 2^32 in flight")
-            }
+        self.enqueue(time, Queued::Delivery(delivery));
+    }
+
+    /// The heap key of a run headed by `head`.
+    fn key(&self, time: SimTime, head: u32) -> RunKey {
+        (time, self.nodes[head as usize].seq, head)
+    }
+
+    /// Queues an entry for `time` in a node off the free chain, if there
+    /// is one, at the end of the open run if that run is `time`'s.
+    fn enqueue(&mut self, time: SimTime, queued: Queued) {
+        let node = Node {
+            seq: self.next_seq(),
+            queued,
+            next: END,
         };
-        self.events.push(Reverse(Event {
+        let index = if self.free == END {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 queued")
+        } else {
+            let index = self.free;
+            self.free = std::mem::replace(&mut self.nodes[index as usize], node).next;
+            index
+        };
+        if let Some(serving) = self.serving.take_if(|serving| time < serving.time) {
+            let key = self.key(serving.time, serving.head);
+            self.runs.push(Reverse(key));
+        }
+        match self.open {
+            Some(ref mut open) if open.time == time => {
+                self.nodes[open.tail as usize].next = index;
+                open.tail = index;
+            }
+            _ => {
+                let opened = Run {
+                    time,
+                    head: index,
+                    tail: index,
+                };
+                if let Some(closed) = self.open.replace(opened) {
+                    let key = self.key(closed.time, closed.head);
+                    self.runs.push(Reverse(key));
+                }
+            }
+        }
+    }
+
+    /// The least queued run, taken out of the heap or out of the open
+    /// slot, whichever holds it.
+    fn next_run(&mut self) -> Option<Run> {
+        let closed = self.runs.peek().map(|Reverse(key)| *key);
+        let open = self.open.map(|run| self.key(run.time, run.head));
+        if earlier(open, closed) {
+            return self.open.take();
+        }
+        let Reverse((time, _, head)) = self.runs.pop()?;
+        Some(Run {
             time,
-            seq,
-            queued: Queued::Delivery(slot),
-        }));
+            head,
+            tail: END,
+        })
     }
 
     /// The most client deadlines the heap holds right after an arming:
@@ -196,11 +271,7 @@ impl EventQueue {
             self.timers.remove(&superseded);
         }
         self.timers.insert(seq, (owner, timer));
-        self.events.push(Reverse(Event {
-            time: deadline,
-            seq,
-            queued: Queued::Timer,
-        }));
+        self.timer_deadlines.push(Reverse((deadline, seq)));
     }
 
     /// Cancels `owner`'s `timer` if it is armed.
@@ -222,17 +293,18 @@ impl EventQueue {
 
     /// Removes and returns the entry with the smallest `(time, seq)`.
     pub(crate) fn pop(&mut self) -> Option<Popped> {
-        let event = self.events.peek().map(|Reverse(e)| (e.time, e.seq));
-        let deadline = self
+        if self.serving.is_none() {
+            self.serving = self.next_run();
+        }
+        let run = self
+            .serving
+            .map(|run| (run.time, self.nodes[run.head as usize].seq));
+        let client = self
             .client_deadlines
             .peek()
             .map(|Reverse((time, seq, _))| (*time, *seq));
-        let deadline_first = match (event, deadline) {
-            (_, None) => false,
-            (None, Some(_)) => true,
-            (Some(event), Some(deadline)) => deadline < event,
-        };
-        if deadline_first {
+        let timer = self.timer_deadlines.peek().map(|Reverse(key)| *key);
+        if earlier(client, run) && earlier(client, timer) {
             let Reverse((time, seq, client)) = self.client_deadlines.pop()?;
             let slot = &mut self.client_timers[client as usize];
             let fired = if slot.seq == seq {
@@ -247,24 +319,32 @@ impl EventQueue {
             };
             return Some(Popped { time, fired });
         }
-        let Reverse(Event { time, seq, queued }) = self.events.pop()?;
-        let fired = match queued {
-            Queued::Event(kind) => Fired::Event(kind),
-            Queued::Delivery(slot) => {
-                self.free_slots.push(slot);
-                Fired::Delivery(
-                    self.deliveries[slot as usize]
-                        .take()
-                        .expect("a queued delivery owns its slot"),
-                )
-            }
-            Queued::Timer => match self.timers.remove(&seq) {
+        if earlier(timer, run) {
+            let Reverse((time, seq)) = self.timer_deadlines.pop()?;
+            let fired = match self.timers.remove(&seq) {
                 Some((owner, timer)) => {
                     self.timer_seq.remove(&(owner, timer));
                     Fired::Timer(owner, timer)
                 }
                 None => Fired::StaleTimer,
-            },
+            };
+            return Some(Popped { time, fired });
+        }
+        let run = self.serving.as_mut()?;
+        let (time, index) = (run.time, run.head);
+        let node = &mut self.nodes[index as usize];
+        let queued = std::mem::replace(&mut node.queued, Queued::Vacant);
+        if node.next == END {
+            self.serving = None;
+        } else {
+            run.head = node.next;
+        }
+        node.next = self.free;
+        self.free = index;
+        let fired = match queued {
+            Queued::Event(kind) => Fired::Event(kind),
+            Queued::Delivery(delivery) => Fired::Delivery(delivery),
+            Queued::Vacant => unreachable!("a queued node holds an entry"),
         };
         Some(Popped { time, fired })
     }
@@ -272,20 +352,40 @@ impl EventQueue {
     /// Entries still queued, stale deadlines included.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.events.len() + self.client_deadlines.len()
+        self.events_len() + self.client_deadlines.len()
     }
 
-    /// Bytes the queued entries occupy.
+    /// Bytes the queue holds for its entries: the slab (every node it has
+    /// grown to, free ones included) and the three heaps.
     #[cfg(test)]
     pub(crate) fn queued_bytes(&self) -> usize {
-        self.events.len() * std::mem::size_of::<Reverse<Event>>()
+        self.nodes.len() * std::mem::size_of::<Node>()
+            + self.runs.len() * std::mem::size_of::<Reverse<RunKey>>()
+            + self.timer_deadlines.len() * std::mem::size_of::<Reverse<(SimTime, u64)>>()
             + self.client_deadlines.len() * std::mem::size_of::<Reverse<(SimTime, u64, u32)>>()
     }
 
-    /// Entries queued outside the client-deadline heap.
+    /// Entries queued outside the client-deadline heap: those in runs and
+    /// the node and verifier timers.
     #[cfg(test)]
     pub(crate) fn events_len(&self) -> usize {
-        self.events.len()
+        self.runs().1 + self.timer_deadlines.len()
+    }
+
+    /// Runs still queued (closed, open and serving) and the entries they
+    /// hold.
+    #[cfg(test)]
+    pub(crate) fn runs(&self) -> (usize, usize) {
+        let mut free = 0;
+        let mut node = self.free;
+        while node != END {
+            free += 1;
+            node = self.nodes[node as usize].next;
+        }
+        let runs = self.runs.len()
+            + usize::from(self.open.is_some())
+            + usize::from(self.serving.is_some());
+        (runs, self.nodes.len() - free)
     }
 
     /// The request whose timer `client` has armed, if any.
@@ -316,13 +416,19 @@ mod tests {
 
     #[test]
     fn queued_entries_are_small() {
-        assert!(std::mem::size_of::<Reverse<Event>>() <= 32);
+        // A queued delivery or event is one node: `seq`, the message in
+        // flight (or event) inline, and the link to the next node of its
+        // run. A delivery took 192 bytes while it was a 32-byte heap entry
+        // naming a 160-byte slab slot. Timers are 24-byte heap entries.
+        assert!(std::mem::size_of::<Node>() <= 176);
+        assert!(std::mem::size_of::<Reverse<RunKey>>() <= 24);
+        assert!(std::mem::size_of::<Reverse<(SimTime, u64)>>() <= 24);
         assert!(std::mem::size_of::<Reverse<(SimTime, u64, u32)>>() <= 24);
-        // What a role pushes per send and what a slab slot holds per
-        // message in flight. Both were 304 bytes while `ERROR` carried its
-        // client request inline and `EXECUTE` / `VERIFY` sat in the enum.
+        // What a role pushes per send and what a node holds per message
+        // in flight. Both were 304 bytes while `ERROR` carried its client
+        // request inline and `EXECUTE` / `VERIFY` sat in the enum.
         assert!(std::mem::size_of::<sbft_core::events::Action>() <= 192);
-        assert!(std::mem::size_of::<Option<Delivery>>() <= 184);
+        assert!(std::mem::size_of::<Queued>() <= 160);
         // What a client costs at rest, all of it inline (296 bytes plus two
         // heap blocks while its crypto handle carried MAC schedules and its
         // outstanding requests sat in a `Vec`). The handle's own size is
@@ -504,9 +610,10 @@ mod tests {
     /// One step of a random schedule.
     #[derive(Clone, Copy, Debug)]
     enum Step {
-        /// Push a delivery-like event due `delay` after the clock.
+        /// Push `count` delivery-like events due `delay` after the clock.
         Push {
             delay: u64,
+            count: u64,
         },
         /// Arm the timer of request `counter` of client `owner` (or, for
         /// `owner >= 4`, a verifier timer) `delay` after the clock.
@@ -522,10 +629,19 @@ mod tests {
         Pop,
     }
 
+    /// The delays of pushes and arms: few, so that entries meet at
+    /// instants as deliveries of one batch do, 0 among them, so that
+    /// entries land at the instant being served.
+    const DELAYS: [u64; 6] = [0, 1, 2, 5, 13, 34];
+
+    fn delay() -> impl Strategy<Value = u64> {
+        (0..DELAYS.len()).prop_map(|i| DELAYS[i])
+    }
+
     fn step() -> impl Strategy<Value = Step> {
         prop_oneof![
-            (0u64..40).prop_map(|delay| Step::Push { delay }),
-            (0u32..6, 0u64..3, 0u64..40).prop_map(|(owner, counter, delay)| Step::Arm {
+            (delay(), 1u64..6).prop_map(|(delay, count)| Step::Push { delay, count }),
+            (0u32..6, 0u64..3, delay()).prop_map(|(owner, counter, delay)| Step::Arm {
                 owner,
                 counter,
                 delay
@@ -533,6 +649,10 @@ mod tests {
             (0u32..6, 0u64..3).prop_map(|(owner, counter)| Step::Cancel { owner, counter }),
             (0u8..2).prop_map(|_| Step::Pop),
         ]
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        proptest::collection::vec(step(), 1..400)
     }
 
     fn timer_of(owner: u32, counter: u64) -> (ComponentId, ProtocolTimer) {
@@ -566,98 +686,165 @@ mod tests {
         model.values().filter(|queued| is_client(queued)).count()
     }
 
+    /// Whether the model holds a pushed event due at `time`.
+    fn holds_event_at(model: &BTreeMap<(SimTime, u64), Expected>, time: SimTime) -> bool {
+        model
+            .range((time, 0)..=(time, u64::MAX))
+            .any(|(_, queued)| matches!(queued, Expected::Event(_)))
+    }
+
+    /// The shapes of a schedule that make and break runs, by whether a
+    /// schedule showed them.
+    const SHAPES: [&str; 5] = [
+        "a push due at once",
+        "a burst of pushes at one instant",
+        "a push at the instant being served",
+        "an arm at the instant of the open run",
+        "a second run of an instant, another instant pushed between",
+    ];
+
+    /// Runs `steps` against the queue and a model of it: entries leave in
+    /// strict `(time, seq)` order — `seq` counting pushes and arms alike —
+    /// a timer fires only if it is still the latest arming of its key, and
+    /// everything else shows up as a stale deadline at its place in the
+    /// order, bar the cancelled client deadlines an arming past the bound
+    /// dropped. Returns which of [`SHAPES`] the schedule showed.
+    fn check_order(steps: &[Step]) -> [bool; 5] {
+        let mut q = EventQueue::new(4);
+        // (time, seq) -> what was queued; the live arming of each key.
+        let mut model: BTreeMap<(SimTime, u64), Expected> = BTreeMap::new();
+        let mut live: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+        let mut seq = 0u64;
+        let mut clock = 0u64;
+        // The instant of the last pop and of the last push.
+        let mut served = None;
+        let mut pushed = None;
+        let mut shapes = [false; 5];
+        let check_pop = |q: &mut EventQueue,
+                         model: &mut BTreeMap<(SimTime, u64), Expected>,
+                         live: &mut BTreeMap<(u32, u64), u64>,
+                         clock: &mut u64| {
+            let popped = q.pop();
+            let Some(((time, seq), expected)) = model.pop_first() else {
+                assert!(popped.is_none(), "the model is empty");
+                return None;
+            };
+            let popped = popped.expect("the model holds an entry");
+            assert_eq!(popped.time, time);
+            *clock = time.as_micros();
+            match (expected, popped.fired) {
+                (Expected::Event(n), Fired::Event(EventKind::BatchTick { node })) => {
+                    assert_eq!(node, n);
+                }
+                (Expected::Timer(owner, timer), fired) => {
+                    let key = live.iter().find(|(_, s)| **s == seq).map(|(k, _)| *k);
+                    match (key, fired) {
+                        (Some(key), Fired::Timer(o, t)) => {
+                            assert_eq!((o, t), (owner, timer));
+                            live.remove(&key);
+                        }
+                        (None, Fired::StaleTimer) => {}
+                        (key, _) => panic!("seq {seq}: live as {key:?}, popped otherwise"),
+                    }
+                }
+                (expected, _) => panic!("seq {seq}: expected {expected:?}"),
+            }
+            Some(time)
+        };
+        for &step in steps {
+            match step {
+                Step::Push { delay, count } => {
+                    let time = at(clock + delay);
+                    shapes[0] |= delay == 0;
+                    shapes[1] |= count > 1;
+                    shapes[2] |= served == Some(time) && holds_event_at(&model, time);
+                    shapes[4] |= pushed != Some(time) && holds_event_at(&model, time);
+                    pushed = Some(time);
+                    for _ in 0..count {
+                        seq += 1;
+                        q.push(time, marker(seq as usize));
+                        model.insert((time, seq), Expected::Event(seq as usize));
+                    }
+                }
+                Step::Arm {
+                    owner,
+                    counter,
+                    delay,
+                } => {
+                    seq += 1;
+                    let time = at(clock + delay);
+                    shapes[3] |= pushed == Some(time) && holds_event_at(&model, time);
+                    let (component, timer) = timer_of(owner, counter);
+                    q.arm(component, timer, time);
+                    if owner < 4 {
+                        // A client has one slot: arming replaces whatever
+                        // request it held. Past the bound, the cancelled
+                        // deadlines leave the queue.
+                        live.retain(|(o, _), _| *o != owner);
+                        if client_deadlines(&model) >= q.deadline_bound() {
+                            model.retain(|(_, s), queued| {
+                                !is_client(queued) || live.values().any(|l| l == s)
+                            });
+                        }
+                    }
+                    model.insert((time, seq), Expected::Timer(component, timer));
+                    live.insert((owner, counter), seq);
+                    let queued = client_deadlines(&model);
+                    assert_eq!(q.len() - q.events_len(), queued);
+                    assert!(queued <= q.deadline_bound());
+                }
+                Step::Cancel { owner, counter } => {
+                    let (component, timer) = timer_of(owner, counter);
+                    q.cancel(component, timer);
+                    live.remove(&(owner, counter));
+                }
+                Step::Pop => {
+                    if let Some(time) = check_pop(&mut q, &mut model, &mut live, &mut clock) {
+                        served = Some(time);
+                    }
+                }
+            }
+        }
+        while check_pop(&mut q, &mut model, &mut live, &mut clock).is_some() {}
+        assert!(q.pop().is_none());
+        assert_eq!(q.runs(), (0, 0));
+        shapes
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Whatever the interleaving of deliveries, arms, cancels and
-        /// pops, entries leave in strict `(time, seq)` order — `seq`
-        /// counting pushes and arms alike — a timer fires only if it is
-        /// still the latest arming of its key, and everything else shows
-        /// up as a stale deadline at its place in the order — bar the
-        /// cancelled client deadlines an arming past the bound dropped.
+        /// pops, entries leave in `(time, seq)` order (see
+        /// [`check_order`]).
         #[test]
-        fn pops_follow_time_then_arming_order(
-            steps in proptest::collection::vec(step(), 1..400),
+        fn pops_follow_time_then_arming_order(steps in steps()) {
+            check_order(&steps);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1))]
+
+        /// Most schedules drawn for the order property show every shape
+        /// that makes or breaks a run, so the property covers them.
+        #[test]
+        fn order_schedules_form_and_split_runs(
+            schedules in proptest::collection::vec(steps(), 256..257),
         ) {
-            let mut q = EventQueue::new(4);
-            // (time, seq) -> what was queued; the live arming of each key.
-            let mut model: BTreeMap<(SimTime, u64), Expected> = BTreeMap::new();
-            let mut live: BTreeMap<(u32, u64), u64> = BTreeMap::new();
-            let mut seq = 0u64;
-            let mut clock = 0u64;
-            let check_pop = |q: &mut EventQueue,
-                                 model: &mut BTreeMap<(SimTime, u64), Expected>,
-                                 live: &mut BTreeMap<(u32, u64), u64>,
-                                 clock: &mut u64| {
-                let popped = q.pop();
-                let Some(((time, seq), expected)) = model.pop_first() else {
-                    assert!(popped.is_none(), "the model is empty");
-                    return;
-                };
-                let popped = popped.expect("the model holds an entry");
-                assert_eq!(popped.time, time);
-                *clock = time.as_micros();
-                match (expected, popped.fired) {
-                    (Expected::Event(n), Fired::Event(EventKind::BatchTick { node })) => {
-                        assert_eq!(node, n);
-                    }
-                    (Expected::Timer(owner, timer), fired) => {
-                        let key = live
-                            .iter()
-                            .find(|(_, s)| **s == seq)
-                            .map(|(k, _)| *k);
-                        match (key, fired) {
-                            (Some(key), Fired::Timer(o, t)) => {
-                                assert_eq!((o, t), (owner, timer));
-                                live.remove(&key);
-                            }
-                            (None, Fired::StaleTimer) => {}
-                            (key, _) => panic!("seq {seq}: live as {key:?}, popped otherwise"),
-                        }
-                    }
-                    (expected, _) => panic!("seq {seq}: expected {expected:?}"),
-                }
-            };
-            for step in steps {
-                match step {
-                    Step::Push { delay } => {
-                        seq += 1;
-                        q.push(at(clock + delay), marker(seq as usize));
-                        model.insert((at(clock + delay), seq), Expected::Event(seq as usize));
-                    }
-                    Step::Arm { owner, counter, delay } => {
-                        seq += 1;
-                        let (component, timer) = timer_of(owner, counter);
-                        q.arm(component, timer, at(clock + delay));
-                        if owner < 4 {
-                            // A client has one slot: arming replaces
-                            // whatever request it held. Past the bound,
-                            // the cancelled deadlines leave the queue.
-                            live.retain(|(o, _), _| *o != owner);
-                            if client_deadlines(&model) >= q.deadline_bound() {
-                                model.retain(|(_, s), queued| {
-                                    !is_client(queued) || live.values().any(|l| l == s)
-                                });
-                            }
-                        }
-                        model.insert((at(clock + delay), seq), Expected::Timer(component, timer));
-                        live.insert((owner, counter), seq);
-                        let queued = client_deadlines(&model);
-                        prop_assert_eq!(q.len() - q.events_len(), queued);
-                        prop_assert!(queued <= q.deadline_bound());
-                    }
-                    Step::Cancel { owner, counter } => {
-                        let (component, timer) = timer_of(owner, counter);
-                        q.cancel(component, timer);
-                        live.remove(&(owner, counter));
-                    }
-                    Step::Pop => check_pop(&mut q, &mut model, &mut live, &mut clock),
+            let mut shown = [0usize; 5];
+            for steps in &schedules {
+                for (n, showed) in shown.iter_mut().zip(check_order(steps)) {
+                    *n += usize::from(showed);
                 }
             }
-            while !model.is_empty() {
-                check_pop(&mut q, &mut model, &mut live, &mut clock);
+            for (shape, n) in SHAPES.iter().zip(shown) {
+                prop_assert!(
+                    4 * n >= 3 * schedules.len(),
+                    "{shape}: {n} of {} schedules",
+                    schedules.len()
+                );
             }
-            prop_assert!(q.pop().is_none());
         }
     }
 }
