@@ -986,9 +986,9 @@ mod tests {
     /// 512 closed-loop clients, and a run of about three commit latencies
     /// (30 ms here), so each client is answered about three times as it
     /// is there. An answered request's cancelled 2 s client timer costs
-    /// no timer slot, no table entry and no place among the deliveries,
-    /// and its entry in the deadline heap goes at the next arming that
-    /// finds the heap past two deadlines per client.
+    /// no place among the deliveries, and its deadline, like a cancelled
+    /// node or verifier timer's, goes at the next arming that finds the
+    /// heap past two deadlines per slot of the armed-timer table.
     #[test]
     fn answered_requests_leave_no_armed_timer_and_few_stale_deadlines() {
         let mut cfg = tiny_config();
@@ -1036,27 +1036,29 @@ mod tests {
         }
 
         // On `saturate` the queue holds, on average, 30.3 k entries in
-        // 960 runs (51.2 k entries at most, 176 bytes a node), 4.9 k node
-        // and verifier timers and 71.2 k client deadlines (24 bytes each,
-        // at most 2 × 51 200 + 16). Here the run ends with 827 stale
-        // timers and 988 deadlines, and the slab has grown to 600 nodes:
-        // 291 bytes of queue per client, where a heap of entries with a
-        // slab of deliveries took 295 (631 slots).
+        // 960 runs (51.2 k entries at most, 176 bytes a node) and the
+        // deadlines of every owner (24 bytes each, at most two per slot of
+        // the table plus 16). Here the run ends with 1 026 deadlines in
+        // reach of a bound of 1 448 (716 slots: 512 clients' and 204 handed
+        // out by the index), and the slab has grown to 638 nodes: 267 bytes
+        // of queue per client. A queue that kept cancelled node and
+        // verifier timers until due ended with 827 of them on top of 988
+        // client deadlines (291 bytes per client).
         let queued = harness.queue.len();
-        let events = harness.queue.events_len();
+        let (_, entries) = harness.queue.runs();
         assert!(
-            events < 2 * clients,
-            "{events} events queued for {clients} clients"
+            entries < 2 * clients,
+            "{entries} entries queued in runs for {clients} clients"
         );
-        let deadlines = queued - events;
-        assert!(deadlines > clients, "{deadlines} client deadlines queued");
+        let deadlines = queued - entries;
+        assert!(deadlines > clients, "{deadlines} deadlines queued");
         assert!(
             deadlines <= harness.queue.deadline_bound(),
-            "{deadlines} client deadlines queued for {clients} clients"
+            "{deadlines} client, node and verifier deadlines queued for {clients} clients"
         );
         let queue_bytes = harness.queue.queued_bytes();
         assert!(
-            queue_bytes / clients <= 295,
+            queue_bytes / clients <= 275,
             "{queued} queued entries, {queue_bytes} bytes for {clients} clients"
         );
         assert_eq!(harness.into_metrics().aborted_txns, 0);

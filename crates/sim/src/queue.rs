@@ -2,7 +2,7 @@
 //!
 //! Everything that happens at a point of virtual time is popped from an
 //! [`EventQueue`] in strict `(time, seq)` order, `seq` being the order in
-//! which events were pushed and timers armed. Three structures share that
+//! which events were pushed and timers armed. Two structures share that
 //! one sequence counter:
 //!
 //! * *runs* hold deliveries, executor runs, ticks and crashes. A run is a
@@ -25,24 +25,22 @@
 //!   of pops (86 % on `steady`) are followed by an entry of the same
 //!   instant. There the heap holds 960 runs on average where a heap of
 //!   entries held 35 k (51 k at most), timers included;
-//! * `timer_deadlines` holds the timers of shim nodes and the verifier, a
-//!   handful per batch, looked up by `seq` through two small tables. A
-//!   cancelled one stays queued and pops as [`Fired::StaleTimer`] when
-//!   due; in a heap of their own they cost 24 bytes each rather than a
-//!   node, and split no run;
-//! * `client_deadlines` holds the client timers `τ_m`. The closed loop
-//!   gives every client one request and so one timer at a time: the armed
-//!   timer lives in a slot indexed by client, arming and cancelling touch
-//!   nothing else, and a queued deadline is live only while its client's
-//!   slot still carries its `seq`. Nearly all of them are cancelled long
-//!   before they are due, and pushing deadlines that only grow never
-//!   sifts. A cancelled deadline is not looked for, but it is not kept
-//!   until it is due either: once the heap holds more than two per client
-//!   (plus a small slack), the next arming keeps only the live ones, at
-//!   most one per client. Each such pass is paid for by the at least
-//!   `clients` armings since the last, and it removes only entries that
-//!   would have popped as [`Fired::StaleTimer`]: every live timer still
-//!   fires at its `(time, seq)`.
+//! * `deadlines` holds the deadlines of every timer, client, node and
+//!   verifier alike, as `(deadline, seq, slot)`: 24 bytes each, in a heap
+//!   of their own, so they split no run. `slot` names the timer's slot in
+//!   the armed-timer table, which holds `(seq, owner, timer)`, and a
+//!   deadline is live only while its slot still carries its `seq`. The
+//!   first slots are the clients' (the closed loop gives a client one
+//!   `τ_m` at a time); any other timer takes one through an index by
+//!   `(owner, timer)` and hands it back to a free list once cancelled or
+//!   fired. Nearly every timer is cancelled long before it is due, and a
+//!   cancelled deadline is not looked for, but it is not kept until due
+//!   either: once the heap holds two per slot (plus a small slack), the
+//!   next arming keeps only the live ones, at most one per slot. Each such
+//!   pass is paid for by the at least as many armings since the last, and
+//!   it removes only entries that would have popped as
+//!   [`Fired::StaleTimer`]: every live timer still fires at its
+//!   `(time, seq)`.
 
 use crate::harness::{Delivery, EventKind};
 use sbft_core::events::ProtocolTimer;
@@ -82,16 +80,20 @@ struct Run {
 /// A closed run in the heap: its time, its head's `seq`, its head.
 type RunKey = (SimTime, u64, u32);
 
-/// Client deadlines the heap may hold beyond two per client before the
-/// next arming drops the stale ones.
+/// A queued deadline: its time, the `seq` of its arming, its timer's slot.
+type DeadlineKey = (SimTime, u64, u32);
+
+/// Deadlines the heap may hold beyond two per slot of the armed-timer
+/// table before the next arming drops the stale ones.
 const DEADLINE_SLACK: usize = 16;
 
-/// The armed timer of one client: the `seq` its queued deadline carries
-/// (0 while unarmed) and the counter of the request it guards.
-#[derive(Clone, Copy, Default)]
-struct ClientTimer {
+/// One slot of the armed-timer table: the `seq` of the queued deadline
+/// that fires it (0 while the slot is free) and the timer it fires.
+#[derive(Clone, Copy)]
+struct Armed {
     seq: u64,
-    counter: u64,
+    owner: ComponentId,
+    timer: ProtocolTimer,
 }
 
 /// What [`EventQueue::pop`] found at the head of the queue.
@@ -125,15 +127,15 @@ pub(crate) struct EventQueue {
     /// The run pops take from: no other run holds an entry before its
     /// head.
     serving: Option<Run>,
-    /// Node and verifier timers, as `(deadline, seq)`.
-    timer_deadlines: BinaryHeap<Reverse<(SimTime, u64)>>,
-    client_deadlines: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    client_timers: Vec<ClientTimer>,
-    /// Armed node and verifier timers, by the `seq` of their queued
-    /// deadline, and the reverse index cancelling goes through. An entry
-    /// leaves both when its timer is cancelled, re-armed or fired.
-    timers: IdMap<u64, (ComponentId, ProtocolTimer)>,
-    timer_seq: IdMap<(ComponentId, ProtocolTimer), u64>,
+    /// Every timer's deadline, live or stale, as `(deadline, seq, slot)`.
+    deadlines: BinaryHeap<Reverse<DeadlineKey>>,
+    /// The armed-timer table: a slot for each of the first `clients`
+    /// clients' request timers, then slots the index hands out and the
+    /// free list takes back.
+    armed: Vec<Armed>,
+    clients: usize,
+    vacant: Vec<u32>,
+    slots: IdMap<(ComponentId, ProtocolTimer), u32>,
     last_seq: u64,
 }
 
@@ -146,21 +148,29 @@ fn earlier<K: Ord>(a: Option<K>, b: Option<K>) -> bool {
 }
 
 impl EventQueue {
-    /// An empty queue with timer slots for `clients` clients, and room in
-    /// the slab for the burst of their first requests at t = 0 (grown by
-    /// doubling, the slab overshoots it by up to half).
+    /// An empty queue with a timer slot for each of `clients` clients, and
+    /// room in the slab for the burst of their first requests at t = 0
+    /// (grown by doubling, the slab overshoots it by up to half).
     pub(crate) fn new(clients: usize) -> Self {
+        let unarmed = |c: u32| {
+            let client = ClientId(c);
+            Armed {
+                seq: 0,
+                owner: ComponentId::Client(client),
+                timer: ProtocolTimer::ClientRequest(TxnId::new(client, 0)),
+            }
+        };
         EventQueue {
             nodes: Vec::with_capacity(clients),
             free: END,
             runs: BinaryHeap::new(),
             open: None,
             serving: None,
-            timer_deadlines: BinaryHeap::new(),
-            client_deadlines: BinaryHeap::new(),
-            client_timers: vec![ClientTimer::default(); clients],
-            timers: IdMap::default(),
-            timer_seq: IdMap::default(),
+            deadlines: BinaryHeap::new(),
+            armed: (0..clients as u32).map(unarmed).collect(),
+            clients,
+            vacant: Vec::new(),
+            slots: IdMap::default(),
             last_seq: 0,
         }
     }
@@ -238,56 +248,53 @@ impl EventQueue {
         })
     }
 
-    /// The most client deadlines the heap holds right after an arming:
-    /// reaching it, the next arming drops the stale ones.
+    /// The most deadlines the heap holds right after an arming: reaching
+    /// it, the next arming drops the stale ones.
     pub(crate) fn deadline_bound(&self) -> usize {
-        2 * self.client_timers.len() + DEADLINE_SLACK
+        2 * self.armed.len() + DEADLINE_SLACK
+    }
+
+    /// The slot kept for `owner`'s `timer` if it is a client's request
+    /// timer: its client's.
+    fn client_slot(&self, owner: ComponentId, timer: ProtocolTimer) -> Option<u32> {
+        let ProtocolTimer::ClientRequest(TxnId { client, .. }) = timer else {
+            return None;
+        };
+        (owner == ComponentId::Client(client) && (client.0 as usize) < self.clients)
+            .then_some(client.0)
     }
 
     /// Arms (or re-arms) `owner`'s `timer` to fire at `deadline`.
     pub(crate) fn arm(&mut self, owner: ComponentId, timer: ProtocolTimer, deadline: SimTime) {
         let seq = self.next_seq();
-        if let (ComponentId::Client(client), ProtocolTimer::ClientRequest(txn)) = (owner, timer) {
-            if txn.client == client {
-                let slot = client.0 as usize;
-                if slot >= self.client_timers.len() {
-                    self.client_timers.resize(slot + 1, ClientTimer::default());
-                }
-                self.client_timers[slot] = ClientTimer {
-                    seq,
-                    counter: txn.counter,
-                };
-                if self.client_deadlines.len() >= self.deadline_bound() {
-                    let timers = &self.client_timers;
-                    self.client_deadlines
-                        .retain(|Reverse((_, seq, client))| timers[*client as usize].seq == *seq);
-                }
-                self.client_deadlines
-                    .push(Reverse((deadline, seq, client.0)));
-                return;
-            }
+        let slot = self.client_slot(owner, timer).unwrap_or_else(|| {
+            *self.slots.entry((owner, timer)).or_insert_with(|| {
+                self.vacant.pop().unwrap_or_else(|| {
+                    self.armed.push(Armed { seq, owner, timer });
+                    u32::try_from(self.armed.len() - 1).expect("fewer than 2^32 timers armed")
+                })
+            })
+        });
+        self.armed[slot as usize] = Armed { seq, owner, timer };
+        if self.deadlines.len() >= self.deadline_bound() {
+            let armed = &self.armed;
+            self.deadlines
+                .retain(|Reverse((_, seq, slot))| armed[*slot as usize].seq == *seq);
         }
-        if let Some(superseded) = self.timer_seq.insert((owner, timer), seq) {
-            self.timers.remove(&superseded);
-        }
-        self.timers.insert(seq, (owner, timer));
-        self.timer_deadlines.push(Reverse((deadline, seq)));
+        self.deadlines.push(Reverse((deadline, seq, slot)));
     }
 
     /// Cancels `owner`'s `timer` if it is armed.
     pub(crate) fn cancel(&mut self, owner: ComponentId, timer: ProtocolTimer) {
-        if let (ComponentId::Client(client), ProtocolTimer::ClientRequest(txn)) = (owner, timer) {
-            if txn.client == client {
-                if let Some(slot) = self.client_timers.get_mut(client.0 as usize) {
-                    if slot.counter == txn.counter {
-                        slot.seq = 0;
-                    }
-                }
-                return;
+        let slot = self.client_slot(owner, timer).or_else(|| {
+            let slot = self.slots.remove(&(owner, timer))?;
+            self.vacant.push(slot);
+            Some(slot)
+        });
+        if let Some(armed) = slot.map(|slot| &mut self.armed[slot as usize]) {
+            if armed.timer == timer {
+                armed.seq = 0;
             }
-        }
-        if let Some(seq) = self.timer_seq.remove(&(owner, timer)) {
-            self.timers.remove(&seq);
         }
     }
 
@@ -299,34 +306,18 @@ impl EventQueue {
         let run = self
             .serving
             .map(|run| (run.time, self.nodes[run.head as usize].seq));
-        let client = self
-            .client_deadlines
+        let deadline = self
+            .deadlines
             .peek()
             .map(|Reverse((time, seq, _))| (*time, *seq));
-        let timer = self.timer_deadlines.peek().map(|Reverse(key)| *key);
-        if earlier(client, run) && earlier(client, timer) {
-            let Reverse((time, seq, client)) = self.client_deadlines.pop()?;
-            let slot = &mut self.client_timers[client as usize];
-            let fired = if slot.seq == seq {
-                slot.seq = 0;
-                let client = ClientId(client);
-                Fired::Timer(
-                    ComponentId::Client(client),
-                    ProtocolTimer::ClientRequest(TxnId::new(client, slot.counter)),
-                )
+        if earlier(deadline, run) {
+            let Reverse((time, seq, slot)) = self.deadlines.pop()?;
+            let armed = self.armed[slot as usize];
+            let fired = if armed.seq == seq {
+                self.cancel(armed.owner, armed.timer);
+                Fired::Timer(armed.owner, armed.timer)
             } else {
                 Fired::StaleTimer
-            };
-            return Some(Popped { time, fired });
-        }
-        if earlier(timer, run) {
-            let Reverse((time, seq)) = self.timer_deadlines.pop()?;
-            let fired = match self.timers.remove(&seq) {
-                Some((owner, timer)) => {
-                    self.timer_seq.remove(&(owner, timer));
-                    Fired::Timer(owner, timer)
-                }
-                None => Fired::StaleTimer,
             };
             return Some(Popped { time, fired });
         }
@@ -352,24 +343,16 @@ impl EventQueue {
     /// Entries still queued, stale deadlines included.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.events_len() + self.client_deadlines.len()
+        self.runs().1 + self.deadlines.len()
     }
 
     /// Bytes the queue holds for its entries: the slab (every node it has
-    /// grown to, free ones included) and the three heaps.
+    /// grown to, free ones included) and the two heaps.
     #[cfg(test)]
     pub(crate) fn queued_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
             + self.runs.len() * std::mem::size_of::<Reverse<RunKey>>()
-            + self.timer_deadlines.len() * std::mem::size_of::<Reverse<(SimTime, u64)>>()
-            + self.client_deadlines.len() * std::mem::size_of::<Reverse<(SimTime, u64, u32)>>()
-    }
-
-    /// Entries queued outside the client-deadline heap: those in runs and
-    /// the node and verifier timers.
-    #[cfg(test)]
-    pub(crate) fn events_len(&self) -> usize {
-        self.runs().1 + self.timer_deadlines.len()
+            + self.deadlines.len() * std::mem::size_of::<Reverse<DeadlineKey>>()
     }
 
     /// Runs still queued (closed, open and serving) and the entries they
@@ -391,10 +374,13 @@ impl EventQueue {
     /// The request whose timer `client` has armed, if any.
     #[cfg(test)]
     pub(crate) fn armed_request(&self, client: ClientId) -> Option<TxnId> {
-        self.client_timers
-            .get(client.0 as usize)
-            .filter(|t| t.seq != 0)
-            .map(|t| TxnId::new(client, t.counter))
+        let owner = ComponentId::Client(client);
+        self.armed.iter().find_map(|armed| match armed.timer {
+            ProtocolTimer::ClientRequest(txn) if armed.seq != 0 && armed.owner == owner => {
+                Some(txn)
+            }
+            _ => None,
+        })
     }
 }
 
@@ -402,6 +388,7 @@ impl EventQueue {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sbft_core::events::RecoverySubject;
     use sbft_types::{NodeId, SeqNum, SimDuration};
     use std::collections::BTreeMap;
 
@@ -419,11 +406,12 @@ mod tests {
         // A queued delivery or event is one node: `seq`, the message in
         // flight (or event) inline, and the link to the next node of its
         // run. A delivery took 192 bytes while it was a 32-byte heap entry
-        // naming a 160-byte slab slot. Timers are 24-byte heap entries.
+        // naming a 160-byte slab slot. A deadline is a 24-byte heap entry,
+        // an armed timer one slot of the table (a client's at rest too).
         assert!(std::mem::size_of::<Node>() <= 176);
         assert!(std::mem::size_of::<Reverse<RunKey>>() <= 24);
-        assert!(std::mem::size_of::<Reverse<(SimTime, u64)>>() <= 24);
-        assert!(std::mem::size_of::<Reverse<(SimTime, u64, u32)>>() <= 24);
+        assert!(std::mem::size_of::<Reverse<DeadlineKey>>() <= 24);
+        assert!(std::mem::size_of::<Armed>() <= 48);
         // What a role pushes per send and what a node holds per message
         // in flight. Both were 304 bytes while `ERROR` carried its client
         // request inline and `EXECUTE` / `VERIFY` sat in the enum.
@@ -436,15 +424,16 @@ mod tests {
         assert!(std::mem::size_of::<sbft_core::ClientRole>() <= 192);
     }
 
-    /// What a pop showed, reduced to what the two timer paths share.
+    /// What a pop showed, reduced to what a client's slot and a slot from
+    /// the index share.
     #[derive(Debug, PartialEq)]
     enum Seen {
         Fired(u64),
         Stale,
     }
 
-    /// Arms, re-arms, cancels and fires one timer per request through
-    /// `owner`'s path and reports every pop.
+    /// Arms, re-arms, cancels and fires one timer per request in `owner`'s
+    /// slot and reports every pop.
     fn timer_script(owner: ComponentId) -> Vec<(SimTime, Seen)> {
         let txn = |n| ProtocolTimer::ClientRequest(TxnId::new(ClientId(3), n));
         let mut q = EventQueue::new(8);
@@ -484,7 +473,7 @@ mod tests {
     #[test]
     fn a_client_timer_behaves_in_its_slot_as_in_the_table() {
         let through_slot = timer_script(ComponentId::Client(ClientId(3)));
-        // The same timers owned by a node take the table path.
+        // The same timers owned by a node take a slot from the index.
         let through_table = timer_script(ComponentId::Node(NodeId(3)));
         assert_eq!(through_slot, through_table);
         assert_eq!(
@@ -502,9 +491,10 @@ mod tests {
     /// A closed loop of `clients` clients over 200 rounds, 10 µs apart:
     /// every client without a request out arms one; one in five of those
     /// goes unanswered and fires 25 µs later, the others are answered
-    /// (cancelled) at once. `owner` picks whose path the timers take.
+    /// (cancelled) at once. `owner` picks whose slot the timers take.
     /// Returns every timer that fired, as `(time, client, counter)`, and
-    /// the most client deadlines queued after any arming.
+    /// the most deadlines queued after any arming, which never exceeds
+    /// the queue's bound.
     fn closed_loop(
         clients: u32,
         owner: impl Fn(u32) -> ComponentId,
@@ -543,25 +533,32 @@ mod tests {
                     q.arm(owner(c), timer, at(now + 2_000));
                     q.cancel(owner(c), timer);
                 }
-                most_deadlines = most_deadlines.max(q.len() - q.events_len());
+                let deadlines = q.len() - q.runs().1;
+                assert!(deadlines <= q.deadline_bound(), "{deadlines} deadlines");
+                most_deadlines = most_deadlines.max(deadlines);
             }
         }
         while pop(&mut q, &mut outstanding).is_some() {}
         assert_eq!(q.len(), 0);
+        // 1 600 armings, never more than one timer a client at once: the
+        // free list hands the index's slots out again.
+        assert!(
+            q.armed.len() <= 2 * clients as usize,
+            "{} slots",
+            q.armed.len()
+        );
         (fired, most_deadlines)
     }
 
     #[test]
     fn answered_requests_leave_a_bounded_number_of_deadlines() {
         let clients = 8;
-        let (through_slot, most_deadlines) =
+        let (through_slot, client_deadlines) =
             closed_loop(clients, |c| ComponentId::Client(ClientId(c)));
-        // The table path keeps every cancelled timer queued until it is
-        // due: it fires what the slot path fired before stale deadlines
-        // were dropped.
-        let (through_table, table_deadlines) =
+        // Node timers go through the index and obey the same bound: they
+        // fire what the clients' slots fired.
+        let (through_table, node_deadlines) =
             closed_loop(clients, |c| ComponentId::Node(NodeId(c)));
-        assert_eq!(table_deadlines, 0);
         assert_eq!(through_slot, through_table);
         // 200 rounds × 8 clients, a fifth of them unanswered for 3 rounds.
         assert!(
@@ -569,14 +566,30 @@ mod tests {
             "{} timers fired",
             through_slot.len()
         );
-        let bound = EventQueue::new(clients as usize).deadline_bound();
-        assert_eq!(bound, 2 * clients as usize + DEADLINE_SLACK);
-        assert!(
-            most_deadlines <= bound,
-            "{most_deadlines} client deadlines queued, bound {bound}"
+        assert_eq!(
+            EventQueue::new(clients as usize).deadline_bound(),
+            2 * clients as usize + DEADLINE_SLACK
         );
         // Without the drop, the 2 ms deadlines of 200 rounds would pile up.
-        assert!(most_deadlines > clients as usize);
+        assert!(client_deadlines > clients as usize);
+        assert!(node_deadlines > clients as usize);
+    }
+
+    #[test]
+    fn the_bound_grows_with_the_timers_armed_at_once() {
+        // No client slots and 100 verifier timers armed at once, none
+        // stale: the bound counts the table's slots, so it stays above the
+        // heap however many timers are live.
+        let mut q = EventQueue::new(0);
+        for n in 0..100 {
+            q.arm(
+                ComponentId::Verifier,
+                ProtocolTimer::VerifierAbort(SeqNum(n)),
+                at(n),
+            );
+            assert!(q.len() <= q.deadline_bound(), "{} deadlines", q.len());
+        }
+        assert_eq!((q.len(), q.armed.len()), (100, 100));
     }
 
     #[test]
@@ -591,20 +604,27 @@ mod tests {
             at(5),
         );
         assert_eq!(q.armed_request(client), Some(txn));
-        assert_eq!((q.len(), q.events_len()), (1, 0));
+        assert_eq!((q.len(), q.runs().1), (1, 0));
         q.cancel(
             ComponentId::Client(client),
             ProtocolTimer::ClientRequest(txn),
         );
         assert_eq!(q.armed_request(client), None);
-        // A client beyond the slots the queue was built with gets one.
+        // A client beyond the slots the queue was built with takes one from
+        // the index; cancelled, it goes back to the free list.
         let far = ClientId(7);
-        q.arm(
-            ComponentId::Client(far),
-            ProtocolTimer::ClientRequest(TxnId::new(far, 0)),
-            at(6),
-        );
+        let far_timer = ProtocolTimer::ClientRequest(TxnId::new(far, 0));
+        q.arm(ComponentId::Client(far), far_timer, at(6));
         assert_eq!(q.armed_request(far), Some(TxnId::new(far, 0)));
+        assert_eq!(q.armed.len(), 3);
+        q.cancel(ComponentId::Client(far), far_timer);
+        assert_eq!(q.armed_request(far), None);
+        q.arm(
+            ComponentId::Verifier,
+            ProtocolTimer::VerifierAbort(SeqNum(1)),
+            at(7),
+        );
+        assert_eq!(q.armed.len(), 3);
     }
 
     /// One step of a random schedule.
@@ -615,8 +635,8 @@ mod tests {
             delay: u64,
             count: u64,
         },
-        /// Arm the timer of request `counter` of client `owner` (or, for
-        /// `owner >= 4`, a verifier timer) `delay` after the clock.
+        /// Arm timer `counter` of `owner` (see [`timer_of`]) `delay` after
+        /// the clock.
         Arm {
             owner: u32,
             counter: u64,
@@ -655,18 +675,29 @@ mod tests {
         proptest::collection::vec(step(), 1..400)
     }
 
+    /// The clients with a slot of their own in [`check_order`]'s queue.
+    const CLIENTS: u32 = 2;
+
+    /// Timer `counter` of `owner`: the request timer of a client with a
+    /// slot of its own (`owner < 2`) or without one (2), a node's
+    /// retransmit timer (3), or a verifier abort timer (4 and 5).
     fn timer_of(owner: u32, counter: u64) -> (ComponentId, ProtocolTimer) {
-        if owner < 4 {
-            let client = ClientId(owner);
-            (
-                ComponentId::Client(client),
-                ProtocolTimer::ClientRequest(TxnId::new(client, counter)),
-            )
-        } else {
-            (
+        match owner {
+            0..=2 => {
+                let client = ClientId(owner);
+                (
+                    ComponentId::Client(client),
+                    ProtocolTimer::ClientRequest(TxnId::new(client, counter)),
+                )
+            }
+            3 => (
+                ComponentId::Node(NodeId(1)),
+                ProtocolTimer::Retransmit(RecoverySubject::Seq(SeqNum(counter))),
+            ),
+            _ => (
                 ComponentId::Verifier,
                 ProtocolTimer::VerifierAbort(SeqNum(u64::from(owner) * 8 + counter)),
-            )
+            ),
         }
     }
 
@@ -677,13 +708,12 @@ mod tests {
         Timer(ComponentId, ProtocolTimer),
     }
 
-    fn is_client(queued: &Expected) -> bool {
-        matches!(queued, Expected::Timer(ComponentId::Client(_), _))
-    }
-
-    /// The client deadlines the model holds.
-    fn client_deadlines(model: &BTreeMap<(SimTime, u64), Expected>) -> usize {
-        model.values().filter(|queued| is_client(queued)).count()
+    /// The deadlines the model holds.
+    fn deadlines(model: &BTreeMap<(SimTime, u64), Expected>) -> usize {
+        model
+            .values()
+            .filter(|queued| matches!(queued, Expected::Timer(..)))
+            .count()
     }
 
     /// Whether the model holds a pushed event due at `time`.
@@ -707,13 +737,16 @@ mod tests {
     /// strict `(time, seq)` order — `seq` counting pushes and arms alike —
     /// a timer fires only if it is still the latest arming of its key, and
     /// everything else shows up as a stale deadline at its place in the
-    /// order, bar the cancelled client deadlines an arming past the bound
-    /// dropped. Returns which of [`SHAPES`] the schedule showed.
+    /// order, bar the stale deadlines, whatever their owner, an arming past
+    /// the bound dropped. The table holds no more slots than the clients'
+    /// and the most timers armed at once through the index. Returns which
+    /// of [`SHAPES`] the schedule showed.
     fn check_order(steps: &[Step]) -> [bool; 5] {
-        let mut q = EventQueue::new(4);
+        let mut q = EventQueue::new(CLIENTS as usize);
         // (time, seq) -> what was queued; the live arming of each key.
         let mut model: BTreeMap<(SimTime, u64), Expected> = BTreeMap::new();
         let mut live: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+        let mut most_indexed = 0;
         let mut seq = 0u64;
         let mut clock = 0u64;
         // The instant of the last pop and of the last push.
@@ -776,21 +809,24 @@ mod tests {
                     shapes[3] |= pushed == Some(time) && holds_event_at(&model, time);
                     let (component, timer) = timer_of(owner, counter);
                     q.arm(component, timer, time);
-                    if owner < 4 {
-                        // A client has one slot: arming replaces whatever
-                        // request it held. Past the bound, the cancelled
-                        // deadlines leave the queue.
+                    if owner < CLIENTS {
+                        // A client with a slot of its own holds one
+                        // request in it: arming replaces whatever it held.
                         live.retain(|(o, _), _| *o != owner);
-                        if client_deadlines(&model) >= q.deadline_bound() {
-                            model.retain(|(_, s), queued| {
-                                !is_client(queued) || live.values().any(|l| l == s)
-                            });
-                        }
+                    }
+                    live.insert((owner, counter), seq);
+                    // Past the bound, the stale deadlines leave the queue.
+                    if deadlines(&model) >= q.deadline_bound() {
+                        model.retain(|(_, s), queued| {
+                            matches!(queued, Expected::Event(_)) || live.values().any(|l| l == s)
+                        });
                     }
                     model.insert((time, seq), Expected::Timer(component, timer));
-                    live.insert((owner, counter), seq);
-                    let queued = client_deadlines(&model);
-                    assert_eq!(q.len() - q.events_len(), queued);
+                    let indexed = live.keys().filter(|(o, _)| *o >= CLIENTS).count();
+                    most_indexed = most_indexed.max(indexed);
+                    assert!(q.armed.len() <= CLIENTS as usize + most_indexed);
+                    let queued = deadlines(&model);
+                    assert_eq!(q.len() - q.runs().1, queued);
                     assert!(queued <= q.deadline_bound());
                 }
                 Step::Cancel { owner, counter } => {
